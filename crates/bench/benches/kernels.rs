@@ -8,15 +8,14 @@
 #![allow(clippy::default_constructed_unit_structs)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ets_tensor::bf16::gemm_bf16_slice;
 use ets_tensor::ops::conv::{
     conv2d_backward, conv2d_forward, depthwise_forward, im2col, Conv2dGeom,
 };
+use ets_tensor::ops::dispatch::{gemm, GemmDesc, GemmPrecision, Orient};
 use ets_tensor::ops::gemm_blocked::{
-    gemm_blocked, gemm_blocked_a_bt, gemm_blocked_at_b, gemm_prepacked, pack_a_into, packed_a_len,
-    PanelA, PanelB,
+    gemm_blocked, gemm_prepacked, pack_a_into, packed_a_len, PanelA, PanelB,
 };
-use ets_tensor::ops::matmul::{gemm_a_bt_slice, gemm_at_b_slice, gemm_slice};
+use ets_tensor::ops::matmul::gemm_naive;
 use ets_tensor::ops::reduce::{channel_mean, channel_sum_sq};
 use ets_tensor::{scratch_f32, Rng, Shape, Tensor};
 
@@ -40,27 +39,29 @@ fn bench_gemm(c: &mut Criterion) {
         let b = rand_vec(&mut rng, n * n);
         let mut out = vec![0.0; n * n];
         group.throughput(Throughput::Elements((n * n * n) as u64));
-        group.bench_with_input(BenchmarkId::new("f32", n), &n, |bench, &n| {
-            bench.iter(|| gemm_slice(n, n, n, &a, &b, &mut out));
+        let plain = GemmDesc::new(n, n, n);
+        let bf16 = GemmDesc {
+            precision: GemmPrecision::Bf16,
+            ..plain
+        };
+        group.bench_function(BenchmarkId::new("f32", n), |bench| {
+            bench.iter(|| gemm_naive(plain, &a, &b, &mut out));
         });
-        group.bench_with_input(BenchmarkId::new("bf16_mixed", n), &n, |bench, &n| {
-            bench.iter(|| gemm_bf16_slice(n, n, n, &a, &b, &mut out));
+        group.bench_function(BenchmarkId::new("bf16_mixed", n), |bench| {
+            bench.iter(|| gemm(bf16, &a, &b, &mut out));
         });
-        group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, &n| {
-            bench.iter(|| gemm_blocked(n, n, n, &a, &b, &mut out));
+        group.bench_function(BenchmarkId::new("blocked", n), |bench| {
+            bench.iter(|| gemm_blocked(plain, &a, &b, &mut out));
         });
-        group.bench_with_input(BenchmarkId::new("at_b_naive", n), &n, |bench, &n| {
-            bench.iter(|| gemm_at_b_slice(n, n, n, &a, &b, &mut out));
-        });
-        group.bench_with_input(BenchmarkId::new("at_b_blocked", n), &n, |bench, &n| {
-            bench.iter(|| gemm_blocked_at_b(n, n, n, &a, &b, &mut out));
-        });
-        group.bench_with_input(BenchmarkId::new("a_bt_naive", n), &n, |bench, &n| {
-            bench.iter(|| gemm_a_bt_slice(n, n, n, &a, &b, &mut out));
-        });
-        group.bench_with_input(BenchmarkId::new("a_bt_blocked", n), &n, |bench, &n| {
-            bench.iter(|| gemm_blocked_a_bt(n, n, n, &a, &b, &mut out));
-        });
+        for (tag, orient) in [("at_b", Orient::AtB), ("a_bt", Orient::ABt)] {
+            let desc = GemmDesc { orient, ..plain };
+            group.bench_function(BenchmarkId::new(format!("{tag}_naive"), n), |bench| {
+                bench.iter(|| gemm_naive(desc, &a, &b, &mut out));
+            });
+            group.bench_function(BenchmarkId::new(format!("{tag}_blocked"), n), |bench| {
+                bench.iter(|| gemm_blocked(desc, &a, &b, &mut out));
+            });
+        }
     }
     group.finish();
 }
@@ -84,20 +85,20 @@ fn bench_conv_strategies(c: &mut Criterion) {
     group.bench_function("im2col_naive", |bench| {
         bench.iter(|| {
             im2col(&g, &img, &mut patches);
-            gemm_slice(m, k, n, &w, &patches, &mut y);
+            gemm_naive(GemmDesc::new(m, k, n), &w, &patches, &mut y);
         });
     });
     group.bench_function("im2col_blocked", |bench| {
         bench.iter(|| {
             im2col(&g, &img, &mut patches);
-            gemm_blocked(m, k, n, &w, &patches, &mut y);
+            gemm_blocked(GemmDesc::new(m, k, n), &w, &patches, &mut y);
         });
     });
     let mut ap = scratch_f32(packed_a_len(m, k));
-    pack_a_into(PanelA::RowMajor(&w), m, k, &mut ap);
+    pack_a_into::<f32>(PanelA::RowMajor(&w), m, k, &mut ap);
     group.bench_function("fused_patches", |bench| {
         bench.iter(|| {
-            gemm_prepacked(
+            gemm_prepacked::<f32>(
                 m,
                 k,
                 n,

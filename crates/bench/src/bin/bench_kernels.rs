@@ -2,7 +2,7 @@
 //! blocked vs dispatched vs bf16-packed vs fused-im2col throughput
 //! across EfficientNet-B0 layer shapes, plus the panel-pack throughput
 //! probe (f32 vs bf16) and the steady-state step probe (wall time per
-//! step, scratch arena allocator hits, per-precision gemm_auto dispatch
+//! step, scratch arena allocator hits, per-precision dispatch
 //! split).
 //!
 //! The document is schema-validated in-process before writing, and
@@ -59,11 +59,10 @@ fn main() {
     }
     std::fs::create_dir_all(&out_dir).expect("create output dir");
 
-    if let Ok(w) = std::env::var("ETS_GEMM_WORKERS") {
-        let w: usize = w.parse().expect("ETS_GEMM_WORKERS must be an integer");
-        ets_tensor::set_gemm_workers(w);
-        println!("gemm worker pool pinned to {w} (ETS_GEMM_WORKERS)");
-    }
+    println!(
+        "gemm worker pool: {} (ETS_GEMM_WORKERS pins it)",
+        ets_tensor::gemm_workers()
+    );
 
     let rows = kernel_rows(smoke);
     let ss = steady_state_probe(smoke);

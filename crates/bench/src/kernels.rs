@@ -4,7 +4,7 @@
 //! EfficientNet-B0 layer shapes:
 //!
 //! - **naive** — materialized im2col patches + the streaming
-//!   [`gemm_slice`] kernel (the pre-packed-kernel hot path),
+//!   [`gemm_naive`] kernel (the pre-packed-kernel hot path),
 //! - **blocked** — materialized im2col patches + the cache-blocked,
 //!   panel-packed [`gemm_blocked`] kernel,
 //! - **fused** — [`gemm_prepacked`] over a [`PanelB::Patches`] operand:
@@ -14,7 +14,7 @@
 //!   `conv2d_forward`'s per-call amortization across a batch.
 //!
 //! Every row is also measured through the shape-pure dispatcher
-//! (`gemm_auto`) and through the bf16 packed kernels (§3.5: operands
+//! (`gemm`) and through the bf16 packed kernels (§3.5: operands
 //! narrowed once at pack time, f32 accumulate), plus a panel-packing
 //! throughput probe (f32 copy vs bf16 narrowing pack) at the calibration
 //! shape, a per-lane-path SIMD probe (the blocked kernel forced down
@@ -23,7 +23,7 @@
 //! steady-state training-step probe that pins the scratch
 //! arena's allocator traffic to **zero** after warmup — in both
 //! precisions — and reports wall time per step and the per-precision
-//! gemm_auto dispatch split.
+//! dispatch split.
 //!
 //! The calibration row (`m=256, k=1152, n=3136` — a B0 stage-5-sized
 //! 3×3 conv at 56×56) is identical in smoke and full mode: CI gates on
@@ -37,13 +37,12 @@ use ets_tensor::ops::conv::{
     conv2d_backward, conv2d_backward_p, conv2d_forward, conv2d_forward_p, im2col, Conv2dGeom,
 };
 use ets_tensor::ops::dispatch::{
-    dispatch_blocked_calls, dispatch_calls, dispatch_naive_calls, gemm_auto, GemmPrecision,
+    dispatch_blocked_calls, dispatch_calls, dispatch_naive_calls, gemm, GemmDesc, GemmPrecision,
 };
 use ets_tensor::ops::gemm_blocked::{
-    gemm_blocked, gemm_blocked_bf16, gemm_prepacked, gemm_prepacked_as, pack_a_into,
-    pack_a_into_as, pack_b_panel, packed_a_len, PanelA, PanelB, KC, NC,
+    gemm_blocked, gemm_prepacked, pack_a_into, pack_b_panel, packed_a_len, PanelA, PanelB, KC, NC,
 };
-use ets_tensor::ops::matmul::gemm_slice;
+use ets_tensor::ops::matmul::gemm_naive;
 use ets_tensor::ops::simd::{self, LanePath};
 use ets_tensor::{
     gemm_workers, scratch_bf16, scratch_f32, scratch_reallocs, set_gemm_workers,
@@ -56,6 +55,14 @@ pub const CALIBRATION_LABEL: &str = "b0_stage5_3x3_56px_calibration";
 /// The calibration GEMM dims: `C_out × (C_in·KH·KW) × (H_out·W_out)`.
 pub const CALIBRATION_MKN: (usize, usize, usize) = (256, 1152, 3136);
 
+/// The plain `AB` overwrite product with operands rounded to bf16.
+fn bf16_desc(m: usize, k: usize, n: usize) -> GemmDesc {
+    GemmDesc {
+        precision: GemmPrecision::Bf16,
+        ..GemmDesc::new(m, k, n)
+    }
+}
+
 /// One measured kernel shape.
 #[derive(Clone, Debug)]
 pub struct KernelBenchRow {
@@ -66,7 +73,7 @@ pub struct KernelBenchRow {
     pub reps: usize,
     pub naive_gflops: f64,
     pub blocked_gflops: f64,
-    /// `gemm_auto` through the shape-pure dispatcher — what training
+    /// `gemm` through the shape-pure dispatcher — what training
     /// actually runs at this shape. The per-row gate compares this (not
     /// the raw blocked kernel) against naive: the dispatcher must never
     /// pick a path slower than the kernel it replaced.
@@ -218,10 +225,11 @@ pub fn parallel_probe(smoke: bool) -> ParallelProbe {
     set_gemm_workers(PARALLEL_PROBE_WORKERS);
     // Warmup both paths (primes every worker's scratch arena; reallocs
     // after this point break the steady-state contract) …
+    let desc = GemmDesc::new(m, k, n);
     set_sequential_override(true);
-    gemm_blocked(m, k, n, &a, &b, &mut c_seq);
+    gemm_blocked(desc, &a, &b, &mut c_seq);
     set_sequential_override(false);
-    gemm_blocked(m, k, n, &a, &b, &mut c_par);
+    gemm_blocked(desc, &a, &b, &mut c_par);
     let reallocs_before: Vec<u64> = worker_stats().iter().map(|s| s.scratch_reallocs).collect();
     let helper_tiles_before: u64 = worker_stats().iter().skip(1).map(|s| s.tiles).sum();
     // … then *interleave* the timed reps: each rep times the two paths
@@ -238,7 +246,7 @@ pub fn parallel_probe(smoke: bool) -> ParallelProbe {
     let run_half = |seq: bool, c: &mut [f32]| -> f64 {
         set_sequential_override(seq);
         let t0 = Instant::now();
-        gemm_blocked(m, k, n, &a, &b, c);
+        gemm_blocked(desc, &a, &b, c);
         t0.elapsed().as_secs_f64().max(1e-9)
     };
     for rep in 0..reps {
@@ -351,9 +359,9 @@ pub fn simd_probe(smoke: bool) -> SimdProbe {
     let mut run = |v: usize| {
         let _lane = simd::ForcedLaneGuard::new(paths[v / 2]);
         if v.is_multiple_of(2) {
-            gemm_blocked(m, k, n, &a, &b, &mut c32[v / 2]);
+            gemm_blocked(GemmDesc::new(m, k, n), &a, &b, &mut c32[v / 2]);
         } else {
-            gemm_blocked_bf16(m, k, n, &a, &b, &mut c16[v / 2]);
+            gemm_blocked(bf16_desc(m, k, n), &a, &b, &mut c16[v / 2]);
         }
     };
     let best = time_variants_interleaved(2 * paths.len(), reps, &mut run);
@@ -434,12 +442,13 @@ pub fn abft_probe(smoke: bool) -> AbftProbe {
 
     let prev = abft::verify_enabled();
     abft::set_verify(false);
-    let plain_gflops = time_gflops(flops, reps, || gemm_blocked(m, k, n, &a, &b, &mut c_plain));
+    let desc = GemmDesc::new(m, k, n);
+    let plain_gflops = time_gflops(flops, reps, || gemm_blocked(desc, &a, &b, &mut c_plain));
 
     abft::set_verify(true);
     let verified0 = abft::tiles_verified();
     let detected0 = abft::corruptions_detected();
-    let verify_gflops = time_gflops(flops, reps, || gemm_blocked(m, k, n, &a, &b, &mut c_verify));
+    let verify_gflops = time_gflops(flops, reps, || gemm_blocked(desc, &a, &b, &mut c_verify));
     let tiles_verified = abft::tiles_verified() - verified0;
     let false_positives = abft::corruptions_detected() - detected0;
     abft::set_verify(prev);
@@ -523,9 +532,9 @@ fn conv_row(
     // Fused: weight panel packed once (amortized across a batch in
     // `conv2d_forward`), patches gathered straight into B panels.
     let mut ap = scratch_f32(packed_a_len(m, k));
-    pack_a_into(PanelA::RowMajor(&w), m, k, &mut ap);
+    pack_a_into::<f32>(PanelA::RowMajor(&w), m, k, &mut ap);
     let mut ap16 = scratch_bf16(packed_a_len(m, k));
-    pack_a_into_as::<Bf16>(PanelA::RowMajor(&w), m, k, &mut ap16);
+    pack_a_into::<Bf16>(PanelA::RowMajor(&w), m, k, &mut ap16);
 
     // All six variants are timed round-robin inside a shared rep loop
     // (rep 0 is the untimed warmup): the gate compares variants against
@@ -536,21 +545,21 @@ fn conv_row(
     let mut run = |v: usize| match v {
         0 => {
             im2col(&g, &img, &mut patches);
-            gemm_slice(m, k, n, &w, &patches, &mut y);
+            gemm_naive(GemmDesc::new(m, k, n), &w, &patches, &mut y);
         }
         1 => {
             im2col(&g, &img, &mut patches);
-            gemm_blocked(m, k, n, &w, &patches, &mut y);
+            gemm_blocked(GemmDesc::new(m, k, n), &w, &patches, &mut y);
         }
         2 => {
             im2col(&g, &img, &mut patches);
-            gemm_auto(m, k, n, &w, &patches, &mut y);
+            gemm(GemmDesc::new(m, k, n), &w, &patches, &mut y);
         }
         3 => {
             im2col(&g, &img, &mut patches);
-            gemm_blocked_bf16(m, k, n, &w, &patches, &mut y);
+            gemm_blocked(bf16_desc(m, k, n), &w, &patches, &mut y);
         }
-        4 => gemm_prepacked(
+        4 => gemm_prepacked::<f32>(
             m,
             k,
             n,
@@ -562,7 +571,7 @@ fn conv_row(
             &mut y,
             false,
         ),
-        _ => gemm_prepacked_as::<Bf16>(
+        _ => gemm_prepacked::<Bf16>(
             m,
             k,
             n,
@@ -638,10 +647,10 @@ fn gemm_row(
     rng.fill_uniform(&mut b, -1.0, 1.0);
     let mut c = vec![0.0f32; m * n];
     let mut run = |v: usize| match v {
-        0 => gemm_slice(m, k, n, &a, &b, &mut c),
-        1 => gemm_blocked(m, k, n, &a, &b, &mut c),
-        2 => gemm_auto(m, k, n, &a, &b, &mut c),
-        _ => gemm_blocked_bf16(m, k, n, &a, &b, &mut c),
+        0 => gemm_naive(GemmDesc::new(m, k, n), &a, &b, &mut c),
+        1 => gemm_blocked(GemmDesc::new(m, k, n), &a, &b, &mut c),
+        2 => gemm(GemmDesc::new(m, k, n), &a, &b, &mut c),
+        _ => gemm_blocked(bf16_desc(m, k, n), &a, &b, &mut c),
     };
     let best = time_variants_interleaved(4, reps, &mut run);
     let gf = |b: f64| flops as f64 / b / 1e9;
@@ -665,7 +674,7 @@ fn gemm_row(
 
 /// The complete pack work of the calibration GEMM in one precision: the
 /// tile-major A pack (`m×k`) plus every `KC×NC` B panel (`k×n`), packed
-/// into reused panel buffers exactly as `gemm_prepacked_as` does.
+/// into reused panel buffers exactly as `gemm_prepacked` does.
 fn pack_pass<E: ets_tensor::ops::gemm_blocked::PackElem>(
     m: usize,
     k: usize,
@@ -675,7 +684,7 @@ fn pack_pass<E: ets_tensor::ops::gemm_blocked::PackElem>(
     ap: &mut [E],
     bp: &mut [E],
 ) {
-    pack_a_into_as::<E>(PanelA::RowMajor(w), m, k, ap);
+    pack_a_into::<E>(PanelA::RowMajor(w), m, k, ap);
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
         for jc in (0..n).step_by(NC) {

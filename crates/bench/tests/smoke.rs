@@ -280,12 +280,17 @@ fn smoke_path_emits_valid_artifacts() {
     assert!(art.report.fault_recovery.transient_failures >= 1);
 }
 
+/// The kernel probes resize the process-global GEMM pool and read its
+/// worker tallies, so the two tests that run them take turns.
+static KERNEL_PROBES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// The exact code path CI's `bench-kernels` job runs: smoke-mode rows +
 /// steady-state probe, in-process schema validation, and the regression
 /// gate. Also asserts the ISSUE's allocation-free-steady-state criterion
 /// (`scratch_reallocs_delta == 0` after warmup).
 #[test]
 fn kernel_bench_smoke_emits_valid_json_and_allocation_free_steady_state() {
+    let _probes = KERNEL_PROBES.lock().unwrap_or_else(|e| e.into_inner());
     let rows = kernel_rows(true);
     let ss = steady_state_probe(true);
     let pack = pack_probe(true);
@@ -428,6 +433,7 @@ fn kernel_bench_smoke_emits_valid_json_and_allocation_free_steady_state() {
 /// the gate.
 #[test]
 fn kernel_regression_gate_rejects_bad_rows() {
+    let _probes = KERNEL_PROBES.lock().unwrap_or_else(|e| e.into_inner());
     let rows = kernel_rows(true);
     let ss = steady_state_probe(true);
     let pack = pack_probe(true);

@@ -5,7 +5,7 @@
 //! layers, which is how we implement them).
 //!
 //! All three GEMMs (forward `x·Wᵀ`, weight gradient `gradᵀ·x`, input
-//! gradient `grad·W`) route through the shape-pure `gemm_auto`
+//! gradient `grad·W`) route through the shape-pure `gemm`
 //! dispatcher, so head-sized products take the blocked packed kernels
 //! while SE-bottleneck-sized ones keep the naive streaming path. A
 //! [`GemmPolicy`] (see [`Linear::with_precision`]) additionally selects
@@ -16,7 +16,7 @@
 
 use crate::layer::{Layer, Mode};
 use crate::param::{Param, ParamKind};
-use ets_tensor::ops::dispatch::{gemm_auto_a_bt_p, gemm_auto_at_b_acc_p, gemm_auto_p, GemmPolicy};
+use ets_tensor::ops::dispatch::{gemm, GemmDesc, GemmPolicy, Orient};
 use ets_tensor::{init, Rng, Tensor};
 
 /// Dense layer with weight stored `[out, in]` and optional bias.
@@ -100,17 +100,14 @@ impl Layer for Linear {
         // All three GEMMs of this layer share one MAC volume
         // (N·in·out), so one policy evaluation covers forward and both
         // backward products consistently.
-        let prec = self.policy.precision(n, self.in_dim, self.out_dim);
-        // y = x (N×in) · Wᵀ — W stored out×in, so this is gemm_a_bt.
-        gemm_auto_a_bt_p(
-            prec,
-            n,
-            self.in_dim,
-            self.out_dim,
-            x.data(),
-            self.weight.value.data(),
-            y.data_mut(),
-        );
+        let precision = self.policy.precision(n, self.in_dim, self.out_dim);
+        // y = x (N×in) · Wᵀ — W stored out×in.
+        let desc = GemmDesc {
+            orient: Orient::ABt,
+            precision,
+            ..GemmDesc::new(n, self.in_dim, self.out_dim)
+        };
+        gemm(desc, x.data(), self.weight.value.data(), y.data_mut());
         if let Some(b) = &self.bias {
             let bs = b.value.data();
             for row in y.data_mut().chunks_mut(self.out_dim) {
@@ -130,17 +127,15 @@ impl Layer for Linear {
             .expect("Linear: forward before backward");
         let n = x.shape().dim(0);
         assert_eq!(grad.shape().dims(), &[n, self.out_dim], "Linear grad shape");
-        let prec = self.policy.precision(n, self.in_dim, self.out_dim);
+        let precision = self.policy.precision(n, self.in_dim, self.out_dim);
         // dW (out×in) += gradᵀ (out×N) · x (N×in)
-        gemm_auto_at_b_acc_p(
-            prec,
-            self.out_dim,
-            n,
-            self.in_dim,
-            grad.data(),
-            x.data(),
-            self.weight.grad.data_mut(),
-        );
+        let dw = GemmDesc {
+            orient: Orient::AtB,
+            accumulate: true,
+            precision,
+            ..GemmDesc::new(self.out_dim, n, self.in_dim)
+        };
+        gemm(dw, grad.data(), x.data(), self.weight.grad.data_mut());
         if let Some(b) = &mut self.bias {
             let db = b.grad.data_mut();
             for row in grad.data().chunks(self.out_dim) {
@@ -151,11 +146,12 @@ impl Layer for Linear {
         }
         // dx (N×in) = grad (N×out) · W (out×in)
         let mut dx = Tensor::zeros([n, self.in_dim]);
-        gemm_auto_p(
-            prec,
-            n,
-            self.out_dim,
-            self.in_dim,
+        let dx_desc = GemmDesc {
+            precision,
+            ..GemmDesc::new(n, self.out_dim, self.in_dim)
+        };
+        gemm(
+            dx_desc,
             grad.data(),
             self.weight.value.data(),
             dx.data_mut(),

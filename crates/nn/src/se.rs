@@ -3,7 +3,7 @@
 //! `s = σ(W₂ · swish(W₁ · GAP(x)))`, `y = x ⊙ s` (per-channel gate).
 //! The two 1×1 "convs" of the reference implementation operate on a 1×1
 //! spatial map, so they are implemented as dense layers (with bias, as in
-//! the TF code). Their GEMMs route through `gemm_auto` via [`Linear`]:
+//! the TF code). Their GEMMs route through `gemm` via [`Linear`]:
 //! SE bottlenecks are usually below the blocked-dispatch threshold and
 //! keep the naive streaming kernels, by design — the dispatcher decides
 //! per shape, not per layer type. The same shape-plus-config rule

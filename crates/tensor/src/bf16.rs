@@ -7,7 +7,7 @@
 //! that quantizes GEMM/conv operands through bf16 while accumulating in f32
 //! — matching the MXU's bf16-multiply/f32-accumulate contract.
 
-use crate::ops::dispatch::{gemm_auto_p, GemmPrecision};
+use crate::ops::dispatch::{gemm, GemmDesc, GemmPrecision};
 use crate::tensor::Tensor;
 
 /// A bfloat16 value stored as its raw 16-bit pattern.
@@ -504,30 +504,27 @@ pub fn quantize_tensor(t: &Tensor) -> Tensor {
 /// mantissa bits ≈ 2^-8).
 pub const MAX_REL_ERR: f32 = 1.0 / 256.0;
 
-/// Mixed-precision GEMM: operands are rounded through bf16, products are
-/// accumulated in f32, mirroring a TPU MXU pass. Routes through the
-/// shape-pure dispatcher: large shapes take the packed kernels (panels
-/// stored as bf16 at 2× density), small ones quantize into arena scratch
-/// and stream — either way zero steady-state heap allocations, unlike
-/// the retired quantize-into-`Vec` implementation this replaces.
-pub fn gemm_bf16_slice(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_auto_p(GemmPrecision::Bf16, m, k, n, a, b, c);
-}
-
-/// Mixed-precision matmul at the tensor level.
+/// Mixed-precision matmul at the tensor level: operands are rounded
+/// through bf16, products are accumulated in f32, mirroring a TPU MXU
+/// pass. Routes through the shape-pure dispatcher like every other
+/// product.
 pub fn matmul_bf16(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.shape().dim(0), a.shape().dim(1));
     let (k2, n) = (b.shape().dim(0), b.shape().dim(1));
     assert_eq!(k, k2, "matmul_bf16 inner dims");
     let mut c = Tensor::zeros([m, n]);
-    gemm_bf16_slice(m, k, n, a.data(), b.data(), c.data_mut());
+    let desc = GemmDesc {
+        precision: GemmPrecision::Bf16,
+        ..GemmDesc::new(m, k, n)
+    };
+    gemm(desc, a.data(), b.data(), c.data_mut());
     c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::matmul::gemm_slice;
+    use crate::ops::matmul::matmul;
     use crate::rng::Rng;
     use proptest::prelude::*;
 
@@ -590,21 +587,15 @@ mod tests {
     fn mixed_gemm_close_to_f32() {
         let mut rng = Rng::new(2);
         let (m, k, n) = (16, 32, 16);
-        let mut a = vec![0.0; m * k];
-        let mut b = vec![0.0; k * n];
-        rng.fill_uniform(&mut a, -1.0, 1.0);
-        rng.fill_uniform(&mut b, -1.0, 1.0);
-        let mut c32 = vec![0.0; m * n];
-        let mut c16 = vec![0.0; m * n];
-        gemm_slice(m, k, n, &a, &b, &mut c32);
-        gemm_bf16_slice(m, k, n, &a, &b, &mut c16);
+        let mut a = Tensor::zeros([m, k]);
+        let mut b = Tensor::zeros([k, n]);
+        rng.fill_uniform(a.data_mut(), -1.0, 1.0);
+        rng.fill_uniform(b.data_mut(), -1.0, 1.0);
+        let c32 = matmul(&a, &b);
+        let c16 = matmul_bf16(&a, &b);
         // Error should be small (operand quantization only; f32 accumulate)
         // but generally nonzero.
-        let max_err = c32
-            .iter()
-            .zip(&c16)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
+        let max_err = c32.max_abs_diff(&c16);
         assert!(max_err < 0.15, "max_err {max_err}");
         assert!(max_err > 0.0, "bf16 path should differ from f32");
     }

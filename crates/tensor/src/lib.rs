@@ -1,8 +1,10 @@
 //! # ets-tensor
 //!
 //! Dense-tensor substrate for the EfficientNet-at-scale reproduction:
-//! contiguous row-major `f32` tensors, rayon-parallel GEMM and im2col
-//! convolution kernels, channel reductions for batch normalization, a
+//! contiguous row-major `f32` tensors, one descriptor-driven GEMM entry
+//! ([`ops::dispatch::gemm`]: a blocked packed kernel on a deterministic
+//! tile-grid worker pool, with a naive streaming tail for small shapes),
+//! im2col convolution kernels, channel reductions for batch normalization, a
 //! deterministic splittable PRNG, reference weight initializers, and a
 //! software bfloat16 implementation for the paper's mixed-precision policy
 //! (§3.5).
@@ -10,7 +12,7 @@
 //! Design notes:
 //! - Everything is `f32` with `f64` accumulation in reductions; there are no
 //!   views or lazy ops — kernels read and write flat slices.
-//! - Parallelism is data-parallel over independent output blocks (rows of a
+//! - Parallelism is data-parallel over independent output blocks (tiles of a
 //!   GEMM, images of a batch, channel planes), so kernels need no locks.
 //! - All randomness flows through [`rng::Rng`], seeded explicitly.
 

@@ -27,12 +27,12 @@
 //! nondeterministic), and partials are combined by a stride-doubling
 //! pairwise tree whose shape depends only on the batch size.
 
-use crate::bf16::{round_f32, Bf16};
-use crate::ops::dispatch::{self, GemmPrecision};
+use crate::bf16::Bf16;
+use crate::ops::dispatch::{self, GemmDesc, GemmPrecision, Orient};
 use crate::ops::gemm_blocked::{
-    gemm_prepacked_as, pack_a_into_as, packed_a_len, PackElem, PanelA, PanelB,
+    gemm_prepacked, pack_a_into, packed_a_len, PackElem, PanelA, PanelB,
 };
-use crate::ops::matmul::gemm_slice;
+use crate::ops::matmul::gemm_naive;
 use crate::scratch::{scratch_elems, scratch_f32, scratch_f32_zeroed};
 use crate::shape::{conv_out_dim, Shape};
 use crate::tensor::Tensor;
@@ -190,11 +190,11 @@ fn forward_fused<E: PackElem>(g: &Conv2dGeom, xs: &[f32], ws: &[f32], y: &mut [f
     let img_len = g.c_in * g.h * g.w;
     let out_len = g.c_out * p;
     let mut ap = scratch_elems::<E>(packed_a_len(g.c_out, kk));
-    pack_a_into_as::<E>(PanelA::RowMajor(ws), g.c_out, kk, &mut ap);
+    pack_a_into::<E>(PanelA::RowMajor(ws), g.c_out, kk, &mut ap);
     let ap = &*ap;
     y.par_chunks_mut(out_len).enumerate().for_each(|(i, yout)| {
         let img = &xs[i * img_len..(i + 1) * img_len];
-        gemm_prepacked_as::<E>(
+        gemm_prepacked::<E>(
             g.c_out,
             kk,
             p,
@@ -207,10 +207,9 @@ fn forward_fused<E: PackElem>(g: &Conv2dGeom, xs: &[f32], ws: &[f32], y: &mut [f
 }
 
 /// Precision-aware dense conv2d forward. Kernel choice (blocked vs
-/// naive) stays a pure function of shape; `precision` independently
-/// selects the pack-time element type, so bf16 numerics are honored on
-/// both sides of the dispatch threshold (the naive side quantizes its
-/// operands into arena scratch first).
+/// naive) stays a pure function of shape, made and tallied once per
+/// call; `precision` independently selects the operand rounding, so
+/// bf16 numerics are honored on both sides of the dispatch threshold.
 pub fn conv2d_forward_p(
     x: &Tensor,
     w: &Tensor,
@@ -233,32 +232,17 @@ pub fn conv2d_forward_p(
         }
     } else {
         dispatch::record_dispatch(precision, false);
-        // Naive streaming path. For bf16 the weight matrix is quantized
-        // once per call and each patch matrix in place after gathering,
-        // so the result equals quantize-both-operands-then-f32 exactly.
-        let wq = match precision {
-            GemmPrecision::F32 => None,
-            GemmPrecision::Bf16 => {
-                let mut q = scratch_f32(ws.len());
-                for (d, &s) in q.iter_mut().zip(ws.iter()) {
-                    *d = round_f32(s);
-                }
-                Some(q)
-            }
+        let desc = GemmDesc {
+            precision,
+            ..GemmDesc::new(g.c_out, kk, p)
         };
-        let weights: &[f32] = wq.as_deref().unwrap_or(ws);
         y.data_mut()
             .par_chunks_mut(out_len)
             .enumerate()
             .for_each(|(i, yout)| {
                 let mut patches = scratch_f32(kk * p);
                 im2col(&g, &xs[i * img_len..(i + 1) * img_len], &mut patches);
-                if precision == GemmPrecision::Bf16 {
-                    for v in patches.iter_mut() {
-                        *v = round_f32(*v);
-                    }
-                }
-                gemm_slice(g.c_out, kk, p, weights, &patches, yout);
+                gemm_naive(desc, ws, &patches, yout);
             });
     }
     y
@@ -307,6 +291,18 @@ pub fn conv2d_backward_p(
     let dys = dy.data();
     let wlen = w.numel();
 
+    let dx_desc = GemmDesc {
+        orient: Orient::AtB,
+        precision,
+        ..GemmDesc::new(kk, g.c_out, p)
+    };
+    let dw_desc = GemmDesc {
+        orient: Orient::ABt,
+        accumulate: true,
+        precision,
+        ..GemmDesc::new(g.c_out, p, kk)
+    };
+
     let mut dx = Tensor::zeros(x.shape().clone());
 
     // Pass 1 — input gradient, parallel over images (disjoint dx slices):
@@ -317,7 +313,7 @@ pub fn conv2d_backward_p(
         .for_each(|(i, dximg)| {
             let dyi = &dys[i * out_len..(i + 1) * out_len];
             let mut dpatches = scratch_f32(kk * p);
-            dispatch::gemm_auto_at_b_p(precision, kk, g.c_out, p, ws, dyi, &mut dpatches);
+            dispatch::gemm(dx_desc, ws, dyi, &mut dpatches);
             dximg.iter_mut().for_each(|v| *v = 0.0);
             col2im(&g, &dpatches, dximg);
         });
@@ -336,7 +332,7 @@ pub fn conv2d_backward_p(
             let dyi = &dys[i * out_len..(i + 1) * out_len];
             let mut patches = scratch_f32(kk * p);
             im2col(&g, &xs[i * img_len..(i + 1) * img_len], &mut patches);
-            dispatch::gemm_auto_a_bt_acc_p(precision, g.c_out, p, kk, dyi, &patches, slot);
+            dispatch::gemm(dw_desc, dyi, &patches, slot);
         });
 
     // Pass 3 — stride-doubling pairwise tree over the image slots; the

@@ -1,9 +1,12 @@
-//! Cache-blocked, panel-packed GEMM — the workhorse kernel family behind
-//! every dense hot loop (conv forward/backward, linear forward/backward,
-//! squeeze-excite).
+//! Cache-blocked, panel-packed GEMM — the kernel behind every dense hot
+//! loop large enough to amortize packing (conv forward/backward, linear
+//! forward/backward). [`gemm_blocked`] runs any
+//! [`GemmDesc`] on it;
+//! [`crate::ops::dispatch::gemm`] is the routed entry that falls back to
+//! the naive kernel below the profitability threshold.
 //!
-//! The naive ikj kernels in [`crate::ops::matmul`] stream `B` from memory
-//! on every row of `A`; once `B` no longer fits in L2 that becomes the
+//! The naive kernel in [`crate::ops::matmul`] streams `B` from memory on
+//! every row of `A`; once `B` no longer fits in L2 that becomes the
 //! bottleneck. This module applies the standard GotoBLAS decomposition:
 //!
 //! ```text
@@ -33,13 +36,12 @@
 //!   same summation order — which is exactly what the equivalence suite
 //!   pins. Source operands stay `&[f32]`; conversion happens exactly once
 //!   per element, at pack time, including the fused-conv patch gather.
-//! - **A is packed exactly once per call** ([`pack_a_into_as`] into a
+//! - **A is packed exactly once per call** ([`pack_a_into`] into a
 //!   [`crate::scratch`] buffer), not once per `jc` column block; callers
 //!   with a shared `A` across many GEMMs (conv weights across a batch) can
-//!   prepack once and call [`gemm_prepacked_as`] per image.
-//! - **Accumulating (`C += A·B`) variants** for gradient products: the
-//!   macro-kernel always merges with `+=`; the non-accumulating entry
-//!   points just zero `C` first.
+//!   prepack once and call [`gemm_prepacked`] per image.
+//! - **Accumulation is a flag**: the macro-kernel always merges with
+//!   `+=`; an overwriting product just zeroes `C` first.
 //! - **Zero steady-state allocation**: all pack buffers come from the
 //!   per-thread [`crate::scratch`] arena (each element type pools
 //!   separately).
@@ -57,14 +59,15 @@
 //!   (bf16 rounds the operands), which is why kernel *selection*
 //!   ([`crate::ops::dispatch`]) must itself be deterministic.
 //!
-//! The unit tests pin every orientation against the naive reference;
-//! `crates/tensor/tests/kernel_equivalence.rs` fuzzes adversarial shapes
-//! and pins the bf16 family to the quantize-then-f32 oracle bitwise;
-//! `ets-bench`'s `bench_kernels` bin records the throughput trajectory in
+//! The unit tests pin every descriptor against an f64 reference;
+//! `crates/tensor/tests/kernel_equivalence.rs` sweeps adversarial shapes
+//! and pins bf16 to the quantize-then-f32 oracle bitwise; `ets-bench`'s
+//! `bench_kernels` bin records the throughput trajectory in
 //! `BENCH_kernels.json`.
 
 use crate::bf16::Bf16;
 use crate::ops::conv::Conv2dGeom;
+use crate::ops::dispatch::{GemmDesc, GemmPrecision, Orient};
 use crate::ops::simd::{self, LanePath};
 use crate::par;
 use crate::scratch::{scratch_elems, PoolElem};
@@ -301,7 +304,7 @@ pub fn packed_a_len(m: usize, k: usize) -> usize {
 /// `m_padded·kc` elements at offset `m_padded·pc` holding `m/MR` tiles of
 /// `kc×MR` (column-of-tiles, row-within-tile fastest); rows past `m` are
 /// zero. The macro-kernel reads both packed operands at stride 1.
-pub fn pack_a_into_as<E: PackElem>(a: PanelA<'_>, m: usize, k: usize, ap: &mut [E]) {
+pub fn pack_a_into<E: PackElem>(a: PanelA<'_>, m: usize, k: usize, ap: &mut [E]) {
     debug_assert_eq!(ap.len(), packed_a_len(m, k));
     let m_tiles = m.div_ceil(MR);
     let m_padded = m_tiles * MR;
@@ -348,11 +351,6 @@ pub fn pack_a_into_as<E: PackElem>(a: PanelA<'_>, m: usize, k: usize, ap: &mut [
             }
         }
     }
-}
-
-/// f32 instantiation of [`pack_a_into_as`] (the historical entry point).
-pub fn pack_a_into(a: PanelA<'_>, m: usize, k: usize, ap: &mut [f32]) {
-    pack_a_into_as::<f32>(a, m, k, ap);
 }
 
 /// One im2col patch value: row `r` of the virtual `K×P` matrix at output
@@ -526,15 +524,15 @@ impl CPtr {
     }
 }
 
-/// Blocked GEMM with a **prepacked** A (see [`pack_a_into_as`]): computes
+/// Blocked GEMM with a **prepacked** A (see [`pack_a_into`]): computes
 /// `C ⟵ C + A·B` when `accumulate`, else `C = A·B`. `B` is packed panel
 /// by panel from its [`PanelB`] source — including the fused-conv path
 /// that gathers im2col patches on the fly — narrowing to `E` as it goes.
 /// `C` is always f32.
 ///
 /// Callers with one `A` and many `B`s (conv weights across a batch) pack
-/// A once and amortize it; [`gemm_packed_as`] is the single-shot wrapper.
-pub fn gemm_prepacked_as<E: PackElem>(
+/// A once and amortize it; [`gemm_packed`] is the single-shot wrapper.
+pub fn gemm_prepacked<E: PackElem>(
     m: usize,
     k: usize,
     n: usize,
@@ -672,23 +670,10 @@ pub fn gemm_prepacked_as<E: PackElem>(
     }
 }
 
-/// f32 instantiation of [`gemm_prepacked_as`] (the historical entry point).
-pub fn gemm_prepacked(
-    m: usize,
-    k: usize,
-    n: usize,
-    ap: &[f32],
-    b: PanelB<'_>,
-    c: &mut [f32],
-    accumulate: bool,
-) {
-    gemm_prepacked_as::<f32>(m, k, n, ap, b, c, accumulate);
-}
-
 /// Blocked GEMM over arbitrary operand orientations at pack-time
 /// precision `E`: packs A into arena scratch, then runs
-/// [`gemm_prepacked_as`].
-pub fn gemm_packed_as<E: PackElem>(
+/// [`gemm_prepacked`].
+pub fn gemm_packed<E: PackElem>(
     m: usize,
     k: usize,
     n: usize,
@@ -702,134 +687,34 @@ pub fn gemm_packed_as<E: PackElem>(
         PanelA::Transposed(s) => assert_eq!(s.len(), k * m, "A dims (stored k×m)"),
     }
     let mut ap = scratch_elems::<E>(packed_a_len(m, k));
-    pack_a_into_as::<E>(a, m, k, &mut ap);
-    gemm_prepacked_as::<E>(m, k, n, &ap, b, c, accumulate);
+    pack_a_into::<E>(a, m, k, &mut ap);
+    gemm_prepacked::<E>(m, k, n, &ap, b, c, accumulate);
 }
 
-/// f32 instantiation of [`gemm_packed_as`] (the historical entry point).
-pub fn gemm_packed(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: PanelA<'_>,
-    b: PanelB<'_>,
-    c: &mut [f32],
-    accumulate: bool,
-) {
-    gemm_packed_as::<f32>(m, k, n, a, b, c, accumulate);
-}
-
-// ---------------------------------------------------------- entry points
-
-/// `c = a(m×k) · b(k×n)` with cache blocking and panel packing.
-pub fn gemm_blocked(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed(m, k, n, PanelA::RowMajor(a), PanelB::RowMajor(b), c, false);
-}
-
-/// `c += a(m×k) · b(k×n)`.
-pub fn gemm_blocked_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed(m, k, n, PanelA::RowMajor(a), PanelB::RowMajor(b), c, true);
-}
-
-/// `c = aᵀ · b` with `a` stored `k×m` and `b` row-major `k×n`.
-pub fn gemm_blocked_at_b(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed(
+/// `C ⟵ [C +] A·B` on the packed kernel, for any descriptor: the
+/// orientation picks the panel views, the precision picks the
+/// [`PackElem`] instantiation.
+pub fn gemm_blocked(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let GemmDesc {
         m,
         k,
         n,
-        PanelA::Transposed(a),
-        PanelB::RowMajor(b),
-        c,
-        false,
-    );
-}
-
-/// `c += aᵀ · b` with `a` stored `k×m`.
-pub fn gemm_blocked_at_b_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed(m, k, n, PanelA::Transposed(a), PanelB::RowMajor(b), c, true);
-}
-
-/// `c = a · bᵀ` with `a` row-major `m×k` and `b` stored `n×k`.
-pub fn gemm_blocked_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed(
-        m,
-        k,
-        n,
-        PanelA::RowMajor(a),
-        PanelB::Transposed(b),
-        c,
-        false,
-    );
-}
-
-/// `c += a · bᵀ` with `b` stored `n×k`.
-pub fn gemm_blocked_a_bt_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed(m, k, n, PanelA::RowMajor(a), PanelB::Transposed(b), c, true);
-}
-
-// ------------------------------------------------ bf16 entry points
-//
-// Same six orientations, panels packed as bf16 (operands rounded RNE at
-// pack time, f32 accumulation). C is f32.
-
-/// `c = bf16(a)(m×k) · bf16(b)(k×n)` with f32 accumulation.
-pub fn gemm_blocked_bf16(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed_as::<Bf16>(m, k, n, PanelA::RowMajor(a), PanelB::RowMajor(b), c, false);
-}
-
-/// `c += bf16(a)(m×k) · bf16(b)(k×n)`.
-pub fn gemm_blocked_bf16_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed_as::<Bf16>(m, k, n, PanelA::RowMajor(a), PanelB::RowMajor(b), c, true);
-}
-
-/// `c = bf16(a)ᵀ · bf16(b)` with `a` stored `k×m`.
-pub fn gemm_blocked_at_b_bf16(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed_as::<Bf16>(
-        m,
-        k,
-        n,
-        PanelA::Transposed(a),
-        PanelB::RowMajor(b),
-        c,
-        false,
-    );
-}
-
-/// `c += bf16(a)ᵀ · bf16(b)` with `a` stored `k×m`.
-pub fn gemm_blocked_at_b_bf16_acc(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    gemm_packed_as::<Bf16>(m, k, n, PanelA::Transposed(a), PanelB::RowMajor(b), c, true);
-}
-
-/// `c = bf16(a) · bf16(b)ᵀ` with `b` stored `n×k`.
-pub fn gemm_blocked_a_bt_bf16(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed_as::<Bf16>(
-        m,
-        k,
-        n,
-        PanelA::RowMajor(a),
-        PanelB::Transposed(b),
-        c,
-        false,
-    );
-}
-
-/// `c += bf16(a) · bf16(b)ᵀ` with `b` stored `n×k`.
-pub fn gemm_blocked_a_bt_bf16_acc(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    gemm_packed_as::<Bf16>(m, k, n, PanelA::RowMajor(a), PanelB::Transposed(b), c, true);
+        orient,
+        accumulate,
+        precision,
+    } = desc;
+    let pa = match orient {
+        Orient::AtB => PanelA::Transposed(a),
+        Orient::AB | Orient::ABt => PanelA::RowMajor(a),
+    };
+    let pb = match orient {
+        Orient::ABt => PanelB::Transposed(b),
+        Orient::AB | Orient::AtB => PanelB::RowMajor(b),
+    };
+    match precision {
+        GemmPrecision::F32 => gemm_packed::<f32>(m, k, n, pa, pb, c, accumulate),
+        GemmPrecision::Bf16 => gemm_packed::<Bf16>(m, k, n, pa, pb, c, accumulate),
+    }
 }
 
 #[cfg(test)]
@@ -884,37 +769,49 @@ mod tests {
         t
     }
 
+    const F32: GemmPrecision = GemmPrecision::F32;
+    const BF16: GemmPrecision = GemmPrecision::Bf16;
+
+    /// The plain `AB` overwrite product at one precision.
+    fn plain(precision: GemmPrecision, m: usize, k: usize, n: usize) -> GemmDesc {
+        GemmDesc {
+            precision,
+            ..GemmDesc::new(m, k, n)
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every f32 orientation × accumulate at one shape vs the f64
+    /// reference; accumulating products start from 1.0 everywhere.
     fn check_all_orientations(m: usize, k: usize, n: usize, seed: u64) {
         let mut rng = Rng::new(seed);
         let a = rand_vec(&mut rng, m * k);
         let b = rand_vec(&mut rng, k * n);
         let want = reference(m, k, n, &a, &b);
+        let want_acc: Vec<f32> = want.iter().map(|v| v + 1.0).collect();
         let a_t = transpose(m, k, &a); // stored k×m
         let b_t = transpose(k, n, &b); // stored n×k
-
-        let mut c = vec![0.0; m * n];
-        gemm_blocked(m, k, n, &a, &b, &mut c);
-        assert_close(&c, &want, k, &format!("AB ({m},{k},{n})"));
-
-        gemm_blocked_at_b(m, k, n, &a_t, &b, &mut c);
-        assert_close(&c, &want, k, &format!("AtB ({m},{k},{n})"));
-
-        gemm_blocked_a_bt(m, k, n, &a, &b_t, &mut c);
-        assert_close(&c, &want, k, &format!("ABt ({m},{k},{n})"));
-
-        // Accumulating variants: C preloaded with 1.0 everywhere.
-        let want_acc: Vec<f32> = want.iter().map(|v| v + 1.0).collect();
-        let mut c = vec![1.0; m * n];
-        gemm_blocked_acc(m, k, n, &a, &b, &mut c);
-        assert_close(&c, &want_acc, k, &format!("AB acc ({m},{k},{n})"));
-
-        let mut c = vec![1.0; m * n];
-        gemm_blocked_at_b_acc(m, k, n, &a_t, &b, &mut c);
-        assert_close(&c, &want_acc, k, &format!("AtB acc ({m},{k},{n})"));
-
-        let mut c = vec![1.0; m * n];
-        gemm_blocked_a_bt_acc(m, k, n, &a, &b_t, &mut c);
-        assert_close(&c, &want_acc, k, &format!("ABt acc ({m},{k},{n})"));
+        for orient in Orient::ALL {
+            let (lhs, rhs) = match orient {
+                Orient::AB => (&a, &b),
+                Orient::AtB => (&a_t, &b),
+                Orient::ABt => (&a, &b_t),
+            };
+            for accumulate in [false, true] {
+                let desc = GemmDesc {
+                    orient,
+                    accumulate,
+                    ..GemmDesc::new(m, k, n)
+                };
+                let mut c = vec![if accumulate { 1.0 } else { 7.5 }; m * n];
+                gemm_blocked(desc, lhs, rhs, &mut c);
+                let want = if accumulate { &want_acc } else { &want };
+                assert_close(&c, want, k, &format!("{desc:?}"));
+            }
+        }
     }
 
     #[test]
@@ -954,7 +851,7 @@ mod tests {
         let mut rng = Rng::new(5);
         let a = rand_vec(&mut rng, n * n);
         let mut c = vec![0.0f32; n * n];
-        gemm_blocked(n, n, n, &a, &eye, &mut c);
+        gemm_blocked(GemmDesc::new(n, n, n), &a, &eye, &mut c);
         for (x, y) in c.iter().zip(&a) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -966,12 +863,12 @@ mod tests {
         let mut rng = Rng::new(6);
         let a = rand_vec(&mut rng, m * k);
         let mut ap = vec![0.0; packed_a_len(m, k)];
-        pack_a_into(PanelA::RowMajor(&a), m, k, &mut ap);
+        pack_a_into::<f32>(PanelA::RowMajor(&a), m, k, &mut ap);
         for trial in 0..3u64 {
             let b = rand_vec(&mut rng, k * n);
             let want = reference(m, k, n, &a, &b);
             let mut c = vec![0.0; m * n];
-            gemm_prepacked(m, k, n, &ap, PanelB::RowMajor(&b), &mut c, false);
+            gemm_prepacked::<f32>(m, k, n, &ap, PanelB::RowMajor(&b), &mut c, false);
             assert_close(&c, &want, k, &format!("prepacked trial {trial}"));
         }
     }
@@ -1000,7 +897,7 @@ mod tests {
 
             // Fused: patches packed on the fly.
             let mut got = vec![0.0; c_out * g.p()];
-            gemm_packed(
+            gemm_packed::<f32>(
                 c_out,
                 g.k(),
                 g.p(),
@@ -1024,50 +921,30 @@ mod tests {
     #[test]
     fn non_finite_operands_propagate() {
         // 0·inf must be NaN, not silently dropped — the nan_guard depends
-        // on gradients staying honestly non-finite.
+        // on gradients staying honestly non-finite. bf16 narrowing
+        // preserves inf and NaN, so the same holds for both precisions.
         let (m, k, n) = (MR + 1, KC + 3, NR + 2);
-        let mut a = vec![0.0f32; m * k];
-        let b = vec![1.0f32; k * n];
-        a[0] = f32::INFINITY; // row 0 picks up inf·1 = inf
-        let mut c = vec![0.0; m * n];
-        gemm_blocked(m, k, n, &a, &b, &mut c);
-        assert!(c[0].is_infinite());
-        // NaN anywhere in the depth poisons the whole row.
-        let mut a2 = vec![1.0f32; m * k];
-        a2[k - 1] = f32::NAN;
-        gemm_blocked(m, k, n, &a2, &b, &mut c);
-        for (j, v) in c[..n].iter().enumerate() {
-            assert!(v.is_nan(), "c[0,{j}] must be NaN");
-        }
-        // …and rows without non-finite inputs stay finite (padding lanes
-        // never leak into real outputs).
-        for i in 1..m {
-            for j in 0..n {
-                assert!(c[i * n + j].is_finite());
+        for precision in [F32, BF16] {
+            let desc = plain(precision, m, k, n);
+            let mut a = vec![0.0f32; m * k];
+            let b = vec![1.0f32; k * n];
+            a[0] = f32::INFINITY; // row 0 picks up inf·1 = inf
+            let mut c = vec![0.0; m * n];
+            gemm_blocked(desc, &a, &b, &mut c);
+            assert!(c[0].is_infinite());
+            // NaN anywhere in the depth poisons the whole row.
+            let mut a2 = vec![1.0f32; m * k];
+            a2[k - 1] = f32::NAN;
+            gemm_blocked(desc, &a2, &b, &mut c);
+            for (j, v) in c[..n].iter().enumerate() {
+                assert!(v.is_nan(), "{precision:?}: c[0,{j}] must be NaN");
             }
-        }
-    }
-
-    #[test]
-    fn non_finite_operands_propagate_bf16() {
-        // bf16 narrowing preserves inf and NaN, so the same guarantees
-        // hold for the mixed-precision family.
-        let (m, k, n) = (MR + 1, KC + 3, NR + 2);
-        let mut a = vec![0.0f32; m * k];
-        let b = vec![1.0f32; k * n];
-        a[0] = f32::INFINITY;
-        let mut c = vec![0.0; m * n];
-        gemm_blocked_bf16(m, k, n, &a, &b, &mut c);
-        assert!(c[0].is_infinite());
-        let mut a2 = vec![1.0f32; m * k];
-        a2[k - 1] = f32::NAN;
-        gemm_blocked_bf16(m, k, n, &a2, &b, &mut c);
-        for (j, v) in c[..n].iter().enumerate() {
-            assert!(v.is_nan(), "c[0,{j}] must be NaN");
-        }
-        for i in 1..m {
-            for j in 0..n {
-                assert!(c[i * n + j].is_finite());
+            // …and rows without non-finite inputs stay finite (padding
+            // lanes never leak into real outputs).
+            for i in 1..m {
+                for j in 0..n {
+                    assert!(c[i * n + j].is_finite());
+                }
             }
         }
     }
@@ -1078,24 +955,17 @@ mod tests {
         let mut rng = Rng::new(9);
         let a = rand_vec(&mut rng, m * k);
         let b = rand_vec(&mut rng, k * n);
-        let mut c1 = vec![0.0; m * n];
-        gemm_blocked(m, k, n, &a, &b, &mut c1);
-        let mut c2 = vec![0.0; m * n];
-        gemm_blocked(m, k, n, &a, &b, &mut c2);
-        assert_eq!(
-            c1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            c2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "blocked GEMM must be bitwise reproducible"
-        );
-        let mut c3 = vec![0.0; m * n];
-        gemm_blocked_bf16(m, k, n, &a, &b, &mut c3);
-        let mut c4 = vec![0.0; m * n];
-        gemm_blocked_bf16(m, k, n, &a, &b, &mut c4);
-        assert_eq!(
-            c3.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            c4.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "bf16 blocked GEMM must be bitwise reproducible"
-        );
+        for precision in [F32, BF16] {
+            let mut c1 = vec![0.0; m * n];
+            gemm_blocked(plain(precision, m, k, n), &a, &b, &mut c1);
+            let mut c2 = vec![0.0; m * n];
+            gemm_blocked(plain(precision, m, k, n), &a, &b, &mut c2);
+            assert_eq!(
+                bits(&c1),
+                bits(&c2),
+                "{precision:?} blocked GEMM must be bitwise reproducible"
+            );
+        }
     }
 
     #[test]
@@ -1109,9 +979,9 @@ mod tests {
         let aq: Vec<f32> = a.iter().map(|&v| round_f32(v)).collect();
 
         let mut ap16 = vec![Bf16::ZERO; packed_a_len(m, k)];
-        pack_a_into_as::<Bf16>(PanelA::RowMajor(&a), m, k, &mut ap16);
+        pack_a_into::<Bf16>(PanelA::RowMajor(&a), m, k, &mut ap16);
         let mut apq = vec![0.0f32; packed_a_len(m, k)];
-        pack_a_into(PanelA::RowMajor(&aq), m, k, &mut apq);
+        pack_a_into::<f32>(PanelA::RowMajor(&aq), m, k, &mut apq);
         for (w, &q) in ap16.iter().zip(apq.iter()) {
             assert_eq!(w.to_f32().to_bits(), q.to_bits());
         }
@@ -1129,14 +999,10 @@ mod tests {
             let aq: Vec<f32> = a.iter().map(|&v| round_f32(v)).collect();
             let bq: Vec<f32> = b.iter().map(|&v| round_f32(v)).collect();
             let mut got = vec![0.0; m * n];
-            gemm_blocked_bf16(m, k, n, &a, &b, &mut got);
+            gemm_blocked(plain(BF16, m, k, n), &a, &b, &mut got);
             let mut want = vec![0.0; m * n];
-            gemm_blocked(m, k, n, &aq, &bq, &mut want);
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "({m},{k},{n})"
-            );
+            gemm_blocked(plain(F32, m, k, n), &aq, &bq, &mut want);
+            assert_eq!(bits(&got), bits(&want), "({m},{k},{n})");
         }
     }
 }

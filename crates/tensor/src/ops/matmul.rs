@@ -1,26 +1,30 @@
-//! Naive streaming GEMM kernels (the reference semantics).
+//! The naive streaming GEMM kernel: the small-shape tail of
+//! [`super::dispatch::gemm`] and the reference semantics the packed
+//! kernel in [`super::gemm_blocked`] is tested against.
 //!
-//! These are the small-shape workhorses behind the im2col convolution and
-//! the linear layers, and the ground truth the blocked packed kernels in
-//! [`super::gemm_blocked`] are pinned against. Three orientations are
-//! provided because the backward passes of conv/linear need `AᵀB` and
-//! `ABᵀ` and materializing transposes would blow the memory budget of the
-//! hot loop:
-//!
-//! - [`gemm_slice`]      — `C = A(m×k) · B(k×n)`
-//! - [`gemm_at_b_slice`] — `C = Aᵀ·B` with `A` stored `k×m`
-//! - [`gemm_a_bt_slice`] — `C = A·Bᵀ` with `B` stored `n×k`
-//!
-//! plus accumulating (`+=`) variants of each. The tensor-level wrappers
-//! ([`matmul`], [`matmul_at_b`], [`matmul_a_bt`]) route through the
-//! shape-pure dispatcher in [`super::dispatch`], so large products take
-//! the blocked path automatically.
-//!
-//! Parallelism: rows of `C` are chunked across rayon workers; each worker
-//! writes a disjoint `C` slice so no synchronization is needed. The inner
-//! kernel is a cache-friendly ikj loop with f32 accumulation (matching the
+//! One kernel, [`gemm_naive`], serves every [`GemmDesc`]. It walks the
+//! rows of `C` sequentially with f32 accumulation (matching the
 //! systolic-array semantics modeled in the pod simulator: bf16 or f32
-//! multiplies, f32 accumulate).
+//! multiplies, f32 accumulate); the transposed orientations read their
+//! operand in place because materializing transposes would blow the
+//! memory budget of the backward hot loops. [`matmul`] is the
+//! tensor-level wrapper and routes through the dispatcher, so large
+//! products take the blocked path automatically.
+//!
+//! **Association is part of the contract** — every trained loss bit
+//! depends on it — and differs per orientation:
+//!
+//! - `AB` / `AᵀB` stream `B` row-wise (ikj order) and add each product
+//!   into `C` in place: `c_old + a₀b₀ + a₁b₁ + …` (with `c_old = 0.0`
+//!   when overwriting).
+//! - `ABᵀ` is a row-by-row dot product: it sums `a₀b₀ + a₁b₁ + …` into
+//!   a register starting from `0.0` and touches `C` once, so an
+//!   accumulating product is `c_old + (a₀b₀ + a₁b₁ + …)`.
+//!
+//! **bf16** ([`GemmPrecision::Bf16`]) quantizes both operands through
+//! bf16 into arena scratch and streams them through the same loops —
+//! bitwise what the packed kernel's narrow-at-pack-time computes on the
+//! same summation order, with zero steady-state allocation.
 //!
 //! Accumulation is **branchless**: there is deliberately no
 //! `if apv == 0.0 { continue; }` skip. Such a skip maps `0·∞` and `0·NaN`
@@ -30,183 +34,74 @@
 //! finite or zero `c` under round-to-nearest), so removing it changes no
 //! pinned history.
 
+use super::dispatch::{GemmDesc, GemmPrecision, Orient};
+use crate::bf16::round_f32;
+use crate::scratch::{scratch_f32, ScratchVec};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
-/// Minimum per-worker row count before we bother parallelizing. Tiny GEMMs
-/// are faster single-threaded than paying rayon's dispatch cost.
-const PAR_ROW_THRESHOLD: usize = 8;
-/// Minimum FLOP count before parallelizing.
-const PAR_FLOP_THRESHOLD: usize = 64 * 1024;
-
-/// `c = a · b` on raw row-major slices. `a` is `m×k`, `b` is `k×n`, `c` is
-/// `m×n` and is fully overwritten.
-pub fn gemm_slice(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "A dims");
-    assert_eq!(b.len(), k * n, "B dims");
-    assert_eq!(c.len(), m * n, "C dims");
-    let work = m * n * k;
-    if m >= PAR_ROW_THRESHOLD && work >= PAR_FLOP_THRESHOLD {
-        c.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, crow)| gemm_row(k, n, &a[i * k..(i + 1) * k], b, crow));
-    } else {
-        for i in 0..m {
-            gemm_row(k, n, &a[i * k..(i + 1) * k], b, &mut c[i * n..(i + 1) * n]);
-        }
+/// A copy of `src` rounded through bf16, in arena scratch.
+fn quantized(src: &[f32]) -> ScratchVec<f32> {
+    let mut q = scratch_f32(src.len());
+    for (d, &s) in q.iter_mut().zip(src) {
+        *d = round_f32(s);
     }
+    q
 }
 
-/// One output row: `crow = arow · B`, ikj order so `B` is streamed row-wise.
-#[inline]
-fn gemm_row(k: usize, n: usize, arow: &[f32], b: &[f32], crow: &mut [f32]) {
-    crow.iter_mut().for_each(|v| *v = 0.0);
-    for (p, &apv) in arow.iter().enumerate().take(k) {
-        let brow = &b[p * n..(p + 1) * n];
-        for (cv, &bv) in crow.iter_mut().zip(brow) {
-            *cv += apv * bv;
-        }
+/// `C ⟵ [C +] A·B` on raw slices with the streaming kernel, for any
+/// descriptor. See the module docs for the per-orientation association.
+pub fn gemm_naive(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let GemmDesc {
+        m,
+        k,
+        n,
+        orient,
+        accumulate,
+        precision,
+    } = desc;
+    assert_eq!(a.len(), m * k, "A dims for {desc:?}");
+    assert_eq!(b.len(), k * n, "B dims for {desc:?}");
+    assert_eq!(c.len(), m * n, "C dims for {desc:?}");
+    if precision == GemmPrecision::Bf16 {
+        let f32_desc = GemmDesc {
+            precision: GemmPrecision::F32,
+            ..desc
+        };
+        return gemm_naive(f32_desc, &quantized(a), &quantized(b), c);
     }
-}
-
-/// `c += a · b` on raw slices (accumulating variant for gradient sums).
-pub fn gemm_slice_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "A dims");
-    assert_eq!(b.len(), k * n, "B dims");
-    assert_eq!(c.len(), m * n, "C dims");
-    let work = m * n * k;
-    let body = |i: usize, crow: &mut [f32]| {
-        let arow = &a[i * k..(i + 1) * k];
-        for (p, &apv) in arow.iter().enumerate() {
-            let brow = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += apv * bv;
+    for i in 0..m {
+        let crow = &mut c[i * n..(i + 1) * n];
+        // Row i of the effective A: contiguous unless `a` is stored k×m,
+        // where it is column i (stride m).
+        let (a0, a_stride) = match orient {
+            Orient::AtB => (i, m),
+            Orient::AB | Orient::ABt => (i * k, 1),
+        };
+        match orient {
+            Orient::AB | Orient::AtB => {
+                if !accumulate {
+                    crow.iter_mut().for_each(|v| *v = 0.0);
+                }
+                for p in 0..k {
+                    let apv = a[a0 + p * a_stride];
+                    let brow = &b[p * n..(p + 1) * n];
+                    for (cv, &bv) in crow.iter_mut().zip(brow) {
+                        *cv += apv * bv;
+                    }
+                }
             }
-        }
-    };
-    if m >= PAR_ROW_THRESHOLD && work >= PAR_FLOP_THRESHOLD {
-        c.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, crow)| body(i, crow));
-    } else {
-        for i in 0..m {
-            body(i, &mut c[i * n..(i + 1) * n]);
-        }
-    }
-}
-
-/// `c = aᵀ · b` where `a` is stored `k×m` (so `aᵀ` is `m×k`) and `b` is
-/// `k×n`; `c` is `m×n`, fully overwritten.
-///
-/// Used by conv/linear weight gradients: `dW = dOutᵀ · X` style products.
-pub fn gemm_at_b_slice(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), k * m, "A dims (stored k×m)");
-    assert_eq!(b.len(), k * n, "B dims");
-    assert_eq!(c.len(), m * n, "C dims");
-    let work = m * n * k;
-    let body = |i: usize, crow: &mut [f32]| {
-        crow.iter_mut().for_each(|v| *v = 0.0);
-        // Column i of the stored a (stride m) forms row i of aᵀ.
-        for p in 0..k {
-            let apv = a[p * m + i];
-            let brow = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += apv * bv;
+            // b stored n×k: one dot product per output element.
+            Orient::ABt => {
+                let arow = &a[a0..a0 + k];
+                for (j, cv) in crow.iter_mut().enumerate() {
+                    let brow = &b[j * k..(j + 1) * k];
+                    let mut acc = 0.0f32;
+                    for (&av, &bv) in arow.iter().zip(brow) {
+                        acc += av * bv;
+                    }
+                    *cv = if accumulate { *cv + acc } else { acc };
+                }
             }
-        }
-    };
-    if m >= PAR_ROW_THRESHOLD && work >= PAR_FLOP_THRESHOLD {
-        c.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, crow)| body(i, crow));
-    } else {
-        for i in 0..m {
-            body(i, &mut c[i * n..(i + 1) * n]);
-        }
-    }
-}
-
-/// `c += aᵀ · b` (accumulating variant of [`gemm_at_b_slice`]).
-pub fn gemm_at_b_slice_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), k * m, "A dims (stored k×m)");
-    assert_eq!(b.len(), k * n, "B dims");
-    assert_eq!(c.len(), m * n, "C dims");
-    let work = m * n * k;
-    let body = |i: usize, crow: &mut [f32]| {
-        for p in 0..k {
-            let apv = a[p * m + i];
-            let brow = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += apv * bv;
-            }
-        }
-    };
-    if m >= PAR_ROW_THRESHOLD && work >= PAR_FLOP_THRESHOLD {
-        c.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, crow)| body(i, crow));
-    } else {
-        for i in 0..m {
-            body(i, &mut c[i * n..(i + 1) * n]);
-        }
-    }
-}
-
-/// `c = a · bᵀ` where `a` is `m×k` and `b` is stored `n×k` (so `bᵀ` is
-/// `k×n`); `c` is `m×n`, fully overwritten.
-///
-/// Used by input gradients: `dX = dOut · W` with `W` stored out×in.
-pub fn gemm_a_bt_slice(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "A dims");
-    assert_eq!(b.len(), n * k, "B dims (stored n×k)");
-    assert_eq!(c.len(), m * n, "C dims");
-    let work = m * n * k;
-    let body = |i: usize, crow: &mut [f32]| {
-        let arow = &a[i * k..(i + 1) * k];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            *cv = acc;
-        }
-    };
-    if m >= PAR_ROW_THRESHOLD && work >= PAR_FLOP_THRESHOLD {
-        c.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, crow)| body(i, crow));
-    } else {
-        for i in 0..m {
-            body(i, &mut c[i * n..(i + 1) * n]);
-        }
-    }
-}
-
-/// `c += a · bᵀ` (accumulating variant of [`gemm_a_bt_slice`]).
-pub fn gemm_a_bt_slice_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "A dims");
-    assert_eq!(b.len(), n * k, "B dims (stored n×k)");
-    assert_eq!(c.len(), m * n, "C dims");
-    let work = m * n * k;
-    let body = |i: usize, crow: &mut [f32]| {
-        let arow = &a[i * k..(i + 1) * k];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            *cv += acc;
-        }
-    };
-    if m >= PAR_ROW_THRESHOLD && work >= PAR_FLOP_THRESHOLD {
-        c.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, crow)| body(i, crow));
-    } else {
-        for i in 0..m {
-            body(i, &mut c[i * n..(i + 1) * n]);
         }
     }
 }
@@ -218,28 +113,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "matmul inner dims: A is {m}x{k}, B is {k2}x{n}");
     let mut c = Tensor::zeros([m, n]);
     super::dispatch::gemm_auto(m, k, n, a.data(), b.data(), c.data_mut());
-    c
-}
-
-/// Tensor-level `Aᵀ · B` where `a` is stored `k×m`. Dispatches via
-/// [`super::dispatch`].
-pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
-    let (k, m) = mat_dims(a, "A");
-    let (k2, n) = mat_dims(b, "B");
-    assert_eq!(k, k2, "matmul_at_b inner dims");
-    let mut c = Tensor::zeros([m, n]);
-    super::dispatch::gemm_auto_at_b(m, k, n, a.data(), b.data(), c.data_mut());
-    c
-}
-
-/// Tensor-level `A · Bᵀ` where `b` is stored `n×k`. Dispatches via
-/// [`super::dispatch`].
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = mat_dims(a, "A");
-    let (n, k2) = mat_dims(b, "B");
-    assert_eq!(k, k2, "matmul_a_bt inner dims");
-    let mut c = Tensor::zeros([m, n]);
-    super::dispatch::gemm_auto_a_bt(m, k, n, a.data(), b.data(), c.data_mut());
     c
 }
 
@@ -279,6 +152,16 @@ mod tests {
         v
     }
 
+    fn transpose(rows: usize, cols: usize, s: &[f32]) -> Vec<f32> {
+        let mut t = vec![0.0; rows * cols];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = s[r * cols + c];
+            }
+        }
+        t
+    }
+
     #[test]
     fn small_known_product() {
         let a = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]);
@@ -287,92 +170,45 @@ mod tests {
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
+    /// Every orientation × accumulate against the textbook loop, from
+    /// 1×1×1 up to a shape past the dispatcher's blocked threshold.
     #[test]
-    fn matches_reference_various_sizes() {
+    fn every_orientation_matches_reference_various_sizes() {
         let mut rng = Rng::new(1);
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 5, 7),
+            (13, 21, 9),
             (16, 16, 16),
             (33, 17, 29),
             (64, 128, 32),
+            (128, 64, 96),
         ] {
             let a = rand_vec(&mut rng, m * k);
             let b = rand_vec(&mut rng, k * n);
-            let mut c = vec![0.0; m * n];
-            gemm_slice(m, k, n, &a, &b, &mut c);
             let r = reference(m, k, n, &a, &b);
-            for (x, y) in c.iter().zip(&r) {
-                assert!((x - y).abs() < 1e-4, "mismatch {x} vs {y} at ({m},{k},{n})");
+            let (a_t, b_t) = (transpose(m, k, &a), transpose(k, n, &b));
+            for orient in Orient::ALL {
+                let (lhs, rhs) = match orient {
+                    Orient::AB => (&a, &b),
+                    Orient::AtB => (&a_t, &b),
+                    Orient::ABt => (&a, &b_t),
+                };
+                for (accumulate, init) in [(false, 7.5f32), (true, 2.5)] {
+                    let desc = GemmDesc {
+                        orient,
+                        accumulate,
+                        ..GemmDesc::new(m, k, n)
+                    };
+                    let mut c = vec![init; m * n];
+                    gemm_naive(desc, lhs, rhs, &mut c);
+                    let bias = if accumulate { init } else { 0.0 };
+                    for (x, y) in c.iter().zip(&r) {
+                        assert!((x - (y + bias)).abs() < 1e-4, "{desc:?}: {x} vs {y}");
+                    }
+                }
             }
         }
-    }
-
-    #[test]
-    fn transposed_variants_match() {
-        let mut rng = Rng::new(2);
-        let (m, k, n) = (13, 21, 9);
-        let a = rand_vec(&mut rng, m * k); // m×k
-        let b = rand_vec(&mut rng, k * n); // k×n
-        let r = reference(m, k, n, &a, &b);
-
-        // Store A as k×m and use gemm_at_b.
-        let mut a_t = vec![0.0; k * m];
-        for i in 0..m {
-            for p in 0..k {
-                a_t[p * m + i] = a[i * k + p];
-            }
-        }
-        let mut c = vec![0.0; m * n];
-        gemm_at_b_slice(m, k, n, &a_t, &b, &mut c);
-        for (x, y) in c.iter().zip(&r) {
-            assert!((x - y).abs() < 1e-4);
-        }
-
-        // Store B as n×k and use gemm_a_bt.
-        let mut b_t = vec![0.0; n * k];
-        for p in 0..k {
-            for j in 0..n {
-                b_t[j * k + p] = b[p * n + j];
-            }
-        }
-        let mut c2 = vec![0.0; m * n];
-        gemm_a_bt_slice(m, k, n, &a, &b_t, &mut c2);
-        for (x, y) in c2.iter().zip(&r) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn accumulating_variants_add() {
-        let mut rng = Rng::new(3);
-        let (m, k, n) = (6, 4, 5);
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, k * n);
-        let mut c = vec![1.0; m * n];
-        gemm_slice_acc(m, k, n, &a, &b, &mut c);
-        let r = reference(m, k, n, &a, &b);
-        for (x, y) in c.iter().zip(&r) {
-            assert!((x - (y + 1.0)).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn parallel_path_consistent_with_serial() {
-        // Big enough to trip the parallel threshold; verify against reference.
-        let mut rng = Rng::new(4);
-        let (m, k, n) = (128, 64, 96);
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, k * n);
-        let mut c = vec![0.0; m * n];
-        gemm_slice(m, k, n, &a, &b, &mut c);
-        let r = reference(m, k, n, &a, &b);
-        let max_err = c
-            .iter()
-            .zip(&r)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_err < 1e-3, "max_err {max_err}");
     }
 
     #[test]
@@ -386,7 +222,7 @@ mod tests {
     /// The old kernels skipped `apv == 0.0` terms, silently mapping
     /// `0·∞` and `0·NaN` to `0` and hiding non-finite values from the
     /// nan_guard. Accumulation is branchless now: NaN and ∞ must
-    /// propagate through every orientation even when the matching
+    /// propagate through every descriptor even when the matching
     /// multiplier is zero.
     #[test]
     fn non_finite_values_propagate_through_zero_multipliers() {
@@ -395,62 +231,28 @@ mod tests {
         // both multiplied by A's zeros.
         let a = vec![0.0, 1.0, 0.0, 1.0, 1.0, 1.0];
         let b = vec![f32::NAN, 2.0, 3.0, 4.0, f32::INFINITY, 6.0];
-        let mut c = vec![0.0; m * n];
-        gemm_slice(m, k, n, &a, &b, &mut c);
-        assert!(c[0].is_nan(), "0·NaN must propagate NaN, got {}", c[0]);
-        assert!(c.iter().any(|v| v.is_nan() || v.is_infinite()));
-
-        // Accumulating variant.
-        let mut c_acc = vec![0.0; m * n];
-        gemm_slice_acc(m, k, n, &a, &b, &mut c_acc);
-        assert!(c_acc[0].is_nan());
-
-        // AᵀB with A stored k×m: column 0 of stored A = [0, 1, 0].
-        let mut at = vec![0.0; k * m];
-        for i in 0..m {
-            for p in 0..k {
-                at[p * m + i] = a[i * k + p];
+        let (a_t, b_t) = (transpose(m, k, &a), transpose(k, n, &b));
+        for orient in Orient::ALL {
+            let (lhs, rhs) = match orient {
+                Orient::AB => (&a, &b),
+                Orient::AtB => (&a_t, &b),
+                Orient::ABt => (&a, &b_t),
+            };
+            for accumulate in [false, true] {
+                for precision in [GemmPrecision::F32, GemmPrecision::Bf16] {
+                    let desc = GemmDesc {
+                        m,
+                        k,
+                        n,
+                        orient,
+                        accumulate,
+                        precision,
+                    };
+                    let mut c = vec![0.0; m * n];
+                    gemm_naive(desc, lhs, rhs, &mut c);
+                    assert!(c[0].is_nan(), "{desc:?}: 0·NaN gave {}", c[0]);
+                }
             }
-        }
-        let mut c2 = vec![0.0; m * n];
-        gemm_at_b_slice(m, k, n, &at, &b, &mut c2);
-        assert!(c2[0].is_nan(), "AᵀB must propagate NaN");
-        let mut c2a = vec![0.0; m * n];
-        gemm_at_b_slice_acc(m, k, n, &at, &b, &mut c2a);
-        assert!(c2a[0].is_nan(), "AᵀB acc must propagate NaN");
-
-        // ABᵀ with B stored n×k.
-        let mut bt = vec![0.0; n * k];
-        for p in 0..k {
-            for j in 0..n {
-                bt[j * k + p] = b[p * n + j];
-            }
-        }
-        let mut c3 = vec![0.0; m * n];
-        gemm_a_bt_slice(m, k, n, &a, &bt, &mut c3);
-        assert!(c3[0].is_nan(), "ABᵀ must propagate NaN");
-        let mut c3a = vec![0.0; m * n];
-        gemm_a_bt_slice_acc(m, k, n, &a, &bt, &mut c3a);
-        assert!(c3a[0].is_nan(), "ABᵀ acc must propagate NaN");
-    }
-
-    #[test]
-    fn a_bt_acc_adds_onto_existing() {
-        let mut rng = Rng::new(6);
-        let (m, k, n) = (5, 7, 4);
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, k * n);
-        let mut b_t = vec![0.0; n * k];
-        for p in 0..k {
-            for j in 0..n {
-                b_t[j * k + p] = b[p * n + j];
-            }
-        }
-        let r = reference(m, k, n, &a, &b);
-        let mut c = vec![2.5; m * n];
-        gemm_a_bt_slice_acc(m, k, n, &a, &b_t, &mut c);
-        for (x, y) in c.iter().zip(&r) {
-            assert!((x - (y + 2.5)).abs() < 1e-4);
         }
     }
 

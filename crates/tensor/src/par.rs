@@ -13,8 +13,8 @@
 //! # Shape of the pool
 //!
 //! - One process-global pool, resized by [`set_gemm_workers`] (the
-//!   `GemmPolicy.workers` knob and the `ETS_GEMM_WORKERS` env var both
-//!   land here). A worker count of `w` means `w - 1` helper threads
+//!   trainer's `Experiment.gemm_workers` and the `ETS_GEMM_WORKERS` env
+//!   var both land here). A worker count of `w` means `w - 1` helper threads
 //!   plus the **calling thread**, which always participates — a
 //!   1-worker pool has no helpers and degenerates to a plain loop.
 //! - Tiles are claimed dynamically from an atomic cursor. Dynamic

@@ -7,27 +7,18 @@
 //! lives in its own integration-test binary so no other suite's GEMMs
 //! run in this process.
 
+mod common;
+
+use common::{all_descs, bits, rand_vec, run, Operands};
 use ets_tensor::ops::abft;
-use ets_tensor::ops::gemm_blocked::{
-    gemm_blocked, gemm_blocked_acc, gemm_blocked_at_b, gemm_blocked_bf16, MC, NC,
-};
-use ets_tensor::rng::Rng;
+use ets_tensor::ops::dispatch::GemmDesc;
+use ets_tensor::ops::gemm_blocked::{gemm_blocked, MC, NC};
 use std::sync::Mutex;
 
 static ABFT_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     ABFT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn rand_vec(rng: &mut Rng, n: usize) -> Vec<f32> {
-    let mut v = vec![0.0; n];
-    rng.fill_uniform(&mut v, -1.0, 1.0);
-    v
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Shapes on both sides of the parallel threshold, including multi-tile
@@ -40,83 +31,31 @@ const SHAPES: &[(usize, usize, usize)] = &[
 ];
 
 #[test]
-fn verify_mode_is_bitwise_neutral_on_clean_inputs() {
+fn verify_mode_is_bitwise_neutral_on_clean_inputs_for_every_descriptor() {
     let _g = lock();
     for &(m, k, n) in SHAPES {
-        let mut rng = Rng::new(11);
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, k * n);
+        let ops = Operands::new(11, m, k, n);
+        for desc in all_descs(m, k, n) {
+            let off = run(gemm_blocked, desc, &ops);
 
-        let mut c_off = vec![0.0f32; m * n];
-        gemm_blocked(m, k, n, &a, &b, &mut c_off);
+            abft::set_verify(true);
+            let verified_before = abft::tiles_verified();
+            let detected_before = abft::corruptions_detected();
+            let on = run(gemm_blocked, desc, &ops);
+            abft::set_verify(false);
 
-        abft::set_verify(true);
-        let verified_before = abft::tiles_verified();
-        let detected_before = abft::corruptions_detected();
-        let mut c_on = vec![0.0f32; m * n];
-        gemm_blocked(m, k, n, &a, &b, &mut c_on);
-        let mut c16_on = vec![0.0f32; m * n];
-        gemm_blocked_bf16(m, k, n, &a, &b, &mut c16_on);
-        abft::set_verify(false);
-
-        assert_eq!(bits(&c_off), bits(&c_on), "({m},{k},{n}) f32 not neutral");
-        let mut c16_off = vec![0.0f32; m * n];
-        gemm_blocked_bf16(m, k, n, &a, &b, &mut c16_off);
-        assert_eq!(
-            bits(&c16_off),
-            bits(&c16_on),
-            "({m},{k},{n}) bf16 not neutral"
-        );
-        assert!(
-            abft::tiles_verified() > verified_before,
-            "({m},{k},{n}): no tiles verified"
-        );
-        assert_eq!(
-            abft::corruptions_detected(),
-            detected_before,
-            "({m},{k},{n}): false positive on clean inputs"
-        );
-    }
-}
-
-#[test]
-fn verify_mode_is_bitwise_neutral_on_accumulate_and_transposed() {
-    let _g = lock();
-    let (m, k, n) = (MC + 5, 77, NC + 9);
-    let mut rng = Rng::new(12);
-    let a = rand_vec(&mut rng, m * k);
-    let b = rand_vec(&mut rng, k * n);
-    let at: Vec<f32> = {
-        let mut t = vec![0.0; k * m];
-        for i in 0..m {
-            for p in 0..k {
-                t[p * m + i] = a[i * k + p];
-            }
+            assert_eq!(bits(&off), bits(&on), "{desc:?}: verify not neutral");
+            assert!(
+                abft::tiles_verified() > verified_before,
+                "{desc:?}: no tiles verified"
+            );
+            assert_eq!(
+                abft::corruptions_detected(),
+                detected_before,
+                "{desc:?}: false positive on clean inputs"
+            );
         }
-        t
-    };
-    let c0 = rand_vec(&mut rng, m * n);
-
-    let mut acc_off = c0.clone();
-    gemm_blocked_acc(m, k, n, &a, &b, &mut acc_off);
-    let mut atb_off = vec![0.0f32; m * n];
-    gemm_blocked_at_b(m, k, n, &at, &b, &mut atb_off);
-
-    abft::set_verify(true);
-    let detected_before = abft::corruptions_detected();
-    let mut acc_on = c0.clone();
-    gemm_blocked_acc(m, k, n, &a, &b, &mut acc_on);
-    let mut atb_on = vec![0.0f32; m * n];
-    gemm_blocked_at_b(m, k, n, &at, &b, &mut atb_on);
-    abft::set_verify(false);
-
-    assert_eq!(bits(&acc_off), bits(&acc_on), "accumulate not neutral");
-    assert_eq!(bits(&atb_off), bits(&atb_on), "AtB not neutral");
-    assert_eq!(
-        abft::corruptions_detected(),
-        detected_before,
-        "false positive on clean accumulate/transposed inputs"
-    );
+    }
 }
 
 #[test]
@@ -124,18 +63,17 @@ fn injected_corruption_is_detected_and_healed_bitwise() {
     let _g = lock();
     for bit in [20u8, 24, 30] {
         let (m, k, n) = (MC + 3, 96, NC + 5);
-        let mut rng = Rng::new(13);
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, k * n);
+        let desc = GemmDesc::new(m, k, n);
+        let (a, b) = (rand_vec(13, m * k), rand_vec(14, k * n));
         let mut clean = vec![0.0f32; m * n];
-        gemm_blocked(m, k, n, &a, &b, &mut clean);
+        gemm_blocked(desc, &a, &b, &mut clean);
 
         abft::set_verify(true);
         let detected_before = abft::corruptions_detected();
         let recomputed_before = abft::tiles_recomputed();
         abft::arm_inject(bit);
         let mut healed = vec![0.0f32; m * n];
-        gemm_blocked(m, k, n, &a, &b, &mut healed);
+        gemm_blocked(desc, &a, &b, &mut healed);
         abft::set_verify(false);
 
         assert!(
@@ -164,17 +102,16 @@ fn injected_corruption_is_detected_and_healed_bitwise() {
 fn corruption_is_silent_without_verify_mode() {
     let _g = lock();
     let (m, k, n) = (MC + 3, 96, NC + 5);
-    let mut rng = Rng::new(14);
-    let a = rand_vec(&mut rng, m * k);
-    let b = rand_vec(&mut rng, k * n);
+    let desc = GemmDesc::new(m, k, n);
+    let (a, b) = (rand_vec(15, m * k), rand_vec(16, k * n));
     let mut clean = vec![0.0f32; m * n];
-    gemm_blocked(m, k, n, &a, &b, &mut clean);
+    gemm_blocked(desc, &a, &b, &mut clean);
 
     assert!(!abft::verify_enabled());
     let detected_before = abft::corruptions_detected();
     abft::arm_inject(28);
     let mut corrupt = vec![0.0f32; m * n];
-    gemm_blocked(m, k, n, &a, &b, &mut corrupt);
+    gemm_blocked(desc, &a, &b, &mut corrupt);
 
     assert!(!abft::injection_armed(), "injection not consumed");
     assert_ne!(
@@ -199,6 +136,6 @@ fn arm_take_semantics() {
     let a = [1.0f32; 4];
     let b = [1.0f32; 4];
     let mut c = [0.0f32; 4];
-    gemm_blocked(2, 2, 2, &a, &b, &mut c);
+    gemm_blocked(GemmDesc::new(2, 2, 2), &a, &b, &mut c);
     assert!(!abft::injection_armed());
 }

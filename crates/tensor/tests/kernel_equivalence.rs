@@ -1,48 +1,41 @@
-//! Equivalence suite pinning the blocked packed GEMM family (and the
-//! fused im2col packing path) against the naive streaming reference over
-//! adversarial shapes: odd m/k/n, k < KC, m < MR, n < NR, single rows and
-//! columns, and stride-2 + padded conv geometries.
+//! Equivalence suite pinning the three GEMM functions — `gemm_naive`,
+//! `gemm_blocked` and the routed `gemm` — against each other, an f64
+//! reference and the bf16 oracle, over every `GemmDesc` and adversarial
+//! shapes: odd m/k/n, k < KC, m < MR, n < NR, single rows and columns,
+//! and stride-2 + padded conv geometries for the fused im2col panel.
 //!
-//! The blocked kernels deliberately use a different summation order than
-//! the naive ones (packed KC-panel accumulation vs streaming ikj), so
-//! equivalence is numeric (tight f32 tolerance against an f64 reference),
-//! while *each kernel against itself* is bitwise — which is what the
+//! The blocked kernel deliberately uses a different summation order than
+//! the naive one (packed KC-panel accumulation vs streaming ikj), so
+//! equivalence between them is numeric (tight f32 tolerance against an
+//! f64 reference), while *each kernel against itself* — across reruns,
+//! lane paths and worker counts — is bitwise, which is what the
 //! shape-pure dispatcher relies on for cross-rank symmetry.
 //!
-//! The offline proptest stub swallows `proptest!` bodies, so imports and
-//! helpers used only inside them look unused to clippy under the stub;
-//! stub-safe plain `#[test]` mirrors below cover the same ground with
-//! fixed adversarial shape sets.
-#![allow(unused_imports, dead_code)]
+//! Random cases are drawn from the repo's seeded `Rng`, so they run
+//! under the offline `proptest` stub; every failure message carries the
+//! operand seed and the descriptor, which replays it.
 
-use ets_tensor::bf16::{quantize_slice, Bf16};
+mod common;
+
+use common::{all_descs, bits, fused, quantized, rand_vec, run, Kernel, Operands, PRECISIONS};
+use ets_tensor::bf16::Bf16;
 use ets_tensor::ops::conv::{im2col, Conv2dGeom};
 use ets_tensor::ops::dispatch::{
-    blocked_profitable, gemm_auto, gemm_auto_a_bt, gemm_auto_a_bt_acc, gemm_auto_a_bt_acc_p,
-    gemm_auto_a_bt_p, gemm_auto_acc, gemm_auto_acc_p, gemm_auto_at_b, gemm_auto_at_b_acc,
-    gemm_auto_at_b_acc_p, gemm_auto_at_b_p, gemm_auto_p, GemmPrecision,
+    blocked_profitable, gemm, gemm_auto, GemmDesc, GemmPrecision, Orient,
 };
 use ets_tensor::ops::gemm_blocked::{
-    gemm_blocked, gemm_blocked_a_bt, gemm_blocked_a_bt_acc, gemm_blocked_a_bt_bf16,
-    gemm_blocked_a_bt_bf16_acc, gemm_blocked_acc, gemm_blocked_at_b, gemm_blocked_at_b_acc,
-    gemm_blocked_at_b_bf16, gemm_blocked_at_b_bf16_acc, gemm_blocked_bf16, gemm_blocked_bf16_acc,
-    gemm_prepacked, gemm_prepacked_as, pack_a_into, pack_a_into_as, packed_a_len, PanelA, PanelB,
-    KC, MR, NR,
+    gemm_blocked, gemm_prepacked, pack_a_into, packed_a_len, PanelA, PanelB, KC, MR, NR,
 };
-use ets_tensor::ops::matmul::{
-    gemm_a_bt_slice, gemm_a_bt_slice_acc, gemm_at_b_slice, gemm_at_b_slice_acc, gemm_slice,
-    gemm_slice_acc,
-};
+use ets_tensor::ops::matmul::gemm_naive;
 use ets_tensor::ops::simd;
 use ets_tensor::{set_gemm_workers, Rng, Shape};
-use proptest::prelude::*;
 
-fn rand_vec(seed: u64, n: usize) -> Vec<f32> {
-    let mut rng = Rng::new(seed);
-    let mut v = vec![0.0; n];
-    rng.fill_uniform(&mut v, -1.0, 1.0);
-    v
-}
+/// The three functions that take a descriptor, each forced in turn.
+const KERNELS: [(&str, Kernel); 3] = [
+    ("naive", gemm_naive),
+    ("blocked", gemm_blocked),
+    ("auto", gemm),
+];
 
 /// f64-accumulated ground truth for `C = A(m×k)·B(k×n)`.
 fn reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f64> {
@@ -58,517 +51,14 @@ fn reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f64> {
     c
 }
 
-fn transpose(rows: usize, cols: usize, x: &[f32]) -> Vec<f32> {
-    let mut t = vec![0.0; rows * cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            t[c * rows + r] = x[r * cols + c];
-        }
-    }
-    t
-}
-
 fn tol(k: usize) -> f64 {
     1e-4 + 1e-3 * (k as f64) / 16.0
 }
 
-/// Checks all 12 kernel entry points (6 blocked, 6 dispatched) at one
-/// shape against the f64 reference.
-fn check_shape(seed: u64, m: usize, k: usize, n: usize) {
-    let a = rand_vec(seed, m * k);
-    let b = rand_vec(seed + 1, k * n);
-    let r = reference(m, k, n, &a, &b);
-    let at = transpose(m, k, &a); // stored k×m
-    let bt = transpose(k, n, &b); // stored n×k
-    let t = tol(k);
-
-    type Runner = (&'static str, Box<dyn Fn(&mut [f32])>, f64);
-    let cases: Vec<Runner> = vec![
-        (
-            "blocked",
-            Box::new({
-                let (a, b) = (a.clone(), b.clone());
-                move |c: &mut [f32]| gemm_blocked(m, k, n, &a, &b, c)
-            }),
-            0.0,
-        ),
-        (
-            "blocked_acc",
-            Box::new({
-                let (a, b) = (a.clone(), b.clone());
-                move |c: &mut [f32]| gemm_blocked_acc(m, k, n, &a, &b, c)
-            }),
-            1.0,
-        ),
-        (
-            "blocked_at_b",
-            Box::new({
-                let (at, b) = (at.clone(), b.clone());
-                move |c: &mut [f32]| gemm_blocked_at_b(m, k, n, &at, &b, c)
-            }),
-            0.0,
-        ),
-        (
-            "blocked_at_b_acc",
-            Box::new({
-                let (at, b) = (at.clone(), b.clone());
-                move |c: &mut [f32]| gemm_blocked_at_b_acc(m, k, n, &at, &b, c)
-            }),
-            1.0,
-        ),
-        (
-            "blocked_a_bt",
-            Box::new({
-                let (a, bt) = (a.clone(), bt.clone());
-                move |c: &mut [f32]| gemm_blocked_a_bt(m, k, n, &a, &bt, c)
-            }),
-            0.0,
-        ),
-        (
-            "blocked_a_bt_acc",
-            Box::new({
-                let (a, bt) = (a.clone(), bt.clone());
-                move |c: &mut [f32]| gemm_blocked_a_bt_acc(m, k, n, &a, &bt, c)
-            }),
-            1.0,
-        ),
-        (
-            "auto",
-            Box::new({
-                let (a, b) = (a.clone(), b.clone());
-                move |c: &mut [f32]| gemm_auto(m, k, n, &a, &b, c)
-            }),
-            0.0,
-        ),
-        (
-            "auto_acc",
-            Box::new({
-                let (a, b) = (a.clone(), b.clone());
-                move |c: &mut [f32]| gemm_auto_acc(m, k, n, &a, &b, c)
-            }),
-            1.0,
-        ),
-        (
-            "auto_at_b",
-            Box::new({
-                let (at, b) = (at.clone(), b.clone());
-                move |c: &mut [f32]| gemm_auto_at_b(m, k, n, &at, &b, c)
-            }),
-            0.0,
-        ),
-        (
-            "auto_at_b_acc",
-            Box::new({
-                let (at, b) = (at.clone(), b.clone());
-                move |c: &mut [f32]| gemm_auto_at_b_acc(m, k, n, &at, &b, c)
-            }),
-            1.0,
-        ),
-        (
-            "auto_a_bt",
-            Box::new({
-                let (a, bt) = (a.clone(), bt.clone());
-                move |c: &mut [f32]| gemm_auto_a_bt(m, k, n, &a, &bt, c)
-            }),
-            0.0,
-        ),
-        (
-            "auto_a_bt_acc",
-            Box::new({
-                let (a, bt) = (a.clone(), bt.clone());
-                move |c: &mut [f32]| gemm_auto_a_bt_acc(m, k, n, &a, &bt, c)
-            }),
-            1.0,
-        ),
-    ];
-
-    for (name, run, bias) in &cases {
-        // Accumulating kernels start from a bias-filled C and must land on
-        // reference + bias; overwriting kernels start from garbage.
-        let init = if *bias != 0.0 { *bias as f32 } else { 7.5 };
-        let mut c = vec![init; m * n];
-        run(&mut c);
-        for (i, (&x, want)) in c.iter().zip(r.iter().map(|v| v + bias)).enumerate() {
-            assert!(
-                (x as f64 - want).abs() < t,
-                "{name} ({m},{k},{n})[{i}]: {x} vs {want}"
-            );
-        }
-        // Bitwise self-consistency: same kernel, same inputs → same bits.
-        let mut c2 = vec![init; m * n];
-        run(&mut c2);
-        assert!(
-            c.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "{name} ({m},{k},{n}): not bitwise-deterministic across reruns"
-        );
-    }
-}
-
-/// Fused patch panel at one conv geometry vs materialized im2col + the
-/// same blocked kernel (must be **bitwise** identical — packing order is
-/// the same, only the gather differs) and vs the f64 reference.
-fn check_fused_conv(
-    seed: u64,
-    c_in: usize,
-    hw: usize,
-    c_out: usize,
-    ksz: usize,
-    stride: usize,
-    pad: usize,
-) {
-    let xs = Shape::new(&[1, c_in, hw, hw]);
-    let wsh = Shape::new(&[c_out, c_in, ksz, ksz]);
-    let g = Conv2dGeom::infer(&xs, &wsh, stride, pad);
-    let (m, k, n) = (g.c_out, g.k(), g.p());
-    let img = rand_vec(seed, c_in * hw * hw);
-    let w = rand_vec(seed + 3, m * k);
-
-    let mut patches = vec![0.0; k * n];
-    im2col(&g, &img, &mut patches);
-
-    let mut ap = vec![0.0; packed_a_len(m, k)];
-    pack_a_into(PanelA::RowMajor(&w), m, k, &mut ap);
-
-    let mut c_fused = vec![0.0; m * n];
-    gemm_prepacked(
-        m,
-        k,
-        n,
-        &ap,
-        PanelB::Patches {
-            geom: &g,
-            img: &img,
-        },
-        &mut c_fused,
-        false,
-    );
-    let mut c_mat = vec![0.0; m * n];
-    gemm_prepacked(m, k, n, &ap, PanelB::RowMajor(&patches), &mut c_mat, false);
-    assert!(
-        c_fused
-            .iter()
-            .zip(&c_mat)
-            .all(|(x, y)| x.to_bits() == y.to_bits()),
-        "fused patch panel diverges bitwise from materialized im2col at c_in={c_in} hw={hw} c_out={c_out} k={ksz} s={stride} p={pad}"
-    );
-
-    let r = reference(m, k, n, &w, &patches);
-    let t = tol(k);
-    for (i, (&x, &want)) in c_fused.iter().zip(&r).enumerate() {
-        assert!(
-            (x as f64 - want).abs() < t,
-            "fused[{i}] {x} vs {want} (c_in={c_in} hw={hw} s={stride})"
-        );
-    }
-}
-
-/// Round-to-nearest-even bf16 quantization of a copy of `v` — the operand
-/// preparation the bf16 oracle uses.
-fn quantized(v: &[f32]) -> Vec<f32> {
-    let mut q = v.to_vec();
-    quantize_slice(&mut q);
-    q
-}
-
-/// The bf16 contract: every bf16 entry point (packed and dispatched) must
-/// be **bitwise identical** to quantizing both operands up front and
-/// running the corresponding f32 kernel. The bf16 kernels narrow at pack
-/// time and widen inside the micro-kernel, so the arithmetic — f32
-/// multiply of bf16-rounded values, f32 accumulate in the same blocked
-/// order — is exactly the oracle's. Any divergence means the packing
-/// changed numerics beyond the one sanctioned rounding step.
-fn check_bf16_shape(seed: u64, m: usize, k: usize, n: usize) {
-    let a = rand_vec(seed, m * k);
-    let b = rand_vec(seed + 1, k * n);
-    let at = transpose(m, k, &a); // stored k×m
-    let bt = transpose(k, n, &b); // stored n×k
-    let (aq, bq) = (quantized(&a), quantized(&b));
-    let (atq, btq) = (quantized(&at), quantized(&bt));
-
-    // (name, bf16 candidate on raw operands, f32 oracle on quantized
-    // operands, accumulate?). The oracle for the dispatched entries is the
-    // f32 *dispatched* entry — both sides route by the same shape-pure
-    // predicate, so naive shapes compare naive-vs-naive and blocked
-    // shapes blocked-vs-blocked.
-    type Pair = (
-        &'static str,
-        Box<dyn Fn(&mut [f32])>,
-        Box<dyn Fn(&mut [f32])>,
-        bool,
-    );
-    let cases: Vec<Pair> = vec![
-        (
-            "blocked_bf16",
-            Box::new({
-                let (a, b) = (a.clone(), b.clone());
-                move |c: &mut [f32]| gemm_blocked_bf16(m, k, n, &a, &b, c)
-            }),
-            Box::new({
-                let (aq, bq) = (aq.clone(), bq.clone());
-                move |c: &mut [f32]| gemm_blocked(m, k, n, &aq, &bq, c)
-            }),
-            false,
-        ),
-        (
-            "blocked_bf16_acc",
-            Box::new({
-                let (a, b) = (a.clone(), b.clone());
-                move |c: &mut [f32]| gemm_blocked_bf16_acc(m, k, n, &a, &b, c)
-            }),
-            Box::new({
-                let (aq, bq) = (aq.clone(), bq.clone());
-                move |c: &mut [f32]| gemm_blocked_acc(m, k, n, &aq, &bq, c)
-            }),
-            true,
-        ),
-        (
-            "blocked_at_b_bf16",
-            Box::new({
-                let (at, b) = (at.clone(), b.clone());
-                move |c: &mut [f32]| gemm_blocked_at_b_bf16(m, k, n, &at, &b, c)
-            }),
-            Box::new({
-                let (atq, bq) = (atq.clone(), bq.clone());
-                move |c: &mut [f32]| gemm_blocked_at_b(m, k, n, &atq, &bq, c)
-            }),
-            false,
-        ),
-        (
-            "blocked_at_b_bf16_acc",
-            Box::new({
-                let (at, b) = (at.clone(), b.clone());
-                move |c: &mut [f32]| gemm_blocked_at_b_bf16_acc(m, k, n, &at, &b, c)
-            }),
-            Box::new({
-                let (atq, bq) = (atq.clone(), bq.clone());
-                move |c: &mut [f32]| gemm_blocked_at_b_acc(m, k, n, &atq, &bq, c)
-            }),
-            true,
-        ),
-        (
-            "blocked_a_bt_bf16",
-            Box::new({
-                let (a, bt) = (a.clone(), bt.clone());
-                move |c: &mut [f32]| gemm_blocked_a_bt_bf16(m, k, n, &a, &bt, c)
-            }),
-            Box::new({
-                let (aq, btq) = (aq.clone(), btq.clone());
-                move |c: &mut [f32]| gemm_blocked_a_bt(m, k, n, &aq, &btq, c)
-            }),
-            false,
-        ),
-        (
-            "blocked_a_bt_bf16_acc",
-            Box::new({
-                let (a, bt) = (a.clone(), bt.clone());
-                move |c: &mut [f32]| gemm_blocked_a_bt_bf16_acc(m, k, n, &a, &bt, c)
-            }),
-            Box::new({
-                let (aq, btq) = (aq.clone(), btq.clone());
-                move |c: &mut [f32]| gemm_blocked_a_bt_acc(m, k, n, &aq, &btq, c)
-            }),
-            true,
-        ),
-        (
-            "auto_p",
-            Box::new({
-                let (a, b) = (a.clone(), b.clone());
-                move |c: &mut [f32]| gemm_auto_p(GemmPrecision::Bf16, m, k, n, &a, &b, c)
-            }),
-            Box::new({
-                let (aq, bq) = (aq.clone(), bq.clone());
-                move |c: &mut [f32]| gemm_auto(m, k, n, &aq, &bq, c)
-            }),
-            false,
-        ),
-        (
-            "auto_acc_p",
-            Box::new({
-                let (a, b) = (a.clone(), b.clone());
-                move |c: &mut [f32]| gemm_auto_acc_p(GemmPrecision::Bf16, m, k, n, &a, &b, c)
-            }),
-            Box::new({
-                let (aq, bq) = (aq.clone(), bq.clone());
-                move |c: &mut [f32]| gemm_auto_acc(m, k, n, &aq, &bq, c)
-            }),
-            true,
-        ),
-        (
-            "auto_at_b_p",
-            Box::new({
-                let (at, b) = (at.clone(), b.clone());
-                move |c: &mut [f32]| gemm_auto_at_b_p(GemmPrecision::Bf16, m, k, n, &at, &b, c)
-            }),
-            Box::new({
-                let (atq, bq) = (atq.clone(), bq.clone());
-                move |c: &mut [f32]| gemm_auto_at_b(m, k, n, &atq, &bq, c)
-            }),
-            false,
-        ),
-        (
-            "auto_at_b_acc_p",
-            Box::new({
-                let (at, b) = (at.clone(), b.clone());
-                move |c: &mut [f32]| gemm_auto_at_b_acc_p(GemmPrecision::Bf16, m, k, n, &at, &b, c)
-            }),
-            Box::new({
-                let (atq, bq) = (atq.clone(), bq.clone());
-                move |c: &mut [f32]| gemm_auto_at_b_acc(m, k, n, &atq, &bq, c)
-            }),
-            true,
-        ),
-        (
-            "auto_a_bt_p",
-            Box::new({
-                let (a, bt) = (a.clone(), bt.clone());
-                move |c: &mut [f32]| gemm_auto_a_bt_p(GemmPrecision::Bf16, m, k, n, &a, &bt, c)
-            }),
-            Box::new({
-                let (aq, btq) = (aq.clone(), btq.clone());
-                move |c: &mut [f32]| gemm_auto_a_bt(m, k, n, &aq, &btq, c)
-            }),
-            false,
-        ),
-        (
-            "auto_a_bt_acc_p",
-            Box::new({
-                let (a, bt) = (a.clone(), bt.clone());
-                move |c: &mut [f32]| gemm_auto_a_bt_acc_p(GemmPrecision::Bf16, m, k, n, &a, &bt, c)
-            }),
-            Box::new({
-                let (aq, btq) = (aq.clone(), btq.clone());
-                move |c: &mut [f32]| gemm_auto_a_bt_acc(m, k, n, &aq, &btq, c)
-            }),
-            true,
-        ),
-    ];
-
-    for (name, bf16_run, oracle_run, acc) in &cases {
-        let init = if *acc { 0.625 } else { 7.5 }; // 0.625 is bf16-exact
-        let mut c_bf16 = vec![init; m * n];
-        bf16_run(&mut c_bf16);
-        let mut c_oracle = vec![init; m * n];
-        oracle_run(&mut c_oracle);
-        for (i, (&x, &y)) in c_bf16.iter().zip(&c_oracle).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits(),
-                "{name} ({m},{k},{n})[{i}]: bf16 {x} ({:#010x}) != quantize-then-f32 oracle {y} ({:#010x})",
-                x.to_bits(),
-                y.to_bits()
-            );
-        }
-    }
-}
-
-/// bf16 fused patch panel: packing bf16 patches straight out of the image
-/// must equal quantizing the image AND weights up front and running the
-/// f32 fused path — bitwise. Covers stride-2 + padded geometries where
-/// the gather hits the zero-padding fast paths (0.0 is bf16-exact, so
-/// padding cannot mask a quantization bug).
-fn check_bf16_fused_conv(
-    seed: u64,
-    c_in: usize,
-    hw: usize,
-    c_out: usize,
-    ksz: usize,
-    stride: usize,
-    pad: usize,
-) {
-    let xs = Shape::new(&[1, c_in, hw, hw]);
-    let wsh = Shape::new(&[c_out, c_in, ksz, ksz]);
-    let g = Conv2dGeom::infer(&xs, &wsh, stride, pad);
-    let (m, k, n) = (g.c_out, g.k(), g.p());
-    let img = rand_vec(seed, c_in * hw * hw);
-    let w = rand_vec(seed + 3, m * k);
-    let (img_q, w_q) = (quantized(&img), quantized(&w));
-
-    let mut ap_bf16 = vec![Bf16::from_f32(0.0); packed_a_len(m, k)];
-    pack_a_into_as::<Bf16>(PanelA::RowMajor(&w), m, k, &mut ap_bf16);
-    let mut c_bf16 = vec![0.0; m * n];
-    gemm_prepacked_as::<Bf16>(
-        m,
-        k,
-        n,
-        &ap_bf16,
-        PanelB::Patches {
-            geom: &g,
-            img: &img,
-        },
-        &mut c_bf16,
-        false,
-    );
-
-    let mut ap_f32 = vec![0.0; packed_a_len(m, k)];
-    pack_a_into(PanelA::RowMajor(&w_q), m, k, &mut ap_f32);
-    let mut c_oracle = vec![0.0; m * n];
-    gemm_prepacked(
-        m,
-        k,
-        n,
-        &ap_f32,
-        PanelB::Patches {
-            geom: &g,
-            img: &img_q,
-        },
-        &mut c_oracle,
-        false,
-    );
-
-    assert!(
-        c_bf16
-            .iter()
-            .zip(&c_oracle)
-            .all(|(x, y)| x.to_bits() == y.to_bits()),
-        "bf16 fused patch panel diverges from quantize-then-f32 oracle at \
-         c_in={c_in} hw={hw} c_out={c_out} k={ksz} s={stride} p={pad}"
-    );
-}
-
-/// The parallel tile grid vs the sequential loop, bitwise, both
-/// precisions. The worker pool is process-global, so rather than pin a
-/// pool size (another test could resize it mid-flight) this asserts the
-/// real invariant: results at a 4-worker setting equal results at a
-/// 1-worker setting exactly — which only holds if *every* intermediate
-/// configuration agrees.
-fn check_parallel_matches_sequential(seed: u64, m: usize, k: usize, n: usize) {
-    let a = rand_vec(seed, m * k);
-    let b = rand_vec(seed + 1, k * n);
-
-    set_gemm_workers(1);
-    let mut seq32 = vec![0.0; m * n];
-    gemm_blocked(m, k, n, &a, &b, &mut seq32);
-    let mut seq16 = vec![0.0; m * n];
-    gemm_blocked_bf16(m, k, n, &a, &b, &mut seq16);
-
-    set_gemm_workers(4);
-    let mut par32 = vec![0.0; m * n];
-    gemm_blocked(m, k, n, &a, &b, &mut par32);
-    let mut par16 = vec![0.0; m * n];
-    gemm_blocked_bf16(m, k, n, &a, &b, &mut par16);
-    set_gemm_workers(1);
-
-    assert!(
-        seq32
-            .iter()
-            .zip(&par32)
-            .all(|(x, y)| x.to_bits() == y.to_bits()),
-        "f32 parallel GEMM diverged from sequential at ({m},{k},{n})"
-    );
-    assert!(
-        seq16
-            .iter()
-            .zip(&par16)
-            .all(|(x, y)| x.to_bits() == y.to_bits()),
-        "bf16 parallel GEMM diverged from sequential at ({m},{k},{n})"
-    );
-}
-
-// ------------------------------------------------- stub-safe fixed suites
-
 /// Adversarial shape set: micro-kernel boundaries (m<MR, n<NR), panel
 /// boundaries (k straddling KC), odd primes, single rows/cols, and sizes
 /// on both sides of the dispatch threshold.
-const ADVERSARIAL_SHAPES: &[(usize, usize, usize)] = &[
+const ADVERSARIAL_SHAPES: &[Mkn] = &[
     (1, 1, 1),
     (1, 7, 1),
     (MR - 1, 5, NR - 1),
@@ -583,61 +73,247 @@ const ADVERSARIAL_SHAPES: &[(usize, usize, usize)] = &[
     (128, 64, 96),
 ];
 
-#[test]
-fn all_orientations_match_reference_on_adversarial_shapes() {
-    for (i, &(m, k, n)) in ADVERSARIAL_SHAPES.iter().enumerate() {
-        check_shape(1000 + i as u64, m, k, n);
+type Mkn = (usize, usize, usize);
+
+/// `fixed` followed by `extra` seeded random shapes with each dimension
+/// in `1..=max`.
+fn with_seeded_shapes(fixed: &[Mkn], seed: u64, extra: usize, max: Mkn) -> Vec<Mkn> {
+    let mut rng = Rng::new(seed);
+    let mut shapes = fixed.to_vec();
+    for _ in 0..extra {
+        shapes.push((
+            1 + rng.below(max.0),
+            1 + rng.below(max.1),
+            1 + rng.below(max.2),
+        ));
+    }
+    shapes
+}
+
+/// One (shape, descriptor, kernel) case of the sweep.
+///
+/// - f32: within tolerance of the f64 reference (plus the preloaded `C`
+///   when accumulating), and bitwise identical on a rerun.
+/// - bf16: **bitwise identical** to the same kernel's f32 run on operands
+///   quantized up front. The blocked kernel narrows at pack time and
+///   widens in the micro-kernel, the naive kernel quantizes into scratch:
+///   either way the arithmetic — f32 multiply of bf16-rounded values,
+///   f32 accumulate in that kernel's order — is exactly the oracle's.
+///   Any divergence means a path changed numerics beyond the one
+///   sanctioned rounding step.
+fn check_case(name: &str, kernel: Kernel, desc: GemmDesc, seed: u64, ops: &Operands, want: &[f64]) {
+    let ctx = format!("{name} kernel, operand seed {seed}, {desc:?}");
+    let got = run(kernel, desc, ops);
+    match desc.precision {
+        GemmPrecision::F32 => {
+            let bias = if desc.accumulate { 0.625 } else { 0.0 };
+            for (i, (&x, &r)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    (x as f64 - (r + bias)).abs() < tol(desc.k),
+                    "{ctx}: [{i}] {x} vs {}",
+                    r + bias
+                );
+            }
+            assert_eq!(
+                bits(&got),
+                bits(&run(kernel, desc, ops)),
+                "{ctx}: not bitwise-deterministic across reruns"
+            );
+        }
+        GemmPrecision::Bf16 => {
+            let f32_desc = GemmDesc {
+                precision: GemmPrecision::F32,
+                ..desc
+            };
+            assert_eq!(
+                bits(&got),
+                bits(&run(kernel, f32_desc, &ops.quantized())),
+                "{ctx}: bf16 != quantize-then-f32 oracle"
+            );
+        }
     }
 }
 
 #[test]
-fn fused_patch_panels_match_on_adversarial_geometries() {
-    // (c_in, hw, c_out, k, stride, pad) — stride-2 + padded included.
-    let geoms = [
-        (1, 5, 1, 3, 1, 1),
-        (2, 7, 3, 3, 2, 1),
-        (3, 9, 5, 3, 2, 0),
-        (4, 8, 6, 1, 1, 0),
-        (2, 11, 4, 5, 2, 2),
-        (8, 12, 16, 3, 1, 1), // past the dispatch threshold
-        (3, 13, 7, 3, 2, 1),
-    ];
-    for (i, &(c_in, hw, c_out, ksz, s, p)) in geoms.iter().enumerate() {
-        check_fused_conv(2000 + i as u64, c_in, hw, c_out, ksz, s, p);
+fn every_descriptor_on_every_kernel_over_adversarial_and_seeded_shapes() {
+    const SEED: u64 = 1000;
+    let mut cases = 0;
+    let shapes = with_seeded_shapes(ADVERSARIAL_SHAPES, SEED, 24, (70, 200, 70));
+    for (i, &(m, k, n)) in shapes.iter().enumerate() {
+        let seed = SEED + 2 * i as u64;
+        let ops = Operands::new(seed, m, k, n);
+        let want = reference(m, k, n, &ops.a, &ops.b);
+        for desc in all_descs(m, k, n) {
+            for (name, kernel) in KERNELS {
+                check_case(name, kernel, desc, seed, &ops, &want);
+                cases += 1;
+            }
+        }
+    }
+    assert!(cases >= 200, "sweep shrank to {cases} cases");
+}
+
+/// `C` computed by a written-out loop nest, with each element's products
+/// either added into `C` in place (`c_old + a₀b₀ + a₁b₁ …`) or summed in
+/// a register from `0.0` and added to `C` once.
+fn written_out(desc: GemmDesc, a: &[f32], b: &[f32], c_old: &[f32], in_place: bool) -> Vec<f32> {
+    let GemmDesc { m, k, n, .. } = desc;
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let c0 = if desc.accumulate {
+                c_old[i * n + j]
+            } else {
+                0.0
+            };
+            let (mut running, mut register) = (c0, 0.0f32);
+            for p in 0..k {
+                let product = match desc.orient {
+                    Orient::AB => a[i * k + p] * b[p * n + j],
+                    Orient::AtB => a[p * m + i] * b[p * n + j],
+                    Orient::ABt => a[i * k + p] * b[j * k + p],
+                };
+                running += product;
+                register += product;
+            }
+            c[i * n + j] = if in_place { running } else { c0 + register };
+        }
+    }
+    c
+}
+
+/// The association contract of the naive kernel: `AB` / `AᵀB` add in
+/// place, `ABᵀ` sums in a register. Every trained loss bit depends on
+/// which is which, so "cleaning up" either into the other must fail
+/// here — the test also proves its data tells the two apart.
+#[test]
+fn naive_kernel_association_is_pinned_bitwise() {
+    let (m, k, n) = (9, 37, 11);
+    let ops = Operands::new(77, m, k, n);
+    let c_old = rand_vec(79, m * n);
+    for orient in Orient::ALL {
+        let (a, b) = ops.stored(orient);
+        let in_place = orient != Orient::ABt;
+        for accumulate in [false, true] {
+            let desc = GemmDesc {
+                orient,
+                accumulate,
+                ..GemmDesc::new(m, k, n)
+            };
+            let mut got = c_old.clone();
+            gemm_naive(desc, a, b, &mut got);
+            let want = written_out(desc, a, b, &c_old, in_place);
+            assert_eq!(bits(&got), bits(&want), "{desc:?}: association changed");
+            if accumulate {
+                assert_ne!(
+                    bits(&want),
+                    bits(&written_out(desc, a, b, &c_old, !in_place)),
+                    "{desc:?}: data cannot tell the two associations apart"
+                );
+            }
+        }
     }
 }
 
-#[test]
-fn bf16_entry_points_match_quantize_then_f32_oracle() {
-    for (i, &(m, k, n)) in ADVERSARIAL_SHAPES.iter().enumerate() {
-        check_bf16_shape(3000 + i as u64, m, k, n);
+// ------------------------------------------------ fused im2col panels
+
+/// (c_in, hw, c_out, ksz, stride, pad)
+type Geom = (usize, usize, usize, usize, usize, usize);
+
+fn geom(&(c_in, hw, c_out, ksz, stride, pad): &Geom) -> Conv2dGeom {
+    let xs = Shape::new(&[1, c_in, hw, hw]);
+    let wsh = Shape::new(&[c_out, c_in, ksz, ksz]);
+    Conv2dGeom::infer(&xs, &wsh, stride, pad)
+}
+
+/// Stride-2 + padded geometries included, plus one past the dispatch
+/// threshold.
+const ADVERSARIAL_GEOMS: &[Geom] = &[
+    (1, 5, 1, 3, 1, 1),
+    (2, 7, 3, 3, 2, 1),
+    (3, 9, 5, 3, 2, 0),
+    (4, 8, 6, 1, 1, 0),
+    (2, 11, 4, 5, 2, 2),
+    (8, 12, 16, 3, 1, 1),
+    (3, 13, 7, 3, 2, 1),
+];
+
+/// Fused patch panel at one conv geometry:
+/// - f32 vs materialized im2col + the same prepacked kernel — **bitwise**
+///   (packing order is the same, only the gather differs) — and vs the
+///   f64 reference;
+/// - bf16 vs quantizing the image AND weights up front and running the
+///   f32 fused path — bitwise. The gather hits the zero-padding fast
+///   paths (0.0 is bf16-exact, so padding cannot mask a quantization
+///   bug).
+fn check_fused_conv(seed: u64, gm: &Geom) {
+    let g = geom(gm);
+    let (m, k, n) = (g.c_out, g.k(), g.p());
+    let img = rand_vec(seed, g.c_in * g.h * g.w);
+    let w = rand_vec(seed + 3, m * k);
+
+    let c_fused = fused::<f32>(&g, &w, &img);
+    let mut patches = vec![0.0; k * n];
+    im2col(&g, &img, &mut patches);
+    let mut ap = vec![0.0; packed_a_len(m, k)];
+    pack_a_into::<f32>(PanelA::RowMajor(&w), m, k, &mut ap);
+    let mut c_mat = vec![0.0; m * n];
+    gemm_prepacked::<f32>(m, k, n, &ap, PanelB::RowMajor(&patches), &mut c_mat, false);
+    assert_eq!(
+        bits(&c_fused),
+        bits(&c_mat),
+        "seed {seed}, {gm:?}: fused patch panel diverges bitwise from materialized im2col"
+    );
+    for (i, (&x, &want)) in c_fused
+        .iter()
+        .zip(&reference(m, k, n, &w, &patches))
+        .enumerate()
+    {
+        assert!(
+            (x as f64 - want).abs() < tol(k),
+            "seed {seed}, {gm:?}: fused[{i}] {x} vs {want}"
+        );
     }
+
+    assert_eq!(
+        bits(&fused::<Bf16>(&g, &w, &img)),
+        bits(&fused::<f32>(&g, &quantized(&w), &quantized(&img))),
+        "seed {seed}, {gm:?}: bf16 fused patch panel diverges from quantize-then-f32 oracle"
+    );
 }
 
 #[test]
-fn bf16_fused_patch_panels_match_quantized_oracle() {
-    // Same geometry set as the f32 fused suite — stride-2 + padded
-    // included, plus one past the dispatch threshold.
-    let geoms = [
-        (1, 5, 1, 3, 1, 1),
-        (2, 7, 3, 3, 2, 1),
-        (3, 9, 5, 3, 2, 0),
-        (4, 8, 6, 1, 1, 0),
-        (2, 11, 4, 5, 2, 2),
-        (8, 12, 16, 3, 1, 1),
-        (3, 13, 7, 3, 2, 1),
-    ];
-    for (i, &(c_in, hw, c_out, ksz, s, p)) in geoms.iter().enumerate() {
-        check_bf16_fused_conv(4000 + i as u64, c_in, hw, c_out, ksz, s, p);
+fn fused_patch_panels_match_on_adversarial_and_seeded_geometries() {
+    const SEED: u64 = 2000;
+    let mut rng = Rng::new(SEED);
+    let mut geoms = ADVERSARIAL_GEOMS.to_vec();
+    while geoms.len() < ADVERSARIAL_GEOMS.len() + 24 {
+        let (hw, ksz, pad) = (4 + rng.below(9), 1 + rng.below(3), rng.below(2));
+        if hw + 2 * pad >= ksz {
+            let (c_in, c_out) = (1 + rng.below(4), 1 + rng.below(9));
+            geoms.push((c_in, hw, c_out, ksz, 1 + rng.below(2), pad));
+        }
+    }
+    for (i, gm) in geoms.iter().enumerate() {
+        check_fused_conv(SEED + i as u64, gm);
     }
 }
 
+// ------------------------------------------- parallel vs sequential
+
+/// The parallel tile grid vs the sequential loop, bitwise, every blocked
+/// descriptor. The worker pool is process-global, so rather than pin a
+/// pool size (another test could resize it mid-flight) this asserts the
+/// real invariant: results at a 4-worker setting equal results at a
+/// 1-worker setting exactly — which only holds if *every* intermediate
+/// configuration agrees.
 #[test]
-fn parallel_matches_sequential_on_tile_boundary_shapes() {
+fn parallel_matches_sequential_on_tile_boundary_and_seeded_shapes() {
+    const SEED: u64 = 5000;
     // Tile-boundary edge cases: m < MR, n < NR, k < KC, exact block
     // multiples, one past each multiple, and multi-tile grids big
     // enough to clear the parallel threshold.
-    let shapes = [
+    let tile_boundaries = [
         (MR - 1, 40, NR - 1),     // below both micro-tile dims
         (1, 300, 1),              // single element C, deep k
         (MR, KC, NR),             // exact micro/panel multiples
@@ -648,8 +324,26 @@ fn parallel_matches_sequential_on_tile_boundary_shapes() {
         (129, 2 * KC + 1, 513),   // one past everything
         (130, 150, 300),          // odd interior shape, 3×2 grid
     ];
+    let shapes = with_seeded_shapes(&tile_boundaries, SEED, 8, (139, 299, 299));
     for (i, &(m, k, n)) in shapes.iter().enumerate() {
-        check_parallel_matches_sequential(5000 + i as u64, m, k, n);
+        let seed = SEED + 2 * i as u64;
+        let ops = Operands::new(seed, m, k, n);
+        let at_workers = |workers: usize| -> Vec<Vec<u32>> {
+            set_gemm_workers(workers);
+            all_descs(m, k, n)
+                .into_iter()
+                .map(|desc| bits(&run(gemm_blocked, desc, &ops)))
+                .collect()
+        };
+        let seq = at_workers(1);
+        let par = at_workers(4);
+        set_gemm_workers(1);
+        for (desc, (s, p)) in all_descs(m, k, n).iter().zip(seq.iter().zip(&par)) {
+            assert_eq!(
+                s, p,
+                "operand seed {seed}, {desc:?}: parallel GEMM diverged from sequential"
+            );
+        }
     }
 }
 
@@ -682,10 +376,11 @@ fn dispatcher_is_a_pure_function_of_shape() {
 //
 // The SIMD micro-kernel layer (`ops::simd`) claims every lane path —
 // scalar, SSE2, AVX2 — produces bitwise-identical results. These tests
-// force each available path in turn and pin every entry point's output
-// bits against the scalar path's, on the same adversarial shapes the
-// numeric suite uses (k < KC, m < MR, n < NR, stride-2 padded conv),
-// plus the fused `Patches` panel and the ABFT verify path.
+// force each available path in turn and pin every descriptor's output
+// bits on every kernel against the scalar path's, on the same
+// adversarial shapes the numeric suite uses (k < KC, m < MR, n < NR,
+// stride-2 padded conv), plus the fused `Patches` panel and the ABFT
+// verify path.
 
 /// Lane paths available on this host, scalar first (the oracle).
 fn lane_paths() -> Vec<simd::LanePath> {
@@ -696,78 +391,26 @@ fn lane_paths() -> Vec<simd::LanePath> {
         .collect()
 }
 
-/// Runs all 24 entry points (12 f32: 6 blocked + 6 auto; 12 bf16:
-/// 6 blocked + 6 dispatched-with-precision) at one shape and returns
-/// each result's bits.
-fn all_entry_bits(seed: u64, m: usize, k: usize, n: usize) -> Vec<Vec<u32>> {
-    let a = rand_vec(seed, m * k);
-    let b = rand_vec(seed + 1, k * n);
-    let at = transpose(m, k, &a); // stored k×m
-    let bt = transpose(k, n, &b); // stored n×k
-
-    // (name, entry, operand orientation: 0 = (a,b), 1 = (aᵀ,b), 2 = (a,bᵀ), accumulate)
-    type GemmEntry = (
-        &'static str,
-        fn(usize, usize, usize, &[f32], &[f32], &mut [f32]),
-        u8,
-        bool,
-    );
-    let f32_entries: &[GemmEntry] = &[
-        ("blocked", gemm_blocked, 0, false),
-        ("blocked_acc", gemm_blocked_acc, 0, true),
-        ("blocked_at_b", gemm_blocked_at_b, 1, false),
-        ("blocked_at_b_acc", gemm_blocked_at_b_acc, 1, true),
-        ("blocked_a_bt", gemm_blocked_a_bt, 2, false),
-        ("blocked_a_bt_acc", gemm_blocked_a_bt_acc, 2, true),
-        ("auto", gemm_auto, 0, false),
-        ("auto_acc", gemm_auto_acc, 0, true),
-        ("auto_at_b", gemm_auto_at_b, 1, false),
-        ("auto_at_b_acc", gemm_auto_at_b_acc, 1, true),
-        ("auto_a_bt", gemm_auto_a_bt, 2, false),
-        ("auto_a_bt_acc", gemm_auto_a_bt_acc, 2, true),
-        ("blocked_bf16", gemm_blocked_bf16, 0, false),
-        ("blocked_bf16_acc", gemm_blocked_bf16_acc, 0, true),
-        ("blocked_at_b_bf16", gemm_blocked_at_b_bf16, 1, false),
-        ("blocked_at_b_bf16_acc", gemm_blocked_at_b_bf16_acc, 1, true),
-        ("blocked_a_bt_bf16", gemm_blocked_a_bt_bf16, 2, false),
-        ("blocked_a_bt_bf16_acc", gemm_blocked_a_bt_bf16_acc, 2, true),
-    ];
-
-    let mut out = Vec::new();
-    for &(_name, f, orient, acc) in f32_entries {
-        let (lhs, rhs): (&[f32], &[f32]) = match orient {
-            0 => (&a, &b),
-            1 => (&at, &b),
-            _ => (&a, &bt),
-        };
-        let mut c = vec![if acc { 0.5 } else { 7.5 }; m * n];
-        f(m, k, n, lhs, rhs, &mut c);
-        out.push(c.iter().map(|v| v.to_bits()).collect());
+/// Runs `f` on the scalar lane, then on every other available lane, and
+/// requires identical results.
+fn assert_lane_invariant<T: PartialEq + std::fmt::Debug>(ctx: &str, f: impl Fn() -> T) {
+    let paths = lane_paths();
+    assert_eq!(paths[0], simd::LanePath::Scalar);
+    let _guard = simd::ForcedLaneGuard::new(simd::LanePath::Scalar);
+    let want = f();
+    for &path in &paths[1..] {
+        simd::force_lane_path(path);
+        assert_eq!(
+            f(),
+            want,
+            "lane path {:?} diverged from scalar: {ctx}",
+            path.name()
+        );
     }
-    // Dispatched bf16 family (precision-aware wrappers).
-    let mut c = vec![7.5; m * n];
-    gemm_auto_p(GemmPrecision::Bf16, m, k, n, &a, &b, &mut c);
-    out.push(c.iter().map(|v| v.to_bits()).collect());
-    let mut c = vec![0.5; m * n];
-    gemm_auto_acc_p(GemmPrecision::Bf16, m, k, n, &a, &b, &mut c);
-    out.push(c.iter().map(|v| v.to_bits()).collect());
-    let mut c = vec![7.5; m * n];
-    gemm_auto_at_b_p(GemmPrecision::Bf16, m, k, n, &at, &b, &mut c);
-    out.push(c.iter().map(|v| v.to_bits()).collect());
-    let mut c = vec![0.5; m * n];
-    gemm_auto_at_b_acc_p(GemmPrecision::Bf16, m, k, n, &at, &b, &mut c);
-    out.push(c.iter().map(|v| v.to_bits()).collect());
-    let mut c = vec![7.5; m * n];
-    gemm_auto_a_bt_p(GemmPrecision::Bf16, m, k, n, &a, &bt, &mut c);
-    out.push(c.iter().map(|v| v.to_bits()).collect());
-    let mut c = vec![0.5; m * n];
-    gemm_auto_a_bt_acc_p(GemmPrecision::Bf16, m, k, n, &a, &bt, &mut c);
-    out.push(c.iter().map(|v| v.to_bits()).collect());
-    out
 }
 
 #[test]
-fn every_entry_point_bitwise_identical_across_lane_paths() {
+fn every_descriptor_bitwise_identical_across_lane_paths() {
     // m < MR, n < NR, k < KC, micro/panel boundaries, and a shape past
     // the dispatch threshold (so `auto` routes blocked on some shapes
     // and naive on others — both must be lane-invariant).
@@ -780,21 +423,14 @@ fn every_entry_point_bitwise_identical_across_lane_paths() {
         (67, 70, 65),
         (128, 64, 96),
     ];
-    let paths = lane_paths();
-    assert_eq!(paths[0], simd::LanePath::Scalar);
     for (i, &(m, k, n)) in shapes.iter().enumerate() {
-        let seed = 6000 + i as u64;
-        let _guard = simd::ForcedLaneGuard::new(simd::LanePath::Scalar);
-        let want = all_entry_bits(seed, m, k, n);
-        for &path in &paths[1..] {
-            simd::force_lane_path(path);
-            let got = all_entry_bits(seed, m, k, n);
-            assert_eq!(
-                got,
-                want,
-                "lane path {:?} diverged from scalar at ({m},{k},{n})",
-                path.name()
-            );
+        let ops = Operands::new(6000 + i as u64, m, k, n);
+        for desc in all_descs(m, k, n) {
+            for (name, kernel) in KERNELS {
+                assert_lane_invariant(&format!("{name} kernel, {desc:?}"), || {
+                    bits(&run(kernel, desc, &ops))
+                });
+            }
         }
     }
 }
@@ -804,69 +440,22 @@ fn fused_patches_bitwise_identical_across_lane_paths() {
     // Stride-2 + padded geometries — the fused gather's halo handling
     // must not fork across lane paths either (the pack is lane-invariant
     // data movement; the micro-kernel is the parity-proven core).
-    let geoms = [
-        (2usize, 7usize, 3usize, 3usize, 2usize, 1usize),
+    let geoms: [Geom; 4] = [
+        (2, 7, 3, 3, 2, 1),
         (3, 9, 5, 3, 2, 0),
         (2, 11, 4, 5, 2, 2),
         (8, 12, 16, 3, 1, 1),
     ];
-    let run =
-        |geom_seed: u64, c_in: usize, hw: usize, c_out: usize, ksz: usize, s: usize, p: usize| {
-            let xs = Shape::new(&[1, c_in, hw, hw]);
-            let wsh = Shape::new(&[c_out, c_in, ksz, ksz]);
-            let g = Conv2dGeom::infer(&xs, &wsh, s, p);
-            let (m, k, n) = (g.c_out, g.k(), g.p());
-            let img = rand_vec(geom_seed, c_in * hw * hw);
-            let w = rand_vec(geom_seed + 3, m * k);
-            let mut ap32 = vec![0.0; packed_a_len(m, k)];
-            pack_a_into(PanelA::RowMajor(&w), m, k, &mut ap32);
-            let mut c32 = vec![0.0; m * n];
-            gemm_prepacked(
-                m,
-                k,
-                n,
-                &ap32,
-                PanelB::Patches {
-                    geom: &g,
-                    img: &img,
-                },
-                &mut c32,
-                false,
-            );
-            let mut ap16 = vec![Bf16::from_f32(0.0); packed_a_len(m, k)];
-            pack_a_into_as::<Bf16>(PanelA::RowMajor(&w), m, k, &mut ap16);
-            let mut c16 = vec![0.0; m * n];
-            gemm_prepacked_as::<Bf16>(
-                m,
-                k,
-                n,
-                &ap16,
-                PanelB::Patches {
-                    geom: &g,
-                    img: &img,
-                },
-                &mut c16,
-                false,
-            );
+    for (i, gm) in geoms.iter().enumerate() {
+        let g = geom(gm);
+        let img = rand_vec(7000 + i as u64, g.c_in * g.h * g.w);
+        let w = rand_vec(7003 + i as u64, g.c_out * g.k());
+        assert_lane_invariant(&format!("fused patches {gm:?}"), || {
             (
-                c32.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                c16.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&fused::<f32>(&g, &w, &img)),
+                bits(&fused::<Bf16>(&g, &w, &img)),
             )
-        };
-    for (i, &(c_in, hw, c_out, ksz, s, p)) in geoms.iter().enumerate() {
-        let seed = 7000 + i as u64;
-        let _guard = simd::ForcedLaneGuard::new(simd::LanePath::Scalar);
-        let want = run(seed, c_in, hw, c_out, ksz, s, p);
-        for &path in &lane_paths()[1..] {
-            simd::force_lane_path(path);
-            let got = run(seed, c_in, hw, c_out, ksz, s, p);
-            assert_eq!(
-                got,
-                want,
-                "fused patches diverged on lane path {:?} (c_in={c_in} hw={hw} s={s} p={p})",
-                path.name()
-            );
-        }
+        });
     }
 }
 
@@ -878,109 +467,23 @@ fn abft_verify_path_bitwise_identical_across_lane_paths() {
     // the checksum (zero false positives) on any lane path.
     use ets_tensor::ops::abft;
     let (m, k, n) = (67, 140, 96);
-    let a = rand_vec(8000, m * k);
-    let b = rand_vec(8001, k * n);
-    let run = |precision_bf16: bool| {
-        abft::set_verify(true);
-        let detected_before = abft::corruptions_detected();
-        let mut c = vec![0.0; m * n];
-        if precision_bf16 {
-            gemm_blocked_bf16(m, k, n, &a, &b, &mut c);
-        } else {
-            gemm_blocked(m, k, n, &a, &b, &mut c);
-        }
-        abft::set_verify(false);
-        assert_eq!(
-            abft::corruptions_detected(),
-            detected_before,
-            "ABFT false positive under verification"
-        );
-        c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    };
-    for precision_bf16 in [false, true] {
-        let _guard = simd::ForcedLaneGuard::new(simd::LanePath::Scalar);
-        let want = run(precision_bf16);
-        for &path in &lane_paths()[1..] {
-            simd::force_lane_path(path);
-            let got = run(precision_bf16);
+    let ops = Operands::new(8000, m, k, n);
+    for precision in PRECISIONS {
+        let desc = GemmDesc {
+            precision,
+            ..GemmDesc::new(m, k, n)
+        };
+        assert_lane_invariant(&format!("ABFT-verified {desc:?}"), || {
+            abft::set_verify(true);
+            let detected_before = abft::corruptions_detected();
+            let c = run(gemm_blocked, desc, &ops);
+            abft::set_verify(false);
             assert_eq!(
-                got,
-                want,
-                "ABFT-verified GEMM diverged on lane path {:?} (bf16={precision_bf16})",
-                path.name()
+                abft::corruptions_detected(),
+                detected_before,
+                "ABFT false positive under verification"
             );
-        }
-    }
-}
-
-// ------------------------------------------------------ proptest variants
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random shapes across every kernel orientation vs the reference.
-    #[test]
-    fn blocked_family_matches_reference(
-        seed in 0u64..10_000,
-        m in 1usize..70,
-        k in 1usize..200,
-        n in 1usize..70,
-    ) {
-        check_shape(seed, m, k, n);
-    }
-
-    /// Fused patch packing over random conv geometries, including
-    /// stride 2 and asymmetric padding interplay.
-    #[test]
-    fn fused_patches_match_materialized(
-        seed in 0u64..10_000,
-        c_in in 1usize..5,
-        hw in 4usize..13,
-        c_out in 1usize..10,
-        ksz in 1usize..4,
-        stride in 1usize..3,
-        pad in 0usize..2,
-    ) {
-        prop_assume!(hw + 2 * pad >= ksz);
-        check_fused_conv(seed, c_in, hw, c_out, ksz, stride, pad);
-    }
-
-    /// Random shapes: every bf16 entry point vs the quantize-then-f32
-    /// oracle, bitwise.
-    #[test]
-    fn bf16_family_matches_quantized_oracle(
-        seed in 0u64..10_000,
-        m in 1usize..70,
-        k in 1usize..200,
-        n in 1usize..70,
-    ) {
-        check_bf16_shape(seed, m, k, n);
-    }
-
-    /// Random shapes: parallel tile grid vs sequential loop, bitwise,
-    /// both precisions (the schedule-adversarial tier's property form).
-    #[test]
-    fn parallel_matches_sequential_random_shapes(
-        seed in 0u64..10_000,
-        m in 1usize..140,
-        k in 1usize..300,
-        n in 1usize..300,
-    ) {
-        check_parallel_matches_sequential(seed, m, k, n);
-    }
-
-    /// Random conv geometries through the bf16 fused patch path.
-    #[test]
-    fn bf16_fused_patches_match_quantized_oracle(
-        seed in 0u64..10_000,
-        c_in in 1usize..5,
-        hw in 4usize..13,
-        c_out in 1usize..10,
-        ksz in 1usize..4,
-        stride in 1usize..3,
-        pad in 0usize..2,
-    ) {
-        prop_assume!(hw + 2 * pad >= ksz);
-        check_bf16_fused_conv(seed, c_in, hw, c_out, ksz, stride, pad);
+            bits(&c)
+        });
     }
 }

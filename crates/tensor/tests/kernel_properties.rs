@@ -9,7 +9,8 @@
 #![allow(unused_imports, dead_code)]
 
 use ets_tensor::ops::conv::{conv2d_forward, Conv2dGeom};
-use ets_tensor::ops::matmul::{gemm_a_bt_slice, gemm_at_b_slice, gemm_slice, matmul};
+use ets_tensor::ops::dispatch::{GemmDesc, Orient};
+use ets_tensor::ops::matmul::{gemm_naive, matmul};
 use ets_tensor::ops::pool::{global_avg_pool, global_avg_pool_backward};
 use ets_tensor::{Rng, Shape, Tensor};
 use proptest::prelude::*;
@@ -129,7 +130,7 @@ proptest! {
         rng.fill_uniform(&mut a, -1.0, 1.0);
         rng.fill_uniform(&mut b, -1.0, 1.0);
         let mut want = vec![0.0f32; m * n];
-        gemm_slice(m, k, n, &a, &b, &mut want);
+        gemm_naive(GemmDesc::new(m, k, n), &a, &b, &mut want);
 
         // Aᵀ stored as k×m.
         let mut a_t = vec![0.0f32; k * m];
@@ -139,7 +140,8 @@ proptest! {
             }
         }
         let mut got = vec![0.0f32; m * n];
-        gemm_at_b_slice(m, k, n, &a_t, &b, &mut got);
+        let at_b = GemmDesc { orient: Orient::AtB, ..GemmDesc::new(m, k, n) };
+        gemm_naive(at_b, &a_t, &b, &mut got);
         for (x, y) in got.iter().zip(&want) {
             prop_assert!((x - y).abs() < 1e-4);
         }
@@ -152,7 +154,8 @@ proptest! {
             }
         }
         let mut got2 = vec![0.0f32; m * n];
-        gemm_a_bt_slice(m, k, n, &a, &b_t, &mut got2);
+        let a_bt = GemmDesc { orient: Orient::ABt, ..GemmDesc::new(m, k, n) };
+        gemm_naive(a_bt, &a, &b_t, &mut got2);
         for (x, y) in got2.iter().zip(&want) {
             prop_assert!((x - y).abs() < 1e-4);
         }

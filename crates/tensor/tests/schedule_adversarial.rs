@@ -4,8 +4,9 @@
 //! descheduled mid-panel, the caller draining the whole grid alone,
 //! stragglers finishing long after the cursor empties), and asserts the
 //! outputs are **bitwise identical** to the single-worker oracle across
-//! all 12 blocked GEMM entry points, the fused-im2col Patches path, and
-//! both pack-time precisions.
+//! every `GemmDesc` on the blocked kernel (orientation × accumulate ×
+//! precision), and the fused-im2col Patches path in both pack-time
+//! precisions.
 //!
 //! The invariant under test is the repo's standing parallelism law: the
 //! tile grid is a pure function of shape and each tile is single-owner
@@ -15,15 +16,14 @@
 //! running test that resizes the pool): every configuration must agree
 //! bitwise, so interference cannot turn a pass into a flake.
 
+mod common;
+
+use common::{all_descs, bits, fused, rand_vec, run, Operands};
 use ets_tensor::bf16::Bf16;
 use ets_tensor::ops::conv::Conv2dGeom;
-use ets_tensor::ops::gemm_blocked::{
-    gemm_blocked, gemm_blocked_a_bt, gemm_blocked_a_bt_acc, gemm_blocked_a_bt_bf16,
-    gemm_blocked_a_bt_bf16_acc, gemm_blocked_acc, gemm_blocked_at_b, gemm_blocked_at_b_acc,
-    gemm_blocked_at_b_bf16, gemm_blocked_at_b_bf16_acc, gemm_blocked_bf16, gemm_blocked_bf16_acc,
-    gemm_prepacked_as, pack_a_into_as, packed_a_len, PanelA, PanelB,
-};
-use ets_tensor::{set_gemm_workers, set_tile_delay, Rng, Shape};
+use ets_tensor::ops::dispatch::GemmDesc;
+use ets_tensor::ops::gemm_blocked::gemm_blocked;
+use ets_tensor::{set_gemm_workers, set_tile_delay, Shape};
 
 /// Restores a quiet pool configuration when a sweep finishes (also on
 /// panic, so one failing sweep can't starve the rest of the binary).
@@ -41,27 +41,6 @@ const WORKER_SWEEP: &[usize] = &[1, 2, 4, 8];
 /// tile slowed (mixed-speed workers — the straggler interleaving).
 const DELAY_SWEEP: &[(u64, u64)] = &[(0, 0), (50_000, 1), (200_000, 3)];
 
-fn rand_vec(seed: u64, n: usize) -> Vec<f32> {
-    let mut rng = Rng::new(seed);
-    let mut v = vec![0.0; n];
-    rng.fill_uniform(&mut v, -1.0, 1.0);
-    v
-}
-
-fn transpose(rows: usize, cols: usize, x: &[f32]) -> Vec<f32> {
-    let mut t = vec![0.0; rows * cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            t[c * rows + r] = x[r * cols + c];
-        }
-    }
-    t
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
 /// Multi-tile shapes: several row blocks × several column blocks (the
 /// aliasing-prone grid), a single-row-block wide shape, a tall narrow
 /// one, and one straddling block boundaries by ±1.
@@ -72,62 +51,40 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (63, 130, 520),  // single row block, 3 col blocks
 ];
 
-/// Runs all 12 blocked entry points at one shape, returning each
-/// output's bit pattern in a fixed order.
-fn run_all_entries(m: usize, k: usize, n: usize, seed: u64) -> Vec<Vec<u32>> {
-    let a = rand_vec(seed, m * k);
-    let b = rand_vec(seed + 1, k * n);
-    let at = transpose(m, k, &a); // stored k×m
-    let bt = transpose(k, n, &b); // stored n×k
-    type Entry = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
-    // (entry, uses aᵀ storage, uses bᵀ storage, accumulating)
-    let entries: &[(Entry, bool, bool, bool)] = &[
-        (gemm_blocked, false, false, false),
-        (gemm_blocked_acc, false, false, true),
-        (gemm_blocked_at_b, true, false, false),
-        (gemm_blocked_at_b_acc, true, false, true),
-        (gemm_blocked_a_bt, false, true, false),
-        (gemm_blocked_a_bt_acc, false, true, true),
-        (gemm_blocked_bf16, false, false, false),
-        (gemm_blocked_bf16_acc, false, false, true),
-        (gemm_blocked_at_b_bf16, true, false, false),
-        (gemm_blocked_at_b_bf16_acc, true, false, true),
-        (gemm_blocked_a_bt_bf16, false, true, false),
-        (gemm_blocked_a_bt_bf16_acc, false, true, true),
-    ];
-    entries
-        .iter()
-        .map(|&(f, ta, tb, acc)| {
-            let aa = if ta { &at } else { &a };
-            let bb = if tb { &bt } else { &b };
-            let mut c = vec![if acc { 0.5 } else { 7.5 }; m * n];
-            f(m, k, n, aa, bb, &mut c);
-            bits(&c)
-        })
+/// Runs every descriptor (orient × accumulate × precision) through the
+/// blocked kernel at one shape, returning each output's bit pattern in
+/// [`all_descs`] order.
+fn run_all_descs(m: usize, k: usize, n: usize, seed: u64) -> Vec<Vec<u32>> {
+    let ops = Operands::new(seed, m, k, n);
+    all_descs(m, k, n)
+        .into_iter()
+        .map(|desc| bits(&run(gemm_blocked, desc, &ops)))
         .collect()
 }
 
+/// Panics naming the first descriptor whose bits differ from the oracle's.
+fn assert_all_match(got: &[Vec<u32>], oracle: &[Vec<u32>], descs: &[GemmDesc], ctx: &str) {
+    for (desc, (g, o)) in descs.iter().zip(got.iter().zip(oracle)) {
+        assert_eq!(g, o, "{desc:?} diverged from the 1-worker oracle {ctx}");
+    }
+}
+
 #[test]
-fn all_twelve_entry_points_bitwise_stable_across_workers_and_delays() {
+fn every_descriptor_bitwise_stable_across_workers_and_delays() {
     let _quiet = Quiet;
     for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
         let seed = 9000 + si as u64 * 10;
         set_tile_delay(0, 0);
         set_gemm_workers(1);
-        let oracle = run_all_entries(m, k, n, seed);
+        let oracle = run_all_descs(m, k, n, seed);
         for &workers in WORKER_SWEEP {
             for &(nanos, stride) in DELAY_SWEEP {
                 set_gemm_workers(workers);
                 set_tile_delay(nanos, stride);
-                let got = run_all_entries(m, k, n, seed);
+                let got = run_all_descs(m, k, n, seed);
                 set_tile_delay(0, 0);
-                for (e, (g, o)) in got.iter().zip(oracle.iter()).enumerate() {
-                    assert_eq!(
-                        g, o,
-                        "entry #{e} at ({m},{k},{n}) diverged from the 1-worker \
-                         oracle with {workers} workers, delay ({nanos} ns / {stride})"
-                    );
-                }
+                let ctx = format!("with {workers} workers, delay ({nanos} ns / {stride})");
+                assert_all_match(&got, &oracle, &all_descs(m, k, n), &ctx);
             }
         }
     }
@@ -146,68 +103,29 @@ fn fused_patches_bitwise_stable_across_workers_and_delays() {
     let xs = Shape::new(&[1, c_in, hw, hw]);
     let ws = Shape::new(&[c_out, c_in, ksz, ksz]);
     let g = Conv2dGeom::infer(&xs, &ws, stride, pad);
-    let (m, k, n) = (g.c_out, g.k(), g.p());
     let img = rand_vec(71, c_in * hw * hw);
-    let w = rand_vec(72, m * k);
+    let w = rand_vec(72, g.c_out * g.k());
 
-    let run_f32 = |out: &mut [f32]| {
-        let mut ap = vec![0.0f32; packed_a_len(m, k)];
-        pack_a_into_as::<f32>(PanelA::RowMajor(&w), m, k, &mut ap);
-        gemm_prepacked_as::<f32>(
-            m,
-            k,
-            n,
-            &ap,
-            PanelB::Patches {
-                geom: &g,
-                img: &img,
-            },
-            out,
-            false,
-        );
-    };
-    let run_bf16 = |out: &mut [f32]| {
-        let mut ap = vec![Bf16::from_f32(0.0); packed_a_len(m, k)];
-        pack_a_into_as::<Bf16>(PanelA::RowMajor(&w), m, k, &mut ap);
-        gemm_prepacked_as::<Bf16>(
-            m,
-            k,
-            n,
-            &ap,
-            PanelB::Patches {
-                geom: &g,
-                img: &img,
-            },
-            out,
-            false,
-        );
+    let run_both = || {
+        (
+            bits(&fused::<f32>(&g, &w, &img)),
+            bits(&fused::<Bf16>(&g, &w, &img)),
+        )
     };
 
     set_tile_delay(0, 0);
     set_gemm_workers(1);
-    let mut oracle32 = vec![0.0; m * n];
-    run_f32(&mut oracle32);
-    let mut oracle16 = vec![0.0; m * n];
-    run_bf16(&mut oracle16);
+    let oracle = run_both();
 
     for &workers in WORKER_SWEEP {
         for &(nanos, stride) in DELAY_SWEEP {
             set_gemm_workers(workers);
             set_tile_delay(nanos, stride);
-            let mut got32 = vec![0.0; m * n];
-            run_f32(&mut got32);
-            let mut got16 = vec![0.0; m * n];
-            run_bf16(&mut got16);
+            let got = run_both();
             set_tile_delay(0, 0);
             assert_eq!(
-                bits(&got32),
-                bits(&oracle32),
-                "fused f32 diverged: {workers} workers, delay ({nanos} ns / {stride})"
-            );
-            assert_eq!(
-                bits(&got16),
-                bits(&oracle16),
-                "fused bf16 diverged: {workers} workers, delay ({nanos} ns / {stride})"
+                got, oracle,
+                "fused (f32, bf16) diverged: {workers} workers, delay ({nanos} ns / {stride})"
             );
         }
     }
@@ -220,7 +138,7 @@ fn fused_patches_bitwise_stable_across_workers_and_delays() {
 /// pool size; since all paths agree bitwise, concurrent tests cannot
 /// turn this into a flake.)
 #[test]
-fn all_entry_points_bitwise_stable_across_lane_paths_and_workers() {
+fn every_descriptor_bitwise_stable_across_lane_paths_and_workers() {
     use ets_tensor::ops::simd::{self, LanePath};
     let _quiet = Quiet;
     let (m, k, n) = (130, 150, 300); // 3×2 tile grid, clears parallel gate
@@ -229,7 +147,7 @@ fn all_entry_points_bitwise_stable_across_lane_paths_and_workers() {
         let _lane = simd::ForcedLaneGuard::new(LanePath::Scalar);
         set_tile_delay(0, 0);
         set_gemm_workers(1);
-        run_all_entries(m, k, n, seed)
+        run_all_descs(m, k, n, seed)
     };
     for path in LanePath::ALL {
         if !path.available() {
@@ -238,16 +156,9 @@ fn all_entry_points_bitwise_stable_across_lane_paths_and_workers() {
         let _lane = simd::ForcedLaneGuard::new(path);
         for &workers in WORKER_SWEEP {
             set_gemm_workers(workers);
-            let got = run_all_entries(m, k, n, seed);
-            for (e, (g, o)) in got.iter().zip(oracle.iter()).enumerate() {
-                assert_eq!(
-                    g,
-                    o,
-                    "entry #{e} diverged from the scalar 1-worker oracle on \
-                     lane path {} with {workers} workers",
-                    path.name()
-                );
-            }
+            let got = run_all_descs(m, k, n, seed);
+            let ctx = format!("on lane path {} with {workers} workers", path.name());
+            assert_all_match(&got, &oracle, &all_descs(m, k, n), &ctx);
         }
         set_gemm_workers(1);
     }
@@ -262,14 +173,14 @@ fn concurrent_submitters_each_get_oracle_bits() {
     let (m, k, n) = (130, 150, 300);
     set_tile_delay(0, 0);
     set_gemm_workers(1);
-    let oracle = run_all_entries(m, k, n, 4242);
+    let oracle = run_all_descs(m, k, n, 4242);
     set_gemm_workers(4);
     set_tile_delay(20_000, 2);
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {
                 for _ in 0..3 {
-                    let got = run_all_entries(m, k, n, 4242);
+                    let got = run_all_descs(m, k, n, 4242);
                     assert_eq!(got, oracle, "racing submitter diverged from oracle");
                 }
             });

@@ -154,3 +154,23 @@ fn every_world_size_still_learns() {
         );
     }
 }
+
+/// DESIGN.md's "Compute kernels" chapter quotes the routing thresholds
+/// and blocking parameters; they drifted once (`k ≥ 8` while the code
+/// said 24), so the quoted values are checked against the constants.
+#[test]
+fn design_doc_quotes_current_kernel_constants() {
+    use efficientnet_at_scale::tensor::ops::dispatch::{BLOCKED_MIN_K, BLOCKED_MIN_MACS};
+    use efficientnet_at_scale::tensor::ops::gemm_blocked::{KC, MC, MR, NC, NR};
+    let design = include_str!("../DESIGN.md");
+    for quote in [
+        format!("BLOCKED_MIN_K = {BLOCKED_MIN_K}"),
+        format!("BLOCKED_MIN_MACS = {BLOCKED_MIN_MACS}"),
+        format!("`MC={MC}, KC={KC}, NC={NC}, MR={MR}, NR={NR}`"),
+    ] {
+        assert!(
+            design.contains(&quote),
+            "DESIGN.md no longer says `{quote}`"
+        );
+    }
+}

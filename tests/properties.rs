@@ -13,7 +13,8 @@ use efficientnet_at_scale::data::{Dataset, EpochPlan, SynthNet};
 use efficientnet_at_scale::nn::{cross_entropy, softmax};
 use efficientnet_at_scale::optim::{linear_scaled_lr, LrSchedule, PolynomialDecay, Warmup};
 use efficientnet_at_scale::tensor::bf16::{round_f32, MAX_REL_ERR};
-use efficientnet_at_scale::tensor::ops::matmul::gemm_slice;
+use efficientnet_at_scale::tensor::ops::dispatch::GemmDesc;
+use efficientnet_at_scale::tensor::ops::matmul::gemm_naive;
 use efficientnet_at_scale::tensor::{Shape, Tensor};
 use proptest::prelude::*;
 
@@ -37,7 +38,7 @@ proptest! {
         rng.fill_uniform(&mut a, -2.0, 2.0);
         rng.fill_uniform(&mut b, -2.0, 2.0);
         let mut c = vec![0.0f32; m * n];
-        gemm_slice(m, k, n, &a, &b, &mut c);
+        gemm_naive(GemmDesc::new(m, k, n), &a, &b, &mut c);
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;

@@ -6,8 +6,8 @@
 //! cargo run -p ets-bench --bin figure1 [-- --json]
 //! ```
 //!
-//! `--json` emits through the flight recorder's own JSON writer, so the
-//! output parses even in hermetic builds with a stubbed `serde_json`.
+//! `--json` emits through `ets_obs::JsonWriter`; `tests/smoke.rs` parses
+//! the same rows back.
 
 use ets_bench::{figure1_json, figure1_points};
 

@@ -8,8 +8,8 @@
 //! cargo run -p ets-bench --bin scaling [-- --json] [-- --check-growth]
 //! ```
 //!
-//! `--json` emits through the flight recorder's own JSON writer, so the
-//! output parses even in hermetic builds with a stubbed `serde_json`.
+//! `--json` emits through `ets_obs::JsonWriter`; `tests/smoke.rs` parses
+//! the same rows back.
 //! `--check-growth` runs CI's gate: the torus backend's all-reduce share
 //! must grow strictly slower than the flat ring's from 1024 to 4096
 //! cores; exits nonzero on violation.

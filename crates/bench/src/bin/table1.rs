@@ -5,8 +5,8 @@
 //! cargo run -p ets-bench --bin table1 [-- --json]
 //! ```
 //!
-//! `--json` emits through the flight recorder's own JSON writer, so the
-//! output parses even in hermetic builds with a stubbed `serde_json`.
+//! `--json` emits through `ets_obs::JsonWriter`; `tests/smoke.rs` parses
+//! the same rows back.
 //! `--real` runs the measured counterpart on the threaded trainer,
 //! collapsing each run into a Table-1-style [`ets_obs::RunSummary`].
 

@@ -13,44 +13,9 @@
 //! cargo run --release -p ets-bench --bin table2 [-- --proxy] [-- --json]
 //! ```
 
-use ets_tpu_sim::{predict_peak_accuracy, TABLE2};
+use ets_bench::{table2_json, table2_proxy_json, table2_rows, Table2ProxyRow};
+use ets_tpu_sim::TABLE2;
 use ets_train::{proxy_of, train, DecayChoice, Experiment, OptimizerChoice};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct SimRow {
-    model: String,
-    cores: usize,
-    global_batch: usize,
-    optimizer: String,
-    lr_per_256: f32,
-    warmup_epochs: u64,
-    simulated_top1: f64,
-    paper_top1: f64,
-}
-
-fn simulated() -> Vec<SimRow> {
-    TABLE2
-        .iter()
-        .map(|r| SimRow {
-            model: r.variant.name().to_string(),
-            cores: r.cores,
-            global_batch: r.global_batch,
-            optimizer: format!("{:?}", r.optimizer),
-            lr_per_256: r.lr_per_256,
-            warmup_epochs: r.warmup_epochs,
-            simulated_top1: predict_peak_accuracy(r.variant, r.optimizer, r.global_batch),
-            paper_top1: r.peak_top1,
-        })
-        .collect()
-}
-
-#[derive(Serialize)]
-struct ProxyRow {
-    global_batch: usize,
-    optimizer: String,
-    peak_top1: f64,
-}
 
 fn proxy_run(optimizer: OptimizerChoice, decay: DecayChoice, lr_per_256: f32, batch: usize) -> f64 {
     let mut exp = Experiment::proxy_default();
@@ -69,10 +34,10 @@ fn proxy_run(optimizer: OptimizerChoice, decay: DecayChoice, lr_per_256: f32, ba
     train(&exp).peak_top1
 }
 
-fn proxy() -> Vec<ProxyRow> {
+fn proxy() -> Vec<Table2ProxyRow> {
     let mut rows = Vec::new();
     for &batch in &[32usize, 64, 128, 256] {
-        rows.push(ProxyRow {
+        rows.push(Table2ProxyRow {
             global_batch: batch,
             optimizer: "RmsProp".into(),
             peak_top1: proxy_run(
@@ -85,7 +50,7 @@ fn proxy() -> Vec<ProxyRow> {
                 batch,
             ),
         });
-        rows.push(ProxyRow {
+        rows.push(Table2ProxyRow {
             global_batch: batch,
             optimizer: "Lars".into(),
             peak_top1: proxy_run(
@@ -142,7 +107,7 @@ fn main() {
     if args.iter().any(|a| a == "--proxy") {
         let rows = proxy();
         if json {
-            println!("{}", serde_json::to_string_pretty(&rows).unwrap());
+            println!("{}", table2_proxy_json(&rows));
             return;
         }
         println!("Table 2 (proxy counterpart): real distributed training on the");
@@ -163,9 +128,9 @@ fn main() {
         return;
     }
 
-    let rows = simulated();
+    let rows = table2_rows();
     if json {
-        println!("{}", serde_json::to_string_pretty(&rows).unwrap());
+        println!("{}", table2_json(&rows));
         return;
     }
     println!("Table 2: peak top-1 accuracies (convergence model vs paper)\n");

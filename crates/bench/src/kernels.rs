@@ -853,7 +853,7 @@ pub fn steady_state_probe(smoke: bool) -> SteadyState {
     }
 }
 
-/// Renders `BENCH_kernels.json` (always parseable; no serde_json).
+/// Renders `BENCH_kernels.json`.
 pub fn kernels_json(
     rows: &[KernelBenchRow],
     ss: &SteadyState,

@@ -6,9 +6,9 @@
 //! *same* code path: a bin that prints unparseable JSON is now a test
 //! failure, not a silent gap in the perf trajectory.
 //!
-//! All machine-readable output goes through [`ets_obs::JsonWriter`] — a
-//! dependency-free writer that stays valid JSON even in hermetic builds
-//! where `serde_json` is replaced by a non-functional stub.
+//! All machine-readable output goes through [`ets_obs::JsonWriter`], the
+//! workspace's one JSON writer, and the smoke tests read it back with
+//! [`ets_obs::parse_json`].
 
 pub mod kernels;
 
@@ -19,8 +19,9 @@ use ets_obs::{
     RunSummary,
 };
 use ets_tpu_sim::{
-    amdahl_serial_fraction, auto_backend_for, scaling_sweep, step_time, step_time_for_backend,
-    time_to_accuracy_for_backend, OptimizerKind, RunConfig, ScalingPoint, StepConfig,
+    amdahl_serial_fraction, auto_backend_for, predict_peak_accuracy, scaling_sweep, step_time,
+    step_time_for_backend, time_to_accuracy_for_backend, OptimizerKind, RunConfig, ScalingPoint,
+    StepConfig, TABLE2,
 };
 use ets_train::{train_traced, Experiment, TrainReport};
 use std::sync::Arc;
@@ -72,7 +73,7 @@ pub fn table1_rows() -> Vec<Table1Row> {
         .collect()
 }
 
-/// Table 1 rows as a JSON array (always parseable; no serde_json).
+/// Table 1 rows as a JSON array.
 pub fn table1_json(rows: &[Table1Row]) -> String {
     let mut w = JsonWriter::with_capacity(4096);
     w.begin_array();
@@ -86,6 +87,81 @@ pub fn table1_json(rows: &[Table1Row]) -> String {
             .field_f64("step_ms", r.step_ms)
             .field_f64("paper_throughput", r.paper_throughput)
             .field_f64("paper_allreduce_pct", r.paper_allreduce_pct)
+            .end_object();
+    }
+    w.end_array();
+    w.finish()
+}
+
+// ---------------------------------------------------------------- Table 2
+
+/// One Table 2 row: the convergence model's peak top-1 next to the paper's.
+#[derive(Clone, Debug)]
+pub struct Table2Row {
+    pub model: String,
+    pub cores: usize,
+    pub global_batch: usize,
+    pub optimizer: String,
+    pub lr_per_256: f32,
+    pub warmup_epochs: u64,
+    pub simulated_top1: f64,
+    pub paper_top1: f64,
+}
+
+/// Rebuild Table 2 from the calibrated convergence model.
+pub fn table2_rows() -> Vec<Table2Row> {
+    TABLE2
+        .iter()
+        .map(|r| Table2Row {
+            model: r.variant.name().to_string(),
+            cores: r.cores,
+            global_batch: r.global_batch,
+            optimizer: format!("{:?}", r.optimizer),
+            lr_per_256: r.lr_per_256,
+            warmup_epochs: r.warmup_epochs,
+            simulated_top1: predict_peak_accuracy(r.variant, r.optimizer, r.global_batch),
+            paper_top1: r.peak_top1,
+        })
+        .collect()
+}
+
+/// Table 2 rows as a JSON array.
+pub fn table2_json(rows: &[Table2Row]) -> String {
+    let mut w = JsonWriter::with_capacity(4096);
+    w.begin_array();
+    for r in rows {
+        w.begin_object()
+            .field_str("model", &r.model)
+            .field_u64("cores", r.cores as u64)
+            .field_u64("global_batch", r.global_batch as u64)
+            .field_str("optimizer", &r.optimizer)
+            .field_f64("lr_per_256", r.lr_per_256 as f64)
+            .field_u64("warmup_epochs", r.warmup_epochs)
+            .field_f64("simulated_top1", r.simulated_top1)
+            .field_f64("paper_top1", r.paper_top1)
+            .end_object();
+    }
+    w.end_array();
+    w.finish()
+}
+
+/// One row of Table 2's real-training counterpart (`table2 --proxy`).
+#[derive(Clone, Debug)]
+pub struct Table2ProxyRow {
+    pub global_batch: usize,
+    pub optimizer: String,
+    pub peak_top1: f64,
+}
+
+/// Proxy rows as a JSON array.
+pub fn table2_proxy_json(rows: &[Table2ProxyRow]) -> String {
+    let mut w = JsonWriter::with_capacity(1024);
+    w.begin_array();
+    for r in rows {
+        w.begin_object()
+            .field_u64("global_batch", r.global_batch as u64)
+            .field_str("optimizer", &r.optimizer)
+            .field_f64("peak_top1", r.peak_top1)
             .end_object();
     }
     w.end_array();

@@ -13,9 +13,13 @@ use ets_bench::kernels::{
 use ets_bench::{
     check_scaling_regression, figure1_json, figure1_points, paper_run_steps, run_smoke,
     scaling_backend_rows, scaling_json, scaling_tables, step_time_summaries, table1_json,
-    table1_rows, SCALING_BACKEND_CORES, TABLE1_PAPER,
+    table1_rows, table2_json, table2_proxy_json, table2_rows, Table2ProxyRow,
+    SCALING_BACKEND_CORES, TABLE1_PAPER,
 };
-use ets_obs::{parse_json, validate_chrome_trace, validate_step_time_json, STEP_TIME_SCHEMA};
+use ets_obs::{
+    parse_json, validate_chrome_trace, validate_step_time_json, Value, STEP_TIME_SCHEMA,
+};
+use ets_tpu_sim::TABLE2;
 
 #[test]
 fn table1_rows_emit_parseable_json_with_all_operating_points() {
@@ -38,6 +42,38 @@ fn table1_rows_emit_parseable_json_with_all_operating_points() {
             "all-reduce share {ar}% out of range"
         );
     }
+}
+
+#[test]
+fn table2_rows_emit_parseable_json_with_every_paper_configuration() {
+    let num = |row: &Value, k: &str| row.get(k).and_then(|v| v.as_f64()).unwrap();
+    let v = parse_json(&table2_json(&table2_rows())).expect("table2 JSON must parse");
+    let arr = v.as_arr().expect("array of rows");
+    assert_eq!(arr.len(), TABLE2.len());
+    for (row, paper) in arr.iter().zip(&TABLE2) {
+        assert_eq!(row.as_obj().unwrap().len(), 8);
+        assert_eq!(
+            row.get("model").unwrap().as_str(),
+            Some(paper.variant.name())
+        );
+        assert_eq!(num(row, "global_batch") as usize, paper.global_batch);
+        assert_eq!(num(row, "lr_per_256") as f32, paper.lr_per_256);
+        assert_eq!(num(row, "paper_top1"), paper.peak_top1);
+        assert!((num(row, "simulated_top1") - paper.peak_top1).abs() < 0.01);
+    }
+
+    // `--proxy` rows take minutes of real training to produce; their
+    // writer is checked on a hand-made row.
+    let proxy = [Table2ProxyRow {
+        global_batch: 256,
+        optimizer: "Lars".into(),
+        peak_top1: 0.96875,
+    }];
+    let v = parse_json(&table2_proxy_json(&proxy)).expect("proxy JSON must parse");
+    let row = &v.as_arr().unwrap()[0];
+    assert_eq!(num(row, "global_batch"), 256.0);
+    assert_eq!(row.get("optimizer").unwrap().as_str(), Some("Lars"));
+    assert_eq!(num(row, "peak_top1"), 0.96875);
 }
 
 #[test]

@@ -51,11 +51,10 @@ use crate::hierarchical::{create_grid, GridMember};
 use crate::topology::canonical_grid;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which collective transport an experiment uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Deterministic publish-all tree (seed-bitwise-compatible default).
     #[default]

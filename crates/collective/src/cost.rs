@@ -13,10 +13,9 @@
 //!   term absorbs.
 
 use crate::topology::SliceShape;
-use serde::{Deserialize, Serialize};
 
 /// Interconnect parameters for one link.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LinkSpec {
     /// Per-direction link bandwidth, bytes/second.
     pub bandwidth: f64,

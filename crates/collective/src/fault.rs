@@ -38,7 +38,6 @@
 //!    uninterrupted trajectory exactly.
 
 use crate::backend::Collective;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -136,7 +135,7 @@ impl CollectiveError {
 /// Bounded-retry policy for transient collective failures. Backoff is
 /// *virtual* (accounted, not slept): the simulated pod charges the time
 /// to the run's timeline without stalling the test process.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts (first try + retries). Must be ≥ 1.
     pub max_attempts: u32,
@@ -211,7 +210,7 @@ pub fn retry_collective(
 /// One kind of fault. Timing faults (link degradation, stragglers) are
 /// *virtual-time only*; transient failures and preemptions exercise the
 /// recovery machinery.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultKind {
     /// The outgoing ICI link of member `link` runs at `scale` of nominal
     /// bandwidth (0 < scale ≤ 1). Bulk-synchronous collectives stall on
@@ -271,7 +270,7 @@ pub enum FaultKind {
 /// A fault with an absolute sim-time trigger. `duration_s` only matters
 /// for timing faults (a window); point faults (preempt, transient) fire
 /// once at `at_s`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
     /// Absolute virtual trigger time, seconds from run start.
     pub at_s: f64,
@@ -280,51 +279,29 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-fn default_virtual_step_seconds() -> f64 {
-    1.0
-}
-fn default_checkpoint_every_steps() -> u64 {
-    4
-}
-fn default_restart_delay_s() -> f64 {
-    5.0
-}
-fn default_resize_checkpoint_s() -> f64 {
-    2.0
-}
-fn default_resize_rebuild_s() -> f64 {
-    3.0
-}
-
 /// A deterministic chaos schedule: the full description of every fault a
 /// run will experience, plus the recovery knobs (checkpoint cadence,
-/// restart cost, retry policy). Serializable as part of an `Experiment`,
-/// so a chaos run is reproducible from its config alone.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// restart cost, retry policy). Part of an `Experiment`, so a chaos run
+/// is reproducible from its config alone.
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// The fault events, in any order (compilation sorts them).
     pub events: Vec<FaultEvent>,
     /// Virtual seconds one healthy training step spans — the clock that
     /// converts `at_s` triggers into step indices.
-    #[serde(default = "default_virtual_step_seconds")]
     pub virtual_step_seconds: f64,
     /// Full-state checkpoint cadence, in steps (recovery granularity for
     /// preemption).
-    #[serde(default = "default_checkpoint_every_steps")]
     pub checkpoint_every_steps: u64,
     /// Virtual seconds a preemption restart costs (scheduling + restore).
-    #[serde(default = "default_restart_delay_s")]
     pub restart_delay_s: f64,
     /// Retry policy for transient collective failures.
-    #[serde(default)]
     pub retry: RetryPolicy,
     /// Virtual seconds a resize-triggered durable checkpoint costs
     /// (serialize + fsync + rename on every surviving host).
-    #[serde(default = "default_resize_checkpoint_s")]
     pub resize_checkpoint_s: f64,
     /// Virtual seconds rebuilding the collective, BN groups, and data
     /// shards for the shrunken world costs.
-    #[serde(default = "default_resize_rebuild_s")]
     pub resize_rebuild_s: f64,
 }
 
@@ -332,12 +309,12 @@ impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan {
             events: Vec::new(),
-            virtual_step_seconds: default_virtual_step_seconds(),
-            checkpoint_every_steps: default_checkpoint_every_steps(),
-            restart_delay_s: default_restart_delay_s(),
+            virtual_step_seconds: 1.0,
+            checkpoint_every_steps: 4,
+            restart_delay_s: 5.0,
             retry: RetryPolicy::default(),
-            resize_checkpoint_s: default_resize_checkpoint_s(),
-            resize_rebuild_s: default_resize_rebuild_s(),
+            resize_checkpoint_s: 2.0,
+            resize_rebuild_s: 3.0,
         }
     }
 }
@@ -870,8 +847,7 @@ impl FaultyCollective {
     /// Attaches a flight recorder: every injected transient failure bumps
     /// `collective_faults_injected`, every fallible exchange attempt bumps
     /// `collective_try_calls`, replacing ad-hoc polling of
-    /// [`FaultyCollective::injected_failures`] for observability consumers
-    /// (the atomic stays as the serde-facade-level accessor).
+    /// [`FaultyCollective::injected_failures`] for observability consumers.
     pub fn attach_recorder(&mut self, rec: Arc<ets_obs::Recorder>) {
         self.recorder = Some(rec);
     }

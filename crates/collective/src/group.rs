@@ -12,10 +12,9 @@
 //!   of §3.4.
 
 use crate::topology::{SliceShape, CORES_PER_CHIP};
-use serde::{Deserialize, Serialize};
 
 /// How replicas are partitioned into BN groups.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GroupSpec {
     /// Every replica normalizes alone (plain local BN).
     Local,

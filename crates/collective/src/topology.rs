@@ -5,8 +5,6 @@
 //! 1024 cores. Replica ids map to cores in row-major chip order, core 0
 //! then core 1 within a chip.
 
-use serde::{Deserialize, Serialize};
-
 /// Cores per TPU-v3 chip.
 pub const CORES_PER_CHIP: usize = 2;
 
@@ -35,7 +33,7 @@ pub fn canonical_grid(p: usize) -> (usize, usize) {
 }
 
 /// A rectangular slice of the pod's chip torus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SliceShape {
     /// Chip-grid rows.
     pub rows: usize,

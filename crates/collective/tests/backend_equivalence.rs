@@ -13,11 +13,6 @@
 //! over world sizes {1, 2, 3, 4, 8, 16} and payload lengths chosen to be
 //! frequently non-divisible by the world size (exercising the ring's
 //! remainder-first chunking and the torus's uneven/empty row shards).
-//!
-//! The offline proptest stub swallows `proptest!` bodies, so imports and
-//! helpers used only inside them look unused to clippy under the stub;
-//! with the real proptest they are all exercised.
-#![allow(unused_imports, dead_code)]
 
 use ets_collective::{create_collective, Backend, Collective};
 use proptest::prelude::*;
@@ -141,8 +136,9 @@ proptest! {
     }
 }
 
-// Deterministic spot checks of the same properties (these always execute,
-// including under harnesses that elide proptest bodies).
+// The 24 fixed cases of `backends_agree_within_1e5` happen to pair the
+// 3-member world only with lengths 3 divides; this grid pairs every world
+// size with lengths it does not.
 
 #[test]
 fn non_divisible_lengths_agree_across_backends() {
@@ -160,20 +156,6 @@ fn non_divisible_lengths_agree_across_backends() {
                     assert!((tree[r][i] - torus[r][i]).abs() <= tol, "p={p} n={n}");
                     assert!((tree[r][i] - auto[r][i]).abs() <= tol, "p={p} n={n}");
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn reproducibility_and_rank_identity_hold() {
-    for &p in &WORLD_SIZES {
-        for backend in Backend::ALL {
-            let a = reduce_world(backend, p, 131, 3);
-            let b = reduce_world(backend, p, 131, 3);
-            assert_eq!(a, b, "{backend} p={p}: run-to-run drift");
-            for r in 1..p {
-                assert_eq!(a[0], a[r], "{backend} p={p}: rank {r} diverged");
             }
         }
     }

@@ -1,11 +1,6 @@
 //! Concurrency stress tests of the collectives: many rounds, varying
 //! payloads, subgroup interleaving, and randomized equivalence between the
 //! tree, ring, and hierarchical grid implementations.
-//!
-//! The offline proptest stub swallows `proptest!` bodies, so imports and
-//! helpers used only inside them look unused to clippy under the stub;
-//! with the real proptest they are all exercised.
-#![allow(unused_imports, dead_code)]
 
 use ets_collective::{create_grid, create_ring, CommHandle, GroupSpec, SliceShape};
 use proptest::prelude::*;
@@ -133,13 +128,12 @@ proptest! {
                 .collect()
         };
 
-        let tree = tree_reduce(p, mk.clone());
+        let tree = tree_reduce(p, mk);
 
         let ring_members = create_ring(p);
         let ring: Vec<Vec<f32>> = ring_members
             .into_iter()
             .map(|m| {
-                let mk = mk.clone();
                 thread::spawn(move || {
                     let mut buf = mk(m.rank());
                     m.all_reduce_sum(&mut buf);
@@ -156,7 +150,6 @@ proptest! {
             .into_iter()
             .enumerate()
             .map(|(id, m)| {
-                let mk = mk.clone();
                 thread::spawn(move || {
                     let mut buf = mk(id);
                     m.all_reduce_sum(&mut buf);
@@ -186,7 +179,7 @@ proptest! {
         let slice = SliceShape::for_cores(cores);
         let tr = 2usize.pow(rows_pow);
         let tc = 2usize.pow(cols_pow);
-        prop_assume!(slice.rows % tr == 0 && slice.cols % tc == 0);
+        prop_assume!(slice.rows.is_multiple_of(tr) && slice.cols.is_multiple_of(tc));
         let spec = GroupSpec::Tiled2d { rows: tr, cols: tc };
         spec.validate(slice);
         let mut seen = vec![0usize; cores];

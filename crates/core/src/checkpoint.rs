@@ -1,18 +1,19 @@
-//! Checkpointing: serialize model weights (and BN running statistics) so
+//! Checkpointing: capture model weights (and BN running statistics) so
 //! runs can pause/resume and evaluators can restore training snapshots —
 //! the artifact the §3.3 evaluator pipeline ships between TPUs.
 //!
-//! Format: a versioned JSON envelope with named, shaped, f32 tensors
-//! (bit-exact via `u32` bit patterns — checkpoint/restore round-trips are
-//! bitwise, so a resumed run stays on the original's trajectory).
+//! A [`Checkpoint`] is the in-memory form: named, shaped f32 tensors held
+//! as `u32` bit patterns, so save/restore round-trips are bitwise and a
+//! resumed run stays on the original's trajectory. On disk it travels
+//! inside a [`crate::ckpt_store::DurableSnapshot`], the one checksummed
+//! format.
 
 use ets_collective::Collective;
 use ets_efficientnet::EfficientNet;
 use ets_nn::Layer;
-use serde::{Deserialize, Serialize};
 
 /// Serialized tensor: shape + exact f32 bit patterns.
-#[derive(Serialize, Deserialize, Clone, Debug)]
+#[derive(Clone, Debug)]
 pub struct TensorRecord {
     pub name: String,
     pub shape: Vec<usize>,
@@ -34,7 +35,7 @@ impl TensorRecord {
 }
 
 /// A full model snapshot.
-#[derive(Serialize, Deserialize, Clone)]
+#[derive(Clone)]
 pub struct Checkpoint {
     /// Format version for forward compatibility.
     pub version: u32,
@@ -148,16 +149,6 @@ pub fn broadcast(model: &mut EfficientNet, comm: &dyn Collective, root: usize) {
     assert_eq!(off, flat.len(), "model structure mismatch after broadcast");
 }
 
-/// Serializes to JSON.
-pub fn to_json(ckpt: &Checkpoint) -> String {
-    serde_json::to_string(ckpt).expect("checkpoint serializes")
-}
-
-/// Parses from JSON.
-pub fn from_json(s: &str) -> Result<Checkpoint, serde_json::Error> {
-    serde_json::from_str(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,26 +189,6 @@ mod tests {
         b.visit_bns(&mut |bn| rb.extend_from_slice(&bn.running_mean));
         assert_eq!(ra, rb);
         assert_eq!(ckpt.step, 123);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        // Assert round-trip equality of the *deserialized checkpoint*,
-        // gated on a functional serde_json (the offline build stub cannot
-        // parse; under it this degrades to a serialize-doesn't-panic
-        // smoke test instead of failing).
-        let mut m = model(3);
-        let ckpt = save(&mut m, 7);
-        let json = to_json(&ckpt);
-        if !crate::report::serde_json_is_functional() {
-            return;
-        }
-        let back = from_json(&json).unwrap();
-        assert_eq!(back.step, ckpt.step);
-        assert_eq!(back.version, ckpt.version);
-        let mut m2 = model(4);
-        restore(&mut m2, &back);
-        assert_eq!(weights_checksum(&mut m), weights_checksum(&mut m2));
     }
 
     #[test]

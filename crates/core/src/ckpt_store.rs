@@ -11,9 +11,8 @@
 //! - **Atomic writes**: checkpoints are written to a temp file, fsynced,
 //!   and renamed into place (then the directory is fsynced), so a crash
 //!   mid-write never leaves a half-visible checkpoint.
-//! - **Corruption detection**: a custom binary format (deliberately not
-//!   JSON — the store must round-trip under the offline build's
-//!   non-parsing `serde_json` stub) with a CRC-32 per record *and* a
+//! - **Corruption detection**: a custom binary format (bit-exact f32
+//!   payloads at 4 bytes each) with a CRC-32 per record *and* a
 //!   whole-file CRC-32 trailer. CRC-32 detects every 1- and 2-bit error
 //!   at these file sizes, so a single flipped bit is always caught —
 //!   the property the proptest suite pins down.

@@ -1,13 +1,12 @@
 //! Experiment configuration: everything that defines a training run, in
-//! one serializable struct, so harnesses and tests share a vocabulary.
+//! one struct, so harnesses and tests share a vocabulary.
 
 use ets_collective::{Backend, FaultPlan, GroupSpec};
 use ets_efficientnet::ModelConfig;
 use ets_nn::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Which optimizer drives the run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum OptimizerChoice {
     /// Plain momentum SGD (ablation baseline).
     Sgd { momentum: f32, weight_decay: f32 },
@@ -24,7 +23,7 @@ pub enum OptimizerChoice {
 }
 
 /// Which decay schedule shapes the learning rate after warmup (§3.2).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DecayChoice {
     Constant,
     /// `rate` every `epochs` epochs (staircase), from step 0.
@@ -41,7 +40,7 @@ pub enum DecayChoice {
 
 /// What the trainer does when the cross-rank gradient fingerprint check
 /// attributes a corrupt bucket payload to a rank.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CorruptionPolicy {
     /// Retry the corrupted bucket once from the saved local contribution
     /// (a transient flip vanishes on retry — the injector is one-shot per
@@ -66,7 +65,7 @@ impl CorruptionPolicy {
 }
 
 /// A complete training-run description.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Experiment {
     /// Base RNG seed; everything derives from it.
     pub seed: u64,
@@ -102,17 +101,13 @@ pub struct Experiment {
     /// Which collective transport moves gradients, BN statistics, eval
     /// counts, and init broadcasts. `Tree` (the default) is bitwise
     /// compatible with the seed trainer; `Ring` is bandwidth-optimal;
-    /// `Auto` switches at the α–β crossover. Old configs without the
-    /// field deserialize to `Tree`.
-    #[serde(default)]
+    /// `Auto` switches at the α–β crossover.
     pub collective_backend: Backend,
     /// Deterministic fault-injection schedule (chaos testing). The
-    /// default plan is empty — no faults, identical behaviour to configs
-    /// predating the field. A non-empty plan perturbs virtual step
-    /// timing (link degradation, stragglers), injects transient
+    /// default plan is empty: no faults. A non-empty plan perturbs virtual
+    /// step timing (link degradation, stragglers), injects transient
     /// collective failures absorbed by retry-with-backoff, and preempts
     /// the job at scheduled steps, exercising checkpoint-based resume.
-    #[serde(default)]
     pub faults: FaultPlan,
     /// Training epochs.
     pub epochs: u64,
@@ -134,8 +129,7 @@ pub struct Experiment {
     /// reduced loss and the bucketized gradients for non-finite values;
     /// a trip rolls the run back to the latest durable checkpoint with
     /// the LR halved (counted in `RecoveryCounters`) instead of letting
-    /// a NaN poison the weights. Old configs default to `false`.
-    #[serde(default)]
+    /// a NaN poison the weights. Defaults to `false`.
     pub nan_guard: bool,
     /// Directory for the durable checkpoint store. `None` (the default)
     /// lets the trainer pick a private temp directory when durability is
@@ -144,7 +138,6 @@ pub struct Experiment {
     /// trainer *owns* the directory — it is cleared at run start so stale
     /// files from earlier runs can never shadow this run's state — and
     /// its contents are left in place at run end.
-    #[serde(default)]
     pub ckpt_dir: Option<String>,
     /// Overlap the gradient all-reduce with the backward pass: each
     /// bucket's collective fires (on a per-step communication thread) as
@@ -153,24 +146,20 @@ pub struct Experiment {
     /// exchange — only wall time moves. Falls back to the serialized path
     /// when `grad_accum_steps > 1` (gradients are rescaled after the
     /// micro-batch loop, so no bucket is final until backward ends).
-    /// Old configs default to `false` (serialized).
-    #[serde(default)]
+    /// Defaults to `false` (serialized).
     pub overlap_all_reduce: bool,
     /// Worker threads for the blocked GEMM macro-kernel inside each
     /// replica. `0` (the default) leaves the process-wide setting alone;
     /// any other value is applied at phase start via the dispatch policy.
     /// Parallel GEMM is bitwise identical to sequential at any worker
     /// count (static tile ownership), so this is a pure throughput knob.
-    #[serde(default)]
     pub gemm_workers: usize,
     /// SIMD lane-path override for the GEMM micro-kernel
     /// (`ets_tensor::ops::simd`): `""` (the default) leaves the
     /// process-wide `ETS_SIMD`-or-detect dispatch alone; `"auto"` /
     /// `"avx2"` / `"sse2"` / `"scalar"` force that path at phase start.
     /// Every lane path is bitwise-identical — like `gemm_workers`, a
-    /// pure throughput knob that can never perturb the trajectory. Old
-    /// configs default to `""`.
-    #[serde(default)]
+    /// pure throughput knob that can never perturb the trajectory.
     pub simd_path: String,
     /// Cross-rank gradient fingerprint verification: after every bucket
     /// all-reduce, ranks exchange a tiny fingerprint record (FNV-1a of
@@ -179,33 +168,26 @@ pub struct Experiment {
     /// corrupt and *attributes* it to that rank. Detection feeds
     /// [`CorruptionPolicy`]. Bitwise-neutral on clean runs (the check
     /// only reads the reduced buffer); costs one small all-gather per
-    /// bucket. Old configs default to `false`.
-    #[serde(default)]
+    /// bucket. Defaults to `false`.
     pub fingerprint_verify: bool,
     /// ABFT tile-checksum verification for every blocked GEMM in the
     /// process (`ets_tensor::ops::abft`): detects silent *compute*
     /// corruption inside forward/backward matmuls and heals it by
     /// deterministic tile recompute, bitwise-neutral when clean. Process
-    /// global (like the GEMM worker pool). Old configs default to
-    /// `false`.
-    #[serde(default)]
+    /// global (like the GEMM worker pool). Defaults to `false`.
     pub abft_verify: bool,
     /// What to do when fingerprint verification attributes a corrupt
     /// payload to a rank. Irrelevant unless `fingerprint_verify` is set.
-    #[serde(default)]
     pub corruption_policy: CorruptionPolicy,
     /// Re-verify the CRCs of every retained durable checkpoint after
     /// each elastic resize ([`crate::ckpt_store::CkptStore::scrub`]),
     /// deleting any that fail so a later rollback can never land on a
-    /// rotted file. Counted in `RecoveryCounters`. Old configs default
-    /// to `false`.
-    #[serde(default)]
+    /// rotted file. Counted in `RecoveryCounters`. Defaults to `false`.
     pub scrub_after_resize: bool,
     /// Override for the gradient-bucket size in elements. `None` (the
     /// default) keeps [`crate::grad_bucket::DEFAULT_BUCKET_ELEMS`]; small
     /// values split proxy-scale models into several buckets so the
     /// overlapped exchange has something to overlap.
-    #[serde(default)]
     pub grad_bucket_elems: Option<usize>,
     // Dataset shape.
     pub train_samples: usize,
@@ -392,28 +374,10 @@ mod tests {
 
     #[test]
     fn default_backend_is_seed_compatible_tree() {
-        // Old configs (no `collective_backend` field) must keep the seed
-        // trainer's bitwise trajectory, which means the tree transport.
+        // The default must keep the seed trainer's bitwise trajectory,
+        // which means the tree transport.
         let e = Experiment::proxy_default();
         assert_eq!(e.collective_backend, Backend::Tree);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        // Assert on round-trip equality of the *deserialized value*, not
-        // raw JSON text, and only when the linked serde_json actually
-        // parses (the offline build stub does not) — so this passes under
-        // both the stub and the real crates-io implementation.
-        let e = Experiment::proxy_default();
-        let s = serde_json::to_string(&e).unwrap();
-        if !crate::report::serde_json_is_functional() {
-            return;
-        }
-        let back: Experiment = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.global_batch(), e.global_batch());
-        assert_eq!(back.optimizer, e.optimizer);
-        assert_eq!(back.collective_backend, e.collective_backend);
-        assert_eq!(back.faults, e.faults);
     }
 
     #[test]

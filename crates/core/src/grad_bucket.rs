@@ -170,7 +170,7 @@ pub struct GradBucket {
     flat: Vec<f32>,
     /// Contiguous `[start, end)` element ranges covering `flat`.
     buckets: Vec<(usize, usize)>,
-    /// Accumulated per-bucket timing (serde facade over the recorder's
+    /// Accumulated per-bucket timing (the report's view of the recorder's
     /// wall-bucket lane; both are fed from the same stopwatch laps).
     profile: AllReduceProfile,
     /// Optional flight recorder: per-bucket wall spans on

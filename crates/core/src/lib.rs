@@ -16,7 +16,6 @@ pub mod experiment;
 pub mod grad_bucket;
 pub mod paper_recipe;
 pub mod report;
-pub mod sweep;
 pub mod timeline;
 pub mod trainer;
 
@@ -32,9 +31,6 @@ pub use ckpt_store::{
 pub use experiment::{CorruptionPolicy, DecayChoice, Experiment, OptimizerChoice};
 pub use grad_bucket::{GradBucket, DEFAULT_BUCKET_ELEMS};
 pub use paper_recipe::{proxy_of, PROXY_LARS_LR, PROXY_LARS_TRUST, PROXY_RMSPROP_LR};
-pub use report::{
-    checksum_f32, serde_json_is_functional, EpochRecord, RecoveryCounters, TrainReport,
-};
-pub use sweep::{batch_sweep, run_sweep, SweepCell, SweepResult};
+pub use report::{checksum_f32, EpochRecord, RecoveryCounters, TrainReport};
 pub use timeline::{AllReduceProfile, PhaseBreakdown, ResizeRecord, StepTimeline, Stopwatch};
 pub use trainer::{train, train_traced, DivergenceError};

@@ -1,23 +1,12 @@
 //! Training-run results: per-epoch records and summary statistics.
 
 use crate::timeline::{AllReduceProfile, PhaseBreakdown, StepTimeline};
-use serde::{Deserialize, Serialize};
-
-/// True when the linked `serde_json` implementation actually parses (the
-/// offline build stub serializes placeholders and refuses to parse).
-/// Tests gate exact round-trip-equality assertions on this, so they hold
-/// under the real crates-io dependency set and degrade to smoke tests
-/// under the stub instead of failing.
-pub fn serde_json_is_functional() -> bool {
-    serde_json::from_str::<u32>("1")
-        .map(|v| v == 1)
-        .unwrap_or(false)
-}
+use ets_obs::JsonWriter;
 
 /// Fault-recovery bookkeeping for one training run (replica 0's view;
 /// the synchronized quantities are identical on every replica because
 /// fault schedules are SPMD-symmetric).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RecoveryCounters {
     /// Transient collective failures injected/observed.
     pub transient_failures: u64,
@@ -38,45 +27,34 @@ pub struct RecoveryCounters {
     pub checkpoints_taken: u64,
     /// Replicas permanently lost over the run (elastic resize events may
     /// drop more than one rank at the same step).
-    #[serde(default)]
     pub lost_replicas: u64,
     /// World-resize protocols executed (drain → durable checkpoint →
     /// rebuild collectives/BN groups → re-shard → resume).
-    #[serde(default)]
     pub resizes: u64,
     /// Virtual seconds charged by resize protocols (checkpoint persist +
     /// collective rebuild + restart delay).
-    #[serde(default)]
     pub resize_virtual_s: f64,
     /// Durable on-disk checkpoints persisted via the checkpoint store.
-    #[serde(default)]
     pub durable_checkpoints: u64,
     /// Corrupt durable checkpoints detected and skipped during loads —
     /// every one of these is a *loudly rejected* file, never a silent load.
-    #[serde(default)]
     pub corrupt_checkpoints_skipped: u64,
     /// Divergence-guard trips: non-finite loss/gradients detected, state
     /// rolled back to the latest durable checkpoint with the LR halved.
-    #[serde(default)]
     pub divergence_rollbacks: u64,
     /// Silent-data-corruption detections: ABFT tile-checksum failures
     /// plus cross-rank gradient-fingerprint mismatches.
-    #[serde(default)]
     pub corruptions_detected: u64,
     /// Corruptions healed in place (tile recompute or verified bucket
     /// retry) — the run continued bitwise-identical to a clean run.
-    #[serde(default)]
     pub corruptions_corrected: u64,
     /// Ranks quarantined after unhealable corruption (each triggers an
     /// elastic shrink + rollback to the last checkpoint before the
     /// poisoned step).
-    #[serde(default)]
     pub rank_quarantines: u64,
     /// Retained checkpoints re-verified by a store scrub pass.
-    #[serde(default)]
     pub checkpoints_scrubbed: u64,
     /// Checkpoints a scrub pass found corrupt and garbage-collected.
-    #[serde(default)]
     pub checkpoints_scrub_rejected: u64,
 }
 
@@ -128,7 +106,7 @@ impl RecoveryCounters {
 
 /// One epoch's record, as seen by replica 0 (identical on all replicas for
 /// the synchronized quantities).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EpochRecord {
     pub epoch: u64,
     /// Mean training loss over the epoch's steps.
@@ -142,7 +120,7 @@ pub struct EpochRecord {
 }
 
 /// Outcome of a full training run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrainReport {
     pub history: Vec<EpochRecord>,
     /// Best eval top-1 over the run ("peak top-1" in the paper's terms).
@@ -158,23 +136,15 @@ pub struct TrainReport {
     pub weight_checksum: u64,
     /// Replica 0's measured per-phase time breakdown.
     pub phases: PhaseBreakdown,
-    /// Replica 0's per-bucket gradient all-reduce timing. Old serialized
-    /// reports without the field deserialize to an empty profile.
-    #[serde(default)]
+    /// Replica 0's per-bucket gradient all-reduce timing.
     pub all_reduce_buckets: AllReduceProfile,
-    /// Fault-recovery counters (all zero for a fault-free run). Old
-    /// serialized reports deserialize to the zero counters.
-    #[serde(default)]
+    /// Fault-recovery counters (all zero for a fault-free run).
     pub fault_recovery: RecoveryCounters,
     /// Virtual per-step timeline; injected slowdowns surface here while
-    /// payloads (and therefore losses) stay untouched. Empty for reports
-    /// predating the fault layer.
-    #[serde(default)]
+    /// payloads (and therefore losses) stay untouched.
     pub step_timeline: StepTimeline,
     /// Number of replicas still alive at the end of the run (equals the
-    /// configured world unless permanent losses shrank it). Zero in
-    /// reports predating the elastic layer.
-    #[serde(default)]
+    /// configured world unless permanent losses shrank it).
     pub final_world: usize,
 }
 
@@ -195,9 +165,105 @@ impl TrainReport {
             .map(|r| r.epoch)
     }
 
-    /// Serializes to pretty JSON for the experiment harnesses.
+    /// The report as one JSON object keyed by field name, nested structs
+    /// as nested objects. Non-finite floats and absent eval accuracies are
+    /// `null`; `weight_checksum` is a 16-digit hex string, because a JSON
+    /// number holds only 53 bits.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serializes")
+        let mut w = JsonWriter::new();
+        w.begin_object().key("history").begin_array();
+        for r in &self.history {
+            w.begin_object()
+                .field_u64("epoch", r.epoch)
+                .field_f64("train_loss", r.train_loss as f64)
+                .field_f64("lr", r.lr as f64)
+                .field_f64("eval_top1", r.eval_top1.unwrap_or(f64::NAN))
+                .field_f64("eval_top5", r.eval_top5.unwrap_or(f64::NAN))
+                .end_object();
+        }
+        w.end_array()
+            .field_f64("peak_top1", self.peak_top1)
+            .field_u64("peak_epoch", self.peak_epoch)
+            .field_u64("steps", self.steps)
+            .field_f64("wall_seconds", self.wall_seconds)
+            .field_str("weight_checksum", &format!("{:016x}", self.weight_checksum));
+
+        let p = &self.phases;
+        w.key("phases")
+            .begin_object()
+            .field_f64("data", p.data)
+            .field_f64("forward", p.forward)
+            .field_f64("backward", p.backward)
+            .field_f64("all_reduce", p.all_reduce)
+            .field_f64("optimizer", p.optimizer)
+            .field_u64("steps", p.steps)
+            .end_object();
+
+        let b = &self.all_reduce_buckets;
+        w.key("all_reduce_buckets")
+            .begin_object()
+            .key("bucket_elems")
+            .begin_array();
+        for &n in &b.bucket_elems {
+            w.u64_value(n as u64);
+        }
+        w.end_array().key("bucket_seconds").begin_array();
+        for &s in &b.bucket_seconds {
+            w.f64_value(s);
+        }
+        w.end_array()
+            .field_u64("rounds", b.rounds)
+            .field_f64("exposed_seconds", b.exposed_seconds)
+            .field_u64("overlapped_rounds", b.overlapped_rounds)
+            .end_object();
+
+        let c = &self.fault_recovery;
+        w.key("fault_recovery")
+            .begin_object()
+            .field_u64("transient_failures", c.transient_failures)
+            .field_u64("collective_retries", c.collective_retries)
+            .field_f64("retry_backoff_virtual_s", c.retry_backoff_virtual_s)
+            .field_u64("preemptions", c.preemptions)
+            .field_u64("replayed_steps", c.replayed_steps)
+            .field_f64("restart_virtual_s", c.restart_virtual_s)
+            .field_f64("straggler_virtual_s", c.straggler_virtual_s)
+            .field_u64("checkpoints_taken", c.checkpoints_taken)
+            .field_u64("lost_replicas", c.lost_replicas)
+            .field_u64("resizes", c.resizes)
+            .field_f64("resize_virtual_s", c.resize_virtual_s)
+            .field_u64("durable_checkpoints", c.durable_checkpoints)
+            .field_u64("corrupt_checkpoints_skipped", c.corrupt_checkpoints_skipped)
+            .field_u64("divergence_rollbacks", c.divergence_rollbacks)
+            .field_u64("corruptions_detected", c.corruptions_detected)
+            .field_u64("corruptions_corrected", c.corruptions_corrected)
+            .field_u64("rank_quarantines", c.rank_quarantines)
+            .field_u64("checkpoints_scrubbed", c.checkpoints_scrubbed)
+            .field_u64("checkpoints_scrub_rejected", c.checkpoints_scrub_rejected)
+            .end_object();
+
+        let t = &self.step_timeline;
+        w.key("step_timeline")
+            .begin_object()
+            .field_f64("nominal_step_s", t.nominal_step_s)
+            .key("virtual_s")
+            .begin_array();
+        for &s in &t.virtual_s {
+            w.f64_value(s);
+        }
+        w.end_array().key("resizes").begin_array();
+        for r in &t.resizes {
+            w.begin_object()
+                .field_u64("step", r.step)
+                .field_u64("world_before", r.world_before as u64)
+                .field_u64("world_after", r.world_after as u64)
+                .field_f64("virtual_s", r.virtual_s)
+                .end_object();
+        }
+        w.end_array().end_object();
+
+        w.field_u64("final_world", self.final_world as u64)
+            .end_object();
+        w.finish()
     }
 
     /// Collapses the report into a Table-1-style [`ets_obs::RunSummary`]:
@@ -318,11 +384,71 @@ mod tests {
         assert!((c.total_fault_virtual_s() - 7.15).abs() < 1e-12);
     }
 
+    /// `name: value` pairs of a flat all-numeric struct, read off its
+    /// derived `Debug`: the oracle for "the writer emits every field", so a
+    /// field added to the struct but not to its writer fails the test.
+    fn debug_fields(v: &dyn std::fmt::Debug) -> Vec<(String, f64)> {
+        let text = format!("{v:?}");
+        let body = &text[text.find('{').unwrap() + 1..text.len() - 1];
+        body.split(',')
+            .map(|pair| pair.split_once(':').unwrap())
+            .map(|(k, v)| (k.trim().to_string(), v.trim().parse().unwrap()))
+            .collect()
+    }
+
     #[test]
-    fn serde_functionality_probe_is_consistent() {
-        // Whatever implementation is linked, the probe must agree with a
-        // direct round trip of a small value.
-        let direct = serde_json::from_str::<u32>("1").is_ok();
-        assert_eq!(serde_json_is_functional(), direct);
+    fn report_json_carries_every_field_of_a_real_run() {
+        let mut e = crate::Experiment::proxy_default();
+        e.replicas = 2;
+        e.epochs = 1;
+        e.train_samples = 64;
+        e.eval_samples = 16;
+        // Seeded faults, so the recovery counters are not all zero.
+        e.faults = ets_collective::FaultPlan::generate(3, 2, 4.0, 3);
+        let mut r = crate::train(&e);
+        assert!(!r.fault_recovery.is_clean());
+        r.history.push(EpochRecord {
+            epoch: 2,
+            train_loss: f32::NAN,
+            lr: 0.5,
+            eval_top1: None,
+            eval_top5: None,
+        });
+
+        let v = ets_obs::parse_json(&r.to_json()).expect("report JSON parses");
+        let num = |v: &ets_obs::Value, k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap();
+        assert_eq!(v.as_obj().unwrap().len(), 11, "one key per report field");
+        assert_eq!(num(&v, "steps"), r.steps as f64);
+        assert_eq!(num(&v, "final_world"), 2.0);
+        assert_eq!(num(&v, "peak_top1"), r.peak_top1);
+        assert_eq!(
+            v.get("weight_checksum").unwrap().as_str().unwrap(),
+            format!("{:016x}", r.weight_checksum)
+        );
+        for (key, flat) in [
+            ("fault_recovery", debug_fields(&r.fault_recovery)),
+            ("phases", debug_fields(&r.phases)),
+        ] {
+            let obj = v.get(key).unwrap();
+            assert_eq!(obj.as_obj().unwrap().len(), flat.len(), "{key}");
+            for (field, want) in flat {
+                assert_eq!(num(obj, &field), want, "{key}.{field}");
+            }
+        }
+        let arr = |v: &ets_obs::Value, k: &str| v.get(k).unwrap().as_arr().unwrap().to_vec();
+        let history = arr(&v, "history");
+        assert_eq!(history.len(), r.history.len());
+        let first = r.history[0];
+        assert_eq!(num(&history[0], "train_loss") as f32, first.train_loss);
+        assert_eq!(
+            history[0].get("eval_top1").unwrap().as_f64(),
+            first.eval_top1
+        );
+        assert_eq!(history[1].get("train_loss"), Some(&ets_obs::Value::Null));
+        assert_eq!(history[1].get("eval_top1"), Some(&ets_obs::Value::Null));
+        let buckets = arr(v.get("all_reduce_buckets").unwrap(), "bucket_seconds");
+        assert_eq!(buckets.len(), r.all_reduce_buckets.num_buckets());
+        let steps = arr(v.get("step_timeline").unwrap(), "virtual_s");
+        assert_eq!(steps.len(), r.step_timeline.len());
     }
 }

@@ -5,11 +5,10 @@
 //! forward, backward, gradient all-reduce, optimizer — so the real and
 //! simulated breakdowns can be compared like-for-like (`table1 --real`).
 
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Accumulated seconds per training phase.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseBreakdown {
     pub data: f64,
     pub forward: f64,
@@ -64,7 +63,7 @@ impl PhaseBreakdown {
 /// how long each bucket's collective took, accumulated over all steps, so
 /// stragglers and size effects show up in the report instead of vanishing
 /// into the aggregate `all_reduce` phase.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AllReduceProfile {
     /// Elements per bucket (fixed at registration; last bucket may be
     /// smaller).
@@ -76,13 +75,10 @@ pub struct AllReduceProfile {
     /// Seconds the replica thread spent *blocked* on the exchange:
     /// the whole bucket time for serialized rounds, only the
     /// post-backward wait for overlapped rounds. `bucket_seconds`
-    /// minus this is communication hidden under backward. Profiles
-    /// predating overlap deserialize to 0.
-    #[serde(default)]
+    /// minus this is communication hidden under backward.
     pub exposed_seconds: f64,
     /// Rounds that ran the overlapped (fire-per-bucket-as-ready)
     /// exchange rather than the serialized one.
-    #[serde(default)]
     pub overlapped_rounds: u64,
 }
 
@@ -143,15 +139,13 @@ impl AllReduceProfile {
 /// Indexed by global step; replayed steps (after a preemption rewind)
 /// overwrite their slot, so a finished run always has exactly
 /// `total_steps` entries.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepTimeline {
     /// Virtual seconds a nominal, healthy step spans.
     pub nominal_step_s: f64,
     /// Virtual seconds charged per global step.
     pub virtual_s: Vec<f64>,
-    /// World-resize events, in step order. Empty for timelines predating
-    /// the elastic layer.
-    #[serde(default)]
+    /// World-resize events, in step order.
     pub resizes: Vec<ResizeRecord>,
 }
 
@@ -159,7 +153,7 @@ pub struct StepTimeline {
 /// which the new world resumed, the world sizes on either side, and the
 /// virtual seconds charged for the protocol (durable checkpoint +
 /// collective/BN rebuild + restart delay).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResizeRecord {
     pub step: u64,
     pub world_before: usize,

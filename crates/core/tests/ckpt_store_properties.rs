@@ -14,10 +14,6 @@ use ets_train::ckpt_store::{parse_manifest, render_manifest};
 use ets_train::{
     crc32, CkptStore, CorruptionInjector, DurableSnapshot, EpochRecord, ManifestEntry,
 };
-// The offline proptest stub swallows `proptest!` bodies, which would
-// orphan imports used only there; the deterministic tests above keep the
-// real coverage either way.
-#[allow(unused_imports)]
 use proptest::prelude::*;
 
 fn splitmix(state: &mut u64) -> u64 {

@@ -395,33 +395,14 @@ fn overlapped_retry_exhaustion_is_typed_on_all_ranks() {
     }
 }
 
-/// The four defense knobs default off, survive a JSON round trip, and
-/// a legacy config without them still parses (all `serde(default)`).
+/// The four defense knobs default off.
 #[test]
-fn corruption_knobs_default_off_and_round_trip() {
+fn corruption_knobs_default_off() {
     let e = Experiment::proxy_default();
     assert!(!e.fingerprint_verify && !e.abft_verify && !e.scrub_after_resize);
     assert_eq!(e.corruption_policy, CorruptionPolicy::RetryThenQuarantine);
     assert_eq!(CorruptionPolicy::RetryThenQuarantine.bucket_retries(), 1);
     assert_eq!(CorruptionPolicy::QuarantineImmediately.bucket_retries(), 0);
-    if !ets_train::serde_json_is_functional() {
-        return;
-    }
-    let mut armed = e.clone();
-    armed.fingerprint_verify = true;
-    armed.abft_verify = true;
-    armed.scrub_after_resize = true;
-    armed.corruption_policy = CorruptionPolicy::QuarantineImmediately;
-    let back: Experiment = serde_json::from_str(&serde_json::to_string(&armed).unwrap()).unwrap();
-    assert!(back.fingerprint_verify && back.abft_verify && back.scrub_after_resize);
-    assert_eq!(
-        back.corruption_policy,
-        CorruptionPolicy::QuarantineImmediately
-    );
-    // A config predating the knobs deserializes to the off defaults.
-    let json = serde_json::to_string(&e).unwrap();
-    let legacy: Experiment = serde_json::from_str(&json).unwrap();
-    assert!(!legacy.fingerprint_verify && !legacy.abft_verify);
 }
 
 /// CI corruption soak: a larger seeded cocktail, parameterized by the
@@ -464,5 +445,11 @@ fn corruption_chaos_soak() {
             backend.name()
         ));
         std::fs::write(&path, r.to_json()).unwrap();
+        let artifact = ets_obs::parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let healed = artifact
+            .get("fault_recovery")
+            .and_then(|c| c.get("corruptions_corrected"))
+            .and_then(|v| v.as_f64());
+        assert_eq!(healed, Some(rec.corruptions_corrected as f64));
     }
 }

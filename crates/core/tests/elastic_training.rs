@@ -299,12 +299,16 @@ fn elastic_chaos_soak() {
     assert_eq!(pod.steps_completed, 60);
     assert!(pod.permanent_losses >= 1);
     if let Ok(out) = std::env::var("ETS_SOAK_OUT") {
-        let json = serde_json::to_string_pretty(&pod).expect("report serializes");
         std::fs::create_dir_all(&out).unwrap();
         let path = std::path::Path::new(&out).join(format!(
             "pod-chaos-{}-w{world}-s{seed}.json",
             backend.name()
         ));
-        std::fs::write(&path, json).unwrap();
+        std::fs::write(&path, pod.to_json()).unwrap();
+        let artifact = ets_obs::parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(
+            artifact.get("steps_completed").and_then(|v| v.as_f64()),
+            Some(60.0)
+        );
     }
 }

@@ -1,10 +1,5 @@
 //! Property tests of the data substrate: dataset purity, shard exactness
 //! under arbitrary replica/batch geometry, and augmentation invariants.
-//!
-//! The offline proptest stub swallows `proptest!` bodies, so imports and
-//! helpers used only inside them look unused to clippy under the stub;
-//! with the real proptest they are all exercised.
-#![allow(unused_imports, dead_code)]
 
 use ets_data::{load_batch, materialize_batch, AugmentConfig, Dataset, EpochPlan, SynthNet};
 use ets_tensor::Rng;

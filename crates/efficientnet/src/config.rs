@@ -5,10 +5,8 @@
 //! the unrounded value), repeats scale by depth (ceil). The seven-stage
 //! MBConv layout is shared by every variant.
 
-use serde::{Deserialize, Serialize};
-
 /// One stage of MBConv blocks (before depth scaling).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BlockArgs {
     pub kernel: usize,
     pub repeats: usize,
@@ -95,7 +93,7 @@ pub const HEAD_FILTERS: usize = 1280;
 pub const DEPTH_DIVISOR: usize = 8;
 
 /// A named variant of the family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Variant {
     B0,
     B1,
@@ -138,7 +136,7 @@ impl Variant {
 }
 
 /// A fully-resolved model configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModelConfig {
     pub width_mult: f32,
     pub depth_mult: f32,

@@ -10,10 +10,9 @@
 //! `flops_forward = 2·macs`; the backward pass costs ≈ 2× forward.
 
 use crate::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate cost statistics for one model at its native resolution.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ModelStats {
     /// Trainable scalar count.
     pub params: u64,

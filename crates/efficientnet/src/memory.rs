@@ -6,10 +6,9 @@
 //! the activations a training step must keep alive for the backward pass.
 
 use crate::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Per-image memory footprint estimate, in f32 elements.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MemoryStats {
     /// Activations cached for backward, per image (elements).
     pub activation_elems: u64,

@@ -17,7 +17,7 @@ use ets_tensor::ops::dispatch::{GemmPolicy, GemmPrecision};
 use ets_tensor::{init, Rng, Tensor};
 
 /// Numeric policy for conv products.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Precision {
     /// Pure f32 (the paper's baseline comparison point).
     F32,

@@ -2,12 +2,6 @@
 //! analytic backward must match the numeric derivative for randomized
 //! shapes and inputs. These are the tests that keep the manual-backprop
 //! design honest.
-//!
-//! The offline proptest stub swallows `proptest!` bodies (and its
-//! `prop_assert!` expands to nothing), so imports, helpers, and locals
-//! used only there look unused to clippy under the stub; with the real
-//! proptest they are all exercised.
-#![allow(unused_imports, dead_code, unused_variables)]
 
 use ets_nn::{
     BatchNorm2d, Conv2d, DepthwiseConv2d, GlobalAvgPool, Layer, Linear, Mode, Precision, Relu,

@@ -1,11 +1,9 @@
-//! A tiny hand-rolled JSON writer.
+//! The workspace's one JSON writer.
 //!
-//! The workspace treats `serde_json` as an optional luxury: in hermetic build
-//! environments it may be replaced by a stub that serializes placeholders (see
-//! `serde_json_is_functional()` in `ets-train`). Every artifact that *must* be
-//! machine-readable — Chrome traces, `BENCH_step_time.json`, bench `--json`
-//! output — is therefore emitted through this writer, which depends on nothing
-//! but `core::fmt`.
+//! Every machine-readable artifact (Chrome traces, `BENCH_*.json`, bench
+//! `--json` output, `TrainReport::to_json`, the chaos damage reports) is
+//! emitted through this writer, which depends on nothing but `core::fmt`;
+//! [`crate::parse_json`] is its reading half.
 //!
 //! Properties:
 //! - valid UTF-8 JSON output (strings escaped per RFC 8259),

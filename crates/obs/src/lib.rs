@@ -14,9 +14,9 @@
 //!    zero-alloc in steady state with `scratch_reallocs`-style self-checks.
 //! 2. Exporters — [`chrome`] (trace-event JSON, one pid per rank),
 //!    [`summary`] (Table-1-style per-run rows), [`prom`] (Prometheus text).
-//! 3. [`json`] / [`validate`] — a dependency-free JSON writer and a mini
-//!    parser + trace-event schema validator, so artifacts stay valid and
-//!    verifiable even where `serde_json` is stubbed out.
+//! 3. [`json`] / [`validate`] — the workspace's one JSON path: a
+//!    dependency-free writer every artifact is emitted through, and the
+//!    parser + trace-event schema validator tests and CI read it back with.
 
 pub mod chrome;
 pub mod json;

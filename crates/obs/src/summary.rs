@@ -3,17 +3,12 @@
 //! One [`RunSummary`] per operating point / training run: step time,
 //! all-reduce share, throughput, and the recovery/resize overhead
 //! decomposition that Table 1 and Figure 1 of the paper report. Summaries
-//! serialize through the crate's own [`JsonWriter`](crate::json::JsonWriter)
-//! so the output is valid JSON even where `serde_json` is stubbed; the
-//! `serde` derives exist for API compatibility with the rest of the
-//! workspace's report structs.
-
-use serde::{Deserialize, Serialize};
+//! serialize through the crate's own [`JsonWriter`](crate::json::JsonWriter).
 
 use crate::json::JsonWriter;
 
 /// Virtual-seconds overhead decomposition of a (possibly faulted) run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OverheadDecomposition {
     /// Collective retry exponential backoff.
     pub retry_backoff_s: f64,
@@ -34,14 +29,13 @@ impl OverheadDecomposition {
 }
 
 /// One row of a Table-1-style report.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunSummary {
     /// Operating point label, e.g. `"EfficientNet-B2 @ 256 cores"`.
     pub label: String,
     /// Collective backend the row is priced for or was trained with
     /// (`"tree" | "ring" | "torus2d" | "auto"`; empty in rows predating
     /// the per-backend schema).
-    #[serde(default)]
     pub backend: String,
     pub cores: u64,
     pub global_batch: u64,
@@ -52,7 +46,6 @@ pub struct RunSummary {
     pub all_reduce_pct: f64,
     /// Share of total per-bucket all-reduce time hidden behind backward
     /// compute by the overlapped exchange, percent (`0` when serialized).
-    #[serde(default)]
     pub overlap_pct: f64,
     /// Batch-norm sync share of step time, percent.
     pub bn_sync_pct: f64,
@@ -62,13 +55,10 @@ pub struct RunSummary {
     pub total_virtual_s: f64,
     /// Silent-data-corruption detections (ABFT tile checksums + gradient
     /// fingerprints). Zero in rows predating the corruption defense.
-    #[serde(default)]
     pub corruptions_detected: u64,
     /// Corruptions healed in place (tile recompute / verified retry).
-    #[serde(default)]
     pub corruptions_corrected: u64,
     /// Ranks quarantined by unhealable corruption.
-    #[serde(default)]
     pub rank_quarantines: u64,
     pub overhead: OverheadDecomposition,
 }

@@ -1,11 +1,11 @@
 //! A small recursive-descent JSON parser plus a Chrome trace-event schema
 //! validator.
 //!
-//! The parser exists because the hermetic build may substitute a stub
-//! `serde_json` that cannot parse (see `serde_json_is_functional()` in
-//! `ets-train`); CI still needs to *prove* that our exported artifacts are
-//! well-formed JSON and that traces obey the trace-event contract
-//! (well-formed events, monotone timestamps per `(pid, tid)` track).
+//! The parser is the reading half of [`crate::json::JsonWriter`]: tests and
+//! CI use it to *prove* that every exported artifact is well-formed JSON
+//! carrying the values it should, and that traces obey the trace-event
+//! contract (well-formed events, monotone timestamps per `(pid, tid)`
+//! track).
 //!
 //! It parses standard RFC 8259 JSON (objects, arrays, strings with escapes,
 //! numbers incl. exponents, `true`/`false`/`null`) — a superset of what

@@ -15,7 +15,6 @@
 
 use ets_nn::Layer;
 use ets_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A portable, bit-exact snapshot of an optimizer's mutable state.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// Shapes are *not* stored: [`Optimizer::import_state`] recovers them from
 /// the model it is handed (state is positionally keyed to `visit_params`
 /// order, exactly like the optimizer's live slots).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OptimizerState {
     /// Integer bookkeeping words (optimizer-specific meaning).
     pub scalars: Vec<u64>,

@@ -14,8 +14,6 @@
 //! Schedules are pure functions of the step index, so replicas can evaluate
 //! them independently and bit-identically.
 
-use serde::{Deserialize, Serialize};
-
 /// A learning-rate schedule: maps a 0-based step index to an LR.
 pub trait LrSchedule: Send + Sync {
     /// Learning rate at `step` (0-based).
@@ -28,7 +26,7 @@ pub fn linear_scaled_lr(base_per_256: f32, global_batch: usize) -> f32 {
 }
 
 /// Constant learning rate.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Constant(pub f32);
 
 impl LrSchedule for Constant {
@@ -40,7 +38,7 @@ impl LrSchedule for Constant {
 /// Staircase exponential decay: `peak · rate^floor(step / decay_steps)` —
 /// TF's `exponential_decay(..., staircase=True)`, EfficientNet's default
 /// (0.97 every 2.4 epochs).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExponentialDecay {
     pub peak: f32,
     pub rate: f32,
@@ -55,7 +53,7 @@ impl LrSchedule for ExponentialDecay {
 
 /// Polynomial decay: `(peak − end) · (1 − step/total)^power + end`, clamped
 /// at `end` after `total`. The paper uses power 2 with end ≈ 0 for LARS.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PolynomialDecay {
     pub peak: f32,
     pub end: f32,
@@ -82,7 +80,7 @@ impl LrSchedule for PolynomialDecay {
 }
 
 /// Cosine decay to zero over `total_steps`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CosineDecay {
     pub peak: f32,
     pub total_steps: u64,

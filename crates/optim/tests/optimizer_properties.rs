@@ -1,11 +1,6 @@
 //! Property tests of the optimizers and schedules: convergence on random
 //! convex quadratics, LARS scale invariance over random magnitudes, and
 //! schedule contracts for arbitrary configurations.
-//!
-//! The offline proptest stub swallows `proptest!` bodies, so imports and
-//! helpers used only inside them look unused to clippy under the stub;
-//! with the real proptest they are all exercised.
-#![allow(unused_imports, dead_code)]
 
 use ets_nn::{Layer, Mode, Param, ParamKind};
 use ets_optim::{

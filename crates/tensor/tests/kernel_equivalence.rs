@@ -11,9 +11,8 @@
 //! lane paths and worker counts — is bitwise, which is what the
 //! shape-pure dispatcher relies on for cross-rank symmetry.
 //!
-//! Random cases are drawn from the repo's seeded `Rng`, so they run
-//! under the offline `proptest` stub; every failure message carries the
-//! operand seed and the descriptor, which replays it.
+//! Random cases are drawn from the repo's seeded `Rng`; every failure
+//! message carries the operand seed and the descriptor, which replays it.
 
 mod common;
 

@@ -2,11 +2,6 @@
 //! must hold for arbitrary shapes and data — linearity of convolution,
 //! adjointness of im2col/col2im and pooling, GEMM distributivity, and the
 //! transposed-kernel equivalences the backward passes rely on.
-//!
-//! The offline proptest stub swallows `proptest!` bodies, so imports and
-//! helpers used only inside them look unused to clippy under the stub;
-//! with the real proptest they are all exercised.
-#![allow(unused_imports, dead_code)]
 
 use ets_tensor::ops::conv::{conv2d_forward, Conv2dGeom};
 use ets_tensor::ops::dispatch::{GemmDesc, Orient};

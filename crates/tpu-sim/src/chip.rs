@@ -1,9 +1,7 @@
 //! TPU-v3 hardware constants.
 
-use serde::{Deserialize, Serialize};
-
 /// Specification of one TPU-v3 core (half a chip).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CoreSpec {
     /// Peak bf16 FLOP/s of the core's MXUs.
     pub peak_flops: f64,

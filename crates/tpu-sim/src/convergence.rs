@@ -12,10 +12,9 @@
 //! `table2 --proxy` harness; see EXPERIMENTS.md.
 
 use ets_efficientnet::Variant;
-use serde::{Deserialize, Serialize};
 
 /// Which optimizer recipe a run uses (§3.1/§3.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OptimizerKind {
     /// RMSProp + exponential decay (0.016/256, 5-epoch warmup).
     RmsProp,
@@ -24,7 +23,7 @@ pub enum OptimizerKind {
 }
 
 /// One row of Table 2.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Table2Row {
     pub variant: Variant,
     pub cores: usize,

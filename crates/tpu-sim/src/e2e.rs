@@ -13,10 +13,9 @@ use ets_collective::Backend;
 use ets_data::imagenet;
 use ets_efficientnet::Variant;
 use ets_optim::steps_per_epoch;
-use serde::{Deserialize, Serialize};
 
 /// A full training-run configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
     pub variant: Variant,
     pub cores: usize,
@@ -46,7 +45,7 @@ impl RunConfig {
 }
 
 /// Simulated outcome of a run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RunOutcome {
     /// Seconds per training step.
     pub step_seconds: f64,

@@ -16,10 +16,9 @@ use crate::calibration::{core_spec, mxu_efficiency};
 use crate::event::EventSim;
 use ets_data::imagenet;
 use ets_efficientnet::{model_stats, ModelConfig, Variant};
-use serde::{Deserialize, Serialize};
 
 /// How evaluation is executed.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EvalMode {
     /// TPUEstimator-style: a dedicated evaluator slice (e.g. 8 cores —
     /// a v3-8) consumes checkpoints FIFO.
@@ -29,7 +28,7 @@ pub enum EvalMode {
 }
 
 /// Outcome of simulating a full run's evaluation pipeline.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EvalLoopOutcome {
     /// Wall-clock seconds until the peak-epoch checkpoint has been
     /// *evaluated* (when the result becomes known).

@@ -37,8 +37,7 @@
 use crate::event::EventSim;
 use crate::step::{step_time, step_time_elastic, StepConfig};
 use ets_collective::{FaultEvent, FaultKind, FaultPlan, SliceShape, CORES_PER_CHIP};
-use ets_obs::{phase as obs_ph, Lane, Recorder};
-use serde::{Deserialize, Serialize};
+use ets_obs::{phase as obs_ph, JsonWriter, Lane, Recorder};
 
 /// Events in the chaos simulation. `gen` invalidates in-flight step
 /// completions after a preemption rewinds the run (the event heap cannot
@@ -54,7 +53,7 @@ enum Ev {
 }
 
 /// Time-domain outcome of a chaos run on the calibrated pod.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PodChaosReport {
     /// Seconds the run would take with no faults at all.
     pub fault_free_seconds: f64,
@@ -76,34 +75,25 @@ pub struct PodChaosReport {
     pub degrade_seconds: f64,
     /// Seconds of retry backoff charged by transient failures.
     pub retry_seconds: f64,
-    /// Replica (core) losses absorbed by elastic resizes. Old serialized
-    /// reports (pre-elastic) deserialize with all resize fields zero.
-    #[serde(default)]
+    /// Replica (core) losses absorbed by elastic resizes.
     pub permanent_losses: u64,
     /// Elastic resize protocols executed (losses at the same step drain
     /// into one protocol run).
-    #[serde(default)]
     pub resizes: u64,
     /// Seconds persisting durable checkpoints during resize protocols.
-    #[serde(default)]
     pub resize_checkpoint_seconds: f64,
     /// Seconds rebuilding collectives/BN groups for the shrunken world.
-    #[serde(default)]
     pub resize_rebuild_seconds: f64,
     /// Seconds of restart delay charged by resize protocols.
-    #[serde(default)]
     pub resize_restart_seconds: f64,
     /// Extra per-step seconds accumulated because post-resize steps run
     /// on the degraded sub-torus (survivors absorb the lost shard, so
     /// per-core batch grows). Signed: a shrunken BN group can in
     /// principle win back a sliver, but compute dominates in practice.
-    #[serde(default)]
     pub resize_degraded_seconds: f64,
     /// Active torus cores at the end of the run: the even floor
     /// ([`SliceShape::surviving`]) of the surviving core count. Equals
-    /// the configured cores when no permanent loss occurred. Zero in
-    /// reports predating the elastic layer.
-    #[serde(default)]
+    /// the configured cores when no permanent loss occurred.
     pub surviving_cores: usize,
 }
 
@@ -124,6 +114,32 @@ impl PodChaosReport {
             + self.resize_rebuild_seconds
             + self.resize_restart_seconds
             + self.resize_degraded_seconds
+    }
+
+    /// The report as one JSON object keyed by field name (the CI soak's
+    /// "damage report" artifact).
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object()
+            .field_f64("fault_free_seconds", self.fault_free_seconds)
+            .field_f64("total_seconds", self.total_seconds)
+            .field_u64("steps_completed", self.steps_completed)
+            .field_u64("steps_executed", self.steps_executed)
+            .field_u64("preemptions", self.preemptions)
+            .field_u64("replayed_steps", self.replayed_steps)
+            .field_f64("restart_seconds", self.restart_seconds)
+            .field_f64("straggler_seconds", self.straggler_seconds)
+            .field_f64("degrade_seconds", self.degrade_seconds)
+            .field_f64("retry_seconds", self.retry_seconds)
+            .field_u64("permanent_losses", self.permanent_losses)
+            .field_u64("resizes", self.resizes)
+            .field_f64("resize_checkpoint_seconds", self.resize_checkpoint_seconds)
+            .field_f64("resize_rebuild_seconds", self.resize_rebuild_seconds)
+            .field_f64("resize_restart_seconds", self.resize_restart_seconds)
+            .field_f64("resize_degraded_seconds", self.resize_degraded_seconds)
+            .field_u64("surviving_cores", self.surviving_cores as u64)
+            .end_object();
+        w.finish()
     }
 
     /// Mirrors the report into a flight recorder's metrics registry
@@ -491,6 +507,30 @@ mod tests {
 
     fn base_step() -> f64 {
         step_time(&cfg()).total()
+    }
+
+    #[test]
+    fn report_json_carries_every_field() {
+        let plan = FaultPlan::generate_elastic(7, 128, 60.0, 4, 2);
+        let r = simulate_chaos(&cfg(), &plan, 60);
+        assert!(r.permanent_losses >= 1 && r.total_seconds > r.fault_free_seconds);
+        let v = ets_obs::parse_json(&r.to_json()).expect("report JSON parses");
+        // The derived `Debug` lists every field, so one the writer forgets
+        // (or a future one it never learns) fails here.
+        let debug = format!("{r:?}");
+        let fields: Vec<_> = debug[debug.find('{').unwrap() + 1..debug.len() - 1]
+            .split(',')
+            .map(|pair| pair.split_once(':').unwrap())
+            .collect();
+        assert_eq!(v.as_obj().unwrap().len(), fields.len());
+        for (key, want) in fields {
+            let want: f64 = want.trim().parse().unwrap();
+            assert_eq!(
+                v.get(key.trim()).and_then(|x| x.as_f64()),
+                Some(want),
+                "{key}"
+            );
+        }
     }
 
     #[test]

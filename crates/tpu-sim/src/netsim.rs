@@ -19,13 +19,12 @@
 
 use crate::event::EventSim;
 use ets_collective::{LinkSpec, SliceShape};
-use serde::{Deserialize, Serialize};
 
 /// A time-bounded bandwidth degradation on one link: during
 /// `[from_s, until_s)` of simulated time, link `link` runs at `scale` of
 /// its (already static-scaled) bandwidth. This is how transient fault
 /// windows from a chaos plan reach the message-level simulation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DegradeWindow {
     /// Window start, absolute simulated seconds.
     pub from_s: f64,
@@ -46,14 +45,13 @@ impl DegradeWindow {
 
 /// Per-link condition multipliers (1.0 = nominal bandwidth), optionally
 /// modulated by time-bounded degradation windows.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinkConditions {
     /// Static bandwidth multiplier per member's outgoing link
     /// (len = ring size).
     pub bandwidth_scale: Vec<f64>,
     /// Transient degradations layered on top of the static scales;
     /// windows on the same link multiply.
-    #[serde(default)]
     pub windows: Vec<DegradeWindow>,
 }
 

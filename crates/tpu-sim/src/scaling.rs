@@ -11,10 +11,9 @@ use crate::convergence::OptimizerKind;
 use crate::e2e::{time_to_accuracy, RunConfig};
 use crate::step::{step_time, StepConfig};
 use ets_efficientnet::Variant;
-use serde::{Deserialize, Serialize};
 
 /// One slice's scaling record.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScalingPoint {
     pub cores: usize,
     pub global_batch: usize,

@@ -14,10 +14,9 @@ use ets_collective::{
     torus_all_reduce_time, tree_all_reduce_time, Backend, GroupSpec, LinkSpec, SliceShape,
 };
 use ets_efficientnet::{model_stats, ModelConfig, ModelStats, Variant};
-use serde::{Deserialize, Serialize};
 
 /// A training configuration to be priced.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StepConfig {
     pub variant: Variant,
     pub cores: usize,
@@ -39,7 +38,7 @@ impl StepConfig {
 }
 
 /// Breakdown of one step's simulated time.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StepTime {
     /// Forward+backward compute, seconds.
     pub compute: f64,
@@ -50,7 +49,6 @@ pub struct StepTime {
     /// [`hidden_all_reduce`]). Not subtracted from [`Self::total`]: the
     /// model conservatively charges the full exchange, matching Table 1's
     /// serialized all-reduce shares.
-    #[serde(default)]
     pub all_reduce_hidden: f64,
     /// Distributed-BN statistic reductions, seconds.
     pub bn_sync: f64,

@@ -8,14 +8,13 @@ use crate::netsim::{simulate_ring_all_reduce, LinkConditions};
 use crate::step::{step_time, StepConfig};
 use ets_collective::SliceShape;
 use ets_efficientnet::{model_stats, ModelConfig};
-use serde::{Deserialize, Serialize};
 
 /// Cores fed by one host machine on a TPU-v3 pod (one host per 4-chip
 /// board).
 pub const CORES_PER_HOST: usize = 8;
 
 /// Step-time impact of one degraded ICI link.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DegradedLinkReport {
     /// Healthy step seconds.
     pub nominal_step: f64,
@@ -55,7 +54,7 @@ pub fn degraded_link_impact(cfg: &StepConfig, link_scale: f64) -> DegradedLinkRe
 }
 
 /// Host input-pipeline analysis.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct InfeedReport {
     /// Images/second each host must produce to keep its cores fed.
     pub required_per_host: f64,

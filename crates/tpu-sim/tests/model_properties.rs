@@ -1,11 +1,6 @@
 //! Property tests of the performance and convergence models: physical
 //! sanity (monotonicity, positivity), conservation across the composite
 //! time-to-accuracy pipeline, and eval-loop simulation invariants.
-//!
-//! The offline proptest stub swallows `proptest!` bodies, so imports and
-//! helpers used only inside them look unused to clippy under the stub;
-//! with the real proptest they are all exercised.
-#![allow(unused_imports, dead_code)]
 
 use ets_efficientnet::Variant;
 use ets_tpu_sim::{

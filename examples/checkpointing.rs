@@ -1,6 +1,7 @@
 //! Checkpoint / restore: snapshot a model mid-training, serialize it to
-//! JSON, revive it in a fresh process-worth of state, and show the resumed
-//! trajectory is bit-identical.
+//! the checksummed on-disk format, revive it in a fresh process-worth of
+//! state, show the restore is bit-identical, and show that a damaged file
+//! is refused instead of loaded.
 //!
 //! ```sh
 //! cargo run --release --example checkpointing
@@ -11,7 +12,10 @@ use efficientnet_at_scale::efficientnet::{EfficientNet, ModelConfig};
 use efficientnet_at_scale::nn::{cross_entropy, zero_grads, Layer, Mode, Precision};
 use efficientnet_at_scale::optim::{Optimizer, Sgd};
 use efficientnet_at_scale::tensor::Rng;
-use efficientnet_at_scale::train::{checkpoint, restore_checkpoint, save_checkpoint};
+use efficientnet_at_scale::train::checkpoint::CHECKPOINT_VERSION;
+use efficientnet_at_scale::train::{
+    restore_checkpoint, save_checkpoint, Checkpoint, CkptError, DurableSnapshot,
+};
 
 fn main() {
     let ds = SynthNet::new(7, 4, 128, 16, 0.3);
@@ -31,19 +35,47 @@ fn main() {
         println!("step {step}: loss {:.4}", out.loss);
     }
 
+    // The durable snapshot is what the trainer persists: weights and BN
+    // statistics from the checkpoint layer, optimizer slots, and the
+    // progress cursor an elastic resume needs.
     let ckpt = save_checkpoint(&mut model, 5);
-    let json = checkpoint::to_json(&ckpt);
+    let snap = DurableSnapshot {
+        step: ckpt.step,
+        epoch: 1,
+        sample_off: 5 * 32,
+        steps_this_epoch: 5,
+        consumed_samples: 5 * 32,
+        world: 1,
+        lr_scale_bits: 1.0f32.to_bits(),
+        loss_sum_bits: 0.0f64.to_bits(),
+        last_lr_bits: 0.02f32.to_bits(),
+        params: ckpt.params,
+        bn_running: ckpt.bn_running,
+        opt_state: opt.export_state(),
+        ema: None,
+        history: Vec::new(),
+    };
+    let mut bytes = snap.to_bytes();
     println!(
-        "\ncheckpoint: {} tensors, {} BN stat pairs, {:.1} KiB of JSON",
-        ckpt.params.len(),
-        ckpt.bn_running.len(),
-        json.len() as f64 / 1024.0
+        "\ncheckpoint: {} tensors, {} BN stat pairs, {:.1} KiB on disk",
+        snap.params.len(),
+        snap.bn_running.len(),
+        bytes.len() as f64 / 1024.0
     );
 
     // Revive into a fresh differently-seeded model.
     let mut revived =
         EfficientNet::new(ModelConfig::tiny(16, 4), Precision::F32, &mut Rng::new(99));
-    restore_checkpoint(&mut revived, &checkpoint::from_json(&json).unwrap());
+    let loaded = DurableSnapshot::from_bytes(&bytes).expect("an undamaged snapshot validates");
+    restore_checkpoint(
+        &mut revived,
+        &Checkpoint {
+            version: CHECKPOINT_VERSION,
+            step: loaded.step,
+            params: loaded.params,
+            bn_running: loaded.bn_running,
+        },
+    );
 
     // Identical eval outputs.
     let (x, _) = load_batch(&ds, &indices[..4], AugmentConfig::eval(), &mut Rng::new(1));
@@ -56,6 +88,13 @@ fn main() {
         ya.max_abs_diff(&yb)
     );
     assert_eq!(ya.max_abs_diff(&yb), 0.0);
+
+    // One flipped byte anywhere in the file: a typed error, never a load.
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    let refused = DurableSnapshot::from_bytes(&bytes).expect_err("a damaged snapshot is refused");
+    println!("byte {mid} flipped: {refused}");
+    assert!(matches!(refused, CkptError::ChecksumMismatch { .. }));
     println!("\nResume-from-checkpoint produces the identical trajectory —");
     println!("see tests/checkpoint_resume.rs for the step-by-step assertion.");
 }

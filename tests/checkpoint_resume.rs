@@ -136,20 +136,50 @@ fn kill_at_arbitrary_step_then_resume_matches_uninterrupted() {
 }
 
 #[test]
-fn checkpoint_json_survives_round_trip_through_disk_format() {
-    use efficientnet_at_scale::train::Checkpoint;
+fn checkpoint_survives_round_trip_through_disk_format() {
+    use efficientnet_at_scale::train::checkpoint::CHECKPOINT_VERSION;
+    use efficientnet_at_scale::train::{Checkpoint, CkptError, DurableSnapshot};
     let mut model = make_model(11);
     let ckpt = save_checkpoint(&mut model, 42);
-    // Serialization must never panic; parsing and round-trip equality
-    // are asserted only when the linked serde_json actually parses (the
-    // offline build stub does not).
-    let json = efficientnet_at_scale::train::checkpoint::to_json(&ckpt);
-    if !efficientnet_at_scale::train::serde_json_is_functional() {
-        return;
-    }
-    let parsed: Checkpoint = efficientnet_at_scale::train::checkpoint::from_json(&json).unwrap();
+    let snap = DurableSnapshot {
+        step: ckpt.step,
+        epoch: 1,
+        sample_off: 0,
+        steps_this_epoch: 0,
+        consumed_samples: 0,
+        world: 1,
+        lr_scale_bits: 1.0f32.to_bits(),
+        loss_sum_bits: 0.0f64.to_bits(),
+        last_lr_bits: 0.0f32.to_bits(),
+        params: ckpt.params,
+        bn_running: ckpt.bn_running,
+        opt_state: Sgd::new(0.9, 0.0).export_state(),
+        ema: None,
+        history: Vec::new(),
+    };
+    let mut bytes = snap.to_bytes();
+    let parsed = DurableSnapshot::from_bytes(&bytes).unwrap();
     assert_eq!(parsed.step, 42);
-    assert_eq!(parsed.params.len(), ckpt.params.len());
     let mut revived = make_model(12);
-    restore_checkpoint(&mut revived, &parsed);
+    restore_checkpoint(
+        &mut revived,
+        &Checkpoint {
+            version: CHECKPOINT_VERSION,
+            step: parsed.step,
+            params: parsed.params,
+            bn_running: parsed.bn_running,
+        },
+    );
+    let bits = |m: &mut EfficientNet| -> Vec<Vec<u32>> {
+        let saved = save_checkpoint(m, 0);
+        saved.params.into_iter().map(|t| t.bits).collect()
+    };
+    assert_eq!(bits(&mut model), bits(&mut revived));
+
+    // The whole-file CRC is checked before anything is parsed.
+    bytes[0] ^= 0xFF;
+    assert!(matches!(
+        DurableSnapshot::from_bytes(&bytes),
+        Err(CkptError::ChecksumMismatch { what: "file", .. })
+    ));
 }

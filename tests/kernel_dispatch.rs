@@ -174,3 +174,25 @@ fn design_doc_quotes_current_kernel_constants() {
         );
     }
 }
+
+/// `third_party/README.md` says what each stand-in does and which are
+/// unused; its table must name exactly the directories that exist.
+#[test]
+fn third_party_readme_names_exactly_the_vendored_crates() {
+    let mut on_disk: Vec<String> =
+        std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/third_party"))
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.path().is_dir())
+            .map(|e| e.file_name().into_string().unwrap())
+            .collect();
+    on_disk.sort();
+    // Rows start "| `name`"; one row may name several crates.
+    let mut in_table: Vec<&str> = include_str!("../third_party/README.md")
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .flat_map(|l| l.split('|').nth(1).unwrap().split('`').skip(1).step_by(2))
+        .collect();
+    in_table.sort();
+    assert_eq!(in_table, on_disk);
+}

@@ -2,11 +2,6 @@
 //! kernels match references on arbitrary shapes, collectives are exact and
 //! order-deterministic, schedules respect their contracts, grouping is a
 //! partition, and bf16 honours its error bound.
-//!
-//! The offline proptest stub swallows `proptest!` bodies, so imports and
-//! helpers used only inside them look unused to clippy under the stub;
-//! with the real proptest they are all exercised.
-#![allow(unused_imports, dead_code)]
 
 use efficientnet_at_scale::collective::{GroupSpec, SliceShape};
 use efficientnet_at_scale::data::{Dataset, EpochPlan, SynthNet};

@@ -10,8 +10,9 @@
 //! - **fused** — [`gemm_prepacked`] over a [`PanelB::Patches`] operand:
 //!   patches are gathered straight into tile-major B panels, the `K×P`
 //!   patch matrix never exists in memory (conv rows only). The weight
-//!   panel is packed once outside the timing loop, mirroring
-//!   `conv2d_forward`'s per-call amortization across a batch.
+//!   panel is packed once outside the timing loop. No production path
+//!   takes this route: `conv2d_forward` materializes the batch's patch
+//!   matrix and calls `gemm` once (ROADMAP item 2 owns the column).
 //!
 //! Every row is also measured through the shape-pure dispatcher
 //! (`gemm`) and through the bf16 packed kernels (§3.5: operands
@@ -529,8 +530,8 @@ fn conv_row(
     let mut y = vec![0.0f32; m * n];
     let mut patches = vec![0.0f32; k * n];
 
-    // Fused: weight panel packed once (amortized across a batch in
-    // `conv2d_forward`), patches gathered straight into B panels.
+    // Fused: weight panel packed once, patches gathered straight into
+    // B panels.
     let mut ap = scratch_f32(packed_a_len(m, k));
     pack_a_into::<f32>(PanelA::RowMajor(&w), m, k, &mut ap);
     let mut ap16 = scratch_bf16(packed_a_len(m, k));

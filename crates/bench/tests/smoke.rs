@@ -268,20 +268,33 @@ fn smoke_path_emits_valid_artifacts() {
         "tree",
         "measured row carries the experiment's backend"
     );
-    // The measured run uses the overlapped exchange: some bucket time must
-    // be hidden behind backward, and the exposed share must come in
-    // strictly below the serialized baseline (which exposes everything).
+    // The measured run uses the overlapped exchange. How much bucket time
+    // it hides behind backward is wall-clock luck on a shared host (two
+    // vCPUs, eight threads), so `overlap_pct` is reported, not gated;
+    // what repeats exactly is the mechanism: every round took the
+    // overlapped path, there was more than one bucket to overlap, and
+    // every bucket but a loss-only tail was handed to the communication
+    // thread from inside the backward hook, before backward returned.
+    let overlap_pct = measured.get("overlap_pct").unwrap().as_f64().unwrap();
     assert!(
-        measured.get("overlap_pct").unwrap().as_f64().unwrap() > 0.0,
-        "measured run must hide some all-reduce time behind backward"
+        (0.0..=100.0).contains(&overlap_pct),
+        "overlap_pct {overlap_pct}"
     );
     let buckets = &art.report.all_reduce_buckets;
-    assert!(buckets.overlapped_rounds > 0, "overlap path never taken");
+    assert!(buckets.rounds > 0);
+    assert_eq!(
+        buckets.overlapped_rounds, buckets.rounds,
+        "some rounds fell back to the serialized exchange"
+    );
     assert!(
-        buckets.exposed_seconds < buckets.total_seconds(),
-        "exposed {} must be strictly below serialized-baseline {}",
-        buckets.exposed_seconds,
-        buckets.total_seconds()
+        buckets.num_buckets() > 1,
+        "one bucket leaves nothing to hide"
+    );
+    let loss_only = (buckets.bucket_elems.last() == Some(&1)) as u64;
+    assert_eq!(
+        buckets.hook_shipped_buckets,
+        buckets.rounds * (buckets.num_buckets() as u64 - loss_only),
+        "buckets must ship from inside the backward hook"
     );
     // The faulted run's virtual overhead shows up in the decomposition.
     let overhead = measured.get("overhead").unwrap();

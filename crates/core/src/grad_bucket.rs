@@ -485,7 +485,7 @@ impl GradBucket {
         }
 
         let mut sw = Stopwatch::start();
-        let (input_grad, backward_s, exposed_s, stats) = std::thread::scope(|s| {
+        let (input_grad, backward_s, exposed_s, hook_shipped, stats) = std::thread::scope(|s| {
             let (tx, rx) = mpsc::channel::<(usize, &mut [f32])>();
             let rec_comm = recorder.clone();
             let comm_join = s.spawn(move || {
@@ -605,6 +605,7 @@ impl GradBucket {
                 next_bucket -= 1;
             }
             let mut seg_sizes: Vec<usize> = Vec::new();
+            let mut hook_shipped = 0u64;
             let input_grad = model.backward_hooked(dlogits, &mut |seg| {
                 seg_sizes.clear();
                 seg.visit_params(&mut |p| seg_sizes.push(p.grad.numel()));
@@ -640,6 +641,7 @@ impl GradBucket {
                     // this bucket, since ships walk down contiguously.
                     let _ = tx.send((next_bucket - 1, tail));
                     next_bucket -= 1;
+                    hook_shipped += 1;
                 }
             });
             assert_eq!(
@@ -653,7 +655,7 @@ impl GradBucket {
                 .join()
                 .expect("overlap communication thread panicked");
             let exposed_s = sw.lap();
-            (input_grad, backward_s, exposed_s, stats)
+            (input_grad, backward_s, exposed_s, hook_shipped, stats)
         });
 
         counters.transient_failures += stats.retries;
@@ -670,6 +672,7 @@ impl GradBucket {
         self.profile.exposed_seconds += exposed_s;
         self.profile.rounds += 1;
         self.profile.overlapped_rounds += 1;
+        self.profile.hook_shipped_buckets += hook_shipped;
         if let Some(rec) = &self.recorder {
             rec.counter_add("all_reduce_rounds", 1);
             rec.counter_add("all_reduce_overlapped_rounds", 1);
@@ -796,8 +799,12 @@ mod tests {
         let mut gb = GradBucket::with_bucket_elems(&mut m, bucket_elems);
         let (loss, dx) = if overlapped {
             let o = gb.backward_overlapped(&mut m, &out.dlogits, c.as_ref(), out.loss);
-            assert_eq!(gb.profile().overlapped_rounds, 1);
-            assert_eq!(gb.profile().rounds, 1);
+            let p = gb.profile();
+            assert_eq!(p.overlapped_rounds, 1);
+            assert_eq!(p.rounds, 1);
+            // Every bucket but a loss-only tail ships from inside the hook.
+            let loss_only = (p.bucket_elems.last() == Some(&1)) as u64;
+            assert_eq!(p.hook_shipped_buckets, p.num_buckets() as u64 - loss_only);
             (o.mean_loss, o.input_grad)
         } else {
             let dx = m.backward(&out.dlogits);

@@ -215,6 +215,7 @@ impl TrainReport {
             .field_u64("rounds", b.rounds)
             .field_f64("exposed_seconds", b.exposed_seconds)
             .field_u64("overlapped_rounds", b.overlapped_rounds)
+            .field_u64("hook_shipped_buckets", b.hook_shipped_buckets)
             .end_object();
 
         let c = &self.fault_recovery;

@@ -80,6 +80,12 @@ pub struct AllReduceProfile {
     /// Rounds that ran the overlapped (fire-per-bucket-as-ready)
     /// exchange rather than the serialized one.
     pub overlapped_rounds: u64,
+    /// Buckets handed to the communication thread from inside the
+    /// backward hook, i.e. while backward was still running, summed over
+    /// overlapped rounds. A pure function of the bucket layout (every
+    /// bucket but a loss-only tail), so unlike `overlap_pct` it repeats
+    /// exactly.
+    pub hook_shipped_buckets: u64,
 }
 
 impl AllReduceProfile {
@@ -92,6 +98,7 @@ impl AllReduceProfile {
             rounds: 0,
             exposed_seconds: 0.0,
             overlapped_rounds: 0,
+            hook_shipped_buckets: 0,
         }
     }
 

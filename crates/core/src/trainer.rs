@@ -380,6 +380,7 @@ fn merge_profiles(into: &mut AllReduceProfile, from: &AllReduceProfile) {
     into.rounds += from.rounds;
     into.exposed_seconds += from.exposed_seconds;
     into.overlapped_rounds += from.overlapped_rounds;
+    into.hook_shipped_buckets += from.hook_shipped_buckets;
 }
 
 /// Runs the experiment; returns replica 0's report after asserting all

@@ -11,7 +11,8 @@ use crate::layer::{Layer, Mode};
 use crate::param::{Param, ParamKind};
 use ets_tensor::bf16::quantize_tensor;
 use ets_tensor::ops::conv::{
-    conv2d_backward_p, conv2d_forward_p, depthwise_backward, depthwise_forward,
+    conv2d_backward_patches, conv2d_forward_patches, depthwise_backward, depthwise_forward,
+    patch_matrix, Conv2dGeom,
 };
 use ets_tensor::ops::dispatch::{GemmPolicy, GemmPrecision};
 use ets_tensor::{init, Rng, Tensor};
@@ -64,9 +65,11 @@ pub struct Conv2d {
     stride: usize,
     pad: usize,
     precision: Precision,
-    /// Cached raw input + the pack-time precision chosen in forward
-    /// (reused verbatim in backward so both passes agree).
-    cache: Option<(Tensor, GemmPrecision)>,
+    /// What backward needs from forward: the call's geometry, the
+    /// batch's patch matrix (`[K, N·P]`, the B operand of all three conv
+    /// products, built once) and the pack-time precision (reused
+    /// verbatim so both passes agree).
+    cache: Option<(Conv2dGeom, Vec<f32>, GemmPrecision)>,
     label: String,
 }
 
@@ -104,17 +107,21 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
-        // The kernels narrow operands at pack time, so no quantized
-        // tensor copies are materialized here anymore.
+        // The kernels narrow operands at pack time, so the patch matrix
+        // stays f32 and serves both precisions.
         let prec = self.precision.gemm();
-        let y = conv2d_forward_p(x, &self.weight.value, self.stride, self.pad, prec);
-        self.cache = Some((x.clone(), prec));
+        let w = &self.weight.value;
+        let g = Conv2dGeom::infer(x.shape(), w.shape(), self.stride, self.pad);
+        let mut patches = vec![0.0; g.k() * g.cols()];
+        patch_matrix(&g, x.data(), &mut patches);
+        let y = conv2d_forward_patches(&g, w, &patches, prec);
+        self.cache = Some((g, patches, prec));
         y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let (x, prec) = self.cache.take().expect("Conv2d: forward before backward");
-        let (dx, dw) = conv2d_backward_p(&x, &self.weight.value, grad, self.stride, self.pad, prec);
+        let (g, patches, prec) = self.cache.take().expect("Conv2d: forward before backward");
+        let (dx, dw) = conv2d_backward_patches(&g, &self.weight.value, &patches, grad, prec);
         self.weight.grad.add_assign(&dw);
         dx
     }

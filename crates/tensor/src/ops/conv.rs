@@ -1,39 +1,44 @@
-//! 2-D convolution kernels: im2col + GEMM for dense convs, direct loops for
-//! depthwise convs.
+//! 2-D convolution kernels: one batch-wide GEMM per dense conv product,
+//! direct loops for depthwise convs.
 //!
 //! Layouts (all contiguous row-major):
 //! - input  `x`: `NCHW`
 //! - weight `w`: `[C_out, C_in, KH, KW]` (depthwise: `[C, 1, KH, KW]`)
 //! - output `y`: `[N, C_out, H_out, W_out]`
 //!
-//! The im2col patch matrix for one image is `K×P` with `K = C_in·KH·KW` and
-//! `P = H_out·W_out`, so the forward pass is a single `C_out×K · K×P` GEMM
-//! per image. Batch images run in parallel on rayon workers.
+//! A dense conv is three products over the **whole batch**. With
+//! `K = C_in·KH·KW`, `P = H_out·W_out` and the batch's patch matrix `B`
+//! in `[K, N·P]` layout (image `i` owns columns `i·P..(i+1)·P`):
 //!
-//! Kernel routing: shapes past the [`dispatch::blocked_profitable`]
-//! threshold take the packed blocked kernels — forward additionally
-//! **fuses** im2col with panel packing ([`PanelB::Patches`]): the weight
-//! matrix is packed once per call and each image's patch matrix is
-//! gathered straight into the kernel's tile-major B panels, so the `K×P`
-//! patch matrix is never materialized. Small shapes keep the naive
-//! streaming kernels with an arena-scratch patch buffer. All short-lived
-//! buffers (patches, packed panels, per-image `dw` partials) come from
-//! the thread-local scratch arena, so steady-state calls never touch the
-//! allocator.
+//! - forward `Y = W·B`, shape `(C_out, K, N·P)`;
+//! - backward `dB = Wᵀ·dY`, shape `(K, C_out, N·P)`, scattered back to
+//!   `dx` per image;
+//! - backward `dW = dY·Bᵀ`, shape `(C_out, N·P, K)`, written straight
+//!   into `dw`.
 //!
-//! Determinism: every reduction has a fixed association. The per-image
-//! `dw` partial for image `i` is always exactly `dY_i · patches_iᵀ`
-//! (never a rayon fold grouping, which work stealing would make
-//! nondeterministic), and partials are combined by a stride-doubling
-//! pairwise tree whose shape depends only on the batch size.
+//! Folding the batch into the GEMM's column dimension is what lets the
+//! late stages (4×4 and 2×2 maps, `P` of 16 and 4) reach the packed
+//! kernel at all; the paper runs every convolution as one matmul over
+//! batch × spatial positions for the same reason (§3.5).
+//!
+//! [`patch_matrix`] builds `B`: for 1×1 / stride 1 / pad 0 convs it is a
+//! segment copy of `NCHW` (`[N, C, P] → [C, N·P]`, no im2col), for k×k
+//! convs each image's [`im2col`] writes into its column range, and for
+//! `N = 1` pointwise convs the layouts coincide and `x` is used as is.
+//! `Y` and `dY` cross between `[N, C_out, P]` and `[C_out, N·P]` by the
+//! same segment copy. All three products go through [`dispatch::gemm`],
+//! so kernel choice is a pure function of `(m, k, n)` and one dispatch is
+//! tallied per product: three per conv layer per step whatever `N` is.
+//! Fold, unfold and patch buffers come from the thread-local scratch
+//! arena, so steady-state calls never touch the allocator.
+//!
+//! Determinism: a column of `Y` or `dB` depends only on its own column of
+//! `B` or `dY`, and `dW` sums over the `N·P` columns in one chain whose
+//! association (ascending columns on the streaming kernel, ascending `KC`
+//! slabs on the packed one) is fixed by the shape alone.
 
-use crate::bf16::Bf16;
 use crate::ops::dispatch::{self, GemmDesc, GemmPrecision, Orient};
-use crate::ops::gemm_blocked::{
-    gemm_prepacked, pack_a_into, packed_a_len, PackElem, PanelA, PanelB,
-};
-use crate::ops::matmul::gemm_naive;
-use crate::scratch::{scratch_elems, scratch_f32, scratch_f32_zeroed};
+use crate::scratch::{scratch_f32, scratch_f32_zeroed};
 use crate::shape::{conv_out_dim, Shape};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -88,10 +93,27 @@ impl Conv2dGeom {
         self.c_in * self.kh * self.kw
     }
 
-    /// Patch-matrix column count `P = H_out·W_out`.
+    /// Patch-matrix column count of one image, `P = H_out·W_out`.
     #[inline]
     pub fn p(&self) -> usize {
         self.h_out * self.w_out
+    }
+
+    /// Patch-matrix column count of the batch, `N·P`.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.n * self.p()
+    }
+
+    /// 1×1 / stride 1 / pad 0: an image's patch matrix is the image.
+    #[inline]
+    fn pointwise(&self) -> bool {
+        self.kh == 1 && self.kw == 1 && self.stride == 1 && self.pad == 0
+    }
+
+    /// Input shape.
+    pub fn in_shape(&self) -> Shape {
+        Shape::new(&[self.n, self.c_in, self.h, self.w])
     }
 
     /// Output shape.
@@ -105,17 +127,24 @@ impl Conv2dGeom {
     }
 }
 
-/// Expands one image (`CHW` slice) into the `K×P` patch matrix.
+/// Expands one image (`CHW` slice) into its `K×P` patch matrix.
 pub fn im2col(g: &Conv2dGeom, img: &[f32], patches: &mut [f32]) {
-    debug_assert_eq!(img.len(), g.c_in * g.h * g.w);
     debug_assert_eq!(patches.len(), g.k() * g.p());
+    im2col_cols(g, img, patches, g.p(), 0);
+}
+
+/// [`im2col`] into columns `col0..col0 + P` of a patch matrix whose rows
+/// are `ld` floats apart (the batch's `[K, N·P]` matrix: `ld = N·P`,
+/// `col0 = i·P`).
+fn im2col_cols(g: &Conv2dGeom, img: &[f32], patches: &mut [f32], ld: usize, col0: usize) {
+    debug_assert_eq!(img.len(), g.c_in * g.h * g.w);
     let p = g.p();
     for c in 0..g.c_in {
         let chan = &img[c * g.h * g.w..(c + 1) * g.h * g.w];
         for ki in 0..g.kh {
             for kj in 0..g.kw {
                 let row = (c * g.kh + ki) * g.kw + kj;
-                let dst = &mut patches[row * p..(row + 1) * p];
+                let dst = &mut patches[row * ld + col0..row * ld + col0 + p];
                 let mut col = 0;
                 for oh in 0..g.h_out {
                     let ih = (oh * g.stride + ki) as isize - g.pad as isize;
@@ -143,15 +172,21 @@ pub fn im2col(g: &Conv2dGeom, img: &[f32], patches: &mut [f32]) {
 /// Scatter-adds a `K×P` patch-gradient matrix back into one image gradient
 /// (`CHW` slice). Inverse of [`im2col`] under summation.
 pub fn col2im(g: &Conv2dGeom, patches: &[f32], dimg: &mut [f32]) {
-    debug_assert_eq!(dimg.len(), g.c_in * g.h * g.w);
     debug_assert_eq!(patches.len(), g.k() * g.p());
+    col2im_cols(g, patches, g.p(), 0, dimg);
+}
+
+/// [`col2im`] from columns `col0..col0 + P` of a matrix with row stride
+/// `ld`; see [`im2col_cols`].
+fn col2im_cols(g: &Conv2dGeom, patches: &[f32], ld: usize, col0: usize, dimg: &mut [f32]) {
+    debug_assert_eq!(dimg.len(), g.c_in * g.h * g.w);
     let p = g.p();
     for c in 0..g.c_in {
         let chan = &mut dimg[c * g.h * g.w..(c + 1) * g.h * g.w];
         for ki in 0..g.kh {
             for kj in 0..g.kw {
                 let row = (c * g.kh + ki) * g.kw + kj;
-                let src = &patches[row * p..(row + 1) * p];
+                let src = &patches[row * ld + col0..row * ld + col0 + p];
                 let mut col = 0;
                 for oh in 0..g.h_out {
                     let ih = (oh * g.stride + ki) as isize - g.pad as isize;
@@ -173,43 +208,65 @@ pub fn col2im(g: &Conv2dGeom, patches: &[f32], dimg: &mut [f32]) {
     }
 }
 
+/// Segment copy `[N, C, P] → [C, N·P]`: channel `c` of image `i` becomes
+/// columns `i·P..(i+1)·P` of row `c`.
+fn fold(n: usize, c: usize, p: usize, src: &[f32], dst: &mut [f32]) {
+    debug_assert_eq!(src.len(), n * c * p);
+    debug_assert_eq!(dst.len(), n * c * p);
+    for (ch, row) in dst.chunks_exact_mut(n * p).enumerate() {
+        for (i, seg) in row.chunks_exact_mut(p).enumerate() {
+            seg.copy_from_slice(&src[(i * c + ch) * p..(i * c + ch + 1) * p]);
+        }
+    }
+}
+
+/// Segment copy `[C, N·P] → [N, C, P]`, the inverse of [`fold`].
+fn unfold(n: usize, c: usize, p: usize, src: &[f32], dst: &mut [f32]) {
+    debug_assert_eq!(src.len(), n * c * p);
+    debug_assert_eq!(dst.len(), n * c * p);
+    for (ch, row) in src.chunks_exact(n * p).enumerate() {
+        for (i, seg) in row.chunks_exact(p).enumerate() {
+            dst[(i * c + ch) * p..(i * c + ch + 1) * p].copy_from_slice(seg);
+        }
+    }
+}
+
+/// Writes the batch's patch matrix `B` (`[K, N·P]`, see the module docs)
+/// for the `NCHW` input `xs` into `b`.
+pub fn patch_matrix(g: &Conv2dGeom, xs: &[f32], b: &mut [f32]) {
+    assert_eq!(xs.len(), g.n * g.c_in * g.h * g.w, "conv input length");
+    assert_eq!(b.len(), g.k() * g.cols(), "patch matrix length");
+    if g.pointwise() {
+        fold(g.n, g.c_in, g.p(), xs, b);
+    } else {
+        let img_len = g.c_in * g.h * g.w;
+        for (i, img) in xs.chunks_exact(img_len).enumerate() {
+            im2col_cols(g, img, b, g.cols(), i * g.p());
+        }
+    }
+}
+
+/// Runs `f` on the batch's patch matrix: `xs` itself when the layouts
+/// coincide (one pointwise image), else a scratch [`patch_matrix`].
+fn with_patch_matrix<R>(g: &Conv2dGeom, xs: &[f32], f: impl FnOnce(&[f32]) -> R) -> R {
+    if g.n == 1 && g.pointwise() {
+        return f(xs);
+    }
+    let mut b = scratch_f32(g.k() * g.cols());
+    patch_matrix(g, xs, &mut b);
+    f(&b)
+}
+
 /// Dense conv2d forward: `y = conv(x, w)`, no bias (EfficientNet convs are
 /// bias-free; batch norm provides the shift).
 pub fn conv2d_forward(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> Tensor {
     conv2d_forward_p(x, w, stride, pad, GemmPrecision::F32)
 }
 
-/// Fused-path worker, generic over the pack-time element type: weights
-/// packed once (shared read-only across workers), each image's virtual
-/// patch matrix gathered straight into the kernel's B panels — no K×P
-/// materialization, one memory pass. With `E = Bf16` both operands are
-/// narrowed exactly once at pack/gather time and the MR×NR micro-kernel
-/// accumulates in f32 (§3.5's multiply-bf16 / accumulate-f32 contract).
-fn forward_fused<E: PackElem>(g: &Conv2dGeom, xs: &[f32], ws: &[f32], y: &mut [f32]) {
-    let (kk, p) = (g.k(), g.p());
-    let img_len = g.c_in * g.h * g.w;
-    let out_len = g.c_out * p;
-    let mut ap = scratch_elems::<E>(packed_a_len(g.c_out, kk));
-    pack_a_into::<E>(PanelA::RowMajor(ws), g.c_out, kk, &mut ap);
-    let ap = &*ap;
-    y.par_chunks_mut(out_len).enumerate().for_each(|(i, yout)| {
-        let img = &xs[i * img_len..(i + 1) * img_len];
-        gemm_prepacked::<E>(
-            g.c_out,
-            kk,
-            p,
-            ap,
-            PanelB::Patches { geom: g, img },
-            yout,
-            false,
-        );
-    });
-}
-
 /// Precision-aware dense conv2d forward. Kernel choice (blocked vs
-/// naive) stays a pure function of shape, made and tallied once per
-/// call; `precision` independently selects the operand rounding, so
-/// bf16 numerics are honored on both sides of the dispatch threshold.
+/// naive) stays a pure function of the product's shape; `precision`
+/// independently selects the operand rounding, so bf16 numerics are
+/// honored on both sides of the dispatch threshold.
 pub fn conv2d_forward_p(
     x: &Tensor,
     w: &Tensor,
@@ -218,32 +275,32 @@ pub fn conv2d_forward_p(
     precision: GemmPrecision,
 ) -> Tensor {
     let g = Conv2dGeom::infer(x.shape(), w.shape(), stride, pad);
+    with_patch_matrix(&g, x.data(), |b| {
+        conv2d_forward_patches(&g, w, b, precision)
+    })
+}
+
+/// Forward from a prebuilt [`patch_matrix`]: `Y = W·B` as one
+/// `(C_out, K, N·P)` product, unfolded into `[N, C_out, H_out, W_out]`.
+/// Layers that run backward next build `B` once and hand it to both
+/// passes.
+pub fn conv2d_forward_patches(
+    g: &Conv2dGeom,
+    w: &Tensor,
+    patches: &[f32],
+    precision: GemmPrecision,
+) -> Tensor {
+    let desc = GemmDesc {
+        precision,
+        ..GemmDesc::new(g.c_out, g.k(), g.cols())
+    };
     let mut y = Tensor::zeros(g.out_shape());
-    let (kk, p) = (g.k(), g.p());
-    let img_len = g.c_in * g.h * g.w;
-    let out_len = g.c_out * p;
-    let xs = x.data();
-    let ws = w.data();
-    if dispatch::blocked_profitable(g.c_out, kk, p) {
-        dispatch::record_dispatch(precision, true);
-        match precision {
-            GemmPrecision::F32 => forward_fused::<f32>(&g, xs, ws, y.data_mut()),
-            GemmPrecision::Bf16 => forward_fused::<Bf16>(&g, xs, ws, y.data_mut()),
-        }
+    if g.n == 1 {
+        dispatch::gemm(desc, w.data(), patches, y.data_mut());
     } else {
-        dispatch::record_dispatch(precision, false);
-        let desc = GemmDesc {
-            precision,
-            ..GemmDesc::new(g.c_out, kk, p)
-        };
-        y.data_mut()
-            .par_chunks_mut(out_len)
-            .enumerate()
-            .for_each(|(i, yout)| {
-                let mut patches = scratch_f32(kk * p);
-                im2col(&g, &xs[i * img_len..(i + 1) * img_len], &mut patches);
-                gemm_naive(desc, ws, &patches, yout);
-            });
+        let mut yf = scratch_f32(g.c_out * g.cols());
+        dispatch::gemm(desc, w.data(), patches, &mut yf);
+        unfold(g.n, g.c_out, g.p(), &yf, y.data_mut());
     }
     y
 }
@@ -263,11 +320,10 @@ pub fn conv2d_backward(
 }
 
 /// Precision-aware gradients of dense conv2d. Under bf16 both backward
-/// GEMMs (`Wᵀ·dY` and `dY·patchesᵀ`) narrow their operands at pack time
-/// — including the upstream gradient `dY`, matching the paper's setup
-/// where activations *and* their gradients travel in bf16 while every
-/// accumulation (the GEMM reductions, the pairwise partial tree, the
-/// parameter update) stays f32.
+/// GEMMs (`Wᵀ·dY` and `dY·Bᵀ`) narrow their operands once per call —
+/// including the upstream gradient `dY`, matching the paper's setup where
+/// activations *and* their gradients travel in bf16 while every
+/// accumulation (the GEMM reductions, the parameter update) stays f32.
 pub fn conv2d_backward_p(
     x: &Tensor,
     w: &Tensor,
@@ -277,94 +333,69 @@ pub fn conv2d_backward_p(
     precision: GemmPrecision,
 ) -> (Tensor, Tensor) {
     let g = Conv2dGeom::infer(x.shape(), w.shape(), stride, pad);
+    with_patch_matrix(&g, x.data(), |b| {
+        conv2d_backward_patches(&g, w, b, dy, precision)
+    })
+}
+
+/// Backward from the [`patch_matrix`] the forward pass used: returns
+/// `(dx, dw)` with `dW = dY·Bᵀ` and `dx` scattered from `dB = Wᵀ·dY`,
+/// each one product over all `N·P` columns.
+pub fn conv2d_backward_patches(
+    g: &Conv2dGeom,
+    w: &Tensor,
+    patches: &[f32],
+    dy: &Tensor,
+    precision: GemmPrecision,
+) -> (Tensor, Tensor) {
     assert!(
         dy.shape().same_as(&g.out_shape()),
         "dy shape {} != expected {}",
         dy.shape(),
         g.out_shape()
     );
-    let (kk, p) = (g.k(), g.p());
-    let img_len = g.c_in * g.h * g.w;
-    let out_len = g.c_out * p;
-    let xs = x.data();
-    let ws = w.data();
-    let dys = dy.data();
-    let wlen = w.numel();
-
-    let dx_desc = GemmDesc {
-        orient: Orient::AtB,
-        precision,
-        ..GemmDesc::new(kk, g.c_out, p)
+    let (kk, p, cols) = (g.k(), g.p(), g.cols());
+    let folded;
+    let dyf: &[f32] = if g.n == 1 {
+        dy.data()
+    } else {
+        let mut f = scratch_f32(g.c_out * cols);
+        fold(g.n, g.c_out, p, dy.data(), &mut f);
+        folded = f;
+        &folded
     };
+
+    // dW = dY·Bᵀ: B is stored K×(N·P), the `n×k` operand of ABᵀ.
+    let mut dw = Tensor::zeros(w.shape().clone());
     let dw_desc = GemmDesc {
         orient: Orient::ABt,
-        accumulate: true,
         precision,
-        ..GemmDesc::new(g.c_out, p, kk)
+        ..GemmDesc::new(g.c_out, cols, kk)
     };
+    dispatch::gemm(dw_desc, dyf, patches, dw.data_mut());
 
-    let mut dx = Tensor::zeros(x.shape().clone());
-
-    // Pass 1 — input gradient, parallel over images (disjoint dx slices):
-    // dPatches = Wᵀ · dY_i (W stored Cout×K), scattered back by col2im.
-    dx.data_mut()
-        .par_chunks_mut(img_len)
-        .enumerate()
-        .for_each(|(i, dximg)| {
-            let dyi = &dys[i * out_len..(i + 1) * out_len];
-            let mut dpatches = scratch_f32(kk * p);
-            dispatch::gemm(dx_desc, ws, dyi, &mut dpatches);
-            dximg.iter_mut().for_each(|v| *v = 0.0);
-            col2im(&g, &dpatches, dximg);
-        });
-
-    // Pass 2 — weight gradient: one partial slot per image, parallel over
-    // slots. Slot i holds exactly dY_i · patches_iᵀ (dY_i: Cout×P,
-    // patches: K×P stored row-major = the `n×k` ABᵀ operand), on the
-    // packed accumulating kernel when the shape clears the threshold.
-    // Fixed per-image slots keep the result independent of rayon's work
-    // distribution.
-    let mut partials = scratch_f32_zeroed(g.n * wlen);
-    partials
-        .par_chunks_mut(wlen)
-        .enumerate()
-        .for_each(|(i, slot)| {
-            let dyi = &dys[i * out_len..(i + 1) * out_len];
-            let mut patches = scratch_f32(kk * p);
-            im2col(&g, &xs[i * img_len..(i + 1) * img_len], &mut patches);
-            dispatch::gemm(dw_desc, dyi, &patches, slot);
-        });
-
-    // Pass 3 — stride-doubling pairwise tree over the image slots; the
-    // association depends only on the batch size, never on scheduling.
-    reduce_partials_pairwise(&mut partials, g.n, wlen);
-    let mut dw = Tensor::zeros(w.shape().clone());
-    dw.data_mut().copy_from_slice(&partials[..wlen]);
-    (dx, dw)
-}
-
-/// Reduces `count` partials of `len` floats laid out contiguously in
-/// `buf` into `buf[..len]` with a fixed pairwise (stride-doubling) tree:
-/// round `r` adds slot `i + 2^r` into slot `i` for every `i` that is a
-/// multiple of `2^(r+1)`, rounds run in parallel over disjoint pairs.
-/// The association is a pure function of `count`, so the f32 result is
-/// bitwise-reproducible regardless of thread scheduling.
-fn reduce_partials_pairwise(buf: &mut [f32], count: usize, len: usize) {
-    debug_assert!(buf.len() >= count * len);
-    let mut stride = 1;
-    while stride < count {
-        buf[..count * len]
-            .par_chunks_mut(2 * stride * len)
-            .for_each(|chunk| {
-                if chunk.len() > stride * len {
-                    let (dst, src) = chunk.split_at_mut(stride * len);
-                    for (d, &s) in dst[..len].iter_mut().zip(&src[..len]) {
-                        *d += s;
-                    }
-                }
-            });
-        stride *= 2;
+    // dB = Wᵀ·dY (W stored C_out×K), then back to NCHW per image.
+    let mut dx = Tensor::zeros(g.in_shape());
+    let db_desc = GemmDesc {
+        orient: Orient::AtB,
+        precision,
+        ..GemmDesc::new(kk, g.c_out, cols)
+    };
+    if g.n == 1 && g.pointwise() {
+        dispatch::gemm(db_desc, w.data(), dyf, dx.data_mut());
+    } else {
+        let mut db = scratch_f32(kk * cols);
+        dispatch::gemm(db_desc, w.data(), dyf, &mut db);
+        if g.pointwise() {
+            unfold(g.n, g.c_in, p, &db, dx.data_mut());
+        } else {
+            let img_len = g.c_in * g.h * g.w;
+            for (i, dximg) in dx.data_mut().chunks_exact_mut(img_len).enumerate() {
+                col2im_cols(g, &db, cols, i * p, dximg);
+            }
+        }
     }
+    (dx, dw)
 }
 
 /// Depthwise conv2d forward (`groups == channels`, multiplier 1).
@@ -522,110 +553,6 @@ mod tests {
         t
     }
 
-    /// Naive direct convolution reference.
-    fn conv_ref(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> Tensor {
-        let g = Conv2dGeom::infer(x.shape(), w.shape(), stride, pad);
-        let mut y = Tensor::zeros(g.out_shape());
-        for n in 0..g.n {
-            for co in 0..g.c_out {
-                for oh in 0..g.h_out {
-                    for ow in 0..g.w_out {
-                        let mut acc = 0.0;
-                        for ci in 0..g.c_in {
-                            for ki in 0..g.kh {
-                                for kj in 0..g.kw {
-                                    let ih = (oh * stride + ki) as isize - pad as isize;
-                                    let iw = (ow * stride + kj) as isize - pad as isize;
-                                    if ih < 0 || iw < 0 || ih >= g.h as isize || iw >= g.w as isize
-                                    {
-                                        continue;
-                                    }
-                                    acc += x.at(&[n, ci, ih as usize, iw as usize])
-                                        * w.at(&[co, ci, ki, kj]);
-                                }
-                            }
-                        }
-                        *y.at_mut(&[n, co, oh, ow]) = acc;
-                    }
-                }
-            }
-        }
-        y
-    }
-
-    #[test]
-    fn forward_matches_reference() {
-        let mut rng = Rng::new(1);
-        for &(n, ci, h, w, co, k, s, p) in &[
-            (1, 1, 5, 5, 1, 3, 1, 1),
-            (2, 3, 8, 8, 4, 3, 1, 1),
-            (2, 3, 9, 7, 5, 3, 2, 1),
-            (1, 4, 6, 6, 2, 1, 1, 0),
-            (2, 2, 11, 11, 3, 5, 2, 2),
-            // Past the blocked-dispatch threshold: exercises the fused
-            // patch-packing path (stride 1 and stride 2, both padded).
-            (1, 8, 12, 12, 8, 3, 1, 1),
-            (1, 8, 13, 13, 32, 3, 2, 1),
-        ] {
-            let x = rand_tensor(&mut rng, &[n, ci, h, w]);
-            let wt = rand_tensor(&mut rng, &[co, ci, k, k]);
-            let y = conv2d_forward(&x, &wt, s, p);
-            let yr = conv_ref(&x, &wt, s, p);
-            assert!(
-                y.max_abs_diff(&yr) < 1e-4,
-                "cfg ({n},{ci},{h},{w},{co},{k},{s},{p})"
-            );
-        }
-    }
-
-    /// Finite-difference check of conv2d gradients.
-    #[test]
-    fn backward_matches_finite_difference() {
-        let mut rng = Rng::new(2);
-        let x = rand_tensor(&mut rng, &[2, 2, 5, 5]);
-        let wt = rand_tensor(&mut rng, &[3, 2, 3, 3]);
-        let (s, p) = (2, 1);
-        // Loss = sum(conv(x, w) * g) for a fixed random g.
-        let y0 = conv2d_forward(&x, &wt, s, p);
-        let gout = rand_tensor(&mut rng, y0.shape().dims());
-        let (dx, dw) = conv2d_backward(&x, &wt, &gout, s, p);
-
-        let loss = |x: &Tensor, w: &Tensor| -> f64 {
-            let y = conv2d_forward(x, w, s, p);
-            y.data()
-                .iter()
-                .zip(gout.data())
-                .map(|(&a, &b)| (a as f64) * (b as f64))
-                .sum()
-        };
-        let eps = 1e-3f32;
-        // Spot-check a sample of coordinates in x and w.
-        for &i in &[0usize, 7, 23, 49, x.numel() - 1] {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let num = ((loss(&xp, &wt) - loss(&xm, &wt)) / (2.0 * eps as f64)) as f32;
-            let ana = dx.data()[i];
-            assert!(
-                (num - ana).abs() < 2e-2 * (1.0 + num.abs()),
-                "dx[{i}]: numeric {num} vs analytic {ana}"
-            );
-        }
-        for &i in &[0usize, 5, 17, wt.numel() - 1] {
-            let mut wp = wt.clone();
-            wp.data_mut()[i] += eps;
-            let mut wm = wt.clone();
-            wm.data_mut()[i] -= eps;
-            let num = ((loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps as f64)) as f32;
-            let ana = dw.data()[i];
-            assert!(
-                (num - ana).abs() < 2e-2 * (1.0 + num.abs()),
-                "dw[{i}]: numeric {num} vs analytic {ana}"
-            );
-        }
-    }
-
     #[test]
     fn depthwise_matches_grouped_reference() {
         let mut rng = Rng::new(3);
@@ -723,153 +650,6 @@ mod tests {
             .map(|(&a, &b)| a as f64 * b as f64)
             .sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
-    }
-
-    #[test]
-    fn pairwise_partial_reduction_matches_serial_sum() {
-        let len = 7;
-        for &count in &[1usize, 2, 3, 5, 8, 13] {
-            let orig: Vec<f32> = (0..count * len).map(|i| (i as f32 * 0.37).sin()).collect();
-            let mut buf = orig.clone();
-            reduce_partials_pairwise(&mut buf, count, len);
-            for j in 0..len {
-                let want: f64 = (0..count).map(|i| orig[i * len + j] as f64).sum();
-                assert!(
-                    (buf[j] as f64 - want).abs() < 1e-4,
-                    "count={count} j={j}: {} vs {want}",
-                    buf[j]
-                );
-            }
-            // Rerun: bitwise identical (fixed association).
-            let mut buf2 = orig.clone();
-            reduce_partials_pairwise(&mut buf2, count, len);
-            assert_eq!(
-                buf[..len].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                buf2[..len].iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    /// Backward at a shape past the blocked threshold still matches the
-    /// finite-difference reference (packed accumulating kernels + fixed
-    /// per-image partial slots).
-    #[test]
-    fn backward_blocked_shape_finite_difference() {
-        let mut rng = Rng::new(7);
-        let x = rand_tensor(&mut rng, &[2, 8, 10, 10]);
-        let wt = rand_tensor(&mut rng, &[16, 8, 3, 3]);
-        let (s, p) = (1, 1);
-        let y0 = conv2d_forward(&x, &wt, s, p);
-        let gout = rand_tensor(&mut rng, y0.shape().dims());
-        let (dx, dw) = conv2d_backward(&x, &wt, &gout, s, p);
-        let loss = |x: &Tensor, w: &Tensor| -> f64 {
-            conv2d_forward(x, w, s, p)
-                .data()
-                .iter()
-                .zip(gout.data())
-                .map(|(&a, &b)| (a as f64) * (b as f64))
-                .sum()
-        };
-        let eps = 1e-3f32;
-        for &i in &[0usize, 101, x.numel() - 1] {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let num = ((loss(&xp, &wt) - loss(&xm, &wt)) / (2.0 * eps as f64)) as f32;
-            let ana = dx.data()[i];
-            assert!(
-                (num - ana).abs() < 3e-2 * (1.0 + num.abs()),
-                "dx[{i}]: numeric {num} vs analytic {ana}"
-            );
-        }
-        for &i in &[0usize, 77, wt.numel() - 1] {
-            let mut wp = wt.clone();
-            wp.data_mut()[i] += eps;
-            let mut wm = wt.clone();
-            wm.data_mut()[i] -= eps;
-            let num = ((loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps as f64)) as f32;
-            let ana = dw.data()[i];
-            assert!(
-                (num - ana).abs() < 3e-2 * (1.0 + num.abs()),
-                "dw[{i}]: numeric {num} vs analytic {ana}"
-            );
-        }
-    }
-
-    /// The bf16 forward narrows each gathered patch value and weight
-    /// exactly once, so it must be *bitwise* identical to quantizing the
-    /// whole input and weight tensors up front and running the f32 path
-    /// — on both sides of the dispatch threshold (fused patch-packing
-    /// with stride 2 + padding, and the naive streaming kernel).
-    #[test]
-    fn bf16_forward_equals_quantize_then_f32_bitwise() {
-        let mut rng = Rng::new(11);
-        for &(n, ci, h, w, co, k, s, p) in &[
-            (1, 8, 13, 13, 32, 3, 2, 1), // blocked: fused patches, stride 2
-            (1, 8, 12, 12, 32, 3, 1, 1), // blocked: fused patches, stride 1
-            (2, 3, 8, 8, 4, 3, 1, 1),    // naive: quantize-into-scratch
-        ] {
-            let x = rand_tensor(&mut rng, &[n, ci, h, w]);
-            let wt = rand_tensor(&mut rng, &[co, ci, k, k]);
-            let y16 = conv2d_forward_p(&x, &wt, s, p, GemmPrecision::Bf16);
-            let mut xq = x.clone();
-            crate::bf16::quantize_slice(xq.data_mut());
-            let mut wq = wt.clone();
-            crate::bf16::quantize_slice(wq.data_mut());
-            let yref = conv2d_forward(&xq, &wq, s, p);
-            assert_eq!(
-                y16.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                yref.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "cfg ({n},{ci},{h},{w},{co},{k},{s},{p})"
-            );
-        }
-    }
-
-    /// bf16 backward still passes the finite-difference check (looser
-    /// tolerance: operands carry 8 mantissa bits).
-    #[test]
-    fn bf16_backward_finite_difference() {
-        let mut rng = Rng::new(12);
-        let x = rand_tensor(&mut rng, &[2, 8, 10, 10]);
-        let wt = rand_tensor(&mut rng, &[16, 8, 3, 3]);
-        let (s, p) = (1, 1);
-        let y0 = conv2d_forward_p(&x, &wt, s, p, GemmPrecision::Bf16);
-        let gout = rand_tensor(&mut rng, y0.shape().dims());
-        let (dx, dw) = conv2d_backward_p(&x, &wt, &gout, s, p, GemmPrecision::Bf16);
-        let loss = |x: &Tensor, w: &Tensor| -> f64 {
-            conv2d_forward_p(x, w, s, p, GemmPrecision::Bf16)
-                .data()
-                .iter()
-                .zip(gout.data())
-                .map(|(&a, &b)| (a as f64) * (b as f64))
-                .sum()
-        };
-        let eps = 2e-2f32;
-        for &i in &[0usize, 101, x.numel() - 1] {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let num = ((loss(&xp, &wt) - loss(&xm, &wt)) / (2.0 * eps as f64)) as f32;
-            let ana = dx.data()[i];
-            assert!(
-                (num - ana).abs() < 0.15 * (1.0 + num.abs()),
-                "dx[{i}]: numeric {num} vs analytic {ana}"
-            );
-        }
-        for &i in &[0usize, 77, wt.numel() - 1] {
-            let mut wp = wt.clone();
-            wp.data_mut()[i] += eps;
-            let mut wm = wt.clone();
-            wm.data_mut()[i] -= eps;
-            let num = ((loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps as f64)) as f32;
-            let ana = dw.data()[i];
-            assert!(
-                (num - ana).abs() < 0.15 * (1.0 + num.abs()),
-                "dw[{i}]: numeric {num} vs analytic {ana}"
-            );
-        }
     }
 
     #[test]

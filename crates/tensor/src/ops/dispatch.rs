@@ -7,10 +7,8 @@
 //! is overwritten or accumulated into, and the [`GemmPrecision`] the
 //! operands are rounded to. Three functions take it:
 //!
-//! - [`gemm`] — the routed entry every production product goes through
-//!   (the conv forward routes once per call via [`blocked_profitable`] +
-//!   [`record_dispatch`] because its blocked B operand is a virtual patch
-//!   panel);
+//! - [`gemm`] — the routed entry every production product goes through,
+//!   the three batch-wide conv products included;
 //! - [`gemm_blocked`] — always the packed kernel;
 //! - [`gemm_naive`] — always the streaming kernel: the small-shape tail
 //!   and the reference the packed kernel is tested against.
@@ -238,21 +236,6 @@ pub fn blocked_profitable(m: usize, k: usize, n: usize) -> bool {
     m.saturating_mul(k).saturating_mul(n) >= BLOCKED_MIN_MACS
 }
 
-/// Record a dispatch decision made *outside* [`gemm`] — the conv
-/// forward decides once per call and then runs one per-image product on
-/// the chosen kernel directly (its blocked B operand is a virtual patch
-/// panel, not a slice), but still participates in the same counters.
-#[inline]
-pub fn record_dispatch(precision: GemmPrecision, blocked: bool) {
-    let counter = match (precision, blocked) {
-        (GemmPrecision::F32, true) => &BLOCKED_F32_CALLS,
-        (GemmPrecision::F32, false) => &NAIVE_F32_CALLS,
-        (GemmPrecision::Bf16, true) => &BLOCKED_BF16_CALLS,
-        (GemmPrecision::Bf16, false) => &NAIVE_BF16_CALLS,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
 /// The one routed GEMM: the shape picks the kernel
 /// ([`blocked_profitable`]), the descriptor's `precision` picks the
 /// operand rounding, and both kernels honor every orientation and
@@ -260,7 +243,13 @@ pub fn record_dispatch(precision: GemmPrecision, blocked: bool) {
 /// *kernel* switches by shape. Tallies one dispatch per call.
 pub fn gemm(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
     let blocked = blocked_profitable(desc.m, desc.k, desc.n);
-    record_dispatch(desc.precision, blocked);
+    let counter = match (desc.precision, blocked) {
+        (GemmPrecision::F32, true) => &BLOCKED_F32_CALLS,
+        (GemmPrecision::F32, false) => &NAIVE_F32_CALLS,
+        (GemmPrecision::Bf16, true) => &BLOCKED_BF16_CALLS,
+        (GemmPrecision::Bf16, false) => &NAIVE_BF16_CALLS,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
     if blocked {
         gemm_blocked(desc, a, b, c);
     } else {

@@ -22,10 +22,11 @@
 //!   [`PanelA`] / [`PanelB`] describe how the packing routines gather the
 //!   effective `A (m×k)` and `B (k×n)` from storage: plain row-major,
 //!   transposed storage (`AᵀB` / `ABᵀ`, which the backward passes need),
-//!   or — the fused-conv path — **virtual im2col patches** packed straight
-//!   from the image into the tile-major B panel, so the `K×P` patch matrix
-//!   of the im2col convolution is never materialized at all
-//!   ([`PanelB::Patches`]).
+//!   or **virtual im2col patches** of one image packed straight from the
+//!   image into the tile-major B panel, so its `K×P` patch matrix is
+//!   never materialized ([`PanelB::Patches`]; benchmarked and tested,
+//!   but the conv kernels materialize the batch's patch matrix and take
+//!   the row-major view, which measures faster).
 //! - **Precision is a pack-time type parameter** ([`PackElem`]): the
 //!   panels store either `f32` (identity conversion) or [`Bf16`]
 //!   (round-to-nearest-even once per element, 2× panel density — §3.5's
@@ -38,8 +39,8 @@
 //!   per element, at pack time, including the fused-conv patch gather.
 //! - **A is packed exactly once per call** ([`pack_a_into`] into a
 //!   [`crate::scratch`] buffer), not once per `jc` column block; callers
-//!   with a shared `A` across many GEMMs (conv weights across a batch) can
-//!   prepack once and call [`gemm_prepacked`] per image.
+//!   with a shared `A` across many GEMMs can prepack once and call
+//!   [`gemm_prepacked`] per product.
 //! - **Accumulation is a flag**: the macro-kernel always merges with
 //!   `+=`; an overwriting product just zeroes `C` first.
 //! - **Zero steady-state allocation**: all pack buffers come from the
@@ -526,12 +527,13 @@ impl CPtr {
 
 /// Blocked GEMM with a **prepacked** A (see [`pack_a_into`]): computes
 /// `C ⟵ C + A·B` when `accumulate`, else `C = A·B`. `B` is packed panel
-/// by panel from its [`PanelB`] source — including the fused-conv path
-/// that gathers im2col patches on the fly — narrowing to `E` as it goes.
+/// by panel from its [`PanelB`] source — including the [`PanelB::Patches`]
+/// view that gathers im2col patches on the fly — narrowing to `E` as it
+/// goes.
 /// `C` is always f32.
 ///
-/// Callers with one `A` and many `B`s (conv weights across a batch) pack
-/// A once and amortize it; [`gemm_packed`] is the single-shot wrapper.
+/// Callers with one `A` and many `B`s pack A once and amortize it;
+/// [`gemm_packed`] is the single-shot wrapper.
 pub fn gemm_prepacked<E: PackElem>(
     m: usize,
     k: usize,

@@ -39,6 +39,52 @@ use crate::bf16::round_f32;
 use crate::scratch::{scratch_f32, ScratchVec};
 use crate::tensor::Tensor;
 
+/// Widest `C` row the `AB` / `AᵀB` loop accumulates in local arrays
+/// ([`narrow_row`]).
+const NARROW_N: usize = 16;
+
+/// `crow += a_row · B` for a `C` row of at most [`NARROW_N`] columns
+/// (late-stage 2×2 and 4×4 maps at batch 1): the row is cut into
+/// power-of-two pieces and each piece stays in a fixed-size local array
+/// across the whole k loop, instead of a load–add–store per product.
+/// Per element it is the same `c_old + a₀b₀ + a₁b₁ + …` chain.
+fn narrow_row(a: &[f32], a0: usize, a_stride: usize, k: usize, b: &[f32], crow: &mut [f32]) {
+    debug_assert!(crow.len() <= NARROW_N);
+    let j = narrow_piece::<16>(a, a0, a_stride, k, b, crow, 0);
+    let j = narrow_piece::<8>(a, a0, a_stride, k, b, crow, j);
+    let j = narrow_piece::<4>(a, a0, a_stride, k, b, crow, j);
+    let j = narrow_piece::<2>(a, a0, a_stride, k, b, crow, j);
+    narrow_piece::<1>(a, a0, a_stride, k, b, crow, j);
+}
+
+/// Columns `j0..j0 + W` of [`narrow_row`] when the row's width has the
+/// `W` bit set; returns the first column not yet done.
+fn narrow_piece<const W: usize>(
+    a: &[f32],
+    a0: usize,
+    a_stride: usize,
+    k: usize,
+    b: &[f32],
+    crow: &mut [f32],
+    j0: usize,
+) -> usize {
+    let n = crow.len();
+    if n & W == 0 {
+        return j0;
+    }
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(&crow[j0..j0 + W]);
+    for p in 0..k {
+        let apv = a[a0 + p * a_stride];
+        let brow = &b[p * n + j0..p * n + j0 + W];
+        for (cv, &bv) in acc.iter_mut().zip(brow) {
+            *cv += apv * bv;
+        }
+    }
+    crow[j0..j0 + W].copy_from_slice(&acc);
+    j0 + W
+}
+
 /// A copy of `src` rounded through bf16, in arena scratch.
 fn quantized(src: &[f32]) -> ScratchVec<f32> {
     let mut q = scratch_f32(src.len());
@@ -82,11 +128,15 @@ pub fn gemm_naive(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
                 if !accumulate {
                     crow.iter_mut().for_each(|v| *v = 0.0);
                 }
-                for p in 0..k {
-                    let apv = a[a0 + p * a_stride];
-                    let brow = &b[p * n..(p + 1) * n];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += apv * bv;
+                if n <= NARROW_N {
+                    narrow_row(a, a0, a_stride, k, b, crow);
+                } else {
+                    for p in 0..k {
+                        let apv = a[a0 + p * a_stride];
+                        let brow = &b[p * n..(p + 1) * n];
+                        for (cv, &bv) in crow.iter_mut().zip(brow) {
+                            *cv += apv * bv;
+                        }
                     }
                 }
             }

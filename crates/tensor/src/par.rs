@@ -381,14 +381,21 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU8;
 
+    /// The pool is process-global, so tests that resize it take turns.
+    static POOL_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// Restores the ambient pool configuration on drop so tests that
     /// resize the global pool can't leak their setting into others.
-    struct PoolGuard(usize);
+    struct PoolGuard(
+        usize,
+        #[allow(dead_code)] std::sync::MutexGuard<'static, ()>,
+    );
     impl PoolGuard {
         fn set(n: usize) -> Self {
+            let turn = POOL_TESTS.lock().unwrap_or_else(|e| e.into_inner());
             let prev = gemm_workers();
             set_gemm_workers(n);
-            PoolGuard(prev)
+            PoolGuard(prev, turn)
         }
     }
     impl Drop for PoolGuard {

@@ -1,9 +1,10 @@
 //! Per-thread scratch arena for the compute kernels.
 //!
-//! Every hot kernel in this crate (packed GEMM panels, im2col patch
-//! buffers, per-worker `dw` partials) needs short-lived buffers of
-//! layer-dependent sizes. Allocating them per call puts the allocator in
-//! the middle of every training step; the arena instead keeps a small
+//! Every hot kernel in this crate (packed GEMM panels, the conv
+//! kernels' patch and fold/unfold buffers, depthwise `dw` partials) needs
+//! short-lived buffers of layer-dependent sizes. Allocating them per
+//! call puts the allocator in the middle of every training step; the
+//! arena instead keeps a small
 //! per-thread pool of reusable buffers, so steady-state steps touch the
 //! allocator **zero** times once the first step has warmed every worker
 //! thread up.
@@ -47,7 +48,7 @@ use crate::bf16::Bf16;
 /// Pool capacity per thread **per element type**: checked-in buffers
 /// beyond this are dropped. Generous — a training step needs at most a
 /// handful of concurrently live scratch buffers per thread (packed A,
-/// packed B panel, patches, `dw` partial).
+/// packed B panel, patch matrix, folded `dY` / `dB`).
 const POOL_MAX_BUFFERS: usize = 32;
 
 /// Total number of times any thread's pool had to allocate a new buffer

@@ -11,11 +11,21 @@
 
 use efficientnet_at_scale::collective::Backend;
 use efficientnet_at_scale::efficientnet::ModelConfig;
-use efficientnet_at_scale::nn::Precision;
+use efficientnet_at_scale::nn::{Conv2d, Layer, Mode, Precision};
 use efficientnet_at_scale::tensor::ops::dispatch::{
     dispatch_blocked_calls, dispatch_calls, dispatch_naive_calls, GemmPrecision,
 };
+use efficientnet_at_scale::tensor::{Rng, Tensor};
 use efficientnet_at_scale::train::{train, Experiment, TrainReport};
+use std::sync::RwLock;
+
+/// The dispatch counters are process-wide. Tests that only need them to
+/// move share this lock; the one that counts exactly takes it alone.
+static DISPATCH_TALLY: RwLock<()> = RwLock::new(());
+
+fn sharing_the_tally() -> impl Drop {
+    DISPATCH_TALLY.read().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A proxy experiment at resolution 32: big enough that the stem conv
 /// and the deeper pointwise convs clear `BLOCKED_MIN_MACS`.
@@ -42,6 +52,7 @@ fn fingerprint(r: &TrainReport) -> (u64, Vec<u32>) {
 
 #[test]
 fn training_exercises_both_dispatch_paths() {
+    let _tally = sharing_the_tally();
     let blocked0 = dispatch_blocked_calls();
     let naive0 = dispatch_naive_calls();
     let r = train(&res32(2, Backend::Tree));
@@ -58,8 +69,36 @@ fn training_exercises_both_dispatch_paths() {
     );
 }
 
+/// A conv layer is three products over the whole batch — `W·B` forward,
+/// `dY·Bᵀ` and `Wᵀ·dY` backward — so it tallies 1 + 2 dispatches whatever
+/// the batch size. A per-image product anywhere would multiply these by
+/// `N` and bring `tensor.gemm.calls_per_step` back up.
+#[test]
+fn a_conv_layer_is_three_dispatches_at_any_batch_size() {
+    let _alone = DISPATCH_TALLY.write().unwrap_or_else(|e| e.into_inner());
+    let total = || dispatch_blocked_calls() + dispatch_naive_calls();
+    for (kernel, stride, pad) in [(1, 1, 0), (3, 2, 1)] {
+        for n in [1usize, 8] {
+            let mut rng = Rng::new(7);
+            let mut conv = Conv2d::new("c", 8, 16, kernel, stride, pad, Precision::F32, &mut rng);
+            let mut x = Tensor::zeros([n, 8, 8, 8]);
+            rng.fill_uniform(x.data_mut(), -1.0, 1.0);
+            let before = total();
+            let y = conv.forward(&x, Mode::Train, &mut rng);
+            assert_eq!(total() - before, 1, "{kernel}×{kernel} forward at N={n}");
+            conv.backward(&y);
+            assert_eq!(
+                total() - before,
+                3,
+                "{kernel}×{kernel} forward+backward at N={n}"
+            );
+        }
+    }
+}
+
 #[test]
 fn losses_bitwise_identical_across_backends_with_blocked_kernels() {
+    let _tally = sharing_the_tally();
     for world in [2usize, 4] {
         let base = train(&res32(world, Backend::Tree));
         let base_fp = fingerprint(&base);
@@ -91,6 +130,7 @@ fn losses_bitwise_identical_across_backends_with_blocked_kernels() {
 /// checks).
 #[test]
 fn mixed_precision_losses_bitwise_reproducible_across_backends() {
+    let _tally = sharing_the_tally();
     let mixed = |world: usize, backend: Backend| {
         let mut e = res32(world, backend);
         e.precision = Precision::MixedBf16;
@@ -123,7 +163,8 @@ fn mixed_precision_losses_bitwise_reproducible_across_backends() {
     );
     assert!(
         bf16_naive > bf16_naive0,
-        "small conv GEMMs under mixed precision must keep the (quantizing) naive path"
+        "conv GEMMs with a reduction depth below BLOCKED_MIN_K (the 1×1 convs into and \
+         out of the 8- and 16-channel trunks) must keep the (quantizing) naive path"
     );
     // And the policy must actually change the numerics: a mixed run's
     // losses differ from the f32 run's (same config otherwise).
@@ -138,6 +179,7 @@ fn mixed_precision_losses_bitwise_reproducible_across_backends() {
 
 #[test]
 fn every_world_size_still_learns() {
+    let _tally = sharing_the_tally();
     // Across world sizes the all-reduce association differs, so equality
     // is not bitwise — but the training outcome must agree qualitatively:
     // finite, decreasing loss for both.

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the compute kernels that dominate training:
-//! GEMM (f32 and bf16-mixed), im2col convolution (dense and depthwise),
-//! and the batch-norm reductions.
+//! GEMM (f32 and bf16-mixed), dense convolution, depthwise convolution
+//! (forward and backward per regime), and the batch-norm reductions.
 //!
 //! `Criterion::default()` is the canonical constructor; the offline stub
 //! models `Criterion` as a unit struct, which would otherwise trip
@@ -8,16 +8,15 @@
 #![allow(clippy::default_constructed_unit_structs)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ets_tensor::ops::conv::{
-    conv2d_backward, conv2d_forward, depthwise_forward, im2col, Conv2dGeom,
-};
+use ets_tensor::ops::conv::{conv2d_backward, conv2d_forward, im2col, Conv2dGeom};
+use ets_tensor::ops::depthwise::{depthwise_backward, depthwise_forward};
 use ets_tensor::ops::dispatch::{gemm, GemmDesc, GemmPrecision, Orient};
 use ets_tensor::ops::gemm_blocked::{
     gemm_blocked, gemm_prepacked, pack_a_into, packed_a_len, PanelA, PanelB,
 };
 use ets_tensor::ops::matmul::gemm_naive;
 use ets_tensor::ops::reduce::{channel_mean, channel_sum_sq};
-use ets_tensor::{scratch_f32, Rng, Shape, Tensor};
+use ets_tensor::{same_pad, scratch_f32, Rng, Shape, Tensor};
 
 fn rand_vec(rng: &mut Rng, n: usize) -> Vec<f32> {
     let mut v = vec![0.0; n];
@@ -132,10 +131,33 @@ fn bench_conv(c: &mut Criterion) {
     group.bench_function("backward_3x3", |b| {
         b.iter(|| conv2d_backward(&x, &w3, &y, 1, 1));
     });
-    let dw = rand_tensor(&mut rng, &[16, 1, 5, 5]);
-    group.bench_function("depthwise_5x5", |b| {
-        b.iter(|| depthwise_forward(&x, &dw, 1, 2));
-    });
+    group.finish();
+}
+
+/// One forward and one backward bench per depthwise regime, at the
+/// b0half shapes (batch 8) that land in it: rows at stride 1, rows at
+/// stride 2 on a wide and on a narrow map, and the constant-geometry
+/// small maps where most 5×5 taps are padding.
+fn bench_depthwise(c: &mut Criterion) {
+    let mut group = c.benchmark_group("depthwise");
+    let mut rng = Rng::new(4);
+    for (name, ch, side, k, stride) in [
+        ("3x3_s1_32px", 16, 32, 3, 1),
+        ("3x3_s2_32px", 48, 32, 3, 2),
+        ("5x5_s2_16px", 96, 16, 5, 2),
+        ("5x5_s1_4px", 336, 4, 5, 1),
+        ("5x5_s1_2px", 576, 2, 5, 1),
+    ] {
+        let x = rand_tensor(&mut rng, &[8, ch, side, side]);
+        let w = rand_tensor(&mut rng, &[ch, 1, k, k]);
+        let dy = depthwise_forward(&x, &w, stride, same_pad(k));
+        group.bench_function(BenchmarkId::new("forward", name), |b| {
+            b.iter(|| depthwise_forward(&x, &w, stride, same_pad(k)));
+        });
+        group.bench_function(BenchmarkId::new("backward", name), |b| {
+            b.iter(|| depthwise_backward(&x, &w, &dy, stride, same_pad(k)));
+        });
+    }
     group.finish();
 }
 
@@ -152,6 +174,6 @@ fn bench_bn_reductions(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_conv_strategies, bench_conv, bench_bn_reductions
+    targets = bench_gemm, bench_conv_strategies, bench_conv, bench_depthwise, bench_bn_reductions
 }
 criterion_main!(benches);

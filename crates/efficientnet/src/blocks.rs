@@ -25,7 +25,6 @@ pub struct MbConvBlock {
     proj_bn: BatchNorm2d,
     drop_path: DropPath,
     residual: bool,
-    cache_input: Option<Tensor>,
     label: String,
 }
 
@@ -96,7 +95,6 @@ impl MbConvBlock {
             proj_bn: BatchNorm2d::new(format!("{label}.proj_bn"), out_filters),
             drop_path: DropPath::new(drop_connect),
             residual: stride == 1 && in_filters == out_filters,
-            cache_input: None,
             label,
         }
     }
@@ -123,14 +121,14 @@ impl MbConvBlock {
 
 impl Layer for MbConvBlock {
     fn forward(&mut self, x: &Tensor, mode: Mode, rng: &mut Rng) -> Tensor {
-        self.cache_input = self.residual.then(|| x.clone());
-        let mut cur = x.clone();
-        if let Some((conv, bn, act)) = &mut self.expand {
-            cur = conv.forward(&cur, mode, rng);
-            cur = bn.forward(&cur, mode, rng);
-            cur = act.forward(&cur, mode, rng);
-        }
-        cur = self.depthwise.forward(&cur, mode, rng);
+        let expanded = self.expand.as_mut().map(|(conv, bn, act)| {
+            let cur = conv.forward(x, mode, rng);
+            let cur = bn.forward(&cur, mode, rng);
+            act.forward(&cur, mode, rng)
+        });
+        let mut cur = self
+            .depthwise
+            .forward(expanded.as_ref().unwrap_or(x), mode, rng);
         cur = self.dw_bn.forward(&cur, mode, rng);
         cur = self.dw_act.forward(&cur, mode, rng);
         cur = self.se.forward(&cur, mode, rng);
@@ -144,11 +142,8 @@ impl Layer for MbConvBlock {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut g = grad.clone();
-        if self.residual {
-            g = self.drop_path.backward(&g);
-        }
-        g = self.proj_bn.backward(&g);
+        let dropped = self.residual.then(|| self.drop_path.backward(grad));
+        let mut g = self.proj_bn.backward(dropped.as_ref().unwrap_or(grad));
         g = self.project.backward(&g);
         g = self.se.backward(&g);
         g = self.dw_act.backward(&g);
@@ -160,7 +155,6 @@ impl Layer for MbConvBlock {
             g = conv.backward(&g);
         }
         if self.residual {
-            let _ = self.cache_input.take();
             g.add_assign(grad);
         }
         g

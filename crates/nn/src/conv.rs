@@ -16,6 +16,7 @@ use ets_tensor::ops::conv::{
 };
 use ets_tensor::ops::dispatch::{GemmPolicy, GemmPrecision};
 use ets_tensor::{init, Rng, Tensor};
+use std::borrow::Cow;
 
 /// Numeric policy for conv products.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,12 +50,13 @@ impl Precision {
         }
     }
 
-    /// Rounds a tensor through bf16 when mixed (used by the depthwise
-    /// direct-loop kernels, which have no GEMM to pack into).
-    fn prep(&self, t: &Tensor) -> Tensor {
+    /// The operand a depthwise kernel reads: `t` itself in f32, `t`
+    /// rounded through bf16 when mixed (the depthwise kernels have no
+    /// GEMM pack to narrow in).
+    fn prep<'a>(&self, t: &'a Tensor) -> Cow<'a, Tensor> {
         match self {
-            Precision::F32 => t.clone(),
-            Precision::MixedBf16 => quantize_tensor(t),
+            Precision::F32 => Cow::Borrowed(t),
+            Precision::MixedBf16 => Cow::Owned(quantize_tensor(t)),
         }
     }
 }
@@ -174,7 +176,7 @@ impl Layer for DepthwiseConv2d {
         let xq = self.precision.prep(x);
         let wq = self.precision.prep(&self.weight.value);
         let y = depthwise_forward(&xq, &wq, self.stride, self.pad);
-        self.cache_x = Some(xq);
+        self.cache_x = Some(xq.into_owned());
         y
     }
 

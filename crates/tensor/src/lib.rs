@@ -32,7 +32,7 @@ pub use par::{
 pub use rng::Rng;
 pub use scratch::{
     reset_scratch_counters, scratch_bf16, scratch_checkouts, scratch_elems, scratch_f32,
-    scratch_f32_zeroed, scratch_reallocs, scratch_reallocs_local, PoolElem, ScratchVec,
+    scratch_reallocs, scratch_reallocs_local, PoolElem, ScratchVec,
 };
 pub use shape::{conv_out_dim, same_pad, Shape};
 pub use tensor::Tensor;

@@ -1,5 +1,6 @@
-//! 2-D convolution kernels: one batch-wide GEMM per dense conv product,
-//! direct loops for depthwise convs.
+//! Dense 2-D convolution kernels: one batch-wide GEMM per conv product.
+//! (Depthwise convs are [`super::depthwise`]; its two entry points are
+//! re-exported here.)
 //!
 //! Layouts (all contiguous row-major):
 //! - input  `x`: `NCHW`
@@ -38,10 +39,11 @@
 //! slabs on the packed one) is fixed by the shape alone.
 
 use crate::ops::dispatch::{self, GemmDesc, GemmPrecision, Orient};
-use crate::scratch::{scratch_f32, scratch_f32_zeroed};
+use crate::scratch::scratch_f32;
 use crate::shape::{conv_out_dim, Shape};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
+
+pub use super::depthwise::{depthwise_backward, depthwise_forward};
 
 /// Geometry of a conv2d call, shared by forward and backward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -398,150 +400,6 @@ pub fn conv2d_backward_patches(
     (dx, dw)
 }
 
-/// Depthwise conv2d forward (`groups == channels`, multiplier 1).
-///
-/// Weight shape `[C, 1, KH, KW]`. Direct loops — the arithmetic intensity is
-/// too low for im2col+GEMM to pay off.
-pub fn depthwise_forward(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> Tensor {
-    let (n, c, h, wid) = (x.shape().n(), x.shape().c(), x.shape().h(), x.shape().w());
-    assert_eq!(w.shape().dim(0), c, "depthwise weight C mismatch");
-    assert_eq!(w.shape().dim(1), 1, "depthwise weight multiplier must be 1");
-    let (kh, kw) = (w.shape().dim(2), w.shape().dim(3));
-    let h_out = conv_out_dim(h, kh, stride, pad);
-    let w_out = conv_out_dim(wid, kw, stride, pad);
-    let mut y = Tensor::zeros([n, c, h_out, w_out]);
-    let xs = x.data();
-    let ws = w.data();
-    let in_plane = h * wid;
-    let out_plane = h_out * w_out;
-    y.data_mut()
-        .par_chunks_mut(out_plane)
-        .enumerate()
-        .for_each(|(plane_idx, yout)| {
-            let img = plane_idx / c;
-            let ch = plane_idx % c;
-            let xin = &xs[(img * c + ch) * in_plane..(img * c + ch + 1) * in_plane];
-            let ker = &ws[ch * kh * kw..(ch + 1) * kh * kw];
-            for oh in 0..h_out {
-                for ow in 0..w_out {
-                    let mut acc = 0.0f32;
-                    for ki in 0..kh {
-                        let ih = (oh * stride + ki) as isize - pad as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for kj in 0..kw {
-                            let iw = (ow * stride + kj) as isize - pad as isize;
-                            if iw < 0 || iw >= wid as isize {
-                                continue;
-                            }
-                            acc += ker[ki * kw + kj] * xin[ih as usize * wid + iw as usize];
-                        }
-                    }
-                    yout[oh * w_out + ow] = acc;
-                }
-            }
-        });
-    y
-}
-
-/// Gradients of depthwise conv2d. Returns `(dx, dw)`.
-pub fn depthwise_backward(
-    x: &Tensor,
-    w: &Tensor,
-    dy: &Tensor,
-    stride: usize,
-    pad: usize,
-) -> (Tensor, Tensor) {
-    let (n, c, h, wid) = (x.shape().n(), x.shape().c(), x.shape().h(), x.shape().w());
-    let (kh, kw) = (w.shape().dim(2), w.shape().dim(3));
-    let h_out = dy.shape().h();
-    let w_out = dy.shape().w();
-    assert_eq!(dy.shape().n(), n);
-    assert_eq!(dy.shape().c(), c);
-    let in_plane = h * wid;
-    let out_plane = h_out * w_out;
-    let xs = x.data();
-    let ws = w.data();
-    let dys = dy.data();
-
-    let mut dx = Tensor::zeros(x.shape().clone());
-    let klen = kh * kw;
-
-    // Pass 1 — input gradient, parallel over (image, channel) planes.
-    // No `g == 0.0` skip: a zero upstream gradient against a non-finite
-    // activation must still produce NaN (nan_guard contract; see the
-    // branchless-accumulation note in `matmul`).
-    dx.data_mut()
-        .par_chunks_mut(in_plane)
-        .enumerate()
-        .for_each(|(plane_idx, dximg)| {
-            let ch = plane_idx % c;
-            let dyp = &dys[plane_idx * out_plane..(plane_idx + 1) * out_plane];
-            let ker = &ws[ch * klen..(ch + 1) * klen];
-            for oh in 0..h_out {
-                for ow in 0..w_out {
-                    let g = dyp[oh * w_out + ow];
-                    for ki in 0..kh {
-                        let ih = (oh * stride + ki) as isize - pad as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for kj in 0..kw {
-                            let iw = (ow * stride + kj) as isize - pad as isize;
-                            if iw < 0 || iw >= wid as isize {
-                                continue;
-                            }
-                            dximg[ih as usize * wid + iw as usize] += g * ker[ki * kw + kj];
-                        }
-                    }
-                }
-            }
-        });
-
-    // Pass 2 — weight gradient: one arena-backed partial slot per plane
-    // (image, channel), parallel over slots; slot contents depend only on
-    // that plane, never on rayon's work distribution.
-    let mut partials = scratch_f32_zeroed(n * c * klen);
-    partials
-        .par_chunks_mut(klen)
-        .enumerate()
-        .for_each(|(plane_idx, dker)| {
-            let xin = &xs[plane_idx * in_plane..(plane_idx + 1) * in_plane];
-            let dyp = &dys[plane_idx * out_plane..(plane_idx + 1) * out_plane];
-            for oh in 0..h_out {
-                for ow in 0..w_out {
-                    let g = dyp[oh * w_out + ow];
-                    for ki in 0..kh {
-                        let ih = (oh * stride + ki) as isize - pad as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for kj in 0..kw {
-                            let iw = (ow * stride + kj) as isize - pad as isize;
-                            if iw < 0 || iw >= wid as isize {
-                                continue;
-                            }
-                            dker[ki * kw + kj] += g * xin[ih as usize * wid + iw as usize];
-                        }
-                    }
-                }
-            }
-        });
-
-    // Pass 3 — fold image partials per channel in fixed ascending-image
-    // order (deterministic association; the per-channel vectors are tiny).
-    let mut dw = Tensor::zeros(w.shape().clone());
-    let dws = dw.data_mut();
-    for img in 0..n {
-        let base = img * c * klen;
-        for (d, &s) in dws.iter_mut().zip(&partials[base..base + c * klen]) {
-            *d += s;
-        }
-    }
-    (dx, dw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,77 +409,6 @@ mod tests {
         let mut t = Tensor::zeros(shape);
         rng.fill_uniform(t.data_mut(), -1.0, 1.0);
         t
-    }
-
-    #[test]
-    fn depthwise_matches_grouped_reference() {
-        let mut rng = Rng::new(3);
-        let (n, c, h, w, k, s, p) = (2, 4, 7, 7, 3, 1, 1);
-        let x = rand_tensor(&mut rng, &[n, c, h, w]);
-        let wt = rand_tensor(&mut rng, &[c, 1, k, k]);
-        let y = depthwise_forward(&x, &wt, s, p);
-        // Reference: per-channel dense conv with a 1-channel kernel.
-        for ch in 0..c {
-            let mut xc = Tensor::zeros([n, 1, h, w]);
-            let mut wc = Tensor::zeros([1, 1, k, k]);
-            for i in 0..n {
-                for a in 0..h {
-                    for b in 0..w {
-                        *xc.at_mut(&[i, 0, a, b]) = x.at(&[i, ch, a, b]);
-                    }
-                }
-            }
-            for a in 0..k {
-                for b in 0..k {
-                    *wc.at_mut(&[0, 0, a, b]) = wt.at(&[ch, 0, a, b]);
-                }
-            }
-            let yc = conv2d_forward(&xc, &wc, s, p);
-            for i in 0..n {
-                for a in 0..y.shape().h() {
-                    for b in 0..y.shape().w() {
-                        let d = (y.at(&[i, ch, a, b]) - yc.at(&[i, 0, a, b])).abs();
-                        assert!(d < 1e-5, "channel {ch} mismatch {d}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn depthwise_backward_finite_difference() {
-        let mut rng = Rng::new(4);
-        let x = rand_tensor(&mut rng, &[1, 3, 6, 6]);
-        let wt = rand_tensor(&mut rng, &[3, 1, 3, 3]);
-        let (s, p) = (2, 1);
-        let y0 = depthwise_forward(&x, &wt, s, p);
-        let gout = rand_tensor(&mut rng, y0.shape().dims());
-        let (dx, dw) = depthwise_backward(&x, &wt, &gout, s, p);
-        let loss = |x: &Tensor, w: &Tensor| -> f64 {
-            depthwise_forward(x, w, s, p)
-                .data()
-                .iter()
-                .zip(gout.data())
-                .map(|(&a, &b)| (a as f64) * (b as f64))
-                .sum()
-        };
-        let eps = 1e-3f32;
-        for &i in &[0usize, 31, 71, x.numel() - 1] {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let num = ((loss(&xp, &wt) - loss(&xm, &wt)) / (2.0 * eps as f64)) as f32;
-            assert!((num - dx.data()[i]).abs() < 2e-2 * (1.0 + num.abs()));
-        }
-        for &i in &[0usize, 13, wt.numel() - 1] {
-            let mut wp = wt.clone();
-            wp.data_mut()[i] += eps;
-            let mut wm = wt.clone();
-            wm.data_mut()[i] -= eps;
-            let num = ((loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps as f64)) as f32;
-            assert!((num - dw.data()[i]).abs() < 2e-2 * (1.0 + num.abs()));
-        }
     }
 
     #[test]

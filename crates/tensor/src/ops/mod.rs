@@ -2,6 +2,7 @@
 
 pub mod abft;
 pub mod conv;
+pub mod depthwise;
 pub mod dispatch;
 pub mod gemm_blocked;
 pub mod matmul;

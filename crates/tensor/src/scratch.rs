@@ -1,7 +1,7 @@
 //! Per-thread scratch arena for the compute kernels.
 //!
 //! Every hot kernel in this crate (packed GEMM panels, the conv
-//! kernels' patch and fold/unfold buffers, depthwise `dw` partials) needs
+//! kernels' patch and fold/unfold buffers, depthwise phase planes) needs
 //! short-lived buffers of layer-dependent sizes. Allocating them per
 //! call puts the allocator in the middle of every training step; the
 //! arena instead keeps a small
@@ -16,9 +16,9 @@
 //!   [`Bf16`] for the mixed-precision packed panels — stored at 2×
 //!   density) and returns a [`ScratchVec`] guard; dropping the guard
 //!   checks it back in. Contents are **unspecified** (stale data from
-//!   earlier checkouts) — kernels that need zeros use
-//!   [`scratch_f32_zeroed`] or zero the slots they don't fully overwrite
-//!   (the packing routines do exactly that for their padded tails).
+//!   earlier checkouts) — kernels zero the slots they don't fully
+//!   overwrite (the packing routines do exactly that for their padded
+//!   tails).
 //! - Checkout picks the smallest pooled buffer whose capacity fits, so a
 //!   thread serving several layer shapes converges on one buffer per
 //!   "size class" instead of growing a single buffer forever. Each
@@ -130,13 +130,6 @@ impl<T: PoolElem> ScratchVec<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Zero the visible prefix (element-type zero, `T::default()`).
-    pub fn zero(&mut self) {
-        self.buf[..self.len]
-            .iter_mut()
-            .for_each(|v| *v = T::default());
-    }
 }
 
 impl<T: PoolElem> std::ops::Deref for ScratchVec<T> {
@@ -225,13 +218,6 @@ pub fn scratch_f32(len: usize) -> ScratchVec<f32> {
     scratch_elems::<f32>(len)
 }
 
-/// Like [`scratch_f32`] but with the visible prefix zeroed.
-pub fn scratch_f32_zeroed(len: usize) -> ScratchVec<f32> {
-    let mut s = scratch_f32(len);
-    s.zero();
-    s
-}
-
 /// Check a [`Bf16`] buffer of `len` elements out of the calling thread's
 /// pool (half the bytes of the same-length `f32` checkout — the 2×
 /// panel-density win of the mixed-precision packed kernels).
@@ -280,17 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn zeroed_variant_zeroes_and_len_is_exact() {
-        {
-            let mut s = scratch_f32(64);
-            s.iter_mut().for_each(|v| *v = 7.0);
-        }
-        let z = scratch_f32_zeroed(64);
-        assert_eq!(z.len(), 64);
-        assert!(z.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn zero_len_checkout_is_inert() {
         let before = scratch_reallocs_local();
         let s = scratch_f32(0);
@@ -334,13 +309,5 @@ mod tests {
             warm,
             "per-type pools must keep steady state allocation-free"
         );
-    }
-
-    #[test]
-    fn bf16_zero_is_positive_zero() {
-        let mut s = scratch_bf16(8);
-        s.iter_mut().for_each(|v| *v = Bf16::ONE);
-        s.zero();
-        assert!(s.iter().all(|&v| v == Bf16::ZERO));
     }
 }

@@ -10,11 +10,18 @@
 //! dispatch counters prove.
 
 use efficientnet_at_scale::collective::Backend;
+use efficientnet_at_scale::efficientnet::EfficientNet;
 use efficientnet_at_scale::efficientnet::ModelConfig;
 use efficientnet_at_scale::nn::{Conv2d, Layer, Mode, Precision};
+use efficientnet_at_scale::tensor::ops::depthwise::{
+    depthwise_backward, depthwise_backward_reference, depthwise_forward,
+    depthwise_forward_reference,
+};
 use efficientnet_at_scale::tensor::ops::dispatch::{
     dispatch_blocked_calls, dispatch_calls, dispatch_naive_calls, GemmPrecision,
 };
+use efficientnet_at_scale::tensor::ops::simd::{ForcedLaneGuard, LanePath};
+use efficientnet_at_scale::tensor::same_pad;
 use efficientnet_at_scale::tensor::{Rng, Tensor};
 use efficientnet_at_scale::train::{train, Experiment, TrainReport};
 use std::sync::RwLock;
@@ -94,6 +101,97 @@ fn a_conv_layer_is_three_dispatches_at_any_batch_size() {
             );
         }
     }
+}
+
+/// `(channels, kernel, stride, input side)` of every depthwise layer of
+/// `cfg`, in order, walked the way `EfficientNet::new` builds the model:
+/// a stride-2 SAME stem, then each stage's blocks with the stage's
+/// stride on the first.
+fn depthwise_layers(cfg: &ModelConfig) -> Vec<(usize, usize, usize, usize)> {
+    let mut side = cfg.resolution.div_ceil(2);
+    let mut layers = Vec::new();
+    for args in &cfg.blocks {
+        let out_f = cfg.round_filters(args.out_filters);
+        for rep in 0..cfg.round_repeats(args.repeats) {
+            let (in_f, stride) = match rep {
+                0 => (cfg.round_filters(args.in_filters), args.stride),
+                _ => (out_f, 1),
+            };
+            layers.push((in_f * args.expand_ratio, args.kernel, stride, side));
+            side = side.div_ceil(stride);
+        }
+    }
+    layers
+}
+
+/// The models of the four perfbench workloads (`perfbench/src/workloads.rs`:
+/// both `b0half_*` share one) and the batch each replica runs.
+fn perfbench_models() -> [(ModelConfig, usize); 3] {
+    let b0half = |resolution| ModelConfig {
+        width_mult: 0.5,
+        depth_mult: 0.5,
+        ..ModelConfig::tiny(resolution, 8)
+    };
+    let wide = ModelConfig {
+        width_mult: 1.5,
+        depth_mult: 0.2,
+        ..ModelConfig::tiny(8, 8)
+    };
+    [(b0half(64), 8), (wide, 1), (b0half(32), 2)]
+}
+
+/// Every depthwise geometry a perfbench workload runs gives the same
+/// bits as the per-pixel reference loops, for `y`, `dx` and `dw`, on
+/// every SIMD lane path: the reason `final_loss` did not move when the
+/// row kernels replaced those loops.
+#[test]
+fn depthwise_layers_of_the_perfbench_models_equal_the_reference_bitwise() {
+    let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
+    let mut sides = Vec::new();
+    for (cfg, batch) in perfbench_models() {
+        let layers = depthwise_layers(&cfg);
+        // The walk names the layers the model has: same kernels in order.
+        let mut kernels = Vec::new();
+        EfficientNet::new(cfg.clone(), Precision::F32, &mut Rng::new(1)).visit_params(&mut |p| {
+            if p.name.ends_with(".dw.dw") {
+                kernels.push((p.value.shape().dim(0), p.value.shape().dim(2)));
+            }
+        });
+        let walked: Vec<_> = layers.iter().map(|&(c, k, ..)| (c, k)).collect();
+        assert_eq!(walked, kernels, "resolution {}", cfg.resolution);
+
+        for (idx, &(c, k, stride, side)) in layers.iter().enumerate() {
+            sides.push(side);
+            let mut rng = Rng::new(40 + idx as u64);
+            let mut random = |dims: [usize; 4]| {
+                let mut t = Tensor::zeros(dims);
+                rng.fill_uniform(t.data_mut(), -1.0, 1.0);
+                t
+            };
+            let (x, w) = (random([batch, c, side, side]), random([c, 1, k, k]));
+            let pad = same_pad(k);
+            let y = depthwise_forward_reference(&x, &w, stride, pad);
+            let dy = random([batch, c, y.shape().h(), y.shape().w()]);
+            let (dx, dw) = depthwise_backward_reference(&x, &w, &dy, stride, pad);
+            for lane in LanePath::ALL.into_iter().filter(|lane| lane.available()) {
+                let _lane = ForcedLaneGuard::new(lane);
+                let ctx = format!("{c}ch {side}² {k}×{k} s{stride} on {}", lane.name());
+                assert_eq!(
+                    bits(&depthwise_forward(&x, &w, stride, pad)),
+                    bits(&y),
+                    "y {ctx}"
+                );
+                let (dx_l, dw_l) = depthwise_backward(&x, &w, &dy, stride, pad);
+                assert_eq!(bits(&dx_l), bits(&dx), "dx {ctx}");
+                assert_eq!(bits(&dw_l), bits(&dw), "dw {ctx}");
+            }
+        }
+    }
+    // The sweep reaches the wide maps and the 1×1 ones.
+    assert_eq!(
+        (sides.iter().min(), sides.iter().max()),
+        (Some(&1), Some(&32))
+    );
 }
 
 #[test]

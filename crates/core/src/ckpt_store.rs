@@ -1,12 +1,18 @@
-//! Durable on-disk checkpoint store with corruption detection.
+//! The one snapshot type and its durable on-disk store.
 //!
-//! PR 2's in-memory snapshots survive *transient* preemptions (the
-//! process rewinds and replays) but die with the process — and a
-//! permanent replica loss at pod scale kills processes. This module is
-//! the missing foundation for elasticity: a checkpoint store that
-//! guarantees **no silent load ever happens**.
+//! [`DurableSnapshot`] is the only snapshot in the crate: model weights
+//! and BN running statistics as exact `u32` bit patterns, optimizer
+//! slots, EMA state, the sample-granular [`Progress`] cursor and the
+//! epoch history. [`DurableSnapshot::capture`] reads it straight off a
+//! replica and [`DurableSnapshot::apply`] writes it straight back, so a
+//! restore is bitwise and a resumed run stays on the original's
+//! trajectory. The trainer keeps one in memory (plus its two RNG
+//! streams) as the preemption rewind anchor and persists the same type
+//! through [`CkptStore`] for elastic resume, divergence rollback and
+//! quarantine — the artifact the §3.3 evaluator pipeline ships between
+//! TPUs. The store guarantees **no silent load ever happens**.
 //!
-//! Properties:
+//! Properties of the store:
 //!
 //! - **Atomic writes**: checkpoints are written to a temp file, fsynced,
 //!   and renamed into place (then the directory is fsynced), so a crash
@@ -26,11 +32,11 @@
 //! - **Chaos hooks**: [`CorruptionInjector`] flips seeded bits in stored
 //!   checkpoints so the chaos harness can prove the detection story.
 
-use crate::checkpoint::TensorRecord;
 use crate::report::EpochRecord;
-use ets_nn::EmaState;
+use ets_efficientnet::EfficientNet;
+use ets_nn::{Ema, EmaState, Layer};
 use ets_obs::{phase as obs_phase, Lane, Recorder};
-use ets_optim::OptimizerState;
+use ets_optim::{Optimizer, OptimizerState};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -53,7 +59,7 @@ const MANIFEST: &str = "MANIFEST";
 // CRC-32 (ISO-HDLC, the zlib polynomial), table-driven.
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> [u32; 256] {
+const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0usize;
     while i < 256 {
@@ -73,14 +79,13 @@ fn crc32_table() -> [u32; 256] {
     table
 }
 
+const CRC32_TABLE: [u32; 256] = crc32_table();
+
 /// CRC-32 of `data` (ISO-HDLC / zlib polynomial, init & xorout `!0`).
 pub fn crc32(data: &[u8]) -> u32 {
-    // The table is tiny to rebuild and keeps the function dependency-free;
-    // checkpoint I/O is dominated by tensor bytes, not by this.
-    let table = crc32_table();
     let mut c = !0u32;
     for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -184,6 +189,20 @@ impl ByteWriter {
             self.u64(x as u64);
         }
     }
+    fn tensor(&mut self, name: &str, shape: &[usize], bits: &[u32]) {
+        self.str(name);
+        self.usizes(shape);
+        self.u32s(bits);
+    }
+    fn opt_f64(&mut self, v: Option<f64>) {
+        match v {
+            None => self.u8(0),
+            Some(v) => {
+                self.u8(1);
+                self.u64(v.to_bits());
+            }
+        }
+    }
 }
 
 struct ByteReader<'a> {
@@ -246,6 +265,28 @@ impl<'a> ByteReader<'a> {
         let n = self.len(self.buf.len())?;
         (0..n).map(|_| self.usize()).collect()
     }
+    /// A `u32` count, then that many `(name, shape, bits)` tensors.
+    fn tensors(&mut self) -> Result<Vec<TensorRecord>, CkptError> {
+        let n = self.u32()? as usize;
+        let mut out = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            out.push(TensorRecord {
+                name: self.str()?,
+                shape: self.usizes()?,
+                bits: self.u32s()?,
+            });
+        }
+        Ok(out)
+    }
+    fn opt_f64(&mut self) -> Result<Option<f64>, CkptError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(f64::from_bits(self.u64()?))),
+            other => Err(CkptError::Malformed(format!(
+                "invalid option byte {other} in history"
+            ))),
+        }
+    }
     fn finished(&self) -> Result<(), CkptError> {
         if self.pos != self.buf.len() {
             return Err(CkptError::Malformed(format!(
@@ -261,33 +302,70 @@ impl<'a> ByteReader<'a> {
 // The durable snapshot: the full elastic-resume state.
 // ---------------------------------------------------------------------------
 
-/// Everything a shrunken world needs to resume training exactly where
-/// the old world stopped: model weights + BN running statistics,
-/// optimizer slots, EMA state, per-epoch history, and the
-/// sample-granular progress cursor (the elastic trainer tracks progress
-/// in *samples*, not steps, because steps change meaning when the global
-/// batch shrinks).
-#[derive(Clone, Debug)]
-pub struct DurableSnapshot {
-    /// Global optimizer step at capture.
+/// Serialized tensor: name, shape and exact f32 bit patterns.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TensorRecord {
+    pub name: String,
+    pub shape: Vec<usize>,
+    pub bits: Vec<u32>,
+}
+
+/// Sample-granular training progress. Steps are not a stable clock once
+/// the world can resize (a smaller world takes more, smaller steps per
+/// epoch), so epochs and LR schedules key off *samples consumed*:
+/// `consumed_samples / global_batch` is the effective schedule step, and
+/// `sample_off` addresses the epoch permutation directly so a resized
+/// world resumes mid-epoch without skipping or repeating a sample.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Progress {
+    /// Global optimizer step counter (monotonic across resizes).
     pub step: u64,
     /// 1-based epoch in progress.
     pub epoch: u64,
-    /// Offset into the epoch permutation (samples consumed this epoch).
+    /// Samples consumed within the current epoch (offset into the epoch
+    /// permutation).
     pub sample_off: u64,
     /// Optimizer steps taken within the current epoch.
     pub steps_this_epoch: u64,
-    /// Total samples consumed since step 0 (drives elastic LR schedules).
+    /// Samples consumed since step 0 (drives elastic LR schedules).
     pub consumed_samples: u64,
+    /// Divergence-guard LR multiplier (1.0 until a rollback halves it).
+    pub lr_scale: f32,
+    /// Running loss sum for the current epoch.
+    pub loss_sum: f64,
+    /// Last applied learning rate.
+    pub last_lr: f32,
+}
+
+impl Progress {
+    /// Step 0 of epoch 1.
+    pub fn fresh() -> Self {
+        Progress {
+            step: 0,
+            epoch: 1,
+            sample_off: 0,
+            steps_this_epoch: 0,
+            consumed_samples: 0,
+            lr_scale: 1.0,
+            loss_sum: 0.0,
+            last_lr: 0.0,
+        }
+    }
+}
+
+/// Everything a replica needs to continue training bit-exactly from a
+/// step: model weights + BN running statistics, optimizer slots, EMA
+/// state, per-epoch history, and the sample-granular progress cursor
+/// (identical on every rank). A shrunken world resumes from it, a
+/// diverged or poisoned one rolls back to it, and with the two RNG
+/// streams beside it a preempted one rewinds to it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DurableSnapshot {
+    /// Where training stood at capture.
+    pub progress: Progress,
     /// World size at capture (informational; the restorer may resume
     /// with fewer replicas).
     pub world: u64,
-    /// Divergence-guard LR multiplier (f32 bits; halved per rollback).
-    pub lr_scale_bits: u32,
-    /// Running loss sum for the current epoch (f64 bits).
-    pub loss_sum_bits: u64,
-    /// Last applied learning rate (f32 bits).
-    pub last_lr_bits: u32,
     /// Model parameters, in `visit_params` order.
     pub params: Vec<TensorRecord>,
     /// BN running means/variances, in `visit_bns` order (f32 bits).
@@ -300,7 +378,94 @@ pub struct DurableSnapshot {
     pub history: Vec<EpochRecord>,
 }
 
+fn to_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn copy_bits(dst: &mut [f32], bits: &[u32]) {
+    for (d, &b) in dst.iter_mut().zip(bits) {
+        *d = f32::from_bits(b);
+    }
+}
+
 impl DurableSnapshot {
+    /// Captures a replica's full state (identical on every rank).
+    pub fn capture(
+        model: &mut EfficientNet,
+        optimizer: &dyn Optimizer,
+        ema: Option<&Ema>,
+        progress: &Progress,
+        world: usize,
+        history: &[EpochRecord],
+    ) -> DurableSnapshot {
+        let mut params = Vec::new();
+        model.visit_params(&mut |p| {
+            params.push(TensorRecord {
+                name: p.name.clone(),
+                shape: p.value.shape().dims().to_vec(),
+                bits: to_bits(p.value.data()),
+            });
+        });
+        let mut bn_running = Vec::new();
+        model.visit_bns(&mut |bn| {
+            bn_running.push((to_bits(&bn.running_mean), to_bits(&bn.running_var)));
+        });
+        DurableSnapshot {
+            progress: *progress,
+            world: world as u64,
+            params,
+            bn_running,
+            opt_state: optimizer.export_state(),
+            ema: ema.map(Ema::export_state),
+            history: history.to_vec(),
+        }
+    }
+
+    /// Restores the snapshot into a structurally-identical replica and
+    /// returns the captured progress and epoch history. Panics with a
+    /// descriptive message on any mismatch (name, shape, count, EMA
+    /// presence).
+    pub fn apply(
+        &self,
+        model: &mut EfficientNet,
+        optimizer: &mut dyn Optimizer,
+        ema: &mut Option<Ema>,
+    ) -> (Progress, Vec<EpochRecord>) {
+        let mut i = 0;
+        model.visit_params(&mut |p| {
+            let rec = self
+                .params
+                .get(i)
+                .unwrap_or_else(|| panic!("snapshot too short at param {i} ({})", p.name));
+            assert_eq!(rec.name, p.name, "param order/name mismatch at {i}");
+            assert_eq!(
+                rec.shape,
+                p.value.shape().dims(),
+                "shape mismatch for {}",
+                p.name
+            );
+            copy_bits(p.value.data_mut(), &rec.bits);
+            i += 1;
+        });
+        assert_eq!(i, self.params.len(), "snapshot has extra params");
+        let mut j = 0;
+        model.visit_bns(&mut |bn| {
+            let (m, v) = &self.bn_running[j];
+            assert_eq!(m.len(), bn.running_mean.len(), "BN {j} channel mismatch");
+            copy_bits(&mut bn.running_mean, m);
+            copy_bits(&mut bn.running_var, v);
+            j += 1;
+        });
+        assert_eq!(j, self.bn_running.len(), "snapshot has extra BN records");
+        optimizer.import_state(&self.opt_state, model);
+        match (ema.as_mut(), self.ema.as_ref()) {
+            (Some(e), Some(state)) => e.import_state(state),
+            (None, None) => {}
+            _ => panic!("EMA configuration changed between checkpoint and restore"),
+        }
+        (self.progress, self.history.clone())
+    }
+
     /// Serializes to the checked binary format: envelope, named records
     /// with per-record CRC-32, whole-file CRC-32 trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -315,7 +480,7 @@ impl DurableSnapshot {
         let mut w = ByteWriter::default();
         w.bytes(MAGIC);
         w.u32(CKPT_STORE_VERSION);
-        w.u64(self.step);
+        w.u64(self.progress.step);
         w.u32(records.len() as u32);
         for (name, payload) in &records {
             w.str(name);
@@ -379,7 +544,7 @@ impl DurableSnapshot {
                 });
             }
             match name.as_str() {
-                "meta" => meta = Some(Self::decode_meta(payload)?),
+                "meta" => meta = Some(Self::decode_meta(payload, step)?),
                 "params" => params = Some(Self::decode_params(payload)?),
                 "bn" => bn = Some(Self::decode_bn(payload)?),
                 "opt" => opt = Some(Self::decode_opt(payload)?),
@@ -392,18 +557,10 @@ impl DurableSnapshot {
         }
         r.finished()?;
         let missing = |what: &str| CkptError::Malformed(format!("missing {what} record"));
-        let (epoch, sample_off, steps_this_epoch, consumed, world, lr_scale, loss_sum, last_lr) =
-            meta.ok_or_else(|| missing("meta"))?;
+        let (progress, world) = meta.ok_or_else(|| missing("meta"))?;
         let snap = DurableSnapshot {
-            step,
-            epoch,
-            sample_off,
-            steps_this_epoch,
-            consumed_samples: consumed,
+            progress,
             world,
-            lr_scale_bits: lr_scale,
-            loss_sum_bits: loss_sum,
-            last_lr_bits: last_lr,
             params: params.ok_or_else(|| missing("params"))?,
             bn_running: bn.ok_or_else(|| missing("bn"))?,
             opt_state: opt.ok_or_else(|| missing("opt"))?,
@@ -414,57 +571,51 @@ impl DurableSnapshot {
     }
 
     fn encode_meta(&self) -> Vec<u8> {
+        let p = &self.progress;
         let mut w = ByteWriter::default();
-        w.u64(self.epoch);
-        w.u64(self.sample_off);
-        w.u64(self.steps_this_epoch);
-        w.u64(self.consumed_samples);
+        w.u64(p.epoch);
+        w.u64(p.sample_off);
+        w.u64(p.steps_this_epoch);
+        w.u64(p.consumed_samples);
         w.u64(self.world);
-        w.u32(self.lr_scale_bits);
-        w.u64(self.loss_sum_bits);
-        w.u32(self.last_lr_bits);
+        w.u32(p.lr_scale.to_bits());
+        w.u64(p.loss_sum.to_bits());
+        w.u32(p.last_lr.to_bits());
         w.buf
     }
 
-    #[allow(clippy::type_complexity)]
-    fn decode_meta(p: &[u8]) -> Result<(u64, u64, u64, u64, u64, u32, u64, u32), CkptError> {
+    /// The progress cursor (`step` travels in the envelope) and the
+    /// world size.
+    fn decode_meta(p: &[u8], step: u64) -> Result<(Progress, u64), CkptError> {
         let mut r = ByteReader::new(p);
-        let out = (
-            r.u64()?,
-            r.u64()?,
-            r.u64()?,
-            r.u64()?,
-            r.u64()?,
-            r.u32()?,
-            r.u64()?,
-            r.u32()?,
-        );
+        let (epoch, sample_off, steps_this_epoch, consumed_samples, world) =
+            (r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+        let progress = Progress {
+            step,
+            epoch,
+            sample_off,
+            steps_this_epoch,
+            consumed_samples,
+            lr_scale: f32::from_bits(r.u32()?),
+            loss_sum: f64::from_bits(r.u64()?),
+            last_lr: f32::from_bits(r.u32()?),
+        };
         r.finished()?;
-        Ok(out)
+        Ok((progress, world))
     }
 
     fn encode_params(&self) -> Vec<u8> {
         let mut w = ByteWriter::default();
         w.u32(self.params.len() as u32);
         for rec in &self.params {
-            w.str(&rec.name);
-            w.usizes(&rec.shape);
-            w.u32s(&rec.bits);
+            w.tensor(&rec.name, &rec.shape, &rec.bits);
         }
         w.buf
     }
 
     fn decode_params(p: &[u8]) -> Result<Vec<TensorRecord>, CkptError> {
         let mut r = ByteReader::new(p);
-        let n = r.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(TensorRecord {
-                name: r.str()?,
-                shape: r.usizes()?,
-                bits: r.u32s()?,
-            });
-        }
+        let out = r.tensors()?;
         r.finished()?;
         Ok(out)
     }
@@ -523,9 +674,7 @@ impl DurableSnapshot {
                 w.u64(state.updates);
                 w.u32(state.shadow.len() as u32);
                 for (name, shape, bits) in &state.shadow {
-                    w.str(name);
-                    w.usizes(shape);
-                    w.u32s(bits);
+                    w.tensor(name, shape, bits);
                 }
             }
         }
@@ -538,17 +687,12 @@ impl DurableSnapshot {
         let out = match present {
             0 => None,
             1 => {
-                let decay_bits = r.u32()?;
-                let updates = r.u64()?;
-                let n = r.u32()? as usize;
-                let mut shadow = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    shadow.push((r.str()?, r.usizes()?, r.u32s()?));
-                }
+                let (decay_bits, updates, shadow) = (r.u32()?, r.u64()?, r.tensors()?);
+                let shadow = shadow.into_iter().map(|t| (t.name, t.shape, t.bits));
                 Some(EmaState {
                     decay_bits,
                     updates,
-                    shadow,
+                    shadow: shadow.collect(),
                 })
             }
             other => {
@@ -568,20 +712,8 @@ impl DurableSnapshot {
             w.u64(rec.epoch);
             w.u32(rec.train_loss.to_bits());
             w.u32(rec.lr.to_bits());
-            match rec.eval_top1 {
-                None => w.u8(0),
-                Some(v) => {
-                    w.u8(1);
-                    w.u64(v.to_bits());
-                }
-            }
-            match rec.eval_top5 {
-                None => w.u8(0),
-                Some(v) => {
-                    w.u8(1);
-                    w.u64(v.to_bits());
-                }
-            }
+            w.opt_f64(rec.eval_top1);
+            w.opt_f64(rec.eval_top5);
         }
         w.buf
     }
@@ -590,21 +722,12 @@ impl DurableSnapshot {
         let mut r = ByteReader::new(p);
         let n = r.u32()? as usize;
         let mut out = Vec::with_capacity(n.min(1 << 16));
-        let opt_f64 = |r: &mut ByteReader| -> Result<Option<f64>, CkptError> {
-            match r.u8()? {
-                0 => Ok(None),
-                1 => Ok(Some(f64::from_bits(r.u64()?))),
-                other => Err(CkptError::Malformed(format!(
-                    "invalid option byte {other} in history"
-                ))),
-            }
-        };
         for _ in 0..n {
             let epoch = r.u64()?;
             let train_loss = f32::from_bits(r.u32()?);
             let lr = f32::from_bits(r.u32()?);
-            let eval_top1 = opt_f64(&mut r)?;
-            let eval_top5 = opt_f64(&mut r)?;
+            let eval_top1 = r.opt_f64()?;
+            let eval_top5 = r.opt_f64()?;
             out.push(EpochRecord {
                 epoch,
                 train_loss,
@@ -615,21 +738,6 @@ impl DurableSnapshot {
         }
         r.finished()?;
         Ok(out)
-    }
-
-    /// Divergence-guard LR multiplier as an `f32`.
-    pub fn lr_scale(&self) -> f32 {
-        f32::from_bits(self.lr_scale_bits)
-    }
-
-    /// Running epoch loss sum as an `f64`.
-    pub fn loss_sum(&self) -> f64 {
-        f64::from_bits(self.loss_sum_bits)
-    }
-
-    /// Last applied LR as an `f32`.
-    pub fn last_lr(&self) -> f32 {
-        f32::from_bits(self.last_lr_bits)
     }
 }
 
@@ -694,25 +802,31 @@ impl CkptStore {
     /// Atomically persists `snap`, updates the manifest, and applies the
     /// retention policy. Returns the checkpoint's final path.
     pub fn save(&self, snap: &DurableSnapshot) -> Result<PathBuf, CkptError> {
+        let step = snap.progress.step;
         let _span = self.recorder.as_ref().map(|rec| {
             rec.counter_add("ckpt_saves", 1);
-            rec.wall_span(Lane::WallCkpt, obs_phase::DURABLE_CHECKPOINT, snap.step, 0)
+            rec.wall_span(Lane::WallCkpt, obs_phase::DURABLE_CHECKPOINT, step, 0)
         });
-        let bytes = snap.to_bytes();
-        let final_path = self.path_for(snap.step);
-        let tmp_path = self.dir.join(format!("{}.tmp", Self::file_name(snap.step)));
-        {
-            let mut f = fs::File::create(&tmp_path).map_err(io_err)?;
-            f.write_all(&bytes).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
-        }
-        fs::rename(&tmp_path, &final_path).map_err(io_err)?;
+        let final_path = self.write_atomic(&Self::file_name(step), &snap.to_bytes())?;
         // fsync the directory so the rename itself is durable.
         if let Ok(d) = fs::File::open(&self.dir) {
             let _ = d.sync_all();
         }
         self.gc_and_write_manifest()?;
         Ok(final_path)
+    }
+
+    /// Writes `bytes` to `<name>.tmp`, fsyncs, and renames it to `name`:
+    /// readers see the old file or the new one, never a torn one.
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<PathBuf, CkptError> {
+        let (tmp, path) = (self.dir.join(format!("{name}.tmp")), self.dir.join(name));
+        {
+            let mut f = fs::File::create(&tmp).map_err(io_err)?;
+            f.write_all(bytes).map_err(io_err)?;
+            f.sync_all().map_err(io_err)?;
+        }
+        fs::rename(&tmp, &path).map_err(io_err)?;
+        Ok(path)
     }
 
     /// Steps of checkpoint files present on disk, ascending.
@@ -759,33 +873,30 @@ impl CkptStore {
         steps.reverse(); // newest first
         let mut skipped = 0u64;
         for step in steps {
-            match self.load_step(step) {
-                Ok(snap) => {
-                    if let Some(entries) = &manifest {
-                        if let Some(entry) = entries.iter().find(|e| e.step == step) {
-                            let bytes = snap.to_bytes();
-                            if entry.len != bytes.len() as u64 || entry.crc != crc32(&bytes) {
-                                // Manifest disagrees with a file that
-                                // internally validates: treat as corrupt
-                                // rather than guessing which is right.
-                                skipped += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    if let Some(rec) = self.recorder.as_ref().filter(|_| skipped > 0) {
-                        rec.counter_add("ckpt_corrupt_skipped", skipped);
-                    }
-                    return Ok(Some((
-                        snap,
-                        LoadReport {
-                            loaded_step: step,
-                            corrupt_skipped: skipped,
-                        },
-                    )));
+            // A file that validates internally but that the manifest
+            // describes differently counts as corrupt too, rather than
+            // guessing which of the two is right.
+            let entry = manifest.iter().flatten().find(|e| e.step == step);
+            let snap = match self.read_step(step) {
+                Ok((snap, bytes))
+                    if entry
+                        .is_none_or(|e| e.len == bytes.len() as u64 && e.crc == crc32(&bytes)) =>
+                {
+                    snap
                 }
-                Err(_) => skipped += 1,
+                _ => {
+                    skipped += 1;
+                    continue;
+                }
+            };
+            if let Some(rec) = self.recorder.as_ref().filter(|_| skipped > 0) {
+                rec.counter_add("ckpt_corrupt_skipped", skipped);
             }
+            let report = LoadReport {
+                loaded_step: step,
+                corrupt_skipped: skipped,
+            };
+            return Ok(Some((snap, report)));
         }
         Ok(None)
     }
@@ -820,15 +931,21 @@ impl CkptStore {
 
     /// Loads and validates the checkpoint at `step`.
     pub fn load_step(&self, step: u64) -> Result<DurableSnapshot, CkptError> {
+        self.read_step(step).map(|(snap, _)| snap)
+    }
+
+    /// The validated checkpoint at `step` and the file bytes it was
+    /// parsed from (what the manifest's `len`/`crc` describe).
+    fn read_step(&self, step: u64) -> Result<(DurableSnapshot, Vec<u8>), CkptError> {
         let bytes = fs::read(self.path_for(step)).map_err(io_err)?;
         let snap = DurableSnapshot::from_bytes(&bytes)?;
-        if snap.step != step {
+        if snap.progress.step != step {
             return Err(CkptError::Malformed(format!(
                 "file named for step {step} contains step {}",
-                snap.step
+                snap.progress.step
             )));
         }
-        Ok(snap)
+        Ok((snap, bytes))
     }
 
     fn gc_and_write_manifest(&self) -> Result<(), CkptError> {
@@ -855,18 +972,7 @@ impl CkptStore {
                 });
             }
         }
-        self.write_manifest(&entries)
-    }
-
-    fn write_manifest(&self, entries: &[ManifestEntry]) -> Result<(), CkptError> {
-        let body = render_manifest(entries);
-        let tmp = self.dir.join(format!("{MANIFEST}.tmp"));
-        {
-            let mut f = fs::File::create(&tmp).map_err(io_err)?;
-            f.write_all(body.as_bytes()).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
-        }
-        fs::rename(&tmp, self.dir.join(MANIFEST)).map_err(io_err)?;
+        self.write_atomic(MANIFEST, render_manifest(&entries).as_bytes())?;
         Ok(())
     }
 
@@ -1030,15 +1136,17 @@ mod tests {
 
     pub(crate) fn sample_snapshot(step: u64) -> DurableSnapshot {
         DurableSnapshot {
-            step,
-            epoch: 3,
-            sample_off: 96,
-            steps_this_epoch: 3,
-            consumed_samples: step * 32,
+            progress: Progress {
+                step,
+                epoch: 3,
+                sample_off: 96,
+                steps_this_epoch: 3,
+                consumed_samples: step * 32,
+                lr_scale: 1.0,
+                loss_sum: 6.25,
+                last_lr: 0.0125,
+            },
             world: 4,
-            lr_scale_bits: 1.0f32.to_bits(),
-            loss_sum_bits: 6.25f64.to_bits(),
-            last_lr_bits: 0.0125f32.to_bits(),
             params: vec![
                 TensorRecord {
                     name: "stem/w".to_string(),
@@ -1080,38 +1188,141 @@ mod tests {
         }
     }
 
-    fn assert_snap_eq(a: &DurableSnapshot, b: &DurableSnapshot) {
-        assert_eq!(a.step, b.step);
-        assert_eq!(a.epoch, b.epoch);
-        assert_eq!(a.sample_off, b.sample_off);
-        assert_eq!(a.steps_this_epoch, b.steps_this_epoch);
-        assert_eq!(a.consumed_samples, b.consumed_samples);
-        assert_eq!(a.world, b.world);
-        assert_eq!(a.lr_scale_bits, b.lr_scale_bits);
-        assert_eq!(a.loss_sum_bits, b.loss_sum_bits);
-        assert_eq!(a.last_lr_bits, b.last_lr_bits);
-        assert_eq!(a.params.len(), b.params.len());
-        for (x, y) in a.params.iter().zip(&b.params) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.shape, y.shape);
-            assert_eq!(x.bits, y.bits);
-        }
-        assert_eq!(a.bn_running, b.bn_running);
-        assert_eq!(a.opt_state.scalars, b.opt_state.scalars);
-        assert_eq!(a.opt_state.banks, b.opt_state.banks);
-        match (&a.ema, &b.ema) {
-            (None, None) => {}
-            (Some(x), Some(y)) => assert_eq!(x, y),
-            _ => panic!("EMA presence differs"),
-        }
-        assert_eq!(a.history.len(), b.history.len());
-        for (x, y) in a.history.iter().zip(&b.history) {
-            assert_eq!(x.epoch, y.epoch);
-            assert_eq!(x.train_loss.to_bits(), y.train_loss.to_bits());
-            assert_eq!(x.lr.to_bits(), y.lr.to_bits());
-            assert_eq!(x.eval_top1.map(f64::to_bits), y.eval_top1.map(f64::to_bits));
-            assert_eq!(x.eval_top5.map(f64::to_bits), y.eval_top5.map(f64::to_bits));
-        }
+    /// `bytes` with `patch` applied to its body and the whole-file
+    /// trailer recomputed, so only the patched field can be at fault.
+    fn repatched(bytes: &[u8], patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = bytes[..bytes.len() - 4].to_vec();
+        patch(&mut body);
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    fn model(seed: u64) -> EfficientNet {
+        use ets_efficientnet::ModelConfig;
+        let mut rng = ets_tensor::Rng::new(seed);
+        EfficientNet::new(ModelConfig::tiny(16, 4), ets_nn::Precision::F32, &mut rng)
+    }
+
+    /// One train-mode forward so BN running statistics are non-trivial.
+    fn perturb_running_stats(m: &mut EfficientNet, seed: u64) {
+        let mut rng = ets_tensor::Rng::new(seed);
+        let mut x = ets_tensor::Tensor::zeros([2, 3, 16, 16]);
+        rng.fill_normal(x.data_mut(), 0.0, 1.0);
+        let _ = m.forward(&x, ets_nn::Mode::Train, &mut rng);
+    }
+
+    fn capture_model(m: &mut EfficientNet, step: u64) -> DurableSnapshot {
+        let progress = Progress {
+            step,
+            ..Progress::fresh()
+        };
+        DurableSnapshot::capture(m, &ets_optim::Sgd::new(0.9, 0.0), None, &progress, 1, &[])
+    }
+
+    fn apply_to_model(snap: &DurableSnapshot, m: &mut EfficientNet) -> Progress {
+        snap.apply(m, &mut ets_optim::Sgd::new(0.9, 0.0), &mut None)
+            .0
+    }
+
+    #[test]
+    fn capture_apply_round_trip_is_bitwise() {
+        let mut a = model(1);
+        perturb_running_stats(&mut a, 9);
+        let snap = capture_model(&mut a, 123);
+        let mut b = model(2); // different init
+        let weights = |m: &mut EfficientNet| capture_model(m, 0).params;
+        let bits = |p: Vec<TensorRecord>| p.into_iter().map(|t| t.bits).collect::<Vec<_>>();
+        assert_ne!(bits(weights(&mut a)), bits(weights(&mut b)));
+        // Through the disk format, so the file carries everything.
+        let snap = DurableSnapshot::from_bytes(&snap.to_bytes()).unwrap();
+        assert_eq!(apply_to_model(&snap, &mut b).step, 123);
+        assert_eq!(bits(weights(&mut a)), bits(weights(&mut b)));
+        // BN running stats restored too.
+        assert_eq!(
+            capture_model(&mut a, 0).bn_running,
+            capture_model(&mut b, 0).bn_running
+        );
+    }
+
+    #[test]
+    fn restored_model_produces_identical_outputs() {
+        let mut a = model(6);
+        let snap = capture_model(&mut a, 0);
+        let mut b = model(7);
+        apply_to_model(&snap, &mut b);
+        let mut rng = ets_tensor::Rng::new(0);
+        let mut x = ets_tensor::Tensor::zeros([1, 3, 16, 16]);
+        rng.fill_normal(x.data_mut(), 0.0, 1.0);
+        let mut r1 = ets_tensor::Rng::new(1);
+        let mut r2 = ets_tensor::Rng::new(1);
+        let ya = a.forward(&x, ets_nn::Mode::Eval, &mut r1);
+        let yb = b.forward(&x, ets_nn::Mode::Eval, &mut r2);
+        assert_eq!(ya.max_abs_diff(&yb), 0.0);
+    }
+
+    #[test]
+    fn on_disk_format_is_pinned() {
+        // Recorded at the commit before `Progress` was embedded: the
+        // in-memory representation may change, the file may not. (The
+        // CRC-32 of a whole file, trailer included, is the same residue
+        // for every valid file, so the pin is the body's CRC — the
+        // trailer — and the length.)
+        let bytes = sample_snapshot(7).to_bytes();
+        assert_eq!(bytes.len(), 544);
+        assert_eq!(crc32(&bytes[..bytes.len() - 4]), 0x35E6_A746);
+    }
+
+    #[test]
+    fn foreign_version_and_magic_are_typed_errors() {
+        let bytes = sample_snapshot(3).to_bytes();
+        let at_version = MAGIC.len();
+        let future = repatched(&bytes, |b| {
+            b[at_version..at_version + 4].copy_from_slice(&(CKPT_STORE_VERSION + 1).to_le_bytes())
+        });
+        assert_eq!(
+            DurableSnapshot::from_bytes(&future).unwrap_err(),
+            CkptError::BadVersion(CKPT_STORE_VERSION + 1)
+        );
+        let alien = repatched(&bytes, |b| b[0] = b'X');
+        assert_eq!(
+            DurableSnapshot::from_bytes(&alien).unwrap_err(),
+            CkptError::BadMagic
+        );
+    }
+
+    #[test]
+    fn unknown_record_loads_and_is_not_counted_corrupt() {
+        // A file from a future minor revision: one extra checksummed
+        // record. `from_bytes` verifies and skips it, so the store must
+        // load that file — not fall back to an older step because a
+        // re-encoding of the parsed snapshot is shorter than the file.
+        let at_count = MAGIC.len() + 4 + 8;
+        let extended = repatched(&sample_snapshot(2).to_bytes(), |b| {
+            let count = u32::from_le_bytes(b[at_count..at_count + 4].try_into().unwrap());
+            b[at_count..at_count + 4].copy_from_slice(&(count + 1).to_le_bytes());
+            let mut w = ByteWriter::default();
+            w.str("future");
+            w.u64(3);
+            w.bytes(b"abc");
+            w.u32(crc32(b"abc"));
+            b.extend_from_slice(&w.buf);
+        });
+        assert_eq!(
+            DurableSnapshot::from_bytes(&extended).unwrap(),
+            sample_snapshot(2)
+        );
+        let dir = scratch_dir("unknown-record");
+        let store = CkptStore::open(&dir, 4).unwrap();
+        store.save(&sample_snapshot(1)).unwrap();
+        store.save(&sample_snapshot(2)).unwrap();
+        fs::write(store.path_for(2), &extended).unwrap();
+        store.gc_and_write_manifest().unwrap();
+        assert!(store.load_step(2).is_ok());
+        let (snap, report) = store.load_latest_valid().unwrap().unwrap();
+        assert_eq!(snap.progress.step, 2);
+        assert_eq!(report.corrupt_skipped, 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1126,8 +1337,8 @@ mod tests {
         let snap = sample_snapshot(7);
         let bytes = snap.to_bytes();
         let back = DurableSnapshot::from_bytes(&bytes).unwrap();
-        assert_snap_eq(&snap, &back);
-        // Encoding is deterministic.
+        assert_eq!(snap, back);
+        // Encoding is deterministic, so the floats agree to the bit.
         assert_eq!(bytes, back.to_bytes());
     }
 
@@ -1167,7 +1378,7 @@ mod tests {
         // GC keeps the newest 3.
         assert_eq!(store.list_steps().unwrap(), vec![6, 8, 10]);
         let (snap, report) = store.load_latest_valid().unwrap().unwrap();
-        assert_eq!(snap.step, 10);
+        assert_eq!(snap.progress.step, 10);
         assert_eq!(report.corrupt_skipped, 0);
         // Manifest matches the live set (ascending step order).
         let manifest = store.read_manifest().unwrap().unwrap();
@@ -1188,7 +1399,10 @@ mod tests {
         let mut injector = CorruptionInjector::new(9);
         injector.flip_one_bit(&store.path_for(3)).unwrap();
         let (snap, report) = store.load_latest_valid().unwrap().unwrap();
-        assert_eq!(snap.step, 2, "must fall back past the corrupt newest");
+        assert_eq!(
+            snap.progress.step, 2,
+            "must fall back past the corrupt newest"
+        );
         assert_eq!(report.corrupt_skipped, 1);
         // Corrupt them all: no silent load, just None.
         injector.flip_one_bit(&store.path_for(2)).unwrap();
@@ -1205,7 +1419,10 @@ mod tests {
         fs::write(dir.join(MANIFEST), b"garbage\n").unwrap();
         assert!(store.read_manifest().is_err(), "corruption must be typed");
         let (snap, _) = store.load_latest_valid().unwrap().unwrap();
-        assert_eq!(snap.step, 5, "scan fallback must still find the file");
+        assert_eq!(
+            snap.progress.step, 5,
+            "scan fallback must still find the file"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1295,7 +1512,7 @@ mod tests {
             vec![1, 3]
         );
         let (snap, load) = store.load_latest_valid().unwrap().unwrap();
-        assert_eq!(snap.step, 3);
+        assert_eq!(snap.progress.step, 3);
         assert_eq!(load.corrupt_skipped, 0);
         let _ = fs::remove_dir_all(&dir);
     }

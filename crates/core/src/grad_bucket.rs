@@ -48,6 +48,14 @@
 //! [`CollectiveError::CorruptPayload`] carrying the attributed rank, on
 //! every rank, and the trainer quarantines through the elastic-resize
 //! path.
+//!
+//! ## One bucket exchange
+//!
+//! Retry → fingerprint → verified retry → typed error → span is one
+//! function, `BucketExchange::exchange_bucket`. The serialized
+//! [`GradBucket::all_reduce_with_retry`] calls it inline per bucket; the
+//! overlapped [`GradBucket::backward_overlapped_with_retry`] calls it on
+//! its communication thread as buckets arrive. Same bits, same counters.
 
 use crate::report::RecoveryCounters;
 use crate::timeline::{AllReduceProfile, Stopwatch};
@@ -162,17 +170,12 @@ fn fingerprint_verdict(comm: &dyn Collective, reduced: &[f32], cs_local: f64) ->
     FpVerdict::Corrupt { rank: worst }
 }
 
-/// Persistent state for the bucketized gradient exchange.
-pub struct GradBucket {
-    /// Per-parameter element counts, in `visit_params` order.
-    param_sizes: Vec<usize>,
-    /// Flat gradient buffer: all params then the loss scalar.
-    flat: Vec<f32>,
-    /// Contiguous `[start, end)` element ranges covering `flat`.
-    buckets: Vec<(usize, usize)>,
-    /// Accumulated per-bucket timing (the report's view of the recorder's
-    /// wall-bucket lane; both are fed from the same stopwatch laps).
-    profile: AllReduceProfile,
+/// How a [`GradBucket`] exchanges one bucket. Both callers — the
+/// serialized [`GradBucket::all_reduce_with_retry`] on the replica thread
+/// and [`GradBucket::backward_overlapped_with_retry`] on its communication
+/// thread — run each bucket through [`BucketExchange::exchange_bucket`],
+/// so they retry, verify, heal, fail and record identically.
+struct BucketExchange {
     /// Optional flight recorder: per-bucket wall spans on
     /// [`Lane::WallBucket`] (aux = bucket index), a `bucket_seconds`
     /// histogram, and retry counters. Disabled recorders cost one branch.
@@ -187,6 +190,136 @@ pub struct GradBucket {
     /// Bucket retries granted on a corrupt verdict before surfacing
     /// [`CollectiveError::CorruptPayload`].
     corruption_retries: u32,
+}
+
+impl BucketExchange {
+    /// Reduces bucket `i` in place and returns the wall seconds it took.
+    /// Transient collective failures are retried under the policy (the
+    /// backoff is virtual: accounted into `counters`, never slept). With
+    /// fingerprints on, the local contribution is snapshotted first, a
+    /// corrupt verdict restores it and re-runs the collective, and a
+    /// verdict past the granted retries is the typed
+    /// [`CollectiveError::CorruptPayload`]. A failed bucket records no
+    /// span.
+    fn exchange_bucket(
+        &self,
+        comm: &dyn Collective,
+        policy: &RetryPolicy,
+        i: usize,
+        slice: &mut [f32],
+        counters: &mut RecoveryCounters,
+    ) -> Result<f64, CollectiveError> {
+        let mut sw = Stopwatch::start();
+        let (snapshot, cs_local) = if self.fingerprint {
+            (slice.to_vec(), f64_sum(slice))
+        } else {
+            (Vec::new(), 0.0)
+        };
+        let mut attempts_left = self.corruption_retries;
+        let mut detected_here = 0u64;
+        let mut bucket_retries = 0u64;
+        loop {
+            let outcome = retry_collective(policy, || comm.try_all_reduce_sum(slice))?;
+            let retries = (outcome.attempts - 1) as u64;
+            counters.transient_failures += retries;
+            counters.collective_retries += retries;
+            counters.retry_backoff_virtual_s += outcome.backoff_s;
+            bucket_retries += retries;
+            if !self.fingerprint {
+                break;
+            }
+            match fingerprint_verdict(comm, slice, cs_local) {
+                FpVerdict::Clean => {
+                    if detected_here > 0 {
+                        counters.corruptions_corrected += detected_here;
+                        if let Some(rec) = &self.recorder {
+                            rec.counter_add("bucket_corruptions_corrected", detected_here);
+                        }
+                    }
+                    break;
+                }
+                FpVerdict::Corrupt { rank } => {
+                    counters.corruptions_detected += 1;
+                    detected_here += 1;
+                    if let Some(rec) = &self.recorder {
+                        rec.counter_add("bucket_corruptions_detected", 1);
+                    }
+                    if attempts_left == 0 {
+                        return Err(CollectiveError::CorruptPayload {
+                            rank,
+                            bucket: i,
+                            step: self.step,
+                        });
+                    }
+                    attempts_left -= 1;
+                    slice.copy_from_slice(&snapshot);
+                }
+            }
+        }
+        let dur = sw.lap();
+        if let Some(rec) = &self.recorder {
+            rec.wall_span_measured(
+                Lane::WallBucket,
+                obs_phase::BUCKET,
+                rec.wall_now_s() - dur,
+                dur,
+                self.step,
+                i as u64,
+            );
+            rec.histogram_observe("bucket_seconds", dur);
+            if bucket_retries > 0 {
+                rec.counter_add("bucket_retries", bucket_retries);
+            }
+        }
+        Ok(dur)
+    }
+}
+
+/// The producer's end of the overlapped exchange: the not-yet-shipped
+/// prefix of the flat buffer and the channel finished buckets leave on.
+struct Shipper<'f, 'b> {
+    buckets: &'b [(usize, usize)],
+    tx: mpsc::Sender<(usize, &'f mut [f32])>,
+    remaining: Option<&'f mut [f32]>,
+    /// Lowest shipped bucket index (buckets become ready in descending
+    /// order).
+    next_bucket: usize,
+}
+
+impl Shipper<'_, '_> {
+    /// Ships every unshipped bucket that lies wholly at or above
+    /// `boundary`, the lowest packed element; returns how many.
+    fn ship_ready(&mut self, boundary: usize) -> u64 {
+        let mut shipped = 0;
+        while self.next_bucket > 0 && self.buckets[self.next_bucket - 1].0 >= boundary {
+            let a = self.buckets[self.next_bucket - 1].0;
+            let rem = self.remaining.take().expect("flat buffer over-shipped");
+            // `tail` spans [a, previous ship point) — exactly this
+            // bucket, since ships walk down contiguously.
+            let (rest, tail) = rem.split_at_mut(a);
+            self.remaining = Some(rest);
+            let _ = self.tx.send((self.next_bucket - 1, tail));
+            self.next_bucket -= 1;
+            shipped += 1;
+        }
+        shipped
+    }
+}
+
+/// Persistent state for the bucketized gradient exchange.
+pub struct GradBucket {
+    /// Per-parameter element counts, in `visit_params` order.
+    param_sizes: Vec<usize>,
+    /// Flat gradient buffer: all params then the loss scalar.
+    flat: Vec<f32>,
+    /// Contiguous `[start, end)` element ranges covering `flat`.
+    buckets: Vec<(usize, usize)>,
+    /// Accumulated per-bucket timing (the report's view of the recorder's
+    /// wall-bucket lane; both are fed from the same stopwatch laps).
+    profile: AllReduceProfile,
+    /// Recorder, step tag and verification settings of the one bucket
+    /// exchange.
+    exchange: BucketExchange,
 }
 
 impl GradBucket {
@@ -215,10 +348,12 @@ impl GradBucket {
             flat: vec![0.0; total],
             buckets,
             profile: AllReduceProfile::new(bucket_elems),
-            recorder: None,
-            step: 0,
-            fingerprint: false,
-            corruption_retries: 1,
+            exchange: BucketExchange {
+                recorder: None,
+                step: 0,
+                fingerprint: false,
+                corruption_retries: 1,
+            },
         }
     }
 
@@ -227,20 +362,20 @@ impl GradBucket {
     /// corrupt verdict before the typed error surfaces. Bitwise-neutral
     /// on clean runs: verification only *reads* the reduced buffer.
     pub fn set_fingerprint_verify(&mut self, on: bool, bucket_retries: u32) {
-        self.fingerprint = on;
-        self.corruption_retries = bucket_retries;
+        self.exchange.fingerprint = on;
+        self.exchange.corruption_retries = bucket_retries;
     }
 
     /// Attaches a flight recorder; subsequent exchanges emit per-bucket
     /// wall spans and retry counters into it.
     pub fn attach_recorder(&mut self, rec: Arc<Recorder>) {
-        self.recorder = Some(rec);
+        self.exchange.recorder = Some(rec);
     }
 
     /// Tags future recorded bucket spans with `step` (call alongside the
     /// fault injector's step clock; has no effect on numerics).
     pub fn set_step(&mut self, step: u64) {
-        self.step = step;
+        self.exchange.step = step;
     }
 
     /// Total flattened elements (params + loss scalar).
@@ -331,89 +466,27 @@ impl GradBucket {
         );
         flat[off] = local_loss;
 
-        // Reduce bucket by bucket, timing each. Transient collective
-        // failures are retried under `policy`; the backoff is virtual
-        // (accounted into `counters`, never slept).
+        // Reduce bucket by bucket. The serialized path blocks the replica
+        // thread for the whole exchange: every bucket second is exposed.
         for (i, &(a, b)) in self.buckets.iter().enumerate() {
-            let mut sw = Stopwatch::start();
-            // Fingerprint mode snapshots the local contribution (the
-            // verified-retry restore point) and its control sum before
-            // the reduce overwrites it.
-            let (snapshot, cs_local) = if self.fingerprint {
-                (self.flat[a..b].to_vec(), f64_sum(&self.flat[a..b]))
-            } else {
-                (Vec::new(), 0.0)
-            };
-            let mut attempts_left = self.corruption_retries;
-            let mut detected_here = 0u64;
-            let mut bucket_retries = 0u64;
-            loop {
-                let flat = &mut self.flat;
-                let outcome =
-                    retry_collective(policy, || comm.try_all_reduce_sum(&mut flat[a..b]))?;
-                let retries = (outcome.attempts - 1) as u64;
-                counters.transient_failures += retries;
-                counters.collective_retries += retries;
-                counters.retry_backoff_virtual_s += outcome.backoff_s;
-                bucket_retries += retries;
-                if !self.fingerprint {
-                    break;
-                }
-                match fingerprint_verdict(comm, &self.flat[a..b], cs_local) {
-                    FpVerdict::Clean => {
-                        if detected_here > 0 {
-                            counters.corruptions_corrected += detected_here;
-                            if let Some(rec) = &self.recorder {
-                                rec.counter_add("bucket_corruptions_corrected", detected_here);
-                            }
-                        }
-                        break;
-                    }
-                    FpVerdict::Corrupt { rank } => {
-                        counters.corruptions_detected += 1;
-                        detected_here += 1;
-                        if let Some(rec) = &self.recorder {
-                            rec.counter_add("bucket_corruptions_detected", 1);
-                        }
-                        if attempts_left == 0 {
-                            return Err(CollectiveError::CorruptPayload {
-                                rank,
-                                bucket: i,
-                                step: self.step,
-                            });
-                        }
-                        attempts_left -= 1;
-                        self.flat[a..b].copy_from_slice(&snapshot);
-                    }
-                }
-            }
-            let dur = sw.lap();
+            let slice = &mut self.flat[a..b];
+            let dur = self
+                .exchange
+                .exchange_bucket(comm, policy, i, slice, counters)?;
             self.profile.bucket_seconds[i] += dur;
-            // The serialized path blocks the replica thread for the whole
-            // exchange: every bucket second is exposed.
             self.profile.exposed_seconds += dur;
-            if let Some(rec) = &self.recorder {
-                rec.wall_span_measured(
-                    Lane::WallBucket,
-                    obs_phase::BUCKET,
-                    rec.wall_now_s() - dur,
-                    dur,
-                    self.step,
-                    i as u64,
-                );
-                rec.histogram_observe("bucket_seconds", dur);
-                if bucket_retries > 0 {
-                    rec.counter_add("bucket_retries", bucket_retries);
-                }
-            }
         }
         self.profile.rounds += 1;
-        if let Some(rec) = &self.recorder {
+        if let Some(rec) = &self.exchange.recorder {
             rec.counter_add("all_reduce_rounds", 1);
         }
+        Ok(self.scatter_mean(model, comm.size()))
+    }
 
-        // Average and scatter back.
-        let inv = 1.0 / comm.size() as f32;
+    /// Averages the reduced flat buffer over `world`, writes the averaged
+    /// gradients back into `model` and returns the mean loss.
+    fn scatter_mean(&self, model: &mut dyn Layer, world: usize) -> f32 {
+        let inv = 1.0 / world as f32;
         let mut off = 0usize;
         let flat = &self.flat;
         model.visit_params(&mut |p| {
@@ -423,7 +496,7 @@ impl GradBucket {
             }
             off += n;
         });
-        Ok(self.flat[off] * inv)
+        flat[off] * inv
     }
 
     /// Fused backward + overlapped gradient exchange: runs `model`'s
@@ -462,235 +535,110 @@ impl GradBucket {
         policy: &RetryPolicy,
         counters: &mut RecoveryCounters,
     ) -> Result<OverlapOutcome, CollectiveError> {
-        let total = self.flat.len();
-        let loss_off = total - 1;
+        let loss_off = self.flat.len() - 1;
         self.flat[loss_off] = local_loss;
 
         let buckets = &self.buckets;
-        let n_buckets = buckets.len();
         let param_sizes = &self.param_sizes;
-        let recorder = self.recorder.clone();
-        let step = self.step;
-        let fingerprint = self.fingerprint;
-        let corruption_retries = self.corruption_retries;
-
-        struct CommStats {
-            /// (bucket index, seconds) in completion order.
-            bucket_seconds: Vec<(usize, f64)>,
-            retries: u64,
-            backoff_s: f64,
-            corruptions_detected: u64,
-            corruptions_corrected: u64,
-            error: Option<CollectiveError>,
-        }
+        let exchange = &self.exchange;
 
         let mut sw = Stopwatch::start();
-        let (input_grad, backward_s, exposed_s, hook_shipped, stats) = std::thread::scope(|s| {
-            let (tx, rx) = mpsc::channel::<(usize, &mut [f32])>();
-            let rec_comm = recorder.clone();
-            let comm_join = s.spawn(move || {
-                let mut stats = CommStats {
-                    bucket_seconds: Vec::with_capacity(n_buckets),
-                    retries: 0,
-                    backoff_s: 0.0,
-                    corruptions_detected: 0,
-                    corruptions_corrected: 0,
-                    error: None,
-                };
-                for (i, slice) in rx {
-                    let (snapshot, cs_local) = if fingerprint {
-                        (slice.to_vec(), f64_sum(slice))
-                    } else {
-                        (Vec::new(), 0.0)
-                    };
-                    let mut bsw = Stopwatch::start();
-                    let mut attempts_left = corruption_retries;
-                    let mut detected_here = 0u64;
-                    let mut bucket_retries = 0u64;
-                    // Same detect → verified-retry → typed-error cycle as
-                    // the serialized path, on the communication thread.
-                    let outcome: Result<(), CollectiveError> = loop {
-                        match retry_collective(policy, || comm.try_all_reduce_sum(slice)) {
-                            Ok(o) => {
-                                let retries = (o.attempts - 1) as u64;
-                                stats.retries += retries;
-                                stats.backoff_s += o.backoff_s;
-                                bucket_retries += retries;
-                            }
-                            Err(e) => break Err(e),
-                        }
-                        if !fingerprint {
-                            break Ok(());
-                        }
-                        match fingerprint_verdict(comm, slice, cs_local) {
-                            FpVerdict::Clean => {
-                                if detected_here > 0 {
-                                    stats.corruptions_corrected += detected_here;
-                                    if let Some(rec) = &rec_comm {
-                                        rec.counter_add(
-                                            "bucket_corruptions_corrected",
-                                            detected_here,
-                                        );
-                                    }
-                                }
-                                break Ok(());
-                            }
-                            FpVerdict::Corrupt { rank } => {
-                                stats.corruptions_detected += 1;
-                                detected_here += 1;
-                                if let Some(rec) = &rec_comm {
-                                    rec.counter_add("bucket_corruptions_detected", 1);
-                                }
-                                if attempts_left == 0 {
-                                    break Err(CollectiveError::CorruptPayload {
-                                        rank,
-                                        bucket: i,
-                                        step,
-                                    });
-                                }
-                                attempts_left -= 1;
-                                slice.copy_from_slice(&snapshot);
-                            }
-                        }
-                    };
-                    match outcome {
-                        Ok(()) => {
-                            let dur = bsw.lap();
-                            stats.bucket_seconds.push((i, dur));
-                            if let Some(rec) = &rec_comm {
-                                rec.wall_span_measured(
-                                    Lane::WallBucket,
-                                    obs_phase::BUCKET,
-                                    rec.wall_now_s() - dur,
-                                    dur,
-                                    step,
-                                    i as u64,
-                                );
-                                rec.histogram_observe("bucket_seconds", dur);
-                                if bucket_retries > 0 {
-                                    rec.counter_add("bucket_retries", bucket_retries);
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // Dropping `rx` makes the producer's remaining
-                            // sends fail harmlessly; backward still
-                            // completes before the error surfaces.
-                            stats.error = Some(e);
-                            break;
-                        }
-                    }
-                }
-                stats
-            });
+        let (input_grad, backward_s, exposed_s, hook_shipped, exchanged) =
+            std::thread::scope(|s| {
+                let (tx, rx) = mpsc::channel::<(usize, &mut [f32])>();
+                // The communication thread: the same per-bucket exchange as
+                // the serialized path, in arrival order; `(bucket, seconds)`
+                // in completion order. The first error drops `rx`, so the
+                // producer's remaining sends fail harmlessly and backward
+                // still completes before the error surfaces.
+                let comm_join = s.spawn(move || {
+                    rx.into_iter()
+                        .map(|(i, slice)| {
+                            let dur = exchange.exchange_bucket(comm, policy, i, slice, counters)?;
+                            Ok((i, dur))
+                        })
+                        .collect::<Result<Vec<(usize, f64)>, CollectiveError>>()
+                });
 
-            // `remaining` owns the not-yet-shipped prefix of the flat
-            // buffer; `boundary` marks the lowest packed element (the
-            // loss scalar is packed up front), `param_end` the lowest
-            // packed parameter index, `next_bucket` the lowest shipped
-            // bucket index. All three walk downward together.
-            let flat = &mut self.flat;
-            let mut remaining = Some(&mut flat[..]);
-            let mut boundary = loss_off;
-            let mut param_end = param_sizes.len();
-            let mut next_bucket = n_buckets;
-            // A bucket holding only the loss scalar (bucket size divides
-            // the gradient count exactly) is ready before backward starts.
-            while next_bucket > 0 && buckets[next_bucket - 1].0 >= boundary {
-                let a = buckets[next_bucket - 1].0;
-                let rem = remaining.take().expect("flat buffer over-shipped");
-                let (rest, tail) = rem.split_at_mut(a);
-                remaining = Some(rest);
-                let _ = tx.send((next_bucket - 1, tail));
-                next_bucket -= 1;
-            }
-            let mut seg_sizes: Vec<usize> = Vec::new();
-            let mut hook_shipped = 0u64;
-            let input_grad = model.backward_hooked(dlogits, &mut |seg| {
-                seg_sizes.clear();
-                seg.visit_params(&mut |p| seg_sizes.push(p.grad.numel()));
-                if seg_sizes.is_empty() {
-                    return;
-                }
-                let seg_elems: usize = seg_sizes.iter().sum();
-                assert!(
-                    param_end >= seg_sizes.len() && boundary >= seg_elems,
-                    "hooked segment overruns the registered parameter list"
+                // `boundary` marks the lowest packed element (the loss scalar
+                // is packed up front), `param_end` the lowest packed parameter
+                // index; both walk downward with the shipper's `next_bucket`.
+                let mut shipper = Shipper {
+                    buckets,
+                    tx,
+                    remaining: Some(&mut self.flat[..]),
+                    next_bucket: buckets.len(),
+                };
+                let mut boundary = loss_off;
+                let mut param_end = param_sizes.len();
+                // A bucket holding only the loss scalar (bucket size divides
+                // the gradient count exactly) is ready before backward starts.
+                shipper.ship_ready(boundary);
+                let mut seg_sizes: Vec<usize> = Vec::new();
+                let mut hook_shipped = 0u64;
+                let input_grad = model.backward_hooked(dlogits, &mut |seg| {
+                    seg_sizes.clear();
+                    seg.visit_params(&mut |p| seg_sizes.push(p.grad.numel()));
+                    if seg_sizes.is_empty() {
+                        return;
+                    }
+                    let seg_elems: usize = seg_sizes.iter().sum();
+                    assert!(
+                        param_end >= seg_sizes.len() && boundary >= seg_elems,
+                        "hooked segment overruns the registered parameter list"
+                    );
+                    assert_eq!(
+                        &param_sizes[param_end - seg_sizes.len()..param_end],
+                        &seg_sizes[..],
+                        "hooked segment does not match GradBucket registration"
+                    );
+                    let start = boundary - seg_elems;
+                    let rem = shipper
+                        .remaining
+                        .as_deref_mut()
+                        .expect("flat buffer over-shipped");
+                    let mut off = start;
+                    seg.visit_params(&mut |p| {
+                        let n = p.grad.numel();
+                        rem[off..off + n].copy_from_slice(p.grad.data());
+                        off += n;
+                    });
+                    boundary = start;
+                    param_end -= seg_sizes.len();
+                    hook_shipped += shipper.ship_ready(boundary);
+                });
+                assert_eq!(
+                    param_end, 0,
+                    "backward_hooked finished without announcing every parameter"
                 );
                 assert_eq!(
-                    &param_sizes[param_end - seg_sizes.len()..param_end],
-                    &seg_sizes[..],
-                    "hooked segment does not match GradBucket registration"
+                    shipper.next_bucket, 0,
+                    "backward finished with buckets unshipped"
                 );
-                let start = boundary - seg_elems;
-                let rem = remaining.as_deref_mut().expect("flat buffer over-shipped");
-                let mut off = start;
-                seg.visit_params(&mut |p| {
-                    let n = p.grad.numel();
-                    rem[off..off + n].copy_from_slice(p.grad.data());
-                    off += n;
-                });
-                boundary = start;
-                param_end -= seg_sizes.len();
-                while next_bucket > 0 && buckets[next_bucket - 1].0 >= boundary {
-                    let a = buckets[next_bucket - 1].0;
-                    let rem = remaining.take().expect("flat buffer over-shipped");
-                    let (rest, tail) = rem.split_at_mut(a);
-                    remaining = Some(rest);
-                    // `tail` spans [a, previous ship point) — exactly
-                    // this bucket, since ships walk down contiguously.
-                    let _ = tx.send((next_bucket - 1, tail));
-                    next_bucket -= 1;
-                    hook_shipped += 1;
-                }
+                // Hanging up ends the communication thread's loop.
+                drop(shipper);
+                let backward_s = sw.lap();
+                let exchanged = comm_join
+                    .join()
+                    .expect("overlap communication thread panicked");
+                let exposed_s = sw.lap();
+                (input_grad, backward_s, exposed_s, hook_shipped, exchanged)
             });
-            assert_eq!(
-                param_end, 0,
-                "backward_hooked finished without announcing every parameter"
-            );
-            assert_eq!(next_bucket, 0, "backward finished with buckets unshipped");
-            drop(tx);
-            let backward_s = sw.lap();
-            let stats = comm_join
-                .join()
-                .expect("overlap communication thread panicked");
-            let exposed_s = sw.lap();
-            (input_grad, backward_s, exposed_s, hook_shipped, stats)
-        });
 
-        counters.transient_failures += stats.retries;
-        counters.collective_retries += stats.retries;
-        counters.retry_backoff_virtual_s += stats.backoff_s;
-        counters.corruptions_detected += stats.corruptions_detected;
-        counters.corruptions_corrected += stats.corruptions_corrected;
-        if let Some(e) = stats.error {
-            return Err(e);
-        }
-        for (i, dur) in stats.bucket_seconds {
+        for (i, dur) in exchanged? {
             self.profile.bucket_seconds[i] += dur;
         }
         self.profile.exposed_seconds += exposed_s;
         self.profile.rounds += 1;
         self.profile.overlapped_rounds += 1;
         self.profile.hook_shipped_buckets += hook_shipped;
-        if let Some(rec) = &self.recorder {
+        if let Some(rec) = &self.exchange.recorder {
             rec.counter_add("all_reduce_rounds", 1);
             rec.counter_add("all_reduce_overlapped_rounds", 1);
         }
 
-        // Average and scatter back — identical to the serialized path.
-        let inv = 1.0 / comm.size() as f32;
-        let mut off = 0usize;
-        let flat = &self.flat;
-        model.visit_params(&mut |p| {
-            let n = p.grad.numel();
-            for (g, &s) in p.grad.data_mut().iter_mut().zip(&flat[off..off + n]) {
-                *g = s * inv;
-            }
-            off += n;
-        });
         Ok(OverlapOutcome {
-            mean_loss: self.flat[loss_off] * inv,
+            mean_loss: self.scatter_mean(model, comm.size()),
             input_grad,
             backward_s,
             exposed_s,
@@ -765,21 +713,44 @@ mod tests {
         out
     }
 
-    /// One deterministic forward + backward + gradient exchange on `c`,
-    /// returning (grad bits, loss bits, input-grad bits). `overlapped`
-    /// selects the fused backward+exchange path; `delay_ms` staggers this
-    /// rank's start; `bucket_elems == 0` means "exactly the parameter
-    /// count", which leaves a loss-only tail bucket that is ready before
-    /// backward even starts.
+    /// What one rank reports from `exchange_bits`: grad bits, loss bits,
+    /// input-grad bits, and what the exchange cost in recovery.
+    type ExchangeBits = (Vec<u32>, u32, Vec<u32>, RecoveryCounters);
+
+    /// One deterministic forward + backward + gradient exchange on `c`.
+    /// `overlapped` selects the fused backward+exchange path; `delay_ms`
+    /// staggers this rank's start; `bucket_elems == 0` means "exactly the
+    /// parameter count", which leaves a loss-only tail bucket that is
+    /// ready before backward even starts. `fingerprint` turns bucket
+    /// verification on *and* corrupts rank 1's copy of the first bucket
+    /// it reduces, so the exchange has a flip to detect and heal.
     fn exchange_bits(
         c: Box<dyn Collective>,
         bucket_elems: usize,
         overlapped: bool,
         delay_ms: u64,
-    ) -> (Vec<u32>, u32, Vec<u32>) {
+        fingerprint: bool,
+    ) -> ExchangeBits {
+        use ets_collective::{FaultEvent, FaultKind, FaultPlan, FaultyCollective};
         if delay_ms > 0 {
             thread::sleep(std::time::Duration::from_millis(delay_ms));
         }
+        let flip = FaultEvent {
+            at_s: 0.0,
+            duration_s: 0.0,
+            kind: FaultKind::PayloadBitFlip {
+                rank: 1,
+                at_step: 0,
+                element: 0,
+                bit: 30,
+            },
+        };
+        let plan = FaultPlan {
+            events: if fingerprint { vec![flip] } else { Vec::new() },
+            ..FaultPlan::default()
+        };
+        let c = FaultyCollective::new(c, Arc::new(plan.compile(1)));
+        c.set_step(0);
         let mut m = tiny_model(7);
         let bucket_elems = if bucket_elems == 0 {
             let mut n = 0usize;
@@ -797,8 +768,20 @@ mod tests {
         let labels = [c.rank() % 4, (c.rank() + 1) % 4];
         let out = ets_nn::cross_entropy(&y, &labels, 0.1);
         let mut gb = GradBucket::with_bucket_elems(&mut m, bucket_elems);
+        gb.set_fingerprint_verify(fingerprint, 1);
+        let policy = RetryPolicy::default();
+        let mut counters = RecoveryCounters::default();
         let (loss, dx) = if overlapped {
-            let o = gb.backward_overlapped(&mut m, &out.dlogits, c.as_ref(), out.loss);
+            let o = gb
+                .backward_overlapped_with_retry(
+                    &mut m,
+                    &out.dlogits,
+                    &c,
+                    out.loss,
+                    &policy,
+                    &mut counters,
+                )
+                .expect("overlapped exchange heals");
             let p = gb.profile();
             assert_eq!(p.overlapped_rounds, 1);
             assert_eq!(p.rounds, 1);
@@ -808,12 +791,16 @@ mod tests {
             (o.mean_loss, o.input_grad)
         } else {
             let dx = m.backward(&out.dlogits);
-            (gb.all_reduce(&mut m, c.as_ref(), out.loss), dx)
+            let loss = gb
+                .all_reduce_with_retry(&mut m, &c, out.loss, &policy, &mut counters)
+                .expect("serialized exchange heals");
+            (loss, dx)
         };
         (
             grads_of(&mut m).iter().map(|v| v.to_bits()).collect(),
             loss.to_bits(),
             dx.data().iter().map(|v| v.to_bits()).collect(),
+            counters,
         )
     }
 
@@ -823,13 +810,16 @@ mod tests {
         bucket_elems: usize,
         overlapped: bool,
         delays: [u64; 2],
-    ) -> Vec<(Vec<u32>, u32, Vec<u32>)> {
+        fingerprint: bool,
+    ) -> Vec<ExchangeBits> {
         let world = create_collective(Backend::Tree, 2);
         let joins: Vec<_> = world
             .into_iter()
             .map(|c| {
                 let delay = delays[c.rank()];
-                thread::spawn(move || exchange_bits(c, bucket_elems, overlapped, delay))
+                thread::spawn(move || {
+                    exchange_bits(c, bucket_elems, overlapped, delay, fingerprint)
+                })
             })
             .collect();
         joins.into_iter().map(|j| j.join().unwrap()).collect()
@@ -841,14 +831,36 @@ mod tests {
         // backward + serialized all-reduce bit for bit — averaged
         // gradients, mean loss, and input gradient — at any bucket size,
         // including a layout whose tail bucket holds only the loss scalar.
-        for bucket_elems in [64usize, 0, 1 << 20] {
-            let serial = two_rank_exchange(bucket_elems, false, [0, 0]);
-            let overlap = two_rank_exchange(bucket_elems, true, [0, 0]);
-            assert_eq!(serial, overlap, "bucket_elems={bucket_elems}");
-            // Averaged gradients and mean loss agree across ranks (the
-            // input gradient is per-rank: inputs differ).
-            assert_eq!(serial[0].0, serial[1].0, "ranks must agree bitwise");
-            assert_eq!(serial[0].1, serial[1].1, "ranks must agree on loss");
+        // With fingerprints on, one rank's payload is flipped: both
+        // callers of `exchange_bucket` must heal it to the clean bits and
+        // account it identically.
+        let clean = two_rank_exchange(64, false, [0, 0], false);
+        for fingerprint in [false, true] {
+            for bucket_elems in [64usize, 0, 1 << 20] {
+                let what = format!("bucket_elems={bucket_elems} fingerprint={fingerprint}");
+                let serial = two_rank_exchange(bucket_elems, false, [0, 0], fingerprint);
+                let overlap = two_rank_exchange(bucket_elems, true, [0, 0], fingerprint);
+                assert_eq!(serial, overlap, "{what}");
+                // Averaged gradients and mean loss agree across ranks (the
+                // input gradient is per-rank: inputs differ).
+                assert_eq!(serial[0].0, serial[1].0, "{what}: ranks must agree bitwise");
+                assert_eq!(serial[0].1, serial[1].1, "{what}: ranks must agree on loss");
+                // Tree reduction is element-wise, so neither the bucket
+                // layout nor a healed flip moves a bit.
+                for (got, want) in serial.iter().zip(&clean) {
+                    assert_eq!(got.0, want.0, "{what}");
+                    assert_eq!(got.1, want.1, "{what}");
+                }
+                let healed = fingerprint as u64;
+                for (_, _, _, counters) in &serial {
+                    let want = RecoveryCounters {
+                        corruptions_detected: healed,
+                        corruptions_corrected: healed,
+                        ..RecoveryCounters::default()
+                    };
+                    assert_eq!(*counters, want, "{what}");
+                }
+            }
         }
     }
 
@@ -859,8 +871,8 @@ mod tests {
         // can rendezvous. The exchange must not deadlock, lose a bucket,
         // or double-deposit: results stay bitwise equal to the
         // unstaggered serialized exchange.
-        let baseline = two_rank_exchange(64, false, [0, 0]);
-        let staggered = two_rank_exchange(64, true, [0, 50]);
+        let baseline = two_rank_exchange(64, false, [0, 0], false);
+        let staggered = two_rank_exchange(64, true, [0, 50], false);
         assert_eq!(baseline, staggered);
     }
 

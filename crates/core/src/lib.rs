@@ -10,7 +10,6 @@
 //! Entry point: [`train`] on an [`Experiment`].
 
 pub mod bn_sync;
-pub mod checkpoint;
 pub mod ckpt_store;
 pub mod experiment;
 pub mod grad_bucket;
@@ -20,13 +19,9 @@ pub mod timeline;
 pub mod trainer;
 
 pub use bn_sync::GroupStatSync;
-pub use checkpoint::{
-    broadcast as broadcast_checkpoint, restore as restore_checkpoint, save as save_checkpoint,
-    Checkpoint,
-};
 pub use ckpt_store::{
     crc32, CkptError, CkptStore, CorruptionInjector, DurableSnapshot, LoadReport, ManifestEntry,
-    ScrubReport, CKPT_STORE_VERSION,
+    Progress, ScrubReport, TensorRecord, CKPT_STORE_VERSION,
 };
 pub use experiment::{CorruptionPolicy, DecayChoice, Experiment, OptimizerChoice};
 pub use grad_bucket::{GradBucket, DEFAULT_BUCKET_ELEMS};

@@ -17,31 +17,32 @@
 //! - **Large-batch recipe** (§3.1/§3.2): LARS or RMSProp with linear LR
 //!   scaling, warmup, and the paper's decay schedules.
 //! - **Mixed precision** (§3.5): optional bf16 conv path.
-//! - **Fault injection & recovery**: when the experiment carries a
-//!   non-empty [`ets_collective::FaultPlan`], the world collective is
-//!   wrapped in a [`FaultyCollective`], transient collective failures are
-//!   absorbed by bounded retry with virtual backoff, replica preemptions
-//!   trigger checkpoint-based rewind-and-replay, and timing faults
-//!   (stragglers, degraded links) stretch a deterministic virtual
-//!   [`StepTimeline`] without perturbing a single payload bit. Recovery
-//!   activity is accounted in [`RecoveryCounters`] on the report.
-//! - **Elastic world resizing**: a `FaultKind::PermanentLoss` shrinks the
-//!   world instead of rewinding it. Training proceeds in *phases*, each a
-//!   fixed world size; at a loss step the surviving ranks drain in-flight
-//!   work, persist a durable checkpoint ([`crate::ckpt_store`]), and the
-//!   run rebuilds collectives, BN groups, data shards, and the linearly
-//!   rescaled LR schedule for the smaller world, resuming from the exact
-//!   sample offset the old world reached — every sample is still seen
-//!   exactly once per epoch. Progress is therefore tracked in *samples*
-//!   ([`Progress`]), not steps.
-//! - **Divergence guard** (`Experiment::nan_guard`): each step's reduced
-//!   loss and bucketized gradients are checked for non-finite values; a
-//!   trip rolls every rank back to the latest durable checkpoint with the
-//!   LR halved instead of letting a NaN poison the weights.
+//! - **Fault injection & recovery**: a non-empty
+//!   [`ets_collective::FaultPlan`] wraps the world collective in a
+//!   [`FaultyCollective`]. Transient collective failures are absorbed by
+//!   bounded retry with virtual backoff inside the bucket exchange, and
+//!   timing faults stretch a deterministic virtual [`StepTimeline`]
+//!   without perturbing a payload bit. Everything else is a *restore*,
+//!   and every restore is one function, `Replica::rewind`, applying the
+//!   one snapshot type ([`DurableSnapshot`]). Its four callers differ only
+//!   in what they load and what they charge: a **preemption** rewinds to
+//!   the in-memory anchor (snapshot + RNG streams) and replays bit-exactly;
+//!   the **divergence guard** (`Experiment::nan_guard`) rolls non-finite
+//!   loss or gradients back to the last durable checkpoint before the
+//!   step, LR halved; a **quarantine** (unhealable payload corruption)
+//!   does the same and drains the phase; a **resume** loads the drained
+//!   world's checkpoint into a smaller one. Activity is accounted in
+//!   [`RecoveryCounters`] on the report.
+//! - **Elastic world resizing**: training proceeds in *phases*, each a
+//!   fixed world. At a `FaultKind::PermanentLoss` step (or a quarantine)
+//!   the ranks drain, persist a durable checkpoint
+//!   ([`crate::ckpt_store`]), and the run rebuilds collectives, BN groups,
+//!   data shards and the LR schedule for the survivors, resuming at the
+//!   exact sample offset — every sample is still seen exactly once per
+//!   epoch, so progress is tracked in *samples* ([`Progress`]).
 
 use crate::bn_sync::GroupStatSync;
-use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
-use crate::ckpt_store::{CkptStore, DurableSnapshot};
+use crate::ckpt_store::{CkptStore, DurableSnapshot, Progress};
 use crate::experiment::{DecayChoice, Experiment, OptimizerChoice};
 use crate::grad_bucket::GradBucket;
 use crate::report::{checksum_f32, EpochRecord, RecoveryCounters, TrainReport};
@@ -54,8 +55,8 @@ use ets_efficientnet::EfficientNet;
 use ets_nn::{cross_entropy, zero_grads, Ema, EvalCounts, Layer, Mode};
 use ets_obs::{phase as obs_ph, Lane, Recorder};
 use ets_optim::{
-    Constant, CosineDecay, ExponentialDecay, Lamb, Lars, LrSchedule, Optimizer, OptimizerState,
-    PolynomialDecay, RmsProp, Sgd, Shifted, Sm3, Warmup,
+    Constant, CosineDecay, ExponentialDecay, Lamb, Lars, LrSchedule, Optimizer, PolynomialDecay,
+    RmsProp, Sgd, Shifted, Sm3, Warmup,
 };
 use ets_tensor::Rng;
 use std::collections::VecDeque;
@@ -215,126 +216,30 @@ impl WorldComm {
     }
 }
 
-/// Sample-granular training progress. Steps are not a stable clock once
-/// the world can resize (a smaller world takes more, smaller steps per
-/// epoch), so epochs and LR schedules key off *samples consumed*:
-/// `consumed_samples / global_batch` is the effective schedule step, and
-/// `sample_off` addresses the epoch permutation directly so a resized
-/// world resumes mid-epoch without skipping or repeating a sample.
-#[derive(Clone, Copy, Debug)]
-struct Progress {
-    /// Global optimizer step counter (monotonic across resizes).
-    step: u64,
-    /// 1-based epoch in progress.
-    epoch: u64,
-    /// Samples consumed within the current epoch (offset into the epoch
-    /// permutation).
-    sample_off: u64,
-    /// Optimizer steps taken within the current epoch.
-    steps_this_epoch: u64,
-    /// Samples consumed since step 0.
-    consumed_samples: u64,
-    /// Divergence-guard LR multiplier (1.0 until a rollback halves it).
-    lr_scale: f32,
-    /// Running loss sum for the current epoch.
-    loss_sum: f64,
-    /// Last applied learning rate.
-    last_lr: f32,
-}
-
-impl Progress {
-    fn fresh() -> Self {
-        Progress {
-            step: 0,
-            epoch: 1,
-            sample_off: 0,
-            steps_this_epoch: 0,
-            consumed_samples: 0,
-            lr_scale: 1.0,
-            loss_sum: 0.0,
-            last_lr: 0.0,
-        }
-    }
-}
-
-/// Captures the full durable state of a replica (identical on every rank)
-/// into the on-disk snapshot format.
-fn capture_durable(
-    model: &mut EfficientNet,
-    optimizer: &dyn Optimizer,
-    ema: &Option<Ema>,
-    prog: &Progress,
-    world: usize,
-    history: &[EpochRecord],
-) -> DurableSnapshot {
-    let ckpt = crate::checkpoint::save(model, prog.step);
-    DurableSnapshot {
-        step: prog.step,
-        epoch: prog.epoch,
-        sample_off: prog.sample_off,
-        steps_this_epoch: prog.steps_this_epoch,
-        consumed_samples: prog.consumed_samples,
-        world: world as u64,
-        lr_scale_bits: prog.lr_scale.to_bits(),
-        loss_sum_bits: prog.loss_sum.to_bits(),
-        last_lr_bits: prog.last_lr.to_bits(),
-        params: ckpt.params,
-        bn_running: ckpt.bn_running,
-        opt_state: optimizer.export_state(),
-        ema: ema.as_ref().map(|e| e.export_state()),
-        history: history.to_vec(),
-    }
-}
-
-/// Restores a durable snapshot into a structurally-identical replica,
-/// returning the captured progress and epoch history.
-fn apply_durable(
-    snap: &DurableSnapshot,
-    model: &mut EfficientNet,
-    optimizer: &mut dyn Optimizer,
-    ema: &mut Option<Ema>,
-) -> (Progress, Vec<EpochRecord>) {
-    let ckpt = Checkpoint {
-        version: CHECKPOINT_VERSION,
-        step: snap.step,
-        params: snap.params.clone(),
-        bn_running: snap.bn_running.clone(),
-    };
-    crate::checkpoint::restore(model, &ckpt);
-    optimizer.import_state(&snap.opt_state, model);
-    match (ema.as_mut(), snap.ema.as_ref()) {
-        (Some(e), Some(state)) => e.import_state(state),
-        (None, None) => {}
-        _ => panic!("EMA configuration changed between checkpoint and restore"),
-    }
-    (
-        Progress {
-            step: snap.step,
-            epoch: snap.epoch,
-            sample_off: snap.sample_off,
-            steps_this_epoch: snap.steps_this_epoch,
-            consumed_samples: snap.consumed_samples,
-            lr_scale: snap.lr_scale(),
-            loss_sum: snap.loss_sum(),
-            last_lr: snap.last_lr(),
-        },
-        snap.history.clone(),
-    )
-}
-
-/// Everything a replica needs to rewind to a checkpointed step bit-exactly:
-/// model weights + BN running stats (via the checkpoint layer), optimizer
-/// slots, EMA shadow weights, both RNG streams, and the in-flight epoch
-/// accounting. Restoring this and replaying reproduces the uninterrupted
-/// trajectory byte for byte.
-struct ReplicaSnapshot {
-    prog: Progress,
-    ckpt: Checkpoint,
-    opt_state: OptimizerState,
-    ema: Option<Ema>,
+/// What a preemption rewinds to: the one snapshot type plus the two
+/// replica-local RNG streams, so the replay reproduces the uninterrupted
+/// trajectory byte for byte (a durable restore continues on the live
+/// streams instead).
+struct RewindAnchor {
+    state: DurableSnapshot,
     data_rng: Rng,
     layer_rng: Rng,
-    history: Vec<EpochRecord>,
+}
+
+/// Recovery accounting that outlives a phase: `train` hands the last
+/// phase's to every replica of the next world.
+#[derive(Clone)]
+struct Carry {
+    counters: RecoveryCounters,
+    timeline: StepTimeline,
+    /// Virtual-clock cursor for trace spans. The timeline models the
+    /// final trajectory (replayed steps overwrite); the cursor advances
+    /// monotonically through replays, restarts and resizes, so a rewind
+    /// shows as repeated step names on a monotone clock.
+    vnow: f64,
+    /// Global step the phase stopped at (identical on all ranks; 0 before
+    /// the first phase).
+    step: u64,
 }
 
 /// Per-replica, per-phase worker result.
@@ -343,10 +248,7 @@ struct PhaseOutcome {
     history: Vec<EpochRecord>,
     phases: PhaseBreakdown,
     buckets: AllReduceProfile,
-    counters: RecoveryCounters,
-    timeline: StepTimeline,
-    /// Global step at which the phase stopped (identical on all ranks).
-    step: u64,
+    carry: Carry,
     /// True when training completed; false when the phase drained for a
     /// world resize.
     done: bool,
@@ -355,11 +257,6 @@ struct PhaseOutcome {
     /// nonzero value means the phase already rolled back to the last
     /// durable checkpoint before the poisoned step.
     quarantined: u64,
-    /// Virtual-clock cursor at phase end. Unlike the timeline (which
-    /// overwrites replayed steps), the cursor advances monotonically
-    /// through replays, restarts, and resizes, so the next phase's trace
-    /// spans continue where this phase's stopped.
-    vnow_end: f64,
 }
 
 /// Merges a phase's bucket profile into the run accumulator. The bucket
@@ -455,8 +352,6 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         exp.resolution,
         exp.data_noise,
     );
-    let train_set = Arc::new(train_set);
-    let eval_set = Arc::new(eval_set);
 
     // Compile the experiment's fault plan against the *nominal* step grid
     // (initial world). The global step counter keeps counting through
@@ -511,11 +406,14 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
     let backend = exp.collective_backend;
     let mut world = exp.replicas;
     let mut phase_idx = 0u64;
-    let mut carry_counters = RecoveryCounters::default();
-    let mut carry_timeline = StepTimeline::new(faults.step_seconds());
+    let mut carry = Carry {
+        counters: RecoveryCounters::default(),
+        timeline: StepTimeline::new(faults.step_seconds()),
+        vnow: 0.0,
+        step: 0,
+    };
     let mut carry_phases = PhaseBreakdown::default();
     let mut carry_buckets = AllReduceProfile::default();
-    let mut carry_vnow = 0.0f64;
     let history;
     let checksum0;
     let final_step;
@@ -541,21 +439,22 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
             }
         }
 
-        let resume = phase_idx > 0;
+        let env = PhaseEnv {
+            view: &view,
+            faults: &faults,
+            train_set: &train_set,
+            eval_set: &eval_set,
+            store: store.as_deref(),
+            phase_idx,
+            stop_at,
+        };
         let results: Vec<PhaseOutcome> = std::thread::scope(|scope| {
             let joins: Vec<_> = world_comms
                 .into_iter()
                 .zip(bn_comms)
                 .enumerate()
                 .map(|(r, (world_comm, bn_comm))| {
-                    let train_set = Arc::clone(&train_set);
-                    let eval_set = Arc::clone(&eval_set);
-                    let view = view.clone();
-                    let faults = Arc::clone(&faults);
-                    let store = store.clone();
-                    let counters0 = carry_counters;
-                    let timeline0 = carry_timeline.clone();
-                    let vnow0 = carry_vnow;
+                    let (env, carry) = (&env, carry.clone());
                     // Surviving ranks keep their original recorders: rank r
                     // of the shrunken world is survivor r of the old one.
                     let rec = Arc::clone(&recorders[r]);
@@ -566,25 +465,7 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
                         fc.attach_recorder(Arc::clone(&rec));
                         WorldComm::Faulty(fc)
                     };
-                    scope.spawn(move || {
-                        run_replica_phase(
-                            &view,
-                            r,
-                            comm,
-                            bn_comm,
-                            &faults,
-                            &train_set,
-                            &eval_set,
-                            phase_idx,
-                            stop_at,
-                            store.as_deref(),
-                            resume,
-                            counters0,
-                            timeline0,
-                            rec,
-                            vnow0,
-                        )
-                    })
+                    scope.spawn(move || Replica::new(env, r, comm, bn_comm, rec, carry).run())
                 })
                 .collect();
             joins
@@ -602,11 +483,11 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
             // same injections, retries, preemptions, durable checkpoints,
             // and rollbacks, or the run only survived by luck.
             assert_eq!(
-                res.counters, results[0].counters,
+                res.carry.counters, results[0].carry.counters,
                 "replica {r} recovery counters diverged — asymmetric fault handling"
             );
             assert_eq!(
-                res.step, results[0].step,
+                res.carry.step, results[0].carry.step,
                 "replica {r} stopped at a different step — drain bug"
             );
         }
@@ -626,17 +507,15 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
             }
         }
 
-        carry_counters = results[0].counters;
         carry_phases.merge(&results[0].phases);
         merge_profiles(&mut carry_buckets, &results[0].buckets);
         let res0 = results.into_iter().next().expect("at least one replica");
-        carry_timeline = res0.timeline;
-        carry_vnow = res0.vnow_end;
+        carry = res0.carry;
 
         if res0.done {
             history = res0.history;
             checksum0 = res0.checksum;
-            final_step = res0.step;
+            final_step = carry.step;
             break;
         }
 
@@ -649,20 +528,20 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         // boundary (those sit at later steps and stay valid, because the
         // quarantined phase stopped strictly before its boundary).
         let (bstep, k) = if res0.quarantined > 0 {
-            (res0.step, res0.quarantined as usize)
+            (carry.step, res0.quarantined as usize)
         } else {
             let (bstep, k) = boundaries.pop_front().expect("drained without a boundary");
-            debug_assert_eq!(bstep, res0.step, "phase stopped at the wrong boundary");
+            debug_assert_eq!(bstep, carry.step, "phase stopped at the wrong boundary");
             (bstep, k)
         };
         let lost = k.min(world - 1);
         let new_world = world - lost;
         let resize_s =
             faults.resize_checkpoint_s() + faults.resize_rebuild_s() + faults.restart_delay_s();
-        carry_counters.lost_replicas += lost as u64;
-        carry_counters.resizes += 1;
-        carry_counters.resize_virtual_s += resize_s;
-        carry_timeline.record_resize(ResizeRecord {
+        carry.counters.lost_replicas += lost as u64;
+        carry.counters.resizes += 1;
+        carry.counters.resize_virtual_s += resize_s;
+        carry.timeline.record_resize(ResizeRecord {
             step: bstep,
             world_before: world,
             world_after: new_world,
@@ -674,8 +553,8 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         if exp.scrub_after_resize {
             if let Some(store) = &store {
                 let scrub = store.scrub().expect("checkpoint scrub failed");
-                carry_counters.checkpoints_scrubbed += scrub.scrubbed;
-                carry_counters.checkpoints_scrub_rejected += scrub.rejected;
+                carry.counters.checkpoints_scrubbed += scrub.scrubbed;
+                carry.counters.checkpoints_scrub_rejected += scrub.rejected;
             }
         }
         world = new_world;
@@ -691,15 +570,15 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
     // the armed injection is consumed by whichever replica's tile runs
     // first), so their run deltas fold in *after* the per-rank symmetry
     // asserts rather than through `PhaseOutcome`.
-    carry_counters.corruptions_detected +=
+    carry.counters.corruptions_detected +=
         ets_tensor::ops::abft::corruptions_detected().saturating_sub(abft_detected0);
-    carry_counters.corruptions_corrected +=
+    carry.counters.corruptions_corrected +=
         ets_tensor::ops::abft::tiles_recomputed().saturating_sub(abft_healed0);
 
     // Mirror the final recovery counters into every surviving recorder's
     // metric registry (no-op for disabled recorders).
     for rec in recorders.iter().take(world) {
-        carry_counters.mirror_to(rec);
+        carry.counters.mirror_to(rec);
     }
 
     // Export the compute-kernel self-check counters (process-wide: the
@@ -835,251 +714,275 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         weight_checksum: checksum0,
         phases: carry_phases,
         all_reduce_buckets: carry_buckets,
-        fault_recovery: carry_counters,
-        step_timeline: carry_timeline,
+        fault_recovery: carry.counters,
+        step_timeline: carry.timeline,
         final_world: world,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_replica_phase(
-    view: &Experiment,
-    replica: usize,
-    world: WorldComm,
-    bn_comm: Option<Box<dyn Collective>>,
-    faults: &FaultSchedule,
-    train_set: &SynthNet,
-    eval_set: &SynthNet,
+/// Broadcasts `root`'s full model state — parameters *and* BN running
+/// statistics — to every member of `comm`, bit-exactly (f32 payloads are
+/// copied, never re-reduced): how independently initialized hosts
+/// synchronize before the first step.
+///
+/// SPMD: every member of the group must call this with a structurally
+/// identical model.
+fn broadcast_model(model: &mut EfficientNet, comm: &dyn Collective, root: usize) {
+    if comm.size() == 1 {
+        return;
+    }
+    let mut flat: Vec<f32> = Vec::new();
+    model.visit_params(&mut |p| flat.extend_from_slice(p.value.data()));
+    model.visit_bns(&mut |bn| {
+        flat.extend_from_slice(&bn.running_mean);
+        flat.extend_from_slice(&bn.running_var);
+    });
+    comm.broadcast(&mut flat, root);
+    let mut off = 0usize;
+    model.visit_params(&mut |p| {
+        let n = p.value.numel();
+        p.value.data_mut().copy_from_slice(&flat[off..off + n]);
+        off += n;
+    });
+    model.visit_bns(&mut |bn| {
+        let c = bn.running_mean.len();
+        bn.running_mean.copy_from_slice(&flat[off..off + c]);
+        off += c;
+        bn.running_var.copy_from_slice(&flat[off..off + c]);
+        off += c;
+    });
+    assert_eq!(off, flat.len(), "model structure mismatch after broadcast");
+}
+
+/// What every replica thread of one fixed-world phase is handed.
+struct PhaseEnv<'a> {
+    /// The experiment as this phase's world sees it (`replicas` is the
+    /// surviving world).
+    view: &'a Experiment,
+    faults: &'a FaultSchedule,
+    train_set: &'a SynthNet,
+    eval_set: &'a SynthNet,
+    store: Option<&'a CkptStore>,
     phase_idx: u64,
+    /// The resize boundary this phase drains at, if one is planned.
     stop_at: Option<u64>,
-    store: Option<&CkptStore>,
-    resume: bool,
-    counters0: RecoveryCounters,
-    timeline0: StepTimeline,
+}
+
+/// One replica's whole state for a phase. The step loop ([`Replica::run`])
+/// and every recovery path are methods on it and share one restore
+/// ([`Replica::rewind`]), one durable save and one phase lap.
+struct Replica<'a> {
+    env: &'a PhaseEnv<'a>,
+    rank: usize,
+    world: WorldComm,
     rec: Arc<Recorder>,
-    vnow0: f64,
-) -> PhaseOutcome {
-    // Two init-sync modes: shared seed stream (default), or independent
-    // init + a broadcast of replica 0's state (the multi-host pattern),
-    // routed through the checkpoint layer so params *and* BN running
-    // statistics synchronize bit-exactly. Resumed phases overwrite the
-    // init with the durable checkpoint below, so the broadcast is only
-    // needed in phase 0.
-    let init_stream = if view.broadcast_init {
-        100 + replica as u64
-    } else {
-        1
-    };
-    let mut init_rng = Rng::new(view.seed).split(init_stream);
-    let mut model = EfficientNet::new(view.model.clone(), view.precision, &mut init_rng);
-    if phase_idx == 0 && view.broadcast_init && view.replicas > 1 {
-        crate::checkpoint::broadcast(&mut model, world.as_dyn(), 0);
+    model: EfficientNet,
+    optimizer: Box<dyn Optimizer>,
+    ema: Option<Ema>,
+    grad_bucket: GradBucket,
+    /// Replica-local stochasticity (augmentation; dropout, drop-path).
+    data_rng: Rng,
+    layer_rng: Rng,
+    prog: Progress,
+    history: Vec<EpochRecord>,
+    /// `None` until the step loop takes one, and after a durable restore.
+    anchor: Option<RewindAnchor>,
+    sw: Stopwatch,
+    phases: PhaseBreakdown,
+    counters: RecoveryCounters,
+    timeline: StepTimeline,
+    vnow: f64,
+}
+
+impl<'a> Replica<'a> {
+    fn new(
+        env: &'a PhaseEnv<'a>,
+        rank: usize,
+        world: WorldComm,
+        bn_comm: Option<Box<dyn Collective>>,
+        rec: Arc<Recorder>,
+        carry: Carry,
+    ) -> Self {
+        let view = env.view;
+        // Two init-sync modes: shared seed stream (default), or independent
+        // init + a broadcast of replica 0's state (the multi-host pattern),
+        // so params *and* BN running statistics synchronize bit-exactly.
+        // Resumed phases overwrite the init with the durable checkpoint
+        // below, so the broadcast is only needed in phase 0.
+        let init_stream = if view.broadcast_init {
+            100 + rank as u64
+        } else {
+            1
+        };
+        let mut init_rng = Rng::new(view.seed).split(init_stream);
+        let mut model = EfficientNet::new(view.model.clone(), view.precision, &mut init_rng);
+        if env.phase_idx == 0 && view.broadcast_init && view.replicas > 1 {
+            broadcast_model(&mut model, world.as_dyn(), 0);
+        }
+        model.visit_bns(&mut |bn| bn.set_momentum(PROXY_BN_MOMENTUM));
+        if let Some(c) = bn_comm {
+            model.set_bn_sync(Arc::new(GroupStatSync::new(c)));
+        }
+        let mut grad_bucket = match view.grad_bucket_elems {
+            Some(n) => GradBucket::with_bucket_elems(&mut model, n),
+            None => GradBucket::new(&mut model),
+        };
+        grad_bucket.attach_recorder(Arc::clone(&rec));
+        grad_bucket.set_fingerprint_verify(
+            view.fingerprint_verify,
+            view.corruption_policy.bucket_retries(),
+        );
+        let ema = view.ema_decay.map(|d| Ema::new(&mut model, d));
+        // Phase 0 uses the historical streams (bitwise compatibility with
+        // the pre-elastic trainer); later phases jump to disjoint stream
+        // blocks so a resumed world never replays consumed randomness.
+        let stream_base = env.phase_idx * 10_000;
+        let mut replica = Replica {
+            env,
+            rank,
+            world,
+            rec,
+            model,
+            optimizer: build_optimizer(view.optimizer),
+            ema,
+            grad_bucket,
+            data_rng: Rng::new(view.seed).split(1000 + stream_base + rank as u64),
+            layer_rng: Rng::new(view.seed).split(2000 + stream_base + rank as u64),
+            prog: Progress::fresh(),
+            history: Vec::new(),
+            anchor: None,
+            sw: Stopwatch::start(),
+            phases: PhaseBreakdown::default(),
+            counters: carry.counters,
+            timeline: carry.timeline,
+            vnow: carry.vnow,
+        };
+        if env.phase_idx > 0 {
+            // The old world's drain checkpoint. A quarantine stops *below*
+            // a step the cadence may have checkpointed: not just "newest".
+            let snap = replica
+                .load_durable(carry.step + 1)
+                .expect("no valid durable checkpoint to resume the resized world from");
+            replica.rewind(&snap, false);
+        }
+        replica
     }
-    model.visit_bns(&mut |bn| bn.set_momentum(PROXY_BN_MOMENTUM));
-    if let Some(c) = bn_comm {
-        model.set_bn_sync(Arc::new(GroupStatSync::new(c)));
+
+    /// The newest valid durable snapshot strictly before step `before`.
+    /// Symmetric: every rank scans the same directory and skips the same
+    /// corrupt files, so the counter stays rank-identical.
+    fn load_durable(&mut self, before: u64) -> Option<DurableSnapshot> {
+        let store = self.env.store.expect("restores require the durable store");
+        let (snap, report) = store
+            .load_latest_valid_before(before)
+            .expect("durable checkpoint store I/O failed")?;
+        self.counters.corrupt_checkpoints_skipped += report.corrupt_skipped;
+        Some(snap)
     }
-    let mut grad_bucket = match view.grad_bucket_elems {
-        Some(n) => GradBucket::with_bucket_elems(&mut model, n),
-        None => GradBucket::new(&mut model),
-    };
-    grad_bucket.attach_recorder(Arc::clone(&rec));
-    grad_bucket.set_fingerprint_verify(
-        view.fingerprint_verify,
-        view.corruption_policy.bucket_retries(),
-    );
-    let mut optimizer = build_optimizer(view.optimizer);
-    // Schedule in the *current world's* step units: `view.replicas` is the
-    // surviving world, so the peak LR linear-rescales with the shrunken
-    // global batch and warmup/decay spans keep their sample extent.
-    let schedule = build_schedule(view);
-    let mut ema = view.ema_decay.map(|d| Ema::new(&mut model, d));
 
-    // Replica-local stochasticity (augmentation, dropout, drop-path).
-    // Phase 0 uses the historical streams (bitwise compatibility with the
-    // pre-elastic trainer); later phases jump to disjoint stream blocks
-    // so a resumed world never replays consumed randomness.
-    let stream_base = phase_idx * 10_000;
-    let mut data_rng = Rng::new(view.seed).split(1000 + stream_base + replica as u64);
-    let mut layer_rng = Rng::new(view.seed).split(2000 + stream_base + replica as u64);
-
-    let mut counters = counters0;
-    let mut timeline = timeline0;
-    // Virtual-clock cursor for trace spans. The timeline *overwrites*
-    // replayed steps (it models the final trajectory), but the trace keeps
-    // every execution: replayed steps re-emit spans at a later cursor, so
-    // rewinds are visible as repeated step names on a monotone clock.
-    let mut vnow = vnow0;
-    let mut prog = Progress::fresh();
-    let mut history: Vec<EpochRecord> = Vec::new();
-    if resume {
-        let store = store.expect("elastic resume requires the durable store");
-        let (snap, load_report) = store
-            .load_latest_valid()
-            .expect("durable checkpoint store I/O failed")
-            .expect("no valid durable checkpoint to resume the resized world from");
-        // Symmetric: every rank scans the same directory and skips the
-        // same corrupt files, so the counter stays rank-identical.
-        counters.corrupt_checkpoints_skipped += load_report.corrupt_skipped;
-        let (p, h) = apply_durable(&snap, &mut model, optimizer.as_mut(), &mut ema);
-        prog = p;
-        history = h;
+    fn capture(&mut self) -> DurableSnapshot {
+        DurableSnapshot::capture(
+            &mut self.model,
+            self.optimizer.as_ref(),
+            self.ema.as_ref(),
+            &self.prog,
+            self.env.view.replicas,
+            &self.history,
+        )
     }
-    let phase_start = prog.step;
 
-    let train_len = train_set.len() as u64;
-    let gb = view.global_batch() as u64;
-    let b = view.per_replica_batch;
-    let accum = view.grad_accum_steps;
-    let micro_span = view.replicas * b;
-    // Overlapping the exchange with backward requires exactly one
-    // micro-batch: with accumulation, gradients are rescaled *after* the
-    // micro loop, so no bucket is final until backward ends — fall back
-    // to the serialized exchange (bitwise identical either way).
-    let overlap = view.overlap_all_reduce && accum == 1;
+    /// A control-plane instant at the virtual cursor.
+    fn mark(&self, name: &'static str, step: u64, aux: u64) {
+        self.rec
+            .virtual_instant(Lane::VirtualControl, name, self.vnow, step, aux);
+    }
 
-    let mut phases = PhaseBreakdown::default();
-    let retry_policy = faults.retry();
-    // Preemptions belonging to this phase: at or after its first step,
-    // strictly before the resize boundary (a preemption at the boundary
-    // step fires in the next phase's world).
-    let mut pending_preempts: VecDeque<u64> = faults
-        .preempt_steps()
-        .iter()
-        .copied()
-        .filter(|&s| s >= phase_start && stop_at.is_none_or(|t| s < t))
-        .collect();
-    let mut snapshot: Option<ReplicaSnapshot> = None;
-    let mut force_snapshot = false;
-    let mut quarantined = 0u64;
+    /// A control-plane delay at the virtual cursor, which moves past it.
+    fn charge(&mut self, name: &'static str, dur_s: f64, step: u64, aux: u64) {
+        self.rec
+            .virtual_span(Lane::VirtualControl, name, self.vnow, dur_s, step, aux);
+        self.vnow += dur_s;
+    }
 
-    let mut plan = EpochPlan::new(view.seed, prog.epoch, train_set.len());
-    let mut plan_epoch = prog.epoch;
-
-    let done = loop {
-        if prog.epoch > view.epochs {
-            break true;
+    /// The one durable save. Rank 0 persists the state every rank holds;
+    /// counter and instant count *logical* checkpoints on all ranks, so
+    /// the cross-rank virtual fingerprint stays equal.
+    fn save_durable(&mut self) {
+        if self.rank == 0 {
+            let store = self.env.store.expect("durable saves require the store");
+            let snap = self.capture();
+            store.save(&snap).expect("durable checkpoint save failed");
         }
-        if stop_at == Some(prog.step) {
-            break false;
-        }
-        if prog.epoch != plan_epoch {
-            plan = EpochPlan::new(view.seed, prog.epoch, train_set.len());
-            plan_epoch = prog.epoch;
-        }
+        self.counters.durable_checkpoints += 1;
+        self.mark(
+            obs_ph::DURABLE_CHECKPOINT,
+            self.prog.step,
+            self.counters.durable_checkpoints,
+        );
+    }
 
-        // Durable checkpoint cadence for the divergence guard: rank 0
-        // persists *before* this step's collective, so the write
-        // happens-before any rank's post-collective guard trip — every
-        // rank that rolls back sees the completed, renamed file. The
-        // counter increments on all ranks (it counts logical checkpoints,
-        // which are symmetric).
-        if let Some(store) = store.filter(|_| {
-            (view.nan_guard || (view.fingerprint_verify && faults.has_corruption()))
-                && (prog.step == phase_start || prog.step.is_multiple_of(faults.checkpoint_every()))
-        }) {
-            if replica == 0 {
-                let snap = capture_durable(
-                    &mut model,
-                    optimizer.as_ref(),
-                    &ema,
-                    &prog,
-                    view.replicas,
-                    &history,
-                );
-                store.save(&snap).expect("durable checkpoint save failed");
-            }
-            counters.durable_checkpoints += 1;
-            // Symmetric on all ranks (logical checkpoints), so the virtual
-            // instant keeps the cross-rank fingerprint equal.
-            rec.virtual_instant(
-                Lane::VirtualControl,
-                obs_ph::DURABLE_CHECKPOINT,
-                vnow,
-                prog.step,
-                counters.durable_checkpoints,
-            );
+    /// The one restore path: resume, preemption, quarantine and
+    /// divergence rollback differ only in what they load and charge.
+    /// Applies `snap`; when that `replay`s steps (all but a new world
+    /// loading its start), accounts them, marks the `REWIND` and drops the
+    /// abandoned tail of the timeline. An anchor held now describes the
+    /// trajectory just left, so it goes and the step loop takes a fresh
+    /// one (the preemption site, which restores *from* it, puts it back).
+    fn rewind(&mut self, snap: &DurableSnapshot, replay: bool) {
+        let from = self.prog.step;
+        (self.prog, self.history) =
+            snap.apply(&mut self.model, self.optimizer.as_mut(), &mut self.ema);
+        if replay {
+            let replayed = from - self.prog.step;
+            self.counters.replayed_steps += replayed;
+            self.mark(obs_ph::REWIND, from, replayed);
+            self.timeline.truncate(self.prog.step);
         }
+        self.anchor = None;
+    }
 
-        // Periodic in-memory snapshot (only when the plan can actually
-        // preempt us). Taken *before* the preemption check: a checkpoint
-        // written at step `s` survives a job death at step `s`.
-        if faults.has_preempts()
-            && (force_snapshot
-                || prog.step == phase_start
-                || prog.step.is_multiple_of(faults.checkpoint_every()))
-        {
-            force_snapshot = false;
-            snapshot = Some(ReplicaSnapshot {
-                prog,
-                ckpt: crate::checkpoint::save(&mut model, prog.step),
-                opt_state: optimizer.export_state(),
-                ema: ema.clone(),
-                data_rng: data_rng.clone(),
-                layer_rng: layer_rng.clone(),
-                history: history.clone(),
-            });
-            counters.checkpoints_taken += 1;
-            rec.virtual_instant(
-                Lane::VirtualControl,
-                obs_ph::CHECKPOINT,
-                vnow,
-                prog.step,
-                counters.checkpoints_taken,
-            );
+    /// Accounts measured laps that ran back to back and end now: each
+    /// goes to its [`PhaseBreakdown`] slot and, back-dated from the wall
+    /// clock so the spans tile, to the recorder's phase lane.
+    fn lap(&mut self, laps: &[(&'static str, f64)]) {
+        let total: f64 = laps.iter().map(|&(_, s)| s).sum();
+        let mut start = self.rec.wall_now_s() - total;
+        for &(phase, secs) in laps {
+            *match phase {
+                obs_ph::DATA => &mut self.phases.data,
+                obs_ph::FORWARD => &mut self.phases.forward,
+                obs_ph::BACKWARD => &mut self.phases.backward,
+                obs_ph::ALL_REDUCE => &mut self.phases.all_reduce,
+                obs_ph::OPTIMIZER => &mut self.phases.optimizer,
+                other => unreachable!("{other} is not a training phase"),
+            } += secs;
+            self.rec
+                .wall_span_measured(Lane::WallPhase, phase, start, secs, self.prog.step, 0);
+            start += secs;
         }
+    }
 
-        // Preemption: the job dies *before* executing this step, restarts
-        // after a virtual delay, restores the latest checkpoint, and
-        // replays. Each planned preemption fires exactly once — replay
-        // does not re-trigger it — and the schedule is identical on every
-        // rank, so the whole world rewinds in lockstep.
-        if pending_preempts.front() == Some(&prog.step) {
-            pending_preempts.pop_front();
-            let snap = snapshot
-                .as_ref()
-                .expect("preemption before the first checkpoint");
-            crate::checkpoint::restore(&mut model, &snap.ckpt);
-            optimizer.import_state(&snap.opt_state, &mut model);
-            ema.clone_from(&snap.ema);
-            data_rng = snap.data_rng.clone();
-            layer_rng = snap.layer_rng.clone();
-            history.clone_from(&snap.history);
-            counters.preemptions += 1;
-            counters.replayed_steps += prog.step - snap.prog.step;
-            counters.restart_virtual_s += faults.restart_delay_s();
-            rec.virtual_instant(
-                Lane::VirtualControl,
-                obs_ph::REWIND,
-                vnow,
-                prog.step,
-                prog.step - snap.prog.step,
-            );
-            rec.virtual_span(
-                Lane::VirtualControl,
-                obs_ph::RESTART,
-                vnow,
-                faults.restart_delay_s(),
-                prog.step,
-                0,
-            );
-            vnow += faults.restart_delay_s();
-            timeline.truncate(snap.prog.step);
-            prog = snap.prog;
-            continue;
-        }
-
-        let mut sw = Stopwatch::start();
-        zero_grads(&mut model);
-        let mut micro_loss = 0.0f32;
-        let (mut data_s, mut fwd_s, mut bwd_s) = (0.0f64, 0.0f64, 0.0f64);
+    /// One step's data → forward → loss → backward and gradient exchange:
+    /// the group-mean loss, or the exchange's typed failure.
+    fn exchange_gradients(&mut self, plan: &EpochPlan) -> Result<f32, CollectiveError> {
+        let env = self.env;
+        let view = env.view;
+        let b = view.per_replica_batch;
+        let accum = view.grad_accum_steps;
+        // Overlapping the exchange with backward requires exactly one
+        // micro-batch: with accumulation, gradients are rescaled *after*
+        // the micro loop, so no bucket is final until backward ends — fall
+        // back to the serialized exchange (bitwise identical either way).
+        let overlap = view.overlap_all_reduce && accum == 1;
+        // Backoff is virtual: accounted, never slept.
+        let retry_policy = env.faults.retry();
+        self.sw = Stopwatch::start();
+        zero_grads(&mut self.model);
         // Key planned transient injections to this step *before* any
         // collective can fire — the overlapped exchange starts reducing
-        // buckets mid-backward. (The world is untouched between here and
-        // the exchange on the serialized path, so moving the step key up
-        // is behaviorally identical for it.)
-        world.set_step(prog.step);
-        grad_bucket.set_step(prog.step);
+        // buckets mid-backward.
+        self.world.set_step(self.prog.step);
+        self.grad_bucket.set_step(self.prog.step);
         // Arm the planned compute corruption for this step on the
         // afflicted replica. The armed flip is process-global and is
         // consumed by the first blocked-GEMM tile *any* replica computes
@@ -1087,389 +990,376 @@ fn run_replica_phase(
         // is bitwise-neutral wherever the flip lands, and with verify off
         // the escape perturbs the summed gradient identically on every
         // rank — rank attribution lives in the plan, not the tile.
-        if let Some((crank, bit)) = faults.compute_corruption_at(prog.step) {
-            if crank % view.replicas == replica {
+        if let Some((crank, bit)) = env.faults.compute_corruption_at(self.prog.step) {
+            if crank % view.replicas == self.rank {
                 ets_tensor::ops::abft::arm_inject(bit);
             }
         }
-        let backoff_before = counters.retry_backoff_virtual_s;
-        // `Some((mean_loss, exposed_s))` once the fused path has already
-        // exchanged gradients during backward.
-        let mut overlapped_result: Option<(f32, f64)> = None;
-        // A typed exchange failure (corrupt payload past its verified
-        // retries, or retry exhaustion) — handled after the timing
-        // bookkeeping so both exchange paths share one recovery site.
-        let mut exchange_err: Option<CollectiveError> = None;
-        if overlap {
-            let indices = plan.batch_at(prog.sample_off as usize, replica, view.replicas, b);
-            let (x, labels) =
-                load_batch(train_set, &indices, AugmentConfig::train(), &mut data_rng);
-            data_s += sw.lap();
-            let logits = model.forward(&x, Mode::Train, &mut layer_rng);
+        let (mut data_s, mut fwd_s, mut bwd_s) = (0.0f64, 0.0f64, 0.0f64);
+        let mut micro_loss = 0.0f32;
+        // Set once the hooked backward has exchanged the gradients: the
+        // result and the *exposed* wait (all the all-reduce phase is owed).
+        let mut fused: Option<(Result<f32, CollectiveError>, f64)> = None;
+        for micro in 0..accum {
+            let offset = self.prog.sample_off as usize + micro * view.replicas * b;
+            let indices = plan.batch_at(offset, self.rank, view.replicas, b);
+            let (x, labels) = load_batch(
+                env.train_set,
+                &indices,
+                AugmentConfig::train(),
+                &mut self.data_rng,
+            );
+            data_s += self.sw.lap();
+            let logits = self.model.forward(&x, Mode::Train, &mut self.layer_rng);
             let out = cross_entropy(&logits, &labels, view.label_smoothing);
-            fwd_s += sw.lap();
-            match grad_bucket.backward_overlapped_with_retry(
-                &mut model,
-                &out.dlogits,
-                world.as_dyn(),
-                out.loss,
-                &retry_policy,
-                &mut counters,
-            ) {
-                Ok(res) => {
-                    // The lap spans backward + exposed wait; the outcome
-                    // already decomposes it, so just re-anchor the
-                    // stopwatch.
-                    let _ = sw.lap();
-                    bwd_s += res.backward_s;
-                    overlapped_result = Some((res.mean_loss, res.exposed_s));
-                }
-                Err(e) => {
-                    let _ = sw.lap();
-                    exchange_err = Some(e);
-                }
-            }
-        } else {
-            for micro in 0..accum {
-                let offset = prog.sample_off as usize + micro * micro_span;
-                let indices = plan.batch_at(offset, replica, view.replicas, b);
-                let (x, labels) =
-                    load_batch(train_set, &indices, AugmentConfig::train(), &mut data_rng);
-                data_s += sw.lap();
-                let logits = model.forward(&x, Mode::Train, &mut layer_rng);
-                let out = cross_entropy(&logits, &labels, view.label_smoothing);
-                fwd_s += sw.lap();
-                model.backward(&out.dlogits);
-                bwd_s += sw.lap();
+            fwd_s += self.sw.lap();
+            if overlap {
+                let res = self.grad_bucket.backward_overlapped_with_retry(
+                    &mut self.model,
+                    &out.dlogits,
+                    self.world.as_dyn(),
+                    out.loss,
+                    &retry_policy,
+                    &mut self.counters,
+                );
+                // The lap spans backward + exposed wait; the outcome
+                // already decomposes it, so just re-anchor the stopwatch.
+                let _ = self.sw.lap();
+                fused = Some(match res {
+                    Ok(o) => {
+                        bwd_s += o.backward_s;
+                        (Ok(o.mean_loss), o.exposed_s)
+                    }
+                    Err(e) => (Err(e), 0.0),
+                });
+            } else {
+                self.model.backward(&out.dlogits);
+                bwd_s += self.sw.lap();
                 micro_loss += out.loss;
             }
         }
-        phases.data += data_s;
-        phases.forward += fwd_s;
-        phases.backward += bwd_s;
-        if rec.is_enabled() {
-            // Aggregated per-step wall spans (one per phase), back-dated
-            // from the current wall clock so they tile the measured laps.
-            let now = rec.wall_now_s();
-            let start = now - (data_s + fwd_s + bwd_s);
-            rec.wall_span_measured(Lane::WallPhase, obs_ph::DATA, start, data_s, prog.step, 0);
-            rec.wall_span_measured(
-                Lane::WallPhase,
-                obs_ph::FORWARD,
-                start + data_s,
-                fwd_s,
-                prog.step,
-                0,
-            );
-            rec.wall_span_measured(
-                Lane::WallPhase,
-                obs_ph::BACKWARD,
-                start + data_s + fwd_s,
-                bwd_s,
-                prog.step,
-                0,
-            );
-        }
+        // One span per phase per step, however many micro-batches.
+        self.lap(&[
+            (obs_ph::DATA, data_s),
+            (obs_ph::FORWARD, fwd_s),
+            (obs_ph::BACKWARD, bwd_s),
+        ]);
         if accum > 1 {
             // Each micro-batch contributed a mean gradient; average them.
             let inv = 1.0 / accum as f32;
-            model.visit_params(&mut |p| p.grad.scale(inv));
+            self.model.visit_params(&mut |p| p.grad.scale(inv));
             micro_loss *= inv;
         }
-        // Exchange gradients with bounded retry (backoff is virtual:
-        // accounted, never slept) — unless the fused overlapped path
-        // already exchanged them during backward, in which case only the
-        // *exposed* wait counts against the all-reduce phase.
-        let (mean_loss, ar_s) = match (&exchange_err, overlapped_result) {
-            (Some(_), _) => (f32::NAN, 0.0),
-            (None, Some((loss, exposed_s))) => (loss, exposed_s),
-            (None, None) => match grad_bucket.all_reduce_with_retry(
-                &mut model,
-                world.as_dyn(),
-                micro_loss,
-                &retry_policy,
-                &mut counters,
-            ) {
-                Ok(loss) => (loss, sw.lap()),
-                Err(e) => {
-                    exchange_err = Some(e);
-                    (f32::NAN, sw.lap())
-                }
-            },
+        let (result, ar_s) = match fused {
+            Some(done) => done,
+            None => {
+                let res = self.grad_bucket.all_reduce_with_retry(
+                    &mut self.model,
+                    self.world.as_dyn(),
+                    micro_loss,
+                    &retry_policy,
+                    &mut self.counters,
+                );
+                (res, self.sw.lap())
+            }
         };
-        phases.all_reduce += ar_s;
-        if rec.is_enabled() {
-            rec.wall_span_measured(
-                Lane::WallPhase,
-                obs_ph::ALL_REDUCE,
-                rec.wall_now_s() - ar_s,
-                ar_s,
-                prog.step,
-                0,
-            );
-        }
+        self.lap(&[(obs_ph::ALL_REDUCE, ar_s)]);
+        result
+    }
 
-        // Unhealable exchange failure. A corrupt-payload verdict
-        // quarantines the attributed rank: no optimizer update consumed
-        // the poisoned reduction, but local state (BN running statistics,
-        // RNG streams) already advanced through this step's forward, so
-        // every rank rolls back to the last durable checkpoint strictly
-        // before the poisoned step and the phase drains for an elastic
-        // shrink. The verdict comes from an all-gathered fingerprint
-        // matrix that is identical on every rank, so the whole world
-        // takes this branch in lockstep with identical values. Anything
-        // else (retry exhaustion on a transient schedule) stays fatal.
-        if let Some(err) = exchange_err {
-            match err {
-                CollectiveError::CorruptPayload { rank, bucket, step } => {
-                    let store = store.expect("corruption quarantine requires the durable store");
-                    counters.rank_quarantines += 1;
-                    quarantined += 1;
-                    let (snap, load_report) = store
-                        .load_latest_valid_before(prog.step)
-                        .expect("durable checkpoint store I/O failed")
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "step {step}: rank {rank} quarantined (bucket {bucket}) \
-                                 but no durable checkpoint precedes the poisoned step"
-                            )
-                        });
-                    counters.corrupt_checkpoints_skipped += load_report.corrupt_skipped;
-                    counters.replayed_steps += prog.step - snap.step;
-                    rec.virtual_instant(
-                        Lane::VirtualControl,
-                        obs_ph::REWIND,
-                        vnow,
-                        prog.step,
-                        prog.step - snap.step,
-                    );
-                    let (p, h) = apply_durable(&snap, &mut model, optimizer.as_mut(), &mut ema);
-                    prog = p;
-                    history = h;
-                    timeline.truncate(prog.step);
-                    break false;
-                }
-                other => panic!(
-                    "step {}: gradient exchange failed permanently: {other}",
-                    prog.step
-                ),
-            }
-        }
+    /// Preemption: the job died *before* executing this step; it restarts
+    /// after a virtual delay, restores the anchor and replays. The plan is
+    /// identical on every rank, so the world rewinds in lockstep.
+    fn preempt(&mut self) {
+        let anchor = self
+            .anchor
+            .take()
+            .expect("preemption before the first checkpoint");
+        let (at, delay) = (self.prog.step, self.env.faults.restart_delay_s());
+        self.counters.preemptions += 1;
+        self.counters.restart_virtual_s += delay;
+        self.rewind(&anchor.state, true);
+        self.data_rng.clone_from(&anchor.data_rng);
+        self.layer_rng.clone_from(&anchor.layer_rng);
+        self.anchor = Some(anchor);
+        self.charge(obs_ph::RESTART, delay, at, 0);
+    }
 
-        // Divergence guard: the reduced loss and flat gradient buffer are
-        // bitwise identical on every rank, so either all ranks trip here
-        // or none do — the rollback is SPMD-symmetric by construction.
-        // Tripping *before* the optimizer step keeps non-finite values
-        // out of the weights entirely.
-        if view.nan_guard && !(mean_loss.is_finite() && grad_bucket.last_reduction_is_finite()) {
-            let store = store.expect("nan_guard requires the durable store");
-            counters.divergence_rollbacks += 1;
-            let err = DivergenceError {
-                step: prog.step,
-                rollbacks: counters.divergence_rollbacks,
-            };
-            if counters.divergence_rollbacks > DIVERGENCE_ROLLBACK_CAP {
-                panic!("{err}");
-            }
-            // Roll back *strictly before* the failing step: the weights
-            // were poisoned by the previous update, so a checkpoint taken
-            // at the top of this very step captured them — replaying it at
-            // any LR reproduces the same non-finite forward. Only rewinding
-            // past it and replaying the gap at halved LR changes the
-            // trajectory.
-            let (snap, load_report) = store
-                .load_latest_valid_before(prog.step)
-                .expect("durable checkpoint store I/O failed")
-                .unwrap_or_else(|| panic!("{err}: no valid durable checkpoint to roll back to"));
-            counters.corrupt_checkpoints_skipped += load_report.corrupt_skipped;
-            counters.replayed_steps += prog.step - snap.step;
-            rec.virtual_instant(
-                Lane::VirtualControl,
-                obs_ph::REWIND,
-                vnow,
-                prog.step,
-                prog.step - snap.step,
-            );
-            let halved = prog.lr_scale * 0.5;
-            let (p, h) = apply_durable(&snap, &mut model, optimizer.as_mut(), &mut ema);
-            prog = p;
-            history = h;
-            prog.lr_scale = halved;
-            timeline.truncate(prog.step);
-            // Any in-memory snapshot taken after the rollback target now
-            // holds pre-rollback state; drop it and re-anchor.
-            snapshot = None;
-            force_snapshot = faults.has_preempts();
-            continue;
-        }
-
+    /// Clip, schedule, optimizer and EMA update with the step's averaged
+    /// gradients.
+    fn apply_update(&mut self, schedule: &dyn LrSchedule, mean_loss: f32) {
+        let view = self.env.view;
         if let Some(max_norm) = view.clip_grad_norm {
-            ets_optim::clip_global_norm(&mut model, max_norm);
+            ets_optim::clip_global_norm(&mut self.model, max_norm);
         }
         // Effective schedule step in the current world's units; ×1.0 is a
         // bitwise no-op, so unguarded runs stay on the legacy trajectory.
-        let eff_step = prog.consumed_samples / gb;
-        let lr = schedule.lr(eff_step) * prog.lr_scale;
-        optimizer.step(&mut model, lr);
-        if let Some(e) = &mut ema {
-            e.update(&mut model);
+        let eff_step = self.prog.consumed_samples / view.global_batch() as u64;
+        let lr = schedule.lr(eff_step) * self.prog.lr_scale;
+        self.optimizer.step(&mut self.model, lr);
+        if let Some(e) = &mut self.ema {
+            e.update(&mut self.model);
         }
-        let opt_s = sw.lap();
-        phases.optimizer += opt_s;
-        phases.steps += 1;
-        prog.loss_sum += mean_loss as f64;
-        prog.last_lr = lr;
-        if rec.is_enabled() {
-            rec.wall_span_measured(
-                Lane::WallPhase,
-                obs_ph::OPTIMIZER,
-                rec.wall_now_s() - opt_s,
-                opt_s,
-                prog.step,
-                0,
-            );
-        }
-
-        // Virtual step time: the nominal step stretched by the worst
-        // timing fault active at this step (SPMD steps gate on the slowest
-        // participant) plus any retry backoff spent in the exchange.
-        let nominal = faults.step_seconds();
-        let slowdown = faults.slowdown_at(prog.step);
-        counters.straggler_virtual_s += (slowdown - 1.0) * nominal;
-        let step_backoff = counters.retry_backoff_virtual_s - backoff_before;
-        let step_virtual = nominal * slowdown + step_backoff;
-        timeline.record(prog.step, step_virtual);
-        // Trace the same deterministic quantity: a STEP span covering the
-        // full virtual duration, with control sub-spans decomposing the
-        // fault overhead (straggler stretch, then retry backoff).
-        rec.virtual_span(
-            Lane::VirtualStep,
-            obs_ph::STEP,
-            vnow,
-            step_virtual,
-            prog.step,
-            0,
-        );
-        if slowdown > 1.0 {
-            rec.virtual_span(
-                Lane::VirtualControl,
-                obs_ph::STRAGGLER,
-                vnow + nominal,
-                (slowdown - 1.0) * nominal,
-                prog.step,
-                0,
-            );
-        }
-        if step_backoff > 0.0 {
-            rec.virtual_span(
-                Lane::VirtualControl,
-                obs_ph::RETRY_BACKOFF,
-                vnow + nominal * slowdown,
-                step_backoff,
-                prog.step,
-                0,
-            );
-        }
-        vnow += step_virtual;
-
-        // Advance the sample clock.
-        prog.step += 1;
-        prog.steps_this_epoch += 1;
-        prog.consumed_samples += gb;
-        prog.sample_off += gb;
-
-        // Epoch boundary (drop-remainder: a tail shorter than one global
-        // batch is skipped): evaluate and record.
-        if prog.sample_off + gb > train_len {
-            let epoch = prog.epoch;
-            let (eval_top1, eval_top5) =
-                if epoch.is_multiple_of(view.eval_every) || epoch == view.epochs {
-                    let _eval_span = rec.wall_span(Lane::WallEval, obs_ph::EVAL, prog.step, epoch);
-                    let saved = ema.as_ref().map(|e| e.swap_in(&mut model));
-                    let counts = distributed_eval(
-                        &mut model,
-                        eval_set,
-                        replica,
-                        view.replicas,
-                        view.per_replica_batch,
-                        world.as_dyn(),
-                    );
-                    if let (Some(e), Some(s)) = (ema.as_ref(), saved) {
-                        e.restore(&mut model, s);
-                    }
-                    (Some(counts.top1()), Some(counts.top5()))
-                } else {
-                    (None, None)
-                };
-            history.push(EpochRecord {
-                epoch,
-                train_loss: (prog.loss_sum / prog.steps_this_epoch as f64) as f32,
-                lr: prog.last_lr,
-                eval_top1,
-                eval_top5,
-            });
-            prog.epoch += 1;
-            prog.sample_off = 0;
-            prog.steps_this_epoch = 0;
-            prog.loss_sum = 0.0;
-        }
-    };
-
-    // Drain for a resize: the last collective has completed (the step
-    // loop never leaves a bucket in flight), so rank 0 persists the
-    // durable checkpoint every survivor will resume from. The thread
-    // join in `train` orders this write before the next phase's loads.
-    if !done {
-        let store = store.expect("resize boundaries require the durable store");
-        if replica == 0 {
-            let snap = capture_durable(
-                &mut model,
-                optimizer.as_ref(),
-                &ema,
-                &prog,
-                view.replicas,
-                &history,
-            );
-            store.save(&snap).expect("durable drain checkpoint failed");
-        }
-        counters.durable_checkpoints += 1;
-        rec.virtual_instant(
-            Lane::VirtualControl,
-            obs_ph::DURABLE_CHECKPOINT,
-            vnow,
-            prog.step,
-            counters.durable_checkpoints,
-        );
-        // The resize protocol's virtual cost (durable persist + collective
-        // rebuild + restart) is charged by `train` between phases; trace
-        // it here so every old-world rank records the identical span and
-        // the next phase's cursor continues past it.
-        let resize_s =
-            faults.resize_checkpoint_s() + faults.resize_rebuild_s() + faults.restart_delay_s();
-        rec.virtual_span(
-            Lane::VirtualControl,
-            obs_ph::RESIZE,
-            vnow,
-            resize_s,
-            prog.step,
-            view.replicas as u64,
-        );
-        vnow += resize_s;
+        let opt_s = self.sw.lap();
+        self.lap(&[(obs_ph::OPTIMIZER, opt_s)]);
+        self.phases.steps += 1;
+        self.prog.loss_sum += mean_loss as f64;
+        self.prog.last_lr = lr;
     }
 
-    let mut weights: Vec<f32> = Vec::new();
-    model.visit_params(&mut |p| weights.extend_from_slice(p.value.data()));
-    PhaseOutcome {
-        checksum: checksum_f32(weights.into_iter()),
-        history,
-        phases,
-        buckets: grad_bucket.profile().clone(),
-        counters,
-        timeline,
-        step: prog.step,
-        done,
-        quarantined,
-        vnow_end: vnow,
+    /// Virtual step time: the nominal step stretched by the worst timing
+    /// fault active at this step (SPMD steps gate on the slowest
+    /// participant) plus the retry backoff spent since `backoff_before`.
+    /// The trace gets the same quantity as a STEP span, with control
+    /// sub-spans for the straggler stretch and the backoff.
+    fn charge_virtual_step(&mut self, backoff_before: f64) {
+        let (faults, step) = (self.env.faults, self.prog.step);
+        let nominal = faults.step_seconds();
+        let slowdown = faults.slowdown_at(step);
+        self.counters.straggler_virtual_s += (slowdown - 1.0) * nominal;
+        let step_backoff = self.counters.retry_backoff_virtual_s - backoff_before;
+        let step_virtual = nominal * slowdown + step_backoff;
+        self.timeline.record(step, step_virtual);
+        let (rec, vnow) = (&self.rec, self.vnow);
+        rec.virtual_span(Lane::VirtualStep, obs_ph::STEP, vnow, step_virtual, step, 0);
+        let sub_span = |name, start: f64, dur: f64| {
+            rec.virtual_span(Lane::VirtualControl, name, vnow + start, dur, step, 0)
+        };
+        if slowdown > 1.0 {
+            sub_span(obs_ph::STRAGGLER, nominal, (slowdown - 1.0) * nominal);
+        }
+        if step_backoff > 0.0 {
+            sub_span(obs_ph::RETRY_BACKOFF, nominal * slowdown, step_backoff);
+        }
+        self.vnow += step_virtual;
+    }
+
+    /// Epoch boundary: evaluate (on the EMA weights, if kept) and record.
+    fn finish_epoch(&mut self) {
+        let view = self.env.view;
+        let epoch = self.prog.epoch;
+        let (eval_top1, eval_top5) =
+            if epoch.is_multiple_of(view.eval_every) || epoch == view.epochs {
+                let _eval_span =
+                    self.rec
+                        .wall_span(Lane::WallEval, obs_ph::EVAL, self.prog.step, epoch);
+                let saved = self.ema.as_ref().map(|e| e.swap_in(&mut self.model));
+                let counts = distributed_eval(
+                    &mut self.model,
+                    self.env.eval_set,
+                    self.rank,
+                    view.replicas,
+                    view.per_replica_batch,
+                    self.world.as_dyn(),
+                );
+                if let (Some(e), Some(s)) = (self.ema.as_ref(), saved) {
+                    e.restore(&mut self.model, s);
+                }
+                (Some(counts.top1()), Some(counts.top5()))
+            } else {
+                (None, None)
+            };
+        self.history.push(EpochRecord {
+            epoch,
+            train_loss: (self.prog.loss_sum / self.prog.steps_this_epoch as f64) as f32,
+            lr: self.prog.last_lr,
+            eval_top1,
+            eval_top5,
+        });
+        self.prog.epoch += 1;
+        self.prog.sample_off = 0;
+        self.prog.steps_this_epoch = 0;
+        self.prog.loss_sum = 0.0;
+    }
+
+    /// The step loop of one phase, then the drain if it stops to resize.
+    fn run(mut self) -> PhaseOutcome {
+        let env = self.env;
+        let (view, faults) = (env.view, env.faults);
+        let phase_start = self.prog.step;
+        let train_len = env.train_set.len() as u64;
+        let gb = view.global_batch() as u64;
+        // Schedule in the *current world's* step units: `view.replicas` is
+        // the surviving world, so the peak LR linear-rescales with the
+        // shrunken global batch and warmup/decay spans keep their sample
+        // extent.
+        let schedule = build_schedule(view);
+        // The divergence guard and the corruption quarantine both roll
+        // back to durable checkpoints, so both keep a cadence of them.
+        let durable_cadence =
+            view.nan_guard || (view.fingerprint_verify && faults.has_corruption());
+        let mut quarantined = 0u64;
+        let mut plan = EpochPlan::new(view.seed, self.prog.epoch, env.train_set.len());
+        let mut plan_epoch = self.prog.epoch;
+
+        let done = loop {
+            if self.prog.epoch > view.epochs {
+                break true;
+            }
+            if env.stop_at == Some(self.prog.step) {
+                break false;
+            }
+            if self.prog.epoch != plan_epoch {
+                plan = EpochPlan::new(view.seed, self.prog.epoch, env.train_set.len());
+                plan_epoch = self.prog.epoch;
+            }
+            let on_cadence = self.prog.step == phase_start
+                || self.prog.step.is_multiple_of(faults.checkpoint_every());
+
+            // Durable cadence save: rank 0 persists *before* this step's
+            // collective, so the write happens-before any rank's
+            // post-collective guard trip — every rank that rolls back
+            // sees the completed, renamed file.
+            if durable_cadence && on_cadence {
+                self.save_durable();
+            }
+
+            // In-memory anchor (only when the plan can actually preempt
+            // us). Taken *before* the preemption check: a checkpoint
+            // written at step `s` survives a job death at step `s`.
+            if faults.has_preempts() && (on_cadence || self.anchor.is_none()) {
+                self.anchor = Some(RewindAnchor {
+                    state: self.capture(),
+                    data_rng: self.data_rng.clone(),
+                    layer_rng: self.layer_rng.clone(),
+                });
+                self.counters.checkpoints_taken += 1;
+                self.mark(
+                    obs_ph::CHECKPOINT,
+                    self.prog.step,
+                    self.counters.checkpoints_taken,
+                );
+            }
+
+            // Each planned preemption fires once per run, whatever rolls
+            // back across it: `counters.preemptions`, carried through
+            // rewinds and phases, is the cursor into the plan. (One at a
+            // resize boundary fires in the next world: see the check above.)
+            if faults
+                .preempt_steps()
+                .get(self.counters.preemptions as usize)
+                == Some(&self.prog.step)
+            {
+                self.preempt();
+                continue;
+            }
+
+            let backoff_before = self.counters.retry_backoff_virtual_s;
+            let mean_loss = match self.exchange_gradients(&plan) {
+                Ok(loss) => loss,
+                // Unhealable payload corruption quarantines the attributed
+                // rank: no optimizer update consumed the poisoned
+                // reduction, but local state (BN running statistics, RNG
+                // streams) already advanced through this step's forward,
+                // so every rank rolls back to the last durable checkpoint
+                // strictly before the poisoned step and the phase drains
+                // for an elastic shrink. The verdict comes from an
+                // all-gathered fingerprint matrix that is identical on
+                // every rank, so the whole world takes this branch in
+                // lockstep with identical values.
+                Err(CollectiveError::CorruptPayload { rank, bucket, step }) => {
+                    self.counters.rank_quarantines += 1;
+                    quarantined += 1;
+                    let snap = self.load_durable(self.prog.step).unwrap_or_else(|| {
+                        panic!(
+                            "step {step}: rank {rank} quarantined (bucket {bucket}) \
+                             but no durable checkpoint precedes the poisoned step"
+                        )
+                    });
+                    self.rewind(&snap, true);
+                    break false;
+                }
+                // Anything else (retry exhaustion on a transient
+                // schedule) stays fatal.
+                Err(other) => panic!(
+                    "step {}: gradient exchange failed permanently: {other}",
+                    self.prog.step
+                ),
+            };
+
+            // Divergence guard: the reduced loss and flat gradient buffer
+            // are bitwise identical on every rank, so either all ranks
+            // trip here or none do — the rollback is SPMD-symmetric by
+            // construction. Tripping *before* the optimizer step keeps
+            // non-finite values out of the weights entirely.
+            if view.nan_guard
+                && !(mean_loss.is_finite() && self.grad_bucket.last_reduction_is_finite())
+            {
+                self.counters.divergence_rollbacks += 1;
+                let err = DivergenceError {
+                    step: self.prog.step,
+                    rollbacks: self.counters.divergence_rollbacks,
+                };
+                if self.counters.divergence_rollbacks > DIVERGENCE_ROLLBACK_CAP {
+                    panic!("{err}");
+                }
+                // Roll back *strictly before* the failing step: the
+                // weights were poisoned by the previous update, so a
+                // checkpoint taken at the top of this very step captured
+                // them — replaying it at any LR reproduces the same
+                // non-finite forward. Only rewinding past it and replaying
+                // the gap at halved LR changes the trajectory.
+                let snap = self.load_durable(self.prog.step).unwrap_or_else(|| {
+                    panic!("{err}: no valid durable checkpoint to roll back to")
+                });
+                let halved = self.prog.lr_scale * 0.5;
+                self.rewind(&snap, true);
+                self.prog.lr_scale = halved;
+                continue;
+            }
+
+            self.apply_update(schedule.as_ref(), mean_loss);
+            self.charge_virtual_step(backoff_before);
+
+            // Advance the sample clock.
+            self.prog.step += 1;
+            self.prog.steps_this_epoch += 1;
+            self.prog.consumed_samples += gb;
+            self.prog.sample_off += gb;
+            // Drop-remainder: a tail shorter than one global batch is
+            // skipped.
+            if self.prog.sample_off + gb > train_len {
+                self.finish_epoch();
+            }
+        };
+
+        // Drain for a resize: the last collective has completed (the step
+        // loop never leaves a bucket in flight), so rank 0 persists the
+        // durable checkpoint every survivor will resume from. The thread
+        // join in `train` orders this write before the next phase's loads.
+        if !done {
+            self.save_durable();
+            // The resize protocol's virtual cost (durable persist +
+            // collective rebuild + restart) is charged by `train` between
+            // phases; trace it here so every old-world rank records the
+            // identical span and the next phase's cursor continues past it.
+            let resize_s =
+                faults.resize_checkpoint_s() + faults.resize_rebuild_s() + faults.restart_delay_s();
+            self.charge(
+                obs_ph::RESIZE,
+                resize_s,
+                self.prog.step,
+                view.replicas as u64,
+            );
+        }
+
+        let mut weights: Vec<f32> = Vec::new();
+        self.model
+            .visit_params(&mut |p| weights.extend_from_slice(p.value.data()));
+        PhaseOutcome {
+            checksum: checksum_f32(weights.into_iter()),
+            history: self.history,
+            phases: self.phases,
+            buckets: self.grad_bucket.profile().clone(),
+            carry: Carry {
+                counters: self.counters,
+                timeline: self.timeline,
+                vnow: self.vnow,
+                step: self.prog.step,
+            },
+            done,
+            quarantined,
+        }
     }
 }
 
@@ -1650,6 +1540,48 @@ mod clip_tests {
 mod broadcast_init_tests {
     use super::*;
     use crate::experiment::Experiment;
+
+    #[test]
+    fn broadcast_equalizes_params_and_running_stats() {
+        use ets_collective::Backend;
+        use ets_efficientnet::ModelConfig;
+        use ets_nn::Precision;
+        use ets_tensor::Tensor;
+        for backend in [Backend::Tree, Backend::Ring] {
+            let world = create_collective(backend, 3);
+            let states: Vec<DurableSnapshot> = world
+                .into_iter()
+                .map(|c| {
+                    std::thread::spawn(move || {
+                        // Independent inits, perturbed running stats.
+                        let mut rng = Rng::new(10 + c.rank() as u64);
+                        let mut m =
+                            EfficientNet::new(ModelConfig::tiny(16, 4), Precision::F32, &mut rng);
+                        let mut rng = Rng::new(20 + c.rank() as u64);
+                        let mut x = Tensor::zeros([2, 3, 16, 16]);
+                        rng.fill_normal(x.data_mut(), 0.0, 1.0);
+                        let _ = m.forward(&x, Mode::Train, &mut rng);
+                        broadcast_model(&mut m, c.as_ref(), 1);
+                        let (opt, at) = (Sgd::new(0.0, 0.0), Progress::fresh());
+                        DurableSnapshot::capture(&mut m, &opt, None, &at, 1, &[])
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|j| j.join().unwrap())
+                .collect();
+            for state in &states[1..] {
+                assert_eq!(
+                    state.params, states[0].params,
+                    "{backend}: weights diverged"
+                );
+                assert_eq!(
+                    state.bn_running, states[0].bn_running,
+                    "{backend}: BN stats diverged"
+                );
+            }
+        }
+    }
 
     #[test]
     fn broadcast_init_synchronizes_and_trains() {

@@ -9,10 +9,10 @@
 
 use ets_nn::EmaState;
 use ets_optim::OptimizerState;
-use ets_train::checkpoint::TensorRecord;
 use ets_train::ckpt_store::{parse_manifest, render_manifest};
 use ets_train::{
-    crc32, CkptStore, CorruptionInjector, DurableSnapshot, EpochRecord, ManifestEntry,
+    crc32, CkptStore, CorruptionInjector, DurableSnapshot, EpochRecord, ManifestEntry, Progress,
+    TensorRecord,
 };
 use proptest::prelude::*;
 
@@ -30,15 +30,17 @@ fn snapshot(step: u64, seed: u64) -> DurableSnapshot {
     let mut bits = |n: usize| -> Vec<u32> { (0..n).map(|_| splitmix(&mut s) as u32).collect() };
     let param_n = 3 + (seed % 5) as usize;
     DurableSnapshot {
-        step,
-        epoch: 1 + step / 4,
-        sample_off: (step % 4) * 32,
-        steps_this_epoch: step % 4,
-        consumed_samples: step * 32,
+        progress: Progress {
+            step,
+            epoch: 1 + step / 4,
+            sample_off: (step % 4) * 32,
+            steps_this_epoch: step % 4,
+            consumed_samples: step * 32,
+            lr_scale: 0.5,
+            loss_sum: step as f64 * 1.25,
+            last_lr: 0.025,
+        },
         world: 4,
-        lr_scale_bits: 0.5f32.to_bits(),
-        loss_sum_bits: (step as f64 * 1.25).to_bits(),
-        last_lr_bits: 0.025f32.to_bits(),
         params: vec![
             TensorRecord {
                 name: "stem/w".to_string(),
@@ -151,7 +153,7 @@ fn injector_corruption_never_loads_silently() {
         .flip_one_bit(&dir.join("ckpt-00000000000000000006.ets"))
         .unwrap();
     let (snap, report) = store.load_latest_valid().unwrap().expect("fallback exists");
-    assert_eq!(snap.step, 4);
+    assert_eq!(snap.progress.step, 4);
     assert_eq!(report.loaded_step, 4);
     assert_eq!(report.corrupt_skipped, 1);
     // Corrupt everything: the store must refuse entirely, not guess.
@@ -237,7 +239,7 @@ fn retention_keeps_exactly_the_newest_k() {
         }
         // Every retained checkpoint is still fully loadable.
         for step in store.list_steps().unwrap() {
-            assert_eq!(store.load_step(step).unwrap().step, step);
+            assert_eq!(store.load_step(step).unwrap().progress.step, step);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

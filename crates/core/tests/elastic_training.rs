@@ -233,7 +233,10 @@ fn surviving_checkpoints_reject_injected_corruption() {
         .unwrap()
         .expect("valid checkpoint");
     assert_eq!(report.corrupt_skipped, 0);
-    assert!(snap.step >= 3, "checkpoint must be at/after the resize");
+    assert!(
+        snap.progress.step >= 3,
+        "checkpoint must be at/after the resize"
+    );
 
     // Inject corruption into every surviving file: zero silent loads.
     let mut injector = CorruptionInjector::new(7);

@@ -12,10 +12,7 @@ use efficientnet_at_scale::efficientnet::{EfficientNet, ModelConfig};
 use efficientnet_at_scale::nn::{cross_entropy, zero_grads, Layer, Mode, Precision};
 use efficientnet_at_scale::optim::{Optimizer, Sgd};
 use efficientnet_at_scale::tensor::Rng;
-use efficientnet_at_scale::train::checkpoint::CHECKPOINT_VERSION;
-use efficientnet_at_scale::train::{
-    restore_checkpoint, save_checkpoint, Checkpoint, CkptError, DurableSnapshot,
-};
+use efficientnet_at_scale::train::{CkptError, DurableSnapshot, Progress};
 
 fn main() {
     let ds = SynthNet::new(7, 4, 128, 16, 0.3);
@@ -35,26 +32,18 @@ fn main() {
         println!("step {step}: loss {:.4}", out.loss);
     }
 
-    // The durable snapshot is what the trainer persists: weights and BN
-    // statistics from the checkpoint layer, optimizer slots, and the
-    // progress cursor an elastic resume needs.
-    let ckpt = save_checkpoint(&mut model, 5);
-    let snap = DurableSnapshot {
-        step: ckpt.step,
-        epoch: 1,
+    // The durable snapshot is what the trainer persists and rewinds to:
+    // weights and BN statistics, optimizer slots, and the progress cursor
+    // an elastic resume needs, captured straight off the replica.
+    let progress = Progress {
+        step: 5,
         sample_off: 5 * 32,
         steps_this_epoch: 5,
         consumed_samples: 5 * 32,
-        world: 1,
-        lr_scale_bits: 1.0f32.to_bits(),
-        loss_sum_bits: 0.0f64.to_bits(),
-        last_lr_bits: 0.02f32.to_bits(),
-        params: ckpt.params,
-        bn_running: ckpt.bn_running,
-        opt_state: opt.export_state(),
-        ema: None,
-        history: Vec::new(),
+        last_lr: 0.02,
+        ..Progress::fresh()
     };
+    let snap = DurableSnapshot::capture(&mut model, &opt, None, &progress, 1, &[]);
     let mut bytes = snap.to_bytes();
     println!(
         "\ncheckpoint: {} tensors, {} BN stat pairs, {:.1} KiB on disk",
@@ -67,14 +56,10 @@ fn main() {
     let mut revived =
         EfficientNet::new(ModelConfig::tiny(16, 4), Precision::F32, &mut Rng::new(99));
     let loaded = DurableSnapshot::from_bytes(&bytes).expect("an undamaged snapshot validates");
-    restore_checkpoint(
-        &mut revived,
-        &Checkpoint {
-            version: CHECKPOINT_VERSION,
-            step: loaded.step,
-            params: loaded.params,
-            bn_running: loaded.bn_running,
-        },
+    let (resumed, _history) = loaded.apply(&mut revived, &mut Sgd::new(0.9, 1e-5), &mut None);
+    println!(
+        "revived at step {} ({} samples consumed)",
+        resumed.step, resumed.consumed_samples
     );
 
     // Identical eval outputs.

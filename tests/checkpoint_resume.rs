@@ -7,11 +7,19 @@ use efficientnet_at_scale::efficientnet::{EfficientNet, ModelConfig};
 use efficientnet_at_scale::nn::{cross_entropy, top1_accuracy, zero_grads, Layer, Mode, Precision};
 use efficientnet_at_scale::optim::{Optimizer, Sgd};
 use efficientnet_at_scale::tensor::Rng;
-use efficientnet_at_scale::train::{restore_checkpoint, save_checkpoint};
+use efficientnet_at_scale::train::{DurableSnapshot, Progress};
 
 fn make_model(seed: u64) -> EfficientNet {
     let mut rng = Rng::new(seed);
     EfficientNet::new(ModelConfig::tiny(16, 4), Precision::F32, &mut rng)
+}
+
+fn capture_at(model: &mut EfficientNet, opt: &Sgd, step: u64) -> DurableSnapshot {
+    let progress = Progress {
+        step,
+        ..Progress::fresh()
+    };
+    DurableSnapshot::capture(model, opt, None, &progress, 1, &[])
 }
 
 #[test]
@@ -33,7 +41,7 @@ fn train_checkpoint_restore_resume() {
     }
 
     // Snapshot mid-training.
-    let ckpt = save_checkpoint(&mut model, 6);
+    let snap = capture_at(&mut model, &opt, 6);
     let (x, labels) = load_batch(&ds, &indices, AugmentConfig::eval(), &mut Rng::new(5));
     let mut r_eval = Rng::new(9);
     let probs_orig = model.forward(&x, Mode::Eval, &mut r_eval);
@@ -46,7 +54,8 @@ fn train_checkpoint_restore_resume() {
         before.max_abs_diff(&probs_orig) > 1e-3,
         "distinct before restore"
     );
-    restore_checkpoint(&mut revived, &ckpt);
+    let (progress, _) = snap.apply(&mut revived, &mut Sgd::new(0.9, 0.0), &mut None);
+    assert_eq!(progress.step, 6);
     let mut r3 = Rng::new(9);
     let after = revived.forward(&x, Mode::Eval, &mut r3);
     assert_eq!(
@@ -64,8 +73,8 @@ fn train_checkpoint_restore_resume() {
         let logits = m.forward(&x, Mode::Train, &mut rng);
         let out = cross_entropy(&logits, &labels, 0.0);
         m.backward(&out.dlogits);
-        // Fresh optimizer on both sides (momentum state is not part of the
-        // checkpoint; both resume identically from zeroed state).
+        // Fresh momentum-free optimizer on both sides, so this step
+        // depends on the restored weights and BN statistics alone.
         let mut o = Sgd::new(0.0, 0.0);
         o.step(m, 0.01);
     };
@@ -137,41 +146,16 @@ fn kill_at_arbitrary_step_then_resume_matches_uninterrupted() {
 
 #[test]
 fn checkpoint_survives_round_trip_through_disk_format() {
-    use efficientnet_at_scale::train::checkpoint::CHECKPOINT_VERSION;
-    use efficientnet_at_scale::train::{Checkpoint, CkptError, DurableSnapshot};
+    use efficientnet_at_scale::train::CkptError;
     let mut model = make_model(11);
-    let ckpt = save_checkpoint(&mut model, 42);
-    let snap = DurableSnapshot {
-        step: ckpt.step,
-        epoch: 1,
-        sample_off: 0,
-        steps_this_epoch: 0,
-        consumed_samples: 0,
-        world: 1,
-        lr_scale_bits: 1.0f32.to_bits(),
-        loss_sum_bits: 0.0f64.to_bits(),
-        last_lr_bits: 0.0f32.to_bits(),
-        params: ckpt.params,
-        bn_running: ckpt.bn_running,
-        opt_state: Sgd::new(0.9, 0.0).export_state(),
-        ema: None,
-        history: Vec::new(),
-    };
-    let mut bytes = snap.to_bytes();
+    let opt = Sgd::new(0.9, 0.0);
+    let mut bytes = capture_at(&mut model, &opt, 42).to_bytes();
     let parsed = DurableSnapshot::from_bytes(&bytes).unwrap();
-    assert_eq!(parsed.step, 42);
+    assert_eq!(parsed.progress.step, 42);
     let mut revived = make_model(12);
-    restore_checkpoint(
-        &mut revived,
-        &Checkpoint {
-            version: CHECKPOINT_VERSION,
-            step: parsed.step,
-            params: parsed.params,
-            bn_running: parsed.bn_running,
-        },
-    );
+    parsed.apply(&mut revived, &mut Sgd::new(0.9, 0.0), &mut None);
     let bits = |m: &mut EfficientNet| -> Vec<Vec<u32>> {
-        let saved = save_checkpoint(m, 0);
+        let saved = capture_at(m, &opt, 0);
         saved.params.into_iter().map(|t| t.bits).collect()
     };
     assert_eq!(bits(&mut model), bits(&mut revived));

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the compute kernels that dominate training:
-//! GEMM (f32 and bf16-mixed), dense convolution, depthwise convolution
-//! (forward and backward per regime), and the batch-norm reductions.
+//! GEMM (f32 and bf16-mixed), dense convolution and depthwise convolution
+//! (forward and backward per regime).
 //!
 //! `Criterion::default()` is the canonical constructor; the offline stub
 //! models `Criterion` as a unit struct, which would otherwise trip
@@ -15,7 +15,6 @@ use ets_tensor::ops::gemm_blocked::{
     gemm_blocked, gemm_prepacked, pack_a_into, packed_a_len, PanelA, PanelB,
 };
 use ets_tensor::ops::matmul::gemm_naive;
-use ets_tensor::ops::reduce::{channel_mean, channel_sum_sq};
 use ets_tensor::{same_pad, scratch_f32, Rng, Shape, Tensor};
 
 fn rand_vec(rng: &mut Rng, n: usize) -> Vec<f32> {
@@ -161,19 +160,9 @@ fn bench_depthwise(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bn_reductions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bn_reduce");
-    let mut rng = Rng::new(3);
-    let x = rand_tensor(&mut rng, &[32, 64, 16, 16]);
-    group.throughput(Throughput::Elements(x.numel() as u64));
-    group.bench_function("channel_mean", |b| b.iter(|| channel_mean(&x)));
-    group.bench_function("channel_sum_sq", |b| b.iter(|| channel_sum_sq(&x)));
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_conv_strategies, bench_conv, bench_depthwise, bench_bn_reductions
+    targets = bench_gemm, bench_conv_strategies, bench_conv, bench_depthwise
 }
 criterion_main!(benches);

@@ -1156,31 +1156,21 @@ pub fn validate_kernels_json(doc: &str) -> Result<(), String> {
 /// gate.
 const AUTO_NOISE_FLOOR: f64 = 0.90;
 
-/// The CI regression gate:
-/// 1. the blocked kernel must not fall below naive at the calibration
-///    shape;
-/// 2. the *dispatched* path must not fall below naive at any committed
-///    shape (modulo timing noise) — this is what the small-k guard
-///    protects: a shape the blocked kernel loses must route to naive.
-///    In `smoke` mode this applies to the calibration row only: the
-///    other rows run at shrunken, sub-tuning-target shapes there;
-/// 3. the bf16 pack must not be slower than the f32 pack (it writes half
-///    the bytes; losing means the narrowing went quadratic somewhere);
-/// 4. the steady state must be allocation-free — in both precisions;
-/// 5. the parallel macro-kernel must be **bitwise equal** to sequential
-///    and keep every worker's scratch arena allocation-free — always —
-///    and reach ≥ [`PARALLEL_SPEEDUP_FLOOR`]× sequential at the
-///    calibration shape when the host has ≥ 2 cores (a 1-core container
-///    can time-slice but not speed up, so only the correctness half of
-///    the claim is checkable there).
-pub fn check_kernel_regression(
-    rows: &[KernelBenchRow],
+/// The structural half of the CI gate: everything in it is exact on any
+/// host at any load, so test suites can assert it (`tests/smoke.rs`
+/// does, in debug and release alike).
+/// 1. every SIMD lane is **bitwise equal** to the scalar micro-kernel;
+/// 2. ABFT verification is bitwise neutral on clean operands, reports
+///    no corruption there, and did checksum tiles;
+/// 3. the parallel macro-kernel is bitwise equal to sequential and
+///    keeps every worker's scratch arena allocation-free, and on a
+///    1-core host the worker clamp refuses the tile grid;
+/// 4. the steady state is allocation-free, in both precisions.
+pub fn check_kernel_structure(
     ss: &SteadyState,
-    pack: &PackProbe,
     par: &ParallelProbe,
     abft: &AbftProbe,
     sp: &SimdProbe,
-    smoke: bool,
 ) -> Result<(), String> {
     for lane in &sp.lanes {
         if !lane.bitwise_equal_scalar {
@@ -1190,25 +1180,6 @@ pub fn check_kernel_regression(
                 lane.path
             ));
         }
-    }
-    let scalar_lane = sp.lane("scalar").ok_or("simd probe missing scalar lane")?;
-    let active_lane = sp
-        .lane(&sp.active)
-        .ok_or_else(|| format!("simd probe missing active lane {:?}", sp.active))?;
-    if active_lane.f32_gflops < scalar_lane.f32_gflops * AUTO_NOISE_FLOOR {
-        return Err(format!(
-            "active SIMD lane {:?} slower than scalar at the calibration shape (f32): \
-             {:.2} < {:.2} GFLOP/s — the vectorized kernel must never lose to the \
-             kernel it replaced",
-            sp.active, active_lane.f32_gflops, scalar_lane.f32_gflops
-        ));
-    }
-    if active_lane.bf16_gflops < scalar_lane.bf16_gflops * AUTO_NOISE_FLOOR {
-        return Err(format!(
-            "active SIMD lane {:?} slower than scalar at the calibration shape (bf16): \
-             {:.2} < {:.2} GFLOP/s",
-            sp.active, active_lane.bf16_gflops, scalar_lane.bf16_gflops
-        ));
     }
     if !abft.bitwise_equal {
         return Err(
@@ -1241,6 +1212,71 @@ pub fn check_kernel_regression(
             par.worker_realloc_deltas
         ));
     }
+    // 1-core host: a real speedup is impossible, so the gate checks that
+    // the worker clamp *refused* the tile grid (any fan-out is a clamp
+    // bug).
+    if !par.gate_enforced && par.par_helper_tiles != 0 {
+        return Err(format!(
+            "parity-only gate: on a {}-core host the worker clamp must route dispatch \
+             to the sequential path, but helper workers executed {} tile(s)",
+            par.host_cores, par.par_helper_tiles
+        ));
+    }
+    if ss.scratch_reallocs_delta != 0 {
+        return Err(format!(
+            "steady-state step hit the allocator {} time(s); the arena contract requires 0",
+            ss.scratch_reallocs_delta
+        ));
+    }
+    Ok(())
+}
+
+/// The CI regression gate of the `bench_kernels` binary:
+/// [`check_kernel_structure`], then the wall-clock ratios, which need a
+/// quiet release-mode host and so belong to no test suite.
+/// 1. the active SIMD lane must not lose to the scalar lane;
+/// 2. the blocked kernel must not fall below naive at the calibration
+///    shape;
+/// 3. the *dispatched* path must not fall below naive at any committed
+///    shape (modulo timing noise) — this is what the small-k guard
+///    protects: a shape the blocked kernel loses must route to naive.
+///    In `smoke` mode this applies to the calibration row only: the
+///    other rows run at shrunken, sub-tuning-target shapes there;
+/// 4. the bf16 pack must not be slower than the f32 pack (it writes half
+///    the bytes; losing means the narrowing went quadratic somewhere);
+/// 5. the parallel macro-kernel must reach ≥ [`PARALLEL_SPEEDUP_FLOOR`]×
+///    sequential at the calibration shape when the host has ≥ 2 cores (a
+///    1-core container can time-slice but not speed up, so there it
+///    must stay at sequential throughput instead).
+pub fn check_kernel_regression(
+    rows: &[KernelBenchRow],
+    ss: &SteadyState,
+    pack: &PackProbe,
+    par: &ParallelProbe,
+    abft: &AbftProbe,
+    sp: &SimdProbe,
+    smoke: bool,
+) -> Result<(), String> {
+    check_kernel_structure(ss, par, abft, sp)?;
+    let scalar_lane = sp.lane("scalar").ok_or("simd probe missing scalar lane")?;
+    let active_lane = sp
+        .lane(&sp.active)
+        .ok_or_else(|| format!("simd probe missing active lane {:?}", sp.active))?;
+    if active_lane.f32_gflops < scalar_lane.f32_gflops * AUTO_NOISE_FLOOR {
+        return Err(format!(
+            "active SIMD lane {:?} slower than scalar at the calibration shape (f32): \
+             {:.2} < {:.2} GFLOP/s — the vectorized kernel must never lose to the \
+             kernel it replaced",
+            sp.active, active_lane.f32_gflops, scalar_lane.f32_gflops
+        ));
+    }
+    if active_lane.bf16_gflops < scalar_lane.bf16_gflops * AUTO_NOISE_FLOOR {
+        return Err(format!(
+            "active SIMD lane {:?} slower than scalar at the calibration shape (bf16): \
+             {:.2} < {:.2} GFLOP/s",
+            sp.active, active_lane.bf16_gflops, scalar_lane.bf16_gflops
+        ));
+    }
     if par.gate_enforced {
         if par.speedup() < PARALLEL_SPEEDUP_FLOOR {
             return Err(format!(
@@ -1260,27 +1296,15 @@ pub fn check_kernel_regression(
                 par.host_cores
             ));
         }
-    } else {
-        // 1-core host: a real speedup is impossible, so the gate checks
-        // that the worker clamp *refused* the tile grid. The helper-tile
-        // count is the deterministic half (any fan-out is a clamp bug);
-        // the paired timing ratio corroborates that the refused path
-        // actually runs at sequential speed.
-        if par.par_helper_tiles != 0 {
-            return Err(format!(
-                "parity-only gate: on a {}-core host the worker clamp must route dispatch \
-                 to the sequential path, but helper workers executed {} tile(s)",
-                par.host_cores, par.par_helper_tiles
-            ));
-        }
-        if par.best_paired_ratio < PARALLEL_PARITY_FLOOR {
-            return Err(format!(
-                "parity-only gate: on a {}-core host the parallel dispatch must stay at \
-                 sequential throughput, but the best matched-window ratio was {:.2}x \
-                 (< {PARALLEL_PARITY_FLOOR})",
-                par.host_cores, par.best_paired_ratio
-            ));
-        }
+    } else if par.best_paired_ratio < PARALLEL_PARITY_FLOOR {
+        // The paired timing ratio corroborates that the path the worker
+        // clamp chose actually runs at sequential speed.
+        return Err(format!(
+            "parity-only gate: on a {}-core host the parallel dispatch must stay at \
+             sequential throughput, but the best matched-window ratio was {:.2}x \
+             (< {PARALLEL_PARITY_FLOOR})",
+            par.host_cores, par.best_paired_ratio
+        ));
     }
     let cal = rows
         .iter()
@@ -1313,12 +1337,6 @@ pub fn check_kernel_regression(
         return Err(format!(
             "bf16 panel pack slower than f32 at calibration shape: {:.1} < {:.1} Melem/s",
             pack.bf16_melems_per_s, pack.f32_melems_per_s
-        ));
-    }
-    if ss.scratch_reallocs_delta != 0 {
-        return Err(format!(
-            "steady-state step hit the allocator {} time(s); the arena contract requires 0",
-            ss.scratch_reallocs_delta
         ));
     }
     Ok(())

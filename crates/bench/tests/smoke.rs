@@ -7,8 +7,9 @@
 //! exercised them and the `BENCH_*` perf trajectory stayed empty.
 
 use ets_bench::kernels::{
-    abft_probe, check_kernel_regression, kernel_rows, kernels_json, pack_probe, parallel_probe,
-    simd_probe, steady_state_probe, validate_kernels_json, CALIBRATION_LABEL, CALIBRATION_MKN,
+    abft_probe, check_kernel_regression, check_kernel_structure, kernel_rows, kernels_json,
+    pack_probe, parallel_probe, simd_probe, steady_state_probe, validate_kernels_json,
+    CALIBRATION_LABEL, CALIBRATION_MKN,
 };
 use ets_bench::{
     check_scaling_regression, figure1_json, figure1_points, paper_run_steps, run_smoke,
@@ -465,15 +466,12 @@ fn kernel_bench_smoke_emits_valid_json_and_allocation_free_steady_state() {
         "active lane {active} must have a measured row"
     );
 
-    // The CI regression gate passes on a healthy optimized build. The
-    // throughput half of the gate is meaningless without optimizations
-    // (unoptimized blocked kernels lose to naive on pure call overhead),
-    // so only assert it when this test itself runs under `--release` —
-    // CI's `bench-kernels` job runs the bin in release mode regardless.
-    if !cfg!(debug_assertions) {
-        check_kernel_regression(&rows, &ss, &pack, &par, &abft, &sp, true)
-            .expect("regression gate must pass");
-    }
+    // The structural half of the CI gate holds on any host, debug or
+    // release. Its wall-clock floors (blocked vs naive, lane vs scalar,
+    // 4 workers ≥ 1.6× sequential) are the `bench_kernels` binary's,
+    // which CI's kernel job runs on a runner of its own: asserted here
+    // they fail on a loaded 2-vCPU host at any commit.
+    check_kernel_structure(&ss, &par, &abft, &sp).expect("structural gate must pass");
 }
 
 /// The regression checker actually rejects: a blocked-slower-than-naive

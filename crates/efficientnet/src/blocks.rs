@@ -3,23 +3,23 @@
 //! `x → [1×1 expand → BN → swish] → k×k depthwise → BN → swish → SE →
 //! 1×1 project → BN → (+ drop-path residual when stride 1 and C_in = C_out)`
 //!
+//! Each BN → swish pair is one layer ([`BatchNorm2d::with_swish`]).
 //! The expansion stage is skipped when `expand_ratio == 1` (stage 1).
 //! SE's bottleneck width is `max(1, se_ratio · in_filters)` — based on the
 //! block's *input* filters, matching the reference implementation.
 
 use ets_nn::{
     BatchNorm2d, Conv2d, DepthwiseConv2d, DropPath, Layer, Mode, Param, Precision, SqueezeExcite,
-    StatSync, Swish,
+    StatSync,
 };
 use ets_tensor::{same_pad, Rng, Tensor};
 use std::sync::Arc;
 
 /// One MBConv block.
 pub struct MbConvBlock {
-    expand: Option<(Conv2d, BatchNorm2d, Swish)>,
+    expand: Option<(Conv2d, BatchNorm2d)>,
     depthwise: DepthwiseConv2d,
     dw_bn: BatchNorm2d,
-    dw_act: Swish,
     se: SqueezeExcite,
     project: Conv2d,
     proj_bn: BatchNorm2d,
@@ -57,8 +57,7 @@ impl MbConvBlock {
                     precision,
                     rng,
                 ),
-                BatchNorm2d::new(format!("{label}.expand_bn"), expanded),
-                Swish::new(),
+                BatchNorm2d::new(format!("{label}.expand_bn"), expanded).with_swish(),
             )
         });
         let se_dim = ((in_filters as f32 * se_ratio) as usize).max(1);
@@ -73,8 +72,7 @@ impl MbConvBlock {
                 precision,
                 rng,
             ),
-            dw_bn: BatchNorm2d::new(format!("{label}.dw_bn"), expanded),
-            dw_act: Swish::new(),
+            dw_bn: BatchNorm2d::new(format!("{label}.dw_bn"), expanded).with_swish(),
             se: SqueezeExcite::new(
                 format!("{label}.se"),
                 expanded,
@@ -106,7 +104,7 @@ impl MbConvBlock {
 
     /// Visits every batch-norm layer (for distributed-BN wiring).
     pub fn visit_bns(&mut self, f: &mut dyn FnMut(&mut BatchNorm2d)) {
-        if let Some((_, bn, _)) = &mut self.expand {
+        if let Some((_, bn)) = &mut self.expand {
             f(bn);
         }
         f(&mut self.dw_bn);
@@ -121,16 +119,14 @@ impl MbConvBlock {
 
 impl Layer for MbConvBlock {
     fn forward(&mut self, x: &Tensor, mode: Mode, rng: &mut Rng) -> Tensor {
-        let expanded = self.expand.as_mut().map(|(conv, bn, act)| {
+        let expanded = self.expand.as_mut().map(|(conv, bn)| {
             let cur = conv.forward(x, mode, rng);
-            let cur = bn.forward(&cur, mode, rng);
-            act.forward(&cur, mode, rng)
+            bn.forward(&cur, mode, rng)
         });
         let mut cur = self
             .depthwise
             .forward(expanded.as_ref().unwrap_or(x), mode, rng);
         cur = self.dw_bn.forward(&cur, mode, rng);
-        cur = self.dw_act.forward(&cur, mode, rng);
         cur = self.se.forward(&cur, mode, rng);
         cur = self.project.forward(&cur, mode, rng);
         cur = self.proj_bn.forward(&cur, mode, rng);
@@ -146,11 +142,9 @@ impl Layer for MbConvBlock {
         let mut g = self.proj_bn.backward(dropped.as_ref().unwrap_or(grad));
         g = self.project.backward(&g);
         g = self.se.backward(&g);
-        g = self.dw_act.backward(&g);
         g = self.dw_bn.backward(&g);
         g = self.depthwise.backward(&g);
-        if let Some((conv, bn, act)) = &mut self.expand {
-            g = act.backward(&g);
+        if let Some((conv, bn)) = &mut self.expand {
             g = bn.backward(&g);
             g = conv.backward(&g);
         }
@@ -161,7 +155,7 @@ impl Layer for MbConvBlock {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        if let Some((conv, bn, _)) = &mut self.expand {
+        if let Some((conv, bn)) = &mut self.expand {
             conv.visit_params(f);
             bn.visit_params(f);
         }
@@ -174,6 +168,17 @@ impl Layer for MbConvBlock {
 
     fn name(&self) -> String {
         self.label.clone()
+    }
+
+    fn cached_elems(&self) -> usize {
+        let expand = self.expand.as_ref();
+        expand.map_or(0, |(conv, bn)| conv.cached_elems() + bn.cached_elems())
+            + self.depthwise.cached_elems()
+            + self.dw_bn.cached_elems()
+            + self.se.cached_elems()
+            + self.project.cached_elems()
+            + self.proj_bn.cached_elems()
+            + self.drop_path.cached_elems()
     }
 }
 

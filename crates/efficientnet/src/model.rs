@@ -1,10 +1,12 @@
-//! The EfficientNet model: stem → MBConv stages → head.
+//! The EfficientNet model: stem → MBConv stages → head. The swish after
+//! the stem's and the head's batch norm is that layer's own epilogue
+//! ([`BatchNorm2d::with_swish`]).
 
 use crate::blocks::MbConvBlock;
 use crate::config::ModelConfig;
 use ets_nn::{
     BatchNorm2d, Conv2d, Dropout, GlobalAvgPool, HookedBackward, Layer, Linear, Mode, Param,
-    Precision, StatSync, Swish,
+    Precision, StatSync,
 };
 use ets_tensor::{same_pad, Rng, Tensor};
 use std::sync::Arc;
@@ -13,11 +15,9 @@ use std::sync::Arc;
 pub struct EfficientNet {
     stem_conv: Conv2d,
     stem_bn: BatchNorm2d,
-    stem_act: Swish,
     blocks: Vec<MbConvBlock>,
     head_conv: Conv2d,
     head_bn: BatchNorm2d,
-    head_act: Swish,
     gap: GlobalAvgPool,
     dropout: Dropout,
     fc: Linear,
@@ -64,12 +64,10 @@ impl EfficientNet {
         let last_f = config.round_filters(config.blocks.last().unwrap().out_filters);
         EfficientNet {
             stem_conv: Conv2d::new("stem.conv", 3, stem_f, 3, 2, same_pad(3), precision, rng),
-            stem_bn: BatchNorm2d::new("stem.bn", stem_f),
-            stem_act: Swish::new(),
+            stem_bn: BatchNorm2d::new("stem.bn", stem_f).with_swish(),
             blocks,
             head_conv: Conv2d::new("head.conv", last_f, head_f, 1, 1, 0, precision, rng),
-            head_bn: BatchNorm2d::new("head.bn", head_f),
-            head_act: Swish::new(),
+            head_bn: BatchNorm2d::new("head.bn", head_f).with_swish(),
             gap: GlobalAvgPool::new(),
             dropout: Dropout::new(config.dropout),
             // The head receives the experiment policy; its MAC gate keeps
@@ -119,13 +117,11 @@ impl Layer for EfficientNet {
         assert_eq!(x.shape().c(), 3, "EfficientNet expects RGB input");
         let mut cur = self.stem_conv.forward(x, mode, rng);
         cur = self.stem_bn.forward(&cur, mode, rng);
-        cur = self.stem_act.forward(&cur, mode, rng);
         for b in &mut self.blocks {
             cur = b.forward(&cur, mode, rng);
         }
         cur = self.head_conv.forward(&cur, mode, rng);
         cur = self.head_bn.forward(&cur, mode, rng);
-        cur = self.head_act.forward(&cur, mode, rng);
         cur = self.gap.forward(&cur, mode, rng);
         cur = self.dropout.forward(&cur, mode, rng);
         self.fc.forward(&cur, mode, rng)
@@ -135,13 +131,11 @@ impl Layer for EfficientNet {
         let mut g = self.fc.backward(grad);
         g = self.dropout.backward(&g);
         g = self.gap.backward(&g);
-        g = self.head_act.backward(&g);
         g = self.head_bn.backward(&g);
         g = self.head_conv.backward(&g);
         for b in self.blocks.iter_mut().rev() {
             g = b.backward(&g);
         }
-        g = self.stem_act.backward(&g);
         g = self.stem_bn.backward(&g);
         self.stem_conv.backward(&g)
     }
@@ -163,6 +157,16 @@ impl Layer for EfficientNet {
             self.config.width_mult, self.config.depth_mult, self.config.resolution
         )
     }
+
+    fn cached_elems(&self) -> usize {
+        self.stem_conv.cached_elems()
+            + self.stem_bn.cached_elems()
+            + self.blocks.iter().map(|b| b.cached_elems()).sum::<usize>()
+            + self.head_conv.cached_elems()
+            + self.head_bn.cached_elems()
+            + self.dropout.cached_elems()
+            + self.fc.cached_elems()
+    }
 }
 
 impl HookedBackward for EfficientNet {
@@ -177,7 +181,6 @@ impl HookedBackward for EfficientNet {
         ready(&mut self.fc);
         g = self.dropout.backward(&g);
         g = self.gap.backward(&g);
-        g = self.head_act.backward(&g);
         g = self.head_bn.backward(&g);
         ready(&mut self.head_bn);
         g = self.head_conv.backward(&g);
@@ -186,7 +189,6 @@ impl HookedBackward for EfficientNet {
             g = b.backward(&g);
             ready(b);
         }
-        g = self.stem_act.backward(&g);
         g = self.stem_bn.backward(&g);
         ready(&mut self.stem_bn);
         let dx = self.stem_conv.backward(&g);

@@ -2,14 +2,12 @@
 
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
+use ets_tensor::ops::act::{sigmoid_forward, swish_backward, swish_forward};
 use ets_tensor::{Rng, Tensor};
 
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-/// Swish / SiLU: `y = x · σ(x)`.
+/// Swish / SiLU: `y = x · σ(x)`. After a batch norm, prefer
+/// [`crate::BatchNorm2d::with_swish`], which computes the same bits
+/// without this layer's input cache.
 pub struct Swish {
     cache_x: Option<Tensor>,
 }
@@ -28,23 +26,33 @@ impl Default for Swish {
 
 impl Layer for Swish {
     fn forward(&mut self, x: &Tensor, _m: Mode, _r: &mut Rng) -> Tensor {
+        let mut y = Tensor::zeros(x.shape().clone());
+        swish_forward(x.data(), y.data_mut());
         self.cache_x = Some(x.clone());
-        x.map(|v| v * sigmoid(v))
+        y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let x = self.cache_x.take().expect("Swish: forward before backward");
-        // d/dx [x·σ(x)] = σ(x)·(1 + x·(1 − σ(x)))
-        x.zip(grad, |v, g| {
-            let s = sigmoid(v);
-            g * s * (1.0 + v * (1.0 - s))
-        })
+        assert!(
+            x.shape().same_as(grad.shape()),
+            "Swish: gradient shape {} vs input {}",
+            grad.shape(),
+            x.shape()
+        );
+        let mut dx = Tensor::zeros(x.shape().clone());
+        swish_backward(x.data(), grad.data(), dx.data_mut());
+        dx
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn name(&self) -> String {
         "swish".into()
+    }
+
+    fn cached_elems(&self) -> usize {
+        self.cache_x.as_ref().map_or(0, Tensor::numel)
     }
 }
 
@@ -84,6 +92,10 @@ impl Layer for Relu {
     fn name(&self) -> String {
         "relu".into()
     }
+
+    fn cached_elems(&self) -> usize {
+        self.cache_mask.as_ref().map_or(0, Tensor::numel)
+    }
 }
 
 /// Sigmoid: `y = σ(x)`.
@@ -105,7 +117,8 @@ impl Default for Sigmoid {
 
 impl Layer for Sigmoid {
     fn forward(&mut self, x: &Tensor, _m: Mode, _r: &mut Rng) -> Tensor {
-        let y = x.map(sigmoid);
+        let mut y = Tensor::zeros(x.shape().clone());
+        sigmoid_forward(x.data(), y.data_mut());
         self.cache_y = Some(y.clone());
         y
     }
@@ -122,6 +135,10 @@ impl Layer for Sigmoid {
 
     fn name(&self) -> String {
         "sigmoid".into()
+    }
+
+    fn cached_elems(&self) -> usize {
+        self.cache_y.as_ref().map_or(0, Tensor::numel)
     }
 }
 

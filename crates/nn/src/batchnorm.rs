@@ -14,7 +14,7 @@
 
 use crate::layer::{Layer, Mode};
 use crate::param::{Param, ParamKind};
-use ets_tensor::ops::reduce::{bn_backward_sums, channel_affine, channel_sum, channel_sum_sq};
+use ets_tensor::ops::reduce::{bn_apply, bn_backward_apply, bn_backward_reduce, bn_moments, Act};
 use ets_tensor::{Rng, Tensor};
 use std::sync::Arc;
 
@@ -43,7 +43,8 @@ impl StatSync for LocalStats {
     }
 }
 
-/// 2-D batch normalization over `(N, H, W)` per channel.
+/// 2-D batch normalization over `(N, H, W)` per channel, optionally
+/// followed by swish in the same pass ([`BatchNorm2d::with_swish`]).
 pub struct BatchNorm2d {
     gamma: Param,
     beta: Param,
@@ -54,16 +55,17 @@ pub struct BatchNorm2d {
     momentum: f32,
     eps: f32,
     sync: Arc<dyn StatSync>,
-    // Backward cache.
-    cache: Option<BnCache>,
+    act: Act,
+    // Per-channel workspace, sized once: the pair of sums each direction
+    // hands to `sync` (and the eval scale), the batch mean, and the
+    // `1/σ` the backward reads again.
+    pair: (Vec<f32>, Vec<f32>),
+    mean: Vec<f32>,
+    inv_std: Vec<f32>,
+    // Backward cache: x̂ and the group's element count per channel.
+    cache: Option<(Tensor, f32)>,
     label: String,
     channels: usize,
-}
-
-struct BnCache {
-    xhat: Tensor,
-    inv_std: Vec<f32>,
-    count: f32,
 }
 
 /// TF EfficientNet defaults: momentum 0.99, epsilon 1e-3.
@@ -95,10 +97,24 @@ impl BatchNorm2d {
             momentum: BN_MOMENTUM,
             eps: BN_EPS,
             sync,
+            act: Act::Identity,
+            pair: (vec![0.0; channels], vec![0.0; channels]),
+            mean: vec![0.0; channels],
+            inv_std: vec![0.0; channels],
             cache: None,
             label,
             channels,
         }
+    }
+
+    /// Makes the layer compute `swish(γ·x̂ + β)`: the activation runs in
+    /// the pass that normalizes, and the backward recomputes it from
+    /// `x̂`, so a BN → swish site keeps one activation instead of two.
+    /// Bitwise equal, forward and backward, to this layer without it
+    /// followed by [`crate::Swish`].
+    pub fn with_swish(mut self) -> Self {
+        self.act = Act::Swish;
+        self
     }
 
     /// Replaces the statistics reducer (used when wiring distributed BN).
@@ -124,92 +140,94 @@ impl BatchNorm2d {
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, mode: Mode, _rng: &mut Rng) -> Tensor {
-        let c = self.channels;
-        assert_eq!(x.shape().c(), c, "BatchNorm2d channel mismatch");
+        assert_eq!(x.shape().c(), self.channels, "BatchNorm2d channel mismatch");
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        let mut y = Tensor::zeros(x.shape().clone());
         match mode {
             Mode::Train => {
                 let local_count = (x.shape().n() * x.shape().h() * x.shape().w()) as f32;
-                let mut sums = channel_sum(x);
-                let mut sum_sqs = channel_sum_sq(x);
-                let count = self.sync.reduce_pair(&mut sums, &mut sum_sqs, local_count);
-                let mut mean = vec![0.0f32; c];
-                let mut inv_std = vec![0.0f32; c];
-                let mut var = vec![0.0f32; c];
-                for ch in 0..c {
-                    mean[ch] = sums[ch] / count;
-                    var[ch] = (sum_sqs[ch] / count - mean[ch] * mean[ch]).max(0.0);
-                    inv_std[ch] = 1.0 / (var[ch] + self.eps).sqrt();
-                }
-                // Normalize, then affine.
-                let zeros = vec![0.0f32; c];
-                let xhat = channel_affine(x, &mean, &inv_std, &zeros);
-                let scale: Vec<f32> = self.gamma.value.data().to_vec();
-                let shift: Vec<f32> = self.beta.value.data().to_vec();
-                let y = channel_affine(&xhat, &zeros, &scale, &shift);
-                // Running stats (TF semantics: new = m·old + (1−m)·batch).
-                for ch in 0..c {
+                let (sums, sum_sqs) = (&mut self.pair.0, &mut self.pair.1);
+                bn_moments(x, sums, sum_sqs);
+                let count = self.sync.reduce_pair(sums, sum_sqs, local_count);
+                for ch in 0..self.channels {
+                    let mean = sums[ch] / count;
+                    let var = (sum_sqs[ch] / count - mean * mean).max(0.0);
+                    self.mean[ch] = mean;
+                    self.inv_std[ch] = 1.0 / (var + self.eps).sqrt();
+                    // Running stats (TF semantics: new = m·old + (1−m)·batch).
                     self.running_mean[ch] =
-                        self.momentum * self.running_mean[ch] + (1.0 - self.momentum) * mean[ch];
+                        self.momentum * self.running_mean[ch] + (1.0 - self.momentum) * mean;
                     self.running_var[ch] =
-                        self.momentum * self.running_var[ch] + (1.0 - self.momentum) * var[ch];
+                        self.momentum * self.running_var[ch] + (1.0 - self.momentum) * var;
                 }
-                self.cache = Some(BnCache {
-                    xhat,
+                let mut xhat = Tensor::zeros(x.shape().clone());
+                let (mean, inv_std) = (&self.mean, &self.inv_std);
+                bn_apply(
+                    x,
+                    mean,
                     inv_std,
-                    count,
-                });
-                y
+                    gamma,
+                    beta,
+                    self.act,
+                    Some(&mut xhat),
+                    &mut y,
+                );
+                self.cache = Some((xhat, count));
             }
             Mode::Eval => {
-                let scale: Vec<f32> = (0..c)
-                    .map(|ch| {
-                        self.gamma.value.data()[ch] / (self.running_var[ch] + self.eps).sqrt()
-                    })
-                    .collect();
-                channel_affine(x, &self.running_mean, &scale, self.beta.value.data())
+                // act(scale·(x − μ) + β): the apply pass with the affine
+                // scale folded into its `inv_std` and a γ of one.
+                let (scale, ones) = (&mut self.pair.0, &mut self.pair.1);
+                for ch in 0..self.channels {
+                    scale[ch] = gamma[ch] / (self.running_var[ch] + self.eps).sqrt();
+                }
+                ones.fill(1.0);
+                bn_apply(
+                    x,
+                    &self.running_mean,
+                    scale,
+                    ones,
+                    beta,
+                    self.act,
+                    None,
+                    &mut y,
+                );
             }
         }
+        y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let BnCache {
-            xhat,
-            inv_std,
-            count,
-        } = self
+        let (xhat, count) = self
             .cache
             .take()
             .expect("BatchNorm2d: forward before backward");
-        let c = self.channels;
-        let (mut sum_g, mut sum_g_xhat) = bn_backward_sums(grad, &xhat);
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        let (sum_g, sum_g_xhat) = (&mut self.pair.0, &mut self.pair.1);
+        let mut dx = Tensor::zeros(grad.shape().clone());
+        bn_backward_reduce(
+            grad, &xhat, gamma, beta, self.act, &mut dx, sum_g, sum_g_xhat,
+        );
         // dγ/dβ use the *local* contributions only — the gradient all-reduce
         // later sums them across replicas, exactly once.
-        for ch in 0..c {
+        for ch in 0..self.channels {
             self.gamma.grad.data_mut()[ch] += sum_g_xhat[ch];
             self.beta.grad.data_mut()[ch] += sum_g[ch];
         }
         // dx needs the group-wide means of g and g·x̂ (the BN group's
         // normalization set), so reduce the same pair across the group.
         let local_count = count / self.sync.group_size() as f32;
-        let total = self
-            .sync
-            .reduce_pair(&mut sum_g, &mut sum_g_xhat, local_count);
+        let total = self.sync.reduce_pair(sum_g, sum_g_xhat, local_count);
         debug_assert!((total - count).abs() < 1.0, "count drift");
-        let gamma = self.gamma.value.data();
-        let mut dx = grad.clone();
-        let plane = grad.shape().h() * grad.shape().w();
-        let xh = xhat.data();
-        let inv_count = 1.0 / count;
-        for (i, chunk) in dx.data_mut().chunks_mut(plane).enumerate() {
-            let ch = i % c;
-            let a = gamma[ch] * inv_std[ch];
-            let mg = sum_g[ch] * inv_count;
-            let mgx = sum_g_xhat[ch] * inv_count;
-            let base = i * plane;
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = a * (*v - mg - xh[base + k] * mgx);
-            }
-        }
+        bn_backward_apply(
+            &mut dx,
+            &xhat,
+            gamma,
+            &self.inv_std,
+            sum_g,
+            sum_g_xhat,
+            count,
+        );
         dx
     }
 
@@ -221,12 +239,16 @@ impl Layer for BatchNorm2d {
     fn name(&self) -> String {
         self.label.clone()
     }
+
+    fn cached_elems(&self) -> usize {
+        self.cache.as_ref().map_or(0, |(xhat, _)| xhat.numel())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ets_tensor::ops::reduce::channel_mean;
+    use ets_tensor::ops::reduce::bn_moments;
 
     fn rand_x(seed: u64, shape: &[usize]) -> Tensor {
         let mut rng = Rng::new(seed);
@@ -241,15 +263,14 @@ mod tests {
         let mut rng = Rng::new(0);
         let x = rand_x(1, &[8, 4, 6, 6]);
         let y = bn.forward(&x, Mode::Train, &mut rng);
-        let m = channel_mean(&y);
-        for (ch, mean) in m.iter().enumerate() {
-            assert!(mean.abs() < 1e-4, "channel {ch} mean {mean}");
-        }
-        // Variance ≈ 1 (eps slightly shrinks it).
-        let ss = ets_tensor::ops::reduce::channel_sum_sq(&y);
+        let (mut sums, mut sum_sqs) = ([0.0; 4], [0.0; 4]);
+        bn_moments(&y, &mut sums, &mut sum_sqs);
         let count = (8 * 6 * 6) as f32;
-        for (ch, sum_sq) in ss.iter().enumerate() {
-            let v = sum_sq / count;
+        for ch in 0..4 {
+            let mean = sums[ch] / count;
+            assert!(mean.abs() < 1e-4, "channel {ch} mean {mean}");
+            // Variance ≈ 1 (eps slightly shrinks it).
+            let v = sum_sqs[ch] / count;
             assert!((v - 1.0).abs() < 0.05, "channel {ch} var {v}");
         }
     }
@@ -342,6 +363,61 @@ mod tests {
         fn group_size(&self) -> usize {
             2
         }
+    }
+
+    /// Forward output, input gradient, dγ and dβ of `bn` (followed by
+    /// `then`, if any) on seeded inputs, as bits.
+    fn train_step_bits(mut bn: BatchNorm2d, mut then: Option<crate::Swish>) -> [Vec<u32>; 4] {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = Rng::new(0);
+        let x = rand_x(11, &[3, 5, 6, 7]);
+        let g = rand_x(12, &[3, 5, 6, 7]);
+        bn.gamma.value = rand_x(13, &[5]);
+        bn.beta.value = rand_x(14, &[5]);
+        let mut y = bn.forward(&x, Mode::Train, &mut rng);
+        if let Some(act) = &mut then {
+            y = act.forward(&y, Mode::Train, &mut rng);
+        }
+        let g = then.as_mut().map_or(g.clone(), |act| act.backward(&g));
+        let dx = bn.backward(&g);
+        [
+            bits(y.data()),
+            bits(dx.data()),
+            bits(bn.gamma.grad.data()),
+            bits(bn.beta.grad.data()),
+        ]
+    }
+
+    #[test]
+    fn fused_swish_equals_batchnorm_then_swish_bitwise() {
+        let syncs: [fn() -> Arc<dyn StatSync>; 2] =
+            [|| Arc::new(LocalStats), || Arc::new(FakePairSync)];
+        for sync in syncs {
+            let fused = BatchNorm2d::with_sync("f", 5, sync()).with_swish();
+            let plain = BatchNorm2d::with_sync("p", 5, sync());
+            assert_eq!(
+                train_step_bits(fused, None),
+                train_step_bits(plain, Some(crate::Swish::new()))
+            );
+        }
+    }
+
+    #[test]
+    fn fused_eval_equals_batchnorm_then_swish_bitwise() {
+        let mut rng = Rng::new(0);
+        let x = rand_x(15, &[2, 3, 4, 4]);
+        let mut fused = BatchNorm2d::new("f", 3).with_swish();
+        let mut plain = BatchNorm2d::new("p", 3);
+        for bn in [&mut fused, &mut plain] {
+            bn.running_mean = vec![0.3, -0.2, 1.1];
+            bn.running_var = vec![0.5, 2.0, 1.3];
+        }
+        let want = crate::Swish::new().forward(
+            &plain.forward(&x, Mode::Eval, &mut rng),
+            Mode::Eval,
+            &mut rng,
+        );
+        assert!(fused.forward(&x, Mode::Eval, &mut rng) == want);
     }
 
     #[test]

@@ -132,6 +132,12 @@ impl Layer for Conv2d {
         f(&mut self.weight);
     }
 
+    fn cached_elems(&self) -> usize {
+        self.cache
+            .as_ref()
+            .map_or(0, |(_, patches, _)| patches.len())
+    }
+
     fn name(&self) -> String {
         self.label.clone()
     }
@@ -193,6 +199,10 @@ impl Layer for DepthwiseConv2d {
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
+    }
+
+    fn cached_elems(&self) -> usize {
+        self.cache_x.as_ref().map_or(0, Tensor::numel)
     }
 
     fn name(&self) -> String {

@@ -51,6 +51,10 @@ impl Layer for Dropout {
     fn name(&self) -> String {
         format!("dropout({})", self.rate)
     }
+
+    fn cached_elems(&self) -> usize {
+        self.cache_mask.as_ref().map_or(0, Tensor::numel)
+    }
 }
 
 /// Stochastic depth: drops the *entire* residual branch per sample with
@@ -123,6 +127,10 @@ impl Layer for DropPath {
 
     fn name(&self) -> String {
         format!("drop_path({})", self.rate)
+    }
+
+    fn cached_elems(&self) -> usize {
+        self.cache_mask.as_ref().map_or(0, Vec::len)
     }
 }
 

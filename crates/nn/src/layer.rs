@@ -40,6 +40,14 @@ pub trait Layer: Send {
     fn name(&self) -> String {
         "layer".into()
     }
+
+    /// `f32` elements this layer (and its sub-layers) holds right now
+    /// for a pending `backward`: the activation memory a training step
+    /// keeps alive between the two passes. Zero before `forward` and
+    /// after `backward`.
+    fn cached_elems(&self) -> usize {
+        0
+    }
 }
 
 /// Backward with gradient-readiness hooks, enabling communication to
@@ -128,6 +136,10 @@ impl Layer for Sequential {
 
     fn name(&self) -> String {
         self.label.clone()
+    }
+
+    fn cached_elems(&self) -> usize {
+        self.layers.iter().map(|l| l.cached_elems()).sum()
     }
 }
 

@@ -169,6 +169,10 @@ impl Layer for Linear {
     fn name(&self) -> String {
         self.label.clone()
     }
+
+    fn cached_elems(&self) -> usize {
+        self.cache_x.as_ref().map_or(0, Tensor::numel)
+    }
 }
 
 #[cfg(test)]

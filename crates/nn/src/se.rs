@@ -117,6 +117,14 @@ impl Layer for SqueezeExcite {
     fn name(&self) -> String {
         self.label.clone()
     }
+
+    fn cached_elems(&self) -> usize {
+        self.cache.as_ref().map_or(0, |c| c.x.numel() + c.s.numel())
+            + self.reduce.cached_elems()
+            + self.expand.cached_elems()
+            + self.act.cached_elems()
+            + self.gate.cached_elems()
+    }
 }
 
 #[cfg(test)]

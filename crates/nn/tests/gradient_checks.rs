@@ -98,6 +98,9 @@ proptest! {
         let x = rand_x(seed, &[4, c, 3, 3]);
         let mut make = move || -> Box<dyn Layer> { Box::new(BatchNorm2d::new("bn", c)) };
         check_input_gradient(&mut make, &x, &[0, 7, 19, 31], 1e-2, 5e-2)?;
+        let mut fused =
+            move || -> Box<dyn Layer> { Box::new(BatchNorm2d::new("bn", c).with_swish()) };
+        check_input_gradient(&mut fused, &x, &[0, 7, 19, 31], 1e-2, 5e-2)?;
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Compute kernels over dense tensors.
 
 pub mod abft;
+pub mod act;
 pub mod conv;
 pub mod depthwise;
 pub mod dispatch;

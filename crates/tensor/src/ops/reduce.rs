@@ -1,170 +1,415 @@
-//! Channel-axis reductions and broadcasts for `NCHW` tensors.
+//! Batch-norm kernels for `NCHW` tensors: one pass for the per-channel
+//! moments over `(N, H, W)`, one that normalizes, scales, shifts and
+//! activates, and the two passes of the backward.
 //!
-//! Batch normalization needs per-channel statistics over the `(N, H, W)`
-//! axes and per-channel affine broadcasts back over the same axes; these
-//! kernels keep those operations allocation-light and parallel.
+//! A *plane* is one `(image, channel)` pair of `h·w` elements. With
+//! `x̂ = (x − μ)·inv_std`, `z = γ·x̂ + β` and `y = act(z)`:
+//!
+//! - [`bn_moments`]: `Σx` and `Σx²` per channel;
+//! - [`bn_apply`]: `x̂` (kept for the backward) and `y`;
+//! - [`bn_backward_reduce`]: `g = dy·act′(z)` written to the `dx`
+//!   buffer, and `Σg`, `Σg·x̂` per channel (they are `dβ` and `dγ`);
+//! - [`bn_backward_apply`]: `dx = γ·inv_std·(g − Σg/m − x̂·Σg·x̂/m)`
+//!   in place.
+//!
+//! Between the two passes of each direction the caller reduces the pair
+//! of sums over its batch-norm group (paper §3.4).
+//!
+//! # Order contract
+//!
+//! Every output element is its own `f32` chain of separate `mul`s and
+//! `add`s (and [`super::act`]'s `exp`, which is built from the same).
+//! A per-channel sum is accumulated in `f64` as [`PARTIALS`] partial
+//! sums: partial `j` takes the elements `k ≡ j (mod 8)` of each of the
+//! channel's planes, images ascending and `k` ascending within a plane,
+//! `g·x̂` multiplied in `f64`; the eight fold as
+//! `((p₀+p₄) + (p₂+p₆)) + ((p₁+p₅) + (p₃+p₇))` and the result is
+//! rounded to `f32` once. None of this names a vector width, so the
+//! kernels run as one source on every [`LanePath`](super::simd::LanePath)
+//! (see [`on_lane`]) and agree bitwise.
+//!
+//! # Regimes
+//!
+//! The elementwise passes walk plane by plane with the channel's
+//! parameters in registers. Planes below [`SMALL_PLANE`] elements (the
+//! 4², 2² and 1² maps of an EfficientNet's late stages) are too short
+//! to loop over: there the per-channel parameters are expanded once to
+//! one value per element of an image, and each image is one flat span
+//! of `c·h·w` elements. Which one runs is a pure function of `(h, w)`,
+//! and both compute the same chains; the sums above are the same code
+//! in both.
 
+use crate::ops::act::{swish, swish_grad};
+use crate::ops::simd::on_lane;
+use crate::scratch::{scratch_f32, ScratchVec};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
-/// Per-channel sum over `(N, H, W)`: `NCHW -> C`.
-pub fn channel_sum(x: &Tensor) -> Vec<f32> {
-    let (n, c, h, w) = (x.shape().n(), x.shape().c(), x.shape().h(), x.shape().w());
-    let plane = h * w;
-    let xs = x.data();
-    (0..c)
-        .into_par_iter()
-        .map(|ch| {
-            let mut acc = 0.0f64;
-            for img in 0..n {
-                let base = (img * c + ch) * plane;
-                for &v in &xs[base..base + plane] {
-                    acc += v as f64;
-                }
+/// What follows the affine step of a batch-norm layer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Act {
+    /// `y = z`.
+    Identity,
+    /// `y = z·σ(z)`.
+    Swish,
+}
+
+/// Partial sums per channel reduction; see the order contract.
+const PARTIALS: usize = 8;
+/// Planes with fewer elements run image by image; see "Regimes".
+pub const SMALL_PLANE: usize = 16;
+/// Elements of a plane [`bn_backward_reduce`] writes before it sums
+/// them, so the sums read L1. A multiple of [`PARTIALS`], so a block
+/// boundary does not move an element to another partial.
+const BLOCK: usize = 512;
+
+type Partials = [f64; PARTIALS];
+
+/// `(n, c, h·w)` of an `NCHW` tensor.
+fn nc_plane(x: &Tensor) -> (usize, usize, usize) {
+    let s = x.shape();
+    (s.n(), s.c(), s.h() * s.w())
+}
+
+/// Adds one plane (or a [`PARTIALS`]-aligned part of one) to the
+/// partials of `Σa` and `Σa·b`.
+#[inline(always)]
+fn pair_sums(a: &[f32], b: &[f32], s: &mut Partials, q: &mut Partials) {
+    let ((a8, a_rest), (b8, b_rest)) = (a.as_chunks::<PARTIALS>(), b.as_chunks::<PARTIALS>());
+    for (va, vb) in a8.iter().zip(b8) {
+        for j in 0..PARTIALS {
+            let v = va[j] as f64;
+            s[j] += v;
+            q[j] += v * vb[j] as f64;
+        }
+    }
+    for (j, (&va, &vb)) in a_rest.iter().zip(b_rest).enumerate() {
+        let v = va as f64;
+        s[j] += v;
+        q[j] += v * vb as f64;
+    }
+}
+
+#[inline(always)]
+fn fold(p: &Partials) -> f32 {
+    (((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]))) as f32
+}
+
+/// `sum[ch] = Σa`, `sum_ab[ch] = Σa·b` over the planes of channel `ch`.
+fn channel_pair_sums(
+    (n, c, plane): (usize, usize, usize),
+    a: &[f32],
+    b: &[f32],
+    sum: &mut [f32],
+    sum_ab: &mut [f32],
+) {
+    for ch in 0..c {
+        let (mut s, mut q) = ([0.0; PARTIALS], [0.0; PARTIALS]);
+        for img in 0..n {
+            let at = (img * c + ch) * plane;
+            pair_sums(&a[at..][..plane], &b[at..][..plane], &mut s, &mut q);
+        }
+        sum[ch] = fold(&s);
+        sum_ab[ch] = fold(&q);
+    }
+}
+
+/// A per-channel parameter as a span of elements sees it: one value for
+/// a whole plane, or one value per element of an image.
+trait Chan: Copy {
+    fn at(self, i: usize) -> f32;
+    /// `self` for a span of `len` elements (lets the loop drop the
+    /// bounds check of [`Chan::at`]).
+    fn cut(self, len: usize) -> Self;
+}
+
+impl Chan for f32 {
+    #[inline(always)]
+    fn at(self, _: usize) -> f32 {
+        self
+    }
+    #[inline(always)]
+    fn cut(self, _: usize) -> f32 {
+        self
+    }
+}
+
+impl Chan for &[f32] {
+    #[inline(always)]
+    fn at(self, i: usize) -> f32 {
+        self[i]
+    }
+    #[inline(always)]
+    fn cut(self, len: usize) -> Self {
+        &self[..len]
+    }
+}
+
+/// `buf` as `K` consecutive runs of `len` elements.
+#[inline(always)]
+fn runs<const K: usize>(buf: &[f32], len: usize) -> [&[f32]; K] {
+    std::array::from_fn(|k| &buf[k * len..][..len])
+}
+
+/// `K` per-channel parameter vectors, each expanded to one value per
+/// element of an image ([`runs`] of `c·plane`).
+fn expand<const K: usize>(params: [&[f32]; K], plane: usize) -> ScratchVec {
+    let len = params[0].len() * plane;
+    let mut e = scratch_f32(K * len);
+    for (p, dst) in params.iter().zip(e.chunks_exact_mut(len.max(1))) {
+        for (&v, d) in p.iter().zip(dst.chunks_exact_mut(plane.max(1))) {
+            d.fill(v);
+        }
+    }
+    e
+}
+
+/// The spans the elementwise passes walk: `(first element, length,
+/// channel)` per plane, or per image with no channel when the planes
+/// are small.
+#[inline(always)]
+fn spans((n, c, plane): (usize, usize, usize)) -> impl Iterator<Item = (usize, usize, usize)> {
+    let (count, len) = if plane >= SMALL_PLANE {
+        (n * c, plane)
+    } else {
+        (n, c * plane)
+    };
+    (0..count).map(move |i| (i * len, len, i % c.max(1)))
+}
+
+#[allow(clippy::needless_range_loop)] // `Chan::at` takes the index
+#[inline(always)]
+fn apply_span<P: Chan>(
+    x: &[f32],
+    xhat: Option<&mut [f32]>,
+    y: &mut [f32],
+    params: [P; 4],
+    act: impl Fn(f32) -> f32,
+) {
+    let len = x.len();
+    let [mean, inv_std, gamma, beta] = params.map(|p| p.cut(len));
+    let y = &mut y[..len];
+    let xhat_at = |i: usize| (x[i] - mean.at(i)) * inv_std.at(i);
+    match xhat {
+        Some(xhat) => {
+            let xhat = &mut xhat[..len];
+            for i in 0..len {
+                xhat[i] = xhat_at(i);
+                y[i] = act(gamma.at(i) * xhat[i] + beta.at(i));
             }
-            acc as f32
-        })
-        .collect()
-}
-
-/// Per-channel mean over `(N, H, W)`.
-pub fn channel_mean(x: &Tensor) -> Vec<f32> {
-    let count = (x.shape().n() * x.shape().h() * x.shape().w()) as f32;
-    channel_sum(x).into_iter().map(|s| s / count).collect()
-}
-
-/// Per-channel sum of squares over `(N, H, W)`.
-pub fn channel_sum_sq(x: &Tensor) -> Vec<f32> {
-    let (n, c, h, w) = (x.shape().n(), x.shape().c(), x.shape().h(), x.shape().w());
-    let plane = h * w;
-    let xs = x.data();
-    (0..c)
-        .into_par_iter()
-        .map(|ch| {
-            let mut acc = 0.0f64;
-            for img in 0..n {
-                let base = (img * c + ch) * plane;
-                for &v in &xs[base..base + plane] {
-                    acc += (v as f64) * (v as f64);
-                }
+        }
+        None => {
+            for i in 0..len {
+                y[i] = act(gamma.at(i) * xhat_at(i) + beta.at(i));
             }
-            acc as f32
-        })
-        .collect()
+        }
+    }
 }
 
-/// Applies `y = (x - mean[c]) * scale[c] + shift[c]` per channel.
-pub fn channel_affine(x: &Tensor, mean: &[f32], scale: &[f32], shift: &[f32]) -> Tensor {
-    let (n, c, h, w) = (x.shape().n(), x.shape().c(), x.shape().h(), x.shape().w());
-    assert_eq!(mean.len(), c);
-    assert_eq!(scale.len(), c);
-    assert_eq!(shift.len(), c);
-    let plane = h * w;
-    let mut y = x.clone();
-    y.data_mut()
-        .par_chunks_mut(plane)
-        .enumerate()
-        .for_each(|(i, dst)| {
-            let ch = i % c;
-            let (m, s, b) = (mean[ch], scale[ch], shift[ch]);
-            dst.iter_mut().for_each(|v| *v = (*v - m) * s + b);
-        });
-    let _ = n;
-    y
+#[inline(always)]
+fn apply(
+    dims: (usize, usize, usize),
+    x: &[f32],
+    mut xhat: Option<&mut [f32]>,
+    y: &mut [f32],
+    params: [&[f32]; 4],
+    act: impl Fn(f32) -> f32 + Copy,
+) {
+    let plane = dims.2;
+    let expanded = (plane < SMALL_PLANE).then(|| expand(params, plane));
+    for (at, len, ch) in spans(dims) {
+        let (x, y) = (&x[at..][..len], &mut y[at..][..len]);
+        let xhat = xhat.as_deref_mut().map(|h| &mut h[at..][..len]);
+        match &expanded {
+            None => apply_span(x, xhat, y, params.map(|p| p[ch]), act),
+            Some(e) => apply_span(x, xhat, y, runs(e, len), act),
+        }
+    }
 }
 
-/// Per-channel weighted sum of `g` over `(N,H,W)`: returns
-/// `(sum_g[c], sum_g_times_xhat[c])` in one pass — exactly the two
-/// reductions the batch-norm backward pass needs.
-pub fn bn_backward_sums(g: &Tensor, xhat: &Tensor) -> (Vec<f32>, Vec<f32>) {
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn grad_span<P: Chan>(
+    dy: &[f32],
+    xhat: &[f32],
+    g: &mut [f32],
+    params: [P; 2],
+    grad: impl Fn(f32, f32) -> f32,
+) {
+    let len = dy.len();
+    let [gamma, beta] = params.map(|p| p.cut(len));
+    let (xhat, g) = (&xhat[..len], &mut g[..len]);
+    for i in 0..len {
+        g[i] = grad(gamma.at(i) * xhat[i] + beta.at(i), dy[i]);
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn backward_reduce(
+    dims: (usize, usize, usize),
+    dy: &[f32],
+    xhat: &[f32],
+    g: &mut [f32],
+    params: [&[f32]; 2],
+    sum_g: &mut [f32],
+    sum_gx: &mut [f32],
+    grad: impl Fn(f32, f32) -> f32 + Copy,
+) {
+    let (n, c, plane) = dims;
+    if plane < SMALL_PLANE {
+        let e = expand(params, plane);
+        on_lane(
+            #[inline(always)]
+            || {
+                for (at, len, _) in spans(dims) {
+                    let (dy, e) = (&dy[at..][..len], runs(&e, len));
+                    grad_span(dy, &xhat[at..], &mut g[at..], e, grad);
+                }
+            },
+        );
+        return channel_pair_sums(dims, g, xhat, sum_g, sum_gx);
+    }
+    for ch in 0..c {
+        let (mut s, mut q) = ([0.0; PARTIALS], [0.0; PARTIALS]);
+        let params = params.map(|p| p[ch]);
+        for img in 0..n {
+            let first = (img * c + ch) * plane;
+            for at in (first..first + plane).step_by(BLOCK) {
+                let len = BLOCK.min(first + plane - at);
+                let (dy, xhat, g) = (&dy[at..][..len], &xhat[at..][..len], &mut g[at..][..len]);
+                on_lane(
+                    #[inline(always)]
+                    || grad_span(dy, xhat, g, params, grad),
+                );
+                pair_sums(g, xhat, &mut s, &mut q);
+            }
+        }
+        sum_g[ch] = fold(&s);
+        sum_gx[ch] = fold(&q);
+    }
+}
+
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn dx_span<P: Chan>(dx: &mut [f32], xhat: &[f32], params: [P; 3]) {
+    let len = dx.len();
+    let [a, mean_g, mean_gx] = params.map(|p| p.cut(len));
+    let xhat = &xhat[..len];
+    for i in 0..len {
+        dx[i] = a.at(i) * (dx[i] - mean_g.at(i) - xhat[i] * mean_gx.at(i));
+    }
+}
+
+fn check_channels(c: usize, per_channel: &[&[f32]]) {
     assert!(
-        g.shape().same_as(xhat.shape()),
-        "bn_backward_sums shape mismatch"
+        per_channel.iter().all(|p| p.len() == c),
+        "batch-norm kernel: per-channel slices must have {c} elements"
     );
-    let (n, c, h, w) = (g.shape().n(), g.shape().c(), g.shape().h(), g.shape().w());
-    let plane = h * w;
-    let gs = g.data();
-    let xs = xhat.data();
-    let pairs: Vec<(f32, f32)> = (0..c)
-        .into_par_iter()
-        .map(|ch| {
-            let mut s = 0.0f64;
-            let mut sx = 0.0f64;
-            for img in 0..n {
-                let base = (img * c + ch) * plane;
-                for k in 0..plane {
-                    let gv = gs[base + k] as f64;
-                    s += gv;
-                    sx += gv * xs[base + k] as f64;
-                }
-            }
-            (s as f32, sx as f32)
-        })
-        .collect();
-    pairs.into_iter().unzip()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::rng::Rng;
+/// Per-channel `sum = Σx` and `sum_sq = Σx²` over `(N, H, W)`.
+pub fn bn_moments(x: &Tensor, sum: &mut [f32], sum_sq: &mut [f32]) {
+    let dims = nc_plane(x);
+    check_channels(dims.1, &[sum, sum_sq]);
+    channel_pair_sums(dims, x.data(), x.data(), sum, sum_sq)
+}
 
-    #[test]
-    fn sums_and_means() {
-        let mut x = Tensor::zeros([2, 2, 1, 2]);
-        // channel 0: [0,1, 4,5], channel 1: [2,3, 6,7]
-        for (i, v) in x.data_mut().iter_mut().enumerate() {
-            *v = i as f32;
-        }
-        assert_eq!(channel_sum(&x), vec![10.0, 18.0]);
-        assert_eq!(channel_mean(&x), vec![2.5, 4.5]);
-        assert_eq!(channel_sum_sq(&x), vec![42.0, 98.0]);
+/// `y = act(γ·x̂ + β)` with `x̂ = (x − mean)·inv_std`, per channel;
+/// `x̂` is also written to `xhat` when given (training keeps it for the
+/// backward). `xhat` and `y` must have the shape of `x`.
+#[allow(clippy::too_many_arguments)]
+pub fn bn_apply(
+    x: &Tensor,
+    mean: &[f32],
+    inv_std: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    act: Act,
+    xhat: Option<&mut Tensor>,
+    y: &mut Tensor,
+) {
+    let dims = nc_plane(x);
+    let params = [mean, inv_std, gamma, beta];
+    check_channels(dims.1, &params);
+    assert!(
+        y.shape().same_as(x.shape()) && xhat.as_ref().is_none_or(|h| h.shape().same_as(x.shape())),
+        "bn_apply shape mismatch"
+    );
+    let (x, xhat, y) = (x.data(), xhat.map(Tensor::data_mut), y.data_mut());
+    on_lane(
+        #[inline(always)]
+        || match act {
+            Act::Identity => apply(dims, x, xhat, y, params, |z| z),
+            Act::Swish => apply(dims, x, xhat, y, params, swish),
+        },
+    )
+}
+
+/// Writes `g = dy·act′(γ·x̂ + β)` to `dx` and reduces `sum_g = Σg`,
+/// `sum_gx = Σg·x̂` per channel over `(N, H, W)`.
+#[allow(clippy::too_many_arguments)]
+pub fn bn_backward_reduce(
+    dy: &Tensor,
+    xhat: &Tensor,
+    gamma: &[f32],
+    beta: &[f32],
+    act: Act,
+    dx: &mut Tensor,
+    sum_g: &mut [f32],
+    sum_gx: &mut [f32],
+) {
+    let dims = nc_plane(dy);
+    check_channels(dims.1, &[gamma, beta, sum_g, sum_gx]);
+    assert!(
+        dy.shape().same_as(xhat.shape()) && dx.shape().same_as(dy.shape()),
+        "bn_backward_reduce shape mismatch"
+    );
+    let (dy, xhat, g, params) = (dy.data(), xhat.data(), dx.data_mut(), [gamma, beta]);
+    match act {
+        Act::Identity => backward_reduce(dims, dy, xhat, g, params, sum_g, sum_gx, |_, dy| dy),
+        Act::Swish => backward_reduce(dims, dy, xhat, g, params, sum_g, sum_gx, swish_grad),
     }
+}
 
-    #[test]
-    fn affine_normalizes() {
-        let mut rng = Rng::new(1);
-        let mut x = Tensor::zeros([4, 3, 5, 5]);
-        rng.fill_normal(x.data_mut(), 2.0, 3.0);
-        let mean = channel_mean(&x);
-        let count = (4 * 5 * 5) as f32;
-        let var: Vec<f32> = channel_sum_sq(&x)
-            .iter()
-            .zip(&mean)
-            .map(|(&ss, &m)| ss / count - m * m)
-            .collect();
-        let scale: Vec<f32> = var.iter().map(|v| 1.0 / (v + 1e-5).sqrt()).collect();
-        let y = channel_affine(&x, &mean, &scale, &[0.0; 3]);
-        let ym = channel_mean(&y);
-        let yss = channel_sum_sq(&y);
-        for ch in 0..3 {
-            assert!(ym[ch].abs() < 1e-4, "mean {}", ym[ch]);
-            let v = yss[ch] / count - ym[ch] * ym[ch];
-            assert!((v - 1.0).abs() < 1e-3, "var {v}");
-        }
+/// Turns the `g` that [`bn_backward_reduce`] left in `dx` into the input
+/// gradient, in place: `dx = γ·inv_std·(g − sum_g/count −
+/// x̂·sum_gx/count)`, with the sums reduced over the batch-norm group
+/// and `count` its elements per channel.
+pub fn bn_backward_apply(
+    dx: &mut Tensor,
+    xhat: &Tensor,
+    gamma: &[f32],
+    inv_std: &[f32],
+    sum_g: &[f32],
+    sum_gx: &[f32],
+    count: f32,
+) {
+    let dims = nc_plane(dx);
+    let (c, plane) = (dims.1, dims.2);
+    check_channels(c, &[gamma, inv_std, sum_g, sum_gx]);
+    assert!(
+        dx.shape().same_as(xhat.shape()),
+        "bn_backward_apply shape mismatch"
+    );
+    let inv_count = 1.0 / count;
+    let mut coef = scratch_f32(3 * c);
+    for ch in 0..c {
+        coef[ch] = gamma[ch] * inv_std[ch];
+        coef[c + ch] = sum_g[ch] * inv_count;
+        coef[2 * c + ch] = sum_gx[ch] * inv_count;
     }
-
-    #[test]
-    fn backward_sums_match_naive() {
-        let mut rng = Rng::new(2);
-        let mut g = Tensor::zeros([2, 2, 3, 3]);
-        let mut xh = Tensor::zeros([2, 2, 3, 3]);
-        rng.fill_uniform(g.data_mut(), -1.0, 1.0);
-        rng.fill_uniform(xh.data_mut(), -1.0, 1.0);
-        let (s, sx) = bn_backward_sums(&g, &xh);
-        for ch in 0..2 {
-            let mut es = 0.0f32;
-            let mut esx = 0.0f32;
-            for n in 0..2 {
-                for i in 0..3 {
-                    for j in 0..3 {
-                        es += g.at(&[n, ch, i, j]);
-                        esx += g.at(&[n, ch, i, j]) * xh.at(&[n, ch, i, j]);
-                    }
+    let coef: [&[f32]; 3] = runs(&coef, c);
+    let (dx, xhat) = (dx.data_mut(), xhat.data());
+    on_lane(
+        #[inline(always)]
+        || {
+            let expanded = (plane < SMALL_PLANE).then(|| expand(coef, plane));
+            for (at, len, ch) in spans(dims) {
+                let (dx, xhat) = (&mut dx[at..][..len], &xhat[at..]);
+                match &expanded {
+                    None => dx_span(dx, xhat, coef.map(|p| p[ch])),
+                    Some(e) => dx_span(dx, xhat, runs(e, len)),
                 }
             }
-            assert!((s[ch] - es).abs() < 1e-4);
-            assert!((sx[ch] - esx).abs() < 1e-4);
-        }
-    }
+        },
+    )
 }

@@ -198,6 +198,36 @@ impl Drop for ForcedLaneGuard {
     }
 }
 
+/// `f` compiled for 8-lane registers.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn call_avx2<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// Runs `f` on the current [`lane_path`]: on `Avx2`, inlined into a
+/// function compiled with that feature, so its safe-Rust loops
+/// auto-vectorize 8 wide; on `Sse2` and `Scalar`, as compiled for the
+/// baseline target. For kernels that are bitwise independent of vector
+/// width by construction (every output its own chain, reductions with
+/// index-fixed partials): there the lanes are one source compiled
+/// twice, and differ in speed only. `f` and what it calls should be
+/// `#[inline(always)]`; a body that is not inlined runs at baseline
+/// width on every lane.
+#[inline]
+pub(crate) fn on_lane<R>(f: impl FnOnce() -> R) -> R {
+    match lane_path() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `lane_path()` hands out `Avx2` only on hosts that have
+        // it (detected, or forced through an `available()` assert).
+        LanePath::Avx2 => unsafe { call_avx2(f) },
+        _ => f(),
+    }
+}
+
 /// Applies an `ETS_SIMD`-style choice string at runtime (the
 /// serializable `Experiment.simd_path` knob): `auto` clears any force,
 /// a named path forces it. Panics on an unrecognized value, mirroring

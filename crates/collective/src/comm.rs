@@ -6,61 +6,47 @@
 //! order, so floating-point sums are bitwise reproducible regardless of
 //! thread scheduling.
 //!
-//! Two mechanisms coexist:
+//! # The round
 //!
-//! - [`CommHandle::exchange`] — the legacy publish-all primitive: every
-//!   member deposits its contribution (an owned `Vec`), the last arrival
-//!   publishes the full set, and everyone reads it. Kept for tests and
-//!   benchmarks that want the raw contribution set.
-//! - The collective operations (`all_reduce_sum`, `all_gather_into`,
-//!   `broadcast`, `barrier`) — these run on a **persistent round scratch**:
-//!   per-rank slot buffers and a shared result buffer owned by the
-//!   communicator are reused round after round, so the steady state
-//!   performs **no heap allocation** (a BN layer syncs once per conv layer
-//!   per step — thousands of rounds per step). Capacity growth is counted
-//!   in [`CommHandle::scratch_reallocs`], which a test pins to zero after
-//!   warmup.
+//! Every operation (`all_reduce_sum*`, `reduce_scatter_sum`,
+//! `all_gather*`, `broadcast`, `barrier`) is one *round* of one protocol
+//! over one set of persistent per-rank contribution buffers, the *slots*:
 //!
-//! A generation counter lets the same communicator be reused for thousands
-//! of rounds without re-allocation races.
+//! 1. **Enter.** Wait until every member has left the previous round
+//!    (the drain rule: no buffer is rewritten while a peer has yet to
+//!    read it), and mark this rank as having deposited; a second deposit
+//!    in the same round panics.
+//! 2. **Deposit.** Copy the contribution into this rank's *own* slot.
+//!    Nobody else touches that slot now, so all ranks copy concurrently.
+//! 3. **Meet.** A rendezvous: from here to the end of the round the
+//!    slots are read-only.
+//! 4. **Read.** Each rank takes what the operation gives it straight
+//!    from the slots: the gathered concatenation, the root's payload,
+//!    its shard of the sum, or the whole sum folded into its own buffer
+//!    (all ranks fold at once, each for itself).
+//! 5. **Leave.**
+//!
+//! An element of the sum is the same chain of `f32` additions whoever
+//! computes it (ascending rank, or grid-blocked: see
+//! [`CommHandle::all_reduce_sum_grid`]), so which rank folds it moves no
+//! bit. There is one rendezvous per round and no length cut-off: a
+//! barrier and a 14 MB all-reduce take the same steps.
+//!
+//! The buffers are reused round after round, so the steady state
+//! performs **no heap allocation** (a BN layer syncs once per conv layer
+//! per step — thousands of rounds per step). Capacity growth is counted
+//! in [`CommHandle::scratch_reallocs`], which a test pins to zero after
+//! warmup.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Persistent zero-alloc round state for the collective operations.
-struct RoundScratch {
-    /// Per-rank contribution buffers, reused every round.
-    slots: Vec<Vec<f32>>,
-    /// Double-deposit guards, reset when a round publishes.
-    deposited: Vec<bool>,
-    /// Reduced / gathered / broadcast payload of the completed round.
-    result: Vec<f32>,
-    /// Per-block partial sums for the grid-blocked fold, reused every round.
-    partial: Vec<f32>,
-    arrived: usize,
-    readers_left: usize,
-    generation: u64,
-    /// Number of scratch-buffer capacity growths since creation. Constant
-    /// once buffer sizes stabilize — the zero-alloc steady-state counter.
-    reallocs: u64,
-}
+/// Elements folded at a time, so the running sum stays in L1 while the
+/// slots stream past it.
+const FOLD_TILE: usize = 1024;
 
-impl RoundScratch {
-    fn new(size: usize) -> Self {
-        RoundScratch {
-            slots: (0..size).map(|_| Vec::new()).collect(),
-            deposited: vec![false; size],
-            result: Vec::new(),
-            partial: Vec::new(),
-            arrived: 0,
-            readers_left: 0,
-            generation: 0,
-            reallocs: 0,
-        }
-    }
-}
-
-/// Byte range `[start, end)` of part `i` when `n` elements are split into
+/// Range `[start, end)` of part `i` when `n` elements are split into
 /// `parts` near-equal shards, remainder spread over the leading parts —
 /// the shard layout [`CommHandle::reduce_scatter_sum`] commits to.
 pub fn shard_bounds(n: usize, parts: usize, i: usize) -> (usize, usize) {
@@ -72,31 +58,82 @@ pub fn shard_bounds(n: usize, parts: usize, i: usize) -> (usize, usize) {
     (start, start + len)
 }
 
-/// Copies `src` into the persistent buffer `dst`, reporting whether the
-/// buffer had to grow (an allocation — only expected during warmup).
-fn fill_scratch(dst: &mut Vec<f32>, src: &[f32]) -> bool {
-    let grew = dst.capacity() < src.len();
-    dst.clear();
-    dst.extend_from_slice(src);
-    grew
+fn add_assign(acc: &mut [f32], x: &[f32]) {
+    for (a, &x) in acc.iter_mut().zip(x) {
+        *a += x;
+    }
 }
 
-struct CommState {
-    /// Contributions for the current legacy-exchange round.
-    slots: Vec<Option<Vec<f32>>>,
+/// `dst[i] = Σ slots[..][start + i]` with the canonical association:
+/// the slots are blocks of `cols` consecutive ranks, each block is
+/// folded in ascending rank order and the block sums are folded in
+/// ascending block order (`cols == slots.len()` is the flat ascending
+/// fold). Tiled so each element is written once.
+///
+/// With `own = Some(r)`, `dst` is rank `r`'s whole contribution (what it
+/// deposited in slot `r`, so `start` is 0) and is summed in place of
+/// that slot: the result overwrites lines the fold has just read instead
+/// of lines it has to fetch first, a quarter less memory traffic for two
+/// ranks.
+fn fold_range(slots: &[Vec<f32>], cols: usize, start: usize, dst: &mut [f32], own: Option<usize>) {
+    let (mut partial, mut mine) = ([0.0f32; FOLD_TILE], [0.0f32; FOLD_TILE]);
+    for (t, out) in dst.chunks_mut(FOLD_TILE).enumerate() {
+        let at = start + t * FOLD_TILE;
+        let len = out.len();
+        if own.is_some() {
+            mine[..len].copy_from_slice(out);
+        }
+        let source = |rank: usize| {
+            if own == Some(rank) {
+                &mine[..len]
+            } else {
+                &slots[rank][at..at + len]
+            }
+        };
+        for b in 0..slots.len() / cols {
+            let acc = if b == 0 {
+                &mut *out
+            } else {
+                &mut partial[..len]
+            };
+            acc.copy_from_slice(source(b * cols));
+            for rank in b * cols + 1..(b + 1) * cols {
+                add_assign(acc, source(rank));
+            }
+            if b > 0 {
+                add_assign(out, &partial[..len]);
+            }
+        }
+    }
+}
+
+fn check_lengths(slots: &[Vec<f32>], n: usize, what: &str) {
+    for slot in slots {
+        assert_eq!(slot.len(), n, "mismatched {what} lengths");
+    }
+}
+
+/// Rendezvous bookkeeping of a communicator; the payload buffers live
+/// beside it, outside this lock.
+struct Gate {
+    /// Double-deposit guards, reset when the round's members meet.
+    deposited: Vec<bool>,
     arrived: usize,
-    /// Published result of the completed exchange round.
-    published: Option<Arc<Vec<Vec<f32>>>>,
-    readers_left: usize,
     generation: u64,
-    /// Zero-alloc state for the collective operations.
-    round: RoundScratch,
+    /// Members that have met but not yet left the current round.
+    readers_left: usize,
 }
 
 struct CommInner {
     size: usize,
-    state: Mutex<CommState>,
+    gate: Mutex<Gate>,
     cv: Condvar,
+    /// Per-rank contribution buffers. A rank takes its own out to fill
+    /// it and puts it back before it meets the others.
+    slots: RwLock<Vec<Vec<f32>>>,
+    /// Number of buffer capacity growths since creation. Constant once
+    /// buffer sizes stabilize — the zero-alloc steady-state counter.
+    reallocs: AtomicU64,
 }
 
 /// One participant's handle to a communicator of `size` members.
@@ -115,15 +152,15 @@ impl CommHandle {
         assert!(size >= 1, "communicator needs at least one member");
         let inner = Arc::new(CommInner {
             size,
-            state: Mutex::new(CommState {
-                slots: (0..size).map(|_| None).collect(),
+            gate: Mutex::new(Gate {
+                deposited: vec![false; size],
                 arrived: 0,
-                published: None,
-                readers_left: 0,
                 generation: 0,
-                round: RoundScratch::new(size),
+                readers_left: 0,
             }),
             cv: Condvar::new(),
+            slots: RwLock::new(vec![Vec::new(); size]),
+            reallocs: AtomicU64::new(0),
         });
         (0..size)
             .map(|rank| CommHandle {
@@ -146,145 +183,99 @@ impl CommHandle {
     /// Scratch-buffer growth events since creation (shared across ranks).
     /// Flat after warmup ⇒ the reduce path is allocation-free.
     pub fn scratch_reallocs(&self) -> u64 {
-        self.inner.state.lock().round.reallocs
+        self.inner.reallocs.load(Ordering::Relaxed)
     }
 
-    /// Deposits `contribution` and returns every member's contribution
-    /// (indexed by rank) once all have arrived.
-    ///
-    /// This is the legacy publish-all primitive: it clones nothing but
-    /// moves the caller's `Vec` and allocates the published set each round.
-    /// The collective operations below use the zero-alloc round path
-    /// instead; prefer them (or the [`crate::Collective`] trait) in new
-    /// code.
-    pub fn exchange(&self, contribution: Vec<f32>) -> Arc<Vec<Vec<f32>>> {
+    /// Opens a round for this rank once the previous one has drained.
+    fn enter(&self) {
         let inner = &*self.inner;
-        if inner.size == 1 {
-            return Arc::new(vec![contribution]);
+        let mut gate = inner.gate.lock();
+        while gate.readers_left > 0 {
+            inner.cv.wait(&mut gate);
         }
-        let mut st = inner.state.lock();
-        // Wait for the previous round to fully drain before starting a new
-        // one (a fast member could lap slow readers otherwise).
-        while st.readers_left > 0 {
-            inner.cv.wait(&mut st);
-        }
-        let my_gen = st.generation;
-        // A double deposit would silently corrupt the round; fail fast in
-        // release builds too (promoted from a debug_assert).
         assert!(
-            st.slots[self.rank].is_none(),
+            !gate.deposited[self.rank],
             "double deposit by rank {} (one handle per thread, one deposit per round)",
             self.rank
         );
-        st.slots[self.rank] = Some(contribution);
-        st.arrived += 1;
-        if st.arrived == inner.size {
-            // Last arrival publishes, in rank order by construction.
-            let all: Vec<Vec<f32>> = st.slots.iter_mut().map(|s| s.take().unwrap()).collect();
-            st.published = Some(Arc::new(all));
-            st.arrived = 0;
-            st.readers_left = inner.size;
-            st.generation += 1;
-            inner.cv.notify_all();
-        } else {
-            while st.generation == my_gen {
-                inner.cv.wait(&mut st);
-            }
-        }
-        let out = Arc::clone(st.published.as_ref().expect("published result"));
-        st.readers_left -= 1;
-        if st.readers_left == 0 {
-            st.published = None;
-            inner.cv.notify_all();
-        }
-        out
+        gate.deposited[self.rank] = true;
     }
 
-    /// One zero-alloc rendezvous round over the persistent scratch.
-    ///
-    /// `deposit` runs under the lock as this rank arrives; `publish` runs
-    /// exactly once (on the last arrival) after all deposits; `read` runs
-    /// under the lock after publication.
-    fn round<C: ?Sized, R>(
-        &self,
-        ctx: &mut C,
-        deposit: impl FnOnce(&mut C, &mut RoundScratch, usize),
-        publish: impl FnOnce(&mut RoundScratch, usize),
-        read: impl FnOnce(&mut C, &RoundScratch, usize) -> R,
-    ) -> R {
+    /// Returns once every member has arrived.
+    fn meet(&self) {
         let inner = &*self.inner;
-        let mut st = inner.state.lock();
-        while st.round.readers_left > 0 {
-            inner.cv.wait(&mut st);
-        }
-        let my_gen = st.round.generation;
-        assert!(
-            !st.round.deposited[self.rank],
-            "double deposit by rank {} (one handle per thread, one deposit per round)",
-            self.rank
-        );
-        st.round.deposited[self.rank] = true;
-        deposit(ctx, &mut st.round, self.rank);
-        st.round.arrived += 1;
-        if st.round.arrived == inner.size {
-            publish(&mut st.round, inner.size);
-            st.round.arrived = 0;
-            st.round.deposited.iter_mut().for_each(|d| *d = false);
-            st.round.readers_left = inner.size;
-            st.round.generation += 1;
+        let mut gate = inner.gate.lock();
+        gate.arrived += 1;
+        if gate.arrived == inner.size {
+            gate.arrived = 0;
+            gate.deposited.fill(false);
+            gate.readers_left = inner.size;
+            gate.generation += 1;
             inner.cv.notify_all();
         } else {
-            while st.round.generation == my_gen {
-                inner.cv.wait(&mut st);
+            let generation = gate.generation;
+            while gate.generation == generation {
+                inner.cv.wait(&mut gate);
             }
         }
-        let out = read(ctx, &st.round, self.rank);
-        st.round.readers_left -= 1;
-        if st.round.readers_left == 0 {
-            inner.cv.notify_all();
-        }
-        out
     }
 
-    /// In-place sum all-reduce with ascending-rank reduction order.
-    ///
-    /// Steady-state allocation-free: contributions are copied into
-    /// persistent per-rank scratch, the last arrival reduces them (rank 0
-    /// first, then 1, 2, …) into a persistent result buffer, and every
-    /// member copies the result back out.
+    fn leave(&self) {
+        let mut gate = self.inner.gate.lock();
+        gate.readers_left -= 1;
+        if gate.readers_left == 0 {
+            self.inner.cv.notify_all();
+        }
+    }
+
+    /// Copies `src` into this rank's slot, counting a growth. The slot is
+    /// taken out of the pool meanwhile, so ranks filling theirs do not
+    /// serialize on the pool's lock.
+    fn deposit(&self, src: &[f32]) {
+        let slots = &self.inner.slots;
+        let mut own = std::mem::take(&mut slots.write()[self.rank]);
+        let capacity = own.capacity();
+        own.clear();
+        own.extend_from_slice(src);
+        if own.capacity() > capacity {
+            self.inner.reallocs.fetch_add(1, Ordering::Relaxed);
+        }
+        slots.write()[self.rank] = own;
+    }
+
+    /// Steps 1–3 of a round (module docs): enters, deposits
+    /// `contribution` if any and meets the other members. The caller
+    /// reads the slots and then [leaves](Self::leave).
+    fn open(&self, contribution: Option<&[f32]>) {
+        self.enter();
+        if let Some(src) = contribution {
+            #[cfg(test)]
+            stall(Phase::Deposit);
+            self.deposit(src);
+        }
+        self.meet();
+        #[cfg(test)]
+        stall(Phase::Read);
+    }
+
+    /// The all-reduce round over blocks of `cols` ranks (see
+    /// [`fold_range`]).
+    fn all_reduce(&self, buf: &mut [f32], cols: usize) {
+        self.open(Some(buf));
+        let slots = self.inner.slots.read();
+        check_lengths(&slots, buf.len(), "all-reduce");
+        fold_range(&slots, cols, 0, buf, Some(self.rank));
+        drop(slots);
+        self.leave();
+    }
+
+    /// In-place sum all-reduce with ascending-rank reduction order:
+    /// every element is `((x₀ + x₁) + x₂) + …` over the ranks'
+    /// contributions. Steady-state allocation-free.
     pub fn all_reduce_sum(&self, buf: &mut [f32]) {
-        if self.inner.size == 1 {
-            return;
+        if self.inner.size > 1 {
+            self.all_reduce(buf, self.inner.size);
         }
-        let n = buf.len();
-        self.round(
-            buf,
-            |buf, round, rank| {
-                if fill_scratch(&mut round.slots[rank], buf) {
-                    round.reallocs += 1;
-                }
-            },
-            |round, size| {
-                let RoundScratch {
-                    slots,
-                    result,
-                    reallocs,
-                    ..
-                } = round;
-                if result.capacity() < n {
-                    *reallocs += 1;
-                }
-                result.clear();
-                result.extend_from_slice(&slots[0]);
-                for slot in slots.iter().take(size).skip(1) {
-                    assert_eq!(slot.len(), n, "mismatched all-reduce lengths");
-                    for (acc, &x) in result.iter_mut().zip(slot.iter()) {
-                        *acc += x;
-                    }
-                }
-            },
-            |buf, round, _| buf.copy_from_slice(&round.result),
-        );
     }
 
     /// In-place mean all-reduce.
@@ -313,58 +304,9 @@ impl CommHandle {
             self.inner.size,
             "grid shape must cover the communicator"
         );
-        if rows <= 1 {
-            return self.all_reduce_sum(buf);
+        if self.inner.size > 1 {
+            self.all_reduce(buf, cols);
         }
-        if self.inner.size == 1 {
-            return;
-        }
-        let n = buf.len();
-        self.round(
-            buf,
-            |buf, round, rank| {
-                if fill_scratch(&mut round.slots[rank], buf) {
-                    round.reallocs += 1;
-                }
-            },
-            |round, _size| {
-                let RoundScratch {
-                    slots,
-                    result,
-                    partial,
-                    reallocs,
-                    ..
-                } = round;
-                if result.capacity() < n {
-                    *reallocs += 1;
-                }
-                if partial.capacity() < n {
-                    *reallocs += 1;
-                }
-                for block in 0..rows {
-                    let base = block * cols;
-                    let acc = if block == 0 {
-                        &mut *result
-                    } else {
-                        &mut *partial
-                    };
-                    acc.clear();
-                    acc.extend_from_slice(&slots[base]);
-                    for slot in &slots[base + 1..base + cols] {
-                        assert_eq!(slot.len(), n, "mismatched all-reduce lengths");
-                        for (a, &x) in acc.iter_mut().zip(slot.iter()) {
-                            *a += x;
-                        }
-                    }
-                    if block > 0 {
-                        for (a, &x) in result.iter_mut().zip(partial.iter()) {
-                            *a += x;
-                        }
-                    }
-                }
-            },
-            |buf, round, _| buf.copy_from_slice(&round.result),
-        );
     }
 
     /// Reduce-scatter with the flat ascending-rank fold: every member
@@ -374,83 +316,36 @@ impl CommHandle {
     /// With a reused `shard` the steady state allocates nothing. All
     /// members must pass equal-length contributions.
     pub fn reduce_scatter_sum(&self, contrib: &[f32], shard: &mut Vec<f32>) {
-        let n = contrib.len();
-        if self.inner.size == 1 {
+        let (n, size) = (contrib.len(), self.inner.size);
+        if size == 1 {
             shard.clear();
             shard.extend_from_slice(contrib);
             return;
         }
-        self.round(
-            shard,
-            |_shard, round, rank| {
-                if fill_scratch(&mut round.slots[rank], contrib) {
-                    round.reallocs += 1;
-                }
-            },
-            |round, size| {
-                let RoundScratch {
-                    slots,
-                    result,
-                    reallocs,
-                    ..
-                } = round;
-                if result.capacity() < n {
-                    *reallocs += 1;
-                }
-                result.clear();
-                result.extend_from_slice(&slots[0]);
-                for slot in slots.iter().take(size).skip(1) {
-                    assert_eq!(slot.len(), n, "mismatched reduce-scatter lengths");
-                    for (acc, &x) in result.iter_mut().zip(slot.iter()) {
-                        *acc += x;
-                    }
-                }
-            },
-            |shard, round, rank| {
-                let (a, b) = shard_bounds(n, self.inner.size, rank);
-                shard.clear();
-                shard.extend_from_slice(&round.result[a..b]);
-            },
-        );
+        self.open(Some(contrib));
+        let slots = self.inner.slots.read();
+        check_lengths(&slots, n, "reduce-scatter");
+        let (start, end) = shard_bounds(n, size, self.rank);
+        shard.resize(end - start, 0.0);
+        fold_range(&slots, size, start, shard, None);
+        drop(slots);
+        self.leave();
     }
 
     /// Gathers every member's `local` slice into `out`, concatenated in
     /// rank order. `out` is cleared and refilled; with a reused `out` the
     /// steady state allocates nothing.
     pub fn all_gather_into(&self, local: &[f32], out: &mut Vec<f32>) {
+        out.clear();
         if self.inner.size == 1 {
-            out.clear();
             out.extend_from_slice(local);
             return;
         }
-        self.round(
-            out,
-            |_out, round, rank| {
-                if fill_scratch(&mut round.slots[rank], local) {
-                    round.reallocs += 1;
-                }
-            },
-            |round, size| {
-                let RoundScratch {
-                    slots,
-                    result,
-                    reallocs,
-                    ..
-                } = round;
-                let total: usize = slots.iter().take(size).map(|s| s.len()).sum();
-                if result.capacity() < total {
-                    *reallocs += 1;
-                }
-                result.clear();
-                for slot in slots.iter().take(size) {
-                    result.extend_from_slice(slot);
-                }
-            },
-            |out, round, _| {
-                out.clear();
-                out.extend_from_slice(&round.result);
-            },
-        );
+        self.open(Some(local));
+        for slot in self.inner.slots.read().iter() {
+            out.extend_from_slice(slot);
+        }
+        self.leave();
     }
 
     /// Gathers every member's `local` slice, concatenated in rank order.
@@ -471,31 +366,17 @@ impl CommHandle {
             out.copy_from_slice(local);
             return;
         }
-        self.round(
-            out,
-            |_out, round, rank| {
-                if fill_scratch(&mut round.slots[rank], local) {
-                    round.reallocs += 1;
-                }
-            },
-            |round, size| {
-                let RoundScratch {
-                    slots,
-                    result,
-                    reallocs,
-                    ..
-                } = round;
-                let total: usize = slots.iter().take(size).map(|s| s.len()).sum();
-                if result.capacity() < total {
-                    *reallocs += 1;
-                }
-                result.clear();
-                for slot in slots.iter().take(size) {
-                    result.extend_from_slice(slot);
-                }
-            },
-            |out, round, _| out.copy_from_slice(&round.result),
-        );
+        self.open(Some(local));
+        let slots = self.inner.slots.read();
+        let total: usize = slots.iter().map(Vec::len).sum();
+        assert_eq!(out.len(), total, "all-gather destination length");
+        let mut at = 0;
+        for slot in slots.iter() {
+            out[at..at + slot.len()].copy_from_slice(slot);
+            at += slot.len();
+        }
+        drop(slots);
+        self.leave();
     }
 
     /// Broadcast from `root`: on return every member's `buf` holds root's.
@@ -504,35 +385,46 @@ impl CommHandle {
         if self.inner.size == 1 {
             return;
         }
-        self.round(
-            buf,
-            |buf, round, rank| {
-                // Only the root deposits payload — straight into the result
-                // buffer (previous round fully drained, so this is safe).
-                if rank == root {
-                    let RoundScratch {
-                        result, reallocs, ..
-                    } = round;
-                    if fill_scratch(result, buf) {
-                        *reallocs += 1;
-                    }
-                }
-            },
-            |_round, _| {},
-            |buf, round, rank| {
-                if rank != root {
-                    buf.copy_from_slice(&round.result);
-                }
-            },
-        );
+        // Only the root deposits payload.
+        self.open((self.rank == root).then_some(&*buf));
+        if self.rank != root {
+            buf.copy_from_slice(&self.inner.slots.read()[root]);
+        }
+        self.leave();
     }
 
     /// Barrier: returns once every member has arrived.
     pub fn barrier(&self) {
-        if self.inner.size == 1 {
-            return;
+        if self.inner.size > 1 {
+            self.open(None);
+            self.leave();
         }
-        self.round(&mut (), |_, _, _| {}, |_, _| {}, |_, _, _| {});
+    }
+}
+
+/// Points of a round where a test can hold one rank back.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    Deposit,
+    Read,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The phase before which this thread sleeps, and for how long.
+    static STALL: std::cell::Cell<Option<(Phase, std::time::Duration)>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Test hook: sleeps if the calling thread asked to be held back before
+/// `phase`.
+#[cfg(test)]
+fn stall(phase: Phase) {
+    if let Some((at, delay)) = STALL.get() {
+        if at == phase {
+            std::thread::sleep(delay);
+        }
     }
 }
 
@@ -705,24 +597,8 @@ mod tests {
                     h.all_reduce_sum_grid(&mut buf, rows, cols);
                     buf
                 });
-                // Reference composition computed serially in f32.
                 let contribs: Vec<Vec<f32>> = (0..p).map(|r| adversarial_payload(r, n)).collect();
-                let mut row_sums = Vec::new();
-                for b in 0..rows {
-                    let mut acc = contribs[b * cols].clone();
-                    for c in &contribs[b * cols + 1..(b + 1) * cols] {
-                        for (a, &x) in acc.iter_mut().zip(c.iter()) {
-                            *a += x;
-                        }
-                    }
-                    row_sums.push(acc);
-                }
-                let mut expect = row_sums[0].clone();
-                for rs in &row_sums[1..] {
-                    for (a, &x) in expect.iter_mut().zip(rs.iter()) {
-                        *a += x;
-                    }
-                }
+                let expect = sequential_fold(&contribs, cols);
                 for g in &grid {
                     for (x, y) in g.iter().zip(expect.iter()) {
                         assert_eq!(x.to_bits(), y.to_bits(), "grid {rows}x{cols} n={n}");
@@ -870,5 +746,103 @@ mod tests {
             after_warmup,
             "steady-state rounds must not grow communicator scratch"
         );
+    }
+
+    /// Literal sequential fold: ascending rank within blocks of `cols`,
+    /// then ascending block.
+    fn sequential_fold(contribs: &[Vec<f32>], cols: usize) -> Vec<f32> {
+        let mut total: Option<Vec<f32>> = None;
+        for block in contribs.chunks(cols) {
+            let mut acc = block[0].clone();
+            for c in &block[1..] {
+                add_assign(&mut acc, c);
+            }
+            match &mut total {
+                None => total = Some(acc),
+                Some(t) => add_assign(t, &acc),
+            }
+        }
+        total.unwrap()
+    }
+
+    #[test]
+    fn a_rank_held_back_at_any_phase_moves_no_bit() {
+        // One rank sleeps before its deposit or before it reads the
+        // slots, while the others run ahead into the next round as far as
+        // the drain rule lets them. Three rounds with different payloads:
+        // a slot rewritten too early shows as another round's data. A
+        // length within one fold tile and one spanning several.
+        use std::time::Duration;
+        let lengths = [7, 4 * FOLD_TILE + 3];
+        for (world, cols) in [(2usize, 2usize), (3, 3), (4, 2)] {
+            for n in lengths {
+                for phase in [Phase::Deposit, Phase::Read] {
+                    for slow in 0..world {
+                        let results = run_replicas(world, move |h| {
+                            if h.rank() == slow {
+                                STALL.set(Some((phase, Duration::from_millis(1))));
+                            }
+                            (0..3)
+                                .map(|round| {
+                                    let mut buf = adversarial_payload(h.rank() + 10 * round, n);
+                                    h.all_reduce_sum_grid(&mut buf, world / cols, cols);
+                                    buf
+                                })
+                                .collect::<Vec<_>>()
+                        });
+                        for round in 0..3 {
+                            let contribs: Vec<Vec<f32>> = (0..world)
+                                .map(|r| adversarial_payload(r + 10 * round, n))
+                                .collect();
+                            let want = sequential_fold(&contribs, cols);
+                            for (rank, got) in results.iter().enumerate() {
+                                assert!(
+                                    got[round].iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                                    "world {world} n {n} {phase:?} slow {slow} round {round} rank {rank}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn double_deposit_panics() {
+        // A second thread on rank 0's handle deposits while rank 0 waits
+        // in the same round: it must fail fast, not corrupt the round.
+        let mut handles = CommHandle::create(2);
+        let (h1, h0) = (handles.pop().unwrap(), handles.pop().unwrap());
+        let twin = CommHandle {
+            rank: 0,
+            inner: Arc::clone(&h0.inner),
+        };
+        let waiting = thread::spawn(move || h0.barrier());
+        while !twin.inner.gate.lock().deposited[0] {
+            thread::yield_now();
+        }
+        let second = thread::spawn(move || twin.barrier());
+        assert!(second.join().is_err(), "double deposit must panic");
+        h1.barrier();
+        waiting.join().unwrap();
+    }
+
+    #[test]
+    fn mismatched_lengths_panic_on_every_rank() {
+        for lens in [[3usize, 4], [4 * FOLD_TILE, 5]] {
+            let joins: Vec<_> = CommHandle::create(2)
+                .into_iter()
+                .map(|h| {
+                    thread::spawn(move || {
+                        let mut buf = vec![1.0; lens[h.rank()]];
+                        h.all_reduce_sum(&mut buf);
+                    })
+                })
+                .collect();
+            for j in joins {
+                assert!(j.join().is_err(), "lengths {lens:?} must panic");
+            }
+        }
     }
 }

@@ -160,3 +160,31 @@ fn non_divisible_lengths_agree_across_backends() {
         }
     }
 }
+
+// The properties above draw payloads of under 200 elements. Long ones
+// span several of the shared-memory fold's 1024-element tiles in the
+// tree's world, the torus's rows (reduce-scatter) and its columns
+// (all-reduce of a shard a `cols`-th as long). Same contract, around a
+// tile edge and at gradient-bucket lengths.
+
+#[test]
+fn long_payloads_are_bitwise_identical_across_backends_and_ranks() {
+    for p in [2usize, 3, 4, 8, 16] {
+        for n in [4095, 4096, 4097, 65_537, (1 << 17) + 3] {
+            let tree = reduce_world(Backend::Tree, p, n, 11);
+            for backend in Backend::ALL {
+                let got = reduce_world(backend, p, n, 11);
+                for (rank, result) in got.iter().enumerate() {
+                    let same = result
+                        .iter()
+                        .zip(&tree[0])
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(
+                        same,
+                        "{backend} p={p} n={n} rank {rank} differs from tree rank 0"
+                    );
+                }
+            }
+        }
+    }
+}

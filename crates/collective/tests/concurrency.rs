@@ -2,29 +2,36 @@
 //! payloads, subgroup interleaving, and randomized equivalence between the
 //! tree, ring, and hierarchical grid implementations.
 
-use ets_collective::{create_grid, create_ring, CommHandle, GroupSpec, SliceShape};
+use ets_collective::{create_grid, create_ring, shard_bounds, CommHandle, GroupSpec, SliceShape};
 use proptest::prelude::*;
 use std::thread;
 
-fn tree_reduce(
+/// Runs `f` on every rank of a fresh communicator of `p` members.
+fn on_ranks<R: Send + 'static>(
     p: usize,
-    seed_fn: impl Fn(usize) -> Vec<f32> + Send + Sync + Clone + 'static,
-) -> Vec<Vec<f32>> {
-    let handles = CommHandle::create(p);
-    handles
+    f: impl Fn(CommHandle) -> R + Send + Sync + Clone + 'static,
+) -> Vec<R> {
+    CommHandle::create(p)
         .into_iter()
         .map(|h| {
-            let sf = seed_fn.clone();
-            thread::spawn(move || {
-                let mut buf = sf(h.rank());
-                h.all_reduce_sum(&mut buf);
-                buf
-            })
+            let f = f.clone();
+            thread::spawn(move || f(h))
         })
         .collect::<Vec<_>>()
         .into_iter()
         .map(|j| j.join().unwrap())
         .collect()
+}
+
+fn tree_reduce(
+    p: usize,
+    seed_fn: impl Fn(usize) -> Vec<f32> + Send + Sync + Clone + 'static,
+) -> Vec<Vec<f32>> {
+    on_ranks(p, move |h| {
+        let mut buf = seed_fn(h.rank());
+        h.all_reduce_sum(&mut buf);
+        buf
+    })
 }
 
 #[test]
@@ -99,6 +106,171 @@ fn disjoint_subgroups_run_concurrently() {
         for (r, out) in outs.iter().enumerate() {
             assert_eq!(out[step].1, world_sum, "rank {r} step {step}");
         }
+    }
+}
+
+/// Rank `rank`'s contribution: magnitudes that cancel across ranks (so
+/// any reassociation shows in the rounded sum), signed zeros, and a NaN
+/// and both infinities that must come through.
+fn adversarial(rank: usize, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| match (rank * 3 + i) % 11 {
+            0 => 1e8,
+            1 => -1e8,
+            2 => 0.0,
+            3 => -0.0,
+            4 if i % 997 == 4 => f32::NAN,
+            5 if i % 991 == 5 => f32::INFINITY,
+            6 if i % 983 == 6 => f32::NEG_INFINITY,
+            k => {
+                [0.37f32, 1e-3, -3.0, 1.0][k % 4] * (1.0 + (rank * 31 + i * 7 % 1000) as f32 * 1e-3)
+            }
+        })
+        .collect()
+}
+
+/// The fold the communicator commits to, written out sequentially:
+/// ascending rank within blocks of `cols` ranks, then ascending block.
+fn sequential_fold(p: usize, n: usize, cols: usize) -> Vec<u32> {
+    let add = |acc: &mut Vec<f32>, x: &[f32]| acc.iter_mut().zip(x).for_each(|(a, &x)| *a += x);
+    let mut total: Option<Vec<f32>> = None;
+    for block in 0..p / cols {
+        let mut acc = adversarial(block * cols, n);
+        for rank in block * cols + 1..(block + 1) * cols {
+            add(&mut acc, &adversarial(rank, n));
+        }
+        match &mut total {
+            None => total = Some(acc),
+            Some(t) => add(t, &acc),
+        }
+    }
+    bits(&total.unwrap())
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The all-reduce, flat and grid-blocked, and the reduce-scatter,
+/// bitwise against the sequential fold: every world around every length
+/// at which a shard is empty, one element or uneven, or the fold's
+/// 1024-element tile ends.
+#[test]
+fn folds_match_the_sequential_fold_bitwise() {
+    let tile = 1024;
+    for p in [1usize, 2, 3, 4, 6, 8] {
+        let mut lengths = vec![
+            0,
+            1,
+            p - 1,
+            p,
+            p + 1,
+            tile - 1,
+            tile,
+            tile + 1,
+            65_537,
+            (1 << 20) + 3,
+        ];
+        lengths.sort_unstable();
+        lengths.dedup();
+        for n in lengths {
+            // Every factorization for the short payloads, the flat fold
+            // and the squarest grid for the megabyte ones.
+            let grids: Vec<usize> = (1..=p)
+                .filter(|cols| p % cols == 0 && (n <= tile + 1 || *cols == p || cols * cols >= p))
+                .collect();
+            for cols in grids {
+                let want = sequential_fold(p, n, cols);
+                let got = on_ranks(p, move |h| {
+                    let mut buf = adversarial(h.rank(), n);
+                    if cols == h.size() {
+                        h.all_reduce_sum(&mut buf);
+                    } else {
+                        h.all_reduce_sum_grid(&mut buf, h.size() / cols, cols);
+                    }
+                    bits(&buf)
+                });
+                for (rank, got) in got.iter().enumerate() {
+                    assert!(*got == want, "p={p} n={n} cols={cols} rank {rank}");
+                }
+            }
+            let want = sequential_fold(p, n, p);
+            let shards = on_ranks(p, move |h| {
+                let mut shard = vec![7.0; 3];
+                h.reduce_scatter_sum(&adversarial(h.rank(), n), &mut shard);
+                bits(&shard)
+            });
+            for (rank, shard) in shards.iter().enumerate() {
+                let (a, b) = shard_bounds(n, p, rank);
+                assert!(
+                    *shard == want[a..b],
+                    "reduce-scatter p={p} n={n} rank {rank}"
+                );
+            }
+        }
+    }
+}
+
+/// A thousand rounds of every operation on one communicator, the
+/// all-reduce at a length of a few elements and at one of several fold
+/// tiles: each result is that round's, and after the first round no
+/// buffer grows.
+#[test]
+fn thousand_mixed_rounds_no_cross_talk_no_growth() {
+    const P: usize = 4;
+    let long = 8 * 1024 + 5;
+    let reports = on_ranks(P, move |h| {
+        let rank = h.rank();
+        let (mut short, mut big) = (vec![0.0f32; 3], vec![0.0f32; long]);
+        let (mut gathered, mut shard, mut sent) = (Vec::new(), Vec::new(), vec![0.0f32; 9]);
+        let mut warm = 0;
+        for round in 0..1000usize {
+            // Small integers: every sum below is exact in f32.
+            let v = (round % 97) as f32;
+            short.fill(v + rank as f32);
+            h.all_reduce_sum(&mut short);
+            assert_eq!(short, [4.0 * v + 6.0; 3], "short all-reduce, round {round}");
+            for (i, x) in big.iter_mut().enumerate() {
+                *x = v + (rank * (i % 5)) as f32;
+            }
+            h.all_reduce_sum(&mut big);
+            for (i, &x) in big.iter().enumerate() {
+                assert_eq!(
+                    x,
+                    4.0 * v + (6 * (i % 5)) as f32,
+                    "long all-reduce, round {round}"
+                );
+            }
+            h.all_gather_into(&[v, rank as f32], &mut gathered);
+            assert_eq!(
+                gathered,
+                [v, 0.0, v, 1.0, v, 2.0, v, 3.0],
+                "gather, round {round}"
+            );
+            h.reduce_scatter_sum(&[v + rank as f32; 10], &mut shard);
+            let (a, b) = shard_bounds(10, P, rank);
+            assert_eq!(
+                shard,
+                vec![4.0 * v + 6.0; b - a],
+                "reduce-scatter, round {round}"
+            );
+            let root = round % P;
+            sent.fill(if rank == root { v + root as f32 } else { -1.0 });
+            h.broadcast(&mut sent, root);
+            assert_eq!(sent, [v + root as f32; 9], "broadcast, round {round}");
+            h.barrier();
+            if round == 0 {
+                warm = h.scratch_reallocs();
+            }
+        }
+        (warm, h.scratch_reallocs())
+    });
+    for (warm, end) in reports {
+        assert!(warm > 0, "the first round sizes the buffers");
+        assert_eq!(
+            end, warm,
+            "steady-state rounds must not grow communicator buffers"
+        );
     }
 }
 

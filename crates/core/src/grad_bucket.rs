@@ -114,13 +114,17 @@ enum FpVerdict {
 /// Exchanges fingerprint records for one reduced bucket and returns the
 /// (rank-identical) verdict. `cs_local` is the f64 sum of this rank's
 /// pre-reduce contribution.
-fn fingerprint_verdict(comm: &dyn Collective, reduced: &[f32], cs_local: f64) -> FpVerdict {
+fn fingerprint_verdict(
+    comm: &dyn Collective,
+    reduced: &[f32],
+    cs_local: f64,
+    gathered: &mut Vec<f32>,
+) -> FpVerdict {
     let mut rec = [0.0f32; FP_RECORD_F32S];
     pack_u64_limbs(fnv1a_bits(reduced), &mut rec[0..4]);
     pack_u64_limbs(cs_local.to_bits(), &mut rec[4..8]);
     pack_u64_limbs(f64_sum(reduced).to_bits(), &mut rec[8..12]);
-    let mut gathered = Vec::new();
-    comm.all_gather(&rec, &mut gathered);
+    comm.all_gather(&rec, gathered);
     let world = comm.size();
     assert_eq!(
         gathered.len(),
@@ -128,25 +132,24 @@ fn fingerprint_verdict(comm: &dyn Collective, reduced: &[f32], cs_local: f64) ->
         "fingerprint all-gather returned a short matrix"
     );
     let at = |r: usize, f: usize| unpack_u64_limbs(&gathered[r * FP_RECORD_F32S + 4 * f..]);
-    let fps: Vec<u64> = (0..world).map(|r| at(r, 0)).collect();
-    if fps.iter().all(|&f| f == fps[0]) {
+    let fps = || (0..world).map(|r| at(r, 0));
+    if fps().all(|f| f == at(0, 0)) {
         return FpVerdict::Clean;
     }
     // Majority vote: with a strict fingerprint majority, the smallest
     // minority rank is the corrupt one (single-rank fault model).
-    let mut best_fp = fps[0];
+    let mut best_fp = at(0, 0);
     let mut best_count = 0usize;
-    for &f in &fps {
-        let c = fps.iter().filter(|&&g| g == f).count();
+    for f in fps() {
+        let c = fps().filter(|&g| g == f).count();
         if c > best_count {
             best_count = c;
             best_fp = f;
         }
     }
     if 2 * best_count > world {
-        let rank = fps
-            .iter()
-            .position(|&f| f != best_fp)
+        let rank = fps()
+            .position(|f| f != best_fp)
             .expect("fingerprints differ but no minority rank");
         return FpVerdict::Corrupt { rank };
     }
@@ -207,13 +210,15 @@ impl BucketExchange {
         policy: &RetryPolicy,
         i: usize,
         slice: &mut [f32],
+        scratch: &mut FingerprintScratch,
         counters: &mut RecoveryCounters,
     ) -> Result<f64, CollectiveError> {
         let mut sw = Stopwatch::start();
-        let (snapshot, cs_local) = if self.fingerprint {
-            (slice.to_vec(), f64_sum(slice))
+        let cs_local = if self.fingerprint {
+            scratch.snapshot[..slice.len()].copy_from_slice(slice);
+            f64_sum(slice)
         } else {
-            (Vec::new(), 0.0)
+            0.0
         };
         let mut attempts_left = self.corruption_retries;
         let mut detected_here = 0u64;
@@ -228,7 +233,7 @@ impl BucketExchange {
             if !self.fingerprint {
                 break;
             }
-            match fingerprint_verdict(comm, slice, cs_local) {
+            match fingerprint_verdict(comm, slice, cs_local, &mut scratch.gathered) {
                 FpVerdict::Clean => {
                     if detected_here > 0 {
                         counters.corruptions_corrected += detected_here;
@@ -252,7 +257,7 @@ impl BucketExchange {
                         });
                     }
                     attempts_left -= 1;
-                    slice.copy_from_slice(&snapshot);
+                    slice.copy_from_slice(&scratch.snapshot[..slice.len()]);
                 }
             }
         }
@@ -273,6 +278,18 @@ impl BucketExchange {
         }
         Ok(dur)
     }
+}
+
+/// What a fingerprinted exchange keeps between buckets and steps so the
+/// steady state allocates nothing. One set serves both callers: buckets
+/// are exchanged one at a time, also on the communication thread.
+#[derive(Default)]
+struct FingerprintScratch {
+    /// The local contribution of the bucket in flight, as long as the
+    /// longest bucket (empty while fingerprints are off).
+    snapshot: Vec<f32>,
+    /// The gathered fingerprint records.
+    gathered: Vec<f32>,
 }
 
 /// The producer's end of the overlapped exchange: the not-yet-shipped
@@ -320,6 +337,7 @@ pub struct GradBucket {
     /// Recorder, step tag and verification settings of the one bucket
     /// exchange.
     exchange: BucketExchange,
+    fingerprint_scratch: FingerprintScratch,
 }
 
 impl GradBucket {
@@ -354,6 +372,7 @@ impl GradBucket {
                 fingerprint: false,
                 corruption_retries: 1,
             },
+            fingerprint_scratch: FingerprintScratch::default(),
         }
     }
 
@@ -364,6 +383,8 @@ impl GradBucket {
     pub fn set_fingerprint_verify(&mut self, on: bool, bucket_retries: u32) {
         self.exchange.fingerprint = on;
         self.exchange.corruption_retries = bucket_retries;
+        let longest = self.buckets.iter().map(|&(a, b)| b - a).max().unwrap_or(0);
+        self.fingerprint_scratch.snapshot = vec![0.0; if on { longest } else { 0 }];
     }
 
     /// Attaches a flight recorder; subsequent exchanges emit per-bucket
@@ -470,9 +491,10 @@ impl GradBucket {
         // thread for the whole exchange: every bucket second is exposed.
         for (i, &(a, b)) in self.buckets.iter().enumerate() {
             let slice = &mut self.flat[a..b];
+            let scratch = &mut self.fingerprint_scratch;
             let dur = self
                 .exchange
-                .exchange_bucket(comm, policy, i, slice, counters)?;
+                .exchange_bucket(comm, policy, i, slice, scratch, counters)?;
             self.profile.bucket_seconds[i] += dur;
             self.profile.exposed_seconds += dur;
         }
@@ -541,6 +563,7 @@ impl GradBucket {
         let buckets = &self.buckets;
         let param_sizes = &self.param_sizes;
         let exchange = &self.exchange;
+        let scratch = &mut self.fingerprint_scratch;
 
         let mut sw = Stopwatch::start();
         let (input_grad, backward_s, exposed_s, hook_shipped, exchanged) =
@@ -554,7 +577,8 @@ impl GradBucket {
                 let comm_join = s.spawn(move || {
                     rx.into_iter()
                         .map(|(i, slice)| {
-                            let dur = exchange.exchange_bucket(comm, policy, i, slice, counters)?;
+                            let dur = exchange
+                                .exchange_bucket(comm, policy, i, slice, scratch, counters)?;
                             Ok((i, dur))
                         })
                         .collect::<Result<Vec<(usize, f64)>, CollectiveError>>()

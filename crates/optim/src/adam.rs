@@ -46,13 +46,12 @@ impl Optimizer for Adam {
         let (ms, vs) = (&mut self.m, &mut self.v);
         let mut i = 0;
         model.visit_params(&mut |p| {
-            let dims = p.value.shape().dims().to_vec();
-            let mstate = ms.get_or_init(i, || Tensor::zeros(dims.as_slice()));
+            let mstate = ms.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
             for (mv, &g) in mstate.data_mut().iter_mut().zip(p.grad.data()) {
                 *mv = b1 * *mv + (1.0 - b1) * g;
             }
             let m_now = mstate.clone();
-            let vstate = vs.get_or_init(i, || Tensor::zeros(dims.as_slice()));
+            let vstate = vs.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
             for (vv, &g) in vstate.data_mut().iter_mut().zip(p.grad.data()) {
                 *vv = b2 * *vv + (1.0 - b2) * g * g;
             }

@@ -1,15 +1,12 @@
 //! Gradient utilities: global norms and clipping.
 
 use ets_nn::Layer;
+use ets_tensor::ops::reduce::sum_sq;
 
 /// Global L2 norm over all parameter gradients.
 pub fn global_grad_norm(model: &mut dyn Layer) -> f32 {
     let mut acc = 0.0f64;
-    model.visit_params(&mut |p| {
-        for &g in p.grad.data() {
-            acc += (g as f64) * (g as f64);
-        }
-    });
+    model.visit_params(&mut |p| acc += sum_sq(p.grad.data()));
     acc.sqrt() as f32
 }
 

@@ -12,6 +12,7 @@
 
 use crate::optimizer::{bank_tensor, param_dims, tensor_bank, Optimizer, OptimizerState, StateVec};
 use ets_nn::Layer;
+use ets_tensor::ops::reduce::sum_sq;
 use ets_tensor::Tensor;
 
 /// LAMB optimizer.
@@ -55,15 +56,14 @@ impl Optimizer for Lamb {
         let (ms, vs) = (&mut self.m, &mut self.v);
         let mut i = 0;
         model.visit_params(&mut |p| {
-            let dims = p.value.shape().dims().to_vec();
             let n = p.value.numel();
-            let mstate = ms.get_or_init(i, || Tensor::zeros(dims.as_slice()));
+            let mstate = ms.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
             // Moment updates.
             for (mv, &g) in mstate.data_mut().iter_mut().zip(p.grad.data()) {
                 *mv = b1 * *mv + (1.0 - b1) * g;
             }
             let m_now = mstate.clone();
-            let vstate = vs.get_or_init(i, || Tensor::zeros(dims.as_slice()));
+            let vstate = vs.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
             for (vv, &g) in vstate.data_mut().iter_mut().zip(p.grad.data()) {
                 *vv = b2 * *vv + (1.0 - b2) * g * g;
             }
@@ -77,11 +77,7 @@ impl Optimizer for Lamb {
             }
             let ratio = if p.kind.lars_adapted() {
                 let wn = p.value.l2_norm();
-                let un = u
-                    .iter()
-                    .map(|&x| (x as f64) * (x as f64))
-                    .sum::<f64>()
-                    .sqrt() as f32;
+                let un = sum_sq(&u).sqrt() as f32;
                 if wn > 0.0 && un > 0.0 {
                     wn / un
                 } else {

@@ -71,8 +71,7 @@ impl Optimizer for Lars {
         let vel = &mut self.velocity;
         let ratios = &mut self.last_ratios;
         model.visit_params(&mut |p| {
-            let dims = p.value.shape().dims().to_vec();
-            let v = vel.get_or_init(i, || Tensor::zeros(dims.as_slice()));
+            let v = vel.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
             if p.kind.lars_adapted() {
                 let w_norm = p.value.l2_norm();
                 let g_norm = p.grad.l2_norm();
@@ -192,6 +191,42 @@ mod tests {
         for (a, b) in small.iter().zip(&large) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
+    }
+
+    /// Two steps on a fixed three-parameter model give the bits they
+    /// gave before the norms moved to `sum_sq` (golden values from the
+    /// sequential-sum build): the norm's summation order changed, the
+    /// `f32` it rounds to did not.
+    #[test]
+    fn two_steps_on_a_fixed_model_give_the_pinned_bits() {
+        let mut rng = Rng::new(2022);
+        let mut param = |name, dims: &[usize], kind| {
+            let n = dims.iter().product();
+            let (mut w, mut g) = (vec![0.0; n], vec![0.0; n]);
+            rng.fill_uniform(&mut w, -1.0, 1.0);
+            rng.fill_uniform(&mut g, -0.1, 0.1);
+            let mut p = Param::new(name, Tensor::from_vec(dims, w), kind);
+            p.grad.data_mut().copy_from_slice(&g);
+            p
+        };
+        let mut layer = Params(vec![
+            param("w0", &[40, 25], ParamKind::Weight),
+            param("w1", &[2, 3], ParamKind::Weight),
+            param("gamma", &[5], ParamKind::BnGamma),
+        ]);
+        let mut opt = Lars::new(0.9, 1e-5, 0.001);
+        opt.step(&mut layer, 0.5);
+        opt.step(&mut layer, 0.25);
+        let ratios: Vec<u32> = opt.last_ratios.iter().map(|r| r.to_bits()).collect();
+        assert_eq!(ratios, [1008958706, 1009648221], "trust ratios");
+        // FNV-1a over every weight's bits.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for p in &layer.0 {
+            for v in p.value.data() {
+                hash = (hash ^ v.to_bits() as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 3096566789508572014, "weights after two steps");
     }
 
     #[test]

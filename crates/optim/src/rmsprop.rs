@@ -49,8 +49,7 @@ impl Optimizer for RmsProp {
         let (rho, m, eps, wd) = (self.rho, self.momentum, self.eps, self.weight_decay);
         let (ms_all, mom_all) = (&mut self.ms, &mut self.mom);
         model.visit_params(&mut |p| {
-            let dims = p.value.shape().dims().to_vec();
-            let ms = ms_all.get_or_init(i, || Tensor::zeros(dims.as_slice()));
+            let ms = ms_all.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
             let decay = if p.kind.decayed() { wd } else { 0.0 };
             // First pass: second-moment estimate.
             for ((msv, &graw), &w) in ms
@@ -63,7 +62,7 @@ impl Optimizer for RmsProp {
                 *msv = rho * *msv + (1.0 - rho) * g * g;
             }
             let ms_now = ms.clone();
-            let mom = mom_all.get_or_init(i, || Tensor::zeros(dims.as_slice()));
+            let mom = mom_all.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
             let momd = mom.data_mut();
             let grads = p.grad.data();
             let msd = ms_now.data();

@@ -27,8 +27,7 @@ impl Optimizer for Sgd {
         let (m, wd) = (self.momentum, self.weight_decay);
         let vel = &mut self.velocity;
         model.visit_params(&mut |p| {
-            let shape = p.value.shape().dims().to_vec();
-            let v = vel.get_or_init(i, || Tensor::zeros(shape.as_slice()));
+            let v = vel.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
             let decay = if p.kind.decayed() { wd } else { 0.0 };
             for ((vv, &g), w) in v
                 .data_mut()

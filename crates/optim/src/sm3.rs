@@ -70,8 +70,7 @@ impl Optimizer for Sm3 {
         let states = &mut self.state;
         let vels = &mut self.velocity;
         model.visit_params(&mut |p| {
-            let dims = p.value.shape().dims().to_vec();
-            let st = states.get_or_init(i, || Sm3State::new(&dims));
+            let st = states.get_or_init(i, || Sm3State::new(p.value.shape().dims()));
             let n = p.value.numel();
             let v = vels.get_or_init(i, || vec![0.0f32; n]);
             let decay = if p.kind.decayed() { wd } else { 0.0 };

@@ -90,8 +90,36 @@ fn pair_sums(a: &[f32], b: &[f32], s: &mut Partials, q: &mut Partials) {
 }
 
 #[inline(always)]
+fn fold64(p: &Partials) -> f64 {
+    ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]))
+}
+
+#[inline(always)]
 fn fold(p: &Partials) -> f32 {
-    (((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]))) as f32
+    fold64(p) as f32
+}
+
+/// `Σx²` of a flat slice in `f64`, by the order contract's rule for one
+/// plane: partial `j` takes the elements `k ≡ j (mod 8)`, `k` ascending,
+/// and the eight fold in the fixed tree. Eight independent chains where
+/// a sequential sum is one, so a parameter-sized norm (LARS, LAMB,
+/// gradient clipping) runs at memory speed instead of add latency.
+/// Compiled for the baseline target on every lane: LLVM vectorizes the
+/// `f64` partials there, and no vector width is named.
+pub fn sum_sq(x: &[f32]) -> f64 {
+    let mut s = [0.0; PARTIALS];
+    let (x8, rest) = x.as_chunks::<PARTIALS>();
+    for v in x8 {
+        for j in 0..PARTIALS {
+            let d = v[j] as f64;
+            s[j] += d * d;
+        }
+    }
+    for (j, &v) in rest.iter().enumerate() {
+        let d = v as f64;
+        s[j] += d * d;
+    }
+    fold64(&s)
 }
 
 /// `sum[ch] = Σa`, `sum_ab[ch] = Σa·b` over the planes of channel `ch`.

@@ -214,13 +214,10 @@ impl Tensor {
         }
     }
 
-    /// L2 norm of the flattened tensor (f64 accumulator).
+    /// L2 norm of the flattened tensor: [`sum_sq`](crate::ops::reduce::sum_sq)
+    /// in `f64`, rounded to `f32` after the root.
     pub fn l2_norm(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt() as f32
+        crate::ops::reduce::sum_sq(&self.data).sqrt() as f32
     }
 
     /// Maximum element. Panics on empty tensors.

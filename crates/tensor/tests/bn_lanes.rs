@@ -18,7 +18,7 @@ mod common;
 use common::{bits, rand_vec};
 use ets_tensor::ops::act::{swish, swish_grad};
 use ets_tensor::ops::reduce::{
-    bn_apply, bn_backward_apply, bn_backward_reduce, bn_moments, Act, SMALL_PLANE,
+    bn_apply, bn_backward_apply, bn_backward_reduce, bn_moments, sum_sq, Act, SMALL_PLANE,
 };
 use ets_tensor::ops::simd::{ForcedLaneGuard, LanePath};
 use ets_tensor::{scratch_reallocs_local, Tensor};
@@ -297,4 +297,58 @@ fn steady_state_calls_do_not_grow_the_scratch_arena() {
         warm,
         "expanded parameters must be pooled"
     );
+}
+
+/// `sum_sq` (the norm behind `Tensor::l2_norm`): bitwise the order
+/// contract's eight partials on every lane, and as close to the exact
+/// sum as the sequential `f64` loop it replaced.
+#[test]
+fn sum_sq_follows_the_order_contract_on_every_lane() {
+    for (i, len) in [0usize, 1, 7, 8, 9, 4099, 3_500_000]
+        .into_iter()
+        .enumerate()
+    {
+        let x = rand_vec(900 + i as u64, len);
+        let mut p = [0.0f64; 8];
+        for (k, &v) in x.iter().enumerate() {
+            p[k % 8] += v as f64 * v as f64;
+        }
+        let want = ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
+        for path in LanePath::ALL.into_iter().filter(|p| p.available()) {
+            let _guard = ForcedLaneGuard::new(path);
+            assert_eq!(
+                sum_sq(&x).to_bits(),
+                want.to_bits(),
+                "len {len} on {}",
+                path.name()
+            );
+            let norm = Tensor::from_vec([len], x.clone()).l2_norm();
+            assert_eq!(norm.to_bits(), (want.sqrt() as f32).to_bits(), "len {len}");
+        }
+        // Squares of `f32` are exact in `f64`, so Neumaier's compensated
+        // sum of them is the exact sum to an ulp. The eight short chains
+        // must land no farther from it than the one long chain they
+        // replaced (measured: 22 against 73 ulps at 4099 elements, 1980
+        // against 6063 at 3.5 M), or within the 4 ulps either is off by
+        // on a handful of elements.
+        let (mut exact, mut comp, mut sequential) = (0.0f64, 0.0f64, 0.0f64);
+        for &v in &x {
+            let sq = v as f64 * v as f64;
+            sequential += sq;
+            let t = exact + sq;
+            comp += if exact >= sq {
+                (exact - t) + sq
+            } else {
+                (sq - t) + exact
+            };
+            exact = t;
+        }
+        exact += comp;
+        let ulp = (exact * f64::EPSILON).max(f64::MIN_POSITIVE);
+        let (got, old) = ((want - exact).abs() / ulp, (sequential - exact).abs() / ulp);
+        assert!(
+            got <= old.max(4.0),
+            "len {len}: {got} ulps from the exact sum, the sequential loop {old}"
+        );
+    }
 }

@@ -214,6 +214,39 @@ fn naive_kernel_association_is_pinned_bitwise() {
     }
 }
 
+/// The narrow routes of the naive kernel (`AB` / `AᵀB` with n ≤ 16,
+/// `ABᵀ` with k ≤ 16) against the same written-out association, on both
+/// sides of the cut-off, through every row-block, column-piece and tile
+/// tail, on every lane: they reorder loops, never a chain.
+#[test]
+fn narrow_routes_match_the_written_out_association_bitwise() {
+    let ns: Vec<usize> = (1..=17).chain([32, 33, 65]).collect();
+    for m in [1usize, 3, 4, 5, 9, 64, 257] {
+        for &n in &ns {
+            for k in [1usize, 2, 15, 16, 17, 300] {
+                let ops = Operands::new((m * 1000 + n * 10 + k) as u64, m, k, n);
+                let quantized_ops = ops.quantized();
+                let c_old = rand_vec(81, m * n);
+                for desc in all_descs(m, k, n) {
+                    let oracle_ops = match desc.precision {
+                        GemmPrecision::F32 => &ops,
+                        GemmPrecision::Bf16 => &quantized_ops,
+                    };
+                    let (a, b) = oracle_ops.stored(desc.orient);
+                    let want = bits(&written_out(desc, a, b, &c_old, desc.orient != Orient::ABt));
+                    let (a, b) = ops.stored(desc.orient);
+                    for path in lane_paths() {
+                        let _guard = simd::ForcedLaneGuard::new(path);
+                        let mut got = c_old.clone();
+                        gemm_naive(desc, a, b, &mut got);
+                        assert_eq!(bits(&got), want, "{desc:?} on {}", path.name());
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------------ fused im2col panels
 
 /// (c_in, hw, c_out, ksz, stride, pad)

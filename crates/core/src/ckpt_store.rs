@@ -24,7 +24,14 @@
 //!   the property the proptest suite pins down.
 //! - **Versioned manifest**: a human-readable index of the live
 //!   checkpoints, itself checksummed and atomically replaced; a corrupt
-//!   manifest degrades to a directory scan, never to a wrong answer.
+//!   manifest degrades to a directory scan, never to a wrong answer. An
+//!   entry records a file as it was *written* (its `len`/`crc` come out
+//!   of the traversal that encoded it and are carried from manifest to
+//!   manifest), so a file that rots later disagrees with its entry.
+//! - **One pass each way**: a save encodes into one exactly-sized
+//!   buffer and checksums it once ([`Crc32`] runs the record CRC, the
+//!   trailer and the manifest CRC off the same traversal) and reads no
+//!   checkpoint back; a load checksums once and decodes once.
 //! - **Retention/GC**: only the newest `retain` checkpoints are kept.
 //! - **Fallback on load**: [`CkptStore::load_latest_valid`] walks
 //!   candidates newest-first, skipping (and counting) corrupt files, and
@@ -55,12 +62,20 @@ const CKPT_EXT: &str = "ets";
 /// Manifest file name.
 const MANIFEST: &str = "MANIFEST";
 
+/// Bytes of a file with no records: magic, version, step, record count
+/// and the whole-file trailer.
+const ENVELOPE_LEN: usize = MAGIC.len() + 4 + 8 + 4 + 4;
+
 // ---------------------------------------------------------------------------
-// CRC-32 (ISO-HDLC, the zlib polynomial), table-driven.
+// CRC-32 (ISO-HDLC, the zlib polynomial), slice-by-16.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the classic byte table; `T[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so sixteen input bytes fold into the
+/// state with sixteen independent lookups instead of a sixteen-deep
+/// dependency chain.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -73,21 +88,92 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < 16 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+/// Folds `data` into each of `states` in one traversal. Twelve of the
+/// sixteen lookups per block do not depend on the state, so a second
+/// state over the same bytes (a record CRC beside the file CRC) costs
+/// four more lookups, not a second pass.
+fn crc32_fold<const N: usize>(mut states: [u32; N], data: &[u8]) -> [u32; N] {
+    let t = &CRC32_TABLES;
+    let at = |k: usize, word: u32, shift: u32| t[k][(word >> shift) as u8 as usize];
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        let word = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+        let (w0, w1, w2, w3) = (word(0), word(4), word(8), word(12));
+        let shared = (at(11, w1, 0) ^ at(10, w1, 8) ^ at(9, w1, 16) ^ at(8, w1, 24))
+            ^ (at(7, w2, 0) ^ at(6, w2, 8) ^ at(5, w2, 16) ^ at(4, w2, 24))
+            ^ (at(3, w3, 0) ^ at(2, w3, 8) ^ at(1, w3, 16) ^ at(0, w3, 24));
+        for s in &mut states {
+            let w = w0 ^ *s;
+            *s = shared ^ at(15, w, 0) ^ at(14, w, 8) ^ at(13, w, 16) ^ at(12, w, 24);
+        }
+    }
+    for &byte in blocks.remainder() {
+        for s in &mut states {
+            *s = at(0, *s ^ byte as u32, 0) ^ (*s >> 8);
+        }
+    }
+    states
+}
+
+/// Streaming CRC-32 (ISO-HDLC / zlib polynomial, init & xorout `!0`):
+/// `update` in any number of pieces, `finish` at any point. `finish`
+/// does not consume the state, so the CRC of a prefix and of the whole
+/// come from one traversal.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32(!0)
+    }
+}
+
+impl Crc32 {
+    /// The state of the empty message.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Extends the message by `data`.
+    pub fn update(&mut self, data: &[u8]) {
+        [self.0] = crc32_fold([self.0], data);
+    }
+
+    /// Extends this message and `other`'s by the same `data`, reading
+    /// it once.
+    pub fn update_both(&mut self, other: &mut Crc32, data: &[u8]) {
+        [self.0, other.0] = crc32_fold([self.0, other.0], data);
+    }
+
+    /// CRC-32 of the message so far.
+    pub fn finish(&self) -> u32 {
+        !self.0
+    }
+}
 
 /// CRC-32 of `data` (ISO-HDLC / zlib polynomial, init & xorout `!0`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    let mut c = Crc32::new();
+    c.update(data);
+    c.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -171,22 +257,30 @@ impl ByteWriter {
         self.u32(s.len() as u32);
         self.bytes(s.as_bytes());
     }
+    /// Grows the buffer by `n` bytes and returns them for filling. The
+    /// fixed-width loops over this slice compile to block copies; a
+    /// per-element `push` re-checks the capacity every four bytes.
+    fn grow(&mut self, n: usize) -> &mut [u8] {
+        let at = self.buf.len();
+        self.buf.resize(at + n, 0);
+        &mut self.buf[at..]
+    }
     fn u32s(&mut self, v: &[u32]) {
         self.u64(v.len() as u64);
-        for &x in v {
-            self.u32(x);
+        for (dst, x) in self.grow(4 * v.len()).chunks_exact_mut(4).zip(v) {
+            dst.copy_from_slice(&x.to_le_bytes());
         }
     }
     fn u64s(&mut self, v: &[u64]) {
         self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x);
+        for (dst, x) in self.grow(8 * v.len()).chunks_exact_mut(8).zip(v) {
+            dst.copy_from_slice(&x.to_le_bytes());
         }
     }
     fn usizes(&mut self, v: &[usize]) {
         self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x as u64);
+        for (dst, &x) in self.grow(8 * v.len()).chunks_exact_mut(8).zip(v) {
+            dst.copy_from_slice(&(x as u64).to_le_bytes());
         }
     }
     fn tensor(&mut self, name: &str, shape: &[usize], bits: &[u32]) {
@@ -215,16 +309,27 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if self.pos + n > self.buf.len() {
-            return Err(CkptError::Malformed(format!(
+        // `n` comes from the file: near `usize::MAX` an unchecked
+        // `pos + n` wraps past the bound check.
+        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
+        let end = end.ok_or_else(|| {
+            CkptError::Malformed(format!(
                 "read of {n} bytes at offset {} overruns {}-byte payload",
                 self.pos,
                 self.buf.len()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+            ))
+        })?;
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(s)
+    }
+    /// A `u64` count, then that many `width`-byte elements as one slice.
+    fn elems(&mut self, width: usize) -> Result<&'a [u8], CkptError> {
+        let n = self.len(self.buf.len())?;
+        let bytes = n.checked_mul(width).ok_or_else(|| {
+            CkptError::Malformed(format!("{n} elements of {width} bytes overflow"))
+        })?;
+        self.take(bytes)
     }
     fn u8(&mut self) -> Result<u8, CkptError> {
         Ok(self.take(1)?[0])
@@ -254,16 +359,24 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| CkptError::Malformed("non-UTF-8 string".to_string()))
     }
     fn u32s(&mut self) -> Result<Vec<u32>, CkptError> {
-        let n = self.len(self.buf.len())?;
-        (0..n).map(|_| self.u32()).collect()
+        let words = self.elems(4)?.chunks_exact(4);
+        Ok(words
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
     }
     fn u64s(&mut self) -> Result<Vec<u64>, CkptError> {
-        let n = self.len(self.buf.len())?;
-        (0..n).map(|_| self.u64()).collect()
+        let words = self.elems(8)?.chunks_exact(8);
+        Ok(words
+            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks of 8")))
+            .collect())
     }
     fn usizes(&mut self) -> Result<Vec<usize>, CkptError> {
-        let n = self.len(self.buf.len())?;
-        (0..n).map(|_| self.usize()).collect()
+        self.u64s()?
+            .into_iter()
+            .map(|v| {
+                usize::try_from(v).map_err(|_| CkptError::Malformed("usize overflow".to_string()))
+            })
+            .collect()
     }
     /// A `u32` count, then that many `(name, shape, bits)` tensors.
     fn tensors(&mut self) -> Result<Vec<TensorRecord>, CkptError> {
@@ -378,6 +491,9 @@ pub struct DurableSnapshot {
     pub history: Vec<EpochRecord>,
 }
 
+/// Appends one record's payload to the file being written.
+type RecordEncoder = fn(&DurableSnapshot, &mut ByteWriter);
+
 fn to_bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
@@ -466,31 +582,87 @@ impl DurableSnapshot {
         (self.progress, self.history.clone())
     }
 
+    /// The records of a file, in file order.
+    const RECORDS: [(&'static str, RecordEncoder); 6] = [
+        ("meta", Self::encode_meta),
+        ("params", Self::encode_params),
+        ("bn", Self::encode_bn),
+        ("opt", Self::encode_opt),
+        ("ema", Self::encode_ema),
+        ("history", Self::encode_history),
+    ];
+
     /// Serializes to the checked binary format: envelope, named records
     /// with per-record CRC-32, whole-file CRC-32 trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let records: [(&str, Vec<u8>); 6] = [
-            ("meta", self.encode_meta()),
-            ("params", self.encode_params()),
-            ("bn", self.encode_bn()),
-            ("opt", self.encode_opt()),
-            ("ema", self.encode_ema()),
-            ("history", self.encode_history()),
-        ];
-        let mut w = ByteWriter::default();
+        self.encode().0
+    }
+
+    /// The file and the CRC-32 of all of it, trailer included (what a
+    /// [`ManifestEntry`] records). Every record is encoded straight into
+    /// the one output buffer, and one traversal of that buffer yields
+    /// the record CRCs, the trailer and the whole-file CRC.
+    fn encode(&self) -> (Vec<u8>, u32) {
+        let mut w = ByteWriter {
+            buf: Vec::with_capacity(self.encoded_len()),
+        };
         w.bytes(MAGIC);
         w.u32(CKPT_STORE_VERSION);
         w.u64(self.progress.step);
-        w.u32(records.len() as u32);
-        for (name, payload) in &records {
+        w.u32(Self::RECORDS.len() as u32);
+        let mut file = Crc32::new();
+        let mut fed = 0; // `w.buf[..fed]` is folded into `file`
+        for (name, encode) in Self::RECORDS {
             w.str(name);
-            w.u64(payload.len() as u64);
-            w.bytes(payload);
-            w.u32(crc32(payload));
+            let len_at = w.buf.len();
+            w.u64(0);
+            let start = w.buf.len();
+            encode(self, &mut w);
+            let len = (w.buf.len() - start) as u64;
+            w.buf[len_at..start].copy_from_slice(&len.to_le_bytes());
+            let mut record = Crc32::new();
+            file.update(&w.buf[fed..start]);
+            file.update_both(&mut record, &w.buf[start..]);
+            fed = w.buf.len();
+            w.u32(record.finish());
         }
-        let file_crc = crc32(&w.buf);
-        w.u32(file_crc);
-        w.buf
+        file.update(&w.buf[fed..]);
+        let trailer = file.finish().to_le_bytes();
+        w.bytes(&trailer);
+        file.update(&trailer);
+        (w.buf, file.finish())
+    }
+
+    /// Exact length of [`DurableSnapshot::to_bytes`], so the output is
+    /// reserved once and never regrown (8 MB for the chaos model).
+    fn encoded_len(&self) -> usize {
+        let u32s = |v: &[u32]| 8 + 4 * v.len();
+        let tensor = |name: &str, shape: &[usize], bits: &[u32]| {
+            4 + name.len() + 8 + 8 * shape.len() + u32s(bits)
+        };
+        let opt_f64 = |v: Option<f64>| if v.is_some() { 9 } else { 1 };
+        let params = self.params.iter();
+        let bn = self.bn_running.iter();
+        let ema = self.ema.iter().flat_map(|e| &e.shadow);
+        let payloads = [
+            5 * 8 + 4 + 8 + 4,
+            4 + params
+                .map(|t| tensor(&t.name, &t.shape, &t.bits))
+                .sum::<usize>(),
+            4 + bn.map(|(m, v)| u32s(m) + u32s(v)).sum::<usize>(),
+            8 + 8 * self.opt_state.scalars.len()
+                + 4
+                + self.opt_state.banks.iter().map(|b| u32s(b)).sum::<usize>(),
+            1 + self.ema.as_ref().map_or(0, |_| 4 + 8 + 4)
+                + ema.map(|(n, s, b)| tensor(n, s, b)).sum::<usize>(),
+            4 + self
+                .history
+                .iter()
+                .map(|r| 8 + 4 + 4 + opt_f64(r.eval_top1) + opt_f64(r.eval_top5))
+                .sum::<usize>(),
+        ];
+        let framing = Self::RECORDS.iter().map(|(name, _)| 4 + name.len() + 8 + 4);
+        ENVELOPE_LEN + framing.sum::<usize>() + payloads.iter().sum::<usize>()
     }
 
     /// Parses and fully validates bytes produced by
@@ -498,15 +670,29 @@ impl DurableSnapshot {
     /// bit, truncation, bad structure — returns a typed [`CkptError`];
     /// success means every checksum passed.
     pub fn from_bytes(bytes: &[u8]) -> Result<DurableSnapshot, CkptError> {
-        // Envelope floor: magic + version + step + count + trailer.
-        if bytes.len() < MAGIC.len() + 4 + 8 + 4 + 4 {
+        Self::decode(bytes).map(|(snap, _)| snap)
+    }
+
+    /// [`DurableSnapshot::from_bytes`], plus the CRC-32 of all of
+    /// `bytes` from the same traversal (the manifest cross-check).
+    fn decode(bytes: &[u8]) -> Result<(DurableSnapshot, u32), CkptError> {
+        if bytes.len() < ENVELOPE_LEN {
             return Err(CkptError::TooShort { len: bytes.len() });
         }
-        // Whole-file CRC first: guarantees any single flipped bit is
-        // caught even if it would happen to parse.
         let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let expected = u32::from_le_bytes(trailer.try_into().unwrap());
-        let actual = crc32(body);
+        let expected = u32::from_le_bytes(trailer.try_into().expect("split at len - 4"));
+        // One traversal: `parse_body` folds what it walks into `file`
+        // (each payload into its record CRC in the same loop), and what
+        // it did not reach, having stopped at an error, is folded here.
+        // The whole-file CRC is still judged first: it guarantees any
+        // single flipped bit is caught even if it would happen to
+        // parse, and reports it as a "file" mismatch whatever else the
+        // flip also broke.
+        let mut file = Crc32::new();
+        let mut fed = 0;
+        let parsed = Self::parse_body(body, &mut file, &mut fed);
+        file.update(&body[fed..]);
+        let actual = file.finish();
         if expected != actual {
             return Err(CkptError::ChecksumMismatch {
                 what: "file",
@@ -514,6 +700,17 @@ impl DurableSnapshot {
                 actual,
             });
         }
+        file.update(trailer);
+        Ok((parsed?, file.finish()))
+    }
+
+    /// Walks the envelope and records of `body`, folding `body[..*fed]`
+    /// into `file` as it goes.
+    fn parse_body(
+        body: &[u8],
+        file: &mut Crc32,
+        fed: &mut usize,
+    ) -> Result<DurableSnapshot, CkptError> {
         let mut r = ByteReader::new(body);
         if r.take(MAGIC.len())? != MAGIC {
             return Err(CkptError::BadMagic);
@@ -534,8 +731,12 @@ impl DurableSnapshot {
             let name = r.str()?;
             let len = r.usize()?;
             let payload = r.take(len)?;
+            let mut record = Crc32::new();
+            file.update(&body[*fed..r.pos - len]);
+            file.update_both(&mut record, payload);
+            *fed = r.pos;
             let rec_expected = r.u32()?;
-            let rec_actual = crc32(payload);
+            let rec_actual = record.finish();
             if rec_expected != rec_actual {
                 return Err(CkptError::ChecksumMismatch {
                     what: "record",
@@ -558,7 +759,7 @@ impl DurableSnapshot {
         r.finished()?;
         let missing = |what: &str| CkptError::Malformed(format!("missing {what} record"));
         let (progress, world) = meta.ok_or_else(|| missing("meta"))?;
-        let snap = DurableSnapshot {
+        Ok(DurableSnapshot {
             progress,
             world,
             params: params.ok_or_else(|| missing("params"))?,
@@ -566,13 +767,11 @@ impl DurableSnapshot {
             opt_state: opt.ok_or_else(|| missing("opt"))?,
             ema: ema.ok_or_else(|| missing("ema"))?,
             history: history.ok_or_else(|| missing("history"))?,
-        };
-        Ok(snap)
+        })
     }
 
-    fn encode_meta(&self) -> Vec<u8> {
+    fn encode_meta(&self, w: &mut ByteWriter) {
         let p = &self.progress;
-        let mut w = ByteWriter::default();
         w.u64(p.epoch);
         w.u64(p.sample_off);
         w.u64(p.steps_this_epoch);
@@ -581,7 +780,6 @@ impl DurableSnapshot {
         w.u32(p.lr_scale.to_bits());
         w.u64(p.loss_sum.to_bits());
         w.u32(p.last_lr.to_bits());
-        w.buf
     }
 
     /// The progress cursor (`step` travels in the envelope) and the
@@ -604,13 +802,11 @@ impl DurableSnapshot {
         Ok((progress, world))
     }
 
-    fn encode_params(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
+    fn encode_params(&self, w: &mut ByteWriter) {
         w.u32(self.params.len() as u32);
         for rec in &self.params {
             w.tensor(&rec.name, &rec.shape, &rec.bits);
         }
-        w.buf
     }
 
     fn decode_params(p: &[u8]) -> Result<Vec<TensorRecord>, CkptError> {
@@ -620,14 +816,12 @@ impl DurableSnapshot {
         Ok(out)
     }
 
-    fn encode_bn(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
+    fn encode_bn(&self, w: &mut ByteWriter) {
         w.u32(self.bn_running.len() as u32);
         for (mean, var) in &self.bn_running {
             w.u32s(mean);
             w.u32s(var);
         }
-        w.buf
     }
 
     #[allow(clippy::type_complexity)]
@@ -642,14 +836,12 @@ impl DurableSnapshot {
         Ok(out)
     }
 
-    fn encode_opt(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
+    fn encode_opt(&self, w: &mut ByteWriter) {
         w.u64s(&self.opt_state.scalars);
         w.u32(self.opt_state.banks.len() as u32);
         for bank in &self.opt_state.banks {
             w.u32s(bank);
         }
-        w.buf
     }
 
     fn decode_opt(p: &[u8]) -> Result<OptimizerState, CkptError> {
@@ -664,8 +856,7 @@ impl DurableSnapshot {
         Ok(OptimizerState { scalars, banks })
     }
 
-    fn encode_ema(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
+    fn encode_ema(&self, w: &mut ByteWriter) {
         match &self.ema {
             None => w.u8(0),
             Some(state) => {
@@ -678,7 +869,6 @@ impl DurableSnapshot {
                 }
             }
         }
-        w.buf
     }
 
     fn decode_ema(p: &[u8]) -> Result<Option<EmaState>, CkptError> {
@@ -705,8 +895,7 @@ impl DurableSnapshot {
         Ok(out)
     }
 
-    fn encode_history(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
+    fn encode_history(&self, w: &mut ByteWriter) {
         w.u32(self.history.len() as u32);
         for rec in &self.history {
             w.u64(rec.epoch);
@@ -715,7 +904,6 @@ impl DurableSnapshot {
             w.opt_f64(rec.eval_top1);
             w.opt_f64(rec.eval_top5);
         }
-        w.buf
     }
 
     fn decode_history(p: &[u8]) -> Result<Vec<EpochRecord>, CkptError> {
@@ -801,19 +989,46 @@ impl CkptStore {
 
     /// Atomically persists `snap`, updates the manifest, and applies the
     /// retention policy. Returns the checkpoint's final path.
+    ///
+    /// The new file's manifest entry comes from the bytes in hand and
+    /// the retained files keep the entries of the manifest being
+    /// replaced, so a save reads no checkpoint back — and cannot bless
+    /// a retained file that rotted since it was written.
     pub fn save(&self, snap: &DurableSnapshot) -> Result<PathBuf, CkptError> {
         let step = snap.progress.step;
         let _span = self.recorder.as_ref().map(|rec| {
             rec.counter_add("ckpt_saves", 1);
             rec.wall_span(Lane::WallCkpt, obs_phase::DURABLE_CHECKPOINT, step, 0)
         });
-        let final_path = self.write_atomic(&Self::file_name(step), &snap.to_bytes())?;
+        let (bytes, crc) = snap.encode();
+        let final_path = self.write_atomic(&Self::file_name(step), &bytes)?;
+        self.count("ckpt_bytes_written", bytes.len() as u64);
         // fsync the directory so the rename itself is durable.
         if let Ok(d) = fs::File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        self.gc_and_write_manifest()?;
+        // A missing or corrupt manifest carries nothing forward: its
+        // files are re-derived from disk.
+        let mut known = self.read_manifest().ok().flatten().unwrap_or_default();
+        known.retain(|e| e.step != step);
+        known.push(Self::entry(step, bytes.len(), crc));
+        self.gc_and_write_manifest(&known)?;
         Ok(final_path)
+    }
+
+    fn entry(step: u64, len: usize, crc: u32) -> ManifestEntry {
+        ManifestEntry {
+            step,
+            file: Self::file_name(step),
+            len: len as u64,
+            crc,
+        }
+    }
+
+    fn count(&self, counter: &'static str, delta: u64) {
+        if let Some(rec) = &self.recorder {
+            rec.counter_add(counter, delta);
+        }
     }
 
     /// Writes `bytes` to `<name>.tmp`, fsyncs, and renames it to `name`:
@@ -878,9 +1093,8 @@ impl CkptStore {
             // guessing which of the two is right.
             let entry = manifest.iter().flatten().find(|e| e.step == step);
             let snap = match self.read_step(step) {
-                Ok((snap, bytes))
-                    if entry
-                        .is_none_or(|e| e.len == bytes.len() as u64 && e.crc == crc32(&bytes)) =>
+                Ok((snap, on_disk))
+                    if entry.is_none_or(|e| e.len == on_disk.len && e.crc == on_disk.crc) =>
                 {
                     snap
                 }
@@ -889,8 +1103,8 @@ impl CkptStore {
                     continue;
                 }
             };
-            if let Some(rec) = self.recorder.as_ref().filter(|_| skipped > 0) {
-                rec.counter_add("ckpt_corrupt_skipped", skipped);
+            if skipped > 0 {
+                self.count("ckpt_corrupt_skipped", skipped);
             }
             let report = LoadReport {
                 loaded_step: step,
@@ -909,23 +1123,26 @@ impl CkptStore {
     /// attached they also land on `ckpt_scrubbed` / `ckpt_scrub_rejected`.
     pub fn scrub(&self) -> Result<ScrubReport, CkptError> {
         let mut report = ScrubReport::default();
+        let mut survivors = Vec::new();
         for step in self.list_steps()? {
-            match self.load_step(step) {
-                Ok(_) => report.scrubbed += 1,
+            match self.read_step(step) {
+                Ok((_, on_disk)) => {
+                    survivors.push(on_disk);
+                    report.scrubbed += 1;
+                }
                 Err(_) => {
                     let _ = fs::remove_file(self.path_for(step));
                     report.rejected += 1;
                 }
             }
         }
-        // Re-deriving the manifest from the survivors keeps it honest
-        // even when the scrub rejected nothing (a stale manifest is a
+        // Nothing is carried forward from the old manifest: every entry
+        // is what this pass read, which keeps the manifest honest even
+        // when the scrub rejected nothing (a stale manifest is a
         // corruption mode too).
-        self.gc_and_write_manifest()?;
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("ckpt_scrubbed", report.scrubbed);
-            rec.counter_add("ckpt_scrub_rejected", report.rejected);
-        }
+        self.gc_and_write_manifest(&survivors)?;
+        self.count("ckpt_scrubbed", report.scrubbed);
+        self.count("ckpt_scrub_rejected", report.rejected);
         Ok(report)
     }
 
@@ -934,44 +1151,46 @@ impl CkptStore {
         self.read_step(step).map(|(snap, _)| snap)
     }
 
-    /// The validated checkpoint at `step` and the file bytes it was
-    /// parsed from (what the manifest's `len`/`crc` describe).
-    fn read_step(&self, step: u64) -> Result<(DurableSnapshot, Vec<u8>), CkptError> {
-        let bytes = fs::read(self.path_for(step)).map_err(io_err)?;
-        let snap = DurableSnapshot::from_bytes(&bytes)?;
+    /// The validated checkpoint at `step` and the manifest entry of the
+    /// file it was parsed from, both from one traversal of its bytes.
+    fn read_step(&self, step: u64) -> Result<(DurableSnapshot, ManifestEntry), CkptError> {
+        let bytes = self.read_file(step)?;
+        let (snap, crc) = DurableSnapshot::decode(&bytes)?;
         if snap.progress.step != step {
             return Err(CkptError::Malformed(format!(
                 "file named for step {step} contains step {}",
                 snap.progress.step
             )));
         }
-        Ok((snap, bytes))
+        Ok((snap, Self::entry(step, bytes.len(), crc)))
     }
 
-    fn gc_and_write_manifest(&self) -> Result<(), CkptError> {
+    fn read_file(&self, step: u64) -> Result<Vec<u8>, CkptError> {
+        let bytes = fs::read(self.path_for(step)).map_err(io_err)?;
+        self.count("ckpt_bytes_read", bytes.len() as u64);
+        Ok(bytes)
+    }
+
+    /// Lists the directory once, deletes all but the newest `retain`
+    /// checkpoints and writes the manifest of the survivors. A survivor
+    /// takes its entry from `known`; only one that has none there is
+    /// read back from disk.
+    fn gc_and_write_manifest(&self, known: &[ManifestEntry]) -> Result<(), CkptError> {
         let steps = self.list_steps()?;
-        if steps.len() > self.retain {
-            for &step in &steps[..steps.len() - self.retain] {
-                let _ = fs::remove_file(self.path_for(step));
-            }
+        let (dead, live) = steps.split_at(steps.len().saturating_sub(self.retain));
+        for &step in dead {
+            let _ = fs::remove_file(self.path_for(step));
         }
-        let live: Vec<u64> = self
-            .list_steps()?
-            .into_iter()
-            .rev()
-            .take(self.retain)
+        let entries: Vec<ManifestEntry> = live
+            .iter()
+            .filter_map(|&step| match known.iter().find(|e| e.step == step) {
+                Some(e) => Some(e.clone()),
+                None => {
+                    let bytes = self.read_file(step).ok()?;
+                    Some(Self::entry(step, bytes.len(), crc32(&bytes)))
+                }
+            })
             .collect();
-        let mut entries = Vec::new();
-        for &step in live.iter().rev() {
-            if let Ok(bytes) = fs::read(self.path_for(step)) {
-                entries.push(ManifestEntry {
-                    step,
-                    file: Self::file_name(step),
-                    len: bytes.len() as u64,
-                    crc: crc32(&bytes),
-                });
-            }
-        }
         self.write_atomic(MANIFEST, render_manifest(&entries).as_bytes())?;
         Ok(())
     }
@@ -1317,7 +1536,7 @@ mod tests {
         store.save(&sample_snapshot(1)).unwrap();
         store.save(&sample_snapshot(2)).unwrap();
         fs::write(store.path_for(2), &extended).unwrap();
-        store.gc_and_write_manifest().unwrap();
+        store.gc_and_write_manifest(&[]).unwrap();
         assert!(store.load_step(2).is_ok());
         let (snap, report) = store.load_latest_valid().unwrap().unwrap();
         assert_eq!(snap.progress.step, 2);
@@ -1330,6 +1549,78 @@ mod tests {
         // Standard test vector for the zlib CRC-32.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The definition, one bit at a time: what the slice kernel must
+    /// equal at every length and alignment.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_definition_at_every_length_and_offset() {
+        // Lengths on both sides of the 16-byte block (empty, tail only,
+        // blocks only, blocks + every tail), from every start offset.
+        let mut rng = CorruptionInjector::new(0x5EED);
+        let data: Vec<u8> = (0..316).map(|_| rng.next() as u8).collect();
+        for off in 0..16 {
+            for len in 0..=300 {
+                let piece = &data[off..off + len];
+                let want = crc32_bitwise(piece);
+                assert_eq!(crc32(piece), want, "offset {off} length {len}");
+                // The second state of a paired update sees the same bytes.
+                let (mut a, mut b) = (Crc32::new(), Crc32::new());
+                a.update(&data[..off]);
+                a.update_both(&mut b, piece);
+                assert_eq!(b.finish(), want, "paired, offset {off} length {len}");
+                assert_eq!(a.finish(), crc32_bitwise(&data[..off + len]));
+            }
+        }
+    }
+
+    #[test]
+    fn whole_file_crc_is_the_body_state_extended_over_the_trailer() {
+        let (bytes, whole) = sample_snapshot(7).encode();
+        assert_eq!(whole, crc32(&bytes));
+        assert_eq!(DurableSnapshot::decode(&bytes).unwrap().1, whole);
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        let mut state = Crc32::new();
+        state.update(body);
+        assert_eq!(state.finish().to_le_bytes(), trailer);
+        state.update(trailer);
+        assert_eq!(state.finish(), whole);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_update_is_associative_over_any_split(
+            // (The stand-in's integer ranges are half-open: no `u8` one
+            // reaches 255.)
+            data in proptest::collection::vec(0u16..256, 0..600),
+            cut_a in 0usize..601,
+            cut_b in 0usize..601,
+        ) {
+            let data: Vec<u8> = data.iter().map(|&v| v as u8).collect();
+            let lo = cut_a.min(cut_b).min(data.len());
+            let hi = cut_a.max(cut_b).min(data.len());
+            let mut c = Crc32::new();
+            c.update(&data[..lo]);
+            c.update(&data[lo..hi]);
+            c.update(&data[hi..]);
+            proptest::prop_assert_eq!(c.finish(), crc32(&data));
+            proptest::prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
     }
 
     #[test]
@@ -1514,6 +1805,83 @@ mod tests {
         let (snap, load) = store.load_latest_valid().unwrap().unwrap();
         assert_eq!(snap.progress.step, 3);
         assert_eq!(load.corrupt_skipped, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn output_buffer_is_reserved_exactly() {
+        let mut m = model(3);
+        for snap in [sample_snapshot(7), capture_model(&mut m, 2)] {
+            assert_eq!(snap.encoded_len(), snap.to_bytes().len());
+        }
+        let mut bare = sample_snapshot(1);
+        (bare.ema, bare.history) = (None, Vec::new());
+        assert_eq!(bare.encoded_len(), bare.to_bytes().len());
+    }
+
+    #[test]
+    fn record_length_near_u64_max_is_malformed_not_a_panic() {
+        // Offset of the first record's length: envelope, then the
+        // length-prefixed name "meta". The file CRC is recomputed, so
+        // only the bounds check stands between the length and a slice.
+        let at_len = ENVELOPE_LEN - 4 + 4 + "meta".len();
+        let bytes = sample_snapshot(3).to_bytes();
+        for len in [u64::MAX, u64::MAX - 7, u64::MAX - at_len as u64, 1 << 63] {
+            let huge = repatched(&bytes, |b| {
+                b[at_len..at_len + 8].copy_from_slice(&len.to_le_bytes())
+            });
+            assert!(
+                matches!(
+                    DurableSnapshot::from_bytes(&huge),
+                    Err(CkptError::Malformed(_))
+                ),
+                "record length {len:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_save_does_not_bless_rot_in_a_retained_checkpoint() {
+        let dir = scratch_dir("no-bless");
+        let store = CkptStore::open(&dir, 4).unwrap();
+        for step in [1u64, 2, 3] {
+            store.save(&sample_snapshot(step)).unwrap();
+        }
+        let entry_of = |step: u64| {
+            let manifest = store.read_manifest().unwrap().unwrap();
+            manifest.into_iter().find(|e| e.step == step).unwrap()
+        };
+        let original = entry_of(2);
+        CorruptionInjector::new(5)
+            .flip_one_bit(&store.path_for(2))
+            .unwrap();
+        let rotted = fs::read(store.path_for(2)).unwrap();
+        assert_ne!(crc32(&rotted), original.crc);
+        store.save(&sample_snapshot(4)).unwrap();
+        // The manifest still describes the file as it was written.
+        assert_eq!(entry_of(2), original);
+        let (snap, report) = store.load_latest_valid_before(3).unwrap().unwrap();
+        assert_eq!(snap.progress.step, 1);
+        assert_eq!(report.corrupt_skipped, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn saves_read_nothing_back_and_a_load_reads_one_file() {
+        let dir = scratch_dir("byte-counters");
+        let mut store = CkptStore::open(&dir, 3).unwrap();
+        let rec = Arc::new(Recorder::enabled(0));
+        store.attach_recorder(Arc::clone(&rec));
+        let mut written = 0;
+        for step in 1..=5u64 {
+            let path = store.save(&sample_snapshot(step)).unwrap();
+            written += fs::metadata(path).unwrap().len();
+        }
+        assert_eq!(rec.counter_value("ckpt_bytes_written"), written);
+        assert_eq!(rec.counter_value("ckpt_bytes_read"), 0);
+        store.load_latest_valid().unwrap().unwrap();
+        let newest = fs::metadata(store.path_for(5)).unwrap().len();
+        assert_eq!(rec.counter_value("ckpt_bytes_read"), newest);
         let _ = fs::remove_dir_all(&dir);
     }
 

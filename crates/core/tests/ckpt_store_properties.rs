@@ -210,6 +210,66 @@ fn manifest_round_trips_and_rejects_perturbations() {
     }
 }
 
+/// Manifest agrees with the directory and checks out against the actual
+/// file bytes.
+fn assert_manifest_describes(store: &CkptStore, expect: &[u64]) {
+    let manifest = store.read_manifest().unwrap().expect("manifest present");
+    let manifest_steps: Vec<u64> = manifest.iter().map(|e| e.step).collect();
+    assert_eq!(manifest_steps, expect);
+    for e in &manifest {
+        let bytes = std::fs::read(store.dir().join(&e.file)).unwrap();
+        assert_eq!(bytes.len() as u64, e.len);
+        assert_eq!(crc32(&bytes), e.crc);
+    }
+}
+
+/// A save carries the replaced manifest's entries forward instead of
+/// re-reading the files. When there is nothing intact to carry (the
+/// manifest was deleted or is corrupt) the entries are re-derived from
+/// disk, and a store reopened on the directory picks up where the last
+/// one stopped.
+#[test]
+fn lost_manifest_entries_are_rederived_and_retention_still_holds() {
+    type Damage = fn(&std::path::Path);
+    let damages: [(&str, Damage); 3] = [
+        ("reopened", |_| {}),
+        ("deleted", |dir| {
+            std::fs::remove_file(dir.join("MANIFEST")).unwrap()
+        }),
+        ("corrupt", |dir| {
+            let path = dir.join("MANIFEST");
+            let mut text = std::fs::read(&path).unwrap();
+            text[25] ^= 0x04;
+            std::fs::write(&path, text).unwrap();
+        }),
+    ];
+    for (tag, damage) in damages {
+        let dir = scratch_dir(&format!("rederive-{tag}"));
+        let store = CkptStore::open(&dir, 3).unwrap();
+        for step in [10u64, 20, 30] {
+            store.save(&snapshot(step, step)).unwrap();
+        }
+        drop(store);
+        damage(&dir);
+        let store = CkptStore::open(&dir, 3).unwrap();
+        assert_eq!(
+            store.read_manifest().ok().flatten().is_some(),
+            tag == "reopened",
+            "{tag}"
+        );
+        for (i, step) in [40u64, 50, 60, 70].into_iter().enumerate() {
+            store.save(&snapshot(step, step)).unwrap();
+            let all = [10u64, 20, 30, 40, 50, 60, 70];
+            let expect = &all[i + 1..i + 4];
+            assert_eq!(store.list_steps().unwrap(), expect, "{tag}");
+            assert_manifest_describes(&store, expect);
+        }
+        let (snap, report) = store.load_latest_valid().unwrap().unwrap();
+        assert_eq!((snap.progress.step, report.corrupt_skipped), (70, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn retention_keeps_exactly_the_newest_k() {
     for retain in 1..=4usize {
@@ -226,16 +286,7 @@ fn retention_keeps_exactly_the_newest_k() {
                 .rev()
                 .collect();
             assert_eq!(store.list_steps().unwrap(), expect, "retain {retain}");
-            // Manifest agrees with the directory and checks out against
-            // the actual file bytes.
-            let manifest = store.read_manifest().unwrap().expect("manifest present");
-            let manifest_steps: Vec<u64> = manifest.iter().map(|e| e.step).collect();
-            assert_eq!(manifest_steps, expect);
-            for e in &manifest {
-                let bytes = std::fs::read(dir.join(&e.file)).unwrap();
-                assert_eq!(bytes.len() as u64, e.len);
-                assert_eq!(crc32(&bytes), e.crc);
-            }
+            assert_manifest_describes(&store, &expect);
         }
         // Every retained checkpoint is still fully loadable.
         for step in store.list_steps().unwrap() {

@@ -11,11 +11,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use ets_tensor::ops::conv::{conv2d_backward, conv2d_forward, im2col, Conv2dGeom};
 use ets_tensor::ops::depthwise::{depthwise_backward, depthwise_forward};
 use ets_tensor::ops::dispatch::{gemm, GemmDesc, GemmPrecision, Orient};
-use ets_tensor::ops::gemm_blocked::{
-    gemm_blocked, gemm_prepacked, pack_a_into, packed_a_len, PanelA, PanelB,
-};
+use ets_tensor::ops::gemm_blocked::gemm_blocked;
 use ets_tensor::ops::matmul::gemm_naive;
-use ets_tensor::{same_pad, scratch_f32, Rng, Shape, Tensor};
+use ets_tensor::{same_pad, Rng, Shape, Tensor};
 
 fn rand_vec(rng: &mut Rng, n: usize) -> Vec<f32> {
     let mut v = vec![0.0; n];
@@ -64,7 +62,7 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-/// The three conv-GEMM strategies head-to-head on one image of a
+/// The two conv-GEMM kernels head-to-head on one image of a
 /// stage-5-sized 3×3 conv (the `BENCH_kernels.json` calibration shape).
 fn bench_conv_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv_gemm_strategy");
@@ -90,24 +88,6 @@ fn bench_conv_strategies(c: &mut Criterion) {
         bench.iter(|| {
             im2col(&g, &img, &mut patches);
             gemm_blocked(GemmDesc::new(m, k, n), &w, &patches, &mut y);
-        });
-    });
-    let mut ap = scratch_f32(packed_a_len(m, k));
-    pack_a_into::<f32>(PanelA::RowMajor(&w), m, k, &mut ap);
-    group.bench_function("fused_patches", |bench| {
-        bench.iter(|| {
-            gemm_prepacked::<f32>(
-                m,
-                k,
-                n,
-                &ap,
-                PanelB::Patches {
-                    geom: &g,
-                    img: &img,
-                },
-                &mut y,
-                false,
-            );
         });
     });
     group.finish();

@@ -1,14 +1,14 @@
 //! Kernel GFLOP/s harness: writes `BENCH_kernels.json` — naive vs
-//! blocked vs dispatched vs bf16-packed vs fused-im2col throughput
-//! across EfficientNet-B0 layer shapes, plus the panel-pack throughput
+//! blocked vs dispatched vs bf16-blocked throughput across
+//! EfficientNet-B0 layer shapes, plus the panel-pack throughput
 //! probe (f32 vs bf16) and the steady-state step probe (wall time per
 //! step, scratch arena allocator hits, per-precision dispatch
 //! split).
 //!
 //! The document is schema-validated in-process before writing, and
 //! `--check-regression` turns the CI gates (blocked ≥ naive at the
-//! calibration shape; dispatched ≥ naive at every shape; bf16 pack ≥
-//! f32 pack; steady-state `scratch_reallocs_delta == 0`; parallel GEMM
+//! calibration shape; dispatched ≥ naive at every shape; bf16 blocked ≥
+//! 0.85× f32 blocked at the calibration shape; steady-state `scratch_reallocs_delta == 0`; parallel GEMM
 //! bitwise-equal + zero per-worker reallocs, and ≥ 1.6× sequential on
 //! multi-core hosts) into a non-zero exit.
 //!
@@ -77,16 +77,8 @@ fn main() {
     std::fs::write(&path, &doc).expect("write BENCH_kernels.json");
 
     for r in &rows {
-        let fused = r
-            .fused_gflops
-            .map(|f| format!("{f:8.2}"))
-            .unwrap_or_else(|| "       -".into());
-        let bf16_fused = r
-            .bf16_fused_gflops
-            .map(|f| format!("{f:8.2}"))
-            .unwrap_or_else(|| "       -".into());
         println!(
-            "{:<32} {:>4}x{:>5}x{:>5}  naive {:8.2}  blocked {:8.2}  auto {:8.2}  bf16 {:8.2}  fused {}  bf16-fused {}  ({:4.2}x)",
+            "{:<32} {:>4}x{:>5}x{:>5}  naive {:8.2}  blocked {:8.2}  auto {:8.2}  bf16 {:8.2}  ({:4.2}x)",
             r.label,
             r.m,
             r.k,
@@ -95,8 +87,6 @@ fn main() {
             r.blocked_gflops,
             r.auto_gflops,
             r.bf16_blocked_gflops,
-            fused,
-            bf16_fused,
             r.speedup_auto()
         );
     }
@@ -152,14 +142,14 @@ fn main() {
     println!("wrote {} ({} B)", path.display(), doc.len());
 
     if check {
-        if let Err(e) = check_kernel_regression(&rows, &ss, &pack, &par, &abft, &sp, smoke) {
+        if let Err(e) = check_kernel_regression(&rows, &ss, &par, &abft, &sp, smoke) {
             eprintln!("kernel regression gate failed: {e}");
             std::process::exit(1);
         }
         println!("regression gate: ok");
         // The fresh-measurement gates above tolerate timing noise; the
         // committed artifact's *recorded* numbers get no such allowance.
-        // This is the check whose absence let a bf16-pack regression ship.
+        // This is the check whose absence let a parallel regression ship.
         let committed = PathBuf::from("BENCH_kernels.json");
         if committed.exists() {
             let doc = std::fs::read_to_string(&committed).expect("read committed artifact");

@@ -353,7 +353,7 @@ fn kernel_bench_smoke_emits_valid_json_and_allocation_free_steady_state() {
     let v = parse_json(&doc).expect("kernels JSON must parse");
     assert_eq!(
         v.get("schema").unwrap().as_str().unwrap(),
-        "bench_kernels_v5"
+        "bench_kernels_v6"
     );
     assert_eq!(v.get("mode").unwrap().as_str().unwrap(), "smoke");
 
@@ -375,7 +375,7 @@ fn kernel_bench_smoke_emits_valid_json_and_allocation_free_steady_state() {
         assert!(row.get("auto_gflops").unwrap().as_f64().unwrap() > 0.0);
         assert!(
             row.get("bf16_blocked_gflops").unwrap().as_f64().unwrap() > 0.0,
-            "every row must carry a bf16 packed-kernel measurement"
+            "every row must carry a bf16 blocked-kernel measurement"
         );
     }
 
@@ -397,7 +397,7 @@ fn kernel_bench_smoke_emits_valid_json_and_allocation_free_steady_state() {
     assert!(ssv.get("dispatch_blocked").unwrap().as_f64().unwrap() > 0.0);
     assert!(
         ssv.get("dispatch_blocked_bf16").unwrap().as_f64().unwrap() > 0.0,
-        "the steady-state probe's bf16 step must route through the bf16 packed kernels"
+        "the steady-state probe's bf16 step must route through the blocked kernel"
     );
     assert!(ssv.get("step_ms").unwrap().as_f64().unwrap() > 0.0);
 
@@ -475,15 +475,15 @@ fn kernel_bench_smoke_emits_valid_json_and_allocation_free_steady_state() {
 }
 
 /// The regression checker actually rejects: a blocked-slower-than-naive
-/// calibration row, a dispatch choice that loses to naive, a bf16 pack
-/// slower than the f32 pack, and a nonzero realloc delta must all fail
+/// calibration row, a dispatch choice that loses to naive, a bf16
+/// blocked kernel below 0.85× the f32 one, and a nonzero realloc delta
+/// must all fail
 /// the gate.
 #[test]
 fn kernel_regression_gate_rejects_bad_rows() {
     let _probes = KERNEL_PROBES.lock().unwrap_or_else(|e| e.into_inner());
     let rows = kernel_rows(true);
     let ss = steady_state_probe(true);
-    let pack = pack_probe(true);
     let par = parallel_probe(true);
     let abft = abft_probe(true);
     let sp = simd_probe(true);
@@ -495,28 +495,32 @@ fn kernel_regression_gate_rejects_bad_rows() {
         .expect("calibration row");
     cal.blocked_gflops = cal.naive_gflops * 0.5;
     assert!(
-        check_kernel_regression(&slow, &ss, &pack, &par, &abft, &sp, false).is_err(),
+        check_kernel_regression(&slow, &ss, &par, &abft, &sp, false).is_err(),
         "gate must reject blocked < naive at the calibration shape"
     );
 
     let mut routed_wrong = rows.clone();
     routed_wrong[0].auto_gflops = routed_wrong[0].naive_gflops * 0.5;
     assert!(
-        check_kernel_regression(&routed_wrong, &ss, &pack, &par, &abft, &sp, false).is_err(),
+        check_kernel_regression(&routed_wrong, &ss, &par, &abft, &sp, false).is_err(),
         "gate must reject a dispatched path slower than naive"
     );
 
-    let mut slow_pack = pack.clone();
-    slow_pack.bf16_melems_per_s = slow_pack.f32_melems_per_s * 0.5;
+    let mut slow_bf16 = rows.clone();
+    let cal = slow_bf16
+        .iter_mut()
+        .find(|r| r.calibration)
+        .expect("calibration row");
+    cal.bf16_blocked_gflops = cal.blocked_gflops * 0.5;
     assert!(
-        check_kernel_regression(&rows, &ss, &slow_pack, &par, &abft, &sp, false).is_err(),
-        "gate must reject a bf16 pack slower than the f32 pack"
+        check_kernel_regression(&slow_bf16, &ss, &par, &abft, &sp, false).is_err(),
+        "gate must reject a bf16 blocked kernel below 0.85x the f32 one"
     );
 
     let mut leaky = ss.clone();
     leaky.scratch_reallocs_delta = 3;
     assert!(
-        check_kernel_regression(&rows, &leaky, &pack, &par, &abft, &sp, false).is_err(),
+        check_kernel_regression(&rows, &leaky, &par, &abft, &sp, false).is_err(),
         "gate must reject a growing scratch arena"
     );
 
@@ -526,7 +530,7 @@ fn kernel_regression_gate_rejects_bad_rows() {
     let mut divergent = par.clone();
     divergent.bitwise_equal = false;
     assert!(
-        check_kernel_regression(&rows, &ss, &pack, &divergent, &abft, &sp, false).is_err(),
+        check_kernel_regression(&rows, &ss, &divergent, &abft, &sp, false).is_err(),
         "gate must reject a non-bitwise parallel GEMM"
     );
 
@@ -536,7 +540,7 @@ fn kernel_regression_gate_rejects_bad_rows() {
     }
     leaky_worker.worker_realloc_deltas[0] = 2;
     assert!(
-        check_kernel_regression(&rows, &ss, &pack, &leaky_worker, &abft, &sp, false).is_err(),
+        check_kernel_regression(&rows, &ss, &leaky_worker, &abft, &sp, false).is_err(),
         "gate must reject a worker-scratch realloc during measured reps"
     );
 
@@ -546,7 +550,7 @@ fn kernel_regression_gate_rejects_bad_rows() {
     slow_par.seq_gflops = 10.0;
     slow_par.par_gflops = 11.0; // 1.1x < the 1.6x floor
     assert!(
-        check_kernel_regression(&rows, &ss, &pack, &slow_par, &abft, &sp, false).is_err(),
+        check_kernel_regression(&rows, &ss, &slow_par, &abft, &sp, false).is_err(),
         "gate must reject sub-floor parallel speedup on multi-core hosts"
     );
 
@@ -555,19 +559,19 @@ fn kernel_regression_gate_rejects_bad_rows() {
     let mut perturbed = abft.clone();
     perturbed.bitwise_equal = false;
     assert!(
-        check_kernel_regression(&rows, &ss, &pack, &par, &perturbed, &sp, false).is_err(),
+        check_kernel_regression(&rows, &ss, &par, &perturbed, &sp, false).is_err(),
         "gate must reject a non-neutral ABFT verify pass"
     );
     let mut trigger_happy = abft.clone();
     trigger_happy.false_positives = 1;
     assert!(
-        check_kernel_regression(&rows, &ss, &pack, &par, &trigger_happy, &sp, false).is_err(),
+        check_kernel_regression(&rows, &ss, &par, &trigger_happy, &sp, false).is_err(),
         "gate must reject ABFT false positives on clean operands"
     );
     let mut vacuous = abft.clone();
     vacuous.tiles_verified = 0;
     assert!(
-        check_kernel_regression(&rows, &ss, &pack, &par, &vacuous, &sp, false).is_err(),
+        check_kernel_regression(&rows, &ss, &par, &vacuous, &sp, false).is_err(),
         "gate must reject an ABFT probe that never checksummed a tile"
     );
 }

@@ -620,33 +620,16 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         // SIMD lane-path split of the micro-kernel macro blocks: proves
         // which vector body actually ran (all paths are bitwise-equal,
         // so this is observability, not a correctness surface). Static
-        // names, one per path × precision.
+        // names, one per path; both precisions run the one f32 body.
         {
             use ets_tensor::ops::simd::{micro_block_calls, LanePath};
-            rec.gauge_set(
-                "gemm_micro_scalar_f32",
-                micro_block_calls(LanePath::Scalar, false) as f64,
-            );
-            rec.gauge_set(
-                "gemm_micro_sse2_f32",
-                micro_block_calls(LanePath::Sse2, false) as f64,
-            );
-            rec.gauge_set(
-                "gemm_micro_avx2_f32",
-                micro_block_calls(LanePath::Avx2, false) as f64,
-            );
-            rec.gauge_set(
-                "gemm_micro_scalar_bf16",
-                micro_block_calls(LanePath::Scalar, true) as f64,
-            );
-            rec.gauge_set(
-                "gemm_micro_sse2_bf16",
-                micro_block_calls(LanePath::Sse2, true) as f64,
-            );
-            rec.gauge_set(
-                "gemm_micro_avx2_bf16",
-                micro_block_calls(LanePath::Avx2, true) as f64,
-            );
+            for (name, path) in [
+                ("gemm_micro_scalar", LanePath::Scalar),
+                ("gemm_micro_sse2", LanePath::Sse2),
+                ("gemm_micro_avx2", LanePath::Avx2),
+            ] {
+                rec.gauge_set(name, micro_block_calls(path) as f64);
+            }
         }
         // Exposed vs hidden communication: the overlapped exchange hides
         // part of the per-bucket all-reduce time behind backward compute;

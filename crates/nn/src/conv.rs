@@ -40,7 +40,7 @@ impl Precision {
         }
     }
 
-    /// Pack-time element type for *convolution* GEMMs: the paper runs
+    /// Operand precision for *convolution* GEMMs: the paper runs
     /// every convolution in bf16 when mixed precision is on, with no
     /// size exception, so this maps the knob directly.
     pub fn gemm(&self) -> GemmPrecision {
@@ -50,9 +50,9 @@ impl Precision {
         }
     }
 
-    /// The operand a depthwise kernel reads: `t` itself in f32, `t`
-    /// rounded through bf16 when mixed (the depthwise kernels have no
-    /// GEMM pack to narrow in).
+    /// The operand a depthwise kernel reads: `t` itself in f32, a copy of
+    /// `t` rounded through bf16 when mixed (the depthwise kernels have no
+    /// GEMM pack to round in).
     fn prep<'a>(&self, t: &'a Tensor) -> Cow<'a, Tensor> {
         match self {
             Precision::F32 => Cow::Borrowed(t),
@@ -149,7 +149,10 @@ pub struct DepthwiseConv2d {
     stride: usize,
     pad: usize,
     precision: Precision,
-    cache_x: Option<Tensor>,
+    /// What backward needs from forward: the input the kernel read, and
+    /// the rounded weight when mixed (`None` in f32, where backward reads
+    /// the weight itself), so the weight is rounded once per step.
+    cache: Option<(Tensor, Option<Tensor>)>,
     label: String,
 }
 
@@ -171,7 +174,7 @@ impl DepthwiseConv2d {
             stride,
             pad,
             precision,
-            cache_x: None,
+            cache: None,
             label,
         }
     }
@@ -182,17 +185,21 @@ impl Layer for DepthwiseConv2d {
         let xq = self.precision.prep(x);
         let wq = self.precision.prep(&self.weight.value);
         let y = depthwise_forward(&xq, &wq, self.stride, self.pad);
-        self.cache_x = Some(xq.into_owned());
+        let wq = match wq {
+            Cow::Owned(w) => Some(w),
+            Cow::Borrowed(_) => None,
+        };
+        self.cache = Some((xq.into_owned(), wq));
         y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let xq = self
-            .cache_x
+        let (xq, wq) = self
+            .cache
             .take()
             .expect("DepthwiseConv2d: forward before backward");
-        let wq = self.precision.prep(&self.weight.value);
-        let (dx, dw) = depthwise_backward(&xq, &wq, grad, self.stride, self.pad);
+        let w = wq.as_ref().unwrap_or(&self.weight.value);
+        let (dx, dw) = depthwise_backward(&xq, w, grad, self.stride, self.pad);
         self.weight.grad.add_assign(&dw);
         dx
     }
@@ -202,7 +209,9 @@ impl Layer for DepthwiseConv2d {
     }
 
     fn cached_elems(&self) -> usize {
-        self.cache_x.as_ref().map_or(0, Tensor::numel)
+        self.cache
+            .as_ref()
+            .map_or(0, |(x, w)| x.numel() + w.as_ref().map_or(0, Tensor::numel))
     }
 
     fn name(&self) -> String {

@@ -4,8 +4,10 @@
 //! IEEE-754 single precision: 1 sign, 8 exponent, 7 mantissa bits) while all
 //! other math stays in fp32. This module reproduces those numerics in
 //! software: round-to-nearest-even conversion, and a "mixed precision" path
-//! that quantizes GEMM/conv operands through bf16 while accumulating in f32
-//! — matching the MXU's bf16-multiply/f32-accumulate contract.
+//! that rounds GEMM/conv operands through bf16 ([`round_slice`]) and then
+//! multiplies and accumulates in f32 — the MXU's bf16-multiply/f32-
+//! accumulate contract, since the product of two bf16 values is exact in
+//! f32 (barring over- and underflow).
 
 use crate::ops::dispatch::{gemm, GemmDesc, GemmPrecision};
 use crate::tensor::Tensor;
@@ -24,9 +26,8 @@ impl Bf16 {
     /// mantissa bits (the hardware rounding mode).
     ///
     /// Branchless: both the RNE-rounded pattern and the quieted-NaN
-    /// pattern are computed, then mask-selected. The panel-packing loops
-    /// run this per element, and a data-dependent NaN branch there stops
-    /// the compiler from vectorizing the whole pack.
+    /// pattern are computed, then mask-selected — the recipe every lane
+    /// of [`round_slice`] repeats on vector registers.
     #[inline]
     pub fn from_f32(x: f32) -> Self {
         let bits = x.to_bits();
@@ -65,439 +66,180 @@ pub fn round_f32(x: f32) -> f32 {
     Bf16::from_f32(x).to_f32()
 }
 
-/// Bulk narrowing `f32 → bf16` — the panel-packing hot loop. Bitwise
-/// identical to mapping [`Bf16::from_f32`] over the slice.
+/// Rounds every element of `src` through bf16 into `dst`, keeping the
+/// result as an `f32`: bitwise [`round_f32`] per element (round-to-
+/// nearest-even on the 16 dropped mantissa bits, NaN quieted).
 ///
-/// On x86_64 the body is hand-vectorized: AVX2 (16 lanes/iter) when the
-/// CPU has it — the detection macro caches in an atomic, so the check is
-/// a load — falling back to SSE2 (8 lanes/iter, part of the x86_64
-/// baseline). The branchless rounding maps to integer lane ops the
-/// autovectorizer does not reliably find through the generic pack
-/// plumbing — and the pack must not be slower than the f32 `memcpy` it
-/// replaces (the bench regression gate checks).
-#[inline]
-pub fn narrow_slice(src: &[f32], dst: &mut [Bf16]) {
-    debug_assert_eq!(src.len(), dst.len());
+/// This is the one bulk rounding step of mixed precision. The packed
+/// GEMM applies it to its panels at pack time, the naive GEMM to its
+/// operand copies, and the depthwise layers to their input and weight
+/// ([`quantize_tensor`]); every product then runs the f32 kernel, which
+/// is why a bf16 product is bitwise "quantize both operands, then f32".
+///
+/// On x86_64 the body is hand-vectorized on the widest lane the host has
+/// (run-time detected): AVX-512F (16 lanes, one masked tail), AVX2 (8)
+/// or SSE2 (4, the x86_64 baseline), each finishing on the next narrower
+/// one. Every lane runs the integer recipe of [`Bf16::from_f32`], so the
+/// choice moves no bit; the unit tests pin each lane to the scalar one.
+pub fn round_slice(src: &[f32], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "round_slice lengths");
+    // SAFETY: two distinct borrows of `len` elements each.
+    unsafe { round_raw(src.as_ptr(), dst.as_mut_ptr(), src.len()) }
+}
+
+/// [`round_slice`] in place.
+pub fn round_in_place(xs: &mut [f32]) {
+    let p = xs.as_mut_ptr();
+    // SAFETY: `len` elements; every lane loads a vector before it stores
+    // that same vector back, so `src == dst` is sound.
+    unsafe { round_raw(p, p, xs.len()) }
+}
+
+/// Returns a copy of the tensor with every element rounded through bf16.
+pub fn quantize_tensor(t: &Tensor) -> Tensor {
+    let mut q = Tensor::zeros(t.shape().clone());
+    round_slice(t.data(), q.data_mut());
+    q
+}
+
+/// [`round_slice`] on the widest lane this host has.
+///
+/// # Safety
+/// `src` must be valid for `len` reads and `dst` for `len` writes, and
+/// the two ranges must be disjoint or identical.
+unsafe fn round_raw(src: *const f32, dst: *mut f32, len: usize) {
     #[cfg(target_arch = "x86_64")]
     {
-        if src.len() >= 32 && has_avx512() {
-            // SAFETY: AVX-512F/BW presence just verified.
-            unsafe { narrow_slice_avx512(src, dst) }
-        } else if src.len() >= 16 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 presence just verified.
-            unsafe { narrow_slice_avx2(src, dst) }
-        } else {
-            // SAFETY: SSE2 is unconditionally available on x86_64.
-            unsafe { narrow_slice_sse2(src, dst) }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        *d = Bf16::from_f32(s);
-    }
-}
-
-/// Bulk widening `bf16 → f32` — the mirror image of [`narrow_slice`].
-/// Bitwise identical to mapping [`Bf16::to_f32`] over the slice, and
-/// *exact*: the widen is the pure bit move `(u16 as u32) << 16`, so no
-/// rounding happens on any path.
-///
-/// On x86_64 the body is hand-vectorized: AVX2 (16 lanes/iter via the
-/// `cvtepu16` + `slli 16` pair) when the CPU has it, falling back to
-/// SSE2 (8 lanes/iter via zero-interleave, part of the x86_64 baseline)
-/// with a scalar tail. Consumers that widen whole panel rows (ABFT
-/// checksum absorption, eval-time unpacking) route through here instead
-/// of per-element [`Bf16::to_f32`] calls.
-#[inline]
-pub fn widen_slice(src: &[Bf16], dst: &mut [f32]) {
-    debug_assert_eq!(src.len(), dst.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if src.len() >= 16 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 presence just verified.
-            unsafe { widen_slice_avx2(src, dst) }
-        } else {
-            // SAFETY: SSE2 is unconditionally available on x86_64.
-            unsafe { widen_slice_sse2(src, dst) }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        *d = s.to_f32();
-    }
-}
-
-/// 16 lanes per iteration: each 8×u16 half widens with one
-/// `cvtepu16_epi32` and one 16-bit left shift — the exact
-/// [`Bf16::to_f32`] bit move, vectorized.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn widen_slice_avx2(src: &[Bf16], dst: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let chunks = src.len() / 16;
-    for j in 0..chunks {
-        let p = src.as_ptr().add(j * 16) as *const __m128i;
-        let lo = _mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(_mm_loadu_si128(p)));
-        let hi = _mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(_mm_loadu_si128(p.add(1))));
-        let d = dst.as_mut_ptr().add(j * 16);
-        _mm256_storeu_ps(d, _mm256_castsi256_ps(lo));
-        _mm256_storeu_ps(d.add(8), _mm256_castsi256_ps(hi));
-    }
-    if chunks * 16 < src.len() {
-        widen_slice_sse2(&src[chunks * 16..], &mut dst[chunks * 16..]);
-    }
-}
-
-/// 8 lanes per iteration: interleaving 16 zero bits *below* each u16
-/// (`unpacklo/hi(0, v)`) yields u32 lanes equal to `u16 << 16` with no
-/// shift needed. Scalar tail for the last <8 elements.
-#[cfg(target_arch = "x86_64")]
-unsafe fn widen_slice_sse2(src: &[Bf16], dst: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let chunks = src.len() / 8;
-    let zero = _mm_setzero_si128();
-    for j in 0..chunks {
-        let v = _mm_loadu_si128(src.as_ptr().add(j * 8) as *const __m128i);
-        let d = dst.as_mut_ptr().add(j * 8);
-        _mm_storeu_ps(d, _mm_castsi128_ps(_mm_unpacklo_epi16(zero, v)));
-        _mm_storeu_ps(d.add(4), _mm_castsi128_ps(_mm_unpackhi_epi16(zero, v)));
-    }
-    for (d, &s) in dst[chunks * 8..].iter_mut().zip(src[chunks * 8..].iter()) {
-        *d = s.to_f32();
-    }
-}
-
-/// Narrows a contiguous row and scatters it into tile-major panel
-/// storage: the `j`-th `nr`-element chunk of `src` lands at
-/// `dst[j * tile_stride ..]`. `src.len()` must be a multiple of `nr`.
-/// Bitwise identical to calling [`narrow_slice`] per chunk, but the
-/// conversion pipelines across the whole row (16 lanes per iteration
-/// with AVX2, the two 8-lane halves split-stored to consecutive tiles)
-/// instead of restarting every `nr` elements.
-pub fn narrow_row_scatter(src: &[f32], dst: &mut [Bf16], nr: usize, tile_stride: usize) {
-    debug_assert_eq!(src.len() % nr, 0);
-    #[cfg(target_arch = "x86_64")]
-    if nr == 8 {
-        if src.len() >= 32 && has_avx512() {
-            // SAFETY: AVX-512F/BW presence just verified; bounds asserted inside.
-            unsafe { narrow_scatter8_avx512(src, dst, tile_stride) }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            round_avx512(src, dst, len)
         } else if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 presence just verified; bounds asserted inside.
-            unsafe { narrow_scatter8_avx2(src, dst, tile_stride) }
+            round_avx2(src, dst, len)
         } else {
-            // SAFETY: SSE2 is unconditionally available on x86_64.
-            unsafe { narrow_scatter8_sse2(src, dst, tile_stride) }
+            round_sse2(src, dst, len)
         }
-        return;
     }
-    for (j, chunk) in src.chunks_exact(nr).enumerate() {
-        narrow_slice(chunk, &mut dst[j * tile_stride..j * tile_stride + nr]);
+    #[cfg(not(target_arch = "x86_64"))]
+    round_scalar(src, dst, len)
+}
+
+/// The scalar lane (and every vector lane's tail): [`round_f32`] per
+/// element.
+///
+/// # Safety
+/// Same contract as [`round_raw`].
+unsafe fn round_scalar(src: *const f32, dst: *mut f32, len: usize) {
+    for i in 0..len {
+        *dst.add(i) = round_f32(*src.add(i));
     }
 }
 
-/// Packs one 4-lane A row-tile: lane `ii` reads the contiguous slice
-/// `src[ii * row_stride ..][..kc]`, element `p` lands at `dst[p * 4 + ii]`,
-/// lanes past `im` are zero. Bitwise identical to the scalar
-/// `dst[p * 4 + ii] = Bf16::from_f32(row[p])` loop: each lane is narrowed
-/// with [`narrow_slice`] into a stack staging buffer, then the four lanes
-/// interleave via one contiguous 64-bit store per depth index.
-pub fn narrow_tile4(src: &[f32], row_stride: usize, kc: usize, im: usize, dst: &mut [Bf16]) {
-    assert!(im <= 4 && dst.len() >= kc * 4);
-    if im < 4 {
-        dst.iter_mut().for_each(|v| *v = Bf16::ZERO);
-    }
-    const CHUNK: usize = 128;
-    let mut rows = [[Bf16::ZERO; CHUNK]; 4];
-    let mut base = 0;
-    while base < kc {
-        let len = CHUNK.min(kc - base);
-        for (ii, row) in rows.iter_mut().enumerate().take(im) {
-            let s = &src[ii * row_stride + base..ii * row_stride + base + len];
-            narrow_slice(s, &mut row[..len]);
-        }
-        if im == 4 && cfg!(target_endian = "little") {
-            // Four parallel lanes share the depth index; enumerate would
-            // only cover one of them.
-            #[allow(clippy::needless_range_loop)]
-            for p in 0..len {
-                let w = rows[0][p].0 as u64
-                    | (rows[1][p].0 as u64) << 16
-                    | (rows[2][p].0 as u64) << 32
-                    | (rows[3][p].0 as u64) << 48;
-                // SAFETY: (base + p) * 4 + 3 < kc * 4 <= dst.len(), and
-                // Bf16 is a transparent u16 so the unaligned 4-element
-                // store stays in bounds; lane order matches the shifts on
-                // little-endian (the cfg! above).
-                unsafe {
-                    (dst.as_mut_ptr().add((base + p) * 4) as *mut u64).write_unaligned(w);
-                }
-            }
-        } else {
-            for (ii, row) in rows.iter().enumerate().take(im) {
-                for (p, &v) in row[..len].iter().enumerate() {
-                    dst[(base + p) * 4 + ii] = v;
-                }
-            }
-        }
-        base += len;
-    }
-}
-
-/// True when the 512-bit narrow kernels are safe to call.
+/// [`round_f32`] on four f32 bit patterns: the [`Bf16::from_f32`] recipe
+/// with the dropped half cleared in place instead of shifted out.
 #[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
 #[inline]
-fn has_avx512() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512bw")
-}
-
-/// Lane-parallel mirror of the scalar `Bf16::from_f32` (4 lanes).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn narrow4_sse2(bits: std::arch::x86_64::__m128i) -> std::arch::x86_64::__m128i {
+pub(crate) fn round4_sse2(bits: std::arch::x86_64::__m128i) -> std::arch::x86_64::__m128i {
     use std::arch::x86_64::*;
-    let kept = _mm_srli_epi32::<16>(bits);
-    let lsb = _mm_and_si128(kept, _mm_set1_epi32(1));
-    let rounded = _mm_srli_epi32::<16>(_mm_add_epi32(
-        bits,
-        _mm_add_epi32(_mm_set1_epi32(0x7FFF), lsb),
-    ));
-    let quieted = _mm_or_si128(kept, _mm_set1_epi32(0x0040));
+    let lsb = _mm_and_si128(_mm_srli_epi32::<16>(bits), _mm_set1_epi32(1));
+    let rounded = _mm_add_epi32(bits, _mm_add_epi32(_mm_set1_epi32(0x7FFF), lsb));
+    let quieted = _mm_or_si128(bits, _mm_set1_epi32(0x0040_0000));
     // Both magnitudes sit in [0, 0x7FFFFFFF], so the signed compare is
     // exact for the NaN test.
     let is_nan = _mm_cmpgt_epi32(
         _mm_and_si128(bits, _mm_set1_epi32(0x7FFF_FFFF)),
         _mm_set1_epi32(0x7F80_0000),
     );
-    _mm_or_si128(
+    let kept = _mm_or_si128(
         _mm_and_si128(is_nan, quieted),
         _mm_andnot_si128(is_nan, rounded),
-    )
+    );
+    _mm_and_si128(kept, _mm_set1_epi32(HIGH_HALF))
 }
 
-/// Lane-parallel mirror of the scalar `Bf16::from_f32` (8 lanes).
+/// [`round4_sse2`] on eight lanes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn narrow8_avx2(bits: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i {
+pub(crate) fn round8_avx2(bits: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i {
     use std::arch::x86_64::*;
-    let kept = _mm256_srli_epi32::<16>(bits);
-    let lsb = _mm256_and_si256(kept, _mm256_set1_epi32(1));
-    let rounded = _mm256_srli_epi32::<16>(_mm256_add_epi32(
-        bits,
-        _mm256_add_epi32(_mm256_set1_epi32(0x7FFF), lsb),
-    ));
-    let quieted = _mm256_or_si256(kept, _mm256_set1_epi32(0x0040));
-    // Both magnitudes sit in [0, 0x7FFFFFFF], so the signed compare is
-    // exact for the NaN test.
+    let lsb = _mm256_and_si256(_mm256_srli_epi32::<16>(bits), _mm256_set1_epi32(1));
+    let rounded = _mm256_add_epi32(bits, _mm256_add_epi32(_mm256_set1_epi32(0x7FFF), lsb));
+    let quieted = _mm256_or_si256(bits, _mm256_set1_epi32(0x0040_0000));
     let is_nan = _mm256_cmpgt_epi32(
         _mm256_and_si256(bits, _mm256_set1_epi32(0x7FFF_FFFF)),
         _mm256_set1_epi32(0x7F80_0000),
     );
-    _mm256_blendv_epi8(rounded, quieted, is_nan)
+    let kept = _mm256_blendv_epi8(rounded, quieted, is_nan);
+    _mm256_and_si256(kept, _mm256_set1_epi32(HIGH_HALF))
 }
 
-/// Sixteen lanes per iteration: two 8-lane RNE conversions packed into
-/// one u16×16 store. The rounded values are non-negative and fit 16 bits,
-/// so the unsigned-saturating `packus` is an exact u32→u16 truncation;
-/// `permute4x64(0xD8)` undoes its 128-bit-lane interleave.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn narrow_slice_avx2(src: &[f32], dst: &mut [Bf16]) {
-    use std::arch::x86_64::*;
-
-    let n = src.len();
-    let chunks = n / 16;
-    for i in 0..chunks {
-        let p = src.as_ptr().add(i * 16) as *const __m256i;
-        let lo = narrow8_avx2(_mm256_loadu_si256(p));
-        let hi = narrow8_avx2(_mm256_loadu_si256(p.add(1)));
-        let packed = _mm256_permute4x64_epi64::<0xD8>(_mm256_packus_epi32(lo, hi));
-        _mm256_storeu_si256(dst.as_mut_ptr().add(i * 16) as *mut __m256i, packed);
-    }
-    if chunks * 16 < n {
-        narrow_slice_sse2(&src[chunks * 16..], &mut dst[chunks * 16..]);
-    }
-}
-
-/// Two 8-element tiles per iteration: one 16-lane conversion whose u16×16
-/// result is split-stored to `dst[2i*stride]` and `dst[(2i+1)*stride]` —
-/// no staging buffer between the narrow and the panel.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn narrow_scatter8_avx2(src: &[f32], dst: &mut [Bf16], stride: usize) {
-    use std::arch::x86_64::*;
-
-    let chunks = src.len() / 8;
-    assert!(chunks == 0 || (chunks - 1) * stride + 8 <= dst.len());
-    for i in 0..chunks / 2 {
-        let p = src.as_ptr().add(i * 16) as *const __m256i;
-        let lo = narrow8_avx2(_mm256_loadu_si256(p));
-        let hi = narrow8_avx2(_mm256_loadu_si256(p.add(1)));
-        let packed = _mm256_permute4x64_epi64::<0xD8>(_mm256_packus_epi32(lo, hi));
-        let d0 = dst.as_mut_ptr().add(2 * i * stride) as *mut __m128i;
-        let d1 = dst.as_mut_ptr().add((2 * i + 1) * stride) as *mut __m128i;
-        _mm_storeu_si128(d0, _mm256_castsi256_si128(packed));
-        _mm_storeu_si128(d1, _mm256_extracti128_si256::<1>(packed));
-    }
-    if chunks % 2 == 1 {
-        let j = chunks - 1;
-        narrow_slice_sse2(&src[j * 8..], &mut dst[j * stride..j * stride + 8]);
-    }
-}
-
-/// Lane-parallel mirror of the scalar `Bf16::from_f32` (16 lanes).
+/// [`round4_sse2`] on sixteen lanes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-unsafe fn narrow16_avx512(bits: std::arch::x86_64::__m512i) -> std::arch::x86_64::__m512i {
+fn round16_avx512(bits: std::arch::x86_64::__m512i) -> std::arch::x86_64::__m512i {
     use std::arch::x86_64::*;
-    let kept = _mm512_srli_epi32::<16>(bits);
-    let lsb = _mm512_and_si512(kept, _mm512_set1_epi32(1));
-    let rounded = _mm512_srli_epi32::<16>(_mm512_add_epi32(
-        bits,
-        _mm512_add_epi32(_mm512_set1_epi32(0x7FFF), lsb),
-    ));
-    let quieted = _mm512_or_si512(kept, _mm512_set1_epi32(0x0040));
-    // Both magnitudes sit in [0, 0x7FFFFFFF], so the signed compare is
-    // exact for the NaN test.
+    let lsb = _mm512_and_si512(_mm512_srli_epi32::<16>(bits), _mm512_set1_epi32(1));
+    let rounded = _mm512_add_epi32(bits, _mm512_add_epi32(_mm512_set1_epi32(0x7FFF), lsb));
+    let quieted = _mm512_or_si512(bits, _mm512_set1_epi32(0x0040_0000));
     let is_nan = _mm512_cmpgt_epi32_mask(
         _mm512_and_si512(bits, _mm512_set1_epi32(0x7FFF_FFFF)),
         _mm512_set1_epi32(0x7F80_0000),
     );
-    _mm512_mask_blend_epi32(is_nan, rounded, quieted)
+    let kept = _mm512_mask_blend_epi32(is_nan, rounded, quieted);
+    _mm512_and_si512(kept, _mm512_set1_epi32(HIGH_HALF))
 }
 
-/// Two 16-lane RNE conversions packed into one u16×32 store. `packus` on
-/// 512-bit regs interleaves per 128-bit lane; the quadword permute with
-/// index [0,2,4,6,1,3,5,7] restores source order.
+/// The bits a bf16 keeps of an f32, as an `i32` lane constant.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw")]
-#[inline]
-unsafe fn narrow32_avx512(
-    lo: std::arch::x86_64::__m512i,
-    hi: std::arch::x86_64::__m512i,
-) -> std::arch::x86_64::__m512i {
-    use std::arch::x86_64::*;
-    let idx = _mm512_setr_epi64(0, 2, 4, 6, 1, 3, 5, 7);
-    _mm512_permutexvar_epi64(
-        idx,
-        _mm512_packus_epi32(narrow16_avx512(lo), narrow16_avx512(hi)),
-    )
-}
+const HIGH_HALF: i32 = 0xFFFF_0000u32 as i32;
 
-/// Thirty-two lanes per iteration; tail handled by the narrower kernels.
+/// # Safety
+/// Same contract as [`round_raw`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn narrow_slice_avx512(src: &[f32], dst: &mut [Bf16]) {
+unsafe fn round_sse2(src: *const f32, dst: *mut f32, len: usize) {
     use std::arch::x86_64::*;
-
-    let n = src.len();
-    let chunks = n / 32;
-    for i in 0..chunks {
-        let p = src.as_ptr().add(i * 32) as *const __m512i;
-        let packed = narrow32_avx512(_mm512_loadu_si512(p as *const _), {
-            _mm512_loadu_si512(p.add(1) as *const _)
-        });
-        _mm512_storeu_si512(dst.as_mut_ptr().add(i * 32) as *mut _, packed);
+    let body = len / 4 * 4;
+    for i in (0..body).step_by(4) {
+        let v = _mm_loadu_si128(src.add(i) as *const __m128i);
+        _mm_storeu_si128(dst.add(i) as *mut __m128i, round4_sse2(v));
     }
-    if chunks * 32 < n {
-        narrow_slice_avx2(&src[chunks * 32..], &mut dst[chunks * 32..]);
-    }
+    round_scalar(src.add(body), dst.add(body), len - body);
 }
 
-/// Four 8-element tiles per iteration: one 32-lane conversion whose u16×32
-/// result is split-stored to four consecutive tiles.
+/// # Safety
+/// Same contract as [`round_raw`]; requires AVX2.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn narrow_scatter8_avx512(src: &[f32], dst: &mut [Bf16], stride: usize) {
+#[target_feature(enable = "avx2")]
+unsafe fn round_avx2(src: *const f32, dst: *mut f32, len: usize) {
     use std::arch::x86_64::*;
-
-    let chunks = src.len() / 8;
-    assert!(chunks == 0 || (chunks - 1) * stride + 8 <= dst.len());
-    for i in 0..chunks / 4 {
-        let p = src.as_ptr().add(i * 32) as *const __m512i;
-        let packed = narrow32_avx512(_mm512_loadu_si512(p as *const _), {
-            _mm512_loadu_si512(p.add(1) as *const _)
-        });
-        let base = dst.as_mut_ptr();
-        _mm_storeu_si128(
-            base.add((4 * i) * stride) as *mut __m128i,
-            _mm512_extracti32x4_epi32::<0>(packed),
-        );
-        _mm_storeu_si128(
-            base.add((4 * i + 1) * stride) as *mut __m128i,
-            _mm512_extracti32x4_epi32::<1>(packed),
-        );
-        _mm_storeu_si128(
-            base.add((4 * i + 2) * stride) as *mut __m128i,
-            _mm512_extracti32x4_epi32::<2>(packed),
-        );
-        _mm_storeu_si128(
-            base.add((4 * i + 3) * stride) as *mut __m128i,
-            _mm512_extracti32x4_epi32::<3>(packed),
-        );
+    let body = len / 8 * 8;
+    for i in (0..body).step_by(8) {
+        let v = _mm256_loadu_si256(src.add(i) as *const __m256i);
+        _mm256_storeu_si256(dst.add(i) as *mut __m256i, round8_avx2(v));
     }
-    for j in (chunks / 4) * 4..chunks {
-        narrow_slice_sse2(&src[j * 8..j * 8 + 8], &mut dst[j * stride..j * stride + 8]);
-    }
+    round_sse2(src.add(body), dst.add(body), len - body);
 }
 
-/// SSE2 fallback for the tile scatter: one 8-element tile per iteration.
+/// Sixteen lanes per iteration; the last `len % 16` go through one
+/// masked load and store (masked-off lanes neither read nor write).
+///
+/// # Safety
+/// Same contract as [`round_raw`]; requires AVX-512F.
 #[cfg(target_arch = "x86_64")]
-unsafe fn narrow_scatter8_sse2(src: &[f32], dst: &mut [Bf16], stride: usize) {
+#[target_feature(enable = "avx512f")]
+unsafe fn round_avx512(src: *const f32, dst: *mut f32, len: usize) {
     use std::arch::x86_64::*;
-
-    let chunks = src.len() / 8;
-    assert!(chunks == 0 || (chunks - 1) * stride + 8 <= dst.len());
-    for j in 0..chunks {
-        let p = src.as_ptr().add(j * 8) as *const __m128i;
-        let lo = narrow4_sse2(_mm_loadu_si128(p));
-        let hi = narrow4_sse2(_mm_loadu_si128(p.add(1)));
-        let bias = _mm_set1_epi32(0x8000);
-        let packed = _mm_xor_si128(
-            _mm_packs_epi32(_mm_sub_epi32(lo, bias), _mm_sub_epi32(hi, bias)),
-            _mm_set1_epi16(i16::MIN),
-        );
-        _mm_storeu_si128(dst.as_mut_ptr().add(j * stride) as *mut __m128i, packed);
+    let body = len / 16 * 16;
+    for i in (0..body).step_by(16) {
+        let v = _mm512_loadu_si512(src.add(i) as *const _);
+        _mm512_storeu_si512(dst.add(i) as *mut _, round16_avx512(v));
     }
-}
-
-/// Eight lanes per iteration: two 4-lane RNE conversions packed into one
-/// u16×8 store. The `sub 0x8000 / packs / xor 0x8000` dance turns the
-/// signed-saturating pack into an exact u32→u16 truncation (the rounded
-/// values already fit 16 bits).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn narrow_slice_sse2(src: &[f32], dst: &mut [Bf16]) {
-    use std::arch::x86_64::*;
-
-    let n = src.len();
-    let chunks = n / 8;
-    for i in 0..chunks {
-        let p = src.as_ptr().add(i * 8) as *const __m128i;
-        let lo = narrow4_sse2(_mm_loadu_si128(p));
-        let hi = narrow4_sse2(_mm_loadu_si128(p.add(1)));
-        let bias = _mm_set1_epi32(0x8000);
-        let packed = _mm_xor_si128(
-            _mm_packs_epi32(_mm_sub_epi32(lo, bias), _mm_sub_epi32(hi, bias)),
-            _mm_set1_epi16(i16::MIN),
-        );
-        _mm_storeu_si128(dst.as_mut_ptr().add(i * 8) as *mut __m128i, packed);
+    if body < len {
+        let mask = ((1u32 << (len - body)) - 1) as __mmask16;
+        let v = _mm512_maskz_loadu_epi32(mask, src.add(body) as *const i32);
+        _mm512_mask_storeu_epi32(dst.add(body) as *mut i32, mask, round16_avx512(v));
     }
-    for j in chunks * 8..n {
-        *dst.get_unchecked_mut(j) = Bf16::from_f32(*src.get_unchecked(j));
-    }
-}
-
-/// Quantizes a slice in place through bf16.
-pub fn quantize_slice(xs: &mut [f32]) {
-    xs.iter_mut().for_each(|v| *v = round_f32(*v));
-}
-
-/// Returns a copy of the tensor with every element rounded through bf16.
-pub fn quantize_tensor(t: &Tensor) -> Tensor {
-    t.map(round_f32)
 }
 
 /// Largest relative rounding error bf16 can introduce (half ULP at 7
@@ -701,129 +443,136 @@ mod tests {
         }
     }
 
-    /// Adversarial value pool for the SIMD-vs-scalar bitwise checks:
-    /// specials, subnormals, RNE halfway points, and random normals.
-    fn simd_test_values(len: usize, seed: u64) -> Vec<f32> {
-        let specials = [
-            0.0f32,
-            -0.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-            f32::from_bits(0x7F80_0001), // signaling-ish NaN, low payload
-            f32::from_bits(0xFFC0_1234), // negative NaN with payload
-            f32::from_bits(0x0000_0001), // smallest subnormal
-            f32::from_bits(0x807F_FFFF), // largest negative subnormal
-            1.0 + 1.0 / 256.0,           // RNE halfway, rounds down
-            1.0 + 3.0 / 256.0,           // RNE halfway, rounds up
-            3.3895314e38,                // max finite bf16
-            f32::from_bits(0x7F7F_FFFF), // max finite f32 (overflows to inf)
-        ];
-        let mut rng = Rng::new(seed);
-        (0..len)
+    /// Edge patterns for the lane checks: ±0, subnormals (including the
+    /// halfway point below the smallest bf16 subnormal), ±∞, ±`f32::MAX`
+    /// (rounds to ±∞), the largest f32 that rounds down (to the largest
+    /// finite bf16), the tie above it (odd, so up to +∞), RNE ties that
+    /// stay and that round up, quiet NaNs with payloads, and signalling
+    /// NaNs whose payload sits only in the dropped bits.
+    const EDGES: [u32; 21] = [
+        0x0000_0000,
+        0x8000_0000,
+        0x0000_0001,
+        0x807F_FFFF,
+        0x0000_8000,
+        0x0000_8001,
+        0x0001_8000,
+        0x7F80_0000,
+        0xFF80_0000,
+        0x7F7F_FFFF,
+        0xFF7F_FFFF,
+        0x7F7F_7FFF,
+        0x7F7F_8000,
+        0x3F80_8000,
+        0x3F81_8000,
+        0x7FC0_0000,
+        0xFFC1_2345,
+        0x7F80_0001,
+        0xFF80_8000,
+        0x7FBF_FFFF,
+        0x7FA0_0000,
+    ];
+
+    /// The oracle: [`Bf16::from_f32`] then back, as bits.
+    fn oracle(bits: u32) -> u32 {
+        Bf16::from_f32(f32::from_bits(bits)).to_f32().to_bits()
+    }
+
+    type Lane = unsafe fn(*const f32, *mut f32, usize);
+
+    /// Every lane body this host can run, scalar first.
+    fn lanes() -> Vec<(&'static str, Lane)> {
+        let mut v: Vec<(&'static str, Lane)> = vec![("scalar", round_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            v.push(("sse2", round_sse2));
+            if std::arch::is_x86_feature_detected!("avx2") {
+                v.push(("avx2", round_avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                v.push(("avx512", round_avx512));
+            }
+        }
+        v
+    }
+
+    /// Every lane, every length 0..=67 at every start offset 0..16, out of
+    /// place and in place: each element is the oracle's bits, and nothing
+    /// outside `[off, off + len)` is written.
+    #[test]
+    fn round_lanes_match_the_scalar_oracle_bitwise() {
+        const GUARD: u32 = 0xDEAD_BEEF;
+        let mut rng = Rng::new(31);
+        let pool: Vec<u32> = (0..16 + 67 + 16)
             .map(|i| {
-                if i % 3 == 0 {
-                    specials[i / 3 % specials.len()]
+                if i % 2 == 0 {
+                    EDGES[i / 2 % EDGES.len()]
                 } else {
-                    rng.uniform_in(-1e6, 1e6)
+                    rng.next_u64() as u32
                 }
             })
-            .collect()
-    }
-
-    fn assert_bits_eq(got: Bf16, want: Bf16, ctx: &str) {
-        assert_eq!(
-            got.0, want.0,
-            "{ctx}: got {:#06x} want {:#06x}",
-            got.0, want.0
-        );
-    }
-
-    #[test]
-    fn narrow_slice_matches_scalar_bitwise() {
-        // Lengths straddle the AVX2 16-lane main loop, the SSE2 8-lane
-        // path, and the scalar tail (0..16 leftover elements).
-        for &len in &[
-            0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100, 255, 256,
-        ] {
-            let src = simd_test_values(len, 41 + len as u64);
-            let mut dst = vec![Bf16::from_f32(0.0); len];
-            narrow_slice(&src, &mut dst);
-            for (i, (&d, &s)) in dst.iter().zip(src.iter()).enumerate() {
-                assert_bits_eq(d, Bf16::from_f32(s), &format!("len={len} i={i} x={s}"));
-            }
-        }
-    }
-
-    #[test]
-    fn widen_slice_matches_scalar_bitwise() {
-        // Same length sweep as the narrow test: straddles the AVX2
-        // 16-lane loop, the SSE2 8-lane loop, and the scalar tail. The
-        // widen must reproduce `to_f32` bit-for-bit — including NaN
-        // payloads, which round-trip untouched through the bit move.
-        for &len in &[
-            0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100, 255, 256,
-        ] {
-            let src: Vec<Bf16> = simd_test_values(len, 53 + len as u64)
-                .iter()
-                .map(|&v| Bf16::from_f32(v))
-                .collect();
-            let mut dst = vec![0.0f32; len];
-            widen_slice(&src, &mut dst);
-            for (i, (&d, &s)) in dst.iter().zip(src.iter()).enumerate() {
-                assert_eq!(
-                    d.to_bits(),
-                    s.to_f32().to_bits(),
-                    "len={len} i={i} bf16={:#06x}",
-                    s.0
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn widen_then_narrow_round_trips_bitwise() {
-        // bf16 → f32 → bf16 must be the identity on the u16 payload for
-        // every non-NaN value (NaNs stay NaN but may quiet); check exact
-        // round-trip on the quiet pool the packers actually produce.
-        let src: Vec<Bf16> = simd_test_values(128, 97)
-            .iter()
-            .map(|&v| Bf16::from_f32(v))
             .collect();
-        let mut wide = vec![0.0f32; src.len()];
-        widen_slice(&src, &mut wide);
-        let mut back = vec![Bf16::ZERO; src.len()];
-        narrow_slice(&wide, &mut back);
-        for (i, (&b, &s)) in back.iter().zip(src.iter()).enumerate() {
-            assert_bits_eq(b, s, &format!("round-trip i={i}"));
+        for (name, lane) in lanes() {
+            for off in 0..16 {
+                for len in 0..=67 {
+                    let src: Vec<f32> = pool[off..off + len]
+                        .iter()
+                        .map(|&b| f32::from_bits(b))
+                        .collect();
+                    let want: Vec<u32> = pool[off..off + len].iter().map(|&b| oracle(b)).collect();
+                    let mut out = vec![f32::from_bits(GUARD); off + len + 16];
+                    let mut inplace = out.clone();
+                    inplace[off..off + len].copy_from_slice(&src);
+                    // SAFETY: `out` and `inplace` hold `off + len` elements
+                    // past their base; `src` holds `len`.
+                    unsafe {
+                        lane(src.as_ptr(), out.as_mut_ptr().add(off), len);
+                        let p = inplace.as_mut_ptr().add(off);
+                        lane(p, p, len);
+                    }
+                    for (what, buf) in [("out of place", &out), ("in place", &inplace)] {
+                        let bits: Vec<u32> = buf.iter().map(|v| v.to_bits()).collect();
+                        let ctx = format!("{name} lane, {what}, off {off}, len {len}");
+                        assert_eq!(&bits[off..off + len], &want[..], "{ctx}");
+                        assert!(
+                            bits[off + len..].iter().all(|&b| b == GUARD),
+                            "{ctx}: wrote past the end"
+                        );
+                        if what == "out of place" {
+                            assert!(bits[..off].iter().all(|&b| b == GUARD), "{ctx}");
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn narrow_row_scatter_matches_per_chunk_narrow() {
-        // nr=8 exercises the fused SIMD scatter (even + odd chunk counts,
-        // including the pair-tail); nr=4 exercises the generic fallback.
-        for &(nr, chunks, stride) in &[
-            (8usize, 1usize, 8usize),
-            (8, 2, 16),
-            (8, 3, 1024),
-            (8, 32, 1024), // calibration-like: NC/NR tiles at kc*NR stride
-            (8, 5, 40),
-            (4, 3, 12),
-        ] {
-            let src = simd_test_values(nr * chunks, 71 + (nr * chunks) as u64);
-            let mut dst = vec![Bf16::from_f32(0.0); (chunks - 1) * stride + nr];
-            let mut want = dst.clone();
-            narrow_row_scatter(&src, &mut dst, nr, stride);
-            for (j, chunk) in src.chunks_exact(nr).enumerate() {
-                narrow_slice(chunk, &mut want[j * stride..j * stride + nr]);
-            }
-            for (i, (&d, &w)) in dst.iter().zip(want.iter()).enumerate() {
-                assert_bits_eq(
-                    d,
-                    w,
-                    &format!("nr={nr} chunks={chunks} stride={stride} i={i}"),
-                );
+    fn round_edges_land_where_rne_says() {
+        let round = |b: u32| {
+            let mut v = [f32::from_bits(b)];
+            round_in_place(&mut v);
+            v[0].to_bits()
+        };
+        assert_eq!(round(0x7F7F_FFFF), 0x7F80_0000, "f32::MAX rounds to +inf");
+        assert_eq!(round(0x7F7F_7FFF), 0x7F7F_0000, "largest that rounds down");
+        assert_eq!(round(0x8000_0000), 0x8000_0000, "-0 keeps its sign");
+        assert_eq!(round(0x0000_8000), 0x0000_0000, "subnormal tie to even");
+        assert_eq!(round(0x0001_8000), 0x0002_0000, "subnormal tie, odd: up");
+        assert_eq!(round(0x7F80_0001), 0x7FC0_0000, "sNaN quieted, not inf");
+        assert_eq!(round(0xFFC1_2345), 0xFFC1_0000, "qNaN keeps sign, payload");
+    }
+
+    proptest! {
+        #[test]
+        fn round_slice_matches_scalar_on_arbitrary_bits(
+            bits in proptest::collection::vec((0u64..1 << 32).prop_map(|b| b as u32), 0..80)
+        ) {
+            let src: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let mut dst = vec![0.0f32; src.len()];
+            round_slice(&src, &mut dst);
+            for (&b, d) in bits.iter().zip(&dst) {
+                prop_assert_eq!(d.to_bits(), oracle(b));
             }
         }
     }

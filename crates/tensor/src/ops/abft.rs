@@ -45,7 +45,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-use super::gemm_blocked::{PackElem, MR, NR};
+use super::gemm_blocked::{MR, NR};
 
 static VERIFY: AtomicBool = AtomicBool::new(false);
 static TILES_VERIFIED: AtomicU64 = AtomicU64::new(0);
@@ -212,42 +212,33 @@ impl TileVerifier {
 
     /// Folds one `(pc)` depth block into the expectation: column sums of
     /// the packed A region's rows `ic..ic+mc` contracted with the packed
-    /// B panel. Operates on the *packed* (possibly bf16-narrowed)
-    /// values, so the check verifies exactly what the micro-kernel
-    /// multiplies. Padded rows/columns are zero in both panels and drop
-    /// out of the sums.
-    pub fn absorb_panels<E: PackElem>(&mut self, a_region: &[E], bp: &[E], kc: usize, ic: usize) {
+    /// B panel. Operates on the *packed* values (bf16-rounded when the
+    /// product is bf16), so the check verifies exactly what the
+    /// micro-kernel multiplies. Padded rows/columns are zero in both
+    /// panels and drop out of the sums.
+    pub fn absorb_panels(&mut self, a_region: &[f32], bp: &[f32], kc: usize, ic: usize) {
         let t0 = ic / MR;
         let a_tiles = self.mc.div_ceil(MR);
         let mut colsum = vec![0.0f64; kc];
         let mut colabs = vec![0.0f64; kc];
-        // Each packed tile widens to f32 in bulk ([`PackElem::
-        // widen_to_f32`] — a memcpy for f32, the vectorized exact bit
-        // move for bf16) before the f64 fold: value-identical to the old
-        // per-element `to_f32()` calls, since bf16 → f32 never rounds.
-        let mut wide_a = vec![0.0f32; kc * MR];
         for dt in 0..a_tiles {
             let tile = &a_region[(t0 + dt) * kc * MR..(t0 + dt + 1) * kc * MR];
-            E::widen_to_f32(tile, &mut wide_a);
             for (p, (cs, ca)) in colsum.iter_mut().zip(colabs.iter_mut()).enumerate() {
-                for ii in 0..MR {
-                    let v = wide_a[p * MR + ii] as f64;
-                    *cs += v;
-                    *ca += v.abs();
+                for &v in &tile[p * MR..(p + 1) * MR] {
+                    *cs += v as f64;
+                    *ca += (v as f64).abs();
                 }
             }
         }
         let b_tiles = self.nc.div_ceil(NR);
-        let mut wide_b = vec![0.0f32; kc * NR];
         for jt in 0..b_tiles {
             let tile = &bp[jt * kc * NR..(jt + 1) * kc * NR];
-            E::widen_to_f32(tile, &mut wide_b);
             let jn = NR.min(self.nc - jt * NR);
             for p in 0..kc {
                 let cs = colsum[p];
                 let ca = colabs[p];
                 for jj in 0..jn {
-                    let bv = wide_b[p * NR + jj] as f64;
+                    let bv = tile[p * NR + jj] as f64;
                     self.expected[jt * NR + jj] += cs * bv;
                     self.expected_abs[jt * NR + jj] += ca * bv.abs();
                 }

@@ -67,7 +67,7 @@
 //! obs registry; trainer-level tests assert `blocked > 0` so a silent
 //! threshold regression cannot quietly route everything to the naive
 //! kernel, and the bf16 splits let the mixed-precision proxy runs prove
-//! they actually exercised the narrow kernels.
+//! they actually rounded their operands.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,8 +83,8 @@ pub const BLOCKED_MIN_MACS: usize = 1 << 15;
 /// 16 at B0's first stage) and the 3×3 stem (k = 27).
 pub const BLOCKED_MIN_K: usize = 24;
 
-/// Minimum MAC volume before mixed precision converts a GEMM's panels to
-/// bf16. Same scale as [`BLOCKED_MIN_MACS`]: tiny products pay
+/// Minimum MAC volume before mixed precision rounds a GEMM's operands
+/// through bf16. Same scale as [`BLOCKED_MIN_MACS`]: tiny products pay
 /// conversion for no reuse and carry outsized relative rounding impact
 /// (squeeze-excite gates), so they stay f32 — which is also §3.5's
 /// recipe (convolutions in bf16, the small tails in f32).
@@ -95,8 +95,10 @@ static NAIVE_F32_CALLS: AtomicU64 = AtomicU64::new(0);
 static BLOCKED_BF16_CALLS: AtomicU64 = AtomicU64::new(0);
 static NAIVE_BF16_CALLS: AtomicU64 = AtomicU64::new(0);
 
-/// Element precision a GEMM's packed panels are stored in. Accumulation
-/// is always f32; `Bf16` rounds each operand element once at pack time.
+/// Precision a GEMM's operands are rounded to before the f32 multiply.
+/// Accumulation is always f32; `Bf16` rounds each operand element through
+/// bf16 once (at pack time on the blocked kernel, into a scratch copy on
+/// the naive one).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GemmPrecision {
     F32,
@@ -160,7 +162,7 @@ impl GemmDesc {
 }
 
 /// The experiment-level precision policy: decides, per GEMM shape,
-/// whether panels are packed as bf16. Constructed from the serializable
+/// whether the operands are rounded through bf16. Constructed from the serializable
 /// `Experiment.precision` knob and threaded through the model layers —
 /// a **pure function of shape + config**, so SPMD replicas running the
 /// same layer sequence make identical choices and cannot fork kernels

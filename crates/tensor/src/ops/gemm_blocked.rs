@@ -1,7 +1,6 @@
 //! Cache-blocked, panel-packed GEMM — the kernel behind every dense hot
 //! loop large enough to amortize packing (conv forward/backward, linear
-//! forward/backward). [`gemm_blocked`] runs any
-//! [`GemmDesc`] on it;
+//! forward/backward). [`gemm_blocked`] runs any [`GemmDesc`] on it;
 //! [`crate::ops::dispatch::gemm`] is the routed entry that falls back to
 //! the naive kernel below the profitability threshold.
 //!
@@ -20,32 +19,29 @@
 //!
 //! - **One macro-kernel, many orientations.** The operand views
 //!   [`PanelA`] / [`PanelB`] describe how the packing routines gather the
-//!   effective `A (m×k)` and `B (k×n)` from storage: plain row-major,
-//!   transposed storage (`AᵀB` / `ABᵀ`, which the backward passes need),
-//!   or **virtual im2col patches** of one image packed straight from the
-//!   image into the tile-major B panel, so its `K×P` patch matrix is
-//!   never materialized ([`PanelB::Patches`]; benchmarked and tested,
-//!   but the conv kernels materialize the batch's patch matrix and take
-//!   the row-major view, which measures faster).
-//! - **Precision is a pack-time type parameter** ([`PackElem`]): the
-//!   panels store either `f32` (identity conversion) or [`Bf16`]
-//!   (round-to-nearest-even once per element, 2× panel density — §3.5's
-//!   MXU contract), and the **single** MR×NR micro-kernel widens each
-//!   packed element back to f32 and accumulates in f32. The bf16
-//!   instantiation is therefore bitwise-identical to quantizing both
-//!   operands through bf16 and running the f32 kernel — same values,
-//!   same summation order — which is exactly what the equivalence suite
-//!   pins. Source operands stay `&[f32]`; conversion happens exactly once
-//!   per element, at pack time, including the fused-conv patch gather.
-//! - **A is packed exactly once per call** ([`pack_a_into`] into a
-//!   [`crate::scratch`] buffer), not once per `jc` column block; callers
-//!   with a shared `A` across many GEMMs can prepack once and call
-//!   [`gemm_prepacked`] per product.
+//!   effective `A (m×k)` and `B (k×n)` from storage: plain row-major, or
+//!   transposed storage (`AᵀB` / `ABᵀ`, which the backward passes need).
+//! - **Precision is rounding at pack time, and nothing else.** Panels
+//!   are always `f32`. A [`GemmPrecision::Bf16`] product rounds each
+//!   element through bf16 ([`crate::bf16::round_f32`]: nearest-even, NaN
+//!   quieted) exactly once, as it is packed, and then runs the one f32
+//!   micro-kernel — the product of two bf16 values is exact in f32, so
+//!   this is §3.5's bf16-multiply / f32-accumulate contract. The bf16
+//!   product is therefore *by construction* bitwise-identical to
+//!   quantizing both operands and running the f32 kernel — same values,
+//!   same summation order — which is what the equivalence suite pins.
+//!   Panels do not store the 16-bit type at 2× density: the micro-kernel
+//!   would then widen each element again on every use (up to 32 times),
+//!   which costs more than the density saves.
+//! - **A is packed exactly once per call**, not once per `jc` column
+//!   block: whole up front for the tile grid ([`pack_a_into`]), one
+//!   `KC` depth slab at a time on the sequential path, which runs `pc`
+//!   outermost so a slab serves every column block before the next is
+//!   packed.
 //! - **Accumulation is a flag**: the macro-kernel always merges with
 //!   `+=`; an overwriting product just zeroes `C` first.
 //! - **Zero steady-state allocation**: all pack buffers come from the
-//!   per-thread [`crate::scratch`] arena (each element type pools
-//!   separately).
+//!   per-thread [`crate::scratch`] arena.
 //! - **Deterministic summation order**: every `C` element accumulates its
 //!   `k` products in ascending `pc`-block order. Parallelism divides `C`
 //!   into a static `(MC, NC)` tile grid — a pure function of `(m, n)`,
@@ -66,12 +62,11 @@
 //! `bench_kernels` bin records the throughput trajectory in
 //! `BENCH_kernels.json`.
 
-use crate::bf16::Bf16;
-use crate::ops::conv::Conv2dGeom;
+use crate::bf16::{round_f32, round_in_place};
 use crate::ops::dispatch::{GemmDesc, GemmPrecision, Orient};
-use crate::ops::simd::{self, LanePath};
+use crate::ops::simd;
 use crate::par;
-use crate::scratch::{scratch_elems, PoolElem};
+use crate::scratch::scratch_f32;
 
 /// Row-block size (A panel height). A multiple of [`MR`].
 pub const MC: usize = 64;
@@ -89,180 +84,6 @@ pub const NR: usize = 8;
 /// dominates any parallel win).
 const PAR_FLOP_THRESHOLD: usize = 64 * 1024;
 
-/// An element type the packing layer can store panels in. The conversion
-/// pair runs exactly once per packed element ([`PackElem::from_f32`] at
-/// pack time, [`PackElem::to_f32`] when the micro-kernel widens it back);
-/// accumulation is always f32.
-///
-/// Two instances exist: `f32` (identity — the classic kernel, bitwise
-/// unchanged from the pre-generic code) and [`Bf16`] (round-to-nearest-
-/// even storage at 2× density — the paper's bf16-multiply/f32-accumulate
-/// recipe).
-pub trait PackElem: PoolElem {
-    /// Human-readable precision tag ("f32" / "bf16") for benches and logs.
-    const NAME: &'static str;
-
-    /// Narrowing conversion applied once at pack time.
-    fn from_f32(x: f32) -> Self;
-
-    /// Widening conversion applied in the micro-kernel (exact for both
-    /// instances: bf16 values are a subset of f32).
-    fn to_f32(self) -> f32;
-
-    /// Bulk widening — the inverse of [`PackElem::pack_from_f32`], exact
-    /// for both instances and bitwise identical to mapping
-    /// [`PackElem::to_f32`]. f32 overrides with a memcpy; bf16 with the
-    /// vectorized [`crate::bf16::widen_slice`]. Consumers that read whole
-    /// packed panel rows back as f32 (ABFT checksum absorption) route
-    /// through here.
-    #[inline]
-    fn widen_to_f32(src: &[Self], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        for (d, &s) in dst.iter_mut().zip(src.iter()) {
-            *d = s.to_f32();
-        }
-    }
-
-    /// Bulk row conversion for the contiguous row-major B fast path.
-    /// Overridden by `f32` with a straight `copy_from_slice`.
-    #[inline]
-    fn pack_from_f32(src: &[f32], dst: &mut [Self]) {
-        debug_assert_eq!(src.len(), dst.len());
-        for (d, &s) in dst.iter_mut().zip(src.iter()) {
-            *d = Self::from_f32(s);
-        }
-    }
-
-    /// Converts one contiguous source row and scatters its `nr`-element
-    /// chunks to tile-major storage: chunk `j` lands at
-    /// `dst[j * tile_stride ..]`. The default per-chunk loop is a memcpy
-    /// scatter for f32; bf16 overrides it with a fused narrow-and-scatter
-    /// so the conversion pipelines over the whole row with no staging.
-    #[inline]
-    fn pack_row_scatter(src: &[f32], dst: &mut [Self], nr: usize, tile_stride: usize) {
-        debug_assert_eq!(src.len() % nr, 0);
-        for (j, chunk) in src.chunks_exact(nr).enumerate() {
-            Self::pack_from_f32(chunk, &mut dst[j * tile_stride..j * tile_stride + nr]);
-        }
-    }
-
-    /// Packs one row-tile of row-major A: lane `ii` reads the contiguous
-    /// slice `src[ii * row_stride ..][..kc]`, element `p` lands at
-    /// `dst[p * MR + ii]`, lanes past `im` are zero. The default
-    /// lane-by-lane loop is what f32 always did; bf16 overrides it with a
-    /// SIMD narrow through stack staging buffers plus a fused four-lane
-    /// interleave, so the rounding pipelines across whole rows.
-    #[inline]
-    fn pack_a_tile(src: &[f32], row_stride: usize, kc: usize, im: usize, dst: &mut [Self]) {
-        if im < MR {
-            dst.iter_mut().for_each(|v| *v = Self::default());
-        }
-        for ii in 0..im {
-            let row = &src[ii * row_stride..ii * row_stride + kc];
-            for (p, &s) in row.iter().enumerate() {
-                dst[p * MR + ii] = Self::from_f32(s);
-            }
-        }
-    }
-
-    /// The register-tiled MR×NR inner product over a depth of `kc` on the
-    /// given lane path: `acc += apanel(kc×MR)ᵀ ⊗ bpanel(kc×NR)`. Every
-    /// lane path is bitwise-identical (see [`crate::ops::simd`]); each
-    /// packed element widens to f32 exactly once and accumulation is f32.
-    fn micro_kernel(
-        path: LanePath,
-        kc: usize,
-        apanel: &[Self],
-        bpanel: &[Self],
-        acc: &mut [[f32; NR]; MR],
-    );
-}
-
-impl PackElem for f32 {
-    const NAME: &'static str = "f32";
-
-    #[inline]
-    fn from_f32(x: f32) -> Self {
-        x
-    }
-
-    #[inline]
-    fn to_f32(self) -> f32 {
-        self
-    }
-
-    #[inline]
-    fn pack_from_f32(src: &[f32], dst: &mut [f32]) {
-        dst.copy_from_slice(src);
-    }
-
-    #[inline]
-    fn widen_to_f32(src: &[f32], dst: &mut [f32]) {
-        dst.copy_from_slice(src);
-    }
-
-    #[inline]
-    fn pack_row_scatter(src: &[f32], dst: &mut [f32], nr: usize, tile_stride: usize) {
-        simd::pack_row_scatter_f32(src, dst, nr, tile_stride);
-    }
-
-    #[inline]
-    fn micro_kernel(
-        path: LanePath,
-        kc: usize,
-        apanel: &[f32],
-        bpanel: &[f32],
-        acc: &mut [[f32; NR]; MR],
-    ) {
-        simd::micro_f32(path, kc, apanel, bpanel, acc);
-    }
-}
-
-impl PackElem for Bf16 {
-    const NAME: &'static str = "bf16";
-
-    #[inline]
-    fn from_f32(x: f32) -> Self {
-        Bf16::from_f32(x)
-    }
-
-    #[inline]
-    fn to_f32(self) -> f32 {
-        Bf16::to_f32(self)
-    }
-
-    #[inline]
-    fn pack_from_f32(src: &[f32], dst: &mut [Bf16]) {
-        crate::bf16::narrow_slice(src, dst);
-    }
-
-    #[inline]
-    fn widen_to_f32(src: &[Bf16], dst: &mut [f32]) {
-        crate::bf16::widen_slice(src, dst);
-    }
-
-    #[inline]
-    fn pack_row_scatter(src: &[f32], dst: &mut [Bf16], nr: usize, tile_stride: usize) {
-        crate::bf16::narrow_row_scatter(src, dst, nr, tile_stride);
-    }
-
-    #[inline]
-    fn pack_a_tile(src: &[f32], row_stride: usize, kc: usize, im: usize, dst: &mut [Bf16]) {
-        crate::bf16::narrow_tile4(src, row_stride, kc, im, dst);
-    }
-
-    #[inline]
-    fn micro_kernel(
-        path: LanePath,
-        kc: usize,
-        apanel: &[Bf16],
-        bpanel: &[Bf16],
-        acc: &mut [[f32; NR]; MR],
-    ) {
-        simd::micro_bf16(path, kc, apanel, bpanel, acc);
-    }
-}
-
 /// How the effective `A (m×k)` operand is stored.
 #[derive(Clone, Copy, Debug)]
 pub enum PanelA<'a> {
@@ -273,7 +94,7 @@ pub enum PanelA<'a> {
     Transposed(&'a [f32]),
 }
 
-/// How the effective `B (k×n)` operand is produced.
+/// How the effective `B (k×n)` operand is stored.
 #[derive(Clone, Copy, Debug)]
 pub enum PanelB<'a> {
     /// `b[p*n + j]` — plain row-major `k×n`.
@@ -281,109 +102,85 @@ pub enum PanelB<'a> {
     /// `b[j*k + p]` — stored `n×k`; the effective B is the transpose
     /// (the `ABᵀ` orientation used by input gradients).
     Transposed(&'a [f32]),
-    /// The virtual `K×P` im2col patch matrix of one image, packed
-    /// directly from `CHW` storage (`img`) into the tile-major panel —
-    /// fused im2col: the patch matrix never exists in memory.
-    Patches {
-        geom: &'a Conv2dGeom,
-        img: &'a [f32],
-    },
 }
 
 /// Length of the packed-A buffer for an `m×k` operand: every row tile is
-/// padded to [`MR`] rows. Element-count, not bytes — a bf16 packed A
-/// holds the same count at half the bytes.
+/// padded to [`MR`] rows.
 #[inline]
 pub fn packed_a_len(m: usize, k: usize) -> usize {
     m.div_ceil(MR) * MR * k
 }
 
-/// Packs the effective `A (m×k)` into tile-major panels of element type
-/// `E`, narrowing each element once ([`PackElem::from_f32`]).
+/// Packs the effective `A (m×k)` into tile-major panels, rounding each
+/// element through bf16 once when `precision` is [`GemmPrecision::Bf16`].
 ///
 /// Layout: for each depth block `pc` (step [`KC`], width `kc`), a region of
-/// `m_padded·kc` elements at offset `m_padded·pc` holding `m/MR` tiles of
-/// `kc×MR` (column-of-tiles, row-within-tile fastest); rows past `m` are
-/// zero. The macro-kernel reads both packed operands at stride 1.
-pub fn pack_a_into<E: PackElem>(a: PanelA<'_>, m: usize, k: usize, ap: &mut [E]) {
+/// `m_padded·kc` elements at offset `m_padded·pc` ([`pack_a_slab`]); rows
+/// past `m` are zero. The macro-kernel reads both packed operands at
+/// stride 1.
+pub fn pack_a_into(a: PanelA<'_>, m: usize, k: usize, precision: GemmPrecision, ap: &mut [f32]) {
     debug_assert_eq!(ap.len(), packed_a_len(m, k));
-    let m_tiles = m.div_ceil(MR);
-    let m_padded = m_tiles * MR;
-    // Row-major A: each tile lane reads a *contiguous* `kc`-slice of one
-    // source row, so the conversion runs row-at-a-time ([`PackElem::
-    // pack_a_tile`] — SIMD for bf16) and only the lane interleave is
-    // strided. Bitwise identical to the historical per-element order:
-    // every element is a single independent conversion.
-    if let PanelA::RowMajor(s) = a {
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let region = &mut ap[m_padded * pc..m_padded * (pc + kc)];
-            for it in 0..m_tiles {
-                let i0 = it * MR;
-                let im = MR.min(m - i0);
-                let tile = &mut region[it * kc * MR..(it + 1) * kc * MR];
-                E::pack_a_tile(&s[i0 * k + pc..], k, kc, im, tile);
-            }
-        }
-        return;
-    }
-    let at = |i: usize, p: usize| -> f32 {
-        match a {
-            PanelA::RowMajor(_) => unreachable!("handled by the row-major fast path above"),
-            PanelA::Transposed(s) => s[p * m + i],
-        }
-    };
+    let m_padded = m.div_ceil(MR) * MR;
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
         let region = &mut ap[m_padded * pc..m_padded * (pc + kc)];
-        for it in 0..m_tiles {
-            let i0 = it * MR;
-            let im = MR.min(m - i0);
-            let tile = &mut region[it * kc * MR..(it + 1) * kc * MR];
-            for p in 0..kc {
-                let dst = &mut tile[p * MR..(p + 1) * MR];
-                for (ii, d) in dst.iter_mut().enumerate() {
-                    *d = if ii < im {
-                        E::from_f32(at(i0 + ii, pc + p))
-                    } else {
-                        E::default()
-                    };
-                }
-            }
-        }
+        pack_a_slab(a, m, k, pc, kc, precision, region);
     }
 }
 
-/// One im2col patch value: row `r` of the virtual `K×P` matrix at output
-/// position `col`, gathered straight from `CHW` image storage (0 in the
-/// padding halo).
-#[inline]
-fn patch_value(g: &Conv2dGeom, img: &[f32], r: usize, col: usize) -> f32 {
-    let c = r / (g.kh * g.kw);
-    let rem = r % (g.kh * g.kw);
-    let ki = rem / g.kw;
-    let kj = rem % g.kw;
-    let oh = col / g.w_out;
-    let ow = col % g.w_out;
-    let ih = (oh * g.stride + ki) as isize - g.pad as isize;
-    let iw = (ow * g.stride + kj) as isize - g.pad as isize;
-    if ih < 0 || ih >= g.h as isize || iw < 0 || iw >= g.w as isize {
-        0.0
-    } else {
-        img[(c * g.h + ih as usize) * g.w + iw as usize]
+/// Packs depth block `pc..pc+kc` of the effective A into `region`:
+/// `m/MR` tiles of `kc×MR` (column-of-tiles, row-within-tile fastest).
+/// A bf16 tile is rounded in place right after it is written, while it
+/// is still in L1 (`kc·MR` floats).
+fn pack_a_slab(
+    a: PanelA<'_>,
+    m: usize,
+    k: usize,
+    pc: usize,
+    kc: usize,
+    precision: GemmPrecision,
+    region: &mut [f32],
+) {
+    for (it, tile) in region.chunks_exact_mut(kc * MR).enumerate() {
+        let i0 = it * MR;
+        let im = MR.min(m - i0);
+        if im < MR {
+            tile.fill(0.0);
+        }
+        match a {
+            // Each lane reads a contiguous `kc`-slice of one source row;
+            // only the lane interleave is strided.
+            PanelA::RowMajor(s) => {
+                for ii in 0..im {
+                    let row = &s[(i0 + ii) * k + pc..][..kc];
+                    for (p, &v) in row.iter().enumerate() {
+                        tile[p * MR + ii] = v;
+                    }
+                }
+            }
+            // Stored k×m: depth step `p` of the tile is the contiguous
+            // run `s[(pc+p)*m + i0..][..im]`.
+            PanelA::Transposed(s) => {
+                for p in 0..kc {
+                    tile[p * MR..p * MR + im].copy_from_slice(&s[(pc + p) * m + i0..][..im]);
+                }
+            }
+        }
+        if precision == GemmPrecision::Bf16 {
+            round_in_place(tile);
+        }
     }
 }
 
 /// Packs one `kc×nc` B panel (`pc..pc+kc` × `jc..jc+nc` of the effective
 /// B) into tile-major layout: `nc/NR` tiles of `kc×NR`, columns past `n`
-/// zero-padded. Narrowing to `E` happens here — for the `Patches` arm
-/// that means the patch matrix goes straight from image storage to narrow
-/// panels without an f32 staging copy.
+/// zero-padded, each element rounded through bf16 once when `precision`
+/// is [`GemmPrecision::Bf16`].
 ///
 /// Public so the bench harness can measure panel-pack throughput per
 /// precision in isolation; GEMM callers never need it directly.
 #[allow(clippy::too_many_arguments)] // panel geometry is irreducibly 2-D×2
-pub fn pack_b_panel<E: PackElem>(
+pub fn pack_b_panel(
     b: PanelB<'_>,
     k: usize,
     n: usize,
@@ -391,61 +188,53 @@ pub fn pack_b_panel<E: PackElem>(
     kc: usize,
     jc: usize,
     nc: usize,
-    bp: &mut [E],
+    precision: GemmPrecision,
+    bp: &mut [f32],
 ) {
-    let _ = k;
     let b_tiles = nc.div_ceil(NR);
     debug_assert!(bp.len() >= b_tiles * kc * NR);
-    // Row-major B is packed row-by-row (p outer, tile inner): each source
-    // row `b[pc+p][jc..jc+nc]` is read *contiguously* — the stride-n
-    // tile-by-tile order turns every NR-chunk read into a cold cache line
-    // once n is large — and scattered into the (cache-resident) tiles.
-    // Each row's full tiles go through `pack_row_scatter` — a memcpy
-    // scatter for f32, a fused SIMD narrow-and-scatter for bf16 that
-    // pipelines the conversion over the whole row with no staging copy.
-    if let PanelB::RowMajor(s) = b {
-        let full = nc / NR;
-        for p in 0..kc {
-            let row = &s[(pc + p) * n + jc..(pc + p) * n + jc + nc];
-            E::pack_row_scatter(&row[..full * NR], &mut bp[p * NR..], NR, kc * NR);
-            if full < b_tiles {
-                let jn = nc - full * NR;
-                let dst = &mut bp[full * kc * NR + p * NR..full * kc * NR + (p + 1) * NR];
-                E::pack_from_f32(&row[full * NR..], &mut dst[..jn]);
-                dst[jn..].iter_mut().for_each(|v| *v = E::default());
+    let round = precision == GemmPrecision::Bf16;
+    match b {
+        // Row-major B is packed row-by-row (p outer, tile inner): each
+        // source row `b[pc+p][jc..jc+nc]` is read *contiguously* — the
+        // stride-n tile-by-tile order turns every NR-chunk read into a
+        // cold cache line once n is large — and scattered into the
+        // (cache-resident) tiles, rounded in-register on the way when
+        // bf16 ([`simd::pack_row_scatter`]).
+        PanelB::RowMajor(s) => {
+            let full = nc / NR;
+            for p in 0..kc {
+                let row = &s[(pc + p) * n + jc..(pc + p) * n + jc + nc];
+                simd::pack_row_scatter(&row[..full * NR], &mut bp[p * NR..], kc * NR, round);
+                if full < b_tiles {
+                    let jn = nc - full * NR;
+                    let dst = &mut bp[full * kc * NR + p * NR..full * kc * NR + (p + 1) * NR];
+                    for (d, &v) in dst.iter_mut().zip(&row[full * NR..]) {
+                        *d = if round { round_f32(v) } else { v };
+                    }
+                    dst[jn..].fill(0.0);
+                }
             }
         }
-        return;
-    }
-    for jt in 0..b_tiles {
-        let j0 = jc + jt * NR;
-        let jn = NR.min(nc - jt * NR);
-        let tile = &mut bp[jt * kc * NR..(jt + 1) * kc * NR];
-        match b {
-            PanelB::RowMajor(_) => unreachable!("handled by the row-major fast path above"),
-            PanelB::Transposed(s) => {
-                let kk = s.len() / n; // stored n×k ⇒ row stride k
+        // Stored n×k (row stride k): gathered tile by tile, and a bf16
+        // tile rounded in place once complete (`kc·NR` floats, in L1).
+        PanelB::Transposed(s) => {
+            for jt in 0..b_tiles {
+                let j0 = jc + jt * NR;
+                let jn = NR.min(nc - jt * NR);
+                let tile = &mut bp[jt * kc * NR..(jt + 1) * kc * NR];
                 for p in 0..kc {
                     let dst = &mut tile[p * NR..(p + 1) * NR];
                     for (jj, d) in dst.iter_mut().enumerate() {
                         *d = if jj < jn {
-                            E::from_f32(s[(j0 + jj) * kk + pc + p])
+                            s[(j0 + jj) * k + pc + p]
                         } else {
-                            E::default()
+                            0.0
                         };
                     }
                 }
-            }
-            PanelB::Patches { geom, img } => {
-                for p in 0..kc {
-                    let dst = &mut tile[p * NR..(p + 1) * NR];
-                    for (jj, d) in dst.iter_mut().enumerate() {
-                        *d = if jj < jn {
-                            E::from_f32(patch_value(geom, img, pc + p, j0 + jj))
-                        } else {
-                            E::default()
-                        };
-                    }
+                if round {
+                    round_in_place(tile);
                 }
             }
         }
@@ -454,9 +243,8 @@ pub fn pack_b_panel<E: PackElem>(
 
 // The MR×NR micro-kernel itself lives in [`crate::ops::simd`]: a scalar
 // reference body plus AVX2/SSE2 lane paths that are bitwise-identical to
-// it (independent per-slot chains, separate mul+add, exact bf16 widen).
-// [`PackElem::micro_kernel`] routes each precision to its concrete
-// implementation; the lane path is resolved once per macro-block call.
+// it (independent per-slot chains, separate mul+add). The lane path is
+// resolved once per macro-block call.
 
 /// Macro-kernel over one `(ic, jc)` tile of `C` for one packed B panel,
 /// writing through a raw base pointer so disjoint tiles can run on
@@ -469,22 +257,22 @@ pub fn pack_b_panel<E: PackElem>(
 /// cols `jc..jc+nc` — the tile grid guarantees exactly that (each tile
 /// has a single owner and tiles are pairwise disjoint).
 #[allow(clippy::too_many_arguments)]
-unsafe fn macro_block<E: PackElem>(
+unsafe fn macro_block(
     n: usize,
     kc: usize,
     jc: usize,
     nc: usize,
     ic: usize,
     mc: usize,
-    a_region: &[E], // packed A for this pc block: m_tiles tiles of kc×MR
-    bp: &[E],
+    a_region: &[f32], // packed A for this pc block: m_tiles tiles of kc×MR
+    bp: &[f32],
     c: *mut f32, // base of the full m×n C matrix
 ) {
     let b_tiles = nc.div_ceil(NR);
     let t0 = ic / MR; // MC % MR == 0, so blocks align to tile boundaries
     let tiles_in_block = mc.div_ceil(MR);
     let path = simd::lane_path();
-    simd::tally_micro(path, E::NAME == Bf16::NAME);
+    simd::tally_micro(path);
     for dt in 0..tiles_in_block {
         let it = t0 + dt;
         let i0 = dt * MR; // row offset within the block
@@ -494,7 +282,7 @@ unsafe fn macro_block<E: PackElem>(
             let j0 = jc + jt * NR;
             let jn = NR.min(nc - jt * NR);
             let mut acc = [[0.0f32; NR]; MR];
-            E::micro_kernel(
+            simd::micro_f32(
                 path,
                 kc,
                 apanel,
@@ -525,45 +313,39 @@ impl CPtr {
     }
 }
 
-/// Blocked GEMM with a **prepacked** A (see [`pack_a_into`]): computes
-/// `C ⟵ C + A·B` when `accumulate`, else `C = A·B`. `B` is packed panel
-/// by panel from its [`PanelB`] source — including the [`PanelB::Patches`]
-/// view that gathers im2col patches on the fly — narrowing to `E` as it
-/// goes.
-/// `C` is always f32.
-///
-/// Callers with one `A` and many `B`s pack A once and amortize it;
-/// [`gemm_packed`] is the single-shot wrapper.
-pub fn gemm_prepacked<E: PackElem>(
-    m: usize,
-    k: usize,
-    n: usize,
-    ap: &[E],
-    b: PanelB<'_>,
-    c: &mut [f32],
-    accumulate: bool,
-) {
-    assert_eq!(ap.len(), packed_a_len(m, k), "packed A length");
-    assert_eq!(c.len(), m * n, "C dims");
-    match b {
-        PanelB::RowMajor(s) => assert_eq!(s.len(), k * n, "B dims"),
-        PanelB::Transposed(s) => assert_eq!(s.len(), n * k, "B dims (stored n×k)"),
-        PanelB::Patches { geom, img } => {
-            assert_eq!(geom.k(), k, "patch rows");
-            assert_eq!(geom.p(), n, "patch cols");
-            assert_eq!(img.len(), geom.c_in * geom.h * geom.w, "image length");
-        }
-    }
+/// `C ⟵ [C +] A·B` on the packed kernel, for any descriptor: the
+/// orientation picks the panel views, the precision whether packing
+/// rounds through bf16. A is packed once into arena scratch; B is packed
+/// panel by panel, per tile on the parallel path.
+pub fn gemm_blocked(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let GemmDesc {
+        m,
+        k,
+        n,
+        orient,
+        accumulate,
+        precision,
+    } = desc;
+    assert_eq!(a.len(), m * k, "A dims for {desc:?}");
+    assert_eq!(b.len(), k * n, "B dims for {desc:?}");
+    assert_eq!(c.len(), m * n, "C dims for {desc:?}");
+    let pa = match orient {
+        Orient::AtB => PanelA::Transposed(a),
+        Orient::AB | Orient::ABt => PanelA::RowMajor(a),
+    };
+    let pb = match orient {
+        Orient::ABt => PanelB::Transposed(b),
+        Orient::AB | Orient::AtB => PanelB::RowMajor(b),
+    };
     if m == 0 || n == 0 {
         return;
     }
     if !accumulate {
-        c.iter_mut().for_each(|v| *v = 0.0);
+        c.fill(0.0);
     }
     if k == 0 {
         return;
     }
-
     let m_padded = m.div_ceil(MR) * MR;
     // The static tile grid: row blocks × column blocks, a pure function
     // of (m, n). Each tile owns rows ic..ic+mc × cols jc..jc+nc of C for
@@ -586,6 +368,11 @@ pub fn gemm_prepacked<E: PackElem>(
     // B-panel repacking and scheduling for zero concurrency.
     let parallel = n_tiles > 1 && par::effective_workers() > 1 && m * n * k >= PAR_FLOP_THRESHOLD;
     if parallel || tile_path {
+        // Every tile reads every depth block of its rows of A, so A is
+        // packed once, whole, and shared.
+        let mut ap = scratch_f32(packed_a_len(m, k));
+        pack_a_into(pa, m, k, precision, &mut ap);
+        let ap = &ap[..];
         let cp = CPtr(c.as_mut_ptr());
         let tile_body = |tile: usize| {
             let ic = (tile / col_blocks) * MC;
@@ -605,14 +392,14 @@ pub fn gemm_prepacked<E: PackElem>(
             // Per-tile B panel from this worker's own scratch pool; the
             // packed values are identical to the sequential path's (the
             // pack is pure data movement), only the reuse pattern differs.
-            let mut bp = scratch_elems::<E>(KC.min(k) * nc.div_ceil(NR) * NR);
-            let compute = |bp: &mut [E], mut ver: Option<&mut super::abft::TileVerifier>| {
+            let mut bp = scratch_f32(KC.min(k) * nc.div_ceil(NR) * NR);
+            let compute = |bp: &mut [f32], mut ver: Option<&mut super::abft::TileVerifier>| {
                 for pc in (0..k).step_by(KC) {
                     let kc = KC.min(k - pc);
-                    pack_b_panel(b, k, n, pc, kc, jc, nc, bp);
+                    pack_b_panel(pb, k, n, pc, kc, jc, nc, precision, bp);
                     let a_pc = &ap[m_padded * pc..m_padded * (pc + kc)];
                     if let Some(v) = ver.as_deref_mut() {
-                        v.absorb_panels::<E>(a_pc, bp, kc, ic);
+                        v.absorb_panels(a_pc, bp, kc, ic);
                     }
                     // SAFETY: run_tiles executes each tile index exactly
                     // once; tiles are pairwise disjoint regions of C.
@@ -647,20 +434,25 @@ pub fn gemm_prepacked<E: PackElem>(
         };
         par::run_tiles(n_tiles, &tile_body);
     } else {
-        // Sequential: one panel buffer reused across every (jc, pc)
-        // iteration, amortizing each B pack over all row blocks. Per C
+        // Sequential: depth blocks outermost, so A is packed one slab at
+        // a time (`m·KC` floats, not `m·k`: the weight-gradient products
+        // have `k = N·P`) and reused by every column block, and each B
+        // panel is packed once and reused by every row block. Per C
         // element this performs the identical f32 operations in the
-        // identical order as the tile grid above — the equivalence the
-        // schedule-adversarial suite pins bitwise.
-        let max_nc_padded = NC.min(n.div_ceil(NR) * NR);
-        let mut bp = scratch_elems::<E>(KC.min(k) * max_nc_padded);
+        // identical order (`pc` ascending) as the tile grid above — the
+        // equivalence the schedule-adversarial suite pins bitwise.
+        let kc_max = KC.min(k);
+        let mut ap = scratch_f32(m_padded * kc_max);
+        let mut bp = scratch_f32(kc_max * NC.min(n.div_ceil(NR) * NR));
         let cp = c.as_mut_ptr();
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            for pc in (0..k).step_by(KC) {
-                let kc = KC.min(k - pc);
-                pack_b_panel(b, k, n, pc, kc, jc, nc, &mut bp);
-                let a_pc = &ap[m_padded * pc..m_padded * (pc + kc)];
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let a_pc = &mut ap[..m_padded * kc];
+            pack_a_slab(pa, m, k, pc, kc, precision, a_pc);
+            let a_pc = &*a_pc;
+            for jc in (0..n).step_by(NC) {
+                let nc = NC.min(n - jc);
+                pack_b_panel(pb, k, n, pc, kc, jc, nc, precision, &mut bp);
                 for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
                     // SAFETY: single-threaded; `c` is exclusively
@@ -672,60 +464,10 @@ pub fn gemm_prepacked<E: PackElem>(
     }
 }
 
-/// Blocked GEMM over arbitrary operand orientations at pack-time
-/// precision `E`: packs A into arena scratch, then runs
-/// [`gemm_prepacked`].
-pub fn gemm_packed<E: PackElem>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: PanelA<'_>,
-    b: PanelB<'_>,
-    c: &mut [f32],
-    accumulate: bool,
-) {
-    match a {
-        PanelA::RowMajor(s) => assert_eq!(s.len(), m * k, "A dims"),
-        PanelA::Transposed(s) => assert_eq!(s.len(), k * m, "A dims (stored k×m)"),
-    }
-    let mut ap = scratch_elems::<E>(packed_a_len(m, k));
-    pack_a_into::<E>(a, m, k, &mut ap);
-    gemm_prepacked::<E>(m, k, n, &ap, b, c, accumulate);
-}
-
-/// `C ⟵ [C +] A·B` on the packed kernel, for any descriptor: the
-/// orientation picks the panel views, the precision picks the
-/// [`PackElem`] instantiation.
-pub fn gemm_blocked(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let GemmDesc {
-        m,
-        k,
-        n,
-        orient,
-        accumulate,
-        precision,
-    } = desc;
-    let pa = match orient {
-        Orient::AtB => PanelA::Transposed(a),
-        Orient::AB | Orient::ABt => PanelA::RowMajor(a),
-    };
-    let pb = match orient {
-        Orient::ABt => PanelB::Transposed(b),
-        Orient::AB | Orient::AtB => PanelB::RowMajor(b),
-    };
-    match precision {
-        GemmPrecision::F32 => gemm_packed::<f32>(m, k, n, pa, pb, c, accumulate),
-        GemmPrecision::Bf16 => gemm_packed::<Bf16>(m, k, n, pa, pb, c, accumulate),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bf16::round_f32;
-    use crate::ops::conv::im2col;
     use crate::rng::Rng;
-    use crate::shape::Shape;
 
     fn rand_vec(rng: &mut Rng, n: usize) -> Vec<f32> {
         let mut v = vec![0.0; n];
@@ -860,67 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn prepacked_a_reused_across_b_operands() {
-        let (m, k, n) = (37, 150, 61);
-        let mut rng = Rng::new(6);
-        let a = rand_vec(&mut rng, m * k);
-        let mut ap = vec![0.0; packed_a_len(m, k)];
-        pack_a_into::<f32>(PanelA::RowMajor(&a), m, k, &mut ap);
-        for trial in 0..3u64 {
-            let b = rand_vec(&mut rng, k * n);
-            let want = reference(m, k, n, &a, &b);
-            let mut c = vec![0.0; m * n];
-            gemm_prepacked::<f32>(m, k, n, &ap, PanelB::RowMajor(&b), &mut c, false);
-            assert_close(&c, &want, k, &format!("prepacked trial {trial}"));
-        }
-    }
-
-    #[test]
-    fn fused_patch_panel_matches_materialized_im2col() {
-        let mut rng = Rng::new(7);
-        // Stride-2, padded geometry — the adversarial case for the fused
-        // packer's halo handling.
-        for &(c_in, h, w, c_out, ksz, stride, pad) in &[
-            (3usize, 9usize, 7usize, 5usize, 3usize, 2usize, 1usize),
-            (2, 11, 11, 4, 5, 2, 2),
-            (4, 8, 8, 9, 3, 1, 1),
-            (1, 5, 5, 2, 1, 1, 0),
-        ] {
-            let x_shape = Shape::new(&[1, c_in, h, w]);
-            let w_shape = Shape::new(&[c_out, c_in, ksz, ksz]);
-            let g = Conv2dGeom::infer(&x_shape, &w_shape, stride, pad);
-            let img = rand_vec(&mut rng, c_in * h * w);
-            let wts = rand_vec(&mut rng, c_out * g.k());
-
-            // Reference: materialized im2col then dense blocked GEMM.
-            let mut patches = vec![0.0; g.k() * g.p()];
-            im2col(&g, &img, &mut patches);
-            let want = reference(c_out, g.k(), g.p(), &wts, &patches);
-
-            // Fused: patches packed on the fly.
-            let mut got = vec![0.0; c_out * g.p()];
-            gemm_packed::<f32>(
-                c_out,
-                g.k(),
-                g.p(),
-                PanelA::RowMajor(&wts),
-                PanelB::Patches {
-                    geom: &g,
-                    img: &img,
-                },
-                &mut got,
-                false,
-            );
-            assert_close(
-                &got,
-                &want,
-                g.k(),
-                &format!("fused conv ({c_in},{h},{w},{c_out},{ksz},s{stride},p{pad})"),
-            );
-        }
-    }
-
-    #[test]
     fn non_finite_operands_propagate() {
         // 0·inf must be NaN, not silently dropped — the nan_guard depends
         // on gradients staying honestly non-finite. bf16 narrowing
@@ -972,20 +653,37 @@ mod tests {
 
     #[test]
     fn bf16_pack_equals_quantize_then_f32_pack() {
-        // Packing as Bf16 then widening must give exactly the values the
-        // f32 packer produces from pre-quantized operands — the structural
-        // half of the bitwise-oracle argument.
-        let (m, k) = (13, 150);
+        // Packing at bf16 must give exactly the panels the f32 packer
+        // produces from pre-quantized operands, in both orientations of
+        // each operand — the structural half of the bitwise-oracle
+        // argument.
+        let (m, k, n) = (13, 150, NR + 3);
         let mut rng = Rng::new(21);
         let a = rand_vec(&mut rng, m * k);
         let aq: Vec<f32> = a.iter().map(|&v| round_f32(v)).collect();
-
-        let mut ap16 = vec![Bf16::ZERO; packed_a_len(m, k)];
-        pack_a_into::<Bf16>(PanelA::RowMajor(&a), m, k, &mut ap16);
-        let mut apq = vec![0.0f32; packed_a_len(m, k)];
-        pack_a_into::<f32>(PanelA::RowMajor(&aq), m, k, &mut apq);
-        for (w, &q) in ap16.iter().zip(apq.iter()) {
-            assert_eq!(w.to_f32().to_bits(), q.to_bits());
+        for (view, qview) in [
+            (PanelA::RowMajor(&a), PanelA::RowMajor(&aq)),
+            (PanelA::Transposed(&a), PanelA::Transposed(&aq)),
+        ] {
+            let mut got = vec![0.0f32; packed_a_len(m, k)];
+            pack_a_into(view, m, k, BF16, &mut got);
+            let mut want = vec![0.0f32; packed_a_len(m, k)];
+            pack_a_into(qview, m, k, F32, &mut want);
+            assert_eq!(bits(&got), bits(&want), "{view:?}");
+        }
+        // B: the rounded scatter, its partial last tile, and the
+        // transposed gather.
+        let b = &a[..k * n];
+        let bq = &aq[..k * n];
+        for (view, qview) in [
+            (PanelB::RowMajor(b), PanelB::RowMajor(bq)),
+            (PanelB::Transposed(b), PanelB::Transposed(bq)),
+        ] {
+            let len = KC.min(k) * n.div_ceil(NR) * NR;
+            let (mut got, mut want) = (vec![0.0f32; len], vec![0.0f32; len]);
+            pack_b_panel(view, k, n, 0, KC.min(k), 0, n, BF16, &mut got);
+            pack_b_panel(qview, k, n, 0, KC.min(k), 0, n, F32, &mut want);
+            assert_eq!(bits(&got), bits(&want), "{view:?}");
         }
     }
 

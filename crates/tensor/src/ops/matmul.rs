@@ -45,10 +45,10 @@
 //! `tests/kernel_equivalence.rs` is that association written as a
 //! triple loop) and run on every [`LanePath`](super::simd::LanePath).
 //!
-//! **bf16** ([`GemmPrecision::Bf16`]) quantizes both operands through
-//! bf16 into arena scratch and streams them through the same loops —
-//! bitwise what the packed kernel's narrow-at-pack-time computes on the
-//! same summation order, with zero steady-state allocation.
+//! **bf16** ([`GemmPrecision::Bf16`]) rounds both operands through bf16
+//! into arena scratch ([`crate::bf16::round_slice`]) and streams them
+//! through the same loops — the same rounding the packed kernel applies
+//! at pack time, with zero steady-state allocation.
 //!
 //! Accumulation is **branchless**: there is deliberately no
 //! `if apv == 0.0 { continue; }` skip. Such a skip maps `0·∞` and `0·NaN`
@@ -60,7 +60,7 @@
 
 use super::dispatch::{GemmDesc, GemmPrecision, Orient};
 use super::simd::on_lane;
-use crate::bf16::round_f32;
+use crate::bf16::round_slice;
 use crate::scratch::{scratch_f32, ScratchVec};
 use crate::tensor::Tensor;
 
@@ -267,11 +267,9 @@ fn abt_narrow(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
 }
 
 /// A copy of `src` rounded through bf16, in arena scratch.
-fn quantized(src: &[f32]) -> ScratchVec<f32> {
+fn quantized(src: &[f32]) -> ScratchVec {
     let mut q = scratch_f32(src.len());
-    for (d, &s) in q.iter_mut().zip(src) {
-        *d = round_f32(s);
-    }
+    round_slice(src, &mut q);
     q
 }
 

@@ -2,9 +2,10 @@
 //!
 //! The MR×NR register tile in [`super::gemm_blocked`] used to be a scalar
 //! loop; this module gives it hand-vectorized AVX2 (8-lane) and SSE2
-//! (2×4-lane) bodies for both [`PackElem`] instantiations, plus a
-//! vectorized `C += acc` tile writeback and a SIMD fast path for the
-//! row-major f32 B pack.
+//! (2×4-lane) bodies — one f32 micro-kernel, which both precisions run
+//! because bf16 operands are rounded into f32 panels at pack time — plus
+//! a vectorized `C += acc` tile writeback and a SIMD row-major B pack
+//! that rounds in-register when the product is bf16.
 //!
 //! # Bitwise parity — the load-bearing invariant
 //!
@@ -23,9 +24,9 @@
 //!   fused multiply-add would keep the product exact and round once,
 //!   producing different (better, but *different*) bits — and bitwise
 //!   SPMD fingerprints care about different, not better.
-//! - bf16 widening is the exact bit move `(u16 as u32) << 16`
-//!   ([`Bf16::to_f32`]): integer lane ops reproduce it exactly, no
-//!   rounding anywhere.
+//! - The B pack's bf16 rounding is the integer recipe of
+//!   [`crate::bf16::Bf16::from_f32`] on lanes: every element is rounded
+//!   alone, so lane width cannot change a bit.
 //!
 //! Because every path agrees bitwise, lane selection is free to use
 //! runtime feature detection without violating the repo's determinism
@@ -40,13 +41,13 @@
 //! (`auto`/`avx2`/`sse2`/`scalar`) overrides `is_x86_feature_detected!`,
 //! and tests (which cannot re-exec) override both with
 //! [`force_lane_path`] / [`ForcedLaneGuard`]. Per-path call counters
-//! (exported as `gemm_micro_{avx2,sse2,scalar}_{f32,bf16}` gauges) prove
-//! which body actually ran.
+//! (exported as `gemm_micro_{avx2,sse2,scalar}` gauges) prove which body
+//! actually ran.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-use super::gemm_blocked::{PackElem, MR, NR};
-use crate::bf16::Bf16;
+use super::gemm_blocked::{MR, NR};
+use crate::bf16::round_f32;
 
 /// Which micro-kernel body runs. Ordered narrowest to widest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -243,75 +244,54 @@ pub fn apply_choice(choice: &str) {
 
 // ------------------------------------------------------------- counters
 
-static MICRO_SCALAR_F32: AtomicU64 = AtomicU64::new(0);
-static MICRO_SSE2_F32: AtomicU64 = AtomicU64::new(0);
-static MICRO_AVX2_F32: AtomicU64 = AtomicU64::new(0);
-static MICRO_SCALAR_BF16: AtomicU64 = AtomicU64::new(0);
-static MICRO_SSE2_BF16: AtomicU64 = AtomicU64::new(0);
-static MICRO_AVX2_BF16: AtomicU64 = AtomicU64::new(0);
+/// Macro blocks run per lane path, indexed by `LanePath::code() - 1`.
+/// Both precisions run the one f32 body, so there is no precision axis.
+static MICRO_CALLS: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
 
-fn micro_counter(path: LanePath, bf16: bool) -> &'static AtomicU64 {
-    match (path, bf16) {
-        (LanePath::Scalar, false) => &MICRO_SCALAR_F32,
-        (LanePath::Sse2, false) => &MICRO_SSE2_F32,
-        (LanePath::Avx2, false) => &MICRO_AVX2_F32,
-        (LanePath::Scalar, true) => &MICRO_SCALAR_BF16,
-        (LanePath::Sse2, true) => &MICRO_SSE2_BF16,
-        (LanePath::Avx2, true) => &MICRO_AVX2_BF16,
-    }
+fn micro_counter(path: LanePath) -> &'static AtomicU64 {
+    &MICRO_CALLS[path.code() as usize - 1]
 }
 
 /// Tallies one macro-block's worth of micro-kernel calls on `path`
 /// (per-block, not per-tile: one relaxed add per `(ic, jc, pc)` block
 /// keeps the tally off the innermost loop).
 #[inline]
-pub(crate) fn tally_micro(path: LanePath, bf16: bool) {
-    micro_counter(path, bf16).fetch_add(1, Ordering::Relaxed);
+pub(crate) fn tally_micro(path: LanePath) {
+    micro_counter(path).fetch_add(1, Ordering::Relaxed);
 }
 
-/// Macro-block executions recorded for `(path, precision)` — the
-/// process-wide source of the `gemm_micro_{path}_{precision}` gauges.
-pub fn micro_block_calls(path: LanePath, bf16: bool) -> u64 {
-    micro_counter(path, bf16).load(Ordering::Relaxed)
+/// Macro-block executions recorded on `path` — the process-wide source
+/// of the `gemm_micro_{path}` gauges.
+pub fn micro_block_calls(path: LanePath) -> u64 {
+    micro_counter(path).load(Ordering::Relaxed)
 }
 
 /// Resets all per-path counters (tests; benches between phases).
 pub fn reset_micro_counters() {
-    for path in LanePath::ALL {
-        for bf16 in [false, true] {
-            micro_counter(path, bf16).store(0, Ordering::Relaxed);
-        }
+    for c in &MICRO_CALLS {
+        c.store(0, Ordering::Relaxed);
     }
 }
 
 // ---------------------------------------------------------- micro-kernels
 
 /// The reference scalar body — the oracle every vector path must match
-/// bitwise. Kept generic and branchless, exactly the pre-SIMD kernel.
+/// bitwise. Branchless, exactly the pre-SIMD kernel.
 #[inline]
-pub(crate) fn micro_scalar<E: PackElem>(
-    kc: usize,
-    apanel: &[E],
-    bpanel: &[E],
-    acc: &mut [[f32; NR]; MR],
-) {
+pub(crate) fn micro_scalar(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
     for p in 0..kc {
         let arow = &apanel[p * MR..(p + 1) * MR];
         let brow = &bpanel[p * NR..(p + 1) * NR];
-        let mut bw = [0.0f32; NR];
-        for (w, &bv) in bw.iter_mut().zip(brow.iter()) {
-            *w = bv.to_f32();
-        }
-        for (ii, accrow) in acc.iter_mut().enumerate() {
-            let av = arow[ii].to_f32();
-            for (jj, slot) in accrow.iter_mut().enumerate() {
-                *slot += av * bw[jj];
+        for (accrow, &av) in acc.iter_mut().zip(arow) {
+            for (slot, &bv) in accrow.iter_mut().zip(brow) {
+                *slot += av * bv;
             }
         }
     }
 }
 
-/// f32 micro-kernel on the given lane path.
+/// The micro-kernel on the given lane path, for both precisions (a bf16
+/// product's panels hold bf16-rounded f32 values).
 #[inline]
 pub fn micro_f32(
     path: LanePath,
@@ -330,34 +310,6 @@ pub fn micro_f32(
         // SAFETY: dispatch only hands out Avx2 after detection
         // (`LanePath::available`); panel lengths asserted.
         LanePath::Avx2 => unsafe { micro_f32_avx2(kc, apanel, bpanel, acc) },
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = path;
-        micro_scalar(kc, apanel, bpanel, acc);
-    }
-}
-
-/// bf16 micro-kernel on the given lane path (bf16 multiply via exact
-/// `<< 16` widen, f32 accumulate).
-#[inline]
-pub fn micro_bf16(
-    path: LanePath,
-    kc: usize,
-    apanel: &[Bf16],
-    bpanel: &[Bf16],
-    acc: &mut [[f32; NR]; MR],
-) {
-    debug_assert_eq!(apanel.len(), kc * MR);
-    debug_assert_eq!(bpanel.len(), kc * NR);
-    #[cfg(target_arch = "x86_64")]
-    match path {
-        LanePath::Scalar => micro_scalar(kc, apanel, bpanel, acc),
-        // SAFETY: SSE2 is the x86_64 baseline; panel lengths asserted.
-        LanePath::Sse2 => unsafe { micro_bf16_sse2(kc, apanel, bpanel, acc) },
-        // SAFETY: dispatch only hands out Avx2 after detection; lengths
-        // asserted.
-        LanePath::Avx2 => unsafe { micro_bf16_avx2(kc, apanel, bpanel, acc) },
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -414,67 +366,6 @@ unsafe fn micro_f32_sse2(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[
         let a = apanel.as_ptr().add(p * MR);
         for ii in 0..MR {
             let av = _mm_set1_ps(*a.add(ii));
-            lo[ii] = _mm_add_ps(lo[ii], _mm_mul_ps(av, blo));
-            hi[ii] = _mm_add_ps(hi[ii], _mm_mul_ps(av, bhi));
-        }
-    }
-    for ii in 0..MR {
-        _mm_storeu_ps(acc[ii].as_mut_ptr(), lo[ii]);
-        _mm_storeu_ps(acc[ii].as_mut_ptr().add(4), hi[ii]);
-    }
-}
-
-/// AVX2 bf16 body: the B row's eight u16s widen in-register via
-/// `cvtepu16_epi32` + `slli 16` — the exact [`Bf16::to_f32`] bit move,
-/// no rounding — then the arithmetic is the f32 body verbatim.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn micro_bf16_avx2(kc: usize, apanel: &[Bf16], bpanel: &[Bf16], acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
-    let mut c0 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut c1 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut c2 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut c3 = _mm256_loadu_ps(acc[3].as_ptr());
-    for p in 0..kc {
-        let braw = _mm_loadu_si128(bpanel.as_ptr().add(p * NR) as *const __m128i);
-        let b = _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(braw)));
-        let a = apanel.as_ptr().add(p * MR);
-        c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps((*a).to_f32()), b));
-        c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps((*a.add(1)).to_f32()), b));
-        c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps((*a.add(2)).to_f32()), b));
-        c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps((*a.add(3)).to_f32()), b));
-    }
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), c0);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), c1);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), c2);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), c3);
-}
-
-/// SSE2 bf16 body: `unpacklo/hi(0, u16)` interleaves each u16 above 16
-/// zero bits — u32 lanes equal to `u16 << 16`, again the exact widen.
-#[cfg(target_arch = "x86_64")]
-unsafe fn micro_bf16_sse2(kc: usize, apanel: &[Bf16], bpanel: &[Bf16], acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
-    let mut lo = [
-        _mm_loadu_ps(acc[0].as_ptr()),
-        _mm_loadu_ps(acc[1].as_ptr()),
-        _mm_loadu_ps(acc[2].as_ptr()),
-        _mm_loadu_ps(acc[3].as_ptr()),
-    ];
-    let mut hi = [
-        _mm_loadu_ps(acc[0].as_ptr().add(4)),
-        _mm_loadu_ps(acc[1].as_ptr().add(4)),
-        _mm_loadu_ps(acc[2].as_ptr().add(4)),
-        _mm_loadu_ps(acc[3].as_ptr().add(4)),
-    ];
-    let zero = _mm_setzero_si128();
-    for p in 0..kc {
-        let braw = _mm_loadu_si128(bpanel.as_ptr().add(p * NR) as *const __m128i);
-        let blo = _mm_castsi128_ps(_mm_unpacklo_epi16(zero, braw));
-        let bhi = _mm_castsi128_ps(_mm_unpackhi_epi16(zero, braw));
-        let a = apanel.as_ptr().add(p * MR);
-        for ii in 0..MR {
-            let av = _mm_set1_ps((*a.add(ii)).to_f32());
             lo[ii] = _mm_add_ps(lo[ii], _mm_mul_ps(av, blo));
             hi[ii] = _mm_add_ps(hi[ii], _mm_mul_ps(av, bhi));
         }
@@ -583,32 +474,36 @@ unsafe fn writeback_full_sse2(c: *mut f32, n: usize, i0: usize, j0: usize, acc: 
 
 // ------------------------------------------------------------- B pack
 
-/// SIMD fast path for the f32 row-major B pack: copies each NR-element
-/// chunk of a contiguous source row to its tile at `tile_stride` with
-/// one vector load/store pair. Pure data movement — bitwise equal to
-/// the memcpy scatter by definition.
-pub fn pack_row_scatter_f32(src: &[f32], dst: &mut [f32], nr: usize, tile_stride: usize) {
-    debug_assert_eq!(src.len() % nr, 0);
+/// The row-major B pack: copies each [`NR`]-element chunk of a
+/// contiguous source row to its tile at `tile_stride` with one vector
+/// load/store pair, and with `round` (a bf16 product) rounds each chunk
+/// through bf16 in-register between the two — the only pass the B
+/// operand's rounding costs. Bitwise equal to a memcpy scatter followed
+/// by [`round_f32`] per element.
+pub fn pack_row_scatter(src: &[f32], dst: &mut [f32], tile_stride: usize, round: bool) {
+    debug_assert_eq!(src.len() % NR, 0);
+    let chunks = src.len() / NR;
+    assert!(chunks == 0 || (chunks - 1) * tile_stride + NR <= dst.len());
     #[cfg(target_arch = "x86_64")]
-    if nr == NR {
-        let chunks = src.len() / NR;
-        assert!(chunks == 0 || (chunks - 1) * tile_stride + NR <= dst.len());
-        match lane_path() {
-            LanePath::Avx2 => {
-                // SAFETY: AVX2 detected by dispatch; bounds asserted.
-                unsafe { scatter8_f32_avx2(src, dst, tile_stride) };
-                return;
-            }
-            LanePath::Sse2 => {
-                // SAFETY: SSE2 is the x86_64 baseline; bounds asserted.
-                unsafe { scatter8_f32_sse2(src, dst, tile_stride) };
-                return;
-            }
-            LanePath::Scalar => {}
-        }
+    match (lane_path(), round) {
+        // SAFETY (all four): the lane is available (AVX2 detected by
+        // dispatch, SSE2 the x86_64 baseline); bounds asserted above.
+        (LanePath::Avx2, false) => return unsafe { scatter8_avx2::<false>(src, dst, tile_stride) },
+        (LanePath::Avx2, true) => return unsafe { scatter8_avx2::<true>(src, dst, tile_stride) },
+        (LanePath::Sse2, false) => return unsafe { scatter8_sse2::<false>(src, dst, tile_stride) },
+        (LanePath::Sse2, true) => return unsafe { scatter8_sse2::<true>(src, dst, tile_stride) },
+        (LanePath::Scalar, _) => {}
     }
-    for (j, chunk) in src.chunks_exact(nr).enumerate() {
-        dst[j * tile_stride..j * tile_stride + nr].copy_from_slice(chunk);
+    scatter8_scalar(src, dst, tile_stride, round);
+}
+
+fn scatter8_scalar(src: &[f32], dst: &mut [f32], stride: usize, round: bool) {
+    for (j, chunk) in src.chunks_exact(NR).enumerate() {
+        let d = &mut dst[j * stride..j * stride + NR];
+        d.copy_from_slice(chunk);
+        if round {
+            d.iter_mut().for_each(|v| *v = round_f32(*v));
+        }
     }
 }
 
@@ -616,25 +511,31 @@ pub fn pack_row_scatter_f32(src: &[f32], dst: &mut [f32], nr: usize, tile_stride
 /// Requires AVX2; `dst` must hold `(chunks-1)*stride + 8` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn scatter8_f32_avx2(src: &[f32], dst: &mut [f32], stride: usize) {
+unsafe fn scatter8_avx2<const ROUND: bool>(src: &[f32], dst: &mut [f32], stride: usize) {
     use std::arch::x86_64::*;
     for (j, chunk) in src.chunks_exact(NR).enumerate() {
-        _mm256_storeu_ps(
-            dst.as_mut_ptr().add(j * stride),
-            _mm256_loadu_ps(chunk.as_ptr()),
-        );
+        let mut v = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
+        if ROUND {
+            v = crate::bf16::round8_avx2(v);
+        }
+        _mm256_storeu_si256(dst.as_mut_ptr().add(j * stride) as *mut __m256i, v);
     }
 }
 
 /// # Safety
 /// `dst` must hold `(chunks-1)*stride + 8` elements.
 #[cfg(target_arch = "x86_64")]
-unsafe fn scatter8_f32_sse2(src: &[f32], dst: &mut [f32], stride: usize) {
+unsafe fn scatter8_sse2<const ROUND: bool>(src: &[f32], dst: &mut [f32], stride: usize) {
     use std::arch::x86_64::*;
     for (j, chunk) in src.chunks_exact(NR).enumerate() {
-        let d = dst.as_mut_ptr().add(j * stride);
-        _mm_storeu_ps(d, _mm_loadu_ps(chunk.as_ptr()));
-        _mm_storeu_ps(d.add(4), _mm_loadu_ps(chunk.as_ptr().add(4)));
+        let s = chunk.as_ptr() as *const __m128i;
+        let (mut lo, mut hi) = (_mm_loadu_si128(s), _mm_loadu_si128(s.add(1)));
+        if ROUND {
+            (lo, hi) = (crate::bf16::round4_sse2(lo), crate::bf16::round4_sse2(hi));
+        }
+        let d = dst.as_mut_ptr().add(j * stride) as *mut __m128i;
+        _mm_storeu_si128(d, lo);
+        _mm_storeu_si128(d.add(1), hi);
     }
 }
 
@@ -700,35 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn micro_paths_match_scalar_bitwise_bf16() {
-        for &kc in &[0usize, 1, 5, 16, 128, 200] {
-            let ap: Vec<Bf16> = panel_values(kc * MR, 300 + kc as u64)
-                .iter()
-                .map(|&v| Bf16::from_f32(v))
-                .collect();
-            let bp: Vec<Bf16> = panel_values(kc * NR, 400 + kc as u64)
-                .iter()
-                .map(|&v| Bf16::from_f32(v))
-                .collect();
-            let mut want = [[-1.25f32; NR]; MR];
-            micro_scalar(kc, &ap, &bp, &mut want);
-            for path in LanePath::ALL {
-                if !path.available() {
-                    continue;
-                }
-                let mut got = [[-1.25f32; NR]; MR];
-                micro_bf16(path, kc, &ap, &bp, &mut got);
-                assert_eq!(
-                    acc_bits(&got),
-                    acc_bits(&want),
-                    "bf16 path {} diverged at kc={kc}",
-                    path.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn writeback_paths_match_tail_bitwise() {
         let n = 13; // awkward row stride
         for path in LanePath::ALL {
@@ -759,19 +631,57 @@ mod tests {
         }
     }
 
+    /// The B-row scatter on every lane, copying and rounding, against a
+    /// memcpy scatter followed by the scalar rounding oracle.
     #[test]
-    fn pack_row_scatter_f32_matches_memcpy_scatter() {
+    fn pack_row_scatter_matches_memcpy_then_round_on_every_lane() {
         for &(chunks, stride) in &[(1usize, 8usize), (3, 40), (5, 8), (32, 1024)] {
             let src = panel_values(chunks * NR, 600 + chunks as u64);
-            let mut got = vec![0.0f32; (chunks - 1) * stride + NR];
-            let mut want = got.clone();
-            pack_row_scatter_f32(&src, &mut got, NR, stride);
-            for (j, chunk) in src.chunks_exact(NR).enumerate() {
-                want[j * stride..j * stride + NR].copy_from_slice(chunk);
+            for round in [false, true] {
+                let mut want = vec![0.0f32; (chunks - 1) * stride + NR];
+                for (j, chunk) in src.chunks_exact(NR).enumerate() {
+                    for (w, &v) in want[j * stride..].iter_mut().zip(chunk) {
+                        *w = if round { round_f32(v) } else { v };
+                    }
+                }
+                let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                // Each lane body called directly: forcing the process-wide
+                // lane here would race the dispatch test below.
+                for path in LanePath::ALL.into_iter().filter(|p| p.available()) {
+                    let mut got = vec![0.0f32; want.len()];
+                    match (path, round) {
+                        (LanePath::Scalar, _) => scatter8_scalar(&src, &mut got, stride, round),
+                        // SAFETY: available lane; `got` sized as asserted.
+                        #[cfg(target_arch = "x86_64")]
+                        (LanePath::Sse2, false) => unsafe {
+                            scatter8_sse2::<false>(&src, &mut got, stride)
+                        },
+                        #[cfg(target_arch = "x86_64")]
+                        (LanePath::Sse2, true) => unsafe {
+                            scatter8_sse2::<true>(&src, &mut got, stride)
+                        },
+                        #[cfg(target_arch = "x86_64")]
+                        (LanePath::Avx2, false) => unsafe {
+                            scatter8_avx2::<false>(&src, &mut got, stride)
+                        },
+                        #[cfg(target_arch = "x86_64")]
+                        (LanePath::Avx2, true) => unsafe {
+                            scatter8_avx2::<true>(&src, &mut got, stride)
+                        },
+                        #[cfg(not(target_arch = "x86_64"))]
+                        _ => unreachable!("only the scalar lane exists here"),
+                    }
+                    let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    let ctx = format!(
+                        "{} chunks={chunks} stride={stride} round={round}",
+                        path.name()
+                    );
+                    assert_eq!(gb, wb, "{ctx}");
+                }
+                let mut got = vec![0.0f32; want.len()];
+                pack_row_scatter(&src, &mut got, stride, round);
+                assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), wb);
             }
-            let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(gb, wb, "chunks={chunks} stride={stride}");
         }
     }
 
@@ -809,14 +719,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_tally_per_path_and_precision() {
+    fn counters_tally_per_path() {
         reset_micro_counters();
-        tally_micro(LanePath::Scalar, false);
-        tally_micro(LanePath::Scalar, true);
-        tally_micro(LanePath::Scalar, true);
-        assert_eq!(micro_block_calls(LanePath::Scalar, false), 1);
-        assert_eq!(micro_block_calls(LanePath::Scalar, true), 2);
+        tally_micro(LanePath::Scalar);
+        tally_micro(LanePath::Scalar);
+        tally_micro(LanePath::Sse2);
+        assert_eq!(micro_block_calls(LanePath::Scalar), 2);
+        assert_eq!(micro_block_calls(LanePath::Sse2), 1);
         reset_micro_counters();
-        assert_eq!(micro_block_calls(LanePath::Scalar, true), 0);
+        assert_eq!(micro_block_calls(LanePath::Scalar), 0);
     }
 }

@@ -11,24 +11,21 @@
 //!
 //! # Model
 //!
-//! - [`scratch_elems`] checks a buffer out of the calling thread's pool
-//!   for any [`PoolElem`] element type (`f32` for the classic kernels,
-//!   [`Bf16`] for the mixed-precision packed panels — stored at 2×
-//!   density) and returns a [`ScratchVec`] guard; dropping the guard
-//!   checks it back in. Contents are **unspecified** (stale data from
-//!   earlier checkouts) — kernels zero the slots they don't fully
-//!   overwrite (the packing routines do exactly that for their padded
-//!   tails).
+//! - [`scratch_f32`] checks an `f32` buffer out of the calling thread's
+//!   pool (every kernel transient is `f32`, mixed-precision GEMM panels
+//!   included: they hold bf16-rounded values) and returns a
+//!   [`ScratchVec`] guard; dropping the guard checks it back in.
+//!   Contents are **unspecified** (stale data from earlier checkouts) —
+//!   kernels zero the slots they don't fully overwrite (the packing
+//!   routines do exactly that for their padded tails).
 //! - Checkout picks the smallest pooled buffer whose capacity fits, so a
 //!   thread serving several layer shapes converges on one buffer per
-//!   "size class" instead of growing a single buffer forever. Each
-//!   element type has its own pool — an `f32` checkout can never hand
-//!   back a buffer another kernel is using as `Bf16` panels.
+//!   "size class" instead of growing a single buffer forever.
 //! - Any allocation or growth increments the global
 //!   [`scratch_reallocs`] self-check counter (the `scratch_reallocs`
 //!   idiom from `ets-collective`'s `CommHandle` and `ets-obs`'s event
-//!   arena), regardless of element type. Tests snapshot the counter
-//!   after a warmup step and pin the delta to 0 over subsequent steps.
+//!   arena). Tests snapshot the counter after a warmup step and pin the
+//!   delta to 0 over subsequent steps.
 //!
 //! # Why thread-local
 //!
@@ -43,10 +40,8 @@
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::bf16::Bf16;
-
-/// Pool capacity per thread **per element type**: checked-in buffers
-/// beyond this are dropped. Generous — a training step needs at most a
+/// Pool capacity per thread: checked-in buffers beyond this are
+/// dropped. Generous — a training step needs at most a
 /// handful of concurrently live scratch buffers per thread (packed A,
 /// packed B panel, patch matrix, folded `dY` / `dB`).
 const POOL_MAX_BUFFERS: usize = 32;
@@ -59,8 +54,7 @@ static SCRATCH_REALLOCS: AtomicU64 = AtomicU64::new(0);
 static SCRATCH_CHECKOUTS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    static POOL_F32: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-    static POOL_BF16: RefCell<Vec<Vec<Bf16>>> = const { RefCell::new(Vec::new()) };
+    static POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
     /// Per-thread realloc tally. Tests that pin steady state to zero use
     /// this (immune to other test threads churning the global counter);
     /// the global atomics remain the process-wide number the obs registry
@@ -68,28 +62,8 @@ thread_local! {
     static THREAD_REALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// An element type the scratch arena can pool. Implemented for `f32`
-/// (classic kernels) and [`Bf16`] (mixed-precision packed panels).
-pub trait PoolElem: Copy + Default + Send + Sync + 'static {
-    #[doc(hidden)]
-    fn with_pool<R>(f: impl FnOnce(&mut Vec<Vec<Self>>) -> R) -> R;
-}
-
-impl PoolElem for f32 {
-    fn with_pool<R>(f: impl FnOnce(&mut Vec<Vec<f32>>) -> R) -> R {
-        POOL_F32.with(|p| f(&mut p.borrow_mut()))
-    }
-}
-
-impl PoolElem for Bf16 {
-    fn with_pool<R>(f: impl FnOnce(&mut Vec<Vec<Bf16>>) -> R) -> R {
-        POOL_BF16.with(|p| f(&mut p.borrow_mut()))
-    }
-}
-
 /// Times the arena hit the allocator (fresh buffer or growth) since
-/// process start / the last [`reset_scratch_counters`]. Process-wide,
-/// summed over every element type's pools.
+/// process start / the last [`reset_scratch_counters`]. Process-wide.
 pub fn scratch_reallocs() -> u64 {
     SCRATCH_REALLOCS.load(Ordering::Relaxed)
 }
@@ -114,12 +88,12 @@ pub fn scratch_reallocs_local() -> u64 {
 
 /// A checked-out scratch buffer; `Deref`s to `[T]` of exactly the
 /// requested length. Returned to the dropping thread's pool on drop.
-pub struct ScratchVec<T: PoolElem = f32> {
-    buf: Vec<T>,
+pub struct ScratchVec {
+    buf: Vec<f32>,
     len: usize,
 }
 
-impl<T: PoolElem> ScratchVec<T> {
+impl ScratchVec {
     /// The requested length (the guard may own more capacity).
     #[inline]
     pub fn len(&self) -> usize {
@@ -132,28 +106,28 @@ impl<T: PoolElem> ScratchVec<T> {
     }
 }
 
-impl<T: PoolElem> std::ops::Deref for ScratchVec<T> {
-    type Target = [T];
+impl std::ops::Deref for ScratchVec {
+    type Target = [f32];
     #[inline]
-    fn deref(&self) -> &[T] {
+    fn deref(&self) -> &[f32] {
         &self.buf[..self.len]
     }
 }
 
-impl<T: PoolElem> std::ops::DerefMut for ScratchVec<T> {
+impl std::ops::DerefMut for ScratchVec {
     #[inline]
-    fn deref_mut(&mut self) -> &mut [T] {
+    fn deref_mut(&mut self) -> &mut [f32] {
         &mut self.buf[..self.len]
     }
 }
 
-impl<T: PoolElem> Drop for ScratchVec<T> {
+impl Drop for ScratchVec {
     fn drop(&mut self) {
         if self.buf.capacity() == 0 {
             return;
         }
         let buf = std::mem::take(&mut self.buf);
-        T::with_pool(|pool| {
+        POOL.with_borrow_mut(|pool| {
             if pool.len() < POOL_MAX_BUFFERS {
                 pool.push(buf);
             }
@@ -163,11 +137,11 @@ impl<T: PoolElem> Drop for ScratchVec<T> {
     }
 }
 
-/// Check a buffer of `len` elements out of the calling thread's pool for
-/// element type `T`. Contents are unspecified; every slot is a previously
-/// written finite or stale value (never uninitialized memory). Kernels
-/// must fully overwrite the slots they read back.
-pub fn scratch_elems<T: PoolElem>(len: usize) -> ScratchVec<T> {
+/// Check a buffer of `len` floats out of the calling thread's pool.
+/// Contents are unspecified; every slot is a previously written finite or
+/// stale value (never uninitialized memory). Kernels must fully overwrite
+/// the slots they read back.
+pub fn scratch_f32(len: usize) -> ScratchVec {
     SCRATCH_CHECKOUTS.fetch_add(1, Ordering::Relaxed);
     if len == 0 {
         return ScratchVec {
@@ -175,7 +149,7 @@ pub fn scratch_elems<T: PoolElem>(len: usize) -> ScratchVec<T> {
             len: 0,
         };
     }
-    let buf = T::with_pool(|pool| {
+    let buf = POOL.with_borrow_mut(|pool| {
         // Best fit: smallest capacity >= len.
         let mut best: Option<(usize, usize)> = None; // (idx, cap)
         for (i, b) in pool.iter().enumerate() {
@@ -208,21 +182,9 @@ pub fn scratch_elems<T: PoolElem>(len: usize) -> ScratchVec<T> {
     // Keep the vec's len == its initialized extent so stale contents are
     // plain safe values; only ever grow it.
     if buf.len() < len {
-        buf.resize(len, T::default());
+        buf.resize(len, 0.0);
     }
     ScratchVec { buf, len }
-}
-
-/// Check an `f32` buffer of `len` floats out of the calling thread's pool.
-pub fn scratch_f32(len: usize) -> ScratchVec<f32> {
-    scratch_elems::<f32>(len)
-}
-
-/// Check a [`Bf16`] buffer of `len` elements out of the calling thread's
-/// pool (half the bytes of the same-length `f32` checkout — the 2×
-/// panel-density win of the mixed-precision packed kernels).
-pub fn scratch_bf16(len: usize) -> ScratchVec<Bf16> {
-    scratch_elems::<Bf16>(len)
 }
 
 #[cfg(test)]
@@ -285,29 +247,5 @@ mod tests {
             assert_eq!(s.len(), 100);
         }
         assert_eq!(scratch_reallocs_local(), before);
-    }
-
-    #[test]
-    fn bf16_pool_is_separate_and_steady_state_flat() {
-        // Warm both pools at the same element count…
-        {
-            let _f = scratch_f32(2048);
-            let _b = scratch_bf16(2048);
-        }
-        let warm = scratch_reallocs_local();
-        // …then same-size checkouts of either type stay allocation-free:
-        // the pools are per-type, so neither checkout can steal (and
-        // shrink below fit) the other's buffer.
-        for _ in 0..50 {
-            let f = scratch_f32(2048);
-            let b = scratch_bf16(2048);
-            assert_eq!(f.len(), 2048);
-            assert_eq!(b.len(), 2048);
-        }
-        assert_eq!(
-            scratch_reallocs_local(),
-            warm,
-            "per-type pools must keep steady state allocation-free"
-        );
     }
 }

@@ -2,11 +2,7 @@
 //! every storage orientation and the full descriptor table.
 #![allow(dead_code)] // each suite uses its own subset
 
-use ets_tensor::ops::conv::Conv2dGeom;
 use ets_tensor::ops::dispatch::{GemmDesc, GemmPrecision, Orient};
-use ets_tensor::ops::gemm_blocked::{
-    gemm_prepacked, pack_a_into, packed_a_len, PackElem, PanelA, PanelB,
-};
 use ets_tensor::Rng;
 
 pub const PRECISIONS: [GemmPrecision; 2] = [GemmPrecision::F32, GemmPrecision::Bf16];
@@ -32,7 +28,7 @@ pub fn transpose(rows: usize, cols: usize, x: &[f32]) -> Vec<f32> {
 /// preparation the bf16 oracle uses.
 pub fn quantized(v: &[f32]) -> Vec<f32> {
     let mut q = v.to_vec();
-    ets_tensor::bf16::quantize_slice(&mut q);
+    ets_tensor::bf16::round_in_place(&mut q);
     q
 }
 
@@ -108,22 +104,3 @@ pub fn run(kernel: Kernel, desc: GemmDesc, ops: &Operands) -> Vec<f32> {
 }
 
 pub type Kernel = fn(GemmDesc, &[f32], &[f32], &mut [f32]);
-
-/// The fused-conv product of one image in pack precision `E`: weights
-/// packed once, im2col patches gathered straight into the B panels.
-pub fn fused<E: PackElem>(g: &Conv2dGeom, w: &[f32], img: &[f32]) -> Vec<f32> {
-    let (m, k, n) = (g.c_out, g.k(), g.p());
-    let mut ap = vec![E::default(); packed_a_len(m, k)];
-    pack_a_into::<E>(PanelA::RowMajor(w), m, k, &mut ap);
-    let mut c = vec![0.0; m * n];
-    gemm_prepacked::<E>(
-        m,
-        k,
-        n,
-        &ap,
-        PanelB::Patches { geom: g, img },
-        &mut c,
-        false,
-    );
-    c
-}

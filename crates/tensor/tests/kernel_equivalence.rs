@@ -1,8 +1,7 @@
 //! Equivalence suite pinning the three GEMM functions — `gemm_naive`,
 //! `gemm_blocked` and the routed `gemm` — against each other, an f64
 //! reference and the bf16 oracle, over every `GemmDesc` and adversarial
-//! shapes: odd m/k/n, k < KC, m < MR, n < NR, single rows and columns,
-//! and stride-2 + padded conv geometries for the fused im2col panel.
+//! shapes: odd m/k/n, k < KC, m < MR, n < NR, single rows and columns.
 //!
 //! The blocked kernel deliberately uses a different summation order than
 //! the naive one (packed KC-panel accumulation vs streaming ikj), so
@@ -16,18 +15,14 @@
 
 mod common;
 
-use common::{all_descs, bits, fused, quantized, rand_vec, run, Kernel, Operands, PRECISIONS};
-use ets_tensor::bf16::Bf16;
-use ets_tensor::ops::conv::{im2col, Conv2dGeom};
+use common::{all_descs, bits, rand_vec, run, Kernel, Operands, PRECISIONS};
 use ets_tensor::ops::dispatch::{
     blocked_profitable, gemm, gemm_auto, GemmDesc, GemmPrecision, Orient,
 };
-use ets_tensor::ops::gemm_blocked::{
-    gemm_blocked, gemm_prepacked, pack_a_into, packed_a_len, PanelA, PanelB, KC, MR, NR,
-};
+use ets_tensor::ops::gemm_blocked::{gemm_blocked, KC, MR, NR};
 use ets_tensor::ops::matmul::gemm_naive;
 use ets_tensor::ops::simd;
-use ets_tensor::{set_gemm_workers, Rng, Shape};
+use ets_tensor::{set_gemm_workers, Rng};
 
 /// The three functions that take a descriptor, each forced in turn.
 const KERNELS: [(&str, Kernel); 3] = [
@@ -94,9 +89,8 @@ fn with_seeded_shapes(fixed: &[Mkn], seed: u64, extra: usize, max: Mkn) -> Vec<M
 /// - f32: within tolerance of the f64 reference (plus the preloaded `C`
 ///   when accumulating), and bitwise identical on a rerun.
 /// - bf16: **bitwise identical** to the same kernel's f32 run on operands
-///   quantized up front. The blocked kernel narrows at pack time and
-///   widens in the micro-kernel, the naive kernel quantizes into scratch:
-///   either way the arithmetic — f32 multiply of bf16-rounded values,
+///   quantized up front. The blocked kernel rounds at pack time, the
+///   naive kernel into a scratch copy: either way the arithmetic — f32 multiply of bf16-rounded values,
 ///   f32 accumulate in that kernel's order — is exactly the oracle's.
 ///   Any divergence means a path changed numerics beyond the one
 ///   sanctioned rounding step.
@@ -247,90 +241,6 @@ fn narrow_routes_match_the_written_out_association_bitwise() {
     }
 }
 
-// ------------------------------------------------ fused im2col panels
-
-/// (c_in, hw, c_out, ksz, stride, pad)
-type Geom = (usize, usize, usize, usize, usize, usize);
-
-fn geom(&(c_in, hw, c_out, ksz, stride, pad): &Geom) -> Conv2dGeom {
-    let xs = Shape::new(&[1, c_in, hw, hw]);
-    let wsh = Shape::new(&[c_out, c_in, ksz, ksz]);
-    Conv2dGeom::infer(&xs, &wsh, stride, pad)
-}
-
-/// Stride-2 + padded geometries included, plus one past the dispatch
-/// threshold.
-const ADVERSARIAL_GEOMS: &[Geom] = &[
-    (1, 5, 1, 3, 1, 1),
-    (2, 7, 3, 3, 2, 1),
-    (3, 9, 5, 3, 2, 0),
-    (4, 8, 6, 1, 1, 0),
-    (2, 11, 4, 5, 2, 2),
-    (8, 12, 16, 3, 1, 1),
-    (3, 13, 7, 3, 2, 1),
-];
-
-/// Fused patch panel at one conv geometry:
-/// - f32 vs materialized im2col + the same prepacked kernel — **bitwise**
-///   (packing order is the same, only the gather differs) — and vs the
-///   f64 reference;
-/// - bf16 vs quantizing the image AND weights up front and running the
-///   f32 fused path — bitwise. The gather hits the zero-padding fast
-///   paths (0.0 is bf16-exact, so padding cannot mask a quantization
-///   bug).
-fn check_fused_conv(seed: u64, gm: &Geom) {
-    let g = geom(gm);
-    let (m, k, n) = (g.c_out, g.k(), g.p());
-    let img = rand_vec(seed, g.c_in * g.h * g.w);
-    let w = rand_vec(seed + 3, m * k);
-
-    let c_fused = fused::<f32>(&g, &w, &img);
-    let mut patches = vec![0.0; k * n];
-    im2col(&g, &img, &mut patches);
-    let mut ap = vec![0.0; packed_a_len(m, k)];
-    pack_a_into::<f32>(PanelA::RowMajor(&w), m, k, &mut ap);
-    let mut c_mat = vec![0.0; m * n];
-    gemm_prepacked::<f32>(m, k, n, &ap, PanelB::RowMajor(&patches), &mut c_mat, false);
-    assert_eq!(
-        bits(&c_fused),
-        bits(&c_mat),
-        "seed {seed}, {gm:?}: fused patch panel diverges bitwise from materialized im2col"
-    );
-    for (i, (&x, &want)) in c_fused
-        .iter()
-        .zip(&reference(m, k, n, &w, &patches))
-        .enumerate()
-    {
-        assert!(
-            (x as f64 - want).abs() < tol(k),
-            "seed {seed}, {gm:?}: fused[{i}] {x} vs {want}"
-        );
-    }
-
-    assert_eq!(
-        bits(&fused::<Bf16>(&g, &w, &img)),
-        bits(&fused::<f32>(&g, &quantized(&w), &quantized(&img))),
-        "seed {seed}, {gm:?}: bf16 fused patch panel diverges from quantize-then-f32 oracle"
-    );
-}
-
-#[test]
-fn fused_patch_panels_match_on_adversarial_and_seeded_geometries() {
-    const SEED: u64 = 2000;
-    let mut rng = Rng::new(SEED);
-    let mut geoms = ADVERSARIAL_GEOMS.to_vec();
-    while geoms.len() < ADVERSARIAL_GEOMS.len() + 24 {
-        let (hw, ksz, pad) = (4 + rng.below(9), 1 + rng.below(3), rng.below(2));
-        if hw + 2 * pad >= ksz {
-            let (c_in, c_out) = (1 + rng.below(4), 1 + rng.below(9));
-            geoms.push((c_in, hw, c_out, ksz, 1 + rng.below(2), pad));
-        }
-    }
-    for (i, gm) in geoms.iter().enumerate() {
-        check_fused_conv(SEED + i as u64, gm);
-    }
-}
-
 // ------------------------------------------- parallel vs sequential
 
 /// The parallel tile grid vs the sequential loop, bitwise, every blocked
@@ -410,9 +320,8 @@ fn dispatcher_is_a_pure_function_of_shape() {
 // scalar, SSE2, AVX2 — produces bitwise-identical results. These tests
 // force each available path in turn and pin every descriptor's output
 // bits on every kernel against the scalar path's, on the same
-// adversarial shapes the numeric suite uses (k < KC, m < MR, n < NR,
-// stride-2 padded conv), plus the fused `Patches` panel and the ABFT
-// verify path.
+// adversarial shapes the numeric suite uses (k < KC, m < MR, n < NR),
+// plus the ABFT verify path.
 
 /// Lane paths available on this host, scalar first (the oracle).
 fn lane_paths() -> Vec<simd::LanePath> {
@@ -464,30 +373,6 @@ fn every_descriptor_bitwise_identical_across_lane_paths() {
                 });
             }
         }
-    }
-}
-
-#[test]
-fn fused_patches_bitwise_identical_across_lane_paths() {
-    // Stride-2 + padded geometries — the fused gather's halo handling
-    // must not fork across lane paths either (the pack is lane-invariant
-    // data movement; the micro-kernel is the parity-proven core).
-    let geoms: [Geom; 4] = [
-        (2, 7, 3, 3, 2, 1),
-        (3, 9, 5, 3, 2, 0),
-        (2, 11, 4, 5, 2, 2),
-        (8, 12, 16, 3, 1, 1),
-    ];
-    for (i, gm) in geoms.iter().enumerate() {
-        let g = geom(gm);
-        let img = rand_vec(7000 + i as u64, g.c_in * g.h * g.w);
-        let w = rand_vec(7003 + i as u64, g.c_out * g.k());
-        assert_lane_invariant(&format!("fused patches {gm:?}"), || {
-            (
-                bits(&fused::<f32>(&g, &w, &img)),
-                bits(&fused::<Bf16>(&g, &w, &img)),
-            )
-        });
     }
 }
 

@@ -5,8 +5,7 @@
 //! stragglers finishing long after the cursor empties), and asserts the
 //! outputs are **bitwise identical** to the single-worker oracle across
 //! every `GemmDesc` on the blocked kernel (orientation × accumulate ×
-//! precision), and the fused-im2col Patches path in both pack-time
-//! precisions.
+//! precision).
 //!
 //! The invariant under test is the repo's standing parallelism law: the
 //! tile grid is a pure function of shape and each tile is single-owner
@@ -18,12 +17,10 @@
 
 mod common;
 
-use common::{all_descs, bits, fused, rand_vec, run, Operands};
-use ets_tensor::bf16::Bf16;
-use ets_tensor::ops::conv::Conv2dGeom;
+use common::{all_descs, bits, run, Operands};
 use ets_tensor::ops::dispatch::GemmDesc;
 use ets_tensor::ops::gemm_blocked::gemm_blocked;
-use ets_tensor::{set_gemm_workers, set_tile_delay, Shape};
+use ets_tensor::{set_gemm_workers, set_tile_delay};
 
 /// Restores a quiet pool configuration when a sweep finishes (also on
 /// panic, so one failing sweep can't starve the rest of the binary).
@@ -86,47 +83,6 @@ fn every_descriptor_bitwise_stable_across_workers_and_delays() {
                 let ctx = format!("with {workers} workers, delay ({nanos} ns / {stride})");
                 assert_all_match(&got, &oracle, &all_descs(m, k, n), &ctx);
             }
-        }
-    }
-}
-
-/// Fused-im2col Patches path under the same sweep, both precisions: the
-/// patch gather runs *inside* worker tiles (each tile packs its own B
-/// panels straight from the image), so this pins that the fused path's
-/// halo handling is scheduling-independent too.
-#[test]
-fn fused_patches_bitwise_stable_across_workers_and_delays() {
-    let _quiet = Quiet;
-    // c_in, hw, c_out, ksz, stride, pad — sized to clear the parallel
-    // threshold with a multi-tile grid (c_out > MC, p > NC).
-    let (c_in, hw, c_out, ksz, stride, pad) = (8usize, 20usize, 80usize, 3usize, 1usize, 1usize);
-    let xs = Shape::new(&[1, c_in, hw, hw]);
-    let ws = Shape::new(&[c_out, c_in, ksz, ksz]);
-    let g = Conv2dGeom::infer(&xs, &ws, stride, pad);
-    let img = rand_vec(71, c_in * hw * hw);
-    let w = rand_vec(72, g.c_out * g.k());
-
-    let run_both = || {
-        (
-            bits(&fused::<f32>(&g, &w, &img)),
-            bits(&fused::<Bf16>(&g, &w, &img)),
-        )
-    };
-
-    set_tile_delay(0, 0);
-    set_gemm_workers(1);
-    let oracle = run_both();
-
-    for &workers in WORKER_SWEEP {
-        for &(nanos, stride) in DELAY_SWEEP {
-            set_gemm_workers(workers);
-            set_tile_delay(nanos, stride);
-            let got = run_both();
-            set_tile_delay(0, 0);
-            assert_eq!(
-                got, oracle,
-                "fused (f32, bf16) diverged: {workers} workers, delay ({nanos} ns / {stride})"
-            );
         }
     }
 }

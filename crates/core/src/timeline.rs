@@ -10,6 +10,10 @@ use std::time::Instant;
 /// Accumulated seconds per training phase.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseBreakdown {
+    /// The replica's wait for its batch, after the step's setup (zeroing
+    /// gradients). The thread that called `train` loads the batch during
+    /// the previous step, so this is not the loading time (perfbench's
+    /// `data.batch_ms` times that on its own).
     pub data: f64,
     pub forward: f64,
     pub backward: f64,

@@ -40,6 +40,9 @@
 //!   data shards and the LR schedule for the survivors, resuming at the
 //!   exact sample offset — every sample is still seen exactly once per
 //!   epoch, so progress is tracked in *samples* ([`Progress`]).
+//! - **Input pipeline** (§3.3): the thread that called `train` loads
+//!   every batch while the replicas compute; a replica asks for batch
+//!   *s+1* as soon as batch *s* arrives ([`Feed`]).
 
 use crate::bn_sync::GroupStatSync;
 use crate::ckpt_store::{CkptStore, DurableSnapshot, Progress};
@@ -50,7 +53,7 @@ use crate::timeline::{AllReduceProfile, PhaseBreakdown, ResizeRecord, StepTimeli
 use ets_collective::{
     bn_partition, create_collective, Collective, CollectiveError, FaultSchedule, FaultyCollective,
 };
-use ets_data::{load_batch, AugmentConfig, Dataset, EpochPlan, SynthNet};
+use ets_data::{load_batch, AugmentConfig, EpochPlan, SynthNet};
 use ets_efficientnet::EfficientNet;
 use ets_nn::{cross_entropy, zero_grads, Ema, EvalCounts, Layer, Mode};
 use ets_obs::{phase as obs_ph, Lane, Recorder};
@@ -58,11 +61,12 @@ use ets_optim::{
     Constant, CosineDecay, ExponentialDecay, Lamb, Lars, LrSchedule, Optimizer, PolynomialDecay,
     RmsProp, Sgd, Shifted, Sm3, Warmup,
 };
-use ets_tensor::Rng;
+use ets_tensor::{Rng, Tensor};
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -171,24 +175,78 @@ fn all_reduce_counts(counts: EvalCounts, comm: &dyn Collective) -> EvalCounts {
     }
 }
 
-/// Distributed evaluation: strided shard of the eval set per replica.
-fn distributed_eval(
-    model: &mut EfficientNet,
+/// A batch as a replica asks for it: the split, the sample indices and
+/// the augmentation stream before it. The batch is a pure function of
+/// the request, so the thread that loads it keeps no state.
+#[derive(Clone, Debug, PartialEq)]
+struct BatchRequest {
+    eval: bool,
+    indices: Vec<usize>,
+    rng: Rng,
+}
+
+/// The reply: the batch, its labels and the augmentation stream after it.
+type Loaded = (Tensor, Vec<usize>, Rng);
+
+/// Loads every batch the replicas of a phase request, in arrival order,
+/// until all of them have hung up. Runs on the thread that called
+/// `train`, which has nothing else to do while the phase runs.
+fn serve_batches(
+    inbox: Receiver<(usize, BatchRequest)>,
+    outboxes: &[SyncSender<Loaded>],
+    train_set: &SynthNet,
     eval_set: &SynthNet,
-    replica: usize,
-    replicas: usize,
-    batch: usize,
-    comm: &dyn Collective,
-) -> EvalCounts {
-    let mut local = EvalCounts::default();
-    let my_indices: Vec<usize> = (replica..eval_set.len()).step_by(replicas).collect();
-    let mut rng = Rng::new(0); // eval aug is deterministic; rng unused
-    for chunk in my_indices.chunks(batch.max(1)) {
-        let (x, labels) = load_batch(eval_set, chunk, AugmentConfig::eval(), &mut rng);
-        let scores = model.forward(&x, Mode::Eval, &mut rng);
-        local.observe(&scores, &labels);
+    recorders: &[Arc<Recorder>],
+) {
+    for (rank, request) in inbox {
+        let (set, aug) = if request.eval {
+            (eval_set, AugmentConfig::eval())
+        } else {
+            (train_set, AugmentConfig::train())
+        };
+        let mut rng = request.rng;
+        let (x, labels) = load_batch(set, &request.indices, aug, &mut rng);
+        recorders[rank].counter_add("data_batches_loaded", 1);
+        // A replica that has drained no longer listens.
+        let _ = outboxes[rank].send((x, labels, rng));
     }
-    all_reduce_counts(local, comm)
+}
+
+/// A replica's end of the input pipeline. It keeps at most one request in
+/// flight, so neither channel ever blocks its sender.
+struct Feed {
+    rank: usize,
+    requests: SyncSender<(usize, BatchRequest)>,
+    replies: Receiver<Loaded>,
+    in_flight: Option<BatchRequest>,
+}
+
+const FEEDER_GONE: &str = "the thread feeding the replicas hung up";
+
+impl Feed {
+    /// Asks for `next`, unless a request is already in flight.
+    fn prefetch(&mut self, next: Option<BatchRequest>) {
+        if let (None, Some(next)) = (&self.in_flight, next) {
+            self.requests
+                .send((self.rank, next.clone()))
+                .expect(FEEDER_GONE);
+            self.in_flight = Some(next);
+        }
+    }
+
+    /// The batch `want` names. The reply to any other request in flight
+    /// (one sent before a rewind) is dropped and `want` asked for instead.
+    fn take(&mut self, want: BatchRequest, rec: &Recorder) -> Loaded {
+        loop {
+            self.prefetch(Some(want.clone()));
+            let answered = self.in_flight.take();
+            let reply = self.replies.recv().expect(FEEDER_GONE);
+            if answered.as_ref() == Some(&want) {
+                return reply;
+            }
+            rec.counter_add("data_prefetch_discarded", 1);
+        }
+    }
 }
 
 /// The replica's gradient collective: either the raw backend or the same
@@ -442,13 +500,13 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         let env = PhaseEnv {
             view: &view,
             faults: &faults,
-            train_set: &train_set,
-            eval_set: &eval_set,
             store: store.as_deref(),
             phase_idx,
             stop_at,
         };
         let results: Vec<PhaseOutcome> = std::thread::scope(|scope| {
+            let (requests, inbox) = sync_channel(world);
+            let mut outboxes = Vec::with_capacity(world);
             let joins: Vec<_> = world_comms
                 .into_iter()
                 .zip(bn_comms)
@@ -465,9 +523,19 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
                         fc.attach_recorder(Arc::clone(&rec));
                         WorldComm::Faulty(fc)
                     };
-                    scope.spawn(move || Replica::new(env, r, comm, bn_comm, rec, carry).run())
+                    let (outbox, replies) = sync_channel(1);
+                    outboxes.push(outbox);
+                    let feed = Feed {
+                        rank: r,
+                        requests: requests.clone(),
+                        replies,
+                        in_flight: None,
+                    };
+                    scope.spawn(move || Replica::new(env, r, comm, bn_comm, rec, carry, feed).run())
                 })
                 .collect();
+            drop(requests);
+            serve_batches(inbox, &outboxes, &train_set, &eval_set, recorders);
             joins
                 .into_iter()
                 .map(|j| j.join().expect("replica panicked"))
@@ -743,8 +811,6 @@ struct PhaseEnv<'a> {
     /// surviving world).
     view: &'a Experiment,
     faults: &'a FaultSchedule,
-    train_set: &'a SynthNet,
-    eval_set: &'a SynthNet,
     store: Option<&'a CkptStore>,
     phase_idx: u64,
     /// The resize boundary this phase drains at, if one is planned.
@@ -763,7 +829,9 @@ struct Replica<'a> {
     optimizer: Box<dyn Optimizer>,
     ema: Option<Ema>,
     grad_bucket: GradBucket,
+    feed: Feed,
     /// Replica-local stochasticity (augmentation; dropout, drop-path).
+    /// `data_rng` is the augmentation stream after the last batch taken.
     data_rng: Rng,
     layer_rng: Rng,
     prog: Progress,
@@ -785,8 +853,27 @@ impl<'a> Replica<'a> {
         bn_comm: Option<Box<dyn Collective>>,
         rec: Arc<Recorder>,
         carry: Carry,
+        mut feed: Feed,
     ) -> Self {
         let view = env.view;
+        // Phase 0 uses the historical streams (bitwise compatibility with
+        // the pre-elastic trainer); later phases jump to disjoint stream
+        // blocks so a resumed world never replays consumed randomness.
+        let stream_base = env.phase_idx * 10_000;
+        let data_rng = Rng::new(view.seed).split(1000 + stream_base + rank as u64);
+        if env.phase_idx == 0 {
+            // Phase 0 starts at epoch 1's first batch: ask for it now, so
+            // loading it overlaps building the model. (A resumed phase
+            // learns where it starts from the checkpoint.)
+            let plan = EpochPlan::new(view.seed, 1, view.train_samples);
+            let indices = plan.batch_at(0, rank, view.replicas, view.per_replica_batch);
+            let rng = data_rng.clone();
+            feed.prefetch(Some(BatchRequest {
+                eval: false,
+                indices,
+                rng,
+            }));
+        }
         // Two init-sync modes: shared seed stream (default), or independent
         // init + a broadcast of replica 0's state (the multi-host pattern),
         // so params *and* BN running statistics synchronize bit-exactly.
@@ -816,10 +903,6 @@ impl<'a> Replica<'a> {
             view.corruption_policy.bucket_retries(),
         );
         let ema = view.ema_decay.map(|d| Ema::new(&mut model, d));
-        // Phase 0 uses the historical streams (bitwise compatibility with
-        // the pre-elastic trainer); later phases jump to disjoint stream
-        // blocks so a resumed world never replays consumed randomness.
-        let stream_base = env.phase_idx * 10_000;
         let mut replica = Replica {
             env,
             rank,
@@ -829,7 +912,8 @@ impl<'a> Replica<'a> {
             optimizer: build_optimizer(view.optimizer),
             ema,
             grad_bucket,
-            data_rng: Rng::new(view.seed).split(1000 + stream_base + rank as u64),
+            feed,
+            data_rng,
             layer_rng: Rng::new(view.seed).split(2000 + stream_base + rank as u64),
             prog: Progress::fresh(),
             history: Vec::new(),
@@ -945,12 +1029,72 @@ impl<'a> Replica<'a> {
         }
     }
 
+    /// Micro-batch `micro` of the step at `sample_off`, on the current
+    /// augmentation stream.
+    fn train_request(&self, plan: &EpochPlan, sample_off: u64, micro: usize) -> BatchRequest {
+        let (w, b) = (self.env.view.replicas, self.env.view.per_replica_batch);
+        let indices = plan.batch_at(sample_off as usize + micro * w * b, self.rank, w, b);
+        let rng = self.data_rng.clone();
+        BatchRequest {
+            eval: false,
+            indices,
+            rng,
+        }
+    }
+
+    /// Chunk `chunk` of this rank's strided shard of the eval set, if the
+    /// shard has one. Eval loading draws nothing from its stream.
+    fn eval_request(&self, chunk: usize) -> Option<BatchRequest> {
+        let b = self.env.view.per_replica_batch.max(1);
+        let shard = (self.rank..self.env.view.eval_samples).step_by(self.env.view.replicas);
+        let indices: Vec<usize> = shard.skip(chunk * b).take(b).collect();
+        let rng = Rng::new(0);
+        (!indices.is_empty()).then_some(BatchRequest {
+            eval: true,
+            indices,
+            rng,
+        })
+    }
+
+    fn evaluates(&self, epoch: u64) -> bool {
+        epoch.is_multiple_of(self.env.view.eval_every) || epoch == self.env.view.epochs
+    }
+
+    /// What the step loop loads after micro-batch `micro` of this step:
+    /// the next micro-batch or step, or past the epoch's last step the
+    /// first eval chunk or the next epoch's first batch. `None` where the
+    /// phase ends first.
+    fn next_after_train(&self, plan: &EpochPlan, micro: usize) -> Option<BatchRequest> {
+        let (view, prog) = (self.env.view, &self.prog);
+        // Micro-batch `accum` of this step is micro-batch 0 of the next.
+        let next = self.train_request(plan, prog.sample_off, micro + 1);
+        let (gb, step) = (view.global_batch() as u64, prog.step + 1);
+        if micro + 1 < view.grad_accum_steps {
+            Some(next)
+        } else if prog.sample_off + 2 * gb <= view.train_samples as u64 {
+            (self.env.stop_at != Some(step)).then_some(next)
+        } else if let Some(eval) = self.eval_request(0).filter(|_| self.evaluates(prog.epoch)) {
+            Some(eval)
+        } else {
+            self.first_of_next_epoch(step)
+        }
+    }
+
+    /// The next epoch's first batch, which the step loop reaches at
+    /// `step` unless training or the phase ends there.
+    fn first_of_next_epoch(&self, step: u64) -> Option<BatchRequest> {
+        let (view, epoch) = (self.env.view, self.prog.epoch + 1);
+        let plan = EpochPlan::new(view.seed, epoch, view.train_samples);
+        let next = self.train_request(&plan, 0, 0);
+        (epoch <= view.epochs && self.env.stop_at != Some(step)).then_some(next)
+    }
+
     /// One step's data → forward → loss → backward and gradient exchange:
-    /// the group-mean loss, or the exchange's typed failure.
+    /// the group-mean loss, or the exchange's typed failure. The data lap
+    /// is the wait for the batch; it was loaded during the previous step.
     fn exchange_gradients(&mut self, plan: &EpochPlan) -> Result<f32, CollectiveError> {
         let env = self.env;
         let view = env.view;
-        let b = view.per_replica_batch;
         let accum = view.grad_accum_steps;
         // Overlapping the exchange with backward requires exactly one
         // micro-batch: with accumulation, gradients are rescaled *after*
@@ -984,14 +1128,11 @@ impl<'a> Replica<'a> {
         // result and the *exposed* wait (all the all-reduce phase is owed).
         let mut fused: Option<(Result<f32, CollectiveError>, f64)> = None;
         for micro in 0..accum {
-            let offset = self.prog.sample_off as usize + micro * view.replicas * b;
-            let indices = plan.batch_at(offset, self.rank, view.replicas, b);
-            let (x, labels) = load_batch(
-                env.train_set,
-                &indices,
-                AugmentConfig::train(),
-                &mut self.data_rng,
-            );
+            let want = self.train_request(plan, self.prog.sample_off, micro);
+            let (x, labels, rng) = self.feed.take(want, &self.rec);
+            self.data_rng = rng;
+            let next = self.next_after_train(plan, micro);
+            self.feed.prefetch(next);
             data_s += self.sw.lap();
             let logits = self.model.forward(&x, Mode::Train, &mut self.layer_rng);
             let out = cross_entropy(&logits, &labels, view.label_smoothing);
@@ -1117,31 +1258,39 @@ impl<'a> Replica<'a> {
         self.vnow += step_virtual;
     }
 
+    /// Distributed evaluation (§3.3): this rank's strided shard of the
+    /// eval set, chunk by chunk, with the counts merged over the world.
+    fn evaluate(&mut self) -> EvalCounts {
+        let mut local = EvalCounts::default();
+        let mut rng = Rng::new(0); // an eval forward draws nothing
+        let mut chunk = 0;
+        while let Some(want) = self.eval_request(chunk) {
+            let (x, labels, _) = self.feed.take(want, &self.rec);
+            chunk += 1;
+            let next = self.eval_request(chunk);
+            self.feed
+                .prefetch(next.or_else(|| self.first_of_next_epoch(self.prog.step)));
+            let scores = self.model.forward(&x, Mode::Eval, &mut rng);
+            local.observe(&scores, &labels);
+        }
+        all_reduce_counts(local, self.world.as_dyn())
+    }
+
     /// Epoch boundary: evaluate (on the EMA weights, if kept) and record.
     fn finish_epoch(&mut self) {
-        let view = self.env.view;
         let epoch = self.prog.epoch;
-        let (eval_top1, eval_top5) =
-            if epoch.is_multiple_of(view.eval_every) || epoch == view.epochs {
-                let _eval_span =
-                    self.rec
-                        .wall_span(Lane::WallEval, obs_ph::EVAL, self.prog.step, epoch);
-                let saved = self.ema.as_ref().map(|e| e.swap_in(&mut self.model));
-                let counts = distributed_eval(
-                    &mut self.model,
-                    self.env.eval_set,
-                    self.rank,
-                    view.replicas,
-                    view.per_replica_batch,
-                    self.world.as_dyn(),
-                );
-                if let (Some(e), Some(s)) = (self.ema.as_ref(), saved) {
-                    e.restore(&mut self.model, s);
-                }
-                (Some(counts.top1()), Some(counts.top5()))
-            } else {
-                (None, None)
-            };
+        let (eval_top1, eval_top5) = if self.evaluates(epoch) {
+            let rec = Arc::clone(&self.rec);
+            let _eval_span = rec.wall_span(Lane::WallEval, obs_ph::EVAL, self.prog.step, epoch);
+            let saved = self.ema.as_ref().map(|e| e.swap_in(&mut self.model));
+            let counts = self.evaluate();
+            if let (Some(e), Some(s)) = (self.ema.as_ref(), saved) {
+                e.restore(&mut self.model, s);
+            }
+            (Some(counts.top1()), Some(counts.top5()))
+        } else {
+            (None, None)
+        };
         self.history.push(EpochRecord {
             epoch,
             train_loss: (self.prog.loss_sum / self.prog.steps_this_epoch as f64) as f32,
@@ -1160,7 +1309,7 @@ impl<'a> Replica<'a> {
         let env = self.env;
         let (view, faults) = (env.view, env.faults);
         let phase_start = self.prog.step;
-        let train_len = env.train_set.len() as u64;
+        let train_len = view.train_samples as u64;
         let gb = view.global_batch() as u64;
         // Schedule in the *current world's* step units: `view.replicas` is
         // the surviving world, so the peak LR linear-rescales with the
@@ -1172,7 +1321,7 @@ impl<'a> Replica<'a> {
         let durable_cadence =
             view.nan_guard || (view.fingerprint_verify && faults.has_corruption());
         let mut quarantined = 0u64;
-        let mut plan = EpochPlan::new(view.seed, self.prog.epoch, env.train_set.len());
+        let mut plan = EpochPlan::new(view.seed, self.prog.epoch, view.train_samples);
         let mut plan_epoch = self.prog.epoch;
 
         let done = loop {
@@ -1183,7 +1332,7 @@ impl<'a> Replica<'a> {
                 break false;
             }
             if self.prog.epoch != plan_epoch {
-                plan = EpochPlan::new(view.seed, self.prog.epoch, env.train_set.len());
+                plan = EpochPlan::new(view.seed, self.prog.epoch, view.train_samples);
                 plan_epoch = self.prog.epoch;
             }
             let on_cadence = self.prog.step == phase_start
@@ -1443,6 +1592,152 @@ mod tests {
         let msg = format!("{e}");
         assert!(msg.contains("step 17"), "{msg}");
         assert!(msg.contains("3 rollback"), "{msg}");
+    }
+}
+
+#[cfg(test)]
+mod feed_tests {
+    use super::*;
+    use ets_collective::{FaultEvent, FaultKind};
+    use std::time::Duration;
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_stale_reply_is_discarded_and_the_batch_equals_an_inline_load() {
+        let (train_set, eval_set) = SynthNet::train_eval_pair(3, 4, 64, 16, 8, 0.35);
+        let rec = Arc::new(Recorder::enabled(0));
+        let recorders = [Arc::clone(&rec)];
+        let request = |eval, indices: &[usize], seed| BatchRequest {
+            eval,
+            indices: indices.to_vec(),
+            rng: Rng::new(seed),
+        };
+        let want = |indices: &[usize]| request(false, indices, 7);
+        // (the request in flight, the one taken, whether the reply is stale)
+        let cases = [
+            (request(false, &[0, 1, 2], 7), want(&[3, 4, 5]), true),
+            (request(false, &[3, 4, 5], 8), want(&[3, 4, 5]), true),
+            (request(true, &[6, 7], 7), want(&[6, 7]), true),
+            (request(false, &[6, 7], 7), want(&[6, 7]), false),
+        ];
+        std::thread::scope(|scope| {
+            let (requests, inbox) = sync_channel(1);
+            let (outbox, replies) = sync_channel(1);
+            let (train, eval, recs) = (&train_set, &eval_set, &recorders[..]);
+            let server = scope.spawn(move || serve_batches(inbox, &[outbox], train, eval, recs));
+            let mut feed = Feed {
+                rank: 0,
+                requests,
+                replies,
+                in_flight: None,
+            };
+            let mut discarded = 0;
+            for (sent, want, stale) in cases {
+                feed.prefetch(Some(sent));
+                let (x, labels, rng) = feed.take(want.clone(), &rec);
+                let mut inline_rng = want.rng.clone();
+                let aug = AugmentConfig::train();
+                let inline = load_batch(&train_set, &want.indices, aug, &mut inline_rng);
+                assert_eq!(bits(&x), bits(&inline.0), "{want:?}");
+                assert_eq!((labels, rng), (inline.1, inline_rng));
+                discarded += u64::from(stale);
+                assert_eq!(rec.counter_value("data_prefetch_discarded"), discarded);
+            }
+            assert_eq!(rec.counter_value("data_batches_loaded"), 4 + discarded);
+            drop(feed);
+            server
+                .join()
+                .expect("the server returns once the feed hangs up");
+        });
+    }
+
+    /// Per rank: (batches loaded, prefetches discarded).
+    fn feed_counters(recorders: &[Arc<Recorder>]) -> Vec<(u64, u64)> {
+        recorders
+            .iter()
+            .map(|r| {
+                (
+                    r.counter_value("data_batches_loaded"),
+                    r.counter_value("data_prefetch_discarded"),
+                )
+            })
+            .collect()
+    }
+
+    /// 2 replicas × batch 8 over 128 train and 64 eval samples: each rank
+    /// evaluates in four chunks.
+    fn two_replicas(epochs: u64) -> Experiment {
+        let mut e = Experiment::proxy_default();
+        e.replicas = 2;
+        e.per_replica_batch = 8;
+        e.epochs = epochs;
+        e.train_samples = 128;
+        e.eval_samples = 64;
+        e
+    }
+
+    #[test]
+    fn a_fault_free_run_loads_exactly_its_batches() {
+        // Micro-batches, and an epoch end that does not evaluate.
+        let mut e = two_replicas(3);
+        e.grad_accum_steps = 2;
+        e.eval_every = 2;
+        let (report, recorders) = train_traced(&e);
+        let evals = report
+            .history
+            .iter()
+            .filter(|h| h.eval_top1.is_some())
+            .count() as u64;
+        assert_eq!((report.steps, evals), (12, 2));
+        let batches = report.steps * 2 + evals * 4;
+        assert_eq!(feed_counters(&recorders), vec![(batches, 0); 2]);
+    }
+
+    #[test]
+    fn a_preemption_discards_one_prefetched_batch() {
+        // Anchor at step 4, preempted at step 5: the batch asked for step 5
+        // is stale once the world rewinds to step 4.
+        let mut e = two_replicas(3);
+        e.faults.events = vec![FaultEvent {
+            at_s: 5.5,
+            duration_s: 0.0,
+            kind: FaultKind::Preempt { replica: 0 },
+        }];
+        let (report, recorders) = train_traced(&e);
+        let c = report.fault_recovery;
+        assert_eq!((c.preemptions, c.replayed_steps), (1, 1));
+        let batches = report.steps + c.replayed_steps + 3 * 4;
+        assert_eq!(feed_counters(&recorders), vec![(batches + 1, 1); 2]);
+        let clean = train(&two_replicas(3));
+        assert_eq!(report.weight_checksum, clean.weight_checksum);
+    }
+
+    #[test]
+    fn a_replica_that_panics_mid_step_fails_train_instead_of_hanging() {
+        // More transient failures than the retry budget: every rank's
+        // exchange fails permanently after it has taken its batch and
+        // asked for the next one.
+        let mut e = two_replicas(1);
+        e.faults.events = vec![FaultEvent {
+            at_s: 2.5,
+            duration_s: 0.0,
+            kind: FaultKind::TransientCollective { failures: 100 },
+        }];
+        // On its own thread, so that a hang fails the test instead of
+        // stalling it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(|| train(&e)).is_err());
+        });
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(120)),
+            Ok(true),
+            "train() must panic, not hang"
+        );
+        run.join().expect("the panic was caught");
     }
 }
 

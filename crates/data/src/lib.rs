@@ -7,12 +7,10 @@
 
 pub mod dataset;
 pub mod pipeline;
-pub mod prefetch;
 pub mod shard;
 pub mod synth;
 
 pub use dataset::{imagenet, materialize_batch, Dataset};
 pub use pipeline::{load_batch, AugmentConfig};
-pub use prefetch::{Batch, Prefetcher};
 pub use shard::EpochPlan;
 pub use synth::SynthNet;

@@ -14,7 +14,7 @@ use ets_tensor::Rng;
 /// Per-class generative template.
 struct ClassTemplate {
     /// Blobs: (cx, cy, radius, r, g, b) in normalized coordinates.
-    blobs: Vec<(f32, f32, f32, f32, f32, f32)>,
+    blobs: [(f32, f32, f32, f32, f32, f32); 3],
     /// Texture: (orientation kx, ky, amplitude) per channel.
     texture: [(f32, f32, f32); 3],
 }
@@ -42,18 +42,16 @@ impl SynthNet {
         let templates = (0..num_classes)
             .map(|c| {
                 let mut rng = root.split(0x_C1A5_5000 + c as u64);
-                let blobs = (0..3)
-                    .map(|_| {
-                        (
-                            rng.uniform_in(0.15, 0.85),
-                            rng.uniform_in(0.15, 0.85),
-                            rng.uniform_in(0.10, 0.28),
-                            rng.uniform_in(-1.0, 1.0),
-                            rng.uniform_in(-1.0, 1.0),
-                            rng.uniform_in(-1.0, 1.0),
-                        )
-                    })
-                    .collect();
+                let blobs = std::array::from_fn(|_| {
+                    (
+                        rng.uniform_in(0.15, 0.85),
+                        rng.uniform_in(0.15, 0.85),
+                        rng.uniform_in(0.10, 0.28),
+                        rng.uniform_in(-1.0, 1.0),
+                        rng.uniform_in(-1.0, 1.0),
+                        rng.uniform_in(-1.0, 1.0),
+                    )
+                });
                 let mut texture = [(0.0, 0.0, 0.0); 3];
                 for t in &mut texture {
                     *t = (
@@ -116,38 +114,40 @@ impl Dataset for SynthNet {
         let t = &self.templates[label];
         let mut rng = Rng::new(self.seed).split(0x_5A3D_0000 ^ i as u64);
         let jitter = self.noise * 0.15;
-        // Jittered blob positions for this sample.
-        let blobs: Vec<(f32, f32, f32, f32, f32, f32)> = t
-            .blobs
-            .iter()
-            .map(|&(cx, cy, rad, r, g, b)| {
-                (
-                    cx + rng.uniform_in(-jitter, jitter),
-                    cy + rng.uniform_in(-jitter, jitter),
-                    // Radius jitter scales with the noise knob too, so
-                    // noise=0 means pure class templates.
-                    rad * (1.0 + self.noise * rng.uniform_in(-0.15, 0.15)),
-                    r,
-                    g,
-                    b,
-                )
-            })
-            .collect();
+        // Jittered blob centres for this sample, and each Gaussian's
+        // denominator 2·rad².
+        let blobs = t.blobs.map(|(cx, cy, rad, ..)| {
+            let cx = cx + rng.uniform_in(-jitter, jitter);
+            let cy = cy + rng.uniform_in(-jitter, jitter);
+            // Radius jitter scales with the noise knob too, so noise=0
+            // means pure class templates.
+            let rad = rad * (1.0 + self.noise * rng.uniform_in(-0.15, 0.15));
+            (cx, cy, 2.0 * rad * rad)
+        });
+        let colors = t.blobs.map(|(.., r, g, b)| [r, g, b]);
         // Texture phase jitter scales with the noise knob so noise=0 gives
         // pure class templates (up to blob jitter, also noise-scaled).
         let phase = self.noise * rng.uniform_in(0.0, std::f32::consts::TAU);
         let inv = 1.0 / res as f32;
-        for ch in 0..3 {
-            let (kx, ky, amp) = t.texture[ch];
-            for y in 0..res {
-                let fy = (y as f32 + 0.5) * inv;
-                for x in 0..res {
-                    let fx = (x as f32 + 0.5) * inv;
-                    let mut v = amp * (std::f32::consts::TAU * (kx * fx + ky * fy) + phase).sin();
-                    for &(cx, cy, rad, r, g, b) in &blobs {
-                        let d2 = (fx - cx) * (fx - cx) + (fy - cy) * (fy - cy);
-                        let w = (-d2 / (2.0 * rad * rad)).exp();
-                        v += w * [r, g, b][ch];
+        // Pixel by pixel, so each blob's weight is one `exp` shared by the
+        // three channels. Every output is the same chain of f32 operations
+        // as a channel-by-channel loop would compute.
+        for y in 0..res {
+            let fy = (y as f32 + 0.5) * inv;
+            let dy2 = blobs.map(|(_, cy, _)| (fy - cy) * (fy - cy));
+            let ky_fy = t.texture.map(|(_, ky, _)| ky * fy);
+            for x in 0..res {
+                let fx = (x as f32 + 0.5) * inv;
+                let w: [f32; 3] = std::array::from_fn(|b| {
+                    let (cx, _, den) = blobs[b];
+                    let d2 = (fx - cx) * (fx - cx) + dy2[b];
+                    (-d2 / den).exp()
+                });
+                for ch in 0..3 {
+                    let (kx, _, amp) = t.texture[ch];
+                    let mut v = amp * (std::f32::consts::TAU * (kx * fx + ky_fy[ch]) + phase).sin();
+                    for (wb, color) in w.iter().zip(&colors) {
+                        v += wb * color[ch];
                     }
                     out[(ch * res + y) * res + x] = v;
                 }
@@ -167,6 +167,105 @@ impl Dataset for SynthNet {
 mod tests {
     use super::*;
     use crate::dataset::materialize_batch;
+    use proptest::prelude::*;
+
+    /// The channel-by-channel loop `sample_into` replaced: nine `exp` per
+    /// pixel and a per-sample blob `Vec`. The oracle for bitwise equality.
+    fn sample_reference(ds: &SynthNet, i: usize, out: &mut [f32]) -> usize {
+        let res = ds.resolution;
+        assert_eq!(out.len(), 3 * res * res, "output buffer size");
+        let label = i % ds.templates.len();
+        let t = &ds.templates[label];
+        let mut rng = Rng::new(ds.seed).split(0x_5A3D_0000 ^ i as u64);
+        let jitter = ds.noise * 0.15;
+        let blobs: Vec<(f32, f32, f32, f32, f32, f32)> = t
+            .blobs
+            .iter()
+            .map(|&(cx, cy, rad, r, g, b)| {
+                (
+                    cx + rng.uniform_in(-jitter, jitter),
+                    cy + rng.uniform_in(-jitter, jitter),
+                    rad * (1.0 + ds.noise * rng.uniform_in(-0.15, 0.15)),
+                    r,
+                    g,
+                    b,
+                )
+            })
+            .collect();
+        let phase = ds.noise * rng.uniform_in(0.0, std::f32::consts::TAU);
+        let inv = 1.0 / res as f32;
+        for ch in 0..3 {
+            let (kx, ky, amp) = t.texture[ch];
+            for y in 0..res {
+                let fy = (y as f32 + 0.5) * inv;
+                for x in 0..res {
+                    let fx = (x as f32 + 0.5) * inv;
+                    let mut v = amp * (std::f32::consts::TAU * (kx * fx + ky * fy) + phase).sin();
+                    for &(cx, cy, rad, r, g, b) in &blobs {
+                        let d2 = (fx - cx) * (fx - cx) + (fy - cy) * (fy - cy);
+                        let w = (-d2 / (2.0 * rad * rad)).exp();
+                        v += w * [r, g, b][ch];
+                    }
+                    out[(ch * res + y) * res + x] = v;
+                }
+            }
+        }
+        if ds.noise > 0.0 {
+            for v in out.iter_mut() {
+                *v += ds.noise * 0.5 * rng.normal();
+            }
+        }
+        label
+    }
+
+    /// `sample_into` and the oracle on one sample: same label, same bits.
+    fn assert_matches_reference(ds: &SynthNet, i: usize) {
+        let n = 3 * ds.resolution * ds.resolution;
+        let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
+        assert_eq!(
+            ds.sample_into(i, &mut got),
+            sample_reference(ds, i, &mut want)
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "res {} noise {} index {i}",
+            ds.resolution,
+            ds.noise
+        );
+    }
+
+    #[test]
+    fn sample_into_equals_the_channel_by_channel_loop_bitwise() {
+        for res in [4, 5, 8, 17, 32, 64] {
+            for noise in [0.0, 0.35, 1.0] {
+                for seed in [0, 1, 301, u64::MAX] {
+                    let ds = SynthNet::new(seed, 7, 1000, res, noise);
+                    for i in [0, 1, 6, 13, 999] {
+                        assert_matches_reference(&ds, i);
+                    }
+                }
+            }
+        }
+        // The eval split's sample stream too.
+        let (_, eval) = SynthNet::train_eval_pair(5, 4, 16, 16, 8, 0.35);
+        assert_matches_reference(&eval, 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn sample_into_equals_the_reference_for_any_sample(
+            seed in 0u64..u64::MAX,
+            index in 0usize..1_000_000,
+            res in 4usize..40,
+            noise in 0.0f32..1.0,
+        ) {
+            assert_matches_reference(&SynthNet::new(seed, 10, 1_000_000, res, noise), index);
+        }
+    }
 
     #[test]
     fn deterministic_samples() {

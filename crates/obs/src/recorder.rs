@@ -107,6 +107,8 @@ impl Lane {
 /// tests never compare against ad-hoc strings.
 pub mod phase {
     pub const STEP: &str = "step";
+    /// On the trainer's phase lane: a replica's wait for its batch, which
+    /// another thread loaded while the previous step computed.
     pub const DATA: &str = "data";
     pub const FORWARD: &str = "forward";
     pub const BACKWARD: &str = "backward";

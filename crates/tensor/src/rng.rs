@@ -24,7 +24,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Cheap to construct, `Clone`, and splittable into statistically
 /// independent child streams — the property the distributed trainer relies
 /// on to give every replica its own reproducible randomness.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rng {
     s: [u64; 4],
 }

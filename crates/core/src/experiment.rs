@@ -163,7 +163,7 @@ pub struct Experiment {
     pub simd_path: String,
     /// Cross-rank gradient fingerprint verification: after every bucket
     /// all-reduce, ranks exchange a tiny fingerprint record (FNV-1a of
-    /// the reduced bytes + control sums) through an all-gather; a
+    /// the reduced words + control sums) through an all-gather; a
     /// mismatch proves some rank's copy of the reduced payload is
     /// corrupt and *attributes* it to that rank. Detection feeds
     /// [`CorruptionPolicy`]. Bitwise-neutral on clean runs (the check

@@ -28,8 +28,8 @@
 //! rests on, and it makes silent receive-side payload corruption (a bit
 //! flip in one rank's copy of the reduced gradients, the classic
 //! network/DMA SDC) *detectable and attributable*: after each bucket's
-//! all-reduce, each rank computes an FNV-1a fingerprint of its reduced
-//! bytes and the ranks exchange a 12-float record per rank through one
+//! all-reduce, each rank computes the FNV-1a [`Fingerprint`] of its reduced
+//! words and the ranks exchange a 12-float record per rank through one
 //! tiny all-gather. All fingerprints equal ⇒ clean. A mismatch proves
 //! some rank's copy diverged; with ≥ 3 ranks the minority fingerprint
 //! *is* the corrupt rank (majority vote), and a two-rank world breaks
@@ -57,7 +57,7 @@
 //! overlapped [`GradBucket::backward_overlapped_with_retry`] calls it on
 //! its communication thread as buckets arrive. Same bits, same counters.
 
-use crate::report::RecoveryCounters;
+use crate::report::{Fingerprint, RecoveryCounters};
 use crate::timeline::{AllReduceProfile, Stopwatch};
 use ets_collective::{retry_collective, Collective, CollectiveError, RetryPolicy};
 use ets_nn::{HookedBackward, Layer};
@@ -71,23 +71,11 @@ use std::sync::Arc;
 pub const DEFAULT_BUCKET_ELEMS: usize = 1 << 20;
 
 /// Floats per rank in the fingerprint all-gather record: the FNV-1a
-/// fingerprint of the reduced bytes, the f64 sum of the pre-reduce local
+/// [`Fingerprint`] of the reduced words, the f64 sum of the pre-reduce local
 /// contribution, and the f64 sum of the reduced buffer — each as four
 /// 16-bit limbs (every limb is exact in f32, so the record survives the
 /// float-typed collective losslessly).
 const FP_RECORD_F32S: usize = 12;
-
-/// FNV-1a over the f32 bit patterns of a slice (little-endian bytes).
-fn fnv1a_bits(slice: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in slice {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 fn pack_u64_limbs(v: u64, out: &mut [f32]) {
     for (i, o) in out.iter_mut().enumerate().take(4) {
@@ -121,7 +109,7 @@ fn fingerprint_verdict(
     gathered: &mut Vec<f32>,
 ) -> FpVerdict {
     let mut rec = [0.0f32; FP_RECORD_F32S];
-    pack_u64_limbs(fnv1a_bits(reduced), &mut rec[0..4]);
+    pack_u64_limbs(Fingerprint::of(reduced), &mut rec[0..4]);
     pack_u64_limbs(cs_local.to_bits(), &mut rec[4..8]);
     pack_u64_limbs(f64_sum(reduced).to_bits(), &mut rec[8..12]);
     comm.all_gather(&rec, gathered);

@@ -26,6 +26,6 @@ pub use ckpt_store::{
 pub use experiment::{CorruptionPolicy, DecayChoice, Experiment, OptimizerChoice};
 pub use grad_bucket::{GradBucket, DEFAULT_BUCKET_ELEMS};
 pub use paper_recipe::{proxy_of, PROXY_LARS_LR, PROXY_LARS_TRUST, PROXY_RMSPROP_LR};
-pub use report::{checksum_f32, EpochRecord, RecoveryCounters, TrainReport};
+pub use report::{EpochRecord, Fingerprint, RecoveryCounters, TrainReport};
 pub use timeline::{AllReduceProfile, PhaseBreakdown, ResizeRecord, StepTimeline, Stopwatch};
 pub use trainer::{train, train_traced, DivergenceError};

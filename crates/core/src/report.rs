@@ -306,29 +306,111 @@ impl TrainReport {
     }
 }
 
-/// FNV-1a over a float slice's bit patterns — the weight checksum.
-pub fn checksum_f32(values: impl Iterator<Item = f32>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+const FP_LANES: usize = 8;
+
+/// FNV-1a over `f32` bit patterns, one 32-bit word per step, in eight
+/// interleaved lanes: element `i` of the sequence goes to lane `i mod 8`,
+/// and [`Fingerprint::finish`] folds the lanes in lane order: the weight
+/// checksum and the gradient-bucket fingerprints. However the sequence is
+/// split across [`Fingerprint::update`] calls, the value is the same; a
+/// changed element always changes it, because every step and the fold are
+/// bijections of the lane they touch.
+pub struct Fingerprint {
+    lanes: [u64; FP_LANES],
+    len: usize,
+}
+
+fn fnv_words(lanes: &mut [u64], xs: &[f32]) {
+    for (h, x) in lanes.iter_mut().zip(xs) {
+        *h = (*h ^ u64::from(x.to_bits())).wrapping_mul(FNV_PRIME);
+    }
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Fingerprint {
+            lanes: [FNV_OFFSET; FP_LANES],
+            len: 0,
         }
     }
-    h
+}
+
+impl Fingerprint {
+    /// The fingerprint of one slice.
+    pub fn of(xs: &[f32]) -> u64 {
+        let mut f = Fingerprint::default();
+        f.update(xs);
+        f.finish()
+    }
+
+    /// Appends `xs` to the sequence.
+    pub fn update(&mut self, xs: &[f32]) {
+        let open = self.len % FP_LANES;
+        let (head, body) = xs.split_at(xs.len().min((FP_LANES - open) % FP_LANES));
+        fnv_words(&mut self.lanes[open..], head);
+        // A local copy stays in registers across the rounds.
+        let mut lanes = self.lanes;
+        let (rounds, tail) = body.as_chunks::<FP_LANES>();
+        rounds.iter().for_each(|round| fnv_words(&mut lanes, round));
+        fnv_words(&mut lanes, tail);
+        self.lanes = lanes;
+        self.len += xs.len();
+    }
+
+    /// The fingerprint of the sequence so far.
+    pub fn finish(&self) -> u64 {
+        self.lanes
+            .iter()
+            .fold(FNV_OFFSET, |h, &l| (h ^ l).wrapping_mul(FNV_PRIME))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn checksum_sensitive_to_any_bit() {
-        let a = checksum_f32([1.0f32, 2.0, 3.0].into_iter());
-        let b = checksum_f32([1.0f32, 2.0, 3.0000002].into_iter());
-        assert_ne!(a, b);
-        let c = checksum_f32([1.0f32, 2.0, 3.0].into_iter());
-        assert_eq!(a, c);
+    /// The fingerprint as defined: one FNV-1a chain per lane over the
+    /// words `i ≡ lane (mod 8)`, chains folded in lane order.
+    fn fingerprint_reference(xs: &[f32]) -> u64 {
+        let mut lanes = [FNV_OFFSET; 8];
+        for (i, x) in xs.iter().enumerate() {
+            lanes[i % 8] = (lanes[i % 8] ^ x.to_bits() as u64).wrapping_mul(FNV_PRIME);
+        }
+        lanes
+            .iter()
+            .fold(FNV_OFFSET, |h, &l| (h ^ l).wrapping_mul(FNV_PRIME))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fingerprint_sees_every_bit_and_no_split(
+            words in proptest::collection::vec(0u32..u32::MAX, 0..68),
+        ) {
+            let xs: Vec<f32> = words.iter().map(|&w| f32::from_bits(w)).collect();
+            let whole = Fingerprint::of(&xs);
+            proptest::prop_assert_eq!(whole, fingerprint_reference(&xs));
+            // Every split into three pieces (empty ones included).
+            for a in 0..=xs.len() {
+                for b in a..=xs.len() {
+                    let mut f = Fingerprint::default();
+                    for piece in [&xs[..a], &xs[a..b], &xs[b..]] {
+                        f.update(piece);
+                    }
+                    proptest::prop_assert_eq!(f.finish(), whole, "split at {} and {}", a, b);
+                }
+            }
+            // Every single-bit flip of every element.
+            let mut flipped = xs.clone();
+            for i in 0..xs.len() {
+                for bit in 0..32 {
+                    flipped[i] = f32::from_bits(xs[i].to_bits() ^ (1 << bit));
+                    proptest::prop_assert_ne!(Fingerprint::of(&flipped), whole);
+                }
+                flipped[i] = xs[i];
+            }
+        }
     }
 
     #[test]

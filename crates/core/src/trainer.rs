@@ -48,7 +48,7 @@ use crate::bn_sync::GroupStatSync;
 use crate::ckpt_store::{CkptStore, DurableSnapshot, Progress};
 use crate::experiment::{DecayChoice, Experiment, OptimizerChoice};
 use crate::grad_bucket::GradBucket;
-use crate::report::{checksum_f32, EpochRecord, RecoveryCounters, TrainReport};
+use crate::report::{EpochRecord, Fingerprint, RecoveryCounters, TrainReport};
 use crate::timeline::{AllReduceProfile, PhaseBreakdown, ResizeRecord, StepTimeline, Stopwatch};
 use ets_collective::{
     bn_partition, create_collective, Collective, CollectiveError, FaultSchedule, FaultyCollective,
@@ -1475,11 +1475,11 @@ impl<'a> Replica<'a> {
             );
         }
 
-        let mut weights: Vec<f32> = Vec::new();
+        let mut weights = Fingerprint::default();
         self.model
-            .visit_params(&mut |p| weights.extend_from_slice(p.value.data()));
+            .visit_params(&mut |p| weights.update(p.value.data()));
         PhaseOutcome {
-            checksum: checksum_f32(weights.into_iter()),
+            checksum: weights.finish(),
             history: self.history,
             phases: self.phases,
             buckets: self.grad_bucket.profile().clone(),

@@ -280,9 +280,14 @@ fn every_world_size_still_learns() {
     let _tally = sharing_the_tally();
     // Across world sizes the all-reduce association differs, so equality
     // is not bitwise — but the training outcome must agree qualitatively:
-    // finite, decreasing loss for both.
+    // finite, decreasing loss for both. Over two epochs of 8 steps near
+    // ln 8 the sign of the change is noise: 2 or 3 of the 16 runs of
+    // world {2, 4} × seed {42, 1..=7} went up, depending on the
+    // initializer. Over four epochs the last was below the first in all 16.
     for world in [2usize, 4] {
-        let r = train(&res32(world, Backend::Auto));
+        let mut e = res32(world, Backend::Auto);
+        e.epochs = 4;
+        let r = train(&e);
         assert!(
             r.final_loss().is_finite(),
             "world={world}: non-finite final loss"

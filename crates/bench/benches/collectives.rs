@@ -1,20 +1,17 @@
-//! Benchmarks of the real shared-memory collectives through the
-//! [`Collective`] trait: tree vs ring vs auto across replica counts and
-//! payload sizes, up to gradient-scale payloads (4 Mi floats = 16 MiB,
-//! about the flattened gradient of an EfficientNet-B2).
-//!
-//! The small sizes are latency-bound (the tree should win), the large
-//! sizes bandwidth-bound (the ring should win); `auto` should track the
-//! better of the two on both ends — the same crossover the α–β cost
-//! model predicts for the pod interconnect.
+//! Benchmarks of the real shared-memory collective through the
+//! `Collective` trait across replica counts and payload sizes, up to
+//! gradient-scale payloads (4 Mi floats = 16 MiB, about the flattened
+//! gradient of an EfficientNet-B2). Every `Backend` label runs the same
+//! communicator round in process, so one is measured; how the schedules
+//! compare on a pod's links is `ets_collective::cost`'s to price.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ets_collective::{create_collective, Backend};
 use std::thread;
 
 /// One full world: every replica runs `rounds` all-reduces of `elems`.
-fn run_backend(backend: Backend, replicas: usize, elems: usize, rounds: usize) {
-    let world = create_collective(backend, replicas);
+fn run_world(replicas: usize, elems: usize, rounds: usize) {
+    let world = create_collective(Backend::default(), replicas);
     let joins: Vec<_> = world
         .into_iter()
         .map(|c| {
@@ -41,18 +38,16 @@ fn bench_all_reduce(c: &mut Criterion) {
         for &elems in &[1_024usize, 65_536, 4_194_304] {
             // Skip the cross-product's most expensive corner at high
             // replica counts to keep wall time sane; 4 replicas at 4 Mi
-            // still covers every backend at full payload.
+            // still covers the full payload.
             if elems == 4_194_304 && replicas == 8 {
                 continue;
             }
             group.throughput(Throughput::Bytes((elems * 4 * replicas) as u64));
-            for backend in Backend::ALL {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{backend}_r{replicas}"), elems),
-                    &elems,
-                    |b, &elems| b.iter(|| run_backend(backend, replicas, elems, 2)),
-                );
-            }
+            group.bench_with_input(
+                BenchmarkId::new(format!("r{replicas}"), elems),
+                &elems,
+                |b, &elems| b.iter(|| run_world(replicas, elems, 2)),
+            );
         }
     }
     group.finish();
@@ -66,12 +61,10 @@ fn bench_steady_state(c: &mut Criterion) {
     group.sample_size(10);
     let replicas = 4usize;
     let elems = 4_194_304usize;
-    for backend in [Backend::Tree, Backend::Ring] {
-        group.throughput(Throughput::Bytes((elems * 4 * replicas) as u64));
-        group.bench_function(BenchmarkId::new(format!("{backend}"), elems), |b| {
-            b.iter(|| run_backend(backend, replicas, elems, 4));
-        });
-    }
+    group.throughput(Throughput::Bytes((elems * 4 * replicas) as u64));
+    group.bench_function(BenchmarkId::new("steady", elems), |b| {
+        b.iter(|| run_world(replicas, elems, 4));
+    });
     group.finish();
 }
 

@@ -8,9 +8,9 @@
 //!
 //! # The round
 //!
-//! Every operation (`all_reduce_sum*`, `reduce_scatter_sum`,
-//! `all_gather*`, `broadcast`, `barrier`) is one *round* of one protocol
-//! over one set of persistent per-rank contribution buffers, the *slots*:
+//! Every operation (`all_reduce_sum*`, `all_gather*`, `broadcast`,
+//! `barrier`) is one *round* of one protocol over one set of persistent
+//! per-rank contribution buffers, the *slots*:
 //!
 //! 1. **Enter.** Wait until every member has left the previous round
 //!    (the drain rule: no buffer is rewritten while a peer has yet to
@@ -21,9 +21,9 @@
 //! 3. **Meet.** A rendezvous: from here to the end of the round the
 //!    slots are read-only.
 //! 4. **Read.** Each rank takes what the operation gives it straight
-//!    from the slots: the gathered concatenation, the root's payload,
-//!    its shard of the sum, or the whole sum folded into its own buffer
-//!    (all ranks fold at once, each for itself).
+//!    from the slots: the gathered concatenation, the root's payload, or
+//!    the whole sum folded into its own buffer (all ranks fold at once,
+//!    each for itself).
 //! 5. **Leave.**
 //!
 //! An element of the sum is the same chain of `f32` additions whoever
@@ -37,25 +37,36 @@
 //! per step — thousands of rounds per step). Capacity growth is counted
 //! in [`CommHandle::scratch_reallocs`], which a test pins to zero after
 //! warmup.
+//!
+//! # Lock poisoning
+//!
+//! A rank that panics inside a round (a double deposit, mismatched
+//! lengths) poisons nothing for its peers: every lock here is taken
+//! through `unpoisoned`. That is sound because no update of the gate or
+//! the slots can be left half done: the double-deposit check runs before
+//! the gate changes, the length check under a read lock, and a deposit
+//! fills a slot taken out of the pool before putting it back.
 
-use parking_lot::{Condvar, Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Elements folded at a time, so the running sum stays in L1 while the
 /// slots stream past it.
 const FOLD_TILE: usize = 1024;
 
-/// Range `[start, end)` of part `i` when `n` elements are split into
-/// `parts` near-equal shards, remainder spread over the leading parts —
-/// the shard layout [`CommHandle::reduce_scatter_sum`] commits to.
-pub fn shard_bounds(n: usize, parts: usize, i: usize) -> (usize, usize) {
-    assert!(i < parts, "shard index out of range");
-    let base = n / parts;
-    let rem = n % parts;
-    let start = i * base + i.min(rem);
-    let len = base + usize::from(i < rem);
-    (start, start + len)
+/// The guard of a lock result, whether or not a panicking holder
+/// poisoned the lock (module docs, "Lock poisoning").
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The gate's mutex; `lock` takes it through [`unpoisoned`].
+struct GateLock(Mutex<Gate>);
+
+impl GateLock {
+    fn lock(&self) -> MutexGuard<'_, Gate> {
+        unpoisoned(self.0.lock())
+    }
 }
 
 fn add_assign(acc: &mut [f32], x: &[f32]) {
@@ -64,27 +75,24 @@ fn add_assign(acc: &mut [f32], x: &[f32]) {
     }
 }
 
-/// `dst[i] = Σ slots[..][start + i]` with the canonical association:
-/// the slots are blocks of `cols` consecutive ranks, each block is
-/// folded in ascending rank order and the block sums are folded in
-/// ascending block order (`cols == slots.len()` is the flat ascending
-/// fold). Tiled so each element is written once.
+/// `dst[i] = Σ slots[..][i]` with the canonical association: the slots
+/// are blocks of `cols` consecutive ranks, each block is folded in
+/// ascending rank order and the block sums are folded in ascending block
+/// order (`cols == slots.len()` is the flat ascending fold). Tiled so
+/// each element is written once.
 ///
-/// With `own = Some(r)`, `dst` is rank `r`'s whole contribution (what it
-/// deposited in slot `r`, so `start` is 0) and is summed in place of
-/// that slot: the result overwrites lines the fold has just read instead
-/// of lines it has to fetch first, a quarter less memory traffic for two
-/// ranks.
-fn fold_range(slots: &[Vec<f32>], cols: usize, start: usize, dst: &mut [f32], own: Option<usize>) {
+/// `dst` is rank `own`'s contribution (what it deposited in slot `own`)
+/// and is summed in place of that slot: the result overwrites lines the
+/// fold has just read instead of lines it has to fetch first, a quarter
+/// less memory traffic for two ranks.
+fn fold_range(slots: &[Vec<f32>], cols: usize, dst: &mut [f32], own: usize) {
     let (mut partial, mut mine) = ([0.0f32; FOLD_TILE], [0.0f32; FOLD_TILE]);
     for (t, out) in dst.chunks_mut(FOLD_TILE).enumerate() {
-        let at = start + t * FOLD_TILE;
+        let at = t * FOLD_TILE;
         let len = out.len();
-        if own.is_some() {
-            mine[..len].copy_from_slice(out);
-        }
+        mine[..len].copy_from_slice(out);
         let source = |rank: usize| {
-            if own == Some(rank) {
+            if rank == own {
                 &mine[..len]
             } else {
                 &slots[rank][at..at + len]
@@ -126,7 +134,7 @@ struct Gate {
 
 struct CommInner {
     size: usize,
-    gate: Mutex<Gate>,
+    gate: GateLock,
     cv: Condvar,
     /// Per-rank contribution buffers. A rank takes its own out to fill
     /// it and puts it back before it meets the others.
@@ -152,12 +160,12 @@ impl CommHandle {
         assert!(size >= 1, "communicator needs at least one member");
         let inner = Arc::new(CommInner {
             size,
-            gate: Mutex::new(Gate {
+            gate: GateLock(Mutex::new(Gate {
                 deposited: vec![false; size],
                 arrived: 0,
                 generation: 0,
                 readers_left: 0,
-            }),
+            })),
             cv: Condvar::new(),
             slots: RwLock::new(vec![Vec::new(); size]),
             reallocs: AtomicU64::new(0),
@@ -191,7 +199,7 @@ impl CommHandle {
         let inner = &*self.inner;
         let mut gate = inner.gate.lock();
         while gate.readers_left > 0 {
-            inner.cv.wait(&mut gate);
+            gate = unpoisoned(inner.cv.wait(gate));
         }
         assert!(
             !gate.deposited[self.rank],
@@ -215,7 +223,7 @@ impl CommHandle {
         } else {
             let generation = gate.generation;
             while gate.generation == generation {
-                inner.cv.wait(&mut gate);
+                gate = unpoisoned(inner.cv.wait(gate));
             }
         }
     }
@@ -233,14 +241,14 @@ impl CommHandle {
     /// serialize on the pool's lock.
     fn deposit(&self, src: &[f32]) {
         let slots = &self.inner.slots;
-        let mut own = std::mem::take(&mut slots.write()[self.rank]);
+        let mut own = std::mem::take(&mut unpoisoned(slots.write())[self.rank]);
         let capacity = own.capacity();
         own.clear();
         own.extend_from_slice(src);
         if own.capacity() > capacity {
             self.inner.reallocs.fetch_add(1, Ordering::Relaxed);
         }
-        slots.write()[self.rank] = own;
+        unpoisoned(slots.write())[self.rank] = own;
     }
 
     /// Steps 1–3 of a round (module docs): enters, deposits
@@ -262,9 +270,9 @@ impl CommHandle {
     /// [`fold_range`]).
     fn all_reduce(&self, buf: &mut [f32], cols: usize) {
         self.open(Some(buf));
-        let slots = self.inner.slots.read();
+        let slots = unpoisoned(self.inner.slots.read());
         check_lengths(&slots, buf.len(), "all-reduce");
-        fold_range(&slots, cols, 0, buf, Some(self.rank));
+        fold_range(&slots, cols, buf, self.rank);
         drop(slots);
         self.leave();
     }
@@ -290,14 +298,11 @@ impl CommHandle {
     /// `cols` consecutive contributions are folded in ascending rank order,
     /// and the block sums are then folded in ascending block order.
     ///
-    /// This is the reduction order every [`crate::Collective`] backend
-    /// commits to for its world — it is exactly what a two-phase torus
-    /// exchange produces (per-row ascending fold, then per-column ascending
-    /// fold of the row sums), so tree, ring, and torus-2d backends are
-    /// bitwise identical. `rows == 1` degenerates to the flat ascending
-    /// fold of [`Self::all_reduce_sum`] (which stays flat on purpose: the
-    /// torus backend's internal row/column sub-communicators must fold
-    /// flat for the composition to equal this one-level blocked fold).
+    /// This is the reduction order every [`crate::Collective`] commits to
+    /// for its world: exactly what a two-phase torus exchange produces
+    /// (per-row ascending fold, then per-column ascending fold of the row
+    /// sums). `rows == 1` degenerates to the flat ascending fold of
+    /// [`Self::all_reduce_sum`].
     pub fn all_reduce_sum_grid(&self, buf: &mut [f32], rows: usize, cols: usize) {
         assert_eq!(
             rows * cols,
@@ -307,29 +312,6 @@ impl CommHandle {
         if self.inner.size > 1 {
             self.all_reduce(buf, cols);
         }
-    }
-
-    /// Reduce-scatter with the flat ascending-rank fold: every member
-    /// contributes `contrib`, and `shard` is refilled with this rank's
-    /// remainder-first shard (see [`shard_bounds`]) of the full sum.
-    ///
-    /// With a reused `shard` the steady state allocates nothing. All
-    /// members must pass equal-length contributions.
-    pub fn reduce_scatter_sum(&self, contrib: &[f32], shard: &mut Vec<f32>) {
-        let (n, size) = (contrib.len(), self.inner.size);
-        if size == 1 {
-            shard.clear();
-            shard.extend_from_slice(contrib);
-            return;
-        }
-        self.open(Some(contrib));
-        let slots = self.inner.slots.read();
-        check_lengths(&slots, n, "reduce-scatter");
-        let (start, end) = shard_bounds(n, size, self.rank);
-        shard.resize(end - start, 0.0);
-        fold_range(&slots, size, start, shard, None);
-        drop(slots);
-        self.leave();
     }
 
     /// Gathers every member's `local` slice into `out`, concatenated in
@@ -342,7 +324,7 @@ impl CommHandle {
             return;
         }
         self.open(Some(local));
-        for slot in self.inner.slots.read().iter() {
+        for slot in unpoisoned(self.inner.slots.read()).iter() {
             out.extend_from_slice(slot);
         }
         self.leave();
@@ -356,29 +338,6 @@ impl CommHandle {
         out
     }
 
-    /// Gathers every member's `local` slice into the fixed-size slice
-    /// `out` (rank order); `out.len()` must equal the sum of contribution
-    /// lengths. The allocation-free companion of [`Self::all_gather_into`]
-    /// for callers that own the destination, e.g. the torus backend's
-    /// all-gather phase writing straight back into the gradient buffer.
-    pub fn all_gather_into_slice(&self, local: &[f32], out: &mut [f32]) {
-        if self.inner.size == 1 {
-            out.copy_from_slice(local);
-            return;
-        }
-        self.open(Some(local));
-        let slots = self.inner.slots.read();
-        let total: usize = slots.iter().map(Vec::len).sum();
-        assert_eq!(out.len(), total, "all-gather destination length");
-        let mut at = 0;
-        for slot in slots.iter() {
-            out[at..at + slot.len()].copy_from_slice(slot);
-            at += slot.len();
-        }
-        drop(slots);
-        self.leave();
-    }
-
     /// Broadcast from `root`: on return every member's `buf` holds root's.
     pub fn broadcast(&self, buf: &mut [f32], root: usize) {
         assert!(root < self.inner.size, "broadcast root out of range");
@@ -388,7 +347,7 @@ impl CommHandle {
         // Only the root deposits payload.
         self.open((self.rank == root).then_some(&*buf));
         if self.rank != root {
-            buf.copy_from_slice(&self.inner.slots.read()[root]);
+            buf.copy_from_slice(&unpoisoned(self.inner.slots.read())[root]);
         }
         self.leave();
     }
@@ -585,7 +544,7 @@ mod tests {
 
     #[test]
     fn grid_fold_matches_two_phase_torus_composition_bitwise() {
-        // The one-level blocked fold must equal what the torus backend
+        // The one-level blocked fold must equal what a torus exchange
         // physically does: per-row reduce-scatter (flat ascending fold),
         // per-column all-reduce of the shards (flat ascending fold over
         // block sums), then row all-gather.
@@ -604,62 +563,6 @@ mod tests {
                         assert_eq!(x.to_bits(), y.to_bits(), "grid {rows}x{cols} n={n}");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_shards_cover_the_flat_sum() {
-        for n in [1usize, 3, 10, 97] {
-            let flat = run_replicas(4, move |h| {
-                let mut buf = adversarial_payload(h.rank(), n);
-                h.all_reduce_sum(&mut buf);
-                buf
-            })[0]
-                .clone();
-            let shards = run_replicas(4, move |h| {
-                let contrib = adversarial_payload(h.rank(), n);
-                let mut shard = Vec::new();
-                h.reduce_scatter_sum(&contrib, &mut shard);
-                (h.rank(), shard)
-            });
-            let mut rebuilt = vec![0.0f32; n];
-            for (rank, shard) in shards {
-                let (a, b) = shard_bounds(n, 4, rank);
-                assert_eq!(shard.len(), b - a);
-                rebuilt[a..b].copy_from_slice(&shard);
-            }
-            for (x, y) in rebuilt.iter().zip(flat.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn all_gather_into_slice_concatenates_in_rank_order() {
-        let results = run_replicas(3, |h| {
-            let local = [h.rank() as f32 * 10.0, h.rank() as f32 * 10.0 + 1.0];
-            let mut out = [0.0f32; 6];
-            h.all_gather_into_slice(&local, &mut out);
-            out.to_vec()
-        });
-        for r in results {
-            assert_eq!(r, vec![0.0, 1.0, 10.0, 11.0, 20.0, 21.0]);
-        }
-    }
-
-    #[test]
-    fn shard_bounds_partition_exactly() {
-        for n in [0usize, 1, 5, 16, 97] {
-            for parts in 1..=8usize {
-                let mut covered = 0;
-                for i in 0..parts {
-                    let (a, b) = shard_bounds(n, parts, i);
-                    assert_eq!(a, covered, "shards must be contiguous");
-                    assert!(b >= a);
-                    covered = b;
-                }
-                assert_eq!(covered, n, "shards must cover [0, n)");
             }
         }
     }

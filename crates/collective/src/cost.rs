@@ -48,8 +48,7 @@ pub fn ring_all_reduce_time(bytes: f64, p: usize, link: LinkSpec) -> f64 {
 /// `bytes` over `p` members: `2·⌈log₂ p⌉` steps, each moving the full
 /// payload. Latency-friendly (log p hops vs the ring's 2(p−1)) but
 /// bandwidth-hungry (full payload per step vs the ring's `(p−1)/p · n/p`
-/// chunks) — this is the model for the publish-all tree communicator in
-/// [`crate::comm`].
+/// chunks). This prices [`crate::Backend::Tree`] on a pod's links.
 pub fn tree_all_reduce_time(bytes: f64, p: usize, link: LinkSpec) -> f64 {
     if p <= 1 {
         return 0.0;
@@ -100,11 +99,10 @@ pub fn torus_all_reduce_time(bytes: f64, slice: SliceShape, link: LinkSpec) -> f
 }
 
 /// Time for the 2-D grid all-reduce of `bytes` over a `rows × cols`
-/// **member** grid — the model for the `Torus2d` backend, which routes
-/// over [`crate::topology::canonical_grid`] of the world size rather
-/// than the chip slice. Same three phases as
-/// [`torus_all_reduce_time`]; both paths price one formula, so the
-/// analytic tables and the executed backend agree.
+/// **member** grid: [`crate::Backend::Torus2d`] over
+/// [`crate::topology::canonical_grid`] of the world size rather than the
+/// chip slice. Same three phases as [`torus_all_reduce_time`], one
+/// formula for both.
 pub fn grid_all_reduce_time(bytes: f64, rows: usize, cols: usize, link: LinkSpec) -> f64 {
     torus_all_reduce_time(bytes, SliceShape { rows, cols }, link)
 }

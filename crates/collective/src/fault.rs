@@ -1138,39 +1138,37 @@ mod tests {
             ..FaultPlan::default()
         };
         let sched = Arc::new(plan.compile(4));
-        for backend in [Backend::Tree, Backend::Ring] {
-            let world = create_collective(backend, 3);
-            let joins: Vec<_> = world
-                .into_iter()
-                .map(|c| {
-                    let sched = Arc::clone(&sched);
-                    thread::spawn(move || {
-                        let fc = FaultyCollective::new(c, sched);
-                        let policy = RetryPolicy::default();
-                        let mut outs = Vec::new();
-                        for step in 0..2u64 {
-                            fc.set_step(step);
-                            let mut buf = vec![fc.rank() as f32 + 1.0, 2.0];
-                            let out = retry_collective(&policy, || fc.try_all_reduce_sum(&mut buf))
-                                .unwrap();
-                            outs.push((buf, out.attempts));
-                        }
-                        (outs, fc.injected_failures())
-                    })
+        let world = create_collective(Backend::Tree, 3);
+        let joins: Vec<_> = world
+            .into_iter()
+            .map(|c| {
+                let sched = Arc::clone(&sched);
+                thread::spawn(move || {
+                    let fc = FaultyCollective::new(c, sched);
+                    let policy = RetryPolicy::default();
+                    let mut outs = Vec::new();
+                    for step in 0..2u64 {
+                        fc.set_step(step);
+                        let mut buf = vec![fc.rank() as f32 + 1.0, 2.0];
+                        let out =
+                            retry_collective(&policy, || fc.try_all_reduce_sum(&mut buf)).unwrap();
+                        outs.push((buf, out.attempts));
+                    }
+                    (outs, fc.injected_failures())
                 })
-                .collect();
-            let results: Vec<_> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-            for (outs, injected) in &results {
-                // Step 0 needed 3 attempts (2 injected failures), step 1 none.
-                assert_eq!(outs[0].1, 3, "{backend}");
-                assert_eq!(outs[1].1, 1, "{backend}");
-                assert_eq!(*injected, 2, "{backend}");
-                // Payloads are unperturbed: 1+2+3 = 6 and 3×2 = 6.
-                assert_eq!(outs[0].0, vec![6.0, 6.0], "{backend}");
-                assert_eq!(outs[1].0, vec![6.0, 6.0], "{backend}");
-            }
-            assert_eq!(results[0].0, results[1].0, "{backend}: ranks diverged");
+            })
+            .collect();
+        let results: Vec<_> = joins.into_iter().map(|j| j.join().unwrap()).collect();
+        for (outs, injected) in &results {
+            // Step 0 needed 3 attempts (2 injected failures), step 1 none.
+            assert_eq!(outs[0].1, 3);
+            assert_eq!(outs[1].1, 1);
+            assert_eq!(*injected, 2);
+            // Payloads are unperturbed: 1+2+3 = 6 and 3×2 = 6.
+            assert_eq!(outs[0].0, vec![6.0, 6.0]);
+            assert_eq!(outs[1].0, vec![6.0, 6.0]);
         }
+        assert_eq!(results[0].0, results[1].0, "ranks diverged");
     }
 
     #[test]

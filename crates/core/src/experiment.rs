@@ -98,10 +98,11 @@ pub struct Experiment {
     pub decay: DecayChoice,
     /// Batch-norm replica grouping (§3.4).
     pub bn_group: GroupSpec,
-    /// Which collective transport moves gradients, BN statistics, eval
-    /// counts, and init broadcasts. `Tree` (the default) is bitwise
-    /// compatible with the seed trainer; `Ring` is bandwidth-optimal;
-    /// `Auto` switches at the α–β crossover.
+    /// The all-reduce schedule this run would use on a pod, as priced by
+    /// `ets-collective`'s cost models and `ets-tpu-sim`. In process every
+    /// value runs the same communicator round for gradients, BN
+    /// statistics, eval counts and init broadcasts, so the trajectory is
+    /// bitwise the same under each; the label is reported back.
     pub collective_backend: Backend,
     /// Deterministic fault-injection schedule (chaos testing). The
     /// default plan is empty: no faults. A non-empty plan perturbs virtual

@@ -15,15 +15,14 @@
 //!   its own collective call and timed individually
 //!   ([`AllReduceProfile`]), so per-size behavior is observable.
 //!
-//! Determinism note: the tree backend reduces element-wise in ascending
-//! rank order, so bucketizing cannot change its results — the bucketized
-//! trainer stays bitwise on the seed trajectory. The ring backend chunks
-//! by buffer length, so bucket layout is part of its (fixed, reproducible)
-//! reduction order.
+//! Determinism note: the collective reduces element-wise in a fixed rank
+//! order, so bucketizing cannot change its results — the bucketized
+//! trainer stays bitwise on the seed trajectory, whatever the bucket
+//! layout.
 //!
 //! ## Cross-rank gradient fingerprints (opt-in)
 //!
-//! Every backend produces **bitwise-identical** reduced buffers on all
+//! The collective produces **bitwise-identical** reduced buffers on all
 //! ranks — that invariant is what the whole trainer's SPMD symmetry
 //! rests on, and it makes silent receive-side payload corruption (a bit
 //! flip in one rank's copy of the reduced gradients, the classic

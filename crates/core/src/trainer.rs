@@ -4,8 +4,8 @@
 //! Faithfully reproduced mechanics:
 //! - **Data parallelism**: every replica holds a full model copy and a
 //!   disjoint shard of each global batch; gradients are summed with a
-//!   deterministic collective (tree, ring, or auto — see
-//!   [`ets_collective::Backend`], selected per experiment) and averaged,
+//!   deterministic collective ([`ets_collective::create_collective`]) and
+//!   averaged,
 //!   so all replicas take bitwise-identical optimizer steps (asserted via
 //!   a final weight checksum across replicas). Gradients move through a
 //!   bucketized persistent flat buffer ([`crate::grad_bucket`]) with
@@ -249,8 +249,8 @@ impl Feed {
     }
 }
 
-/// The replica's gradient collective: either the raw backend or the same
-/// backend behind a fault-injection decorator. BN-group collectives stay
+/// The replica's gradient collective: either the plain collective or the
+/// same collective behind a fault-injection decorator. BN-group collectives stay
 /// unwrapped — the fault model targets the world-wide gradient exchange.
 enum WorldComm {
     Plain(Box<dyn Collective>),
@@ -1825,39 +1825,31 @@ mod broadcast_init_tests {
         use ets_efficientnet::ModelConfig;
         use ets_nn::Precision;
         use ets_tensor::Tensor;
-        for backend in [Backend::Tree, Backend::Ring] {
-            let world = create_collective(backend, 3);
-            let states: Vec<DurableSnapshot> = world
-                .into_iter()
-                .map(|c| {
-                    std::thread::spawn(move || {
-                        // Independent inits, perturbed running stats.
-                        let mut rng = Rng::new(10 + c.rank() as u64);
-                        let mut m =
-                            EfficientNet::new(ModelConfig::tiny(16, 4), Precision::F32, &mut rng);
-                        let mut rng = Rng::new(20 + c.rank() as u64);
-                        let mut x = Tensor::zeros([2, 3, 16, 16]);
-                        rng.fill_normal(x.data_mut(), 0.0, 1.0);
-                        let _ = m.forward(&x, Mode::Train, &mut rng);
-                        broadcast_model(&mut m, c.as_ref(), 1);
-                        let (opt, at) = (Sgd::new(0.0, 0.0), Progress::fresh());
-                        DurableSnapshot::capture(&mut m, &opt, None, &at, 1, &[])
-                    })
+        let world = create_collective(Backend::Tree, 3);
+        let states: Vec<DurableSnapshot> = world
+            .into_iter()
+            .map(|c| {
+                std::thread::spawn(move || {
+                    // Independent inits, perturbed running stats.
+                    let mut rng = Rng::new(10 + c.rank() as u64);
+                    let mut m =
+                        EfficientNet::new(ModelConfig::tiny(16, 4), Precision::F32, &mut rng);
+                    let mut rng = Rng::new(20 + c.rank() as u64);
+                    let mut x = Tensor::zeros([2, 3, 16, 16]);
+                    rng.fill_normal(x.data_mut(), 0.0, 1.0);
+                    let _ = m.forward(&x, Mode::Train, &mut rng);
+                    broadcast_model(&mut m, c.as_ref(), 1);
+                    let (opt, at) = (Sgd::new(0.0, 0.0), Progress::fresh());
+                    DurableSnapshot::capture(&mut m, &opt, None, &at, 1, &[])
                 })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|j| j.join().unwrap())
-                .collect();
-            for state in &states[1..] {
-                assert_eq!(
-                    state.params, states[0].params,
-                    "{backend}: weights diverged"
-                );
-                assert_eq!(
-                    state.bn_running, states[0].bn_running,
-                    "{backend}: BN stats diverged"
-                );
-            }
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|j| j.join().unwrap())
+            .collect();
+        for state in &states[1..] {
+            assert_eq!(state.params, states[0].params, "weights diverged");
+            assert_eq!(state.bn_running, states[0].bn_running, "BN stats diverged");
         }
     }
 

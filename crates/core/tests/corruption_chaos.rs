@@ -52,14 +52,13 @@ fn serial() -> MutexGuard<'static, ()> {
 
 /// Small elastic-style experiment with the corruption defense on:
 /// 4 nominal steps per epoch at any world size.
-fn chaos_exp(backend: Backend, world: usize) -> Experiment {
+fn chaos_exp(world: usize) -> Experiment {
     let mut e = Experiment::proxy_default();
     e.replicas = world;
     e.per_replica_batch = 8;
     e.epochs = 2;
     e.train_samples = 32 * world;
     e.eval_samples = 32;
-    e.collective_backend = backend;
     e.fingerprint_verify = true;
     e.abft_verify = true;
     e
@@ -67,8 +66,8 @@ fn chaos_exp(backend: Backend, world: usize) -> Experiment {
 
 /// Same experiment on the resolution-32 proxy, whose projection GEMMs
 /// take the packed tile path — required for any ABFT-facing test.
-fn abft_exp(backend: Backend, world: usize) -> Experiment {
-    let mut e = chaos_exp(backend, world);
+fn abft_exp(world: usize) -> Experiment {
+    let mut e = chaos_exp(world);
     e.model = ets_efficientnet::ModelConfig::tiny(32, 8);
     e.resolution = 32;
     e
@@ -106,26 +105,21 @@ fn assert_no_detections(r: &TrainReport, tag: &str) {
     assert_eq!(rec.rank_quarantines, 0, "{tag}");
 }
 
-/// Contract 1: across backends and world sizes (including the trivial
-/// world of one, where fingerprints cannot vote), a fault-free run
+/// Contract 1: across world sizes (including the trivial world of one,
+/// where fingerprints cannot vote), a fault-free run
 /// never trips either detector, and running with the full defense on
 /// is bitwise identical to running with it off.
 #[test]
 fn clean_runs_never_trip_detectors_and_verify_is_bitwise_neutral() {
     let _g = serial();
-    for (backend, world) in [
-        (Backend::Tree, 1),
-        (Backend::Tree, 4),
-        (Backend::Ring, 2),
-        (Backend::Auto, 4),
-    ] {
-        let mut on = chaos_exp(backend, world);
+    for world in [1, 2, 4] {
+        let mut on = chaos_exp(world);
         on.epochs = 1;
         let mut off = on.clone();
         off.fingerprint_verify = false;
         off.abft_verify = false;
         let (r_on, r_off) = (train(&on), train(&off));
-        let tag = format!("{backend:?}/w{world}");
+        let tag = format!("w{world}");
         assert_no_detections(&r_on, &tag);
         assert_eq!(
             r_on.weight_checksum, r_off.weight_checksum,
@@ -137,7 +131,7 @@ fn clean_runs_never_trip_detectors_and_verify_is_bitwise_neutral() {
     // verifies tiles (at resolution 16 the neutrality claim is vacuous
     // because no GEMM takes the tile path).
     let verified0 = abft::tiles_verified();
-    let mut on = abft_exp(Backend::Tree, 2);
+    let mut on = abft_exp(2);
     on.epochs = 1;
     let mut off = on.clone();
     off.fingerprint_verify = false;
@@ -161,22 +155,20 @@ fn clean_runs_never_trip_detectors_and_verify_is_bitwise_neutral() {
 #[test]
 fn payload_flip_is_detected_and_healed_bitwise() {
     let _g = serial();
-    for backend in [Backend::Tree, Backend::Ring] {
-        let clean = chaos_exp(backend, 4);
-        let mut bad = clean.clone();
-        bad.faults.events.push(flip(2, 3));
-        let (rc, rb) = (train(&clean), train(&bad));
-        let rec = &rb.fault_recovery;
-        assert_eq!(rec.corruptions_detected, 1, "{backend:?}");
-        assert_eq!(rec.corruptions_corrected, 1, "{backend:?}");
-        assert_eq!(rec.rank_quarantines, 0, "{backend:?}");
-        assert_eq!(rec.resizes, 0, "{backend:?}");
-        assert_eq!(rb.final_world, 4, "{backend:?}");
-        assert_eq!(
-            rb.weight_checksum, rc.weight_checksum,
-            "{backend:?}: healed run must be bitwise identical to clean"
-        );
-    }
+    let clean = chaos_exp(4);
+    let mut bad = clean.clone();
+    bad.faults.events.push(flip(2, 3));
+    let (rc, rb) = (train(&clean), train(&bad));
+    let rec = &rb.fault_recovery;
+    assert_eq!(rec.corruptions_detected, 1);
+    assert_eq!(rec.corruptions_corrected, 1);
+    assert_eq!(rec.rank_quarantines, 0);
+    assert_eq!(rec.resizes, 0);
+    assert_eq!(rb.final_world, 4);
+    assert_eq!(
+        rb.weight_checksum, rc.weight_checksum,
+        "healed run must be bitwise identical to clean"
+    );
 }
 
 /// Contract 3: with retries disabled every corrupt verdict quarantines
@@ -188,7 +180,7 @@ fn payload_flip_is_detected_and_healed_bitwise() {
 #[test]
 fn quarantine_cascade_attributes_every_verdict_and_shrinks_the_world() {
     let _g = serial();
-    let mut e = chaos_exp(Backend::Tree, 4);
+    let mut e = chaos_exp(4);
     e.corruption_policy = CorruptionPolicy::QuarantineImmediately;
     e.scrub_after_resize = true;
     e.faults.events.push(flip(3, 3));
@@ -233,7 +225,7 @@ fn quarantine_cascade_attributes_every_verdict_and_shrinks_the_world() {
 fn quarantine_trajectory_is_bitwise_reproducible() {
     let _g = serial();
     let run = || {
-        let mut e = chaos_exp(Backend::Tree, 4);
+        let mut e = chaos_exp(4);
         e.corruption_policy = CorruptionPolicy::QuarantineImmediately;
         e.faults.events.push(flip(1, 5));
         train(&e)
@@ -254,7 +246,7 @@ fn quarantine_trajectory_is_bitwise_reproducible() {
 #[test]
 fn abft_heals_compute_corruption_that_escapes_fingerprints() {
     let _g = serial();
-    let clean = abft_exp(Backend::Tree, 2);
+    let clean = abft_exp(2);
     let rc = train(&clean);
 
     let mut healed = clean.clone();
@@ -288,14 +280,14 @@ fn abft_heals_compute_corruption_that_escapes_fingerprints() {
 }
 
 /// Cocktail: seeded corruption plans (classic timing faults + payload
-/// flips + a compute fault) across backends. Everything heals in place
+/// flips + a compute fault) at two world sizes. Everything heals in place
 /// under the default policy — the run is bitwise identical to the same
 /// plan with only its classic prefix, which itself trips nothing.
 #[test]
 fn corruption_chaos_cocktail_heals_bitwise_over_classic_prefix() {
     let _g = serial();
-    for (backend, world, seed) in [(Backend::Tree, 2, 7u64), (Backend::Ring, 4, 11u64)] {
-        let mut e = abft_exp(backend, world);
+    for (world, seed) in [(2, 7u64), (4, 11u64)] {
+        let mut e = abft_exp(world);
         let nominal = e.epochs * e.steps_per_epoch() as u64;
         let horizon_s = nominal as f64 * e.faults.virtual_step_seconds;
         e.faults = FaultPlan::generate_corruption(seed, world, horizon_s, 2, 2, 1);
@@ -304,7 +296,7 @@ fn corruption_chaos_cocktail_heals_bitwise_over_classic_prefix() {
         let mut prefix = e.clone();
         prefix.faults = FaultPlan::generate(seed, world, horizon_s, 2);
 
-        let tag = format!("{backend:?}/w{world}/s{seed}");
+        let tag = format!("w{world}/s{seed}");
         let (r, rp) = (train(&e), train(&prefix));
         assert_no_detections(&rp, &format!("{tag} prefix"));
         let rec = &r.fault_recovery;
@@ -406,18 +398,12 @@ fn corruption_knobs_default_off() {
 }
 
 /// CI corruption soak: a larger seeded cocktail, parameterized by the
-/// same env matrix as the elastic soak. The damage report is written as
-/// a CI artifact when `ETS_SOAK_OUT` is set.
+/// same world size and seed variables as the elastic soak. The damage
+/// report is written as a CI artifact when `ETS_SOAK_OUT` is set.
 #[test]
-#[ignore = "CI chaos soak: run with ETS_SOAK_BACKEND/ETS_SOAK_WORLD set"]
+#[ignore = "CI chaos soak: run with ETS_SOAK_WORLD set"]
 fn corruption_chaos_soak() {
     let _g = serial();
-    let backend = match std::env::var("ETS_SOAK_BACKEND").as_deref() {
-        Ok("ring") => Backend::Ring,
-        Ok("torus2d") => Backend::Torus2d,
-        Ok("auto") => Backend::Auto,
-        _ => Backend::Tree,
-    };
     let world: usize = std::env::var("ETS_SOAK_WORLD")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -427,7 +413,7 @@ fn corruption_chaos_soak() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(42);
 
-    let mut e = abft_exp(backend, world);
+    let mut e = abft_exp(world);
     e.scrub_after_resize = true;
     let nominal = e.epochs * e.steps_per_epoch() as u64;
     let horizon_s = nominal as f64 * e.faults.virtual_step_seconds;
@@ -440,10 +426,8 @@ fn corruption_chaos_soak() {
     assert_eq!(rec.rank_quarantines, 0);
     if let Ok(out) = std::env::var("ETS_SOAK_OUT") {
         std::fs::create_dir_all(&out).unwrap();
-        let path = std::path::Path::new(&out).join(format!(
-            "corruption-chaos-{}-w{world}-s{seed}.json",
-            backend.name()
-        ));
+        let path =
+            std::path::Path::new(&out).join(format!("corruption-chaos-w{world}-s{seed}.json"));
         std::fs::write(&path, r.to_json()).unwrap();
         let artifact = ets_obs::parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let healed = artifact

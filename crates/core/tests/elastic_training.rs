@@ -1,7 +1,7 @@
 //! Elastic-resize integration tests: kill ranks mid-run and prove the
 //! shrunken world resumes from the durable checkpoint store.
 //!
-//! The contract, for every collective backend:
+//! The contract:
 //!
 //! 1. **Survival** — a permanent replica loss at an arbitrary step leaves
 //!    a world of N−k that finishes the run with a finite loss.
@@ -14,19 +14,18 @@
 //! 4. **No silent corruption** — the surviving checkpoint directory
 //!    rejects every injected corruption instead of loading it.
 
-use ets_collective::{Backend, FaultEvent, FaultKind, FaultPlan};
+use ets_collective::{FaultEvent, FaultKind, FaultPlan};
 use ets_train::{train, CkptStore, CorruptionInjector, Experiment, OptimizerChoice, TrainReport};
 
 /// Small-but-real elastic experiment: 4 replicas, 2 epochs, 4 nominal
 /// steps per epoch (global batch 32 over 128 samples).
-fn elastic_exp(backend: Backend) -> Experiment {
+fn elastic_exp() -> Experiment {
     let mut e = Experiment::proxy_default();
     e.replicas = 4;
     e.per_replica_batch = 8;
     e.epochs = 2;
     e.train_samples = 128;
     e.eval_samples = 32;
-    e.collective_backend = backend;
     e
 }
 
@@ -40,50 +39,44 @@ fn lose_rank(rank: usize, at_step: u64) -> FaultEvent {
 
 #[test]
 fn permanent_loss_resumes_on_smaller_world_for_each_backend() {
-    for backend in Backend::ALL {
-        let mut e = elastic_exp(backend);
-        e.faults.events.push(lose_rank(2, 3));
-        let r = train(&e);
-        let rec = &r.fault_recovery;
-        assert_eq!(r.final_world, 3, "{backend:?}: world must shrink to 3");
-        assert_eq!(rec.resizes, 1, "{backend:?}");
-        assert_eq!(rec.lost_replicas, 1, "{backend:?}");
-        assert!(
-            rec.durable_checkpoints >= 1,
-            "{backend:?}: resize must persist durable state"
-        );
-        assert!(rec.resize_virtual_s > 0.0, "{backend:?}");
-        assert_eq!(
-            rec.corrupt_checkpoints_skipped, 0,
-            "{backend:?}: clean store must never skip"
-        );
-        // The timeline records the resize event with the world sizes.
-        assert_eq!(r.step_timeline.resizes.len(), 1, "{backend:?}");
-        let rz = r.step_timeline.resizes[0];
-        assert_eq!((rz.step, rz.world_before, rz.world_after), (3, 4, 3));
-        assert!(rz.virtual_s > 0.0);
-        // The shrunken world re-shards the epoch: more (smaller) steps
-        // than the nominal 8, every epoch still recorded.
-        assert!(r.steps >= 8, "steps {}", r.steps);
-        assert_eq!(r.history.len() as u64, e.epochs, "{backend:?}");
-        assert!(
-            r.final_loss().is_finite(),
-            "{backend:?}: loss {}",
-            r.final_loss()
-        );
-    }
+    let mut e = elastic_exp();
+    e.faults.events.push(lose_rank(2, 3));
+    let r = train(&e);
+    let rec = &r.fault_recovery;
+    assert_eq!(r.final_world, 3, "world must shrink to 3");
+    assert_eq!(rec.resizes, 1);
+    assert_eq!(rec.lost_replicas, 1);
+    assert!(
+        rec.durable_checkpoints >= 1,
+        "resize must persist durable state"
+    );
+    assert!(rec.resize_virtual_s > 0.0);
+    assert_eq!(
+        rec.corrupt_checkpoints_skipped, 0,
+        "clean store must never skip"
+    );
+    // The timeline records the resize event with the world sizes.
+    assert_eq!(r.step_timeline.resizes.len(), 1);
+    let rz = r.step_timeline.resizes[0];
+    assert_eq!((rz.step, rz.world_before, rz.world_after), (3, 4, 3));
+    assert!(rz.virtual_s > 0.0);
+    // The shrunken world re-shards the epoch: more (smaller) steps
+    // than the nominal 8, every epoch still recorded.
+    assert!(r.steps >= 8, "steps {}", r.steps);
+    assert_eq!(r.history.len() as u64, e.epochs);
+    assert!(r.final_loss().is_finite(), "loss {}", r.final_loss());
 }
 
 #[test]
 fn torus_survivors_regrid_deterministically_after_killing_ranks() {
-    // ISSUE 9's elastic-torus contract on a 4×4 grid: kill 4 of 16 ranks
-    // mid-run and the surviving sub-torus must re-select its (rows, cols)
+    // The elastic-torus contract on a 4×4 grid: kill 4 of 16 ranks
+    // mid-run and the survivors must re-select the fold's (rows, cols)
     // deterministically from the new world size — canonical_grid(12) =
     // (3, 4) — regroup BN partitions, and finish with a finite loss,
     // bitwise reproducibly.
     use ets_collective::canonical_grid;
     let run = || {
-        let mut e = elastic_exp(Backend::Torus2d);
+        let mut e = elastic_exp();
         e.replicas = 16;
         e.train_samples = 256;
         for rank in [2, 7, 9, 14] {
@@ -114,7 +107,7 @@ fn torus_survivors_regrid_deterministically_after_killing_ranks() {
 #[test]
 fn elastic_trajectory_is_bitwise_reproducible() {
     let run = || {
-        let mut e = elastic_exp(Backend::Tree);
+        let mut e = elastic_exp();
         e.faults.events.push(lose_rank(0, 5));
         train(&e)
     };
@@ -134,7 +127,7 @@ fn elastic_trajectory_is_bitwise_reproducible() {
 
 #[test]
 fn cascading_losses_shrink_the_world_twice() {
-    let mut e = elastic_exp(Backend::Tree);
+    let mut e = elastic_exp();
     e.faults.events.push(lose_rank(3, 2));
     e.faults.events.push(lose_rank(1, 5));
     let r = train(&e);
@@ -155,7 +148,7 @@ fn cascading_losses_shrink_the_world_twice() {
 fn coalesced_losses_drain_in_one_protocol() {
     // Two ranks lost at the same step: one drain, one durable
     // checkpoint, one rebuild — not two protocols.
-    let mut e = elastic_exp(Backend::Ring);
+    let mut e = elastic_exp();
     e.faults.events.push(lose_rank(1, 4));
     e.faults.events.push(lose_rank(2, 4));
     let r = train(&e);
@@ -169,8 +162,8 @@ fn coalesced_losses_drain_in_one_protocol() {
 
 #[test]
 fn elastic_final_loss_stays_near_the_unfaulted_run() {
-    let clean = train(&elastic_exp(Backend::Tree));
-    let mut e = elastic_exp(Backend::Tree);
+    let clean = train(&elastic_exp());
+    let mut e = elastic_exp();
     e.faults.events.push(lose_rank(2, 3));
     let faulted = train(&e);
     assert!(clean.final_loss().is_finite() && faulted.final_loss().is_finite());
@@ -188,7 +181,7 @@ fn elastic_final_loss_stays_near_the_unfaulted_run() {
 
 #[test]
 fn nan_guard_rolls_back_divergence_and_recovers() {
-    let mut e = elastic_exp(Backend::Tree);
+    let mut e = elastic_exp();
     // An absurd LR guarantees non-finite loss/gradients once warmup
     // ramps; the guard must roll back to the durable checkpoint with the
     // LR halved (repeatedly) instead of poisoning the weights.
@@ -217,7 +210,7 @@ fn nan_guard_rolls_back_divergence_and_recovers() {
 #[test]
 fn surviving_checkpoints_reject_injected_corruption() {
     let dir = std::env::temp_dir().join(format!("ets-elastic-ckpts-{}", std::process::id()));
-    let mut e = elastic_exp(Backend::Tree);
+    let mut e = elastic_exp();
     e.ckpt_dir = Some(dir.to_string_lossy().into_owned());
     e.faults.events.push(lose_rank(1, 3));
     let r = train(&e);
@@ -255,21 +248,15 @@ fn surviving_checkpoints_reject_injected_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Chaos soak for CI's elastic matrix: backend and world size come from
-/// the environment, the seeded elastic plan mixes permanent losses with
+/// Chaos soak for CI's elastic matrix: world size and seed come from the
+/// environment, the seeded elastic plan mixes permanent losses with
 /// the classic fault mix, and the pod-scale damage report is written as
 /// a JSON artifact. `#[ignore]`d so regular test runs stay fast.
 #[test]
-#[ignore = "CI chaos soak: run with ETS_SOAK_BACKEND/ETS_SOAK_WORLD set"]
+#[ignore = "CI chaos soak: run with ETS_SOAK_WORLD set"]
 fn elastic_chaos_soak() {
     use ets_tpu_sim::{simulate_chaos, StepConfig};
 
-    let backend = match std::env::var("ETS_SOAK_BACKEND").as_deref() {
-        Ok("ring") => Backend::Ring,
-        Ok("torus2d") => Backend::Torus2d,
-        Ok("auto") => Backend::Auto,
-        _ => Backend::Tree,
-    };
     let world: usize = std::env::var("ETS_SOAK_WORLD")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -280,7 +267,7 @@ fn elastic_chaos_soak() {
         .unwrap_or(42);
 
     // Thread-level trainer soak: seeded elastic plan, real gradients.
-    let mut e = elastic_exp(backend);
+    let mut e = elastic_exp();
     e.replicas = world;
     e.train_samples = 64 * world;
     let nominal_steps = e.epochs * e.steps_per_epoch() as u64;
@@ -303,10 +290,7 @@ fn elastic_chaos_soak() {
     assert!(pod.permanent_losses >= 1);
     if let Ok(out) = std::env::var("ETS_SOAK_OUT") {
         std::fs::create_dir_all(&out).unwrap();
-        let path = std::path::Path::new(&out).join(format!(
-            "pod-chaos-{}-w{world}-s{seed}.json",
-            backend.name()
-        ));
+        let path = std::path::Path::new(&out).join(format!("pod-chaos-w{world}-s{seed}.json"));
         std::fs::write(&path, pod.to_json()).unwrap();
         let artifact = ets_obs::parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(

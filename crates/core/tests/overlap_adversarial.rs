@@ -3,22 +3,20 @@
 //! The overlapped exchange fires each bucket's all-reduce from a per-step
 //! communication thread while backward is still running, so its claim —
 //! bitwise-identical training at any thread schedule — has to hold across
-//! every backend, world size, and fault plan. These tests pin exactly
-//! that: full training runs with overlap on must reproduce the serialized
-//! runs' weight checksums, histories, and recovery counters bit for bit.
+//! every world size and fault plan. These tests pin exactly that: full
+//! training runs with overlap on must reproduce the serialized runs'
+//! weight checksums, histories, and recovery counters bit for bit.
 //!
-//! Bucket layout is held fixed across each on/off pair (the ring backend
-//! folds buffer length into its reduction order, so layout is part of the
-//! trajectory; overlap must not be tested through a layout change).
+//! Bucket layout is held fixed across each on/off pair, so overlap is
+//! never tested through a layout change.
 
-use ets_collective::{Backend, FaultEvent, FaultKind};
+use ets_collective::{FaultEvent, FaultKind};
 use ets_train::{train, Experiment};
 
-/// A short but real experiment: small enough to run twelve times in CI,
+/// A short but real experiment: small enough to run many times in CI,
 /// big enough that the model splits into many buckets at `bucket_elems`.
-fn overlap_exp(backend: Backend, replicas: usize, bucket_elems: usize) -> Experiment {
+fn overlap_exp(replicas: usize, bucket_elems: usize) -> Experiment {
     let mut e = Experiment::proxy_default();
-    e.collective_backend = backend;
     e.replicas = replicas;
     e.per_replica_batch = 8;
     e.epochs = 1;
@@ -31,38 +29,35 @@ fn overlap_exp(backend: Backend, replicas: usize, bucket_elems: usize) -> Experi
 
 #[test]
 fn overlap_is_bitwise_on_every_backend_and_world() {
-    // {tree, ring, auto} × worlds {2, 4}: toggling overlap must not move
-    // a single bit of the final weights or the epoch history.
-    for backend in [Backend::Tree, Backend::Ring, Backend::Auto] {
-        for world in [2usize, 4] {
-            let mut serial = overlap_exp(backend, world, 512);
-            serial.overlap_all_reduce = false;
-            let mut overlap = serial.clone();
-            overlap.overlap_all_reduce = true;
+    // Worlds {2, 4}: toggling overlap must not move a single bit of the
+    // final weights or the epoch history.
+    for world in [2usize, 4] {
+        let mut serial = overlap_exp(world, 512);
+        serial.overlap_all_reduce = false;
+        let mut overlap = serial.clone();
+        overlap.overlap_all_reduce = true;
 
-            let a = train(&serial);
-            let b = train(&overlap);
-            assert_eq!(
-                a.weight_checksum, b.weight_checksum,
-                "{backend:?} world={world}: overlap changed the trajectory"
-            );
-            assert_eq!(a.history, b.history, "{backend:?} world={world}");
-            assert_eq!(a.steps, b.steps, "{backend:?} world={world}");
-            // The overlapped run really took the overlapped path...
-            assert_eq!(
-                b.all_reduce_buckets.overlapped_rounds, b.all_reduce_buckets.rounds,
-                "{backend:?} world={world}: some rounds fell back to serialized"
-            );
-            assert!(b.all_reduce_buckets.rounds > 0);
-            // ...and the serialized run none of it.
-            assert_eq!(a.all_reduce_buckets.overlapped_rounds, 0);
-            // Serialized exposes every bucket second by construction.
-            assert!(
-                a.all_reduce_buckets.exposed_seconds
-                    >= a.all_reduce_buckets.total_seconds() * 0.999,
-                "{backend:?} world={world}: serialized run hid communication?"
-            );
-        }
+        let a = train(&serial);
+        let b = train(&overlap);
+        assert_eq!(
+            a.weight_checksum, b.weight_checksum,
+            "world={world}: overlap changed the trajectory"
+        );
+        assert_eq!(a.history, b.history, "world={world}");
+        assert_eq!(a.steps, b.steps, "world={world}");
+        // The overlapped run really took the overlapped path...
+        assert_eq!(
+            b.all_reduce_buckets.overlapped_rounds, b.all_reduce_buckets.rounds,
+            "world={world}: some rounds fell back to serialized"
+        );
+        assert!(b.all_reduce_buckets.rounds > 0);
+        // ...and the serialized run none of it.
+        assert_eq!(a.all_reduce_buckets.overlapped_rounds, 0);
+        // Serialized exposes every bucket second by construction.
+        assert!(
+            a.all_reduce_buckets.exposed_seconds >= a.all_reduce_buckets.total_seconds() * 0.999,
+            "world={world}: serialized run hid communication?"
+        );
     }
 }
 
@@ -72,12 +67,12 @@ fn overlap_under_gemm_thread_sweep_is_bitwise() {
     // underneath an overlapped exchange must still land on the 1-worker
     // serialized checksum. The worker pool is process-global, so runs are
     // sequential; each run pins its own width.
-    let mut baseline = overlap_exp(Backend::Tree, 2, 512);
+    let mut baseline = overlap_exp(2, 512);
     baseline.overlap_all_reduce = false;
     baseline.gemm_workers = 1;
     let want = train(&baseline).weight_checksum;
     for workers in [2usize, 4] {
-        let mut e = overlap_exp(Backend::Tree, 2, 512);
+        let mut e = overlap_exp(2, 512);
         e.overlap_all_reduce = true;
         e.gemm_workers = workers;
         let got = train(&e).weight_checksum;
@@ -122,7 +117,7 @@ fn chaos_overlap_replays_bitwise() {
     // serialized run bit for bit, and (c) absorb the same number of
     // transients — the fault injector keys on per-step attempt counts,
     // which the comm thread preserves.
-    let mut serial = overlap_exp(Backend::Tree, 4, 512);
+    let mut serial = overlap_exp(4, 512);
     serial.epochs = 2; // enough steps for every planned fault to land
     chaos(&mut serial);
     serial.overlap_all_reduce = false;

@@ -1,7 +1,7 @@
 //! Trainer-level SIMD lane-path invariance: the same proxy experiment
 //! trained under every available micro-kernel lane path (scalar, SSE2,
-//! AVX2) × collective backend {tree, ring, torus2d} × world size {2, 4}
-//! must follow **bitwise identical** trajectories.
+//! AVX2) × world size {2, 4} must follow **bitwise identical**
+//! trajectories.
 //!
 //! This is the end-to-end form of the `ops::simd` parity contract: lane
 //! width changes only which vector body advances the per-slot f32
@@ -12,7 +12,6 @@
 //! fork), which is exactly why the lane choice is allowed to be
 //! runtime-detected while kernel *selection* must stay shape-pure.
 
-use ets_collective::Backend;
 use ets_tensor::ops::simd::LanePath;
 use ets_train::{train, Experiment, TrainReport};
 
@@ -26,9 +25,8 @@ fn base(world: usize) -> Experiment {
     e
 }
 
-fn run(world: usize, backend: Backend, lane: &str) -> TrainReport {
+fn run(world: usize, lane: &str) -> TrainReport {
     let mut e = base(world);
-    e.collective_backend = backend;
     e.simd_path = lane.to_string();
     train(&e)
 }
@@ -42,28 +40,21 @@ fn losses_bitwise_identical_across_lane_paths_backends_and_worlds() {
         .collect();
     assert!(lanes.contains(&"scalar"));
     for world in [2usize, 4] {
-        let oracle = run(world, Backend::Tree, "scalar");
-        for backend in [Backend::Tree, Backend::Ring, Backend::Torus2d] {
-            for lane in &lanes {
-                if backend == Backend::Tree && *lane == "scalar" {
-                    continue; // the oracle itself
-                }
-                let got = run(world, backend, lane);
+        let oracle = run(world, "scalar");
+        for lane in lanes.iter().filter(|&&lane| lane != "scalar") {
+            let got = run(world, lane);
+            assert_eq!(
+                got.weight_checksum, oracle.weight_checksum,
+                "world {world}, lane {lane}: final weights diverged from the scalar oracle"
+            );
+            assert_eq!(got.history.len(), oracle.history.len());
+            for (g, o) in got.history.iter().zip(&oracle.history) {
                 assert_eq!(
-                    got.weight_checksum, oracle.weight_checksum,
-                    "world {world}, {backend}, lane {lane}: final weights \
-                     diverged from the scalar/tree oracle"
+                    g.train_loss.to_bits(),
+                    o.train_loss.to_bits(),
+                    "world {world}, lane {lane}, epoch {}: loss diverged bitwise",
+                    g.epoch
                 );
-                assert_eq!(got.history.len(), oracle.history.len());
-                for (g, o) in got.history.iter().zip(&oracle.history) {
-                    assert_eq!(
-                        g.train_loss.to_bits(),
-                        o.train_loss.to_bits(),
-                        "world {world}, {backend}, lane {lane}, epoch {}: loss \
-                         diverged bitwise",
-                        g.epoch
-                    );
-                }
             }
         }
     }

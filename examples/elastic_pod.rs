@@ -6,7 +6,7 @@
 //! cargo run --release --example elastic_pod
 //! ```
 
-use efficientnet_at_scale::collective::{Backend, FaultEvent, FaultKind, FaultPlan};
+use efficientnet_at_scale::collective::{FaultEvent, FaultKind, FaultPlan};
 use efficientnet_at_scale::efficientnet::Variant;
 use efficientnet_at_scale::tpu_sim::{simulate_chaos, step_time, step_time_elastic, StepConfig};
 use efficientnet_at_scale::train::{train, Experiment};
@@ -32,7 +32,6 @@ fn main() {
     exp.epochs = 2;
     exp.train_samples = 256;
     exp.eval_samples = 32;
-    exp.collective_backend = Backend::Auto;
     exp.faults.events.push(lose_rank(5, 3));
     exp.faults.events.push(lose_rank(1, 6));
 

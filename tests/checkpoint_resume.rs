@@ -94,53 +94,49 @@ fn kill_at_arbitrary_step_then_resume_matches_uninterrupted() {
     // The trainer-level version of checkpoint/resume: preempt the whole
     // SPMD job at an arbitrary step, let it restore the latest snapshot
     // and replay, and require the final weights AND eval metrics to be
-    // bitwise identical to the run that was never killed — on every
-    // collective backend.
-    use efficientnet_at_scale::collective::{Backend, FaultEvent, FaultKind};
+    // bitwise identical to the run that was never killed.
+    use efficientnet_at_scale::collective::{FaultEvent, FaultKind};
     use efficientnet_at_scale::train::{train, Experiment};
 
-    for backend in [Backend::Tree, Backend::Ring, Backend::Auto] {
-        let mut e = Experiment::proxy_default();
-        e.replicas = 2;
-        e.per_replica_batch = 8;
-        e.epochs = 2;
-        e.train_samples = 64; // 4 steps/epoch → 8 total
-        e.eval_samples = 32;
-        e.collective_backend = backend;
-        let total = e.epochs * e.steps_per_epoch() as u64;
-        let clean = train(&e);
+    let mut e = Experiment::proxy_default();
+    e.replicas = 2;
+    e.per_replica_batch = 8;
+    e.epochs = 2;
+    e.train_samples = 64; // 4 steps/epoch → 8 total
+    e.eval_samples = 32;
+    let total = e.epochs * e.steps_per_epoch() as u64;
+    let clean = train(&e);
 
-        for kill_step in [1u64, 5, total - 1] {
-            let mut f = e.clone();
-            f.faults.checkpoint_every_steps = 4;
-            f.faults.events = vec![FaultEvent {
-                at_s: kill_step as f64 + 0.25,
-                duration_s: 0.0,
-                kind: FaultKind::Preempt { replica: 0 },
-            }];
-            let resumed = train(&f);
-            let what = format!("{backend}, killed at step {kill_step}");
+    for kill_step in [1u64, 5, total - 1] {
+        let mut f = e.clone();
+        f.faults.checkpoint_every_steps = 4;
+        f.faults.events = vec![FaultEvent {
+            at_s: kill_step as f64 + 0.25,
+            duration_s: 0.0,
+            kind: FaultKind::Preempt { replica: 0 },
+        }];
+        let resumed = train(&f);
+        let what = format!("killed at step {kill_step}");
+        assert_eq!(
+            resumed.weight_checksum, clean.weight_checksum,
+            "{what}: resumed weights diverged"
+        );
+        for (a, b) in clean.history.iter().zip(&resumed.history) {
             assert_eq!(
-                resumed.weight_checksum, clean.weight_checksum,
-                "{what}: resumed weights diverged"
+                a.train_loss.to_bits(),
+                b.train_loss.to_bits(),
+                "{what}: epoch {} loss",
+                a.epoch
             );
-            for (a, b) in clean.history.iter().zip(&resumed.history) {
-                assert_eq!(
-                    a.train_loss.to_bits(),
-                    b.train_loss.to_bits(),
-                    "{what}: epoch {} loss",
-                    a.epoch
-                );
-                assert_eq!(a.eval_top1, b.eval_top1, "{what}: epoch {} top1", a.epoch);
-                assert_eq!(a.eval_top5, b.eval_top5, "{what}: epoch {} top5", a.epoch);
-            }
-            assert_eq!(resumed.fault_recovery.preemptions, 1, "{what}");
-            assert_eq!(
-                resumed.fault_recovery.replayed_steps,
-                kill_step % 4,
-                "{what}: replay distance is kill − last checkpoint"
-            );
+            assert_eq!(a.eval_top1, b.eval_top1, "{what}: epoch {} top1", a.epoch);
+            assert_eq!(a.eval_top5, b.eval_top5, "{what}: epoch {} top5", a.epoch);
         }
+        assert_eq!(resumed.fault_recovery.preemptions, 1, "{what}");
+        assert_eq!(
+            resumed.fault_recovery.replayed_steps,
+            kill_step % 4,
+            "{what}: replay distance is kill − last checkpoint"
+        );
     }
 }
 

@@ -1,7 +1,7 @@
 //! The chaos harness: deterministic fault injection against the real
 //! distributed trainer.
 //!
-//! The contract under test, for every collective backend and world size:
+//! The contract under test, for every world size:
 //!
 //! 1. **Timing faults are bitwise-invisible** — stragglers and degraded
 //!    links stretch the virtual step timeline but must not move a single
@@ -12,20 +12,19 @@
 //! 3. **Transient collective failures are absorbed** — bounded retry with
 //!    virtual backoff recovers without perturbing payloads.
 
-use efficientnet_at_scale::collective::{Backend, FaultEvent, FaultKind};
+use efficientnet_at_scale::collective::{FaultEvent, FaultKind};
 use efficientnet_at_scale::train::{train, Experiment, TrainReport};
 
 /// Small-but-real chaos experiment. Steps per epoch shrink as the world
 /// grows (fixed global sample budget), so fault triggers are placed
 /// relative to the run's total step count.
-fn chaos_exp(replicas: usize, backend: Backend) -> Experiment {
+fn chaos_exp(replicas: usize) -> Experiment {
     let mut e = Experiment::proxy_default();
     e.replicas = replicas;
     e.per_replica_batch = 8;
     e.epochs = 2;
     e.train_samples = 128;
     e.eval_samples = 32;
-    e.collective_backend = backend;
     e
 }
 
@@ -72,17 +71,12 @@ fn assert_same_trajectory(clean: &TrainReport, chaos: &TrainReport, what: &str) 
     }
 }
 
-const MATRIX: [(Backend, usize); 4] = [
-    (Backend::Tree, 2),
-    (Backend::Tree, 4),
-    (Backend::Ring, 2),
-    (Backend::Ring, 4),
-];
+const WORLDS: [usize; 2] = [2, 4];
 
 #[test]
 fn timing_only_chaos_is_bitwise_invisible_to_training() {
-    for (backend, replicas) in MATRIX {
-        let clean_exp = chaos_exp(replicas, backend);
+    for replicas in WORLDS {
+        let clean_exp = chaos_exp(replicas);
         let total = total_steps(&clean_exp);
         assert!(total >= 6, "need room for fault windows");
         let clean = train(&clean_exp);
@@ -109,7 +103,7 @@ fn timing_only_chaos_is_bitwise_invisible_to_training() {
         assert!(faulted.faults.is_timing_only());
         let chaos = train(&faulted);
 
-        let what = format!("{backend} × {replicas} timing-only");
+        let what = format!("world {replicas} timing-only");
         assert_same_trajectory(&clean, &chaos, &what);
 
         // The damage must be visible in the virtual timeline…
@@ -138,8 +132,8 @@ fn timing_only_chaos_is_bitwise_invisible_to_training() {
 
 #[test]
 fn preemption_resumes_onto_the_uninterrupted_trajectory() {
-    for (backend, replicas) in MATRIX {
-        let clean_exp = chaos_exp(replicas, backend);
+    for replicas in WORLDS {
+        let clean_exp = chaos_exp(replicas);
         let total = total_steps(&clean_exp);
         let clean = train(&clean_exp);
 
@@ -154,7 +148,7 @@ fn preemption_resumes_onto_the_uninterrupted_trajectory() {
         }];
         let chaos = train(&faulted);
 
-        let what = format!("{backend} × {replicas} preempt");
+        let what = format!("world {replicas} preempt");
         assert_same_trajectory(&clean, &chaos, &what);
 
         let c = chaos.fault_recovery;
@@ -172,40 +166,38 @@ fn preemption_resumes_onto_the_uninterrupted_trajectory() {
 
 #[test]
 fn transient_collective_failures_are_absorbed_bitwise() {
-    for backend in [Backend::Tree, Backend::Ring] {
-        let clean_exp = chaos_exp(2, backend);
-        let clean = train(&clean_exp);
+    let clean_exp = chaos_exp(2);
+    let clean = train(&clean_exp);
 
-        let mut faulted = clean_exp.clone();
-        faulted.faults.events = vec![FaultEvent {
-            at_s: 3.25,
-            duration_s: 0.0,
-            kind: FaultKind::TransientCollective { failures: 2 },
-        }];
-        let chaos = train(&faulted);
+    let mut faulted = clean_exp.clone();
+    faulted.faults.events = vec![FaultEvent {
+        at_s: 3.25,
+        duration_s: 0.0,
+        kind: FaultKind::TransientCollective { failures: 2 },
+    }];
+    let chaos = train(&faulted);
 
-        let what = format!("{backend} transient");
-        assert_same_trajectory(&clean, &chaos, &what);
-        let c = chaos.fault_recovery;
-        assert_eq!(c.transient_failures, 2, "{what}");
-        assert_eq!(c.collective_retries, 2, "{what}");
-        assert!(c.retry_backoff_virtual_s > 0.0, "{what}");
-        assert_eq!(c.preemptions, 0, "{what}");
-        // The backoff lands on the step the failures hit.
-        let nominal = chaos.step_timeline.nominal_step_s;
-        assert!(
-            chaos.step_timeline.virtual_s[3] > nominal,
-            "{what}: step 3 should carry the retry backoff"
-        );
-    }
+    let what = "transient";
+    assert_same_trajectory(&clean, &chaos, what);
+    let c = chaos.fault_recovery;
+    assert_eq!(c.transient_failures, 2, "{what}");
+    assert_eq!(c.collective_retries, 2, "{what}");
+    assert!(c.retry_backoff_virtual_s > 0.0, "{what}");
+    assert_eq!(c.preemptions, 0, "{what}");
+    // The backoff lands on the step the failures hit.
+    let nominal = chaos.step_timeline.nominal_step_s;
+    assert!(
+        chaos.step_timeline.virtual_s[3] > nominal,
+        "{what}: step 3 should carry the retry backoff"
+    );
 }
 
 #[test]
 fn full_chaos_cocktail_still_reproduces_the_clean_run() {
-    // Every fault kind at once, on the auto backend — and the whole mess
-    // must be deterministic: two chaos runs agree with each other and
-    // with the clean run.
-    let clean_exp = chaos_exp(4, Backend::Auto);
+    // Every fault kind at once — and the whole mess must be
+    // deterministic: two chaos runs agree with each other and with the
+    // clean run.
+    let clean_exp = chaos_exp(4);
     let total = total_steps(&clean_exp);
     let clean = train(&clean_exp);
 
@@ -267,31 +259,29 @@ fn full_chaos_cocktail_still_reproduces_the_clean_run() {
 #[test]
 #[ignore = "chaos soak: larger worlds + seeded plans; run by the CI chaos job (--include-ignored)"]
 fn chaos_soak_generated_plans_across_backends_and_worlds() {
-    // The long-running tier: seeded random fault cocktails on every
-    // backend at worlds up to 8, each compared bitwise against its clean
-    // run. Anything the generator can emit must be absorbed.
+    // The long-running tier: seeded random fault cocktails at worlds up
+    // to 8, each compared bitwise against its clean run. Anything the
+    // generator can emit must be absorbed.
     use efficientnet_at_scale::collective::FaultPlan;
-    for backend in [Backend::Tree, Backend::Ring, Backend::Auto] {
-        for (world, n_faults) in [(2usize, 2usize), (4, 3), (8, 4)] {
-            let clean_exp = chaos_exp(world, backend);
-            let total = total_steps(&clean_exp);
-            let clean = train(&clean_exp);
+    for (world, n_faults) in [(2usize, 2usize), (4, 3), (8, 4)] {
+        let clean_exp = chaos_exp(world);
+        let total = total_steps(&clean_exp);
+        let clean = train(&clean_exp);
 
-            for seed in 0..4u64 {
-                let mut faulted = clean_exp.clone();
-                faulted.faults = FaultPlan::generate(
-                    0x50AC + seed * 131 + world as u64,
-                    world,
-                    total as f64,
-                    n_faults,
-                );
-                faulted.faults.checkpoint_every_steps = 3;
-                faulted.validate();
-                let chaos = train(&faulted);
-                let what = format!("soak {backend} × {world}, seed {seed}");
-                assert_same_trajectory(&clean, &chaos, &what);
-                assert_eq!(chaos.step_timeline.len(), total as usize, "{what}");
-            }
+        for seed in 0..4u64 {
+            let mut faulted = clean_exp.clone();
+            faulted.faults = FaultPlan::generate(
+                0x50AC + seed * 131 + world as u64,
+                world,
+                total as f64,
+                n_faults,
+            );
+            faulted.faults.checkpoint_every_steps = 3;
+            faulted.validate();
+            let chaos = train(&faulted);
+            let what = format!("soak world {world}, seed {seed}");
+            assert_same_trajectory(&clean, &chaos, &what);
+            assert_eq!(chaos.step_timeline.len(), total as usize, "{what}");
         }
     }
 }

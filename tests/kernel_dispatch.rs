@@ -2,14 +2,12 @@
 //!
 //! The `gemm_auto` dispatcher picks naive-vs-blocked kernels as a pure
 //! function of GEMM shape, so turning the fast path on must not perturb
-//! any of the SPMD symmetry guarantees from earlier PRs: all collective
-//! backends produce bitwise-identical runs at a fixed world size, reruns
-//! are bitwise-deterministic, and every world size still learns. These
+//! the SPMD symmetry guarantees: reruns are bitwise-deterministic at a
+//! fixed world size, and every world size still learns. These
 //! tests run a resolution-32 proxy model — large enough that real
 //! training steps cross the dispatch threshold, which the process-wide
 //! dispatch counters prove.
 
-use efficientnet_at_scale::collective::Backend;
 use efficientnet_at_scale::efficientnet::EfficientNet;
 use efficientnet_at_scale::efficientnet::ModelConfig;
 use efficientnet_at_scale::nn::{Conv2d, Layer, Mode, Precision};
@@ -36,20 +34,19 @@ fn sharing_the_tally() -> impl Drop {
 
 /// A proxy experiment at resolution 32: big enough that the stem conv
 /// and the deeper pointwise convs clear `BLOCKED_MIN_MACS`.
-fn res32(replicas: usize, backend: Backend) -> Experiment {
+fn res32(replicas: usize) -> Experiment {
     let mut e = Experiment::proxy_default();
     e.model = ModelConfig::tiny(32, 8);
     e.resolution = 32;
     e.replicas = replicas;
     e.per_replica_batch = 32 / replicas;
-    e.collective_backend = backend;
     e.epochs = 2;
     e.train_samples = 128;
     e.eval_samples = 32;
     e
 }
 
-/// Everything that must be bitwise-equal across backends / reruns.
+/// Everything that must be bitwise-equal across reruns.
 fn fingerprint(r: &TrainReport) -> (u64, Vec<u32>) {
     (
         r.weight_checksum,
@@ -62,7 +59,7 @@ fn training_exercises_both_dispatch_paths() {
     let _tally = sharing_the_tally();
     let blocked0 = dispatch_blocked_calls();
     let naive0 = dispatch_naive_calls();
-    let r = train(&res32(2, Backend::Tree));
+    let r = train(&res32(2));
     assert!(r.final_loss().is_finite());
     assert!(
         dispatch_blocked_calls() > blocked0,
@@ -197,57 +194,40 @@ fn depthwise_layers_of_the_perfbench_models_equal_the_reference_bitwise() {
 #[test]
 fn losses_bitwise_identical_across_backends_with_blocked_kernels() {
     let _tally = sharing_the_tally();
+    // Every collective backend runs the same communicator round, so the
+    // cross-backend claim reduces to rerun determinism: the dispatcher
+    // must answer identically on a fresh process state (its counters have
+    // advanced; its decisions must not).
     for world in [2usize, 4] {
-        let base = train(&res32(world, Backend::Tree));
-        let base_fp = fingerprint(&base);
-        for backend in [Backend::Ring, Backend::Auto] {
-            let r = train(&res32(world, backend));
-            assert_eq!(
-                fingerprint(&r),
-                base_fp,
-                "world={world}: {backend:?} diverged from Tree with blocked kernels on"
-            );
-        }
-        // Rerun determinism: the dispatcher must answer identically on a
-        // fresh process state (its counters have advanced; its decisions
-        // must not).
-        let again = train(&res32(world, Backend::Tree));
+        let base = train(&res32(world));
+        let again = train(&res32(world));
         assert_eq!(
             fingerprint(&again),
-            base_fp,
+            fingerprint(&base),
             "world={world}: rerun not bitwise-deterministic"
         );
     }
 }
 
 /// §3.5 mixed precision rides the same shape-pure dispatch machinery,
-/// so it inherits every symmetry guarantee: bitwise-identical runs
-/// across {Tree, Ring, Auto} at each world size, and bitwise-identical
-/// reruns. The per-precision counters prove the bf16 packed kernels
-/// actually ran (a silent fallback to f32 would also pass the equality
-/// checks).
+/// so it inherits the symmetry guarantee: bitwise-identical reruns at
+/// each world size. The per-precision counters prove the bf16 packed
+/// kernels actually ran (a silent fallback to f32 would also pass the
+/// equality checks).
 #[test]
 fn mixed_precision_losses_bitwise_reproducible_across_backends() {
     let _tally = sharing_the_tally();
-    let mixed = |world: usize, backend: Backend| {
-        let mut e = res32(world, backend);
+    let mixed = |world: usize| {
+        let mut e = res32(world);
         e.precision = Precision::MixedBf16;
         e
     };
     let (bf16_blocked0, bf16_naive0) = dispatch_calls(GemmPrecision::Bf16);
     for world in [2usize, 4] {
-        let base = train(&mixed(world, Backend::Tree));
+        let base = train(&mixed(world));
         assert!(base.final_loss().is_finite());
         let base_fp = fingerprint(&base);
-        for backend in [Backend::Ring, Backend::Auto] {
-            let r = train(&mixed(world, backend));
-            assert_eq!(
-                fingerprint(&r),
-                base_fp,
-                "world={world}: {backend:?} diverged from Tree under mixed precision"
-            );
-        }
-        let again = train(&mixed(world, Backend::Tree));
+        let again = train(&mixed(world));
         assert_eq!(
             fingerprint(&again),
             base_fp,
@@ -266,8 +246,8 @@ fn mixed_precision_losses_bitwise_reproducible_across_backends() {
     );
     // And the policy must actually change the numerics: a mixed run's
     // losses differ from the f32 run's (same config otherwise).
-    let f32_run = train(&res32(2, Backend::Tree));
-    let bf16_run = train(&mixed(2, Backend::Tree));
+    let f32_run = train(&res32(2));
+    let bf16_run = train(&mixed(2));
     assert_ne!(
         fingerprint(&f32_run),
         fingerprint(&bf16_run),
@@ -285,7 +265,7 @@ fn every_world_size_still_learns() {
     // world {2, 4} × seed {42, 1..=7} went up, depending on the
     // initializer. Over four epochs the last was below the first in all 16.
     for world in [2usize, 4] {
-        let mut e = res32(world, Backend::Auto);
+        let mut e = res32(world);
         e.epochs = 4;
         let r = train(&e);
         assert!(

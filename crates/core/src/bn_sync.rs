@@ -13,13 +13,15 @@
 
 use ets_collective::{Backend, Collective, CollectiveStats, CommCollective, CommHandle};
 use ets_nn::StatSync;
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Cross-replica BN statistics reducer for one replica.
 pub struct GroupStatSync {
     comm: Box<dyn Collective>,
     /// Persistent fused-payload buffer (StatSync is `&self`; BN layers
     /// within one replica call sequentially, so the lock is uncontended).
+    /// Its one lock site ignores poisoning: every use clears the buffer
+    /// first, so a holder that panicked left nothing the next one reads.
     scratch: Mutex<Vec<f32>>,
 }
 
@@ -50,7 +52,7 @@ impl StatSync for GroupStatSync {
         }
         // One fused all-reduce for both vectors halves the rendezvous
         // count; the persistent scratch keeps the steady state alloc-free.
-        let mut buf = self.scratch.lock();
+        let mut buf = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
         buf.clear();
         buf.extend_from_slice(a);
         buf.extend_from_slice(b);

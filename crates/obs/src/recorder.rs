@@ -29,9 +29,8 @@
 //! tests pin to zero in steady state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{LockResult, Mutex, PoisonError, RwLock};
 use std::time::Instant;
-
-use parking_lot::{Mutex, RwLock};
 
 /// Which clock an event was recorded against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -219,7 +218,7 @@ impl std::fmt::Debug for Recorder {
         f.debug_struct("Recorder")
             .field("enabled", &self.enabled)
             .field("rank", &self.rank)
-            .field("events", &self.buf.lock().events.len())
+            .field("events", &unpoisoned(self.buf.lock()).events.len())
             .finish()
     }
 }
@@ -366,7 +365,7 @@ impl Recorder {
     }
 
     fn push(&self, ev: Event) {
-        let mut buf = self.buf.lock();
+        let mut buf = unpoisoned(self.buf.lock());
         if buf.events.len() == buf.events.capacity()
             && buf.events.capacity() >= buf.initial_capacity
         {
@@ -406,13 +405,13 @@ impl Recorder {
         }
         let bucket = bucket_index(value);
         {
-            let hists = self.metrics.histograms.read();
+            let hists = unpoisoned(self.metrics.histograms.read());
             if let Some(h) = hists.iter().find(|h| h.name == name) {
                 observe_into(h, bucket, value);
                 return;
             }
         }
-        let mut hists = self.metrics.histograms.write();
+        let mut hists = unpoisoned(self.metrics.histograms.write());
         if !hists.iter().any(|h| h.name == name) {
             if hists.len() == hists.capacity() {
                 self.metrics.reallocs.fetch_add(1, Ordering::Relaxed);
@@ -430,9 +429,7 @@ impl Recorder {
 
     /// Current value of a counter (0 if never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.metrics
-            .counters
-            .read()
+        unpoisoned(self.metrics.counters.read())
             .iter()
             .find(|s| s.name == name)
             .map(|s| s.value.load(Ordering::Relaxed))
@@ -441,9 +438,7 @@ impl Recorder {
 
     /// Current value of a gauge (None if never set).
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.metrics
-            .gauges
-            .read()
+        unpoisoned(self.metrics.gauges.read())
             .iter()
             .find(|s| s.name == name)
             .map(|s| f64::from_bits(s.value.load(Ordering::Relaxed)))
@@ -451,9 +446,7 @@ impl Recorder {
 
     /// `(count, sum)` of a histogram (zeros if never observed).
     pub fn histogram_stats(&self, name: &str) -> (u64, f64) {
-        self.metrics
-            .histograms
-            .read()
+        unpoisoned(self.metrics.histograms.read())
             .iter()
             .find(|h| h.name == name)
             .map(|h| {
@@ -471,7 +464,7 @@ impl Recorder {
     /// state must keep this at 0 (mirrors `scratch_reallocs` on the ring
     /// collective).
     pub fn events_reallocs(&self) -> u64 {
-        self.buf.lock().reallocs
+        unpoisoned(self.buf.lock()).reallocs
     }
 
     /// Times a metric registration grew a registry vec past capacity.
@@ -481,14 +474,14 @@ impl Recorder {
 
     /// Number of recorded events (all clocks).
     pub fn event_count(&self) -> usize {
-        self.buf.lock().events.len()
+        unpoisoned(self.buf.lock()).events.len()
     }
 
     // ------------------------------------------------------------ snapshots
 
     /// Clone out the event log (exporters and tests; not a hot path).
     pub fn events_snapshot(&self) -> Vec<Event> {
-        self.buf.lock().events.clone()
+        unpoisoned(self.buf.lock()).events.clone()
     }
 
     /// FNV-1a over the **virtual** event stream in recorded order: names,
@@ -503,7 +496,7 @@ impl Recorder {
             h ^= byte as u64;
             h = h.wrapping_mul(PRIME);
         };
-        let buf = self.buf.lock();
+        let buf = unpoisoned(self.buf.lock());
         for ev in buf
             .events
             .iter()
@@ -535,18 +528,14 @@ impl Recorder {
 
     /// Iterate metric snapshots for exporters: `(kind, name, value)`.
     pub(crate) fn counters_snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.metrics
-            .counters
-            .read()
+        unpoisoned(self.metrics.counters.read())
             .iter()
             .map(|s| (s.name, s.value.load(Ordering::Relaxed)))
             .collect()
     }
 
     pub(crate) fn gauges_snapshot(&self) -> Vec<(&'static str, f64)> {
-        self.metrics
-            .gauges
-            .read()
+        unpoisoned(self.metrics.gauges.read())
             .iter()
             .map(|s| (s.name, f64::from_bits(s.value.load(Ordering::Relaxed))))
             .collect()
@@ -555,9 +544,7 @@ impl Recorder {
     pub(crate) fn histograms_snapshot(
         &self,
     ) -> Vec<(&'static str, [u64; HISTOGRAM_BUCKETS], u64, f64)> {
-        self.metrics
-            .histograms
-            .read()
+        unpoisoned(self.metrics.histograms.read())
             .iter()
             .map(|h| {
                 (
@@ -569,6 +556,15 @@ impl Recorder {
             })
             .collect()
     }
+}
+
+/// The guard of a lock result, whether or not a panicking holder
+/// poisoned the lock. Every lock in this module is taken through here:
+/// a rank that panics must not take its recorder down with it (its trace
+/// is what explains the panic), and no update under these locks can be
+/// left half done, since each is one `push` or one atomic operation.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 fn bucket_index(value: f64) -> usize {
@@ -601,13 +597,13 @@ fn slot_update(
     apply: impl Fn(&AtomicU64),
 ) {
     {
-        let read = slots.read();
+        let read = unpoisoned(slots.read());
         if let Some(s) = read.iter().find(|s| s.name == name) {
             apply(&s.value);
             return;
         }
     }
-    let mut write = slots.write();
+    let mut write = unpoisoned(slots.write());
     if !write.iter().any(|s| s.name == name) {
         if write.len() == write.capacity() {
             reg.reallocs.fetch_add(1, Ordering::Relaxed);

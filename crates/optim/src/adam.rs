@@ -3,9 +3,8 @@
 //! point reviewers expect. Decoupled weight decay (AdamW-style) on
 //! decayed parameters.
 
-use crate::optimizer::{bank_tensor, param_dims, tensor_bank, Optimizer, OptimizerState, StateVec};
+use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
-use ets_tensor::Tensor;
 
 /// Adam(W).
 pub struct Adam {
@@ -14,8 +13,8 @@ pub struct Adam {
     eps: f32,
     weight_decay: f32,
     t: u64,
-    m: StateVec<Tensor>,
-    v: StateVec<Tensor>,
+    /// `[m, v]`.
+    moments: Slots<2>,
 }
 
 impl Adam {
@@ -26,8 +25,7 @@ impl Adam {
             eps,
             weight_decay,
             t: 0,
-            m: StateVec::new(),
-            v: StateVec::new(),
+            moments: Slots::new(),
         }
     }
 
@@ -43,27 +41,19 @@ impl Optimizer for Adam {
         let (b1, b2, eps, wd) = (self.beta1, self.beta2, self.eps, self.weight_decay);
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        let mut i = 0;
-        model.visit_params(&mut |p| {
-            let mstate = ms.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
-            for (mv, &g) in mstate.data_mut().iter_mut().zip(p.grad.data()) {
-                *mv = b1 * *mv + (1.0 - b1) * g;
-            }
-            let m_now = mstate.clone();
-            let vstate = vs.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
-            for (vv, &g) in vstate.data_mut().iter_mut().zip(p.grad.data()) {
-                *vv = b2 * *vv + (1.0 - b2) * g * g;
-            }
+        self.moments.walk(model, |p, [ms, vs]| {
             let decay = if p.kind.decayed() { wd } else { 0.0 };
-            let md = m_now.data();
-            let vd = vstate.data();
-            for (j, w) in p.value.data_mut().iter_mut().enumerate() {
-                let mh = md[j] / bc1;
-                let vh = vd[j] / bc2;
+            for (((m, v), &g), w) in ms
+                .iter_mut()
+                .zip(vs)
+                .zip(p.grad.data())
+                .zip(p.value.data_mut())
+            {
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                let (mh, vh) = (*m / bc1, *v / bc2);
                 *w -= lr * (mh / (vh.sqrt() + eps) + decay * *w);
             }
-            i += 1;
         });
     }
 
@@ -71,34 +61,14 @@ impl Optimizer for Adam {
         "adam"
     }
 
-    /// Scalars: `[t]`. Banks: all `m[i]` slots, then all `v[i]` slots.
+    /// Scalars: `[t]`. Slots: `m`, then `v`.
     fn export_state(&self) -> OptimizerState {
-        let mut banks: Vec<Vec<u32>> = self.m.slots().iter().map(tensor_bank).collect();
-        banks.extend(self.v.slots().iter().map(tensor_bank));
-        OptimizerState {
-            scalars: vec![self.t],
-            banks,
-        }
+        self.moments.export(vec![self.t])
     }
 
     fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
         self.t = state.scalars.first().copied().unwrap_or(0);
-        let dims = param_dims(model);
-        let k = state.banks.len() / 2;
-        self.m.set_slots(
-            state.banks[..k]
-                .iter()
-                .zip(&dims)
-                .map(|(b, d)| bank_tensor(b, d))
-                .collect(),
-        );
-        self.v.set_slots(
-            state.banks[k..]
-                .iter()
-                .zip(&dims)
-                .map(|(b, d)| bank_tensor(b, d))
-                .collect(),
-        );
+        self.moments.import(state, model);
     }
 }
 
@@ -106,7 +76,7 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
     use ets_nn::{Mode, Param, ParamKind};
-    use ets_tensor::Rng;
+    use ets_tensor::{Rng, Tensor};
 
     struct OneParam(Param);
     impl Layer for OneParam {

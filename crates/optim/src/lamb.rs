@@ -10,10 +10,8 @@
 //! w ← w − lr · (‖w‖/‖u‖) · u   (trust ratio 1 when either norm is 0)
 //! ```
 
-use crate::optimizer::{bank_tensor, param_dims, tensor_bank, Optimizer, OptimizerState, StateVec};
+use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
-use ets_tensor::ops::reduce::sum_sq;
-use ets_tensor::Tensor;
 
 /// LAMB optimizer.
 pub struct Lamb {
@@ -22,8 +20,8 @@ pub struct Lamb {
     eps: f32,
     weight_decay: f32,
     t: u64,
-    m: StateVec<Tensor>,
-    v: StateVec<Tensor>,
+    /// `[m, v]`.
+    moments: Slots<2>,
 }
 
 impl Lamb {
@@ -34,8 +32,7 @@ impl Lamb {
             eps,
             weight_decay,
             t: 0,
-            m: StateVec::new(),
-            v: StateVec::new(),
+            moments: Slots::new(),
         }
     }
 
@@ -43,6 +40,18 @@ impl Lamb {
     pub fn paper_default(weight_decay: f32) -> Self {
         Self::new(0.9, 0.999, 1e-6, weight_decay)
     }
+}
+
+/// `ets_tensor`'s `sum_sq` of `[u(0), …, u(n−1)]` without storing it:
+/// the same eight partials (partial `j mod 8`, `j` ascending) folded in
+/// the same tree, so the bits are `sum_sq`'s.
+fn sum_sq_of(n: usize, u: impl Fn(usize) -> f32) -> f64 {
+    let mut s = [0.0f64; 8];
+    for j in 0..n {
+        let d = u(j) as f64;
+        s[j % 8] += d * d;
+    }
+    ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
 }
 
 impl Optimizer for Lamb {
@@ -53,31 +62,17 @@ impl Optimizer for Lamb {
         let bc1 = 1.0 - b1.powi(t);
         let bc2 = 1.0 - b2.powi(t);
         let wd = self.weight_decay;
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        let mut i = 0;
-        model.visit_params(&mut |p| {
-            let n = p.value.numel();
-            let mstate = ms.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
-            // Moment updates.
-            for (mv, &g) in mstate.data_mut().iter_mut().zip(p.grad.data()) {
-                *mv = b1 * *mv + (1.0 - b1) * g;
+        self.moments.walk(model, |p, [ms, vs]| {
+            for ((m, v), &g) in ms.iter_mut().zip(vs.iter_mut()).zip(p.grad.data()) {
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
             }
-            let m_now = mstate.clone();
-            let vstate = vs.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
-            for (vv, &g) in vstate.data_mut().iter_mut().zip(p.grad.data()) {
-                *vv = b2 * *vv + (1.0 - b2) * g * g;
-            }
-            // Adam direction + decoupled decay.
+            // Adam direction + decoupled decay, computed where it is read.
             let decay = if p.kind.decayed() { wd } else { 0.0 };
-            let mut u = vec![0.0f32; n];
-            for (j, uj) in u.iter_mut().enumerate() {
-                let mh = m_now.data()[j] / bc1;
-                let vh = vstate.data()[j] / bc2;
-                *uj = mh / (vh.sqrt() + eps) + decay * p.value.data()[j];
-            }
+            let u = |m: f32, v: f32, w: f32| (m / bc1) / ((v / bc2).sqrt() + eps) + decay * w;
             let ratio = if p.kind.lars_adapted() {
-                let wn = p.value.l2_norm();
-                let un = sum_sq(&u).sqrt() as f32;
+                let (wn, w) = (p.value.l2_norm(), p.value.data());
+                let un = sum_sq_of(w.len(), |j| u(ms[j], vs[j], w[j])).sqrt() as f32;
                 if wn > 0.0 && un > 0.0 {
                     wn / un
                 } else {
@@ -86,10 +81,9 @@ impl Optimizer for Lamb {
             } else {
                 1.0
             };
-            for (w, &uv) in p.value.data_mut().iter_mut().zip(&u) {
-                *w -= lr * ratio * uv;
+            for ((&m, &v), w) in ms.iter().zip(vs.iter()).zip(p.value.data_mut()) {
+                *w -= lr * ratio * u(m, v, *w);
             }
-            i += 1;
         });
     }
 
@@ -97,34 +91,14 @@ impl Optimizer for Lamb {
         "lamb"
     }
 
-    /// Scalars: `[t]`. Banks: all `m[i]` slots, then all `v[i]` slots.
+    /// Scalars: `[t]`. Slots: `m`, then `v`.
     fn export_state(&self) -> OptimizerState {
-        let mut banks: Vec<Vec<u32>> = self.m.slots().iter().map(tensor_bank).collect();
-        banks.extend(self.v.slots().iter().map(tensor_bank));
-        OptimizerState {
-            scalars: vec![self.t],
-            banks,
-        }
+        self.moments.export(vec![self.t])
     }
 
     fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
         self.t = state.scalars.first().copied().unwrap_or(0);
-        let dims = param_dims(model);
-        let k = state.banks.len() / 2;
-        self.m.set_slots(
-            state.banks[..k]
-                .iter()
-                .zip(&dims)
-                .map(|(b, d)| bank_tensor(b, d))
-                .collect(),
-        );
-        self.v.set_slots(
-            state.banks[k..]
-                .iter()
-                .zip(&dims)
-                .map(|(b, d)| bank_tensor(b, d))
-                .collect(),
-        );
+        self.moments.import(state, model);
     }
 }
 
@@ -132,7 +106,8 @@ impl Optimizer for Lamb {
 mod tests {
     use super::*;
     use ets_nn::{Mode, Param, ParamKind};
-    use ets_tensor::Rng;
+    use ets_tensor::ops::reduce::sum_sq;
+    use ets_tensor::{Rng, Tensor};
 
     struct OneParam(Param);
     impl Layer for OneParam {
@@ -183,6 +158,17 @@ mod tests {
         let b = run(1e4);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 2e-3 * (1.0 + x.abs()), "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn streamed_norm_has_the_bits_of_sum_sq() {
+        let mut rng = Rng::new(7);
+        for n in 0..=67 {
+            let mut u = vec![0.0; n];
+            rng.fill_uniform(&mut u, -3.0, 3.0);
+            let bits = sum_sq_of(n, |j| u[j]).to_bits();
+            assert_eq!(bits, sum_sq(&u).to_bits(), "length {n}");
         }
     }
 }

@@ -14,9 +14,8 @@
 //! (they take plain momentum steps with the global LR), matching the
 //! reference implementation used by the paper.
 
-use crate::optimizer::{bank_tensor, param_dims, tensor_bank, Optimizer, OptimizerState, StateVec};
+use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
-use ets_tensor::Tensor;
 
 /// LARS configuration and state.
 pub struct Lars {
@@ -27,9 +26,18 @@ pub struct Lars {
     /// EfficientNet-style nets — configurable here).
     trust_coeff: f32,
     eps: f32,
-    velocity: StateVec<Tensor>,
+    velocity: Slots<1>,
     /// Most recent trust ratios (diagnostics; one per adapted param).
     pub last_ratios: Vec<f32>,
+}
+
+/// The trust ratio for (‖w‖, ‖g‖) (module doc); 1 when either is 0.
+fn ratio(eta: f32, wd: f32, eps: f32, w: f32, g: f32) -> f32 {
+    if w > 0.0 && g > 0.0 {
+        eta * w / (g + wd * w + eps)
+    } else {
+        1.0
+    }
 }
 
 impl Lars {
@@ -39,7 +47,7 @@ impl Lars {
             weight_decay,
             trust_coeff,
             eps: 1e-9,
-            velocity: StateVec::new(),
+            velocity: Slots::new(),
             last_ratios: Vec::new(),
         }
     }
@@ -50,60 +58,37 @@ impl Lars {
         Self::new(0.9, 1e-5, 0.001)
     }
 
-    /// Computes the trust ratio for (‖w‖, ‖g‖) pairs; exposed for tests and
-    /// for the convergence model's calibration.
-    pub fn trust_ratio(&self, w_norm: f32, g_norm: f32) -> f32 {
-        if w_norm > 0.0 && g_norm > 0.0 {
-            self.trust_coeff * w_norm / (g_norm + self.weight_decay * w_norm + self.eps)
-        } else {
-            1.0
-        }
+    /// The ratio [`Optimizer::step`] uses for (`w`, `g`) = (‖w‖, ‖g‖); exposed for
+    /// tests and for the convergence model's calibration.
+    pub fn trust_ratio(&self, w: f32, g: f32) -> f32 {
+        ratio(self.trust_coeff, self.weight_decay, self.eps, w, g)
     }
 }
 
 impl Optimizer for Lars {
     fn step(&mut self, model: &mut dyn Layer, lr: f32) {
-        let mut i = 0;
-        self.last_ratios.clear();
-        let (m, wd) = (self.momentum, self.weight_decay);
-        let trust_coeff = self.trust_coeff;
-        let eps = self.eps;
-        let vel = &mut self.velocity;
+        let (m, wd, eta, eps) = (self.momentum, self.weight_decay, self.trust_coeff, self.eps);
         let ratios = &mut self.last_ratios;
-        model.visit_params(&mut |p| {
-            let v = vel.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
-            if p.kind.lars_adapted() {
-                let w_norm = p.value.l2_norm();
-                let g_norm = p.grad.l2_norm();
-                let ratio = if w_norm > 0.0 && g_norm > 0.0 {
-                    trust_coeff * w_norm / (g_norm + wd * w_norm + eps)
-                } else {
-                    1.0
-                };
-                ratios.push(ratio);
-                let scaled = ratio * lr;
-                for ((vv, &g), w) in v
-                    .data_mut()
-                    .iter_mut()
-                    .zip(p.grad.data())
-                    .zip(p.value.data_mut())
-                {
-                    *vv = m * *vv + scaled * (g + wd * *w);
-                    *w -= *vv;
+        ratios.clear();
+        self.velocity.walk(model, |p, [v]| {
+            let adapted = p.kind.lars_adapted().then(|| {
+                let r = ratio(eta, wd, eps, p.value.l2_norm(), p.grad.l2_norm());
+                ratios.push(r);
+                r * lr
+            });
+            let vw = v.iter_mut().zip(p.grad.data()).zip(p.value.data_mut());
+            if let Some(scaled) = adapted {
+                for ((v, &g), w) in vw {
+                    *v = m * *v + scaled * (g + wd * *w);
+                    *w -= *v;
                 }
             } else {
                 // Plain momentum SGD for BN params and biases.
-                for ((vv, &g), w) in v
-                    .data_mut()
-                    .iter_mut()
-                    .zip(p.grad.data())
-                    .zip(p.value.data_mut())
-                {
-                    *vv = m * *vv + lr * g;
-                    *w -= *vv;
+                for ((v, &g), w) in vw {
+                    *v = m * *v + lr * g;
+                    *w -= *v;
                 }
             }
-            i += 1;
         });
     }
 
@@ -111,25 +96,14 @@ impl Optimizer for Lars {
         "lars"
     }
 
-    /// Banks: `velocity[i]` per parameter. `last_ratios` is a diagnostic
-    /// recomputed every step, so it is deliberately not snapshotted.
+    /// Slot: `velocity`. `last_ratios` is a diagnostic recomputed every
+    /// step, so it is deliberately not snapshotted.
     fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            scalars: Vec::new(),
-            banks: self.velocity.slots().iter().map(tensor_bank).collect(),
-        }
+        self.velocity.export(Vec::new())
     }
 
     fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
-        let dims = param_dims(model);
-        self.velocity.set_slots(
-            state
-                .banks
-                .iter()
-                .zip(&dims)
-                .map(|(b, d)| bank_tensor(b, d))
-                .collect(),
-        );
+        self.velocity.import(state, model);
         self.last_ratios.clear();
     }
 }
@@ -138,7 +112,7 @@ impl Optimizer for Lars {
 mod tests {
     use super::*;
     use ets_nn::{Mode, Param, ParamKind};
-    use ets_tensor::Rng;
+    use ets_tensor::{Rng, Tensor};
 
     struct Params(Vec<Param>);
     impl Layer for Params {

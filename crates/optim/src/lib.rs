@@ -2,16 +2,24 @@
 //!
 //! Optimizers and learning-rate schedules for large-batch training:
 //!
+//! - [`Sgd`] — momentum SGD with coupled L2 weight decay.
 //! - [`RmsProp`] — TF-semantics RMSProp, the original EfficientNet
 //!   optimizer and the paper's small-batch baseline (Table 2).
 //! - [`Lars`] — layer-wise adaptive rate scaling, the paper's large-batch
 //!   optimizer (§3.1), with BN/bias exclusion.
 //! - [`Sm3`] — the memory-efficient optimizer the paper's §5 proposes to
 //!   study next (implemented as our extension experiment).
+//! - [`Adam`] — Adam with decoupled (AdamW) weight decay, the common
+//!   adaptive reference point.
 //! - [`Lamb`] — LARS's Adam-based successor, for comparison.
 //! - [`schedule`] — linear scaling per 256 samples, warmup, exponential /
 //!   polynomial / cosine decay (§3.2), including the exact Table-2
 //!   configurations as presets.
+//!
+//! Each optimizer is its hyper-parameters plus a per-parameter kernel
+//! over one store of flat per-weight state slots ([`optimizer`]), which
+//! also holds the one bit-exact export and import behind
+//! [`OptimizerState`].
 
 pub mod adam;
 pub mod grad;

@@ -11,9 +11,8 @@
 //! w  ← w − mom
 //! ```
 
-use crate::optimizer::{bank_tensor, param_dims, tensor_bank, Optimizer, OptimizerState, StateVec};
+use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
-use ets_tensor::Tensor;
 
 /// TF-style RMSProp.
 pub struct RmsProp {
@@ -21,8 +20,8 @@ pub struct RmsProp {
     momentum: f32,
     eps: f32,
     weight_decay: f32,
-    ms: StateVec<Tensor>,
-    mom: StateVec<Tensor>,
+    /// `[ms, mom]`.
+    slots: Slots<2>,
 }
 
 impl RmsProp {
@@ -32,8 +31,7 @@ impl RmsProp {
             momentum,
             eps,
             weight_decay,
-            ms: StateVec::new(),
-            mom: StateVec::new(),
+            slots: Slots::new(),
         }
     }
 
@@ -45,34 +43,20 @@ impl RmsProp {
 
 impl Optimizer for RmsProp {
     fn step(&mut self, model: &mut dyn Layer, lr: f32) {
-        let mut i = 0;
         let (rho, m, eps, wd) = (self.rho, self.momentum, self.eps, self.weight_decay);
-        let (ms_all, mom_all) = (&mut self.ms, &mut self.mom);
-        model.visit_params(&mut |p| {
-            let ms = ms_all.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
+        self.slots.walk(model, |p, [ms, mom]| {
             let decay = if p.kind.decayed() { wd } else { 0.0 };
-            // First pass: second-moment estimate.
-            for ((msv, &graw), &w) in ms
-                .data_mut()
+            for (((ms, mom), &g), w) in ms
                 .iter_mut()
+                .zip(mom)
                 .zip(p.grad.data())
-                .zip(p.value.data())
+                .zip(p.value.data_mut())
             {
-                let g = graw + decay * w;
-                *msv = rho * *msv + (1.0 - rho) * g * g;
+                let g = g + decay * *w;
+                *ms = rho * *ms + (1.0 - rho) * g * g;
+                *mom = m * *mom + lr * g / (*ms + eps).sqrt();
+                *w -= *mom;
             }
-            let ms_now = ms.clone();
-            let mom = mom_all.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
-            let momd = mom.data_mut();
-            let grads = p.grad.data();
-            let msd = ms_now.data();
-            let vals = p.value.data_mut();
-            for j in 0..vals.len() {
-                let g = grads[j] + decay * vals[j];
-                momd[j] = m * momd[j] + lr * g / (msd[j] + eps).sqrt();
-                vals[j] -= momd[j];
-            }
-            i += 1;
         });
     }
 
@@ -80,34 +64,13 @@ impl Optimizer for RmsProp {
         "rmsprop"
     }
 
-    /// Banks: all `ms[i]` slots first, then all `mom[i]` slots.
+    /// Slots: `ms`, then `mom`.
     fn export_state(&self) -> OptimizerState {
-        let mut banks: Vec<Vec<u32>> = self.ms.slots().iter().map(tensor_bank).collect();
-        banks.extend(self.mom.slots().iter().map(tensor_bank));
-        OptimizerState {
-            scalars: Vec::new(),
-            banks,
-        }
+        self.slots.export(Vec::new())
     }
 
     fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
-        let dims = param_dims(model);
-        let k = state.banks.len() / 2;
-        debug_assert_eq!(state.banks.len(), 2 * k, "ms/mom banks must pair up");
-        self.ms.set_slots(
-            state.banks[..k]
-                .iter()
-                .zip(&dims)
-                .map(|(b, d)| bank_tensor(b, d))
-                .collect(),
-        );
-        self.mom.set_slots(
-            state.banks[k..]
-                .iter()
-                .zip(&dims)
-                .map(|(b, d)| bank_tensor(b, d))
-                .collect(),
-        );
+        self.slots.import(state, model);
     }
 }
 
@@ -115,7 +78,7 @@ impl Optimizer for RmsProp {
 mod tests {
     use super::*;
     use ets_nn::{Mode, Param, ParamKind};
-    use ets_tensor::Rng;
+    use ets_tensor::{Rng, Tensor};
 
     struct OneParam(Param);
     impl Layer for OneParam {

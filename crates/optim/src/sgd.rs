@@ -1,14 +1,13 @@
 //! SGD with momentum and (coupled) L2 weight decay.
 
-use crate::optimizer::{bank_tensor, param_dims, tensor_bank, Optimizer, OptimizerState, StateVec};
+use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
-use ets_tensor::Tensor;
 
 /// Momentum SGD: `v ← m·v + (g + wd·w)`, `w ← w − lr·v`.
 pub struct Sgd {
     momentum: f32,
     weight_decay: f32,
-    velocity: StateVec<Tensor>,
+    velocity: Slots<1>,
 }
 
 impl Sgd {
@@ -16,29 +15,20 @@ impl Sgd {
         Sgd {
             momentum,
             weight_decay,
-            velocity: StateVec::new(),
+            velocity: Slots::new(),
         }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, model: &mut dyn Layer, lr: f32) {
-        let mut i = 0;
         let (m, wd) = (self.momentum, self.weight_decay);
-        let vel = &mut self.velocity;
-        model.visit_params(&mut |p| {
-            let v = vel.get_or_init(i, || Tensor::zeros(p.value.shape().dims()));
+        self.velocity.walk(model, |p, [v]| {
             let decay = if p.kind.decayed() { wd } else { 0.0 };
-            for ((vv, &g), w) in v
-                .data_mut()
-                .iter_mut()
-                .zip(p.grad.data())
-                .zip(p.value.data_mut())
-            {
-                *vv = m * *vv + g + decay * *w;
-                *w -= lr * *vv;
+            for ((v, &g), w) in v.iter_mut().zip(p.grad.data()).zip(p.value.data_mut()) {
+                *v = m * *v + g + decay * *w;
+                *w -= lr * *v;
             }
-            i += 1;
         });
     }
 
@@ -46,24 +36,13 @@ impl Optimizer for Sgd {
         "sgd"
     }
 
-    /// Banks: `velocity[i]` per parameter, in `visit_params` order.
+    /// Slot: `velocity`.
     fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            scalars: Vec::new(),
-            banks: self.velocity.slots().iter().map(tensor_bank).collect(),
-        }
+        self.velocity.export(Vec::new())
     }
 
     fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
-        let dims = param_dims(model);
-        self.velocity.set_slots(
-            state
-                .banks
-                .iter()
-                .zip(&dims)
-                .map(|(b, d)| bank_tensor(b, d))
-                .collect(),
-        );
+        self.velocity.import(state, model);
     }
 }
 
@@ -71,7 +50,7 @@ impl Optimizer for Sgd {
 mod tests {
     use super::*;
     use ets_nn::{Mode, Param, ParamKind};
-    use ets_tensor::Rng;
+    use ets_tensor::{Rng, Tensor};
 
     struct OneParam(Param);
     impl Layer for OneParam {

@@ -12,43 +12,28 @@
 //! a_i[j_i] = max(a_i[j_i], ν_j)     (push the new value back to covers)
 //! ```
 
-use crate::optimizer::{bank_slice, param_dims, slice_bank, Optimizer, OptimizerState, StateVec};
+use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
-
-/// Per-parameter SM3 state: one accumulator vector per axis.
-struct Sm3State {
-    axes: Vec<Vec<f32>>,
-    dims: Vec<usize>,
-    strides: Vec<usize>,
-}
-
-impl Sm3State {
-    fn new(dims: &[usize]) -> Self {
-        // Scalars get a single 1-length axis so the cover is well-defined.
-        let dims: Vec<usize> = if dims.is_empty() {
-            vec![1]
-        } else {
-            dims.to_vec()
-        };
-        let mut strides = vec![1usize; dims.len()];
-        for i in (0..dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * dims[i + 1];
-        }
-        Sm3State {
-            axes: dims.iter().map(|&d| vec![0.0f32; d]).collect(),
-            dims,
-            strides,
-        }
-    }
-}
 
 /// The SM3-II variant (update rule above), with optional momentum.
 pub struct Sm3 {
     momentum: f32,
     weight_decay: f32,
     eps: f32,
-    state: StateVec<Sm3State>,
-    velocity: StateVec<Vec<f32>>,
+    /// `[covers, velocity]`: a parameter's covers are its per-axis
+    /// accumulators concatenated axis by axis (Σ dims long), its velocity
+    /// is parameter-sized.
+    slots: Slots<2>,
+}
+
+/// A parameter's shape as SM3 covers it: a scalar gets a single 1-length
+/// axis so the cover is well-defined.
+fn axes(dims: &[usize]) -> &[usize] {
+    if dims.is_empty() {
+        &[1]
+    } else {
+        dims
+    }
 }
 
 impl Sm3 {
@@ -57,49 +42,48 @@ impl Sm3 {
             momentum,
             weight_decay,
             eps: 1e-12,
-            state: StateVec::new(),
-            velocity: StateVec::new(),
+            slots: Slots::with_lens(|dims| [axes(dims).iter().sum(), dims.iter().product()]),
         }
     }
 }
 
 impl Optimizer for Sm3 {
     fn step(&mut self, model: &mut dyn Layer, lr: f32) {
-        let mut i = 0;
         let (m, wd, eps) = (self.momentum, self.weight_decay, self.eps);
-        let states = &mut self.state;
-        let vels = &mut self.velocity;
-        model.visit_params(&mut |p| {
-            let st = states.get_or_init(i, || Sm3State::new(p.value.shape().dims()));
-            let n = p.value.numel();
-            let v = vels.get_or_init(i, || vec![0.0f32; n]);
+        self.slots.walk(model, |p, [covers, v]| {
+            let dims = axes(p.value.shape().dims());
+            // Stride of each axis, and where its accumulators start.
+            let (mut strides, mut starts) = (vec![1; dims.len()], vec![0; dims.len()]);
+            for a in (1..dims.len()).rev() {
+                strides[a - 1] = strides[a] * dims[a];
+            }
+            for a in 1..dims.len() {
+                starts[a] = starts[a - 1] + dims[a - 1];
+            }
+            let mut idx = vec![0; dims.len()];
             let decay = if p.kind.decayed() { wd } else { 0.0 };
             let grads = p.grad.data();
             let vals = p.value.data_mut();
-            let rank = st.dims.len();
-            let mut idx = vec![0usize; rank];
-            for j in 0..n {
-                // Decompose flat index → per-axis indices.
+            for j in 0..vals.len() {
+                // Flat index → the cover accumulator of each axis.
                 let mut rem = j;
-                for (slot, &stride) in idx.iter_mut().zip(&st.strides) {
-                    *slot = rem / stride;
+                for ((c, &stride), &start) in idx.iter_mut().zip(&strides).zip(&starts) {
+                    *c = start + rem / stride;
                     rem %= stride;
                 }
                 let g = grads[j] + decay * vals[j];
                 let mut nu = f32::INFINITY;
-                for (axis, &i) in st.axes.iter().zip(&idx) {
-                    nu = nu.min(axis[i]);
+                for &c in &idx {
+                    nu = nu.min(covers[c]);
                 }
                 nu += g * g;
-                for (axis, &i) in st.axes.iter_mut().zip(&idx) {
-                    let slot = &mut axis[i];
-                    *slot = slot.max(nu);
+                for &c in &idx {
+                    covers[c] = covers[c].max(nu);
                 }
                 let upd = lr * g / (nu.sqrt() + eps);
                 v[j] = m * v[j] + upd;
                 vals[j] -= v[j];
             }
-            i += 1;
         });
     }
 
@@ -107,43 +91,13 @@ impl Optimizer for Sm3 {
         "sm3"
     }
 
-    /// Banks, per parameter `i` in order: bank `2i` holds the per-axis
-    /// cover accumulators concatenated axis-by-axis (lengths derivable
-    /// from the parameter's shape), bank `2i+1` the momentum velocity.
+    /// Slots: `covers`, then `velocity`.
     fn export_state(&self) -> OptimizerState {
-        let mut banks = Vec::with_capacity(2 * self.state.slots().len());
-        for (st, vel) in self.state.slots().iter().zip(self.velocity.slots()) {
-            let mut axes_flat = Vec::new();
-            for axis in &st.axes {
-                axes_flat.extend_from_slice(axis);
-            }
-            banks.push(slice_bank(&axes_flat));
-            banks.push(slice_bank(vel));
-        }
-        OptimizerState {
-            scalars: Vec::new(),
-            banks,
-        }
+        self.slots.export(Vec::new())
     }
 
     fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
-        let dims = param_dims(model);
-        let mut states = Vec::new();
-        let mut vels = Vec::new();
-        for (i, pair) in state.banks.chunks(2).enumerate() {
-            let mut st = Sm3State::new(&dims[i]);
-            let axes_flat = bank_slice(&pair[0]);
-            let mut off = 0;
-            for axis in &mut st.axes {
-                let len = axis.len();
-                axis.copy_from_slice(&axes_flat[off..off + len]);
-                off += len;
-            }
-            states.push(st);
-            vels.push(bank_slice(&pair[1]));
-        }
-        self.state.set_slots(states);
-        self.velocity.set_slots(vels);
+        self.slots.import(state, model);
     }
 }
 
@@ -181,9 +135,15 @@ mod tests {
 
     #[test]
     fn memory_is_sum_of_dims() {
-        let st = Sm3State::new(&[8, 16, 3, 3]);
-        let total: usize = st.axes.iter().map(|a| a.len()).sum();
-        assert_eq!(total, 8 + 16 + 3 + 3);
+        let mut layer = OneParam(Param::new(
+            "w",
+            Tensor::zeros([8, 16, 3, 3]),
+            ParamKind::Weight,
+        ));
+        let mut opt = Sm3::new(0.0, 0.0);
+        opt.step(&mut layer, 0.1);
+        let covers = &opt.export_state().banks[0];
+        assert_eq!(covers.len(), 8 + 16 + 3 + 3);
     }
 
     #[test]

@@ -64,7 +64,6 @@ use crate::ops::simd::{lane_path, LanePath};
 use crate::scratch::scratch_f32;
 use crate::shape::conv_out_dim;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Largest kernel side the row regimes keep per-tap state for; larger
@@ -831,7 +830,7 @@ pub fn depthwise_forward(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> T
     let mut y = Tensor::zeros([n, c, g.h_out, g.w_out]);
     let (xs, ws) = (x.data(), w.data());
     y.data_mut()
-        .par_chunks_mut((c * out_plane).max(1))
+        .chunks_mut((c * out_plane).max(1))
         .enumerate()
         .for_each(|(img, yimg)| {
             let ximg = &xs[img * c * in_plane..][..c * in_plane];
@@ -883,8 +882,8 @@ pub fn depthwise_backward(
         .enumerate()
     {
         dximg
-            .par_chunks_mut(in_plane)
-            .zip(dw.data_mut().par_chunks_mut(taps))
+            .chunks_mut(in_plane)
+            .zip(dw.data_mut().chunks_mut(taps))
             .enumerate()
             .for_each(|(ch, (dxp, dwc))| {
                 let plane = img * c + ch;

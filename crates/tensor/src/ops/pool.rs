@@ -2,7 +2,6 @@
 //! squeeze-and-excite blocks both reduce over the full spatial extent).
 
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Global average pool: `NCHW -> NC` (spatial mean per channel).
 pub fn global_avg_pool(x: &Tensor) -> Tensor {
@@ -10,14 +9,11 @@ pub fn global_avg_pool(x: &Tensor) -> Tensor {
     let plane = h * w;
     let mut y = Tensor::zeros([n, c]);
     let xs = x.data();
-    y.data_mut()
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(i, out)| {
-            let src = &xs[i * plane..(i + 1) * plane];
-            let sum: f64 = src.iter().map(|&v| v as f64).sum();
-            *out = (sum / plane as f64) as f32;
-        });
+    y.data_mut().iter_mut().enumerate().for_each(|(i, out)| {
+        let src = &xs[i * plane..(i + 1) * plane];
+        let sum: f64 = src.iter().map(|&v| v as f64).sum();
+        *out = (sum / plane as f64) as f32;
+    });
     y
 }
 
@@ -31,7 +27,7 @@ pub fn global_avg_pool_backward(dy: &Tensor, h: usize, w: usize) -> Tensor {
     let mut dx = Tensor::zeros([n, c, h, w]);
     let dys = dy.data();
     dx.data_mut()
-        .par_chunks_mut(plane)
+        .chunks_mut(plane)
         .enumerate()
         .for_each(|(i, dst)| {
             let g = dys[i] * scale;
@@ -49,7 +45,7 @@ pub fn scale_channels(x: &Tensor, s: &Tensor) -> Tensor {
     let mut y = x.clone();
     let ss = s.data();
     y.data_mut()
-        .par_chunks_mut(plane)
+        .chunks_mut(plane)
         .enumerate()
         .for_each(|(i, dst)| {
             let f = ss[i];
@@ -68,15 +64,12 @@ pub fn channel_dot(a: &Tensor, b: &Tensor) -> Tensor {
     let mut y = Tensor::zeros([n, c]);
     let as_ = a.data();
     let bs = b.data();
-    y.data_mut()
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(i, out)| {
-            let ap = &as_[i * plane..(i + 1) * plane];
-            let bp = &bs[i * plane..(i + 1) * plane];
-            let sum: f64 = ap.iter().zip(bp).map(|(&x, &y)| x as f64 * y as f64).sum();
-            *out = sum as f32;
-        });
+    y.data_mut().iter_mut().enumerate().for_each(|(i, out)| {
+        let ap = &as_[i * plane..(i + 1) * plane];
+        let bp = &bs[i * plane..(i + 1) * plane];
+        let sum: f64 = ap.iter().zip(bp).map(|(&x, &y)| x as f64 * y as f64).sum();
+        *out = sum as f32;
+    });
     y
 }
 

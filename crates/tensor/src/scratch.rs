@@ -29,8 +29,8 @@
 //!
 //! # Why thread-local
 //!
-//! The trainer runs one OS thread per replica and the kernels fan work
-//! out to rayon workers; both kinds of thread simply get their own pool,
+//! The trainer runs one OS thread per replica and the blocked GEMM fans
+//! work out to `par`'s workers; both kinds of thread simply get their own pool,
 //! so checkout/checkin never takes a lock and buffers never migrate
 //! between concurrently running kernels. A guard that *is* dropped on a
 //! different thread (e.g. a per-worker partial collected and reduced on

@@ -23,7 +23,7 @@
 //! [`Collective::scratch_reallocs`]; tests pin the counter flat after
 //! warmup.
 
-use crate::comm::CommHandle;
+use crate::comm::{CommHandle, Pieces};
 use crate::fault::CollectiveError;
 use crate::topology::canonical_grid;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,7 +90,7 @@ impl std::fmt::Display for Backend {
 /// Byte/call counters, snapshotted per rank via [`Collective::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CollectiveStats {
-    /// Completed `all_reduce_sum`/`all_reduce_mean` calls.
+    /// Completed `all_reduce_sum`/`try_all_reduce_mean` calls.
     pub all_reduce_calls: u64,
     /// Completed `all_gather` calls.
     pub all_gather_calls: u64,
@@ -159,14 +159,16 @@ pub trait Collective: Send + Sync {
     /// In-place sum across all members, deterministic reduction order.
     fn all_reduce_sum(&self, buf: &mut [f32]);
 
-    /// In-place mean across all members.
-    fn all_reduce_mean(&self, buf: &mut [f32]) {
-        self.all_reduce_sum(buf);
-        let inv = 1.0 / self.size() as f32;
-        for v in buf.iter_mut() {
-            *v *= inv;
-        }
-    }
+    /// Fallible in-place **mean** across all members of a payload held
+    /// in [`Pieces`] (a `Vec<f32>` is one piece): every element becomes
+    /// its [`Collective::all_reduce_sum`] × (1/size), bitwise, computed
+    /// in one pass ([`CommHandle::all_reduce_mean_grid`]). A zero-length
+    /// payload is [`CollectiveError::EmptyPayload`]. Decorators (e.g.
+    /// [`crate::fault::FaultyCollective`]) inject transient failures
+    /// **before** the payload touches the transport, so a failed attempt
+    /// never partially mutates it and every rank observes the same
+    /// outcome (the SPMD contract holds).
+    fn try_all_reduce_mean(&self, payload: &mut dyn Pieces) -> Result<(), CollectiveError>;
 
     /// Gathers every member's `local` into `out`, concatenated in rank
     /// order. `out` is cleared and refilled; reusing the same `out` keeps
@@ -178,22 +180,6 @@ pub trait Collective: Send + Sync {
 
     /// Returns once every member has arrived.
     fn barrier(&self);
-
-    /// Fallible all-reduce: validates the payload and returns a typed
-    /// error instead of panicking on degenerate input. Decorators (e.g.
-    /// [`crate::fault::FaultyCollective`]) override this to inject
-    /// transient failures **before** the payload touches the transport,
-    /// so a failed attempt never partially mutates `buf` and every rank
-    /// observes the same outcome (the SPMD contract holds).
-    fn try_all_reduce_sum(&self, buf: &mut [f32]) -> Result<(), CollectiveError> {
-        if buf.is_empty() {
-            return Err(CollectiveError::EmptyPayload {
-                op: "all_reduce_sum",
-            });
-        }
-        self.all_reduce_sum(buf);
-        Ok(())
-    }
 
     /// Fallible broadcast: typed errors for out-of-range roots and empty
     /// payloads instead of panics.
@@ -277,6 +263,18 @@ impl Collective for CommCollective {
         self.stats.record(&self.stats.all_reduce_calls, buf.len());
         let (rows, cols) = self.fold;
         self.handle.all_reduce_sum_grid(buf, rows, cols);
+    }
+    fn try_all_reduce_mean(&self, payload: &mut dyn Pieces) -> Result<(), CollectiveError> {
+        let elems = payload.elems();
+        if elems == 0 {
+            return Err(CollectiveError::EmptyPayload {
+                op: "all_reduce_mean",
+            });
+        }
+        self.stats.record(&self.stats.all_reduce_calls, elems);
+        let (rows, cols) = self.fold;
+        self.handle.all_reduce_mean_grid(payload, rows, cols);
+        Ok(())
     }
     fn all_gather(&self, local: &[f32], out: &mut Vec<f32>) {
         self.stats.record(&self.stats.all_gather_calls, local.len());
@@ -421,7 +419,7 @@ mod tests {
         let results = run_world(create_collective(Backend::Tree, 2), move |c| {
             let mut buf = vec![1.0; 10];
             c.all_reduce_sum(&mut buf);
-            c.all_reduce_mean(&mut buf);
+            c.try_all_reduce_mean(&mut buf).unwrap();
             let mut out = Vec::new();
             c.all_gather(&buf[..5], &mut out);
             c.broadcast(&mut buf, 0);
@@ -445,7 +443,7 @@ mod tests {
         let mut buf = vec![2.0, 4.0];
         c.all_reduce_sum(&mut buf);
         assert_eq!(buf, vec![2.0, 4.0]);
-        c.all_reduce_mean(&mut buf);
+        c.try_all_reduce_mean(&mut buf).unwrap();
         assert_eq!(buf, vec![2.0, 4.0]);
         let mut out = Vec::new();
         c.all_gather(&buf, &mut out);

@@ -32,6 +32,17 @@
 //! bit. There is one rendezvous per round and no length cut-off: a
 //! barrier and a 14 MB all-reduce take the same steps.
 //!
+//! # Payloads in pieces
+//!
+//! The mean ([`CommHandle::all_reduce_mean_grid`]) takes its payload as
+//! [`Pieces`]: slices handed out in order that the round treats as one
+//! contiguous payload, such as the gradients of a bucket's parameters,
+//! each in its own tensor. The deposit gathers the pieces into the
+//! rank's slot, and the fold writes each element's sum × (1/size) back
+//! into its piece while the tile is in L1. No contiguous copy of the
+//! payload exists outside the slots, and the result is bitwise the sum
+//! followed by that multiply.
+//!
 //! The buffers are reused round after round, so the steady state
 //! performs **no heap allocation** (a BN layer syncs once per conv layer
 //! per step — thousands of rounds per step). Capacity growth is counted
@@ -75,45 +86,91 @@ fn add_assign(acc: &mut [f32], x: &[f32]) {
     }
 }
 
-/// `dst[i] = Σ slots[..][i]` with the canonical association: the slots
-/// are blocks of `cols` consecutive ranks, each block is folded in
-/// ascending rank order and the block sums are folded in ascending block
-/// order (`cols == slots.len()` is the flat ascending fold). Tiled so
-/// each element is written once.
-///
-/// `dst` is rank `own`'s contribution (what it deposited in slot `own`)
-/// and is summed in place of that slot: the result overwrites lines the
-/// fold has just read instead of lines it has to fetch first, a quarter
-/// less memory traffic for two ranks.
-fn fold_range(slots: &[Vec<f32>], cols: usize, dst: &mut [f32], own: usize) {
-    let (mut partial, mut mine) = ([0.0f32; FOLD_TILE], [0.0f32; FOLD_TILE]);
-    for (t, out) in dst.chunks_mut(FOLD_TILE).enumerate() {
-        let at = t * FOLD_TILE;
-        let len = out.len();
-        mine[..len].copy_from_slice(out);
-        let source = |rank: usize| {
-            if rank == own {
-                &mine[..len]
-            } else {
-                &slots[rank][at..at + len]
-            }
-        };
-        for b in 0..slots.len() / cols {
-            let acc = if b == 0 {
-                &mut *out
-            } else {
-                &mut partial[..len]
-            };
-            acc.copy_from_slice(source(b * cols));
-            for rank in b * cols + 1..(b + 1) * cols {
-                add_assign(acc, source(rank));
-            }
-            if b > 0 {
-                add_assign(out, &partial[..len]);
-            }
-        }
+/// A payload held in pieces: the round reads and writes them, in the
+/// order [`Pieces::for_each_piece`] hands them out, as one contiguous
+/// payload. A plain slice (or a `Vec`) is the one-piece case.
+pub trait Pieces {
+    /// Hands every piece to `f`, in payload order.
+    fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32]));
+
+    /// Elements over all pieces.
+    fn elems(&mut self) -> usize {
+        let mut n = 0;
+        self.for_each_piece(&mut |piece| n += piece.len());
+        n
     }
 }
+
+impl Pieces for [f32] {
+    fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        f(self)
+    }
+}
+
+impl Pieces for Vec<f32> {
+    fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        f(self)
+    }
+}
+
+/// `x[i] = scale · Σ slots[..][i]` for every element `x[i]` of
+/// `payload`, with the canonical association: the slots are blocks of
+/// `cols` consecutive ranks, each block is folded in ascending rank
+/// order and the block sums are folded in ascending block order
+/// (`cols == slots.len()` is the flat ascending fold). Tiled so each
+/// element is written once; without a `scale` it is the plain sum.
+///
+/// `payload` is rank `own`'s contribution (what it deposited in slot
+/// `own`) and is summed in place of that slot: the result overwrites
+/// lines the fold has just read instead of lines it has to fetch first,
+/// a quarter less memory traffic for two ranks. Tiles start at each
+/// piece's first element; every element is its own chain, so where a
+/// tile ends moves no bit.
+fn fold<P: Pieces + ?Sized>(
+    slots: &[Vec<f32>],
+    cols: usize,
+    payload: &mut P,
+    own: usize,
+    scale: Option<f32>,
+) {
+    let (mut partial, mut mine) = ([0.0f32; FOLD_TILE], [0.0f32; FOLD_TILE]);
+    let mut base = 0;
+    payload.for_each_piece(&mut |piece| {
+        for (t, out) in piece.chunks_mut(FOLD_TILE).enumerate() {
+            let at = base + t * FOLD_TILE;
+            let len = out.len();
+            mine[..len].copy_from_slice(out);
+            let source = |rank: usize| {
+                if rank == own {
+                    &mine[..len]
+                } else {
+                    &slots[rank][at..at + len]
+                }
+            };
+            for b in 0..slots.len() / cols {
+                let acc = if b == 0 {
+                    &mut *out
+                } else {
+                    &mut partial[..len]
+                };
+                acc.copy_from_slice(source(b * cols));
+                for rank in b * cols + 1..(b + 1) * cols {
+                    add_assign(acc, source(rank));
+                }
+                if b > 0 {
+                    add_assign(out, &partial[..len]);
+                }
+            }
+            if let Some(scale) = scale {
+                out.iter_mut().for_each(|v| *v *= scale);
+            }
+        }
+        base += piece.len();
+    });
+}
+
+/// Writes a rank's contribution into its (cleared) slot.
+type Fill<'a> = &'a mut dyn FnMut(&mut Vec<f32>);
 
 fn check_lengths(slots: &[Vec<f32>], n: usize, what: &str) {
     for slot in slots {
@@ -236,43 +293,46 @@ impl CommHandle {
         }
     }
 
-    /// Copies `src` into this rank's slot, counting a growth. The slot is
-    /// taken out of the pool meanwhile, so ranks filling theirs do not
-    /// serialize on the pool's lock.
-    fn deposit(&self, src: &[f32]) {
+    /// Refills this rank's slot through `fill`, counting a growth. The
+    /// slot is taken out of the pool meanwhile, so ranks filling theirs
+    /// do not serialize on the pool's lock.
+    fn deposit(&self, fill: Fill<'_>) {
         let slots = &self.inner.slots;
         let mut own = std::mem::take(&mut unpoisoned(slots.write())[self.rank]);
         let capacity = own.capacity();
         own.clear();
-        own.extend_from_slice(src);
+        fill(&mut own);
         if own.capacity() > capacity {
             self.inner.reallocs.fetch_add(1, Ordering::Relaxed);
         }
         unpoisoned(slots.write())[self.rank] = own;
     }
 
-    /// Steps 1–3 of a round (module docs): enters, deposits
+    /// Steps 1–3 of a round (module docs): enters, deposits through
     /// `contribution` if any and meets the other members. The caller
     /// reads the slots and then [leaves](Self::leave).
-    fn open(&self, contribution: Option<&[f32]>) {
+    fn open(&self, contribution: Option<Fill<'_>>) {
         self.enter();
-        if let Some(src) = contribution {
+        if let Some(fill) = contribution {
             #[cfg(test)]
             stall(Phase::Deposit);
-            self.deposit(src);
+            self.deposit(fill);
         }
         self.meet();
         #[cfg(test)]
         stall(Phase::Read);
     }
 
-    /// The all-reduce round over blocks of `cols` ranks (see
-    /// [`fold_range`]).
-    fn all_reduce(&self, buf: &mut [f32], cols: usize) {
-        self.open(Some(buf));
+    /// The all-reduce round over blocks of `cols` ranks (see [`fold`]):
+    /// the deposit gathers the pieces, the fold writes into them.
+    fn all_reduce<P: Pieces + ?Sized>(&self, payload: &mut P, cols: usize, scale: Option<f32>) {
+        let n = payload.elems();
+        self.open(Some(&mut |slot: &mut Vec<f32>| {
+            payload.for_each_piece(&mut |piece| slot.extend_from_slice(piece))
+        }));
         let slots = unpoisoned(self.inner.slots.read());
-        check_lengths(&slots, buf.len(), "all-reduce");
-        fold_range(&slots, cols, buf, self.rank);
+        check_lengths(&slots, n, "all-reduce");
+        fold(&slots, cols, payload, self.rank, scale);
         drop(slots);
         self.leave();
     }
@@ -282,15 +342,8 @@ impl CommHandle {
     /// contributions. Steady-state allocation-free.
     pub fn all_reduce_sum(&self, buf: &mut [f32]) {
         if self.inner.size > 1 {
-            self.all_reduce(buf, self.inner.size);
+            self.all_reduce(buf, self.inner.size, None);
         }
-    }
-
-    /// In-place mean all-reduce.
-    pub fn all_reduce_mean(&self, buf: &mut [f32]) {
-        self.all_reduce_sum(buf);
-        let inv = 1.0 / self.inner.size as f32;
-        buf.iter_mut().for_each(|v| *v *= inv);
     }
 
     /// In-place sum all-reduce with the **canonical grid-blocked fold**:
@@ -310,7 +363,28 @@ impl CommHandle {
             "grid shape must cover the communicator"
         );
         if self.inner.size > 1 {
-            self.all_reduce(buf, cols);
+            self.all_reduce(buf, cols, None);
+        }
+    }
+
+    /// In-place **mean** all-reduce of a payload held in [`Pieces`]:
+    /// every element becomes its [grid-blocked sum](Self::all_reduce_sum_grid)
+    /// × (1/size), bitwise what that sum followed by the multiply gives.
+    /// The multiply happens in the fold, while the tile is in L1. A
+    /// communicator of one member runs no round and touches nothing.
+    pub fn all_reduce_mean_grid<P: Pieces + ?Sized>(
+        &self,
+        payload: &mut P,
+        rows: usize,
+        cols: usize,
+    ) {
+        assert_eq!(
+            rows * cols,
+            self.inner.size,
+            "grid shape must cover the communicator"
+        );
+        if self.inner.size > 1 {
+            self.all_reduce(payload, cols, Some(1.0 / self.inner.size as f32));
         }
     }
 
@@ -323,7 +397,9 @@ impl CommHandle {
             out.extend_from_slice(local);
             return;
         }
-        self.open(Some(local));
+        self.open(Some(&mut |slot: &mut Vec<f32>| {
+            slot.extend_from_slice(local)
+        }));
         for slot in unpoisoned(self.inner.slots.read()).iter() {
             out.extend_from_slice(slot);
         }
@@ -345,7 +421,12 @@ impl CommHandle {
             return;
         }
         // Only the root deposits payload.
-        self.open((self.rank == root).then_some(&*buf));
+        let mut payload = |slot: &mut Vec<f32>| slot.extend_from_slice(buf);
+        self.open(if self.rank == root {
+            Some(&mut payload)
+        } else {
+            None
+        });
         if self.rank != root {
             buf.copy_from_slice(&unpoisoned(self.inner.slots.read())[root]);
         }
@@ -424,11 +505,29 @@ mod tests {
     fn all_reduce_mean_averages() {
         let results = run_replicas(4, |h| {
             let mut buf = vec![(h.rank() * 2) as f32];
-            h.all_reduce_mean(&mut buf);
+            h.all_reduce_mean_grid(&mut buf, 1, 4);
             buf[0]
         });
         for r in results {
             assert!((r - 3.0).abs() < 1e-6);
+        }
+    }
+
+    /// `buf` handed out as pieces cut at the ascending offsets `cuts`.
+    struct Cut<'a> {
+        buf: &'a mut [f32],
+        cuts: &'a [usize],
+    }
+
+    impl Pieces for Cut<'_> {
+        fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+            let (mut rest, mut at) = (&mut *self.buf, 0);
+            for &cut in self.cuts {
+                let (piece, tail) = std::mem::take(&mut rest).split_at_mut(cut - at);
+                f(piece);
+                (rest, at) = (tail, cut);
+            }
+            f(rest);
         }
     }
 
@@ -674,35 +773,54 @@ mod tests {
         // slots, while the others run ahead into the next round as far as
         // the drain rule lets them. Three rounds with different payloads:
         // a slot rewritten too early shows as another round's data. A
-        // length within one fold tile and one spanning several.
+        // length within one fold tile and one spanning several, each as
+        // one slice summed and as pieces (an empty one, and pieces that
+        // straddle fold tiles) averaged.
         use std::time::Duration;
         let lengths = [7, 4 * FOLD_TILE + 3];
         for (world, cols) in [(2usize, 2usize), (3, 3), (4, 2)] {
             for n in lengths {
-                for phase in [Phase::Deposit, Phase::Read] {
-                    for slow in 0..world {
-                        let results = run_replicas(world, move |h| {
-                            if h.rank() == slow {
-                                STALL.set(Some((phase, Duration::from_millis(1))));
-                            }
-                            (0..3)
-                                .map(|round| {
-                                    let mut buf = adversarial_payload(h.rank() + 10 * round, n);
-                                    h.all_reduce_sum_grid(&mut buf, world / cols, cols);
-                                    buf
-                                })
-                                .collect::<Vec<_>>()
-                        });
-                        for round in 0..3 {
-                            let contribs: Vec<Vec<f32>> = (0..world)
-                                .map(|r| adversarial_payload(r + 10 * round, n))
-                                .collect();
-                            let want = sequential_fold(&contribs, cols);
-                            for (rank, got) in results.iter().enumerate() {
-                                assert!(
-                                    got[round].iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
-                                    "world {world} n {n} {phase:?} slow {slow} round {round} rank {rank}"
-                                );
+                for pieces in [false, true] {
+                    for phase in [Phase::Deposit, Phase::Read] {
+                        for slow in 0..world {
+                            let results = run_replicas(world, move |h| {
+                                if h.rank() == slow {
+                                    STALL.set(Some((phase, Duration::from_millis(1))));
+                                }
+                                let cuts = [1, n / 2, n / 2, n - 1];
+                                (0..3)
+                                    .map(|round| {
+                                        let mut buf = adversarial_payload(h.rank() + 10 * round, n);
+                                        let rows = world / cols;
+                                        if pieces {
+                                            let mut cut = Cut {
+                                                buf: &mut buf,
+                                                cuts: &cuts,
+                                            };
+                                            h.all_reduce_mean_grid(&mut cut, rows, cols);
+                                        } else {
+                                            h.all_reduce_sum_grid(&mut buf, rows, cols);
+                                        }
+                                        buf
+                                    })
+                                    .collect::<Vec<_>>()
+                            });
+                            let scale = if pieces { 1.0 / world as f32 } else { 1.0 };
+                            for round in 0..3 {
+                                let contribs: Vec<Vec<f32>> = (0..world)
+                                    .map(|r| adversarial_payload(r + 10 * round, n))
+                                    .collect();
+                                let want = sequential_fold(&contribs, cols);
+                                for (rank, got) in results.iter().enumerate() {
+                                    assert!(
+                                        got[round]
+                                            .iter()
+                                            .zip(&want)
+                                            .all(|(a, b)| a.to_bits() == (b * scale).to_bits()),
+                                        "world {world} n {n} pieces {pieces} {phase:?} slow {slow} \
+                                         round {round} rank {rank}"
+                                    );
+                                }
                             }
                         }
                     }

@@ -15,7 +15,7 @@
 //!   schedule, which keeps fault injection SPMD-consistent (a rank that
 //!   fails alone would deadlock its peers inside a collective).
 //! - [`CollectiveError`] — typed errors for the fallible collective API
-//!   ([`Collective::try_all_reduce_sum`] and friends) instead of panics.
+//!   ([`Collective::try_all_reduce_mean`] and friends) instead of panics.
 //! - [`FaultyCollective`] — a decorator that wraps *any* backend and
 //!   injects scheduled transient failures into the fallible gradient
 //!   path, leaving the infallible paths (BN sync, eval, broadcast)
@@ -38,6 +38,7 @@
 //!    uninterrupted trajectory exactly.
 
 use crate::backend::Collective;
+use crate::comm::Pieces;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -801,7 +802,7 @@ impl FaultSchedule {
 
 /// Wraps any [`Collective`] backend and injects the schedule's transient
 /// failures into the **fallible** gradient path
-/// ([`Collective::try_all_reduce_sum`]). Infallible operations delegate
+/// ([`Collective::try_all_reduce_mean`]). Infallible operations delegate
 /// untouched, so BN sync, distributed eval, and checkpoint broadcasts
 /// never see injected faults (they share the step's fate through the
 /// timing model instead).
@@ -904,7 +905,7 @@ impl Collective for FaultyCollective {
         self.inner.scratch_reallocs()
     }
 
-    fn try_all_reduce_sum(&self, buf: &mut [f32]) -> Result<(), CollectiveError> {
+    fn try_all_reduce_mean(&self, payload: &mut dyn Pieces) -> Result<(), CollectiveError> {
         let step = self.step.load(Ordering::Relaxed);
         let planned = self.schedule.transient_failures_at(step);
         let failed = self.failed_attempts_this_step.load(Ordering::Relaxed);
@@ -922,7 +923,7 @@ impl Collective for FaultyCollective {
                 rec.counter_add("collective_faults_injected", 1);
             }
             return Err(CollectiveError::Transient {
-                op: "all_reduce_sum",
+                op: "all_reduce_mean",
                 step,
                 attempt: failed + 1,
             });
@@ -934,12 +935,12 @@ impl Collective for FaultyCollective {
                 step,
                 (failed + 1) as u64,
             );
-            self.inner.try_all_reduce_sum(buf)
+            self.inner.try_all_reduce_mean(payload)
         } else {
-            self.inner.try_all_reduce_sum(buf)
+            self.inner.try_all_reduce_mean(payload)
         };
         if result.is_ok() {
-            self.maybe_flip_payload(step, buf);
+            self.maybe_flip_payload(step, payload);
         }
         result
     }
@@ -949,23 +950,35 @@ impl FaultyCollective {
     /// Applies the step's scheduled [`FaultKind::PayloadBitFlip`] to this
     /// rank's copy of the *reduced* payload — receive-side silent data
     /// corruption. Asymmetric by design: only the scheduled rank (modulo
-    /// the surviving world) mutates its buffer, so without the
-    /// fingerprint defense its weights silently fork from its peers'.
-    /// One-shot per scheduled step: a verified retry of the bucket
-    /// re-runs the clean reduction.
-    fn maybe_flip_payload(&self, step: u64, buf: &mut [f32]) {
+    /// the surviving world) mutates its copy, so without the fingerprint
+    /// defense its weights silently fork from its peers'. The flipped
+    /// element is `element` modulo the payload length, counted across
+    /// the pieces in order. One-shot per scheduled step: a verified retry
+    /// of the bucket re-runs the clean reduction.
+    fn maybe_flip_payload(&self, step: u64, payload: &mut dyn Pieces) {
         let Some((rank, element, bit)) = self.schedule.payload_flip_at(step) else {
             return;
         };
-        if rank % self.inner.size() != self.inner.rank() || buf.is_empty() {
+        if rank % self.inner.size() != self.inner.rank() {
             return;
         }
-        if self.flip_done_step.load(Ordering::Relaxed) == step {
+        let len = payload.elems();
+        if len == 0 || self.flip_done_step.load(Ordering::Relaxed) == step {
             return;
         }
         self.flip_done_step.store(step, Ordering::Relaxed);
-        let idx = element as usize % buf.len();
-        buf[idx] = f32::from_bits(buf[idx].to_bits() ^ (1u32 << bit));
+        let mut left = Some(element as usize % len);
+        payload.for_each_piece(&mut |piece| {
+            if let Some(i) = left {
+                match piece.get_mut(i) {
+                    Some(v) => {
+                        *v = f32::from_bits(v.to_bits() ^ (1u32 << bit));
+                        left = None;
+                    }
+                    None => left = Some(i - piece.len()),
+                }
+            }
+        });
         self.injected_flips.fetch_add(1, Ordering::Relaxed);
         if let Some(rec) = &self.recorder {
             rec.counter_add("collective_corruptions_injected", 1);
@@ -1151,7 +1164,7 @@ mod tests {
                         fc.set_step(step);
                         let mut buf = vec![fc.rank() as f32 + 1.0, 2.0];
                         let out =
-                            retry_collective(&policy, || fc.try_all_reduce_sum(&mut buf)).unwrap();
+                            retry_collective(&policy, || fc.try_all_reduce_mean(&mut buf)).unwrap();
                         outs.push((buf, out.attempts));
                     }
                     (outs, fc.injected_failures())
@@ -1164,9 +1177,9 @@ mod tests {
             assert_eq!(outs[0].1, 3);
             assert_eq!(outs[1].1, 1);
             assert_eq!(*injected, 2);
-            // Payloads are unperturbed: 1+2+3 = 6 and 3×2 = 6.
-            assert_eq!(outs[0].0, vec![6.0, 6.0]);
-            assert_eq!(outs[1].0, vec![6.0, 6.0]);
+            // Payloads are unperturbed: (1+2+3)/3 = 2 and 3×2/3 = 2.
+            assert_eq!(outs[0].0, vec![2.0, 2.0]);
+            assert_eq!(outs[1].0, vec![2.0, 2.0]);
         }
         assert_eq!(results[0].0, results[1].0, "ranks diverged");
     }
@@ -1316,12 +1329,12 @@ mod tests {
                     let fc = FaultyCollective::new(c, sched);
                     fc.set_step(0);
                     let mut buf = vec![1.0f32, 2.0];
-                    fc.try_all_reduce_sum(&mut buf).unwrap();
+                    fc.try_all_reduce_mean(&mut buf).unwrap();
                     let first = buf.clone();
                     // Retry of the same bucket at the same step: flip
                     // must NOT re-fire, so the retried reduction is clean.
                     let mut buf2 = vec![1.0f32, 2.0];
-                    fc.try_all_reduce_sum(&mut buf2).unwrap();
+                    fc.try_all_reduce_mean(&mut buf2).unwrap();
                     (fc.rank(), first, buf2, fc.injected_payload_flips())
                 })
             })
@@ -1329,14 +1342,71 @@ mod tests {
         let mut results: Vec<_> = joins.into_iter().map(|j| j.join().unwrap()).collect();
         results.sort_by_key(|r| r.0);
         for (rank, first, retried, flips) in &results {
-            assert_eq!(*retried, vec![3.0, 6.0], "rank {rank} retry not clean");
+            assert_eq!(*retried, vec![1.0, 2.0], "rank {rank} retry not clean");
             if *rank == 1 {
-                assert_ne!(*first, vec![3.0, 6.0], "rank 1 payload must be flipped");
+                assert_ne!(*first, vec![1.0, 2.0], "rank 1 payload must be flipped");
                 assert_eq!(*flips, 1);
             } else {
-                assert_eq!(*first, vec![3.0, 6.0], "rank {rank} must stay clean");
+                assert_eq!(*first, vec![1.0, 2.0], "rank {rank} must stay clean");
                 assert_eq!(*flips, 0);
             }
+        }
+    }
+
+    /// A payload held as separate vectors, some of them empty.
+    struct Parts(Vec<Vec<f32>>);
+
+    impl Pieces for Parts {
+        fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+            for part in &mut self.0 {
+                f(part);
+            }
+        }
+    }
+
+    #[test]
+    fn payload_flip_hits_the_element_index_across_pieces() {
+        // Element 13 of a 10-element payload is index 3, the index a
+        // contiguous payload of that length is flipped at. Held as pieces
+        // of 3, 0, 4 and 3 elements, that is the first of the third piece.
+        let plan = FaultPlan {
+            events: vec![FaultEvent {
+                at_s: 0.0,
+                duration_s: 0.0,
+                kind: FaultKind::PayloadBitFlip {
+                    rank: 1,
+                    at_step: 0,
+                    element: 13,
+                    bit: 30,
+                },
+            }],
+            ..FaultPlan::default()
+        };
+        let sched = Arc::new(plan.compile(1));
+        let joins: Vec<_> = create_collective(Backend::Tree, 2)
+            .into_iter()
+            .map(|c| {
+                let sched = Arc::clone(&sched);
+                thread::spawn(move || {
+                    let fc = FaultyCollective::new(c, sched);
+                    let payload: Vec<f32> = (0..10).map(|i| i as f32 + 0.5).collect();
+                    let mut parts = Parts(
+                        [0..3, 3..3, 3..7, 7..10]
+                            .into_iter()
+                            .map(|r| payload[r].to_vec())
+                            .collect(),
+                    );
+                    fc.try_all_reduce_mean(&mut parts).unwrap();
+                    parts.0.concat()
+                })
+            })
+            .collect();
+        let results: Vec<Vec<f32>> = joins.into_iter().map(|j| j.join().unwrap()).collect();
+        let clean: Vec<f32> = (0..10).map(|i| i as f32 + 0.5).collect();
+        assert_eq!(results[0], clean, "rank 0 is not flipped");
+        for (i, (got, want)) in results[1].iter().zip(&clean).enumerate() {
+            let flipped = if i == 3 { 1 << 30 } else { 0 };
+            assert_eq!(got.to_bits(), want.to_bits() ^ flipped, "element {i}");
         }
     }
 

@@ -22,7 +22,7 @@ pub mod group;
 pub mod topology;
 
 pub use backend::{create_collective, Backend, Collective, CollectiveStats, CommCollective};
-pub use comm::CommHandle;
+pub use comm::{CommHandle, Pieces};
 pub use cost::{
     auto_backend_choice, bn_sync_time, gradient_bytes, grid_all_reduce_time, ring_all_reduce_time,
     torus_all_reduce_time, tree_all_reduce_time, tree_ring_crossover_bytes, LinkSpec, TPU_V3_LINK,

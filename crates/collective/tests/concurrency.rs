@@ -1,8 +1,8 @@
 //! Concurrency stress tests of the communicator round: many rounds,
 //! varying payloads, subgroup interleaving, and the fold against a
-//! literal sequential fold.
+//! literal sequential fold, whole and in pieces.
 
-use ets_collective::{CommHandle, GroupSpec, SliceShape};
+use ets_collective::{canonical_grid, CommHandle, GroupSpec, Pieces, SliceShape};
 use proptest::prelude::*;
 use std::thread;
 
@@ -180,6 +180,77 @@ fn folds_match_the_sequential_fold_bitwise() {
                 });
                 for (rank, got) in got.iter().enumerate() {
                     assert!(*got == want, "p={p} n={n} cols={cols} rank {rank}");
+                }
+            }
+        }
+    }
+}
+
+/// `buf` handed out as pieces cut at the ascending offsets `cuts`.
+struct Cut<'a> {
+    buf: &'a mut [f32],
+    cuts: &'a [usize],
+}
+
+impl Pieces for Cut<'_> {
+    fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        let (mut rest, mut at) = (&mut *self.buf, 0);
+        for &cut in self.cuts {
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(cut - at);
+            f(piece);
+            (rest, at) = (tail, cut);
+        }
+        f(rest);
+    }
+}
+
+/// The mean over pieces is bitwise the contiguous fold followed by
+/// × (1/world), and that is the sequential fold times the same factor:
+/// flat and grid-blocked folds, empty pieces, piece edges on both sides
+/// of the fold tile, and a piece that straddles one.
+#[test]
+fn mean_over_pieces_is_the_contiguous_fold_then_the_scale() {
+    let tile = 1024;
+    let n = 3 * tile + 5;
+    let cut_sets = [
+        vec![],
+        vec![0, 0, n],
+        vec![tile - 1],
+        vec![tile],
+        vec![tile + 1, tile + 1],
+        vec![1000, 1100, 2 * tile + 7],
+    ];
+    for p in [1usize, 2, 3, 4, 8] {
+        let mut grids = vec![p, canonical_grid(p).1];
+        grids.dedup();
+        for cols in grids {
+            let inv = 1.0 / p as f32;
+            let want: Vec<u32> = sequential_fold(p, n, cols)
+                .into_iter()
+                .map(|b| (f32::from_bits(b) * inv).to_bits())
+                .collect();
+            for cuts in &cut_sets {
+                let owned = cuts.clone();
+                let got = on_ranks(p, move |h| {
+                    let rows = h.size() / cols;
+                    let mut sum = adversarial(h.rank(), n);
+                    h.all_reduce_sum_grid(&mut sum, rows, cols);
+                    sum.iter_mut().for_each(|v| *v *= inv);
+                    let mut buf = adversarial(h.rank(), n);
+                    let mut pieces = Cut {
+                        buf: &mut buf,
+                        cuts: &owned,
+                    };
+                    h.all_reduce_mean_grid(&mut pieces, rows, cols);
+                    (bits(&sum), bits(&buf))
+                });
+                for (rank, (scaled, mean)) in got.iter().enumerate() {
+                    let what = format!("p={p} cols={cols} cuts={cuts:?} rank {rank}");
+                    assert!(*mean == *scaled, "{what}: mean differs from sum × 1/p");
+                    assert!(
+                        *mean == want,
+                        "{what}: mean differs from the sequential fold"
+                    );
                 }
             }
         }

@@ -21,14 +21,14 @@ fn zero_length_all_reduce_is_a_typed_error() {
                 .map(|c| {
                     thread::spawn(move || {
                         let mut empty: Vec<f32> = Vec::new();
-                        c.try_all_reduce_sum(&mut empty)
+                        c.try_all_reduce_mean(&mut empty)
                     })
                 })
                 .collect();
             for j in joins {
                 let err = j.join().expect("no panic").unwrap_err();
                 assert!(
-                    matches!(err, CollectiveError::EmptyPayload { op } if op == "all_reduce_sum"),
+                    matches!(err, CollectiveError::EmptyPayload { op } if op == "all_reduce_mean"),
                     "{backend} × {world}: got {err}"
                 );
                 assert!(!err.is_transient(), "empty payload is permanent");
@@ -101,8 +101,8 @@ fn world_of_one_succeeds_on_well_formed_calls() {
         let mut comms = create_collective(backend, 1);
         let c = comms.pop().unwrap();
         let mut buf = vec![3.0f32, -1.0];
-        c.try_all_reduce_sum(&mut buf).unwrap();
-        assert_eq!(buf, vec![3.0, -1.0], "identity sum");
+        c.try_all_reduce_mean(&mut buf).unwrap();
+        assert_eq!(buf, vec![3.0, -1.0], "identity mean");
         c.try_broadcast(&mut buf, 0).unwrap();
         let mut out = Vec::new();
         c.try_all_gather(&[5.0], &mut out).unwrap();
@@ -138,7 +138,7 @@ fn exhausted_retries_surface_as_retries_exhausted_not_panic() {
                     faulty.set_step(0);
                     let mut buf = vec![1.0f32, 2.0];
                     let before = buf.clone();
-                    let res = retry_collective(&policy, || faulty.try_all_reduce_sum(&mut buf));
+                    let res = retry_collective(&policy, || faulty.try_all_reduce_mean(&mut buf));
                     // Failed attempts must not have touched the payload.
                     assert_eq!(buf, before, "payload corrupted by failed attempts");
                     (res.unwrap_err(), faulty.injected_failures())
@@ -179,15 +179,18 @@ fn transient_errors_clear_when_the_step_advances() {
                 let faulty = FaultyCollective::new(inner, schedule);
                 faulty.set_step(0);
                 let mut buf = vec![1.0f32];
-                assert!(faulty.try_all_reduce_sum(&mut buf).is_err(), "planned fail");
+                assert!(
+                    faulty.try_all_reduce_mean(&mut buf).is_err(),
+                    "planned fail"
+                );
                 faulty.set_step(1);
                 let mut buf = vec![1.0f32];
-                faulty.try_all_reduce_sum(&mut buf).unwrap();
+                faulty.try_all_reduce_mean(&mut buf).unwrap();
                 buf[0]
             })
         })
         .collect();
     for j in joins {
-        assert_eq!(j.join().unwrap(), 2.0, "sum over 2 ranks after recovery");
+        assert_eq!(j.join().unwrap(), 1.0, "mean over 2 ranks after recovery");
     }
 }

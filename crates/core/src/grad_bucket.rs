@@ -1,28 +1,33 @@
-//! Bucketized gradient all-reduce over a persistent flat buffer.
+//! Bucketized gradient all-reduce, in place in the parameters' gradients.
 //!
 //! The seed trainer flattened every gradient into a fresh `Vec` each step
 //! and reduced it in one collective call. This module replaces that with
-//! a DDP-style bucket layer:
+//! a DDP-style bucket layer that reduces the gradients where they live:
 //!
 //! - **Registered once**: parameter sizes are recorded at construction
 //!   and asserted against on every step — a silent shape change would
-//!   corrupt the flat layout.
-//! - **Persistent flat buffer**: gradients (plus the loss scalar, as the
-//!   final element) are packed into one reusable buffer; the steady state
-//!   allocates nothing.
-//! - **Size-bounded buckets**: the flat range is split into contiguous
-//!   buckets of at most `max_bucket_elems` elements, each reduced with
-//!   its own collective call and timed individually
-//!   ([`AllReduceProfile`]), so per-size behavior is observable.
+//!   corrupt the bucket layout.
+//! - **Buckets are ranges, not buffers**: the exchange payload is every
+//!   gradient in `visit_params` order, then the loss scalar. A bucket is
+//!   a contiguous element range of it, at most `max_bucket_elems` long,
+//!   and reaches the collective as [`Pieces`]: the slices of the gradient
+//!   tensors it covers (a parameter may be split between two buckets),
+//!   plus the loss scalar in the last one. The collective's deposit
+//!   gathers the pieces into the rank's slot and its fold writes the mean
+//!   back into them ([`Collective::try_all_reduce_mean`]), so nothing is
+//!   packed or scattered and the steady state allocates nothing.
+//! - **One call per bucket**: each bucket is reduced with its own
+//!   collective call and timed individually ([`AllReduceProfile`]), so
+//!   per-size behavior is observable.
 //!
 //! Determinism note: the collective reduces element-wise in a fixed rank
-//! order, so bucketizing cannot change its results — the bucketized
-//! trainer stays bitwise on the seed trajectory, whatever the bucket
-//! layout.
+//! order and scales each sum by 1/world, so neither the bucket layout nor
+//! the split into pieces can change its results — the bucketized trainer
+//! stays bitwise on the seed trajectory, whatever the bucket layout.
 //!
 //! ## Cross-rank gradient fingerprints (opt-in)
 //!
-//! The collective produces **bitwise-identical** reduced buffers on all
+//! The collective produces **bitwise-identical** reduced buckets on all
 //! ranks — that invariant is what the whole trainer's SPMD symmetry
 //! rests on, and it makes silent receive-side payload corruption (a bit
 //! flip in one rank's copy of the reduced gradients, the classic
@@ -33,17 +38,18 @@
 //! some rank's copy diverged; with ≥ 3 ranks the minority fingerprint
 //! *is* the corrupt rank (majority vote), and a two-rank world breaks
 //! the tie by comparing each rank's self-reported f64 sum of its reduced
-//! buffer against the index-ordered sum of the pre-reduce local
-//! contributions (the flip's magnitude dwarfs f32 reduction rounding for
-//! the exponent-range flips the fault generator injects; a NaN deviation
-//! counts as infinite). The gathered matrix is identical on every rank,
-//! so every rank reaches the same verdict without another round trip —
-//! the healing decision is SPMD-symmetric by construction.
+//! bucket against the index-ordered sum of the pre-reduce local
+//! contributions over the world (the flip's magnitude dwarfs f32
+//! reduction rounding for the exponent-range flips the fault generator
+//! injects; a NaN deviation counts as infinite). The gathered matrix is
+//! identical on every rank, so every rank reaches the same verdict
+//! without another round trip — the healing decision is SPMD-symmetric
+//! by construction.
 //!
 //! Healing: the local contribution is snapshotted before the reduce, so
-//! a corrupt verdict restores it and re-runs the bucket's collective —
-//! the injector (like a real SDC) is one-shot, so the retry reproduces
-//! the clean bytes bitwise. Retries exhausted surfaces a typed
+//! a corrupt verdict restores it into the pieces and re-runs the bucket's
+//! collective — the injector (like a real SDC) is one-shot, so the retry
+//! reproduces the clean bytes bitwise. Retries exhausted surfaces a typed
 //! [`CollectiveError::CorruptPayload`] carrying the attributed rank, on
 //! every rank, and the trainer quarantines through the elastic-resize
 //! path.
@@ -52,13 +58,15 @@
 //!
 //! Retry → fingerprint → verified retry → typed error → span is one
 //! function, `BucketExchange::exchange_bucket`. The serialized
-//! [`GradBucket::all_reduce_with_retry`] calls it inline per bucket; the
-//! overlapped [`GradBucket::backward_overlapped_with_retry`] calls it on
-//! its communication thread as buckets arrive. Same bits, same counters.
+//! [`GradBucket::all_reduce_with_retry`] calls it inline per bucket, with
+//! the pieces taken from the model; the overlapped
+//! [`GradBucket::backward_overlapped_with_retry`] calls it on its
+//! communication thread, with the pieces taken from the finished layers
+//! backward lends that thread. Same bits, same counters.
 
 use crate::report::{Fingerprint, RecoveryCounters};
 use crate::timeline::{AllReduceProfile, Stopwatch};
-use ets_collective::{retry_collective, Collective, CollectiveError, RetryPolicy};
+use ets_collective::{retry_collective, Collective, CollectiveError, Pieces, RetryPolicy};
 use ets_nn::{HookedBackward, Layer};
 use ets_obs::{phase as obs_phase, Lane, Recorder};
 use ets_tensor::Tensor;
@@ -71,7 +79,7 @@ pub const DEFAULT_BUCKET_ELEMS: usize = 1 << 20;
 
 /// Floats per rank in the fingerprint all-gather record: the FNV-1a
 /// [`Fingerprint`] of the reduced words, the f64 sum of the pre-reduce local
-/// contribution, and the f64 sum of the reduced buffer — each as four
+/// contribution, and the f64 sum of the reduced bucket — each as four
 /// 16-bit limbs (every limb is exact in f32, so the record survives the
 /// float-typed collective losslessly).
 const FP_RECORD_F32S: usize = 12;
@@ -86,8 +94,9 @@ fn unpack_u64_limbs(r: &[f32]) -> u64 {
     (0..4).fold(0u64, |acc, i| acc | ((r[i] as u64 & 0xffff) << (16 * i)))
 }
 
-fn f64_sum(slice: &[f32]) -> f64 {
-    slice.iter().map(|&v| v as f64).sum()
+/// `acc` plus every element of `xs`, in index order, in f64.
+fn f64_sum(acc: f64, xs: &[f32]) -> f64 {
+    xs.iter().fold(acc, |s, &v| s + v as f64)
 }
 
 /// Outcome of one bucket's fingerprint exchange.
@@ -103,14 +112,19 @@ enum FpVerdict {
 /// pre-reduce contribution.
 fn fingerprint_verdict(
     comm: &dyn Collective,
-    reduced: &[f32],
+    reduced: &mut dyn Pieces,
     cs_local: f64,
     gathered: &mut Vec<f32>,
 ) -> FpVerdict {
+    let (mut fp, mut sum) = (Fingerprint::default(), 0.0);
+    reduced.for_each_piece(&mut |piece| {
+        fp.update(piece);
+        sum = f64_sum(sum, piece);
+    });
     let mut rec = [0.0f32; FP_RECORD_F32S];
-    pack_u64_limbs(Fingerprint::of(reduced), &mut rec[0..4]);
+    pack_u64_limbs(fp.finish(), &mut rec[0..4]);
     pack_u64_limbs(cs_local.to_bits(), &mut rec[4..8]);
-    pack_u64_limbs(f64_sum(reduced).to_bits(), &mut rec[8..12]);
+    pack_u64_limbs(sum.to_bits(), &mut rec[8..12]);
     comm.all_gather(&rec, gathered);
     let world = comm.size();
     assert_eq!(
@@ -143,10 +157,11 @@ fn fingerprint_verdict(
     // Count tie (a two-rank world, or a pathological split): attribute
     // by sum deviation. Every rank reported the f64 sum of its reduced
     // copy; the truth is (up to f32 reduction rounding) the index-order
-    // sum of the self-reported local contributions. The corrupt copy's
-    // exponent-range flip deviates far beyond the rounding band; a NaN
-    // deviation is treated as infinite.
-    let expected: f64 = (0..world).map(|r| f64::from_bits(at(r, 1))).sum();
+    // sum of the self-reported local contributions over the world, the
+    // reduction being a mean. The corrupt copy's exponent-range flip
+    // deviates far beyond the rounding band; a NaN deviation is treated
+    // as infinite.
+    let expected = (0..world).map(|r| f64::from_bits(at(r, 1))).sum::<f64>() / world as f64;
     let mut worst = 0usize;
     let mut worst_dev = f64::MIN;
     for r in 0..world {
@@ -158,6 +173,40 @@ fn fingerprint_verdict(
         }
     }
     FpVerdict::Corrupt { rank: worst }
+}
+
+/// Bucket `range` of the exchange payload: the slices of the parameter
+/// gradients it covers in `visit_params` order, then the loss scalar if
+/// the range ends with it.
+struct BucketPieces<'a, 'l> {
+    /// The layers holding the parameters, each with the payload offset of
+    /// its first gradient element, in descending offset order (the order
+    /// backward finishes them in). The whole model is one segment at 0.
+    segments: &'a mut [(usize, &'l mut dyn Layer)],
+    range: (usize, usize),
+    /// The loss scalar and its payload offset, the last one.
+    loss: &'a mut f32,
+    loss_at: usize,
+}
+
+impl Pieces for BucketPieces<'_, '_> {
+    fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        let (a, b) = self.range;
+        for (start, seg) in self.segments.iter_mut().rev() {
+            let mut off = *start;
+            seg.visit_params(&mut |p| {
+                let n = p.grad.numel();
+                let (lo, hi) = (a.max(off), b.min(off + n));
+                if lo < hi {
+                    f(&mut p.grad.data_mut()[lo - off..hi - off]);
+                }
+                off += n;
+            });
+        }
+        if b > self.loss_at {
+            f(std::slice::from_mut(self.loss));
+        }
+    }
 }
 
 /// How a [`GradBucket`] exchanges one bucket. Both callers — the
@@ -183,27 +232,29 @@ struct BucketExchange {
 }
 
 impl BucketExchange {
-    /// Reduces bucket `i` in place and returns the wall seconds it took.
-    /// Transient collective failures are retried under the policy (the
-    /// backoff is virtual: accounted into `counters`, never slept). With
-    /// fingerprints on, the local contribution is snapshotted first, a
-    /// corrupt verdict restores it and re-runs the collective, and a
-    /// verdict past the granted retries is the typed
-    /// [`CollectiveError::CorruptPayload`]. A failed bucket records no
-    /// span.
+    /// Replaces bucket `i`'s `pieces` by their group mean and returns the
+    /// wall seconds it took. Transient collective failures are retried
+    /// under the policy (the backoff is virtual: accounted into
+    /// `counters`, never slept). With fingerprints on, the local
+    /// contribution is snapshotted first, a corrupt verdict restores it
+    /// and re-runs the collective, and a verdict past the granted retries
+    /// is the typed [`CollectiveError::CorruptPayload`]. A failed bucket
+    /// records no span.
     fn exchange_bucket(
         &self,
         comm: &dyn Collective,
         policy: &RetryPolicy,
         i: usize,
-        slice: &mut [f32],
+        pieces: &mut dyn Pieces,
         scratch: &mut FingerprintScratch,
         counters: &mut RecoveryCounters,
     ) -> Result<f64, CollectiveError> {
         let mut sw = Stopwatch::start();
         let cs_local = if self.fingerprint {
-            scratch.snapshot[..slice.len()].copy_from_slice(slice);
-            f64_sum(slice)
+            let snapshot = &mut scratch.snapshot;
+            snapshot.clear();
+            pieces.for_each_piece(&mut |piece| snapshot.extend_from_slice(piece));
+            f64_sum(0.0, snapshot)
         } else {
             0.0
         };
@@ -211,7 +262,7 @@ impl BucketExchange {
         let mut detected_here = 0u64;
         let mut bucket_retries = 0u64;
         loop {
-            let outcome = retry_collective(policy, || comm.try_all_reduce_sum(slice))?;
+            let outcome = retry_collective(policy, || comm.try_all_reduce_mean(pieces))?;
             let retries = (outcome.attempts - 1) as u64;
             counters.transient_failures += retries;
             counters.collective_retries += retries;
@@ -220,7 +271,7 @@ impl BucketExchange {
             if !self.fingerprint {
                 break;
             }
-            match fingerprint_verdict(comm, slice, cs_local, &mut scratch.gathered) {
+            match fingerprint_verdict(comm, pieces, cs_local, &mut scratch.gathered) {
                 FpVerdict::Clean => {
                     if detected_here > 0 {
                         counters.corruptions_corrected += detected_here;
@@ -244,7 +295,12 @@ impl BucketExchange {
                         });
                     }
                     attempts_left -= 1;
-                    slice.copy_from_slice(&scratch.snapshot[..slice.len()]);
+                    let mut rest = &scratch.snapshot[..];
+                    pieces.for_each_piece(&mut |piece| {
+                        let (head, tail) = rest.split_at(piece.len());
+                        piece.copy_from_slice(head);
+                        rest = tail;
+                    });
                 }
             }
         }
@@ -272,52 +328,23 @@ impl BucketExchange {
 /// are exchanged one at a time, also on the communication thread.
 #[derive(Default)]
 struct FingerprintScratch {
-    /// The local contribution of the bucket in flight, as long as the
-    /// longest bucket (empty while fingerprints are off).
+    /// The local contribution of the bucket in flight, with the capacity
+    /// of the longest bucket (none while fingerprints are off).
     snapshot: Vec<f32>,
     /// The gathered fingerprint records.
     gathered: Vec<f32>,
-}
-
-/// The producer's end of the overlapped exchange: the not-yet-shipped
-/// prefix of the flat buffer and the channel finished buckets leave on.
-struct Shipper<'f, 'b> {
-    buckets: &'b [(usize, usize)],
-    tx: mpsc::Sender<(usize, &'f mut [f32])>,
-    remaining: Option<&'f mut [f32]>,
-    /// Lowest shipped bucket index (buckets become ready in descending
-    /// order).
-    next_bucket: usize,
-}
-
-impl Shipper<'_, '_> {
-    /// Ships every unshipped bucket that lies wholly at or above
-    /// `boundary`, the lowest packed element; returns how many.
-    fn ship_ready(&mut self, boundary: usize) -> u64 {
-        let mut shipped = 0;
-        while self.next_bucket > 0 && self.buckets[self.next_bucket - 1].0 >= boundary {
-            let a = self.buckets[self.next_bucket - 1].0;
-            let rem = self.remaining.take().expect("flat buffer over-shipped");
-            // `tail` spans [a, previous ship point) — exactly this
-            // bucket, since ships walk down contiguously.
-            let (rest, tail) = rem.split_at_mut(a);
-            self.remaining = Some(rest);
-            let _ = self.tx.send((self.next_bucket - 1, tail));
-            self.next_bucket -= 1;
-            shipped += 1;
-        }
-        shipped
-    }
 }
 
 /// Persistent state for the bucketized gradient exchange.
 pub struct GradBucket {
     /// Per-parameter element counts, in `visit_params` order.
     param_sizes: Vec<usize>,
-    /// Flat gradient buffer: all params then the loss scalar.
-    flat: Vec<f32>,
-    /// Contiguous `[start, end)` element ranges covering `flat`.
+    /// Contiguous `[start, end)` element ranges covering the payload:
+    /// every gradient in `visit_params` order, then the loss scalar.
     buckets: Vec<(usize, usize)>,
+    /// The loss scalar: this rank's before an exchange, the group mean
+    /// after one.
+    loss: f32,
     /// Accumulated per-bucket timing (the report's view of the recorder's
     /// wall-bucket lane; both are fed from the same stopwatch laps).
     profile: AllReduceProfile,
@@ -350,8 +377,8 @@ impl GradBucket {
         let bucket_elems: Vec<usize> = buckets.iter().map(|&(a, b)| b - a).collect();
         GradBucket {
             param_sizes,
-            flat: vec![0.0; total],
             buckets,
+            loss: 0.0,
             profile: AllReduceProfile::new(bucket_elems),
             exchange: BucketExchange {
                 recorder: None,
@@ -366,12 +393,12 @@ impl GradBucket {
     /// Enables/disables cross-rank fingerprint verification of every
     /// reduced bucket, granting `bucket_retries` verified retries per
     /// corrupt verdict before the typed error surfaces. Bitwise-neutral
-    /// on clean runs: verification only *reads* the reduced buffer.
+    /// on clean runs: verification only *reads* the reduced gradients.
     pub fn set_fingerprint_verify(&mut self, on: bool, bucket_retries: u32) {
         self.exchange.fingerprint = on;
         self.exchange.corruption_retries = bucket_retries;
         let longest = self.buckets.iter().map(|&(a, b)| b - a).max().unwrap_or(0);
-        self.fingerprint_scratch.snapshot = vec![0.0; if on { longest } else { 0 }];
+        self.fingerprint_scratch.snapshot = Vec::with_capacity(if on { longest } else { 0 });
     }
 
     /// Attaches a flight recorder; subsequent exchanges emit per-bucket
@@ -386,12 +413,13 @@ impl GradBucket {
         self.exchange.step = step;
     }
 
-    /// Total flattened elements (params + loss scalar).
+    /// Total elements of the exchange payload (params + loss scalar), as
+    /// if flattened.
     pub fn flat_len(&self) -> usize {
-        self.flat.len()
+        self.buckets.last().map_or(0, |&(_, end)| end)
     }
 
-    /// Number of buckets covering the flat buffer.
+    /// Number of buckets covering the payload.
     pub fn num_buckets(&self) -> usize {
         self.buckets.len()
     }
@@ -401,18 +429,41 @@ impl GradBucket {
         &self.profile
     }
 
-    /// True when every element of the most recent reduction's flat buffer
-    /// (summed gradients + loss scalar) is finite — the divergence
-    /// guard's probe. The reduced buffer is bitwise identical on every
+    /// True when every element of the most recent reduction — the mean
+    /// gradients in `model` (the registered instance, read before
+    /// anything else writes them) and the mean loss — is finite: the
+    /// divergence guard's probe, one pass over the gradients that only a
+    /// guarded run pays. The reduction is bitwise identical on every
     /// rank, so either all ranks trip or none do; no extra collective is
-    /// needed to agree.
-    pub fn last_reduction_is_finite(&self) -> bool {
-        self.flat.iter().all(|v| v.is_finite())
+    /// needed to agree. A mean is its sum × (1/world), so it is finite
+    /// exactly when the sum is.
+    pub fn last_reduction_is_finite(&self, model: &mut dyn Layer) -> bool {
+        let mut finite = self.loss.is_finite();
+        model.visit_params(&mut |p| finite &= p.grad.data().iter().all(|v| v.is_finite()));
+        finite
     }
 
-    /// Sums gradients (and `local_loss`) across the group bucket by
-    /// bucket, averages, writes the averaged gradients back into the
-    /// model, and returns the mean loss.
+    /// Asserts that `model` still has the registered parameters.
+    fn check_registration(&self, model: &mut dyn Layer) {
+        let sizes = &self.param_sizes;
+        let mut idx = 0usize;
+        model.visit_params(&mut |p| {
+            assert_eq!(
+                sizes.get(idx).copied(),
+                Some(p.grad.numel()),
+                "parameter {idx} changed size since GradBucket registration"
+            );
+            idx += 1;
+        });
+        assert_eq!(
+            idx,
+            sizes.len(),
+            "parameter count changed since GradBucket registration"
+        );
+    }
+
+    /// Replaces `model`'s gradients by their mean across the group,
+    /// bucket by bucket, and returns the mean of `local_loss`.
     ///
     /// `model` must be the instance registered at construction (same
     /// parameters in the same order) — asserted per parameter.
@@ -438,7 +489,9 @@ impl GradBucket {
     /// the same bytes), but transient collective failures are absorbed by
     /// bounded retry with virtual exponential backoff, accounted into
     /// `counters`. Exhausting the retry budget (or a permanent error)
-    /// surfaces as a typed [`CollectiveError`] instead of a panic.
+    /// surfaces as a typed [`CollectiveError`] instead of a panic; the
+    /// gradients then hold a partial exchange, which the caller discards
+    /// (the trainer rewinds or stops).
     ///
     /// SPMD: fault schedules are symmetric, so every rank retries the
     /// same attempts in lockstep and no rank enters a collective its
@@ -451,37 +504,23 @@ impl GradBucket {
         policy: &RetryPolicy,
         counters: &mut RecoveryCounters,
     ) -> Result<f32, CollectiveError> {
-        // Pack into the persistent flat buffer.
-        let mut off = 0usize;
-        let mut idx = 0usize;
-        let sizes = &self.param_sizes;
-        let flat = &mut self.flat;
-        model.visit_params(&mut |p| {
-            let n = p.grad.numel();
-            assert_eq!(
-                sizes.get(idx).copied(),
-                Some(n),
-                "parameter {idx} changed size since GradBucket registration"
-            );
-            flat[off..off + n].copy_from_slice(p.grad.data());
-            off += n;
-            idx += 1;
-        });
-        assert_eq!(
-            idx,
-            sizes.len(),
-            "parameter count changed since GradBucket registration"
-        );
-        flat[off] = local_loss;
-
+        self.check_registration(model);
+        self.loss = local_loss;
+        let loss_at = self.flat_len() - 1;
+        let mut whole = [(0, model)];
         // Reduce bucket by bucket. The serialized path blocks the replica
         // thread for the whole exchange: every bucket second is exposed.
-        for (i, &(a, b)) in self.buckets.iter().enumerate() {
-            let slice = &mut self.flat[a..b];
+        for (i, &range) in self.buckets.iter().enumerate() {
+            let mut pieces = BucketPieces {
+                segments: &mut whole,
+                range,
+                loss: &mut self.loss,
+                loss_at,
+            };
             let scratch = &mut self.fingerprint_scratch;
-            let dur = self
-                .exchange
-                .exchange_bucket(comm, policy, i, slice, scratch, counters)?;
+            let dur =
+                self.exchange
+                    .exchange_bucket(comm, policy, i, &mut pieces, scratch, counters)?;
             self.profile.bucket_seconds[i] += dur;
             self.profile.exposed_seconds += dur;
         }
@@ -489,23 +528,7 @@ impl GradBucket {
         if let Some(rec) = &self.exchange.recorder {
             rec.counter_add("all_reduce_rounds", 1);
         }
-        Ok(self.scatter_mean(model, comm.size()))
-    }
-
-    /// Averages the reduced flat buffer over `world`, writes the averaged
-    /// gradients back into `model` and returns the mean loss.
-    fn scatter_mean(&self, model: &mut dyn Layer, world: usize) -> f32 {
-        let inv = 1.0 / world as f32;
-        let mut off = 0usize;
-        let flat = &self.flat;
-        model.visit_params(&mut |p| {
-            let n = p.grad.numel();
-            for (g, &s) in p.grad.data_mut().iter_mut().zip(&flat[off..off + n]) {
-                *g = s * inv;
-            }
-            off += n;
-        });
-        flat[off] * inv
+        Ok(self.loss)
     }
 
     /// Fused backward + overlapped gradient exchange: runs `model`'s
@@ -515,26 +538,27 @@ impl GradBucket {
     ///
     /// Mechanics: gradients finalize from the tail of the `visit_params`
     /// order (backward runs the network in reverse), so buckets become
-    /// ready in strictly *descending* index order. Each finalized suffix
-    /// segment is packed into the persistent flat buffer; once a bucket's
-    /// full range is packed, its slice is split off (`split_at_mut` — the
-    /// regions are provably disjoint) and shipped over a channel to the
-    /// communication thread, which reduces buckets in arrival order.
+    /// ready in strictly *descending* index order. Backward lends each
+    /// finished layer to the communication thread, which keeps it until
+    /// no bucket below needs it. Once every gradient of a bucket's range
+    /// is final, the thread reduces the bucket in place in those layers'
+    /// gradients, while backward goes on with the layers before them (the
+    /// borrows are disjoint).
     ///
-    /// Determinism: every rank ships buckets in the same descending
+    /// Determinism: every rank exchanges buckets in the same descending
     /// order, each bucket's collective reduces the same element ranges
-    /// with the same backend as the serialized path, and averaging is
-    /// unchanged — so the reduced gradients, the mean loss, and therefore
-    /// the whole training trajectory are **bitwise identical** to
+    /// with the same backend as the serialized path — so the averaged
+    /// gradients, the mean loss, and therefore the whole training
+    /// trajectory are **bitwise identical** to
     /// [`GradBucket::all_reduce_with_retry`] after a plain backward, at
     /// any thread schedule. Only wall time moves.
     ///
     /// Timing decomposition: `backward_s` is the replica thread's wall
-    /// time in backward (including packing/shipping); `exposed_s` is the
-    /// post-backward wait for the communication thread — the *exposed*
-    /// all-reduce time. Per-bucket durations accumulate into the profile
-    /// as usual, so `bucket_seconds − exposed` is hidden communication
-    /// ([`AllReduceProfile::overlap_pct`]).
+    /// time in backward (including handing layers over); `exposed_s` is
+    /// the post-backward wait for the communication thread — the
+    /// *exposed* all-reduce time. Per-bucket durations accumulate into
+    /// the profile as usual, so `bucket_seconds − exposed` is hidden
+    /// communication ([`AllReduceProfile::overlap_pct`]).
     pub fn backward_overlapped_with_retry(
         &mut self,
         model: &mut dyn HookedBackward,
@@ -544,99 +568,110 @@ impl GradBucket {
         policy: &RetryPolicy,
         counters: &mut RecoveryCounters,
     ) -> Result<OverlapOutcome, CollectiveError> {
-        let loss_off = self.flat.len() - 1;
-        self.flat[loss_off] = local_loss;
-
+        self.loss = local_loss;
+        let loss_at = self.flat_len() - 1;
         let buckets = &self.buckets;
         let param_sizes = &self.param_sizes;
         let exchange = &self.exchange;
         let scratch = &mut self.fingerprint_scratch;
+        let loss = &mut self.loss;
 
         let mut sw = Stopwatch::start();
-        let (input_grad, backward_s, exposed_s, hook_shipped, exchanged) =
-            std::thread::scope(|s| {
-                let (tx, rx) = mpsc::channel::<(usize, &mut [f32])>();
-                // The communication thread: the same per-bucket exchange as
-                // the serialized path, in arrival order; `(bucket, seconds)`
-                // in completion order. The first error drops `rx`, so the
-                // producer's remaining sends fail harmlessly and backward
-                // still completes before the error surfaces.
-                let comm_join = s.spawn(move || {
-                    rx.into_iter()
-                        .map(|(i, slice)| {
-                            let dur = exchange
-                                .exchange_bucket(comm, policy, i, slice, scratch, counters)?;
-                            Ok((i, dur))
-                        })
-                        .collect::<Result<Vec<(usize, f64)>, CollectiveError>>()
-                });
-
-                // `boundary` marks the lowest packed element (the loss scalar
-                // is packed up front), `param_end` the lowest packed parameter
-                // index; both walk downward with the shipper's `next_bucket`.
-                let mut shipper = Shipper {
-                    buckets,
-                    tx,
-                    remaining: Some(&mut self.flat[..]),
-                    next_bucket: buckets.len(),
-                };
-                let mut boundary = loss_off;
-                let mut param_end = param_sizes.len();
-                // A bucket holding only the loss scalar (bucket size divides
-                // the gradient count exactly) is ready before backward starts.
-                shipper.ship_ready(boundary);
-                let mut seg_sizes: Vec<usize> = Vec::new();
+        let (input_grad, backward_s, exposed_s, exchanged) = std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel::<(usize, &mut dyn Layer)>();
+            // The communication thread: the same per-bucket exchange as
+            // the serialized path, highest bucket first, each as soon as
+            // the layers it covers have arrived. Returns `(bucket,
+            // seconds)` in completion order and how many buckets a layer's
+            // arrival made ready. The first error drops `rx`, so the
+            // producer's remaining sends fail harmlessly and backward
+            // still completes before the error surfaces.
+            let comm_join = s.spawn(move || {
+                let mut held = Vec::new();
+                let mut done = Vec::with_capacity(buckets.len());
                 let mut hook_shipped = 0u64;
-                let input_grad = model.backward_hooked(dlogits, &mut |seg| {
-                    seg_sizes.clear();
-                    seg.visit_params(&mut |p| seg_sizes.push(p.grad.numel()));
-                    if seg_sizes.is_empty() {
-                        return;
+                // The lowest payload element that is final: at first only
+                // the loss scalar, so a bucket holding only it (the bucket
+                // size divides the gradient count) goes before backward
+                // has finished a layer.
+                let mut boundary = loss_at;
+                let mut arrivals = rx.into_iter();
+                loop {
+                    while let Some(i) = (buckets.len() - done.len())
+                        .checked_sub(1)
+                        .filter(|&i| buckets[i].0 >= boundary)
+                    {
+                        let range = buckets[i];
+                        let mut pieces = BucketPieces {
+                            segments: &mut held,
+                            range,
+                            loss: &mut *loss,
+                            loss_at,
+                        };
+                        let dur = exchange.exchange_bucket(
+                            comm,
+                            policy,
+                            i,
+                            &mut pieces,
+                            scratch,
+                            counters,
+                        )?;
+                        done.push((i, dur));
+                        hook_shipped += u64::from(boundary < loss_at);
+                        // Layers wholly above the next bucket are done with.
+                        held.retain(|&(start, _)| start < range.0);
                     }
-                    let seg_elems: usize = seg_sizes.iter().sum();
-                    assert!(
-                        param_end >= seg_sizes.len() && boundary >= seg_elems,
-                        "hooked segment overruns the registered parameter list"
-                    );
-                    assert_eq!(
-                        &param_sizes[param_end - seg_sizes.len()..param_end],
-                        &seg_sizes[..],
-                        "hooked segment does not match GradBucket registration"
-                    );
-                    let start = boundary - seg_elems;
-                    let rem = shipper
-                        .remaining
-                        .as_deref_mut()
-                        .expect("flat buffer over-shipped");
-                    let mut off = start;
-                    seg.visit_params(&mut |p| {
-                        let n = p.grad.numel();
-                        rem[off..off + n].copy_from_slice(p.grad.data());
-                        off += n;
-                    });
+                    let Some((start, seg)) = arrivals.next() else {
+                        break;
+                    };
                     boundary = start;
-                    param_end -= seg_sizes.len();
-                    hook_shipped += shipper.ship_ready(boundary);
-                });
-                assert_eq!(
-                    param_end, 0,
-                    "backward_hooked finished without announcing every parameter"
-                );
-                assert_eq!(
-                    shipper.next_bucket, 0,
-                    "backward finished with buckets unshipped"
-                );
-                // Hanging up ends the communication thread's loop.
-                drop(shipper);
-                let backward_s = sw.lap();
-                let exchanged = comm_join
-                    .join()
-                    .expect("overlap communication thread panicked");
-                let exposed_s = sw.lap();
-                (input_grad, backward_s, exposed_s, hook_shipped, exchanged)
+                    held.push((start, seg));
+                }
+                Ok((done, hook_shipped))
             });
 
-        for (i, dur) in exchanged? {
+            // `boundary` is the payload offset of the lowest finished
+            // gradient, `param_end` the lowest finished parameter index;
+            // both walk downward as layers finish.
+            let mut boundary = loss_at;
+            let mut param_end = param_sizes.len();
+            let mut seg_sizes: Vec<usize> = Vec::new();
+            let input_grad = model.backward_hooked(dlogits, &mut |seg| {
+                seg_sizes.clear();
+                seg.visit_params(&mut |p| seg_sizes.push(p.grad.numel()));
+                if seg_sizes.is_empty() {
+                    return;
+                }
+                let seg_elems: usize = seg_sizes.iter().sum();
+                assert!(
+                    param_end >= seg_sizes.len() && boundary >= seg_elems,
+                    "hooked segment overruns the registered parameter list"
+                );
+                assert_eq!(
+                    &param_sizes[param_end - seg_sizes.len()..param_end],
+                    &seg_sizes[..],
+                    "hooked segment does not match GradBucket registration"
+                );
+                boundary -= seg_elems;
+                param_end -= seg_sizes.len();
+                let _ = tx.send((boundary, seg));
+            });
+            assert_eq!(
+                param_end, 0,
+                "backward_hooked finished without announcing every parameter"
+            );
+            // Hanging up ends the communication thread's loop.
+            drop(tx);
+            let backward_s = sw.lap();
+            let exchanged = comm_join
+                .join()
+                .expect("overlap communication thread panicked");
+            let exposed_s = sw.lap();
+            (input_grad, backward_s, exposed_s, exchanged)
+        });
+
+        let (done, hook_shipped) = exchanged?;
+        for (i, dur) in done {
             self.profile.bucket_seconds[i] += dur;
         }
         self.profile.exposed_seconds += exposed_s;
@@ -649,7 +684,7 @@ impl GradBucket {
         }
 
         Ok(OverlapOutcome {
-            mean_loss: self.scatter_mean(model, comm.size()),
+            mean_loss: self.loss,
             input_grad,
             backward_s,
             exposed_s,
@@ -685,8 +720,8 @@ pub struct OverlapOutcome {
     pub mean_loss: f32,
     /// d loss / d input from the backward pass.
     pub input_grad: Tensor,
-    /// Replica-thread wall seconds in backward, including bucket
-    /// packing and shipping.
+    /// Replica-thread wall seconds in backward, including handing the
+    /// finished layers over.
     pub backward_s: f64,
     /// Replica-thread wall seconds blocked on communication after
     /// backward returned — the exposed all-reduce time.
@@ -847,7 +882,8 @@ mod tests {
         // account it identically.
         let clean = two_rank_exchange(64, false, [0, 0], false);
         for fingerprint in [false, true] {
-            for bucket_elems in [64usize, 0, 1 << 20] {
+            // 777 and 1000 end buckets inside parameters.
+            for bucket_elems in [64usize, 0, 1 << 20, 777, 1000] {
                 let what = format!("bucket_elems={bucket_elems} fingerprint={fingerprint}");
                 let serial = two_rank_exchange(bucket_elems, false, [0, 0], fingerprint);
                 let overlap = two_rank_exchange(bucket_elems, true, [0, 0], fingerprint);
@@ -875,6 +911,34 @@ mod tests {
         }
     }
 
+    /// FNV-1a over 32-bit words.
+    fn fnv(words: &[u32]) -> u64 {
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+            (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn two_rank_exchange_keeps_the_recorded_bits() {
+        // Recorded from the flat-buffer exchange this one replaced (pack,
+        // sum, then × 1/world on the way back): the averaged gradients,
+        // the mean loss and each rank's input gradient, serialized and
+        // overlapped, at layouts that end buckets inside parameters.
+        for overlapped in [false, true] {
+            for bucket_elems in [100usize, 777, 1 << 20] {
+                let ranks = two_rank_exchange(bucket_elems, overlapped, [0, 0], false);
+                let what = format!("bucket_elems={bucket_elems} overlapped={overlapped}");
+                for (rank, (grads, loss, dx, _)) in ranks.iter().enumerate() {
+                    assert_eq!(grads.len(), 200_106, "{what}");
+                    assert_eq!(fnv(grads), 0x6f33_07a4_a8fc_4a29, "{what} rank {rank}");
+                    assert_eq!(*loss, 0x3fc4_3d11, "{what} rank {rank}");
+                    let want_dx = [0xb48a_8c91_19b9_3296, 0x5ca1_8743_8d9e_8654][rank];
+                    assert_eq!(fnv(dx), want_dx, "{what} rank {rank}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn overlap_survives_backward_finishing_before_first_reduce_returns() {
         // Rank 1 enters the step late, so rank 0's backward — and every
@@ -888,7 +952,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_layout_covers_flat_exactly() {
+    fn bucket_layout_covers_the_payload_exactly() {
         let mut m = tiny_model(0);
         let gb = GradBucket::with_bucket_elems(&mut m, 100);
         assert!(gb.num_buckets() > 1, "tiny model should still split at 100");
@@ -901,7 +965,7 @@ mod tests {
     fn bucketized_reduce_matches_whole_buffer_reduce_bitwise() {
         // Tree reduction is element-wise, so bucket boundaries must not
         // change a single bit of the averaged gradients.
-        for bucket_elems in [100usize, 1 << 20] {
+        for bucket_elems in [100usize, 777, 1 << 20] {
             let world = create_collective(Backend::Tree, 2);
             let joins: Vec<_> = world
                 .into_iter()
@@ -956,7 +1020,7 @@ mod tests {
         let mut gb = GradBucket::new(&mut m);
         fill_grads(&mut m, 0);
         let _ = gb.all_reduce(&mut m, c.as_ref(), 1.0);
-        assert!(gb.last_reduction_is_finite());
+        assert!(gb.last_reduction_is_finite(&mut m));
         // Poison one gradient element; the probe must trip after the next
         // exchange.
         let mut first = true;
@@ -967,7 +1031,66 @@ mod tests {
             }
         });
         let _ = gb.all_reduce(&mut m, c.as_ref(), 1.0);
-        assert!(!gb.last_reduction_is_finite());
+        assert!(!gb.last_reduction_is_finite(&mut m));
+    }
+
+    #[test]
+    fn finiteness_probe_trips_on_every_rank_where_the_sum_is_not_finite() {
+        // The verdict the summed payload gave: a NaN gradient on one rank,
+        // finite gradients or losses whose sum overflows, and a clean
+        // exchange for contrast. Ranks agree.
+        #[derive(Clone, Copy, Debug)]
+        enum Case {
+            Clean,
+            NanGradient,
+            OverflowingGradient,
+            OverflowingLoss,
+        }
+        for case in [
+            Case::Clean,
+            Case::NanGradient,
+            Case::OverflowingGradient,
+            Case::OverflowingLoss,
+        ] {
+            let joins: Vec<_> = create_collective(Backend::Tree, 2)
+                .into_iter()
+                .map(|c| {
+                    thread::spawn(move || {
+                        let mut m = tiny_model(5);
+                        fill_grads(&mut m, c.rank());
+                        let mut gb = GradBucket::with_bucket_elems(&mut m, 777);
+                        let poison = match case {
+                            Case::NanGradient if c.rank() == 1 => Some(f32::NAN),
+                            Case::OverflowingGradient => Some(3e38),
+                            _ => None,
+                        };
+                        let mut k = 0;
+                        m.visit_params(&mut |p| {
+                            if let (Some(v), 3) = (poison, k) {
+                                p.grad.data_mut()[0] = v;
+                            }
+                            k += 1;
+                        });
+                        let loss = match case {
+                            Case::OverflowingLoss => 3e38,
+                            _ => 1.0,
+                        };
+                        let mean = gb.all_reduce(&mut m, c.as_ref(), loss);
+                        (mean.is_finite(), gb.last_reduction_is_finite(&mut m))
+                    })
+                })
+                .collect();
+            for j in joins {
+                let (loss_finite, finite) = j.join().unwrap();
+                let want = matches!(case, Case::Clean);
+                assert_eq!(finite, want, "{case:?}");
+                assert_eq!(
+                    loss_finite,
+                    !matches!(case, Case::OverflowingLoss),
+                    "{case:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -62,8 +62,9 @@ impl PhaseBreakdown {
 
 /// Per-bucket timing of the bucketized gradient all-reduce.
 ///
-/// The trainer splits the flat gradient buffer into size-bounded buckets
-/// (see `crate::grad_bucket`) and reduces them one at a time; this records
+/// The trainer splits the gradients (and the loss scalar after them) into
+/// size-bounded buckets (see `crate::grad_bucket`) and reduces them one at
+/// a time; this records
 /// how long each bucket's collective took, accumulated over all steps, so
 /// stragglers and size effects show up in the report instead of vanishing
 /// into the aggregate `all_reduce` phase.

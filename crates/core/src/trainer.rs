@@ -7,9 +7,9 @@
 //!   deterministic collective ([`ets_collective::create_collective`]) and
 //!   averaged,
 //!   so all replicas take bitwise-identical optimizer steps (asserted via
-//!   a final weight checksum across replicas). Gradients move through a
-//!   bucketized persistent flat buffer ([`crate::grad_bucket`]) with
-//!   per-bucket timing.
+//!   a final weight checksum across replicas). Gradients are reduced in
+//!   place, bucket by bucket ([`crate::grad_bucket`]), with per-bucket
+//!   timing.
 //! - **Distributed batch norm** (§3.4): BN statistics reduce over replica
 //!   groups wired from `GroupSpec`.
 //! - **Distributed evaluation** (§3.3): the validation set is sharded over
@@ -1091,7 +1091,8 @@ impl<'a> Replica<'a> {
 
     /// One step's data → forward → loss → backward and gradient exchange:
     /// the group-mean loss, or the exchange's typed failure. The data lap
-    /// is the wait for the batch; it was loaded during the previous step.
+    /// is the wait for the batch, which was loaded during the previous
+    /// step; zeroing the gradients is the backward lap's.
     fn exchange_gradients(&mut self, plan: &EpochPlan) -> Result<f32, CollectiveError> {
         let env = self.env;
         let view = env.view;
@@ -1122,7 +1123,7 @@ impl<'a> Replica<'a> {
                 ets_tensor::ops::abft::arm_inject(bit);
             }
         }
-        let (mut data_s, mut fwd_s, mut bwd_s) = (0.0f64, 0.0f64, 0.0f64);
+        let (mut data_s, mut fwd_s, mut bwd_s) = (0.0f64, 0.0f64, self.sw.lap());
         let mut micro_loss = 0.0f32;
         // Set once the hooked backward has exchanged the gradients: the
         // result and the *exposed* wait (all the all-reduce phase is owed).
@@ -1409,13 +1410,14 @@ impl<'a> Replica<'a> {
                 ),
             };
 
-            // Divergence guard: the reduced loss and flat gradient buffer
-            // are bitwise identical on every rank, so either all ranks
+            // Divergence guard: the reduced loss and gradients are
+            // bitwise identical on every rank, so either all ranks
             // trip here or none do — the rollback is SPMD-symmetric by
             // construction. Tripping *before* the optimizer step keeps
             // non-finite values out of the weights entirely.
             if view.nan_guard
-                && !(mean_loss.is_finite() && self.grad_bucket.last_reduction_is_finite())
+                && !(mean_loss.is_finite()
+                    && self.grad_bucket.last_reduction_is_finite(&mut self.model))
             {
                 self.counters.divergence_rollbacks += 1;
                 let err = DivergenceError {

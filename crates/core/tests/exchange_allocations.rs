@@ -1,6 +1,7 @@
 //! The gradient exchange's steady state allocates nothing, fingerprints
-//! on or off: the flat buffer, the communicator's slots, the pre-reduce
-//! snapshot and the gathered fingerprint records are all persistent.
+//! on or off: the buckets are reduced in place in the gradients, and the
+//! communicator's slots, the pre-reduce snapshot and the gathered
+//! fingerprint records are all persistent.
 //!
 //! A test binary of its own, because it counts through a global
 //! allocator (per thread, so the peer rank's warm-up does not show).

@@ -176,7 +176,11 @@ impl HookedBackward for EfficientNet {
     /// announcements cover the parameter list as strictly descending
     /// suffix segments: fc, head_bn, head_conv, blocks in reverse,
     /// stem_bn, stem_conv.
-    fn backward_hooked(&mut self, grad: &Tensor, ready: &mut dyn FnMut(&mut dyn Layer)) -> Tensor {
+    fn backward_hooked<'s>(
+        &'s mut self,
+        grad: &Tensor,
+        ready: &mut dyn FnMut(&'s mut dyn Layer),
+    ) -> Tensor {
         let mut g = self.fc.backward(grad);
         ready(&mut self.fc);
         g = self.dropout.backward(&g);

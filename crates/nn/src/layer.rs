@@ -61,17 +61,26 @@ pub trait Layer: Send {
 /// of the parameter list: each `ready(seg)` call hands a sub-layer whose
 /// parameters form the next contiguous suffix segment of the
 /// `visit_params` order (strictly descending, no gaps), with all of that
-/// segment's gradients fully accumulated — the layer must not touch them
-/// again before returning. Every parameter is covered by exactly one
-/// `ready` call by the time `backward_hooked` returns.
+/// segment's gradients fully accumulated. Every parameter is covered by
+/// exactly one `ready` call by the time `backward_hooked` returns.
 ///
-/// Consumers (the bucketized gradient exchange) use the hook to ship
-/// finished gradient buckets while earlier layers are still
+/// Each finished sub-layer is lent for `'s`, the whole borrow of the
+/// model, so the consumer may keep it past the `ready` call (on another
+/// thread, say) while backward goes on with the layers before it: the
+/// borrows are disjoint, and backward never touches a layer again after
+/// announcing it.
+///
+/// Consumers (the bucketized gradient exchange) use the hook to reduce
+/// finished gradient buckets in place while earlier layers are still
 /// differentiating.
 pub trait HookedBackward: Layer {
     /// Runs backward, announcing finalized trailing parameter segments
     /// through `ready`.
-    fn backward_hooked(&mut self, grad: &Tensor, ready: &mut dyn FnMut(&mut dyn Layer)) -> Tensor;
+    fn backward_hooked<'s>(
+        &'s mut self,
+        grad: &Tensor,
+        ready: &mut dyn FnMut(&'s mut dyn Layer),
+    ) -> Tensor;
 }
 
 /// A sequential container: layers applied in order.
@@ -144,7 +153,11 @@ impl Layer for Sequential {
 }
 
 impl HookedBackward for Sequential {
-    fn backward_hooked(&mut self, grad: &Tensor, ready: &mut dyn FnMut(&mut dyn Layer)) -> Tensor {
+    fn backward_hooked<'s>(
+        &'s mut self,
+        grad: &Tensor,
+        ready: &mut dyn FnMut(&'s mut dyn Layer),
+    ) -> Tensor {
         let mut cur = grad.clone();
         for l in self.layers.iter_mut().rev() {
             cur = l.backward(&cur);

@@ -10,8 +10,6 @@
 //! workspace's one JSON writer, and the smoke tests read it back with
 //! [`ets_obs::parse_json`].
 
-pub mod kernels;
-
 use ets_collective::Backend;
 use ets_efficientnet::Variant;
 use ets_obs::{

@@ -6,11 +6,6 @@
 //! and CI's artifact job execute — before this suite existed, nothing
 //! exercised them and the `BENCH_*` perf trajectory stayed empty.
 
-use ets_bench::kernels::{
-    abft_probe, check_kernel_regression, check_kernel_structure, kernel_rows, kernels_json,
-    pack_probe, parallel_probe, simd_probe, steady_state_probe, validate_kernels_json,
-    CALIBRATION_LABEL, CALIBRATION_MKN,
-};
 use ets_bench::{
     check_scaling_regression, figure1_json, figure1_points, paper_run_steps, run_smoke,
     scaling_backend_rows, scaling_json, scaling_tables, step_time_summaries, table1_json,
@@ -328,250 +323,4 @@ fn smoke_path_emits_valid_artifacts() {
     // The faulted run exercised the fault machinery it claims to trace.
     assert!(art.report.fault_recovery.preemptions >= 1);
     assert!(art.report.fault_recovery.transient_failures >= 1);
-}
-
-/// The kernel probes resize the process-global GEMM pool and read its
-/// worker tallies, so the two tests that run them take turns.
-static KERNEL_PROBES: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// The exact code path CI's `bench-kernels` job runs: smoke-mode rows +
-/// steady-state probe, in-process schema validation, and the regression
-/// gate. Also asserts the ISSUE's allocation-free-steady-state criterion
-/// (`scratch_reallocs_delta == 0` after warmup).
-#[test]
-fn kernel_bench_smoke_emits_valid_json_and_allocation_free_steady_state() {
-    let _probes = KERNEL_PROBES.lock().unwrap_or_else(|e| e.into_inner());
-    let rows = kernel_rows(true);
-    let ss = steady_state_probe(true);
-    let pack = pack_probe(true);
-    let par = parallel_probe(true);
-    let abft = abft_probe(true);
-    let sp = simd_probe(true);
-    let doc = kernels_json(&rows, &ss, &pack, &par, &abft, &sp, true);
-    validate_kernels_json(&doc).expect("BENCH_kernels.json schema");
-
-    let v = parse_json(&doc).expect("kernels JSON must parse");
-    assert_eq!(
-        v.get("schema").unwrap().as_str().unwrap(),
-        "bench_kernels_v6"
-    );
-    assert_eq!(v.get("mode").unwrap().as_str().unwrap(), "smoke");
-
-    // The calibration row is present at its exact (m, k, n) — identical in
-    // smoke and full modes so the CI gate compares like with like.
-    let arr = v.get("rows").unwrap().as_arr().unwrap();
-    assert_eq!(arr.len(), rows.len());
-    let cal = arr
-        .iter()
-        .find(|r| r.get("label").unwrap().as_str().unwrap() == CALIBRATION_LABEL)
-        .expect("calibration row present");
-    let (m, k, n) = CALIBRATION_MKN;
-    assert_eq!(cal.get("m").unwrap().as_f64().unwrap() as usize, m);
-    assert_eq!(cal.get("k").unwrap().as_f64().unwrap() as usize, k);
-    assert_eq!(cal.get("n").unwrap().as_f64().unwrap() as usize, n);
-    for row in arr {
-        assert!(row.get("naive_gflops").unwrap().as_f64().unwrap() > 0.0);
-        assert!(row.get("blocked_gflops").unwrap().as_f64().unwrap() > 0.0);
-        assert!(row.get("auto_gflops").unwrap().as_f64().unwrap() > 0.0);
-        assert!(
-            row.get("bf16_blocked_gflops").unwrap().as_f64().unwrap() > 0.0,
-            "every row must carry a bf16 blocked-kernel measurement"
-        );
-    }
-
-    // Pack probe: both precisions measured at the calibration A panel.
-    let pv = v.get("pack").unwrap();
-    assert_eq!(pv.get("m").unwrap().as_f64().unwrap() as usize, m);
-    assert_eq!(pv.get("k").unwrap().as_f64().unwrap() as usize, k);
-    assert!(pv.get("f32_melems_per_s").unwrap().as_f64().unwrap() > 0.0);
-    assert!(pv.get("bf16_melems_per_s").unwrap().as_f64().unwrap() > 0.0);
-
-    // Allocation-free steady state: after warmup the scratch arena must
-    // serve every checkout from the pool.
-    let ssv = v.get("steady_state").unwrap();
-    assert_eq!(
-        ssv.get("scratch_reallocs_delta").unwrap().as_f64().unwrap(),
-        0.0,
-        "steady-state training steps must not grow the scratch arena"
-    );
-    assert!(ssv.get("dispatch_blocked").unwrap().as_f64().unwrap() > 0.0);
-    assert!(
-        ssv.get("dispatch_blocked_bf16").unwrap().as_f64().unwrap() > 0.0,
-        "the steady-state probe's bf16 step must route through the blocked kernel"
-    );
-    assert!(ssv.get("step_ms").unwrap().as_f64().unwrap() > 0.0);
-
-    // Parallel probe: bitwise determinism and zero per-worker reallocs
-    // hold on any host, including the single-core CI fallback where the
-    // speedup half of the gate is skipped.
-    let pp = v.get("parallel").unwrap();
-    assert_eq!(
-        pp.get("workers").unwrap().as_f64().unwrap() as usize,
-        par.workers
-    );
-    assert!(
-        pp.get("bitwise_equal").unwrap().as_bool().unwrap(),
-        "parallel GEMM must be bitwise equal to sequential"
-    );
-    let deltas = pp.get("worker_realloc_deltas").unwrap().as_arr().unwrap();
-    assert_eq!(deltas.len(), par.worker_realloc_deltas.len());
-    for d in deltas {
-        assert_eq!(
-            d.as_f64().unwrap(),
-            0.0,
-            "post-warmup parallel reps must not grow any worker's scratch arena"
-        );
-    }
-    assert!(pp.get("seq_gflops").unwrap().as_f64().unwrap() > 0.0);
-    assert!(pp.get("par_gflops").unwrap().as_f64().unwrap() > 0.0);
-
-    // ABFT probe: verification must be bitwise neutral on clean
-    // operands, never report a corruption, and actually checksum tiles
-    // (otherwise the overhead figure prices nothing).
-    let ab = v.get("abft").unwrap();
-    assert!(
-        ab.get("bitwise_equal").unwrap().as_bool().unwrap(),
-        "ABFT verify must not perturb the product"
-    );
-    assert_eq!(
-        ab.get("false_positives").unwrap().as_f64().unwrap(),
-        0.0,
-        "ABFT verify must not fire on clean operands"
-    );
-    assert!(ab.get("tiles_verified").unwrap().as_f64().unwrap() > 0.0);
-    assert!(ab.get("plain_gflops").unwrap().as_f64().unwrap() > 0.0);
-    assert!(ab.get("verify_gflops").unwrap().as_f64().unwrap() > 0.0);
-
-    // SIMD probe: every lane the host supports is measured in both
-    // precisions and is bitwise-identical to the scalar lane — the lane
-    // layer's core contract, checked on every artifact.
-    let sv = v.get("simd").unwrap();
-    let active = sv.get("active").unwrap().as_str().unwrap();
-    let lanes = sv.get("lanes").unwrap().as_arr().unwrap();
-    assert!(!lanes.is_empty());
-    let mut lane_names = Vec::new();
-    for lane in lanes {
-        let path = lane.get("path").unwrap().as_str().unwrap();
-        lane_names.push(path.to_string());
-        assert!(lane.get("f32_gflops").unwrap().as_f64().unwrap() > 0.0);
-        assert!(lane.get("bf16_gflops").unwrap().as_f64().unwrap() > 0.0);
-        assert!(
-            lane.get("bitwise_equal_scalar").unwrap().as_bool().unwrap(),
-            "lane {path} must be bitwise-identical to scalar"
-        );
-    }
-    assert!(lane_names.iter().any(|p| p == "scalar"));
-    assert!(
-        lane_names.iter().any(|p| p == active),
-        "active lane {active} must have a measured row"
-    );
-
-    // The structural half of the CI gate holds on any host, debug or
-    // release. Its wall-clock floors (blocked vs naive, lane vs scalar,
-    // 4 workers ≥ 1.6× sequential) are the `bench_kernels` binary's,
-    // which CI's kernel job runs on a runner of its own: asserted here
-    // they fail on a loaded 2-vCPU host at any commit.
-    check_kernel_structure(&ss, &par, &abft, &sp).expect("structural gate must pass");
-}
-
-/// The regression checker actually rejects: a blocked-slower-than-naive
-/// calibration row, a dispatch choice that loses to naive, a bf16
-/// blocked kernel below 0.85× the f32 one, and a nonzero realloc delta
-/// must all fail
-/// the gate.
-#[test]
-fn kernel_regression_gate_rejects_bad_rows() {
-    let _probes = KERNEL_PROBES.lock().unwrap_or_else(|e| e.into_inner());
-    let rows = kernel_rows(true);
-    let ss = steady_state_probe(true);
-    let par = parallel_probe(true);
-    let abft = abft_probe(true);
-    let sp = simd_probe(true);
-
-    let mut slow = rows.clone();
-    let cal = slow
-        .iter_mut()
-        .find(|r| r.calibration)
-        .expect("calibration row");
-    cal.blocked_gflops = cal.naive_gflops * 0.5;
-    assert!(
-        check_kernel_regression(&slow, &ss, &par, &abft, &sp, false).is_err(),
-        "gate must reject blocked < naive at the calibration shape"
-    );
-
-    let mut routed_wrong = rows.clone();
-    routed_wrong[0].auto_gflops = routed_wrong[0].naive_gflops * 0.5;
-    assert!(
-        check_kernel_regression(&routed_wrong, &ss, &par, &abft, &sp, false).is_err(),
-        "gate must reject a dispatched path slower than naive"
-    );
-
-    let mut slow_bf16 = rows.clone();
-    let cal = slow_bf16
-        .iter_mut()
-        .find(|r| r.calibration)
-        .expect("calibration row");
-    cal.bf16_blocked_gflops = cal.blocked_gflops * 0.5;
-    assert!(
-        check_kernel_regression(&slow_bf16, &ss, &par, &abft, &sp, false).is_err(),
-        "gate must reject a bf16 blocked kernel below 0.85x the f32 one"
-    );
-
-    let mut leaky = ss.clone();
-    leaky.scratch_reallocs_delta = 3;
-    assert!(
-        check_kernel_regression(&rows, &leaky, &par, &abft, &sp, false).is_err(),
-        "gate must reject a growing scratch arena"
-    );
-
-    // Determinism gates hold regardless of host core count: a parallel
-    // result that differs by one bit, or a worker whose scratch arena grew
-    // mid-measurement, must fail even where the speedup gate is skipped.
-    let mut divergent = par.clone();
-    divergent.bitwise_equal = false;
-    assert!(
-        check_kernel_regression(&rows, &ss, &divergent, &abft, &sp, false).is_err(),
-        "gate must reject a non-bitwise parallel GEMM"
-    );
-
-    let mut leaky_worker = par.clone();
-    if leaky_worker.worker_realloc_deltas.is_empty() {
-        leaky_worker.worker_realloc_deltas = vec![0; leaky_worker.workers];
-    }
-    leaky_worker.worker_realloc_deltas[0] = 2;
-    assert!(
-        check_kernel_regression(&rows, &ss, &leaky_worker, &abft, &sp, false).is_err(),
-        "gate must reject a worker-scratch realloc during measured reps"
-    );
-
-    // The speedup floor bites once the gate is enforced (multi-core host).
-    let mut slow_par = par.clone();
-    slow_par.gate_enforced = true;
-    slow_par.seq_gflops = 10.0;
-    slow_par.par_gflops = 11.0; // 1.1x < the 1.6x floor
-    assert!(
-        check_kernel_regression(&rows, &ss, &slow_par, &abft, &sp, false).is_err(),
-        "gate must reject sub-floor parallel speedup on multi-core hosts"
-    );
-
-    // ABFT gates: a perturbed product, a clean-data detection, and a
-    // probe that never reached the tile path must all fail.
-    let mut perturbed = abft.clone();
-    perturbed.bitwise_equal = false;
-    assert!(
-        check_kernel_regression(&rows, &ss, &par, &perturbed, &sp, false).is_err(),
-        "gate must reject a non-neutral ABFT verify pass"
-    );
-    let mut trigger_happy = abft.clone();
-    trigger_happy.false_positives = 1;
-    assert!(
-        check_kernel_regression(&rows, &ss, &par, &trigger_happy, &sp, false).is_err(),
-        "gate must reject ABFT false positives on clean operands"
-    );
-    let mut vacuous = abft.clone();
-    vacuous.tiles_verified = 0;
-    assert!(
-        check_kernel_regression(&rows, &ss, &par, &vacuous, &sp, false).is_err(),
-        "gate must reject an ABFT probe that never checksummed a tile"
-    );
 }

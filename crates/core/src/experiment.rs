@@ -155,13 +155,6 @@ pub struct Experiment {
     /// Parallel GEMM is bitwise identical to sequential at any worker
     /// count (static tile ownership), so this is a pure throughput knob.
     pub gemm_workers: usize,
-    /// SIMD lane-path override for the GEMM micro-kernel
-    /// (`ets_tensor::ops::simd`): `""` (the default) leaves the
-    /// process-wide `ETS_SIMD`-or-detect dispatch alone; `"auto"` /
-    /// `"avx2"` / `"sse2"` / `"scalar"` force that path at phase start.
-    /// Every lane path is bitwise-identical — like `gemm_workers`, a
-    /// pure throughput knob that can never perturb the trajectory.
-    pub simd_path: String,
     /// Cross-rank gradient fingerprint verification: after every bucket
     /// all-reduce, ranks exchange a tiny fingerprint record (FNV-1a of
     /// the reduced words + control sums) through an all-gather; a
@@ -235,7 +228,6 @@ impl Experiment {
             ckpt_dir: None,
             overlap_all_reduce: false,
             gemm_workers: 0,
-            simd_path: String::new(),
             fingerprint_verify: false,
             abft_verify: false,
             corruption_policy: CorruptionPolicy::default(),
@@ -287,14 +279,6 @@ impl Experiment {
             "model/dataset resolution mismatch"
         );
         assert!(self.epochs >= 1 && self.eval_every >= 1);
-        assert!(
-            matches!(
-                self.simd_path.as_str(),
-                "" | "auto" | "avx2" | "sse2" | "scalar"
-            ),
-            "simd_path {:?}: expected \"\"|auto|avx2|sse2|scalar",
-            self.simd_path
-        );
         self.faults.validate();
         for ev in &self.faults.events {
             match ev.kind {

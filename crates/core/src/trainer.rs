@@ -388,12 +388,6 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
     if exp.gemm_workers > 0 {
         ets_tensor::set_gemm_workers(exp.gemm_workers);
     }
-    // SIMD lane-path override (process-global, same contract): every
-    // lane path is bitwise-identical, so like the worker pool this can
-    // only move wall time, never the trajectory.
-    if !exp.simd_path.is_empty() {
-        ets_tensor::ops::simd::apply_choice(&exp.simd_path);
-    }
     // ABFT tile verification is process-global (like the worker pool).
     // Save and restore the previous setting around the run; the run's
     // counter deltas fold into the recovery counters after the phase

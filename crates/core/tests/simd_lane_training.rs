@@ -12,7 +12,7 @@
 //! fork), which is exactly why the lane choice is allowed to be
 //! runtime-detected while kernel *selection* must stay shape-pure.
 
-use ets_tensor::ops::simd::LanePath;
+use ets_tensor::ops::simd::{ForcedLaneGuard, LanePath};
 use ets_train::{train, Experiment, TrainReport};
 
 fn base(world: usize) -> Experiment {
@@ -25,24 +25,23 @@ fn base(world: usize) -> Experiment {
     e
 }
 
-fn run(world: usize, lane: &str) -> TrainReport {
-    let mut e = base(world);
-    e.simd_path = lane.to_string();
-    train(&e)
+fn run(world: usize, lane: LanePath) -> TrainReport {
+    let _lane = ForcedLaneGuard::new(lane);
+    train(&base(world))
 }
 
 #[test]
 fn losses_bitwise_identical_across_lane_paths_backends_and_worlds() {
-    let lanes: Vec<&str> = LanePath::ALL
-        .iter()
+    let lanes: Vec<LanePath> = LanePath::ALL
+        .into_iter()
         .filter(|p| p.available())
-        .map(|p| p.name())
         .collect();
-    assert!(lanes.contains(&"scalar"));
+    assert!(lanes.contains(&LanePath::Scalar));
     for world in [2usize, 4] {
-        let oracle = run(world, "scalar");
-        for lane in lanes.iter().filter(|&&lane| lane != "scalar") {
+        let oracle = run(world, LanePath::Scalar);
+        for &lane in lanes.iter().filter(|&&lane| lane != LanePath::Scalar) {
             let got = run(world, lane);
+            let lane = lane.name();
             assert_eq!(
                 got.weight_checksum, oracle.weight_checksum,
                 "world {world}, lane {lane}: final weights diverged from the scalar oracle"

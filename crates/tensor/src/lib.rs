@@ -27,7 +27,7 @@ pub mod tensor;
 
 pub use par::{
     effective_workers, gemm_workers, host_parallelism, reset_worker_stats, set_gemm_workers,
-    set_sequential_override, set_tile_delay, worker_stats, WorkerStat, MAX_WORKERS,
+    set_tile_delay, worker_stats, WorkerStat, MAX_WORKERS,
 };
 pub use rng::Rng;
 pub use scratch::{

@@ -40,8 +40,9 @@
 //! tests that arm injections serialize on their own mutex.
 //!
 //! Verify mode is **opt-in** and pays one pre-tile snapshot (`MC×NC`
-//! f32) plus an `O(m·n·k / MC)` checksum pass — measured in
-//! `BENCH_kernels.json` — so fault-free hot paths are untouched.
+//! f32) plus an `O(m·n·k / MC)` checksum pass — measured as perfbench's
+//! `tensor.abft.rel_throughput` row — so fault-free hot paths are
+//! untouched.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 

@@ -58,9 +58,11 @@
 //!
 //! The unit tests pin every descriptor against an f64 reference;
 //! `crates/tensor/tests/kernel_equivalence.rs` sweeps adversarial shapes
-//! and pins bf16 to the quantize-then-f32 oracle bitwise; `ets-bench`'s
-//! `bench_kernels` bin records the throughput trajectory in
-//! `BENCH_kernels.json`.
+//! and pins bf16 to the quantize-then-f32 oracle bitwise. Throughput is
+//! measured in the training step: perfbench's `--trace 1` rows
+//! `tensor.host.peak_gflops` (the 256×1152×3136 calibration GEMM, which
+//! dispatches here), `tensor.conv.gflops` and
+//! `tensor.gemm.blocked_share`.
 
 use crate::bf16::{round_f32, round_in_place};
 use crate::ops::dispatch::{GemmDesc, GemmPrecision, Orient};

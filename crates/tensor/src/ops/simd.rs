@@ -165,8 +165,8 @@ fn default_lane_path() -> LanePath {
     resolved
 }
 
-/// Forces a lane path process-wide (tests; the `Experiment.simd_path`
-/// knob). Panics if the path cannot run on this host — callers probing
+/// Forces a lane path process-wide (tests, through [`ForcedLaneGuard`]).
+/// Panics if the path cannot run on this host — callers probing
 /// optional widths should check [`LanePath::available`] first.
 pub fn force_lane_path(path: LanePath) {
     assert!(
@@ -226,19 +226,6 @@ pub(crate) fn on_lane<R>(f: impl FnOnce() -> R) -> R {
         // it (detected, or forced through an `available()` assert).
         LanePath::Avx2 => unsafe { call_avx2(f) },
         _ => f(),
-    }
-}
-
-/// Applies an `ETS_SIMD`-style choice string at runtime (the
-/// serializable `Experiment.simd_path` knob): `auto` clears any force,
-/// a named path forces it. Panics on an unrecognized value, mirroring
-/// the env parse.
-pub fn apply_choice(choice: &str) {
-    match LanePath::parse(choice) {
-        Ok(None) => clear_forced_lane_path(),
-        Ok(Some(p)) if p.available() => force_lane_path(p),
-        Ok(Some(_)) => clear_forced_lane_path(),
-        Err(bad) => panic!("simd_path={bad:?}: expected auto|avx2|sse2|scalar"),
     }
 }
 

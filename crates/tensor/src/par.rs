@@ -12,11 +12,12 @@
 //!
 //! # Shape of the pool
 //!
-//! - One process-global pool, resized by [`set_gemm_workers`] (the
-//!   trainer's `Experiment.gemm_workers` and the `ETS_GEMM_WORKERS` env
-//!   var both land here). A worker count of `w` means `w - 1` helper threads
-//!   plus the **calling thread**, which always participates — a
-//!   1-worker pool has no helpers and degenerates to a plain loop.
+//! - One process-global pool. It starts at one worker and is resized
+//!   only by [`set_gemm_workers`], where the trainer's
+//!   `Experiment.gemm_workers` lands. A worker count of `w` means `w - 1`
+//!   helper threads plus the **calling thread**, which always
+//!   participates — a 1-worker pool has no helpers and degenerates to a
+//!   plain loop.
 //! - Tiles are claimed dynamically from an atomic cursor. Dynamic
 //!   *assignment* with static *division* is safe precisely because
 //!   tiles are single-owner and mutually disjoint; a straggler worker
@@ -29,7 +30,7 @@
 //! - Helpers use the same per-thread [`crate::scratch`] arena as every
 //!   other thread, so steady-state tile execution is allocation-free
 //!   per worker; each helper publishes its thread-local realloc tally
-//!   after every job so benches can assert **zero on every worker**,
+//!   after every job so a test can assert **zero on every worker**,
 //!   not just the submitting thread.
 //!
 //! # Chaos hook
@@ -43,7 +44,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Condvar, Mutex, Once, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,7 +104,6 @@ struct Pool {
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
-static POOL_INIT: Once = Once::new();
 
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool {
@@ -117,35 +117,12 @@ fn pool() -> &'static Pool {
 /// Resolve a requested count: `0` = one worker per available core
 /// (capped at [`MAX_WORKERS`]), `n` = exactly `n` (capped).
 fn resolve(n: usize) -> usize {
-    let n = if n == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        n
-    };
+    let n = if n == 0 { host_parallelism() } else { n };
     n.clamp(1, MAX_WORKERS)
-}
-
-/// First-use initialization from `ETS_GEMM_WORKERS`. Absent or
-/// unparsable means 1 (the serialized default — parallelism is opt-in
-/// via the env var, `set_gemm_workers`, or the experiment knob);
-/// `"0"` means auto (one worker per core).
-fn ensure_init() {
-    POOL_INIT.call_once(|| {
-        let requested = std::env::var("ETS_GEMM_WORKERS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok());
-        match requested {
-            Some(n) => set_gemm_workers_inner(resolve(n)),
-            None => set_gemm_workers_inner(1),
-        }
-    });
 }
 
 /// The configured GEMM worker count (submitting thread included).
 pub fn gemm_workers() -> usize {
-    ensure_init();
     CURRENT_WORKERS.load(Ordering::Relaxed)
 }
 
@@ -156,29 +133,13 @@ pub fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Bench/test hook: while set, [`effective_workers`] reports 1, so the
-/// GEMM dispatch predicate routes to the sequential path without
-/// resizing the pool (resizing respawns helpers, whose fresh
-/// thread-local arenas would then trip the zero-realloc steady-state
-/// gate). The parallel bench probe uses this to interleave sequential
-/// and parallel samples under identical background load.
-static SEQ_OVERRIDE: AtomicBool = AtomicBool::new(false);
-
-/// See [`SEQ_OVERRIDE`]. Takes effect immediately on all threads.
-pub fn set_sequential_override(on: bool) {
-    SEQ_OVERRIDE.store(on, Ordering::Relaxed);
-}
-
 /// Workers that can actually run concurrently: the configured pool size
 /// clamped to the host's available cores. The pool itself keeps its
 /// configured size (tests pin `worker_stats().len()` to it), but the GEMM
 /// dispatch predicate uses this — on a 1-core host an oversubscribed pool
-/// only adds per-tile repacking and scheduling overhead (the kernel bench
-/// measured 0.93× "speedup"), so the tile grid must not engage there.
+/// only adds per-tile repacking and scheduling overhead, and no speed,
+/// so the tile grid must not engage there.
 pub fn effective_workers() -> usize {
-    if SEQ_OVERRIDE.load(Ordering::Relaxed) {
-        return 1;
-    }
     gemm_workers().min(host_parallelism())
 }
 
@@ -188,11 +149,7 @@ pub fn effective_workers() -> usize {
 /// call at any time; GEMMs racing the resize either grab the old pool
 /// or fall back to inline execution — bitwise identical either way.
 pub fn set_gemm_workers(n: usize) {
-    ensure_init();
-    set_gemm_workers_inner(resolve(n));
-}
-
-fn set_gemm_workers_inner(target: usize) {
+    let target = resolve(n);
     let mut st = pool().state.lock().unwrap();
     if st.target == target {
         return;
@@ -317,7 +274,6 @@ pub fn run_tiles(n_tiles: usize, task: &(dyn Fn(usize) + Sync)) {
     if n_tiles == 0 {
         return;
     }
-    ensure_init();
     let guard = match pool().state.try_lock() {
         Ok(g) if !g.helpers.is_empty() => g,
         // Single-worker pool, or a concurrent submitter owns the
@@ -449,7 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_resolves_env_style_inputs() {
+    fn worker_count_resolves_auto_and_caps() {
         assert_eq!(resolve(1), 1);
         assert_eq!(resolve(MAX_WORKERS + 5), MAX_WORKERS);
         assert!(resolve(0) >= 1);
@@ -458,14 +414,38 @@ mod tests {
     #[test]
     fn stats_track_tiles_and_publish_reallocs() {
         let _g = PoolGuard::set(2);
-        reset_worker_stats();
-        run_tiles(16, &|_| {
-            let s = crate::scratch::scratch_f32(64);
-            assert_eq!(s.len(), 64);
-        });
-        let stats = worker_stats();
-        assert_eq!(stats.len(), 2);
-        let total: u64 = stats.iter().map(|s| s.tiles).sum();
-        assert_eq!(total, 16, "all tiles accounted to some worker");
+        let job = || {
+            run_tiles(16, &|_| {
+                let s = crate::scratch::scratch_f32(64);
+                assert_eq!(s.len(), 64);
+                std::thread::sleep(Duration::from_micros(50));
+            })
+        };
+        // Tiles are claimed dynamically, so one job need not reach every
+        // worker: after a reset, repeat it until each has run a tile.
+        let until_every_worker_ran = || {
+            reset_worker_stats();
+            job();
+            let stats = worker_stats();
+            assert_eq!(stats.len(), 2);
+            let total: u64 = stats.iter().map(|s| s.tiles).sum();
+            assert_eq!(total, 16, "all tiles accounted to some worker");
+            for _ in 0..1000 {
+                let stats = worker_stats();
+                if stats.iter().all(|s| s.tiles > 0) {
+                    return stats;
+                }
+                job();
+            }
+            panic!("a worker never ran a tile");
+        };
+        let warm = until_every_worker_ran();
+        let steady = until_every_worker_ran();
+        for (w, (a, b)) in warm.iter().zip(&steady).enumerate() {
+            assert_eq!(
+                b.scratch_reallocs, a.scratch_reallocs,
+                "worker {w}: scratch arena grew after warmup"
+            );
+        }
     }
 }

@@ -44,8 +44,10 @@
 //! followed by that multiply.
 //!
 //! The buffers are reused round after round, so the steady state
-//! performs **no heap allocation** (a BN layer syncs once per conv layer
-//! per step — thousands of rounds per step). Capacity growth is counted
+//! performs **no heap allocation**. Small rounds are the common case: a
+//! synced BN layer runs one in forward and one in backward, so a step of
+//! perfbench's `wide_lars_2x` (22 BN layers) runs 48 rounds, 44 of them
+//! BN syncs (its `collective.calls_per_step`). Capacity growth is counted
 //! in [`CommHandle::scratch_reallocs`], which a test pins to zero after
 //! warmup.
 //!

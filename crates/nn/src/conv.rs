@@ -11,8 +11,8 @@ use crate::layer::{Layer, Mode};
 use crate::param::{Param, ParamKind};
 use ets_tensor::bf16::quantize_tensor;
 use ets_tensor::ops::conv::{
-    conv2d_backward_patches, conv2d_forward_patches, depthwise_backward, depthwise_forward,
-    patch_matrix, Conv2dGeom,
+    conv2d_backward_patches, conv2d_forward_patches, depthwise_backward_accumulate,
+    depthwise_forward, patch_matrix, Conv2dGeom,
 };
 use ets_tensor::ops::dispatch::{GemmPolicy, GemmPrecision};
 use ets_tensor::{init, Rng, Tensor};
@@ -123,9 +123,8 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let (g, patches, prec) = self.cache.take().expect("Conv2d: forward before backward");
-        let (dx, dw) = conv2d_backward_patches(&g, &self.weight.value, &patches, grad, prec);
-        self.weight.grad.add_assign(&dw);
-        dx
+        let w = &mut self.weight;
+        conv2d_backward_patches(&g, &w.value, &patches, grad, prec, &mut w.grad)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -199,9 +198,7 @@ impl Layer for DepthwiseConv2d {
             .take()
             .expect("DepthwiseConv2d: forward before backward");
         let w = wq.as_ref().unwrap_or(&self.weight.value);
-        let (dx, dw) = depthwise_backward(&xq, w, grad, self.stride, self.pad);
-        self.weight.grad.add_assign(&dw);
-        dx
+        depthwise_backward_accumulate(&xq, w, grad, self.stride, self.pad, &mut self.weight.grad)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,5 +1,5 @@
 //! Dense 2-D convolution kernels: one batch-wide GEMM per conv product.
-//! (Depthwise convs are [`super::depthwise`]; its two entry points are
+//! (Depthwise convs are [`super::depthwise`]; its entry points are
 //! re-exported here.)
 //!
 //! Layouts (all contiguous row-major):
@@ -14,8 +14,8 @@
 //! - forward `Y = W·B`, shape `(C_out, K, N·P)`;
 //! - backward `dB = Wᵀ·dY`, shape `(K, C_out, N·P)`, scattered back to
 //!   `dx` per image;
-//! - backward `dW = dY·Bᵀ`, shape `(C_out, N·P, K)`, written straight
-//!   into `dw`.
+//! - backward `dW = dY·Bᵀ`, shape `(C_out, N·P, K)`, accumulated
+//!   straight into the caller's weight gradient.
 //!
 //! Folding the batch into the GEMM's column dimension is what lets the
 //! late stages (4×4 and 2×2 maps, `P` of 16 and 4) reach the packed
@@ -36,14 +36,17 @@
 //! Determinism: a column of `Y` or `dB` depends only on its own column of
 //! `B` or `dY`, and `dW` sums over the `N·P` columns in one chain whose
 //! association (ascending columns on the streaming kernel, ascending `KC`
-//! slabs on the packed one) is fixed by the shape alone.
+//! slabs on the packed one) is fixed by the shape alone. The chain adds
+//! into the destination as it goes (one column sum on the streaming
+//! kernel, one slab at a time on the packed one), so into a zeroed
+//! gradient it has the bits of the sum alone.
 
 use crate::ops::dispatch::{self, GemmDesc, GemmPrecision, Orient};
 use crate::scratch::scratch_f32;
 use crate::shape::{conv_out_dim, Shape};
 use crate::tensor::Tensor;
 
-pub use super::depthwise::{depthwise_backward, depthwise_forward};
+pub use super::depthwise::{depthwise_backward, depthwise_backward_accumulate, depthwise_forward};
 
 /// Geometry of a conv2d call, shared by forward and backward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -309,8 +312,9 @@ pub fn conv2d_forward_patches(
 
 /// Gradients of dense conv2d.
 ///
-/// Returns `(dx, dw)` given upstream gradient `dy`. `dw` is freshly
-/// allocated (callers accumulate into their parameter grads with `axpy`).
+/// Returns `(dx, dw)` given upstream gradient `dy`, with `dw` freshly
+/// allocated. Layers accumulate into their parameter gradient through
+/// [`conv2d_backward_patches`] instead.
 pub fn conv2d_backward(
     x: &Tensor,
     w: &Tensor,
@@ -326,6 +330,7 @@ pub fn conv2d_backward(
 /// including the upstream gradient `dY`, matching the paper's setup where
 /// activations *and* their gradients travel in bf16 while every
 /// accumulation (the GEMM reductions, the parameter update) stays f32.
+/// Runs [`conv2d_backward_patches`] into a zeroed `dw`.
 pub fn conv2d_backward_p(
     x: &Tensor,
     w: &Tensor,
@@ -335,26 +340,35 @@ pub fn conv2d_backward_p(
     precision: GemmPrecision,
 ) -> (Tensor, Tensor) {
     let g = Conv2dGeom::infer(x.shape(), w.shape(), stride, pad);
-    with_patch_matrix(&g, x.data(), |b| {
-        conv2d_backward_patches(&g, w, b, dy, precision)
-    })
+    let mut dw = Tensor::zeros(w.shape().clone());
+    let dx = with_patch_matrix(&g, x.data(), |b| {
+        conv2d_backward_patches(&g, w, b, dy, precision, &mut dw)
+    });
+    (dx, dw)
 }
 
-/// Backward from the [`patch_matrix`] the forward pass used: returns
-/// `(dx, dw)` with `dW = dY·Bᵀ` and `dx` scattered from `dB = Wᵀ·dY`,
-/// each one product over all `N·P` columns.
+/// Backward from the [`patch_matrix`] the forward pass used: adds
+/// `dW = dY·Bᵀ` into `dw` (shaped like `w`) and returns `dx`, scattered
+/// from `dB = Wᵀ·dY`; each one product over all `N·P` columns.
 pub fn conv2d_backward_patches(
     g: &Conv2dGeom,
     w: &Tensor,
     patches: &[f32],
     dy: &Tensor,
     precision: GemmPrecision,
-) -> (Tensor, Tensor) {
+    dw: &mut Tensor,
+) -> Tensor {
     assert!(
         dy.shape().same_as(&g.out_shape()),
         "dy shape {} != expected {}",
         dy.shape(),
         g.out_shape()
+    );
+    assert!(
+        dw.shape().same_as(w.shape()),
+        "dw shape {} != weight shape {}",
+        dw.shape(),
+        w.shape()
     );
     let (kk, p, cols) = (g.k(), g.p(), g.cols());
     let folded;
@@ -367,10 +381,10 @@ pub fn conv2d_backward_patches(
         &folded
     };
 
-    // dW = dY·Bᵀ: B is stored K×(N·P), the `n×k` operand of ABᵀ.
-    let mut dw = Tensor::zeros(w.shape().clone());
+    // dW += dY·Bᵀ: B is stored K×(N·P), the `n×k` operand of ABᵀ.
     let dw_desc = GemmDesc {
         orient: Orient::ABt,
+        accumulate: true,
         precision,
         ..GemmDesc::new(g.c_out, cols, kk)
     };
@@ -397,7 +411,7 @@ pub fn conv2d_backward_patches(
             }
         }
     }
-    (dx, dw)
+    dx
 }
 
 #[cfg(test)]
@@ -437,6 +451,16 @@ mod tests {
             .map(|(&a, &b)| a as f64 * b as f64)
             .sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    #[test]
+    #[should_panic(expected = "dw shape")]
+    fn backward_rejects_a_gradient_of_another_shape() {
+        let (x, w) = (Tensor::zeros([1, 2, 4, 4]), Tensor::zeros([3, 2, 1, 1]));
+        let g = Conv2dGeom::infer(x.shape(), w.shape(), 1, 0);
+        let dy = Tensor::zeros(g.out_shape());
+        let mut dw = Tensor::zeros([2, 3, 1, 1]);
+        conv2d_backward_patches(&g, &w, x.data(), &dy, GemmPrecision::F32, &mut dw);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! - `dx[ih, iw]`: from `+0.0`, the outputs that read it in ascending
 //!   `(oh, ow)`;
 //! - `dw[c, ki, kj]`: per plane from `+0.0` over ascending `(oh, ow)`,
-//!   then the planes of channel `c` added in ascending image order.
+//!   then the planes of channel `c` added into the destination gradient
+//!   in ascending image order.
 //!
 //! Products are separate `mul` and `add`, never fused. So the kernels
 //! below are bitwise equal to the reference loops, and to one another on
@@ -851,10 +852,8 @@ pub fn depthwise_forward(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> T
     y
 }
 
-/// Gradients of depthwise conv2d: `(dx, dw)`, each plane's `dx` and `dw`
-/// partial in one pass, the partials added into `dw` in ascending image
-/// order. Bitwise equal to [`depthwise_backward_reference`] on every
-/// lane path.
+/// Gradients of depthwise conv2d: `(dx, dw)`, with `dw` freshly
+/// allocated. Runs [`depthwise_backward_accumulate`] into a zeroed `dw`.
 pub fn depthwise_backward(
     x: &Tensor,
     w: &Tensor,
@@ -862,6 +861,24 @@ pub fn depthwise_backward(
     stride: usize,
     pad: usize,
 ) -> (Tensor, Tensor) {
+    let mut dw = Tensor::zeros(w.shape().clone());
+    let dx = depthwise_backward_accumulate(x, w, dy, stride, pad, &mut dw);
+    (dx, dw)
+}
+
+/// Gradients of depthwise conv2d: returns `dx` and adds the weight
+/// gradient into `dw` (shaped like `w`). Each plane's `dx` and `dw`
+/// partial come from one pass, and the partials are added into `dw` in
+/// ascending image order. Into a zeroed `dw`, bitwise equal to
+/// [`depthwise_backward_reference`] on every lane path.
+pub fn depthwise_backward_accumulate(
+    x: &Tensor,
+    w: &Tensor,
+    dy: &Tensor,
+    stride: usize,
+    pad: usize,
+    dw: &mut Tensor,
+) -> Tensor {
     let (n, c, g) = geometry(x, w, stride, pad);
     let expected = [n, c, g.h_out, g.w_out];
     assert!(
@@ -869,10 +886,15 @@ pub fn depthwise_backward(
         "depthwise dy shape {} != expected {expected:?}",
         dy.shape()
     );
+    assert!(
+        dw.shape().same_as(w.shape()),
+        "depthwise dw shape {} != weight shape {}",
+        dw.shape(),
+        w.shape()
+    );
     let regime = Regime::of(&g);
     let (in_plane, out_plane, taps) = (g.h * g.w, g.h_out * g.w_out, g.taps());
     let mut dx = Tensor::zeros(x.shape().clone());
-    let mut dw = Tensor::zeros(w.shape().clone());
     let (xs, ws, dys) = (x.data(), w.data(), dy.data());
     // Images in turn, so each channel's partials fold in image order;
     // an image's channel planes are independent.
@@ -913,7 +935,7 @@ pub fn depthwise_backward(
                 }
             });
     }
-    (dx, dw)
+    dx
 }
 
 // ----------------------------------------------------------------- reference
@@ -1085,6 +1107,17 @@ mod tests {
     #[should_panic(expected = "depthwise dy shape")]
     fn backward_rejects_a_dy_of_another_batch() {
         backward_of([2, 3, 8, 8], [3, 1, 3, 3], [1, 3, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "depthwise dw shape")]
+    fn backward_rejects_a_gradient_of_another_shape() {
+        let (x, w, dy) = (
+            Tensor::zeros([1, 3, 8, 8]),
+            Tensor::zeros([3, 1, 3, 3]),
+            Tensor::zeros([1, 3, 4, 4]),
+        );
+        depthwise_backward_accumulate(&x, &w, &dy, 2, 1, &mut Tensor::zeros([3, 1, 5, 5]));
     }
 
     #[test]

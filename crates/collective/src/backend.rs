@@ -10,18 +10,19 @@
 //! schedules are priced by the α–β models in [`crate::cost`] and replayed
 //! message by message in `ets-tpu-sim`'s `netsim`. Replica threads share
 //! memory, so in this process every `Backend` runs the same
-//! [communicator round](crate::comm): each rank deposits its
-//! contribution, the ranks meet, and each folds the whole payload in the
-//! **canonical grid-blocked order** — [`CommHandle::all_reduce_sum_grid`]
-//! over [`canonical_grid`] of the world, the order the torus exchange
-//! composes to (flat ascending when the grid has one row). Results are
+//! [communicator rounds](crate::comm): a sum is folded by every rank from
+//! the deposited slots, a mean by each rank for its share straight from
+//! every rank's pieces, both in the **canonical grid-blocked order** —
+//! [`CommHandle::all_reduce_sum_grid`] over [`canonical_grid`] of the
+//! world, the order the torus exchange composes to (flat ascending when
+//! the grid has one row). Results are
 //! therefore bitwise identical whichever `Backend` an experiment names,
 //! and [`Collective::backend`] only reports the label it was built with.
 //!
-//! The steady state is **allocation-free**: the round reuses persistent
-//! per-rank slots. Capacity-growth events are counted and exposed via
-//! [`Collective::scratch_reallocs`]; tests pin the counter flat after
-//! warmup.
+//! The steady state is **allocation-free**: the slot round reuses
+//! persistent per-rank slots and the mean round has none. Capacity-growth
+//! events are counted and exposed via [`Collective::scratch_reallocs`];
+//! tests pin the counter flat after warmup.
 
 use crate::comm::{CommHandle, Pieces};
 use crate::fault::CollectiveError;

@@ -6,65 +6,93 @@
 //! order, so floating-point sums are bitwise reproducible regardless of
 //! thread scheduling.
 //!
-//! # The round
+//! # The rounds
 //!
-//! Every operation (`all_reduce_sum*`, `all_gather*`, `broadcast`,
-//! `barrier`) is one *round* of one protocol over one set of persistent
-//! per-rank contribution buffers, the *slots*:
+//! Every operation runs one of two rounds. Both open the same way:
+//! **enter** waits until every member has left the previous round (the
+//! drain rule: nothing a peer may still read is rewritten) and marks this
+//! rank as in the round (a second deposit in the same round panics), and
+//! **meet** is a rendezvous on the gate's mutex.
 //!
-//! 1. **Enter.** Wait until every member has left the previous round
-//!    (the drain rule: no buffer is rewritten while a peer has yet to
-//!    read it), and mark this rank as having deposited; a second deposit
-//!    in the same round panics.
+//! The *slot round* serves the small operations: the sum
+//! (`all_reduce_sum*`: BN sync, eval counts), `all_gather*`, `broadcast`
+//! and `barrier`. It has one rendezvous over persistent per-rank
+//! contribution buffers, the *slots*:
+//!
+//! 1. **Enter.**
 //! 2. **Deposit.** Copy the contribution into this rank's *own* slot.
 //!    Nobody else touches that slot now, so all ranks copy concurrently.
-//! 3. **Meet.** A rendezvous: from here to the end of the round the
-//!    slots are read-only.
+//! 3. **Meet.** From here to the end of the round the slots are read-only.
 //! 4. **Read.** Each rank takes what the operation gives it straight
 //!    from the slots: the gathered concatenation, the root's payload, or
 //!    the whole sum folded into its own buffer (all ranks fold at once,
 //!    each for itself).
 //! 5. **Leave.**
 //!
+//! The *mean round* ([`CommHandle::all_reduce_mean_grid`], the gradient
+//! exchange) has no slot. For an `n`-element payload it moves `2n`
+//! elements per rank where the slot round moves `(size + 3)·n`:
+//!
+//! 1. **Enter.**
+//! 2. **Publish.** Record where this rank's [`Pieces`] are, as
+//!    `(start, len)` runs in a table beside the slots.
+//! 3. **Meet.** Every rank checks that every entry was published for this
+//!    round (a peer in another operation left an older one) and that all
+//!    lengths are equal, before anyone writes: a mismatch panics on every
+//!    rank in the round.
+//! 4. **Fold.** Rank `r` owns the share `[r·n/size, (r+1)·n/size)` of the
+//!    payload. It reads its share from every rank's pieces, a tile at a
+//!    time, folds the tile, scales it by `1/size` and stores it into
+//!    every rank's pieces.
+//! 5. **Meet** again: no rank returns while a peer can still write into
+//!    its pieces. Then **leave**.
+//!
 //! An element of the sum is the same chain of `f32` additions whoever
 //! computes it (ascending rank, or grid-blocked: see
-//! [`CommHandle::all_reduce_sum_grid`]), so which rank folds it moves no
-//! bit. There is one rendezvous per round and no length cut-off: a
-//! barrier and a 14 MB all-reduce take the same steps.
+//! [`CommHandle::all_reduce_sum_grid`]; `fold_tile` is the one place
+//! that association is written), so which rank folds it moves no bit, and
+//! in the mean round every rank stores the same bits. The operation picks
+//! the round, not a length cut-off: the mean's second rendezvous costs
+//! more than a small payload's copies, so the sum stays on the slot round
+//! however long it is.
 //!
 //! # Payloads in pieces
 //!
-//! The mean ([`CommHandle::all_reduce_mean_grid`]) takes its payload as
-//! [`Pieces`]: slices handed out in order that the round treats as one
-//! contiguous payload, such as the gradients of a bucket's parameters,
-//! each in its own tensor. The deposit gathers the pieces into the
-//! rank's slot, and the fold writes each element's sum × (1/size) back
-//! into its piece while the tile is in L1. No contiguous copy of the
-//! payload exists outside the slots, and the result is bitwise the sum
-//! followed by that multiply.
+//! The mean takes its payload as [`Pieces`]: slices handed out in order
+//! that the round treats as one contiguous payload, such as the gradients
+//! of a bucket's parameters, each in its own tensor. The pieces are read
+//! and written where they are, by every rank: no contiguous copy of the
+//! payload exists anywhere, and the result is bitwise the grid-blocked
+//! sum followed by `× (1/size)`. This is the single-pass, shared-memory
+//! form of a reduce-scatter followed by an all-gather. Because peers
+//! write into a rank's memory, [`Pieces`] is an `unsafe trait`. Beyond it
+//! and its implementations, the only `unsafe` code in this crate is the
+//! table of raw runs (`Runs`) and the two places that turn a run back into
+//! a slice.
 //!
-//! The buffers are reused round after round, so the steady state
-//! performs **no heap allocation**. Small rounds are the common case: a
-//! synced BN layer runs one in forward and one in backward, so a step of
-//! perfbench's `wide_lars_2x` (22 BN layers) runs 48 rounds, 44 of them
-//! BN syncs (its `collective.calls_per_step`). Capacity growth is counted
-//! in [`CommHandle::scratch_reallocs`], which a test pins to zero after
-//! warmup.
+//! The buffers and the table are reused round after round, so the steady
+//! state performs **no heap allocation**. Small rounds are the common
+//! case: a synced BN layer runs one in forward and one in backward, so a
+//! step of perfbench's `wide_lars_2x` (22 BN layers) runs 48 rounds, 44
+//! of them BN syncs (its `collective.calls_per_step`). Slot growth is
+//! counted in [`CommHandle::scratch_reallocs`], which tests pin to zero
+//! after warmup and to zero outright for mean rounds, which have no slot.
 //!
 //! # Lock poisoning
 //!
 //! A rank that panics inside a round (a double deposit, mismatched
 //! lengths) poisons nothing for its peers: every lock here is taken
-//! through `unpoisoned`. That is sound because no update of the gate or
-//! the slots can be left half done: the double-deposit check runs before
-//! the gate changes, the length check under a read lock, and a deposit
-//! fills a slot taken out of the pool before putting it back.
+//! through `unpoisoned`. That is sound because no update of the gate, the
+//! slots or the table can be left half done: the double-deposit check runs
+//! before the gate changes, the length checks under a read lock, and a
+//! deposit or a publish fills an entry taken out of its pool before
+//! putting it back.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Elements folded at a time, so the running sum stays in L1 while the
-/// slots stream past it.
+/// sources stream past it.
 const FOLD_TILE: usize = 1024;
 
 /// The guard of a lock result, whether or not a panicking holder
@@ -88,10 +116,17 @@ fn add_assign(acc: &mut [f32], x: &[f32]) {
     }
 }
 
-/// A payload held in pieces: the round reads and writes them, in the
-/// order [`Pieces::for_each_piece`] hands them out, as one contiguous
+/// A payload held in pieces: the mean round reads and writes them, in
+/// the order [`Pieces::for_each_piece`] hands them out, as one contiguous
 /// payload. A plain slice (or a `Vec`) is the one-piece case.
-pub trait Pieces {
+///
+/// # Safety
+///
+/// The round keeps raw pointers to the pieces and lets peer threads read
+/// and write them until it returns. An implementation must hand out the
+/// same memory on every call, and that memory must stay valid and be
+/// touched by nothing else while `&mut self` is borrowed.
+pub unsafe trait Pieces {
     /// Hands every piece to `f`, in payload order.
     fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32]));
 
@@ -103,80 +138,123 @@ pub trait Pieces {
     }
 }
 
-impl Pieces for [f32] {
+// SAFETY: the one piece is the borrowed slice itself.
+unsafe impl Pieces for [f32] {
     fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
         f(self)
     }
 }
 
-impl Pieces for Vec<f32> {
+// SAFETY: the one piece is the vector's buffer, which `&mut self` keeps
+// from being resized or freed.
+unsafe impl Pieces for Vec<f32> {
     fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
         f(self)
     }
 }
 
-/// `x[i] = scale · Σ slots[..][i]` for every element `x[i]` of
-/// `payload`, with the canonical association: the slots are blocks of
-/// `cols` consecutive ranks, each block is folded in ascending rank
-/// order and the block sums are folded in ascending block order
-/// (`cols == slots.len()` is the flat ascending fold). Tiled so each
-/// element is written once; without a `scale` it is the plain sum.
+/// `acc[i] = Σ source(rank)[i]` over `size` ranks with the canonical
+/// association: the ranks are blocks of `cols` consecutive ranks, each
+/// block is folded in ascending rank order and the block sums are folded
+/// in ascending block order (`cols == size` is the flat ascending fold).
+/// `partial` is scratch of `acc`'s length, and every source has that
+/// length too. Every element is its own chain of `f32` additions, so
+/// where a tile starts or ends moves no bit. Both rounds fold through
+/// here.
+fn fold_tile<'s>(
+    acc: &mut [f32],
+    partial: &mut [f32],
+    size: usize,
+    cols: usize,
+    source: impl Fn(usize) -> &'s [f32],
+) {
+    for b in 0..size / cols {
+        let sum = if b == 0 { &mut *acc } else { &mut *partial };
+        sum.copy_from_slice(source(b * cols));
+        for rank in b * cols + 1..(b + 1) * cols {
+            add_assign(sum, source(rank));
+        }
+        if b > 0 {
+            add_assign(acc, partial);
+        }
+    }
+}
+
+/// `payload[i] = Σ slots[..][i]` in the canonical association
+/// ([`fold_tile`]), tile by tile, each element written once.
 ///
 /// `payload` is rank `own`'s contribution (what it deposited in slot
 /// `own`) and is summed in place of that slot: the result overwrites
 /// lines the fold has just read instead of lines it has to fetch first,
-/// a quarter less memory traffic for two ranks. Tiles start at each
-/// piece's first element; every element is its own chain, so where a
-/// tile ends moves no bit.
-fn fold<P: Pieces + ?Sized>(
-    slots: &[Vec<f32>],
-    cols: usize,
-    payload: &mut P,
-    own: usize,
-    scale: Option<f32>,
-) {
+/// a quarter less memory traffic for two ranks.
+fn fold(slots: &[Vec<f32>], cols: usize, payload: &mut [f32], own: usize) {
     let (mut partial, mut mine) = ([0.0f32; FOLD_TILE], [0.0f32; FOLD_TILE]);
-    let mut base = 0;
-    payload.for_each_piece(&mut |piece| {
-        for (t, out) in piece.chunks_mut(FOLD_TILE).enumerate() {
-            let at = base + t * FOLD_TILE;
-            let len = out.len();
-            mine[..len].copy_from_slice(out);
-            let source = |rank: usize| {
-                if rank == own {
-                    &mine[..len]
-                } else {
-                    &slots[rank][at..at + len]
-                }
-            };
-            for b in 0..slots.len() / cols {
-                let acc = if b == 0 {
-                    &mut *out
-                } else {
-                    &mut partial[..len]
-                };
-                acc.copy_from_slice(source(b * cols));
-                for rank in b * cols + 1..(b + 1) * cols {
-                    add_assign(acc, source(rank));
-                }
-                if b > 0 {
-                    add_assign(out, &partial[..len]);
-                }
+    for (t, out) in payload.chunks_mut(FOLD_TILE).enumerate() {
+        let (at, len) = (t * FOLD_TILE, out.len());
+        mine[..len].copy_from_slice(out);
+        fold_tile(out, &mut partial[..len], slots.len(), cols, |rank| {
+            if rank == own {
+                &mine[..len]
+            } else {
+                &slots[rank][at..at + len]
             }
-            if let Some(scale) = scale {
-                out.iter_mut().for_each(|v| *v *= scale);
-            }
-        }
-        base += piece.len();
-    });
+        });
+    }
 }
 
 /// Writes a rank's contribution into its (cleared) slot.
 type Fill<'a> = &'a mut dyn FnMut(&mut Vec<f32>);
 
-fn check_lengths(slots: &[Vec<f32>], n: usize, what: &str) {
-    for slot in slots {
-        assert_eq!(slot.len(), n, "mismatched {what} lengths");
+fn check_lengths(lens: impl Iterator<Item = usize>, n: usize, what: &str) {
+    for len in lens {
+        assert_eq!(len, n, "mismatched {what} lengths");
+    }
+}
+
+/// One non-empty piece of a published payload: its first element's
+/// offset in the payload, its address and its length.
+#[derive(Clone, Copy)]
+struct Run {
+    at: usize,
+    ptr: *mut f32,
+    len: usize,
+}
+
+/// One rank's entry in the mean round's table: where its pieces are,
+/// in payload order, and the round they were published for.
+#[derive(Default)]
+struct Runs {
+    runs: Vec<Run>,
+    elems: usize,
+    round: u64,
+}
+
+// SAFETY: `Runs` only stores addresses and never dereferences them. The
+// two sites that do, in `CommHandle::mean_round`, say why their accesses
+// from other threads are sound.
+unsafe impl Send for Runs {}
+unsafe impl Sync for Runs {}
+
+impl Runs {
+    fn publish(&mut self, payload: &mut (impl Pieces + ?Sized), round: u64) {
+        self.runs.clear();
+        self.elems = 0;
+        self.round = round;
+        payload.for_each_piece(&mut |piece| {
+            if !piece.is_empty() {
+                self.runs.push(Run {
+                    at: self.elems,
+                    ptr: piece.as_mut_ptr(),
+                    len: piece.len(),
+                });
+                self.elems += piece.len();
+            }
+        });
+    }
+
+    /// The run that holds payload element `at < self.elems`.
+    fn run(&self, at: usize) -> Run {
+        self.runs[self.runs.partition_point(|r| r.at + r.len <= at)]
     }
 }
 
@@ -195,11 +273,13 @@ struct CommInner {
     size: usize,
     gate: GateLock,
     cv: Condvar,
-    /// Per-rank contribution buffers. A rank takes its own out to fill
-    /// it and puts it back before it meets the others.
+    /// Per-rank contribution buffers of the slot round. A rank takes its
+    /// own out to fill it and puts it back before it meets the others.
     slots: RwLock<Vec<Vec<f32>>>,
-    /// Number of buffer capacity growths since creation. Constant once
-    /// buffer sizes stabilize — the zero-alloc steady-state counter.
+    /// Per-rank piece tables of the mean round, handled like the slots.
+    runs: RwLock<Vec<Runs>>,
+    /// Number of slot capacity growths since creation. Constant once
+    /// payload sizes stabilize — the zero-alloc steady-state counter.
     reallocs: AtomicU64,
 }
 
@@ -227,6 +307,7 @@ impl CommHandle {
             })),
             cv: Condvar::new(),
             slots: RwLock::new(vec![Vec::new(); size]),
+            runs: RwLock::new((0..size).map(|_| Runs::default()).collect()),
             reallocs: AtomicU64::new(0),
         });
         (0..size)
@@ -247,14 +328,16 @@ impl CommHandle {
         self.inner.size
     }
 
-    /// Scratch-buffer growth events since creation (shared across ranks).
-    /// Flat after warmup ⇒ the reduce path is allocation-free.
+    /// Slot growth events since creation (shared across ranks). Flat
+    /// after warmup ⇒ the slot round is allocation-free; the mean round
+    /// has no slot and never moves it.
     pub fn scratch_reallocs(&self) -> u64 {
         self.inner.reallocs.load(Ordering::Relaxed)
     }
 
-    /// Opens a round for this rank once the previous one has drained.
-    fn enter(&self) {
+    /// Opens a round for this rank once the previous one has drained and
+    /// returns the round's number, the same on every member.
+    fn enter(&self) -> u64 {
         let inner = &*self.inner;
         let mut gate = inner.gate.lock();
         while gate.readers_left > 0 {
@@ -266,6 +349,7 @@ impl CommHandle {
             self.rank
         );
         gate.deposited[self.rank] = true;
+        gate.generation
     }
 
     /// Returns once every member has arrived.
@@ -310,9 +394,9 @@ impl CommHandle {
         unpoisoned(slots.write())[self.rank] = own;
     }
 
-    /// Steps 1–3 of a round (module docs): enters, deposits through
-    /// `contribution` if any and meets the other members. The caller
-    /// reads the slots and then [leaves](Self::leave).
+    /// Steps 1–3 of the slot round (module docs): enters, deposits
+    /// through `contribution` if any and meets the other members. The
+    /// caller reads the slots and then [leaves](Self::leave).
     fn open(&self, contribution: Option<Fill<'_>>) {
         self.enter();
         if let Some(fill) = contribution {
@@ -325,16 +409,13 @@ impl CommHandle {
         stall(Phase::Read);
     }
 
-    /// The all-reduce round over blocks of `cols` ranks (see [`fold`]):
-    /// the deposit gathers the pieces, the fold writes into them.
-    fn all_reduce<P: Pieces + ?Sized>(&self, payload: &mut P, cols: usize, scale: Option<f32>) {
-        let n = payload.elems();
-        self.open(Some(&mut |slot: &mut Vec<f32>| {
-            payload.for_each_piece(&mut |piece| slot.extend_from_slice(piece))
-        }));
+    /// The slot round's all-reduce over blocks of `cols` ranks (see
+    /// [`fold`]).
+    fn all_reduce(&self, buf: &mut [f32], cols: usize) {
+        self.open(Some(&mut |slot: &mut Vec<f32>| slot.extend_from_slice(buf)));
         let slots = unpoisoned(self.inner.slots.read());
-        check_lengths(&slots, n, "all-reduce");
-        fold(&slots, cols, payload, self.rank, scale);
+        check_lengths(slots.iter().map(Vec::len), buf.len(), "all-reduce");
+        fold(&slots, cols, buf, self.rank);
         drop(slots);
         self.leave();
     }
@@ -344,7 +425,7 @@ impl CommHandle {
     /// contributions. Steady-state allocation-free.
     pub fn all_reduce_sum(&self, buf: &mut [f32]) {
         if self.inner.size > 1 {
-            self.all_reduce(buf, self.inner.size, None);
+            self.all_reduce(buf, self.inner.size);
         }
     }
 
@@ -365,15 +446,17 @@ impl CommHandle {
             "grid shape must cover the communicator"
         );
         if self.inner.size > 1 {
-            self.all_reduce(buf, cols, None);
+            self.all_reduce(buf, cols);
         }
     }
 
     /// In-place **mean** all-reduce of a payload held in [`Pieces`]:
     /// every element becomes its [grid-blocked sum](Self::all_reduce_sum_grid)
-    /// × (1/size), bitwise what that sum followed by the multiply gives.
-    /// The multiply happens in the fold, while the tile is in L1. A
-    /// communicator of one member runs no round and touches nothing.
+    /// × (1/size), bitwise what that sum followed by the multiply gives,
+    /// and every rank holds the same bits. It runs the mean round (module
+    /// docs): each rank folds its `1/size` share of the payload straight
+    /// from every rank's pieces and stores the result into all of them.
+    /// A communicator of one member runs no round and touches nothing.
     pub fn all_reduce_mean_grid<P: Pieces + ?Sized>(
         &self,
         payload: &mut P,
@@ -386,8 +469,89 @@ impl CommHandle {
             "grid shape must cover the communicator"
         );
         if self.inner.size > 1 {
-            self.all_reduce(payload, cols, Some(1.0 / self.inner.size as f32));
+            self.mean_round(payload, cols);
         }
+    }
+
+    /// The mean round over blocks of `cols` ranks.
+    fn mean_round<P: Pieces + ?Sized>(&self, payload: &mut P, cols: usize) {
+        let inner = &*self.inner;
+        let size = inner.size;
+        let round = self.enter();
+        let mut own = std::mem::take(&mut unpoisoned(inner.runs.write())[self.rank]);
+        own.publish(payload, round);
+        unpoisoned(inner.runs.write())[self.rank] = own;
+        self.meet();
+        let table = unpoisoned(inner.runs.read());
+        // A peer that met this round in another operation left an entry
+        // from an earlier round, whose memory may be gone.
+        assert!(
+            table.iter().all(|runs| runs.round == round),
+            "a mean all-reduce met another operation"
+        );
+        let n = table[self.rank].elems;
+        check_lengths(table.iter().map(|runs| runs.elems), n, "all-reduce");
+        #[cfg(test)]
+        stall(Phase::Share);
+        let scale = 1.0 / size as f32;
+        let (mut acc, mut partial) = ([0.0f32; FOLD_TILE], [0.0f32; FOLD_TILE]);
+        let (mut at, end) = (self.rank * n / size, (self.rank + 1) * n / size);
+        while at < end {
+            // The tile ends where the share, the fold tile or any rank's
+            // run does, so each rank's part of it is one slice.
+            let len = table.iter().fold((end - at).min(FOLD_TILE), |len, runs| {
+                let r = runs.run(at);
+                len.min(r.at + r.len - at)
+            });
+            let (acc, partial) = (&mut acc[..len], &mut partial[..len]);
+            fold_tile(acc, partial, size, cols, |rank| {
+                let r = table[rank].run(at);
+                // SAFETY: reads elements `at..at + len` of rank `rank`'s
+                // pieces, inside one of its runs.
+                // - Valid: every rank published its runs this round (the
+                //   round check above) from a `Pieces` it borrows until it
+                //   returns, and no rank returns before the closing meet
+                //   below, which this rank has not reached. The `Pieces`
+                //   contract keeps that memory valid and untouched by its
+                //   owner meanwhile.
+                // - Published before read: each rank published, then took
+                //   and released the gate in `meet`; no rank leaves `meet`
+                //   before the last arrival has taken the gate, so every
+                //   publish (and every write its owner made to its pieces
+                //   before the call) happens before this read.
+                // - Disjoint: the shares `[r·n/size, (r+1)·n/size)`
+                //   partition the payload, and `at..at + len` lies in this
+                //   rank's share, so no other rank reads or writes it in
+                //   this round. This rank's own slice dies inside
+                //   `fold_tile`, before the stores below.
+                // - No panic strands a peer: between the meets the only
+                //   panics are the two checks above, which every rank
+                //   makes on the same table before anyone writes, so
+                //   either all ranks panic there or none does. Past them,
+                //   every index is in bounds by construction (`at < n` on
+                //   every rank, tiles within `FOLD_TILE`, slices of equal
+                //   length), so no rank unwinds and frees its pieces while
+                //   a peer can still write into them.
+                unsafe { std::slice::from_raw_parts(r.ptr.add(at - r.at), len) }
+            });
+            acc.iter_mut().for_each(|v| *v *= scale);
+            for runs in table.iter() {
+                let r = runs.run(at);
+                // SAFETY: as for the read above; the read slices of this
+                // range are gone, so this is its only reference until the
+                // store ends. This rank takes the gate in the closing meet
+                // after its last store, and no owner leaves that meet
+                // before it, so every store happens before every return.
+                unsafe { std::slice::from_raw_parts_mut(r.ptr.add(at - r.at), len) }
+                    .copy_from_slice(acc);
+            }
+            at += len;
+        }
+        drop(table);
+        #[cfg(test)]
+        stall(Phase::Close);
+        self.meet();
+        self.leave();
     }
 
     /// Gathers every member's `local` slice into `out`, concatenated in
@@ -444,14 +608,17 @@ impl CommHandle {
     }
 }
 
-/// Points of a round where a test can hold one rank back.
+/// Points of a round where a test can hold one rank back: before the
+/// slot round's deposit and read, and before the mean round's share and
+/// closing meet.
 #[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Deposit,
     Read,
+    Share,
+    Close,
 }
-
 #[cfg(test)]
 thread_local! {
     /// The phase before which this thread sleeps, and for how long.
@@ -521,7 +688,9 @@ mod tests {
         cuts: &'a [usize],
     }
 
-    impl Pieces for Cut<'_> {
+    // SAFETY: the pieces are disjoint subslices of the borrowed `buf`,
+    // cut at the same offsets on every call.
+    unsafe impl Pieces for Cut<'_> {
         fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
             let (mut rest, mut at) = (&mut *self.buf, 0);
             for &cut in self.cuts {
@@ -771,26 +940,36 @@ mod tests {
 
     #[test]
     fn a_rank_held_back_at_any_phase_moves_no_bit() {
-        // One rank sleeps before its deposit or before it reads the
-        // slots, while the others run ahead into the next round as far as
-        // the drain rule lets them. Three rounds with different payloads:
-        // a slot rewritten too early shows as another round's data. A
-        // length within one fold tile and one spanning several, each as
-        // one slice summed and as pieces (an empty one, and pieces that
-        // straddle fold tiles) averaged.
+        // One rank sleeps before a phase while the others run ahead as far
+        // as the round lets them: into the next round in the slot round
+        // (held before its deposit or its read), up to the closing meet in
+        // the mean round (held before its share or that meet). Three
+        // rounds with different payloads: a slot rewritten too early shows
+        // as another round's data. Every rank records its result bits the
+        // moment a call returns and keeps its buffers alive until the
+        // join, so a share stored after its owner returned shows as a
+        // wrong result, not as a write into freed memory. A length within
+        // one fold tile and one spanning several, each as one slice summed
+        // and as pieces (an empty one, and pieces that straddle fold
+        // tiles) averaged.
         use std::time::Duration;
         let lengths = [7, 4 * FOLD_TILE + 3];
+        let rounds = [
+            (false, [Phase::Deposit, Phase::Read]),
+            (true, [Phase::Share, Phase::Close]),
+        ];
         for (world, cols) in [(2usize, 2usize), (3, 3), (4, 2)] {
             for n in lengths {
-                for pieces in [false, true] {
-                    for phase in [Phase::Deposit, Phase::Read] {
+                for (pieces, phases) in rounds {
+                    for phase in phases {
                         for slow in 0..world {
                             let results = run_replicas(world, move |h| {
                                 if h.rank() == slow {
                                     STALL.set(Some((phase, Duration::from_millis(1))));
                                 }
                                 let cuts = [1, n / 2, n / 2, n - 1];
-                                (0..3)
+                                let mut kept = Vec::new();
+                                let bits: Vec<Vec<u32>> = (0..3)
                                     .map(|round| {
                                         let mut buf = adversarial_payload(h.rank() + 10 * round, n);
                                         let rows = world / cols;
@@ -803,22 +982,25 @@ mod tests {
                                         } else {
                                             h.all_reduce_sum_grid(&mut buf, rows, cols);
                                         }
-                                        buf
+                                        let bits = buf.iter().map(|v| v.to_bits()).collect();
+                                        kept.push(buf);
+                                        bits
                                     })
-                                    .collect::<Vec<_>>()
+                                    .collect();
+                                (bits, kept)
                             });
                             let scale = if pieces { 1.0 / world as f32 } else { 1.0 };
                             for round in 0..3 {
                                 let contribs: Vec<Vec<f32>> = (0..world)
                                     .map(|r| adversarial_payload(r + 10 * round, n))
                                     .collect();
-                                let want = sequential_fold(&contribs, cols);
-                                for (rank, got) in results.iter().enumerate() {
+                                let want: Vec<u32> = sequential_fold(&contribs, cols)
+                                    .iter()
+                                    .map(|b| (b * scale).to_bits())
+                                    .collect();
+                                for (rank, (got, _)) in results.iter().enumerate() {
                                     assert!(
-                                        got[round]
-                                            .iter()
-                                            .zip(&want)
-                                            .all(|(a, b)| a.to_bits() == (b * scale).to_bits()),
+                                        got[round] == want,
                                         "world {world} n {n} pieces {pieces} {phase:?} slow {slow} \
                                          round {round} rank {rank}"
                                     );
@@ -852,19 +1034,78 @@ mod tests {
     }
 
     #[test]
+    fn a_mean_met_by_another_operation_panics_before_any_store() {
+        // Rank 1 publishes in one mean round, frees that payload and meets
+        // rank 0's next mean round with a barrier. Rank 0 finds rank 1's
+        // entry from the earlier round (same length) and must panic, not
+        // read or store through it, and its own payload is unchanged. A
+        // rank 0 that went on would wait at the closing meet for ever, so
+        // the verdict has a deadline.
+        let mut handles = CommHandle::create(2);
+        let (h1, h0) = (handles.pop().unwrap(), handles.pop().unwrap());
+        let other = thread::spawn(move || {
+            let mut buf = vec![1.0f32; 8];
+            h1.all_reduce_mean_grid(&mut buf, 1, 2);
+            drop(buf);
+            h1.barrier();
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let mut buf = vec![1.0f32; 8];
+            h0.all_reduce_mean_grid(&mut buf, 1, 2);
+            let mut again = vec![2.0f32; 8];
+            let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                h0.all_reduce_mean_grid(&mut again, 1, 2)
+            }));
+            tx.send((round.is_err(), again)).unwrap();
+        });
+        other.join().unwrap();
+        let (panicked, again) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("rank 0 went past the check and waits at the closing meet");
+        assert!(panicked, "a mean met by a barrier must panic");
+        assert_eq!(again, vec![2.0; 8], "no store before the check");
+    }
+
+    #[test]
     fn mismatched_lengths_panic_on_every_rank() {
+        // Summed as one slice and averaged in pieces: every rank panics,
+        // and no rank's payload has changed. The payloads outlive the
+        // threads, so a store made before the check would show.
         for lens in [[3usize, 4], [4 * FOLD_TILE, 5]] {
-            let joins: Vec<_> = CommHandle::create(2)
-                .into_iter()
-                .map(|h| {
-                    thread::spawn(move || {
-                        let mut buf = vec![1.0; lens[h.rank()]];
-                        h.all_reduce_sum(&mut buf);
-                    })
-                })
-                .collect();
-            for j in joins {
-                assert!(j.join().is_err(), "lengths {lens:?} must panic");
+            for pieces in [false, true] {
+                let mut bufs: Vec<Vec<f32>> =
+                    (0..2).map(|r| vec![r as f32 + 1.0; lens[r]]).collect();
+                thread::scope(|s| {
+                    let joins: Vec<_> = CommHandle::create(2)
+                        .into_iter()
+                        .zip(&mut bufs)
+                        .map(|(h, buf)| {
+                            s.spawn(move || {
+                                if pieces {
+                                    let cuts = [buf.len() / 2];
+                                    let mut cut = Cut { buf, cuts: &cuts };
+                                    h.all_reduce_mean_grid(&mut cut, 1, 2);
+                                } else {
+                                    h.all_reduce_sum(buf);
+                                }
+                            })
+                        })
+                        .collect();
+                    for j in joins {
+                        assert!(
+                            j.join().is_err(),
+                            "lengths {lens:?} pieces {pieces} must panic"
+                        );
+                    }
+                });
+                for (r, buf) in bufs.iter().enumerate() {
+                    assert_eq!(
+                        *buf,
+                        vec![r as f32 + 1.0; lens[r]],
+                        "lengths {lens:?} pieces {pieces}: rank {r}'s payload changed"
+                    );
+                }
             }
         }
     }

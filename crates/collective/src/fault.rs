@@ -1356,7 +1356,9 @@ mod tests {
     /// A payload held as separate vectors, some of them empty.
     struct Parts(Vec<Vec<f32>>);
 
-    impl Pieces for Parts {
+    // SAFETY: the pieces are the vectors' buffers, which `&mut self`
+    // keeps from being resized or freed.
+    unsafe impl Pieces for Parts {
         fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
             for part in &mut self.0 {
                 f(part);

@@ -192,7 +192,9 @@ struct Cut<'a> {
     cuts: &'a [usize],
 }
 
-impl Pieces for Cut<'_> {
+// SAFETY: the pieces are disjoint subslices of the borrowed `buf`, cut at
+// the same offsets on every call.
+unsafe impl Pieces for Cut<'_> {
     fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
         let (mut rest, mut at) = (&mut *self.buf, 0);
         for &cut in self.cuts {
@@ -207,60 +209,100 @@ impl Pieces for Cut<'_> {
 /// The mean over pieces is bitwise the contiguous fold followed by
 /// × (1/world), and that is the sequential fold times the same factor:
 /// flat and grid-blocked folds, empty pieces, piece edges on both sides
-/// of the fold tile, and a piece that straddles one.
+/// of the fold tile, a piece that straddles one, cut sets that differ by
+/// rank, and payloads shorter than the world (so some ranks' shares are
+/// empty).
 #[test]
 fn mean_over_pieces_is_the_contiguous_fold_then_the_scale() {
     let tile = 1024;
-    let n = 3 * tile + 5;
-    let cut_sets = [
+    let long = 3 * tile + 5;
+    let cut_sets = vec![
         vec![],
-        vec![0, 0, n],
+        vec![0, 0, long],
         vec![tile - 1],
         vec![tile],
         vec![tile + 1, tile + 1],
         vec![1000, 1100, 2 * tile + 7],
     ];
     for p in [1usize, 2, 3, 4, 8] {
+        let mut lengths = vec![1, p - 1, long];
+        lengths.retain(|&n| n > 0);
+        lengths.dedup();
         let mut grids = vec![p, canonical_grid(p).1];
         grids.dedup();
-        for cols in grids {
-            let inv = 1.0 / p as f32;
-            let want: Vec<u32> = sequential_fold(p, n, cols)
-                .into_iter()
-                .map(|b| (f32::from_bits(b) * inv).to_bits())
-                .collect();
-            for cuts in &cut_sets {
-                let owned = cuts.clone();
-                let got = on_ranks(p, move |h| {
-                    let rows = h.size() / cols;
-                    let mut sum = adversarial(h.rank(), n);
-                    h.all_reduce_sum_grid(&mut sum, rows, cols);
-                    sum.iter_mut().for_each(|v| *v *= inv);
-                    let mut buf = adversarial(h.rank(), n);
-                    let mut pieces = Cut {
-                        buf: &mut buf,
-                        cuts: &owned,
-                    };
-                    h.all_reduce_mean_grid(&mut pieces, rows, cols);
-                    (bits(&sum), bits(&buf))
-                });
-                for (rank, (scaled, mean)) in got.iter().enumerate() {
-                    let what = format!("p={p} cols={cols} cuts={cuts:?} rank {rank}");
-                    assert!(*mean == *scaled, "{what}: mean differs from sum × 1/p");
-                    assert!(
-                        *mean == want,
-                        "{what}: mean differs from the sequential fold"
-                    );
+        for n in lengths {
+            for cols in grids.clone() {
+                let inv = 1.0 / p as f32;
+                let want: Vec<u32> = sequential_fold(p, n, cols)
+                    .into_iter()
+                    .map(|b| (f32::from_bits(b) * inv).to_bits())
+                    .collect();
+                for first in 0..cut_sets.len() {
+                    let sets = cut_sets.clone();
+                    let got = on_ranks(p, move |h| {
+                        // Rank r cuts its payload at the offsets of set
+                        // `first + r`, clipped to the payload.
+                        let cuts: Vec<usize> = sets[(first + h.rank()) % sets.len()]
+                            .iter()
+                            .map(|&c| c.min(n))
+                            .collect();
+                        let rows = h.size() / cols;
+                        let mut sum = adversarial(h.rank(), n);
+                        h.all_reduce_sum_grid(&mut sum, rows, cols);
+                        sum.iter_mut().for_each(|v| *v *= inv);
+                        let mut buf = adversarial(h.rank(), n);
+                        let mut pieces = Cut {
+                            buf: &mut buf,
+                            cuts: &cuts,
+                        };
+                        h.all_reduce_mean_grid(&mut pieces, rows, cols);
+                        (bits(&sum), bits(&buf))
+                    });
+                    for (rank, (scaled, mean)) in got.iter().enumerate() {
+                        let what = format!("p={p} n={n} cols={cols} first set {first} rank {rank}");
+                        assert!(*mean == *scaled, "{what}: mean differs from sum × 1/p");
+                        assert!(
+                            *mean == want,
+                            "{what}: mean differs from the sequential fold"
+                        );
+                    }
                 }
             }
         }
     }
 }
 
+/// The mean has no slot: rounds of every length, from one element to
+/// four megabytes in pieces, leave `scratch_reallocs` at zero on a fresh
+/// communicator (a round that deposited the payload would grow every
+/// rank's slot on its first call).
+#[test]
+fn mean_rounds_of_any_size_leave_scratch_reallocs_at_zero() {
+    for p in [2usize, 3, 4] {
+        let reallocs = on_ranks(p, |h| {
+            let cols = canonical_grid(h.size()).1;
+            for n in [1usize, 7, 1023, 1025, 65_537, (1 << 20) + 3] {
+                let mut buf = adversarial(h.rank(), n);
+                let cuts = [n / 3, n / 2];
+                let mut pieces = Cut {
+                    buf: &mut buf,
+                    cuts: &cuts,
+                };
+                h.all_reduce_mean_grid(&mut pieces, h.size() / cols, cols);
+            }
+            h.scratch_reallocs()
+        });
+        assert!(
+            reallocs.iter().all(|&r| r == 0),
+            "world {p}: mean rounds grew communicator buffers {reallocs:?}"
+        );
+    }
+}
+
 /// A thousand rounds of every operation on one communicator, the
 /// all-reduce at a length of a few elements and at one of several fold
-/// tiles: each result is that round's, and after the first round no
-/// buffer grows.
+/// tiles, and the mean over pieces between the slot rounds: each result
+/// is that round's, and after the first round no buffer grows.
 #[test]
 fn thousand_mixed_rounds_no_cross_talk_no_growth() {
     const P: usize = 4;
@@ -268,6 +310,7 @@ fn thousand_mixed_rounds_no_cross_talk_no_growth() {
     let reports = on_ranks(P, move |h| {
         let rank = h.rank();
         let (mut short, mut big) = (vec![0.0f32; 3], vec![0.0f32; long]);
+        let mut mean = vec![0.0f32; long];
         let (mut gathered, mut sent) = (Vec::new(), vec![0.0f32; 9]);
         let mut warm = 0;
         for round in 0..1000usize {
@@ -285,6 +328,25 @@ fn thousand_mixed_rounds_no_cross_talk_no_growth() {
                     x,
                     4.0 * v + (6 * (i % 5)) as f32,
                     "long all-reduce, round {round}"
+                );
+            }
+            for (i, x) in mean.iter_mut().enumerate() {
+                *x = v + (rank * (i % 5)) as f32;
+            }
+            let cuts = [long / 3];
+            h.all_reduce_mean_grid(
+                &mut Cut {
+                    buf: &mut mean,
+                    cuts: &cuts,
+                },
+                2,
+                2,
+            );
+            for (i, &x) in mean.iter().enumerate() {
+                assert_eq!(
+                    x,
+                    v + 1.5 * (i % 5) as f32,
+                    "mean over pieces, round {round}"
                 );
             }
             h.all_gather_into(&[v, rank as f32], &mut gathered);

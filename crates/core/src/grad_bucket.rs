@@ -12,10 +12,11 @@
 //!   a contiguous element range of it, at most `max_bucket_elems` long,
 //!   and reaches the collective as [`Pieces`]: the slices of the gradient
 //!   tensors it covers (a parameter may be split between two buckets),
-//!   plus the loss scalar in the last one. The collective's deposit
-//!   gathers the pieces into the rank's slot and its fold writes the mean
-//!   back into them ([`Collective::try_all_reduce_mean`]), so nothing is
-//!   packed or scattered and the steady state allocates nothing.
+//!   plus the loss scalar in the last one. The collective reads and
+//!   writes the pieces where they are: each rank folds its share of the
+//!   bucket from every rank's gradients and writes the mean into all of
+//!   them ([`Collective::try_all_reduce_mean`]), so nothing is packed,
+//!   scattered or deposited and the steady state allocates nothing.
 //! - **One call per bucket**: each bucket is reduced with its own
 //!   collective call and timed individually ([`AllReduceProfile`]), so
 //!   per-size behavior is observable.
@@ -189,7 +190,10 @@ struct BucketPieces<'a, 'l> {
     loss_at: usize,
 }
 
-impl Pieces for BucketPieces<'_, '_> {
+// SAFETY: the pieces are the gradient tensors' own buffers and the loss
+// scalar, all reached through `&mut` borrows held for `'a`; nothing
+// resizes a gradient while they are held.
+unsafe impl Pieces for BucketPieces<'_, '_> {
     fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
         let (a, b) = self.range;
         for (start, seg) in self.segments.iter_mut().rev() {

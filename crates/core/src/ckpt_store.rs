@@ -10,7 +10,9 @@
 //! streams) as the preemption rewind anchor and persists the same type
 //! through [`CkptStore`] for elastic resume, divergence rollback and
 //! quarantine — the artifact the §3.3 evaluator pipeline ships between
-//! TPUs. The store guarantees **no silent load ever happens**.
+//! TPUs. At a checkpoint step one capture serves both, so a rank holds
+//! one snapshot at a time. The store guarantees **no silent load ever
+//! happens**.
 //!
 //! Properties of the store:
 //!
@@ -28,10 +30,16 @@
 //!   entry records a file as it was *written* (its `len`/`crc` come out
 //!   of the traversal that encoded it and are carried from manifest to
 //!   manifest), so a file that rots later disagrees with its entry.
-//! - **One pass each way**: a save encodes into one exactly-sized
-//!   buffer and checksums it once ([`Crc32`] runs the record CRC, the
-//!   trailer and the manifest CRC off the same traversal) and reads no
-//!   checkpoint back; a load checksums once and decodes once.
+//! - **One pass each way, no file-sized copy**: a save streams its
+//!   encoding into the temp file through one fixed 256 KiB buffer,
+//!   checksumming each chunk while it is in cache ([`Crc32`] runs the
+//!   record CRC, the trailer and the manifest CRC off the same
+//!   traversal), and reads no checkpoint back; record lengths, which
+//!   precede their payloads, come from shape arithmetic. A load streams
+//!   the file through the same size of buffer, checksumming and
+//!   decoding in one pass. [`DurableSnapshot::to_bytes`] and
+//!   [`DurableSnapshot::from_bytes`] are the same encoder and decoder
+//!   with a `Vec` or a slice for the file.
 //! - **Retention/GC**: only the newest `retain` checkpoints are kept.
 //! - **Fallback on load**: [`CkptStore::load_latest_valid`] walks
 //!   candidates newest-first, skipping (and counting) corrupt files, and
@@ -46,7 +54,7 @@ use ets_obs::{phase as obs_phase, Lane, Recorder};
 use ets_optim::{Optimizer, OptimizerState};
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -232,56 +240,120 @@ fn io_err(e: std::io::Error) -> CkptError {
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian byte writer/reader.
+// The streaming encoder and decoder of the little-endian format.
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct ByteWriter {
-    buf: Vec<u8>,
+/// Bytes the encoder and the decoder stage between a snapshot and its
+/// file: a save or a load holds this much of the file at once, never
+/// the file.
+const CHUNK: usize = 256 << 10;
+
+/// The one encoder: little-endian fields staged through a fixed
+/// [`CHUNK`]-byte buffer into any sink (the temp file of a save, the
+/// `Vec` of [`DurableSnapshot::to_bytes`]). The whole-file CRC, and
+/// inside a record's payload the record CRC too, fold over the staged
+/// bytes while they are in cache, so the bytes are traversed once.
+struct Encoder<'a> {
+    sink: &'a mut dyn Write,
+    buf: Box<[u8]>,
+    /// `buf[..used]` is encoded, `buf[..fed]` of it folded into the CRCs.
+    used: usize,
+    fed: usize,
+    /// Bytes handed to the sink.
+    flushed: u64,
+    file: Crc32,
+    /// The open record's payload CRC.
+    record: Option<Crc32>,
+    /// The sink's first error: later output is dropped and
+    /// [`Encoder::finish`] returns it.
+    err: Option<io::Error>,
 }
 
-impl ByteWriter {
+impl<'a> Encoder<'a> {
+    fn new(sink: &'a mut dyn Write) -> Self {
+        Encoder {
+            sink,
+            buf: vec![0; CHUNK].into_boxed_slice(),
+            used: 0,
+            fed: 0,
+            flushed: 0,
+            file: Crc32::new(),
+            record: None,
+            err: None,
+        }
+    }
+    /// Bytes encoded so far.
+    fn len(&self) -> u64 {
+        self.flushed + self.used as u64
+    }
+    fn fold(&mut self) {
+        let fresh = &self.buf[self.fed..self.used];
+        match &mut self.record {
+            Some(record) => self.file.update_both(record, fresh),
+            None => self.file.update(fresh),
+        }
+        self.fed = self.used;
+    }
+    fn drain(&mut self) {
+        self.fold();
+        if self.err.is_none() {
+            self.err = self.sink.write_all(&self.buf[..self.used]).err();
+        }
+        self.flushed += self.used as u64;
+        (self.used, self.fed) = (0, 0);
+    }
+    /// The free part of the buffer, after draining it if it has fewer
+    /// than `at_least` bytes.
+    fn room(&mut self, at_least: usize) -> &mut [u8] {
+        if CHUNK - self.used < at_least {
+            self.drain();
+        }
+        &mut self.buf[self.used..]
+    }
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.bytes(&[v]);
     }
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
-    fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
+    fn bytes(&mut self, mut v: &[u8]) {
+        while !v.is_empty() {
+            let room = self.room(1);
+            let n = v.len().min(room.len());
+            room[..n].copy_from_slice(&v[..n]);
+            self.used += n;
+            v = &v[n..];
+        }
     }
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.bytes(s.as_bytes());
     }
-    /// Grows the buffer by `n` bytes and returns them for filling. The
-    /// fixed-width loops over this slice compile to block copies; a
-    /// per-element `push` re-checks the capacity every four bytes.
-    fn grow(&mut self, n: usize) -> &mut [u8] {
-        let at = self.buf.len();
-        self.buf.resize(at + n, 0);
-        &mut self.buf[at..]
+    /// A `u64` count, then each element as `N` little-endian bytes,
+    /// written by a fixed-width loop that compiles to block copies.
+    fn array<T: Copy, const N: usize>(&mut self, mut v: &[T], le: impl Fn(T) -> [u8; N]) {
+        self.u64(v.len() as u64);
+        while !v.is_empty() {
+            let room = self.room(N);
+            let (now, rest) = v.split_at(v.len().min(room.len() / N));
+            for (dst, &x) in room.chunks_exact_mut(N).zip(now) {
+                dst.copy_from_slice(&le(x));
+            }
+            self.used += N * now.len();
+            v = rest;
+        }
     }
     fn u32s(&mut self, v: &[u32]) {
-        self.u64(v.len() as u64);
-        for (dst, x) in self.grow(4 * v.len()).chunks_exact_mut(4).zip(v) {
-            dst.copy_from_slice(&x.to_le_bytes());
-        }
+        self.array(v, u32::to_le_bytes);
     }
     fn u64s(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for (dst, x) in self.grow(8 * v.len()).chunks_exact_mut(8).zip(v) {
-            dst.copy_from_slice(&x.to_le_bytes());
-        }
+        self.array(v, u64::to_le_bytes);
     }
     fn usizes(&mut self, v: &[usize]) {
-        self.u64(v.len() as u64);
-        for (dst, &x) in self.grow(8 * v.len()).chunks_exact_mut(8).zip(v) {
-            dst.copy_from_slice(&(x as u64).to_le_bytes());
-        }
+        self.array(v, |x| (x as u64).to_le_bytes());
     }
     fn tensor(&mut self, name: &str, shape: &[usize], bits: &[u32]) {
         self.str(name);
@@ -297,78 +369,188 @@ impl ByteWriter {
             }
         }
     }
-}
-
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
+    /// Opens a record's payload: what follows, up to
+    /// [`Encoder::end_record`], folds into its CRC as well.
+    fn begin_record(&mut self) {
+        self.fold();
+        self.record = Some(Crc32::new());
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        // `n` comes from the file: near `usize::MAX` an unchecked
+    /// Closes the payload and returns its CRC-32.
+    fn end_record(&mut self) -> u32 {
+        self.fold();
+        self.record.take().expect("a record is open").finish()
+    }
+    /// CRC-32 of everything encoded so far.
+    fn crc(&mut self) -> u32 {
+        self.fold();
+        self.file.finish()
+    }
+    /// Drains the buffer: the length and CRC-32 of all that was encoded,
+    /// or the sink's first error.
+    fn finish(mut self) -> io::Result<(u64, u32)> {
+        self.drain();
+        match self.err.take() {
+            Some(e) => Err(e),
+            None => self
+                .sink
+                .flush()
+                .map(|()| (self.flushed, self.file.finish())),
+        }
+    }
+}
+
+/// The one decoder: the file pulled from a source through a fixed
+/// [`CHUNK`]-byte buffer, with the whole-file CRC, and inside a record's
+/// payload the record CRC too, folded over each chunk, so a load holds
+/// no file-sized copy either. Every read is bounded by the scope it is
+/// in (the body, or the open record's payload), so a length taken from
+/// the file cannot reach past it or size an allocation beyond it.
+struct Decoder<'a> {
+    src: &'a mut dyn Read,
+    buf: Box<[u8]>,
+    /// `buf[at..filled]` is unread; `buf[fed..at]` is read but not yet
+    /// folded.
+    filled: usize,
+    at: usize,
+    fed: usize,
+    /// Body bytes still in `src`.
+    unread: u64,
+    /// Body bytes consumed, and where the current scope ends.
+    pos: u64,
+    end: u64,
+    file: Crc32,
+    /// The open record's payload CRC.
+    record: Option<Crc32>,
+}
+
+impl<'a> Decoder<'a> {
+    /// A decoder of a body of `len` bytes at the front of `src`.
+    fn new(src: &'a mut dyn Read, len: u64) -> Self {
+        Decoder {
+            src,
+            buf: vec![0; CHUNK].into_boxed_slice(),
+            filled: 0,
+            at: 0,
+            fed: 0,
+            unread: len,
+            pos: 0,
+            end: len,
+            file: Crc32::new(),
+            record: None,
+        }
+    }
+    fn fold(&mut self) {
+        let fresh = &self.buf[self.fed..self.at];
+        match &mut self.record {
+            Some(record) => self.file.update_both(record, fresh),
+            None => self.file.update(fresh),
+        }
+        self.fed = self.at;
+    }
+    /// Folds what was read, drops it and tops the buffer up from `src`.
+    fn refill(&mut self) -> Result<(), CkptError> {
+        self.fold();
+        self.buf.copy_within(self.at..self.filled, 0);
+        (self.filled, self.at, self.fed) = (self.filled - self.at, 0, 0);
+        let n = (CHUNK - self.filled).min(usize::try_from(self.unread).unwrap_or(usize::MAX));
+        let to = &mut self.buf[self.filled..self.filled + n];
+        self.src.read_exact(to).map_err(io_err)?;
+        self.filled += n;
+        self.unread -= n as u64;
+        Ok(())
+    }
+    /// Consumes the next unread bytes: a multiple of `unit` (≤ 8), at
+    /// most `max` and at least one unit, refilling the buffer first if
+    /// it holds less than a unit. Only for bytes a [`Decoder::check`]
+    /// has admitted.
+    fn next(&mut self, unit: usize, max: usize) -> Result<&[u8], CkptError> {
+        if self.filled - self.at < unit && self.unread > 0 {
+            self.refill()?;
+        }
+        let n = max.min(self.filled - self.at) / unit * unit;
+        if n == 0 {
+            return Err(CkptError::Malformed("body ends inside a field".to_string()));
+        }
+        (self.at, self.pos) = (self.at + n, self.pos + n as u64);
+        Ok(&self.buf[self.at - n..self.at])
+    }
+    /// Whether the current scope has `n` more bytes.
+    fn check(&self, n: u64) -> Result<(), CkptError> {
+        // `n` comes from the file: near `u64::MAX` an unchecked
         // `pos + n` wraps past the bound check.
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| {
-            CkptError::Malformed(format!(
-                "read of {n} bytes at offset {} overruns {}-byte payload",
-                self.pos,
-                self.buf.len()
-            ))
-        })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+        match self.pos.checked_add(n) {
+            Some(end) if end <= self.end => Ok(()),
+            _ => Err(CkptError::Malformed(format!(
+                "read of {n} bytes at offset {} overruns a scope ending at {}",
+                self.pos, self.end
+            ))),
+        }
     }
-    /// A `u64` count, then that many `width`-byte elements as one slice.
-    fn elems(&mut self, width: usize) -> Result<&'a [u8], CkptError> {
-        let n = self.len(self.buf.len())?;
-        let bytes = n.checked_mul(width).ok_or_else(|| {
-            CkptError::Malformed(format!("{n} elements of {width} bytes overflow"))
-        })?;
-        self.take(bytes)
+    fn skip(&mut self, n: u64) -> Result<(), CkptError> {
+        self.check(n)?;
+        let end = self.pos + n;
+        while self.pos < end {
+            self.next(1, usize::try_from(end - self.pos).unwrap_or(usize::MAX))?;
+        }
+        Ok(())
+    }
+    fn read(&mut self, out: &mut [u8]) -> Result<(), CkptError> {
+        self.check(out.len() as u64)?;
+        let mut at = 0;
+        while at < out.len() {
+            let got = self.next(1, out.len() - at)?;
+            out[at..at + got.len()].copy_from_slice(got);
+            at += got.len();
+        }
+        Ok(())
+    }
+    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], CkptError> {
+        let mut b = [0; N];
+        self.read(&mut b)?;
+        Ok(b)
     }
     fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes::<1>()?[0])
     }
     fn u32(&mut self) -> Result<u32, CkptError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.bytes().map(u32::from_le_bytes)
     }
     fn u64(&mut self) -> Result<u64, CkptError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.bytes().map(u64::from_le_bytes)
     }
     fn usize(&mut self) -> Result<usize, CkptError> {
         usize::try_from(self.u64()?).map_err(|_| CkptError::Malformed("usize overflow".to_string()))
     }
-    fn len(&mut self, bound: usize) -> Result<usize, CkptError> {
-        let n = self.usize()?;
-        if n > bound {
-            return Err(CkptError::Malformed(format!(
-                "length {n} exceeds plausible bound {bound}"
-            )));
-        }
-        Ok(n)
-    }
     fn str(&mut self) -> Result<String, CkptError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CkptError::Malformed("non-UTF-8 string".to_string()))
+        let n = self.u32()?;
+        self.check(n as u64)?; // before the length sizes a buffer
+        let mut bytes = vec![0; n as usize];
+        self.read(&mut bytes)?;
+        String::from_utf8(bytes).map_err(|_| CkptError::Malformed("non-UTF-8 string".to_string()))
+    }
+    /// A `u64` count, then that many `N`-byte little-endian elements.
+    fn array<T, const N: usize>(
+        &mut self,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, CkptError> {
+        let n = self.usize()?;
+        let bytes = n
+            .checked_mul(N)
+            .ok_or_else(|| CkptError::Malformed(format!("{n} elements of {N} bytes overflow")))?;
+        self.check(bytes as u64)?;
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let got = self.next(N, N * (n - out.len()))?;
+            let words = got.chunks_exact(N);
+            out.extend(words.map(|c| from_le(c.try_into().expect("chunks of N"))));
+        }
+        Ok(out)
     }
     fn u32s(&mut self) -> Result<Vec<u32>, CkptError> {
-        let words = self.elems(4)?.chunks_exact(4);
-        Ok(words
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        self.array(u32::from_le_bytes)
     }
     fn u64s(&mut self) -> Result<Vec<u64>, CkptError> {
-        let words = self.elems(8)?.chunks_exact(8);
-        Ok(words
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks of 8")))
-            .collect())
+        self.array(u64::from_le_bytes)
     }
     fn usizes(&mut self) -> Result<Vec<usize>, CkptError> {
         self.u64s()?
@@ -400,15 +582,52 @@ impl<'a> ByteReader<'a> {
             ))),
         }
     }
+    /// The current scope must be used up.
     fn finished(&self) -> Result<(), CkptError> {
-        if self.pos != self.buf.len() {
+        if self.pos != self.end {
             return Err(CkptError::Malformed(format!(
                 "{} trailing bytes after payload",
-                self.buf.len() - self.pos
+                self.end - self.pos
             )));
         }
         Ok(())
     }
+    /// Opens a payload of `len` bytes as the scope, folding into its own
+    /// CRC as well; returns the scope it closes back to.
+    fn begin_record(&mut self, len: u64) -> Result<u64, CkptError> {
+        self.check(len)?;
+        self.fold();
+        self.record = Some(Crc32::new());
+        Ok(std::mem::replace(&mut self.end, self.pos + len))
+    }
+    /// Skips what the payload has left (a decode that stopped early),
+    /// closes it and returns its CRC-32.
+    fn end_record(&mut self, outer: u64) -> Result<u32, CkptError> {
+        self.skip(self.end - self.pos)?;
+        self.fold();
+        self.end = outer;
+        Ok(self.record.take().expect("a record is open").finish())
+    }
+    /// Folds the rest of the body into the file CRC, whatever a walk
+    /// that stopped early left unread, and returns the CRC-32 state and
+    /// the source, positioned at the trailer.
+    fn finish_body(mut self) -> Result<(Crc32, &'a mut dyn Read), CkptError> {
+        self.record = None;
+        loop {
+            self.at = self.filled;
+            if self.unread == 0 {
+                self.fold();
+                return Ok((self.file, self.src));
+            }
+            self.refill()?;
+        }
+    }
+}
+
+/// Stores a decoded record in its slot.
+fn store<T>(slot: &mut Option<T>, decoded: Result<T, CkptError>) -> Result<(), CkptError> {
+    *slot = Some(decoded?);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -492,7 +711,7 @@ pub struct DurableSnapshot {
 }
 
 /// Appends one record's payload to the file being written.
-type RecordEncoder = fn(&DurableSnapshot, &mut ByteWriter);
+type RecordEncoder = fn(&DurableSnapshot, &mut Encoder);
 
 fn to_bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -595,47 +814,42 @@ impl DurableSnapshot {
     /// Serializes to the checked binary format: envelope, named records
     /// with per-record CRC-32, whole-file CRC-32 trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.encode().0
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_to(&mut out)
+            .expect("writing to a Vec cannot fail");
+        out
     }
 
-    /// The file and the CRC-32 of all of it, trailer included (what a
-    /// [`ManifestEntry`] records). Every record is encoded straight into
-    /// the one output buffer, and one traversal of that buffer yields
-    /// the record CRCs, the trailer and the whole-file CRC.
-    fn encode(&self) -> (Vec<u8>, u32) {
-        let mut w = ByteWriter {
-            buf: Vec::with_capacity(self.encoded_len()),
-        };
+    /// Streams the file into `sink` through the encoder's fixed buffer
+    /// and returns its length and the CRC-32 of all of it, trailer
+    /// included (what a [`ManifestEntry`] records), from the same
+    /// traversal. A record's length precedes its payload, so it comes
+    /// from [`DurableSnapshot::record_lens`], and the payload is checked
+    /// against it.
+    fn write_to(&self, sink: &mut dyn Write) -> io::Result<(u64, u32)> {
+        let mut w = Encoder::new(sink);
         w.bytes(MAGIC);
         w.u32(CKPT_STORE_VERSION);
         w.u64(self.progress.step);
         w.u32(Self::RECORDS.len() as u32);
-        let mut file = Crc32::new();
-        let mut fed = 0; // `w.buf[..fed]` is folded into `file`
-        for (name, encode) in Self::RECORDS {
+        for ((name, encode), len) in Self::RECORDS.into_iter().zip(self.record_lens()) {
             w.str(name);
-            let len_at = w.buf.len();
-            w.u64(0);
-            let start = w.buf.len();
+            w.u64(len as u64);
+            w.begin_record();
+            let start = w.len();
             encode(self, &mut w);
-            let len = (w.buf.len() - start) as u64;
-            w.buf[len_at..start].copy_from_slice(&len.to_le_bytes());
-            let mut record = Crc32::new();
-            file.update(&w.buf[fed..start]);
-            file.update_both(&mut record, &w.buf[start..]);
-            fed = w.buf.len();
-            w.u32(record.finish());
+            assert_eq!(w.len() - start, len as u64, "length of the {name} record");
+            let crc = w.end_record();
+            w.u32(crc);
         }
-        file.update(&w.buf[fed..]);
-        let trailer = file.finish().to_le_bytes();
-        w.bytes(&trailer);
-        file.update(&trailer);
-        (w.buf, file.finish())
+        let trailer = w.crc();
+        w.u32(trailer);
+        w.finish()
     }
 
-    /// Exact length of [`DurableSnapshot::to_bytes`], so the output is
-    /// reserved once and never regrown (8 MB for the chaos model).
-    fn encoded_len(&self) -> usize {
+    /// Payload length of each of [`DurableSnapshot::RECORDS`], by shape
+    /// arithmetic alone.
+    fn record_lens(&self) -> [usize; 6] {
         let u32s = |v: &[u32]| 8 + 4 * v.len();
         let tensor = |name: &str, shape: &[usize], bits: &[u32]| {
             4 + name.len() + 8 + 8 * shape.len() + u32s(bits)
@@ -644,7 +858,7 @@ impl DurableSnapshot {
         let params = self.params.iter();
         let bn = self.bn_running.iter();
         let ema = self.ema.iter().flat_map(|e| &e.shadow);
-        let payloads = [
+        [
             5 * 8 + 4 + 8 + 4,
             4 + params
                 .map(|t| tensor(&t.name, &t.shape, &t.bits))
@@ -660,9 +874,13 @@ impl DurableSnapshot {
                 .iter()
                 .map(|r| 8 + 4 + 4 + opt_f64(r.eval_top1) + opt_f64(r.eval_top5))
                 .sum::<usize>(),
-        ];
+        ]
+    }
+
+    /// Exact length of [`DurableSnapshot::to_bytes`].
+    fn encoded_len(&self) -> usize {
         let framing = Self::RECORDS.iter().map(|(name, _)| 4 + name.len() + 8 + 4);
-        ENVELOPE_LEN + framing.sum::<usize>() + payloads.iter().sum::<usize>()
+        ENVELOPE_LEN + framing.sum::<usize>() + self.record_lens().iter().sum::<usize>()
     }
 
     /// Parses and fully validates bytes produced by
@@ -670,29 +888,29 @@ impl DurableSnapshot {
     /// bit, truncation, bad structure — returns a typed [`CkptError`];
     /// success means every checksum passed.
     pub fn from_bytes(bytes: &[u8]) -> Result<DurableSnapshot, CkptError> {
-        Self::decode(bytes).map(|(snap, _)| snap)
+        Self::decode(&mut &bytes[..], bytes.len() as u64).map(|(snap, _)| snap)
     }
 
-    /// [`DurableSnapshot::from_bytes`], plus the CRC-32 of all of
-    /// `bytes` from the same traversal (the manifest cross-check).
-    fn decode(bytes: &[u8]) -> Result<(DurableSnapshot, u32), CkptError> {
-        if bytes.len() < ENVELOPE_LEN {
-            return Err(CkptError::TooShort { len: bytes.len() });
+    /// Decodes the `len`-byte file at the front of `src` through the
+    /// decoder's fixed buffer: the snapshot, and the CRC-32 of the whole
+    /// file from the same traversal (the manifest cross-check).
+    fn decode(src: &mut dyn Read, len: u64) -> Result<(DurableSnapshot, u32), CkptError> {
+        if len < ENVELOPE_LEN as u64 {
+            return Err(CkptError::TooShort { len: len as usize });
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let expected = u32::from_le_bytes(trailer.try_into().expect("split at len - 4"));
-        // One traversal: `parse_body` folds what it walks into `file`
-        // (each payload into its record CRC in the same loop), and what
-        // it did not reach, having stopped at an error, is folded here.
-        // The whole-file CRC is still judged first: it guarantees any
-        // single flipped bit is caught even if it would happen to
-        // parse, and reports it as a "file" mismatch whatever else the
-        // flip also broke.
-        let mut file = Crc32::new();
-        let mut fed = 0;
-        let parsed = Self::parse_body(body, &mut file, &mut fed);
-        file.update(&body[fed..]);
-        let actual = file.finish();
+        // One traversal: `parse_body` folds what it walks into the file
+        // CRC (each payload into its record CRC in the same loop), and
+        // what it did not reach, having stopped at an error, is folded
+        // by `finish_body`. The whole-file CRC is still judged first: it
+        // guarantees any single flipped bit is caught even if it would
+        // happen to parse, and reports it as a "file" mismatch whatever
+        // else the flip also broke.
+        let mut body = Decoder::new(src, len - 4);
+        let parsed = Self::parse_body(&mut body);
+        let (mut file, src) = body.finish_body()?;
+        let mut trailer = [0; 4];
+        src.read_exact(&mut trailer).map_err(io_err)?;
+        let (expected, actual) = (u32::from_le_bytes(trailer), file.finish());
         if expected != actual {
             return Err(CkptError::ChecksumMismatch {
                 what: "file",
@@ -700,19 +918,15 @@ impl DurableSnapshot {
                 actual,
             });
         }
-        file.update(trailer);
+        file.update(&trailer);
         Ok((parsed?, file.finish()))
     }
 
-    /// Walks the envelope and records of `body`, folding `body[..*fed]`
-    /// into `file` as it goes.
-    fn parse_body(
-        body: &[u8],
-        file: &mut Crc32,
-        fed: &mut usize,
-    ) -> Result<DurableSnapshot, CkptError> {
-        let mut r = ByteReader::new(body);
-        if r.take(MAGIC.len())? != MAGIC {
+    /// Walks the envelope and records of the body. A payload is decoded
+    /// as it streams in, but its CRC, which follows it, outranks what
+    /// the decode found, as if it had been checked first.
+    fn parse_body(r: &mut Decoder) -> Result<DurableSnapshot, CkptError> {
+        if &r.bytes()? != MAGIC {
             return Err(CkptError::BadMagic);
         }
         let version = r.u32()?;
@@ -729,14 +943,21 @@ impl DurableSnapshot {
         let mut history = None;
         for _ in 0..count {
             let name = r.str()?;
-            let len = r.usize()?;
-            let payload = r.take(len)?;
-            let mut record = Crc32::new();
-            file.update(&body[*fed..r.pos - len]);
-            file.update_both(&mut record, payload);
-            *fed = r.pos;
+            let len = r.u64()?;
+            let outer = r.begin_record(len)?;
+            let decoded = match name.as_str() {
+                "meta" => store(&mut meta, Self::decode_meta(r, step)),
+                "params" => store(&mut params, Self::decode_params(r)),
+                "bn" => store(&mut bn, Self::decode_bn(r)),
+                "opt" => store(&mut opt, Self::decode_opt(r)),
+                "ema" => store(&mut ema, Self::decode_ema(r)),
+                "history" => store(&mut history, Self::decode_history(r)),
+                // Unknown records from a future minor revision are
+                // checksum-verified and skipped.
+                _ => Ok(()),
+            };
+            let rec_actual = r.end_record(outer)?;
             let rec_expected = r.u32()?;
-            let rec_actual = record.finish();
             if rec_expected != rec_actual {
                 return Err(CkptError::ChecksumMismatch {
                     what: "record",
@@ -744,17 +965,7 @@ impl DurableSnapshot {
                     actual: rec_actual,
                 });
             }
-            match name.as_str() {
-                "meta" => meta = Some(Self::decode_meta(payload, step)?),
-                "params" => params = Some(Self::decode_params(payload)?),
-                "bn" => bn = Some(Self::decode_bn(payload)?),
-                "opt" => opt = Some(Self::decode_opt(payload)?),
-                "ema" => ema = Some(Self::decode_ema(payload)?),
-                "history" => history = Some(Self::decode_history(payload)?),
-                // Unknown records from a future minor revision are
-                // checksum-verified and skipped.
-                _ => {}
-            }
+            decoded?;
         }
         r.finished()?;
         let missing = |what: &str| CkptError::Malformed(format!("missing {what} record"));
@@ -770,7 +981,7 @@ impl DurableSnapshot {
         })
     }
 
-    fn encode_meta(&self, w: &mut ByteWriter) {
+    fn encode_meta(&self, w: &mut Encoder) {
         let p = &self.progress;
         w.u64(p.epoch);
         w.u64(p.sample_off);
@@ -784,8 +995,7 @@ impl DurableSnapshot {
 
     /// The progress cursor (`step` travels in the envelope) and the
     /// world size.
-    fn decode_meta(p: &[u8], step: u64) -> Result<(Progress, u64), CkptError> {
-        let mut r = ByteReader::new(p);
+    fn decode_meta(r: &mut Decoder, step: u64) -> Result<(Progress, u64), CkptError> {
         let (epoch, sample_off, steps_this_epoch, consumed_samples, world) =
             (r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?);
         let progress = Progress {
@@ -802,21 +1012,20 @@ impl DurableSnapshot {
         Ok((progress, world))
     }
 
-    fn encode_params(&self, w: &mut ByteWriter) {
+    fn encode_params(&self, w: &mut Encoder) {
         w.u32(self.params.len() as u32);
         for rec in &self.params {
             w.tensor(&rec.name, &rec.shape, &rec.bits);
         }
     }
 
-    fn decode_params(p: &[u8]) -> Result<Vec<TensorRecord>, CkptError> {
-        let mut r = ByteReader::new(p);
+    fn decode_params(r: &mut Decoder) -> Result<Vec<TensorRecord>, CkptError> {
         let out = r.tensors()?;
         r.finished()?;
         Ok(out)
     }
 
-    fn encode_bn(&self, w: &mut ByteWriter) {
+    fn encode_bn(&self, w: &mut Encoder) {
         w.u32(self.bn_running.len() as u32);
         for (mean, var) in &self.bn_running {
             w.u32s(mean);
@@ -825,8 +1034,7 @@ impl DurableSnapshot {
     }
 
     #[allow(clippy::type_complexity)]
-    fn decode_bn(p: &[u8]) -> Result<Vec<(Vec<u32>, Vec<u32>)>, CkptError> {
-        let mut r = ByteReader::new(p);
+    fn decode_bn(r: &mut Decoder) -> Result<Vec<(Vec<u32>, Vec<u32>)>, CkptError> {
         let n = r.u32()? as usize;
         let mut out = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
@@ -836,7 +1044,7 @@ impl DurableSnapshot {
         Ok(out)
     }
 
-    fn encode_opt(&self, w: &mut ByteWriter) {
+    fn encode_opt(&self, w: &mut Encoder) {
         w.u64s(&self.opt_state.scalars);
         w.u32(self.opt_state.banks.len() as u32);
         for bank in &self.opt_state.banks {
@@ -844,8 +1052,7 @@ impl DurableSnapshot {
         }
     }
 
-    fn decode_opt(p: &[u8]) -> Result<OptimizerState, CkptError> {
-        let mut r = ByteReader::new(p);
+    fn decode_opt(r: &mut Decoder) -> Result<OptimizerState, CkptError> {
         let scalars = r.u64s()?;
         let n = r.u32()? as usize;
         let mut banks = Vec::with_capacity(n.min(1 << 16));
@@ -856,7 +1063,7 @@ impl DurableSnapshot {
         Ok(OptimizerState { scalars, banks })
     }
 
-    fn encode_ema(&self, w: &mut ByteWriter) {
+    fn encode_ema(&self, w: &mut Encoder) {
         match &self.ema {
             None => w.u8(0),
             Some(state) => {
@@ -871,8 +1078,7 @@ impl DurableSnapshot {
         }
     }
 
-    fn decode_ema(p: &[u8]) -> Result<Option<EmaState>, CkptError> {
-        let mut r = ByteReader::new(p);
+    fn decode_ema(r: &mut Decoder) -> Result<Option<EmaState>, CkptError> {
         let present = r.u8()?;
         let out = match present {
             0 => None,
@@ -895,7 +1101,7 @@ impl DurableSnapshot {
         Ok(out)
     }
 
-    fn encode_history(&self, w: &mut ByteWriter) {
+    fn encode_history(&self, w: &mut Encoder) {
         w.u32(self.history.len() as u32);
         for rec in &self.history {
             w.u64(rec.epoch);
@@ -906,8 +1112,7 @@ impl DurableSnapshot {
         }
     }
 
-    fn decode_history(p: &[u8]) -> Result<Vec<EpochRecord>, CkptError> {
-        let mut r = ByteReader::new(p);
+    fn decode_history(r: &mut Decoder) -> Result<Vec<EpochRecord>, CkptError> {
         let n = r.u32()? as usize;
         let mut out = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
@@ -990,7 +1195,9 @@ impl CkptStore {
     /// Atomically persists `snap`, updates the manifest, and applies the
     /// retention policy. Returns the checkpoint's final path.
     ///
-    /// The new file's manifest entry comes from the bytes in hand and
+    /// The encoding streams into the temp file through a fixed buffer,
+    /// so a save holds no file-sized copy of the snapshot. The new
+    /// file's manifest entry comes from the traversal that wrote it and
     /// the retained files keep the entries of the manifest being
     /// replaced, so a save reads no checkpoint back — and cannot bless
     /// a retained file that rotted since it was written.
@@ -1000,9 +1207,9 @@ impl CkptStore {
             rec.counter_add("ckpt_saves", 1);
             rec.wall_span(Lane::WallCkpt, obs_phase::DURABLE_CHECKPOINT, step, 0)
         });
-        let (bytes, crc) = snap.encode();
-        let final_path = self.write_atomic(&Self::file_name(step), &bytes)?;
-        self.count("ckpt_bytes_written", bytes.len() as u64);
+        let (final_path, (len, crc)) =
+            self.write_atomic(&Self::file_name(step), |f| snap.write_to(f))?;
+        self.count("ckpt_bytes_written", len);
         // fsync the directory so the rename itself is durable.
         if let Ok(d) = fs::File::open(&self.dir) {
             let _ = d.sync_all();
@@ -1011,16 +1218,16 @@ impl CkptStore {
         // files are re-derived from disk.
         let mut known = self.read_manifest().ok().flatten().unwrap_or_default();
         known.retain(|e| e.step != step);
-        known.push(Self::entry(step, bytes.len(), crc));
+        known.push(Self::entry(step, len, crc));
         self.gc_and_write_manifest(&known)?;
         Ok(final_path)
     }
 
-    fn entry(step: u64, len: usize, crc: u32) -> ManifestEntry {
+    fn entry(step: u64, len: u64, crc: u32) -> ManifestEntry {
         ManifestEntry {
             step,
             file: Self::file_name(step),
-            len: len as u64,
+            len,
             crc,
         }
     }
@@ -1031,17 +1238,23 @@ impl CkptStore {
         }
     }
 
-    /// Writes `bytes` to `<name>.tmp`, fsyncs, and renames it to `name`:
+    /// Lets `write` fill `<name>.tmp`, fsyncs, and renames it to `name`:
     /// readers see the old file or the new one, never a torn one.
-    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<PathBuf, CkptError> {
+    /// Returns the final path and what `write` returned.
+    fn write_atomic<T>(
+        &self,
+        name: &str,
+        write: impl FnOnce(&mut fs::File) -> io::Result<T>,
+    ) -> Result<(PathBuf, T), CkptError> {
         let (tmp, path) = (self.dir.join(format!("{name}.tmp")), self.dir.join(name));
-        {
+        let out = {
             let mut f = fs::File::create(&tmp).map_err(io_err)?;
-            f.write_all(bytes).map_err(io_err)?;
+            let out = write(&mut f).map_err(io_err)?;
             f.sync_all().map_err(io_err)?;
-        }
+            out
+        };
         fs::rename(&tmp, &path).map_err(io_err)?;
-        Ok(path)
+        Ok((path, out))
     }
 
     /// Steps of checkpoint files present on disk, ascending.
@@ -1152,17 +1365,20 @@ impl CkptStore {
     }
 
     /// The validated checkpoint at `step` and the manifest entry of the
-    /// file it was parsed from, both from one traversal of its bytes.
+    /// file it was parsed from, both from one traversal of its bytes,
+    /// which stream through the decoder's buffer.
     fn read_step(&self, step: u64) -> Result<(DurableSnapshot, ManifestEntry), CkptError> {
-        let bytes = self.read_file(step)?;
-        let (snap, crc) = DurableSnapshot::decode(&bytes)?;
+        let mut file = fs::File::open(self.path_for(step)).map_err(io_err)?;
+        let len = file.metadata().map_err(io_err)?.len();
+        self.count("ckpt_bytes_read", len);
+        let (snap, crc) = DurableSnapshot::decode(&mut file, len)?;
         if snap.progress.step != step {
             return Err(CkptError::Malformed(format!(
                 "file named for step {step} contains step {}",
                 snap.progress.step
             )));
         }
-        Ok((snap, Self::entry(step, bytes.len(), crc)))
+        Ok((snap, Self::entry(step, len, crc)))
     }
 
     fn read_file(&self, step: u64) -> Result<Vec<u8>, CkptError> {
@@ -1187,11 +1403,12 @@ impl CkptStore {
                 Some(e) => Some(e.clone()),
                 None => {
                     let bytes = self.read_file(step).ok()?;
-                    Some(Self::entry(step, bytes.len(), crc32(&bytes)))
+                    Some(Self::entry(step, bytes.len() as u64, crc32(&bytes)))
                 }
             })
             .collect();
-        self.write_atomic(MANIFEST, render_manifest(&entries).as_bytes())?;
+        let manifest = render_manifest(&entries);
+        self.write_atomic(MANIFEST, |f| f.write_all(manifest.as_bytes()))?;
         Ok(())
     }
 
@@ -1520,12 +1737,12 @@ mod tests {
         let extended = repatched(&sample_snapshot(2).to_bytes(), |b| {
             let count = u32::from_le_bytes(b[at_count..at_count + 4].try_into().unwrap());
             b[at_count..at_count + 4].copy_from_slice(&(count + 1).to_le_bytes());
-            let mut w = ByteWriter::default();
+            let mut w = Encoder::new(b);
             w.str("future");
             w.u64(3);
             w.bytes(b"abc");
             w.u32(crc32(b"abc"));
-            b.extend_from_slice(&w.buf);
+            w.finish().unwrap();
         });
         assert_eq!(
             DurableSnapshot::from_bytes(&extended).unwrap(),
@@ -1591,9 +1808,14 @@ mod tests {
 
     #[test]
     fn whole_file_crc_is_the_body_state_extended_over_the_trailer() {
-        let (bytes, whole) = sample_snapshot(7).encode();
+        let mut bytes = Vec::new();
+        let (len, whole) = sample_snapshot(7).write_to(&mut bytes).unwrap();
+        assert_eq!(len, bytes.len() as u64);
         assert_eq!(whole, crc32(&bytes));
-        assert_eq!(DurableSnapshot::decode(&bytes).unwrap().1, whole);
+        assert_eq!(
+            DurableSnapshot::decode(&mut &bytes[..], len).unwrap().1,
+            whole
+        );
         let (body, trailer) = bytes.split_at(bytes.len() - 4);
         let mut state = Crc32::new();
         state.update(body);
@@ -1809,14 +2031,100 @@ mod tests {
     }
 
     #[test]
-    fn output_buffer_is_reserved_exactly() {
+    fn every_record_has_the_length_its_shapes_give() {
+        // A record's length is written before its payload, so it comes
+        // from `record_lens`; the file must agree with it record by
+        // record, and `to_bytes` must have reserved exactly.
         let mut m = model(3);
-        for snap in [sample_snapshot(7), capture_model(&mut m, 2)] {
-            assert_eq!(snap.encoded_len(), snap.to_bytes().len());
-        }
         let mut bare = sample_snapshot(1);
         (bare.ema, bare.history) = (None, Vec::new());
-        assert_eq!(bare.encoded_len(), bare.to_bytes().len());
+        for snap in [sample_snapshot(7), capture_model(&mut m, 2), bare] {
+            let bytes = snap.to_bytes();
+            let mut src = &bytes[..];
+            let mut r = Decoder::new(&mut src, bytes.len() as u64 - 4);
+            r.skip(ENVELOPE_LEN as u64 - 4).unwrap();
+            let records = DurableSnapshot::RECORDS.iter().zip(snap.record_lens());
+            for ((name, _), len) in records {
+                assert_eq!(r.str().unwrap(), *name);
+                assert_eq!(r.usize().unwrap(), len, "{name} record");
+                r.skip(len as u64 + 4).unwrap();
+            }
+            r.finished().unwrap();
+            assert_eq!(snap.encoded_len(), bytes.len());
+            assert_eq!(snap.encoded_len(), bytes.capacity());
+        }
+    }
+
+    /// A snapshot of several encoder chunks whose arrays and names end
+    /// at odd offsets, so fields straddle the buffer's drains.
+    fn multi_chunk_snapshot(step: u64) -> DurableSnapshot {
+        let mut snap = sample_snapshot(step);
+        let words = |n: usize, salt: u32| -> Vec<u32> {
+            (0..n as u32)
+                .map(|i| i.wrapping_mul(0x9E37_79B9) ^ salt)
+                .collect()
+        };
+        for (i, n) in [65_537usize, 3, 131_071, 40_000].into_iter().enumerate() {
+            snap.params.push(TensorRecord {
+                name: format!("block{i}/{}", "w".repeat(2 * i + 1)),
+                shape: vec![n],
+                bits: words(n, i as u32),
+            });
+        }
+        snap.opt_state.banks.push(words(99_999, 7));
+        snap
+    }
+
+    #[test]
+    fn a_saved_file_is_to_bytes_and_its_entry_is_the_file() {
+        let dir = scratch_dir("streamed");
+        let store = CkptStore::open(&dir, 2).unwrap();
+        for snap in [sample_snapshot(3), multi_chunk_snapshot(4)] {
+            let path = store.save(&snap).unwrap();
+            let bytes = fs::read(&path).unwrap();
+            assert_eq!(bytes, snap.to_bytes(), "step {}", snap.progress.step);
+            assert_eq!(DurableSnapshot::from_bytes(&bytes).unwrap(), snap);
+            let manifest = store.read_manifest().unwrap().unwrap();
+            let entry = manifest.iter().find(|e| e.step == snap.progress.step);
+            assert_eq!(
+                entry,
+                Some(&CkptStore::entry(
+                    snap.progress.step,
+                    bytes.len() as u64,
+                    crc32(&bytes)
+                ))
+            );
+        }
+        assert!(multi_chunk_snapshot(4).encoded_len() > 4 * CHUNK);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A sink with room for `.0` more bytes, then full.
+    struct Full(usize);
+
+    impl Write for Full {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.0 == 0 {
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "sink full"));
+            }
+            let n = buf.len().min(self.0);
+            self.0 -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_fails_the_encode() {
+        let snap = multi_chunk_snapshot(2);
+        for room in [0, 100, CHUNK, 3 * CHUNK + 5] {
+            let err = snap.write_to(&mut Full(room)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull, "room {room}");
+        }
+        let room = snap.encoded_len();
+        assert_eq!(snap.write_to(&mut Full(room)).unwrap().0, room as u64);
     }
 
     #[test]

@@ -813,7 +813,7 @@ struct PhaseEnv<'a> {
 
 /// One replica's whole state for a phase. The step loop ([`Replica::run`])
 /// and every recovery path are methods on it and share one restore
-/// ([`Replica::rewind`]), one durable save and one phase lap.
+/// ([`Replica::rewind`]), one checkpoint site and one phase lap.
 struct Replica<'a> {
     env: &'a PhaseEnv<'a>,
     rank: usize,
@@ -965,21 +965,44 @@ impl<'a> Replica<'a> {
         self.vnow += dur_s;
     }
 
-    /// The one durable save. Rank 0 persists the state every rank holds;
-    /// counter and instant count *logical* checkpoints on all ranks, so
-    /// the cross-rank virtual fingerprint stays equal.
-    fn save_durable(&mut self) {
-        if self.rank == 0 {
-            let store = self.env.store.expect("durable saves require the store");
-            let snap = self.capture();
-            store.save(&snap).expect("durable checkpoint save failed");
+    /// The one checkpoint site: a durable save, a fresh rewind anchor, or
+    /// both from one capture. The old anchor goes before the capture, so
+    /// a rank holds one snapshot at any moment whatever the other ranks
+    /// do; a rank that neither saves nor anchors captures nothing. Rank 0
+    /// persists the state every rank holds; counters and instants count
+    /// *logical* checkpoints on all ranks (the durable one first), so the
+    /// cross-rank virtual fingerprint stays equal.
+    fn checkpoint(&mut self, durable: bool, anchor: bool) {
+        if anchor {
+            self.anchor = None;
         }
-        self.counters.durable_checkpoints += 1;
-        self.mark(
-            obs_ph::DURABLE_CHECKPOINT,
-            self.prog.step,
-            self.counters.durable_checkpoints,
-        );
+        let snap = (anchor || (durable && self.rank == 0)).then(|| self.capture());
+        if durable {
+            if self.rank == 0 {
+                let store = self.env.store.expect("durable saves require the store");
+                let snap = snap.as_ref().expect("rank 0 captured for the save");
+                store.save(snap).expect("durable checkpoint save failed");
+            }
+            self.counters.durable_checkpoints += 1;
+            self.mark(
+                obs_ph::DURABLE_CHECKPOINT,
+                self.prog.step,
+                self.counters.durable_checkpoints,
+            );
+        }
+        if anchor {
+            self.anchor = Some(RewindAnchor {
+                state: snap.expect("captured for the anchor"),
+                data_rng: self.data_rng.clone(),
+                layer_rng: self.layer_rng.clone(),
+            });
+            self.counters.checkpoints_taken += 1;
+            self.mark(
+                obs_ph::CHECKPOINT,
+                self.prog.step,
+                self.counters.checkpoints_taken,
+            );
+        }
     }
 
     /// The one restore path: resume, preemption, quarantine and
@@ -1336,27 +1359,13 @@ impl<'a> Replica<'a> {
             // Durable cadence save: rank 0 persists *before* this step's
             // collective, so the write happens-before any rank's
             // post-collective guard trip — every rank that rolls back
-            // sees the completed, renamed file.
-            if durable_cadence && on_cadence {
-                self.save_durable();
-            }
-
-            // In-memory anchor (only when the plan can actually preempt
-            // us). Taken *before* the preemption check: a checkpoint
-            // written at step `s` survives a job death at step `s`.
-            if faults.has_preempts() && (on_cadence || self.anchor.is_none()) {
-                self.anchor = Some(RewindAnchor {
-                    state: self.capture(),
-                    data_rng: self.data_rng.clone(),
-                    layer_rng: self.layer_rng.clone(),
-                });
-                self.counters.checkpoints_taken += 1;
-                self.mark(
-                    obs_ph::CHECKPOINT,
-                    self.prog.step,
-                    self.counters.checkpoints_taken,
-                );
-            }
+            // sees the completed, renamed file. In-memory anchor (only
+            // when the plan can actually preempt us): taken *before* the
+            // preemption check, so a checkpoint written at step `s`
+            // survives a job death at step `s`. One capture serves both.
+            let durable = durable_cadence && on_cadence;
+            let anchor = faults.has_preempts() && (on_cadence || self.anchor.is_none());
+            self.checkpoint(durable, anchor);
 
             // Each planned preemption fires once per run, whatever rolls
             // back across it: `counters.preemptions`, carried through
@@ -1456,7 +1465,9 @@ impl<'a> Replica<'a> {
         // durable checkpoint every survivor will resume from. The thread
         // join in `train` orders this write before the next phase's loads.
         if !done {
-            self.save_durable();
+            // The phase ends here, so its anchor goes before the capture.
+            self.anchor = None;
+            self.checkpoint(true, false);
             // The resize protocol's virtual cost (durable persist +
             // collective rebuild + restart) is charged by `train` between
             // phases; trace it here so every old-world rank records the

@@ -103,23 +103,28 @@ fn fold(p: &Partials) -> f32 {
 /// plane: partial `j` takes the elements `k ≡ j (mod 8)`, `k` ascending,
 /// and the eight fold in the fixed tree. Eight independent chains where
 /// a sequential sum is one, so a parameter-sized norm (LARS, LAMB,
-/// gradient clipping) runs at memory speed instead of add latency.
-/// Compiled for the baseline target on every lane: LLVM vectorizes the
-/// `f64` partials there, and no vector width is named.
+/// gradient clipping) is not bound by add latency. Runs under
+/// [`on_lane`], like the batch-norm sums: no vector width is named, so
+/// every lane gives the same bits.
 pub fn sum_sq(x: &[f32]) -> f64 {
-    let mut s = [0.0; PARTIALS];
-    let (x8, rest) = x.as_chunks::<PARTIALS>();
-    for v in x8 {
-        for j in 0..PARTIALS {
-            let d = v[j] as f64;
-            s[j] += d * d;
-        }
-    }
-    for (j, &v) in rest.iter().enumerate() {
-        let d = v as f64;
-        s[j] += d * d;
-    }
-    fold64(&s)
+    on_lane(
+        #[inline(always)]
+        || {
+            let mut s = [0.0; PARTIALS];
+            let (x8, rest) = x.as_chunks::<PARTIALS>();
+            for v in x8 {
+                for j in 0..PARTIALS {
+                    let d = v[j] as f64;
+                    s[j] += d * d;
+                }
+            }
+            for (j, &v) in rest.iter().enumerate() {
+                let d = v as f64;
+                s[j] += d * d;
+            }
+            fold64(&s)
+        },
+    )
 }
 
 /// `sum[ch] = Σa`, `sum_ab[ch] = Σa·b` over the planes of channel `ch`.

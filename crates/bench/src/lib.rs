@@ -17,7 +17,7 @@ use ets_obs::{
     RunSummary,
 };
 use ets_tpu_sim::{
-    amdahl_serial_fraction, auto_backend_for, predict_peak_accuracy, scaling_sweep, step_time,
+    amdahl_serial_fraction, predict_peak_accuracy, scaling_sweep, schedule_for, step_time,
     step_time_for_backend, time_to_accuracy_for_backend, OptimizerKind, RunConfig, ScalingPoint,
     StepConfig, TABLE2,
 };
@@ -186,7 +186,7 @@ pub struct Figure1Point {
 
 fn figure1_point(v: Variant, cores: usize, gbs: usize, opt: OptimizerKind) -> Figure1Point {
     let out = time_to_accuracy_for_backend(&RunConfig::paper(v, cores, gbs, opt), Backend::Auto);
-    let picked = auto_backend_for(&StepConfig::new(v, cores, gbs));
+    let picked = schedule_for(&StepConfig::new(v, cores, gbs), Backend::Auto).backend();
     Figure1Point {
         model: v.name().to_string(),
         cores,

@@ -229,6 +229,71 @@ fn scaling_backend_rows_pass_the_growth_gate_and_it_rejects_inversions() {
         .contains("missing scaling row"));
 }
 
+/// The committed `BENCH_step_time.json` is what the code builds now: its
+/// analytic runs (the Table 1 operating points, then the per-backend
+/// scaling rows) equal the rows `step_time_summaries()` and
+/// `scaling_backend_rows()` build, field by field, every float to the bit.
+#[test]
+fn committed_step_time_artifact_is_what_the_code_builds() {
+    let committed = include_str!("../../../BENCH_step_time.json");
+    validate_step_time_json(committed).expect("committed BENCH_step_time.json schema");
+    let v = parse_json(committed).unwrap();
+    let runs = v.get("runs").unwrap().as_arr().unwrap();
+    let built: Vec<_> = step_time_summaries()
+        .into_iter()
+        .chain(scaling_backend_rows())
+        .collect();
+    assert_eq!(
+        built.len(),
+        TABLE1_PAPER.len() + 2 * SCALING_BACKEND_CORES.len()
+    );
+    assert_eq!(runs.len(), built.len() + 1, "then one measured row");
+    for (run, s) in runs.iter().zip(&built) {
+        assert_eq!(run.get("label").and_then(Value::as_str), Some(&*s.label));
+        assert_eq!(
+            run.get("backend").and_then(Value::as_str),
+            Some(&*s.backend),
+            "{}",
+            s.label
+        );
+        assert_eq!(run.as_obj().unwrap().len(), 15, "{}: field count", s.label);
+        let o = &s.overhead;
+        let fields = [
+            (run, "cores", s.cores as f64),
+            (run, "global_batch", s.global_batch as f64),
+            (run, "steps", s.steps as f64),
+            (run, "step_ms", s.step_ms),
+            (run, "all_reduce_pct", s.all_reduce_pct),
+            (run, "overlap_pct", s.overlap_pct),
+            (run, "bn_sync_pct", s.bn_sync_pct),
+            (run, "images_per_sec", s.images_per_sec),
+            (run, "total_virtual_s", s.total_virtual_s),
+            (run, "corruptions_detected", s.corruptions_detected as f64),
+            (run, "corruptions_corrected", s.corruptions_corrected as f64),
+            (run, "rank_quarantines", s.rank_quarantines as f64),
+        ];
+        let overhead = run.get("overhead").unwrap();
+        assert_eq!(overhead.as_obj().unwrap().len(), 6, "{}", s.label);
+        let overhead_fields = [
+            (overhead, "retry_backoff_s", o.retry_backoff_s),
+            (overhead, "restart_s", o.restart_s),
+            (overhead, "straggler_s", o.straggler_s),
+            (overhead, "degrade_s", o.degrade_s),
+            (overhead, "resize_s", o.resize_s),
+            (overhead, "total_s", o.total()),
+        ];
+        for (obj, key, want) in fields.into_iter().chain(overhead_fields) {
+            let got = obj.get(key).and_then(Value::as_f64);
+            assert_eq!(
+                got.map(f64::to_bits),
+                Some(want.to_bits()),
+                "{}: {key} committed {got:?}, built {want}",
+                s.label
+            );
+        }
+    }
+}
+
 #[test]
 fn smoke_path_emits_valid_artifacts() {
     let art = run_smoke();

@@ -6,10 +6,11 @@
 //!
 //! [`Backend`] names the all-reduce *schedule* a pod runs: a tree, a
 //! ring, the 2-D torus exchange, or per payload the cheapest of them
-//! (`Auto`). Which one wins is a property of the pod's links, so the
-//! schedules are priced by the α–β models in [`crate::cost`] and replayed
-//! message by message in `ets-tpu-sim`'s `netsim`. Replica threads share
-//! memory, so in this process every `Backend` runs the same
+//! (`Auto`). Which one wins is a property of the pod's links, so
+//! [`Schedule::for_backend`](crate::Schedule::for_backend) turns the
+//! label into a schedule that [`crate::cost`] prices and `ets-tpu-sim`'s
+//! `netsim` runs step by step. Replica threads share memory, so in this
+//! process every `Backend` runs the same
 //! [communicator rounds](crate::comm): a sum is folded by every rank from
 //! the deposited slots, a mean by each rank for its share straight from
 //! every rank's pieces, both in the **canonical grid-blocked order** —
@@ -29,8 +30,8 @@ use crate::fault::CollectiveError;
 use crate::topology::canonical_grid;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// An all-reduce schedule, as priced by [`crate::cost`] and `ets-tpu-sim`.
-/// In process every value runs the same communicator round
+/// The name of an all-reduce schedule:
+/// [`Schedule::for_backend`](crate::Schedule::for_backend) reads it. In process every value runs the same communicator round
 /// ([`create_collective`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {

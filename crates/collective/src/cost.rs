@@ -5,6 +5,13 @@
 //! α–β formulation: a per-step latency term α and a bandwidth term β =
 //! bytes/link-bandwidth.
 //!
+//! One value, [`Schedule`], describes the all-reduce a pod runs.
+//! [`Schedule::time`] prices it in closed form, and [`Schedule::phases`]
+//! lists the bulk-synchronous ring phases it is made of, which
+//! `ets-tpu-sim`'s `netsim` runs step by step to check the closed form.
+//!
+//! - **Tree** over `p` members: `2·⌈log₂ p⌉` steps, each moving the whole
+//!   payload.
 //! - **Ring** over `p` members: `2·(p−1)·α + 2·(p−1)/p · n/B`.
 //! - **2-D torus** (what the pod actually runs): ring reduce-scatter along
 //!   rows, ring all-reduce along columns on `1/cols` of the data, then
@@ -12,7 +19,8 @@
 //!   stream concurrently in two directions, which the effective bandwidth
 //!   term absorbs.
 
-use crate::topology::SliceShape;
+use crate::backend::Backend;
+use crate::topology::{canonical_grid, SliceShape};
 
 /// Interconnect parameters for one link.
 #[derive(Clone, Copy, Debug)]
@@ -33,105 +41,129 @@ pub const TPU_V3_LINK: LinkSpec = LinkSpec {
     duplex: 2.0,
 };
 
-/// Time for a ring all-reduce of `bytes` over `p` members.
-pub fn ring_all_reduce_time(bytes: f64, p: usize, link: LinkSpec) -> f64 {
-    if p <= 1 {
-        return 0.0;
-    }
-    let pf = p as f64;
-    let steps = 2.0 * (pf - 1.0);
-    let transfer = 2.0 * (pf - 1.0) / pf * bytes / (link.bandwidth * link.duplex);
-    steps * link.latency + transfer
+/// An all-reduce schedule over a set of members.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Schedule {
+    /// Binomial reduce tree then broadcast tree over `p` members:
+    /// `2·⌈log₂ p⌉` steps, each moving the whole payload. Few latency
+    /// hops, but every hop carries all the bytes.
+    Tree(usize),
+    /// Ring reduce-scatter then all-gather over `p` members: `2(p−1)`
+    /// steps of `1/p` of the payload.
+    Ring(usize),
+    /// The 2-D torus exchange on a `rows × cols` grid: row
+    /// reduce-scatter, column all-reduce on `1/cols` of the payload, row
+    /// all-gather.
+    Torus { rows: usize, cols: usize },
 }
 
-/// Time for a binomial-tree all-reduce (reduce tree + broadcast tree) of
-/// `bytes` over `p` members: `2·⌈log₂ p⌉` steps, each moving the full
-/// payload. Latency-friendly (log p hops vs the ring's 2(p−1)) but
-/// bandwidth-hungry (full payload per step vs the ring's `(p−1)/p · n/p`
-/// chunks). This prices [`crate::Backend::Tree`] on a pod's links.
-pub fn tree_all_reduce_time(bytes: f64, p: usize, link: LinkSpec) -> f64 {
-    if p <= 1 {
-        return 0.0;
+impl Schedule {
+    /// The schedule `backend` runs over `p` members. `Torus2d` routes
+    /// over [`canonical_grid`]`(p)`. `Auto` takes the cheapest of tree,
+    /// torus (when the grid has more than one row) and ring for `bytes`
+    /// on `link`; ties go to the earlier of the three, so fewer latency
+    /// hops win. The choice is pure in `(p, bytes, link)`, so every rank
+    /// makes the same one.
+    pub fn for_backend(backend: Backend, p: usize, bytes: f64, link: LinkSpec) -> Schedule {
+        let (rows, cols) = canonical_grid(p);
+        match backend {
+            Backend::Tree => Schedule::Tree(p),
+            Backend::Ring => Schedule::Ring(p),
+            Backend::Torus2d => Schedule::Torus { rows, cols },
+            Backend::Auto => {
+                let torus = (rows > 1).then_some(Schedule::Torus { rows, cols });
+                let mut best = Schedule::Tree(p);
+                for s in torus.into_iter().chain([Schedule::Ring(p)]) {
+                    if s.time(bytes, link) < best.time(bytes, link) {
+                        best = s;
+                    }
+                }
+                best
+            }
+        }
     }
-    let steps = 2.0 * (p as f64).log2().ceil();
-    steps * (link.latency + bytes / (link.bandwidth * link.duplex))
+
+    /// The concrete backend that runs this schedule.
+    pub fn backend(self) -> Backend {
+        match self {
+            Schedule::Tree(_) => Backend::Tree,
+            Schedule::Ring(_) => Backend::Ring,
+            Schedule::Torus { .. } => Backend::Torus2d,
+        }
+    }
+
+    /// Closed-form seconds to all-reduce `bytes` on `link`. Zero for a
+    /// single member.
+    pub fn time(self, bytes: f64, link: LinkSpec) -> f64 {
+        let bw = link.bandwidth * link.duplex;
+        match self {
+            Schedule::Tree(p) => {
+                if p <= 1 {
+                    return 0.0;
+                }
+                let steps = 2.0 * (p as f64).log2().ceil();
+                steps * (link.latency + bytes / bw)
+            }
+            Schedule::Ring(p) => {
+                if p <= 1 {
+                    return 0.0;
+                }
+                let pf = p as f64;
+                let steps = 2.0 * (pf - 1.0);
+                let transfer = 2.0 * (pf - 1.0) / pf * bytes / bw;
+                steps * link.latency + transfer
+            }
+            Schedule::Torus { rows, cols } => {
+                if rows * cols <= 1 {
+                    return 0.0;
+                }
+                let (r, c) = (rows as f64, cols as f64);
+                // Row reduce-scatter + row all-gather: each moves (c−1)/c · bytes.
+                let row_phases =
+                    2.0 * ((c - 1.0) / c) * bytes / bw + 2.0 * (c - 1.0) * link.latency;
+                // Column all-reduce on bytes/cols.
+                let col_phase = if rows > 1 {
+                    2.0 * ((r - 1.0) / r) * (bytes / c) / bw + 2.0 * (r - 1.0) * link.latency
+                } else {
+                    0.0
+                };
+                row_phases + col_phase
+            }
+        }
+    }
+
+    /// The bulk-synchronous phases of an all-reduce of `bytes`, in order,
+    /// as `(steps, chunk)`: each step every sending member moves `chunk`
+    /// bytes one hop (to its ring neighbour, or its tree parent or
+    /// child), and the next step starts when all have arrived.
+    /// [`Self::time`] is the sum over steps of one hop's latency plus
+    /// `chunk` at the link's bandwidth. Empty for a single member.
+    pub fn phases(self, bytes: f64) -> Vec<(usize, f64)> {
+        match self {
+            Schedule::Tree(p) if p > 1 => {
+                vec![(2 * p.next_power_of_two().trailing_zeros() as usize, bytes)]
+            }
+            Schedule::Ring(p) if p > 1 => vec![(p - 1, bytes / p as f64); 2],
+            Schedule::Torus { rows, cols } if rows * cols > 1 => {
+                let row = (cols - 1, bytes / cols as f64);
+                let col = (rows - 1, row.1 / rows as f64);
+                vec![row, col, col, row]
+            }
+            _ => Vec::new(),
+        }
+    }
 }
 
-/// Payload size (bytes) at which the ring all-reduce becomes cheaper than
-/// the tree for `p` members — the `Auto` backend's switch point.
-///
-/// Closed form from equating the two α–β models with `L = ⌈log₂ p⌉`:
-/// `b* = α·B·(2(p−1) − 2L) / (2L − 2(p−1)/p)`. Below `b*` the tree's
-/// `2L` latency hops win; above it the ring's `2(p−1)/p` bandwidth factor
-/// wins. Depends only on `(p, link)`, so every rank computes the same
-/// crossover and the group never splits across transports.
-pub fn tree_ring_crossover_bytes(p: usize, link: LinkSpec) -> f64 {
-    if p <= 1 {
-        return 0.0;
+/// The torus exchange on a chip slice.
+impl From<SliceShape> for Schedule {
+    fn from(SliceShape { rows, cols }: SliceShape) -> Schedule {
+        Schedule::Torus { rows, cols }
     }
-    let pf = p as f64;
-    let l = pf.log2().ceil();
-    let latency_gap = 2.0 * (pf - 1.0) - 2.0 * l;
-    let bandwidth_gap = 2.0 * l - 2.0 * (pf - 1.0) / pf;
-    link.latency * link.bandwidth * link.duplex * latency_gap / bandwidth_gap
 }
 
-/// Time for the 2-phase 2-D torus all-reduce of `bytes` on `slice`.
-///
-/// Phase A: reduce-scatter along each row ring (`cols` members, full
-/// payload). Phase B: all-reduce along each column ring (`rows` members,
-/// `1/cols` of the payload). Phase C: all-gather along rows (mirror of A).
+/// Time for the 2-D torus all-reduce of `bytes` on the chip slice `slice`.
 pub fn torus_all_reduce_time(bytes: f64, slice: SliceShape, link: LinkSpec) -> f64 {
-    let (r, c) = (slice.rows as f64, slice.cols as f64);
-    if slice.chips() <= 1 {
-        return 0.0;
-    }
-    let bw = link.bandwidth * link.duplex;
-    // Row reduce-scatter + row all-gather: each moves (c−1)/c · bytes.
-    let row_phases = 2.0 * ((c - 1.0) / c) * bytes / bw + 2.0 * (c - 1.0) * link.latency;
-    // Column all-reduce on bytes/cols.
-    let col_phase = if slice.rows > 1 {
-        2.0 * ((r - 1.0) / r) * (bytes / c) / bw + 2.0 * (r - 1.0) * link.latency
-    } else {
-        0.0
-    };
-    row_phases + col_phase
-}
-
-/// Time for the 2-D grid all-reduce of `bytes` over a `rows × cols`
-/// **member** grid: [`crate::Backend::Torus2d`] over
-/// [`crate::topology::canonical_grid`] of the world size rather than the
-/// chip slice. Same three phases as [`torus_all_reduce_time`], one
-/// formula for both.
-pub fn grid_all_reduce_time(bytes: f64, rows: usize, cols: usize, link: LinkSpec) -> f64 {
-    torus_all_reduce_time(bytes, SliceShape { rows, cols }, link)
-}
-
-/// The backend `Auto` settles on for a payload of `bytes` over `p`
-/// members: the cheapest of tree, flat ring, and (when the canonical
-/// grid has more than one row) the 2-D torus. Pure in `(bytes, p,
-/// link)`, so every rank picks the same transport. Ties resolve
-/// tree → torus2d → ring (prefer fewer latency hops).
-pub fn auto_backend_choice(bytes: f64, p: usize, link: LinkSpec) -> crate::backend::Backend {
-    use crate::backend::Backend;
-    if p <= 1 {
-        return Backend::Tree;
-    }
-    let (rows, cols) = crate::topology::canonical_grid(p);
-    let t_tree = tree_all_reduce_time(bytes, p, link);
-    let t_ring = ring_all_reduce_time(bytes, p, link);
-    let t_grid = if rows > 1 {
-        grid_all_reduce_time(bytes, rows, cols, link)
-    } else {
-        f64::INFINITY
-    };
-    if t_tree <= t_ring && t_tree <= t_grid {
-        Backend::Tree
-    } else if t_grid <= t_ring {
-        Backend::Torus2d
-    } else {
-        Backend::Ring
-    }
+    Schedule::from(slice).time(bytes, link)
 }
 
 /// Bytes in an f32 gradient all-reduce for a model with `params` scalars.
@@ -146,70 +178,46 @@ pub fn bn_sync_time(channels: usize, group_size: usize, link: LinkSpec) -> f64 {
     if group_size <= 1 {
         return 0.0;
     }
-    // Two rounds (fwd + bwd), each all-reducing 2·channels f32.
-    2.0 * ring_all_reduce_time((2 * channels * 4) as f64, group_size, link)
+    // Two rounds (fwd + bwd), each ring all-reducing 2·channels f32.
+    2.0 * Schedule::Ring(group_size).time((2 * channels * 4) as f64, link)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ring(bytes: f64, p: usize) -> f64 {
+        Schedule::Ring(p).time(bytes, TPU_V3_LINK)
+    }
+
     #[test]
     fn ring_time_scales_with_bytes() {
         // Large payloads are bandwidth-bound: time ∝ bytes.
-        let t1 = ring_all_reduce_time(1e8, 8, TPU_V3_LINK);
-        let t2 = ring_all_reduce_time(2e8, 8, TPU_V3_LINK);
+        let t1 = ring(1e8, 8);
+        let t2 = ring(2e8, 8);
         assert!(t2 > t1 * 1.9 && t2 < t1 * 2.1);
         // Tiny payloads are latency-bound: doubling bytes barely matters.
-        let s1 = ring_all_reduce_time(1e3, 8, TPU_V3_LINK);
-        let s2 = ring_all_reduce_time(2e3, 8, TPU_V3_LINK);
+        let s1 = ring(1e3, 8);
+        let s2 = ring(2e3, 8);
         assert!(s2 < s1 * 1.1);
     }
 
     #[test]
     fn ring_bandwidth_term_saturates_with_p() {
         // (p−1)/p → 1: doubling members at fixed bytes must not double time.
-        let small = ring_all_reduce_time(1e8, 8, TPU_V3_LINK);
-        let large = ring_all_reduce_time(1e8, 64, TPU_V3_LINK);
+        let small = ring(1e8, 8);
+        let large = ring(1e8, 64);
         assert!(large < small * 1.3, "bandwidth-optimal: {small} vs {large}");
         assert!(large > small, "latency term still grows");
     }
 
     #[test]
     fn singleton_is_free() {
-        assert_eq!(ring_all_reduce_time(1e9, 1, TPU_V3_LINK), 0.0);
-        assert_eq!(tree_all_reduce_time(1e9, 1, TPU_V3_LINK), 0.0);
-        let s = SliceShape { rows: 1, cols: 1 };
-        assert_eq!(torus_all_reduce_time(1e9, s, TPU_V3_LINK), 0.0);
-    }
-
-    #[test]
-    fn crossover_separates_tree_and_ring_regimes() {
-        for &p in &[4usize, 8, 16, 64] {
-            let b = tree_ring_crossover_bytes(p, TPU_V3_LINK);
-            assert!(b > 0.0, "p={p}: crossover {b}");
-            let below = b * 0.5;
-            let above = b * 2.0;
-            assert!(
-                tree_all_reduce_time(below, p, TPU_V3_LINK)
-                    <= ring_all_reduce_time(below, p, TPU_V3_LINK),
-                "p={p}: tree should win below the crossover"
-            );
-            assert!(
-                ring_all_reduce_time(above, p, TPU_V3_LINK)
-                    <= tree_all_reduce_time(above, p, TPU_V3_LINK),
-                "p={p}: ring should win above the crossover"
-            );
+        let torus = Schedule::Torus { rows: 1, cols: 1 };
+        for s in [Schedule::Tree(1), Schedule::Ring(1), torus] {
+            assert_eq!(s.time(1e9, TPU_V3_LINK), 0.0, "{s:?}");
+            assert!(s.phases(1e9).is_empty(), "{s:?}");
         }
-    }
-
-    #[test]
-    fn crossover_grows_with_world_size() {
-        // More members ⇒ more ring latency hops ⇒ the tree stays
-        // competitive up to larger payloads.
-        let small = tree_ring_crossover_bytes(8, TPU_V3_LINK);
-        let large = tree_ring_crossover_bytes(64, TPU_V3_LINK);
-        assert!(large > small, "{small} vs {large}");
     }
 
     #[test]
@@ -218,8 +226,7 @@ mod tests {
         // rows·cols — the reason pods don't run one global ring.
         let slice = SliceShape::for_cores(1024); // 16×32 chips
         let torus = torus_all_reduce_time(1e6, slice, TPU_V3_LINK);
-        let ring = ring_all_reduce_time(1e6, slice.chips(), TPU_V3_LINK);
-        assert!(torus < ring, "torus {torus} vs ring {ring}");
+        assert!(torus < ring(1e6, slice.chips()), "torus {torus}");
     }
 
     #[test]
@@ -238,14 +245,16 @@ mod tests {
         // The 2-D grid moves the same 2(p−1)/p bytes but takes
         // 2(cols−1)+2(rows−1) latency hops instead of 2(p−1): whenever
         // the canonical grid has more than one row the torus wins or
-        // ties, which is why `auto_backend_choice` prefers it at scale.
-        use crate::topology::canonical_grid;
+        // ties, which is why `Auto` prefers it at scale.
         for p in [4usize, 8, 16, 64, 1024, 2048, 4096] {
-            let (rows, cols) = canonical_grid(p);
-            assert!(rows > 1, "p={p} should be composite here");
+            let grid = Schedule::for_backend(Backend::Torus2d, p, 0.0, TPU_V3_LINK);
+            assert!(
+                matches!(grid, Schedule::Torus { rows, .. } if rows > 1),
+                "p={p} should be composite here"
+            );
             for bytes in [1e3, 1e6, 1e8] {
-                let grid = grid_all_reduce_time(bytes, rows, cols, TPU_V3_LINK);
-                let ring = ring_all_reduce_time(bytes, p, TPU_V3_LINK);
+                let grid = grid.time(bytes, TPU_V3_LINK);
+                let ring = ring(bytes, p);
                 assert!(
                     grid <= ring,
                     "p={p} bytes={bytes}: grid {grid} vs ring {ring}"
@@ -255,19 +264,27 @@ mod tests {
     }
 
     #[test]
-    fn auto_choice_is_tree_small_torus_large_ring_prime() {
-        use crate::backend::Backend;
+    fn auto_is_tree_small_torus_large_ring_prime() {
+        let auto = |bytes, p| Schedule::for_backend(Backend::Auto, p, bytes, TPU_V3_LINK);
         // Tiny payload: latency-bound, the tree's 2·log₂p hops win.
-        assert_eq!(auto_backend_choice(4.0, 1024, TPU_V3_LINK), Backend::Tree);
+        assert_eq!(auto(4.0, 1024), Schedule::Tree(1024));
         // Large payload on a composite world: the grid's bandwidth factor
         // with few hops wins.
-        assert_eq!(
-            auto_backend_choice(1e8, 1024, TPU_V3_LINK),
-            Backend::Torus2d
-        );
+        assert_eq!(auto(1e8, 1024), Schedule::Torus { rows: 32, cols: 32 });
         // Large payload on a prime world: no grid, the flat ring wins.
-        assert_eq!(auto_backend_choice(1e8, 7, TPU_V3_LINK), Backend::Ring);
-        assert_eq!(auto_backend_choice(1e9, 1, TPU_V3_LINK), Backend::Tree);
+        assert_eq!(auto(1e8, 7), Schedule::Ring(7));
+        assert_eq!(auto(1e9, 1), Schedule::Tree(1));
+        // Auto never prices above any concrete schedule.
+        for p in [2usize, 7, 64, 1024] {
+            for bytes in [4.0, 1e5, 1e8] {
+                let t = auto(bytes, p).time(bytes, TPU_V3_LINK);
+                for b in [Backend::Tree, Backend::Ring, Backend::Torus2d] {
+                    let other = Schedule::for_backend(b, p, bytes, TPU_V3_LINK);
+                    assert!(t <= other.time(bytes, TPU_V3_LINK), "p={p} {b}");
+                    assert_eq!(other.backend(), b);
+                }
+            }
+        }
     }
 
     #[test]

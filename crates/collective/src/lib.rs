@@ -6,13 +6,14 @@
 //! - [`group`] — BN replica grouping: contiguous and 2-D tiled (§3.4).
 //! - [`backend`] — the [`Collective`] trait every consumer programs
 //!   against. [`Backend`] names the tree / ring / torus2d / auto schedule
-//!   an experiment would run on a pod; in process every one runs the same
-//!   communicator round, so results are bitwise identical.
+//!   an experiment would run on a pod ([`Schedule::for_backend`] reads
+//!   it); in process every one runs the same communicator round, so
+//!   results are bitwise identical.
 //! - [`comm`] — real shared-memory collectives for in-process replica
 //!   threads, with deterministic reduction order (the engine behind every
 //!   [`Collective`]).
-//! - [`cost`] — α–β cost models for tree, ring, and 2-D torus/grid
-//!   all-reduce, and the per-payload cheapest of them (`Auto`).
+//! - [`cost`] — the all-reduce [`Schedule`] (tree, ring or 2-D torus),
+//!   its α–β price and its ring phases, and the BN-sync cost.
 
 pub mod backend;
 pub mod comm;
@@ -24,8 +25,7 @@ pub mod topology;
 pub use backend::{create_collective, Backend, Collective, CollectiveStats, CommCollective};
 pub use comm::{CommHandle, Pieces};
 pub use cost::{
-    auto_backend_choice, bn_sync_time, gradient_bytes, grid_all_reduce_time, ring_all_reduce_time,
-    torus_all_reduce_time, tree_all_reduce_time, tree_ring_crossover_bytes, LinkSpec, TPU_V3_LINK,
+    bn_sync_time, gradient_bytes, torus_all_reduce_time, LinkSpec, Schedule, TPU_V3_LINK,
 };
 pub use fault::{
     retry_collective, CollectiveError, FaultEvent, FaultKind, FaultPlan, FaultSchedule,

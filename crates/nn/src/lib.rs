@@ -12,7 +12,6 @@
 
 pub mod activations;
 pub mod batchnorm;
-pub mod confusion;
 pub mod conv;
 pub mod dropout;
 pub mod ema;
@@ -26,7 +25,6 @@ pub mod se;
 
 pub use activations::{Relu, Sigmoid, Swish};
 pub use batchnorm::{BatchNorm2d, LocalStats, StatSync};
-pub use confusion::ConfusionMatrix;
 pub use conv::{Conv2d, DepthwiseConv2d, Precision};
 // Re-exported so model/trainer code can name the dispatch policy without
 // depending on ets-tensor's module layout.

@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn backend_priced_outcome_only_moves_the_all_reduce_term() {
-        use crate::step::auto_backend_for;
+        use crate::step::schedule_for;
         // Auto's pricing swaps the chip-slice torus exchange for the
         // cheapest member-grid backend; everything else (compute, BN,
         // eval loop, convergence) is untouched, so the headline can
@@ -216,7 +216,7 @@ mod tests {
             );
             // The resolved choice is a concrete transport, and pricing it
             // directly agrees with pricing through Auto.
-            let picked = auto_backend_for(&StepConfig::new(v, cores, gbs));
+            let picked = schedule_for(&StepConfig::new(v, cores, gbs), Backend::Auto).backend();
             assert_ne!(picked, Backend::Auto);
             let direct = time_to_accuracy_for_backend(&cfg, picked);
             assert_eq!(

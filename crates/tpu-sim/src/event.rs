@@ -88,13 +88,6 @@ impl<E> EventSim<E> {
         self.schedule_at(at, payload);
     }
 
-    /// Time of the earliest pending event, without popping it or moving
-    /// the clock. Lets fault-injection layers decide whether a scheduled
-    /// perturbation lands before the next ordinary event.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Pops the earliest event, advancing the clock. `None` when drained.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<E> {
@@ -102,11 +95,6 @@ impl<E> EventSim<E> {
         self.now = ev.time;
         self.processed += 1;
         Some(ev.payload)
-    }
-
-    /// True when no events remain.
-    pub fn is_drained(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -130,18 +118,6 @@ mod tests {
         assert_eq!(order, vec!["a", "b", "c"]);
         assert_eq!(sim.now(), 3.0);
         assert_eq!(sim.processed(), 3);
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut sim = EventSim::new();
-        assert_eq!(sim.peek_time(), None);
-        sim.schedule_at(2.0, "b");
-        sim.schedule_at(1.0, "a");
-        assert_eq!(sim.peek_time(), Some(1.0));
-        assert_eq!(sim.now(), 0.0, "peek must not move the clock");
-        assert_eq!(sim.next(), Some("a"));
-        assert_eq!(sim.peek_time(), Some(2.0));
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! - [`chip`] / [`xla`] — hardware constants and XLA's pad-to-8 batch rule.
 //! - [`calibration`] — the two free parameters (MXU efficiency, achieved
 //!   interconnect bandwidth), pinned to Table 1's 128-core rows.
-//! - [`step`] — the step-time model: compute roofline + 2-D torus
-//!   all-reduce + BN-group sync. Regenerates **Table 1**.
+//! - [`step`] — the step-time model: compute roofline + the price of an
+//!   all-reduce `Schedule` (the chip slice's 2-D torus, or what a named
+//!   `Backend` runs) + BN-group sync. Regenerates **Table 1**.
+//! - [`netsim`] — runs an all-reduce `Schedule` step by step: the oracle
+//!   for its closed-form price, and the slow-link what-if.
 //! - [`convergence`] — peak-accuracy model calibrated to **Table 2**, plus
 //!   learning-curve shapes.
 //! - [`event`] / [`eval_loop`] — a discrete-event simulation of the
@@ -15,6 +18,9 @@
 //!   train-and-eval loop (§3.3).
 //! - [`e2e`] — the composite time-to-accuracy model. Regenerates
 //!   **Figure 1**.
+//! - [`scaling`] — throughput and parallel efficiency across slice sizes,
+//!   and the Amdahl serial fraction.
+//! - [`whatif`] — a degraded interconnect link and host infeed limits.
 //! - [`fault`] — pod-scale chaos simulation: plays an
 //!   `ets_collective::FaultPlan` against the calibrated step-time model.
 
@@ -40,15 +46,11 @@ pub use e2e::{time_to_accuracy, time_to_accuracy_for_backend, RunConfig, RunOutc
 pub use eval_loop::{eval_pass_seconds, simulate as simulate_eval_loop, EvalLoopOutcome, EvalMode};
 pub use event::EventSim;
 pub use fault::{simulate_chaos, simulate_chaos_recorded, PodChaosReport};
-pub use netsim::{
-    bulk_step_seconds, simulate_ring_all_reduce, simulate_torus_all_reduce,
-    simulate_torus_all_reduce_with, DegradeWindow, LinkConditions,
-};
+pub use netsim::simulate_all_reduce;
 pub use scaling::{amdahl_serial_fraction, scaling_sweep, ScalingPoint};
 pub use step::{
-    auto_backend_for, backend_all_reduce_time, batch_eff_factor, hidden_all_reduce, step_time,
-    step_time_elastic, step_time_for_backend, total_bn_channels, StepConfig, StepTime,
-    OVERLAP_BUCKET_ELEMS,
+    batch_eff_factor, hidden_all_reduce, schedule_for, step_time, step_time_elastic,
+    step_time_for_backend, total_bn_channels, StepConfig, StepTime, OVERLAP_BUCKET_ELEMS,
 };
 pub use whatif::{
     degraded_link_impact, infeed_analysis, DegradedLinkReport, InfeedReport, CORES_PER_HOST,

@@ -1,18 +1,17 @@
 //! The training-step time model — the generator of Table 1.
 //!
 //! `step = compute + all_reduce + bn_sync`, where compute is a roofline on
-//! the calibrated MXU efficiency, all-reduce is the 2-D torus model on the
-//! calibrated link, and BN sync prices §3.4's per-layer group reductions.
+//! the calibrated MXU efficiency, all-reduce is the price of a
+//! [`Schedule`] on the calibrated link (the chip slice's 2-D torus, or the
+//! schedule a named [`Backend`] runs), and BN sync prices §3.4's
+//! per-layer group reductions.
 //! (TPU implementations partially overlap the gradient all-reduce with the
 //! tail of the backward pass; the calibrated link bandwidth is *achieved*
 //! bandwidth, which absorbs that overlap.)
 
 use crate::calibration::{calibrated_link, core_spec, mxu_efficiency};
 use crate::xla::{padded_per_core_batch, per_core_batch};
-use ets_collective::{
-    bn_sync_time, canonical_grid, grid_all_reduce_time, ring_all_reduce_time,
-    torus_all_reduce_time, tree_all_reduce_time, Backend, GroupSpec, LinkSpec, SliceShape,
-};
+use ets_collective::{bn_sync_time, Backend, GroupSpec, Schedule, SliceShape};
 use ets_efficientnet::{model_stats, ModelConfig, ModelStats, Variant};
 
 /// A training configuration to be priced.
@@ -129,23 +128,22 @@ pub fn hidden_all_reduce(all_reduce: f64, compute: f64, gradient_elems: f64) -> 
     (all_reduce * (1.0 - 1.0 / buckets)).min(compute * 2.0 / 3.0)
 }
 
-/// Prices one training step.
-pub fn step_time(cfg: &StepConfig) -> StepTime {
+/// The compute, all-reduce and BN-sync terms of one step in which each
+/// core computes `per_core` samples, the gradient exchange runs
+/// `schedule`, and BN statistics reduce over groups of `bn_group`.
+fn price(cfg: &StepConfig, per_core: usize, schedule: Schedule, bn_group: usize) -> StepTime {
     let model_cfg = ModelConfig::variant(cfg.variant);
     let stats: ModelStats = model_stats(&model_cfg);
-    let slice = SliceShape::for_cores(cfg.cores);
     let link = calibrated_link();
 
-    let per_core = per_core_batch(cfg.global_batch, cfg.cores);
     let padded = padded_per_core_batch(per_core);
     let eff = mxu_efficiency(cfg.variant) * batch_eff_factor(padded);
     let compute = padded as f64 * stats.flops_train() / (eff * core_spec().peak_flops);
 
-    let all_reduce = torus_all_reduce_time(stats.gradient_bytes(), slice, link);
+    let all_reduce = schedule.time(stats.gradient_bytes(), link);
     let all_reduce_hidden = hidden_all_reduce(all_reduce, compute, stats.gradient_bytes() / 4.0);
 
-    let group = cfg.bn_group.group_size(slice);
-    let bn_sync = bn_sync_time(total_bn_channels(&model_cfg), group, link);
+    let bn_sync = bn_sync_time(total_bn_channels(&model_cfg), bn_group, link);
 
     StepTime {
         compute,
@@ -155,56 +153,33 @@ pub fn step_time(cfg: &StepConfig) -> StepTime {
     }
 }
 
-/// All-reduce seconds for one step's gradient exchange under an explicit
-/// collective backend over `cores` replicas — the per-backend pricing
-/// behind the scaling bench's flat-ring vs torus-2d rows. The torus
-/// prices [`grid_all_reduce_time`] on [`canonical_grid`]`(cores)`: the
-/// member grid the executed `Torus2d` backend actually routes over (not
-/// the chip slice), so the analytic rows and the executed path agree.
-pub fn backend_all_reduce_time(backend: Backend, bytes: f64, cores: usize, link: LinkSpec) -> f64 {
-    match backend {
-        Backend::Tree => tree_all_reduce_time(bytes, cores, link),
-        Backend::Ring => ring_all_reduce_time(bytes, cores, link),
-        Backend::Torus2d => {
-            let (rows, cols) = canonical_grid(cores);
-            grid_all_reduce_time(bytes, rows, cols, link)
-        }
-        Backend::Auto => backend_all_reduce_time(
-            ets_collective::auto_backend_choice(bytes, cores, link),
-            bytes,
-            cores,
-            link,
-        ),
-    }
+/// Prices one training step, with the gradient all-reduce on the 2-D
+/// torus of the chip slice.
+pub fn step_time(cfg: &StepConfig) -> StepTime {
+    let slice = SliceShape::for_cores(cfg.cores);
+    let per_core = per_core_batch(cfg.global_batch, cfg.cores);
+    price(cfg, per_core, slice.into(), cfg.bn_group.group_size(slice))
 }
 
-/// The concrete backend [`Backend::Auto`] resolves to for `cfg`'s
-/// gradient exchange: the α–β cost models priced at the run's gradient
-/// volume and world size over the calibrated link. Figure 1's e2e rows
-/// record this so the committed figure names the transport the executed
-/// `Auto` path would actually route over.
-pub fn auto_backend_for(cfg: &StepConfig) -> Backend {
-    let stats = model_stats(&ModelConfig::variant(cfg.variant));
-    ets_collective::auto_backend_choice(stats.gradient_bytes(), cfg.cores, calibrated_link())
+/// The schedule `backend` runs for `cfg`'s gradient exchange over
+/// `cfg.cores` members on the calibrated link. `Torus2d` routes over the
+/// member grid [`ets_collective::canonical_grid`]`(cores)`, not the chip
+/// slice, and `Auto` resolves at the run's gradient volume. Figure 1's
+/// rows record what `Auto` resolves to.
+pub fn schedule_for(cfg: &StepConfig, backend: Backend) -> Schedule {
+    let bytes = model_stats(&ModelConfig::variant(cfg.variant)).gradient_bytes();
+    Schedule::for_backend(backend, cfg.cores, bytes, calibrated_link())
 }
 
-/// Prices one training step with the gradient all-reduce charged to an
-/// explicit collective backend instead of the chip-slice torus model.
-/// Everything else (compute roofline, BN sync) matches [`step_time`].
+/// Prices one training step with the gradient all-reduce run by
+/// [`schedule_for`]`(cfg, backend)` instead of the chip-slice torus: the
+/// per-backend pricing behind the scaling bench's flat-ring vs torus2d
+/// rows. Everything else matches [`step_time`].
 pub fn step_time_for_backend(cfg: &StepConfig, backend: Backend) -> StepTime {
-    let base = step_time(cfg);
-    let stats = model_stats(&ModelConfig::variant(cfg.variant));
-    let link = calibrated_link();
-    let all_reduce = backend_all_reduce_time(backend, stats.gradient_bytes(), cfg.cores, link);
-    StepTime {
-        all_reduce,
-        all_reduce_hidden: hidden_all_reduce(
-            all_reduce,
-            base.compute,
-            stats.gradient_bytes() / 4.0,
-        ),
-        ..base
-    }
+    let slice = SliceShape::for_cores(cfg.cores);
+    let per_core = per_core_batch(cfg.global_batch, cfg.cores);
+    let schedule = schedule_for(cfg, backend);
+    price(cfg, per_core, schedule, cfg.bn_group.group_size(slice))
 }
 
 /// Prices one step on a *degraded* sub-torus after an elastic shrink:
@@ -218,30 +193,12 @@ pub fn step_time_for_backend(cfg: &StepConfig, backend: Backend) -> StepTime {
 /// On a healthy world (`surviving_cores == cfg.cores`, batch divisible)
 /// this agrees with [`step_time`] exactly.
 pub fn step_time_elastic(cfg: &StepConfig, surviving_cores: usize) -> StepTime {
-    let model_cfg = ModelConfig::variant(cfg.variant);
-    let stats: ModelStats = model_stats(&model_cfg);
     let slice = SliceShape::surviving(surviving_cores);
     let active = slice.cores();
-    let link = calibrated_link();
-
     // Most-loaded survivor: ceiling split of the (unchanged) global batch.
     let per_core = cfg.global_batch.div_ceil(active);
-    let padded = padded_per_core_batch(per_core);
-    let eff = mxu_efficiency(cfg.variant) * batch_eff_factor(padded);
-    let compute = padded as f64 * stats.flops_train() / (eff * core_spec().peak_flops);
-
-    let all_reduce = torus_all_reduce_time(stats.gradient_bytes(), slice, link);
-    let all_reduce_hidden = hidden_all_reduce(all_reduce, compute, stats.gradient_bytes() / 4.0);
-
-    let group = cfg.bn_group.regroup(active).group_size(slice);
-    let bn_sync = bn_sync_time(total_bn_channels(&model_cfg), group, link);
-
-    StepTime {
-        compute,
-        all_reduce,
-        all_reduce_hidden,
-        bn_sync,
-    }
+    let bn_group = cfg.bn_group.regroup(active).group_size(slice);
+    price(cfg, per_core, slice.into(), bn_group)
 }
 
 #[cfg(test)]
@@ -397,17 +354,17 @@ mod tests {
         // the flat ring pays 2(p−1) latency hops while the canonical
         // grid pays 2(rows+cols−2), so the ring's all-reduce share grows
         // strictly faster.
-        let link = calibrated_link();
-        let bytes = 36.4e6;
+        let ar = |backend, cores: usize| {
+            let cfg = StepConfig::new(Variant::B2, cores, cores * 32);
+            step_time_for_backend(&cfg, backend).all_reduce
+        };
         for cores in [1024usize, 2048, 4096] {
-            let ring = backend_all_reduce_time(Backend::Ring, bytes, cores, link);
-            let torus = backend_all_reduce_time(Backend::Torus2d, bytes, cores, link);
+            let ring = ar(Backend::Ring, cores);
+            let torus = ar(Backend::Torus2d, cores);
             assert!(torus < ring, "cores={cores}: torus {torus} vs ring {ring}");
         }
-        let r_growth = backend_all_reduce_time(Backend::Ring, bytes, 4096, link)
-            / backend_all_reduce_time(Backend::Ring, bytes, 1024, link);
-        let t_growth = backend_all_reduce_time(Backend::Torus2d, bytes, 4096, link)
-            / backend_all_reduce_time(Backend::Torus2d, bytes, 1024, link);
+        let r_growth = ar(Backend::Ring, 4096) / ar(Backend::Ring, 1024);
+        let t_growth = ar(Backend::Torus2d, 4096) / ar(Backend::Torus2d, 1024);
         assert!(
             t_growth < r_growth,
             "torus growth {t_growth} must trail ring growth {r_growth}"
@@ -424,11 +381,16 @@ mod tests {
             assert_eq!(st.bn_sync, base.bn_sync, "{backend}");
             assert!(st.all_reduce > 0.0, "{backend}");
         }
-        // Auto never prices worse than its cheapest member.
+        // Auto never prices worse than its cheapest member, and prices
+        // exactly the concrete schedule it resolves to.
         let auto = step_time_for_backend(&cfg, Backend::Auto).all_reduce;
         for backend in [Backend::Tree, Backend::Ring, Backend::Torus2d] {
             assert!(auto <= step_time_for_backend(&cfg, backend).all_reduce + 1e-18);
         }
+        let picked = schedule_for(&cfg, Backend::Auto).backend();
+        assert_ne!(picked, Backend::Auto);
+        let direct = step_time_for_backend(&cfg, picked).all_reduce;
+        assert_eq!(auto.to_bits(), direct.to_bits());
     }
 
     #[test]

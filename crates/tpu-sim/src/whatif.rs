@@ -1,12 +1,12 @@
 //! What-if analyses on top of the calibrated models: degraded interconnect
-//! links (via the message-level network simulation) and host input-
+//! links (via the step-by-step network simulation) and host input-
 //! pipeline ("infeed") limits — the operational questions a pod operator
 //! actually asks.
 
 use crate::calibration::calibrated_link;
-use crate::netsim::{simulate_ring_all_reduce, LinkConditions};
+use crate::netsim::simulate_all_reduce;
 use crate::step::{step_time, StepConfig};
-use ets_collective::SliceShape;
+use ets_collective::{Schedule, SliceShape};
 use ets_efficientnet::{model_stats, ModelConfig};
 
 /// Cores fed by one host machine on a TPU-v3 pod (one host per 4-chip
@@ -35,15 +35,9 @@ pub fn degraded_link_impact(cfg: &StepConfig, link_scale: f64) -> DegradedLinkRe
     let link = calibrated_link();
     // Approximate the torus as its dominant row phase for the degradation
     // ratio: one slow link stretches every step of the ring it sits on.
-    let p = slice.cols.max(2);
-    let nominal = simulate_ring_all_reduce(p, bytes, link, &LinkConditions::nominal(p));
-    let degraded = simulate_ring_all_reduce(
-        p,
-        bytes,
-        link,
-        &LinkConditions::with_slow_link(p, 0, link_scale),
-    );
-    let scale = degraded / nominal;
+    let row = Schedule::Ring(slice.cols.max(2));
+    let scale = simulate_all_reduce(row, bytes, link, link_scale)
+        / simulate_all_reduce(row, bytes, link, 1.0);
     let new_ar = st.all_reduce * scale;
     let degraded_step = st.compute + st.bn_sync + new_ar;
     DegradedLinkReport {

@@ -7,9 +7,7 @@
 //!   Table-1-style summaries), the per-backend 1024/2048/4096-core
 //!   scaling rows, and the measured proxy row,
 //! - `BENCH_trace.json` — Chrome trace-event JSON of the faulted run (one
-//!   pid per rank; loads in `chrome://tracing` / Perfetto),
-//! - `BENCH_metrics.prom` — Prometheus text dump of every rank's counters,
-//!   gauges, and histograms.
+//!   pid per rank; loads in `chrome://tracing` / Perfetto).
 //!
 //! The trace is validated against the trace-event schema (well-formed
 //! events, monotone timestamps per `(pid, tid)` track) *before* writing;
@@ -36,8 +34,6 @@ fn main() {
     std::fs::write(&step_time, &art.step_time_json).expect("write BENCH_step_time.json");
     let trace = out_dir.join("BENCH_trace.json");
     std::fs::write(&trace, &art.trace_json).expect("write BENCH_trace.json");
-    let prom = out_dir.join("BENCH_metrics.prom");
-    std::fs::write(&prom, &art.prom_text).expect("write BENCH_metrics.prom");
 
     println!(
         "bench smoke: {} steps, {} preemption(s), {} transient failure(s)",
@@ -46,12 +42,10 @@ fn main() {
         art.report.fault_recovery.transient_failures,
     );
     println!(
-        "wrote {} ({} B), {} ({} B), {} ({} B)",
+        "wrote {} ({} B), {} ({} B)",
         step_time.display(),
         art.step_time_json.len(),
         trace.display(),
         art.trace_json.len(),
-        prom.display(),
-        art.prom_text.len(),
     );
 }

@@ -450,8 +450,6 @@ pub struct SmokeArtifacts {
     /// Chrome trace-event JSON of the faulted 2×2-world run (one pid per
     /// rank), already validated against the trace-event schema.
     pub trace_json: String,
-    /// Prometheus text dump of all ranks' metric registries.
-    pub prom_text: String,
     /// The traced run's report (for asserts in tests).
     pub report: TrainReport,
     /// Per-rank recorders of the traced run.
@@ -486,12 +484,10 @@ pub fn run_smoke() -> SmokeArtifacts {
     let stats = validate_chrome_trace(&trace_json)
         .unwrap_or_else(|e| panic!("smoke trace failed schema validation: {e}"));
     assert_eq!(stats.pids, exp.replicas, "one pid per rank");
-    let prom_text = ets_obs::prometheus_text_multi(&recs);
 
     SmokeArtifacts {
         step_time_json,
         trace_json,
-        prom_text,
         report,
         recorders,
     }

@@ -376,15 +376,6 @@ fn smoke_path_emits_valid_artifacts() {
         assert_eq!(rec.virtual_fingerprint(), fp0);
     }
 
-    // Prometheus dump carries trainer counters for every rank.
-    assert!(art.prom_text.contains("# TYPE ets_preemptions counter"));
-    for rank in 0..4 {
-        assert!(
-            art.prom_text.contains(&format!("rank=\"{rank}\"")),
-            "rank {rank} missing from prom dump"
-        );
-    }
-
     // The faulted run exercised the fault machinery it claims to trace.
     assert!(art.report.fault_recovery.preemptions >= 1);
     assert!(art.report.fault_recovery.transient_failures >= 1);

@@ -716,11 +716,19 @@ impl FaultSchedule {
         !self.preempts.is_empty()
     }
 
-    /// Permanent-loss events as `(at_step, rank)` pairs, ascending by
-    /// step. The `rank` is interpreted modulo the surviving world at
-    /// trigger time (see [`FaultKind::PermanentLoss`]).
-    pub fn loss_events(&self) -> &[(u64, usize)] {
-        &self.losses
+    /// Resize boundaries: the loss events grouped by step into ascending
+    /// `(at_step, ranks_lost)` pairs, one elastic resize protocol each.
+    /// The trainer and the pod simulator both shrink their world at
+    /// exactly these boundaries.
+    pub fn resize_boundaries(&self) -> Vec<(u64, usize)> {
+        let mut boundaries: Vec<(u64, usize)> = Vec::new();
+        for &(step, _rank) in &self.losses {
+            match boundaries.last_mut() {
+                Some((s, k)) if *s == step => *k += 1,
+                _ => boundaries.push((step, 1)),
+            }
+        }
+        boundaries
     }
 
     /// True when any permanent replica loss is scheduled.
@@ -823,10 +831,9 @@ pub struct FaultyCollective {
     /// corrected trajectory is bitwise identical to the unfaulted one.
     flip_done_step: AtomicU64,
     injected_flips: AtomicU64,
-    /// Optional flight recorder; injected failures and fallible calls are
-    /// counted into its metrics registry. A disabled recorder makes every
-    /// recording call a cheap early-return, so fault-free hot paths pay
-    /// nothing.
+    /// Optional flight recorder; each successful exchange attempt records
+    /// a wall span on it. A disabled recorder makes every recording call a
+    /// cheap early-return, so fault-free hot paths pay nothing.
     recorder: Option<Arc<ets_obs::Recorder>>,
 }
 
@@ -845,10 +852,9 @@ impl FaultyCollective {
         }
     }
 
-    /// Attaches a flight recorder: every injected transient failure bumps
-    /// `collective_faults_injected`, every fallible exchange attempt bumps
-    /// `collective_try_calls`, replacing ad-hoc polling of
-    /// [`FaultyCollective::injected_failures`] for observability consumers.
+    /// Attaches a flight recorder: every exchange attempt that reaches the
+    /// inner communicator records a [`ets_obs::phase::RETRY_ATTEMPT`] span
+    /// on [`ets_obs::Lane::WallCollective`] (aux = attempt number).
     pub fn attach_recorder(&mut self, rec: Arc<ets_obs::Recorder>) {
         self.recorder = Some(rec);
     }
@@ -909,9 +915,6 @@ impl Collective for FaultyCollective {
         let step = self.step.load(Ordering::Relaxed);
         let planned = self.schedule.transient_failures_at(step);
         let failed = self.failed_attempts_this_step.load(Ordering::Relaxed);
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("collective_try_calls", 1);
-        }
         if failed < planned {
             // Fail BEFORE touching the payload or the inner communicator:
             // every rank takes this branch for the same attempt, so the
@@ -919,9 +922,6 @@ impl Collective for FaultyCollective {
             self.failed_attempts_this_step
                 .store(failed + 1, Ordering::Relaxed);
             self.injected_failures.fetch_add(1, Ordering::Relaxed);
-            if let Some(rec) = &self.recorder {
-                rec.counter_add("collective_faults_injected", 1);
-            }
             return Err(CollectiveError::Transient {
                 op: "all_reduce_mean",
                 step,
@@ -980,9 +980,6 @@ impl FaultyCollective {
             }
         });
         self.injected_flips.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("collective_corruptions_injected", 1);
-        }
     }
 }
 
@@ -1223,7 +1220,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let sched = plan.compile(10);
-        assert_eq!(sched.loss_events(), &[(3, 1), (7, 2)]);
+        assert_eq!(sched.resize_boundaries(), vec![(3, 1), (7, 1)]);
         assert!(sched.has_losses());
         assert!(!sched.is_empty());
         assert!(!plan.is_timing_only());

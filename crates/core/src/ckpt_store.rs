@@ -1153,9 +1153,10 @@ pub struct CkptStore {
     dir: PathBuf,
     retain: usize,
     /// Optional flight recorder: save/load I/O is timed on
-    /// [`Lane::WallCkpt`] and counted (`ckpt_saves`, `ckpt_loads`,
-    /// `ckpt_corrupt_skipped`). The store is usually driven by rank 0, so
-    /// one recorder per store is the natural granularity.
+    /// [`Lane::WallCkpt`] and the bytes moved are counted
+    /// (`ckpt_bytes_written`, `ckpt_bytes_read`). The store is usually
+    /// driven by rank 0, so one recorder per store is the natural
+    /// granularity.
     recorder: Option<Arc<Recorder>>,
 }
 
@@ -1203,10 +1204,10 @@ impl CkptStore {
     /// a retained file that rotted since it was written.
     pub fn save(&self, snap: &DurableSnapshot) -> Result<PathBuf, CkptError> {
         let step = snap.progress.step;
-        let _span = self.recorder.as_ref().map(|rec| {
-            rec.counter_add("ckpt_saves", 1);
-            rec.wall_span(Lane::WallCkpt, obs_phase::DURABLE_CHECKPOINT, step, 0)
-        });
+        let _span = self
+            .recorder
+            .as_ref()
+            .map(|rec| rec.wall_span(Lane::WallCkpt, obs_phase::DURABLE_CHECKPOINT, step, 0));
         let (final_path, (len, crc)) =
             self.write_atomic(&Self::file_name(step), |f| snap.write_to(f))?;
         self.count("ckpt_bytes_written", len);
@@ -1288,10 +1289,10 @@ impl CkptStore {
         &self,
         before: u64,
     ) -> Result<Option<(DurableSnapshot, LoadReport)>, CkptError> {
-        let _span = self.recorder.as_ref().map(|rec| {
-            rec.counter_add("ckpt_loads", 1);
-            rec.wall_span(Lane::WallCkpt, obs_phase::CHECKPOINT, before, 0)
-        });
+        let _span = self
+            .recorder
+            .as_ref()
+            .map(|rec| rec.wall_span(Lane::WallCkpt, obs_phase::CHECKPOINT, before, 0));
         // The directory scan is the source of truth for candidates; the
         // manifest adds a cross-check when it is itself intact. A corrupt
         // manifest therefore degrades availability never correctness.
@@ -1316,9 +1317,6 @@ impl CkptStore {
                     continue;
                 }
             };
-            if skipped > 0 {
-                self.count("ckpt_corrupt_skipped", skipped);
-            }
             let report = LoadReport {
                 loaded_step: step,
                 corrupt_skipped: skipped,
@@ -1332,8 +1330,7 @@ impl CkptStore {
     /// every record CRC, whole-file CRC) and garbage-collects files that
     /// fail, so bit rot is caught when the scrub runs — not later, when
     /// a rollback desperately needs the file. The manifest is rewritten
-    /// to match the surviving set. Counts both outcomes; with a recorder
-    /// attached they also land on `ckpt_scrubbed` / `ckpt_scrub_rejected`.
+    /// to match the surviving set. Counts both outcomes.
     pub fn scrub(&self) -> Result<ScrubReport, CkptError> {
         let mut report = ScrubReport::default();
         let mut survivors = Vec::new();
@@ -1354,8 +1351,6 @@ impl CkptStore {
         // when the scrub rejected nothing (a stale manifest is a
         // corruption mode too).
         self.gc_and_write_manifest(&survivors)?;
-        self.count("ckpt_scrubbed", report.scrubbed);
-        self.count("ckpt_scrub_rejected", report.rejected);
         Ok(report)
     }
 

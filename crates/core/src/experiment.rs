@@ -85,8 +85,8 @@ pub struct Experiment {
     /// squeeze-excite GEMMs follow the shape-gated `GemmPolicy` (tiny
     /// products stay f32). Kernel and precision choices are pure
     /// functions of shape + this knob, never timing, so replicas cannot
-    /// fork paths mid-run; per-precision dispatch counters are exported
-    /// through the obs registry (`gemm_dispatch_{blocked,naive}_{f32,bf16}`).
+    /// fork paths mid-run; the per-precision dispatch counters
+    /// (`ets_tensor::ops::dispatch::dispatch_calls`) show which ran.
     pub precision: Precision,
     /// Optimizer (§3.1).
     pub optimizer: OptimizerChoice,

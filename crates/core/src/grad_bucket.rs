@@ -220,8 +220,8 @@ unsafe impl Pieces for BucketPieces<'_, '_> {
 /// so they retry, verify, heal, fail and record identically.
 struct BucketExchange {
     /// Optional flight recorder: per-bucket wall spans on
-    /// [`Lane::WallBucket`] (aux = bucket index), a `bucket_seconds`
-    /// histogram, and retry counters. Disabled recorders cost one branch.
+    /// [`Lane::WallBucket`] (aux = bucket index). Disabled recorders cost
+    /// one branch.
     recorder: Option<Arc<Recorder>>,
     /// Step used to tag recorded bucket spans (set via
     /// [`GradBucket::set_step`]; purely observational). Also stamps
@@ -264,33 +264,23 @@ impl BucketExchange {
         };
         let mut attempts_left = self.corruption_retries;
         let mut detected_here = 0u64;
-        let mut bucket_retries = 0u64;
         loop {
             let outcome = retry_collective(policy, || comm.try_all_reduce_mean(pieces))?;
             let retries = (outcome.attempts - 1) as u64;
             counters.transient_failures += retries;
             counters.collective_retries += retries;
             counters.retry_backoff_virtual_s += outcome.backoff_s;
-            bucket_retries += retries;
             if !self.fingerprint {
                 break;
             }
             match fingerprint_verdict(comm, pieces, cs_local, &mut scratch.gathered) {
                 FpVerdict::Clean => {
-                    if detected_here > 0 {
-                        counters.corruptions_corrected += detected_here;
-                        if let Some(rec) = &self.recorder {
-                            rec.counter_add("bucket_corruptions_corrected", detected_here);
-                        }
-                    }
+                    counters.corruptions_corrected += detected_here;
                     break;
                 }
                 FpVerdict::Corrupt { rank } => {
                     counters.corruptions_detected += 1;
                     detected_here += 1;
-                    if let Some(rec) = &self.recorder {
-                        rec.counter_add("bucket_corruptions_detected", 1);
-                    }
                     if attempts_left == 0 {
                         return Err(CollectiveError::CorruptPayload {
                             rank,
@@ -318,10 +308,6 @@ impl BucketExchange {
                 self.step,
                 i as u64,
             );
-            rec.histogram_observe("bucket_seconds", dur);
-            if bucket_retries > 0 {
-                rec.counter_add("bucket_retries", bucket_retries);
-            }
         }
         Ok(dur)
     }
@@ -406,7 +392,7 @@ impl GradBucket {
     }
 
     /// Attaches a flight recorder; subsequent exchanges emit per-bucket
-    /// wall spans and retry counters into it.
+    /// wall spans into it.
     pub fn attach_recorder(&mut self, rec: Arc<Recorder>) {
         self.exchange.recorder = Some(rec);
     }
@@ -529,9 +515,6 @@ impl GradBucket {
             self.profile.exposed_seconds += dur;
         }
         self.profile.rounds += 1;
-        if let Some(rec) = &self.exchange.recorder {
-            rec.counter_add("all_reduce_rounds", 1);
-        }
         Ok(self.loss)
     }
 
@@ -682,10 +665,6 @@ impl GradBucket {
         self.profile.rounds += 1;
         self.profile.overlapped_rounds += 1;
         self.profile.hook_shipped_buckets += hook_shipped;
-        if let Some(rec) = &self.exchange.recorder {
-            rec.counter_add("all_reduce_rounds", 1);
-            rec.counter_add("all_reduce_overlapped_rounds", 1);
-        }
 
         Ok(OverlapOutcome {
             mean_loss: self.loss,

@@ -71,37 +71,6 @@ impl RecoveryCounters {
             + self.straggler_virtual_s
             + self.resize_virtual_s
     }
-
-    /// Mirrors the final counter values into a flight recorder's metrics
-    /// registry (integer fields as counters, virtual-seconds fields as
-    /// gauges). Call once at end of run: counters accumulate.
-    pub fn mirror_to(&self, rec: &ets_obs::Recorder) {
-        rec.counter_add("transient_failures", self.transient_failures);
-        rec.counter_add("collective_retries", self.collective_retries);
-        rec.counter_add("preemptions", self.preemptions);
-        rec.counter_add("replayed_steps", self.replayed_steps);
-        rec.counter_add("checkpoints_taken", self.checkpoints_taken);
-        rec.counter_add("lost_replicas", self.lost_replicas);
-        rec.counter_add("resizes", self.resizes);
-        rec.counter_add("durable_checkpoints", self.durable_checkpoints);
-        rec.counter_add(
-            "corrupt_checkpoints_skipped",
-            self.corrupt_checkpoints_skipped,
-        );
-        rec.counter_add("divergence_rollbacks", self.divergence_rollbacks);
-        rec.counter_add("corruptions_detected", self.corruptions_detected);
-        rec.counter_add("corruptions_corrected", self.corruptions_corrected);
-        rec.counter_add("rank_quarantines", self.rank_quarantines);
-        rec.counter_add("checkpoints_scrubbed", self.checkpoints_scrubbed);
-        rec.counter_add(
-            "checkpoints_scrub_rejected",
-            self.checkpoints_scrub_rejected,
-        );
-        rec.gauge_set("retry_backoff_virtual_s", self.retry_backoff_virtual_s);
-        rec.gauge_set("restart_virtual_s", self.restart_virtual_s);
-        rec.gauge_set("straggler_virtual_s", self.straggler_virtual_s);
-        rec.gauge_set("resize_virtual_s", self.resize_virtual_s);
-    }
 }
 
 /// One epoch's record, as seen by replica 0 (identical on all replicas for

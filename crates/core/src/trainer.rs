@@ -359,12 +359,11 @@ pub fn train(exp: &Experiment) -> TrainReport {
 
 /// Like [`train`], but with a live flight recorder per replica: every rank
 /// records hierarchical spans on both clocks (deterministic virtual
-/// seconds + wall time) plus counters/gauges/histograms. Returns the
-/// report together with the recorders; feed them to
-/// [`ets_obs::chrome_trace_multi`] / [`ets_obs::prometheus_text_multi`]
-/// for export. Recording does not perturb numerics: the virtual spans
-/// charge exactly the quantities the [`StepTimeline`] already records, so
-/// a traced run produces a bit-identical [`TrainReport`].
+/// seconds + wall time). Returns the report together with the recorders;
+/// feed them to [`ets_obs::chrome_trace_multi`] for export. Recording
+/// does not perturb numerics: the virtual spans charge exactly the
+/// quantities the [`StepTimeline`] already records, so a traced run
+/// produces a bit-identical [`TrainReport`].
 pub fn train_traced(exp: &Experiment) -> (TrainReport, Vec<Arc<Recorder>>) {
     let recorders: Vec<Arc<Recorder>> = (0..exp.replicas)
         .map(|r| Arc::new(Recorder::enabled(r as u32)))
@@ -414,15 +413,8 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
     let nominal_total_steps = exp.epochs * exp.steps_per_epoch() as u64;
     let faults = Arc::new(exp.faults.compile(nominal_total_steps));
 
-    // Resize boundaries: permanent losses grouped by step → (step, ranks
-    // lost at that step).
-    let mut boundaries: VecDeque<(u64, usize)> = VecDeque::new();
-    for &(s, _rank) in faults.loss_events() {
-        match boundaries.back_mut() {
-            Some((bs, k)) if *bs == s => *k += 1,
-            _ => boundaries.push_back((s, 1)),
-        }
-    }
+    // Resize boundaries: `(step, ranks lost at that step)`, ascending.
+    let mut boundaries = VecDeque::from(faults.resize_boundaries());
 
     // Durable checkpoint store, opened only when the run can actually
     // lose replicas or trip the divergence guard. The trainer owns the
@@ -636,111 +628,6 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         ets_tensor::ops::abft::corruptions_detected().saturating_sub(abft_detected0);
     carry.counters.corruptions_corrected +=
         ets_tensor::ops::abft::tiles_recomputed().saturating_sub(abft_healed0);
-
-    // Mirror the final recovery counters into every surviving recorder's
-    // metric registry (no-op for disabled recorders).
-    for rec in recorders.iter().take(world) {
-        carry.counters.mirror_to(rec);
-    }
-
-    // Export the compute-kernel self-check counters (process-wide: the
-    // scratch arena's allocator hits and the gemm_auto dispatch split).
-    // Steady-state training must keep `tensor_scratch_reallocs` flat and
-    // `gemm_dispatch_blocked` nonzero on real model shapes; the bench
-    // harness and smoke tests assert on these via the registry.
-    for rec in recorders.iter().take(world) {
-        rec.gauge_set(
-            "tensor_scratch_reallocs",
-            ets_tensor::scratch_reallocs() as f64,
-        );
-        rec.gauge_set(
-            "tensor_scratch_checkouts",
-            ets_tensor::scratch_checkouts() as f64,
-        );
-        rec.gauge_set(
-            "gemm_dispatch_blocked",
-            ets_tensor::ops::dispatch::dispatch_blocked_calls() as f64,
-        );
-        rec.gauge_set(
-            "gemm_dispatch_naive",
-            ets_tensor::ops::dispatch::dispatch_naive_calls() as f64,
-        );
-        // Per-precision splits (legacy gauges above are their sums): a
-        // mixed-precision run must show nonzero bf16 traffic, and an f32
-        // run exactly zero — the smoke tests assert both directions.
-        // (Static names: the registry is zero-alloc by design.)
-        let (f32_blocked, f32_naive) = ets_tensor::ops::dispatch::dispatch_calls(
-            ets_tensor::ops::dispatch::GemmPrecision::F32,
-        );
-        let (bf16_blocked, bf16_naive) = ets_tensor::ops::dispatch::dispatch_calls(
-            ets_tensor::ops::dispatch::GemmPrecision::Bf16,
-        );
-        rec.gauge_set("gemm_dispatch_blocked_f32", f32_blocked as f64);
-        rec.gauge_set("gemm_dispatch_naive_f32", f32_naive as f64);
-        rec.gauge_set("gemm_dispatch_blocked_bf16", bf16_blocked as f64);
-        rec.gauge_set("gemm_dispatch_naive_bf16", bf16_naive as f64);
-        // SIMD lane-path split of the micro-kernel macro blocks: proves
-        // which vector body actually ran (all paths are bitwise-equal,
-        // so this is observability, not a correctness surface). Static
-        // names, one per path; both precisions run the one f32 body.
-        {
-            use ets_tensor::ops::simd::{micro_block_calls, LanePath};
-            for (name, path) in [
-                ("gemm_micro_scalar", LanePath::Scalar),
-                ("gemm_micro_sse2", LanePath::Sse2),
-                ("gemm_micro_avx2", LanePath::Avx2),
-            ] {
-                rec.gauge_set(name, micro_block_calls(path) as f64);
-            }
-        }
-        // Exposed vs hidden communication: the overlapped exchange hides
-        // part of the per-bucket all-reduce time behind backward compute;
-        // `all_reduce_overlap_pct` is the hidden share.
-        rec.gauge_set("all_reduce_exposed_s", carry_buckets.exposed_seconds);
-        rec.gauge_set("all_reduce_overlap_pct", carry_buckets.overlap_pct());
-        // Per-worker GEMM pool utilization (process-wide, static names:
-        // the registry is zero-alloc by design).
-        const BUSY: [&str; 16] = [
-            "gemm_worker_busy_s_00",
-            "gemm_worker_busy_s_01",
-            "gemm_worker_busy_s_02",
-            "gemm_worker_busy_s_03",
-            "gemm_worker_busy_s_04",
-            "gemm_worker_busy_s_05",
-            "gemm_worker_busy_s_06",
-            "gemm_worker_busy_s_07",
-            "gemm_worker_busy_s_08",
-            "gemm_worker_busy_s_09",
-            "gemm_worker_busy_s_10",
-            "gemm_worker_busy_s_11",
-            "gemm_worker_busy_s_12",
-            "gemm_worker_busy_s_13",
-            "gemm_worker_busy_s_14",
-            "gemm_worker_busy_s_15",
-        ];
-        const TILES: [&str; 16] = [
-            "gemm_worker_tiles_00",
-            "gemm_worker_tiles_01",
-            "gemm_worker_tiles_02",
-            "gemm_worker_tiles_03",
-            "gemm_worker_tiles_04",
-            "gemm_worker_tiles_05",
-            "gemm_worker_tiles_06",
-            "gemm_worker_tiles_07",
-            "gemm_worker_tiles_08",
-            "gemm_worker_tiles_09",
-            "gemm_worker_tiles_10",
-            "gemm_worker_tiles_11",
-            "gemm_worker_tiles_12",
-            "gemm_worker_tiles_13",
-            "gemm_worker_tiles_14",
-            "gemm_worker_tiles_15",
-        ];
-        for (w, stat) in ets_tensor::worker_stats().iter().enumerate() {
-            rec.gauge_set(BUSY[w], stat.busy_s);
-            rec.gauge_set(TILES[w], stat.tiles as f64);
-        }
-    }
 
     let (peak_top1, peak_epoch) = history
         .iter()

@@ -1,5 +1,5 @@
-//! The flight recorder: hierarchical spans on two clocks plus a zero-alloc
-//! metrics registry.
+//! The flight recorder: hierarchical spans on two clocks plus a handful of
+//! zero-alloc named counters.
 //!
 //! # Two-clock model
 //!
@@ -23,7 +23,7 @@
 //! entry point checks `enabled` first and returns before taking any lock,
 //! reading any clock, or touching any buffer — no allocation, no formatting.
 //! An **enabled** recorder follows the same pooled-scratch discipline as
-//! `GradBucket`: the event buffer and metric slots are preallocated, and any
+//! `GradBucket`: the event buffer and counter slots are preallocated, and any
 //! growth past the initial capacity is tallied in self-check counters
 //! ([`Recorder::events_reallocs`], [`Recorder::registry_reallocs`]) that
 //! tests pin to zero in steady state.
@@ -154,54 +154,15 @@ struct EventBuf {
     reallocs: u64,
 }
 
-/// A named atomic slot. Gauges store `f64` bit patterns.
-struct Slot {
+/// A named counter.
+struct Counter {
     name: &'static str,
     value: AtomicU64,
 }
 
-/// Fixed-bucket histogram: bounds are `1µs · 2^i` for `i in 0..BUCKETS-1`,
-/// plus a final +inf bucket. Values are seconds.
-pub const HISTOGRAM_BUCKETS: usize = 24;
-
-struct HistSlot {
-    name: &'static str,
-    counts: [AtomicU64; HISTOGRAM_BUCKETS],
-    /// Sum of observed values, stored as f64 bits (CAS loop).
-    sum_bits: AtomicU64,
-    count: AtomicU64,
-}
-
-/// Upper bound (in seconds) of histogram bucket `i`.
-pub fn histogram_bound(i: usize) -> f64 {
-    if i + 1 >= HISTOGRAM_BUCKETS {
-        f64::INFINITY
-    } else {
-        1e-6 * (1u64 << i) as f64
-    }
-}
-
-struct MetricsRegistry {
-    counters: RwLock<Vec<Slot>>,
-    gauges: RwLock<Vec<Slot>>,
-    histograms: RwLock<Vec<HistSlot>>,
-    /// Registrations that grew a registry vec past its preallocated
-    /// capacity (self-check; should stay 0).
-    reallocs: AtomicU64,
-}
-
-const REGISTRY_CAPACITY: usize = 64;
-
-impl MetricsRegistry {
-    fn new() -> Self {
-        Self {
-            counters: RwLock::new(Vec::with_capacity(REGISTRY_CAPACITY)),
-            gauges: RwLock::new(Vec::with_capacity(REGISTRY_CAPACITY)),
-            histograms: RwLock::new(Vec::with_capacity(REGISTRY_CAPACITY)),
-            reallocs: AtomicU64::new(0),
-        }
-    }
-}
+/// Counter slots preallocated per recorder; registering more is a
+/// self-check violation tallied in [`Recorder::registry_reallocs`].
+const COUNTER_CAPACITY: usize = 16;
 
 /// The flight recorder. Shared across producers as `Arc<Recorder>`; all
 /// methods take `&self`.
@@ -210,7 +171,10 @@ pub struct Recorder {
     rank: u32,
     epoch: Instant,
     buf: Mutex<EventBuf>,
-    metrics: MetricsRegistry,
+    counters: RwLock<Vec<Counter>>,
+    /// Registrations that grew `counters` past its preallocated capacity
+    /// (self-check; should stay 0).
+    counter_reallocs: AtomicU64,
 }
 
 impl std::fmt::Debug for Recorder {
@@ -248,7 +212,8 @@ impl Recorder {
                 initial_capacity: if enabled { capacity } else { 0 },
                 reallocs: 0,
             }),
-            metrics: MetricsRegistry::new(),
+            counters: RwLock::new(Vec::with_capacity(COUNTER_CAPACITY)),
+            counter_reallocs: AtomicU64::new(0),
         }
     }
 
@@ -374,7 +339,7 @@ impl Recorder {
         buf.events.push(ev);
     }
 
-    // -------------------------------------------------------------- metrics
+    // ------------------------------------------------------------- counters
 
     /// Add `delta` to the named counter, registering it on first touch.
     /// Steady state (name already registered) is lock-read + atomic add —
@@ -383,79 +348,34 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        slot_update(&self.metrics, &self.metrics.counters, name, |v| {
-            v.fetch_add(delta, Ordering::Relaxed);
-        });
-    }
-
-    /// Set the named gauge to `value` (f64, stored as bits).
-    pub fn gauge_set(&self, name: &'static str, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        slot_update(&self.metrics, &self.metrics.gauges, name, |v| {
-            v.store(value.to_bits(), Ordering::Relaxed);
-        });
-    }
-
-    /// Observe `value` (seconds) into the named histogram.
-    pub fn histogram_observe(&self, name: &'static str, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let bucket = bucket_index(value);
         {
-            let hists = unpoisoned(self.metrics.histograms.read());
-            if let Some(h) = hists.iter().find(|h| h.name == name) {
-                observe_into(h, bucket, value);
+            let read = unpoisoned(self.counters.read());
+            if let Some(c) = read.iter().find(|c| c.name == name) {
+                c.value.fetch_add(delta, Ordering::Relaxed);
                 return;
             }
         }
-        let mut hists = unpoisoned(self.metrics.histograms.write());
-        if !hists.iter().any(|h| h.name == name) {
-            if hists.len() == hists.capacity() {
-                self.metrics.reallocs.fetch_add(1, Ordering::Relaxed);
-            }
-            hists.push(HistSlot {
-                name,
-                counts: std::array::from_fn(|_| AtomicU64::new(0)),
-                sum_bits: AtomicU64::new(0.0f64.to_bits()),
-                count: AtomicU64::new(0),
-            });
+        let mut write = unpoisoned(self.counters.write());
+        if let Some(c) = write.iter().find(|c| c.name == name) {
+            c.value.fetch_add(delta, Ordering::Relaxed);
+            return;
         }
-        let h = hists.iter().find(|h| h.name == name).unwrap();
-        observe_into(h, bucket, value);
+        if write.len() == write.capacity() {
+            self.counter_reallocs.fetch_add(1, Ordering::Relaxed);
+        }
+        write.push(Counter {
+            name,
+            value: AtomicU64::new(delta),
+        });
     }
 
     /// Current value of a counter (0 if never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        unpoisoned(self.metrics.counters.read())
+        unpoisoned(self.counters.read())
             .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.value.load(Ordering::Relaxed))
+            .find(|c| c.name == name)
+            .map(|c| c.value.load(Ordering::Relaxed))
             .unwrap_or(0)
-    }
-
-    /// Current value of a gauge (None if never set).
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        unpoisoned(self.metrics.gauges.read())
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| f64::from_bits(s.value.load(Ordering::Relaxed)))
-    }
-
-    /// `(count, sum)` of a histogram (zeros if never observed).
-    pub fn histogram_stats(&self, name: &str) -> (u64, f64) {
-        unpoisoned(self.metrics.histograms.read())
-            .iter()
-            .find(|h| h.name == name)
-            .map(|h| {
-                (
-                    h.count.load(Ordering::Relaxed),
-                    f64::from_bits(h.sum_bits.load(Ordering::Relaxed)),
-                )
-            })
-            .unwrap_or((0, 0.0))
     }
 
     // ----------------------------------------------------------- self-check
@@ -467,9 +387,10 @@ impl Recorder {
         unpoisoned(self.buf.lock()).reallocs
     }
 
-    /// Times a metric registration grew a registry vec past capacity.
+    /// Times a counter registration grew the counter slots past their
+    /// preallocated capacity.
     pub fn registry_reallocs(&self) -> u64 {
-        self.metrics.reallocs.load(Ordering::Relaxed)
+        self.counter_reallocs.load(Ordering::Relaxed)
     }
 
     /// Number of recorded events (all clocks).
@@ -525,37 +446,6 @@ impl Recorder {
         }
         h
     }
-
-    /// Iterate metric snapshots for exporters: `(kind, name, value)`.
-    pub(crate) fn counters_snapshot(&self) -> Vec<(&'static str, u64)> {
-        unpoisoned(self.metrics.counters.read())
-            .iter()
-            .map(|s| (s.name, s.value.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    pub(crate) fn gauges_snapshot(&self) -> Vec<(&'static str, f64)> {
-        unpoisoned(self.metrics.gauges.read())
-            .iter()
-            .map(|s| (s.name, f64::from_bits(s.value.load(Ordering::Relaxed))))
-            .collect()
-    }
-
-    pub(crate) fn histograms_snapshot(
-        &self,
-    ) -> Vec<(&'static str, [u64; HISTOGRAM_BUCKETS], u64, f64)> {
-        unpoisoned(self.metrics.histograms.read())
-            .iter()
-            .map(|h| {
-                (
-                    h.name,
-                    std::array::from_fn(|i| h.counts[i].load(Ordering::Relaxed)),
-                    h.count.load(Ordering::Relaxed),
-                    f64::from_bits(h.sum_bits.load(Ordering::Relaxed)),
-                )
-            })
-            .collect()
-    }
 }
 
 /// The guard of a lock result, whether or not a panicking holder
@@ -565,56 +455,6 @@ impl Recorder {
 /// left half done, since each is one `push` or one atomic operation.
 fn unpoisoned<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
-}
-
-fn bucket_index(value: f64) -> usize {
-    (0..HISTOGRAM_BUCKETS - 1)
-        .find(|&i| value <= histogram_bound(i))
-        .unwrap_or(HISTOGRAM_BUCKETS - 1)
-}
-
-fn observe_into(h: &HistSlot, bucket: usize, value: f64) {
-    h.counts[bucket].fetch_add(1, Ordering::Relaxed);
-    h.count.fetch_add(1, Ordering::Relaxed);
-    let mut cur = h.sum_bits.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + value).to_bits();
-        match h
-            .sum_bits
-            .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => break,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Shared lookup-or-register for counter/gauge slots.
-fn slot_update(
-    reg: &MetricsRegistry,
-    slots: &RwLock<Vec<Slot>>,
-    name: &'static str,
-    apply: impl Fn(&AtomicU64),
-) {
-    {
-        let read = unpoisoned(slots.read());
-        if let Some(s) = read.iter().find(|s| s.name == name) {
-            apply(&s.value);
-            return;
-        }
-    }
-    let mut write = unpoisoned(slots.write());
-    if !write.iter().any(|s| s.name == name) {
-        if write.len() == write.capacity() {
-            reg.reallocs.fetch_add(1, Ordering::Relaxed);
-        }
-        write.push(Slot {
-            name,
-            value: AtomicU64::new(0),
-        });
-    }
-    let s = write.iter().find(|s| s.name == name).unwrap();
-    apply(&s.value);
 }
 
 /// RAII wall-clock span; records on drop. Inert (clock never read) when the
@@ -667,14 +507,10 @@ mod tests {
             let _g = r.wall_span(Lane::WallPhase, phase::FORWARD, 0, 0);
         }
         r.counter_add("steps", 1);
-        r.gauge_set("lr", 0.1);
-        r.histogram_observe("step_s", 0.01);
         assert_eq!(r.event_count(), 0);
         assert_eq!(r.events_reallocs(), 0);
         assert_eq!(r.registry_reallocs(), 0);
         assert_eq!(r.counter_value("steps"), 0);
-        assert_eq!(r.gauge_value("lr"), None);
-        assert_eq!(r.histogram_stats("step_s"), (0, 0.0));
     }
 
     #[test]
@@ -683,13 +519,11 @@ mod tests {
         for step in 0..64 {
             r.virtual_span(Lane::VirtualStep, phase::STEP, step as f64, 1.0, step, 0);
             r.counter_add("steps", 1);
-            r.histogram_observe("step_s", 1.0);
         }
         assert_eq!(r.event_count(), 64);
         assert_eq!(r.events_reallocs(), 0);
         assert_eq!(r.registry_reallocs(), 0);
         assert_eq!(r.counter_value("steps"), 64);
-        assert_eq!(r.histogram_stats("step_s"), (64, 64.0));
     }
 
     #[test]
@@ -751,24 +585,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_overwrites_and_counter_accumulates() {
+    fn counter_accumulates() {
         let r = Recorder::enabled(0);
-        r.gauge_set("lr", 0.1);
-        r.gauge_set("lr", 0.2);
-        assert_eq!(r.gauge_value("lr"), Some(0.2));
         r.counter_add("retries", 2);
         r.counter_add("retries", 3);
         assert_eq!(r.counter_value("retries"), 5);
-    }
-
-    #[test]
-    fn histogram_buckets_are_monotone_and_capture_value() {
-        assert!(histogram_bound(0) < histogram_bound(1));
-        assert!(histogram_bound(HISTOGRAM_BUCKETS - 1).is_infinite());
-        let r = Recorder::enabled(0);
-        r.histogram_observe("d", 1e9); // lands in +inf bucket, no panic
-        r.histogram_observe("d", 0.0);
-        assert_eq!(r.histogram_stats("d").0, 2);
     }
 
     #[test]

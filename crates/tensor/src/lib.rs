@@ -31,8 +31,7 @@ pub use par::{
 };
 pub use rng::Rng;
 pub use scratch::{
-    reset_scratch_counters, scratch_checkouts, scratch_f32, scratch_reallocs,
-    scratch_reallocs_local, ScratchVec,
+    reset_scratch_counters, scratch_f32, scratch_reallocs, scratch_reallocs_local, ScratchVec,
 };
 pub use shape::{conv_out_dim, same_pad, Shape};
 pub use tensor::Tensor;

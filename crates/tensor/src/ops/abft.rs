@@ -31,7 +31,7 @@
 //!   to an uncorrupted run — corruption never escapes into weights.
 //! - **Accounted.** Process-wide counters (`tiles_verified`,
 //!   `corruptions_detected`, `tiles_recomputed`, `unrecovered`) feed the
-//!   trainer's `RecoveryCounters` and the Prometheus exporter.
+//!   trainer's `RecoveryCounters`.
 //!
 //! The injection side ([`arm_inject`]) flips one bit of the next
 //! verified tile's first output element — the software stand-in for the

@@ -63,11 +63,11 @@
 //!
 //! [`dispatch_blocked_calls`] / [`dispatch_naive_calls`] tally which
 //! path ran, process-wide, with per-precision splits
-//! ([`dispatch_calls`]). The trainer exports all four splits through the
-//! obs registry; trainer-level tests assert `blocked > 0` so a silent
-//! threshold regression cannot quietly route everything to the naive
-//! kernel, and the bf16 splits let the mixed-precision proxy runs prove
-//! they actually rounded their operands.
+//! ([`dispatch_calls`]). `tests/kernel_dispatch.rs` reads them around
+//! real training runs: `training_exercises_both_dispatch_paths` asserts
+//! both kernels ran, so a silent threshold regression cannot quietly
+//! route everything to the naive kernel, and the bf16 splits let the
+//! mixed-precision runs prove they actually rounded their operands.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

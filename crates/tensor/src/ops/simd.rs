@@ -41,8 +41,7 @@
 //! (`auto`/`avx2`/`sse2`/`scalar`) overrides `is_x86_feature_detected!`,
 //! and tests (which cannot re-exec) override both with
 //! [`force_lane_path`] / [`ForcedLaneGuard`]. Per-path call counters
-//! (exported as `gemm_micro_{avx2,sse2,scalar}` gauges) prove which body
-//! actually ran.
+//! ([`micro_block_calls`]) prove which body actually ran.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -64,7 +63,7 @@ impl LanePath {
     /// Every path, narrowest first (the order bench probes sweep).
     pub const ALL: [LanePath; 3] = [LanePath::Scalar, LanePath::Sse2, LanePath::Avx2];
 
-    /// Stable name used in env parsing, bench JSON, and gauge names.
+    /// Stable name used in env parsing and test messages.
     pub fn name(self) -> &'static str {
         match self {
             LanePath::Scalar => "scalar",
@@ -247,8 +246,7 @@ pub(crate) fn tally_micro(path: LanePath) {
     micro_counter(path).fetch_add(1, Ordering::Relaxed);
 }
 
-/// Macro-block executions recorded on `path` — the process-wide source
-/// of the `gemm_micro_{path}` gauges.
+/// Macro-block executions recorded on `path`, process-wide.
 pub fn micro_block_calls(path: LanePath) -> u64 {
     micro_counter(path).load(Ordering::Relaxed)
 }

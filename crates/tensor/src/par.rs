@@ -46,16 +46,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Hard cap on pool size; also the width of the per-worker stat arrays
-/// (the obs registry needs a bounded set of static gauge names).
+/// Hard cap on pool size; also the width of the per-worker stat arrays.
 pub const MAX_WORKERS: usize = 16;
 
 /// Tiles executed per stat slot (slot 0 = the submitting thread).
 static WORKER_TILES: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
-/// Busy nanoseconds per stat slot (claim-loop wall time).
-static WORKER_BUSY_NS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
 /// Latest `scratch_reallocs_local()` snapshot per stat slot, published
 /// after every job — the per-worker half of the zero-realloc contract.
 static WORKER_REALLOCS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
@@ -183,8 +180,6 @@ pub fn set_tile_delay(nanos: u64, stride: u64) {
 /// the last [`reset_worker_stats`]). Slot 0 is the submitting thread.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkerStat {
-    /// Wall seconds spent inside claim loops.
-    pub busy_s: f64,
     /// Tiles executed.
     pub tiles: u64,
     /// Latest `scratch_reallocs_local()` snapshot of that worker thread.
@@ -197,19 +192,17 @@ pub fn worker_stats() -> Vec<WorkerStat> {
     let n = gemm_workers().min(MAX_WORKERS);
     (0..n)
         .map(|i| WorkerStat {
-            busy_s: WORKER_BUSY_NS[i].load(Ordering::Relaxed) as f64 * 1e-9,
             tiles: WORKER_TILES[i].load(Ordering::Relaxed),
             scratch_reallocs: WORKER_REALLOCS[i].load(Ordering::Relaxed),
         })
         .collect()
 }
 
-/// Zero the busy/tile tallies (realloc snapshots are absolute
-/// thread-local counters and are left alone).
+/// Zero the tile tallies (realloc snapshots are absolute thread-local
+/// counters and are left alone).
 pub fn reset_worker_stats() {
-    for i in 0..MAX_WORKERS {
-        WORKER_TILES[i].store(0, Ordering::Relaxed);
-        WORKER_BUSY_NS[i].store(0, Ordering::Relaxed);
+    for tiles in &WORKER_TILES {
+        tiles.store(0, Ordering::Relaxed);
     }
 }
 
@@ -227,7 +220,6 @@ fn chaos_delay(tile: usize) {
 
 /// Claim-and-run loop shared by helpers and the submitting thread.
 fn run_claims(job: &Job, slot: usize) {
-    let t0 = Instant::now();
     let mut tiles = 0u64;
     loop {
         let tile = job.cursor.fetch_add(1, Ordering::Relaxed);
@@ -240,7 +232,6 @@ fn run_claims(job: &Job, slot: usize) {
     }
     let s = slot.min(MAX_WORKERS - 1);
     WORKER_TILES[s].fetch_add(tiles, Ordering::Relaxed);
-    WORKER_BUSY_NS[s].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     WORKER_REALLOCS[s].store(crate::scratch::scratch_reallocs_local(), Ordering::Relaxed);
 }
 
@@ -279,13 +270,11 @@ pub fn run_tiles(n_tiles: usize, task: &(dyn Fn(usize) + Sync)) {
         // Single-worker pool, or a concurrent submitter owns the
         // helpers: run everything inline on this thread.
         _ => {
-            let t0 = Instant::now();
             for tile in 0..n_tiles {
                 chaos_delay(tile);
                 task(tile);
             }
             WORKER_TILES[0].fetch_add(n_tiles as u64, Ordering::Relaxed);
-            WORKER_BUSY_NS[0].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             WORKER_REALLOCS[0].store(crate::scratch::scratch_reallocs_local(), Ordering::Relaxed);
             return;
         }

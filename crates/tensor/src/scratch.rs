@@ -50,15 +50,13 @@ const POOL_MAX_BUFFERS: usize = 32;
 /// or grow an existing one. Warmup allocations count; steady state must
 /// keep the counter flat.
 static SCRATCH_REALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Total checkouts (cheap liveness signal for the obs registry).
-static SCRATCH_CHECKOUTS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
     /// Per-thread realloc tally. Tests that pin steady state to zero use
     /// this (immune to other test threads churning the global counter);
-    /// the global atomics remain the process-wide number the obs registry
-    /// exports.
+    /// the global atomic remains the process-wide number perfbench
+    /// reads.
     static THREAD_REALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -68,15 +66,9 @@ pub fn scratch_reallocs() -> u64 {
     SCRATCH_REALLOCS.load(Ordering::Relaxed)
 }
 
-/// Total buffer checkouts. Process-wide.
-pub fn scratch_checkouts() -> u64 {
-    SCRATCH_CHECKOUTS.load(Ordering::Relaxed)
-}
-
-/// Reset both global counters to zero (tests; benches between phases).
+/// Reset the global realloc counter to zero.
 pub fn reset_scratch_counters() {
     SCRATCH_REALLOCS.store(0, Ordering::Relaxed);
-    SCRATCH_CHECKOUTS.store(0, Ordering::Relaxed);
 }
 
 /// Reallocs charged to the **calling thread** only. Strict steady-state
@@ -142,7 +134,6 @@ impl Drop for ScratchVec {
 /// stale value (never uninitialized memory). Kernels must fully overwrite
 /// the slots they read back.
 pub fn scratch_f32(len: usize) -> ScratchVec {
-    SCRATCH_CHECKOUTS.fetch_add(1, Ordering::Relaxed);
     if len == 0 {
         return ScratchVec {
             buf: Vec::new(),

@@ -141,30 +141,6 @@ impl PodChaosReport {
             .end_object();
         w.finish()
     }
-
-    /// Mirrors the report into a flight recorder's metrics registry
-    /// (counts as counters, seconds as gauges), prefixed `sim_` so pod-sim
-    /// metrics never collide with the trainer's when both feed one
-    /// Prometheus dump. No-op on a disabled recorder.
-    pub fn mirror_to(&self, rec: &Recorder) {
-        rec.counter_add("sim_steps_completed", self.steps_completed);
-        rec.counter_add("sim_steps_executed", self.steps_executed);
-        rec.counter_add("sim_preemptions", self.preemptions);
-        rec.counter_add("sim_replayed_steps", self.replayed_steps);
-        rec.counter_add("sim_permanent_losses", self.permanent_losses);
-        rec.counter_add("sim_resizes", self.resizes);
-        rec.gauge_set("sim_fault_free_seconds", self.fault_free_seconds);
-        rec.gauge_set("sim_total_seconds", self.total_seconds);
-        rec.gauge_set("sim_restart_seconds", self.restart_seconds);
-        rec.gauge_set("sim_straggler_seconds", self.straggler_seconds);
-        rec.gauge_set("sim_degrade_seconds", self.degrade_seconds);
-        rec.gauge_set("sim_retry_seconds", self.retry_seconds);
-        rec.gauge_set(
-            "sim_resize_overhead_seconds",
-            self.resize_overhead_seconds(),
-        );
-        rec.gauge_set("sim_surviving_cores", self.surviving_cores as f64);
-    }
 }
 
 /// Mutable pricing state of the (possibly shrunken) pod: which cores are
@@ -300,24 +276,14 @@ pub fn simulate_chaos_recorded(
     let mut events = plan.events.clone();
     events.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).unwrap());
 
-    // Permanent losses are *step*-keyed (their `at_s` is advisory): group
-    // them into ascending resize boundaries, coalescing losses that land
-    // on the same step into one protocol run (`k` ranks drain together).
-    let mut boundaries: Vec<(u64, usize)> = Vec::new();
-    for ev in &events {
-        if let FaultKind::PermanentLoss { at_step, .. } = ev.kind {
-            match boundaries.iter_mut().find(|(s, _)| *s == at_step) {
-                Some((_, k)) => *k += 1,
-                None => boundaries.push((at_step, 1)),
-            }
-        }
-    }
-    boundaries.sort_by_key(|&(s, _)| s);
+    // Permanent losses are *step*-keyed (their `at_s` is advisory): the
+    // compiled schedule groups them into the same resize boundaries the
+    // trainer drains (`k` ranks drain together at one step).
     let mut world = ElasticWorld {
         cores: cfg.cores,
         base: base0,
         ar_share: st.all_reduce_share(),
-        losses: boundaries,
+        losses: plan.compile(total_steps).resize_boundaries(),
         next: 0,
     };
 
@@ -491,7 +457,6 @@ pub fn simulate_chaos_recorded(
     if report.total_seconds == 0.0 {
         report.total_seconds = sim.now();
     }
-    report.mirror_to(rec);
     report
 }
 
@@ -769,6 +734,22 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_loss_is_one_loss_as_in_the_trainer() {
+        // A plan that names the same (step, rank) loss twice loses that
+        // rank once: the trainer drains the compiled schedule's
+        // boundaries, and the simulator must price the same world.
+        let mut twice = FaultPlan::none();
+        twice.events.push(loss_at(10, 1));
+        twice.events.push(loss_at(10, 1));
+        assert_eq!(twice.compile(40).resize_boundaries(), vec![(10, 1)]);
+        let mut once = FaultPlan::none();
+        once.events.push(loss_at(10, 1));
+        let rt = simulate_chaos(&cfg(), &twice, 40);
+        assert_eq!(rt.permanent_losses, 1);
+        assert_eq!(rt.to_json(), simulate_chaos(&cfg(), &once, 40).to_json());
+    }
+
+    #[test]
     fn resize_composes_with_preemption() {
         // A preemption after the resize replays *degraded* steps; the run
         // still finishes and losses are never re-charged on replay.
@@ -833,12 +814,6 @@ mod tests {
         assert_eq!(a.total_seconds.to_bits(), b.total_seconds.to_bits());
         // Every executed step left a span; chaos adds control spans on top.
         assert!(rec_a.event_count() as u64 >= a.steps_executed);
-        // The report mirrors into the metrics registry.
-        assert_eq!(rec_a.counter_value("sim_steps_executed"), a.steps_executed);
-        assert_eq!(
-            rec_a.gauge_value("sim_total_seconds"),
-            Some(a.total_seconds)
-        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! - [`data`] — the SynthNet dataset, sharding, and input pipeline.
 //! - [`train`] — the distributed trainer tying it all together.
 //! - [`obs`] — the deterministic flight recorder (two-clock spans,
-//!   zero-alloc metrics, Chrome-trace / Prometheus / summary exporters).
+//!   zero-alloc counters, Chrome-trace / summary exporters).
 //!
 //! See README.md for a tour and DESIGN.md for the paper-to-module map.
 //!

@@ -71,12 +71,9 @@ pub struct Experiment {
     pub seed: u64,
     /// Replica (simulated core) count.
     pub replicas: usize,
-    /// Samples per replica per micro-batch.
+    /// Samples per replica per step. The global batch is
+    /// `replicas × per_replica_batch`.
     pub per_replica_batch: usize,
-    /// Micro-batches accumulated per optimizer step (1 = none). The
-    /// effective global batch is `replicas × per_replica_batch × this`,
-    /// letting proxy runs reach paper-scale batch ratios with few threads.
-    pub grad_accum_steps: usize,
     /// Model architecture.
     pub model: ModelConfig,
     /// Numeric policy (§3.5). With `MixedBf16`, every convolution GEMM
@@ -101,8 +98,8 @@ pub struct Experiment {
     /// The all-reduce schedule this run would use on a pod, as priced by
     /// `ets-collective`'s cost models and `ets-tpu-sim`. In process every
     /// value runs the same communicator round for gradients, BN
-    /// statistics, eval counts and init broadcasts, so the trajectory is
-    /// bitwise the same under each; the label is reported back.
+    /// statistics and eval counts, so the trajectory is bitwise the same
+    /// under each; the label is reported back.
     pub collective_backend: Backend,
     /// Deterministic fault-injection schedule (chaos testing). The
     /// default plan is empty: no faults. A non-empty plan perturbs virtual
@@ -114,14 +111,6 @@ pub struct Experiment {
     pub epochs: u64,
     /// Evaluate every this many epochs (distributed eval, §3.3).
     pub eval_every: u64,
-    /// Initialization sync: `false` (default) gives every replica the same
-    /// seed stream (bitwise-identical init for free); `true` initializes
-    /// each replica independently and then broadcasts replica 0's weights
-    /// — the way real multi-host jobs synchronize.
-    pub broadcast_init: bool,
-    /// Global-norm gradient clipping applied after the all-reduce
-    /// (None disables). Large-batch warmup sometimes needs it.
-    pub clip_grad_norm: Option<f32>,
     /// Label smoothing for the cross-entropy loss.
     pub label_smoothing: f32,
     /// Weight-EMA decay; `None` disables EMA evaluation.
@@ -144,10 +133,7 @@ pub struct Experiment {
     /// bucket's collective fires (on a per-step communication thread) as
     /// soon as its last gradient lands, hiding communication behind the
     /// remaining backward compute. Bitwise identical to the serialized
-    /// exchange — only wall time moves. Falls back to the serialized path
-    /// when `grad_accum_steps > 1` (gradients are rescaled after the
-    /// micro-batch loop, so no bucket is final until backward ends).
-    /// Defaults to `false` (serialized).
+    /// exchange — only wall time moves. Defaults to `false` (serialized).
     pub overlap_all_reduce: bool,
     /// Worker threads for the blocked GEMM macro-kernel inside each
     /// replica. `0` (the default) leaves the process-wide setting alone;
@@ -200,7 +186,6 @@ impl Experiment {
             seed: 42,
             replicas: 4,
             per_replica_batch: 8,
-            grad_accum_steps: 1,
             model: ModelConfig::tiny(16, 8),
             precision: Precision::F32,
             optimizer: OptimizerChoice::RmsProp,
@@ -220,8 +205,6 @@ impl Experiment {
             faults: FaultPlan::none(),
             epochs: 12,
             eval_every: 1,
-            broadcast_init: false,
-            clip_grad_norm: None,
             label_smoothing: 0.1,
             ema_decay: None,
             nan_guard: false,
@@ -241,9 +224,9 @@ impl Experiment {
         }
     }
 
-    /// Effective global batch size (including gradient accumulation).
+    /// Global batch size: samples per optimizer step over all replicas.
     pub fn global_batch(&self) -> usize {
-        self.replicas * self.per_replica_batch * self.grad_accum_steps
+        self.replicas * self.per_replica_batch
     }
 
     /// Steps per epoch (drop-remainder).
@@ -260,10 +243,6 @@ impl Experiment {
     pub fn validate(&self) {
         assert!(self.replicas >= 1, "need at least one replica");
         assert!(self.per_replica_batch >= 1, "empty per-replica batch");
-        assert!(
-            self.grad_accum_steps >= 1,
-            "accumulation needs ≥ 1 micro-batch"
-        );
         assert!(
             self.steps_per_epoch() >= 1,
             "global batch {} exceeds dataset {}",

@@ -35,7 +35,6 @@ pub fn proxy_of(row: &Table2Row, base: &Experiment) -> Experiment {
     let target = (ratio * e.train_samples as f64).round() as usize;
     let per_replica = (target / e.replicas).max(1);
     e.per_replica_batch = per_replica;
-    e.grad_accum_steps = 1;
     // Warmup fraction of the budget.
     let frac = row.warmup_epochs as f64 / 350.0;
     e.warmup_epochs = ((frac * e.epochs as f64).round() as u64).clamp(1, e.epochs - 1);

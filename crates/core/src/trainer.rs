@@ -652,40 +652,6 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
     }
 }
 
-/// Broadcasts `root`'s full model state — parameters *and* BN running
-/// statistics — to every member of `comm`, bit-exactly (f32 payloads are
-/// copied, never re-reduced): how independently initialized hosts
-/// synchronize before the first step.
-///
-/// SPMD: every member of the group must call this with a structurally
-/// identical model.
-fn broadcast_model(model: &mut EfficientNet, comm: &dyn Collective, root: usize) {
-    if comm.size() == 1 {
-        return;
-    }
-    let mut flat: Vec<f32> = Vec::new();
-    model.visit_params(&mut |p| flat.extend_from_slice(p.value.data()));
-    model.visit_bns(&mut |bn| {
-        flat.extend_from_slice(&bn.running_mean);
-        flat.extend_from_slice(&bn.running_var);
-    });
-    comm.broadcast(&mut flat, root);
-    let mut off = 0usize;
-    model.visit_params(&mut |p| {
-        let n = p.value.numel();
-        p.value.data_mut().copy_from_slice(&flat[off..off + n]);
-        off += n;
-    });
-    model.visit_bns(&mut |bn| {
-        let c = bn.running_mean.len();
-        bn.running_mean.copy_from_slice(&flat[off..off + c]);
-        off += c;
-        bn.running_var.copy_from_slice(&flat[off..off + c]);
-        off += c;
-    });
-    assert_eq!(off, flat.len(), "model structure mismatch after broadcast");
-}
-
 /// What every replica thread of one fixed-world phase is handed.
 struct PhaseEnv<'a> {
     /// The experiment as this phase's world sees it (`replicas` is the
@@ -755,21 +721,11 @@ impl<'a> Replica<'a> {
                 rng,
             }));
         }
-        // Two init-sync modes: shared seed stream (default), or independent
-        // init + a broadcast of replica 0's state (the multi-host pattern),
-        // so params *and* BN running statistics synchronize bit-exactly.
-        // Resumed phases overwrite the init with the durable checkpoint
-        // below, so the broadcast is only needed in phase 0.
-        let init_stream = if view.broadcast_init {
-            100 + rank as u64
-        } else {
-            1
-        };
-        let mut init_rng = Rng::new(view.seed).split(init_stream);
+        // Every replica draws its init from one shared stream, so the
+        // weights start bitwise identical on every rank. Resumed phases
+        // overwrite them with the durable checkpoint below.
+        let mut init_rng = Rng::new(view.seed).split(1);
         let mut model = EfficientNet::new(view.model.clone(), view.precision, &mut init_rng);
-        if env.phase_idx == 0 && view.broadcast_init && view.replicas > 1 {
-            broadcast_model(&mut model, world.as_dyn(), 0);
-        }
         model.visit_bns(&mut |bn| bn.set_momentum(PROXY_BN_MOMENTUM));
         if let Some(c) = bn_comm {
             model.set_bn_sync(Arc::new(GroupStatSync::new(c)));
@@ -933,11 +889,11 @@ impl<'a> Replica<'a> {
         }
     }
 
-    /// Micro-batch `micro` of the step at `sample_off`, on the current
+    /// This rank's batch of the step at `sample_off`, on the current
     /// augmentation stream.
-    fn train_request(&self, plan: &EpochPlan, sample_off: u64, micro: usize) -> BatchRequest {
+    fn train_request(&self, plan: &EpochPlan, sample_off: u64) -> BatchRequest {
         let (w, b) = (self.env.view.replicas, self.env.view.per_replica_batch);
-        let indices = plan.batch_at(sample_off as usize + micro * w * b, self.rank, w, b);
+        let indices = plan.batch_at(sample_off as usize, self.rank, w, b);
         let rng = self.data_rng.clone();
         BatchRequest {
             eval: false,
@@ -964,18 +920,14 @@ impl<'a> Replica<'a> {
         epoch.is_multiple_of(self.env.view.eval_every) || epoch == self.env.view.epochs
     }
 
-    /// What the step loop loads after micro-batch `micro` of this step:
-    /// the next micro-batch or step, or past the epoch's last step the
-    /// first eval chunk or the next epoch's first batch. `None` where the
-    /// phase ends first.
-    fn next_after_train(&self, plan: &EpochPlan, micro: usize) -> Option<BatchRequest> {
+    /// What the step loop loads after this step's batch: the next step's,
+    /// or past the epoch's last step the first eval chunk or the next
+    /// epoch's first batch. `None` where the phase ends first.
+    fn next_after_train(&self, plan: &EpochPlan) -> Option<BatchRequest> {
         let (view, prog) = (self.env.view, &self.prog);
-        // Micro-batch `accum` of this step is micro-batch 0 of the next.
-        let next = self.train_request(plan, prog.sample_off, micro + 1);
         let (gb, step) = (view.global_batch() as u64, prog.step + 1);
-        if micro + 1 < view.grad_accum_steps {
-            Some(next)
-        } else if prog.sample_off + 2 * gb <= view.train_samples as u64 {
+        if prog.sample_off + 2 * gb <= view.train_samples as u64 {
+            let next = self.train_request(plan, prog.sample_off + gb);
             (self.env.stop_at != Some(step)).then_some(next)
         } else if let Some(eval) = self.eval_request(0).filter(|_| self.evaluates(prog.epoch)) {
             Some(eval)
@@ -989,7 +941,7 @@ impl<'a> Replica<'a> {
     fn first_of_next_epoch(&self, step: u64) -> Option<BatchRequest> {
         let (view, epoch) = (self.env.view, self.prog.epoch + 1);
         let plan = EpochPlan::new(view.seed, epoch, view.train_samples);
-        let next = self.train_request(&plan, 0, 0);
+        let next = self.train_request(&plan, 0);
         (epoch <= view.epochs && self.env.stop_at != Some(step)).then_some(next)
     }
 
@@ -1000,12 +952,6 @@ impl<'a> Replica<'a> {
     fn exchange_gradients(&mut self, plan: &EpochPlan) -> Result<f32, CollectiveError> {
         let env = self.env;
         let view = env.view;
-        let accum = view.grad_accum_steps;
-        // Overlapping the exchange with backward requires exactly one
-        // micro-batch: with accumulation, gradients are rescaled *after*
-        // the micro loop, so no bucket is final until backward ends — fall
-        // back to the serialized exchange (bitwise identical either way).
-        let overlap = view.overlap_all_reduce && accum == 1;
         // Backoff is virtual: accounted, never slept.
         let retry_policy = env.faults.retry();
         self.sw = Stopwatch::start();
@@ -1027,71 +973,57 @@ impl<'a> Replica<'a> {
                 ets_tensor::ops::abft::arm_inject(bit);
             }
         }
-        let (mut data_s, mut fwd_s, mut bwd_s) = (0.0f64, 0.0f64, self.sw.lap());
-        let mut micro_loss = 0.0f32;
-        // Set once the hooked backward has exchanged the gradients: the
+        let mut bwd_s = self.sw.lap();
+        let want = self.train_request(plan, self.prog.sample_off);
+        let (x, labels, rng) = self.feed.take(want, &self.rec);
+        self.data_rng = rng;
+        let next = self.next_after_train(plan);
+        self.feed.prefetch(next);
+        let data_s = self.sw.lap();
+        let logits = self.model.forward(&x, Mode::Train, &mut self.layer_rng);
+        let out = cross_entropy(&logits, &labels, view.label_smoothing);
+        let fwd_s = self.sw.lap();
+        // Set when the hooked backward has exchanged the gradients: the
         // result and the *exposed* wait (all the all-reduce phase is owed).
-        let mut fused: Option<(Result<f32, CollectiveError>, f64)> = None;
-        for micro in 0..accum {
-            let want = self.train_request(plan, self.prog.sample_off, micro);
-            let (x, labels, rng) = self.feed.take(want, &self.rec);
-            self.data_rng = rng;
-            let next = self.next_after_train(plan, micro);
-            self.feed.prefetch(next);
-            data_s += self.sw.lap();
-            let logits = self.model.forward(&x, Mode::Train, &mut self.layer_rng);
-            let out = cross_entropy(&logits, &labels, view.label_smoothing);
-            fwd_s += self.sw.lap();
-            if overlap {
-                let res = self.grad_bucket.backward_overlapped_with_retry(
-                    &mut self.model,
-                    &out.dlogits,
-                    self.world.as_dyn(),
-                    out.loss,
-                    &retry_policy,
-                    &mut self.counters,
-                );
-                // The lap spans backward + exposed wait; the outcome
-                // already decomposes it, so just re-anchor the stopwatch.
-                let _ = self.sw.lap();
-                fused = Some(match res {
-                    Ok(o) => {
-                        bwd_s += o.backward_s;
-                        (Ok(o.mean_loss), o.exposed_s)
-                    }
-                    Err(e) => (Err(e), 0.0),
-                });
-            } else {
-                self.model.backward(&out.dlogits);
-                bwd_s += self.sw.lap();
-                micro_loss += out.loss;
-            }
-        }
-        // One span per phase per step, however many micro-batches.
+        let fused = if view.overlap_all_reduce {
+            let res = self.grad_bucket.backward_overlapped_with_retry(
+                &mut self.model,
+                &out.dlogits,
+                self.world.as_dyn(),
+                out.loss,
+                &retry_policy,
+                &mut self.counters,
+            );
+            // The lap spans backward + exposed wait; the outcome already
+            // decomposes it, so just re-anchor the stopwatch.
+            let _ = self.sw.lap();
+            Some(match res {
+                Ok(o) => {
+                    bwd_s += o.backward_s;
+                    (Ok(o.mean_loss), o.exposed_s)
+                }
+                Err(e) => (Err(e), 0.0),
+            })
+        } else {
+            self.model.backward(&out.dlogits);
+            bwd_s += self.sw.lap();
+            None
+        };
         self.lap(&[
             (obs_ph::DATA, data_s),
             (obs_ph::FORWARD, fwd_s),
             (obs_ph::BACKWARD, bwd_s),
         ]);
-        if accum > 1 {
-            // Each micro-batch contributed a mean gradient; average them.
-            let inv = 1.0 / accum as f32;
-            self.model.visit_params(&mut |p| p.grad.scale(inv));
-            micro_loss *= inv;
-        }
-        let (result, ar_s) = match fused {
-            Some(done) => done,
-            None => {
-                let res = self.grad_bucket.all_reduce_with_retry(
-                    &mut self.model,
-                    self.world.as_dyn(),
-                    micro_loss,
-                    &retry_policy,
-                    &mut self.counters,
-                );
-                (res, self.sw.lap())
-            }
-        };
+        let (result, ar_s) = fused.unwrap_or_else(|| {
+            let res = self.grad_bucket.all_reduce_with_retry(
+                &mut self.model,
+                self.world.as_dyn(),
+                out.loss,
+                &retry_policy,
+                &mut self.counters,
+            );
+            (res, self.sw.lap())
+        });
         self.lap(&[(obs_ph::ALL_REDUCE, ar_s)]);
         result
     }
@@ -1114,13 +1046,10 @@ impl<'a> Replica<'a> {
         self.charge(obs_ph::RESTART, delay, at, 0);
     }
 
-    /// Clip, schedule, optimizer and EMA update with the step's averaged
+    /// Schedule, optimizer and EMA update with the step's averaged
     /// gradients.
     fn apply_update(&mut self, schedule: &dyn LrSchedule, mean_loss: f32) {
         let view = self.env.view;
-        if let Some(max_norm) = view.clip_grad_norm {
-            ets_optim::clip_global_norm(&mut self.model, max_norm);
-        }
         // Effective schedule step in the current world's units; ×1.0 is a
         // bitwise no-op, so unguarded runs stay on the legacy trajectory.
         let eff_step = self.prog.consumed_samples / view.global_batch() as u64;
@@ -1575,9 +1504,8 @@ mod feed_tests {
 
     #[test]
     fn a_fault_free_run_loads_exactly_its_batches() {
-        // Micro-batches, and an epoch end that does not evaluate.
+        // An epoch end that does not evaluate.
         let mut e = two_replicas(3);
-        e.grad_accum_steps = 2;
         e.eval_every = 2;
         let (report, recorders) = train_traced(&e);
         let evals = report
@@ -1585,8 +1513,8 @@ mod feed_tests {
             .iter()
             .filter(|h| h.eval_top1.is_some())
             .count() as u64;
-        assert_eq!((report.steps, evals), (12, 2));
-        let batches = report.steps * 2 + evals * 4;
+        assert_eq!((report.steps, evals), (24, 2));
+        let batches = report.steps + evals * 4;
         assert_eq!(feed_counters(&recorders), vec![(batches, 0); 2]);
     }
 
@@ -1632,138 +1560,5 @@ mod feed_tests {
             "train() must panic, not hang"
         );
         run.join().expect("the panic was caught");
-    }
-}
-
-#[cfg(test)]
-mod accum_tests {
-    use super::*;
-    use crate::experiment::Experiment;
-
-    #[test]
-    fn accumulation_runs_and_is_deterministic() {
-        let mut e = Experiment::proxy_default();
-        e.replicas = 2;
-        e.per_replica_batch = 4;
-        e.grad_accum_steps = 4; // effective global batch 32
-        e.epochs = 2;
-        e.train_samples = 128;
-        e.eval_samples = 32;
-        assert_eq!(e.global_batch(), 32);
-        assert_eq!(e.steps_per_epoch(), 4);
-        let a = train(&e);
-        let b = train(&e);
-        assert_eq!(a.weight_checksum, b.weight_checksum);
-        assert!(a.final_loss().is_finite());
-        assert_eq!(a.steps, 2 * 4);
-    }
-
-    #[test]
-    fn accumulated_first_step_matches_large_batch_closely() {
-        // 2 replicas × batch 4 × accum 4 sees the same 32 samples as
-        // 2 replicas × batch 16 × accum 1 in the first optimizer step
-        // (same epoch plan). BN statistics differ (per micro-batch vs per
-        // batch), so losses agree only approximately.
-        let mut small = Experiment::proxy_default();
-        small.replicas = 2;
-        small.per_replica_batch = 4;
-        small.grad_accum_steps = 4;
-        small.epochs = 1;
-        small.train_samples = 64;
-        small.eval_samples = 16;
-        let mut big = small.clone();
-        big.per_replica_batch = 16;
-        big.grad_accum_steps = 1;
-        assert_eq!(small.global_batch(), big.global_batch());
-        let ra = train(&small);
-        let rb = train(&big);
-        assert!(
-            (ra.history[0].train_loss - rb.history[0].train_loss).abs() < 0.4,
-            "{} vs {}",
-            ra.history[0].train_loss,
-            rb.history[0].train_loss
-        );
-    }
-}
-
-#[cfg(test)]
-mod clip_tests {
-    use super::*;
-    use crate::experiment::Experiment;
-
-    #[test]
-    fn clipping_changes_trajectory_and_stays_deterministic() {
-        let mut e = Experiment::proxy_default();
-        e.replicas = 2;
-        e.epochs = 2;
-        e.train_samples = 128;
-        e.eval_samples = 32;
-        let unclipped = train(&e);
-        e.clip_grad_norm = Some(0.05); // aggressive: must bite
-        let clipped_a = train(&e);
-        let clipped_b = train(&e);
-        assert_ne!(unclipped.weight_checksum, clipped_a.weight_checksum);
-        assert_eq!(clipped_a.weight_checksum, clipped_b.weight_checksum);
-        assert!(clipped_a.final_loss().is_finite());
-    }
-}
-
-#[cfg(test)]
-mod broadcast_init_tests {
-    use super::*;
-    use crate::experiment::Experiment;
-
-    #[test]
-    fn broadcast_equalizes_params_and_running_stats() {
-        use ets_collective::Backend;
-        use ets_efficientnet::ModelConfig;
-        use ets_nn::Precision;
-        use ets_tensor::Tensor;
-        let world = create_collective(Backend::Tree, 3);
-        let states: Vec<DurableSnapshot> = world
-            .into_iter()
-            .map(|c| {
-                std::thread::spawn(move || {
-                    // Independent inits, perturbed running stats.
-                    let mut rng = Rng::new(10 + c.rank() as u64);
-                    let mut m =
-                        EfficientNet::new(ModelConfig::tiny(16, 4), Precision::F32, &mut rng);
-                    let mut rng = Rng::new(20 + c.rank() as u64);
-                    let mut x = Tensor::zeros([2, 3, 16, 16]);
-                    rng.fill_normal(x.data_mut(), 0.0, 1.0);
-                    let _ = m.forward(&x, Mode::Train, &mut rng);
-                    broadcast_model(&mut m, c.as_ref(), 1);
-                    let (opt, at) = (Sgd::new(0.0, 0.0), Progress::fresh());
-                    DurableSnapshot::capture(&mut m, &opt, None, &at, 1, &[])
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|j| j.join().unwrap())
-            .collect();
-        for state in &states[1..] {
-            assert_eq!(state.params, states[0].params, "weights diverged");
-            assert_eq!(state.bn_running, states[0].bn_running, "BN stats diverged");
-        }
-    }
-
-    #[test]
-    fn broadcast_init_synchronizes_and_trains() {
-        let mut e = Experiment::proxy_default();
-        e.replicas = 4;
-        e.per_replica_batch = 8;
-        e.epochs = 2;
-        e.train_samples = 128;
-        e.eval_samples = 32;
-        e.broadcast_init = true;
-        // train() asserts the cross-replica weight checksum: if broadcast
-        // failed to equalize inits, replicas would diverge immediately.
-        let r = train(&e);
-        assert!(r.final_loss().is_finite());
-        // And the result differs from the shared-seed init (different init
-        // weights → different trajectory).
-        e.broadcast_init = false;
-        let r2 = train(&e);
-        assert_ne!(r.weight_checksum, r2.weight_checksum);
     }
 }

@@ -128,16 +128,7 @@ impl Layer for EfficientNet {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut g = self.fc.backward(grad);
-        g = self.dropout.backward(&g);
-        g = self.gap.backward(&g);
-        g = self.head_bn.backward(&g);
-        g = self.head_conv.backward(&g);
-        for b in self.blocks.iter_mut().rev() {
-            g = b.backward(&g);
-        }
-        g = self.stem_bn.backward(&g);
-        self.stem_conv.backward(&g)
+        self.backward_hooked(grad, &mut |_| {})
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -170,10 +161,10 @@ impl Layer for EfficientNet {
 }
 
 impl HookedBackward for EfficientNet {
-    /// Same chain as [`Layer::backward`] — bitwise identical — with
-    /// `ready` fired as each parameter-bearing unit finishes. Backward
-    /// runs head→stem while `visit_params` walks stem→head, so the
-    /// announcements cover the parameter list as strictly descending
+    /// The one backward chain ([`Layer::backward`] runs it with a no-op
+    /// `ready`), firing `ready` as each parameter-bearing unit finishes.
+    /// Backward runs head→stem while `visit_params` walks stem→head, so
+    /// the announcements cover the parameter list as strictly descending
     /// suffix segments: fc, head_bn, head_conv, blocks in reverse,
     /// stem_bn, stem_conv.
     fn backward_hooked<'s>(

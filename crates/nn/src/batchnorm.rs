@@ -127,11 +127,6 @@ impl BatchNorm2d {
         self.momentum = m;
     }
 
-    /// The number of replicas whose samples this layer normalizes over.
-    pub fn bn_group_size(&self) -> usize {
-        self.sync.group_size()
-    }
-
     /// Channel count.
     pub fn channels(&self) -> usize {
         self.channels

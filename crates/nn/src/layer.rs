@@ -104,11 +104,6 @@ impl Sequential {
         self
     }
 
-    /// Appends a boxed layer in place.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -130,11 +125,7 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut cur = grad.clone();
-        for l in self.layers.iter_mut().rev() {
-            cur = l.backward(&cur);
-        }
-        cur
+        self.backward_hooked(grad, &mut |_| {})
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

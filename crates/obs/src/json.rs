@@ -106,12 +106,6 @@ impl JsonWriter {
         self
     }
 
-    pub fn i64_value(&mut self, v: i64) -> &mut Self {
-        self.elem_prefix();
-        let _ = write!(self.buf, "{v}");
-        self
-    }
-
     pub fn f64_value(&mut self, v: f64) -> &mut Self {
         self.elem_prefix();
         if v.is_finite() {

@@ -125,7 +125,6 @@ pub mod phase {
     pub const DEGRADE: &str = "degrade";
     pub const REWIND: &str = "rewind";
     pub const RETRY_ATTEMPT: &str = "retry_attempt";
-    pub const COLLECTIVE_FAULT: &str = "collective_fault";
 }
 
 /// One recorded event. `name` is `&'static str` by design: recording never

@@ -22,7 +22,6 @@
 //! [`OptimizerState`].
 
 pub mod adam;
-pub mod grad;
 pub mod lamb;
 pub mod lars;
 pub mod optimizer;
@@ -32,7 +31,6 @@ pub mod sgd;
 pub mod sm3;
 
 pub use adam::Adam;
-pub use grad::{clip_global_norm, global_grad_norm, scale_grads};
 pub use lamb::Lamb;
 pub use lars::Lars;
 pub use optimizer::{Optimizer, OptimizerState};

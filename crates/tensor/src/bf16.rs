@@ -17,8 +17,6 @@ use crate::tensor::Tensor;
 pub struct Bf16(pub u16);
 
 impl Bf16 {
-    /// Positive zero.
-    pub const ZERO: Bf16 = Bf16(0);
     /// One.
     pub const ONE: Bf16 = Bf16(0x3F80);
 

@@ -118,11 +118,6 @@ impl Tensor {
         self
     }
 
-    /// Returns a copy with a new shape (non-consuming variant of `reshape`).
-    pub fn reshaped(&self, shape: impl Into<Shape>) -> Self {
-        self.clone().reshape(shape)
-    }
-
     /// Sets every element to zero (reusing the allocation).
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);

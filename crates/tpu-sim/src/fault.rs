@@ -195,6 +195,12 @@ impl ElasticWorld {
         }
         protocol_s
     }
+
+    /// The step of the last resize boundary drained (0 before any): the
+    /// new world's first checkpoint, which no preemption rewinds past.
+    fn last_drained(&self) -> u64 {
+        self.next.checked_sub(1).map_or(0, |i| self.losses[i].0)
+    }
 }
 
 /// Duration of a step starting at absolute time `t` on a world whose
@@ -396,10 +402,12 @@ pub fn simulate_chaos_recorded(
                 match events[idx].kind {
                     FaultKind::Preempt { .. } => {
                         // Abort the in-flight step, rewind to the last
-                        // checkpoint, restart after the delay.
+                        // checkpoint, restart after the delay. Like the
+                        // trainer, a resized world checkpoints at its
+                        // first step, so the rewind stops there.
                         gen += 1;
                         let next = inflight.map_or(completed, |(s, _)| s);
-                        let resume_from = next - next % ckpt_every;
+                        let resume_from = (next - next % ckpt_every).max(world.last_drained());
                         report.preemptions += 1;
                         report.replayed_steps += next - resume_from;
                         report.restart_seconds += plan.restart_delay_s;
@@ -769,6 +777,28 @@ mod tests {
         assert_eq!(r.resizes, 1, "replay must not re-run the resize");
         assert_eq!(r.permanent_losses, 1);
         assert_eq!(r.steps_executed, 50 + r.replayed_steps);
+    }
+
+    #[test]
+    fn preemption_after_a_resize_rewinds_no_further_than_the_resize() {
+        // Cadence 8, loss at step 10, preemption in step 12: the cadence
+        // checkpoint at 8 belongs to the drained world, so the replay
+        // starts at the resized world's first step, 10.
+        let base = base_step();
+        let mut plan = FaultPlan::none();
+        plan.checkpoint_every_steps = 8;
+        plan.events.push(loss_at(10, 3));
+        let protocol_s = plan.resize_checkpoint_s + plan.resize_rebuild_s + plan.restart_delay_s;
+        let resized = step_time_elastic(&cfg(), 127).total();
+        plan.events.push(FaultEvent {
+            at_s: 10.0 * base + protocol_s + 2.5 * resized,
+            duration_s: 0.0,
+            kind: FaultKind::Preempt { replica: 0 },
+        });
+        let r = simulate_chaos(&cfg(), &plan, 20);
+        assert_eq!((r.resizes, r.preemptions), (1, 1));
+        assert_eq!(r.replayed_steps, 2);
+        assert_eq!(r.steps_executed, 20 + 2);
     }
 
     #[test]

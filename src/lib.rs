@@ -57,3 +57,9 @@ pub use ets_optim as optim;
 pub use ets_tensor as tensor;
 pub use ets_tpu_sim as tpu_sim;
 pub use ets_train as train;
+
+/// README.md's Rust snippets, compiled (and run unless marked `no_run`)
+/// by `cargo test` so the tour cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -21,7 +21,7 @@
 //! and [`Collective::backend`] only reports the label it was built with.
 //!
 //! The steady state is **allocation-free**: the slot round reuses
-//! persistent per-rank slots and the mean round has none. Capacity-growth
+//! persistent per-rank slots and the owner round has none. Capacity-growth
 //! events are counted and exposed via [`Collective::scratch_reallocs`];
 //! tests pin the counter flat after warmup.
 
@@ -94,7 +94,7 @@ impl std::fmt::Display for Backend {
 pub struct CollectiveStats {
     /// Completed `all_reduce_sum`/`try_all_reduce_mean` calls.
     pub all_reduce_calls: u64,
-    /// Completed `all_gather` calls.
+    /// Completed `all_gather`/`all_gather_in_place` calls.
     pub all_gather_calls: u64,
     /// Completed `broadcast` calls.
     pub broadcast_calls: u64,
@@ -176,6 +176,13 @@ pub trait Collective: Send + Sync {
     /// order. `out` is cleared and refilled; reusing the same `out` keeps
     /// the steady state allocation-free.
     fn all_gather(&self, local: &[f32], out: &mut Vec<f32>);
+
+    /// In-place all-gather of a payload held in [`Pieces`]: member `r`
+    /// owns `cuts[r]..cuts[r + 1]` of it (`size + 1` ascending offsets
+    /// from 0 to its length, the same on every member) and its share is
+    /// copied into every other member's payload
+    /// ([`CommHandle::all_gather_in_place`]).
+    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize]);
 
     /// Broadcast from `root`: on return every member's `buf` holds root's.
     fn broadcast(&self, buf: &mut [f32], root: usize);
@@ -281,6 +288,11 @@ impl Collective for CommCollective {
     fn all_gather(&self, local: &[f32], out: &mut Vec<f32>) {
         self.stats.record(&self.stats.all_gather_calls, local.len());
         self.handle.all_gather_into(local, out);
+    }
+    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize]) {
+        self.stats
+            .record(&self.stats.all_gather_calls, payload.elems());
+        self.handle.all_gather_in_place(payload, cuts);
     }
     fn broadcast(&self, buf: &mut [f32], root: usize) {
         self.stats.record(&self.stats.broadcast_calls, buf.len());

@@ -8,13 +8,15 @@
 //!
 //! # The rounds
 //!
-//! Every operation runs one of two rounds. Both open the same way:
+//! Every operation runs one of two rounds: the *slot round* for the
+//! small operations, the *owner round* for the two that work on a large
+//! payload in place. Both open the same way:
 //! **enter** waits until every member has left the previous round (the
 //! drain rule: nothing a peer may still read is rewritten) and marks this
 //! rank as in the round (a second deposit in the same round panics), and
 //! **meet** is a rendezvous on the gate's mutex.
 //!
-//! The *slot round* serves the small operations: the sum
+//! The *slot round* serves the sum
 //! (`all_reduce_sum*`: BN sync, eval counts), `all_gather*`, `broadcast`
 //! and `barrier`. It has one rendezvous over persistent per-rank
 //! contribution buffers, the *slots*:
@@ -29,21 +31,32 @@
 //!    each for itself).
 //! 5. **Leave.**
 //!
-//! The *mean round* ([`CommHandle::all_reduce_mean_grid`], the gradient
-//! exchange) has no slot. For an `n`-element payload it moves `2n`
-//! elements per rank where the slot round moves `(size + 3)·n`:
+//! The *owner round* has no slot. Rank `r` owns a share of the payload,
+//! and each rank reads and writes every rank's payload where it lies. It
+//! serves two operations, which differ only in what a rank does with a
+//! tile of its share:
+//!
+//! - the **mean** ([`CommHandle::all_reduce_mean_grid`], the gradient
+//!   exchange) cuts the shares at `r·n/size`, folds each tile from every
+//!   rank, scales it by `1/size` and stores it into every rank. For an
+//!   `n`-element payload it moves `2n` elements per rank where the slot
+//!   round moves `(size + 3)·n`;
+//! - the **copy** ([`CommHandle::all_gather_in_place`], the sharded
+//!   weight update) takes the shares from the caller's cuts and stores
+//!   each tile of this rank's own payload into every peer: a rank stores
+//!   its share, `n/size` elements when the cuts are even, into each of
+//!   its `size − 1` peers.
+//!
+//! The round:
 //!
 //! 1. **Enter.**
 //! 2. **Publish.** Record where this rank's [`Pieces`] are, as
-//!    `(start, len)` runs in a table beside the slots.
+//!    `(start, len)` runs in a table beside the slots, and its share.
 //! 3. **Meet.** Every rank checks that every entry was published for this
-//!    round (a peer in another operation left an older one) and that all
-//!    lengths are equal, before anyone writes: a mismatch panics on every
-//!    rank in the round.
-//! 4. **Fold.** Rank `r` owns the share `[r·n/size, (r+1)·n/size)` of the
-//!    payload. It reads its share from every rank's pieces, a tile at a
-//!    time, folds the tile, scales it by `1/size` and stores it into
-//!    every rank's pieces.
+//!    round (a peer in another operation left an older one), that all
+//!    lengths are equal and that the shares tile the payload, before
+//!    anyone writes: a mismatch panics on every rank in the round.
+//! 4. **Share.** Each rank works through its share a tile at a time.
 //! 5. **Meet** again: no rank returns while a peer can still write into
 //!    its pieces. Then **leave**.
 //!
@@ -51,20 +64,21 @@
 //! computes it (ascending rank, or grid-blocked: see
 //! [`CommHandle::all_reduce_sum_grid`]; `fold_tile` is the one place
 //! that association is written), so which rank folds it moves no bit, and
-//! in the mean round every rank stores the same bits. The operation picks
-//! the round, not a length cut-off: the mean's second rendezvous costs
-//! more than a small payload's copies, so the sum stays on the slot round
-//! however long it is.
+//! in the mean every rank stores the same bits. The operation picks
+//! the round, not a length cut-off: the owner round's second rendezvous
+//! costs more than a small payload's copies, so the sum stays on the slot
+//! round however long it is.
 //!
 //! # Payloads in pieces
 //!
-//! The mean takes its payload as [`Pieces`]: slices handed out in order
-//! that the round treats as one contiguous payload, such as the gradients
-//! of a bucket's parameters, each in its own tensor. The pieces are read
-//! and written where they are, by every rank: no contiguous copy of the
-//! payload exists anywhere, and the result is bitwise the grid-blocked
-//! sum followed by `× (1/size)`. This is the single-pass, shared-memory
-//! form of a reduce-scatter followed by an all-gather. Because peers
+//! The owner round takes its payload as [`Pieces`]: slices handed out in
+//! order that the round treats as one contiguous payload, such as the
+//! gradients of a bucket's parameters, each in its own tensor. The pieces
+//! are read and written where they are, by every rank: no contiguous copy
+//! of the payload exists anywhere, and the mean is bitwise the
+//! grid-blocked sum followed by `× (1/size)`. The mean is the
+//! single-pass, shared-memory form of a reduce-scatter followed by an
+//! all-gather; the copy is the all-gather alone. Because peers
 //! write into a rank's memory, [`Pieces`] is an `unsafe trait`. Beyond it
 //! and its implementations, the only `unsafe` code in this crate is the
 //! table of raw runs (`Runs`) and the two places that turn a run back into
@@ -76,7 +90,7 @@
 //! step of perfbench's `wide_lars_2x` (22 BN layers) runs 48 rounds, 44
 //! of them BN syncs (its `collective.calls_per_step`). Slot growth is
 //! counted in [`CommHandle::scratch_reallocs`], which tests pin to zero
-//! after warmup and to zero outright for mean rounds, which have no slot.
+//! after warmup and to zero outright for owner rounds, which have no slot.
 //!
 //! # Lock poisoning
 //!
@@ -84,10 +98,11 @@
 //! lengths) poisons nothing for its peers: every lock here is taken
 //! through `unpoisoned`. That is sound because no update of the gate, the
 //! slots or the table can be left half done: the double-deposit check runs
-//! before the gate changes, the length checks under a read lock, and a
+//! before the gate changes, the length and cut checks under a read lock, and a
 //! deposit or a publish fills an entry taken out of its pool before
 //! putting it back.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -116,7 +131,7 @@ fn add_assign(acc: &mut [f32], x: &[f32]) {
     }
 }
 
-/// A payload held in pieces: the mean round reads and writes them, in
+/// A payload held in pieces: the owner round reads and writes them, in
 /// the order [`Pieces::for_each_piece`] hands them out, as one contiguous
 /// payload. A plain slice (or a `Vec`) is the one-piece case.
 ///
@@ -220,25 +235,44 @@ struct Run {
     len: usize,
 }
 
-/// One rank's entry in the mean round's table: where its pieces are,
-/// in payload order, and the round they were published for.
+/// What a rank does with each tile of its share in the owner round.
+#[derive(Clone, Copy)]
+enum Tile {
+    /// Fold the tile from every rank over blocks of `cols` ranks, scale
+    /// it by `1/size` and store it into every rank.
+    Mean { cols: usize },
+    /// Store this rank's own tile into every peer.
+    Copy,
+}
+
+/// One rank's entry in the owner round's table: where its pieces are,
+/// in payload order, the share of the payload it works on (`None` when
+/// its cuts were not `size + 1` offsets) and the round they were
+/// published for.
 #[derive(Default)]
 struct Runs {
     runs: Vec<Run>,
     elems: usize,
+    share: Option<Range<usize>>,
     round: u64,
 }
 
 // SAFETY: `Runs` only stores addresses and never dereferences them. The
-// two sites that do, in `CommHandle::mean_round`, say why their accesses
+// two sites that do, in `CommHandle::owner_round`, say why their accesses
 // from other threads are sound.
 unsafe impl Send for Runs {}
 unsafe impl Sync for Runs {}
 
 impl Runs {
-    fn publish(&mut self, payload: &mut (impl Pieces + ?Sized), round: u64) {
+    fn publish(
+        &mut self,
+        payload: &mut (impl Pieces + ?Sized),
+        share: Option<Range<usize>>,
+        round: u64,
+    ) {
         self.runs.clear();
         self.elems = 0;
+        self.share = share;
         self.round = round;
         payload.for_each_piece(&mut |piece| {
             if !piece.is_empty() {
@@ -276,7 +310,7 @@ struct CommInner {
     /// Per-rank contribution buffers of the slot round. A rank takes its
     /// own out to fill it and puts it back before it meets the others.
     slots: RwLock<Vec<Vec<f32>>>,
-    /// Per-rank piece tables of the mean round, handled like the slots.
+    /// Per-rank piece tables of the owner round, handled like the slots.
     runs: RwLock<Vec<Runs>>,
     /// Number of slot capacity growths since creation. Constant once
     /// payload sizes stabilize — the zero-alloc steady-state counter.
@@ -329,7 +363,7 @@ impl CommHandle {
     }
 
     /// Slot growth events since creation (shared across ranks). Flat
-    /// after warmup ⇒ the slot round is allocation-free; the mean round
+    /// after warmup ⇒ the slot round is allocation-free; the owner round
     /// has no slot and never moves it.
     pub fn scratch_reallocs(&self) -> u64 {
         self.inner.reallocs.load(Ordering::Relaxed)
@@ -453,7 +487,7 @@ impl CommHandle {
     /// In-place **mean** all-reduce of a payload held in [`Pieces`]:
     /// every element becomes its [grid-blocked sum](Self::all_reduce_sum_grid)
     /// × (1/size), bitwise what that sum followed by the multiply gives,
-    /// and every rank holds the same bits. It runs the mean round (module
+    /// and every rank holds the same bits. It runs the owner round (module
     /// docs): each rank folds its `1/size` share of the payload straight
     /// from every rank's pieces and stores the result into all of them.
     /// A communicator of one member runs no round and touches nothing.
@@ -468,18 +502,45 @@ impl CommHandle {
             self.inner.size,
             "grid shape must cover the communicator"
         );
-        if self.inner.size > 1 {
-            self.mean_round(payload, cols);
+        let (rank, size) = (self.rank, self.inner.size);
+        if size > 1 {
+            let n = payload.elems();
+            let share = rank * n / size..(rank + 1) * n / size;
+            self.owner_round(payload, Some(share), Tile::Mean { cols });
         }
     }
 
-    /// The mean round over blocks of `cols` ranks.
-    fn mean_round<P: Pieces + ?Sized>(&self, payload: &mut P, cols: usize) {
+    /// In-place all-gather of a payload held in [`Pieces`], shared out by
+    /// `cuts`: `size + 1` ascending offsets from 0 to the payload's
+    /// length, the same on every rank. Rank `r` owns `cuts[r]..cuts[r+1]`
+    /// and stores that share of its payload into every peer's payload at
+    /// the same offsets, so each rank moves its share once per peer and
+    /// every rank returns holding every owner's share. Cuts that do not
+    /// cover the payload panic on every rank before any store. It runs
+    /// the owner round (module docs); a communicator of one member runs
+    /// no round and touches nothing.
+    pub fn all_gather_in_place<P: Pieces + ?Sized>(&self, payload: &mut P, cuts: &[usize]) {
+        let (rank, size) = (self.rank, self.inner.size);
+        if size > 1 {
+            let share = (cuts.len() == size + 1).then(|| cuts[rank]..cuts[rank + 1]);
+            self.owner_round(payload, share, Tile::Copy);
+        }
+    }
+
+    /// The owner round: each rank works through its `share` of the
+    /// payload a tile at a time (`None`: its cuts were malformed, which
+    /// fails the round on every rank).
+    fn owner_round<P: Pieces + ?Sized>(
+        &self,
+        payload: &mut P,
+        share: Option<Range<usize>>,
+        tile: Tile,
+    ) {
         let inner = &*self.inner;
         let size = inner.size;
         let round = self.enter();
         let mut own = std::mem::take(&mut unpoisoned(inner.runs.write())[self.rank]);
-        own.publish(payload, round);
+        own.publish(payload, share, round);
         unpoisoned(inner.runs.write())[self.rank] = own;
         self.meet();
         let table = unpoisoned(inner.runs.read());
@@ -487,15 +548,22 @@ impl CommHandle {
         // from an earlier round, whose memory may be gone.
         assert!(
             table.iter().all(|runs| runs.round == round),
-            "a mean all-reduce met another operation"
+            "an owner round met another operation"
         );
         let n = table[self.rank].elems;
         check_lengths(table.iter().map(|runs| runs.elems), n, "all-reduce");
+        // The shares must tile the payload: then no element is two
+        // ranks' to read or store.
+        let covered = table.iter().try_fold(0, |edge, runs| match &runs.share {
+            Some(share) if share.start == edge && share.start <= share.end => Some(share.end),
+            _ => None,
+        });
+        assert_eq!(covered, Some(n), "the cuts do not cover the payload");
         #[cfg(test)]
         stall(Phase::Share);
         let scale = 1.0 / size as f32;
         let (mut acc, mut partial) = ([0.0f32; FOLD_TILE], [0.0f32; FOLD_TILE]);
-        let (mut at, end) = (self.rank * n / size, (self.rank + 1) * n / size);
+        let Range { start: mut at, end } = table[self.rank].share.clone().unwrap_or_default();
         while at < end {
             // The tile ends where the share, the fold tile or any rank's
             // run does, so each rank's part of it is one slice.
@@ -503,8 +571,7 @@ impl CommHandle {
                 let r = runs.run(at);
                 len.min(r.at + r.len - at)
             });
-            let (acc, partial) = (&mut acc[..len], &mut partial[..len]);
-            fold_tile(acc, partial, size, cols, |rank| {
+            let read = |rank: usize| {
                 let r = table[rank].run(at);
                 // SAFETY: reads elements `at..at + len` of rank `rank`'s
                 // pieces, inside one of its runs.
@@ -519,13 +586,14 @@ impl CommHandle {
                 //   before the last arrival has taken the gate, so every
                 //   publish (and every write its owner made to its pieces
                 //   before the call) happens before this read.
-                // - Disjoint: the shares `[r·n/size, (r+1)·n/size)`
-                //   partition the payload, and `at..at + len` lies in this
-                //   rank's share, so no other rank reads or writes it in
-                //   this round. This rank's own slice dies inside
-                //   `fold_tile`, before the stores below.
+                // - Disjoint: the shares tile the payload (the cut check
+                //   above), and `at..at + len` lies in this rank's share,
+                //   so no other rank reads or writes it in this round. A
+                //   mean's slices die inside `fold_tile`, before the
+                //   stores below; a copy reads only this rank's own
+                //   pieces, which it never stores into.
                 // - No panic strands a peer: between the meets the only
-                //   panics are the two checks above, which every rank
+                //   panics are the three checks above, which every rank
                 //   makes on the same table before anyone writes, so
                 //   either all ranks panic there or none does. Past them,
                 //   every index is in bounds by construction (`at < n` on
@@ -533,17 +601,30 @@ impl CommHandle {
                 //   length), so no rank unwinds and frees its pieces while
                 //   a peer can still write into them.
                 unsafe { std::slice::from_raw_parts(r.ptr.add(at - r.at), len) }
-            });
-            acc.iter_mut().for_each(|v| *v *= scale);
-            for runs in table.iter() {
+            };
+            let (src, skip) = match tile {
+                Tile::Mean { cols } => {
+                    let (acc, partial) = (&mut acc[..len], &mut partial[..len]);
+                    fold_tile(acc, partial, size, cols, read);
+                    acc.iter_mut().for_each(|v| *v *= scale);
+                    (&*acc, None)
+                }
+                Tile::Copy => (read(self.rank), Some(self.rank)),
+            };
+            for (rank, runs) in table.iter().enumerate() {
+                if skip == Some(rank) {
+                    continue;
+                }
                 let r = runs.run(at);
-                // SAFETY: as for the read above; the read slices of this
-                // range are gone, so this is its only reference until the
-                // store ends. This rank takes the gate in the closing meet
-                // after its last store, and no owner leaves that meet
-                // before it, so every store happens before every return.
+                // SAFETY: as for the read above; this range of rank
+                // `rank`'s pieces has no other reference until the store
+                // ends (a mean's read slices of it are gone, and a copy
+                // stores only into peers). This rank takes the gate in
+                // the closing meet after its last store, and no owner
+                // leaves that meet before it, so every store happens
+                // before every return.
                 unsafe { std::slice::from_raw_parts_mut(r.ptr.add(at - r.at), len) }
-                    .copy_from_slice(acc);
+                    .copy_from_slice(src);
             }
             at += len;
         }
@@ -609,7 +690,7 @@ impl CommHandle {
 }
 
 /// Points of a round where a test can hold one rank back: before the
-/// slot round's deposit and read, and before the mean round's share and
+/// slot round's deposit and read, and before the owner round's share and
 /// closing meet.
 #[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -938,50 +1019,89 @@ mod tests {
         total.unwrap()
     }
 
+    /// What the round tests run: the sum on the slot round, and the mean
+    /// and the copy on the owner round over pieces cut at
+    /// `[1, n/2, n/2, n − 1]` (an empty piece, and pieces that straddle
+    /// fold tiles).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Op {
+        Sum,
+        Mean,
+        Copy,
+    }
+
+    /// The copy's shares: `cuts[r] = r²·n/world²`, so at a small `n` some
+    /// are empty and at a large one they straddle fold tiles.
+    fn uneven_cuts(world: usize, n: usize) -> Vec<usize> {
+        (0..=world).map(|r| r * r * n / (world * world)).collect()
+    }
+
+    impl Op {
+        fn run(self, h: &CommHandle, buf: &mut [f32], rows: usize, cols: usize) {
+            let n = buf.len();
+            let pieces = [1, n / 2, n / 2, n - 1];
+            let mut cut = Cut { buf, cuts: &pieces };
+            match self {
+                Op::Sum => h.all_reduce_sum_grid(cut.buf, rows, cols),
+                Op::Mean => h.all_reduce_mean_grid(&mut cut, rows, cols),
+                Op::Copy => h.all_gather_in_place(&mut cut, &uneven_cuts(h.size(), n)),
+            }
+        }
+
+        /// What every rank holds once the ranks' `contribs` went through
+        /// the operation.
+        fn result(self, contribs: &[Vec<f32>], cols: usize) -> Vec<f32> {
+            let (world, n) = (contribs.len(), contribs[0].len());
+            match self {
+                Op::Sum => sequential_fold(contribs, cols),
+                Op::Mean => {
+                    let scale = 1.0 / world as f32;
+                    let sum = sequential_fold(contribs, cols);
+                    sum.iter().map(|v| v * scale).collect()
+                }
+                Op::Copy => {
+                    let cuts = uneven_cuts(world, n);
+                    let owner = |i| cuts.partition_point(|&c| c <= i) - 1;
+                    (0..n).map(|i| contribs[owner(i)][i]).collect()
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_rank_held_back_at_any_phase_moves_no_bit() {
         // One rank sleeps before a phase while the others run ahead as far
         // as the round lets them: into the next round in the slot round
         // (held before its deposit or its read), up to the closing meet in
-        // the mean round (held before its share or that meet). Three
+        // the owner round (held before its share or that meet). Three
         // rounds with different payloads: a slot rewritten too early shows
         // as another round's data. Every rank records its result bits the
         // moment a call returns and keeps its buffers alive until the
         // join, so a share stored after its owner returned shows as a
         // wrong result, not as a write into freed memory. A length within
-        // one fold tile and one spanning several, each as one slice summed
-        // and as pieces (an empty one, and pieces that straddle fold
-        // tiles) averaged.
+        // one fold tile and one spanning several, summed, averaged and
+        // copied.
         use std::time::Duration;
         let lengths = [7, 4 * FOLD_TILE + 3];
         let rounds = [
-            (false, [Phase::Deposit, Phase::Read]),
-            (true, [Phase::Share, Phase::Close]),
+            (Op::Sum, [Phase::Deposit, Phase::Read]),
+            (Op::Mean, [Phase::Share, Phase::Close]),
+            (Op::Copy, [Phase::Share, Phase::Close]),
         ];
         for (world, cols) in [(2usize, 2usize), (3, 3), (4, 2)] {
             for n in lengths {
-                for (pieces, phases) in rounds {
+                for (op, phases) in rounds {
                     for phase in phases {
                         for slow in 0..world {
                             let results = run_replicas(world, move |h| {
                                 if h.rank() == slow {
                                     STALL.set(Some((phase, Duration::from_millis(1))));
                                 }
-                                let cuts = [1, n / 2, n / 2, n - 1];
                                 let mut kept = Vec::new();
                                 let bits: Vec<Vec<u32>> = (0..3)
                                     .map(|round| {
                                         let mut buf = adversarial_payload(h.rank() + 10 * round, n);
-                                        let rows = world / cols;
-                                        if pieces {
-                                            let mut cut = Cut {
-                                                buf: &mut buf,
-                                                cuts: &cuts,
-                                            };
-                                            h.all_reduce_mean_grid(&mut cut, rows, cols);
-                                        } else {
-                                            h.all_reduce_sum_grid(&mut buf, rows, cols);
-                                        }
+                                        op.run(&h, &mut buf, world / cols, cols);
                                         let bits = buf.iter().map(|v| v.to_bits()).collect();
                                         kept.push(buf);
                                         bits
@@ -989,19 +1109,19 @@ mod tests {
                                     .collect();
                                 (bits, kept)
                             });
-                            let scale = if pieces { 1.0 / world as f32 } else { 1.0 };
                             for round in 0..3 {
                                 let contribs: Vec<Vec<f32>> = (0..world)
                                     .map(|r| adversarial_payload(r + 10 * round, n))
                                     .collect();
-                                let want: Vec<u32> = sequential_fold(&contribs, cols)
+                                let want: Vec<u32> = op
+                                    .result(&contribs, cols)
                                     .iter()
-                                    .map(|b| (b * scale).to_bits())
+                                    .map(|v| v.to_bits())
                                     .collect();
                                 for (rank, (got, _)) in results.iter().enumerate() {
                                     assert!(
                                         got[round] == want,
-                                        "world {world} n {n} pieces {pieces} {phase:?} slow {slow} \
+                                        "world {world} n {n} {op:?} {phase:?} slow {slow} \
                                          round {round} rank {rank}"
                                     );
                                 }
@@ -1035,78 +1155,110 @@ mod tests {
 
     #[test]
     fn a_mean_met_by_another_operation_panics_before_any_store() {
-        // Rank 1 publishes in one mean round, frees that payload and meets
-        // rank 0's next mean round with a barrier. Rank 0 finds rank 1's
-        // entry from the earlier round (same length) and must panic, not
-        // read or store through it, and its own payload is unchanged. A
-        // rank 0 that went on would wait at the closing meet for ever, so
-        // the verdict has a deadline.
-        let mut handles = CommHandle::create(2);
-        let (h1, h0) = (handles.pop().unwrap(), handles.pop().unwrap());
-        let other = thread::spawn(move || {
-            let mut buf = vec![1.0f32; 8];
-            h1.all_reduce_mean_grid(&mut buf, 1, 2);
-            drop(buf);
-            h1.barrier();
+        // For the mean and the copy alike: rank 1 publishes in one owner
+        // round, frees that payload and meets rank 0's next owner round
+        // with a barrier. Rank 0 finds
+        // rank 1's entry from the earlier round (same length) and must
+        // panic, not read or store through it, and its own payload is
+        // unchanged. A rank 0 that went on would wait at the closing meet
+        // for ever, so the verdict has a deadline.
+        for op in [Op::Mean, Op::Copy] {
+            let mut handles = CommHandle::create(2);
+            let (h1, h0) = (handles.pop().unwrap(), handles.pop().unwrap());
+            let other = thread::spawn(move || {
+                let mut buf = vec![1.0f32; 8];
+                op.run(&h1, &mut buf, 1, 2);
+                drop(buf);
+                h1.barrier();
+            });
+            let (tx, rx) = std::sync::mpsc::channel();
+            thread::spawn(move || {
+                let mut buf = vec![1.0f32; 8];
+                op.run(&h0, &mut buf, 1, 2);
+                let mut again = vec![2.0f32; 8];
+                let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    op.run(&h0, &mut again, 1, 2)
+                }));
+                tx.send((round.is_err(), again)).unwrap();
+            });
+            other.join().unwrap();
+            let (panicked, again) = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("rank 0 went past the check and waits at the closing meet");
+            assert!(panicked, "{op:?} met by a barrier must panic");
+            assert_eq!(again, vec![2.0; 8], "{op:?}: no store before the check");
+        }
+    }
+
+    /// Runs `round` on every rank of a world of `bufs.len()` over its
+    /// buffer: each rank must panic, and no buffer may change.
+    fn every_rank_panics_and_nothing_moves(
+        bufs: &mut [Vec<f32>],
+        round: impl Fn(&CommHandle, &mut Vec<f32>) + Sync,
+        what: &str,
+    ) {
+        let before = bufs.to_vec();
+        thread::scope(|s| {
+            let joins: Vec<_> = CommHandle::create(bufs.len())
+                .into_iter()
+                .zip(&mut *bufs)
+                .map(|(h, buf)| {
+                    let round = &round;
+                    s.spawn(move || round(&h, buf))
+                })
+                .collect();
+            for j in joins {
+                assert!(j.join().is_err(), "{what} must panic");
+            }
         });
-        let (tx, rx) = std::sync::mpsc::channel();
-        thread::spawn(move || {
-            let mut buf = vec![1.0f32; 8];
-            h0.all_reduce_mean_grid(&mut buf, 1, 2);
-            let mut again = vec![2.0f32; 8];
-            let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                h0.all_reduce_mean_grid(&mut again, 1, 2)
-            }));
-            tx.send((round.is_err(), again)).unwrap();
-        });
-        other.join().unwrap();
-        let (panicked, again) = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("rank 0 went past the check and waits at the closing meet");
-        assert!(panicked, "a mean met by a barrier must panic");
-        assert_eq!(again, vec![2.0; 8], "no store before the check");
+        assert_eq!(bufs, before, "{what}: a payload changed");
     }
 
     #[test]
     fn mismatched_lengths_panic_on_every_rank() {
-        // Summed as one slice and averaged in pieces: every rank panics,
-        // and no rank's payload has changed. The payloads outlive the
-        // threads, so a store made before the check would show.
+        // Summed as one slice, averaged and copied in pieces: every rank
+        // panics, and no rank's payload has changed. The payloads outlive
+        // the threads, so a store made before the check would show.
         for lens in [[3usize, 4], [4 * FOLD_TILE, 5]] {
-            for pieces in [false, true] {
+            for op in [Op::Sum, Op::Mean, Op::Copy] {
                 let mut bufs: Vec<Vec<f32>> =
                     (0..2).map(|r| vec![r as f32 + 1.0; lens[r]]).collect();
-                thread::scope(|s| {
-                    let joins: Vec<_> = CommHandle::create(2)
-                        .into_iter()
-                        .zip(&mut bufs)
-                        .map(|(h, buf)| {
-                            s.spawn(move || {
-                                if pieces {
-                                    let cuts = [buf.len() / 2];
-                                    let mut cut = Cut { buf, cuts: &cuts };
-                                    h.all_reduce_mean_grid(&mut cut, 1, 2);
-                                } else {
-                                    h.all_reduce_sum(buf);
-                                }
-                            })
-                        })
-                        .collect();
-                    for j in joins {
-                        assert!(
-                            j.join().is_err(),
-                            "lengths {lens:?} pieces {pieces} must panic"
-                        );
-                    }
-                });
-                for (r, buf) in bufs.iter().enumerate() {
-                    assert_eq!(
-                        *buf,
-                        vec![r as f32 + 1.0; lens[r]],
-                        "lengths {lens:?} pieces {pieces}: rank {r}'s payload changed"
-                    );
-                }
+                every_rank_panics_and_nothing_moves(
+                    &mut bufs,
+                    |h, buf| op.run(h, buf, 1, 2),
+                    &format!("lengths {lens:?} {op:?}"),
+                );
             }
+        }
+    }
+
+    #[test]
+    fn cuts_that_do_not_cover_the_payload_panic_on_every_rank() {
+        // Three ranks copy a 10-element payload in pieces. Whichever way
+        // the cuts miss (too few, not from 0 or not to the end, falling,
+        // or a rank whose share leaves a gap, overlaps a peer's or has
+        // too few cuts), every rank panics and no payload has changed.
+        let good = [0, 3, 6, 10];
+        let cases: [(&str, [&[usize]; 3]); 7] = [
+            ("too few", [&[0, 5, 10]; 3]),
+            ("short of the end", [&[0, 3, 6, 9]; 3]),
+            ("not from 0", [&[1, 3, 6, 10]; 3]),
+            ("falling", [&[0, 6, 3, 10]; 3]),
+            ("a gap", [&good, &[0, 4, 6, 10], &good]),
+            ("an overlap", [&good, &[0, 2, 6, 10], &good]),
+            ("one rank short", [&good, &good, &[0, 3, 6]]),
+        ];
+        for (what, cuts) in cases {
+            let mut bufs: Vec<Vec<f32>> = (0..3).map(|r| vec![r as f32 + 1.0; 10]).collect();
+            every_rank_panics_and_nothing_moves(
+                &mut bufs,
+                |h, buf| {
+                    let pieces = [2, 5, 5, 9];
+                    let mut cut = Cut { buf, cuts: &pieces };
+                    h.all_gather_in_place(&mut cut, cuts[h.rank()]);
+                },
+                what,
+            );
         }
     }
 }

@@ -245,9 +245,11 @@ pub enum FaultKind {
     /// gradient payload gets bit `bit` of element `element` (modulo the
     /// payload length) flipped at step `at_step` — silent data corruption
     /// on the receive side of an all-reduce. Unlike every timing fault
-    /// above, this touches *numerics on a single rank*, so without the
-    /// fingerprint defense the corrupted weights would silently fork the
-    /// SPMD trajectory. Step-keyed like [`FaultKind::PermanentLoss`];
+    /// above, this touches *numerics on a single rank*. Without the
+    /// fingerprint defense nothing detects it: under the trainer's
+    /// sharded update a flip in a parameter that rank owns silently
+    /// corrupts every replica's weights alike, and a flip in a parameter
+    /// a peer owns is never read. Step-keyed like [`FaultKind::PermanentLoss`];
     /// `rank` is interpreted modulo the surviving world at trigger time.
     /// One-shot: the flip fires on the first exchanged bucket of the
     /// step and never re-fires on a verified retry of that bucket.
@@ -898,6 +900,10 @@ impl Collective for FaultyCollective {
     fn all_gather(&self, local: &[f32], out: &mut Vec<f32>) {
         self.inner.all_gather(local, out);
     }
+    /// Passes through: faults target the gradient exchange.
+    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize]) {
+        self.inner.all_gather_in_place(payload, cuts);
+    }
     fn broadcast(&self, buf: &mut [f32], root: usize) {
         self.inner.broadcast(buf, root);
     }
@@ -950,11 +956,16 @@ impl FaultyCollective {
     /// Applies the step's scheduled [`FaultKind::PayloadBitFlip`] to this
     /// rank's copy of the *reduced* payload — receive-side silent data
     /// corruption. Asymmetric by design: only the scheduled rank (modulo
-    /// the surviving world) mutates its copy, so without the fingerprint
-    /// defense its weights silently fork from its peers'. The flipped
-    /// element is `element` modulo the payload length, counted across
-    /// the pieces in order. One-shot per scheduled step: a verified retry
-    /// of the bucket re-runs the clean reduction.
+    /// the surviving world) mutates its copy. Without the fingerprint
+    /// defense nothing detects it. If the flip lands in a parameter that
+    /// rank owns in the trainer's sharded update, the rank's update reads
+    /// it and the copy carries the corrupted weights into every peer, so
+    /// the replicas still agree. A flip in a parameter a peer owns
+    /// reaches no weight: the optimizer never reads it there, and the
+    /// owner's new weights are copied over that rank's. The flipped
+    /// element is `element` modulo the payload
+    /// length, counted across the pieces in order. One-shot per scheduled
+    /// step: a verified retry of the bucket re-runs the clean reduction.
     fn maybe_flip_payload(&self, step: u64, payload: &mut dyn Pieces) {
         let Some((rank, element, bit)) = self.schedule.payload_flip_at(step) else {
             return;

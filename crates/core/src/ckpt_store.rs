@@ -197,7 +197,7 @@ pub enum CkptError {
     Io(String),
     /// File too short to hold even the envelope.
     TooShort { len: usize },
-    /// Magic bytes do not match [`MAGIC`].
+    /// Magic bytes do not match `MAGIC`.
     BadMagic,
     /// Unsupported format version.
     BadVersion(u32),

@@ -5,11 +5,19 @@
 //! - **Data parallelism**: every replica holds a full model copy and a
 //!   disjoint shard of each global batch; gradients are summed with a
 //!   deterministic collective ([`ets_collective::create_collective`]) and
-//!   averaged,
-//!   so all replicas take bitwise-identical optimizer steps (asserted via
-//!   a final weight checksum across replicas). Gradients are reduced in
-//!   place, bucket by bucket ([`crate::grad_bucket`]), with per-bucket
-//!   timing.
+//!   averaged. Gradients are reduced in place, bucket by bucket
+//!   ([`crate::grad_bucket`]), with per-bucket timing.
+//! - **Sharded weight update**: each replica runs the optimizer only on
+//!   the parameters it owns ([`Shares`]) and keeps state only for them,
+//!   then copies its new weights into its peers in place
+//!   ([`Collective::all_gather_in_place`]), so all replicas hold
+//!   bitwise-identical weights (a final weight checksum across replicas
+//!   checks the copy). Before a durable checkpoint the owners copy their
+//!   optimizer state into each other the same way. Only the fingerprint
+//!   vote (`fingerprint_verify`) compares the ranks' reduced gradients:
+//!   without it a receive-side flip in a gradient its rank owns reaches
+//!   every replica's weights alike, and one in a gradient a peer owns is
+//!   never read.
 //! - **Distributed batch norm** (§3.4): BN statistics reduce over replica
 //!   groups wired from `GroupSpec`.
 //! - **Distributed evaluation** (§3.3): the validation set is sharded over
@@ -42,7 +50,7 @@
 //!   epoch, so progress is tracked in *samples* ([`Progress`]).
 //! - **Input pipeline** (§3.3): the thread that called `train` loads
 //!   every batch while the replicas compute; a replica asks for batch
-//!   *s+1* as soon as batch *s* arrives ([`Feed`]).
+//!   *s+1* as soon as batch *s* arrives (`Feed`).
 
 use crate::bn_sync::GroupStatSync;
 use crate::ckpt_store::{CkptStore, DurableSnapshot, Progress};
@@ -52,6 +60,7 @@ use crate::report::{EpochRecord, Fingerprint, RecoveryCounters, TrainReport};
 use crate::timeline::{AllReduceProfile, PhaseBreakdown, ResizeRecord, StepTimeline, Stopwatch};
 use ets_collective::{
     bn_partition, create_collective, Collective, CollectiveError, FaultSchedule, FaultyCollective,
+    Pieces,
 };
 use ets_data::{load_batch, AugmentConfig, EpochPlan, SynthNet};
 use ets_efficientnet::EfficientNet;
@@ -59,7 +68,7 @@ use ets_nn::{cross_entropy, zero_grads, Ema, EvalCounts, Layer, Mode};
 use ets_obs::{phase as obs_ph, Lane, Recorder};
 use ets_optim::{
     Constant, CosineDecay, ExponentialDecay, Lamb, Lars, LrSchedule, Optimizer, PolynomialDecay,
-    RmsProp, Sgd, Shifted, Sm3, Warmup,
+    RmsProp, Sgd, Shares, Shifted, Sm3, Warmup,
 };
 use ets_tensor::{Rng, Tensor};
 use std::collections::VecDeque;
@@ -271,6 +280,33 @@ impl WorldComm {
         if let WorldComm::Faulty(f) = self {
             f.set_step(step);
         }
+    }
+}
+
+/// A model's weights as [`Pieces`], in `visit_params` order: what the
+/// owners copy into their peers after a sharded update.
+struct Weights<'a>(&'a mut dyn Layer);
+
+// SAFETY: the pieces are the parameters' own value buffers, reached
+// through the `&mut` borrow of the model; nothing resizes a weight while
+// it is held.
+unsafe impl Pieces for Weights<'_> {
+    fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.0.visit_params(&mut |p| f(p.value.data_mut()));
+    }
+}
+
+/// An optimizer's state as [`Pieces`], parameter-major
+/// ([`Optimizer::visit_state`]): what the owners copy into their peers
+/// before a durable checkpoint.
+struct State<'a>(&'a mut dyn Optimizer);
+
+// SAFETY: the pieces are the segments of the optimizer's slot buffers,
+// reached through the `&mut` borrow of the optimizer; nothing sizes or
+// resizes a slot while it is held.
+unsafe impl Pieces for State<'_> {
+    fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.0.visit_state(&mut |_, seg| f(seg));
     }
 }
 
@@ -529,6 +565,8 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         });
 
         for (r, res) in results.iter().enumerate() {
+            // The owners' weights are copied into their peers after every
+            // update, so this checks the copy, not the reduced gradients.
             assert_eq!(
                 res.checksum, results[0].checksum,
                 "replica {r} diverged from replica 0 — synchronization bug"
@@ -674,6 +712,9 @@ struct Replica<'a> {
     rec: Arc<Recorder>,
     model: EfficientNet,
     optimizer: Box<dyn Optimizer>,
+    /// Which parameters each rank updates, cut once per phase for its
+    /// world. This rank's optimizer state is current only for its own.
+    shares: Shares,
     ema: Option<Ema>,
     grad_bucket: GradBucket,
     feed: Feed,
@@ -740,6 +781,7 @@ impl<'a> Replica<'a> {
             view.corruption_policy.bucket_retries(),
         );
         let ema = view.ema_decay.map(|d| Ema::new(&mut model, d));
+        let shares = Shares::new(&mut model, view.replicas);
         let mut replica = Replica {
             env,
             rank,
@@ -747,6 +789,7 @@ impl<'a> Replica<'a> {
             rec,
             model,
             optimizer: build_optimizer(view.optimizer),
+            shares,
             ema,
             grad_bucket,
             feed,
@@ -811,13 +854,21 @@ impl<'a> Replica<'a> {
     /// The one checkpoint site: a durable save, a fresh rewind anchor, or
     /// both from one capture. The old anchor goes before the capture, so
     /// a rank holds one snapshot at any moment whatever the other ranks
-    /// do; a rank that neither saves nor anchors captures nothing. Rank 0
-    /// persists the state every rank holds; counters and instants count
-    /// *logical* checkpoints on all ranks (the durable one first), so the
-    /// cross-rank virtual fingerprint stays equal.
+    /// do; a rank that neither saves nor anchors captures nothing. Every
+    /// rank reaches a durable save together, and the owners first copy
+    /// their optimizer state into each other, so rank 0 persists every
+    /// parameter's. An anchor alone needs no copy: the rank that rewinds
+    /// to it reads only the state of the parameters it owns. Counters and
+    /// instants count *logical* checkpoints on all ranks (the durable one
+    /// first), so the cross-rank virtual fingerprint stays equal.
     fn checkpoint(&mut self, durable: bool, anchor: bool) {
         if anchor {
             self.anchor = None;
+        }
+        if durable {
+            let cuts = self.shares.state_cuts(self.optimizer.as_mut());
+            let state = &mut State(self.optimizer.as_mut());
+            self.world.as_dyn().all_gather_in_place(state, &cuts);
         }
         let snap = (anchor || (durable && self.rank == 0)).then(|| self.capture());
         if durable {
@@ -1047,14 +1098,20 @@ impl<'a> Replica<'a> {
     }
 
     /// Schedule, optimizer and EMA update with the step's averaged
-    /// gradients.
+    /// gradients. The optimizer runs on this rank's own parameters, whose
+    /// new weights then go into every peer.
     fn apply_update(&mut self, schedule: &dyn LrSchedule, mean_loss: f32) {
         let view = self.env.view;
         // Effective schedule step in the current world's units; ×1.0 is a
         // bitwise no-op, so unguarded runs stay on the legacy trajectory.
         let eff_step = self.prog.consumed_samples / view.global_batch() as u64;
         let lr = schedule.lr(eff_step) * self.prog.lr_scale;
-        self.optimizer.step(&mut self.model, lr);
+        let owned = self.shares.owned(self.rank);
+        self.optimizer.step_params(&mut self.model, lr, owned);
+        let weights = &mut Weights(&mut self.model);
+        self.world
+            .as_dyn()
+            .all_gather_in_place(weights, self.shares.elems());
         if let Some(e) = &mut self.ema {
             e.update(&mut self.model);
         }

@@ -3,7 +3,7 @@
 //! One [`RunSummary`] per operating point / training run: step time,
 //! all-reduce share, throughput, and the recovery/resize overhead
 //! decomposition that Table 1 and Figure 1 of the paper report. Summaries
-//! serialize through the crate's own [`JsonWriter`](crate::json::JsonWriter).
+//! serialize through the crate's own [`JsonWriter`].
 
 use crate::json::JsonWriter;
 

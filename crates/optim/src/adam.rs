@@ -5,6 +5,7 @@
 
 use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
+use std::ops::Range;
 
 /// Adam(W).
 pub struct Adam {
@@ -36,12 +37,12 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn Layer, lr: f32) {
+    fn step_params(&mut self, model: &mut dyn Layer, lr: f32, params: Range<usize>) {
         self.t += 1;
         let (b1, b2, eps, wd) = (self.beta1, self.beta2, self.eps, self.weight_decay);
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
-        self.moments.walk(model, |p, [ms, vs]| {
+        self.moments.walk(model, params, |p, [ms, vs]| {
             let decay = if p.kind.decayed() { wd } else { 0.0 };
             for (((m, v), &g), w) in ms
                 .iter_mut()
@@ -59,6 +60,10 @@ impl Optimizer for Adam {
 
     fn name(&self) -> &'static str {
         "adam"
+    }
+
+    fn visit_state(&mut self, f: &mut dyn FnMut(usize, &mut [f32])) {
+        self.moments.visit(f);
     }
 
     /// Scalars: `[t]`. Slots: `m`, then `v`.

@@ -12,6 +12,7 @@
 
 use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
+use std::ops::Range;
 
 /// LAMB optimizer.
 pub struct Lamb {
@@ -55,14 +56,14 @@ fn sum_sq_of(n: usize, u: impl Fn(usize) -> f32) -> f64 {
 }
 
 impl Optimizer for Lamb {
-    fn step(&mut self, model: &mut dyn Layer, lr: f32) {
+    fn step_params(&mut self, model: &mut dyn Layer, lr: f32, params: Range<usize>) {
         self.t += 1;
         let t = self.t as i32;
         let (b1, b2, eps) = (self.beta1, self.beta2, self.eps);
         let bc1 = 1.0 - b1.powi(t);
         let bc2 = 1.0 - b2.powi(t);
         let wd = self.weight_decay;
-        self.moments.walk(model, |p, [ms, vs]| {
+        self.moments.walk(model, params, |p, [ms, vs]| {
             for ((m, v), &g) in ms.iter_mut().zip(vs.iter_mut()).zip(p.grad.data()) {
                 *m = b1 * *m + (1.0 - b1) * g;
                 *v = b2 * *v + (1.0 - b2) * g * g;
@@ -89,6 +90,10 @@ impl Optimizer for Lamb {
 
     fn name(&self) -> &'static str {
         "lamb"
+    }
+
+    fn visit_state(&mut self, f: &mut dyn FnMut(usize, &mut [f32])) {
+        self.moments.visit(f);
     }
 
     /// Scalars: `[t]`. Slots: `m`, then `v`.

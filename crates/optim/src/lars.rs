@@ -16,6 +16,7 @@
 
 use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
+use std::ops::Range;
 
 /// LARS configuration and state.
 pub struct Lars {
@@ -27,7 +28,8 @@ pub struct Lars {
     trust_coeff: f32,
     eps: f32,
     velocity: Slots<1>,
-    /// Most recent trust ratios (diagnostics; one per adapted param).
+    /// Most recent trust ratios (diagnostics): one per adapted parameter
+    /// the last step covered, so after a split step only the owned ones.
     pub last_ratios: Vec<f32>,
 }
 
@@ -66,11 +68,11 @@ impl Lars {
 }
 
 impl Optimizer for Lars {
-    fn step(&mut self, model: &mut dyn Layer, lr: f32) {
+    fn step_params(&mut self, model: &mut dyn Layer, lr: f32, params: Range<usize>) {
         let (m, wd, eta, eps) = (self.momentum, self.weight_decay, self.trust_coeff, self.eps);
         let ratios = &mut self.last_ratios;
         ratios.clear();
-        self.velocity.walk(model, |p, [v]| {
+        self.velocity.walk(model, params, |p, [v]| {
             let adapted = p.kind.lars_adapted().then(|| {
                 let r = ratio(eta, wd, eps, p.value.l2_norm(), p.grad.l2_norm());
                 ratios.push(r);
@@ -94,6 +96,10 @@ impl Optimizer for Lars {
 
     fn name(&self) -> &'static str {
         "lars"
+    }
+
+    fn visit_state(&mut self, f: &mut dyn FnMut(usize, &mut [f32])) {
+        self.velocity.visit(f);
     }
 
     /// Slot: `velocity`. `last_ratios` is a diagnostic recomputed every

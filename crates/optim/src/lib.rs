@@ -19,7 +19,8 @@
 //! Each optimizer is its hyper-parameters plus a per-parameter kernel
 //! over one store of flat per-weight state slots ([`optimizer`]), which
 //! also holds the one bit-exact export and import behind
-//! [`OptimizerState`].
+//! [`OptimizerState`]. A step can cover a run of parameters, and
+//! [`Shares`] cuts a model into one run per owner.
 
 pub mod adam;
 pub mod lamb;
@@ -33,7 +34,7 @@ pub mod sm3;
 pub use adam::Adam;
 pub use lamb::Lamb;
 pub use lars::Lars;
-pub use optimizer::{Optimizer, OptimizerState};
+pub use optimizer::{Optimizer, OptimizerState, Shares};
 pub use rmsprop::RmsProp;
 pub use schedule::{
     lars_paper_schedule, linear_scaled_lr, rmsprop_paper_schedule, steps_per_epoch, BoxedSchedule,

@@ -5,9 +5,17 @@
 //! `ms` and `mom`, LARS's velocity, ...), each holding one segment per
 //! parameter in `Layer::visit_params` order (which is stable), sized and
 //! zeroed on the first step. `Slots::walk` is the only parameter loop.
-//! All replicas of a data-parallel job run the *same* optimizer step on
-//! the *same* all-reduced gradients, so their states stay bitwise
-//! identical — the invariant the integration tests assert.
+//!
+//! A step covers a range of parameters ([`Optimizer::step_params`]), so
+//! a data-parallel job can split the update by parameter: each replica
+//! runs the kernel on the parameters it owns ([`Shares`]) and keeps
+//! state only for them. Every kernel is per-parameter (LARS' and LAMB's
+//! norms, SM3's covers), so an owned parameter takes bitwise the step a
+//! whole-model update gives it, and the replicas' weights stay identical
+//! once each owner has copied its new weights into its peers. The
+//! segments a replica does not own stay as they were (zero, on pages the
+//! allocator never touched) until [`Optimizer::visit_state`] lets the
+//! owners copy them in before a checkpoint.
 //!
 //! For checkpoint-based preemption recovery the trait also exposes
 //! [`Optimizer::export_state`] / [`Optimizer::import_state`]: the full
@@ -45,9 +53,23 @@ impl OptimizerState {
 
 /// A gradient-based optimizer.
 pub trait Optimizer: Send {
-    /// Applies one update with the given learning rate. Gradients must
-    /// already be populated (and averaged across replicas, if distributed).
-    fn step(&mut self, model: &mut dyn Layer, lr: f32);
+    /// Applies one update with the given learning rate to the parameters
+    /// `params` (indices in `visit_params` order; an end past the last
+    /// parameter stops there). The other parameters and their state are
+    /// not touched. Gradients must already be populated (and averaged
+    /// across replicas, if distributed).
+    fn step_params(&mut self, model: &mut dyn Layer, lr: f32, params: Range<usize>);
+
+    /// Applies one update to every parameter.
+    fn step(&mut self, model: &mut dyn Layer, lr: f32) {
+        self.step_params(model, lr, 0..usize::MAX);
+    }
+
+    /// Hands every state segment to `f` with its parameter's index,
+    /// parameter-major (all of parameter 0's slots, then parameter 1's),
+    /// so the state of a run of parameters is one run of segments. Hands
+    /// out nothing before the first step.
+    fn visit_state(&mut self, f: &mut dyn FnMut(usize, &mut [f32]));
 
     /// Diagnostic name ("rmsprop", "lars", ...).
     fn name(&self) -> &'static str;
@@ -61,6 +83,65 @@ pub trait Optimizer: Send {
     /// from another optimizer or model panics. Importing an empty state
     /// resets the optimizer to fresh.
     fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer);
+}
+
+/// A model's parameters split over `world` owners at parameter edges,
+/// so that every parameter's kernel runs whole on one owner. Owner `r`
+/// owns one contiguous run of `visit_params`, [`Shares::owned`]. With
+/// `n` weight elements, edge `r` is the parameter edge nearest
+/// `r·n/world` (the lower one on a tie), so the runs are as even as whole
+/// parameters allow. One owner owns every parameter.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Shares {
+    params: Vec<usize>,
+    elems: Vec<usize>,
+}
+
+impl Shares {
+    pub fn new(model: &mut dyn Layer, world: usize) -> Self {
+        assert!(world >= 1, "a share needs at least one owner");
+        // `offsets[i]`: where parameter `i` starts, then the total.
+        let mut offsets = vec![0];
+        model.visit_params(&mut |p| offsets.push(offsets[offsets.len() - 1] + p.value.numel()));
+        let (count, n) = (offsets.len() - 1, offsets[offsets.len() - 1]);
+        // `min_by_key` keeps the first of equally near edges: the lower.
+        let nearest = |target: usize| (0..=count).min_by_key(|&i| offsets[i].abs_diff(target));
+        let mut params: Vec<usize> = (0..world)
+            .map(|r| nearest(r * n / world).unwrap_or(0))
+            .collect();
+        params.push(count);
+        let elems = params.iter().map(|&i| offsets[i]).collect();
+        Shares { params, elems }
+    }
+
+    /// The edges as offsets into the weights laid end to end: the cuts of
+    /// a payload of every weight in `visit_params` order.
+    pub fn elems(&self) -> &[usize] {
+        &self.elems
+    }
+
+    /// The parameters `rank` owns.
+    pub fn owned(&self, rank: usize) -> Range<usize> {
+        self.params[rank]..self.params[rank + 1]
+    }
+
+    /// The edges as offsets into `opt`'s state laid out as
+    /// [`Optimizer::visit_state`] hands it out: all zero before its first
+    /// step, when it hands out nothing.
+    pub fn state_cuts(&self, opt: &mut dyn Optimizer) -> Vec<usize> {
+        // `starts[i]`: where parameter `i`'s segments start, then the total.
+        let mut starts = vec![0];
+        opt.visit_state(&mut |i, seg| {
+            if starts.len() == i + 1 {
+                starts.push(starts[i]);
+            }
+            starts[i + 1] += seg.len();
+        });
+        self.params
+            .iter()
+            .map(|&i| starts.get(i).copied().unwrap_or(0))
+            .collect()
+    }
 }
 
 /// `K` state slots over a model's parameters: slot `k` is one flat buffer
@@ -101,10 +182,16 @@ impl<const K: usize> Slots<K> {
         self.bufs = end.map(|len| vec![0.0; len]);
     }
 
-    /// Calls `f` on every parameter with its segment of each slot, sizing
-    /// the slots on the first call. `model` must be the one they were
-    /// sized for.
-    pub fn walk(&mut self, model: &mut dyn Layer, mut f: impl FnMut(&mut Param, [&mut [f32]; K])) {
+    /// Calls `f` on every parameter in `params` with its segment of each
+    /// slot, sizing the slots (for the whole model) on the first call.
+    /// The segments of the other parameters are not touched. `model` must
+    /// be the one the slots were sized for.
+    pub fn walk(
+        &mut self,
+        model: &mut dyn Layer,
+        params: Range<usize>,
+        mut f: impl FnMut(&mut Param, [&mut [f32]; K]),
+    ) {
         if self.ends.is_empty() {
             self.size(model);
         }
@@ -113,16 +200,29 @@ impl<const K: usize> Slots<K> {
         let (mut i, mut start) = (0, [0; K]);
         model.visit_params(&mut |p| {
             let end = *ends.get(i).expect(OTHER_MODEL);
-            let mut k = 0;
-            let segs = bufs.each_mut().map(|buf| {
-                let seg = &mut buf[start[k]..end[k]];
-                k += 1;
-                seg
-            });
-            f(p, segs);
+            if params.contains(&i) {
+                let mut k = 0;
+                let segs = bufs.each_mut().map(|buf| {
+                    let seg = &mut buf[start[k]..end[k]];
+                    k += 1;
+                    seg
+                });
+                f(p, segs);
+            }
             (i, start) = (i + 1, end);
         });
         assert_eq!(i, ends.len(), "{OTHER_MODEL}");
+    }
+
+    /// [`Optimizer::visit_state`] over these slots.
+    pub fn visit(&mut self, f: &mut dyn FnMut(usize, &mut [f32])) {
+        let mut start = [0; K];
+        for (i, end) in self.ends.iter().enumerate() {
+            for (k, buf) in self.bufs.iter_mut().enumerate() {
+                f(i, &mut buf[start[k]..end[k]]);
+            }
+            start = *end;
+        }
     }
 
     /// Every segment as `(slot, range)`, slot-major: the bank order.
@@ -208,7 +308,7 @@ mod tests {
         // parameter; the second walk sees what the first wrote.
         let mut slots: Slots<2> = Slots::with_lens(|d| [d.iter().product(), d.len()]);
         let mut seen = Vec::new();
-        slots.walk(&mut model(), |p, [a, b]| {
+        slots.walk(&mut model(), 0..2, |p, [a, b]| {
             seen.push((p.name.clone(), a.to_vec(), b.len()));
             a[0] = 1.0;
         });
@@ -219,7 +319,7 @@ mod tests {
                 ("s".to_string(), vec![0.0], 0)
             ]
         );
-        slots.walk(&mut model(), |_, [a, _]| assert_eq!(a[0], 1.0));
+        slots.walk(&mut model(), 0..2, |_, [a, _]| assert_eq!(a[0], 1.0));
         assert_eq!(slots.export(vec![]).banks.len(), 4);
     }
 
@@ -229,7 +329,7 @@ mod tests {
         // decimal detour: subnormals, negative zero, and an odd mantissa.
         let src = [1.0f32, -0.0, f32::MIN_POSITIVE / 2.0, 0.1 + 0.2, -3.5, 7.0];
         let mut slots: Slots<2> = Slots::new();
-        slots.walk(&mut model(), |p, [a, b]| {
+        slots.walk(&mut model(), 0..2, |p, [a, b]| {
             let off = if p.name == "w" { 0 } else { 5 };
             for (j, (x, y)) in a.iter_mut().zip(b).enumerate() {
                 (*x, *y) = (src[(off + j) % 6], -src[j]);
@@ -258,7 +358,7 @@ mod tests {
         // A fresh store exports no banks, and importing none resets it.
         let mut slots: Slots<1> = Slots::new();
         assert!(slots.export(vec![]).is_empty());
-        slots.walk(&mut model(), |_, _| {});
+        slots.walk(&mut model(), 0..2, |_, _| {});
         slots.import(&OptimizerState::default(), &mut model());
         assert!(slots.export(vec![]).is_empty());
     }

@@ -13,6 +13,7 @@
 
 use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
+use std::ops::Range;
 
 /// TF-style RMSProp.
 pub struct RmsProp {
@@ -42,9 +43,9 @@ impl RmsProp {
 }
 
 impl Optimizer for RmsProp {
-    fn step(&mut self, model: &mut dyn Layer, lr: f32) {
+    fn step_params(&mut self, model: &mut dyn Layer, lr: f32, params: Range<usize>) {
         let (rho, m, eps, wd) = (self.rho, self.momentum, self.eps, self.weight_decay);
-        self.slots.walk(model, |p, [ms, mom]| {
+        self.slots.walk(model, params, |p, [ms, mom]| {
             let decay = if p.kind.decayed() { wd } else { 0.0 };
             for (((ms, mom), &g), w) in ms
                 .iter_mut()
@@ -62,6 +63,10 @@ impl Optimizer for RmsProp {
 
     fn name(&self) -> &'static str {
         "rmsprop"
+    }
+
+    fn visit_state(&mut self, f: &mut dyn FnMut(usize, &mut [f32])) {
+        self.slots.visit(f);
     }
 
     /// Slots: `ms`, then `mom`.

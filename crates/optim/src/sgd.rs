@@ -2,6 +2,7 @@
 
 use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
+use std::ops::Range;
 
 /// Momentum SGD: `v ← m·v + (g + wd·w)`, `w ← w − lr·v`.
 pub struct Sgd {
@@ -21,9 +22,9 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn Layer, lr: f32) {
+    fn step_params(&mut self, model: &mut dyn Layer, lr: f32, params: Range<usize>) {
         let (m, wd) = (self.momentum, self.weight_decay);
-        self.velocity.walk(model, |p, [v]| {
+        self.velocity.walk(model, params, |p, [v]| {
             let decay = if p.kind.decayed() { wd } else { 0.0 };
             for ((v, &g), w) in v.iter_mut().zip(p.grad.data()).zip(p.value.data_mut()) {
                 *v = m * *v + g + decay * *w;
@@ -34,6 +35,10 @@ impl Optimizer for Sgd {
 
     fn name(&self) -> &'static str {
         "sgd"
+    }
+
+    fn visit_state(&mut self, f: &mut dyn FnMut(usize, &mut [f32])) {
+        self.velocity.visit(f);
     }
 
     /// Slot: `velocity`.

@@ -14,6 +14,7 @@
 
 use crate::optimizer::{Optimizer, OptimizerState, Slots};
 use ets_nn::Layer;
+use std::ops::Range;
 
 /// The SM3-II variant (update rule above), with optional momentum.
 pub struct Sm3 {
@@ -48,9 +49,9 @@ impl Sm3 {
 }
 
 impl Optimizer for Sm3 {
-    fn step(&mut self, model: &mut dyn Layer, lr: f32) {
+    fn step_params(&mut self, model: &mut dyn Layer, lr: f32, params: Range<usize>) {
         let (m, wd, eps) = (self.momentum, self.weight_decay, self.eps);
-        self.slots.walk(model, |p, [covers, v]| {
+        self.slots.walk(model, params, |p, [covers, v]| {
             let dims = axes(p.value.shape().dims());
             // Stride of each axis, and where its accumulators start.
             let (mut strides, mut starts) = (vec![1; dims.len()], vec![0; dims.len()]);
@@ -89,6 +90,10 @@ impl Optimizer for Sm3 {
 
     fn name(&self) -> &'static str {
         "sm3"
+    }
+
+    fn visit_state(&mut self, f: &mut dyn FnMut(usize, &mut [f32])) {
+        self.slots.visit(f);
     }
 
     /// Slots: `covers`, then `velocity`.

@@ -9,7 +9,7 @@
 //! CDF: `x = Φ⁻¹(Φ(−2) + u·(1 − 2·Φ(−2)))` by Acklam's central-region
 //! rational function in `f64` (within 3.4·10⁻⁸ of Φ⁻¹ up to |x| = 2),
 //! clamped to ±2 and scaled by σ. Only the draws are sequential; the
-//! transform is `mul`, `add`, `div` and a clamp under [`on_lane`]: the same
+//! transform is `mul`, `add`, `div` and a clamp under `on_lane`: the same
 //! bits on every lane path, no libm, no rejection loop.
 
 use crate::ops::simd::on_lane;

@@ -2,7 +2,7 @@
 //!
 //! [`exp`] is the Cephes `expf` scheme written with `mul`, `add` and
 //! integer bit moves only, so a loop over it vectorizes and every lane
-//! width computes the same bits (see [`on_lane`]): `n = round(x·log₂e)`
+//! width computes the same bits (see `on_lane`): `n = round(x·log₂e)`
 //! by adding and subtracting `1.5·2²³`, `r = x − n·ln 2` in two steps,
 //! a degree-5 polynomial in `r`, and `2ⁿ` built by shifting `n + 127`
 //! into the exponent field. The input is limited to
@@ -33,7 +33,7 @@ use crate::ops::simd::on_lane;
 pub const EXP_LO: f32 = -87.0;
 /// Inputs above this give what this one does, `+∞`: from 88.38 on
 /// `n = 128`. (`|x·log₂e|` stays far below the `2²²` that the rounding
-/// by [`ROUND`] can take.)
+/// by `ROUND` can take.)
 pub const EXP_HI: f32 = 89.0;
 
 /// `1.5·2²³`: adding it to `|t| < 2²²` leaves `round(t)` in the low

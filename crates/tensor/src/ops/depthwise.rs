@@ -30,25 +30,25 @@
 //!
 //! Which kernel runs is a pure function of `(kh, kw, stride, pad, h, w)`:
 //!
-//! - **Whole plane** ([`forward_pixels`], [`dx_pixels`], [`dw_taps`]):
+//! - **Whole plane** (`forward_pixels`, `dx_pixels`, `dw_taps`):
 //!   per output the valid tap range is computed, not tested, so the tap
 //!   loops carry no branch. For the small square maps of an EfficientNet
-//!   ([`small_map`]: 1² to 4², and 8² at stride 2, where most taps of a
+//!   (`small_map`: 1² to 4², and 8² at stride 2, where most taps of a
 //!   5×5 kernel are padding) these are instantiated with literal
 //!   geometry, so the ranges fold to constants and only valid taps are
 //!   emitted. Any other geometry the row regimes do not take runs the
 //!   same source with run-time ranges.
-//! - **Rows, stride 1** (SAME padding, at least [`MIN_SPAN`] output
+//! - **Rows, stride 1** (SAME padding, at least `MIN_SPAN` output
 //!   columns that see every kernel column): input and output rows have
 //!   one pitch, so tap `(ki, kj)` of *every* output is the input at one
 //!   fixed distance, and a block of rows is one long unit-stride span
-//!   ([`flat_rows`], [`row_taps`]: up to four [`LANES`]-wide registers
+//!   (`flat_rows`, `row_taps`: up to four `LANES`-wide registers
 //!   of outputs advance together, accumulators in registers across all
 //!   taps). The span runs from the first row's first interior column to
 //!   the last row's last; the border columns it crosses on the way are
 //!   computed through taps that wrapped into the next row, and are then
-//!   overwritten tap by tap down the column ([`forward_cols`],
-//!   [`dx_cols`]). `dx` is the same problem over `dy` with the taps in
+//!   overwritten tap by tap down the column (`forward_cols`,
+//!   `dx_cols`). `dx` is the same problem over `dy` with the taps in
 //!   descending order.
 //! - **Rows, stride 2**: the same after a phase split. Forward copies
 //!   the input plane into its four (row parity × column parity) phase
@@ -57,7 +57,7 @@
 //!   over `dy` and interleaves them on store.
 //!
 //! `dw` in the row regimes keeps one accumulator vector per kernel row,
-//! lanes over `kj` ([`dw_span`]): for one output the `kw` taps of a
+//! lanes over `kj` (`dw_span`): for one output the `kw` taps of a
 //! kernel row read adjacent inputs, so the `kh` chains advance together
 //! down the row in ascending `ow`.
 
@@ -218,7 +218,7 @@ fn dw_taps(g: &Geom, x: &[f32], dy: &[f32], part: &mut [f32]) {
     }
 }
 
-/// [`forward_pixels`] for the border columns of a tall plane: tap by
+/// `forward_pixels` for the border columns of a tall plane: tap by
 /// tap down the column, so the loops carry the per-tap row range instead
 /// of a per-output tap range. Each output still sums its valid taps in
 /// ascending order.
@@ -242,7 +242,7 @@ fn forward_cols(g: &Geom, x: &[f32], ker: &[f32], y: &mut [f32], cols: Range<usi
     }
 }
 
-/// [`dx_pixels`] for the border columns of a tall plane, tap by tap down
+/// `dx_pixels` for the border columns of a tall plane, tap by tap down
 /// the column: kernel rows descending and, within one, outputs
 /// ascending, so each input still sums its outputs in ascending
 /// `(oh, ow)`.
@@ -341,7 +341,7 @@ fn row_taps_tiles<const N: usize>(
 }
 
 /// [`row_taps_tiles`] at the widest tile the span fills: four, two or
-/// one [`LANES`]-wide registers, or half of one.
+/// one `LANES`-wide registers, or half of one.
 #[inline(always)]
 fn row_taps_widest(out: &mut [f32], at: usize, src: &[f32], shifts: &[isize], wts: &[f32]) {
     const HALF: usize = LANES / 2;
@@ -436,7 +436,7 @@ type DwAcc = [[f32; LANES]; MAX_K];
 
 /// `acc[k0 + r][kj] += dy[i] · x[r·w + i·stride + kj]` for `i` ascending:
 /// the interior span of one output row against the `NK` input rows its
-/// kernel rows read. Each kernel row is one [`LANES`]-wide chain, so
+/// kernel rows read. Each kernel row is one `LANES`-wide chain, so
 /// `x[r·w + i·stride..][..LANES]` must be in bounds for every `r`, `i`.
 #[inline(always)]
 fn dw_span_lanes<const NK: usize>(
@@ -503,7 +503,7 @@ unsafe fn dw_span_avx2(
 /// Adds the interior span `dy` of one output row to the `dw`
 /// accumulators of kernel rows `kis`; `x` starts at the input element
 /// that tap `(kis.start, 0)` of the span's first output reads. The
-/// vector lanes read [`LANES`] inputs per kernel row, so the outputs for
+/// vector lanes read `LANES` inputs per kernel row, so the outputs for
 /// which that would leave `x` (the tail of a plane's last rows), and all
 /// of them on the `Scalar` lane, take the exact `kw`-tap loop.
 #[allow(clippy::too_many_arguments)]

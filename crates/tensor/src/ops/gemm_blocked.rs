@@ -117,7 +117,7 @@ pub fn packed_a_len(m: usize, k: usize) -> usize {
 /// element through bf16 once when `precision` is [`GemmPrecision::Bf16`].
 ///
 /// Layout: for each depth block `pc` (step [`KC`], width `kc`), a region of
-/// `m_padded·kc` elements at offset `m_padded·pc` ([`pack_a_slab`]); rows
+/// `m_padded·kc` elements at offset `m_padded·pc` (`pack_a_slab`); rows
 /// past `m` are zero. The macro-kernel reads both packed operands at
 /// stride 1.
 pub fn pack_a_into(a: PanelA<'_>, m: usize, k: usize, precision: GemmPrecision, ap: &mut [f32]) {

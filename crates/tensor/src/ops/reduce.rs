@@ -19,14 +19,14 @@
 //!
 //! Every output element is its own `f32` chain of separate `mul`s and
 //! `add`s (and [`super::act`]'s `exp`, which is built from the same).
-//! A per-channel sum is accumulated in `f64` as [`PARTIALS`] partial
+//! A per-channel sum is accumulated in `f64` as `PARTIALS` partial
 //! sums: partial `j` takes the elements `k ≡ j (mod 8)` of each of the
 //! channel's planes, images ascending and `k` ascending within a plane,
 //! `g·x̂` multiplied in `f64`; the eight fold as
 //! `((p₀+p₄) + (p₂+p₆)) + ((p₁+p₅) + (p₃+p₇))` and the result is
 //! rounded to `f32` once. None of this names a vector width, so the
 //! kernels run as one source on every [`LanePath`](super::simd::LanePath)
-//! (see [`on_lane`]) and agree bitwise.
+//! (see `on_lane`) and agree bitwise.
 //!
 //! # Regimes
 //!
@@ -58,7 +58,7 @@ const PARTIALS: usize = 8;
 /// Planes with fewer elements run image by image; see "Regimes".
 pub const SMALL_PLANE: usize = 16;
 /// Elements of a plane [`bn_backward_reduce`] writes before it sums
-/// them, so the sums read L1. A multiple of [`PARTIALS`], so a block
+/// them, so the sums read L1. A multiple of `PARTIALS`, so a block
 /// boundary does not move an element to another partial.
 const BLOCK: usize = 512;
 
@@ -70,7 +70,7 @@ fn nc_plane(x: &Tensor) -> (usize, usize, usize) {
     (s.n(), s.c(), s.h() * s.w())
 }
 
-/// Adds one plane (or a [`PARTIALS`]-aligned part of one) to the
+/// Adds one plane (or a `PARTIALS`-aligned part of one) to the
 /// partials of `Σa` and `Σa·b`.
 #[inline(always)]
 fn pair_sums(a: &[f32], b: &[f32], s: &mut Partials, q: &mut Partials) {
@@ -104,7 +104,7 @@ fn fold(p: &Partials) -> f32 {
 /// and the eight fold in the fixed tree. Eight independent chains where
 /// a sequential sum is one, so a parameter-sized norm (LARS, LAMB,
 /// gradient clipping) is not bound by add latency. Runs under
-/// [`on_lane`], like the batch-norm sums: no vector width is named, so
+/// `on_lane`, like the batch-norm sums: no vector width is named, so
 /// every lane gives the same bits.
 pub fn sum_sq(x: &[f32]) -> f64 {
     on_lane(

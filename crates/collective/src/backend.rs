@@ -180,9 +180,9 @@ pub trait Collective: Send + Sync {
     /// In-place all-gather of a payload held in [`Pieces`]: member `r`
     /// owns `cuts[r]..cuts[r + 1]` of it (`size + 1` ascending offsets
     /// from 0 to its length, the same on every member) and its share is
-    /// copied into every other member's payload
-    /// ([`CommHandle::all_gather_in_place`]).
-    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize]);
+    /// copied into every other member's payload, or with a `root` into
+    /// the root's alone ([`CommHandle::all_gather_in_place`]).
+    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize], root: Option<usize>);
 
     /// Broadcast from `root`: on return every member's `buf` holds root's.
     fn broadcast(&self, buf: &mut [f32], root: usize);
@@ -289,10 +289,10 @@ impl Collective for CommCollective {
         self.stats.record(&self.stats.all_gather_calls, local.len());
         self.handle.all_gather_into(local, out);
     }
-    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize]) {
+    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize], root: Option<usize>) {
         self.stats
             .record(&self.stats.all_gather_calls, payload.elems());
-        self.handle.all_gather_in_place(payload, cuts);
+        self.handle.all_gather_in_place(payload, cuts, root);
     }
     fn broadcast(&self, buf: &mut [f32], root: usize) {
         self.stats.record(&self.stats.broadcast_calls, buf.len());

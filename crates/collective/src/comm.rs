@@ -45,7 +45,10 @@
 //!   weight update) takes the shares from the caller's cuts and stores
 //!   each tile of this rank's own payload into every peer: a rank stores
 //!   its share, `n/size` elements when the cuts are even, into each of
-//!   its `size − 1` peers.
+//!   its `size − 1` peers. Given a root, it stores into the root alone
+//!   (the gather of the owners' optimizer state before a checkpoint):
+//!   the root stores nothing, and a payload other than the root's is
+//!   only read.
 //!
 //! The round:
 //!
@@ -241,8 +244,18 @@ enum Tile {
     /// Fold the tile from every rank over blocks of `cols` ranks, scale
     /// it by `1/size` and store it into every rank.
     Mean { cols: usize },
-    /// Store this rank's own tile into every peer.
-    Copy,
+    /// Store this rank's own tile into every peer, or into `root` alone.
+    Copy { root: Option<usize> },
+}
+
+impl Tile {
+    /// Whether rank `me` stores its tiles into rank `rank`.
+    fn stores_into(self, me: usize, rank: usize) -> bool {
+        match self {
+            Tile::Mean { .. } => true,
+            Tile::Copy { root } => rank != me && root.is_none_or(|root| root == rank),
+        }
+    }
 }
 
 /// One rank's entry in the owner round's table: where its pieces are,
@@ -515,15 +528,26 @@ impl CommHandle {
     /// length, the same on every rank. Rank `r` owns `cuts[r]..cuts[r+1]`
     /// and stores that share of its payload into every peer's payload at
     /// the same offsets, so each rank moves its share once per peer and
-    /// every rank returns holding every owner's share. Cuts that do not
-    /// cover the payload panic on every rank before any store. It runs
-    /// the owner round (module docs); a communicator of one member runs
-    /// no round and touches nothing.
-    pub fn all_gather_in_place<P: Pieces + ?Sized>(&self, payload: &mut P, cuts: &[usize]) {
+    /// every rank returns holding every owner's share. With `root`, the
+    /// same on every rank, the shares go into `root`'s payload alone (a
+    /// gather): `root` returns holding every owner's share, and no other
+    /// payload changes. Cuts that do not cover the payload panic on every
+    /// rank before any store. It runs the owner round (module docs); a
+    /// communicator of one member runs no round and touches nothing.
+    pub fn all_gather_in_place<P: Pieces + ?Sized>(
+        &self,
+        payload: &mut P,
+        cuts: &[usize],
+        root: Option<usize>,
+    ) {
         let (rank, size) = (self.rank, self.inner.size);
+        assert!(
+            root.is_none_or(|root| root < size),
+            "gather root out of range"
+        );
         if size > 1 {
             let share = (cuts.len() == size + 1).then(|| cuts[rank]..cuts[rank + 1]);
-            self.owner_round(payload, share, Tile::Copy);
+            self.owner_round(payload, share, Tile::Copy { root });
         }
     }
 
@@ -602,17 +626,17 @@ impl CommHandle {
                 //   a peer can still write into them.
                 unsafe { std::slice::from_raw_parts(r.ptr.add(at - r.at), len) }
             };
-            let (src, skip) = match tile {
+            let src = match tile {
                 Tile::Mean { cols } => {
                     let (acc, partial) = (&mut acc[..len], &mut partial[..len]);
                     fold_tile(acc, partial, size, cols, read);
                     acc.iter_mut().for_each(|v| *v *= scale);
-                    (&*acc, None)
+                    &*acc
                 }
-                Tile::Copy => (read(self.rank), Some(self.rank)),
+                Tile::Copy { .. } => read(self.rank),
             };
             for (rank, runs) in table.iter().enumerate() {
-                if skip == Some(rank) {
+                if !tile.stores_into(self.rank, rank) {
                     continue;
                 }
                 let r = runs.run(at);
@@ -622,7 +646,9 @@ impl CommHandle {
                 // stores only into peers). This rank takes the gate in
                 // the closing meet after its last store, and no owner
                 // leaves that meet before it, so every store happens
-                // before every return.
+                // before every return. A copy with a root makes a subset
+                // of these stores, the ones into the root, and adds no
+                // state to the round: the same table, checks and meets.
                 unsafe { std::slice::from_raw_parts_mut(r.ptr.add(at - r.at), len) }
                     .copy_from_slice(src);
             }
@@ -1019,16 +1045,20 @@ mod tests {
         total.unwrap()
     }
 
-    /// What the round tests run: the sum on the slot round, and the mean
-    /// and the copy on the owner round over pieces cut at
-    /// `[1, n/2, n/2, n − 1]` (an empty piece, and pieces that straddle
-    /// fold tiles).
+    /// What the round tests run: the sum on the slot round, and the mean,
+    /// the copy and the copy into rank 1 alone (`Gather`) on the owner
+    /// round over pieces cut at `[1, n/2, n/2, n − 1]` (an empty piece,
+    /// and pieces that straddle fold tiles).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum Op {
         Sum,
         Mean,
         Copy,
+        Gather,
     }
+
+    /// The root `Op::Gather` copies into.
+    const ROOT: usize = 1;
 
     /// The copy's shares: `cuts[r] = r²·n/world²`, so at a small `n` some
     /// are empty and at a large one they straddle fold tiles.
@@ -1044,22 +1074,26 @@ mod tests {
             match self {
                 Op::Sum => h.all_reduce_sum_grid(cut.buf, rows, cols),
                 Op::Mean => h.all_reduce_mean_grid(&mut cut, rows, cols),
-                Op::Copy => h.all_gather_in_place(&mut cut, &uneven_cuts(h.size(), n)),
+                Op::Copy => h.all_gather_in_place(&mut cut, &uneven_cuts(h.size(), n), None),
+                Op::Gather => {
+                    h.all_gather_in_place(&mut cut, &uneven_cuts(h.size(), n), Some(ROOT))
+                }
             }
         }
 
-        /// What every rank holds once the ranks' `contribs` went through
+        /// What rank `rank` holds once the ranks' `contribs` went through
         /// the operation.
-        fn result(self, contribs: &[Vec<f32>], cols: usize) -> Vec<f32> {
+        fn result(self, contribs: &[Vec<f32>], cols: usize, rank: usize) -> Vec<f32> {
             let (world, n) = (contribs.len(), contribs[0].len());
             match self {
+                Op::Gather if rank != ROOT => contribs[rank].clone(),
                 Op::Sum => sequential_fold(contribs, cols),
                 Op::Mean => {
                     let scale = 1.0 / world as f32;
                     let sum = sequential_fold(contribs, cols);
                     sum.iter().map(|v| v * scale).collect()
                 }
-                Op::Copy => {
+                Op::Copy | Op::Gather => {
                     let cuts = uneven_cuts(world, n);
                     let owner = |i| cuts.partition_point(|&c| c <= i) - 1;
                     (0..n).map(|i| contribs[owner(i)][i]).collect()
@@ -1079,14 +1113,16 @@ mod tests {
         // moment a call returns and keeps its buffers alive until the
         // join, so a share stored after its owner returned shows as a
         // wrong result, not as a write into freed memory. A length within
-        // one fold tile and one spanning several, summed, averaged and
-        // copied.
+        // one fold tile and one spanning several, summed, averaged,
+        // copied and copied into one root, whose peers' payloads must
+        // keep their bits.
         use std::time::Duration;
         let lengths = [7, 4 * FOLD_TILE + 3];
         let rounds = [
             (Op::Sum, [Phase::Deposit, Phase::Read]),
             (Op::Mean, [Phase::Share, Phase::Close]),
             (Op::Copy, [Phase::Share, Phase::Close]),
+            (Op::Gather, [Phase::Share, Phase::Close]),
         ];
         for (world, cols) in [(2usize, 2usize), (3, 3), (4, 2)] {
             for n in lengths {
@@ -1113,12 +1149,12 @@ mod tests {
                                 let contribs: Vec<Vec<f32>> = (0..world)
                                     .map(|r| adversarial_payload(r + 10 * round, n))
                                     .collect();
-                                let want: Vec<u32> = op
-                                    .result(&contribs, cols)
-                                    .iter()
-                                    .map(|v| v.to_bits())
-                                    .collect();
                                 for (rank, (got, _)) in results.iter().enumerate() {
+                                    let want: Vec<u32> = op
+                                        .result(&contribs, cols, rank)
+                                        .iter()
+                                        .map(|v| v.to_bits())
+                                        .collect();
                                     assert!(
                                         got[round] == want,
                                         "world {world} n {n} {op:?} {phase:?} slow {slow} \
@@ -1155,14 +1191,14 @@ mod tests {
 
     #[test]
     fn a_mean_met_by_another_operation_panics_before_any_store() {
-        // For the mean and the copy alike: rank 1 publishes in one owner
+        // For the mean and both copies alike: rank 1 publishes in one owner
         // round, frees that payload and meets rank 0's next owner round
         // with a barrier. Rank 0 finds
         // rank 1's entry from the earlier round (same length) and must
         // panic, not read or store through it, and its own payload is
         // unchanged. A rank 0 that went on would wait at the closing meet
         // for ever, so the verdict has a deadline.
-        for op in [Op::Mean, Op::Copy] {
+        for op in [Op::Mean, Op::Copy, Op::Gather] {
             let mut handles = CommHandle::create(2);
             let (h1, h0) = (handles.pop().unwrap(), handles.pop().unwrap());
             let other = thread::spawn(move || {
@@ -1216,11 +1252,12 @@ mod tests {
 
     #[test]
     fn mismatched_lengths_panic_on_every_rank() {
-        // Summed as one slice, averaged and copied in pieces: every rank
-        // panics, and no rank's payload has changed. The payloads outlive
-        // the threads, so a store made before the check would show.
+        // Summed as one slice, averaged, copied and gathered in pieces:
+        // every rank panics, and no rank's payload has changed. The
+        // payloads outlive the threads, so a store made before the check
+        // would show.
         for lens in [[3usize, 4], [4 * FOLD_TILE, 5]] {
-            for op in [Op::Sum, Op::Mean, Op::Copy] {
+            for op in [Op::Sum, Op::Mean, Op::Copy, Op::Gather] {
                 let mut bufs: Vec<Vec<f32>> =
                     (0..2).map(|r| vec![r as f32 + 1.0; lens[r]]).collect();
                 every_rank_panics_and_nothing_moves(
@@ -1234,10 +1271,11 @@ mod tests {
 
     #[test]
     fn cuts_that_do_not_cover_the_payload_panic_on_every_rank() {
-        // Three ranks copy a 10-element payload in pieces. Whichever way
-        // the cuts miss (too few, not from 0 or not to the end, falling,
-        // or a rank whose share leaves a gap, overlaps a peer's or has
-        // too few cuts), every rank panics and no payload has changed.
+        // Three ranks copy a 10-element payload in pieces, into every
+        // peer and into rank 1 alone. Whichever way the cuts miss (too
+        // few, not from 0 or not to the end, falling, or a rank whose
+        // share leaves a gap, overlaps a peer's or has too few cuts),
+        // every rank panics and no payload has changed.
         let good = [0, 3, 6, 10];
         let cases: [(&str, [&[usize]; 3]); 7] = [
             ("too few", [&[0, 5, 10]; 3]),
@@ -1249,16 +1287,18 @@ mod tests {
             ("one rank short", [&good, &good, &[0, 3, 6]]),
         ];
         for (what, cuts) in cases {
-            let mut bufs: Vec<Vec<f32>> = (0..3).map(|r| vec![r as f32 + 1.0; 10]).collect();
-            every_rank_panics_and_nothing_moves(
-                &mut bufs,
-                |h, buf| {
-                    let pieces = [2, 5, 5, 9];
-                    let mut cut = Cut { buf, cuts: &pieces };
-                    h.all_gather_in_place(&mut cut, cuts[h.rank()]);
-                },
-                what,
-            );
+            for root in [None, Some(ROOT)] {
+                let mut bufs: Vec<Vec<f32>> = (0..3).map(|r| vec![r as f32 + 1.0; 10]).collect();
+                every_rank_panics_and_nothing_moves(
+                    &mut bufs,
+                    |h, buf| {
+                        let pieces = [2, 5, 5, 9];
+                        let mut cut = Cut { buf, cuts: &pieces };
+                        h.all_gather_in_place(&mut cut, cuts[h.rank()], root);
+                    },
+                    &format!("{what}, root {root:?}"),
+                );
+            }
         }
     }
 }

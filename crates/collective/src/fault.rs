@@ -901,8 +901,8 @@ impl Collective for FaultyCollective {
         self.inner.all_gather(local, out);
     }
     /// Passes through: faults target the gradient exchange.
-    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize]) {
-        self.inner.all_gather_in_place(payload, cuts);
+    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize], root: Option<usize>) {
+        self.inner.all_gather_in_place(payload, cuts, root);
     }
     fn broadcast(&self, buf: &mut [f32], root: usize) {
         self.inner.broadcast(buf, root);
@@ -1417,6 +1417,76 @@ mod tests {
         for (i, (got, want)) in results[1].iter().zip(&clean).enumerate() {
             let flipped = if i == 3 { 1 << 30 } else { 0 };
             assert_eq!(got.to_bits(), want.to_bits() ^ flipped, "element {i}");
+        }
+    }
+
+    #[test]
+    fn a_copy_into_one_root_passes_through_and_leaves_the_peers_alone() {
+        // The plan flips rank 1's payload and fails two collectives at
+        // step 0. Both target the gradient exchange, so a copy into rank
+        // 0 alone passes through them. Three ranks with pieces like the
+        // flip test's and uneven shares, rank 1's empty: rank 0 returns
+        // holding every owner's share, and the other payloads keep every
+        // bit.
+        let events = [
+            FaultKind::PayloadBitFlip {
+                rank: 1,
+                at_step: 0,
+                element: 5,
+                bit: 30,
+            },
+            FaultKind::TransientCollective { failures: 2 },
+        ];
+        let plan = FaultPlan {
+            events: events
+                .map(|kind| FaultEvent {
+                    at_s: 0.0,
+                    duration_s: 0.0,
+                    kind,
+                })
+                .to_vec(),
+            ..FaultPlan::default()
+        };
+        let sched = Arc::new(plan.compile(1));
+        let cuts = [0, 4, 4, 10];
+        let payload =
+            |rank: usize| -> Vec<f32> { (0..10).map(|i| (100 * rank + i) as f32 + 0.25).collect() };
+        let joins: Vec<_> = create_collective(Backend::Tree, 3)
+            .into_iter()
+            .map(|c| {
+                let sched = Arc::clone(&sched);
+                thread::spawn(move || {
+                    let fc = FaultyCollective::new(c, sched);
+                    fc.set_step(0);
+                    let mine = payload(fc.rank());
+                    let mut parts = Parts(
+                        [0..3, 3..3, 3..7, 7..10]
+                            .into_iter()
+                            .map(|r| mine[r].to_vec())
+                            .collect(),
+                    );
+                    fc.all_gather_in_place(&mut parts, &cuts, Some(0));
+                    let stats = fc.stats();
+                    (
+                        parts.0.concat(),
+                        stats.all_gather_calls,
+                        fc.injected_failures(),
+                    )
+                })
+            })
+            .collect();
+        let owner = |i| cuts.partition_point(|&c| c <= i) - 1;
+        let gathered: Vec<f32> = (0..10).map(|i| payload(owner(i))[i]).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rank, join) in joins.into_iter().enumerate() {
+            let (got, calls, injected) = join.join().unwrap();
+            let want = if rank == 0 {
+                gathered.clone()
+            } else {
+                payload(rank)
+            };
+            assert_eq!(bits(&got), bits(&want), "rank {rank}");
+            assert_eq!((calls, injected), (1, 0), "rank {rank}");
         }
     }
 

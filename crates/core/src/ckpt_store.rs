@@ -55,6 +55,7 @@ use ets_optim::{Optimizer, OptimizerState};
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -724,10 +725,16 @@ fn copy_bits(dst: &mut [f32], bits: &[u32]) {
 }
 
 impl DurableSnapshot {
-    /// Captures a replica's full state (identical on every rank).
+    /// Captures a replica's state, with the optimizer state of the
+    /// parameters `owned` only ([`Optimizer::export_state_params`];
+    /// `0..usize::MAX` for all of it). The rest is the same on every rank
+    /// of a data-parallel world. A durable save captures every
+    /// parameter's state, once the owners have copied theirs into the
+    /// saving rank; a rewind anchor captures only its rank's own.
     pub fn capture(
         model: &mut EfficientNet,
         optimizer: &dyn Optimizer,
+        owned: Range<usize>,
         ema: Option<&Ema>,
         progress: &Progress,
         world: usize,
@@ -750,20 +757,23 @@ impl DurableSnapshot {
             world: world as u64,
             params,
             bn_running,
-            opt_state: optimizer.export_state(),
+            opt_state: optimizer.export_state_params(owned),
             ema: ema.map(Ema::export_state),
             history: history.to_vec(),
         }
     }
 
-    /// Restores the snapshot into a structurally-identical replica and
-    /// returns the captured progress and epoch history. Panics with a
+    /// Restores the snapshot into a structurally-identical replica, the
+    /// optimizer state of the parameters `owned` only, in place
+    /// ([`Optimizer::import_state_params`]; the snapshot must hold it),
+    /// and returns the captured progress and epoch history. Panics with a
     /// descriptive message on any mismatch (name, shape, count, EMA
     /// presence).
     pub fn apply(
         &self,
         model: &mut EfficientNet,
         optimizer: &mut dyn Optimizer,
+        owned: Range<usize>,
         ema: &mut Option<Ema>,
     ) -> (Progress, Vec<EpochRecord>) {
         let mut i = 0;
@@ -792,7 +802,7 @@ impl DurableSnapshot {
             j += 1;
         });
         assert_eq!(j, self.bn_running.len(), "snapshot has extra BN records");
-        optimizer.import_state(&self.opt_state, model);
+        optimizer.import_state_params(&self.opt_state, model, owned);
         match (ema.as_mut(), self.ema.as_ref()) {
             (Some(e), Some(state)) => e.import_state(state),
             (None, None) => {}
@@ -1648,12 +1658,18 @@ mod tests {
             step,
             ..Progress::fresh()
         };
-        DurableSnapshot::capture(m, &ets_optim::Sgd::new(0.9, 0.0), None, &progress, 1, &[])
+        let opt = ets_optim::Sgd::new(0.9, 0.0);
+        DurableSnapshot::capture(m, &opt, 0..usize::MAX, None, &progress, 1, &[])
     }
 
     fn apply_to_model(snap: &DurableSnapshot, m: &mut EfficientNet) -> Progress {
-        snap.apply(m, &mut ets_optim::Sgd::new(0.9, 0.0), &mut None)
-            .0
+        snap.apply(
+            m,
+            &mut ets_optim::Sgd::new(0.9, 0.0),
+            0..usize::MAX,
+            &mut None,
+        )
+        .0
     }
 
     #[test]

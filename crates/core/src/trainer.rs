@@ -13,8 +13,10 @@
 //!   ([`Collective::all_gather_in_place`]), so all replicas hold
 //!   bitwise-identical weights (a final weight checksum across replicas
 //!   checks the copy). Before a durable checkpoint the owners copy their
-//!   optimizer state into each other the same way. Only the fingerprint
-//!   vote (`fingerprint_verify`) compares the ranks' reduced gradients:
+//!   optimizer state the same way into rank 0 alone, which writes it; a
+//!   rank's rewind anchor holds only its own, and every restore writes
+//!   only its own back, in place. Only the fingerprint vote
+//!   (`fingerprint_verify`) compares the ranks' reduced gradients:
 //!   without it a receive-side flip in a gradient its rank owns reaches
 //!   every replica's weights alike, and one in a gradient a peer owns is
 //!   never read.
@@ -73,6 +75,7 @@ use ets_optim::{
 use ets_tensor::{Rng, Tensor};
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -297,8 +300,8 @@ unsafe impl Pieces for Weights<'_> {
 }
 
 /// An optimizer's state as [`Pieces`], parameter-major
-/// ([`Optimizer::visit_state`]): what the owners copy into their peers
-/// before a durable checkpoint.
+/// ([`Optimizer::visit_state`]): what the owners copy into rank 0 before
+/// a durable checkpoint.
 struct State<'a>(&'a mut dyn Optimizer);
 
 // SAFETY: the pieces are the segments of the optimizer's slot buffers,
@@ -713,7 +716,8 @@ struct Replica<'a> {
     model: EfficientNet,
     optimizer: Box<dyn Optimizer>,
     /// Which parameters each rank updates, cut once per phase for its
-    /// world. This rank's optimizer state is current only for its own.
+    /// world. This rank's optimizer state is current only for its own
+    /// (rank 0's for all of them just after a durable save).
     shares: Shares,
     ema: Option<Ema>,
     grad_bucket: GradBucket,
@@ -827,10 +831,12 @@ impl<'a> Replica<'a> {
         Some(snap)
     }
 
-    fn capture(&mut self) -> DurableSnapshot {
+    /// A snapshot with the optimizer state of the parameters `state`.
+    fn capture(&mut self, state: Range<usize>) -> DurableSnapshot {
         DurableSnapshot::capture(
             &mut self.model,
             self.optimizer.as_ref(),
+            state,
             self.ema.as_ref(),
             &self.prog,
             self.env.view.replicas,
@@ -856,23 +862,32 @@ impl<'a> Replica<'a> {
     /// a rank holds one snapshot at any moment whatever the other ranks
     /// do; a rank that neither saves nor anchors captures nothing. Every
     /// rank reaches a durable save together, and the owners first copy
-    /// their optimizer state into each other, so rank 0 persists every
-    /// parameter's. An anchor alone needs no copy: the rank that rewinds
-    /// to it reads only the state of the parameters it owns. Counters and
+    /// their optimizer state into rank 0 alone, which captures and
+    /// persists every parameter's. An anchor holds only the state of the
+    /// parameters its rank owns, the only state a rewind restores (rank
+    /// 0's durable capture, full, doubles as its anchor). Counters and
     /// instants count *logical* checkpoints on all ranks (the durable one
     /// first), so the cross-rank virtual fingerprint stays equal.
     fn checkpoint(&mut self, durable: bool, anchor: bool) {
         if anchor {
             self.anchor = None;
         }
+        let saves = durable && self.rank == 0;
         if durable {
             let cuts = self.shares.state_cuts(self.optimizer.as_mut());
             let state = &mut State(self.optimizer.as_mut());
-            self.world.as_dyn().all_gather_in_place(state, &cuts);
+            self.world
+                .as_dyn()
+                .all_gather_in_place(state, &cuts, Some(0));
         }
-        let snap = (anchor || (durable && self.rank == 0)).then(|| self.capture());
+        let state = if saves {
+            0..usize::MAX
+        } else {
+            self.shares.owned(self.rank)
+        };
+        let snap = (anchor || saves).then(|| self.capture(state));
         if durable {
-            if self.rank == 0 {
+            if saves {
                 let store = self.env.store.expect("durable saves require the store");
                 let snap = snap.as_ref().expect("rank 0 captured for the save");
                 store.save(snap).expect("durable checkpoint save failed");
@@ -901,15 +916,22 @@ impl<'a> Replica<'a> {
 
     /// The one restore path: resume, preemption, quarantine and
     /// divergence rollback differ only in what they load and charge.
-    /// Applies `snap`; when that `replay`s steps (all but a new world
-    /// loading its start), accounts them, marks the `REWIND` and drops the
-    /// abandoned tail of the timeline. An anchor held now describes the
-    /// trajectory just left, so it goes and the step loop takes a fresh
-    /// one (the preemption site, which restores *from* it, puts it back).
+    /// Applies `snap`, the optimizer state only for the parameters this
+    /// rank owns and into its existing buffers; when that `replay`s steps
+    /// (all but a new world loading its start), accounts them, marks the
+    /// `REWIND` and drops the abandoned tail of the timeline. An anchor
+    /// held now describes the trajectory just left, so it goes and the
+    /// step loop takes a fresh one (the preemption site, which restores
+    /// *from* it, puts it back).
     fn rewind(&mut self, snap: &DurableSnapshot, replay: bool) {
         let from = self.prog.step;
-        (self.prog, self.history) =
-            snap.apply(&mut self.model, self.optimizer.as_mut(), &mut self.ema);
+        let owned = self.shares.owned(self.rank);
+        (self.prog, self.history) = snap.apply(
+            &mut self.model,
+            self.optimizer.as_mut(),
+            owned,
+            &mut self.ema,
+        );
         if replay {
             let replayed = from - self.prog.step;
             self.counters.replayed_steps += replayed;
@@ -1111,7 +1133,7 @@ impl<'a> Replica<'a> {
         let weights = &mut Weights(&mut self.model);
         self.world
             .as_dyn()
-            .all_gather_in_place(weights, self.shares.elems());
+            .all_gather_in_place(weights, self.shares.elems(), None);
         if let Some(e) = &mut self.ema {
             e.update(&mut self.model);
         }

@@ -2,7 +2,8 @@
 //! a save streams its encoding to disk and a load its decoding from
 //! disk through a fixed buffer, and at a cadence step one capture serves
 //! both the durable save and the rewind anchor, taken after the old
-//! anchor is released.
+//! anchor is released. Only the saving rank's snapshot holds every
+//! parameter's optimizer state; another rank's anchor holds its own.
 //!
 //! A test binary of its own, because it counts through a global
 //! allocator: the largest block per thread, live bytes and their
@@ -12,7 +13,7 @@
 use ets_collective::{FaultEvent, FaultKind, FaultPlan};
 use ets_efficientnet::{EfficientNet, ModelConfig};
 use ets_nn::Precision;
-use ets_optim::{Optimizer, RmsProp};
+use ets_optim::{Optimizer, RmsProp, Shares};
 use ets_tensor::Rng;
 use ets_train::{train, CkptStore, DurableSnapshot, Experiment, Progress};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,8 +107,9 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// The `guarded_chaos_2x` state at `step`: the model and RMSProp's two
-/// slots, sized by one step.
-fn chaos_snapshot(step: u64) -> DurableSnapshot {
+/// slots, sized by one step, for every parameter or for those `owner`
+/// owns at world 2.
+fn chaos_snapshot(step: u64, owner: Option<usize>) -> DurableSnapshot {
     let mut rng = Rng::new(5);
     let mut model = EfficientNet::new(chaos_model(), Precision::F32, &mut rng);
     let mut opt = RmsProp::efficientnet_default();
@@ -116,7 +118,8 @@ fn chaos_snapshot(step: u64) -> DurableSnapshot {
         step,
         ..Progress::fresh()
     };
-    DurableSnapshot::capture(&mut model, &opt, None, &progress, 2, &[])
+    let state = owner.map_or(0..usize::MAX, |r| Shares::new(&mut model, 2).owned(r));
+    DurableSnapshot::capture(&mut model, &opt, state, None, &progress, 2, &[])
 }
 
 /// Bytes of the chaos snapshot's file (`train.ckpt.bytes`).
@@ -127,8 +130,8 @@ fn a_save_and_a_load_of_the_chaos_snapshot_make_no_file_sized_allocation() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = scratch_dir("save");
     let store = CkptStore::open(&dir, 2).unwrap();
-    store.save(&chaos_snapshot(4)).unwrap(); // the first writes a manifest
-    let snap = chaos_snapshot(8);
+    store.save(&chaos_snapshot(4, None)).unwrap(); // the first writes a manifest
+    let snap = chaos_snapshot(8, None);
     // The largest array of the snapshot: a load allocates each one.
     let params = snap.params.iter().map(|t| &t.bits);
     let arrays = params.chain(&snap.opt_state.banks);
@@ -185,11 +188,13 @@ fn run(checkpoints: bool) -> (usize, ets_train::TrainReport) {
 }
 
 #[test]
-fn checkpoints_raise_the_high_water_mark_by_one_snapshot_per_rank() {
+fn checkpoints_raise_the_high_water_mark_by_one_snapshot_and_one_owned_share() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // The size of one rank's snapshot: what the anchor holds.
-    let snapshot = chaos_snapshot(0).to_bytes().len();
+    // What the anchors hold: rank 0's is its durable capture, with every
+    // parameter's optimizer state, and rank 1's has its own share's.
+    let snapshot = chaos_snapshot(0, None).to_bytes().len();
     assert_eq!(snapshot, CHAOS_FILE);
+    let share = chaos_snapshot(0, Some(1)).to_bytes().len();
     let (plain, clean) = run(false);
     let (guarded, report) = run(true);
     let c = report.fault_recovery;
@@ -197,11 +202,12 @@ fn checkpoints_raise_the_high_water_mark_by_one_snapshot_per_rank() {
     // Steps 0, 2, 4 and 6 of the 8, plus step 4 again after the replay.
     assert_eq!((c.durable_checkpoints, c.checkpoints_taken), (5, 5));
     assert_eq!(report.weight_checksum, clean.weight_checksum);
-    let bound = 2 * snapshot + MIB;
+    let bound = snapshot + share + MIB;
     assert!(
         guarded <= plain + bound,
         "high-water mark {guarded} B with checkpoints, {plain} B without: \
-         {} B more than the {bound} B two {snapshot} B snapshots and 1 MiB allow",
+         {} B more than the {bound} B a {snapshot} B snapshot, a {share} B \
+         owned share and 1 MiB allow",
         guarded - plain - bound
     );
 }

@@ -1,8 +1,10 @@
 //! The sharded weight update at the trainer's level: where the ownership
 //! cut splits the perfbench models, that a durable checkpoint taken
 //! while each rank updates only its own parameters holds every
-//! parameter's optimizer state, and what a receive-side payload flip
-//! does to the weights when no fingerprint vote guards the exchange.
+//! parameter's optimizer state, that a preemption restoring each rank's
+//! own state from its anchor leaves the checkpoint files as they were,
+//! and what a receive-side payload flip does to the weights when no
+//! fingerprint vote guards the exchange.
 
 use ets_collective::{FaultEvent, FaultKind};
 use ets_efficientnet::{EfficientNet, ModelConfig};
@@ -12,6 +14,7 @@ use ets_tensor::Rng;
 use ets_train::{
     train, CkptStore, Experiment, OptimizerChoice, DEFAULT_BUCKET_ELEMS, PROXY_LARS_TRUST,
 };
+use std::path::Path;
 
 fn model(width_mult: f32, depth_mult: f32) -> EfficientNet {
     let config = ModelConfig {
@@ -91,6 +94,78 @@ fn a_durable_save_holds_every_owners_optimizer_state() {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("read the run's store")
+        .map(|entry| {
+            let path = entry.expect("a store entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("read a store file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_preemption_leaves_the_retained_checkpoints_byte_for_byte() {
+    // Durable saves at every step (and every other step, so the rewind
+    // replays one), with and without a preemption at step 3. Rank 0
+    // saves what the owners gathered into it; the rewind restores each
+    // rank's own optimizer state from its anchor, which holds only that,
+    // into the buffers where it lives. Any state lost or misplaced on the
+    // way reaches the later files.
+    for world in [2, 3] {
+        for every in [1, 2] {
+            let run = |preempt: bool| {
+                let dir = std::env::temp_dir().join(format!(
+                    "ets-sharded-preempt-{}-{world}-{every}-{preempt}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let mut e = Experiment::proxy_default();
+                e.replicas = world;
+                e.per_replica_batch = 4;
+                e.epochs = 1;
+                e.train_samples = 4 * world * 6;
+                e.eval_samples = 8;
+                e.nan_guard = true;
+                e.ckpt_dir = Some(dir.to_string_lossy().into_owned());
+                e.faults.checkpoint_every_steps = every;
+                if preempt {
+                    e.faults.events.push(FaultEvent {
+                        at_s: 3.25,
+                        duration_s: 0.0,
+                        kind: FaultKind::Preempt { replica: 0 },
+                    });
+                }
+                let report = train(&e);
+                let saved = files(&dir);
+                let _ = std::fs::remove_dir_all(&dir);
+                (report, saved)
+            };
+            let ((plain, want), (preempted, got)) = (run(false), run(true));
+            let c = preempted.fault_recovery;
+            assert_eq!(c.preemptions, 1, "world {world} every {every}");
+            assert_eq!(c.replayed_steps, every - 1, "world {world} every {every}");
+            assert_eq!(preempted.weight_checksum, plain.weight_checksum);
+            let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+                files.iter().map(|(name, _)| name.clone()).collect()
+            };
+            assert_eq!(names(&got), names(&want), "world {world} every {every}");
+            assert!(
+                want.len() >= 3,
+                "world {world} every {every}: {:?}",
+                names(&want)
+            );
+            for ((name, got), (_, want)) in got.iter().zip(&want) {
+                assert!(got == want, "world {world} every {every}: {name} differs");
+            }
+        }
     }
 }
 

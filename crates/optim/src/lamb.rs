@@ -97,13 +97,18 @@ impl Optimizer for Lamb {
     }
 
     /// Scalars: `[t]`. Slots: `m`, then `v`.
-    fn export_state(&self) -> OptimizerState {
-        self.moments.export(vec![self.t])
+    fn export_state_params(&self, params: Range<usize>) -> OptimizerState {
+        self.moments.export(vec![self.t], params)
     }
 
-    fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
+    fn import_state_params(
+        &mut self,
+        state: &OptimizerState,
+        model: &mut dyn Layer,
+        params: Range<usize>,
+    ) {
         self.t = state.scalars.first().copied().unwrap_or(0);
-        self.moments.import(state, model);
+        self.moments.import(state, model, params);
     }
 }
 

@@ -104,12 +104,17 @@ impl Optimizer for Lars {
 
     /// Slot: `velocity`. `last_ratios` is a diagnostic recomputed every
     /// step, so it is deliberately not snapshotted.
-    fn export_state(&self) -> OptimizerState {
-        self.velocity.export(Vec::new())
+    fn export_state_params(&self, params: Range<usize>) -> OptimizerState {
+        self.velocity.export(Vec::new(), params)
     }
 
-    fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
-        self.velocity.import(state, model);
+    fn import_state_params(
+        &mut self,
+        state: &OptimizerState,
+        model: &mut dyn Layer,
+        params: Range<usize>,
+    ) {
+        self.velocity.import(state, model, params);
         self.last_ratios.clear();
     }
 }

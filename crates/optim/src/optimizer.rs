@@ -15,13 +15,16 @@
 //! once each owner has copied its new weights into its peers. The
 //! segments a replica does not own stay as they were (zero, on pages the
 //! allocator never touched) until [`Optimizer::visit_state`] lets the
-//! owners copy them in before a checkpoint.
+//! owners copy them into the one replica that writes a checkpoint.
 //!
 //! For checkpoint-based preemption recovery the trait also exposes
 //! [`Optimizer::export_state`] / [`Optimizer::import_state`]: the full
 //! slot state round-trips **bit-exactly** through [`OptimizerState`] (f32
 //! words are stored as raw `u32` bits), so a resumed run replays the
-//! identical trajectory the uninterrupted run would have taken.
+//! identical trajectory the uninterrupted run would have taken. Like a
+//! step, both cover a range of parameters
+//! ([`Optimizer::export_state_params`], [`Optimizer::import_state_params`]),
+//! so a replica snapshots and restores only the state it owns, in place.
 
 use ets_nn::{Layer, Param};
 use std::ops::Range;
@@ -32,7 +35,8 @@ use std::ops::Range;
 /// - `banks` — one flat f32 buffer per (slot, parameter) as raw `u32`
 ///   bit patterns, slot-major: with `n` parameters, bank `k·n + i` is
 ///   parameter `i`'s segment of slot `k`, in the optimizer's documented
-///   slot order. Empty when the optimizer has not yet taken a step.
+///   slot order. Empty when the optimizer has not yet taken a step; the
+///   banks of parameters outside an export's range are empty too.
 ///
 /// Shapes are *not* stored: [`Optimizer::import_state`] recovers them from
 /// the model it is handed and panics if a bank does not fit it.
@@ -74,15 +78,35 @@ pub trait Optimizer: Send {
     /// Diagnostic name ("rmsprop", "lars", ...).
     fn name(&self) -> &'static str;
 
-    /// Captures the full mutable state, bit-exactly.
-    fn export_state(&self) -> OptimizerState;
+    /// Captures the state of the parameters `params`, bit-exactly: the
+    /// scalars and every bank, those of the other parameters empty.
+    fn export_state_params(&self, params: Range<usize>) -> OptimizerState;
 
-    /// Restores state captured by [`Optimizer::export_state`]. `model`
-    /// supplies parameter shapes (the snapshot stores none); it must be
-    /// the same architecture the state was exported from, and a state
-    /// from another optimizer or model panics. Importing an empty state
-    /// resets the optimizer to fresh.
-    fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer);
+    /// Captures the full mutable state, bit-exactly.
+    fn export_state(&self) -> OptimizerState {
+        self.export_state_params(0..usize::MAX)
+    }
+
+    /// Restores the scalars and the state of the parameters `params` from
+    /// a state captured by [`Optimizer::export_state_params`] over a range
+    /// that covers them. The segments are written where they are (the
+    /// buffers are sized, zeroed, only if they are not yet), and the
+    /// other parameters' segments keep their bits. `model` supplies
+    /// parameter shapes (the snapshot stores none); it must be the same
+    /// architecture the state was exported from, and a state from another
+    /// optimizer or model panics. Importing an empty state resets the
+    /// optimizer to fresh.
+    fn import_state_params(
+        &mut self,
+        state: &OptimizerState,
+        model: &mut dyn Layer,
+        params: Range<usize>,
+    );
+
+    /// Restores state captured by [`Optimizer::export_state`].
+    fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
+        self.import_state_params(state, model, 0..usize::MAX);
+    }
 }
 
 /// A model's parameters split over `world` owners at parameter edges,
@@ -233,22 +257,32 @@ impl<const K: usize> Slots<K> {
         })
     }
 
-    /// The state with `scalars` and one bank per segment.
-    pub fn export(&self, scalars: Vec<u64>) -> OptimizerState {
+    /// The state with `scalars` and one bank per segment, empty for the
+    /// parameters outside `params`.
+    pub fn export(&self, scalars: Vec<u64>, params: Range<usize>) -> OptimizerState {
+        let n = self.ends.len();
         let banks = Self::segments(&self.ends)
-            .map(|(k, r)| self.bufs[k][r].iter().map(|v| v.to_bits()).collect())
+            .enumerate()
+            .map(|(j, (k, r))| match params.contains(&(j % n)) {
+                true => self.bufs[k][r].iter().map(|v| v.to_bits()).collect(),
+                false => Vec::new(),
+            })
             .collect();
         OptimizerState { scalars, banks }
     }
 
-    /// Loads `state`'s banks, which must be [`Slots::export`]'s layout for
-    /// `model`; an empty state resets the slots to fresh.
-    pub fn import(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
-        *self = Self::with_lens(self.seg_lens);
+    /// Loads the banks of the parameters `params` from `state`, which must
+    /// be [`Slots::export`]'s layout for `model`, into the slots where
+    /// they are, sizing them first only if they are unsized; an empty
+    /// state resets the slots to fresh.
+    pub fn import(&mut self, state: &OptimizerState, model: &mut dyn Layer, params: Range<usize>) {
         if state.banks.is_empty() {
+            *self = Self::with_lens(self.seg_lens);
             return;
         }
-        self.size(model);
+        if self.ends.is_empty() {
+            self.size(model);
+        }
         let n = self.ends.len();
         assert_eq!(
             state.banks.len(),
@@ -259,6 +293,9 @@ impl<const K: usize> Slots<K> {
             K * n
         );
         for (j, ((k, r), bank)) in Self::segments(&self.ends).zip(&state.banks).enumerate() {
+            if !params.contains(&(j % n)) {
+                continue;
+            }
             assert_eq!(
                 bank.len(),
                 r.len(),
@@ -320,7 +357,7 @@ mod tests {
             ]
         );
         slots.walk(&mut model(), 0..2, |_, [a, _]| assert_eq!(a[0], 1.0));
-        assert_eq!(slots.export(vec![]).banks.len(), 4);
+        assert_eq!(slots.export(vec![], 0..2).banks.len(), 4);
     }
 
     #[test]
@@ -335,7 +372,7 @@ mod tests {
                 (*x, *y) = (src[(off + j) % 6], -src[j]);
             }
         });
-        let state = slots.export(vec![7]);
+        let state = slots.export(vec![7], 0..2);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let neg: Vec<f32> = src.iter().map(|x| -x).collect();
         assert_eq!(
@@ -343,8 +380,8 @@ mod tests {
             [bits(&src), bits(&src[5..]), bits(&neg), bits(&neg[..1])]
         );
         let mut back: Slots<2> = Slots::new();
-        back.import(&state, &mut model());
-        assert_eq!(back.export(vec![7]), state);
+        back.import(&state, &mut model(), 0..2);
+        assert_eq!(back.export(vec![7], 0..2), state);
     }
 
     #[test]
@@ -357,9 +394,9 @@ mod tests {
         assert!(!s.is_empty());
         // A fresh store exports no banks, and importing none resets it.
         let mut slots: Slots<1> = Slots::new();
-        assert!(slots.export(vec![]).is_empty());
+        assert!(slots.export(vec![], 0..2).is_empty());
         slots.walk(&mut model(), 0..2, |_, _| {});
-        slots.import(&OptimizerState::default(), &mut model());
-        assert!(slots.export(vec![]).is_empty());
+        slots.import(&OptimizerState::default(), &mut model(), 0..2);
+        assert!(slots.export(vec![], 0..2).is_empty());
     }
 }

@@ -97,12 +97,17 @@ impl Optimizer for Sm3 {
     }
 
     /// Slots: `covers`, then `velocity`.
-    fn export_state(&self) -> OptimizerState {
-        self.slots.export(Vec::new())
+    fn export_state_params(&self, params: Range<usize>) -> OptimizerState {
+        self.slots.export(Vec::new(), params)
     }
 
-    fn import_state(&mut self, state: &OptimizerState, model: &mut dyn Layer) {
-        self.slots.import(state, model);
+    fn import_state_params(
+        &mut self,
+        state: &OptimizerState,
+        model: &mut dyn Layer,
+        params: Range<usize>,
+    ) {
+        self.slots.import(state, model, params);
     }
 }
 

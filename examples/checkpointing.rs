@@ -33,8 +33,9 @@ fn main() {
     }
 
     // The durable snapshot is what the trainer persists and rewinds to:
-    // weights and BN statistics, optimizer slots, and the progress cursor
-    // an elastic resume needs, captured straight off the replica.
+    // weights and BN statistics, optimizer slots (`0..usize::MAX`: every
+    // parameter's), and the progress cursor an elastic resume needs,
+    // captured straight off the replica.
     let progress = Progress {
         step: 5,
         sample_off: 5 * 32,
@@ -43,7 +44,7 @@ fn main() {
         last_lr: 0.02,
         ..Progress::fresh()
     };
-    let snap = DurableSnapshot::capture(&mut model, &opt, None, &progress, 1, &[]);
+    let snap = DurableSnapshot::capture(&mut model, &opt, 0..usize::MAX, None, &progress, 1, &[]);
     let mut bytes = snap.to_bytes();
     println!(
         "\ncheckpoint: {} tensors, {} BN stat pairs, {:.1} KiB on disk",
@@ -56,7 +57,12 @@ fn main() {
     let mut revived =
         EfficientNet::new(ModelConfig::tiny(16, 4), Precision::F32, &mut Rng::new(99));
     let loaded = DurableSnapshot::from_bytes(&bytes).expect("an undamaged snapshot validates");
-    let (resumed, _history) = loaded.apply(&mut revived, &mut Sgd::new(0.9, 1e-5), &mut None);
+    let (resumed, _history) = loaded.apply(
+        &mut revived,
+        &mut Sgd::new(0.9, 1e-5),
+        0..usize::MAX,
+        &mut None,
+    );
     println!(
         "revived at step {} ({} samples consumed)",
         resumed.step, resumed.consumed_samples

@@ -19,7 +19,7 @@ fn capture_at(model: &mut EfficientNet, opt: &Sgd, step: u64) -> DurableSnapshot
         step,
         ..Progress::fresh()
     };
-    DurableSnapshot::capture(model, opt, None, &progress, 1, &[])
+    DurableSnapshot::capture(model, opt, 0..usize::MAX, None, &progress, 1, &[])
 }
 
 #[test]
@@ -54,7 +54,12 @@ fn train_checkpoint_restore_resume() {
         before.max_abs_diff(&probs_orig) > 1e-3,
         "distinct before restore"
     );
-    let (progress, _) = snap.apply(&mut revived, &mut Sgd::new(0.9, 0.0), &mut None);
+    let (progress, _) = snap.apply(
+        &mut revived,
+        &mut Sgd::new(0.9, 0.0),
+        0..usize::MAX,
+        &mut None,
+    );
     assert_eq!(progress.step, 6);
     let mut r3 = Rng::new(9);
     let after = revived.forward(&x, Mode::Eval, &mut r3);
@@ -149,7 +154,12 @@ fn checkpoint_survives_round_trip_through_disk_format() {
     let parsed = DurableSnapshot::from_bytes(&bytes).unwrap();
     assert_eq!(parsed.progress.step, 42);
     let mut revived = make_model(12);
-    parsed.apply(&mut revived, &mut Sgd::new(0.9, 0.0), &mut None);
+    parsed.apply(
+        &mut revived,
+        &mut Sgd::new(0.9, 0.0),
+        0..usize::MAX,
+        &mut None,
+    );
     let bits = |m: &mut EfficientNet| -> Vec<Vec<u32>> {
         let saved = capture_at(m, &opt, 0);
         saved.params.into_iter().map(|t| t.bits).collect()

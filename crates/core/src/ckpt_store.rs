@@ -17,8 +17,10 @@
 //! Properties of the store:
 //!
 //! - **Atomic writes**: checkpoints are written to a temp file, fsynced,
-//!   and renamed into place (then the directory is fsynced), so a crash
-//!   mid-write never leaves a half-visible checkpoint.
+//!   and renamed into place, and so is the manifest after them; one
+//!   directory fsync then makes both renames durable. A crash mid-write
+//!   never leaves a half-visible checkpoint, nor a manifest entry that
+//!   describes a file the disk does not hold.
 //! - **Corruption detection**: a custom binary format (bit-exact f32
 //!   payloads at 4 bytes each) with a CRC-32 per record *and* a
 //!   whole-file CRC-32 trailer. CRC-32 detects every 1- and 2-bit error
@@ -34,7 +36,8 @@
 //!   encoding into the temp file through one fixed 256 KiB buffer,
 //!   checksumming each chunk while it is in cache ([`Crc32`] runs the
 //!   record CRC, the trailer and the manifest CRC off the same
-//!   traversal), and reads no checkpoint back; record lengths, which
+//!   traversal, by carry-less multiplication where the host has it), and
+//!   reads no checkpoint back; record lengths, which
 //!   precede their payloads, come from shape arithmetic. A load streams
 //!   the file through the same size of buffer, checksumming and
 //!   decoding in one pass. [`DurableSnapshot::to_bytes`] and
@@ -76,7 +79,8 @@ const MANIFEST: &str = "MANIFEST";
 const ENVELOPE_LEN: usize = MAGIC.len() + 4 + 8 + 4 + 4;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (ISO-HDLC, the zlib polynomial), slice-by-16.
+// CRC-32 (ISO-HDLC, the zlib polynomial): carry-less multiply folding,
+// slice-by-16 for short pieces, tails and hosts without PCLMULQDQ.
 // ---------------------------------------------------------------------------
 
 /// `T[0]` is the classic byte table; `T[k][b]` is the CRC of byte `b`
@@ -115,11 +119,82 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
 
 static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// Folds `data` into each of `states` in one traversal. Twelve of the
-/// sixteen lookups per block do not depend on the state, so a second
-/// state over the same bytes (a record CRC beside the file CRC) costs
-/// four more lookups, not a second pass.
-fn crc32_fold<const N: usize>(mut states: [u32; N], data: &[u8]) -> [u32; N] {
+/// The shortest piece the carry-less fold takes. It needs four whole
+/// lanes (64 bytes) to start; shorter pieces, such as a record's
+/// framing, stay on the table fold.
+const CLMUL_MIN: usize = 128;
+
+/// Folds `data` into each of `states`: the carry-less fold over all
+/// whole 16-byte blocks of a piece of at least [`CLMUL_MIN`] bytes when
+/// the host has PCLMULQDQ, the table fold over the rest. Both compute
+/// the same CRC, so which one ran never shows in a bit. The carry-less
+/// fold reads the bytes for the first state only: the CRC is linear, so
+/// two states over the same bytes still differ by their difference
+/// carried across them ([`crc32_shift`]), and a record CRC beside the
+/// file CRC costs a few hundred shifts, not a second pass.
+fn crc32_fold<const N: usize>(states: [u32; N], data: &[u8]) -> [u32; N] {
+    #[cfg(target_arch = "x86_64")]
+    if N > 0 && data.len() >= CLMUL_MIN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+        let (body, tail) = data.split_at(data.len() / 16 * 16);
+        // SAFETY: the host has PCLMULQDQ, checked just above.
+        let first = unsafe { crc32_clmul(states[0], body) };
+        let folded = states.map(|s| first ^ crc32_shift(s ^ states[0], body.len()));
+        return crc32_table(folded, tail);
+    }
+    crc32_table(states, data)
+}
+
+/// `a · b mod P` over GF(2), both bit-reflected (bit 31 is `x^0`).
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 {
+            (b >> 1) ^ 0xEDB8_8320
+        } else {
+            b >> 1
+        };
+        bit >>= 1;
+    }
+    product
+}
+
+/// `x^(2^k) mod P` for `k` in `0..32`, bit-reflected. The powers repeat
+/// with period 32 in `k` (as zlib's `x2n_table` relies on).
+const fn x_pow2_table() -> [u32; 32] {
+    let mut t = [0u32; 32];
+    t[0] = 1 << 30;
+    let mut k = 1;
+    while k < 32 {
+        t[k] = mul_mod_p(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+}
+
+static X_POW2: [u32; 32] = x_pow2_table();
+
+/// The CRC-32 state `s` carried across `n` zero bytes: `s · x^(8n) mod P`.
+fn crc32_shift(s: u32, n: usize) -> u32 {
+    let (mut s, mut n, mut k) = (s, n as u64, 3);
+    while n != 0 && s != 0 {
+        if n & 1 != 0 {
+            s = mul_mod_p(X_POW2[k % 32], s);
+        }
+        (n, k) = (n >> 1, k + 1);
+    }
+    s
+}
+
+/// Folds `data` into each of `states` in one traversal, sixteen bytes
+/// at a time through [`CRC32_TABLES`]. Twelve of the sixteen lookups
+/// per block do not depend on the state, so a second state over the
+/// same bytes (a record CRC beside the file CRC) costs four more
+/// lookups, not a second pass.
+fn crc32_table<const N: usize>(mut states: [u32; N], data: &[u8]) -> [u32; N] {
     let t = &CRC32_TABLES;
     let at = |k: usize, word: u32, shift: u32| t[k][(word >> shift) as u8 as usize];
     let mut blocks = data.chunks_exact(16);
@@ -140,6 +215,77 @@ fn crc32_fold<const N: usize>(mut states: [u32; N], data: &[u8]) -> [u32; N] {
         }
     }
     states
+}
+
+/// `x` folded 128 bits further down the message and back into 128 bits:
+/// `x.lo · k.lo ⊕ x.hi · k.hi` over GF(2).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq")]
+fn clmul_fold(
+    x: std::arch::x86_64::__m128i,
+    k: std::arch::x86_64::__m128i,
+) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(x, k),
+        _mm_clmulepi64_si128::<0x11>(x, k),
+    )
+}
+
+/// The CRC-32 state after `data` (whole 16-byte blocks, at least four)
+/// from `state`, by carry-less multiplication (Gopal et al., "Fast CRC
+/// computation for generic polynomials using PCLMULQDQ", Intel 2009, in
+/// its bit-reflected form): four 128-bit lanes fold 64 bytes a step, the
+/// lanes fold into one, then 128 → 64 → 32 bits, and a Barrett reduction
+/// leaves the remainder. Each constant is `x^k mod P` for the distance
+/// `k` it folds across, bit-reflected and shifted left by one.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq")]
+fn crc32_clmul(state: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    debug_assert!(data.len() >= 64 && data.len().is_multiple_of(16));
+    // x^(4·128+32), x^(4·128−32): across the four lanes.
+    let k1k2 = _mm_set_epi64x(0x1_c6e4_1596, 0x1_5444_2bd4);
+    // x^(128+32), x^(128−32): across one lane; the high word also
+    // folds 128 → 64 bits.
+    let k3k4 = _mm_set_epi64x(0x0_ccaa_009e, 0x1_7519_97d0);
+    // x^64: 64 → 32 bits.
+    let k5 = _mm_set_epi64x(0, 0x1_63cd_6124);
+    // P itself, and μ = x^64 / P for the Barrett step.
+    let poly_mu = _mm_set_epi64x(0x1_f701_1641, 0x1_db71_0641);
+    let low32 = _mm_set_epi32(0, 0, 0, -1);
+    // SAFETY: every call reads 16 bytes of a slice at least that long.
+    let load = |b: &[u8]| unsafe { _mm_loadu_si128(b.as_ptr().cast()) };
+
+    let (first, rest) = data.split_at(64);
+    let mut lanes = [0, 16, 32, 48].map(|at| load(&first[at..]));
+    lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(state as i32));
+    let mut lines = rest.chunks_exact(64);
+    for line in &mut lines {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = _mm_xor_si128(clmul_fold(*lane, k1k2), load(&line[16 * i..]));
+        }
+    }
+    let mut x = lanes[0];
+    for &lane in &lanes[1..] {
+        x = _mm_xor_si128(clmul_fold(x, k3k4), lane);
+    }
+    for block in lines.remainder().chunks_exact(16) {
+        x = _mm_xor_si128(clmul_fold(x, k3k4), load(block));
+    }
+    // 128 → 64 bits, then 64 → 32 with 32 zero bits appended.
+    x = _mm_xor_si128(
+        _mm_srli_si128::<8>(x),
+        _mm_clmulepi64_si128::<0x10>(x, k3k4),
+    );
+    x = _mm_xor_si128(
+        _mm_srli_si128::<4>(x),
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5),
+    );
+    // Barrett: q = ⌊x · μ⌋ on the low 32 bits, remainder x ⊕ q · P.
+    let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), poly_mu);
+    let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), poly_mu);
+    _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(qp, x))) as u32
 }
 
 /// Streaming CRC-32 (ISO-HDLC / zlib polynomial, init & xorout `!0`):
@@ -1148,6 +1294,25 @@ impl DurableSnapshot {
 // The store: atomic writes, manifest, retention, fallback loads.
 // ---------------------------------------------------------------------------
 
+/// The temp file of an atomic write: each write ends with a call of
+/// `between`, so a save streaming its chunks through it hands its caller
+/// a turn after every chunk.
+struct Paced<'a> {
+    file: fs::File,
+    between: &'a mut dyn FnMut(),
+}
+
+impl Write for Paced<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.file.write(buf)?;
+        (self.between)();
+        Ok(n)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
 /// What [`CkptStore::load_latest_valid`] had to do to find a good
 /// checkpoint.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -1213,24 +1378,31 @@ impl CkptStore {
     /// replaced, so a save reads no checkpoint back — and cannot bless
     /// a retained file that rotted since it was written.
     pub fn save(&self, snap: &DurableSnapshot) -> Result<PathBuf, CkptError> {
+        self.save_paced(snap, &mut || {})
+    }
+
+    /// [`CkptStore::save`], calling `between` after each chunk it writes
+    /// and before each `fsync`: the caller's turns to do other work while
+    /// the save is in flight. The save is durable when this returns.
+    pub fn save_paced(
+        &self,
+        snap: &DurableSnapshot,
+        between: &mut dyn FnMut(),
+    ) -> Result<PathBuf, CkptError> {
         let step = snap.progress.step;
         let _span = self
             .recorder
             .as_ref()
             .map(|rec| rec.wall_span(Lane::WallCkpt, obs_phase::DURABLE_CHECKPOINT, step, 0));
         let (final_path, (len, crc)) =
-            self.write_atomic(&Self::file_name(step), |f| snap.write_to(f))?;
+            self.write_atomic(&Self::file_name(step), between, |f| snap.write_to(f))?;
         self.count("ckpt_bytes_written", len);
-        // fsync the directory so the rename itself is durable.
-        if let Ok(d) = fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
         // A missing or corrupt manifest carries nothing forward: its
         // files are re-derived from disk.
         let mut known = self.read_manifest().ok().flatten().unwrap_or_default();
         known.retain(|e| e.step != step);
         known.push(Self::entry(step, len, crc));
-        self.gc_and_write_manifest(&known)?;
+        self.gc_and_write_manifest(&known, between)?;
         Ok(final_path)
     }
 
@@ -1250,18 +1422,23 @@ impl CkptStore {
     }
 
     /// Lets `write` fill `<name>.tmp`, fsyncs, and renames it to `name`:
-    /// readers see the old file or the new one, never a torn one.
-    /// Returns the final path and what `write` returned.
+    /// readers see the old file or the new one, never a torn one. Each
+    /// write `write` makes, and the `fsync`, is followed or preceded by a
+    /// call of `between`. Returns the final path and what `write`
+    /// returned.
     fn write_atomic<T>(
         &self,
         name: &str,
-        write: impl FnOnce(&mut fs::File) -> io::Result<T>,
+        between: &mut dyn FnMut(),
+        write: impl FnOnce(&mut Paced) -> io::Result<T>,
     ) -> Result<(PathBuf, T), CkptError> {
         let (tmp, path) = (self.dir.join(format!("{name}.tmp")), self.dir.join(name));
         let out = {
-            let mut f = fs::File::create(&tmp).map_err(io_err)?;
+            let file = fs::File::create(&tmp).map_err(io_err)?;
+            let mut f = Paced { file, between };
             let out = write(&mut f).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
+            (f.between)();
+            f.file.sync_all().map_err(io_err)?;
             out
         };
         fs::rename(&tmp, &path).map_err(io_err)?;
@@ -1360,7 +1537,7 @@ impl CkptStore {
         // is what this pass read, which keeps the manifest honest even
         // when the scrub rejected nothing (a stale manifest is a
         // corruption mode too).
-        self.gc_and_write_manifest(&survivors)?;
+        self.gc_and_write_manifest(&survivors, &mut || {})?;
         Ok(report)
     }
 
@@ -1386,17 +1563,26 @@ impl CkptStore {
         Ok((snap, Self::entry(step, len, crc)))
     }
 
-    fn read_file(&self, step: u64) -> Result<Vec<u8>, CkptError> {
-        let bytes = fs::read(self.path_for(step)).map_err(io_err)?;
-        self.count("ckpt_bytes_read", bytes.len() as u64);
-        Ok(bytes)
+    /// The manifest entry of the file at `step` as it is on disk: its
+    /// length and CRC-32, streamed through the decoder's buffer.
+    fn entry_on_disk(&self, step: u64) -> Result<ManifestEntry, CkptError> {
+        let mut file = fs::File::open(self.path_for(step)).map_err(io_err)?;
+        let len = file.metadata().map_err(io_err)?.len();
+        self.count("ckpt_bytes_read", len);
+        let (crc, _) = Decoder::new(&mut file, len).finish_body()?;
+        Ok(Self::entry(step, len, crc.finish()))
     }
 
     /// Lists the directory once, deletes all but the newest `retain`
-    /// checkpoints and writes the manifest of the survivors. A survivor
-    /// takes its entry from `known`; only one that has none there is
-    /// read back from disk.
-    fn gc_and_write_manifest(&self, known: &[ManifestEntry]) -> Result<(), CkptError> {
+    /// checkpoints, writes the manifest of the survivors and `fsync`s
+    /// the directory, which makes the renames before it durable: the
+    /// checkpoint's and the manifest's. A survivor takes its entry from
+    /// `known`; only one that has none there is read back from disk.
+    fn gc_and_write_manifest(
+        &self,
+        known: &[ManifestEntry],
+        between: &mut dyn FnMut(),
+    ) -> Result<(), CkptError> {
         let steps = self.list_steps()?;
         let (dead, live) = steps.split_at(steps.len().saturating_sub(self.retain));
         for &step in dead {
@@ -1406,14 +1592,15 @@ impl CkptStore {
             .iter()
             .filter_map(|&step| match known.iter().find(|e| e.step == step) {
                 Some(e) => Some(e.clone()),
-                None => {
-                    let bytes = self.read_file(step).ok()?;
-                    Some(Self::entry(step, bytes.len() as u64, crc32(&bytes)))
-                }
+                None => self.entry_on_disk(step).ok(),
             })
             .collect();
         let manifest = render_manifest(&entries);
-        self.write_atomic(MANIFEST, |f| f.write_all(manifest.as_bytes()))?;
+        self.write_atomic(MANIFEST, between, |f| f.write_all(manifest.as_bytes()))?;
+        between();
+        if let Ok(d) = fs::File::open(&self.dir) {
+            let _ = d.sync_all();
+        }
         Ok(())
     }
 
@@ -1764,7 +1951,7 @@ mod tests {
         store.save(&sample_snapshot(1)).unwrap();
         store.save(&sample_snapshot(2)).unwrap();
         fs::write(store.path_for(2), &extended).unwrap();
-        store.gc_and_write_manifest(&[]).unwrap();
+        store.gc_and_write_manifest(&[], &mut || {}).unwrap();
         assert!(store.load_step(2).is_ok());
         let (snap, report) = store.load_latest_valid().unwrap().unwrap();
         assert_eq!(snap.progress.step, 2);
@@ -1817,6 +2004,52 @@ mod tests {
         }
     }
 
+    /// `n` seeded bytes.
+    fn noise(n: usize, seed: u64) -> Vec<u8> {
+        let mut rng = CorruptionInjector::new(seed);
+        (0..n).map(|_| rng.next() as u8).collect()
+    }
+
+    #[test]
+    fn the_carry_less_fold_equals_the_table_fold() {
+        // Every length on both sides of `CLMUL_MIN`, of the 64-byte line
+        // and of the 16-byte block, from every start offset, for one
+        // state and for two different ones over the same bytes.
+        let data = noise(512 + 16, 0xC1A5);
+        let states = [!0u32, 0x1234_5678];
+        for off in 0..16 {
+            for len in 0..=512 {
+                let piece = &data[off..off + len];
+                let want = crc32_table(states, piece);
+                assert_eq!(crc32_fold(states, piece), want, "offset {off} length {len}");
+                assert_eq!(crc32_fold([states[1]], piece), [want[1]]);
+                #[cfg(target_arch = "x86_64")]
+                if len >= 64 && len % 16 == 0 && std::arch::is_x86_feature_detected!("pclmulqdq") {
+                    // SAFETY: the host has PCLMULQDQ.
+                    let got = unsafe { crc32_clmul(states[0], piece) };
+                    assert_eq!(got, want[0], "offset {off} length {len}");
+                }
+            }
+        }
+        // A checkpoint's worth in one piece.
+        let big = noise(8 << 20, 8);
+        assert_eq!(crc32_fold(states, &big), crc32_table(states, &big));
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn a_shift_is_the_table_fold_over_zero_bytes() {
+        let zeros = vec![0u8; 300_000];
+        for n in [0, 1, 15, 16, 128, 4097, 262_144, 300_000] {
+            for s in [0, 1, 0x8000_0000, !0, 0x1234_5678] {
+                let [want] = crc32_table([s], &zeros[..n]);
+                assert_eq!(crc32_shift(s, n), want, "state {s:#x}, {n} bytes");
+            }
+        }
+        // The powers of `X_POW2` repeat after 32 squarings.
+        assert_eq!(mul_mod_p(X_POW2[31], X_POW2[31]), X_POW2[0]);
+    }
+
     #[test]
     fn whole_file_crc_is_the_body_state_extended_over_the_trailer() {
         let mut bytes = Vec::new();
@@ -1853,6 +2086,32 @@ mod tests {
             c.update(&data[hi..]);
             proptest::prop_assert_eq!(c.finish(), crc32(&data));
             proptest::prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
+
+        #[test]
+        fn pieces_through_update_and_update_both_give_the_table_fold(
+            len in 0usize..4096,
+            cuts in proptest::collection::vec(0usize..4097, 0..6),
+            seed in 0u64..1 << 20,
+        ) {
+            // Pieces of any size, so some take the carry-less fold and
+            // some the table; the second state runs beside the first
+            // from the first cut on, as a record CRC does.
+            let data = noise(len, seed);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+            cuts.sort_unstable();
+            let start = cuts.first().copied().unwrap_or(0);
+            let (mut file, mut record) = (Crc32::new(), Crc32::new());
+            file.update(&data[..start]);
+            let mut at = start;
+            for &cut in cuts.iter().skip(1).chain([&len]) {
+                file.update_both(&mut record, &data[at..cut]);
+                at = cut;
+            }
+            let [whole] = crc32_table([!0], &data);
+            let [from_start] = crc32_table([!0], &data[start..]);
+            proptest::prop_assert_eq!(file.finish(), !whole);
+            proptest::prop_assert_eq!(record.finish(), !from_start);
         }
     }
 

@@ -50,9 +50,13 @@
 //!   data shards and the LR schedule for the survivors, resuming at the
 //!   exact sample offset — every sample is still seen exactly once per
 //!   epoch, so progress is tracked in *samples* ([`Progress`]).
-//! - **Input pipeline** (§3.3): the thread that called `train` loads
-//!   every batch while the replicas compute; a replica asks for batch
-//!   *s+1* as soon as batch *s* arrives (`Feed`).
+//! - **Input pipeline and durable saves** (§3.3): the thread that called
+//!   `train` loads every batch while the replicas compute; a replica asks
+//!   for batch *s+1* as soon as batch *s* arrives (`Feed`). The same
+//!   thread persists rank 0's durable captures, a chunk at a time with
+//!   the batch requests answered between chunks, so no replica waits for
+//!   a disk write; a read of the store first waits for the saves before
+//!   it.
 
 use crate::bn_sync::GroupStatSync;
 use crate::ckpt_store::{CkptStore, DurableSnapshot, Progress};
@@ -200,17 +204,40 @@ struct BatchRequest {
 /// The reply: the batch, its labels and the augmentation stream after it.
 type Loaded = (Tensor, Vec<usize>, Rng);
 
-/// Loads every batch the replicas of a phase request, in arrival order,
-/// until all of them have hung up. Runs on the thread that called
-/// `train`, which has nothing else to do while the phase runs.
-fn serve_batches(
-    inbox: Receiver<(usize, BatchRequest)>,
-    outboxes: &[SyncSender<Loaded>],
+/// What a replica sends the thread that called `train`.
+enum ToFeeder {
+    /// Load this batch for this rank.
+    Batch(usize, BatchRequest),
+    /// Persist rank 0's durable capture, which is also its rewind anchor.
+    Save(Arc<DurableSnapshot>),
+    /// Answer this rank once every save sent before this is durable.
+    Flush(usize),
+}
+
+/// The feeder's ends of one rank's reply channels.
+struct Outbox {
+    batches: SyncSender<Loaded>,
+    flushed: SyncSender<()>,
+}
+
+/// Serves the replicas of a phase, in arrival order, until all of them
+/// have hung up: loads every batch they request and persists every
+/// durable save rank 0 hands over. Runs on the thread that called
+/// `train`, which has nothing else to do while the phase runs. A save
+/// streams through the store a chunk at a time, and the batch requests
+/// that arrive meanwhile are answered between chunks; any other message
+/// waits for the save to finish, so a flush is answered once every save
+/// before it is durable. A save that fails panics, and the replicas
+/// then stop with [`FEEDER_GONE`].
+fn serve_replicas(
+    inbox: Receiver<ToFeeder>,
+    outboxes: &[Outbox],
     train_set: &SynthNet,
     eval_set: &SynthNet,
     recorders: &[Arc<Recorder>],
+    store: Option<&CkptStore>,
 ) {
-    for (rank, request) in inbox {
+    let load = |rank: usize, request: BatchRequest| {
         let (set, aug) = if request.eval {
             (eval_set, AugmentConfig::eval())
         } else {
@@ -220,27 +247,73 @@ fn serve_batches(
         let (x, labels) = load_batch(set, &request.indices, aug, &mut rng);
         recorders[rank].counter_add("data_batches_loaded", 1);
         // A replica that has drained no longer listens.
-        let _ = outboxes[rank].send((x, labels, rng));
+        let _ = outboxes[rank].batches.send((x, labels, rng));
+    };
+    let mut deferred = VecDeque::new();
+    while let Some(message) = deferred.pop_front().or_else(|| inbox.recv().ok()) {
+        match message {
+            ToFeeder::Batch(rank, request) => load(rank, request),
+            ToFeeder::Save(snap) => {
+                let mut between = || {
+                    while let Ok(message) = inbox.try_recv() {
+                        match message {
+                            ToFeeder::Batch(rank, request) => load(rank, request),
+                            other => deferred.push_back(other),
+                        }
+                    }
+                };
+                let store = store.expect("durable saves require the store");
+                if let Err(e) = store.save_paced(&snap, &mut between) {
+                    panic!(
+                        "durable checkpoint save of step {} failed: {e}",
+                        snap.progress.step
+                    );
+                }
+            }
+            ToFeeder::Flush(rank) => {
+                let _ = outboxes[rank].flushed.send(());
+            }
+        }
     }
 }
 
-/// A replica's end of the input pipeline. It keeps at most one request in
-/// flight, so neither channel ever blocks its sender.
+/// A replica's end of the feeder. It keeps at most one batch request,
+/// one save and one flush in flight, so no channel ever blocks its
+/// sender.
 struct Feed {
     rank: usize,
-    requests: SyncSender<(usize, BatchRequest)>,
+    requests: SyncSender<ToFeeder>,
     replies: Receiver<Loaded>,
+    flushed: Receiver<()>,
     in_flight: Option<BatchRequest>,
+    /// A save this rank handed over may not be durable yet.
+    saving: bool,
 }
 
 const FEEDER_GONE: &str = "the thread feeding the replicas hung up";
 
 impl Feed {
+    /// Rank `rank`'s end of the feeder that `requests` reaches, and the
+    /// feeder's end of the rank's replies.
+    fn new(rank: usize, requests: SyncSender<ToFeeder>) -> (Feed, Outbox) {
+        let (batches, replies) = sync_channel(1);
+        let (flushed, flushes) = sync_channel(1);
+        let feed = Feed {
+            rank,
+            requests,
+            replies,
+            flushed: flushes,
+            in_flight: None,
+            saving: false,
+        };
+        (feed, Outbox { batches, flushed })
+    }
+
     /// Asks for `next`, unless a request is already in flight.
     fn prefetch(&mut self, next: Option<BatchRequest>) {
         if let (None, Some(next)) = (&self.in_flight, next) {
             self.requests
-                .send((self.rank, next.clone()))
+                .send(ToFeeder::Batch(self.rank, next.clone()))
                 .expect(FEEDER_GONE);
             self.in_flight = Some(next);
         }
@@ -258,6 +331,21 @@ impl Feed {
             }
             rec.counter_add("data_prefetch_discarded", 1);
         }
+    }
+
+    /// Hands `snap` to the feeder to persist.
+    fn save(&mut self, snap: Arc<DurableSnapshot>) {
+        self.requests.send(ToFeeder::Save(snap)).expect(FEEDER_GONE);
+        self.saving = true;
+    }
+
+    /// Returns once every save sent before it, by any rank, is durable.
+    fn flush(&mut self) {
+        self.requests
+            .send(ToFeeder::Flush(self.rank))
+            .expect(FEEDER_GONE);
+        self.flushed.recv().expect(FEEDER_GONE);
+        self.saving = false;
     }
 }
 
@@ -318,7 +406,7 @@ unsafe impl Pieces for State<'_> {
 /// trajectory byte for byte (a durable restore continues on the live
 /// streams instead).
 struct RewindAnchor {
-    state: DurableSnapshot,
+    state: Arc<DurableSnapshot>,
     data_rng: Rng,
     layer_rng: Rng,
 }
@@ -478,8 +566,9 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         };
         let _ = std::fs::remove_dir_all(&dir);
         let mut s = CkptStore::open(&dir, DURABLE_RETAIN).expect("open durable checkpoint store");
-        // Only rank 0 writes through the store, so its recorder owns the
-        // store's (wall-clock-only) checkpoint spans.
+        // Only rank 0's captures are written through the store (by the
+        // feeder, on rank 0's behalf), so its recorder owns the store's
+        // (wall-clock-only) checkpoint spans.
         s.attach_recorder(Arc::clone(&recorders[0]));
         Some(Arc::new(s))
     } else {
@@ -530,7 +619,8 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
             stop_at,
         };
         let results: Vec<PhaseOutcome> = std::thread::scope(|scope| {
-            let (requests, inbox) = sync_channel(world);
+            // Per rank one batch request and one flush, and rank 0's save.
+            let (requests, inbox) = sync_channel(2 * world + 1);
             let mut outboxes = Vec::with_capacity(world);
             let joins: Vec<_> = world_comms
                 .into_iter()
@@ -548,19 +638,14 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
                         fc.attach_recorder(Arc::clone(&rec));
                         WorldComm::Faulty(fc)
                     };
-                    let (outbox, replies) = sync_channel(1);
+                    let (feed, outbox) = Feed::new(r, requests.clone());
                     outboxes.push(outbox);
-                    let feed = Feed {
-                        rank: r,
-                        requests: requests.clone(),
-                        replies,
-                        in_flight: None,
-                    };
                     scope.spawn(move || Replica::new(env, r, comm, bn_comm, rec, carry, feed).run())
                 })
                 .collect();
             drop(requests);
-            serve_batches(inbox, &outboxes, &train_set, &eval_set, recorders);
+            let store = store.as_deref();
+            serve_replicas(inbox, &outboxes, &train_set, &eval_set, recorders, store);
             joins
                 .into_iter()
                 .map(|j| j.join().expect("replica panicked"))
@@ -819,11 +904,13 @@ impl<'a> Replica<'a> {
         replica
     }
 
-    /// The newest valid durable snapshot strictly before step `before`.
-    /// Symmetric: every rank scans the same directory and skips the same
-    /// corrupt files, so the counter stays rank-identical.
+    /// The newest valid durable snapshot strictly before step `before`,
+    /// once every save sent before the call is durable. Symmetric: every
+    /// rank scans the same directory and skips the same corrupt files, so
+    /// the counter stays rank-identical.
     fn load_durable(&mut self, before: u64) -> Option<DurableSnapshot> {
         let store = self.env.store.expect("restores require the durable store");
+        self.feed.flush();
         let (snap, report) = store
             .load_latest_valid_before(before)
             .expect("durable checkpoint store I/O failed")?;
@@ -858,15 +945,17 @@ impl<'a> Replica<'a> {
     }
 
     /// The one checkpoint site: a durable save, a fresh rewind anchor, or
-    /// both from one capture. The old anchor goes before the capture, so
-    /// a rank holds one snapshot at any moment whatever the other ranks
-    /// do; a rank that neither saves nor anchors captures nothing. Every
-    /// rank reaches a durable save together, and the owners first copy
-    /// their optimizer state into rank 0 alone, which captures and
-    /// persists every parameter's. An anchor holds only the state of the
-    /// parameters its rank owns, the only state a rewind restores (rank
-    /// 0's durable capture, full, doubles as its anchor). Counters and
-    /// instants count *logical* checkpoints on all ranks (the durable one
+    /// both from one capture. The old anchor goes before the capture, and
+    /// rank 0 first waits for its previous save, which shares that
+    /// anchor, so a rank holds one snapshot at any moment whatever the
+    /// other ranks do; a rank that neither saves nor anchors captures
+    /// nothing. Every rank reaches a durable save together, and the
+    /// owners first copy their optimizer state into rank 0 alone, which
+    /// captures every parameter's and hands the capture to the feeder to
+    /// persist. An anchor holds only the state of the parameters its rank
+    /// owns, the only state a rewind restores (rank 0's durable capture,
+    /// full, doubles as its anchor). Counters and instants count
+    /// *logical* checkpoints on all ranks, at issue (the durable one
     /// first), so the cross-rank virtual fingerprint stays equal.
     fn checkpoint(&mut self, durable: bool, anchor: bool) {
         if anchor {
@@ -885,12 +974,15 @@ impl<'a> Replica<'a> {
         } else {
             self.shares.owned(self.rank)
         };
-        let snap = (anchor || saves).then(|| self.capture(state));
+        let captures = anchor || saves;
+        if captures && self.feed.saving {
+            self.feed.flush();
+        }
+        let snap = captures.then(|| Arc::new(self.capture(state)));
         if durable {
             if saves {
-                let store = self.env.store.expect("durable saves require the store");
                 let snap = snap.as_ref().expect("rank 0 captured for the save");
-                store.save(snap).expect("durable checkpoint save failed");
+                self.feed.save(Arc::clone(snap));
             }
             self.counters.durable_checkpoints += 1;
             self.mark(
@@ -1251,11 +1343,13 @@ impl<'a> Replica<'a> {
             let on_cadence = self.prog.step == phase_start
                 || self.prog.step.is_multiple_of(faults.checkpoint_every());
 
-            // Durable cadence save: rank 0 persists *before* this step's
-            // collective, so the write happens-before any rank's
-            // post-collective guard trip — every rank that rolls back
-            // sees the completed, renamed file. In-memory anchor (only
-            // when the plan can actually preempt us): taken *before* the
+            // Durable cadence save: rank 0 hands its capture to the feeder
+            // *before* this step's collective and goes on while the feeder
+            // writes it. Every read of the store flushes the feeder first,
+            // and a flush sent after the collective is answered only once
+            // the save is durable, so every rank that rolls back sees the
+            // completed, renamed file. In-memory anchor (only when the
+            // plan can actually preempt us): taken *before* the
             // preemption check, so a checkpoint written at step `s`
             // survives a job death at step `s`. One capture serves both.
             let durable = durable_cadence && on_cadence;
@@ -1356,9 +1450,10 @@ impl<'a> Replica<'a> {
         };
 
         // Drain for a resize: the last collective has completed (the step
-        // loop never leaves a bucket in flight), so rank 0 persists the
-        // durable checkpoint every survivor will resume from. The thread
-        // join in `train` orders this write before the next phase's loads.
+        // loop never leaves a bucket in flight), so rank 0 hands over the
+        // durable checkpoint every survivor will resume from. The feeder
+        // returns only once it has drained its inbox, so this save is
+        // durable before the next phase's loads.
         if !done {
             // The phase ends here, so its anchor goes before the capture.
             self.anchor = None;
@@ -1507,6 +1602,75 @@ mod feed_tests {
         t.data().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// A feeder of one rank: the replica's end, the inbox, the replies.
+    fn one_rank() -> (Feed, Receiver<ToFeeder>, Outbox) {
+        let (requests, inbox) = sync_channel(3);
+        let (feed, outbox) = Feed::new(0, requests);
+        (feed, inbox, outbox)
+    }
+
+    /// The message a panic carried.
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        }
+    }
+
+    #[test]
+    fn a_failed_save_panics_naming_it_and_a_waiting_replica_stops() {
+        let (train_set, eval_set) = SynthNet::train_eval_pair(3, 4, 64, 16, 8, 0.35);
+        let recorders = [Arc::new(Recorder::disabled())];
+        let dir = std::env::temp_dir().join(format!("ets-feeder-save-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CkptStore::open(&dir, 2).expect("open the store");
+        // The store's directory turns into a regular file: the save
+        // cannot create its temp file.
+        std::fs::remove_dir_all(&dir).expect("remove the store's directory");
+        std::fs::write(&dir, b"not a directory").expect("write a file in its place");
+        let snap = DurableSnapshot {
+            progress: Progress {
+                step: 6,
+                ..Progress::fresh()
+            },
+            world: 1,
+            params: Vec::new(),
+            bn_running: Vec::new(),
+            opt_state: Default::default(),
+            ema: None,
+            history: Vec::new(),
+        };
+        let want = BatchRequest {
+            eval: false,
+            indices: vec![0, 1],
+            rng: Rng::new(7),
+        };
+        let (mut feed, inbox, outbox) = one_rank();
+        feed.save(Arc::new(snap));
+        feed.prefetch(Some(want.clone()));
+        std::thread::scope(|scope| {
+            let (train, eval, recs) = (&train_set, &eval_set, &recorders[..]);
+            let store = Some(&store);
+            let server =
+                scope.spawn(move || serve_replicas(inbox, &[outbox], train, eval, recs, store));
+            // The replica waits for its batch, which the save is ahead of.
+            let rec = Recorder::disabled();
+            let waiting = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                feed.take(want, &rec);
+            }));
+            let feeder = panic_message(server.join().expect_err("the failed save panics"));
+            assert!(
+                feeder.starts_with("durable checkpoint save of step 6 failed"),
+                "{feeder}"
+            );
+            let replica = panic_message(waiting.expect_err("the replica stops"));
+            assert!(replica.starts_with(FEEDER_GONE), "{replica}");
+        });
+        let flush = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| feed.flush()));
+        assert!(panic_message(flush.expect_err("nobody flushes")).starts_with(FEEDER_GONE));
+        let _ = std::fs::remove_file(&dir);
+    }
+
     #[test]
     fn a_stale_reply_is_discarded_and_the_batch_equals_an_inline_load() {
         let (train_set, eval_set) = SynthNet::train_eval_pair(3, 4, 64, 16, 8, 0.35);
@@ -1526,16 +1690,10 @@ mod feed_tests {
             (request(false, &[6, 7], 7), want(&[6, 7]), false),
         ];
         std::thread::scope(|scope| {
-            let (requests, inbox) = sync_channel(1);
-            let (outbox, replies) = sync_channel(1);
+            let (mut feed, inbox, outbox) = one_rank();
             let (train, eval, recs) = (&train_set, &eval_set, &recorders[..]);
-            let server = scope.spawn(move || serve_batches(inbox, &[outbox], train, eval, recs));
-            let mut feed = Feed {
-                rank: 0,
-                requests,
-                replies,
-                in_flight: None,
-            };
+            let server =
+                scope.spawn(move || serve_replicas(inbox, &[outbox], train, eval, recs, None));
             let mut discarded = 0;
             for (sent, want, stale) in cases {
                 feed.prefetch(Some(sent));

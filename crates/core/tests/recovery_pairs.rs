@@ -9,7 +9,10 @@
 
 use ets_collective::{Backend, FaultEvent, FaultKind};
 use ets_obs::{phase, Event, Lane};
-use ets_train::{train_traced, CorruptionPolicy, Experiment, OptimizerChoice, TrainReport};
+use ets_train::{
+    train_traced, CkptStore, CorruptionPolicy, Experiment, OptimizerChoice, TrainReport,
+};
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 /// ABFT verification and its counters are process-global and the
@@ -82,10 +85,22 @@ fn lose(rank: usize, at_step: u64) -> FaultEvent {
     }
 }
 
-/// A run's report and rank 0's control-lane events, in recording order.
+/// A run's report, rank 0's control-lane events in recording order, and
+/// the step and FNV-1a of every checkpoint file a run with its own
+/// `ckpt_dir` left in the store.
 struct Run {
     report: TrainReport,
     control: Vec<Event>,
+    files: Vec<(u64, u64)>,
+}
+
+/// FNV-1a of `bytes`. Not a CRC-32: each record of a checkpoint ends in
+/// its payload's CRC, so the CRC-32 of a whole file is a function of its
+/// step and record lengths alone.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// Runs `e` twice, requires the two runs to agree bit for bit, and
@@ -99,13 +114,25 @@ fn run_twice(e: &Experiment) -> Run {
             .into_iter()
             .filter(|ev| ev.lane == Lane::VirtualControl)
             .collect();
-        Run { report, control }
+        let files = e.ckpt_dir.as_ref().map_or(Vec::new(), |dir| {
+            let store = CkptStore::open(dir, 1).expect("open the run's store");
+            let steps = store.list_steps().expect("list the run's checkpoints");
+            let file = |step| store.dir().join(format!("ckpt-{step:020}.ets"));
+            let hash = |step| fnv1a(&std::fs::read(file(step)).expect("read a checkpoint"));
+            steps.into_iter().map(|step| (step, hash(step))).collect()
+        });
+        Run {
+            report,
+            control,
+            files,
+        }
     };
     let (a, b) = (run(), run());
     assert_eq!(a.report.weight_checksum, b.report.weight_checksum);
     assert_eq!(a.report.fault_recovery, b.report.fault_recovery);
     assert_eq!(a.report.step_timeline, b.report.step_timeline);
     assert_eq!(a.control, b.control, "virtual control lane must repeat");
+    assert_eq!(a.files, b.files, "the retained checkpoints must repeat");
     a
 }
 
@@ -306,4 +333,109 @@ fn quarantine_on_a_cadence_step_resumes_from_the_rollback_target() {
     // Epoch 1 reruns in full at world 1: 8 steps of batch 8, then 8 more.
     assert_eq!(report.steps, 16);
     assert_eq!(report.final_world, 1);
+}
+
+// A durable save is persisted by the thread that feeds the replicas
+// while they go on, so each case below lands a fault where a save can
+// still be in flight. Each must leave exactly what the synchronous store
+// left: the pins are the final loss bits and the (step, FNV-1a) of every
+// retained checkpoint file, recorded when rank 0 still wrote every save
+// inline.
+
+/// `e` saving into a directory of its own, named for `case`.
+fn own_store(mut e: Experiment, case: &str) -> (Experiment, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("ets-pairs-{case}-{}", std::process::id()));
+    e.ckpt_dir = Some(dir.to_string_lossy().into_owned());
+    (e, dir)
+}
+
+/// Guarded, with a durable checkpoint every 2 steps and no divergence.
+fn saving(world: usize) -> Experiment {
+    let mut e = small(world);
+    e.nan_guard = true;
+    e.faults.checkpoint_every_steps = 2;
+    e
+}
+
+/// Runs the case twice and checks it against its pins.
+fn pinned(e: &Experiment, dir: &Path, loss_bits: u32, files: &[(u64, u64)]) -> Run {
+    let run = run_twice(e);
+    let _ = std::fs::remove_dir_all(dir);
+    let loss = run.report.final_loss();
+    assert_eq!(loss.to_bits(), loss_bits, "final loss {loss}");
+    assert_eq!(run.files, files, "retained checkpoints (step, FNV-1a)");
+    run
+}
+
+#[test]
+fn rank_0_preempted_with_a_save_in_flight() {
+    // The preemption fires right after the checkpoint of step 2 was
+    // handed over: the rewind reads the anchor the save still holds, and
+    // the replayed checkpoint of step 2 saves that step again.
+    let (mut e, dir) = own_store(saving(2), "preempt");
+    e.faults.events.push(preempt(2));
+    let files = [
+        (2, 0xCADA_6DC6_B10F_B776),
+        (4, 0xD09A_34B0_E4B5_2953),
+        (6, 0x59A9_0F01_CDED_6117),
+    ];
+    let run = pinned(&e, &dir, 0x4008_1600, &files);
+    let rec = &run.report.fault_recovery;
+    assert_eq!((rec.preemptions, rec.replayed_steps), (1, 0));
+}
+
+#[test]
+fn rank_0_lost_with_a_save_in_flight() {
+    // The save of step 2 can still be in flight when the loss of step 3
+    // drains the phase; the drain's own save waits for it, and the world
+    // of one resumes from step 3.
+    let (mut e, dir) = own_store(saving(2), "lost");
+    e.faults.events.push(lose(0, 3));
+    let files = [
+        (8, 0x26BC_FC5D_9E76_B787),
+        (10, 0x39BC_7007_EBA7_8CB8),
+        (12, 0xAE39_615D_7F57_F890),
+    ];
+    let run = pinned(&e, &dir, 0x4005_3F30, &files);
+    let rec = &run.report.fault_recovery;
+    assert_eq!((rec.resizes, run.report.final_world), (1, 1));
+    assert_eq!(run.report.step_timeline.resizes[0].step, 3);
+}
+
+#[test]
+fn a_quarantine_with_a_save_in_flight() {
+    // The flip of step 4 quarantines rank 1 just after the save of step
+    // 4 was handed over: the rollback flushes that save, then loads the
+    // newest checkpoint strictly before step 4.
+    let mut base = quarantining(2);
+    base.faults.checkpoint_every_steps = 2;
+    base.faults.events.push(flip(1, 4));
+    let (e, dir) = own_store(base, "quarantine");
+    let files = [
+        (8, 0x1D93_295A_4919_DBCE),
+        (10, 0xF5F0_D9C6_1B00_73F1),
+        (12, 0x00CF_6A8E_B8AC_6EC7),
+    ];
+    let run = pinned(&e, &dir, 0x400A_6F83, &files);
+    let (report, rec) = (&run.report, &run.report.fault_recovery);
+    assert_eq!((rec.rank_quarantines, report.final_world), (1, 1));
+    assert_eq!(report.step_timeline.resizes[0].step, 2);
+}
+
+#[test]
+fn a_resize_at_a_save_step() {
+    // Step 4 is on the cadence; the loss planned there drains the phase
+    // first, so the drain's save is the save of step 4, made while the
+    // save of step 2 may still be in flight.
+    let (mut e, dir) = own_store(saving(3), "resize");
+    e.faults.events.push(lose(2, 4));
+    let files = [
+        (4, 0x17F0_4E6D_6889_8A6C),
+        (6, 0x3B70_A2F6_341A_F89A),
+        (8, 0x97C4_B557_90AC_AAD2),
+    ];
+    let run = pinned(&e, &dir, 0x4004_3E05, &files);
+    let rec = &run.report.fault_recovery;
+    assert_eq!((rec.resizes, run.report.final_world), (1, 2));
+    assert_eq!(run.report.step_timeline.resizes[0].step, 4);
 }

@@ -17,35 +17,33 @@
 //! Properties of the store:
 //!
 //! - **Atomic writes**: checkpoints are written to a temp file, fsynced,
-//!   and renamed into place, and so is the manifest after them; one
-//!   directory fsync then makes both renames durable. A crash mid-write
-//!   never leaves a half-visible checkpoint, nor a manifest entry that
-//!   describes a file the disk does not hold.
+//!   and renamed into place; one directory fsync then makes the rename
+//!   and the retention deletions durable. A crash mid-write never leaves
+//!   a half-visible checkpoint.
 //! - **Corruption detection**: a custom binary format (bit-exact f32
 //!   payloads at 4 bytes each) with a CRC-32 per record *and* a
 //!   whole-file CRC-32 trailer. CRC-32 detects every 1- and 2-bit error
 //!   at these file sizes, so a single flipped bit is always caught —
 //!   the property the proptest suite pins down.
-//! - **Versioned manifest**: a human-readable index of the live
-//!   checkpoints, itself checksummed and atomically replaced; a corrupt
-//!   manifest degrades to a directory scan, never to a wrong answer. An
-//!   entry records a file as it was *written* (its `len`/`crc` come out
-//!   of the traversal that encoded it and are carried from manifest to
-//!   manifest), so a file that rots later disagrees with its entry.
+//! - **No index**: the directory listing is the set of checkpoints. A
+//!   second record of each file's length and CRC could reject only a
+//!   file that already validates: the CRC-32 of an intact file, trailer
+//!   included, is one residue (`0x2144DF1C`) for every file.
 //! - **One pass each way, no file-sized copy**: a save streams its
 //!   encoding into the temp file through one fixed 256 KiB buffer,
 //!   checksumming each chunk while it is in cache ([`Crc32`] runs the
-//!   record CRC, the trailer and the manifest CRC off the same
-//!   traversal, by carry-less multiplication where the host has it), and
-//!   reads no checkpoint back; record lengths, which
-//!   precede their payloads, come from shape arithmetic. A load streams
-//!   the file through the same size of buffer, checksumming and
-//!   decoding in one pass. [`DurableSnapshot::to_bytes`] and
-//!   [`DurableSnapshot::from_bytes`] are the same encoder and decoder
-//!   with a `Vec` or a slice for the file.
-//! - **Retention/GC**: only the newest `retain` checkpoints are kept.
-//! - **Fallback on load**: [`CkptStore::load_latest_valid`] walks
-//!   candidates newest-first, skipping (and counting) corrupt files, and
+//!   record CRC and the trailer off the same traversal, by carry-less
+//!   multiplication where the host has it), and reads no checkpoint
+//!   back; record lengths, which precede their payloads, come from
+//!   shape arithmetic. A load streams the file through the same size of
+//!   buffer, checksumming and decoding in one pass.
+//!   [`DurableSnapshot::to_bytes`] and [`DurableSnapshot::from_bytes`]
+//!   are the same encoder and decoder with a `Vec` or a slice for the
+//!   file.
+//! - **Retention/GC**: only the newest `retain` checkpoints are kept,
+//!   decided by one listing per save.
+//! - **Fallback on load**: [`CkptStore::load_latest_valid`] walks the
+//!   listing newest-first, skipping (and counting) corrupt files, and
 //!   returns the newest checkpoint that fully validates.
 //! - **Chaos hooks**: [`CorruptionInjector`] flips seeded bits in stored
 //!   checkpoints so the chaos harness can prove the detection story.
@@ -70,9 +68,6 @@ const MAGIC: &[u8; 8] = b"ETSCKPT1";
 
 /// Extension of checkpoint files in the store directory.
 const CKPT_EXT: &str = "ets";
-
-/// Manifest file name.
-const MANIFEST: &str = "MANIFEST";
 
 /// Bytes of a file with no records: magic, version, step, record count
 /// and the whole-file trailer.
@@ -532,16 +527,13 @@ impl<'a> Encoder<'a> {
         self.fold();
         self.file.finish()
     }
-    /// Drains the buffer: the length and CRC-32 of all that was encoded,
-    /// or the sink's first error.
-    fn finish(mut self) -> io::Result<(u64, u32)> {
+    /// Drains the buffer: the length of all that was encoded, or the
+    /// sink's first error.
+    fn finish(mut self) -> io::Result<u64> {
         self.drain();
         match self.err.take() {
             Some(e) => Err(e),
-            None => self
-                .sink
-                .flush()
-                .map(|()| (self.flushed, self.file.finish())),
+            None => self.sink.flush().map(|()| self.flushed),
         }
     }
 }
@@ -977,12 +969,10 @@ impl DurableSnapshot {
     }
 
     /// Streams the file into `sink` through the encoder's fixed buffer
-    /// and returns its length and the CRC-32 of all of it, trailer
-    /// included (what a [`ManifestEntry`] records), from the same
-    /// traversal. A record's length precedes its payload, so it comes
-    /// from [`DurableSnapshot::record_lens`], and the payload is checked
-    /// against it.
-    fn write_to(&self, sink: &mut dyn Write) -> io::Result<(u64, u32)> {
+    /// and returns its length. A record's length precedes its payload,
+    /// so it comes from [`DurableSnapshot::record_lens`], and the payload
+    /// is checked against it.
+    fn write_to(&self, sink: &mut dyn Write) -> io::Result<u64> {
         let mut w = Encoder::new(sink);
         w.bytes(MAGIC);
         w.u32(CKPT_STORE_VERSION);
@@ -1044,13 +1034,12 @@ impl DurableSnapshot {
     /// bit, truncation, bad structure — returns a typed [`CkptError`];
     /// success means every checksum passed.
     pub fn from_bytes(bytes: &[u8]) -> Result<DurableSnapshot, CkptError> {
-        Self::decode(&mut &bytes[..], bytes.len() as u64).map(|(snap, _)| snap)
+        Self::decode(&mut &bytes[..], bytes.len() as u64)
     }
 
     /// Decodes the `len`-byte file at the front of `src` through the
-    /// decoder's fixed buffer: the snapshot, and the CRC-32 of the whole
-    /// file from the same traversal (the manifest cross-check).
-    fn decode(src: &mut dyn Read, len: u64) -> Result<(DurableSnapshot, u32), CkptError> {
+    /// decoder's fixed buffer.
+    fn decode(src: &mut dyn Read, len: u64) -> Result<DurableSnapshot, CkptError> {
         if len < ENVELOPE_LEN as u64 {
             return Err(CkptError::TooShort { len: len as usize });
         }
@@ -1063,7 +1052,7 @@ impl DurableSnapshot {
         // else the flip also broke.
         let mut body = Decoder::new(src, len - 4);
         let parsed = Self::parse_body(&mut body);
-        let (mut file, src) = body.finish_body()?;
+        let (file, src) = body.finish_body()?;
         let mut trailer = [0; 4];
         src.read_exact(&mut trailer).map_err(io_err)?;
         let (expected, actual) = (u32::from_le_bytes(trailer), file.finish());
@@ -1074,8 +1063,7 @@ impl DurableSnapshot {
                 actual,
             });
         }
-        file.update(&trailer);
-        Ok((parsed?, file.finish()))
+        parsed
     }
 
     /// Walks the envelope and records of the body. A payload is decoded
@@ -1291,7 +1279,7 @@ impl DurableSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// The store: atomic writes, manifest, retention, fallback loads.
+// The store: atomic writes, retention, fallback loads.
 // ---------------------------------------------------------------------------
 
 /// The temp file of an atomic write: each write ends with a call of
@@ -1323,7 +1311,7 @@ pub struct LoadReport {
     pub corrupt_skipped: u64,
 }
 
-/// A directory of durable checkpoints with a checked manifest.
+/// A directory of durable checkpoints; its listing is the index.
 pub struct CkptStore {
     dir: PathBuf,
     retain: usize,
@@ -1368,15 +1356,12 @@ impl CkptStore {
         self.dir.join(Self::file_name(step))
     }
 
-    /// Atomically persists `snap`, updates the manifest, and applies the
-    /// retention policy. Returns the checkpoint's final path.
+    /// Atomically persists `snap` and applies the retention policy.
+    /// Returns the checkpoint's final path.
     ///
     /// The encoding streams into the temp file through a fixed buffer,
-    /// so a save holds no file-sized copy of the snapshot. The new
-    /// file's manifest entry comes from the traversal that wrote it and
-    /// the retained files keep the entries of the manifest being
-    /// replaced, so a save reads no checkpoint back — and cannot bless
-    /// a retained file that rotted since it was written.
+    /// so a save holds no file-sized copy of the snapshot, and it reads
+    /// no checkpoint back.
     pub fn save(&self, snap: &DurableSnapshot) -> Result<PathBuf, CkptError> {
         self.save_paced(snap, &mut || {})
     }
@@ -1384,6 +1369,12 @@ impl CkptStore {
     /// [`CkptStore::save`], calling `between` after each chunk it writes
     /// and before each `fsync`: the caller's turns to do other work while
     /// the save is in flight. The save is durable when this returns.
+    ///
+    /// The file is written to `<name>.tmp`, fsynced and renamed into
+    /// place, so readers see the old file or the new one, never a torn
+    /// one. One listing of the directory then deletes all but the newest
+    /// `retain` checkpoints, and one directory `fsync` makes the rename
+    /// and the deletions durable.
     pub fn save_paced(
         &self,
         snap: &DurableSnapshot,
@@ -1394,55 +1385,33 @@ impl CkptStore {
             .recorder
             .as_ref()
             .map(|rec| rec.wall_span(Lane::WallCkpt, obs_phase::DURABLE_CHECKPOINT, step, 0));
-        let (final_path, (len, crc)) =
-            self.write_atomic(&Self::file_name(step), between, |f| snap.write_to(f))?;
+        let name = Self::file_name(step);
+        let (tmp, path) = (self.dir.join(format!("{name}.tmp")), self.dir.join(name));
+        let len = {
+            let file = fs::File::create(&tmp).map_err(io_err)?;
+            let mut f = Paced { file, between };
+            let len = snap.write_to(&mut f).map_err(io_err)?;
+            (f.between)();
+            f.file.sync_all().map_err(io_err)?;
+            len
+        };
+        fs::rename(&tmp, &path).map_err(io_err)?;
         self.count("ckpt_bytes_written", len);
-        // A missing or corrupt manifest carries nothing forward: its
-        // files are re-derived from disk.
-        let mut known = self.read_manifest().ok().flatten().unwrap_or_default();
-        known.retain(|e| e.step != step);
-        known.push(Self::entry(step, len, crc));
-        self.gc_and_write_manifest(&known, between)?;
-        Ok(final_path)
-    }
-
-    fn entry(step: u64, len: u64, crc: u32) -> ManifestEntry {
-        ManifestEntry {
-            step,
-            file: Self::file_name(step),
-            len,
-            crc,
+        let steps = self.list_steps()?;
+        for &dead in &steps[..steps.len().saturating_sub(self.retain)] {
+            let _ = fs::remove_file(self.path_for(dead));
         }
+        between();
+        fs::File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(io_err)?;
+        Ok(path)
     }
 
     fn count(&self, counter: &'static str, delta: u64) {
         if let Some(rec) = &self.recorder {
             rec.counter_add(counter, delta);
         }
-    }
-
-    /// Lets `write` fill `<name>.tmp`, fsyncs, and renames it to `name`:
-    /// readers see the old file or the new one, never a torn one. Each
-    /// write `write` makes, and the `fsync`, is followed or preceded by a
-    /// call of `between`. Returns the final path and what `write`
-    /// returned.
-    fn write_atomic<T>(
-        &self,
-        name: &str,
-        between: &mut dyn FnMut(),
-        write: impl FnOnce(&mut Paced) -> io::Result<T>,
-    ) -> Result<(PathBuf, T), CkptError> {
-        let (tmp, path) = (self.dir.join(format!("{name}.tmp")), self.dir.join(name));
-        let out = {
-            let file = fs::File::create(&tmp).map_err(io_err)?;
-            let mut f = Paced { file, between };
-            let out = write(&mut f).map_err(io_err)?;
-            (f.between)();
-            f.file.sync_all().map_err(io_err)?;
-            out
-        };
-        fs::rename(&tmp, &path).map_err(io_err)?;
-        Ok((path, out))
     }
 
     /// Steps of checkpoint files present on disk, ascending.
@@ -1480,232 +1449,45 @@ impl CkptStore {
             .recorder
             .as_ref()
             .map(|rec| rec.wall_span(Lane::WallCkpt, obs_phase::CHECKPOINT, before, 0));
-        // The directory scan is the source of truth for candidates; the
-        // manifest adds a cross-check when it is itself intact. A corrupt
-        // manifest therefore degrades availability never correctness.
-        let manifest = self.read_manifest().ok().flatten();
         let mut steps = self.list_steps()?;
         steps.retain(|&s| s < before);
-        steps.reverse(); // newest first
         let mut skipped = 0u64;
-        for step in steps {
-            // A file that validates internally but that the manifest
-            // describes differently counts as corrupt too, rather than
-            // guessing which of the two is right.
-            let entry = manifest.iter().flatten().find(|e| e.step == step);
-            let snap = match self.read_step(step) {
-                Ok((snap, on_disk))
-                    if entry.is_none_or(|e| e.len == on_disk.len && e.crc == on_disk.crc) =>
-                {
-                    snap
+        for step in steps.into_iter().rev() {
+            match self.load_step(step) {
+                Ok(snap) => {
+                    let report = LoadReport {
+                        loaded_step: step,
+                        corrupt_skipped: skipped,
+                    };
+                    return Ok(Some((snap, report)));
                 }
-                _ => {
-                    skipped += 1;
-                    continue;
-                }
-            };
-            let report = LoadReport {
-                loaded_step: step,
-                corrupt_skipped: skipped,
-            };
-            return Ok(Some((snap, report)));
+                Err(_) => skipped += 1,
+            }
         }
         Ok(None)
     }
 
-    /// Re-validates every retained checkpoint end to end (full parse,
-    /// every record CRC, whole-file CRC) and garbage-collects files that
-    /// fail, so bit rot is caught when the scrub runs — not later, when
-    /// a rollback desperately needs the file. The manifest is rewritten
-    /// to match the surviving set. Counts both outcomes.
-    pub fn scrub(&self) -> Result<ScrubReport, CkptError> {
-        let mut report = ScrubReport::default();
-        let mut survivors = Vec::new();
-        for step in self.list_steps()? {
-            match self.read_step(step) {
-                Ok((_, on_disk)) => {
-                    survivors.push(on_disk);
-                    report.scrubbed += 1;
-                }
-                Err(_) => {
-                    let _ = fs::remove_file(self.path_for(step));
-                    report.rejected += 1;
-                }
-            }
-        }
-        // Nothing is carried forward from the old manifest: every entry
-        // is what this pass read, which keeps the manifest honest even
-        // when the scrub rejected nothing (a stale manifest is a
-        // corruption mode too).
-        self.gc_and_write_manifest(&survivors, &mut || {})?;
-        Ok(report)
-    }
-
-    /// Loads and validates the checkpoint at `step`.
+    /// Loads and validates the checkpoint at `step`, streaming its bytes
+    /// through the decoder's buffer.
     pub fn load_step(&self, step: u64) -> Result<DurableSnapshot, CkptError> {
-        self.read_step(step).map(|(snap, _)| snap)
-    }
-
-    /// The validated checkpoint at `step` and the manifest entry of the
-    /// file it was parsed from, both from one traversal of its bytes,
-    /// which stream through the decoder's buffer.
-    fn read_step(&self, step: u64) -> Result<(DurableSnapshot, ManifestEntry), CkptError> {
         let mut file = fs::File::open(self.path_for(step)).map_err(io_err)?;
         let len = file.metadata().map_err(io_err)?.len();
         self.count("ckpt_bytes_read", len);
-        let (snap, crc) = DurableSnapshot::decode(&mut file, len)?;
+        let snap = DurableSnapshot::decode(&mut file, len)?;
         if snap.progress.step != step {
             return Err(CkptError::Malformed(format!(
                 "file named for step {step} contains step {}",
                 snap.progress.step
             )));
         }
-        Ok((snap, Self::entry(step, len, crc)))
+        Ok(snap)
     }
-
-    /// The manifest entry of the file at `step` as it is on disk: its
-    /// length and CRC-32, streamed through the decoder's buffer.
-    fn entry_on_disk(&self, step: u64) -> Result<ManifestEntry, CkptError> {
-        let mut file = fs::File::open(self.path_for(step)).map_err(io_err)?;
-        let len = file.metadata().map_err(io_err)?.len();
-        self.count("ckpt_bytes_read", len);
-        let (crc, _) = Decoder::new(&mut file, len).finish_body()?;
-        Ok(Self::entry(step, len, crc.finish()))
-    }
-
-    /// Lists the directory once, deletes all but the newest `retain`
-    /// checkpoints, writes the manifest of the survivors and `fsync`s
-    /// the directory, which makes the renames before it durable: the
-    /// checkpoint's and the manifest's. A survivor takes its entry from
-    /// `known`; only one that has none there is read back from disk.
-    fn gc_and_write_manifest(
-        &self,
-        known: &[ManifestEntry],
-        between: &mut dyn FnMut(),
-    ) -> Result<(), CkptError> {
-        let steps = self.list_steps()?;
-        let (dead, live) = steps.split_at(steps.len().saturating_sub(self.retain));
-        for &step in dead {
-            let _ = fs::remove_file(self.path_for(step));
-        }
-        let entries: Vec<ManifestEntry> = live
-            .iter()
-            .filter_map(|&step| match known.iter().find(|e| e.step == step) {
-                Some(e) => Some(e.clone()),
-                None => self.entry_on_disk(step).ok(),
-            })
-            .collect();
-        let manifest = render_manifest(&entries);
-        self.write_atomic(MANIFEST, between, |f| f.write_all(manifest.as_bytes()))?;
-        between();
-        if let Ok(d) = fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
-    }
-
-    /// Reads and validates the manifest. `Ok(None)` when absent,
-    /// `Err` when present but corrupt.
-    pub fn read_manifest(&self) -> Result<Option<Vec<ManifestEntry>>, CkptError> {
-        let path = self.dir.join(MANIFEST);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let text = fs::read_to_string(&path).map_err(io_err)?;
-        parse_manifest(&text).map(Some)
-    }
-}
-
-/// Outcome of a [`CkptStore::scrub`] pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Checkpoints that fully re-validated.
-    pub scrubbed: u64,
-    /// Checkpoints found corrupt and garbage-collected.
-    pub rejected: u64,
-}
-
-/// One live checkpoint as recorded by the manifest.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ManifestEntry {
-    pub step: u64,
-    pub file: String,
-    pub len: u64,
-    pub crc: u32,
 }
 
 fn parse_ckpt_name(name: &str) -> Option<u64> {
     let rest = name.strip_prefix("ckpt-")?;
     let digits = rest.strip_suffix(&format!(".{CKPT_EXT}"))?;
     digits.parse().ok()
-}
-
-/// Renders the versioned, checksummed manifest text.
-pub fn render_manifest(entries: &[ManifestEntry]) -> String {
-    let mut body = String::from("ets-ckpt-manifest v1\n");
-    for e in entries {
-        body.push_str(&format!(
-            "entry step={} file={} len={} crc={:08x}\n",
-            e.step, e.file, e.len, e.crc
-        ));
-    }
-    let crc = crc32(body.as_bytes());
-    body.push_str(&format!("manifest-crc={crc:08x}\n"));
-    body
-}
-
-/// Parses and validates manifest text produced by [`render_manifest`].
-pub fn parse_manifest(text: &str) -> Result<Vec<ManifestEntry>, CkptError> {
-    let bad = |msg: &str| CkptError::Malformed(format!("manifest: {msg}"));
-    let trailer_at = text
-        .rfind("manifest-crc=")
-        .ok_or_else(|| bad("missing trailer"))?;
-    let body = &text[..trailer_at];
-    let trailer = text[trailer_at..].trim();
-    let expected = u32::from_str_radix(trailer.strip_prefix("manifest-crc=").unwrap(), 16)
-        .map_err(|_| bad("unparseable trailer"))?;
-    let actual = crc32(body.as_bytes());
-    if expected != actual {
-        return Err(CkptError::ChecksumMismatch {
-            what: "manifest",
-            expected,
-            actual,
-        });
-    }
-    let mut lines = body.lines();
-    if lines.next() != Some("ets-ckpt-manifest v1") {
-        return Err(bad("bad header"));
-    }
-    let mut entries = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let rest = line
-            .strip_prefix("entry ")
-            .ok_or_else(|| bad("bad entry line"))?;
-        let mut step = None;
-        let mut file = None;
-        let mut len = None;
-        let mut crc = None;
-        for field in rest.split_whitespace() {
-            let (k, v) = field.split_once('=').ok_or_else(|| bad("bad field"))?;
-            match k {
-                "step" => step = v.parse().ok(),
-                "file" => file = Some(v.to_string()),
-                "len" => len = v.parse().ok(),
-                "crc" => crc = u32::from_str_radix(v, 16).ok(),
-                _ => {}
-            }
-        }
-        entries.push(ManifestEntry {
-            step: step.ok_or_else(|| bad("missing step"))?,
-            file: file.ok_or_else(|| bad("missing file"))?,
-            len: len.ok_or_else(|| bad("missing len"))?,
-            crc: crc.ok_or_else(|| bad("missing crc"))?,
-        });
-    }
-    Ok(entries)
 }
 
 // ---------------------------------------------------------------------------
@@ -1951,7 +1733,6 @@ mod tests {
         store.save(&sample_snapshot(1)).unwrap();
         store.save(&sample_snapshot(2)).unwrap();
         fs::write(store.path_for(2), &extended).unwrap();
-        store.gc_and_write_manifest(&[], &mut || {}).unwrap();
         assert!(store.load_step(2).is_ok());
         let (snap, report) = store.load_latest_valid().unwrap().unwrap();
         assert_eq!(snap.progress.step, 2);
@@ -2051,21 +1832,18 @@ mod tests {
     }
 
     #[test]
-    fn whole_file_crc_is_the_body_state_extended_over_the_trailer() {
+    fn the_trailer_is_the_body_crc_and_every_file_has_one_residue() {
         let mut bytes = Vec::new();
-        let (len, whole) = sample_snapshot(7).write_to(&mut bytes).unwrap();
+        let len = sample_snapshot(7).write_to(&mut bytes).unwrap();
         assert_eq!(len, bytes.len() as u64);
-        assert_eq!(whole, crc32(&bytes));
-        assert_eq!(
-            DurableSnapshot::decode(&mut &bytes[..], len).unwrap().1,
-            whole
-        );
         let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let mut state = Crc32::new();
-        state.update(body);
-        assert_eq!(state.finish().to_le_bytes(), trailer);
-        state.update(trailer);
-        assert_eq!(state.finish(), whole);
+        assert_eq!(crc32(body).to_le_bytes(), trailer);
+        // Why the store keeps no index of file CRCs: over a whole intact
+        // file, trailer included, the CRC-32 is the same constant.
+        assert_eq!(crc32(&bytes), 0x2144_DF1C);
+        for snap in [sample_snapshot(8), multi_chunk_snapshot(2)] {
+            assert_eq!(crc32(&snap.to_bytes()), 0x2144_DF1C);
+        }
     }
 
     proptest::proptest! {
@@ -2163,12 +1941,6 @@ mod tests {
         let (snap, report) = store.load_latest_valid().unwrap().unwrap();
         assert_eq!(snap.progress.step, 10);
         assert_eq!(report.corrupt_skipped, 0);
-        // Manifest matches the live set (ascending step order).
-        let manifest = store.read_manifest().unwrap().unwrap();
-        assert_eq!(
-            manifest.iter().map(|e| e.step).collect::<Vec<_>>(),
-            vec![6, 8, 10]
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -2195,44 +1967,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_manifest_degrades_to_scan() {
-        let dir = scratch_dir("manifest");
-        let store = CkptStore::open(&dir, 4).unwrap();
-        store.save(&sample_snapshot(5)).unwrap();
-        fs::write(dir.join(MANIFEST), b"garbage\n").unwrap();
-        assert!(store.read_manifest().is_err(), "corruption must be typed");
-        let (snap, _) = store.load_latest_valid().unwrap().unwrap();
-        assert_eq!(
-            snap.progress.step, 5,
-            "scan fallback must still find the file"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_round_trips() {
-        let entries = vec![
-            ManifestEntry {
-                step: 12,
-                file: CkptStore::file_name(12),
-                len: 345,
-                crc: 0xDEAD_BEEF,
-            },
-            ManifestEntry {
-                step: 8,
-                file: CkptStore::file_name(8),
-                len: 340,
-                crc: 0x0000_0001,
-            },
-        ];
-        let text = render_manifest(&entries);
-        assert_eq!(parse_manifest(&text).unwrap(), entries);
-        // Any textual tamper trips the manifest CRC.
-        let tampered = text.replace("step=12", "step=13");
-        assert!(parse_manifest(&tampered).is_err());
-    }
-
-    #[test]
     fn injector_is_deterministic() {
         let dir = scratch_dir("injector");
         let store = CkptStore::open(&dir, 2).unwrap();
@@ -2246,57 +1980,6 @@ mod tests {
             .flip_one_bit(&store.path_for(1))
             .unwrap();
         assert_eq!(a, b, "same seed, same flip");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scrub_counts_clean_checkpoints_and_touches_nothing() {
-        let dir = scratch_dir("scrub-clean");
-        let store = CkptStore::open(&dir, 4).unwrap();
-        for step in [1u64, 2, 3] {
-            store.save(&sample_snapshot(step)).unwrap();
-        }
-        let report = store.scrub().unwrap();
-        assert_eq!(
-            report,
-            ScrubReport {
-                scrubbed: 3,
-                rejected: 0
-            }
-        );
-        assert_eq!(store.list_steps().unwrap(), vec![1, 2, 3]);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scrub_garbage_collects_corrupt_files_and_rewrites_manifest() {
-        let dir = scratch_dir("scrub-gc");
-        let store = CkptStore::open(&dir, 4).unwrap();
-        for step in [1u64, 2, 3] {
-            store.save(&sample_snapshot(step)).unwrap();
-        }
-        CorruptionInjector::new(21)
-            .flip_one_bit(&store.path_for(2))
-            .unwrap();
-        let report = store.scrub().unwrap();
-        assert_eq!(
-            report,
-            ScrubReport {
-                scrubbed: 2,
-                rejected: 1
-            }
-        );
-        // The corrupt file is gone, the manifest tracks the survivors,
-        // and loads no longer have to skip anything.
-        assert_eq!(store.list_steps().unwrap(), vec![1, 3]);
-        let manifest = store.read_manifest().unwrap().unwrap();
-        assert_eq!(
-            manifest.iter().map(|e| e.step).collect::<Vec<_>>(),
-            vec![1, 3]
-        );
-        let (snap, load) = store.load_latest_valid().unwrap().unwrap();
-        assert_eq!(snap.progress.step, 3);
-        assert_eq!(load.corrupt_skipped, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -2346,7 +2029,7 @@ mod tests {
     }
 
     #[test]
-    fn a_saved_file_is_to_bytes_and_its_entry_is_the_file() {
+    fn a_saved_file_is_to_bytes() {
         let dir = scratch_dir("streamed");
         let store = CkptStore::open(&dir, 2).unwrap();
         for snap in [sample_snapshot(3), multi_chunk_snapshot(4)] {
@@ -2354,16 +2037,6 @@ mod tests {
             let bytes = fs::read(&path).unwrap();
             assert_eq!(bytes, snap.to_bytes(), "step {}", snap.progress.step);
             assert_eq!(DurableSnapshot::from_bytes(&bytes).unwrap(), snap);
-            let manifest = store.read_manifest().unwrap().unwrap();
-            let entry = manifest.iter().find(|e| e.step == snap.progress.step);
-            assert_eq!(
-                entry,
-                Some(&CkptStore::entry(
-                    snap.progress.step,
-                    bytes.len() as u64,
-                    crc32(&bytes)
-                ))
-            );
         }
         assert!(multi_chunk_snapshot(4).encoded_len() > 4 * CHUNK);
         let _ = fs::remove_dir_all(&dir);
@@ -2394,7 +2067,7 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::StorageFull, "room {room}");
         }
         let room = snap.encoded_len();
-        assert_eq!(snap.write_to(&mut Full(room)).unwrap().0, room as u64);
+        assert_eq!(snap.write_to(&mut Full(room)).unwrap(), room as u64);
     }
 
     #[test]
@@ -2419,25 +2092,17 @@ mod tests {
     }
 
     #[test]
-    fn a_save_does_not_bless_rot_in_a_retained_checkpoint() {
-        let dir = scratch_dir("no-bless");
+    fn a_retained_checkpoint_that_rotted_stays_rejected_after_a_later_save() {
+        let dir = scratch_dir("rotted");
         let store = CkptStore::open(&dir, 4).unwrap();
         for step in [1u64, 2, 3] {
             store.save(&sample_snapshot(step)).unwrap();
         }
-        let entry_of = |step: u64| {
-            let manifest = store.read_manifest().unwrap().unwrap();
-            manifest.into_iter().find(|e| e.step == step).unwrap()
-        };
-        let original = entry_of(2);
         CorruptionInjector::new(5)
             .flip_one_bit(&store.path_for(2))
             .unwrap();
-        let rotted = fs::read(store.path_for(2)).unwrap();
-        assert_ne!(crc32(&rotted), original.crc);
         store.save(&sample_snapshot(4)).unwrap();
-        // The manifest still describes the file as it was written.
-        assert_eq!(entry_of(2), original);
+        assert!(store.load_step(2).is_err());
         let (snap, report) = store.load_latest_valid_before(3).unwrap().unwrap();
         assert_eq!(snap.progress.step, 1);
         assert_eq!(report.corrupt_skipped, 1);
@@ -2467,11 +2132,16 @@ mod tests {
     fn save_is_atomic_no_tmp_left_behind() {
         let dir = scratch_dir("atomic");
         let store = CkptStore::open(&dir, 2).unwrap();
-        store.save(&sample_snapshot(4)).unwrap();
-        for entry in fs::read_dir(&dir).unwrap() {
-            let name = entry.unwrap().file_name().to_string_lossy().to_string();
-            assert!(!name.ends_with(".tmp"), "stray temp file {name}");
+        for step in [4u64, 6, 8] {
+            store.save(&sample_snapshot(step)).unwrap();
         }
+        // No temp file, no index: the retained checkpoints and nothing else.
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().to_string())
+            .collect();
+        names.sort();
+        assert_eq!(names, [CkptStore::file_name(6), CkptStore::file_name(8)]);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -159,11 +159,6 @@ pub struct Experiment {
     /// What to do when fingerprint verification attributes a corrupt
     /// payload to a rank. Irrelevant unless `fingerprint_verify` is set.
     pub corruption_policy: CorruptionPolicy,
-    /// Re-verify the CRCs of every retained durable checkpoint after
-    /// each elastic resize ([`crate::ckpt_store::CkptStore::scrub`]),
-    /// deleting any that fail so a later rollback can never land on a
-    /// rotted file. Counted in `RecoveryCounters`. Defaults to `false`.
-    pub scrub_after_resize: bool,
     /// Override for the gradient-bucket size in elements. `None` (the
     /// default) keeps [`crate::grad_bucket::DEFAULT_BUCKET_ELEMS`]; small
     /// values split proxy-scale models into several buckets so the
@@ -214,7 +209,6 @@ impl Experiment {
             fingerprint_verify: false,
             abft_verify: false,
             corruption_policy: CorruptionPolicy::default(),
-            scrub_after_resize: false,
             grad_bucket_elems: None,
             train_samples: 512,
             eval_samples: 128,

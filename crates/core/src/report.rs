@@ -52,10 +52,6 @@ pub struct RecoveryCounters {
     /// elastic shrink + rollback to the last checkpoint before the
     /// poisoned step).
     pub rank_quarantines: u64,
-    /// Retained checkpoints re-verified by a store scrub pass.
-    pub checkpoints_scrubbed: u64,
-    /// Checkpoints a scrub pass found corrupt and garbage-collected.
-    pub checkpoints_scrub_rejected: u64,
 }
 
 impl RecoveryCounters {
@@ -207,8 +203,6 @@ impl TrainReport {
             .field_u64("corruptions_detected", c.corruptions_detected)
             .field_u64("corruptions_corrected", c.corruptions_corrected)
             .field_u64("rank_quarantines", c.rank_quarantines)
-            .field_u64("checkpoints_scrubbed", c.checkpoints_scrubbed)
-            .field_u64("checkpoints_scrub_rejected", c.checkpoints_scrub_rejected)
             .end_object();
 
         let t = &self.step_timeline;

@@ -727,16 +727,6 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
             world_after: new_world,
             virtual_s: resize_s,
         });
-        // Optional hygiene pass before the shrunken world resumes: every
-        // survivor will load from this store, so re-verify the retained
-        // checkpoints now and GC any that rotted on disk.
-        if exp.scrub_after_resize {
-            if let Some(store) = &store {
-                let scrub = store.scrub().expect("checkpoint scrub failed");
-                carry.counters.checkpoints_scrubbed += scrub.scrubbed;
-                carry.counters.checkpoints_scrub_rejected += scrub.rejected;
-            }
-        }
         world = new_world;
         phase_idx += 1;
     }

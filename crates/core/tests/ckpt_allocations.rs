@@ -1,10 +1,10 @@
 //! A checkpoint costs one snapshot per rank and no file-sized buffer:
 //! a save streams its encoding to disk and a load its decoding from
-//! disk through a fixed buffer (and so does the re-read of a file the
-//! manifest has lost), and at a cadence step one capture serves both
-//! the durable save and the rewind anchor, taken after the old anchor
-//! is released and rank 0's previous save has finished with it. Only the saving rank's snapshot holds every
-//! parameter's optimizer state; another rank's anchor holds its own.
+//! disk through a fixed buffer, and at a cadence step one capture
+//! serves both the durable save and the rewind anchor, taken after the
+//! old anchor is released and rank 0's previous save has finished with
+//! it. Only the saving rank's snapshot holds every parameter's
+//! optimizer state; another rank's anchor holds its own.
 //!
 //! A test binary of its own, because it counts through a global
 //! allocator: the largest block per thread, live bytes and their
@@ -131,7 +131,7 @@ fn a_save_and_a_load_of_the_chaos_snapshot_make_no_file_sized_allocation() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = scratch_dir("save");
     let store = CkptStore::open(&dir, 2).unwrap();
-    store.save(&chaos_snapshot(4, None)).unwrap(); // the first writes a manifest
+    store.save(&chaos_snapshot(4, None)).unwrap();
     let snap = chaos_snapshot(8, None);
     // The largest array of the snapshot: a load allocates each one.
     let params = snap.params.iter().map(|t| &t.bits);
@@ -150,21 +150,6 @@ fn a_save_and_a_load_of_the_chaos_snapshot_make_no_file_sized_allocation() {
         "a load allocated a block of {load} B; the largest array is {largest_array} B"
     );
     assert_eq!(back, snap);
-    // With the manifest corrupt, the next save re-derives the entry of
-    // the retained file it has none for from disk, through a chunk.
-    std::fs::write(dir.join("MANIFEST"), b"garbage\n").unwrap();
-    let next = chaos_snapshot(12, None);
-    largest_block();
-    store.save(&next).unwrap();
-    let resave = largest_block();
-    assert!(
-        resave < MIB,
-        "a save after a corrupt manifest allocated a block of {resave} B"
-    );
-    let manifest = store.read_manifest().unwrap().unwrap();
-    let steps: Vec<u64> = manifest.iter().map(|e| e.step).collect();
-    assert_eq!(steps, [8, 12]);
-    assert_eq!(manifest[0].len, CHAOS_FILE as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

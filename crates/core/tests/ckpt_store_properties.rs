@@ -3,16 +3,13 @@
 //!
 //! The deterministic tests below are exhaustive where it matters — every
 //! single bit of a serialized checkpoint is flipped, every prefix
-//! truncation is tried, every byte of the manifest is perturbed — so the
-//! guarantee does not depend on sampling. The `proptest!` block then
+//! truncation is tried — so the guarantee does not depend on sampling. The `proptest!` block then
 //! widens the same properties over randomized snapshot contents.
 
 use ets_nn::EmaState;
 use ets_optim::OptimizerState;
-use ets_train::ckpt_store::{parse_manifest, render_manifest};
 use ets_train::{
-    crc32, CkptStore, CorruptionInjector, DurableSnapshot, EpochRecord, ManifestEntry, Progress,
-    TensorRecord,
+    CkptStore, CorruptionInjector, DurableSnapshot, EpochRecord, Progress, TensorRecord,
 };
 use proptest::prelude::*;
 
@@ -171,112 +168,19 @@ fn injector_corruption_never_loads_silently() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn manifest_round_trips_and_rejects_perturbations() {
-    let entries = vec![
-        ManifestEntry {
-            step: 8,
-            file: "ckpt-00000000000000000008.ets".to_string(),
-            len: 321,
-            crc: 0xDEAD_BEEF,
-        },
-        ManifestEntry {
-            step: 12,
-            file: "ckpt-00000000000000000012.ets".to_string(),
-            len: 123,
-            crc: 0x0000_0001,
-        },
-    ];
-    let text = render_manifest(&entries);
-    assert_eq!(parse_manifest(&text).unwrap(), entries, "round trip");
-
-    // Perturb every byte of the manifest: the parse must either fail or
-    // (for semantically inert bytes, e.g. trailing whitespace) return
-    // exactly the original entries — never silently different data.
-    let bytes = text.as_bytes();
-    for i in 0..bytes.len() {
-        let mut mutant = bytes.to_vec();
-        mutant[i] ^= 0x01;
-        match std::str::from_utf8(&mutant) {
-            Err(_) => {} // detected before parsing
-            Ok(s) => match parse_manifest(s) {
-                Err(_) => {}
-                Ok(parsed) => assert_eq!(
-                    parsed, entries,
-                    "byte {i} perturbation parsed to different entries"
-                ),
-            },
-        }
-    }
-}
-
-/// Manifest agrees with the directory and checks out against the actual
-/// file bytes.
-fn assert_manifest_describes(store: &CkptStore, expect: &[u64]) {
-    let manifest = store.read_manifest().unwrap().expect("manifest present");
-    let manifest_steps: Vec<u64> = manifest.iter().map(|e| e.step).collect();
-    assert_eq!(manifest_steps, expect);
-    for e in &manifest {
-        let bytes = std::fs::read(store.dir().join(&e.file)).unwrap();
-        assert_eq!(bytes.len() as u64, e.len);
-        assert_eq!(crc32(&bytes), e.crc);
-    }
-}
-
-/// A save carries the replaced manifest's entries forward instead of
-/// re-reading the files. When there is nothing intact to carry (the
-/// manifest was deleted or is corrupt) the entries are re-derived from
-/// disk, and a store reopened on the directory picks up where the last
-/// one stopped.
-#[test]
-fn lost_manifest_entries_are_rederived_and_retention_still_holds() {
-    type Damage = fn(&std::path::Path);
-    let damages: [(&str, Damage); 3] = [
-        ("reopened", |_| {}),
-        ("deleted", |dir| {
-            std::fs::remove_file(dir.join("MANIFEST")).unwrap()
-        }),
-        ("corrupt", |dir| {
-            let path = dir.join("MANIFEST");
-            let mut text = std::fs::read(&path).unwrap();
-            text[25] ^= 0x04;
-            std::fs::write(&path, text).unwrap();
-        }),
-    ];
-    for (tag, damage) in damages {
-        let dir = scratch_dir(&format!("rederive-{tag}"));
-        let store = CkptStore::open(&dir, 3).unwrap();
-        for step in [10u64, 20, 30] {
-            store.save(&snapshot(step, step)).unwrap();
-        }
-        drop(store);
-        damage(&dir);
-        let store = CkptStore::open(&dir, 3).unwrap();
-        assert_eq!(
-            store.read_manifest().ok().flatten().is_some(),
-            tag == "reopened",
-            "{tag}"
-        );
-        for (i, step) in [40u64, 50, 60, 70].into_iter().enumerate() {
-            store.save(&snapshot(step, step)).unwrap();
-            let all = [10u64, 20, 30, 40, 50, 60, 70];
-            let expect = &all[i + 1..i + 4];
-            assert_eq!(store.list_steps().unwrap(), expect, "{tag}");
-            assert_manifest_describes(&store, expect);
-        }
-        let (snap, report) = store.load_latest_valid().unwrap().unwrap();
-        assert_eq!((snap.progress.step, report.corrupt_skipped), (70, 0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
+/// Midway the store is dropped and reopened on its directory: the
+/// listing is the whole index, so retention carries on where it stopped.
 #[test]
 fn retention_keeps_exactly_the_newest_k() {
     for retain in 1..=4usize {
         let dir = scratch_dir(&format!("retain{retain}"));
-        let store = CkptStore::open(&dir, retain).unwrap();
+        let mut store = CkptStore::open(&dir, retain).unwrap();
         let steps: Vec<u64> = (1..=7).map(|i| i * 10).collect();
         for (i, &step) in steps.iter().enumerate() {
+            if i == 3 {
+                drop(store);
+                store = CkptStore::open(&dir, retain).unwrap();
+            }
             store.save(&snapshot(step, step)).unwrap();
             let expect: Vec<u64> = steps[..=i]
                 .iter()
@@ -286,12 +190,13 @@ fn retention_keeps_exactly_the_newest_k() {
                 .rev()
                 .collect();
             assert_eq!(store.list_steps().unwrap(), expect, "retain {retain}");
-            assert_manifest_describes(&store, &expect);
         }
         // Every retained checkpoint is still fully loadable.
         for step in store.list_steps().unwrap() {
             assert_eq!(store.load_step(step).unwrap().progress.step, step);
         }
+        let (snap, report) = store.load_latest_valid().unwrap().unwrap();
+        assert_eq!((snap.progress.step, report.corrupt_skipped), (70, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -314,17 +219,5 @@ proptest! {
         let bytes = snapshot(step, seed).to_bytes();
         let reparsed = DurableSnapshot::from_bytes(&bytes).unwrap();
         prop_assert_eq!(reparsed.to_bytes(), bytes);
-    }
-
-    #[test]
-    fn random_manifests_round_trip(n in 0usize..6, seed in 0u64..1000) {
-        let mut s = seed;
-        let entries: Vec<ManifestEntry> = (0..n).map(|i| ManifestEntry {
-            step: i as u64 * 3,
-            file: format!("ckpt-{i:020}.ets"),
-            len: splitmix(&mut s) % 100_000,
-            crc: splitmix(&mut s) as u32,
-        }).collect();
-        prop_assert_eq!(parse_manifest(&render_manifest(&entries)).unwrap(), entries);
     }
 }

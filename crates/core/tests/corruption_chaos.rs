@@ -182,7 +182,6 @@ fn quarantine_cascade_attributes_every_verdict_and_shrinks_the_world() {
     let _g = serial();
     let mut e = chaos_exp(4);
     e.corruption_policy = CorruptionPolicy::QuarantineImmediately;
-    e.scrub_after_resize = true;
     e.faults.events.push(flip(3, 3));
     let r = train(&e);
     let rec = &r.fault_recovery;
@@ -197,11 +196,6 @@ fn quarantine_cascade_attributes_every_verdict_and_shrinks_the_world() {
     assert_eq!(r.final_world, 1);
     assert!(rec.replayed_steps >= 3, "each eviction replays >= 1 step");
     assert!(rec.durable_checkpoints >= 1);
-    assert!(
-        rec.checkpoints_scrubbed >= 1,
-        "scrub_after_resize must audit the store on every shrink"
-    );
-    assert_eq!(rec.checkpoints_scrub_rejected, 0, "store is clean on disk");
     let worlds: Vec<(usize, usize)> = r
         .step_timeline
         .resizes
@@ -387,11 +381,11 @@ fn overlapped_retry_exhaustion_is_typed_on_all_ranks() {
     }
 }
 
-/// The four defense knobs default off.
+/// The three defense knobs default off.
 #[test]
 fn corruption_knobs_default_off() {
     let e = Experiment::proxy_default();
-    assert!(!e.fingerprint_verify && !e.abft_verify && !e.scrub_after_resize);
+    assert!(!e.fingerprint_verify && !e.abft_verify);
     assert_eq!(e.corruption_policy, CorruptionPolicy::RetryThenQuarantine);
     assert_eq!(CorruptionPolicy::RetryThenQuarantine.bucket_retries(), 1);
     assert_eq!(CorruptionPolicy::QuarantineImmediately.bucket_retries(), 0);
@@ -414,7 +408,6 @@ fn corruption_chaos_soak() {
         .unwrap_or(42);
 
     let mut e = abft_exp(world);
-    e.scrub_after_resize = true;
     let nominal = e.epochs * e.steps_per_epoch() as u64;
     let horizon_s = nominal as f64 * e.faults.virtual_step_seconds;
     e.faults = FaultPlan::generate_corruption(seed, world, horizon_s, 2, 2, 1);

@@ -165,11 +165,10 @@ pub trait Collective: Send + Sync {
     /// in [`Pieces`] (a `Vec<f32>` is one piece): every element becomes
     /// its [`Collective::all_reduce_sum`] × (1/size), bitwise, computed
     /// in one pass ([`CommHandle::all_reduce_mean_grid`]). A zero-length
-    /// payload is [`CollectiveError::EmptyPayload`]. Decorators (e.g.
-    /// [`crate::fault::FaultyCollective`]) inject transient failures
-    /// **before** the payload touches the transport, so a failed attempt
-    /// never partially mutates it and every rank observes the same
-    /// outcome (the SPMD contract holds).
+    /// payload is [`CollectiveError::EmptyPayload`]. The gradient
+    /// exchange injects its planned transient failures in front of this
+    /// call, so a failed attempt never reaches the transport and every
+    /// rank observes the same outcome (the SPMD contract holds).
     fn try_all_reduce_mean(&self, payload: &mut dyn Pieces) -> Result<(), CollectiveError>;
 
     /// Gathers every member's `local` into `out`, concatenated in rank

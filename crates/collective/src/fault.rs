@@ -15,14 +15,17 @@
 //!   schedule, which keeps fault injection SPMD-consistent (a rank that
 //!   fails alone would deadlock its peers inside a collective).
 //! - [`CollectiveError`] — typed errors for the fallible collective API
-//!   ([`Collective::try_all_reduce_mean`] and friends) instead of panics.
-//! - [`FaultyCollective`] — a decorator that wraps *any* backend and
-//!   injects scheduled transient failures into the fallible gradient
-//!   path, leaving the infallible paths (BN sync, eval, broadcast)
-//!   untouched.
+//!   ([`Collective::try_all_reduce_mean`](crate::Collective::try_all_reduce_mean)
+//!   and friends) instead of panics.
 //! - [`retry_collective`] — bounded retry with (virtual) exponential
 //!   backoff; exhaustion surfaces as a typed
 //!   [`CollectiveError::RetriesExhausted`], never a panic.
+//!
+//! The collectives themselves inject nothing. The schedule's transient
+//! failures and payload bit flips are injected by the one consumer they
+//! target, the trainer's bucketed gradient exchange (`GradBucket` in
+//! `ets-train`), inside the same retry that absorbs them; BN sync,
+//! evaluation, broadcasts and the weight copy never meet a fault.
 //!
 //! Determinism rules (enforced by the chaos harness in the workspace
 //! root):
@@ -37,21 +40,17 @@
 //!    the lost steps from a bit-exact snapshot reproduces the
 //!    uninterrupted trajectory exactly.
 
-use crate::backend::Collective;
-use crate::comm::Pieces;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Typed errors for the fallible collective API.
 // ---------------------------------------------------------------------------
 
-/// Typed failure of a collective operation. The infallible [`Collective`]
-/// methods keep their panic-on-misuse contract; the `try_*` methods
-/// return these instead so robustness layers (retry, fault injection)
-/// can react programmatically.
+/// Typed failure of a collective operation. The infallible
+/// [`Collective`](crate::Collective) methods keep their panic-on-misuse
+/// contract; the `try_*` methods return these instead so robustness
+/// layers (retry, fault injection) can react programmatically.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CollectiveError {
     /// A zero-length payload was handed to a payload-carrying op.
@@ -806,199 +805,9 @@ impl FaultSchedule {
     }
 }
 
-// ---------------------------------------------------------------------------
-// FaultyCollective: the decorator that injects scheduled failures.
-// ---------------------------------------------------------------------------
-
-/// Wraps any [`Collective`] backend and injects the schedule's transient
-/// failures into the **fallible** gradient path
-/// ([`Collective::try_all_reduce_mean`]). Infallible operations delegate
-/// untouched, so BN sync, distributed eval, and checkpoint broadcasts
-/// never see injected faults (they share the step's fate through the
-/// timing model instead).
-///
-/// Injection is symmetric: the schedule is a pure function of the plan,
-/// every rank holds the same one, and a failed attempt returns *before*
-/// touching the underlying communicator — so no rank ever enters a
-/// collective its peers skipped (which would deadlock).
-pub struct FaultyCollective {
-    inner: Box<dyn Collective>,
-    schedule: Arc<FaultSchedule>,
-    step: AtomicU64,
-    failed_attempts_this_step: AtomicU32,
-    injected_failures: AtomicU64,
-    /// Last step a payload bit flip was injected at on this rank
-    /// (`u64::MAX` = never). Flips are one-shot per scheduled step, so a
-    /// verified bucket retry re-runs the clean reduction and the
-    /// corrected trajectory is bitwise identical to the unfaulted one.
-    flip_done_step: AtomicU64,
-    injected_flips: AtomicU64,
-    /// Optional flight recorder; each successful exchange attempt records
-    /// a wall span on it. A disabled recorder makes every recording call a
-    /// cheap early-return, so fault-free hot paths pay nothing.
-    recorder: Option<Arc<ets_obs::Recorder>>,
-}
-
-impl FaultyCollective {
-    /// Decorates `inner` with the shared `schedule`.
-    pub fn new(inner: Box<dyn Collective>, schedule: Arc<FaultSchedule>) -> Self {
-        FaultyCollective {
-            inner,
-            schedule,
-            step: AtomicU64::new(0),
-            failed_attempts_this_step: AtomicU32::new(0),
-            injected_failures: AtomicU64::new(0),
-            flip_done_step: AtomicU64::new(u64::MAX),
-            injected_flips: AtomicU64::new(0),
-            recorder: None,
-        }
-    }
-
-    /// Attaches a flight recorder: every exchange attempt that reaches the
-    /// inner communicator records a [`ets_obs::phase::RETRY_ATTEMPT`] span
-    /// on [`ets_obs::Lane::WallCollective`] (aux = attempt number).
-    pub fn attach_recorder(&mut self, rec: Arc<ets_obs::Recorder>) {
-        self.recorder = Some(rec);
-    }
-
-    /// Advances the injector's step clock (call once per training step,
-    /// on every rank, before the gradient exchange).
-    pub fn set_step(&self, step: u64) {
-        self.step.store(step, Ordering::Relaxed);
-        self.failed_attempts_this_step.store(0, Ordering::Relaxed);
-    }
-
-    /// Total transient failures injected so far on this rank.
-    pub fn injected_failures(&self) -> u64 {
-        self.injected_failures.load(Ordering::Relaxed)
-    }
-
-    /// Total payload bit flips injected so far on this rank.
-    pub fn injected_payload_flips(&self) -> u64 {
-        self.injected_flips.load(Ordering::Relaxed)
-    }
-
-    /// The shared schedule.
-    pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
-    }
-}
-
-impl Collective for FaultyCollective {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-    fn backend(&self) -> crate::backend::Backend {
-        self.inner.backend()
-    }
-    fn all_reduce_sum(&self, buf: &mut [f32]) {
-        self.inner.all_reduce_sum(buf);
-    }
-    fn all_gather(&self, local: &[f32], out: &mut Vec<f32>) {
-        self.inner.all_gather(local, out);
-    }
-    /// Passes through: faults target the gradient exchange.
-    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize], root: Option<usize>) {
-        self.inner.all_gather_in_place(payload, cuts, root);
-    }
-    fn broadcast(&self, buf: &mut [f32], root: usize) {
-        self.inner.broadcast(buf, root);
-    }
-    fn barrier(&self) {
-        self.inner.barrier();
-    }
-    fn stats(&self) -> crate::backend::CollectiveStats {
-        self.inner.stats()
-    }
-    fn scratch_reallocs(&self) -> u64 {
-        self.inner.scratch_reallocs()
-    }
-
-    fn try_all_reduce_mean(&self, payload: &mut dyn Pieces) -> Result<(), CollectiveError> {
-        let step = self.step.load(Ordering::Relaxed);
-        let planned = self.schedule.transient_failures_at(step);
-        let failed = self.failed_attempts_this_step.load(Ordering::Relaxed);
-        if failed < planned {
-            // Fail BEFORE touching the payload or the inner communicator:
-            // every rank takes this branch for the same attempt, so the
-            // group stays in lockstep.
-            self.failed_attempts_this_step
-                .store(failed + 1, Ordering::Relaxed);
-            self.injected_failures.fetch_add(1, Ordering::Relaxed);
-            return Err(CollectiveError::Transient {
-                op: "all_reduce_mean",
-                step,
-                attempt: failed + 1,
-            });
-        }
-        let result = if let Some(rec) = &self.recorder {
-            let _span = rec.wall_span(
-                ets_obs::Lane::WallCollective,
-                ets_obs::phase::RETRY_ATTEMPT,
-                step,
-                (failed + 1) as u64,
-            );
-            self.inner.try_all_reduce_mean(payload)
-        } else {
-            self.inner.try_all_reduce_mean(payload)
-        };
-        if result.is_ok() {
-            self.maybe_flip_payload(step, payload);
-        }
-        result
-    }
-}
-
-impl FaultyCollective {
-    /// Applies the step's scheduled [`FaultKind::PayloadBitFlip`] to this
-    /// rank's copy of the *reduced* payload — receive-side silent data
-    /// corruption. Asymmetric by design: only the scheduled rank (modulo
-    /// the surviving world) mutates its copy. Without the fingerprint
-    /// defense nothing detects it. If the flip lands in a parameter that
-    /// rank owns in the trainer's sharded update, the rank's update reads
-    /// it and the copy carries the corrupted weights into every peer, so
-    /// the replicas still agree. A flip in a parameter a peer owns
-    /// reaches no weight: the optimizer never reads it there, and the
-    /// owner's new weights are copied over that rank's. The flipped
-    /// element is `element` modulo the payload
-    /// length, counted across the pieces in order. One-shot per scheduled
-    /// step: a verified retry of the bucket re-runs the clean reduction.
-    fn maybe_flip_payload(&self, step: u64, payload: &mut dyn Pieces) {
-        let Some((rank, element, bit)) = self.schedule.payload_flip_at(step) else {
-            return;
-        };
-        if rank % self.inner.size() != self.inner.rank() {
-            return;
-        }
-        let len = payload.elems();
-        if len == 0 || self.flip_done_step.load(Ordering::Relaxed) == step {
-            return;
-        }
-        self.flip_done_step.store(step, Ordering::Relaxed);
-        let mut left = Some(element as usize % len);
-        payload.for_each_piece(&mut |piece| {
-            if let Some(i) = left {
-                match piece.get_mut(i) {
-                    Some(v) => {
-                        *v = f32::from_bits(v.to_bits() ^ (1u32 << bit));
-                        left = None;
-                    }
-                    None => left = Some(i - piece.len()),
-                }
-            }
-        });
-        self.injected_flips.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{create_collective, Backend};
-    use std::thread;
 
     #[test]
     fn plan_generation_is_deterministic() {
@@ -1149,50 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_collective_injects_then_recovers_bitwise() {
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                at_s: 0.0,
-                duration_s: 0.0,
-                kind: FaultKind::TransientCollective { failures: 2 },
-            }],
-            ..FaultPlan::default()
-        };
-        let sched = Arc::new(plan.compile(4));
-        let world = create_collective(Backend::Tree, 3);
-        let joins: Vec<_> = world
-            .into_iter()
-            .map(|c| {
-                let sched = Arc::clone(&sched);
-                thread::spawn(move || {
-                    let fc = FaultyCollective::new(c, sched);
-                    let policy = RetryPolicy::default();
-                    let mut outs = Vec::new();
-                    for step in 0..2u64 {
-                        fc.set_step(step);
-                        let mut buf = vec![fc.rank() as f32 + 1.0, 2.0];
-                        let out =
-                            retry_collective(&policy, || fc.try_all_reduce_mean(&mut buf)).unwrap();
-                        outs.push((buf, out.attempts));
-                    }
-                    (outs, fc.injected_failures())
-                })
-            })
-            .collect();
-        let results: Vec<_> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-        for (outs, injected) in &results {
-            // Step 0 needed 3 attempts (2 injected failures), step 1 none.
-            assert_eq!(outs[0].1, 3);
-            assert_eq!(outs[1].1, 1);
-            assert_eq!(*injected, 2);
-            // Payloads are unperturbed: (1+2+3)/3 = 2 and 3×2/3 = 2.
-            assert_eq!(outs[0].0, vec![2.0, 2.0]);
-            assert_eq!(outs[1].0, vec![2.0, 2.0]);
-        }
-        assert_eq!(results[0].0, results[1].0, "ranks diverged");
-    }
-
-    #[test]
     fn schedule_is_identical_across_compiles() {
         let plan = FaultPlan::generate(7, 4, 12.0, 4);
         assert_eq!(plan.compile(12), plan.compile(12));
@@ -1310,184 +1075,6 @@ mod tests {
         assert!(sched.has_corruption());
         assert!(!sched.is_empty());
         assert!(!plan.is_timing_only());
-    }
-
-    #[test]
-    fn payload_flip_is_asymmetric_and_one_shot() {
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                at_s: 0.0,
-                duration_s: 0.0,
-                kind: FaultKind::PayloadBitFlip {
-                    rank: 1,
-                    at_step: 0,
-                    element: 0,
-                    bit: 30,
-                },
-            }],
-            ..FaultPlan::default()
-        };
-        let sched = Arc::new(plan.compile(4));
-        let world = create_collective(Backend::Tree, 3);
-        let joins: Vec<_> = world
-            .into_iter()
-            .map(|c| {
-                let sched = Arc::clone(&sched);
-                thread::spawn(move || {
-                    let fc = FaultyCollective::new(c, sched);
-                    fc.set_step(0);
-                    let mut buf = vec![1.0f32, 2.0];
-                    fc.try_all_reduce_mean(&mut buf).unwrap();
-                    let first = buf.clone();
-                    // Retry of the same bucket at the same step: flip
-                    // must NOT re-fire, so the retried reduction is clean.
-                    let mut buf2 = vec![1.0f32, 2.0];
-                    fc.try_all_reduce_mean(&mut buf2).unwrap();
-                    (fc.rank(), first, buf2, fc.injected_payload_flips())
-                })
-            })
-            .collect();
-        let mut results: Vec<_> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-        results.sort_by_key(|r| r.0);
-        for (rank, first, retried, flips) in &results {
-            assert_eq!(*retried, vec![1.0, 2.0], "rank {rank} retry not clean");
-            if *rank == 1 {
-                assert_ne!(*first, vec![1.0, 2.0], "rank 1 payload must be flipped");
-                assert_eq!(*flips, 1);
-            } else {
-                assert_eq!(*first, vec![1.0, 2.0], "rank {rank} must stay clean");
-                assert_eq!(*flips, 0);
-            }
-        }
-    }
-
-    /// A payload held as separate vectors, some of them empty.
-    struct Parts(Vec<Vec<f32>>);
-
-    // SAFETY: the pieces are the vectors' buffers, which `&mut self`
-    // keeps from being resized or freed.
-    unsafe impl Pieces for Parts {
-        fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-            for part in &mut self.0 {
-                f(part);
-            }
-        }
-    }
-
-    #[test]
-    fn payload_flip_hits_the_element_index_across_pieces() {
-        // Element 13 of a 10-element payload is index 3, the index a
-        // contiguous payload of that length is flipped at. Held as pieces
-        // of 3, 0, 4 and 3 elements, that is the first of the third piece.
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                at_s: 0.0,
-                duration_s: 0.0,
-                kind: FaultKind::PayloadBitFlip {
-                    rank: 1,
-                    at_step: 0,
-                    element: 13,
-                    bit: 30,
-                },
-            }],
-            ..FaultPlan::default()
-        };
-        let sched = Arc::new(plan.compile(1));
-        let joins: Vec<_> = create_collective(Backend::Tree, 2)
-            .into_iter()
-            .map(|c| {
-                let sched = Arc::clone(&sched);
-                thread::spawn(move || {
-                    let fc = FaultyCollective::new(c, sched);
-                    let payload: Vec<f32> = (0..10).map(|i| i as f32 + 0.5).collect();
-                    let mut parts = Parts(
-                        [0..3, 3..3, 3..7, 7..10]
-                            .into_iter()
-                            .map(|r| payload[r].to_vec())
-                            .collect(),
-                    );
-                    fc.try_all_reduce_mean(&mut parts).unwrap();
-                    parts.0.concat()
-                })
-            })
-            .collect();
-        let results: Vec<Vec<f32>> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-        let clean: Vec<f32> = (0..10).map(|i| i as f32 + 0.5).collect();
-        assert_eq!(results[0], clean, "rank 0 is not flipped");
-        for (i, (got, want)) in results[1].iter().zip(&clean).enumerate() {
-            let flipped = if i == 3 { 1 << 30 } else { 0 };
-            assert_eq!(got.to_bits(), want.to_bits() ^ flipped, "element {i}");
-        }
-    }
-
-    #[test]
-    fn a_copy_into_one_root_passes_through_and_leaves_the_peers_alone() {
-        // The plan flips rank 1's payload and fails two collectives at
-        // step 0. Both target the gradient exchange, so a copy into rank
-        // 0 alone passes through them. Three ranks with pieces like the
-        // flip test's and uneven shares, rank 1's empty: rank 0 returns
-        // holding every owner's share, and the other payloads keep every
-        // bit.
-        let events = [
-            FaultKind::PayloadBitFlip {
-                rank: 1,
-                at_step: 0,
-                element: 5,
-                bit: 30,
-            },
-            FaultKind::TransientCollective { failures: 2 },
-        ];
-        let plan = FaultPlan {
-            events: events
-                .map(|kind| FaultEvent {
-                    at_s: 0.0,
-                    duration_s: 0.0,
-                    kind,
-                })
-                .to_vec(),
-            ..FaultPlan::default()
-        };
-        let sched = Arc::new(plan.compile(1));
-        let cuts = [0, 4, 4, 10];
-        let payload =
-            |rank: usize| -> Vec<f32> { (0..10).map(|i| (100 * rank + i) as f32 + 0.25).collect() };
-        let joins: Vec<_> = create_collective(Backend::Tree, 3)
-            .into_iter()
-            .map(|c| {
-                let sched = Arc::clone(&sched);
-                thread::spawn(move || {
-                    let fc = FaultyCollective::new(c, sched);
-                    fc.set_step(0);
-                    let mine = payload(fc.rank());
-                    let mut parts = Parts(
-                        [0..3, 3..3, 3..7, 7..10]
-                            .into_iter()
-                            .map(|r| mine[r].to_vec())
-                            .collect(),
-                    );
-                    fc.all_gather_in_place(&mut parts, &cuts, Some(0));
-                    let stats = fc.stats();
-                    (
-                        parts.0.concat(),
-                        stats.all_gather_calls,
-                        fc.injected_failures(),
-                    )
-                })
-            })
-            .collect();
-        let owner = |i| cuts.partition_point(|&c| c <= i) - 1;
-        let gathered: Vec<f32> = (0..10).map(|i| payload(owner(i))[i]).collect();
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (rank, join) in joins.into_iter().enumerate() {
-            let (got, calls, injected) = join.join().unwrap();
-            let want = if rank == 0 {
-                gathered.clone()
-            } else {
-                payload(rank)
-            };
-            assert_eq!(bits(&got), bits(&want), "rank {rank}");
-            assert_eq!((calls, injected), (1, 0), "rank {rank}");
-        }
     }
 
     #[test]

@@ -28,8 +28,7 @@ pub use cost::{
     bn_sync_time, gradient_bytes, torus_all_reduce_time, LinkSpec, Schedule, TPU_V3_LINK,
 };
 pub use fault::{
-    retry_collective, CollectiveError, FaultEvent, FaultKind, FaultPlan, FaultSchedule,
-    FaultyCollective, RetryPolicy,
+    retry_collective, CollectiveError, FaultEvent, FaultKind, FaultPlan, FaultSchedule, RetryPolicy,
 };
 pub use group::{bn_batch_size, bn_partition, GroupSpec};
 pub use topology::{canonical_grid, SliceShape, CORES_PER_CHIP};

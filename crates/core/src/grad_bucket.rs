@@ -49,25 +49,48 @@
 //!
 //! Healing: the local contribution is snapshotted before the reduce, so
 //! a corrupt verdict restores it into the pieces and re-runs the bucket's
-//! collective — the injector (like a real SDC) is one-shot, so the retry
-//! reproduces the clean bytes bitwise. Retries exhausted surfaces a typed
-//! [`CollectiveError::CorruptPayload`] carrying the attributed rank, on
-//! every rank, and the trainer quarantines through the elastic-resize
-//! path.
+//! collective — the injected flip (like a real SDC) is one-shot, so the
+//! retry reproduces the clean bytes bitwise. Retries exhausted surfaces a
+//! typed [`CollectiveError::CorruptPayload`] carrying the attributed
+//! rank, on every rank, and the trainer quarantines through the
+//! elastic-resize path.
 //!
 //! ## One bucket exchange
 //!
-//! Retry → fingerprint → verified retry → typed error → span is one
-//! function, `BucketExchange::exchange_bucket`. The serialized
+//! Inject → retry → fingerprint → verified retry → typed error → span is
+//! one function, `BucketExchange::exchange_bucket`. The serialized
 //! [`GradBucket::all_reduce_with_retry`] calls it inline per bucket, with
 //! the pieces taken from the model; the overlapped
 //! [`GradBucket::backward_overlapped_with_retry`] calls it on its
 //! communication thread, with the pieces taken from the finished layers
 //! backward lends that thread. Same bits, same counters.
+//!
+//! ## Fault injection
+//!
+//! The gradient exchange is the only target of the plan's collective
+//! faults, so it injects them itself, inside the retry that absorbs them
+//! ([`GradBucket::set_faults`] hands it the compiled [`FaultSchedule`];
+//! [`GradBucket::set_step`] is its step clock). Three rules:
+//!
+//! - **Transients** fail the first attempts of their step on every rank
+//!   with [`CollectiveError::Transient`], before the payload reaches the
+//!   communicator, so the ranks stay in lockstep and no payload bit
+//!   moves. The count is per step, across buckets, and `set_step`
+//!   resets it, so a replayed step fails again.
+//! - **A payload flip** hits rank `rank % world` on the first successful
+//!   mean of its step: element `element mod len`, counted across the
+//!   bucket's pieces. It does not fire again while the last step it fired
+//!   at is that step, so neither a verified retry nor an immediate replay
+//!   of the step flips again.
+//! - **Spans**: each attempt that reaches the communicator records a
+//!   [`obs_phase::RETRY_ATTEMPT`] span on [`Lane::WallCollective`] (aux =
+//!   attempt number), and only under a plan.
 
 use crate::report::{Fingerprint, RecoveryCounters};
 use crate::timeline::{AllReduceProfile, Stopwatch};
-use ets_collective::{retry_collective, Collective, CollectiveError, Pieces, RetryPolicy};
+use ets_collective::{
+    retry_collective, Collective, CollectiveError, FaultSchedule, Pieces, RetryPolicy,
+};
 use ets_nn::{HookedBackward, Layer};
 use ets_obs::{phase as obs_phase, Lane, Recorder};
 use ets_tensor::Tensor;
@@ -217,15 +240,14 @@ unsafe impl Pieces for BucketPieces<'_, '_> {
 /// serialized [`GradBucket::all_reduce_with_retry`] on the replica thread
 /// and [`GradBucket::backward_overlapped_with_retry`] on its communication
 /// thread — run each bucket through [`BucketExchange::exchange_bucket`],
-/// so they retry, verify, heal, fail and record identically.
+/// so they inject, retry, verify, heal, fail and record identically.
 struct BucketExchange {
     /// Optional flight recorder: per-bucket wall spans on
-    /// [`Lane::WallBucket`] (aux = bucket index). Disabled recorders cost
-    /// one branch.
+    /// [`Lane::WallBucket`] (aux = bucket index), and the attempt spans of
+    /// a plan. Disabled recorders cost one branch.
     recorder: Option<Arc<Recorder>>,
-    /// Step used to tag recorded bucket spans (set via
-    /// [`GradBucket::set_step`]; purely observational). Also stamps
-    /// [`CollectiveError::CorruptPayload`] when fingerprinting trips.
+    /// The step clock ([`GradBucket::set_step`]): keys the plan's faults,
+    /// tags recorded spans and stamps [`CollectiveError::CorruptPayload`].
     step: u64,
     /// Cross-rank fingerprint verification of every reduced bucket
     /// (module docs). Off by default: clean paths pay nothing.
@@ -233,27 +255,33 @@ struct BucketExchange {
     /// Bucket retries granted on a corrupt verdict before surfacing
     /// [`CollectiveError::CorruptPayload`].
     corruption_retries: u32,
+    /// The run's fault plan (module docs), set only for a non-empty one.
+    faults: Option<Arc<FaultSchedule>>,
 }
 
 impl BucketExchange {
     /// Replaces bucket `i`'s `pieces` by their group mean and returns the
     /// wall seconds it took. Transient collective failures are retried
-    /// under the policy (the backoff is virtual: accounted into
-    /// `counters`, never slept). With fingerprints on, the local
-    /// contribution is snapshotted first, a corrupt verdict restores it
-    /// and re-runs the collective, and a verdict past the granted retries
-    /// is the typed [`CollectiveError::CorruptPayload`]. A failed bucket
-    /// records no span.
+    /// under the plan's policy, or the default one without a plan (the
+    /// backoff is virtual: accounted into `counters`, never slept). With
+    /// fingerprints on, the local contribution is snapshotted first, a
+    /// corrupt verdict restores it and re-runs the collective, and a
+    /// verdict past the granted retries is the typed
+    /// [`CollectiveError::CorruptPayload`]. A failed bucket records no
+    /// bucket span.
     fn exchange_bucket(
         &self,
         comm: &dyn Collective,
-        policy: &RetryPolicy,
         i: usize,
         pieces: &mut dyn Pieces,
-        scratch: &mut FingerprintScratch,
+        scratch: &mut ExchangeScratch,
         counters: &mut RecoveryCounters,
     ) -> Result<f64, CollectiveError> {
         let mut sw = Stopwatch::start();
+        let policy = self
+            .faults
+            .as_ref()
+            .map_or_else(RetryPolicy::default, |f| f.retry());
         let cs_local = if self.fingerprint {
             let snapshot = &mut scratch.snapshot;
             snapshot.clear();
@@ -265,7 +293,7 @@ impl BucketExchange {
         let mut attempts_left = self.corruption_retries;
         let mut detected_here = 0u64;
         loop {
-            let outcome = retry_collective(policy, || comm.try_all_reduce_mean(pieces))?;
+            let outcome = retry_collective(&policy, || self.attempt(comm, pieces, scratch))?;
             let retries = (outcome.attempts - 1) as u64;
             counters.transient_failures += retries;
             counters.collective_retries += retries;
@@ -311,18 +339,77 @@ impl BucketExchange {
         }
         Ok(dur)
     }
+
+    /// One attempt at the bucket's mean, with the plan's faults injected
+    /// by the rules of the module docs.
+    fn attempt(
+        &self,
+        comm: &dyn Collective,
+        pieces: &mut dyn Pieces,
+        scratch: &mut ExchangeScratch,
+    ) -> Result<(), CollectiveError> {
+        let Some(faults) = &self.faults else {
+            return comm.try_all_reduce_mean(pieces);
+        };
+        let step = self.step;
+        if scratch.failed < faults.transient_failures_at(step) {
+            scratch.failed += 1;
+            return Err(CollectiveError::Transient {
+                op: "all_reduce_mean",
+                step,
+                attempt: scratch.failed,
+            });
+        }
+        {
+            let attempt = u64::from(scratch.failed + 1);
+            let _span = self.recorder.as_ref().map(|rec| {
+                rec.wall_span(
+                    Lane::WallCollective,
+                    obs_phase::RETRY_ATTEMPT,
+                    step,
+                    attempt,
+                )
+            });
+            comm.try_all_reduce_mean(pieces)?;
+        }
+        let Some((rank, element, bit)) = faults.payload_flip_at(step) else {
+            return Ok(());
+        };
+        let len = pieces.elems();
+        if rank % comm.size() != comm.rank() || len == 0 || scratch.flipped_at == Some(step) {
+            return Ok(());
+        }
+        scratch.flipped_at = Some(step);
+        let mut left = Some(element as usize % len);
+        pieces.for_each_piece(&mut |piece| {
+            if let Some(i) = left {
+                match piece.get_mut(i) {
+                    Some(v) => {
+                        *v = f32::from_bits(v.to_bits() ^ (1u32 << bit));
+                        left = None;
+                    }
+                    None => left = Some(i - piece.len()),
+                }
+            }
+        });
+        Ok(())
+    }
 }
 
-/// What a fingerprinted exchange keeps between buckets and steps so the
-/// steady state allocates nothing. One set serves both callers: buckets
-/// are exchanged one at a time, also on the communication thread.
+/// What the exchange keeps between buckets and steps, so the steady state
+/// allocates nothing. One set serves both callers: buckets are exchanged
+/// one at a time, also on the communication thread.
 #[derive(Default)]
-struct FingerprintScratch {
+struct ExchangeScratch {
     /// The local contribution of the bucket in flight, with the capacity
     /// of the longest bucket (none while fingerprints are off).
     snapshot: Vec<f32>,
     /// The gathered fingerprint records.
     gathered: Vec<f32>,
+    /// Planned transient failures injected at the current step.
+    failed: u32,
+    /// The last step a payload flip fired at on this rank.
+    flipped_at: Option<u64>,
 }
 
 /// Persistent state for the bucketized gradient exchange.
@@ -338,10 +425,10 @@ pub struct GradBucket {
     /// Accumulated per-bucket timing (the report's view of the recorder's
     /// wall-bucket lane; both are fed from the same stopwatch laps).
     profile: AllReduceProfile,
-    /// Recorder, step tag and verification settings of the one bucket
-    /// exchange.
+    /// Recorder, step clock, fault plan and verification settings of the
+    /// one bucket exchange.
     exchange: BucketExchange,
-    fingerprint_scratch: FingerprintScratch,
+    scratch: ExchangeScratch,
 }
 
 impl GradBucket {
@@ -375,8 +462,9 @@ impl GradBucket {
                 step: 0,
                 fingerprint: false,
                 corruption_retries: 1,
+                faults: None,
             },
-            fingerprint_scratch: FingerprintScratch::default(),
+            scratch: ExchangeScratch::default(),
         }
     }
 
@@ -388,7 +476,7 @@ impl GradBucket {
         self.exchange.fingerprint = on;
         self.exchange.corruption_retries = bucket_retries;
         let longest = self.buckets.iter().map(|&(a, b)| b - a).max().unwrap_or(0);
-        self.fingerprint_scratch.snapshot = Vec::with_capacity(if on { longest } else { 0 });
+        self.scratch.snapshot = Vec::with_capacity(if on { longest } else { 0 });
     }
 
     /// Attaches a flight recorder; subsequent exchanges emit per-bucket
@@ -397,10 +485,20 @@ impl GradBucket {
         self.exchange.recorder = Some(rec);
     }
 
-    /// Tags future recorded bucket spans with `step` (call alongside the
-    /// fault injector's step clock; has no effect on numerics).
+    /// Hands the exchange the run's compiled fault plan: from now on it
+    /// injects the plan's transient failures and payload flips and
+    /// retries under its policy (module docs).
+    pub fn set_faults(&mut self, faults: Arc<FaultSchedule>) {
+        self.exchange.faults = Some(faults);
+    }
+
+    /// The exchange's step clock: call once per training step, on every
+    /// rank, before the first bucket can go. It keys the plan's faults,
+    /// tags recorded spans and stamps a corrupt verdict, and restarts the
+    /// step's count of injected failures.
     pub fn set_step(&mut self, step: u64) {
         self.exchange.step = step;
+        self.scratch.failed = 0;
     }
 
     /// Total elements of the exchange payload (params + loss scalar), as
@@ -464,21 +562,15 @@ impl GradBucket {
         local_loss: f32,
     ) -> f32 {
         let mut counters = RecoveryCounters::default();
-        self.all_reduce_with_retry(
-            model,
-            comm,
-            local_loss,
-            &RetryPolicy::default(),
-            &mut counters,
-        )
-        .expect("gradient all-reduce failed permanently")
+        self.all_reduce_with_retry(model, comm, local_loss, &mut counters)
+            .expect("gradient all-reduce failed permanently")
     }
 
     /// The fallible gradient exchange: identical reduction to
     /// [`GradBucket::all_reduce`] (bitwise — a successful attempt computes
-    /// the same bytes), but transient collective failures are absorbed by
-    /// bounded retry with virtual exponential backoff, accounted into
-    /// `counters`. Exhausting the retry budget (or a permanent error)
+    /// the same bytes), but transient collective failures, injected ones
+    /// included, are absorbed by bounded retry with virtual exponential
+    /// backoff, accounted into `counters`. Exhausting the retry budget (or a permanent error)
     /// surfaces as a typed [`CollectiveError`] instead of a panic; the
     /// gradients then hold a partial exchange, which the caller discards
     /// (the trainer rewinds or stops).
@@ -491,7 +583,6 @@ impl GradBucket {
         model: &mut dyn Layer,
         comm: &dyn Collective,
         local_loss: f32,
-        policy: &RetryPolicy,
         counters: &mut RecoveryCounters,
     ) -> Result<f32, CollectiveError> {
         self.check_registration(model);
@@ -507,10 +598,10 @@ impl GradBucket {
                 loss: &mut self.loss,
                 loss_at,
             };
-            let scratch = &mut self.fingerprint_scratch;
-            let dur =
-                self.exchange
-                    .exchange_bucket(comm, policy, i, &mut pieces, scratch, counters)?;
+            let scratch = &mut self.scratch;
+            let dur = self
+                .exchange
+                .exchange_bucket(comm, i, &mut pieces, scratch, counters)?;
             self.profile.bucket_seconds[i] += dur;
             self.profile.exposed_seconds += dur;
         }
@@ -552,7 +643,6 @@ impl GradBucket {
         dlogits: &Tensor,
         comm: &dyn Collective,
         local_loss: f32,
-        policy: &RetryPolicy,
         counters: &mut RecoveryCounters,
     ) -> Result<OverlapOutcome, CollectiveError> {
         self.loss = local_loss;
@@ -560,7 +650,7 @@ impl GradBucket {
         let buckets = &self.buckets;
         let param_sizes = &self.param_sizes;
         let exchange = &self.exchange;
-        let scratch = &mut self.fingerprint_scratch;
+        let scratch = &mut self.scratch;
         let loss = &mut self.loss;
 
         let mut sw = Stopwatch::start();
@@ -595,14 +685,8 @@ impl GradBucket {
                             loss: &mut *loss,
                             loss_at,
                         };
-                        let dur = exchange.exchange_bucket(
-                            comm,
-                            policy,
-                            i,
-                            &mut pieces,
-                            scratch,
-                            counters,
-                        )?;
+                        let dur =
+                            exchange.exchange_bucket(comm, i, &mut pieces, scratch, counters)?;
                         done.push((i, dur));
                         hook_shipped += u64::from(boundary < loss_at);
                         // Layers wholly above the next bucket are done with.
@@ -675,7 +759,7 @@ impl GradBucket {
     }
 
     /// Infallible wrapper over [`GradBucket::backward_overlapped_with_retry`]
-    /// with the default retry policy (for tests and fault-free callers).
+    /// (for tests and fault-free callers).
     pub fn backward_overlapped(
         &mut self,
         model: &mut dyn HookedBackward,
@@ -684,15 +768,8 @@ impl GradBucket {
         local_loss: f32,
     ) -> OverlapOutcome {
         let mut counters = RecoveryCounters::default();
-        self.backward_overlapped_with_retry(
-            model,
-            dlogits,
-            comm,
-            local_loss,
-            &RetryPolicy::default(),
-            &mut counters,
-        )
-        .expect("overlapped gradient exchange failed permanently")
+        self.backward_overlapped_with_retry(model, dlogits, comm, local_loss, &mut counters)
+            .expect("overlapped gradient exchange failed permanently")
     }
 }
 
@@ -714,7 +791,7 @@ pub struct OverlapOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ets_collective::{create_collective, Backend};
+    use ets_collective::{create_collective, Backend, FaultEvent, FaultKind, FaultPlan};
     use ets_efficientnet::EfficientNet;
     use ets_efficientnet::ModelConfig;
     use ets_nn::Precision;
@@ -760,26 +837,20 @@ mod tests {
         delay_ms: u64,
         fingerprint: bool,
     ) -> ExchangeBits {
-        use ets_collective::{FaultEvent, FaultKind, FaultPlan, FaultyCollective};
         if delay_ms > 0 {
             thread::sleep(std::time::Duration::from_millis(delay_ms));
         }
-        let flip = FaultEvent {
-            at_s: 0.0,
-            duration_s: 0.0,
-            kind: FaultKind::PayloadBitFlip {
-                rank: 1,
-                at_step: 0,
-                element: 0,
-                bit: 30,
-            },
+        let flip = FaultKind::PayloadBitFlip {
+            rank: 1,
+            at_step: 0,
+            element: 0,
+            bit: 30,
         };
-        let plan = FaultPlan {
-            events: if fingerprint { vec![flip] } else { Vec::new() },
-            ..FaultPlan::default()
+        let plan = if fingerprint {
+            at_step_0(flip)
+        } else {
+            FaultPlan::default()
         };
-        let c = FaultyCollective::new(c, Arc::new(plan.compile(1)));
-        c.set_step(0);
         let mut m = tiny_model(7);
         let bucket_elems = if bucket_elems == 0 {
             let mut n = 0usize;
@@ -797,17 +868,17 @@ mod tests {
         let labels = [c.rank() % 4, (c.rank() + 1) % 4];
         let out = ets_nn::cross_entropy(&y, &labels, 0.1);
         let mut gb = GradBucket::with_bucket_elems(&mut m, bucket_elems);
+        gb.set_faults(Arc::new(plan.compile(1)));
+        gb.set_step(0);
         gb.set_fingerprint_verify(fingerprint, 1);
-        let policy = RetryPolicy::default();
         let mut counters = RecoveryCounters::default();
         let (loss, dx) = if overlapped {
             let o = gb
                 .backward_overlapped_with_retry(
                     &mut m,
                     &out.dlogits,
-                    &c,
+                    c.as_ref(),
                     out.loss,
-                    &policy,
                     &mut counters,
                 )
                 .expect("overlapped exchange heals");
@@ -821,7 +892,7 @@ mod tests {
         } else {
             let dx = m.backward(&out.dlogits);
             let loss = gb
-                .all_reduce_with_retry(&mut m, &c, out.loss, &policy, &mut counters)
+                .all_reduce_with_retry(&mut m, c.as_ref(), out.loss, &mut counters)
                 .expect("serialized exchange heals");
             (loss, dx)
         };
@@ -1087,5 +1158,211 @@ mod tests {
         let mut world = create_collective(Backend::Tree, 1);
         let c = world.pop().unwrap();
         let _ = gb.all_reduce(&mut b, c.as_ref(), 0.0);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A plan of one `kind` at step 0 (the default one-second step clock).
+    fn at_step_0(kind: FaultKind) -> FaultPlan {
+        FaultPlan {
+            events: vec![FaultEvent {
+                at_s: 0.0,
+                duration_s: 0.0,
+                kind,
+            }],
+            ..FaultPlan::default()
+        }
+    }
+
+    /// Runs `f` on every rank of a `world`-rank `backend` world; the
+    /// results in rank order.
+    fn on_ranks<T: Send + 'static>(
+        backend: Backend,
+        world: usize,
+        f: impl Fn(&dyn Collective) -> T + Clone + Send + 'static,
+    ) -> Vec<T> {
+        let joins: Vec<_> = create_collective(backend, world)
+            .into_iter()
+            .map(|c| {
+                let f = f.clone();
+                thread::spawn(move || f(c.as_ref()))
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().unwrap()).collect()
+    }
+
+    /// What one exchange of `exchanges` leaves: the gradient bits, the
+    /// mean loss bits or the error, and the counters so far.
+    type Exchanged = (Vec<u32>, Result<u32, CollectiveError>, RecoveryCounters);
+
+    /// This rank's serialized exchanges of the `fill_grads` pattern (loss:
+    /// rank + 1) in buckets of `bucket_elems`, under `faults` if given: one
+    /// per entry of `steps`, each after `set_step` where it is `Some`.
+    fn exchanges(
+        c: &dyn Collective,
+        bucket_elems: usize,
+        faults: Option<&Arc<FaultSchedule>>,
+        steps: &[Option<u64>],
+    ) -> Vec<Exchanged> {
+        let mut m = tiny_model(1);
+        let mut gb = GradBucket::with_bucket_elems(&mut m, bucket_elems);
+        if let Some(f) = faults {
+            gb.set_faults(Arc::clone(f));
+        }
+        let mut counters = RecoveryCounters::default();
+        let mut exchange = |step: Option<u64>| {
+            if let Some(s) = step {
+                gb.set_step(s);
+            }
+            fill_grads(&mut m, c.rank());
+            let loss = gb.all_reduce_with_retry(&mut m, c, (c.rank() + 1) as f32, &mut counters);
+            (bits(&grads_of(&mut m)), loss.map(f32::to_bits), counters)
+        };
+        steps.iter().map(|&step| exchange(step)).collect()
+    }
+
+    /// This rank's exchange of the same pattern with no plan.
+    fn clean(c: &dyn Collective, bucket_elems: usize) -> Exchanged {
+        exchanges(c, bucket_elems, None, &[None]).remove(0)
+    }
+
+    #[test]
+    fn exhausted_retries_are_typed_and_clear_when_the_step_advances() {
+        // Ten planned failures at step 0 against three attempts: on every
+        // rank the exchange gives back a typed RetriesExhausted holding
+        // the last injected failure, and leaves every gradient bit and the
+        // counters as they were. Injections are keyed by the step, not the
+        // call count: the exchange succeeds at step 1, and a replay of
+        // step 0 fails again.
+        let mut plan = at_step_0(FaultKind::TransientCollective { failures: 10 });
+        plan.retry = RetryPolicy {
+            max_attempts: 3,
+            base_backoff_s: 0.01,
+            multiplier: 2.0,
+        };
+        let faults = Arc::new(plan.compile(4));
+        for backend in [Backend::Tree, Backend::Ring] {
+            let faults = Arc::clone(&faults);
+            let ranks = on_ranks(backend, 2, move |c| {
+                let mut m = tiny_model(1);
+                fill_grads(&mut m, c.rank());
+                let steps = [Some(0), Some(1), Some(0)];
+                let runs = exchanges(c, 777, Some(&faults), &steps);
+                (bits(&grads_of(&mut m)), clean(c, 777), runs)
+            });
+            for (rank, (pattern, clean, runs)) in ranks.into_iter().enumerate() {
+                let what = format!("{backend} rank {rank}");
+                match &runs[0].1 {
+                    Err(CollectiveError::RetriesExhausted { attempts, last }) => {
+                        assert_eq!(*attempts, 3, "{what}");
+                        assert!(last.is_transient(), "{what}: last error {last}");
+                        // One injection per attempt.
+                        let third = CollectiveError::Transient {
+                            op: "all_reduce_mean",
+                            step: 0,
+                            attempt: 3,
+                        };
+                        assert_eq!(**last, third, "{what}");
+                    }
+                    other => panic!("{what}: expected RetriesExhausted, got {other:?}"),
+                }
+                assert_eq!(
+                    runs[0].0, pattern,
+                    "{what}: failed attempts touched the gradients"
+                );
+                assert_eq!(runs[0].2, RecoveryCounters::default(), "{what}");
+                assert_eq!(runs[1], clean, "{what}: step 1 is the clean exchange");
+                assert_eq!(clean.1, Ok(1.5f32.to_bits()), "{what}: mean over 2 ranks");
+                assert_eq!(runs[2].1, runs[0].1, "{what}: the replay fails again");
+            }
+        }
+    }
+
+    #[test]
+    fn injected_transients_are_absorbed_bitwise() {
+        // Two planned failures at step 0 on three ranks, several buckets:
+        // the step takes three attempts in all (the count is per step, not
+        // per bucket), step 1 takes none, and both equal the exchange
+        // without a plan bit for bit on every rank.
+        let faults = Arc::new(at_step_0(FaultKind::TransientCollective { failures: 2 }).compile(4));
+        let ranks = on_ranks(Backend::Tree, 3, move |c| {
+            let runs = exchanges(c, 777, Some(&faults), &[Some(0), Some(1)]);
+            (clean(c, 777), runs)
+        });
+        for (rank, (clean, runs)) in ranks.iter().enumerate() {
+            for (got, want) in runs.iter().zip(&ranks[0].1) {
+                assert!(
+                    got.0 == clean.0 && got.1 == clean.1,
+                    "rank {rank}: payload perturbed"
+                );
+                assert!(got == want, "rank {rank}: ranks diverged");
+            }
+            let retries = runs.iter().map(|r| r.2.collective_retries);
+            assert_eq!(retries.collect::<Vec<_>>(), [2, 2], "rank {rank}");
+            assert_eq!(runs[1].2.transient_failures, 2, "rank {rank}");
+            // 0.05 + 0.10 of virtual backoff.
+            assert!((runs[1].2.retry_backoff_virtual_s - 0.15).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn a_payload_flip_hits_one_rank_once() {
+        // Rank 1's copy of element 0 gets bit 30 flipped on the step's
+        // first successful mean, and only there: the other ranks stay
+        // clean, and neither a second exchange of the step (a verified
+        // retry) nor an immediate replay of it flips again.
+        let flip = FaultKind::PayloadBitFlip {
+            rank: 1,
+            at_step: 0,
+            element: 0,
+            bit: 30,
+        };
+        let faults = Arc::new(at_step_0(flip).compile(4));
+        let ranks = on_ranks(Backend::Tree, 3, move |c| {
+            let runs = exchanges(c, 777, Some(&faults), &[Some(0), None, Some(0)]);
+            (clean(c, 777), runs)
+        });
+        for (rank, (clean, runs)) in ranks.iter().enumerate() {
+            assert!(runs[1] == *clean, "rank {rank}: retry not clean");
+            assert!(runs[2] == *clean, "rank {rank}: replay not clean");
+            let mut want = clean.clone();
+            want.0[0] ^= u32::from(rank == 1) << 30;
+            assert!(runs[0] == want, "rank {rank}: wrong flip");
+        }
+    }
+
+    #[test]
+    fn a_payload_flip_hits_the_element_index_across_pieces() {
+        // One bucket holds every gradient, one piece per parameter. The
+        // planned element is a full payload length past the fourth element
+        // of the second parameter, so rank 1 gets exactly that element
+        // flipped and rank 0 nothing.
+        let mut m = tiny_model(1);
+        let len = GradBucket::new(&mut m).flat_len();
+        let mut first = None;
+        m.visit_params(&mut |p| {
+            first.get_or_insert(p.grad.numel());
+        });
+        let at = first.unwrap() + 3;
+        let flip = FaultKind::PayloadBitFlip {
+            rank: 1,
+            at_step: 0,
+            element: (len + at) as u32,
+            bit: 30,
+        };
+        let faults = Arc::new(at_step_0(flip).compile(1));
+        let ranks = on_ranks(Backend::Tree, 2, move |c| {
+            let bucket = DEFAULT_BUCKET_ELEMS;
+            let got = exchanges(c, bucket, Some(&faults), &[Some(0)]).remove(0);
+            (clean(c, bucket).0, got.0)
+        });
+        assert!(ranks[0].0 == ranks[0].1, "rank 0 is not flipped");
+        let (clean, got) = &ranks[1];
+        for (i, (got, want)) in got.iter().zip(clean).enumerate() {
+            let flipped = if i == at { 1 << 30 } else { 0 };
+            assert_eq!(*got, want ^ flipped, "element {i}");
+        }
     }
 }

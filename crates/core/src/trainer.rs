@@ -28,11 +28,11 @@
 //!   scaling, warmup, and the paper's decay schedules.
 //! - **Mixed precision** (§3.5): optional bf16 conv path.
 //! - **Fault injection & recovery**: a non-empty
-//!   [`ets_collective::FaultPlan`] wraps the world collective in a
-//!   [`FaultyCollective`]. Transient collective failures are absorbed by
-//!   bounded retry with virtual backoff inside the bucket exchange, and
-//!   timing faults stretch a deterministic virtual [`StepTimeline`]
-//!   without perturbing a payload bit. Everything else is a *restore*,
+//!   [`ets_collective::FaultPlan`] is handed to the bucket exchange
+//!   ([`GradBucket::set_faults`]), which injects its transient failures
+//!   and payload flips and absorbs the transients by bounded retry with
+//!   virtual backoff; timing faults stretch a deterministic virtual
+//!   [`StepTimeline`] without perturbing a payload bit. Everything else is a *restore*,
 //!   and every restore is one function, `Replica::rewind`, applying the
 //!   one snapshot type ([`DurableSnapshot`]). Its four callers differ only
 //!   in what they load and what they charge: a **preemption** rewinds to
@@ -65,8 +65,7 @@ use crate::grad_bucket::GradBucket;
 use crate::report::{EpochRecord, Fingerprint, RecoveryCounters, TrainReport};
 use crate::timeline::{AllReduceProfile, PhaseBreakdown, ResizeRecord, StepTimeline, Stopwatch};
 use ets_collective::{
-    bn_partition, create_collective, Collective, CollectiveError, FaultSchedule, FaultyCollective,
-    Pieces,
+    bn_partition, create_collective, Collective, CollectiveError, FaultSchedule, Pieces,
 };
 use ets_data::{load_batch, AugmentConfig, EpochPlan, SynthNet};
 use ets_efficientnet::EfficientNet;
@@ -349,31 +348,6 @@ impl Feed {
     }
 }
 
-/// The replica's gradient collective: either the plain collective or the
-/// same collective behind a fault-injection decorator. BN-group collectives stay
-/// unwrapped — the fault model targets the world-wide gradient exchange.
-enum WorldComm {
-    Plain(Box<dyn Collective>),
-    Faulty(FaultyCollective),
-}
-
-impl WorldComm {
-    fn as_dyn(&self) -> &dyn Collective {
-        match self {
-            WorldComm::Plain(c) => c.as_ref(),
-            WorldComm::Faulty(f) => f,
-        }
-    }
-
-    /// Keys planned transient injections to the trainer's step counter so
-    /// replay after a preemption re-observes the same fault schedule.
-    fn set_step(&self, step: u64) {
-        if let WorldComm::Faulty(f) = self {
-            f.set_step(step);
-        }
-    }
-}
-
 /// A model's weights as [`Pieces`], in `visit_params` order: what the
 /// owners copy into their peers after a sharded update.
 struct Weights<'a>(&'a mut dyn Layer);
@@ -631,16 +605,11 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
                     // Surviving ranks keep their original recorders: rank r
                     // of the shrunken world is survivor r of the old one.
                     let rec = Arc::clone(&recorders[r]);
-                    let comm = if faults.is_empty() {
-                        WorldComm::Plain(world_comm)
-                    } else {
-                        let mut fc = FaultyCollective::new(world_comm, Arc::clone(&faults));
-                        fc.attach_recorder(Arc::clone(&rec));
-                        WorldComm::Faulty(fc)
-                    };
                     let (feed, outbox) = Feed::new(r, requests.clone());
                     outboxes.push(outbox);
-                    scope.spawn(move || Replica::new(env, r, comm, bn_comm, rec, carry, feed).run())
+                    scope.spawn(move || {
+                        Replica::new(env, r, world_comm, bn_comm, rec, carry, feed).run()
+                    })
                 })
                 .collect();
             drop(requests);
@@ -773,7 +742,7 @@ struct PhaseEnv<'a> {
     /// The experiment as this phase's world sees it (`replicas` is the
     /// surviving world).
     view: &'a Experiment,
-    faults: &'a FaultSchedule,
+    faults: &'a Arc<FaultSchedule>,
     store: Option<&'a CkptStore>,
     phase_idx: u64,
     /// The resize boundary this phase drains at, if one is planned.
@@ -786,7 +755,7 @@ struct PhaseEnv<'a> {
 struct Replica<'a> {
     env: &'a PhaseEnv<'a>,
     rank: usize,
-    world: WorldComm,
+    world: Box<dyn Collective>,
     rec: Arc<Recorder>,
     model: EfficientNet,
     optimizer: Box<dyn Optimizer>,
@@ -816,7 +785,7 @@ impl<'a> Replica<'a> {
     fn new(
         env: &'a PhaseEnv<'a>,
         rank: usize,
-        world: WorldComm,
+        world: Box<dyn Collective>,
         bn_comm: Option<Box<dyn Collective>>,
         rec: Arc<Recorder>,
         carry: Carry,
@@ -855,6 +824,9 @@ impl<'a> Replica<'a> {
             None => GradBucket::new(&mut model),
         };
         grad_bucket.attach_recorder(Arc::clone(&rec));
+        if !env.faults.is_empty() {
+            grad_bucket.set_faults(Arc::clone(env.faults));
+        }
         grad_bucket.set_fingerprint_verify(
             view.fingerprint_verify,
             view.corruption_policy.bucket_retries(),
@@ -955,9 +927,7 @@ impl<'a> Replica<'a> {
         if durable {
             let cuts = self.shares.state_cuts(self.optimizer.as_mut());
             let state = &mut State(self.optimizer.as_mut());
-            self.world
-                .as_dyn()
-                .all_gather_in_place(state, &cuts, Some(0));
+            self.world.all_gather_in_place(state, &cuts, Some(0));
         }
         let state = if saves {
             0..usize::MAX
@@ -1107,14 +1077,10 @@ impl<'a> Replica<'a> {
     fn exchange_gradients(&mut self, plan: &EpochPlan) -> Result<f32, CollectiveError> {
         let env = self.env;
         let view = env.view;
-        // Backoff is virtual: accounted, never slept.
-        let retry_policy = env.faults.retry();
         self.sw = Stopwatch::start();
         zero_grads(&mut self.model);
-        // Key planned transient injections to this step *before* any
-        // collective can fire — the overlapped exchange starts reducing
-        // buckets mid-backward.
-        self.world.set_step(self.prog.step);
+        // Key the planned faults to this step *before* any bucket can go
+        // — the overlapped exchange starts reducing buckets mid-backward.
         self.grad_bucket.set_step(self.prog.step);
         // Arm the planned compute corruption for this step on the
         // afflicted replica. The armed flip is process-global and is
@@ -1144,9 +1110,8 @@ impl<'a> Replica<'a> {
             let res = self.grad_bucket.backward_overlapped_with_retry(
                 &mut self.model,
                 &out.dlogits,
-                self.world.as_dyn(),
+                self.world.as_ref(),
                 out.loss,
-                &retry_policy,
                 &mut self.counters,
             );
             // The lap spans backward + exposed wait; the outcome already
@@ -1172,9 +1137,8 @@ impl<'a> Replica<'a> {
         let (result, ar_s) = fused.unwrap_or_else(|| {
             let res = self.grad_bucket.all_reduce_with_retry(
                 &mut self.model,
-                self.world.as_dyn(),
+                self.world.as_ref(),
                 out.loss,
-                &retry_policy,
                 &mut self.counters,
             );
             (res, self.sw.lap())
@@ -1214,7 +1178,6 @@ impl<'a> Replica<'a> {
         self.optimizer.step_params(&mut self.model, lr, owned);
         let weights = &mut Weights(&mut self.model);
         self.world
-            .as_dyn()
             .all_gather_in_place(weights, self.shares.elems(), None);
         if let Some(e) = &mut self.ema {
             e.update(&mut self.model);
@@ -1268,7 +1231,7 @@ impl<'a> Replica<'a> {
             let scores = self.model.forward(&x, Mode::Eval, &mut rng);
             local.observe(&scores, &labels);
         }
-        all_reduce_counts(local, self.world.as_dyn())
+        all_reduce_counts(local, self.world.as_ref())
     }
 
     /// Epoch boundary: evaluate (on the EMA weights, if kept) and record.

@@ -36,7 +36,6 @@ use std::thread;
 
 use ets_collective::{
     create_collective, Backend, CollectiveError, FaultEvent, FaultKind, FaultPlan,
-    FaultyCollective, RetryPolicy,
 };
 use ets_nn::Layer;
 use ets_tensor::ops::abft;
@@ -334,8 +333,6 @@ fn overlapped_retry_exhaustion_is_typed_on_all_ranks() {
         .map(|c| {
             let sched = Arc::clone(&sched);
             thread::spawn(move || {
-                let fc = FaultyCollective::new(c, sched);
-                fc.set_step(0);
                 let mut rng = ets_tensor::Rng::new(7);
                 let mut m = ets_efficientnet::EfficientNet::new(
                     ets_efficientnet::ModelConfig::tiny(16, 4),
@@ -349,14 +346,14 @@ fn overlapped_retry_exhaustion_is_typed_on_all_ranks() {
                 let y = m.forward(&x, ets_nn::Mode::Train, &mut lrng);
                 let out = ets_nn::cross_entropy(&y, &[0usize, 1], 0.1);
                 let mut gb = GradBucket::new(&mut m);
-                let policy = RetryPolicy::default();
+                gb.set_faults(sched);
+                gb.set_step(0);
                 let mut counters = RecoveryCounters::default();
                 let err = match gb.backward_overlapped_with_retry(
                     &mut m,
                     &out.dlogits,
-                    &fc,
+                    c.as_ref(),
                     out.loss,
-                    &policy,
                     &mut counters,
                 ) {
                     Ok(_) => panic!("16 injected failures must exhaust 4 attempts"),

@@ -272,7 +272,8 @@ fn elastic_chaos_soak() {
     e.train_samples = 64 * world;
     let nominal_steps = e.epochs * e.steps_per_epoch() as u64;
     let horizon_s = nominal_steps as f64 * e.faults.virtual_step_seconds;
-    e.faults = FaultPlan::generate_elastic(seed, world, horizon_s, 2, 2);
+    // Two losses, or one at world 2: a plan must leave a survivor.
+    e.faults = FaultPlan::generate_elastic(seed, world, horizon_s, 2, 2.min(world - 1));
     let r = train(&e);
     assert!(r.final_loss().is_finite());
     assert_eq!(

@@ -2,9 +2,10 @@
 //!
 //! A unified tracing layer for the whole workspace, sitting at the
 //! bottom of the dependency stack (beside `ets-collective`). Producers —
-//! the trainer phase loop, `GradBucket`, `FaultyCollective`, the durable
-//! checkpoint store, the pod chaos simulator, and the bench bins — record
-//! into one [`Recorder`] instead of private ad-hoc structs.
+//! the trainer phase loop, `GradBucket` (its buckets and, under a fault
+//! plan, its attempts), the durable checkpoint store, the pod chaos
+//! simulator, and the bench bins — record into one [`Recorder`] instead
+//! of private ad-hoc structs.
 //!
 //! Three pieces:
 //!

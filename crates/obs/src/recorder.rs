@@ -64,7 +64,8 @@ pub enum Lane {
     WallPhase = 10,
     /// Wall clock: per-bucket all-reduce timings from `GradBucket`.
     WallBucket = 11,
-    /// Wall clock: collective retry attempts (`FaultyCollective`).
+    /// Wall clock: the gradient exchange's attempts under a fault plan
+    /// (`GradBucket`).
     WallCollective = 12,
     /// Wall clock: durable checkpoint store I/O.
     WallCkpt = 13,

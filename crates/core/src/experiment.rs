@@ -135,11 +135,10 @@ pub struct Experiment {
     /// remaining backward compute. Bitwise identical to the serialized
     /// exchange — only wall time moves. Defaults to `false` (serialized).
     pub overlap_all_reduce: bool,
-    /// Worker threads for the blocked GEMM macro-kernel inside each
-    /// replica. `0` (the default) leaves the process-wide setting alone;
-    /// any other value is applied at phase start via the dispatch policy.
-    /// Parallel GEMM is bitwise identical to sequential at any worker
-    /// count (static tile ownership), so this is a pure throughput knob.
+    /// GEMM threads per replica. Every GEMM runs on its replica's own
+    /// thread, so the only accepted values are `0` (the default) and `1`,
+    /// which mean the same; [`Experiment::validate`] rejects more. The
+    /// field remains only because the benchmark harness sets it to `1`.
     pub gemm_workers: usize,
     /// Cross-rank gradient fingerprint verification: after every bucket
     /// all-reduce, ranks exchange a tiny fingerprint record (FNV-1a of
@@ -154,7 +153,8 @@ pub struct Experiment {
     /// process (`ets_tensor::ops::abft`): detects silent *compute*
     /// corruption inside forward/backward matmuls and heals it by
     /// deterministic tile recompute, bitwise-neutral when clean. Process
-    /// global (like the GEMM worker pool). Defaults to `false`.
+    /// global: the trainer sets it for the run and restores the previous
+    /// setting when the run ends, also by panic. Defaults to `false`.
     pub abft_verify: bool,
     /// What to do when fingerprint verification attributes a corrupt
     /// payload to a rank. Irrelevant unless `fingerprint_verify` is set.
@@ -252,6 +252,11 @@ impl Experiment {
             "model/dataset resolution mismatch"
         );
         assert!(self.epochs >= 1 && self.eval_every >= 1);
+        assert!(
+            self.gemm_workers <= 1,
+            "gemm_workers = {}: every GEMM runs on its replica's thread (0 or 1)",
+            self.gemm_workers
+        );
         self.faults.validate();
         for ev in &self.faults.events {
             match ev.kind {
@@ -327,6 +332,14 @@ mod tests {
     fn class_mismatch_rejected() {
         let mut e = Experiment::proxy_default();
         e.num_classes = 5;
+        e.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_workers = 2")]
+    fn more_than_one_gemm_worker_rejected() {
+        let mut e = Experiment::proxy_default();
+        e.gemm_workers = 2;
         e.validate();
     }
 

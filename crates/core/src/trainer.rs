@@ -473,6 +473,24 @@ pub fn train_traced(exp: &Experiment) -> (TrainReport, Vec<Arc<Recorder>>) {
     (report, recorders)
 }
 
+/// What a run changes outside itself, undone on drop — when the run
+/// returns and when it panics: the process-wide ABFT verify setting, and
+/// the private store directory the trainer picked when the experiment
+/// named none.
+struct RunScope {
+    abft_verify_prev: bool,
+    auto_dir: Option<PathBuf>,
+}
+
+impl Drop for RunScope {
+    fn drop(&mut self) {
+        if let Some(d) = &self.auto_dir {
+            let _ = std::fs::remove_dir_all(d);
+        }
+        ets_tensor::ops::abft::set_verify(self.abft_verify_prev);
+    }
+}
+
 fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport {
     exp.validate();
     assert_eq!(
@@ -481,18 +499,14 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         "one recorder per starting replica"
     );
     let start = Instant::now();
-    // Pin the GEMM worker-pool width for the whole run (process-global;
-    // `0` defers to whatever the process already configured). Parallel
-    // GEMM is bitwise identical to sequential, so this cannot perturb
-    // the trajectory — only wall time.
-    if exp.gemm_workers > 0 {
-        ets_tensor::set_gemm_workers(exp.gemm_workers);
-    }
-    // ABFT tile verification is process-global (like the worker pool).
-    // Save and restore the previous setting around the run; the run's
-    // counter deltas fold into the recovery counters after the phase
-    // loop. Tests that enable it serialize on their own mutex.
-    let abft_verify_prev = ets_tensor::ops::abft::verify_enabled();
+    // ABFT tile verification is process-global. `scope` restores the
+    // previous setting when the run ends, by return or by panic; the
+    // run's counter deltas fold into the recovery counters after the
+    // phase loop. Tests that enable it serialize on their own mutex.
+    let mut scope = RunScope {
+        abft_verify_prev: ets_tensor::ops::abft::verify_enabled(),
+        auto_dir: None,
+    };
     ets_tensor::ops::abft::set_verify(exp.abft_verify);
     let abft_detected0 = ets_tensor::ops::abft::corruptions_detected();
     let abft_healed0 = ets_tensor::ops::abft::tiles_recomputed();
@@ -524,7 +538,6 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
     static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(0);
     let needs_store =
         faults.has_losses() || exp.nan_guard || (exp.fingerprint_verify && faults.has_corruption());
-    let mut auto_dir: Option<PathBuf> = None;
     let store: Option<Arc<CkptStore>> = if needs_store {
         let dir = match &exp.ckpt_dir {
             Some(d) => PathBuf::from(d),
@@ -534,7 +547,7 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
                     std::process::id(),
                     NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed)
                 ));
-                auto_dir = Some(d.clone());
+                scope.auto_dir = Some(d.clone());
                 d
             }
         };
@@ -700,11 +713,7 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         phase_idx += 1;
     }
 
-    if let Some(d) = auto_dir {
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    ets_tensor::ops::abft::set_verify(abft_verify_prev);
+    drop(scope);
     // ABFT counters are process-global (GEMM tiles carry no rank tag, and
     // the armed injection is consumed by whichever replica's tile runs
     // first), so their run deltas fold in *after* the per-rank symmetry

@@ -167,7 +167,6 @@ fn run(checkpoints: bool) -> (usize, ets_train::TrainReport) {
         epochs: 1,
         train_samples: 32,
         eval_samples: 4,
-        gemm_workers: 1,
         ..Experiment::proxy_default()
     };
     if checkpoints {

@@ -31,6 +31,7 @@
 //! kernel never runs, and an armed compute fault would never fire; at
 //! resolution 32 the mid-network projections clear the floor.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
@@ -376,6 +377,38 @@ fn overlapped_retry_exhaustion_is_typed_on_all_ranks() {
         // caller's recovery path owns the accounting.
         assert_eq!(counters, RecoveryCounters::default(), "rank {rank}");
     }
+}
+
+/// This process's private checkpoint directories (`ets-ckpt-<pid>-<n>`)
+/// in the temp dir.
+fn own_store_dirs() -> BTreeSet<String> {
+    let prefix = format!("ets-ckpt-{}-", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(|d| d.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(&prefix))
+        .collect()
+}
+
+/// A run that panics still undoes what it changed outside itself: the
+/// process-wide ABFT setting is restored and the private checkpoint
+/// directory it picked is removed.
+#[test]
+fn a_panicking_run_restores_abft_and_removes_its_store() {
+    let _g = serial();
+    abft::set_verify(false);
+    let mut e = chaos_exp(2);
+    e.nan_guard = true; // opens a private store: no `ckpt_dir` is set
+    e.faults.events.push(FaultEvent {
+        at_s: 0.0,
+        duration_s: 0.0,
+        kind: FaultKind::TransientCollective { failures: 100 },
+    });
+    let before = own_store_dirs();
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| train(&e)));
+    assert!(run.is_err(), "100 transients must outlast the retries");
+    assert!(!abft::verify_enabled(), "the panic left ABFT verify on");
+    assert_eq!(own_store_dirs(), before, "the panic left its store");
 }
 
 /// The three defense knobs default off.

@@ -61,28 +61,6 @@ fn overlap_is_bitwise_on_every_backend_and_world() {
     }
 }
 
-#[test]
-fn overlap_under_gemm_thread_sweep_is_bitwise() {
-    // Compose both determinism claims: parallel GEMM (any worker count)
-    // underneath an overlapped exchange must still land on the 1-worker
-    // serialized checksum. The worker pool is process-global, so runs are
-    // sequential; each run pins its own width.
-    let mut baseline = overlap_exp(2, 512);
-    baseline.overlap_all_reduce = false;
-    baseline.gemm_workers = 1;
-    let want = train(&baseline).weight_checksum;
-    for workers in [2usize, 4] {
-        let mut e = overlap_exp(2, 512);
-        e.overlap_all_reduce = true;
-        e.gemm_workers = workers;
-        let got = train(&e).weight_checksum;
-        assert_eq!(want, got, "gemm_workers={workers} changed the trajectory");
-    }
-    // Leave the pool width at 1 so concurrently-running tests in this
-    // binary see the default (results are schedule-independent anyway).
-    ets_tensor::set_gemm_workers(1);
-}
-
 /// A fault plan that lands transient collective failures and a preemption
 /// inside the run's step window.
 fn chaos(e: &mut Experiment) {

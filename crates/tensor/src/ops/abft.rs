@@ -23,8 +23,8 @@
 //! - **Bitwise-neutral when clean.** Verification only *reads* `C`; a
 //!   clean tile is never touched. Verify-mode-on output is bitwise
 //!   identical to verify-mode-off (the verified path routes through the
-//!   deterministic tile grid, which the schedule-adversarial suite
-//!   already proves equal to the sequential path).
+//!   tile grid, which `kernel_equivalence.rs` pins bitwise equal to the
+//!   sequential path).
 //! - **Self-healing by recompute.** A failed tile is restored to its
 //!   pre-GEMM contents and recomputed from the packed panels; because
 //!   the kernel is deterministic, the healed tile is bitwise identical
@@ -36,8 +36,8 @@
 //! The injection side ([`arm_inject`]) flips one bit of the next
 //! verified tile's first output element — the software stand-in for the
 //! bad core — so chaos tiers can prove detection end to end. Injection
-//! state and counters are process-global (like the GEMM worker pool):
-//! tests that arm injections serialize on their own mutex.
+//! state and counters are process-global: tests that arm injections
+//! serialize on their own mutex.
 //!
 //! Verify mode is **opt-in** and pays one pre-tile snapshot (`MC×NC`
 //! f32) plus an `O(m·n·k / MC)` checksum pass — measured as perfbench's

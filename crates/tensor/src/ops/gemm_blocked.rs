@@ -43,15 +43,13 @@
 //! - **Zero steady-state allocation**: all pack buffers come from the
 //!   per-thread [`crate::scratch`] arena.
 //! - **Deterministic summation order**: every `C` element accumulates its
-//!   `k` products in ascending `pc`-block order. Parallelism divides `C`
-//!   into a static `(MC, NC)` tile grid — a pure function of `(m, n)`,
-//!   never of worker count — and each tile is owned by exactly **one**
-//!   executor for its entire `k` reduction, iterating `pc` ascending and
-//!   packing its own B panels from per-thread scratch. No partial sums
-//!   ever cross threads (the combine tree is degenerate: one leaf per
-//!   tile), so the result is a pure function of the inputs, bitwise
-//!   identical at any worker count under any scheduling — which the
-//!   schedule-adversarial suite asserts with injected per-tile delays.
+//!   `k` products in ascending `pc`-block order, on the caller's thread
+//!   (the engine's parallelism is one thread per replica, not per GEMM).
+//!   ABFT verification walks a static `(MC, NC)` tile grid — a pure
+//!   function of `(m, n)` — in which each tile owns its region of `C`
+//!   for its entire `k` reduction, iterating `pc` ascending; per element
+//!   that is the sequential order, so the grid is bitwise identical to
+//!   the sequential path, which `kernel_equivalence.rs` pins.
 //!   This holds per precision; the two precisions differ from each other
 //!   (bf16 rounds the operands), which is why kernel *selection*
 //!   ([`crate::ops::dispatch`]) must itself be deterministic.
@@ -67,7 +65,6 @@
 use crate::bf16::{round_f32, round_in_place};
 use crate::ops::dispatch::{GemmDesc, GemmPrecision, Orient};
 use crate::ops::simd;
-use crate::par;
 use crate::scratch::scratch_f32;
 
 /// Row-block size (A panel height). A multiple of [`MR`].
@@ -80,11 +77,6 @@ pub const NC: usize = 256;
 pub const MR: usize = 4;
 /// Micro-tile columns (one 256-bit f32 vector wide).
 pub const NR: usize = 8;
-
-/// Minimum MAC count before the macro-kernel fans its tile grid out to
-/// the [`crate::par`] worker pool (below this, job-dispatch latency
-/// dominates any parallel win).
-const PAR_FLOP_THRESHOLD: usize = 64 * 1024;
 
 /// How the effective `A (m×k)` operand is stored.
 #[derive(Clone, Copy, Debug)]
@@ -249,15 +241,13 @@ pub fn pack_b_panel(
 // resolved once per macro-block call.
 
 /// Macro-kernel over one `(ic, jc)` tile of `C` for one packed B panel,
-/// writing through a raw base pointer so disjoint tiles can run on
-/// different workers despite `C` being one allocation (same-`ic`,
+/// writing through a raw base pointer to the full `C` (same-`ic`,
 /// different-`jc` tiles alias any `&mut` row slicing).
 ///
 /// # Safety
 /// `c` must point to the full `m×n` C matrix (row stride `n`), valid for
-/// writes, and no other thread may concurrently touch rows `ic..ic+mc` ×
-/// cols `jc..jc+nc` — the tile grid guarantees exactly that (each tile
-/// has a single owner and tiles are pairwise disjoint).
+/// writes, and nothing else may touch rows `ic..ic+mc` × cols
+/// `jc..jc+nc` during the call.
 #[allow(clippy::too_many_arguments)]
 unsafe fn macro_block(
     n: usize,
@@ -299,26 +289,10 @@ unsafe fn macro_block(
     }
 }
 
-/// `*mut f32` that asserts cross-thread shareability. Sound only under
-/// the tile-disjointness argument in [`macro_block`]'s safety contract.
-#[derive(Clone, Copy)]
-struct CPtr(*mut f32);
-unsafe impl Send for CPtr {}
-unsafe impl Sync for CPtr {}
-
-impl CPtr {
-    /// Accessor (rather than field access) so closures capture the
-    /// `Sync` wrapper, not the raw `*mut f32` field.
-    #[inline]
-    fn get(self) -> *mut f32 {
-        self.0
-    }
-}
-
 /// `C ⟵ [C +] A·B` on the packed kernel, for any descriptor: the
 /// orientation picks the panel views, the precision whether packing
 /// rounds through bf16. A is packed once into arena scratch; B is packed
-/// panel by panel, per tile on the parallel path.
+/// panel by panel, per tile on the ABFT tile grid.
 pub fn gemm_blocked(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
     let GemmDesc {
         m,
@@ -349,52 +323,39 @@ pub fn gemm_blocked(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
         return;
     }
     let m_padded = m.div_ceil(MR) * MR;
-    // The static tile grid: row blocks × column blocks, a pure function
-    // of (m, n). Each tile owns rows ic..ic+mc × cols jc..jc+nc of C for
-    // its entire k reduction (pc ascending), so per-element summation
-    // order is fixed by shape alone — the same whether the tiles run on
-    // one thread or sixteen, in any order.
-    let row_blocks = m.div_ceil(MC);
-    let col_blocks = n.div_ceil(NC);
-    let n_tiles = row_blocks * col_blocks;
-    // ABFT verify mode (and a pending compute-corruption injection)
-    // forces the tile-grid path even on shapes the parallel predicate
-    // would leave sequential: per-tile ownership is what makes the
-    // snapshot → checksum → recompute cycle sound, and the two paths are
-    // bitwise identical anyway (pinned by the schedule-adversarial
-    // suite), so routing is numerics-neutral.
+    // ABFT verify mode (and a pending compute-corruption injection) runs
+    // the tile grid: per-tile ownership is what makes the snapshot →
+    // checksum → recompute cycle sound. The grid is row blocks × column
+    // blocks, a pure function of (m, n); each tile owns rows ic..ic+mc ×
+    // cols jc..jc+nc of C for its entire k reduction (pc ascending), so
+    // per-element summation order is the sequential path's and routing is
+    // numerics-neutral (pinned by `kernel_equivalence.rs`).
     let verifying = super::abft::verify_enabled();
-    let tile_path = verifying || super::abft::injection_armed();
-    // `effective_workers` (pool size clamped to host cores), not the raw
-    // pool size: an oversubscribed pool on a small host pays per-tile
-    // B-panel repacking and scheduling for zero concurrency.
-    let parallel = n_tiles > 1 && par::effective_workers() > 1 && m * n * k >= PAR_FLOP_THRESHOLD;
-    if parallel || tile_path {
+    if verifying || super::abft::injection_armed() {
+        let col_blocks = n.div_ceil(NC);
+        let n_tiles = m.div_ceil(MC) * col_blocks;
         // Every tile reads every depth block of its rows of A, so A is
         // packed once, whole, and shared.
         let mut ap = scratch_f32(packed_a_len(m, k));
         pack_a_into(pa, m, k, precision, &mut ap);
         let ap = &ap[..];
-        let cp = CPtr(c.as_mut_ptr());
-        let tile_body = |tile: usize| {
+        // One B panel buffer serves every tile; the packed values are
+        // identical to the sequential path's (the pack is pure data
+        // movement), only the reuse pattern differs.
+        let mut bp = scratch_f32(KC.min(k) * NC.min(n.div_ceil(NR) * NR));
+        let cp = c.as_mut_ptr();
+        for tile in 0..n_tiles {
             let ic = (tile / col_blocks) * MC;
             let jc = (tile % col_blocks) * NC;
             let mc = MC.min(m - ic);
             let nc = NC.min(n - jc);
-            let mut ver = if verifying {
+            let mut ver = verifying.then(|| {
                 let mut v = super::abft::TileVerifier::new(mc, nc);
-                // SAFETY: this tile is exclusively owned by this closure
-                // invocation (run_tiles executes each index exactly once;
-                // tiles are pairwise disjoint regions of C).
-                unsafe { v.snapshot_pre(cp.get(), n, ic, jc) };
-                Some(v)
-            } else {
-                None
-            };
-            // Per-tile B panel from this worker's own scratch pool; the
-            // packed values are identical to the sequential path's (the
-            // pack is pure data movement), only the reuse pattern differs.
-            let mut bp = scratch_f32(KC.min(k) * nc.div_ceil(NR) * NR);
+                // SAFETY: `c` is exclusively borrowed by this function and
+                // the tile lies inside it.
+                unsafe { v.snapshot_pre(cp, n, ic, jc) };
+                v
+            });
             let compute = |bp: &mut [f32], mut ver: Option<&mut super::abft::TileVerifier>| {
                 for pc in (0..k).step_by(KC) {
                     let kc = KC.min(k - pc);
@@ -403,9 +364,9 @@ pub fn gemm_blocked(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
                     if let Some(v) = ver.as_deref_mut() {
                         v.absorb_panels(a_pc, bp, kc, ic);
                     }
-                    // SAFETY: run_tiles executes each tile index exactly
-                    // once; tiles are pairwise disjoint regions of C.
-                    unsafe { macro_block(n, kc, jc, nc, ic, mc, a_pc, bp, cp.get()) };
+                    // SAFETY: single-threaded; `c` is exclusively
+                    // borrowed by this function.
+                    unsafe { macro_block(n, kc, jc, nc, ic, mc, a_pc, bp, cp) };
                 }
             };
             compute(&mut bp, ver.as_mut());
@@ -413,28 +374,27 @@ pub fn gemm_blocked(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
             // tile to get here — before verification, so the checksum
             // has to *catch* it, not be spared from it.
             if let Some(bit) = super::abft::take_injection() {
-                // SAFETY: same exclusive-tile-ownership argument.
-                unsafe { super::abft::flip_first_element(cp.get(), n, ic, jc, bit) };
+                // SAFETY: same exclusive borrow of `c`.
+                unsafe { super::abft::flip_first_element(cp, n, ic, jc, bit) };
             }
             if let Some(v) = ver.as_mut() {
                 super::abft::note_tile_verified();
-                // SAFETY: same exclusive-tile-ownership argument.
-                if !unsafe { v.verify(cp.get(), n, ic, jc, k) } {
+                // SAFETY: same exclusive borrow of `c`.
+                if !unsafe { v.verify(cp, n, ic, jc, k) } {
                     super::abft::note_corruption_detected();
                     // Heal by deterministic recompute: restore the
                     // pre-GEMM tile and redo the identical reduction —
                     // bitwise equal to an uncorrupted run.
-                    unsafe { v.restore_pre(cp.get(), n, ic, jc) };
+                    unsafe { v.restore_pre(cp, n, ic, jc) };
                     v.reset_expected();
                     compute(&mut bp, Some(v));
                     super::abft::note_tile_recomputed();
-                    if !unsafe { v.verify(cp.get(), n, ic, jc, k) } {
+                    if !unsafe { v.verify(cp, n, ic, jc, k) } {
                         super::abft::note_unrecovered();
                     }
                 }
             }
-        };
-        par::run_tiles(n_tiles, &tile_body);
+        }
     } else {
         // Sequential: depth blocks outermost, so A is packed one slab at
         // a time (`m·KC` floats, not `m·k`: the weight-gradient products
@@ -442,7 +402,7 @@ pub fn gemm_blocked(desc: GemmDesc, a: &[f32], b: &[f32], c: &mut [f32]) {
         // panel is packed once and reused by every row block. Per C
         // element this performs the identical f32 operations in the
         // identical order (`pc` ascending) as the tile grid above — the
-        // equivalence the schedule-adversarial suite pins bitwise.
+        // equivalence `kernel_equivalence.rs` pins bitwise.
         let kc_max = KC.min(k);
         let mut ap = scratch_f32(m_padded * kc_max);
         let mut bp = scratch_f32(kc_max * NC.min(n.div_ceil(NR) * NR));

@@ -6,7 +6,7 @@
 //! call puts the allocator in the middle of every training step; the
 //! arena instead keeps a small
 //! per-thread pool of reusable buffers, so steady-state steps touch the
-//! allocator **zero** times once the first step has warmed every worker
+//! allocator **zero** times once the first step has warmed every replica
 //! thread up.
 //!
 //! # Model
@@ -29,13 +29,12 @@
 //!
 //! # Why thread-local
 //!
-//! The trainer runs one OS thread per replica and the blocked GEMM fans
-//! work out to `par`'s workers; both kinds of thread simply get their own pool,
-//! so checkout/checkin never takes a lock and buffers never migrate
-//! between concurrently running kernels. A guard that *is* dropped on a
-//! different thread (e.g. a per-worker partial collected and reduced on
-//! the caller) just checks into that thread's pool — correct, merely a
-//! one-off rebalance.
+//! The trainer runs one OS thread per replica, and every kernel runs on
+//! its caller's thread; each replica thread simply gets its own pool, so
+//! checkout/checkin never takes a lock and buffers never migrate between
+//! concurrently running kernels. A guard that *is* dropped on a
+//! different thread just checks into that thread's pool — correct,
+//! merely a one-off rebalance.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -7,7 +7,7 @@
 //! the naive one (packed KC-panel accumulation vs streaming ikj), so
 //! equivalence between them is numeric (tight f32 tolerance against an
 //! f64 reference), while *each kernel against itself* — across reruns,
-//! lane paths and worker counts — is bitwise, which is what the
+//! lane paths and the ABFT tile grid — is bitwise, which is what the
 //! shape-pure dispatcher relies on for cross-rank symmetry.
 //!
 //! Random cases are drawn from the repo's seeded `Rng`; every failure
@@ -16,13 +16,15 @@
 mod common;
 
 use common::{all_descs, bits, rand_vec, run, Kernel, Operands, PRECISIONS};
+use ets_tensor::ops::abft;
 use ets_tensor::ops::dispatch::{
     blocked_profitable, gemm, gemm_auto, GemmDesc, GemmPrecision, Orient,
 };
 use ets_tensor::ops::gemm_blocked::{gemm_blocked, KC, MR, NR};
 use ets_tensor::ops::matmul::gemm_naive;
 use ets_tensor::ops::simd;
-use ets_tensor::{set_gemm_workers, Rng};
+use ets_tensor::Rng;
+use std::sync::Mutex;
 
 /// The three functions that take a descriptor, each forced in turn.
 const KERNELS: [(&str, Kernel); 3] = [
@@ -241,20 +243,20 @@ fn narrow_routes_match_the_written_out_association_bitwise() {
     }
 }
 
-// ------------------------------------------- parallel vs sequential
+// ------------------------------------------- tile grid vs sequential
 
-/// The parallel tile grid vs the sequential loop, bitwise, every blocked
-/// descriptor. The worker pool is process-global, so rather than pin a
-/// pool size (another test could resize it mid-flight) this asserts the
-/// real invariant: results at a 4-worker setting equal results at a
-/// 1-worker setting exactly — which only holds if *every* intermediate
-/// configuration agrees.
+/// ABFT verify mode is process-global and routes the blocked GEMM: the
+/// tests that set it take turns, so each runs the path it forces.
+static VERIFY_MODE: Mutex<()> = Mutex::new(());
+
+/// The ABFT tile grid vs the sequential slab loop, bitwise, every blocked
+/// descriptor. Verify mode forces the grid; with it off (and no injection
+/// armed) the same call runs the sequential loop.
 #[test]
-fn parallel_matches_sequential_on_tile_boundary_and_seeded_shapes() {
+fn tile_grid_matches_sequential_on_tile_boundary_and_seeded_shapes() {
     const SEED: u64 = 5000;
     // Tile-boundary edge cases: m < MR, n < NR, k < KC, exact block
-    // multiples, one past each multiple, and multi-tile grids big
-    // enough to clear the parallel threshold.
+    // multiples, one past each multiple, and multi-tile grids.
     let tile_boundaries = [
         (MR - 1, 40, NR - 1),     // below both micro-tile dims
         (1, 300, 1),              // single element C, deep k
@@ -267,23 +269,25 @@ fn parallel_matches_sequential_on_tile_boundary_and_seeded_shapes() {
         (130, 150, 300),          // odd interior shape, 3×2 grid
     ];
     let shapes = with_seeded_shapes(&tile_boundaries, SEED, 8, (139, 299, 299));
+    let _turn = VERIFY_MODE.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = abft::verify_enabled();
     for (i, &(m, k, n)) in shapes.iter().enumerate() {
         let seed = SEED + 2 * i as u64;
         let ops = Operands::new(seed, m, k, n);
-        let at_workers = |workers: usize| -> Vec<Vec<u32>> {
-            set_gemm_workers(workers);
+        let on_path = |grid: bool| -> Vec<Vec<u32>> {
+            abft::set_verify(grid);
             all_descs(m, k, n)
                 .into_iter()
                 .map(|desc| bits(&run(gemm_blocked, desc, &ops)))
                 .collect()
         };
-        let seq = at_workers(1);
-        let par = at_workers(4);
-        set_gemm_workers(1);
-        for (desc, (s, p)) in all_descs(m, k, n).iter().zip(seq.iter().zip(&par)) {
+        let seq = on_path(false);
+        let grid = on_path(true);
+        abft::set_verify(prev);
+        for (desc, (s, g)) in all_descs(m, k, n).iter().zip(seq.iter().zip(&grid)) {
             assert_eq!(
-                s, p,
-                "operand seed {seed}, {desc:?}: parallel GEMM diverged from sequential"
+                s, g,
+                "operand seed {seed}, {desc:?}: tile grid diverged from sequential"
             );
         }
     }
@@ -382,7 +386,7 @@ fn abft_verify_path_bitwise_identical_across_lane_paths() {
     // checksum, and compares post-GEMM column sums. The SIMD kernel must
     // (a) produce identical C bits under verification and (b) never trip
     // the checksum (zero false positives) on any lane path.
-    use ets_tensor::ops::abft;
+    let _turn = VERIFY_MODE.lock().unwrap_or_else(|e| e.into_inner());
     let (m, k, n) = (67, 140, 96);
     let ops = Operands::new(8000, m, k, n);
     for precision in PRECISIONS {

@@ -41,8 +41,8 @@
 //!   rank, scales it by `1/size` and stores it into every rank. For an
 //!   `n`-element payload it moves `2n` elements per rank where the slot
 //!   round moves `(size + 3)·n`;
-//! - the **copy** ([`CommHandle::all_gather_in_place`], the sharded
-//!   weight update) takes the shares from the caller's cuts and stores
+//! - the **copy** ([`CommHandle::all_gather_in_place`]) takes the
+//!   shares from the caller's cuts and stores
 //!   each tile of this rank's own payload into every peer: a rank stores
 //!   its share, `n/size` elements when the cuts are even, into each of
 //!   its `size − 1` peers. Given a root, it stores into the root alone

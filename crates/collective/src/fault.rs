@@ -25,7 +25,7 @@
 //! failures and payload bit flips are injected by the one consumer they
 //! target, the trainer's bucketed gradient exchange (`GradBucket` in
 //! `ets-train`), inside the same retry that absorbs them; BN sync,
-//! evaluation, broadcasts and the weight copy never meet a fault.
+//! evaluation and broadcasts never meet a fault.
 //!
 //! Determinism rules (enforced by the chaos harness in the workspace
 //! root):

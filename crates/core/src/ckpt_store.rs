@@ -882,8 +882,8 @@ impl DurableSnapshot {
         model.visit_params(&mut |p| {
             params.push(TensorRecord {
                 name: p.name.clone(),
-                shape: p.value.shape().dims().to_vec(),
-                bits: to_bits(p.value.data()),
+                shape: p.dims().to_vec(),
+                bits: to_bits(&p.value.data()),
             });
         });
         let mut bn_running = Vec::new();
@@ -902,11 +902,12 @@ impl DurableSnapshot {
     }
 
     /// Restores the snapshot into a structurally-identical replica, the
-    /// optimizer state of the parameters `owned` only, in place
-    /// ([`Optimizer::import_state_params`]; the snapshot must hold it),
-    /// and returns the captured progress and epoch history. Panics with a
-    /// descriptive message on any mismatch (name, shape, count, EMA
-    /// presence).
+    /// weights and the optimizer state of the parameters `owned` only, in
+    /// place ([`Optimizer::import_state_params`]; the snapshot must hold
+    /// that state), and returns the captured progress and epoch history.
+    /// Replicas that share their weights each write their own share.
+    /// Panics with a descriptive message on any mismatch (name, shape,
+    /// count, EMA presence).
     pub fn apply(
         &self,
         model: &mut EfficientNet,
@@ -921,13 +922,10 @@ impl DurableSnapshot {
                 .get(i)
                 .unwrap_or_else(|| panic!("snapshot too short at param {i} ({})", p.name));
             assert_eq!(rec.name, p.name, "param order/name mismatch at {i}");
-            assert_eq!(
-                rec.shape,
-                p.value.shape().dims(),
-                "shape mismatch for {}",
-                p.name
-            );
-            copy_bits(p.value.data_mut(), &rec.bits);
+            assert_eq!(rec.shape, p.dims(), "shape mismatch for {}", p.name);
+            if owned.contains(&i) {
+                copy_bits(p.value.write().data_mut(), &rec.bits);
+            }
             i += 1;
         });
         assert_eq!(i, self.params.len(), "snapshot has extra params");

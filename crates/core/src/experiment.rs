@@ -18,8 +18,6 @@ pub enum OptimizerChoice {
     Sm3 { momentum: f32 },
     /// LAMB — comparison optimizer.
     Lamb,
-    /// AdamW — the standard adaptive baseline.
-    Adam,
 }
 
 /// Which decay schedule shapes the learning rate after warmup (§3.2).

@@ -2,24 +2,29 @@
 //! evaluation loop, executed for real with one thread per replica.
 //!
 //! Faithfully reproduced mechanics:
-//! - **Data parallelism**: every replica holds a full model copy and a
+//! - **Data parallelism**: every replica runs a full model and takes a
 //!   disjoint shard of each global batch; gradients are summed with a
 //!   deterministic collective ([`ets_collective::create_collective`]) and
 //!   averaged. Gradients are reduced in place, bucket by bucket
 //!   ([`crate::grad_bucket`]), with per-bucket timing.
+//! - **One set of weights**: the replicas are threads of one process, so
+//!   `train` builds each phase's weights once and every replica's model
+//!   shares them ([`ets_nn::replicate`]); gradients, activations, BN
+//!   statistics and optimizer state stay per replica.
 //! - **Sharded weight update**: each replica runs the optimizer only on
 //!   the parameters it owns ([`Shares`]) and keeps state only for them,
-//!   then copies its new weights into its peers in place
-//!   ([`Collective::all_gather_in_place`]), so all replicas hold
-//!   bitwise-identical weights (a final weight checksum across replicas
-//!   checks the copy). Before a durable checkpoint the owners copy their
-//!   optimizer state the same way into rank 0 alone, which writes it; a
-//!   rank's rewind anchor holds only its own, and every restore writes
-//!   only its own back, in place. Only the fingerprint vote
-//!   (`fingerprint_verify`) compares the ranks' reduced gradients:
-//!   without it a receive-side flip in a gradient its rank owns reaches
-//!   every replica's weights alike, and one in a gradient a peer owns is
-//!   never read.
+//!   writing their new weights in place between two rendezvous: the
+//!   gradient exchange, which no rank leaves before every rank has ended
+//!   the step's backward, its last read of the weights, and a barrier
+//!   that ends the writes before anyone's next read. Before a durable
+//!   checkpoint the owners copy their optimizer state into rank 0 alone
+//!   ([`Collective::all_gather_in_place`]), which writes it; a rank's
+//!   rewind anchor holds only its own state, and every restore writes
+//!   only its own weights and state back, in place, between two
+//!   barriers. Only the fingerprint vote (`fingerprint_verify`) compares
+//!   the ranks' reduced gradients: without it a receive-side flip in a
+//!   gradient its rank owns reaches the weights, and one in a gradient a
+//!   peer owns is never read.
 //! - **Distributed batch norm** (§3.4): BN statistics reduce over replica
 //!   groups wired from `GroupSpec`.
 //! - **Distributed evaluation** (§3.3): the validation set is sharded over
@@ -69,7 +74,7 @@ use ets_collective::{
 };
 use ets_data::{load_batch, AugmentConfig, EpochPlan, SynthNet};
 use ets_efficientnet::EfficientNet;
-use ets_nn::{cross_entropy, zero_grads, Ema, EvalCounts, Layer, Mode};
+use ets_nn::{cross_entropy, replicate, zero_grads, Ema, EvalCounts, Layer, Mode};
 use ets_obs::{phase as obs_ph, Lane, Recorder};
 use ets_optim::{
     Constant, CosineDecay, ExponentialDecay, Lamb, Lars, LrSchedule, Optimizer, PolynomialDecay,
@@ -131,7 +136,6 @@ fn build_optimizer(choice: OptimizerChoice) -> Box<dyn Optimizer> {
         OptimizerChoice::Lars { trust_coeff } => Box::new(Lars::new(0.9, 1e-5, trust_coeff)),
         OptimizerChoice::Sm3 { momentum } => Box::new(Sm3::new(momentum, 1e-5)),
         OptimizerChoice::Lamb => Box::new(Lamb::paper_default(1e-5)),
-        OptimizerChoice::Adam => Box::new(ets_optim::Adam::default_config(1e-5)),
     }
 }
 
@@ -348,19 +352,6 @@ impl Feed {
     }
 }
 
-/// A model's weights as [`Pieces`], in `visit_params` order: what the
-/// owners copy into their peers after a sharded update.
-struct Weights<'a>(&'a mut dyn Layer);
-
-// SAFETY: the pieces are the parameters' own value buffers, reached
-// through the `&mut` borrow of the model; nothing resizes a weight while
-// it is held.
-unsafe impl Pieces for Weights<'_> {
-    fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        self.0.visit_params(&mut |p| f(p.value.data_mut()));
-    }
-}
-
 /// An optimizer's state as [`Pieces`], parameter-major
 /// ([`Optimizer::visit_state`]): what the owners copy into rank 0 before
 /// a durable checkpoint.
@@ -403,7 +394,6 @@ struct Carry {
 
 /// Per-replica, per-phase worker result.
 struct PhaseOutcome {
-    checksum: u64,
     history: Vec<EpochRecord>,
     phases: PhaseBreakdown,
     buckets: AllReduceProfile,
@@ -440,7 +430,7 @@ fn merge_profiles(into: &mut AllReduceProfile, from: &AllReduceProfile) {
 }
 
 /// Runs the experiment; returns replica 0's report after asserting all
-/// replicas converged to bitwise-identical weights.
+/// replicas handled every fault alike.
 ///
 /// With permanent losses in the fault plan, the run executes as a
 /// sequence of fixed-world *phases* separated by the resize protocol:
@@ -574,7 +564,7 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
     let mut carry_phases = PhaseBreakdown::default();
     let mut carry_buckets = AllReduceProfile::default();
     let history;
-    let checksum0;
+    let checksum;
     let final_step;
 
     loop {
@@ -605,15 +595,18 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
             phase_idx,
             stop_at,
         };
+        let mut models = phase_models(&view);
+        let mut weights = Vec::new();
+        models[0].visit_params(&mut |p| weights.push(p.value.share()));
         let results: Vec<PhaseOutcome> = std::thread::scope(|scope| {
             // Per rank one batch request and one flush, and rank 0's save.
             let (requests, inbox) = sync_channel(2 * world + 1);
             let mut outboxes = Vec::with_capacity(world);
-            let joins: Vec<_> = world_comms
+            let joins: Vec<_> = models
                 .into_iter()
-                .zip(bn_comms)
+                .zip(world_comms.into_iter().zip(bn_comms))
                 .enumerate()
-                .map(|(r, (world_comm, bn_comm))| {
+                .map(|(r, (model, (world_comm, bn_comm)))| {
                     let (env, carry) = (&env, carry.clone());
                     // Surviving ranks keep their original recorders: rank r
                     // of the shrunken world is survivor r of the old one.
@@ -621,7 +614,7 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
                     let (feed, outbox) = Feed::new(r, requests.clone());
                     outboxes.push(outbox);
                     scope.spawn(move || {
-                        Replica::new(env, r, world_comm, bn_comm, rec, carry, feed).run()
+                        Replica::new(env, r, model, world_comm, bn_comm, rec, carry, feed).run()
                     })
                 })
                 .collect();
@@ -635,12 +628,6 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         });
 
         for (r, res) in results.iter().enumerate() {
-            // The owners' weights are copied into their peers after every
-            // update, so this checks the copy, not the reduced gradients.
-            assert_eq!(
-                res.checksum, results[0].checksum,
-                "replica {r} diverged from replica 0 — synchronization bug"
-            );
             // Fault handling is SPMD: every rank must have observed the
             // same injections, retries, preemptions, durable checkpoints,
             // and rollbacks, or the run only survived by luck.
@@ -676,7 +663,11 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
 
         if res0.done {
             history = res0.history;
-            checksum0 = res0.checksum;
+            let mut fingerprint = Fingerprint::default();
+            for w in &weights {
+                fingerprint.update(&w.data());
+            }
+            checksum = fingerprint.finish();
             final_step = carry.step;
             break;
         }
@@ -737,13 +728,25 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         peak_epoch,
         history,
         wall_seconds: start.elapsed().as_secs_f64(),
-        weight_checksum: checksum0,
+        weight_checksum: checksum,
         phases: carry_phases,
         all_reduce_buckets: carry_buckets,
         fault_recovery: carry.counters,
         step_timeline: carry.timeline,
         final_world: world,
     }
+}
+
+/// The models of a phase's replicas: one built from the run's init
+/// stream and a replica of it ([`replicate`]) for every further rank, so
+/// the ranks share one weight buffer per parameter. A resumed phase's
+/// ranks then write the checkpoint's weights over it, each its own share.
+fn phase_models(view: &Experiment) -> Vec<EfficientNet> {
+    let mut init_rng = Rng::new(view.seed).split(1);
+    let mut model = EfficientNet::new(view.model.clone(), view.precision, &mut init_rng);
+    model.visit_bns(&mut |bn| bn.set_momentum(PROXY_BN_MOMENTUM));
+    let replicas: Vec<_> = (1..view.replicas).map(|_| replicate(&mut model)).collect();
+    std::iter::once(model).chain(replicas).collect()
 }
 
 /// What every replica thread of one fixed-world phase is handed.
@@ -791,9 +794,11 @@ struct Replica<'a> {
 }
 
 impl<'a> Replica<'a> {
+    #[allow(clippy::too_many_arguments)]
     fn new(
         env: &'a PhaseEnv<'a>,
         rank: usize,
+        mut model: EfficientNet,
         world: Box<dyn Collective>,
         bn_comm: Option<Box<dyn Collective>>,
         rec: Arc<Recorder>,
@@ -808,7 +813,7 @@ impl<'a> Replica<'a> {
         let data_rng = Rng::new(view.seed).split(1000 + stream_base + rank as u64);
         if env.phase_idx == 0 {
             // Phase 0 starts at epoch 1's first batch: ask for it now, so
-            // loading it overlaps building the model. (A resumed phase
+            // loading it overlaps the replica's setup. (A resumed phase
             // learns where it starts from the checkpoint.)
             let plan = EpochPlan::new(view.seed, 1, view.train_samples);
             let indices = plan.batch_at(0, rank, view.replicas, view.per_replica_batch);
@@ -819,12 +824,6 @@ impl<'a> Replica<'a> {
                 rng,
             }));
         }
-        // Every replica draws its init from one shared stream, so the
-        // weights start bitwise identical on every rank. Resumed phases
-        // overwrite them with the durable checkpoint below.
-        let mut init_rng = Rng::new(view.seed).split(1);
-        let mut model = EfficientNet::new(view.model.clone(), view.precision, &mut init_rng);
-        model.visit_bns(&mut |bn| bn.set_momentum(PROXY_BN_MOMENTUM));
         if let Some(c) = bn_comm {
             model.set_bn_sync(Arc::new(GroupStatSync::new(c)));
         }
@@ -977,22 +976,28 @@ impl<'a> Replica<'a> {
 
     /// The one restore path: resume, preemption, quarantine and
     /// divergence rollback differ only in what they load and charge.
-    /// Applies `snap`, the optimizer state only for the parameters this
-    /// rank owns and into its existing buffers; when that `replay`s steps
-    /// (all but a new world loading its start), accounts them, marks the
-    /// `REWIND` and drops the abandoned tail of the timeline. An anchor
+    /// Applies `snap`, the weights and optimizer state only of the
+    /// parameters this rank owns and into its existing buffers, between
+    /// two barriers: every rank reaches a restore together, no rank
+    /// writes the shared weights before every rank has stopped reading
+    /// them, and none reads them again before every share is written.
+    /// When that `replay`s steps (all but a new world loading its start),
+    /// accounts them, marks the `REWIND` and drops the abandoned tail of
+    /// the timeline. An anchor
     /// held now describes the trajectory just left, so it goes and the
     /// step loop takes a fresh one (the preemption site, which restores
     /// *from* it, puts it back).
     fn rewind(&mut self, snap: &DurableSnapshot, replay: bool) {
         let from = self.prog.step;
         let owned = self.shares.owned(self.rank);
+        self.world.barrier();
         (self.prog, self.history) = snap.apply(
             &mut self.model,
             self.optimizer.as_mut(),
             owned,
             &mut self.ema,
         );
+        self.world.barrier();
         if replay {
             let replayed = from - self.prog.step;
             self.counters.replayed_steps += replayed;
@@ -1175,8 +1180,10 @@ impl<'a> Replica<'a> {
     }
 
     /// Schedule, optimizer and EMA update with the step's averaged
-    /// gradients. The optimizer runs on this rank's own parameters, whose
-    /// new weights then go into every peer.
+    /// gradients. The optimizer writes this rank's own parameters' new
+    /// weights: no rank left the gradient exchange before every rank had
+    /// ended its backward, the step's last read of them, and the barrier
+    /// after the writes orders them before every rank's next read.
     fn apply_update(&mut self, schedule: &dyn LrSchedule, mean_loss: f32) {
         let view = self.env.view;
         // Effective schedule step in the current world's units; ×1.0 is a
@@ -1185,9 +1192,7 @@ impl<'a> Replica<'a> {
         let lr = schedule.lr(eff_step) * self.prog.lr_scale;
         let owned = self.shares.owned(self.rank);
         self.optimizer.step_params(&mut self.model, lr, owned);
-        let weights = &mut Weights(&mut self.model);
-        self.world
-            .all_gather_in_place(weights, self.shares.elems(), None);
+        self.world.barrier();
         if let Some(e) = &mut self.ema {
             e.update(&mut self.model);
         }
@@ -1434,11 +1439,7 @@ impl<'a> Replica<'a> {
             );
         }
 
-        let mut weights = Fingerprint::default();
-        self.model
-            .visit_params(&mut |p| weights.update(p.value.data()));
         PhaseOutcome {
-            checksum: weights.finish(),
             history: self.history,
             phases: self.phases,
             buckets: self.grad_bucket.profile().clone(),
@@ -1488,11 +1489,24 @@ mod tests {
     }
 
     #[test]
-    fn replicas_stay_bitwise_identical() {
-        // train() asserts the cross-replica checksum internally; reaching
-        // the report proves synchronization held for the whole run.
-        let report = train(&quick_exp(4));
-        assert_ne!(report.weight_checksum, 0);
+    fn every_replica_reads_one_buffer_per_parameter() {
+        let mut models = phase_models(&quick_exp(3));
+        let mut handles = vec![Vec::new(); 3];
+        let mut grads = vec![Vec::new(); 3];
+        for (r, model) in models.iter_mut().enumerate() {
+            model.visit_params(&mut |p| {
+                handles[r].push(p.value.share());
+                grads[r].push(p.grad.data().as_ptr());
+            });
+        }
+        assert!(!handles[0].is_empty());
+        for r in 1..3 {
+            assert_eq!(handles[r].len(), handles[0].len());
+            for (i, w) in handles[r].iter().enumerate() {
+                assert!(w.is_shared_with(&handles[0][i]), "rank {r} param {i}");
+                assert_ne!(grads[r][i], grads[0][i], "rank {r} param {i}'s gradient");
+            }
+        }
     }
 
     #[test]

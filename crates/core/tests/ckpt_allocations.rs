@@ -6,20 +6,26 @@
 //! it. Only the saving rank's snapshot holds every parameter's
 //! optimizer state; another rank's anchor holds its own.
 //!
+//! A phase keeps one set of weights however many replicas it runs: a
+//! `train()` at world 2 or 3 allocates each parameter's weight buffer
+//! once, next to one gradient buffer per replica; a weight copy per
+//! replica would make it two buffers per replica.
+//!
 //! A test binary of its own, because it counts through a global
 //! allocator: the largest block per thread, live bytes and their
-//! high-water mark over the whole process. The tests take [`SERIAL`], so one
-//! test's allocations never show in the other's high-water mark.
+//! high-water mark over the whole process, and the allocations of a few
+//! watched sizes. The tests take [`SERIAL`], so one test's allocations
+//! never show in another's counts.
 
 use ets_collective::{FaultEvent, FaultKind, FaultPlan};
 use ets_efficientnet::{EfficientNet, ModelConfig};
-use ets_nn::Precision;
+use ets_nn::{Layer, Precision};
 use ets_optim::{Optimizer, RmsProp, Shares};
 use ets_tensor::Rng;
 use ets_train::{train, CkptStore, DurableSnapshot, Experiment, Progress};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The smallest block the tests call large, and the slack they allow.
@@ -38,8 +44,17 @@ thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
+/// Byte sizes whose allocations are counted (0: none), and the counts.
+static WATCHED: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+static ALLOCATED: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
+
 fn grew(from: usize, to: usize) {
     LARGEST.with(|n| n.set(n.get().max(to)));
+    for (size, n) in WATCHED.iter().zip(&ALLOCATED) {
+        if to > 0 && size.load(Ordering::Relaxed) == to {
+            n.fetch_add(1, Ordering::Relaxed);
+        }
+    }
     if to >= from {
         let live = LIVE.fetch_add(to - from, Ordering::Relaxed) + (to - from);
         PEAK.fetch_max(live, Ordering::Relaxed);
@@ -210,4 +225,46 @@ fn checkpoints_raise_the_high_water_mark_by_one_snapshot_and_one_owned_share() {
          owned share and 1 MiB allow",
         guarded - plain - bound
     );
+}
+
+#[test]
+fn a_run_allocates_each_weight_once_and_a_gradient_per_replica() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // 4 steps per epoch, 2 epochs, no faults: one phase.
+    let run = |world: usize| Experiment {
+        replicas: world,
+        per_replica_batch: 4,
+        epochs: 2,
+        train_samples: 16 * world,
+        eval_samples: 16,
+        ..Experiment::proxy_default()
+    };
+    // The largest sizes that one parameter alone has; no other buffer of
+    // these runs has them either.
+    let e = run(1);
+    let mut model = EfficientNet::new(e.model.clone(), e.precision, &mut Rng::new(1));
+    let mut sizes = Vec::new();
+    model.visit_params(&mut |p| sizes.push(p.numel() * 4));
+    let mut largest: Vec<usize> = sizes
+        .iter()
+        .copied()
+        .filter(|s| sizes.iter().filter(|&t| t == s).count() == 1)
+        .collect();
+    largest.sort_unstable();
+    let largest = &largest[largest.len() - WATCHED.len()..];
+    for (watched, &size) in WATCHED.iter().zip(largest) {
+        watched.store(size, Ordering::Relaxed);
+    }
+    for world in [1, 2, 3] {
+        ALLOCATED.iter().for_each(|n| n.store(0, Ordering::Relaxed));
+        assert_eq!(train(&run(world)).final_world, world);
+        for (n, &size) in ALLOCATED.iter().zip(largest) {
+            assert_eq!(
+                n.load(Ordering::Relaxed),
+                world as u64 + 1,
+                "world {world}: buffers of {size} B (one weight, a gradient per replica)"
+            );
+        }
+    }
+    WATCHED.iter().for_each(|w| w.store(0, Ordering::Relaxed));
 }

@@ -98,3 +98,21 @@ fn top5_at_least_top1() {
         assert!(rec.eval_top5.unwrap() >= rec.eval_top1.unwrap());
     }
 }
+
+#[test]
+fn an_ema_eval_leaves_the_shared_weights_as_trained() {
+    // World 2, every epoch evaluated on the EMA weights, which the eval
+    // swaps into its own replica alone. The weights both replicas train
+    // come out as trained: the checksum equals the run's without EMA, and
+    // the bits are those recorded when each replica held its own copy.
+    let mut plain = base();
+    plain.epochs = 3;
+    let mut ema = plain.clone();
+    ema.ema_decay = Some(0.9);
+    let (rp, re) = (train(&plain), train(&ema));
+    assert_eq!(re.weight_checksum, rp.weight_checksum);
+    assert_eq!(
+        (re.final_loss().to_bits(), re.weight_checksum),
+        (0x400be89b, 0x91b7a833b04d93a4)
+    );
+}

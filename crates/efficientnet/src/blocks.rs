@@ -16,6 +16,7 @@ use ets_tensor::{same_pad, Rng, Tensor};
 use std::sync::Arc;
 
 /// One MBConv block.
+#[derive(Clone)]
 pub struct MbConvBlock {
     expand: Option<(Conv2d, BatchNorm2d)>,
     depthwise: DepthwiseConv2d,

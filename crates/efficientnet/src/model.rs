@@ -11,7 +11,9 @@ use ets_nn::{
 use ets_tensor::{same_pad, Rng, Tensor};
 use std::sync::Arc;
 
-/// A full EfficientNet classifier.
+/// A full EfficientNet classifier. `clone` deep-copies the weights;
+/// [`ets_nn::replicate`] shares them.
+#[derive(Clone)]
 pub struct EfficientNet {
     stem_conv: Conv2d,
     stem_bn: BatchNorm2d,
@@ -256,7 +258,7 @@ mod tests {
             m.backward(&out.dlogits);
             m.visit_params(&mut |p| {
                 let g = p.grad.clone();
-                p.value.axpy(-0.01, &g);
+                p.value.write().axpy(-0.01, &g);
             });
             first.get_or_insert(out.loss);
             last = out.loss;

@@ -8,6 +8,7 @@ use ets_tensor::{Rng, Tensor};
 /// Swish / SiLU: `y = x · σ(x)`. After a batch norm, prefer
 /// [`crate::BatchNorm2d::with_swish`], which computes the same bits
 /// without this layer's input cache.
+#[derive(Clone)]
 pub struct Swish {
     cache_x: Option<Tensor>,
 }
@@ -99,6 +100,7 @@ impl Layer for Relu {
 }
 
 /// Sigmoid: `y = σ(x)`.
+#[derive(Clone)]
 pub struct Sigmoid {
     cache_y: Option<Tensor>,
 }

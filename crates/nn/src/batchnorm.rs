@@ -45,6 +45,7 @@ impl StatSync for LocalStats {
 
 /// 2-D batch normalization over `(N, H, W)` per channel, optionally
 /// followed by swish in the same pass ([`BatchNorm2d::with_swish`]).
+#[derive(Clone)]
 pub struct BatchNorm2d {
     gamma: Param,
     beta: Param,
@@ -136,7 +137,6 @@ impl BatchNorm2d {
 impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, mode: Mode, _rng: &mut Rng) -> Tensor {
         assert_eq!(x.shape().c(), self.channels, "BatchNorm2d channel mismatch");
-        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
         let mut y = Tensor::zeros(x.shape().clone());
         match mode {
             Mode::Train => {
@@ -161,8 +161,8 @@ impl Layer for BatchNorm2d {
                     x,
                     mean,
                     inv_std,
-                    gamma,
-                    beta,
+                    &self.gamma.value.data(),
+                    &self.beta.value.data(),
                     self.act,
                     Some(&mut xhat),
                     &mut y,
@@ -173,16 +173,18 @@ impl Layer for BatchNorm2d {
                 // act(scale·(x − μ) + β): the apply pass with the affine
                 // scale folded into its `inv_std` and a γ of one.
                 let (scale, ones) = (&mut self.pair.0, &mut self.pair.1);
+                let gamma = self.gamma.value.data();
                 for ch in 0..self.channels {
                     scale[ch] = gamma[ch] / (self.running_var[ch] + self.eps).sqrt();
                 }
+                drop(gamma);
                 ones.fill(1.0);
                 bn_apply(
                     x,
                     &self.running_mean,
                     scale,
                     ones,
-                    beta,
+                    &self.beta.value.data(),
                     self.act,
                     None,
                     &mut y,
@@ -197,12 +199,15 @@ impl Layer for BatchNorm2d {
             .cache
             .take()
             .expect("BatchNorm2d: forward before backward");
-        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
         let (sum_g, sum_g_xhat) = (&mut self.pair.0, &mut self.pair.1);
         let mut dx = Tensor::zeros(grad.shape().clone());
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
         bn_backward_reduce(
-            grad, &xhat, gamma, beta, self.act, &mut dx, sum_g, sum_g_xhat,
+            grad, &xhat, &gamma, &beta, self.act, &mut dx, sum_g, sum_g_xhat,
         );
+        // Released before the group reduce; `bn_backward_apply` takes γ
+        // again, and a thread never holds two guards of one weight.
+        drop((gamma, beta));
         // dγ/dβ use the *local* contributions only — the gradient all-reduce
         // later sums them across replicas, exactly once.
         for ch in 0..self.channels {
@@ -217,7 +222,7 @@ impl Layer for BatchNorm2d {
         bn_backward_apply(
             &mut dx,
             &xhat,
-            gamma,
+            &self.gamma.value.data(),
             &self.inv_std,
             sum_g,
             sum_g_xhat,
@@ -243,6 +248,7 @@ impl Layer for BatchNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::Weight;
     use ets_tensor::ops::reduce::bn_moments;
 
     fn rand_x(seed: u64, shape: &[usize]) -> Tensor {
@@ -294,16 +300,16 @@ mod tests {
 
         let mut bn = BatchNorm2d::new("bn", 2);
         // Nontrivial affine params.
-        bn.gamma.value.data_mut().copy_from_slice(&[1.3, 0.7]);
-        bn.beta.value.data_mut().copy_from_slice(&[0.2, -0.1]);
+        bn.gamma.value = Weight::new(Tensor::from_vec([2], vec![1.3, 0.7]));
+        bn.beta.value = Weight::new(Tensor::from_vec([2], vec![0.2, -0.1]));
 
         let _y = bn.forward(&x, Mode::Train, &mut rng);
         let dx = bn.backward(&g);
 
         let loss = |x: &Tensor| -> f64 {
             let mut bn2 = BatchNorm2d::new("bn", 2);
-            bn2.gamma.value.data_mut().copy_from_slice(&[1.3, 0.7]);
-            bn2.beta.value.data_mut().copy_from_slice(&[0.2, -0.1]);
+            bn2.gamma.value = Weight::new(Tensor::from_vec([2], vec![1.3, 0.7]));
+            bn2.beta.value = Weight::new(Tensor::from_vec([2], vec![0.2, -0.1]));
             let mut r = Rng::new(0);
             let y = bn2.forward(x, Mode::Train, &mut r);
             y.data()
@@ -367,8 +373,8 @@ mod tests {
         let mut rng = Rng::new(0);
         let x = rand_x(11, &[3, 5, 6, 7]);
         let g = rand_x(12, &[3, 5, 6, 7]);
-        bn.gamma.value = rand_x(13, &[5]);
-        bn.beta.value = rand_x(14, &[5]);
+        bn.gamma.value = Weight::new(rand_x(13, &[5]));
+        bn.beta.value = Weight::new(rand_x(14, &[5]));
         let mut y = bn.forward(&x, Mode::Train, &mut rng);
         if let Some(act) = &mut then {
             y = act.forward(&y, Mode::Train, &mut rng);

@@ -62,6 +62,7 @@ impl Precision {
 }
 
 /// Dense 2-D convolution, no bias.
+#[derive(Clone)]
 pub struct Conv2d {
     weight: Param,
     stride: usize,
@@ -112,11 +113,12 @@ impl Layer for Conv2d {
         // The kernels narrow operands at pack time, so the patch matrix
         // stays f32 and serves both precisions.
         let prec = self.precision.gemm();
-        let w = &self.weight.value;
+        let w = self.weight.value.read();
         let g = Conv2dGeom::infer(x.shape(), w.shape(), self.stride, self.pad);
         let mut patches = vec![0.0; g.k() * g.cols()];
         patch_matrix(&g, x.data(), &mut patches);
-        let y = conv2d_forward_patches(&g, w, &patches, prec);
+        let y = conv2d_forward_patches(&g, &w, &patches, prec);
+        drop(w);
         self.cache = Some((g, patches, prec));
         y
     }
@@ -124,7 +126,7 @@ impl Layer for Conv2d {
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let (g, patches, prec) = self.cache.take().expect("Conv2d: forward before backward");
         let w = &mut self.weight;
-        conv2d_backward_patches(&g, &w.value, &patches, grad, prec, &mut w.grad)
+        conv2d_backward_patches(&g, &w.value.read(), &patches, grad, prec, &mut w.grad)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -143,6 +145,7 @@ impl Layer for Conv2d {
 }
 
 /// Depthwise 2-D convolution (channel multiplier 1), no bias.
+#[derive(Clone)]
 pub struct DepthwiseConv2d {
     weight: Param,
     stride: usize,
@@ -182,12 +185,14 @@ impl DepthwiseConv2d {
 impl Layer for DepthwiseConv2d {
     fn forward(&mut self, x: &Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
         let xq = self.precision.prep(x);
-        let wq = self.precision.prep(&self.weight.value);
+        let w = self.weight.value.read();
+        let wq = self.precision.prep(&w);
         let y = depthwise_forward(&xq, &wq, self.stride, self.pad);
         let wq = match wq {
             Cow::Owned(w) => Some(w),
             Cow::Borrowed(_) => None,
         };
+        drop(w);
         self.cache = Some((xq.into_owned(), wq));
         y
     }
@@ -197,7 +202,8 @@ impl Layer for DepthwiseConv2d {
             .cache
             .take()
             .expect("DepthwiseConv2d: forward before backward");
-        let w = wq.as_ref().unwrap_or(&self.weight.value);
+        let value = self.weight.value.read();
+        let w = wq.as_ref().unwrap_or(&value);
         depthwise_backward_accumulate(&xq, w, grad, self.stride, self.pad, &mut self.weight.grad)
     }
 

@@ -7,6 +7,7 @@ use ets_tensor::{Rng, Tensor};
 
 /// Inverted dropout: in training, zeroes each element with probability
 /// `rate` and scales survivors by `1/(1-rate)`; identity in eval.
+#[derive(Clone)]
 pub struct Dropout {
     rate: f32,
     cache_mask: Option<Tensor>,
@@ -62,6 +63,7 @@ impl Layer for Dropout {
 ///
 /// EfficientNet applies this to each MBConv block's output before the
 /// identity add, with the rate growing linearly with block depth.
+#[derive(Clone)]
 pub struct DropPath {
     rate: f32,
     cache_mask: Option<Vec<f32>>,

@@ -3,9 +3,11 @@
 //! The EfficientNet reference evaluates an EMA of the training weights
 //! (decay 0.9999); peak top-1 numbers in the paper are EMA accuracies. The
 //! averager is keyed positionally to the model's `visit_params` order, with
-//! name checks to catch wiring mistakes.
+//! name checks to catch wiring mistakes. Its shadow is its own copy of
+//! the weights, never a share of them.
 
 use crate::layer::Layer;
+use crate::param::Weight;
 use ets_tensor::Tensor;
 
 /// Weight averager with TF-style decay warmup.
@@ -24,7 +26,7 @@ impl Ema {
     pub fn new(model: &mut dyn Layer, decay: f32) -> Self {
         assert!((0.0..1.0).contains(&decay), "decay must be in [0,1)");
         let mut shadow = Vec::new();
-        model.visit_params(&mut |p| shadow.push((p.name.clone(), p.value.clone())));
+        model.visit_params(&mut |p| shadow.push((p.name.clone(), p.value.read().clone())));
         Ema {
             decay,
             shadow,
@@ -49,28 +51,30 @@ impl Ema {
             debug_assert_eq!(name, &p.name, "EMA param order changed");
             // shadow = d·shadow + (1−d)·value
             shadow.scale(d);
-            shadow.axpy(1.0 - d, &p.value);
+            shadow.axpy(1.0 - d, &p.value.read());
             i += 1;
         });
         assert_eq!(i, self.shadow.len(), "model params changed under EMA");
         self.updates += 1;
     }
 
-    /// Swaps the shadow weights into the model, returning the originals so
-    /// the caller can restore them after evaluation.
-    pub fn swap_in(&self, model: &mut dyn Layer) -> Vec<Tensor> {
+    /// Puts a copy of the shadow weights into the model, returning the
+    /// model's own weight handles so the caller can restore them after
+    /// evaluation. Only this model's handles change: a replica sharing
+    /// its weights reads them as they were.
+    pub fn swap_in(&self, model: &mut dyn Layer) -> Vec<Weight> {
         let mut saved = Vec::with_capacity(self.shadow.len());
         let mut i = 0;
         model.visit_params(&mut |p| {
-            saved.push(p.value.clone());
-            p.value = self.shadow[i].1.clone();
+            let copy = Weight::new(self.shadow[i].1.clone());
+            saved.push(std::mem::replace(&mut p.value, copy));
             i += 1;
         });
         saved
     }
 
-    /// Restores weights captured by [`Ema::swap_in`].
-    pub fn restore(&self, model: &mut dyn Layer, saved: Vec<Tensor>) {
+    /// Restores the weight handles taken by [`Ema::swap_in`].
+    pub fn restore(&self, model: &mut dyn Layer, saved: Vec<Weight>) {
         let mut it = saved.into_iter();
         model.visit_params(&mut |p| {
             p.value = it.next().expect("saved weights exhausted");
@@ -168,7 +172,7 @@ mod tests {
         let mut max_diff = 0.0f32;
         let mut i = 0;
         m.visit_params(&mut |p| {
-            max_diff = max_diff.max(p.value.max_abs_diff(&ema.shadow[i].1));
+            max_diff = max_diff.max(p.value.read().max_abs_diff(&ema.shadow[i].1));
             i += 1;
         });
         assert!(max_diff < 1e-5, "shadow should converge, diff {max_diff}");
@@ -179,7 +183,7 @@ mod tests {
         let mut m = tiny_model();
         let mut ema = Ema::new(&mut m, 0.75);
         m.visit_params(&mut |p| {
-            p.value.map_inplace(|v| v * 1.5 + 0.25);
+            p.value.write().map_inplace(|v| v * 1.5 + 0.25);
         });
         ema.update(&mut m);
         ema.update(&mut m);
@@ -198,18 +202,32 @@ mod tests {
         let mut ema = Ema::new(&mut m, 0.5);
         // Perturb weights so shadow differs.
         m.visit_params(&mut |p| {
-            p.value.map_inplace(|v| v + 1.0);
+            p.value.write().map_inplace(|v| v + 1.0);
         });
         ema.update(&mut m);
         let before = crate::layer::snapshot_params(&mut m);
+        let mut peer = Vec::new();
+        m.visit_params(&mut |p| peer.push(p.value.share()));
         let saved = ema.swap_in(&mut m);
         let during = crate::layer::snapshot_params(&mut m);
+        // A holder of a share still reads the trained weights.
+        for (w, b) in peer.iter().zip(&before) {
+            assert_eq!(&*w.read(), b);
+        }
         // Shadow differs from live weights.
         assert!(before
             .iter()
             .zip(&during)
             .any(|(a, b)| a.max_abs_diff(b) > 1e-6));
         ema.restore(&mut m, saved);
+        let mut i = 0;
+        m.visit_params(&mut |p| {
+            assert!(
+                p.value.is_shared_with(&peer[i]),
+                "restore puts the handles back"
+            );
+            i += 1;
+        });
         let after = crate::layer::snapshot_params(&mut m);
         for (a, b) in before.iter().zip(&after) {
             assert_eq!(a.max_abs_diff(b), 0.0);

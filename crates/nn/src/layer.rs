@@ -11,7 +11,7 @@
 //! gradients *accumulate* into `Param::grad` (callers zero them between
 //! steps).
 
-use crate::param::Param;
+use crate::param::{Param, Weight};
 use ets_tensor::{Rng, Tensor};
 
 /// Whether the network is training (batch stats, dropout active) or
@@ -160,11 +160,33 @@ impl HookedBackward for Sequential {
     }
 }
 
-/// Collects snapshots of all parameter values (for EMA / checkpoint tests).
+/// Collects copies of all parameter values (for EMA / checkpoint tests).
 pub fn snapshot_params(layer: &mut dyn Layer) -> Vec<Tensor> {
     let mut out = Vec::new();
-    layer.visit_params(&mut |p| out.push(p.value.clone()));
+    layer.visit_params(&mut |p| out.push(p.value.read().clone()));
     out
+}
+
+/// A replica of `layer`: a clone with its own gradients, caches and
+/// statistics whose parameters hold `layer`'s weight buffers
+/// ([`Weight::share`]) instead of copies of them. A data-parallel trainer
+/// builds one model and a replica of it for every further worker.
+pub fn replicate<L: Layer + Clone>(layer: &mut L) -> L {
+    // A clone deep-copies every weight, so the weights step out first
+    // and the clone copies empty placeholders.
+    let mut weights = Vec::new();
+    layer.visit_params(&mut |p| {
+        weights.push(std::mem::replace(
+            &mut p.value,
+            Weight::new(Tensor::zeros([0])),
+        ))
+    });
+    let mut replica = layer.clone();
+    let mut shared = weights.iter();
+    replica.visit_params(&mut |p| p.value = shared.next().expect("same parameters").share());
+    let mut own = weights.into_iter();
+    layer.visit_params(&mut |p| p.value = own.next().expect("same parameters"));
+    replica
 }
 
 /// Zeroes every parameter gradient under `layer`.
@@ -185,6 +207,7 @@ mod tests {
     use crate::param::ParamKind;
 
     /// y = x * k, dk accumulates sum(x ⊙ g).
+    #[derive(Clone)]
     struct ScaleLayer {
         k: Param,
         cache: Option<Tensor>,
@@ -282,6 +305,38 @@ mod tests {
         assert_eq!(grads_plain, grads_hooked);
         // ...with suffix segments announced in strictly descending order.
         assert_eq!(seen, vec![vec![3.0], vec![2.0]]);
+    }
+
+    #[derive(Clone)]
+    struct Pair(ScaleLayer, ScaleLayer);
+
+    impl Layer for Pair {
+        fn forward(&mut self, x: &Tensor, _m: Mode, _r: &mut Rng) -> Tensor {
+            x.clone()
+        }
+        fn backward(&mut self, grad: &Tensor) -> Tensor {
+            grad.clone()
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            f(&mut self.0.k);
+            f(&mut self.1.k);
+        }
+    }
+
+    #[test]
+    fn a_replica_shares_the_weights_and_owns_the_rest() {
+        let mut model = Pair(ScaleLayer::new(2.0), ScaleLayer::new(3.0));
+        model.0.k.grad.fill(7.0);
+        let mut replica = replicate(&mut model);
+        assert!(replica.0.k.value.is_shared_with(&model.0.k.value));
+        assert!(replica.1.k.value.is_shared_with(&model.1.k.value));
+        assert_eq!(snapshot_params(&mut model), snapshot_params(&mut replica));
+        // A write through one handle is what the other reads; the
+        // gradients stay apart.
+        replica.1.k.value.write().fill(5.0);
+        assert_eq!(model.1.k.value.data()[0], 5.0);
+        replica.0.k.grad.fill(1.0);
+        assert_eq!(model.0.k.grad.data()[0], 7.0);
     }
 
     #[test]

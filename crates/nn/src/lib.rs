@@ -32,11 +32,11 @@ pub use dropout::{DropPath, Dropout};
 pub use ema::{Ema, EmaState};
 pub use ets_tensor::ops::dispatch::{GemmPolicy, GemmPrecision};
 pub use layer::{
-    param_count, snapshot_params, zero_grads, HookedBackward, Layer, Mode, Sequential,
+    param_count, replicate, snapshot_params, zero_grads, HookedBackward, Layer, Mode, Sequential,
 };
 pub use linear::Linear;
 pub use loss::{cross_entropy, softmax, LossOutput};
 pub use metrics::{top1_accuracy, top_k_correct, EvalCounts};
-pub use param::{Param, ParamKind};
+pub use param::{Param, ParamKind, Weight, WeightData};
 pub use pool::GlobalAvgPool;
 pub use se::SqueezeExcite;

@@ -20,6 +20,7 @@ use ets_tensor::ops::dispatch::{gemm, GemmDesc, GemmPolicy, Orient};
 use ets_tensor::{init, Rng, Tensor};
 
 /// Dense layer with weight stored `[out, in]` and optional bias.
+#[derive(Clone)]
 pub struct Linear {
     weight: Param,
     bias: Option<Param>,
@@ -107,11 +108,11 @@ impl Layer for Linear {
             precision,
             ..GemmDesc::new(n, self.in_dim, self.out_dim)
         };
-        gemm(desc, x.data(), self.weight.value.data(), y.data_mut());
+        gemm(desc, x.data(), &self.weight.value.data(), y.data_mut());
         if let Some(b) = &self.bias {
             let bs = b.value.data();
             for row in y.data_mut().chunks_mut(self.out_dim) {
-                for (v, &bv) in row.iter_mut().zip(bs) {
+                for (v, &bv) in row.iter_mut().zip(bs.iter()) {
                     *v += bv;
                 }
             }
@@ -153,7 +154,7 @@ impl Layer for Linear {
         gemm(
             dx_desc,
             grad.data(),
-            self.weight.value.data(),
+            &self.weight.value.data(),
             dx.data_mut(),
         );
         dx
@@ -178,14 +179,15 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::Weight;
 
     #[test]
     fn forward_matches_manual() {
         let mut rng = Rng::new(1);
         let mut lin = Linear::new("fc", 3, 2, true, &mut rng);
-        lin.weight.value = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]);
+        lin.weight.value = Weight::new(Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]));
         if let Some(b) = &mut lin.bias {
-            b.value = Tensor::from_vec([2], vec![0.5, -0.5]);
+            b.value = Weight::new(Tensor::from_vec([2], vec![0.5, -0.5]));
         }
         let x = Tensor::from_vec([1, 3], vec![1.0, 0.0, -1.0]);
         let y = lin.forward(&x, Mode::Train, &mut rng);
@@ -229,9 +231,9 @@ mod tests {
         for &i in &[0usize, 5, 11] {
             let mut lp = Linear::new("fc", 4, 3, true, &mut Rng::new(2));
             lp.weight.value = w0.clone();
-            lp.weight.value.data_mut()[i] += eps;
+            lp.weight.value.write().data_mut()[i] += eps;
             let up = loss(&mut lp, &x);
-            lp.weight.value.data_mut()[i] -= 2.0 * eps;
+            lp.weight.value.write().data_mut()[i] -= 2.0 * eps;
             let down = loss(&mut lp, &x);
             let num = ((up - down) / (2.0 * eps as f64)) as f32;
             assert!(

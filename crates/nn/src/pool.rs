@@ -6,6 +6,7 @@ use ets_tensor::ops::pool::{global_avg_pool, global_avg_pool_backward};
 use ets_tensor::{Rng, Tensor};
 
 /// Global average pooling: `NCHW -> NC`.
+#[derive(Clone)]
 pub struct GlobalAvgPool {
     cache_hw: Option<(usize, usize)>,
 }

@@ -23,6 +23,7 @@ use ets_tensor::ops::pool::{
 use ets_tensor::{Rng, Tensor};
 
 /// Squeeze-and-excite with reduction to `se_dim` hidden units.
+#[derive(Clone)]
 pub struct SqueezeExcite {
     reduce: Linear,
     expand: Linear,
@@ -32,6 +33,7 @@ pub struct SqueezeExcite {
     label: String,
 }
 
+#[derive(Clone)]
 struct SeCache {
     x: Tensor,
     s: Tensor,

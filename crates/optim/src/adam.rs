@@ -44,11 +44,12 @@ impl Optimizer for Adam {
         let bc2 = 1.0 - b2.powi(self.t as i32);
         self.moments.walk(model, params, |p, [ms, vs]| {
             let decay = if p.kind.decayed() { wd } else { 0.0 };
+            let mut value = p.value.write();
             for (((m, v), &g), w) in ms
                 .iter_mut()
                 .zip(vs)
                 .zip(p.grad.data())
-                .zip(p.value.data_mut())
+                .zip(value.data_mut())
             {
                 *m = b1 * *m + (1.0 - b1) * g;
                 *v = b2 * *v + (1.0 - b2) * g * g;

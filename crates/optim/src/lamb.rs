@@ -71,8 +71,9 @@ impl Optimizer for Lamb {
             // Adam direction + decoupled decay, computed where it is read.
             let decay = if p.kind.decayed() { wd } else { 0.0 };
             let u = |m: f32, v: f32, w: f32| (m / bc1) / ((v / bc2).sqrt() + eps) + decay * w;
+            let mut value = p.value.write();
             let ratio = if p.kind.lars_adapted() {
-                let (wn, w) = (p.value.l2_norm(), p.value.data());
+                let (wn, w) = (value.l2_norm(), value.data());
                 let un = sum_sq_of(w.len(), |j| u(ms[j], vs[j], w[j])).sqrt() as f32;
                 if wn > 0.0 && un > 0.0 {
                     wn / un
@@ -82,7 +83,7 @@ impl Optimizer for Lamb {
             } else {
                 1.0
             };
-            for ((&m, &v), w) in ms.iter().zip(vs.iter()).zip(p.value.data_mut()) {
+            for ((&m, &v), w) in ms.iter().zip(vs.iter()).zip(value.data_mut()) {
                 *w -= lr * ratio * u(m, v, *w);
             }
         });
@@ -160,7 +161,8 @@ mod tests {
             layer.0.grad.data_mut().copy_from_slice(&[s, 2.0 * s]);
             let mut opt = Lamb::paper_default(0.0);
             opt.step(&mut layer, 0.1);
-            layer.0.value.data().to_vec()
+            let weights = layer.0.value.data().to_vec();
+            weights
         };
         // ε in the denominator breaks *exact* invariance at tiny gradient
         // scales, so allow a small relative band.

@@ -73,12 +73,13 @@ impl Optimizer for Lars {
         let ratios = &mut self.last_ratios;
         ratios.clear();
         self.velocity.walk(model, params, |p, [v]| {
+            let mut value = p.value.write();
             let adapted = p.kind.lars_adapted().then(|| {
-                let r = ratio(eta, wd, eps, p.value.l2_norm(), p.grad.l2_norm());
+                let r = ratio(eta, wd, eps, value.l2_norm(), p.grad.l2_norm());
                 ratios.push(r);
                 r * lr
             });
-            let vw = v.iter_mut().zip(p.grad.data()).zip(p.value.data_mut());
+            let vw = v.iter_mut().zip(p.grad.data()).zip(value.data_mut());
             if let Some(scaled) = adapted {
                 for ((v, &g), w) in vw {
                     *v = m * *v + scaled * (g + wd * *w);
@@ -169,7 +170,8 @@ mod tests {
                 .copy_from_slice(&[gscale, 2.0 * gscale]);
             let mut opt = Lars::new(0.0, 0.0, 0.001);
             opt.step(&mut layer, 1.0);
-            layer.0[0].value.data().to_vec()
+            let weights = layer.0[0].value.data().to_vec();
+            weights
         };
         let small = run(1e-3);
         let large = run(1e3);
@@ -207,7 +209,7 @@ mod tests {
         // FNV-1a over every weight's bits.
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for p in &layer.0 {
-            for v in p.value.data() {
+            for v in p.value.data().iter() {
                 hash = (hash ^ v.to_bits() as u64).wrapping_mul(0x0100_0000_01b3);
             }
         }

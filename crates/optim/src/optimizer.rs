@@ -11,8 +11,9 @@
 //! runs the kernel on the parameters it owns ([`Shares`]) and keeps
 //! state only for them. Every kernel is per-parameter (LARS' and LAMB's
 //! norms, SM3's covers), so an owned parameter takes bitwise the step a
-//! whole-model update gives it, and the replicas' weights stay identical
-//! once each owner has copied its new weights into its peers. The
+//! whole-model update gives it, and replicas that share one set of
+//! weights hold those of a whole-model step once every owner has
+//! written its own. The
 //! segments a replica does not own stay as they were (zero, on pages the
 //! allocator never touched) until [`Optimizer::visit_state`] lets the
 //! owners copy them into the one replica that writes a checkpoint.
@@ -126,7 +127,7 @@ impl Shares {
         assert!(world >= 1, "a share needs at least one owner");
         // `offsets[i]`: where parameter `i` starts, then the total.
         let mut offsets = vec![0];
-        model.visit_params(&mut |p| offsets.push(offsets[offsets.len() - 1] + p.value.numel()));
+        model.visit_params(&mut |p| offsets.push(offsets[offsets.len() - 1] + p.numel()));
         let (count, n) = (offsets.len() - 1, offsets[offsets.len() - 1]);
         // `min_by_key` keeps the first of equally near edges: the lower.
         let nearest = |target: usize| (0..=count).min_by_key(|&i| offsets[i].abs_diff(target));
@@ -198,7 +199,7 @@ impl<const K: usize> Slots<K> {
         let (seg_lens, ends, mut end) = (self.seg_lens, &mut self.ends, [0; K]);
         ends.clear();
         model.visit_params(&mut |p| {
-            for (e, len) in end.iter_mut().zip(seg_lens(p.value.shape().dims())) {
+            for (e, len) in end.iter_mut().zip(seg_lens(p.dims())) {
                 *e += len;
             }
             ends.push(end);

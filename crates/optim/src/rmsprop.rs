@@ -47,11 +47,12 @@ impl Optimizer for RmsProp {
         let (rho, m, eps, wd) = (self.rho, self.momentum, self.eps, self.weight_decay);
         self.slots.walk(model, params, |p, [ms, mom]| {
             let decay = if p.kind.decayed() { wd } else { 0.0 };
+            let mut value = p.value.write();
             for (((ms, mom), &g), w) in ms
                 .iter_mut()
                 .zip(mom)
                 .zip(p.grad.data())
-                .zip(p.value.data_mut())
+                .zip(value.data_mut())
             {
                 let g = g + decay * *w;
                 *ms = rho * *ms + (1.0 - rho) * g * g;

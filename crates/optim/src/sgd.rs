@@ -26,7 +26,8 @@ impl Optimizer for Sgd {
         let (m, wd) = (self.momentum, self.weight_decay);
         self.velocity.walk(model, params, |p, [v]| {
             let decay = if p.kind.decayed() { wd } else { 0.0 };
-            for ((v, &g), w) in v.iter_mut().zip(p.grad.data()).zip(p.value.data_mut()) {
+            let mut value = p.value.write();
+            for ((v, &g), w) in v.iter_mut().zip(p.grad.data()).zip(value.data_mut()) {
                 *v = m * *v + g + decay * *w;
                 *w -= lr * *v;
             }
@@ -100,7 +101,8 @@ mod tests {
                 layer.0.grad.data_mut()[0] = w;
                 opt.step(&mut layer, 0.02);
             }
-            layer.0.value.data()[0]
+            let w = layer.0.value.data()[0];
+            w
         };
         assert!(run(0.9) < run(0.0), "momentum should make faster progress");
     }

@@ -52,7 +52,7 @@ impl Optimizer for Sm3 {
     fn step_params(&mut self, model: &mut dyn Layer, lr: f32, params: Range<usize>) {
         let (m, wd, eps) = (self.momentum, self.weight_decay, self.eps);
         self.slots.walk(model, params, |p, [covers, v]| {
-            let dims = axes(p.value.shape().dims());
+            let dims = axes(p.dims());
             // Stride of each axis, and where its accumulators start.
             let (mut strides, mut starts) = (vec![1; dims.len()], vec![0; dims.len()]);
             for a in (1..dims.len()).rev() {
@@ -64,7 +64,8 @@ impl Optimizer for Sm3 {
             let mut idx = vec![0; dims.len()];
             let decay = if p.kind.decayed() { wd } else { 0.0 };
             let grads = p.grad.data();
-            let vals = p.value.data_mut();
+            let mut value = p.value.write();
+            let vals = value.data_mut();
             for j in 0..vals.len() {
                 // Flat index → the cover accumulator of each axis.
                 let mut rem = j;

@@ -52,12 +52,13 @@ fn minimize(
         }
         opt.step(&mut layer, lr);
     }
-    layer
+    let max_abs = layer
         .0
         .value
         .data()
         .iter()
-        .fold(0.0f32, |m, v| m.max(v.abs()))
+        .fold(0.0f32, |m, v| m.max(v.abs()));
+    max_abs
 }
 
 proptest! {
@@ -113,7 +114,8 @@ proptest! {
             }
             let mut opt = Lars::new(0.0, 0.0, 0.01);
             opt.step(&mut layer, 1.0);
-            layer.0.value.data().to_vec()
+            let weights = layer.0.value.data().to_vec();
+            weights
         };
         let base = run(1.0);
         let scaled = run(scale);

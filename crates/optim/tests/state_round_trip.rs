@@ -46,7 +46,13 @@ impl ToyModel {
     fn weights_bits(&self) -> Vec<u32> {
         self.0
             .iter()
-            .flat_map(|p| p.value.data().iter().map(|v| v.to_bits()))
+            .flat_map(|p| {
+                p.value
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            })
             .collect()
     }
 }

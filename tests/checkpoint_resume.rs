@@ -86,9 +86,9 @@ fn train_checkpoint_restore_resume() {
     step(&mut model);
     step(&mut revived);
     let mut wa = Vec::new();
-    model.visit_params(&mut |p| wa.extend_from_slice(p.value.data()));
+    model.visit_params(&mut |p| wa.extend_from_slice(&p.value.data()));
     let mut wb = Vec::new();
-    revived.visit_params(&mut |p| wb.extend_from_slice(p.value.data()));
+    revived.visit_params(&mut |p| wb.extend_from_slice(&p.value.data()));
     assert_eq!(wa, wb, "resumed trajectories must coincide");
 
     let _ = top1_accuracy(&probs_orig, &labels);

@@ -151,7 +151,7 @@ fn depthwise_layers_of_the_perfbench_models_equal_the_reference_bitwise() {
         let mut kernels = Vec::new();
         EfficientNet::new(cfg.clone(), Precision::F32, &mut Rng::new(1)).visit_params(&mut |p| {
             if p.name.ends_with(".dw.dw") {
-                kernels.push((p.value.shape().dim(0), p.value.shape().dim(2)));
+                kernels.push((p.dims()[0], p.dims()[2]));
             }
         });
         let walked: Vec<_> = layers.iter().map(|&(c, k, ..)| (c, k)).collect();

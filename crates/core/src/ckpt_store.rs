@@ -21,22 +21,24 @@
 //!   and the retention deletions durable. A crash mid-write never leaves
 //!   a half-visible checkpoint.
 //! - **Corruption detection**: a custom binary format (bit-exact f32
-//!   payloads at 4 bytes each) with a CRC-32 per record *and* a
-//!   whole-file CRC-32 trailer. CRC-32 detects every 1- and 2-bit error
-//!   at these file sizes, so a single flipped bit is always caught —
-//!   the property the proptest suite pins down.
+//!   payloads at 4 bytes each) in scopes that each end in their CRC-32:
+//!   a header (magic, version, step, and each record's name and
+//!   length), then each record's payload. Every byte of a file is in one
+//!   scope or in its CRC, and CRC-32 detects every 1- and 2-bit error at
+//!   these sizes, so a single flipped bit is always caught — the
+//!   property the proptest suite pins down. A load checks the header
+//!   before it uses a length from it and stops at the first bad scope.
 //! - **No index**: the directory listing is the set of checkpoints. A
 //!   second record of each file's length and CRC could reject only a
-//!   file that already validates: the CRC-32 of an intact file, trailer
-//!   included, is one residue (`0x2144DF1C`) for every file.
+//!   file that already validates: the header CRC covers every length.
 //! - **One pass each way, no file-sized copy**: a save streams its
 //!   encoding into the temp file through one fixed 256 KiB buffer,
-//!   checksumming each chunk while it is in cache ([`Crc32`] runs the
-//!   record CRC and the trailer off the same traversal, by carry-less
+//!   checksumming each chunk while it is in cache (by carry-less
 //!   multiplication where the host has it), and reads no checkpoint
-//!   back; record lengths, which precede their payloads, come from
-//!   shape arithmetic. A load streams the file through the same size of
-//!   buffer, checksumming and decoding in one pass.
+//!   back; the record lengths, which the header lists before the first
+//!   payload, come from shape arithmetic. A load streams the file
+//!   through the same size of buffer, checksumming and decoding in one
+//!   pass.
 //!   [`DurableSnapshot::to_bytes`] and [`DurableSnapshot::from_bytes`]
 //!   are the same encoder and decoder with a `Vec` or a slice for the
 //!   file.
@@ -61,17 +63,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Current durable-checkpoint format version.
-pub const CKPT_STORE_VERSION: u32 = 1;
+pub const CKPT_STORE_VERSION: u32 = 2;
 
-/// File magic: identifies the format and its major revision.
+/// File magic: identifies the format; the version after it, the
+/// revision.
 const MAGIC: &[u8; 8] = b"ETSCKPT1";
 
 /// Extension of checkpoint files in the store directory.
 const CKPT_EXT: &str = "ets";
-
-/// Bytes of a file with no records: magic, version, step, record count
-/// and the whole-file trailer.
-const ENVELOPE_LEN: usize = MAGIC.len() + 4 + 8 + 4 + 4;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (ISO-HDLC, the zlib polynomial): carry-less multiply folding,
@@ -119,97 +118,38 @@ static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 /// framing, stay on the table fold.
 const CLMUL_MIN: usize = 128;
 
-/// Folds `data` into each of `states`: the carry-less fold over all
-/// whole 16-byte blocks of a piece of at least [`CLMUL_MIN`] bytes when
-/// the host has PCLMULQDQ, the table fold over the rest. Both compute
-/// the same CRC, so which one ran never shows in a bit. The carry-less
-/// fold reads the bytes for the first state only: the CRC is linear, so
-/// two states over the same bytes still differ by their difference
-/// carried across them ([`crc32_shift`]), and a record CRC beside the
-/// file CRC costs a few hundred shifts, not a second pass.
-fn crc32_fold<const N: usize>(states: [u32; N], data: &[u8]) -> [u32; N] {
+/// Folds `data` into `state`: the carry-less fold over all whole
+/// 16-byte blocks of a piece of at least [`CLMUL_MIN`] bytes when the
+/// host has PCLMULQDQ, the table fold over the rest. Both compute the
+/// same CRC, so which one ran never shows in a bit.
+fn crc32_fold(state: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if N > 0 && data.len() >= CLMUL_MIN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+    if data.len() >= CLMUL_MIN && std::arch::is_x86_feature_detected!("pclmulqdq") {
         let (body, tail) = data.split_at(data.len() / 16 * 16);
         // SAFETY: the host has PCLMULQDQ, checked just above.
-        let first = unsafe { crc32_clmul(states[0], body) };
-        let folded = states.map(|s| first ^ crc32_shift(s ^ states[0], body.len()));
-        return crc32_table(folded, tail);
+        return crc32_table(unsafe { crc32_clmul(state, body) }, tail);
     }
-    crc32_table(states, data)
+    crc32_table(state, data)
 }
 
-/// `a · b mod P` over GF(2), both bit-reflected (bit 31 is `x^0`).
-const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
-    let mut product = 0;
-    let mut bit = 1u32 << 31;
-    while bit != 0 {
-        if a & bit != 0 {
-            product ^= b;
-        }
-        b = if b & 1 != 0 {
-            (b >> 1) ^ 0xEDB8_8320
-        } else {
-            b >> 1
-        };
-        bit >>= 1;
-    }
-    product
-}
-
-/// `x^(2^k) mod P` for `k` in `0..32`, bit-reflected. The powers repeat
-/// with period 32 in `k` (as zlib's `x2n_table` relies on).
-const fn x_pow2_table() -> [u32; 32] {
-    let mut t = [0u32; 32];
-    t[0] = 1 << 30;
-    let mut k = 1;
-    while k < 32 {
-        t[k] = mul_mod_p(t[k - 1], t[k - 1]);
-        k += 1;
-    }
-    t
-}
-
-static X_POW2: [u32; 32] = x_pow2_table();
-
-/// The CRC-32 state `s` carried across `n` zero bytes: `s · x^(8n) mod P`.
-fn crc32_shift(s: u32, n: usize) -> u32 {
-    let (mut s, mut n, mut k) = (s, n as u64, 3);
-    while n != 0 && s != 0 {
-        if n & 1 != 0 {
-            s = mul_mod_p(X_POW2[k % 32], s);
-        }
-        (n, k) = (n >> 1, k + 1);
-    }
-    s
-}
-
-/// Folds `data` into each of `states` in one traversal, sixteen bytes
-/// at a time through [`CRC32_TABLES`]. Twelve of the sixteen lookups
-/// per block do not depend on the state, so a second state over the
-/// same bytes (a record CRC beside the file CRC) costs four more
-/// lookups, not a second pass.
-fn crc32_table<const N: usize>(mut states: [u32; N], data: &[u8]) -> [u32; N] {
+/// Folds `data` into `state` sixteen bytes at a time through
+/// [`CRC32_TABLES`]: sixteen independent lookups per block.
+fn crc32_table(mut s: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let at = |k: usize, word: u32, shift: u32| t[k][(word >> shift) as u8 as usize];
     let mut blocks = data.chunks_exact(16);
     for b in &mut blocks {
         let word = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
-        let (w0, w1, w2, w3) = (word(0), word(4), word(8), word(12));
-        let shared = (at(11, w1, 0) ^ at(10, w1, 8) ^ at(9, w1, 16) ^ at(8, w1, 24))
+        let (w0, w1, w2, w3) = (word(0) ^ s, word(4), word(8), word(12));
+        s = (at(15, w0, 0) ^ at(14, w0, 8) ^ at(13, w0, 16) ^ at(12, w0, 24))
+            ^ (at(11, w1, 0) ^ at(10, w1, 8) ^ at(9, w1, 16) ^ at(8, w1, 24))
             ^ (at(7, w2, 0) ^ at(6, w2, 8) ^ at(5, w2, 16) ^ at(4, w2, 24))
             ^ (at(3, w3, 0) ^ at(2, w3, 8) ^ at(1, w3, 16) ^ at(0, w3, 24));
-        for s in &mut states {
-            let w = w0 ^ *s;
-            *s = shared ^ at(15, w, 0) ^ at(14, w, 8) ^ at(13, w, 16) ^ at(12, w, 24);
-        }
     }
     for &byte in blocks.remainder() {
-        for s in &mut states {
-            *s = at(0, *s ^ byte as u32, 0) ^ (*s >> 8);
-        }
+        s = at(0, s ^ byte as u32, 0) ^ (s >> 8);
     }
-    states
+    s
 }
 
 /// `x` folded 128 bits further down the message and back into 128 bits:
@@ -284,9 +224,7 @@ fn crc32_clmul(state: u32, data: &[u8]) -> u32 {
 }
 
 /// Streaming CRC-32 (ISO-HDLC / zlib polynomial, init & xorout `!0`):
-/// `update` in any number of pieces, `finish` at any point. `finish`
-/// does not consume the state, so the CRC of a prefix and of the whole
-/// come from one traversal.
+/// `update` in any number of pieces, `finish` at any point.
 #[derive(Clone, Copy, Debug)]
 pub struct Crc32(u32);
 
@@ -304,13 +242,7 @@ impl Crc32 {
 
     /// Extends the message by `data`.
     pub fn update(&mut self, data: &[u8]) {
-        [self.0] = crc32_fold([self.0], data);
-    }
-
-    /// Extends this message and `other`'s by the same `data`, reading
-    /// it once.
-    pub fn update_both(&mut self, other: &mut Crc32, data: &[u8]) {
-        [self.0, other.0] = crc32_fold([self.0, other.0], data);
+        self.0 = crc32_fold(self.0, data);
     }
 
     /// CRC-32 of the message so far.
@@ -337,13 +269,13 @@ pub enum CkptError {
     /// Underlying filesystem error (message form; `io::Error` is not
     /// `Clone`/`PartialEq`).
     Io(String),
-    /// File too short to hold even the envelope.
+    /// File too short to hold even the header.
     TooShort { len: usize },
     /// Magic bytes do not match `MAGIC`.
     BadMagic,
     /// Unsupported format version.
     BadVersion(u32),
-    /// A CRC-32 check failed (`what` names the record or `"file"`).
+    /// A CRC-32 check failed (`what` is `"header"` or `"record"`).
     ChecksumMismatch {
         what: &'static str,
         expected: u32,
@@ -392,20 +324,19 @@ const CHUNK: usize = 256 << 10;
 
 /// The one encoder: little-endian fields staged through a fixed
 /// [`CHUNK`]-byte buffer into any sink (the temp file of a save, the
-/// `Vec` of [`DurableSnapshot::to_bytes`]). The whole-file CRC, and
-/// inside a record's payload the record CRC too, fold over the staged
-/// bytes while they are in cache, so the bytes are traversed once.
+/// `Vec` of [`DurableSnapshot::to_bytes`]). The open scope's CRC (the
+/// header's, then each record's) folds over the staged bytes while they
+/// are in cache, so the bytes are traversed once.
 struct Encoder<'a> {
     sink: &'a mut dyn Write,
     buf: Box<[u8]>,
-    /// `buf[..used]` is encoded, `buf[..fed]` of it folded into the CRCs.
+    /// `buf[..used]` is encoded, `buf[..fed]` of it folded into the CRC.
     used: usize,
     fed: usize,
     /// Bytes handed to the sink.
     flushed: u64,
-    file: Crc32,
-    /// The open record's payload CRC.
-    record: Option<Crc32>,
+    /// CRC of the open scope.
+    crc: Crc32,
     /// The sink's first error: later output is dropped and
     /// [`Encoder::finish`] returns it.
     err: Option<io::Error>,
@@ -419,8 +350,7 @@ impl<'a> Encoder<'a> {
             used: 0,
             fed: 0,
             flushed: 0,
-            file: Crc32::new(),
-            record: None,
+            crc: Crc32::new(),
             err: None,
         }
     }
@@ -429,11 +359,7 @@ impl<'a> Encoder<'a> {
         self.flushed + self.used as u64
     }
     fn fold(&mut self) {
-        let fresh = &self.buf[self.fed..self.used];
-        match &mut self.record {
-            Some(record) => self.file.update_both(record, fresh),
-            None => self.file.update(fresh),
-        }
+        self.crc.update(&self.buf[self.fed..self.used]);
         self.fed = self.used;
     }
     fn drain(&mut self) {
@@ -511,21 +437,13 @@ impl<'a> Encoder<'a> {
             }
         }
     }
-    /// Opens a record's payload: what follows, up to
-    /// [`Encoder::end_record`], folds into its CRC as well.
-    fn begin_record(&mut self) {
+    /// Closes the open scope with its CRC-32 and opens the next one
+    /// after it.
+    fn end_scope(&mut self) {
         self.fold();
-        self.record = Some(Crc32::new());
-    }
-    /// Closes the payload and returns its CRC-32.
-    fn end_record(&mut self) -> u32 {
-        self.fold();
-        self.record.take().expect("a record is open").finish()
-    }
-    /// CRC-32 of everything encoded so far.
-    fn crc(&mut self) -> u32 {
-        self.fold();
-        self.file.finish()
+        self.u32(self.crc.finish());
+        self.fed = self.used;
+        self.crc = Crc32::new();
     }
     /// Drains the buffer: the length of all that was encoded, or the
     /// sink's first error.
@@ -539,11 +457,13 @@ impl<'a> Encoder<'a> {
 }
 
 /// The one decoder: the file pulled from a source through a fixed
-/// [`CHUNK`]-byte buffer, with the whole-file CRC, and inside a record's
-/// payload the record CRC too, folded over each chunk, so a load holds
-/// no file-sized copy either. Every read is bounded by the scope it is
-/// in (the body, or the open record's payload), so a length taken from
-/// the file cannot reach past it or size an allocation beyond it.
+/// [`CHUNK`]-byte buffer, with the open scope's CRC folded over each
+/// chunk, so a load holds no file-sized copy either. Every read is
+/// bounded by the scope it is in (the header, a record's payload or the
+/// CRC after either), and so is every pull from the source: a length
+/// taken from the file cannot reach past the scope or size an
+/// allocation beyond it, and a load that stops at a bad scope has read
+/// nothing after it.
 struct Decoder<'a> {
     src: &'a mut dyn Read,
     buf: Box<[u8]>,
@@ -552,50 +472,46 @@ struct Decoder<'a> {
     filled: usize,
     at: usize,
     fed: usize,
-    /// Body bytes still in `src`.
-    unread: u64,
-    /// Body bytes consumed, and where the current scope ends.
+    /// Bytes consumed, bytes pulled from `src` and where the current
+    /// scope ends, all from the start of the file.
     pos: u64,
+    pulled: u64,
     end: u64,
-    file: Crc32,
-    /// The open record's payload CRC.
-    record: Option<Crc32>,
+    /// CRC of the open scope.
+    crc: Crc32,
 }
 
 impl<'a> Decoder<'a> {
-    /// A decoder of a body of `len` bytes at the front of `src`.
-    fn new(src: &'a mut dyn Read, len: u64) -> Self {
+    /// A decoder of the file at the front of `src`, with no scope open.
+    fn new(src: &'a mut dyn Read) -> Self {
         Decoder {
             src,
             buf: vec![0; CHUNK].into_boxed_slice(),
             filled: 0,
             at: 0,
             fed: 0,
-            unread: len,
             pos: 0,
-            end: len,
-            file: Crc32::new(),
-            record: None,
+            pulled: 0,
+            end: 0,
+            crc: Crc32::new(),
         }
     }
     fn fold(&mut self) {
-        let fresh = &self.buf[self.fed..self.at];
-        match &mut self.record {
-            Some(record) => self.file.update_both(record, fresh),
-            None => self.file.update(fresh),
-        }
+        self.crc.update(&self.buf[self.fed..self.at]);
         self.fed = self.at;
     }
-    /// Folds what was read, drops it and tops the buffer up from `src`.
+    /// Folds what was read, drops it and tops the buffer up from `src`,
+    /// up to the end of the scope.
     fn refill(&mut self) -> Result<(), CkptError> {
         self.fold();
         self.buf.copy_within(self.at..self.filled, 0);
         (self.filled, self.at, self.fed) = (self.filled - self.at, 0, 0);
-        let n = (CHUNK - self.filled).min(usize::try_from(self.unread).unwrap_or(usize::MAX));
+        let left = usize::try_from(self.end - self.pulled).unwrap_or(usize::MAX);
+        let n = (CHUNK - self.filled).min(left);
         let to = &mut self.buf[self.filled..self.filled + n];
         self.src.read_exact(to).map_err(io_err)?;
         self.filled += n;
-        self.unread -= n as u64;
+        self.pulled += n as u64;
         Ok(())
     }
     /// Consumes the next unread bytes: a multiple of `unit` (≤ 8), at
@@ -603,12 +519,12 @@ impl<'a> Decoder<'a> {
     /// it holds less than a unit. Only for bytes a [`Decoder::check`]
     /// has admitted.
     fn next(&mut self, unit: usize, max: usize) -> Result<&[u8], CkptError> {
-        if self.filled - self.at < unit && self.unread > 0 {
+        if self.filled - self.at < unit && self.pulled < self.end {
             self.refill()?;
         }
         let n = max.min(self.filled - self.at) / unit * unit;
         if n == 0 {
-            return Err(CkptError::Malformed("body ends inside a field".to_string()));
+            return Err(CkptError::Malformed("field overruns its scope".to_string()));
         }
         (self.at, self.pos) = (self.at + n, self.pos + n as u64);
         Ok(&self.buf[self.at - n..self.at])
@@ -731,42 +647,40 @@ impl<'a> Decoder<'a> {
         }
         Ok(())
     }
-    /// Opens a payload of `len` bytes as the scope, folding into its own
-    /// CRC as well; returns the scope it closes back to.
-    fn begin_record(&mut self, len: u64) -> Result<u64, CkptError> {
-        self.check(len)?;
-        self.fold();
-        self.record = Some(Crc32::new());
-        Ok(std::mem::replace(&mut self.end, self.pos + len))
+    /// Opens the next `len` bytes as the scope, with a CRC of its own.
+    /// Only for a scope the file has room for.
+    fn begin(&mut self, len: u64) {
+        (self.fed, self.crc, self.end) = (self.at, Crc32::new(), self.pos + len);
     }
-    /// Skips what the payload has left (a decode that stopped early),
-    /// closes it and returns its CRC-32.
-    fn end_record(&mut self, outer: u64) -> Result<u32, CkptError> {
+    /// Closes the scope `what`, skipping what a decode that stopped
+    /// early left of it, and checks the CRC-32 that follows it.
+    fn end(&mut self, what: &'static str) -> Result<(), CkptError> {
         self.skip(self.end - self.pos)?;
         self.fold();
-        self.end = outer;
-        Ok(self.record.take().expect("a record is open").finish())
-    }
-    /// Folds the rest of the body into the file CRC, whatever a walk
-    /// that stopped early left unread, and returns the CRC-32 state and
-    /// the source, positioned at the trailer.
-    fn finish_body(mut self) -> Result<(Crc32, &'a mut dyn Read), CkptError> {
-        self.record = None;
-        loop {
-            self.at = self.filled;
-            if self.unread == 0 {
-                self.fold();
-                return Ok((self.file, self.src));
-            }
-            self.refill()?;
+        let actual = self.crc.finish();
+        self.end += 4;
+        let expected = self.u32()?;
+        if expected != actual {
+            return Err(CkptError::ChecksumMismatch {
+                what,
+                expected,
+                actual,
+            });
         }
+        Ok(())
     }
-}
-
-/// Stores a decoded record in its slot.
-fn store<T>(slot: &mut Option<T>, decoded: Result<T, CkptError>) -> Result<(), CkptError> {
-    *slot = Some(decoded?);
-    Ok(())
+    /// Decodes the next `len` bytes as a record with `decode` and
+    /// checks its CRC, whose verdict outranks the decode's.
+    fn record<T>(
+        &mut self,
+        len: u64,
+        decode: impl FnOnce(&mut Self) -> Result<T, CkptError>,
+    ) -> Result<T, CkptError> {
+        self.begin(len);
+        let decoded = decode(self);
+        self.end("record")?;
+        decoded
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -957,8 +871,16 @@ impl DurableSnapshot {
         ("history", Self::encode_history),
     ];
 
-    /// Serializes to the checked binary format: envelope, named records
-    /// with per-record CRC-32, whole-file CRC-32 trailer.
+    /// Bytes of the header before its CRC: magic, version, step, record
+    /// count, and each record's name and length.
+    fn header_len() -> usize {
+        let entries = Self::RECORDS.iter().map(|(name, _)| 4 + name.len() + 8);
+        MAGIC.len() + 4 + 8 + 4 + entries.sum::<usize>()
+    }
+
+    /// Serializes to the checked binary format: a header listing the
+    /// records and their lengths, then each record's payload, the header
+    /// and each payload followed by its CRC-32.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         self.write_to(&mut out)
@@ -967,27 +889,28 @@ impl DurableSnapshot {
     }
 
     /// Streams the file into `sink` through the encoder's fixed buffer
-    /// and returns its length. A record's length precedes its payload,
-    /// so it comes from [`DurableSnapshot::record_lens`], and the payload
-    /// is checked against it.
+    /// and returns its length. The header lists every record's length
+    /// before the first payload, so the lengths come from
+    /// [`DurableSnapshot::record_lens`], and each payload is checked
+    /// against its own.
     fn write_to(&self, sink: &mut dyn Write) -> io::Result<u64> {
         let mut w = Encoder::new(sink);
+        let lens = self.record_lens();
         w.bytes(MAGIC);
         w.u32(CKPT_STORE_VERSION);
         w.u64(self.progress.step);
         w.u32(Self::RECORDS.len() as u32);
-        for ((name, encode), len) in Self::RECORDS.into_iter().zip(self.record_lens()) {
+        for ((name, _), len) in Self::RECORDS.iter().zip(lens) {
             w.str(name);
             w.u64(len as u64);
-            w.begin_record();
+        }
+        w.end_scope();
+        for ((name, encode), len) in Self::RECORDS.into_iter().zip(lens) {
             let start = w.len();
             encode(self, &mut w);
             assert_eq!(w.len() - start, len as u64, "length of the {name} record");
-            let crc = w.end_record();
-            w.u32(crc);
+            w.end_scope();
         }
-        let trailer = w.crc();
-        w.u32(trailer);
         w.finish()
     }
 
@@ -1023,8 +946,8 @@ impl DurableSnapshot {
 
     /// Exact length of [`DurableSnapshot::to_bytes`].
     fn encoded_len(&self) -> usize {
-        let framing = Self::RECORDS.iter().map(|(name, _)| 4 + name.len() + 8 + 4);
-        ENVELOPE_LEN + framing.sum::<usize>() + self.record_lens().iter().sum::<usize>()
+        let records = self.record_lens().iter().map(|len| len + 4).sum::<usize>();
+        Self::header_len() + 4 + records
     }
 
     /// Parses and fully validates bytes produced by
@@ -1036,91 +959,77 @@ impl DurableSnapshot {
     }
 
     /// Decodes the `len`-byte file at the front of `src` through the
-    /// decoder's fixed buffer.
+    /// decoder's fixed buffer, one scope at a time: the header, then each
+    /// record in file order. A scope is decoded as it streams in, but its
+    /// CRC, which follows it, outranks what the decode found, as if it
+    /// had been checked first; the load stops at the first bad scope.
     fn decode(src: &mut dyn Read, len: u64) -> Result<DurableSnapshot, CkptError> {
-        if len < ENVELOPE_LEN as u64 {
+        let header_len = Self::header_len() as u64;
+        if len < header_len + 4 {
             return Err(CkptError::TooShort { len: len as usize });
         }
-        // One traversal: `parse_body` folds what it walks into the file
-        // CRC (each payload into its record CRC in the same loop), and
-        // what it did not reach, having stopped at an error, is folded
-        // by `finish_body`. The whole-file CRC is still judged first: it
-        // guarantees any single flipped bit is caught even if it would
-        // happen to parse, and reports it as a "file" mismatch whatever
-        // else the flip also broke.
-        let mut body = Decoder::new(src, len - 4);
-        let parsed = Self::parse_body(&mut body);
-        let (file, src) = body.finish_body()?;
-        let mut trailer = [0; 4];
-        src.read_exact(&mut trailer).map_err(io_err)?;
-        let (expected, actual) = (u32::from_le_bytes(trailer), file.finish());
-        if expected != actual {
-            return Err(CkptError::ChecksumMismatch {
-                what: "file",
-                expected,
-                actual,
-            });
+        let mut r = Decoder::new(src);
+        r.begin(header_len);
+        let header = Self::decode_header(&mut r);
+        // Another revision's header has another shape, so its CRC is not
+        // where this one's is: the version is judged first.
+        if let Err(e @ CkptError::BadVersion(_)) = header {
+            return Err(e);
         }
-        parsed
+        r.end("header")?;
+        let (step, lens) = header?;
+        let records = lens
+            .iter()
+            .try_fold(header_len + 4, |n, &l| n.checked_add(l)?.checked_add(4));
+        if records != Some(len) {
+            return Err(CkptError::Malformed(format!(
+                "record lengths {lens:?} do not fill a file of {len} bytes"
+            )));
+        }
+        let [meta, params, bn, opt, ema, history] = lens;
+        let (progress, world) = r.record(meta, |r| Self::decode_meta(r, step))?;
+        Ok(DurableSnapshot {
+            progress,
+            world,
+            params: r.record(params, Self::decode_params)?,
+            bn_running: r.record(bn, Self::decode_bn)?,
+            opt_state: r.record(opt, Self::decode_opt)?,
+            ema: r.record(ema, Self::decode_ema)?,
+            history: r.record(history, Self::decode_history)?,
+        })
     }
 
-    /// Walks the envelope and records of the body. A payload is decoded
-    /// as it streams in, but its CRC, which follows it, outranks what
-    /// the decode found, as if it had been checked first.
-    fn parse_body(r: &mut Decoder) -> Result<DurableSnapshot, CkptError> {
-        if &r.bytes()? != MAGIC {
-            return Err(CkptError::BadMagic);
-        }
+    /// The header before its CRC: the step, and the length of each of
+    /// [`DurableSnapshot::RECORDS`], which it must list in order.
+    fn decode_header(r: &mut Decoder) -> Result<(u64, [u64; 6]), CkptError> {
+        let magic: [u8; 8] = r.bytes()?;
         let version = r.u32()?;
         if version != CKPT_STORE_VERSION {
             return Err(CkptError::BadVersion(version));
         }
+        if &magic != MAGIC {
+            return Err(CkptError::BadMagic);
+        }
         let step = r.u64()?;
         let count = r.u32()?;
-        let mut meta = None;
-        let mut params = None;
-        let mut bn = None;
-        let mut opt = None;
-        let mut ema = None;
-        let mut history = None;
-        for _ in 0..count {
-            let name = r.str()?;
-            let len = r.u64()?;
-            let outer = r.begin_record(len)?;
-            let decoded = match name.as_str() {
-                "meta" => store(&mut meta, Self::decode_meta(r, step)),
-                "params" => store(&mut params, Self::decode_params(r)),
-                "bn" => store(&mut bn, Self::decode_bn(r)),
-                "opt" => store(&mut opt, Self::decode_opt(r)),
-                "ema" => store(&mut ema, Self::decode_ema(r)),
-                "history" => store(&mut history, Self::decode_history(r)),
-                // Unknown records from a future minor revision are
-                // checksum-verified and skipped.
-                _ => Ok(()),
-            };
-            let rec_actual = r.end_record(outer)?;
-            let rec_expected = r.u32()?;
-            if rec_expected != rec_actual {
-                return Err(CkptError::ChecksumMismatch {
-                    what: "record",
-                    expected: rec_expected,
-                    actual: rec_actual,
-                });
+        if count as usize != Self::RECORDS.len() {
+            return Err(CkptError::Malformed(format!(
+                "{count} records, not {}",
+                Self::RECORDS.len()
+            )));
+        }
+        let mut lens = [0; 6];
+        for ((name, _), len) in Self::RECORDS.iter().zip(&mut lens) {
+            let got = r.str()?;
+            if got != *name {
+                return Err(CkptError::Malformed(format!(
+                    "record {got:?} where {name:?} belongs"
+                )));
             }
-            decoded?;
+            *len = r.u64()?;
         }
         r.finished()?;
-        let missing = |what: &str| CkptError::Malformed(format!("missing {what} record"));
-        let (progress, world) = meta.ok_or_else(|| missing("meta"))?;
-        Ok(DurableSnapshot {
-            progress,
-            world,
-            params: params.ok_or_else(|| missing("params"))?,
-            bn_running: bn.ok_or_else(|| missing("bn"))?,
-            opt_state: opt.ok_or_else(|| missing("opt"))?,
-            ema: ema.ok_or_else(|| missing("ema"))?,
-            history: history.ok_or_else(|| missing("history"))?,
-        })
+        Ok((step, lens))
     }
 
     fn encode_meta(&self, w: &mut Encoder) {
@@ -1466,12 +1375,15 @@ impl CkptStore {
     }
 
     /// Loads and validates the checkpoint at `step`, streaming its bytes
-    /// through the decoder's buffer.
+    /// through the decoder's buffer. `ckpt_bytes_read` counts what the
+    /// decoder pulled: a load that stops at a bad scope reads no further.
     pub fn load_step(&self, step: u64) -> Result<DurableSnapshot, CkptError> {
-        let mut file = fs::File::open(self.path_for(step)).map_err(io_err)?;
+        let file = fs::File::open(self.path_for(step)).map_err(io_err)?;
         let len = file.metadata().map_err(io_err)?.len();
-        self.count("ckpt_bytes_read", len);
-        let snap = DurableSnapshot::decode(&mut file, len)?;
+        let mut src = file.take(len);
+        let decoded = DurableSnapshot::decode(&mut src, len);
+        self.count("ckpt_bytes_read", len - src.limit());
+        let snap = decoded?;
         if snap.progress.step != step {
             return Err(CkptError::Malformed(format!(
                 "file named for step {step} contains step {}",
@@ -1596,15 +1508,18 @@ mod tests {
         }
     }
 
-    /// `bytes` with `patch` applied to its body and the whole-file
-    /// trailer recomputed, so only the patched field can be at fault.
-    fn repatched(bytes: &[u8], patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut body = bytes[..bytes.len() - 4].to_vec();
-        patch(&mut body);
-        let crc = crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-        body
+    /// `bytes` with `patch` applied to its header and the header CRC
+    /// recomputed, so only the patched field can be at fault.
+    fn repatched(bytes: &[u8], patch: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let (mut out, h) = (bytes.to_vec(), DurableSnapshot::header_len());
+        patch(&mut out[..h]);
+        let crc = crc32(&out[..h]);
+        out[h..h + 4].copy_from_slice(&crc.to_le_bytes());
+        out
     }
+
+    /// Offset of the record count in the header.
+    const AT_COUNT: usize = MAGIC.len() + 4 + 8;
 
     fn model(seed: u64) -> EfficientNet {
         use ets_efficientnet::ModelConfig;
@@ -1677,27 +1592,34 @@ mod tests {
 
     #[test]
     fn on_disk_format_is_pinned() {
-        // Recorded at the commit before `Progress` was embedded: the
-        // in-memory representation may change, the file may not. (The
-        // CRC-32 of a whole file, trailer included, is the same residue
-        // for every valid file, so the pin is the body's CRC — the
-        // trailer — and the length.)
+        // Recorded when the header CRC replaced the whole-file trailer
+        // (revision 2, the same length as revision 1): the in-memory
+        // representation may change, the file may not. The pin is an
+        // FNV-1a, not a CRC-32: the header and each record end in their
+        // own CRC, so the CRC-32 of a whole file depends only on the
+        // lengths of those scopes.
         let bytes = sample_snapshot(7).to_bytes();
         assert_eq!(bytes.len(), 544);
-        assert_eq!(crc32(&bytes[..bytes.len() - 4]), 0x35E6_A746);
+        let fnv1a = bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!(fnv1a, 0x5BFF_1260_1B3B_8B4A);
     }
 
     #[test]
     fn foreign_version_and_magic_are_typed_errors() {
         let bytes = sample_snapshot(3).to_bytes();
         let at_version = MAGIC.len();
-        let future = repatched(&bytes, |b| {
-            b[at_version..at_version + 4].copy_from_slice(&(CKPT_STORE_VERSION + 1).to_le_bytes())
-        });
-        assert_eq!(
-            DurableSnapshot::from_bytes(&future).unwrap_err(),
-            CkptError::BadVersion(CKPT_STORE_VERSION + 1)
-        );
+        // Revision 1 kept its CRC elsewhere, so the version is judged
+        // before the header CRC.
+        for version in [1, CKPT_STORE_VERSION + 1] {
+            let mut foreign = bytes.clone();
+            foreign[at_version..at_version + 4].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                DurableSnapshot::from_bytes(&foreign).unwrap_err(),
+                CkptError::BadVersion(version)
+            );
+        }
         let alien = repatched(&bytes, |b| b[0] = b'X');
         assert_eq!(
             DurableSnapshot::from_bytes(&alien).unwrap_err(),
@@ -1706,36 +1628,63 @@ mod tests {
     }
 
     #[test]
-    fn unknown_record_loads_and_is_not_counted_corrupt() {
-        // A file from a future minor revision: one extra checksummed
-        // record. `from_bytes` verifies and skips it, so the store must
-        // load that file — not fall back to an older step because a
-        // re-encoding of the parsed snapshot is shorter than the file.
-        let at_count = MAGIC.len() + 4 + 8;
-        let extended = repatched(&sample_snapshot(2).to_bytes(), |b| {
-            let count = u32::from_le_bytes(b[at_count..at_count + 4].try_into().unwrap());
-            b[at_count..at_count + 4].copy_from_slice(&(count + 1).to_le_bytes());
-            let mut w = Encoder::new(b);
-            w.str("future");
-            w.u64(3);
-            w.bytes(b"abc");
-            w.u32(crc32(b"abc"));
-            w.finish().unwrap();
+    fn a_header_must_list_the_records_in_order() {
+        // Names at their offsets in the header: "opt" and "ema" have the
+        // same length, so they swap without moving a field.
+        let bytes = sample_snapshot(2).to_bytes();
+        let name_at = |name: &[u8]| bytes.windows(name.len()).position(|w| w == name).unwrap();
+        let (opt, ema) = (name_at(b"opt"), name_at(b"ema"));
+        let swapped = repatched(&bytes, |b| {
+            b[opt..opt + 3].copy_from_slice(b"ema");
+            b[ema..ema + 3].copy_from_slice(b"opt");
         });
-        assert_eq!(
-            DurableSnapshot::from_bytes(&extended).unwrap(),
-            sample_snapshot(2)
-        );
-        let dir = scratch_dir("unknown-record");
-        let store = CkptStore::open(&dir, 4).unwrap();
-        store.save(&sample_snapshot(1)).unwrap();
-        store.save(&sample_snapshot(2)).unwrap();
-        fs::write(store.path_for(2), &extended).unwrap();
-        assert!(store.load_step(2).is_ok());
-        let (snap, report) = store.load_latest_valid().unwrap().unwrap();
-        assert_eq!(snap.progress.step, 2);
-        assert_eq!(report.corrupt_skipped, 0);
-        let _ = fs::remove_dir_all(&dir);
+        let renamed = repatched(&bytes, |b| b[opt] = b'x');
+        let extra = repatched(&bytes, |b| b[AT_COUNT] += 1);
+        for (what, file) in [("swapped", swapped), ("renamed", renamed), ("extra", extra)] {
+            assert!(
+                matches!(
+                    DurableSnapshot::from_bytes(&file),
+                    Err(CkptError::Malformed(_))
+                ),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bad_header_is_judged_before_any_record_is_read() {
+        // The record count, the largest record's length and the header
+        // CRC: each flip is a header mismatch, read through a source that
+        // counts what the decoder pulled.
+        let snap = multi_chunk_snapshot(3);
+        let bytes = snap.to_bytes();
+        let lens = snap.record_lens();
+        let largest = (0..lens.len()).max_by_key(|&i| lens[i]).unwrap();
+        let at_len = |i: usize| {
+            let names = DurableSnapshot::RECORDS[..=i]
+                .iter()
+                .map(|(n, _)| 4 + n.len());
+            AT_COUNT + 4 + names.sum::<usize>() + 8 * i
+        };
+        let header = DurableSnapshot::header_len();
+        for (field, at) in [
+            ("count", AT_COUNT),
+            ("largest length", at_len(largest)),
+            ("CRC", header),
+        ] {
+            for bit in [0, 5, 7] {
+                let mut bad = bytes.clone();
+                bad[at] ^= 1 << bit;
+                let mut src = bad.as_slice().take(u64::MAX);
+                let err = DurableSnapshot::decode(&mut src, bad.len() as u64).unwrap_err();
+                assert!(
+                    matches!(err, CkptError::ChecksumMismatch { what: "header", .. }),
+                    "{field} bit {bit}: {err}"
+                );
+                let pulled = u64::MAX - src.limit();
+                assert_eq!(pulled, header as u64 + 4, "{field} bit {bit}");
+            }
+        }
     }
 
     #[test]
@@ -1773,12 +1722,11 @@ mod tests {
                 let piece = &data[off..off + len];
                 let want = crc32_bitwise(piece);
                 assert_eq!(crc32(piece), want, "offset {off} length {len}");
-                // The second state of a paired update sees the same bytes.
-                let (mut a, mut b) = (Crc32::new(), Crc32::new());
-                a.update(&data[..off]);
-                a.update_both(&mut b, piece);
-                assert_eq!(b.finish(), want, "paired, offset {off} length {len}");
-                assert_eq!(a.finish(), crc32_bitwise(&data[..off + len]));
+                // The piece continues a prefix.
+                let mut c = Crc32::new();
+                c.update(&data[..off]);
+                c.update(piece);
+                assert_eq!(c.finish(), crc32_bitwise(&data[..off + len]));
             }
         }
     }
@@ -1792,55 +1740,33 @@ mod tests {
     #[test]
     fn the_carry_less_fold_equals_the_table_fold() {
         // Every length on both sides of `CLMUL_MIN`, of the 64-byte line
-        // and of the 16-byte block, from every start offset, for one
-        // state and for two different ones over the same bytes.
+        // and of the 16-byte block, from every start offset.
         let data = noise(512 + 16, 0xC1A5);
-        let states = [!0u32, 0x1234_5678];
         for off in 0..16 {
             for len in 0..=512 {
                 let piece = &data[off..off + len];
-                let want = crc32_table(states, piece);
-                assert_eq!(crc32_fold(states, piece), want, "offset {off} length {len}");
-                assert_eq!(crc32_fold([states[1]], piece), [want[1]]);
+                let want = crc32_table(!0, piece);
+                assert_eq!(crc32_fold(!0, piece), want, "offset {off} length {len}");
                 #[cfg(target_arch = "x86_64")]
                 if len >= 64 && len % 16 == 0 && std::arch::is_x86_feature_detected!("pclmulqdq") {
                     // SAFETY: the host has PCLMULQDQ.
-                    let got = unsafe { crc32_clmul(states[0], piece) };
-                    assert_eq!(got, want[0], "offset {off} length {len}");
+                    let got = unsafe { crc32_clmul(!0, piece) };
+                    assert_eq!(got, want, "offset {off} length {len}");
                 }
             }
         }
         // A checkpoint's worth in one piece.
         let big = noise(8 << 20, 8);
-        assert_eq!(crc32_fold(states, &big), crc32_table(states, &big));
+        assert_eq!(crc32_fold(!0, &big), crc32_table(!0, &big));
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
-    fn a_shift_is_the_table_fold_over_zero_bytes() {
-        let zeros = vec![0u8; 300_000];
-        for n in [0, 1, 15, 16, 128, 4097, 262_144, 300_000] {
-            for s in [0, 1, 0x8000_0000, !0, 0x1234_5678] {
-                let [want] = crc32_table([s], &zeros[..n]);
-                assert_eq!(crc32_shift(s, n), want, "state {s:#x}, {n} bytes");
-            }
-        }
-        // The powers of `X_POW2` repeat after 32 squarings.
-        assert_eq!(mul_mod_p(X_POW2[31], X_POW2[31]), X_POW2[0]);
-    }
-
-    #[test]
-    fn the_trailer_is_the_body_crc_and_every_file_has_one_residue() {
-        let mut bytes = Vec::new();
-        let len = sample_snapshot(7).write_to(&mut bytes).unwrap();
-        assert_eq!(len, bytes.len() as u64);
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        assert_eq!(crc32(body).to_le_bytes(), trailer);
-        // Why the store keeps no index of file CRCs: over a whole intact
-        // file, trailer included, the CRC-32 is the same constant.
-        assert_eq!(crc32(&bytes), 0x2144_DF1C);
-        for snap in [sample_snapshot(8), multi_chunk_snapshot(2)] {
-            assert_eq!(crc32(&snap.to_bytes()), 0x2144_DF1C);
+    fn the_header_crc_is_crc32_of_the_header_bytes() {
+        let h = DurableSnapshot::header_len();
+        for snap in [sample_snapshot(7), multi_chunk_snapshot(2)] {
+            let bytes = snap.to_bytes();
+            assert_eq!(bytes[h..h + 4], crc32(&bytes[..h]).to_le_bytes());
         }
     }
 
@@ -1865,29 +1791,22 @@ mod tests {
         }
 
         #[test]
-        fn pieces_through_update_and_update_both_give_the_table_fold(
+        fn pieces_through_update_give_the_table_fold(
             len in 0usize..4096,
             cuts in proptest::collection::vec(0usize..4097, 0..6),
             seed in 0u64..1 << 20,
         ) {
             // Pieces of any size, so some take the carry-less fold and
-            // some the table; the second state runs beside the first
-            // from the first cut on, as a record CRC does.
+            // some the table, each from the state the last one left.
             let data = noise(len, seed);
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
             cuts.sort_unstable();
-            let start = cuts.first().copied().unwrap_or(0);
-            let (mut file, mut record) = (Crc32::new(), Crc32::new());
-            file.update(&data[..start]);
-            let mut at = start;
-            for &cut in cuts.iter().skip(1).chain([&len]) {
-                file.update_both(&mut record, &data[at..cut]);
+            let (mut c, mut at) = (Crc32::new(), 0);
+            for &cut in cuts.iter().chain([&len]) {
+                c.update(&data[at..cut]);
                 at = cut;
             }
-            let [whole] = crc32_table([!0], &data);
-            let [from_start] = crc32_table([!0], &data[start..]);
-            proptest::prop_assert_eq!(file.finish(), !whole);
-            proptest::prop_assert_eq!(record.finish(), !from_start);
+            proptest::prop_assert_eq!(c.finish(), !crc32_table(!0, &data));
         }
     }
 
@@ -1992,15 +1911,19 @@ mod tests {
         for snap in [sample_snapshot(7), capture_model(&mut m, 2), bare] {
             let bytes = snap.to_bytes();
             let mut src = &bytes[..];
-            let mut r = Decoder::new(&mut src, bytes.len() as u64 - 4);
-            r.skip(ENVELOPE_LEN as u64 - 4).unwrap();
-            let records = DurableSnapshot::RECORDS.iter().zip(snap.record_lens());
-            for ((name, _), len) in records {
+            let mut r = Decoder::new(&mut src);
+            r.begin(DurableSnapshot::header_len() as u64);
+            r.skip(AT_COUNT as u64 + 4).unwrap();
+            let lens = snap.record_lens();
+            for ((name, _), &len) in DurableSnapshot::RECORDS.iter().zip(&lens) {
                 assert_eq!(r.str().unwrap(), *name);
                 assert_eq!(r.usize().unwrap(), len, "{name} record");
-                r.skip(len as u64 + 4).unwrap();
             }
-            r.finished().unwrap();
+            r.end("header").unwrap();
+            for len in lens {
+                r.record(len as u64, |_| Ok(())).unwrap();
+            }
+            assert!(src.is_empty());
             assert_eq!(snap.encoded_len(), bytes.len());
             assert_eq!(snap.encoded_len(), bytes.capacity());
         }
@@ -2070,10 +1993,10 @@ mod tests {
 
     #[test]
     fn record_length_near_u64_max_is_malformed_not_a_panic() {
-        // Offset of the first record's length: envelope, then the
-        // length-prefixed name "meta". The file CRC is recomputed, so
-        // only the bounds check stands between the length and a slice.
-        let at_len = ENVELOPE_LEN - 4 + 4 + "meta".len();
+        // Offset of the first record's length: after the count, the
+        // length-prefixed name "meta". The header CRC is recomputed, so
+        // only the length check stands between the length and a slice.
+        let at_len = AT_COUNT + 4 + 4 + "meta".len();
         let bytes = sample_snapshot(3).to_bytes();
         for len in [u64::MAX, u64::MAX - 7, u64::MAX - at_len as u64, 1 << 63] {
             let huge = repatched(&bytes, |b| {
@@ -2123,6 +2046,17 @@ mod tests {
         store.load_latest_valid().unwrap().unwrap();
         let newest = fs::metadata(store.path_for(5)).unwrap().len();
         assert_eq!(rec.counter_value("ckpt_bytes_read"), newest);
+        // A load that stops at a corrupt first record reads the header
+        // and that record, and nothing after it.
+        let mut bytes = fs::read(store.path_for(5)).unwrap();
+        let first = DurableSnapshot::header_len() + 4;
+        bytes[first] ^= 1;
+        fs::write(store.path_for(5), &bytes).unwrap();
+        assert!(store.load_step(5).is_err());
+        let read = rec.counter_value("ckpt_bytes_read") - newest;
+        let meta = sample_snapshot(5).record_lens()[0];
+        assert_eq!(read as usize, first + meta + 4);
+        assert!(read < newest);
         let _ = fs::remove_dir_all(&dir);
     }
 

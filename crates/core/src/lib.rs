@@ -20,8 +20,8 @@ pub mod trainer;
 
 pub use bn_sync::GroupStatSync;
 pub use ckpt_store::{
-    crc32, CkptError, CkptStore, CorruptionInjector, DurableSnapshot, LoadReport, Progress,
-    TensorRecord, CKPT_STORE_VERSION,
+    CkptError, CkptStore, CorruptionInjector, DurableSnapshot, LoadReport, Progress, TensorRecord,
+    CKPT_STORE_VERSION,
 };
 pub use experiment::{CorruptionPolicy, DecayChoice, Experiment, OptimizerChoice};
 pub use grad_bucket::{GradBucket, DEFAULT_BUCKET_ELEMS};

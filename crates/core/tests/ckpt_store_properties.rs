@@ -92,9 +92,10 @@ fn round_trip_is_canonical() {
 #[test]
 fn every_single_bit_flip_is_detected() {
     // Exhaustive: flip each bit of the file in turn; every mutant must be
-    // rejected. The whole-file CRC-32 trailer guarantees this for any
-    // 1-bit (indeed any ≤ 2-bit) error, and the test proves the code
-    // actually checks it before trusting any field.
+    // rejected. Every byte is in the header, in a record's payload or in
+    // the CRC-32 after either, which guarantees this for any 1-bit
+    // (indeed any ≤ 2-bit) error, and the test proves the code actually
+    // checks each scope's CRC before trusting a field in it.
     let bytes = snapshot(12, 3).to_bytes();
     for byte in 0..bytes.len() {
         for bit in 0..8 {

@@ -94,9 +94,9 @@ struct Run {
     files: Vec<(u64, u64)>,
 }
 
-/// FNV-1a of `bytes`. Not a CRC-32: each record of a checkpoint ends in
-/// its payload's CRC, so the CRC-32 of a whole file is a function of its
-/// step and record lengths alone.
+/// FNV-1a of `bytes`. Not a CRC-32: the header and each record of a
+/// checkpoint end in their own CRC, so the CRC-32 of a whole file is a
+/// function of those scopes' lengths alone.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
@@ -375,9 +375,9 @@ fn rank_0_preempted_with_a_save_in_flight() {
     let (mut e, dir) = own_store(saving(2), "preempt");
     e.faults.events.push(preempt(2));
     let files = [
-        (2, 0xCADA_6DC6_B10F_B776),
-        (4, 0xD09A_34B0_E4B5_2953),
-        (6, 0x59A9_0F01_CDED_6117),
+        (2, 0xC7F6_0950_9337_5B97),
+        (4, 0x9DE1_5015_D939_843A),
+        (6, 0xBF37_14DC_8E3A_7151),
     ];
     let run = pinned(&e, &dir, 0x4008_1600, &files);
     let rec = &run.report.fault_recovery;
@@ -392,9 +392,9 @@ fn rank_0_lost_with_a_save_in_flight() {
     let (mut e, dir) = own_store(saving(2), "lost");
     e.faults.events.push(lose(0, 3));
     let files = [
-        (8, 0x26BC_FC5D_9E76_B787),
-        (10, 0x39BC_7007_EBA7_8CB8),
-        (12, 0xAE39_615D_7F57_F890),
+        (8, 0xC0D0_BA10_32FE_A637),
+        (10, 0xADD8_9186_6DB2_FF69),
+        (12, 0x3801_EB91_F177_BBFE),
     ];
     let run = pinned(&e, &dir, 0x4005_3F30, &files);
     let rec = &run.report.fault_recovery;
@@ -412,9 +412,9 @@ fn a_quarantine_with_a_save_in_flight() {
     base.faults.events.push(flip(1, 4));
     let (e, dir) = own_store(base, "quarantine");
     let files = [
-        (8, 0x1D93_295A_4919_DBCE),
-        (10, 0xF5F0_D9C6_1B00_73F1),
-        (12, 0x00CF_6A8E_B8AC_6EC7),
+        (8, 0x6605_E4FD_E569_ABCE),
+        (10, 0x4B5C_91F7_0197_5668),
+        (12, 0x4540_8627_2F26_EFDF),
     ];
     let run = pinned(&e, &dir, 0x400A_6F83, &files);
     let (report, rec) = (&run.report, &run.report.fault_recovery);
@@ -430,9 +430,9 @@ fn a_resize_at_a_save_step() {
     let (mut e, dir) = own_store(saving(3), "resize");
     e.faults.events.push(lose(2, 4));
     let files = [
-        (4, 0x17F0_4E6D_6889_8A6C),
-        (6, 0x3B70_A2F6_341A_F89A),
-        (8, 0x97C4_B557_90AC_AAD2),
+        (4, 0xE124_DC1C_842C_EEF5),
+        (6, 0x3784_AB02_3FCD_FEF8),
+        (8, 0xAEB1_6AF7_3FD2_441E),
     ];
     let run = pinned(&e, &dir, 0x4004_3E05, &files);
     let rec = &run.report.fault_recovery;

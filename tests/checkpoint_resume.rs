@@ -166,10 +166,10 @@ fn checkpoint_survives_round_trip_through_disk_format() {
     };
     assert_eq!(bits(&mut model), bits(&mut revived));
 
-    // The whole-file CRC is checked before anything is parsed.
+    // The header CRC is checked before any field under it is trusted.
     bytes[0] ^= 0xFF;
     assert!(matches!(
         DurableSnapshot::from_bytes(&bytes),
-        Err(CkptError::ChecksumMismatch { what: "file", .. })
+        Err(CkptError::ChecksumMismatch { what: "header", .. })
     ));
 }

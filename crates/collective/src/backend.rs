@@ -94,7 +94,7 @@ impl std::fmt::Display for Backend {
 pub struct CollectiveStats {
     /// Completed `all_reduce_sum`/`try_all_reduce_mean` calls.
     pub all_reduce_calls: u64,
-    /// Completed `all_gather`/`all_gather_in_place` calls.
+    /// Completed `all_gather` calls.
     pub all_gather_calls: u64,
     /// Completed `broadcast` calls.
     pub broadcast_calls: u64,
@@ -175,13 +175,6 @@ pub trait Collective: Send + Sync {
     /// order. `out` is cleared and refilled; reusing the same `out` keeps
     /// the steady state allocation-free.
     fn all_gather(&self, local: &[f32], out: &mut Vec<f32>);
-
-    /// In-place all-gather of a payload held in [`Pieces`]: member `r`
-    /// owns `cuts[r]..cuts[r + 1]` of it (`size + 1` ascending offsets
-    /// from 0 to its length, the same on every member) and its share is
-    /// copied into every other member's payload, or with a `root` into
-    /// the root's alone ([`CommHandle::all_gather_in_place`]).
-    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize], root: Option<usize>);
 
     /// Broadcast from `root`: on return every member's `buf` holds root's.
     fn broadcast(&self, buf: &mut [f32], root: usize);
@@ -287,11 +280,6 @@ impl Collective for CommCollective {
     fn all_gather(&self, local: &[f32], out: &mut Vec<f32>) {
         self.stats.record(&self.stats.all_gather_calls, local.len());
         self.handle.all_gather_into(local, out);
-    }
-    fn all_gather_in_place(&self, payload: &mut dyn Pieces, cuts: &[usize], root: Option<usize>) {
-        self.stats
-            .record(&self.stats.all_gather_calls, payload.elems());
-        self.handle.all_gather_in_place(payload, cuts, root);
     }
     fn broadcast(&self, buf: &mut [f32], root: usize) {
         self.stats.record(&self.stats.broadcast_calls, buf.len());

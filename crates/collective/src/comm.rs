@@ -9,8 +9,8 @@
 //! # The rounds
 //!
 //! Every operation runs one of two rounds: the *slot round* for the
-//! small operations, the *owner round* for the two that work on a large
-//! payload in place. Both open the same way:
+//! small operations, the *owner round* for the mean, which works on a
+//! large payload in place. Both open the same way:
 //! **enter** waits until every member has left the previous round (the
 //! drain rule: nothing a peer may still read is rewritten) and marks this
 //! rank as in the round (a second deposit in the same round panics), and
@@ -31,34 +31,23 @@
 //!    each for itself).
 //! 5. **Leave.**
 //!
-//! The *owner round* has no slot. Rank `r` owns a share of the payload,
-//! and each rank reads and writes every rank's payload where it lies. It
-//! serves two operations, which differ only in what a rank does with a
-//! tile of its share:
-//!
-//! - the **mean** ([`CommHandle::all_reduce_mean_grid`], the gradient
-//!   exchange) cuts the shares at `r·n/size`, folds each tile from every
-//!   rank, scales it by `1/size` and stores it into every rank. For an
-//!   `n`-element payload it moves `2n` elements per rank where the slot
-//!   round moves `(size + 3)·n`;
-//! - the **copy** ([`CommHandle::all_gather_in_place`]) takes the
-//!   shares from the caller's cuts and stores
-//!   each tile of this rank's own payload into every peer: a rank stores
-//!   its share, `n/size` elements when the cuts are even, into each of
-//!   its `size − 1` peers. Given a root, it stores into the root alone
-//!   (the gather of the owners' optimizer state before a checkpoint):
-//!   the root stores nothing, and a payload other than the root's is
-//!   only read.
+//! The *owner round* has no slot. Rank `r` owns the share
+//! `r·n/size..(r+1)·n/size` of an `n`-element payload, and each rank
+//! reads and writes every rank's payload where it lies. It serves the
+//! **mean** ([`CommHandle::all_reduce_mean_grid`], the gradient
+//! exchange): a rank folds each tile of its share from every rank,
+//! scales it by `1/size` and stores it into every rank. It moves `2n`
+//! elements per rank where the slot round moves `(size + 3)·n`.
 //!
 //! The round:
 //!
 //! 1. **Enter.**
 //! 2. **Publish.** Record where this rank's [`Pieces`] are, as
-//!    `(start, len)` runs in a table beside the slots, and its share.
+//!    `(start, len)` runs in a table beside the slots.
 //! 3. **Meet.** Every rank checks that every entry was published for this
-//!    round (a peer in another operation left an older one), that all
-//!    lengths are equal and that the shares tile the payload, before
-//!    anyone writes: a mismatch panics on every rank in the round.
+//!    round (a peer in another operation left an older one) and that all
+//!    lengths are equal, before anyone writes: a mismatch panics on every
+//!    rank in the round.
 //! 4. **Share.** Each rank works through its share a tile at a time.
 //! 5. **Meet** again: no rank returns while a peer can still write into
 //!    its pieces. Then **leave**.
@@ -81,11 +70,10 @@
 //! of the payload exists anywhere, and the mean is bitwise the
 //! grid-blocked sum followed by `× (1/size)`. The mean is the
 //! single-pass, shared-memory form of a reduce-scatter followed by an
-//! all-gather; the copy is the all-gather alone. Because peers
-//! write into a rank's memory, [`Pieces`] is an `unsafe trait`. Beyond it
-//! and its implementations, the only `unsafe` code in this crate is the
-//! table of raw runs (`Runs`) and the two places that turn a run back into
-//! a slice.
+//! all-gather. Because peers write into a rank's memory, [`Pieces`] is
+//! an `unsafe trait`. Beyond it and its implementations, the only
+//! `unsafe` code in this crate is the table of raw runs (`Runs`) and the
+//! two places that turn a run back into a slice.
 //!
 //! The buffers and the table are reused round after round, so the steady
 //! state performs **no heap allocation**. Small rounds are the common
@@ -101,11 +89,10 @@
 //! lengths) poisons nothing for its peers: every lock here is taken
 //! through `unpoisoned`. That is sound because no update of the gate, the
 //! slots or the table can be left half done: the double-deposit check runs
-//! before the gate changes, the length and cut checks under a read lock, and a
+//! before the gate changes, the length checks under a read lock, and a
 //! deposit or a publish fills an entry taken out of its pool before
 //! putting it back.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -238,35 +225,12 @@ struct Run {
     len: usize,
 }
 
-/// What a rank does with each tile of its share in the owner round.
-#[derive(Clone, Copy)]
-enum Tile {
-    /// Fold the tile from every rank over blocks of `cols` ranks, scale
-    /// it by `1/size` and store it into every rank.
-    Mean { cols: usize },
-    /// Store this rank's own tile into every peer, or into `root` alone.
-    Copy { root: Option<usize> },
-}
-
-impl Tile {
-    /// Whether rank `me` stores its tiles into rank `rank`.
-    fn stores_into(self, me: usize, rank: usize) -> bool {
-        match self {
-            Tile::Mean { .. } => true,
-            Tile::Copy { root } => rank != me && root.is_none_or(|root| root == rank),
-        }
-    }
-}
-
 /// One rank's entry in the owner round's table: where its pieces are,
-/// in payload order, the share of the payload it works on (`None` when
-/// its cuts were not `size + 1` offsets) and the round they were
-/// published for.
+/// in payload order, and the round they were published for.
 #[derive(Default)]
 struct Runs {
     runs: Vec<Run>,
     elems: usize,
-    share: Option<Range<usize>>,
     round: u64,
 }
 
@@ -277,15 +241,9 @@ unsafe impl Send for Runs {}
 unsafe impl Sync for Runs {}
 
 impl Runs {
-    fn publish(
-        &mut self,
-        payload: &mut (impl Pieces + ?Sized),
-        share: Option<Range<usize>>,
-        round: u64,
-    ) {
+    fn publish(&mut self, payload: &mut (impl Pieces + ?Sized), round: u64) {
         self.runs.clear();
         self.elems = 0;
-        self.share = share;
         self.round = round;
         payload.for_each_piece(&mut |piece| {
             if !piece.is_empty() {
@@ -515,56 +473,20 @@ impl CommHandle {
             self.inner.size,
             "grid shape must cover the communicator"
         );
-        let (rank, size) = (self.rank, self.inner.size);
-        if size > 1 {
-            let n = payload.elems();
-            let share = rank * n / size..(rank + 1) * n / size;
-            self.owner_round(payload, Some(share), Tile::Mean { cols });
+        if self.inner.size > 1 {
+            self.owner_round(payload, cols);
         }
     }
 
-    /// In-place all-gather of a payload held in [`Pieces`], shared out by
-    /// `cuts`: `size + 1` ascending offsets from 0 to the payload's
-    /// length, the same on every rank. Rank `r` owns `cuts[r]..cuts[r+1]`
-    /// and stores that share of its payload into every peer's payload at
-    /// the same offsets, so each rank moves its share once per peer and
-    /// every rank returns holding every owner's share. With `root`, the
-    /// same on every rank, the shares go into `root`'s payload alone (a
-    /// gather): `root` returns holding every owner's share, and no other
-    /// payload changes. Cuts that do not cover the payload panic on every
-    /// rank before any store. It runs the owner round (module docs); a
-    /// communicator of one member runs no round and touches nothing.
-    pub fn all_gather_in_place<P: Pieces + ?Sized>(
-        &self,
-        payload: &mut P,
-        cuts: &[usize],
-        root: Option<usize>,
-    ) {
-        let (rank, size) = (self.rank, self.inner.size);
-        assert!(
-            root.is_none_or(|root| root < size),
-            "gather root out of range"
-        );
-        if size > 1 {
-            let share = (cuts.len() == size + 1).then(|| cuts[rank]..cuts[rank + 1]);
-            self.owner_round(payload, share, Tile::Copy { root });
-        }
-    }
-
-    /// The owner round: each rank works through its `share` of the
-    /// payload a tile at a time (`None`: its cuts were malformed, which
-    /// fails the round on every rank).
-    fn owner_round<P: Pieces + ?Sized>(
-        &self,
-        payload: &mut P,
-        share: Option<Range<usize>>,
-        tile: Tile,
-    ) {
+    /// The owner round of the mean (module docs): each rank works
+    /// through its share of the payload a tile at a time, folding over
+    /// blocks of `cols` ranks.
+    fn owner_round<P: Pieces + ?Sized>(&self, payload: &mut P, cols: usize) {
         let inner = &*self.inner;
         let size = inner.size;
         let round = self.enter();
         let mut own = std::mem::take(&mut unpoisoned(inner.runs.write())[self.rank]);
-        own.publish(payload, share, round);
+        own.publish(payload, round);
         unpoisoned(inner.runs.write())[self.rank] = own;
         self.meet();
         let table = unpoisoned(inner.runs.read());
@@ -576,18 +498,13 @@ impl CommHandle {
         );
         let n = table[self.rank].elems;
         check_lengths(table.iter().map(|runs| runs.elems), n, "all-reduce");
-        // The shares must tile the payload: then no element is two
-        // ranks' to read or store.
-        let covered = table.iter().try_fold(0, |edge, runs| match &runs.share {
-            Some(share) if share.start == edge && share.start <= share.end => Some(share.end),
-            _ => None,
-        });
-        assert_eq!(covered, Some(n), "the cuts do not cover the payload");
         #[cfg(test)]
         stall(Phase::Share);
         let scale = 1.0 / size as f32;
         let (mut acc, mut partial) = ([0.0f32; FOLD_TILE], [0.0f32; FOLD_TILE]);
-        let Range { start: mut at, end } = table[self.rank].share.clone().unwrap_or_default();
+        // Every rank cuts the one length `n` alike, so the shares tile
+        // the payload: no element is two ranks' to read or store.
+        let (mut at, end) = (self.rank * n / size, (self.rank + 1) * n / size);
         while at < end {
             // The tile ends where the share, the fold tile or any rank's
             // run does, so each rank's part of it is one slice.
@@ -610,14 +527,13 @@ impl CommHandle {
                 //   before the last arrival has taken the gate, so every
                 //   publish (and every write its owner made to its pieces
                 //   before the call) happens before this read.
-                // - Disjoint: the shares tile the payload (the cut check
-                //   above), and `at..at + len` lies in this rank's share,
-                //   so no other rank reads or writes it in this round. A
-                //   mean's slices die inside `fold_tile`, before the
-                //   stores below; a copy reads only this rank's own
-                //   pieces, which it never stores into.
+                // - Disjoint: the shares tile the payload (the length
+                //   check above), and `at..at + len` lies in this rank's
+                //   share, so no other rank reads or writes it in this
+                //   round. These slices die inside `fold_tile`, before the
+                //   stores below.
                 // - No panic strands a peer: between the meets the only
-                //   panics are the three checks above, which every rank
+                //   panics are the two checks above, which every rank
                 //   makes on the same table before anyone writes, so
                 //   either all ranks panic there or none does. Past them,
                 //   every index is in bounds by construction (`at < n` on
@@ -626,31 +542,19 @@ impl CommHandle {
                 //   a peer can still write into them.
                 unsafe { std::slice::from_raw_parts(r.ptr.add(at - r.at), len) }
             };
-            let src = match tile {
-                Tile::Mean { cols } => {
-                    let (acc, partial) = (&mut acc[..len], &mut partial[..len]);
-                    fold_tile(acc, partial, size, cols, read);
-                    acc.iter_mut().for_each(|v| *v *= scale);
-                    &*acc
-                }
-                Tile::Copy { .. } => read(self.rank),
-            };
-            for (rank, runs) in table.iter().enumerate() {
-                if !tile.stores_into(self.rank, rank) {
-                    continue;
-                }
+            let (acc, partial) = (&mut acc[..len], &mut partial[..len]);
+            fold_tile(acc, partial, size, cols, read);
+            acc.iter_mut().for_each(|v| *v *= scale);
+            for runs in table.iter() {
                 let r = runs.run(at);
-                // SAFETY: as for the read above; this range of rank
-                // `rank`'s pieces has no other reference until the store
-                // ends (a mean's read slices of it are gone, and a copy
-                // stores only into peers). This rank takes the gate in
-                // the closing meet after its last store, and no owner
+                // SAFETY: as for the read above; this range of the rank's
+                // pieces has no other reference until the store ends (the
+                // read slices of it are gone). This rank takes the gate
+                // in the closing meet after its last store, and no owner
                 // leaves that meet before it, so every store happens
-                // before every return. A copy with a root makes a subset
-                // of these stores, the ones into the root, and adds no
-                // state to the round: the same table, checks and meets.
+                // before every return.
                 unsafe { std::slice::from_raw_parts_mut(r.ptr.add(at - r.at), len) }
-                    .copy_from_slice(src);
+                    .copy_from_slice(acc);
             }
             at += len;
         }
@@ -1045,25 +949,13 @@ mod tests {
         total.unwrap()
     }
 
-    /// What the round tests run: the sum on the slot round, and the mean,
-    /// the copy and the copy into rank 1 alone (`Gather`) on the owner
-    /// round over pieces cut at `[1, n/2, n/2, n − 1]` (an empty piece,
-    /// and pieces that straddle fold tiles).
+    /// What the round tests run: the sum on the slot round, and the mean
+    /// on the owner round over pieces cut at `[1, n/2, n/2, n − 1]` (an
+    /// empty piece, and pieces that straddle fold tiles).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum Op {
         Sum,
         Mean,
-        Copy,
-        Gather,
-    }
-
-    /// The root `Op::Gather` copies into.
-    const ROOT: usize = 1;
-
-    /// The copy's shares: `cuts[r] = r²·n/world²`, so at a small `n` some
-    /// are empty and at a large one they straddle fold tiles.
-    fn uneven_cuts(world: usize, n: usize) -> Vec<usize> {
-        (0..=world).map(|r| r * r * n / (world * world)).collect()
     }
 
     impl Op {
@@ -1074,29 +966,18 @@ mod tests {
             match self {
                 Op::Sum => h.all_reduce_sum_grid(cut.buf, rows, cols),
                 Op::Mean => h.all_reduce_mean_grid(&mut cut, rows, cols),
-                Op::Copy => h.all_gather_in_place(&mut cut, &uneven_cuts(h.size(), n), None),
-                Op::Gather => {
-                    h.all_gather_in_place(&mut cut, &uneven_cuts(h.size(), n), Some(ROOT))
-                }
             }
         }
 
-        /// What rank `rank` holds once the ranks' `contribs` went through
+        /// What every rank holds once the ranks' `contribs` went through
         /// the operation.
-        fn result(self, contribs: &[Vec<f32>], cols: usize, rank: usize) -> Vec<f32> {
-            let (world, n) = (contribs.len(), contribs[0].len());
+        fn result(self, contribs: &[Vec<f32>], cols: usize) -> Vec<f32> {
+            let sum = sequential_fold(contribs, cols);
             match self {
-                Op::Gather if rank != ROOT => contribs[rank].clone(),
-                Op::Sum => sequential_fold(contribs, cols),
+                Op::Sum => sum,
                 Op::Mean => {
-                    let scale = 1.0 / world as f32;
-                    let sum = sequential_fold(contribs, cols);
+                    let scale = 1.0 / contribs.len() as f32;
                     sum.iter().map(|v| v * scale).collect()
-                }
-                Op::Copy | Op::Gather => {
-                    let cuts = uneven_cuts(world, n);
-                    let owner = |i| cuts.partition_point(|&c| c <= i) - 1;
-                    (0..n).map(|i| contribs[owner(i)][i]).collect()
                 }
             }
         }
@@ -1113,16 +994,12 @@ mod tests {
         // moment a call returns and keeps its buffers alive until the
         // join, so a share stored after its owner returned shows as a
         // wrong result, not as a write into freed memory. A length within
-        // one fold tile and one spanning several, summed, averaged,
-        // copied and copied into one root, whose peers' payloads must
-        // keep their bits.
+        // one fold tile and one spanning several, summed and averaged.
         use std::time::Duration;
         let lengths = [7, 4 * FOLD_TILE + 3];
         let rounds = [
             (Op::Sum, [Phase::Deposit, Phase::Read]),
             (Op::Mean, [Phase::Share, Phase::Close]),
-            (Op::Copy, [Phase::Share, Phase::Close]),
-            (Op::Gather, [Phase::Share, Phase::Close]),
         ];
         for (world, cols) in [(2usize, 2usize), (3, 3), (4, 2)] {
             for n in lengths {
@@ -1149,12 +1026,12 @@ mod tests {
                                 let contribs: Vec<Vec<f32>> = (0..world)
                                     .map(|r| adversarial_payload(r + 10 * round, n))
                                     .collect();
+                                let want: Vec<u32> = op
+                                    .result(&contribs, cols)
+                                    .iter()
+                                    .map(|v| v.to_bits())
+                                    .collect();
                                 for (rank, (got, _)) in results.iter().enumerate() {
-                                    let want: Vec<u32> = op
-                                        .result(&contribs, cols, rank)
-                                        .iter()
-                                        .map(|v| v.to_bits())
-                                        .collect();
                                     assert!(
                                         got[round] == want,
                                         "world {world} n {n} {op:?} {phase:?} slow {slow} \
@@ -1191,39 +1068,36 @@ mod tests {
 
     #[test]
     fn a_mean_met_by_another_operation_panics_before_any_store() {
-        // For the mean and both copies alike: rank 1 publishes in one owner
-        // round, frees that payload and meets rank 0's next owner round
-        // with a barrier. Rank 0 finds
+        // Rank 1 publishes in one owner round, frees that payload and
+        // meets rank 0's next owner round with a barrier. Rank 0 finds
         // rank 1's entry from the earlier round (same length) and must
         // panic, not read or store through it, and its own payload is
         // unchanged. A rank 0 that went on would wait at the closing meet
         // for ever, so the verdict has a deadline.
-        for op in [Op::Mean, Op::Copy, Op::Gather] {
-            let mut handles = CommHandle::create(2);
-            let (h1, h0) = (handles.pop().unwrap(), handles.pop().unwrap());
-            let other = thread::spawn(move || {
-                let mut buf = vec![1.0f32; 8];
-                op.run(&h1, &mut buf, 1, 2);
-                drop(buf);
-                h1.barrier();
-            });
-            let (tx, rx) = std::sync::mpsc::channel();
-            thread::spawn(move || {
-                let mut buf = vec![1.0f32; 8];
-                op.run(&h0, &mut buf, 1, 2);
-                let mut again = vec![2.0f32; 8];
-                let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    op.run(&h0, &mut again, 1, 2)
-                }));
-                tx.send((round.is_err(), again)).unwrap();
-            });
-            other.join().unwrap();
-            let (panicked, again) = rx
-                .recv_timeout(std::time::Duration::from_secs(10))
-                .expect("rank 0 went past the check and waits at the closing meet");
-            assert!(panicked, "{op:?} met by a barrier must panic");
-            assert_eq!(again, vec![2.0; 8], "{op:?}: no store before the check");
-        }
+        let mut handles = CommHandle::create(2);
+        let (h1, h0) = (handles.pop().unwrap(), handles.pop().unwrap());
+        let other = thread::spawn(move || {
+            let mut buf = vec![1.0f32; 8];
+            Op::Mean.run(&h1, &mut buf, 1, 2);
+            drop(buf);
+            h1.barrier();
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let mut buf = vec![1.0f32; 8];
+            Op::Mean.run(&h0, &mut buf, 1, 2);
+            let mut again = vec![2.0f32; 8];
+            let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Op::Mean.run(&h0, &mut again, 1, 2)
+            }));
+            tx.send((round.is_err(), again)).unwrap();
+        });
+        other.join().unwrap();
+        let (panicked, again) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("rank 0 went past the check and waits at the closing meet");
+        assert!(panicked, "a mean met by a barrier must panic");
+        assert_eq!(again, vec![2.0; 8], "no store before the check");
     }
 
     /// Runs `round` on every rank of a world of `bufs.len()` over its
@@ -1252,51 +1126,17 @@ mod tests {
 
     #[test]
     fn mismatched_lengths_panic_on_every_rank() {
-        // Summed as one slice, averaged, copied and gathered in pieces:
-        // every rank panics, and no rank's payload has changed. The
-        // payloads outlive the threads, so a store made before the check
-        // would show.
+        // Summed as one slice and averaged in pieces: every rank panics,
+        // and no rank's payload has changed. The payloads outlive the
+        // threads, so a store made before the check would show.
         for lens in [[3usize, 4], [4 * FOLD_TILE, 5]] {
-            for op in [Op::Sum, Op::Mean, Op::Copy, Op::Gather] {
+            for op in [Op::Sum, Op::Mean] {
                 let mut bufs: Vec<Vec<f32>> =
                     (0..2).map(|r| vec![r as f32 + 1.0; lens[r]]).collect();
                 every_rank_panics_and_nothing_moves(
                     &mut bufs,
                     |h, buf| op.run(h, buf, 1, 2),
                     &format!("lengths {lens:?} {op:?}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cuts_that_do_not_cover_the_payload_panic_on_every_rank() {
-        // Three ranks copy a 10-element payload in pieces, into every
-        // peer and into rank 1 alone. Whichever way the cuts miss (too
-        // few, not from 0 or not to the end, falling, or a rank whose
-        // share leaves a gap, overlaps a peer's or has too few cuts),
-        // every rank panics and no payload has changed.
-        let good = [0, 3, 6, 10];
-        let cases: [(&str, [&[usize]; 3]); 7] = [
-            ("too few", [&[0, 5, 10]; 3]),
-            ("short of the end", [&[0, 3, 6, 9]; 3]),
-            ("not from 0", [&[1, 3, 6, 10]; 3]),
-            ("falling", [&[0, 6, 3, 10]; 3]),
-            ("a gap", [&good, &[0, 4, 6, 10], &good]),
-            ("an overlap", [&good, &[0, 2, 6, 10], &good]),
-            ("one rank short", [&good, &good, &[0, 3, 6]]),
-        ];
-        for (what, cuts) in cases {
-            for root in [None, Some(ROOT)] {
-                let mut bufs: Vec<Vec<f32>> = (0..3).map(|r| vec![r as f32 + 1.0; 10]).collect();
-                every_rank_panics_and_nothing_moves(
-                    &mut bufs,
-                    |h, buf| {
-                        let pieces = [2, 5, 5, 9];
-                        let mut cut = Cut { buf, cuts: &pieces };
-                        h.all_gather_in_place(&mut cut, cuts[h.rank()], root);
-                    },
-                    &format!("{what}, root {root:?}"),
                 );
             }
         }

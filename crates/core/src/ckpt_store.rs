@@ -764,7 +764,7 @@ pub struct DurableSnapshot {
 }
 
 /// Appends one record's payload to the file being written.
-type RecordEncoder = fn(&DurableSnapshot, &mut Encoder);
+type RecordEncoder = fn(&Assembled, &mut Encoder);
 
 fn to_bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -777,12 +777,14 @@ fn copy_bits(dst: &mut [f32], bits: &[u32]) {
 }
 
 impl DurableSnapshot {
-    /// Captures a replica's state, with the optimizer state of the
-    /// parameters `owned` only ([`Optimizer::export_state_params`];
-    /// `0..usize::MAX` for all of it). The rest is the same on every rank
-    /// of a data-parallel world. A durable save captures every
-    /// parameter's state, once the owners have copied theirs into the
-    /// saving rank; a rewind anchor captures only its rank's own.
+    /// Captures a replica's share: the weights and the optimizer state
+    /// of the parameters `owned` only ([`Optimizer::export_state_params`];
+    /// `0..usize::MAX` for all of them, a whole snapshot), every other
+    /// parameter's record with its name and shape but no bits, and the
+    /// replica's BN statistics, EMA, progress and history. Each rank of
+    /// a data-parallel world captures the parameters it owns, for its
+    /// rewind anchor and for a durable save, whose file is assembled
+    /// from every rank's share ([`CkptStore::save_paced`]).
     pub fn capture(
         model: &mut EfficientNet,
         optimizer: &dyn Optimizer,
@@ -794,10 +796,14 @@ impl DurableSnapshot {
     ) -> DurableSnapshot {
         let mut params = Vec::new();
         model.visit_params(&mut |p| {
+            let i = params.len();
             params.push(TensorRecord {
                 name: p.name.clone(),
                 shape: p.dims().to_vec(),
-                bits: to_bits(&p.value.data()),
+                bits: match owned.contains(&i) {
+                    true => to_bits(&p.value.data()),
+                    false => Vec::new(),
+                },
             });
         });
         let mut bn_running = Vec::new();
@@ -818,7 +824,8 @@ impl DurableSnapshot {
     /// Restores the snapshot into a structurally-identical replica, the
     /// weights and the optimizer state of the parameters `owned` only, in
     /// place ([`Optimizer::import_state_params`]; the snapshot must hold
-    /// that state), and returns the captured progress and epoch history.
+    /// them: a whole one, or the share captured over `owned`), and
+    /// returns the captured progress and epoch history.
     /// Replicas that share their weights each write their own share.
     /// Panics with a descriptive message on any mismatch (name, shape,
     /// count, EMA presence).
@@ -838,6 +845,7 @@ impl DurableSnapshot {
             assert_eq!(rec.name, p.name, "param order/name mismatch at {i}");
             assert_eq!(rec.shape, p.dims(), "shape mismatch for {}", p.name);
             if owned.contains(&i) {
+                assert_eq!(rec.bits.len(), p.numel(), "no weights for {}", p.name);
                 copy_bits(p.value.write().data_mut(), &rec.bits);
             }
             i += 1;
@@ -882,72 +890,11 @@ impl DurableSnapshot {
     /// records and their lengths, then each record's payload, the header
     /// and each payload followed by its CRC-32.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.write_to(&mut out)
+        let file = Assembled::new(&[self]);
+        let mut out = Vec::with_capacity(file.encoded_len());
+        file.write_to(&mut out)
             .expect("writing to a Vec cannot fail");
         out
-    }
-
-    /// Streams the file into `sink` through the encoder's fixed buffer
-    /// and returns its length. The header lists every record's length
-    /// before the first payload, so the lengths come from
-    /// [`DurableSnapshot::record_lens`], and each payload is checked
-    /// against its own.
-    fn write_to(&self, sink: &mut dyn Write) -> io::Result<u64> {
-        let mut w = Encoder::new(sink);
-        let lens = self.record_lens();
-        w.bytes(MAGIC);
-        w.u32(CKPT_STORE_VERSION);
-        w.u64(self.progress.step);
-        w.u32(Self::RECORDS.len() as u32);
-        for ((name, _), len) in Self::RECORDS.iter().zip(lens) {
-            w.str(name);
-            w.u64(len as u64);
-        }
-        w.end_scope();
-        for ((name, encode), len) in Self::RECORDS.into_iter().zip(lens) {
-            let start = w.len();
-            encode(self, &mut w);
-            assert_eq!(w.len() - start, len as u64, "length of the {name} record");
-            w.end_scope();
-        }
-        w.finish()
-    }
-
-    /// Payload length of each of [`DurableSnapshot::RECORDS`], by shape
-    /// arithmetic alone.
-    fn record_lens(&self) -> [usize; 6] {
-        let u32s = |v: &[u32]| 8 + 4 * v.len();
-        let tensor = |name: &str, shape: &[usize], bits: &[u32]| {
-            4 + name.len() + 8 + 8 * shape.len() + u32s(bits)
-        };
-        let opt_f64 = |v: Option<f64>| if v.is_some() { 9 } else { 1 };
-        let params = self.params.iter();
-        let bn = self.bn_running.iter();
-        let ema = self.ema.iter().flat_map(|e| &e.shadow);
-        [
-            5 * 8 + 4 + 8 + 4,
-            4 + params
-                .map(|t| tensor(&t.name, &t.shape, &t.bits))
-                .sum::<usize>(),
-            4 + bn.map(|(m, v)| u32s(m) + u32s(v)).sum::<usize>(),
-            8 + 8 * self.opt_state.scalars.len()
-                + 4
-                + self.opt_state.banks.iter().map(|b| u32s(b)).sum::<usize>(),
-            1 + self.ema.as_ref().map_or(0, |_| 4 + 8 + 4)
-                + ema.map(|(n, s, b)| tensor(n, s, b)).sum::<usize>(),
-            4 + self
-                .history
-                .iter()
-                .map(|r| 8 + 4 + 4 + opt_f64(r.eval_top1) + opt_f64(r.eval_top5))
-                .sum::<usize>(),
-        ]
-    }
-
-    /// Exact length of [`DurableSnapshot::to_bytes`].
-    fn encoded_len(&self) -> usize {
-        let records = self.record_lens().iter().map(|len| len + 4).sum::<usize>();
-        Self::header_len() + 4 + records
     }
 
     /// Parses and fully validates bytes produced by
@@ -1032,13 +979,13 @@ impl DurableSnapshot {
         Ok((step, lens))
     }
 
-    fn encode_meta(&self, w: &mut Encoder) {
-        let p = &self.progress;
+    fn encode_meta(file: &Assembled, w: &mut Encoder) {
+        let p = &file.first.progress;
         w.u64(p.epoch);
         w.u64(p.sample_off);
         w.u64(p.steps_this_epoch);
         w.u64(p.consumed_samples);
-        w.u64(self.world);
+        w.u64(file.first.world);
         w.u32(p.lr_scale.to_bits());
         w.u64(p.loss_sum.to_bits());
         w.u32(p.last_lr.to_bits());
@@ -1063,9 +1010,9 @@ impl DurableSnapshot {
         Ok((progress, world))
     }
 
-    fn encode_params(&self, w: &mut Encoder) {
-        w.u32(self.params.len() as u32);
-        for rec in &self.params {
+    fn encode_params(file: &Assembled, w: &mut Encoder) {
+        w.u32(file.params.len() as u32);
+        for rec in &file.params {
             w.tensor(&rec.name, &rec.shape, &rec.bits);
         }
     }
@@ -1076,9 +1023,9 @@ impl DurableSnapshot {
         Ok(out)
     }
 
-    fn encode_bn(&self, w: &mut Encoder) {
-        w.u32(self.bn_running.len() as u32);
-        for (mean, var) in &self.bn_running {
+    fn encode_bn(file: &Assembled, w: &mut Encoder) {
+        w.u32(file.first.bn_running.len() as u32);
+        for (mean, var) in &file.first.bn_running {
             w.u32s(mean);
             w.u32s(var);
         }
@@ -1095,10 +1042,10 @@ impl DurableSnapshot {
         Ok(out)
     }
 
-    fn encode_opt(&self, w: &mut Encoder) {
-        w.u64s(&self.opt_state.scalars);
-        w.u32(self.opt_state.banks.len() as u32);
-        for bank in &self.opt_state.banks {
+    fn encode_opt(file: &Assembled, w: &mut Encoder) {
+        w.u64s(&file.first.opt_state.scalars);
+        w.u32(file.banks.len() as u32);
+        for bank in &file.banks {
             w.u32s(bank);
         }
     }
@@ -1114,8 +1061,8 @@ impl DurableSnapshot {
         Ok(OptimizerState { scalars, banks })
     }
 
-    fn encode_ema(&self, w: &mut Encoder) {
-        match &self.ema {
+    fn encode_ema(file: &Assembled, w: &mut Encoder) {
+        match &file.first.ema {
             None => w.u8(0),
             Some(state) => {
                 w.u8(1);
@@ -1152,9 +1099,9 @@ impl DurableSnapshot {
         Ok(out)
     }
 
-    fn encode_history(&self, w: &mut Encoder) {
-        w.u32(self.history.len() as u32);
-        for rec in &self.history {
+    fn encode_history(file: &Assembled, w: &mut Encoder) {
+        w.u32(file.first.history.len() as u32);
+        for rec in &file.first.history {
             w.u64(rec.epoch);
             w.u32(rec.train_loss.to_bits());
             w.u32(rec.lr.to_bits());
@@ -1182,6 +1129,118 @@ impl DurableSnapshot {
         }
         r.finished()?;
         Ok(out)
+    }
+}
+
+/// One file's content, assembled from the shares of one step without a
+/// copy: the progress, BN statistics, EMA, history and optimizer scalars
+/// of the first share, and each parameter's weights and optimizer banks
+/// from the share that holds its weights. A whole snapshot is the
+/// one-share case.
+struct Assembled<'a> {
+    first: &'a DurableSnapshot,
+    params: Vec<&'a TensorRecord>,
+    /// Slot-major, as [`OptimizerState::banks`].
+    banks: Vec<&'a [u32]>,
+}
+
+impl<'a> Assembled<'a> {
+    /// Panics unless the shares agree on the step and on the number of
+    /// parameters and banks, and some share holds every parameter.
+    fn new(shares: &[&'a DurableSnapshot]) -> Self {
+        let first = *shares.first().expect("a file needs a share");
+        let (n, banks) = (first.params.len(), first.opt_state.banks.len());
+        for s in shares {
+            assert_eq!(
+                (s.progress.step, s.params.len(), s.opt_state.banks.len()),
+                (first.progress.step, n, banks),
+                "the shares of a file disagree on the step, the parameters or the banks"
+            );
+        }
+        let holders: Vec<&DurableSnapshot> = (0..n)
+            .map(|i| {
+                let holds = |s: &&&DurableSnapshot| {
+                    let p = &s.params[i];
+                    p.bits.len() == p.shape.iter().product::<usize>()
+                };
+                let name = &first.params[i].name;
+                *shares
+                    .iter()
+                    .find(holds)
+                    .unwrap_or_else(|| panic!("no share holds the weights of {name}"))
+            })
+            .collect();
+        // Bank `j` is parameter `j mod n`'s segment of its slot.
+        let holder = |j: usize| if n == 0 { first } else { holders[j % n] };
+        Assembled {
+            first,
+            params: (0..n).map(|i| &holders[i].params[i]).collect(),
+            banks: (0..banks)
+                .map(|j| holder(j).opt_state.banks[j].as_slice())
+                .collect(),
+        }
+    }
+
+    /// Streams the file into `sink` through the encoder's fixed buffer
+    /// and returns its length. The header lists every record's length
+    /// before the first payload, so the lengths come from
+    /// [`Assembled::record_lens`], and each payload is checked against
+    /// its own.
+    fn write_to(&self, sink: &mut dyn Write) -> io::Result<u64> {
+        let mut w = Encoder::new(sink);
+        let lens = self.record_lens();
+        w.bytes(MAGIC);
+        w.u32(CKPT_STORE_VERSION);
+        w.u64(self.first.progress.step);
+        w.u32(DurableSnapshot::RECORDS.len() as u32);
+        for ((name, _), len) in DurableSnapshot::RECORDS.iter().zip(lens) {
+            w.str(name);
+            w.u64(len as u64);
+        }
+        w.end_scope();
+        for ((name, encode), len) in DurableSnapshot::RECORDS.into_iter().zip(lens) {
+            let start = w.len();
+            encode(self, &mut w);
+            assert_eq!(w.len() - start, len as u64, "length of the {name} record");
+            w.end_scope();
+        }
+        w.finish()
+    }
+
+    /// Payload length of each of [`DurableSnapshot::RECORDS`], by shape
+    /// arithmetic alone.
+    fn record_lens(&self) -> [usize; 6] {
+        let u32s = |v: &[u32]| 8 + 4 * v.len();
+        let tensor = |name: &str, shape: &[usize], bits: &[u32]| {
+            4 + name.len() + 8 + 8 * shape.len() + u32s(bits)
+        };
+        let opt_f64 = |v: Option<f64>| if v.is_some() { 9 } else { 1 };
+        let (first, params) = (self.first, self.params.iter());
+        let bn = first.bn_running.iter();
+        let ema = first.ema.iter().flat_map(|e| &e.shadow);
+        [
+            5 * 8 + 4 + 8 + 4,
+            4 + params
+                .map(|t| tensor(&t.name, &t.shape, &t.bits))
+                .sum::<usize>(),
+            4 + bn.map(|(m, v)| u32s(m) + u32s(v)).sum::<usize>(),
+            8 + 8 * first.opt_state.scalars.len()
+                + 4
+                + self.banks.iter().map(|b| u32s(b)).sum::<usize>(),
+            1 + first.ema.as_ref().map_or(0, |_| 4 + 8 + 4)
+                + ema.map(|(n, s, b)| tensor(n, s, b)).sum::<usize>(),
+            4 + first
+                .history
+                .iter()
+                .map(|r| 8 + 4 + 4 + opt_f64(r.eval_top1) + opt_f64(r.eval_top5))
+                .sum::<usize>(),
+        ]
+    }
+
+    /// Exact length of the file.
+    fn encoded_len(&self) -> usize {
+        let records = self.record_lens().iter().map(|len| len + 4).sum::<usize>();
+        DurableSnapshot::header_len() + 4 + records
     }
 }
 
@@ -1270,12 +1329,17 @@ impl CkptStore {
     /// so a save holds no file-sized copy of the snapshot, and it reads
     /// no checkpoint back.
     pub fn save(&self, snap: &DurableSnapshot) -> Result<PathBuf, CkptError> {
-        self.save_paced(snap, &mut || {})
+        self.save_paced(&[snap], &mut || {})
     }
 
-    /// [`CkptStore::save`], calling `between` after each chunk it writes
-    /// and before each `fsync`: the caller's turns to do other work while
-    /// the save is in flight. The save is durable when this returns.
+    /// [`CkptStore::save`] of the file assembled from `shares`: what
+    /// [`DurableSnapshot::capture`] took over each owner's parameters at
+    /// one step, rank 0's first, whose progress, BN statistics, EMA,
+    /// history and optimizer scalars the file keeps. The file is byte for
+    /// byte that of the whole snapshot the shares split. Calls
+    /// `between` after each chunk it writes and before each `fsync`: the
+    /// caller's turns to do other work while the save is in flight. The
+    /// save is durable when this returns.
     ///
     /// The file is written to `<name>.tmp`, fsynced and renamed into
     /// place, so readers see the old file or the new one, never a torn
@@ -1284,10 +1348,11 @@ impl CkptStore {
     /// and the deletions durable.
     pub fn save_paced(
         &self,
-        snap: &DurableSnapshot,
+        shares: &[&DurableSnapshot],
         between: &mut dyn FnMut(),
     ) -> Result<PathBuf, CkptError> {
-        let step = snap.progress.step;
+        let content = Assembled::new(shares);
+        let step = content.first.progress.step;
         let _span = self
             .recorder
             .as_ref()
@@ -1297,7 +1362,7 @@ impl CkptStore {
         let len = {
             let file = fs::File::create(&tmp).map_err(io_err)?;
             let mut f = Paced { file, between };
-            let len = snap.write_to(&mut f).map_err(io_err)?;
+            let len = content.write_to(&mut f).map_err(io_err)?;
             (f.between)();
             f.file.sync_all().map_err(io_err)?;
             len
@@ -1658,7 +1723,7 @@ mod tests {
         // counts what the decoder pulled.
         let snap = multi_chunk_snapshot(3);
         let bytes = snap.to_bytes();
-        let lens = snap.record_lens();
+        let lens = Assembled::new(&[&snap]).record_lens();
         let largest = (0..lens.len()).max_by_key(|&i| lens[i]).unwrap();
         let at_len = |i: usize| {
             let names = DurableSnapshot::RECORDS[..=i]
@@ -1914,7 +1979,8 @@ mod tests {
             let mut r = Decoder::new(&mut src);
             r.begin(DurableSnapshot::header_len() as u64);
             r.skip(AT_COUNT as u64 + 4).unwrap();
-            let lens = snap.record_lens();
+            let file = Assembled::new(&[&snap]);
+            let lens = file.record_lens();
             for ((name, _), &len) in DurableSnapshot::RECORDS.iter().zip(&lens) {
                 assert_eq!(r.str().unwrap(), *name);
                 assert_eq!(r.usize().unwrap(), len, "{name} record");
@@ -1924,8 +1990,8 @@ mod tests {
                 r.record(len as u64, |_| Ok(())).unwrap();
             }
             assert!(src.is_empty());
-            assert_eq!(snap.encoded_len(), bytes.len());
-            assert_eq!(snap.encoded_len(), bytes.capacity());
+            assert_eq!(file.encoded_len(), bytes.len());
+            assert_eq!(file.encoded_len(), bytes.capacity());
         }
     }
 
@@ -1950,6 +2016,55 @@ mod tests {
     }
 
     #[test]
+    fn the_file_of_the_shares_is_the_file_of_the_whole_snapshot() {
+        // Each rank's share holds the weights and RMSProp banks of the
+        // parameters it owns, and ranks after the first capture theirs
+        // with BN statistics a forward of their own moved. The file the
+        // store assembles from the shares is byte for byte the whole
+        // capture's, with rank 0's BN statistics. World 3 cuts this model
+        // unevenly: 68 326, 70 100 and 61 680 weights.
+        let dir = scratch_dir("shares");
+        let store = CkptStore::open(&dir, 1).unwrap();
+        for world in [1, 2, 3] {
+            let mut m = model(4);
+            let mut rng = ets_tensor::Rng::new(8);
+            let mut x = ets_tensor::Tensor::zeros([2, 3, 16, 16]);
+            rng.fill_normal(x.data_mut(), 0.0, 1.0);
+            let logits = m.forward(&x, ets_nn::Mode::Train, &mut rng);
+            m.backward(&logits);
+            let mut opt = ets_optim::RmsProp::efficientnet_default();
+            opt.step(&mut m, 0.01);
+            let ema = Ema::new(&mut m, 0.999);
+            let progress = Progress {
+                step: world as u64,
+                ..Progress::fresh()
+            };
+            let history = sample_snapshot(0).history;
+            let capture = |m: &mut EfficientNet, owned| {
+                DurableSnapshot::capture(m, &opt, owned, Some(&ema), &progress, world, &history)
+            };
+            let whole = capture(&mut m, 0..usize::MAX);
+            let cut = ets_optim::Shares::new(&mut m, world);
+            if world == 3 {
+                assert_eq!(cut.elems(), [0, 68_326, 138_426, 200_106]);
+            }
+            let shares: Vec<DurableSnapshot> = (0..world)
+                .map(|r| {
+                    if r > 0 {
+                        perturb_running_stats(&mut m, r as u64);
+                    }
+                    capture(&mut m, cut.owned(r))
+                })
+                .collect();
+            assert!(world == 1 || shares[world - 1].bn_running != whole.bn_running);
+            let shares: Vec<&DurableSnapshot> = shares.iter().collect();
+            let path = store.save_paced(&shares, &mut || {}).unwrap();
+            assert!(fs::read(path).unwrap() == whole.to_bytes(), "world {world}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_saved_file_is_to_bytes() {
         let dir = scratch_dir("streamed");
         let store = CkptStore::open(&dir, 2).unwrap();
@@ -1959,7 +2074,7 @@ mod tests {
             assert_eq!(bytes, snap.to_bytes(), "step {}", snap.progress.step);
             assert_eq!(DurableSnapshot::from_bytes(&bytes).unwrap(), snap);
         }
-        assert!(multi_chunk_snapshot(4).encoded_len() > 4 * CHUNK);
+        assert!(Assembled::new(&[&multi_chunk_snapshot(4)]).encoded_len() > 4 * CHUNK);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1983,12 +2098,13 @@ mod tests {
     #[test]
     fn a_failing_sink_fails_the_encode() {
         let snap = multi_chunk_snapshot(2);
+        let file = Assembled::new(&[&snap]);
         for room in [0, 100, CHUNK, 3 * CHUNK + 5] {
-            let err = snap.write_to(&mut Full(room)).unwrap_err();
+            let err = file.write_to(&mut Full(room)).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::StorageFull, "room {room}");
         }
-        let room = snap.encoded_len();
-        assert_eq!(snap.write_to(&mut Full(room)).unwrap(), room as u64);
+        let room = file.encoded_len();
+        assert_eq!(file.write_to(&mut Full(room)).unwrap(), room as u64);
     }
 
     #[test]
@@ -2054,7 +2170,7 @@ mod tests {
         fs::write(store.path_for(5), &bytes).unwrap();
         assert!(store.load_step(5).is_err());
         let read = rec.counter_value("ckpt_bytes_read") - newest;
-        let meta = sample_snapshot(5).record_lens()[0];
+        let meta = Assembled::new(&[&sample_snapshot(5)]).record_lens()[0];
         assert_eq!(read as usize, first + meta + 4);
         assert!(read < newest);
         let _ = fs::remove_dir_all(&dir);

@@ -16,11 +16,11 @@
 //!   writing their new weights in place between two rendezvous: the
 //!   gradient exchange, which no rank leaves before every rank has ended
 //!   the step's backward, its last read of the weights, and a barrier
-//!   that ends the writes before anyone's next read. Before a durable
-//!   checkpoint the owners copy their optimizer state into rank 0 alone
-//!   ([`Collective::all_gather_in_place`]), which writes it; a rank's
-//!   rewind anchor holds only its own state, and every restore writes
-//!   only its own weights and state back, in place, between two
+//!   that ends the writes before anyone's next read. A rank's capture,
+//!   its rewind anchor and its part of a durable checkpoint alike, holds
+//!   only its own weights and optimizer state (its *share*): the file is
+//!   assembled from every rank's share, and every restore writes only
+//!   the rank's own weights and state back, in place, between two
 //!   barriers. Only the fingerprint vote (`fingerprint_verify`) compares
 //!   the ranks' reduced gradients: without it a receive-side flip in a
 //!   gradient its rank owns reaches the weights, and one in a gradient a
@@ -54,14 +54,16 @@
 //!   ([`crate::ckpt_store`]), and the run rebuilds collectives, BN groups,
 //!   data shards and the LR schedule for the survivors, resuming at the
 //!   exact sample offset — every sample is still seen exactly once per
-//!   epoch, so progress is tracked in *samples* ([`Progress`]).
+//!   epoch, so progress is tracked in *samples* ([`Progress`]). A
+//!   survivor keeps its optimizer and loads its new share of the state
+//!   into the buffers it already has.
 //! - **Input pipeline and durable saves** (§3.3): the thread that called
 //!   `train` loads every batch while the replicas compute; a replica asks
 //!   for batch *s+1* as soon as batch *s* arrives (`Feed`). The same
-//!   thread persists rank 0's durable captures, a chunk at a time with
-//!   the batch requests answered between chunks, so no replica waits for
-//!   a disk write; a read of the store first waits for the saves before
-//!   it.
+//!   thread persists each durable checkpoint once every rank's share of
+//!   it is in, a chunk at a time with the batch requests answered
+//!   between chunks, so no replica waits for a disk write; a read of the
+//!   store first waits for the saves before it.
 
 use crate::bn_sync::GroupStatSync;
 use crate::ckpt_store::{CkptStore, DurableSnapshot, Progress};
@@ -69,9 +71,7 @@ use crate::experiment::{DecayChoice, Experiment, OptimizerChoice};
 use crate::grad_bucket::GradBucket;
 use crate::report::{EpochRecord, Fingerprint, RecoveryCounters, TrainReport};
 use crate::timeline::{AllReduceProfile, PhaseBreakdown, ResizeRecord, StepTimeline, Stopwatch};
-use ets_collective::{
-    bn_partition, create_collective, Collective, CollectiveError, FaultSchedule, Pieces,
-};
+use ets_collective::{bn_partition, create_collective, Collective, CollectiveError, FaultSchedule};
 use ets_data::{load_batch, AugmentConfig, EpochPlan, SynthNet};
 use ets_efficientnet::EfficientNet;
 use ets_nn::{cross_entropy, replicate, zero_grads, Ema, EvalCounts, Layer, Mode};
@@ -83,7 +83,6 @@ use ets_optim::{
 use ets_tensor::{Rng, Tensor};
 use std::collections::VecDeque;
 use std::fmt;
-use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -211,9 +210,10 @@ type Loaded = (Tensor, Vec<usize>, Rng);
 enum ToFeeder {
     /// Load this batch for this rank.
     Batch(usize, BatchRequest),
-    /// Persist rank 0's durable capture, which is also its rewind anchor.
-    Save(Arc<DurableSnapshot>),
-    /// Answer this rank once every save sent before this is durable.
+    /// This rank's share of a durable checkpoint, which is also its
+    /// rewind anchor.
+    Save(usize, Arc<DurableSnapshot>),
+    /// Answer this rank once the file of each share it sent is durable.
     Flush(usize),
 }
 
@@ -225,13 +225,16 @@ struct Outbox {
 
 /// Serves the replicas of a phase, in arrival order, until all of them
 /// have hung up: loads every batch they request and persists every
-/// durable save rank 0 hands over. Runs on the thread that called
-/// `train`, which has nothing else to do while the phase runs. A save
-/// streams through the store a chunk at a time, and the batch requests
-/// that arrive meanwhile are answered between chunks; any other message
-/// waits for the save to finish, so a flush is answered once every save
-/// before it is durable. A save that fails panics, and the replicas
-/// then stop with [`FEEDER_GONE`].
+/// durable checkpoint, one file from every rank's share of its step,
+/// once the last share is in. Runs on the thread that called `train`,
+/// which has nothing else to do while the phase runs. A save streams
+/// through the store a chunk at a time, and the batch requests that
+/// arrive meanwhile are answered between chunks; any other message
+/// waits for the save to finish. A flush is answered once the file of
+/// each share its rank sent is durable: at once, unless the rank's share
+/// still waits for the rest of its step's, and then when their file is.
+/// A save that fails panics, and the replicas then stop with
+/// [`FEEDER_GONE`].
 fn serve_replicas(
     inbox: Receiver<ToFeeder>,
     outboxes: &[Outbox],
@@ -252,11 +255,24 @@ fn serve_replicas(
         // A replica that has drained no longer listens.
         let _ = outboxes[rank].batches.send((x, labels, rng));
     };
+    let answer = |rank: usize| {
+        let _ = outboxes[rank].flushed.send(());
+    };
+    let mut shares: Vec<Option<Arc<DurableSnapshot>>> = vec![None; outboxes.len()];
+    // Ranks whose flush waits for the file of their share held here.
+    let mut waiting = Vec::new();
     let mut deferred = VecDeque::new();
     while let Some(message) = deferred.pop_front().or_else(|| inbox.recv().ok()) {
         match message {
             ToFeeder::Batch(rank, request) => load(rank, request),
-            ToFeeder::Save(snap) => {
+            ToFeeder::Save(rank, share) => {
+                let old = shares[rank].replace(share);
+                assert!(
+                    old.is_none(),
+                    "rank {rank} sent a share before its last was saved"
+                );
+                let file: Option<Vec<_>> = shares.iter().map(Option::as_deref).collect();
+                let Some(file) = file else { continue };
                 let mut between = || {
                     while let Ok(message) = inbox.try_recv() {
                         match message {
@@ -266,16 +282,17 @@ fn serve_replicas(
                     }
                 };
                 let store = store.expect("durable saves require the store");
-                if let Err(e) = store.save_paced(&snap, &mut between) {
+                if let Err(e) = store.save_paced(&file, &mut between) {
                     panic!(
                         "durable checkpoint save of step {} failed: {e}",
-                        snap.progress.step
+                        file[0].progress.step
                     );
                 }
+                shares.fill(None);
+                waiting.drain(..).for_each(answer);
             }
-            ToFeeder::Flush(rank) => {
-                let _ = outboxes[rank].flushed.send(());
-            }
+            ToFeeder::Flush(rank) if shares[rank].is_some() => waiting.push(rank),
+            ToFeeder::Flush(rank) => answer(rank),
         }
     }
 }
@@ -336,33 +353,24 @@ impl Feed {
         }
     }
 
-    /// Hands `snap` to the feeder to persist.
-    fn save(&mut self, snap: Arc<DurableSnapshot>) {
-        self.requests.send(ToFeeder::Save(snap)).expect(FEEDER_GONE);
+    /// Hands this rank's `share` of a durable checkpoint to the feeder.
+    fn save(&mut self, share: Arc<DurableSnapshot>) {
+        self.requests
+            .send(ToFeeder::Save(self.rank, share))
+            .expect(FEEDER_GONE);
         self.saving = true;
     }
 
-    /// Returns once every save sent before it, by any rank, is durable.
+    /// Returns once the file of each share this rank sent is durable.
+    /// Files are written in step order, and every rank sends its share
+    /// of a step before the step's collective, so after that collective
+    /// a flush also finds every file of that step and before durable.
     fn flush(&mut self) {
         self.requests
             .send(ToFeeder::Flush(self.rank))
             .expect(FEEDER_GONE);
         self.flushed.recv().expect(FEEDER_GONE);
         self.saving = false;
-    }
-}
-
-/// An optimizer's state as [`Pieces`], parameter-major
-/// ([`Optimizer::visit_state`]): what the owners copy into rank 0 before
-/// a durable checkpoint.
-struct State<'a>(&'a mut dyn Optimizer);
-
-// SAFETY: the pieces are the segments of the optimizer's slot buffers,
-// reached through the `&mut` borrow of the optimizer; nothing sizes or
-// resizes a slot while it is held.
-unsafe impl Pieces for State<'_> {
-    fn for_each_piece(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        self.0.visit_state(&mut |_, seg| f(seg));
     }
 }
 
@@ -395,6 +403,9 @@ struct Carry {
 /// Per-replica, per-phase worker result.
 struct PhaseOutcome {
     history: Vec<EpochRecord>,
+    /// The rank's optimizer when the phase drained for a resize: a
+    /// survivor keeps it.
+    optimizer: Option<Box<dyn Optimizer>>,
     phases: PhaseBreakdown,
     buckets: AllReduceProfile,
     carry: Carry,
@@ -543,8 +554,8 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         };
         let _ = std::fs::remove_dir_all(&dir);
         let mut s = CkptStore::open(&dir, DURABLE_RETAIN).expect("open durable checkpoint store");
-        // Only rank 0's captures are written through the store (by the
-        // feeder, on rank 0's behalf), so its recorder owns the store's
+        // The feeder writes each file from every rank's share, on the
+        // world's behalf, so one recorder, rank 0's, owns the store's
         // (wall-clock-only) checkpoint spans.
         s.attach_recorder(Arc::clone(&recorders[0]));
         Some(Arc::new(s))
@@ -561,6 +572,9 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         vnow: 0.0,
         step: 0,
     };
+    // A survivor of a resize keeps its optimizer: the next phase imports
+    // its new share of the state into the buffers it already has.
+    let mut optimizers: VecDeque<Box<dyn Optimizer>> = VecDeque::new();
     let mut carry_phases = PhaseBreakdown::default();
     let mut carry_buckets = AllReduceProfile::default();
     let history;
@@ -598,9 +612,9 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         let mut models = phase_models(&view);
         let mut weights = Vec::new();
         models[0].visit_params(&mut |p| weights.push(p.value.share()));
-        let results: Vec<PhaseOutcome> = std::thread::scope(|scope| {
-            // Per rank one batch request and one flush, and rank 0's save.
-            let (requests, inbox) = sync_channel(2 * world + 1);
+        let mut results: Vec<PhaseOutcome> = std::thread::scope(|scope| {
+            // Per rank one batch request, one share and one flush.
+            let (requests, inbox) = sync_channel(3 * world);
             let mut outboxes = Vec::with_capacity(world);
             let joins: Vec<_> = models
                 .into_iter()
@@ -613,8 +627,10 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
                     let rec = Arc::clone(&recorders[r]);
                     let (feed, outbox) = Feed::new(r, requests.clone());
                     outboxes.push(outbox);
+                    let kept = optimizers.pop_front();
                     scope.spawn(move || {
-                        Replica::new(env, r, model, world_comm, bn_comm, rec, carry, feed).run()
+                        Replica::new(env, r, model, kept, world_comm, bn_comm, rec, carry, feed)
+                            .run()
                     })
                 })
                 .collect();
@@ -656,6 +672,10 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
             }
         }
 
+        optimizers = results
+            .iter_mut()
+            .filter_map(|res| res.optimizer.take())
+            .collect();
         carry_phases.merge(&results[0].phases);
         merge_profiles(&mut carry_buckets, &results[0].buckets);
         let res0 = results.into_iter().next().expect("at least one replica");
@@ -701,6 +721,7 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
             virtual_s: resize_s,
         });
         world = new_world;
+        optimizers.truncate(world);
         phase_idx += 1;
     }
 
@@ -772,8 +793,8 @@ struct Replica<'a> {
     model: EfficientNet,
     optimizer: Box<dyn Optimizer>,
     /// Which parameters each rank updates, cut once per phase for its
-    /// world. This rank's optimizer state is current only for its own
-    /// (rank 0's for all of them just after a durable save).
+    /// world. This rank's optimizer state is current only for its own,
+    /// and its captures hold only their weights and state.
     shares: Shares,
     ema: Option<Ema>,
     grad_bucket: GradBucket,
@@ -799,6 +820,7 @@ impl<'a> Replica<'a> {
         env: &'a PhaseEnv<'a>,
         rank: usize,
         mut model: EfficientNet,
+        kept: Option<Box<dyn Optimizer>>,
         world: Box<dyn Collective>,
         bn_comm: Option<Box<dyn Collective>>,
         rec: Arc<Recorder>,
@@ -847,7 +869,8 @@ impl<'a> Replica<'a> {
             world,
             rec,
             model,
-            optimizer: build_optimizer(view.optimizer),
+            // Built on this thread, as everything a replica owns.
+            optimizer: kept.unwrap_or_else(|| build_optimizer(view.optimizer)),
             shares,
             ema,
             grad_bucket,
@@ -875,9 +898,9 @@ impl<'a> Replica<'a> {
     }
 
     /// The newest valid durable snapshot strictly before step `before`,
-    /// once every save sent before the call is durable. Symmetric: every
-    /// rank scans the same directory and skips the same corrupt files, so
-    /// the counter stays rank-identical.
+    /// once every file of a share sent before the call is durable.
+    /// Symmetric: every rank scans the same directory and skips the same
+    /// corrupt files, so the counter stays rank-identical.
     fn load_durable(&mut self, before: u64) -> Option<DurableSnapshot> {
         let store = self.env.store.expect("restores require the durable store");
         self.feed.flush();
@@ -888,12 +911,14 @@ impl<'a> Replica<'a> {
         Some(snap)
     }
 
-    /// A snapshot with the optimizer state of the parameters `state`.
-    fn capture(&mut self, state: Range<usize>) -> DurableSnapshot {
+    /// This rank's share: the weights and optimizer state of the
+    /// parameters it owns, with its BN statistics, EMA, progress and
+    /// history.
+    fn capture(&mut self) -> DurableSnapshot {
         DurableSnapshot::capture(
             &mut self.model,
             self.optimizer.as_ref(),
-            state,
+            self.shares.owned(self.rank),
             self.ema.as_ref(),
             &self.prog,
             self.env.view.replicas,
@@ -915,43 +940,29 @@ impl<'a> Replica<'a> {
     }
 
     /// The one checkpoint site: a durable save, a fresh rewind anchor, or
-    /// both from one capture. The old anchor goes before the capture, and
-    /// rank 0 first waits for its previous save, which shares that
-    /// anchor, so a rank holds one snapshot at any moment whatever the
-    /// other ranks do; a rank that neither saves nor anchors captures
-    /// nothing. Every rank reaches a durable save together, and the
-    /// owners first copy their optimizer state into rank 0 alone, which
-    /// captures every parameter's and hands the capture to the feeder to
-    /// persist. An anchor holds only the state of the parameters its rank
-    /// owns, the only state a rewind restores (rank 0's durable capture,
-    /// full, doubles as its anchor). Counters and instants count
-    /// *logical* checkpoints on all ranks, at issue (the durable one
-    /// first), so the cross-rank virtual fingerprint stays equal.
+    /// both from one capture of this rank's share, which holds all a
+    /// rewind restores. The old anchor goes before the capture, and a
+    /// rank whose last share may not be on disk yet first waits for it,
+    /// so a rank holds one share at any moment whatever the other ranks
+    /// do; a rank that neither saves nor anchors captures nothing. Every
+    /// rank reaches a durable save together and hands its share to the
+    /// feeder, which writes the file once it holds every rank's share of
+    /// the step, so no rank reads state it does not own. Counters and
+    /// instants count *logical* checkpoints on all ranks, at issue (the
+    /// durable one first), so the cross-rank virtual fingerprint stays
+    /// equal.
     fn checkpoint(&mut self, durable: bool, anchor: bool) {
         if anchor {
             self.anchor = None;
         }
-        let saves = durable && self.rank == 0;
-        if durable {
-            let cuts = self.shares.state_cuts(self.optimizer.as_mut());
-            let state = &mut State(self.optimizer.as_mut());
-            self.world.all_gather_in_place(state, &cuts, Some(0));
-        }
-        let state = if saves {
-            0..usize::MAX
-        } else {
-            self.shares.owned(self.rank)
-        };
-        let captures = anchor || saves;
+        let captures = durable || anchor;
         if captures && self.feed.saving {
             self.feed.flush();
         }
-        let snap = captures.then(|| Arc::new(self.capture(state)));
+        let share = captures.then(|| Arc::new(self.capture()));
         if durable {
-            if saves {
-                let snap = snap.as_ref().expect("rank 0 captured for the save");
-                self.feed.save(Arc::clone(snap));
-            }
+            let share = share.as_ref().expect("captured for the save");
+            self.feed.save(Arc::clone(share));
             self.counters.durable_checkpoints += 1;
             self.mark(
                 obs_ph::DURABLE_CHECKPOINT,
@@ -961,7 +972,7 @@ impl<'a> Replica<'a> {
         }
         if anchor {
             self.anchor = Some(RewindAnchor {
-                state: snap.expect("captured for the anchor"),
+                state: share.expect("captured for the anchor"),
                 data_rng: self.data_rng.clone(),
                 layer_rng: self.layer_rng.clone(),
             });
@@ -1310,12 +1321,13 @@ impl<'a> Replica<'a> {
             let on_cadence = self.prog.step == phase_start
                 || self.prog.step.is_multiple_of(faults.checkpoint_every());
 
-            // Durable cadence save: rank 0 hands its capture to the feeder
-            // *before* this step's collective and goes on while the feeder
-            // writes it. Every read of the store flushes the feeder first,
-            // and a flush sent after the collective is answered only once
-            // the save is durable, so every rank that rolls back sees the
-            // completed, renamed file. In-memory anchor (only when the
+            // Durable cadence save: every rank hands its share to the
+            // feeder *before* this step's collective and goes on while the
+            // feeder writes the file. Every read of the store flushes the
+            // feeder first, and a flush sent after the collective, which
+            // every share of the step was sent before, is answered only
+            // once the file is durable, so every rank that rolls back sees
+            // the completed, renamed file. In-memory anchor (only when the
             // plan can actually preempt us): taken *before* the
             // preemption check, so a checkpoint written at step `s`
             // survives a job death at step `s`. One capture serves both.
@@ -1417,8 +1429,9 @@ impl<'a> Replica<'a> {
         };
 
         // Drain for a resize: the last collective has completed (the step
-        // loop never leaves a bucket in flight), so rank 0 hands over the
-        // durable checkpoint every survivor will resume from. The feeder
+        // loop never leaves a bucket in flight), so every rank hands over
+        // its share of the durable checkpoint every survivor will resume
+        // from. The feeder
         // returns only once it has drained its inbox, so this save is
         // durable before the next phase's loads.
         if !done {
@@ -1441,6 +1454,7 @@ impl<'a> Replica<'a> {
 
         PhaseOutcome {
             history: self.history,
+            optimizer: if done { None } else { Some(self.optimizer) },
             phases: self.phases,
             buckets: self.grad_bucket.profile().clone(),
             carry: Carry {

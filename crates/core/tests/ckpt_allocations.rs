@@ -1,10 +1,11 @@
-//! A checkpoint costs one snapshot per rank and no file-sized buffer:
-//! a save streams its encoding to disk and a load its decoding from
-//! disk through a fixed buffer, and at a cadence step one capture
-//! serves both the durable save and the rewind anchor, taken after the
-//! old anchor is released and rank 0's previous save has finished with
-//! it. Only the saving rank's snapshot holds every parameter's
-//! optimizer state; another rank's anchor holds its own.
+//! A checkpoint costs one snapshot over all ranks and no file-sized
+//! buffer: each rank captures only the weights and optimizer state of
+//! the parameters it owns, its share, so the world's shares add up to
+//! one snapshot. A save streams the file assembled from the shares to
+//! disk and a load its decoding from disk through a fixed buffer, and
+//! at a cadence step one capture serves both the durable save and the
+//! rewind anchor, taken after the old anchor is released and the
+//! rank's previous share is on disk.
 //!
 //! A phase keeps one set of weights however many replicas it runs: a
 //! `train()` at world 2 or 3 allocates each parameter's weight buffer
@@ -20,7 +21,7 @@
 use ets_collective::{FaultEvent, FaultKind, FaultPlan};
 use ets_efficientnet::{EfficientNet, ModelConfig};
 use ets_nn::{Layer, Precision};
-use ets_optim::{Optimizer, RmsProp, Shares};
+use ets_optim::{Optimizer, RmsProp};
 use ets_tensor::Rng;
 use ets_train::{train, CkptStore, DurableSnapshot, Experiment, Progress};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -123,9 +124,8 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// The `guarded_chaos_2x` state at `step`: the model and RMSProp's two
-/// slots, sized by one step, for every parameter or for those `owner`
-/// owns at world 2.
-fn chaos_snapshot(step: u64, owner: Option<usize>) -> DurableSnapshot {
+/// slots, sized by one step.
+fn chaos_snapshot(step: u64) -> DurableSnapshot {
     let mut rng = Rng::new(5);
     let mut model = EfficientNet::new(chaos_model(), Precision::F32, &mut rng);
     let mut opt = RmsProp::efficientnet_default();
@@ -134,8 +134,7 @@ fn chaos_snapshot(step: u64, owner: Option<usize>) -> DurableSnapshot {
         step,
         ..Progress::fresh()
     };
-    let state = owner.map_or(0..usize::MAX, |r| Shares::new(&mut model, 2).owned(r));
-    DurableSnapshot::capture(&mut model, &opt, state, None, &progress, 2, &[])
+    DurableSnapshot::capture(&mut model, &opt, 0..usize::MAX, None, &progress, 2, &[])
 }
 
 /// Bytes of the chaos snapshot's file (`train.ckpt.bytes`).
@@ -146,8 +145,8 @@ fn a_save_and_a_load_of_the_chaos_snapshot_make_no_file_sized_allocation() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = scratch_dir("save");
     let store = CkptStore::open(&dir, 2).unwrap();
-    store.save(&chaos_snapshot(4, None)).unwrap();
-    let snap = chaos_snapshot(8, None);
+    store.save(&chaos_snapshot(4)).unwrap();
+    let snap = chaos_snapshot(8);
     // The largest array of the snapshot: a load allocates each one.
     let params = snap.params.iter().map(|t| &t.bits);
     let arrays = params.chain(&snap.opt_state.banks);
@@ -203,13 +202,13 @@ fn run(checkpoints: bool) -> (usize, ets_train::TrainReport) {
 }
 
 #[test]
-fn checkpoints_raise_the_high_water_mark_by_one_snapshot_and_one_owned_share() {
+fn checkpoints_raise_the_high_water_mark_by_one_snapshot() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // What the anchors hold: rank 0's is its durable capture, with every
-    // parameter's optimizer state, and rank 1's has its own share's.
-    let snapshot = chaos_snapshot(0, None).to_bytes().len();
+    // What the anchors hold: each rank's share, its weights and
+    // optimizer state and no other rank's, also what the feeder writes
+    // the file from.
+    let snapshot = chaos_snapshot(0).to_bytes().len();
     assert_eq!(snapshot, CHAOS_FILE);
-    let share = chaos_snapshot(0, Some(1)).to_bytes().len();
     let (plain, clean) = run(false);
     let (guarded, report) = run(true);
     let c = report.fault_recovery;
@@ -217,12 +216,11 @@ fn checkpoints_raise_the_high_water_mark_by_one_snapshot_and_one_owned_share() {
     // Steps 0, 2, 4 and 6 of the 8, plus step 4 again after the replay.
     assert_eq!((c.durable_checkpoints, c.checkpoints_taken), (5, 5));
     assert_eq!(report.weight_checksum, clean.weight_checksum);
-    let bound = snapshot + share + MIB;
+    let bound = snapshot + MIB;
     assert!(
         guarded <= plain + bound,
         "high-water mark {guarded} B with checkpoints, {plain} B without: \
-         {} B more than the {bound} B a {snapshot} B snapshot, a {share} B \
-         owned share and 1 MiB allow",
+         {} B more than the {bound} B a {snapshot} B snapshot and 1 MiB allow",
         guarded - plain - bound
     );
 }

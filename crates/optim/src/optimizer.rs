@@ -15,8 +15,8 @@
 //! weights hold those of a whole-model step once every owner has
 //! written its own. The
 //! segments a replica does not own stay as they were (zero, on pages the
-//! allocator never touched) until [`Optimizer::visit_state`] lets the
-//! owners copy them into the one replica that writes a checkpoint.
+//! allocator never touched): a checkpoint takes each parameter's state
+//! from its owner.
 //!
 //! For checkpoint-based preemption recovery the trait also exposes
 //! [`Optimizer::export_state`] / [`Optimizer::import_state`]: the full
@@ -148,24 +148,6 @@ impl Shares {
     /// The parameters `rank` owns.
     pub fn owned(&self, rank: usize) -> Range<usize> {
         self.params[rank]..self.params[rank + 1]
-    }
-
-    /// The edges as offsets into `opt`'s state laid out as
-    /// [`Optimizer::visit_state`] hands it out: all zero before its first
-    /// step, when it hands out nothing.
-    pub fn state_cuts(&self, opt: &mut dyn Optimizer) -> Vec<usize> {
-        // `starts[i]`: where parameter `i`'s segments start, then the total.
-        let mut starts = vec![0];
-        opt.visit_state(&mut |i, seg| {
-            if starts.len() == i + 1 {
-                starts.push(starts[i]);
-            }
-            starts[i + 1] += seg.len();
-        });
-        self.params
-            .iter()
-            .map(|&i| starts.get(i).copied().unwrap_or(0))
-            .collect()
     }
 }
 

@@ -271,22 +271,3 @@ fn the_cut_rises_and_covers_every_parameter() {
         assert_eq!(shares.elems()[world], 83);
     }
 }
-
-#[test]
-fn state_cuts_follow_the_parameter_edges() {
-    // SM3 keeps Σ dims covers and a parameter-sized velocity, so its
-    // state offsets differ from the weights'.
-    let mut model = Model::new();
-    let shares = Shares::new(&mut model, 2);
-    let mut opt = Sm3::new(0.9, 0.0);
-    assert_eq!(shares.state_cuts(&mut opt), [0, 0, 0], "no state yet");
-    model.load_grads(0);
-    opt.step(&mut model, 0.1);
-    // w0: 4+3+3 covers + 36; g0: 4 + 4.
-    let (w0, g0) = (10 + 36, 4 + 4);
-    let total = w0 + g0 + (4 + 4) + (10 + 24) + (1 + 1) + (10 + 12) + (2 + 2);
-    assert_eq!(shares.state_cuts(&mut opt), [0, w0 + g0, total]);
-    let mut seen = 0;
-    opt.visit_state(&mut |_, seg| seen += seg.len());
-    assert_eq!(seen, total);
-}

@@ -9,11 +9,13 @@
 //! - [`FaultPlan`] — a seeded, serializable schedule of fault events with
 //!   absolute sim-time triggers. The same plan always produces the same
 //!   perturbation, so chaos runs are reproducible bit for bit.
-//! - [`FaultSchedule`] — the plan compiled against a step clock: per-step
-//!   slowdown multipliers, per-step transient-failure counts, and the
-//!   sorted list of preemption steps. Every rank compiles the identical
-//!   schedule, which keeps fault injection SPMD-consistent (a rank that
-//!   fails alone would deadlock its peers inside a collective).
+//! - [`FaultSchedule`] — the plan compiled against a step clock: timing
+//!   windows read as per-step slowdowns, per-step transient-failure
+//!   counts, and the sorted preemption and loss steps. Every rank
+//!   compiles the identical schedule, which keeps fault injection
+//!   SPMD-consistent (a rank that fails alone would deadlock its peers
+//!   inside a collective). The [`RecoveryMachine`](crate::RecoveryMachine)
+//!   reads it for every recovery decision.
 //! - [`CollectiveError`] — typed errors for the fallible collective API
 //!   ([`Collective::try_all_reduce_mean`](crate::Collective::try_all_reduce_mean)
 //!   and friends) instead of panics.
@@ -573,20 +575,22 @@ impl FaultPlan {
     pub fn compile(&self, total_steps: u64) -> FaultSchedule {
         self.validate();
         let step_s = self.virtual_step_seconds;
-        let mut slowdown = vec![1.0f64; total_steps as usize];
+        let mut windows = Vec::new();
         let mut transient: BTreeMap<u64, u32> = BTreeMap::new();
         let mut preempts: Vec<u64> = Vec::new();
         let mut losses: Vec<(u64, usize)> = Vec::new();
         let mut payload_flips: BTreeMap<u64, (usize, u32, u8)> = BTreeMap::new();
         let mut compute_flips: BTreeMap<u64, (usize, u8)> = BTreeMap::new();
         for ev in &self.events {
+            let window = |factor: f64, link: bool| Window {
+                at: ev.at_s,
+                end: ev.at_s + ev.duration_s,
+                factor,
+                link,
+            };
             match ev.kind {
-                FaultKind::LinkDegrade { scale, .. } => {
-                    apply_window(&mut slowdown, step_s, ev.at_s, ev.duration_s, 1.0 / scale);
-                }
-                FaultKind::Straggler { slowdown: f, .. } => {
-                    apply_window(&mut slowdown, step_s, ev.at_s, ev.duration_s, f);
-                }
+                FaultKind::LinkDegrade { scale, .. } => windows.push(window(1.0 / scale, true)),
+                FaultKind::Straggler { slowdown: f, .. } => windows.push(window(f, false)),
                 FaultKind::Preempt { .. } => {
                     let step = (ev.at_s / step_s).floor() as u64;
                     if step < total_steps {
@@ -627,13 +631,16 @@ impl FaultPlan {
                 }
             }
         }
+        // A window stretches nothing when it is empty or its factor is 1.
+        windows.retain(|w| w.end > w.at && w.factor != 1.0);
         preempts.sort_unstable();
         preempts.dedup();
         losses.sort_unstable();
         losses.dedup();
         FaultSchedule {
             step_s,
-            slowdown,
+            total_steps,
+            windows,
             transient,
             preempts,
             losses,
@@ -648,35 +655,30 @@ impl FaultPlan {
     }
 }
 
-/// Stretches every step whose window overlaps `[at, at + dur)` by
-/// `factor`, scaled by the overlap fraction (a fault covering half a
-/// step charges half its slowdown). Factors from multiple faults
-/// compose multiplicatively.
-fn apply_window(slowdown: &mut [f64], step_s: f64, at: f64, dur: f64, factor: f64) {
-    if dur <= 0.0 || factor == 1.0 {
-        return;
-    }
-    let end = at + dur;
-    for (k, s) in slowdown.iter_mut().enumerate() {
-        let w0 = k as f64 * step_s;
-        let w1 = w0 + step_s;
-        let overlap = (end.min(w1) - at.max(w0)).max(0.0);
-        if overlap > 0.0 {
-            let frac = overlap / step_s;
-            *s *= 1.0 + (factor - 1.0) * frac;
-        }
-    }
+/// A timing fault's window `[at, end)` in virtual seconds, in plan order.
+/// It stretches every step it overlaps by `factor`, scaled by the overlap
+/// fraction (a window covering half a step charges half its slowdown);
+/// the factors of several windows compose multiplicatively. `link` marks
+/// a degraded link, which on a pod stretches only the all-reduce share.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Window {
+    at: f64,
+    end: f64,
+    factor: f64,
+    link: bool,
 }
 
-/// A [`FaultPlan`] compiled against a step clock: what every rank (and
-/// the trainer's outer recovery loop) actually consults.
+/// A [`FaultPlan`] compiled against a step clock: what every rank and the
+/// [`RecoveryMachine`](crate::RecoveryMachine) consult.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultSchedule {
     step_s: f64,
-    slowdown: Vec<f64>,
+    total_steps: u64,
+    windows: Vec<Window>,
     transient: BTreeMap<u64, u32>,
     preempts: Vec<u64>,
-    losses: Vec<(u64, usize)>,
+    /// `(at_step, rank)`, ascending and deduplicated.
+    pub(crate) losses: Vec<(u64, usize)>,
     payload_flips: BTreeMap<u64, (usize, u32, u8)>,
     compute_flips: BTreeMap<u64, (usize, u8)>,
     checkpoint_every_steps: u64,
@@ -699,7 +701,32 @@ impl FaultSchedule {
 
     /// Slowdown multiplier (≥ 1) for step `step`; 1.0 when healthy.
     pub fn slowdown_at(&self, step: u64) -> f64 {
-        self.slowdown.get(step as usize).copied().unwrap_or(1.0)
+        self.stretch_at(step).0
+    }
+
+    /// Step `step`'s stretch factors, each a product over the windows
+    /// that overlap it in plan order: all windows, the degraded links
+    /// only, and the stragglers only. 1.0 past the compiled steps.
+    pub(crate) fn stretch_at(&self, step: u64) -> (f64, f64, f64) {
+        let mut stretch = (1.0, 1.0, 1.0);
+        if step >= self.total_steps {
+            return stretch;
+        }
+        let w0 = step as f64 * self.step_s;
+        let w1 = w0 + self.step_s;
+        for w in &self.windows {
+            let overlap = (w.end.min(w1) - w.at.max(w0)).max(0.0);
+            if overlap > 0.0 {
+                let f = 1.0 + (w.factor - 1.0) * (overlap / self.step_s);
+                stretch.0 *= f;
+                if w.link {
+                    stretch.1 *= f;
+                } else {
+                    stretch.2 *= f;
+                }
+            }
+        }
+        stretch
     }
 
     /// Scheduled transient failures for step `step`'s gradient exchange.
@@ -777,7 +804,7 @@ impl FaultSchedule {
 
     /// True when any step carries a timing slowdown.
     pub fn has_timing(&self) -> bool {
-        self.slowdown.iter().any(|&s| s > 1.0)
+        (0..self.total_steps).any(|k| self.slowdown_at(k) > 1.0)
     }
 
     /// True when the schedule injects nothing at all.

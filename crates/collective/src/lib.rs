@@ -20,6 +20,7 @@ pub mod comm;
 pub mod cost;
 pub mod fault;
 pub mod group;
+pub mod recovery;
 pub mod topology;
 
 pub use backend::{create_collective, Backend, Collective, CollectiveStats, CommCollective};
@@ -31,4 +32,5 @@ pub use fault::{
     retry_collective, CollectiveError, FaultEvent, FaultKind, FaultPlan, FaultSchedule, RetryPolicy,
 };
 pub use group::{bn_batch_size, bn_partition, GroupSpec};
+pub use recovery::{Capture, Preemption, RecoveryMachine, Resize, StepCharge, Top};
 pub use topology::{canonical_grid, SliceShape, CORES_PER_CHIP};

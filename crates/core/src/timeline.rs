@@ -161,17 +161,9 @@ pub struct StepTimeline {
     pub resizes: Vec<ResizeRecord>,
 }
 
-/// One elastic world-resize event on the timeline: the step *before*
-/// which the new world resumed, the world sizes on either side, and the
-/// virtual seconds charged for the protocol (durable checkpoint +
-/// collective/BN rebuild + restart delay).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ResizeRecord {
-    pub step: u64,
-    pub world_before: usize,
-    pub world_after: usize,
-    pub virtual_s: f64,
-}
+/// One elastic world-resize event on the timeline: the recovery
+/// machine's [`Resize`](ets_collective::Resize).
+pub use ets_collective::Resize as ResizeRecord;
 
 impl StepTimeline {
     /// An empty timeline with the given nominal step duration.

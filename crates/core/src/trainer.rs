@@ -35,9 +35,15 @@
 //! - **Fault injection & recovery**: a non-empty
 //!   [`ets_collective::FaultPlan`] is handed to the bucket exchange
 //!   ([`GradBucket::set_faults`]), which injects its transient failures
-//!   and payload flips and absorbs the transients by bounded retry with
-//!   virtual backoff; timing faults stretch a deterministic virtual
-//!   [`StepTimeline`] without perturbing a payload bit. Everything else is a *restore*,
+//!   and payload flips and absorbs the transients by bounded retry. Every
+//!   control decision comes from one [`RecoveryMachine`], which the pod
+//!   simulator (`ets-tpu-sim`) walks too: at the top of each step it says
+//!   what the step captures (`Replica::checkpoint`), whether a planned
+//!   preemption fires and to which anchor it rewinds, and whether the
+//!   phase drains; it charges each step's slowdown and retry backoff to
+//!   a deterministic virtual [`StepTimeline`] without perturbing a payload
+//!   bit. The replica carries its actions out and reports its two
+//!   data-dependent events back to it. Everything else is a *restore*,
 //!   and every restore is one function, `Replica::rewind`, applying the
 //!   one snapshot type ([`DurableSnapshot`]). Its four callers differ only
 //!   in what they load and what they charge: a **preemption** rewinds to
@@ -49,14 +55,15 @@
 //!   world's checkpoint into a smaller one. Activity is accounted in
 //!   [`RecoveryCounters`] on the report.
 //! - **Elastic world resizing**: training proceeds in *phases*, each a
-//!   fixed world. At a `FaultKind::PermanentLoss` step (or a quarantine)
-//!   the ranks drain, persist a durable checkpoint
-//!   ([`crate::ckpt_store`]), and the run rebuilds collectives, BN groups,
-//!   data shards and the LR schedule for the survivors, resuming at the
-//!   exact sample offset — every sample is still seen exactly once per
-//!   epoch, so progress is tracked in *samples* ([`Progress`]). A
-//!   survivor keeps its optimizer and loads its new share of the state
-//!   into the buffers it already has.
+//!   fixed world. Where the machine drains a phase — a
+//!   `FaultKind::PermanentLoss` step or a quarantine — the ranks persist
+//!   a durable checkpoint ([`crate::ckpt_store`]) and charge the resize
+//!   protocol, and the run rebuilds collectives, BN groups, data shards
+//!   and the LR schedule for the survivors, resuming at the exact sample
+//!   offset — every sample is still seen exactly once per epoch, so
+//!   progress is tracked in *samples* ([`Progress`]). A survivor keeps
+//!   its optimizer and loads its new share of the state into the buffers
+//!   it already has.
 //! - **Input pipeline and durable saves** (§3.3): the thread that called
 //!   `train` loads every batch while the replicas compute; a replica asks
 //!   for batch *s+1* as soon as batch *s* arrives (`Feed`). The same
@@ -70,8 +77,11 @@ use crate::ckpt_store::{CkptStore, DurableSnapshot, Progress};
 use crate::experiment::{DecayChoice, Experiment, OptimizerChoice};
 use crate::grad_bucket::GradBucket;
 use crate::report::{EpochRecord, Fingerprint, RecoveryCounters, TrainReport};
-use crate::timeline::{AllReduceProfile, PhaseBreakdown, ResizeRecord, StepTimeline, Stopwatch};
-use ets_collective::{bn_partition, create_collective, Collective, CollectiveError, FaultSchedule};
+use crate::timeline::{AllReduceProfile, PhaseBreakdown, StepTimeline, Stopwatch};
+use ets_collective::{
+    bn_partition, create_collective, Capture, Collective, CollectiveError, FaultSchedule,
+    Preemption, RecoveryMachine, StepCharge, Top,
+};
 use ets_data::{load_batch, AugmentConfig, EpochPlan, SynthNet};
 use ets_efficientnet::EfficientNet;
 use ets_nn::{cross_entropy, replicate, zero_grads, Ema, EvalCounts, Layer, Mode};
@@ -384,10 +394,12 @@ struct RewindAnchor {
     layer_rng: Rng,
 }
 
-/// Recovery accounting that outlives a phase: `train` hands the last
-/// phase's to every replica of the next world.
+/// Recovery state that outlives a phase: `train` hands the last phase's
+/// to every replica of the next world.
 #[derive(Clone)]
-struct Carry {
+struct Carry<'s> {
+    /// The run's recovery decisions so far; its world is the next phase's.
+    recovery: RecoveryMachine<'s>,
     counters: RecoveryCounters,
     timeline: StepTimeline,
     /// Virtual-clock cursor for trace spans. The timeline models the
@@ -401,22 +413,17 @@ struct Carry {
 }
 
 /// Per-replica, per-phase worker result.
-struct PhaseOutcome {
+struct PhaseOutcome<'s> {
     history: Vec<EpochRecord>,
     /// The rank's optimizer when the phase drained for a resize: a
     /// survivor keeps it.
     optimizer: Option<Box<dyn Optimizer>>,
     phases: PhaseBreakdown,
     buckets: AllReduceProfile,
-    carry: Carry,
+    carry: Carry<'s>,
     /// True when training completed; false when the phase drained for a
     /// world resize.
     done: bool,
-    /// Ranks this phase quarantined for unhealable payload corruption
-    /// (zero when the phase stopped at a planned resize boundary). A
-    /// nonzero value means the phase already rolled back to the last
-    /// durable checkpoint before the poisoned step.
-    quarantined: u64,
 }
 
 /// Merges a phase's bucket profile into the run accumulator. The bucket
@@ -528,17 +535,16 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
     // the collectives stay unwrapped, so fault-free runs pay nothing.
     let nominal_total_steps = exp.epochs * exp.steps_per_epoch() as u64;
     let faults = Arc::new(exp.faults.compile(nominal_total_steps));
-
-    // Resize boundaries: `(step, ranks lost at that step)`, ascending.
-    let mut boundaries = VecDeque::from(faults.resize_boundaries());
+    // The divergence guard and the corruption quarantine both roll back
+    // to durable checkpoints, so both keep a cadence of them.
+    let durable_cadence = exp.nan_guard || (exp.fingerprint_verify && faults.has_corruption());
 
     // Durable checkpoint store, opened only when the run can actually
     // lose replicas or trip the divergence guard. The trainer owns the
     // directory: it is cleared at run start so stale files from earlier
     // runs can never shadow this run's state.
     static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(0);
-    let needs_store =
-        faults.has_losses() || exp.nan_guard || (exp.fingerprint_verify && faults.has_corruption());
+    let needs_store = faults.has_losses() || durable_cadence;
     let store: Option<Arc<CkptStore>> = if needs_store {
         let dir = match &exp.ckpt_dir {
             Some(d) => PathBuf::from(d),
@@ -564,9 +570,9 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
     };
 
     let backend = exp.collective_backend;
-    let mut world = exp.replicas;
     let mut phase_idx = 0u64;
     let mut carry = Carry {
+        recovery: RecoveryMachine::new(&faults, exp.replicas, durable_cadence),
         counters: RecoveryCounters::default(),
         timeline: StepTimeline::new(faults.step_seconds()),
         vnow: 0.0,
@@ -582,7 +588,7 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
     let final_step;
 
     loop {
-        let stop_at = boundaries.front().map(|&(s, _)| s);
+        let world = carry.recovery.world();
         let mut view = exp.clone();
         view.replicas = world;
 
@@ -607,7 +613,6 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
             faults: &faults,
             store: store.as_deref(),
             phase_idx,
-            stop_at,
         };
         let mut models = phase_models(&view);
         let mut weights = Vec::new();
@@ -691,37 +696,8 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
             final_step = carry.step;
             break;
         }
-
-        // Resize protocol accounting: the phase drained and persisted a
-        // durable checkpoint; shrink the world (keeping at least one
-        // survivor) and charge the virtual cost of checkpoint + rebuild +
-        // restart before the next phase resumes. Two ways to get here:
-        // a planned loss boundary, or a quarantine verdict — the latter
-        // synthesizes the same shrink without consuming a planned
-        // boundary (those sit at later steps and stay valid, because the
-        // quarantined phase stopped strictly before its boundary).
-        let (bstep, k) = if res0.quarantined > 0 {
-            (carry.step, res0.quarantined as usize)
-        } else {
-            let (bstep, k) = boundaries.pop_front().expect("drained without a boundary");
-            debug_assert_eq!(bstep, carry.step, "phase stopped at the wrong boundary");
-            (bstep, k)
-        };
-        let lost = k.min(world - 1);
-        let new_world = world - lost;
-        let resize_s =
-            faults.resize_checkpoint_s() + faults.resize_rebuild_s() + faults.restart_delay_s();
-        carry.counters.lost_replicas += lost as u64;
-        carry.counters.resizes += 1;
-        carry.counters.resize_virtual_s += resize_s;
-        carry.timeline.record_resize(ResizeRecord {
-            step: bstep,
-            world_before: world,
-            world_after: new_world,
-            virtual_s: resize_s,
-        });
-        world = new_world;
-        optimizers.truncate(world);
+        // The phase drained for a resize: the survivors go on.
+        optimizers.truncate(carry.recovery.world());
         phase_idx += 1;
     }
 
@@ -754,7 +730,7 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         all_reduce_buckets: carry_buckets,
         fault_recovery: carry.counters,
         step_timeline: carry.timeline,
-        final_world: world,
+        final_world: carry.recovery.world(),
     }
 }
 
@@ -778,14 +754,12 @@ struct PhaseEnv<'a> {
     faults: &'a Arc<FaultSchedule>,
     store: Option<&'a CkptStore>,
     phase_idx: u64,
-    /// The resize boundary this phase drains at, if one is planned.
-    stop_at: Option<u64>,
 }
 
 /// One replica's whole state for a phase. The step loop ([`Replica::run`])
 /// and every recovery path are methods on it and share one restore
 /// ([`Replica::rewind`]), one checkpoint site and one phase lap.
-struct Replica<'a> {
+struct Replica<'a, 's> {
     env: &'a PhaseEnv<'a>,
     rank: usize,
     world: Box<dyn Collective>,
@@ -809,12 +783,15 @@ struct Replica<'a> {
     anchor: Option<RewindAnchor>,
     sw: Stopwatch,
     phases: PhaseBreakdown,
+    /// Decides what each step captures, whether it preempts, where the
+    /// phase drains and what a step charges; the replica carries it out.
+    recovery: RecoveryMachine<'s>,
     counters: RecoveryCounters,
     timeline: StepTimeline,
     vnow: f64,
 }
 
-impl<'a> Replica<'a> {
+impl<'a, 's> Replica<'a, 's> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         env: &'a PhaseEnv<'a>,
@@ -824,7 +801,7 @@ impl<'a> Replica<'a> {
         world: Box<dyn Collective>,
         bn_comm: Option<Box<dyn Collective>>,
         rec: Arc<Recorder>,
-        carry: Carry,
+        carry: Carry<'s>,
         mut feed: Feed,
     ) -> Self {
         let view = env.view;
@@ -882,6 +859,7 @@ impl<'a> Replica<'a> {
             anchor: None,
             sw: Stopwatch::start(),
             phases: PhaseBreakdown::default(),
+            recovery: carry.recovery,
             counters: carry.counters,
             timeline: carry.timeline,
             vnow: carry.vnow,
@@ -940,18 +918,19 @@ impl<'a> Replica<'a> {
     }
 
     /// The one checkpoint site: a durable save, a fresh rewind anchor, or
-    /// both from one capture of this rank's share, which holds all a
-    /// rewind restores. The old anchor goes before the capture, and a
-    /// rank whose last share may not be on disk yet first waits for it,
-    /// so a rank holds one share at any moment whatever the other ranks
-    /// do; a rank that neither saves nor anchors captures nothing. Every
+    /// both (as the recovery machine says) from one capture of this rank's
+    /// share, which holds all a rewind restores. The old anchor goes
+    /// before the capture, and a rank whose last share may not be on disk
+    /// yet first waits for it, so a rank holds one share at any moment
+    /// whatever the other ranks do; a rank that neither saves nor anchors
+    /// captures nothing. Every
     /// rank reaches a durable save together and hands its share to the
     /// feeder, which writes the file once it holds every rank's share of
     /// the step, so no rank reads state it does not own. Counters and
     /// instants count *logical* checkpoints on all ranks, at issue (the
     /// durable one first), so the cross-rank virtual fingerprint stays
     /// equal.
-    fn checkpoint(&mut self, durable: bool, anchor: bool) {
+    fn checkpoint(&mut self, Capture { durable, anchor }: Capture) {
         if anchor {
             self.anchor = None;
         }
@@ -1078,7 +1057,7 @@ impl<'a> Replica<'a> {
         let (gb, step) = (view.global_batch() as u64, prog.step + 1);
         if prog.sample_off + 2 * gb <= view.train_samples as u64 {
             let next = self.train_request(plan, prog.sample_off + gb);
-            (self.env.stop_at != Some(step)).then_some(next)
+            (!self.recovery.drains_at(step)).then_some(next)
         } else if let Some(eval) = self.eval_request(0).filter(|_| self.evaluates(prog.epoch)) {
             Some(eval)
         } else {
@@ -1092,7 +1071,7 @@ impl<'a> Replica<'a> {
         let (view, epoch) = (self.env.view, self.prog.epoch + 1);
         let plan = EpochPlan::new(view.seed, epoch, view.train_samples);
         let next = self.train_request(&plan, 0);
-        (epoch <= view.epochs && self.env.stop_at != Some(step)).then_some(next)
+        (epoch <= view.epochs && !self.recovery.drains_at(step)).then_some(next)
     }
 
     /// One step's data → forward → loss → backward and gradient exchange:
@@ -1175,19 +1154,22 @@ impl<'a> Replica<'a> {
     /// Preemption: the job died *before* executing this step; it restarts
     /// after a virtual delay, restores the anchor and replays. The plan is
     /// identical on every rank, so the world rewinds in lockstep.
-    fn preempt(&mut self) {
+    fn preempt(&mut self, p: Preemption) {
         let anchor = self
             .anchor
             .take()
             .expect("preemption before the first checkpoint");
-        let (at, delay) = (self.prog.step, self.env.faults.restart_delay_s());
+        debug_assert_eq!(
+            anchor.state.progress.step, p.to,
+            "the anchor is not the machine's"
+        );
         self.counters.preemptions += 1;
-        self.counters.restart_virtual_s += delay;
+        self.counters.restart_virtual_s += p.restart_s;
         self.rewind(&anchor.state, true);
         self.data_rng.clone_from(&anchor.data_rng);
         self.layer_rng.clone_from(&anchor.layer_rng);
         self.anchor = Some(anchor);
-        self.charge(obs_ph::RESTART, delay, at, 0);
+        self.charge(obs_ph::RESTART, p.restart_s, p.at, 0);
     }
 
     /// Schedule, optimizer and EMA update with the step's averaged
@@ -1214,17 +1196,21 @@ impl<'a> Replica<'a> {
         self.prog.last_lr = lr;
     }
 
-    /// Virtual step time: the nominal step stretched by the worst timing
-    /// fault active at this step (SPMD steps gate on the slowest
-    /// participant) plus the retry backoff spent since `backoff_before`.
-    /// The trace gets the same quantity as a STEP span, with control
-    /// sub-spans for the straggler stretch and the backoff.
-    fn charge_virtual_step(&mut self, backoff_before: f64) {
-        let (faults, step) = (self.env.faults, self.prog.step);
-        let nominal = faults.step_seconds();
-        let slowdown = faults.slowdown_at(step);
+    /// Virtual step time: the nominal step stretched by the timing faults
+    /// over this step (SPMD steps gate on the slowest participant) plus
+    /// the retry backoff of its planned transient failures, as the
+    /// recovery machine charges them. The trace gets the same quantity as
+    /// a STEP span, with control sub-spans for the straggler stretch and
+    /// the backoff.
+    fn charge_virtual_step(&mut self) {
+        let step = self.prog.step;
+        let nominal = self.env.faults.step_seconds();
+        let StepCharge {
+            slowdown,
+            backoff_s: step_backoff,
+            ..
+        } = self.recovery.charge(step);
         self.counters.straggler_virtual_s += (slowdown - 1.0) * nominal;
-        let step_backoff = self.counters.retry_backoff_virtual_s - backoff_before;
         let step_virtual = nominal * slowdown + step_backoff;
         self.timeline.record(step, step_virtual);
         let (rec, vnow) = (&self.rec, self.vnow);
@@ -1288,10 +1274,8 @@ impl<'a> Replica<'a> {
     }
 
     /// The step loop of one phase, then the drain if it stops to resize.
-    fn run(mut self) -> PhaseOutcome {
-        let env = self.env;
-        let (view, faults) = (env.view, env.faults);
-        let phase_start = self.prog.step;
+    fn run(mut self) -> PhaseOutcome<'s> {
+        let view = self.env.view;
         let train_len = view.train_samples as u64;
         let gb = view.global_batch() as u64;
         // Schedule in the *current world's* step units: `view.replicas` is
@@ -1299,27 +1283,21 @@ impl<'a> Replica<'a> {
         // shrunken global batch and warmup/decay spans keep their sample
         // extent.
         let schedule = build_schedule(view);
-        // The divergence guard and the corruption quarantine both roll
-        // back to durable checkpoints, so both keep a cadence of them.
-        let durable_cadence =
-            view.nan_guard || (view.fingerprint_verify && faults.has_corruption());
-        let mut quarantined = 0u64;
         let mut plan = EpochPlan::new(view.seed, self.prog.epoch, view.train_samples);
         let mut plan_epoch = self.prog.epoch;
 
-        let done = loop {
+        let resize = loop {
             if self.prog.epoch > view.epochs {
-                break true;
-            }
-            if env.stop_at == Some(self.prog.step) {
-                break false;
+                break None;
             }
             if self.prog.epoch != plan_epoch {
                 plan = EpochPlan::new(view.seed, self.prog.epoch, view.train_samples);
                 plan_epoch = self.prog.epoch;
             }
-            let on_cadence = self.prog.step == phase_start
-                || self.prog.step.is_multiple_of(faults.checkpoint_every());
+            let (capture, preempt) = match self.recovery.top(self.prog.step) {
+                Top::Drain(resize) => break Some(resize),
+                Top::Run { capture, preempt } => (capture, preempt),
+            };
 
             // Durable cadence save: every rank hands its share to the
             // feeder *before* this step's collective and goes on while the
@@ -1327,28 +1305,16 @@ impl<'a> Replica<'a> {
             // feeder first, and a flush sent after the collective, which
             // every share of the step was sent before, is answered only
             // once the file is durable, so every rank that rolls back sees
-            // the completed, renamed file. In-memory anchor (only when the
-            // plan can actually preempt us): taken *before* the
-            // preemption check, so a checkpoint written at step `s`
+            // the completed, renamed file. The in-memory anchor is taken
+            // *before* the preemption, so a checkpoint written at step `s`
             // survives a job death at step `s`. One capture serves both.
-            let durable = durable_cadence && on_cadence;
-            let anchor = faults.has_preempts() && (on_cadence || self.anchor.is_none());
-            self.checkpoint(durable, anchor);
-
-            // Each planned preemption fires once per run, whatever rolls
-            // back across it: `counters.preemptions`, carried through
-            // rewinds and phases, is the cursor into the plan. (One at a
-            // resize boundary fires in the next world: see the check above.)
-            if faults
-                .preempt_steps()
-                .get(self.counters.preemptions as usize)
-                == Some(&self.prog.step)
-            {
-                self.preempt();
+            self.checkpoint(capture);
+            if let Some(p) = preempt {
+                self.preempt(p);
                 continue;
             }
 
-            let backoff_before = self.counters.retry_backoff_virtual_s;
+            let at = self.prog.step;
             let mean_loss = match self.exchange_gradients(&plan) {
                 Ok(loss) => loss,
                 // Unhealable payload corruption quarantines the attributed
@@ -1363,22 +1329,18 @@ impl<'a> Replica<'a> {
                 // lockstep with identical values.
                 Err(CollectiveError::CorruptPayload { rank, bucket, step }) => {
                     self.counters.rank_quarantines += 1;
-                    quarantined += 1;
-                    let snap = self.load_durable(self.prog.step).unwrap_or_else(|| {
+                    let snap = self.load_durable(at).unwrap_or_else(|| {
                         panic!(
                             "step {step}: rank {rank} quarantined (bucket {bucket}) \
                              but no durable checkpoint precedes the poisoned step"
                         )
                     });
                     self.rewind(&snap, true);
-                    break false;
+                    break Some(self.recovery.quarantine(at, self.prog.step, 1));
                 }
                 // Anything else (retry exhaustion on a transient
                 // schedule) stays fatal.
-                Err(other) => panic!(
-                    "step {}: gradient exchange failed permanently: {other}",
-                    self.prog.step
-                ),
+                Err(other) => panic!("step {at}: gradient exchange failed permanently: {other}"),
             };
 
             // Divergence guard: the reduced loss and gradients are
@@ -1392,7 +1354,7 @@ impl<'a> Replica<'a> {
             {
                 self.counters.divergence_rollbacks += 1;
                 let err = DivergenceError {
-                    step: self.prog.step,
+                    step: at,
                     rollbacks: self.counters.divergence_rollbacks,
                 };
                 if self.counters.divergence_rollbacks > DIVERGENCE_ROLLBACK_CAP {
@@ -1404,17 +1366,18 @@ impl<'a> Replica<'a> {
                 // them — replaying it at any LR reproduces the same
                 // non-finite forward. Only rewinding past it and replaying
                 // the gap at halved LR changes the trajectory.
-                let snap = self.load_durable(self.prog.step).unwrap_or_else(|| {
+                let snap = self.load_durable(at).unwrap_or_else(|| {
                     panic!("{err}: no valid durable checkpoint to roll back to")
                 });
                 let halved = self.prog.lr_scale * 0.5;
                 self.rewind(&snap, true);
+                self.recovery.rollback(at, self.prog.step);
                 self.prog.lr_scale = halved;
                 continue;
             }
 
             self.apply_update(schedule.as_ref(), mean_loss);
-            self.charge_virtual_step(backoff_before);
+            self.charge_virtual_step();
 
             // Advance the sample clock.
             self.prog.step += 1;
@@ -1431,40 +1394,39 @@ impl<'a> Replica<'a> {
         // Drain for a resize: the last collective has completed (the step
         // loop never leaves a bucket in flight), so every rank hands over
         // its share of the durable checkpoint every survivor will resume
-        // from. The feeder
-        // returns only once it has drained its inbox, so this save is
-        // durable before the next phase's loads.
-        if !done {
+        // from. The feeder returns only once it has drained its inbox, so
+        // this save is durable before the next phase's loads. Every
+        // old-world rank then accounts the protocol (durable persist +
+        // collective rebuild + restart) identically, and the next phase's
+        // cursor continues past it.
+        if let Some(resize) = resize {
             // The phase ends here, so its anchor goes before the capture.
             self.anchor = None;
-            self.checkpoint(true, false);
-            // The resize protocol's virtual cost (durable persist +
-            // collective rebuild + restart) is charged by `train` between
-            // phases; trace it here so every old-world rank records the
-            // identical span and the next phase's cursor continues past it.
-            let resize_s =
-                faults.resize_checkpoint_s() + faults.resize_rebuild_s() + faults.restart_delay_s();
-            self.charge(
-                obs_ph::RESIZE,
-                resize_s,
-                self.prog.step,
-                view.replicas as u64,
-            );
+            self.checkpoint(Capture {
+                durable: true,
+                anchor: false,
+            });
+            let (step, before) = (self.prog.step, resize.world_before);
+            self.charge(obs_ph::RESIZE, resize.virtual_s, step, before as u64);
+            self.counters.lost_replicas += (before - resize.world_after) as u64;
+            self.counters.resizes += 1;
+            self.counters.resize_virtual_s += resize.virtual_s;
+            self.timeline.record_resize(resize);
         }
 
         PhaseOutcome {
             history: self.history,
-            optimizer: if done { None } else { Some(self.optimizer) },
+            optimizer: resize.map(|_| self.optimizer),
             phases: self.phases,
             buckets: self.grad_bucket.profile().clone(),
             carry: Carry {
+                recovery: self.recovery,
                 counters: self.counters,
                 timeline: self.timeline,
                 vnow: self.vnow,
                 step: self.prog.step,
             },
-            done,
-            quarantined,
+            done: resize.is_none(),
         }
     }
 }

@@ -255,7 +255,7 @@ fn surviving_checkpoints_reject_injected_corruption() {
 #[test]
 #[ignore = "CI chaos soak: run with ETS_SOAK_WORLD set"]
 fn elastic_chaos_soak() {
-    use ets_tpu_sim::{simulate_chaos, StepConfig};
+    use ets_tpu_sim::{simulate_chaos, step_time, StepConfig};
 
     let world: usize = std::env::var("ETS_SOAK_WORLD")
         .ok()
@@ -282,13 +282,41 @@ fn elastic_chaos_soak() {
     );
     assert!(r.fault_recovery.resizes >= 1);
 
-    // Pod-scale pricing of the same plan shape: write the damage report
-    // as the CI artifact.
+    // Pod-scale pricing of the same plan shape over 60 steps, its trigger
+    // times moved from the 1 s step they were drawn on to the pod's step:
+    // write the damage report as the CI artifact.
     let cfg = StepConfig::new(ets_efficientnet::Variant::B2, 128, 4096);
-    let pod_plan = FaultPlan::generate_elastic(seed, 128, 60.0, 4, 2);
+    let pod_step = step_time(&cfg).total();
+    let mut pod_plan = FaultPlan::generate_elastic(seed, 128, 60.0, 4, 2);
+    for ev in &mut pod_plan.events {
+        ev.at_s *= pod_step;
+        ev.duration_s *= pod_step;
+    }
     let pod = simulate_chaos(&cfg, &pod_plan, 60);
     assert_eq!(pod.steps_completed, 60);
     assert!(pod.permanent_losses >= 1);
+    // Every planned preemption fires, and every planned transient charges
+    // its backoff at least once (more where a preemption replays it).
+    let sched = FaultPlan {
+        virtual_step_seconds: pod_step,
+        ..pod_plan.clone()
+    }
+    .compile(60);
+    assert_eq!(pod.preemptions, sched.preempt_steps().len() as u64);
+    let retry = sched.retry();
+    let planned_backoff: f64 = (0..60)
+        .map(|step| {
+            let retries = sched
+                .transient_failures_at(step)
+                .min(retry.max_attempts - 1);
+            (1..=retries).map(|r| retry.backoff_before(r)).sum::<f64>()
+        })
+        .sum();
+    assert!(
+        pod.retry_seconds >= planned_backoff - 1e-12,
+        "retry {} s below the plan's {planned_backoff} s",
+        pod.retry_seconds
+    );
     if let Ok(out) = std::env::var("ETS_SOAK_OUT") {
         std::fs::create_dir_all(&out).unwrap();
         let path = std::path::Path::new(&out).join(format!("pod-chaos-w{world}-s{seed}.json"));

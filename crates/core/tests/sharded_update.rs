@@ -50,11 +50,11 @@ fn the_ownership_cut_of_the_perfbench_models() {
 #[test]
 fn a_durable_save_holds_every_owners_optimizer_state() {
     // LARS with a durable checkpoint at every step. Each rank updates
-    // only its own parameters, so only the state copy before a save
-    // puts the other ranks' velocities into rank 0's snapshot. LARS
-    // writes `w −= v`, so the two newest snapshots `s` and `s + 1` must
-    // satisfy `w[s] − v[s+1] == w[s+1]` bitwise for every element of
-    // every parameter; a velocity missing from the snapshot breaks it.
+    // and saves only its own parameters: the file holds each parameter's
+    // velocity only because its owner's share put it there. LARS writes
+    // `w −= v`, so the two newest snapshots `s` and `s + 1` must satisfy
+    // `w[s] − v[s+1] == w[s+1]` bitwise for every element of every
+    // parameter; a velocity missing from the file breaks it.
     for world in [2, 3] {
         let dir =
             std::env::temp_dir().join(format!("ets-sharded-ckpt-{}-{world}", std::process::id()));
@@ -114,11 +114,11 @@ fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 #[test]
 fn a_preemption_leaves_the_retained_checkpoints_byte_for_byte() {
     // Durable saves at every step (and every other step, so the rewind
-    // replays one), with and without a preemption at step 3. Rank 0
-    // saves what the owners gathered into it; the rewind restores each
-    // rank's own optimizer state from its anchor, which holds only that,
-    // into the buffers where it lives. Any state lost or misplaced on the
-    // way reaches the later files.
+    // replays one), with and without a preemption at step 3. Each rank
+    // saves its own share, and the file is written from every rank's;
+    // the rewind restores each rank's own optimizer state from its
+    // anchor, which holds only that, into the buffers where it lives.
+    // Any state lost or misplaced on the way reaches the later files.
     for world in [2, 3] {
         for every in [1, 2] {
             let run = |preempt: bool| {
@@ -172,12 +172,12 @@ fn a_preemption_leaves_the_retained_checkpoints_byte_for_byte() {
 #[test]
 fn without_fingerprints_a_flip_reaches_the_weights_only_through_its_owner() {
     // Without the fingerprint vote nothing compares the ranks' reduced
-    // gradients: each rank reads only its own parameters' gradients, and
-    // the owners' weights overwrite their peers'. So a receive-side flip
-    // on rank 1 either changes every replica's weights alike (rank 1
-    // owns the flipped element) or none of them (rank 0 owns it, and
-    // rank 1's optimizer never reads it). Either way the run completes:
-    // `train` finds the replicas' weights bitwise equal.
+    // gradients: each rank reads only its own parameters' gradients and
+    // writes their new weights into the one buffer every replica reads.
+    // So a receive-side flip on rank 1 either changes every replica's
+    // weights alike (rank 1 owns the flipped element) or none of them
+    // (rank 0 owns it, and rank 1's optimizer never reads it). Either way
+    // the run completes and counts no fault.
     let mut e = Experiment::proxy_default();
     e.replicas = 2;
     e.per_replica_batch = 4;

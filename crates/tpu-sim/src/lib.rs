@@ -21,8 +21,9 @@
 //! - [`scaling`] — throughput and parallel efficiency across slice sizes,
 //!   and the Amdahl serial fraction.
 //! - [`whatif`] — a degraded interconnect link and host infeed limits.
-//! - [`fault`] — pod-scale chaos simulation: plays an
-//!   `ets_collective::FaultPlan` against the calibrated step-time model.
+//! - [`fault`] — pod-scale chaos simulation: walks an
+//!   `ets_collective::FaultPlan` with the trainer's `RecoveryMachine` and
+//!   prices its actions with the calibrated step-time model.
 
 pub mod calibration;
 pub mod chip;

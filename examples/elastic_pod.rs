@@ -98,12 +98,27 @@ fn main() {
     }
 
     // A seeded elastic plan over a 60-step window: permanent losses mixed
-    // with the classic straggler/preempt/transient cocktail.
-    let plan = FaultPlan::generate_elastic(7, 128, 60.0, 3, 2);
+    // with the classic straggler/preempt/transient cocktail, drawn on a 1 s
+    // step and moved onto the pod's step.
+    let mut plan = FaultPlan::generate_elastic(7, 128, 60.0, 3, 2);
+    for ev in &mut plan.events {
+        ev.at_s *= healthy;
+        ev.duration_s *= healthy;
+    }
     let pod = simulate_chaos(&cfg, &plan, 60);
     println!(
         "\n  chaos soak: {} steps, {} permanent losses, {} resizes, {} survivors",
         pod.steps_completed, pod.permanent_losses, pod.resizes, pod.surviving_cores
+    );
+    println!(
+        "  {} preemptions replaying {} steps ({:.1}s restart), {:.2}s retry backoff, \
+         {:.2}s straggler + {:.2}s degraded links",
+        pod.preemptions,
+        pod.replayed_steps,
+        pod.restart_seconds,
+        pod.retry_seconds,
+        pod.straggler_seconds,
+        pod.degrade_seconds
     );
     println!(
         "  resize overhead {:.1}s = checkpoint {:.1}s + rebuild {:.1}s + restart {:.1}s \

@@ -19,9 +19,9 @@
 //! - [`CollectiveError`] — typed errors for the fallible collective API
 //!   ([`Collective::try_all_reduce_mean`](crate::Collective::try_all_reduce_mean)
 //!   and friends) instead of panics.
-//! - [`retry_collective`] — bounded retry with (virtual) exponential
-//!   backoff; exhaustion surfaces as a typed
-//!   [`CollectiveError::RetriesExhausted`], never a panic.
+//! - [`retry_collective`] — bounded retry of transient failures (the
+//!   recovery machine prices their virtual backoff); exhaustion surfaces
+//!   as a typed [`CollectiveError::RetriesExhausted`], never a panic.
 //!
 //! The collectives themselves inject nothing. The schedule's transient
 //! failures and payload bit flips are injected by the one consumer they
@@ -164,35 +164,20 @@ impl RetryPolicy {
     }
 }
 
-/// Outcome of a successful (possibly retried) collective call.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RetryOutcome {
-    /// Attempts made, including the successful one (1 = no fault).
-    pub attempts: u32,
-    /// Total virtual backoff seconds charged by failed attempts.
-    pub backoff_s: f64,
-}
-
-/// Runs `op` under `policy`, retrying transient failures with virtual
-/// exponential backoff. Non-transient errors propagate immediately;
-/// exhausting the budget returns [`CollectiveError::RetriesExhausted`].
+/// Runs `op` under `policy`, retrying transient failures, and returns
+/// the attempts made, the successful one included (1 = no fault). Nothing
+/// sleeps: the backoff is virtual, and the recovery machine prices it.
+/// Non-transient errors propagate immediately; exhausting the budget
+/// returns [`CollectiveError::RetriesExhausted`].
 pub fn retry_collective(
     policy: &RetryPolicy,
     mut op: impl FnMut() -> Result<(), CollectiveError>,
-) -> Result<RetryOutcome, CollectiveError> {
+) -> Result<u32, CollectiveError> {
     let max = policy.max_attempts.max(1);
-    let mut backoff_s = 0.0;
     for attempt in 1..=max {
         match op() {
-            Ok(()) => {
-                return Ok(RetryOutcome {
-                    attempts: attempt,
-                    backoff_s,
-                })
-            }
-            Err(e) if e.is_transient() && attempt < max => {
-                backoff_s += policy.backoff_before(attempt);
-            }
+            Ok(()) => return Ok(attempt),
+            Err(e) if e.is_transient() && attempt < max => {}
             Err(e) if e.is_transient() => {
                 return Err(CollectiveError::RetriesExhausted {
                     attempts: max,
@@ -927,10 +912,10 @@ mod tests {
     }
 
     #[test]
-    fn retry_absorbs_transients_and_charges_backoff() {
+    fn retry_absorbs_transients_and_counts_attempts() {
         let policy = RetryPolicy::default();
         let mut fails = 2;
-        let out = retry_collective(&policy, || {
+        let attempts = retry_collective(&policy, || {
             if fails > 0 {
                 fails -= 1;
                 Err(CollectiveError::Transient {
@@ -943,9 +928,7 @@ mod tests {
             }
         })
         .unwrap();
-        assert_eq!(out.attempts, 3);
-        // 0.05 + 0.10 of virtual backoff.
-        assert!((out.backoff_s - 0.15).abs() < 1e-12);
+        assert_eq!(attempts, 3);
     }
 
     #[test]

@@ -84,7 +84,10 @@ pub struct StepCharge {
     pub link: f64,
     /// Stretch by stragglers only.
     pub straggler: f64,
-    /// Retry backoff of the step's planned transient failures.
+    /// Retries of the step's planned transient failures that the retry
+    /// policy grants.
+    pub retries: u32,
+    /// Their retry backoff.
     pub backoff_s: f64,
 }
 
@@ -156,6 +159,7 @@ impl<'s> RecoveryMachine<'s> {
             slowdown,
             link,
             straggler,
+            retries,
             backoff_s,
         }
     }

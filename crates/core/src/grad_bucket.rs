@@ -79,9 +79,10 @@
 //!   resets it, so a replayed step fails again.
 //! - **A payload flip** hits rank `rank % world` on the first successful
 //!   mean of its step: element `element mod len`, counted across the
-//!   bucket's pieces. It does not fire again while the last step it fired
-//!   at is that step, so neither a verified retry nor an immediate replay
-//!   of the step flips again.
+//!   bucket's pieces. It does not fire again while the last step and
+//!   world it fired at are that step and world, so neither a verified
+//!   retry nor an immediate replay of the step flips again; a replay in a
+//!   resized world (worlds only shrink) does.
 //! - **Spans**: each attempt that reaches the communicator records a
 //!   [`obs_phase::RETRY_ATTEMPT`] span on [`Lane::WallCollective`] (aux =
 //!   attempt number), and only under a plan.
@@ -262,8 +263,9 @@ struct BucketExchange {
 impl BucketExchange {
     /// Replaces bucket `i`'s `pieces` by their group mean and returns the
     /// wall seconds it took. Transient collective failures are retried
-    /// under the plan's policy, or the default one without a plan (the
-    /// backoff is virtual: accounted into `counters`, never slept). With
+    /// under the plan's policy, or the default one without a plan, and
+    /// counted into `counters` (the recovery machine prices their virtual
+    /// backoff; nothing sleeps). With
     /// fingerprints on, the local contribution is snapshotted first, a
     /// corrupt verdict restores it and re-runs the collective, and a
     /// verdict past the granted retries is the typed
@@ -293,11 +295,10 @@ impl BucketExchange {
         let mut attempts_left = self.corruption_retries;
         let mut detected_here = 0u64;
         loop {
-            let outcome = retry_collective(&policy, || self.attempt(comm, pieces, scratch))?;
-            let retries = (outcome.attempts - 1) as u64;
+            let attempts = retry_collective(&policy, || self.attempt(comm, pieces, scratch))?;
+            let retries = u64::from(attempts - 1);
             counters.transient_failures += retries;
             counters.collective_retries += retries;
-            counters.retry_backoff_virtual_s += outcome.backoff_s;
             if !self.fingerprint {
                 break;
             }
@@ -376,10 +377,11 @@ impl BucketExchange {
             return Ok(());
         };
         let len = pieces.elems();
-        if rank % comm.size() != comm.rank() || len == 0 || scratch.flipped_at == Some(step) {
+        let here = (step, comm.size());
+        if rank % comm.size() != comm.rank() || len == 0 || scratch.flipped_at == Some(here) {
             return Ok(());
         }
-        scratch.flipped_at = Some(step);
+        scratch.flipped_at = Some(here);
         let mut left = Some(element as usize % len);
         pieces.for_each_piece(&mut |piece| {
             if let Some(i) = left {
@@ -408,8 +410,9 @@ struct ExchangeScratch {
     gathered: Vec<f32>,
     /// Planned transient failures injected at the current step.
     failed: u32,
-    /// The last step a payload flip fired at on this rank.
-    flipped_at: Option<u64>,
+    /// The last step a payload flip fired at on this rank, and the size
+    /// of the world it fired in.
+    flipped_at: Option<(u64, usize)>,
 }
 
 /// Persistent state for the bucketized gradient exchange.
@@ -569,8 +572,9 @@ impl GradBucket {
     /// The fallible gradient exchange: identical reduction to
     /// [`GradBucket::all_reduce`] (bitwise — a successful attempt computes
     /// the same bytes), but transient collective failures, injected ones
-    /// included, are absorbed by bounded retry with virtual exponential
-    /// backoff, accounted into `counters`. Exhausting the retry budget (or a permanent error)
+    /// included, are absorbed by bounded retry, counted into `counters`
+    /// (their backoff is virtual, and the recovery machine prices it).
+    /// Exhausting the retry budget (or a permanent error)
     /// surfaces as a typed [`CollectiveError`] instead of a panic; the
     /// gradients then hold a partial exchange, which the caller discards
     /// (the trainer rewinds or stops).
@@ -791,7 +795,9 @@ pub struct OverlapOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ets_collective::{create_collective, Backend, FaultEvent, FaultKind, FaultPlan};
+    use ets_collective::{
+        create_collective, Backend, FaultEvent, FaultKind, FaultPlan, RecoveryMachine,
+    };
     use ets_efficientnet::EfficientNet;
     use ets_efficientnet::ModelConfig;
     use ets_nn::Precision;
@@ -1287,6 +1293,11 @@ mod tests {
         // per bucket), step 1 takes none, and both equal the exchange
         // without a plan bit for bit on every rank.
         let faults = Arc::new(at_step_0(FaultKind::TransientCollective { failures: 2 }).compile(4));
+        // The recovery machine prices the step's two retries: 0.05 + 0.10
+        // of virtual backoff.
+        let charge = RecoveryMachine::new(&faults, 3, false).charge(0);
+        assert_eq!(charge.retries, 2);
+        assert!((charge.backoff_s - 0.15).abs() < 1e-12);
         let ranks = on_ranks(Backend::Tree, 3, move |c| {
             let runs = exchanges(c, 777, Some(&faults), &[Some(0), Some(1)]);
             (clean(c, 777), runs)
@@ -1302,8 +1313,7 @@ mod tests {
             let retries = runs.iter().map(|r| r.2.collective_retries);
             assert_eq!(retries.collect::<Vec<_>>(), [2, 2], "rank {rank}");
             assert_eq!(runs[1].2.transient_failures, 2, "rank {rank}");
-            // 0.05 + 0.10 of virtual backoff.
-            assert!((runs[1].2.retry_backoff_virtual_s - 0.15).abs() < 1e-12);
+            assert_eq!(runs[1].2.retry_backoff_virtual_s, 0.0, "rank {rank}");
         }
     }
 

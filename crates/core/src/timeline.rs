@@ -48,16 +48,6 @@ impl PhaseBreakdown {
             0.0
         }
     }
-
-    /// Merges another breakdown (e.g. across epochs).
-    pub fn merge(&mut self, other: &PhaseBreakdown) {
-        self.data += other.data;
-        self.forward += other.forward;
-        self.backward += other.backward;
-        self.all_reduce += other.all_reduce;
-        self.optimizer += other.optimizer;
-        self.steps += other.steps;
-    }
 }
 
 /// Per-bucket timing of the bucketized gradient all-reduce.
@@ -269,7 +259,7 @@ mod tests {
 
     #[test]
     fn breakdown_accounting() {
-        let mut b = PhaseBreakdown {
+        let b = PhaseBreakdown {
             data: 1.0,
             forward: 4.0,
             backward: 8.0,
@@ -280,9 +270,6 @@ mod tests {
         assert_eq!(b.total(), 16.0);
         assert!((b.all_reduce_share() - 0.125).abs() < 1e-12);
         assert_eq!(b.step_seconds(), 4.0);
-        b.merge(&b.clone());
-        assert_eq!(b.steps, 8);
-        assert_eq!(b.total(), 32.0);
     }
 
     #[test]

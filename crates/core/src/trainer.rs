@@ -55,15 +55,15 @@
 //!   world's checkpoint into a smaller one. Activity is accounted in
 //!   [`RecoveryCounters`] on the report.
 //! - **Elastic world resizing**: training proceeds in *phases*, each a
-//!   fixed world. Where the machine drains a phase — a
-//!   `FaultKind::PermanentLoss` step or a quarantine — the ranks persist
-//!   a durable checkpoint ([`crate::ckpt_store`]) and charge the resize
-//!   protocol, and the run rebuilds collectives, BN groups, data shards
-//!   and the LR schedule for the survivors, resuming at the exact sample
-//!   offset — every sample is still seen exactly once per epoch, so
-//!   progress is tracked in *samples* ([`Progress`]). A survivor keeps
-//!   its optimizer and loads its new share of the state into the buffers
-//!   it already has.
+//!   fixed world, on one thread per rank for the whole run. Where the
+//!   machine drains a phase — a `FaultKind::PermanentLoss` step or a
+//!   quarantine — the ranks persist a durable checkpoint
+//!   ([`crate::ckpt_store`]) and charge the resize protocol; dropped ranks
+//!   return, and each survivor gets the new world's collectives, BN group
+//!   and feed, re-cuts its data shard, shares and LR schedule, and resumes
+//!   at the exact sample offset with the model and optimizer it has had
+//!   since the first step. Every sample is still seen exactly once per
+//!   epoch, so progress is tracked in *samples* ([`Progress`]).
 //! - **Input pipeline and durable saves** (§3.3): the thread that called
 //!   `train` loads every batch while the replicas compute; a replica asks
 //!   for batch *s+1* as soon as batch *s* arrives (`Feed`). The same
@@ -77,14 +77,16 @@ use crate::ckpt_store::{CkptStore, DurableSnapshot, Progress};
 use crate::experiment::{DecayChoice, Experiment, OptimizerChoice};
 use crate::grad_bucket::GradBucket;
 use crate::report::{EpochRecord, Fingerprint, RecoveryCounters, TrainReport};
-use crate::timeline::{AllReduceProfile, PhaseBreakdown, StepTimeline, Stopwatch};
+use crate::timeline::{PhaseBreakdown, StepTimeline, Stopwatch};
 use ets_collective::{
     bn_partition, create_collective, Capture, Collective, CollectiveError, FaultSchedule,
     Preemption, RecoveryMachine, StepCharge, Top,
 };
 use ets_data::{load_batch, AugmentConfig, EpochPlan, SynthNet};
 use ets_efficientnet::EfficientNet;
-use ets_nn::{cross_entropy, replicate, zero_grads, Ema, EvalCounts, Layer, Mode};
+use ets_nn::{
+    cross_entropy, replicate, zero_grads, Ema, EvalCounts, Layer, LocalStats, Mode, StatSync,
+};
 use ets_obs::{phase as obs_ph, Lane, Recorder};
 use ets_optim::{
     Constant, CosineDecay, ExponentialDecay, Lamb, Lars, LrSchedule, Optimizer, PolynomialDecay,
@@ -95,7 +97,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -394,57 +396,58 @@ struct RewindAnchor {
     layer_rng: Rng,
 }
 
-/// Recovery state that outlives a phase: `train` hands the last phase's
-/// to every replica of the next world.
-#[derive(Clone)]
-struct Carry<'s> {
-    /// The run's recovery decisions so far; its world is the next phase's.
-    recovery: RecoveryMachine<'s>,
+/// What a rank tells the caller where a phase ends: what the SPMD checks
+/// compare, and the world the run goes on in.
+struct PhaseEnd {
+    rank: usize,
     counters: RecoveryCounters,
-    timeline: StepTimeline,
-    /// Virtual-clock cursor for trace spans. The timeline models the
-    /// final trajectory (replayed steps overwrite); the cursor advances
-    /// monotonically through replays, restarts and resizes, so a rewind
-    /// shows as repeated step names on a monotone clock.
-    vnow: f64,
-    /// Global step the phase stopped at (identical on all ranks; 0 before
-    /// the first phase).
+    /// Global step the phase stopped at.
     step: u64,
+    /// The next world's size after a drain; `None` once training completed.
+    next: Option<usize>,
 }
 
-/// Per-replica, per-phase worker result.
-struct PhaseOutcome<'s> {
-    history: Vec<EpochRecord>,
-    /// The rank's optimizer when the phase drained for a resize: a
-    /// survivor keeps it.
-    optimizer: Option<Box<dyn Optimizer>>,
-    phases: PhaseBreakdown,
-    buckets: AllReduceProfile,
-    carry: Carry<'s>,
-    /// True when training completed; false when the phase drained for a
-    /// world resize.
-    done: bool,
+/// What a rank is handed for each world it trains in: its collective,
+/// its BN layers' statistics reducer and its end of the world's feeder.
+struct NextWorld {
+    world: Box<dyn Collective>,
+    bn: Arc<dyn StatSync>,
+    feed: Feed,
 }
 
-/// Merges a phase's bucket profile into the run accumulator. The bucket
-/// layout is a function of model structure alone, so it is invariant
-/// across resizes.
-fn merge_profiles(into: &mut AllReduceProfile, from: &AllReduceProfile) {
-    if into.bucket_elems.is_empty() {
-        *into = from.clone();
-        return;
+/// A world of `world` ranks on the experiment's backend, and the
+/// feeder's ends of it. `bn_partition` regroups the experiment's BN spec
+/// onto the world (2-D tiles degrade to contiguous groups when the torus
+/// geometry no longer exists); BN stays local where it has no group.
+fn open_world(exp: &Experiment, world: usize) -> (Vec<NextWorld>, Receiver<ToFeeder>, Vec<Outbox>) {
+    let backend = exp.collective_backend;
+    let mut bns: Vec<Arc<dyn StatSync>> = (0..world).map(|_| Arc::new(LocalStats) as _).collect();
+    if world > 1 && !matches!(exp.bn_group, ets_collective::GroupSpec::Local) {
+        for members in bn_partition(exp.bn_group, world) {
+            let comms = create_collective(backend, members.len());
+            for (c, &m) in comms.into_iter().zip(&members) {
+                bns[m] = Arc::new(GroupStatSync::new(c));
+            }
+        }
     }
-    assert_eq!(
-        into.bucket_elems, from.bucket_elems,
-        "bucket layout changed across phases"
-    );
-    for (a, b) in into.bucket_seconds.iter_mut().zip(&from.bucket_seconds) {
-        *a += b;
+    // Per rank one batch request, one share and one flush.
+    let (requests, inbox) = sync_channel(3 * world);
+    let (worlds, outboxes) = (create_collective(backend, world).into_iter().zip(bns))
+        .enumerate()
+        .map(|(r, (world, bn))| {
+            let (feed, outbox) = Feed::new(r, requests.clone());
+            (NextWorld { world, bn, feed }, outbox)
+        })
+        .unzip();
+    (worlds, inbox, outboxes)
+}
+
+/// The message a panic carried.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
     }
-    into.rounds += from.rounds;
-    into.exposed_seconds += from.exposed_seconds;
-    into.overlapped_rounds += from.overlapped_rounds;
-    into.hook_shipped_buckets += from.hook_shipped_buckets;
 }
 
 /// Runs the experiment; returns replica 0's report after asserting all
@@ -569,206 +572,154 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         None
     };
 
-    let backend = exp.collective_backend;
-    let mut phase_idx = 0u64;
-    let mut carry = Carry {
-        recovery: RecoveryMachine::new(&faults, exp.replicas, durable_cadence),
-        counters: RecoveryCounters::default(),
-        timeline: StepTimeline::new(faults.step_seconds()),
-        vnow: 0.0,
-        step: 0,
-    };
-    // A survivor of a resize keeps its optimizer: the next phase imports
-    // its new share of the state into the buffers it already has.
-    let mut optimizers: VecDeque<Box<dyn Optimizer>> = VecDeque::new();
-    let mut carry_phases = PhaseBreakdown::default();
-    let mut carry_buckets = AllReduceProfile::default();
-    let history;
-    let checksum;
-    let final_step;
-
-    loop {
-        let world = carry.recovery.world();
-        let mut view = exp.clone();
-        view.replicas = world;
-
-        // World collective for gradients/eval/init, per-group collectives
-        // for BN — all on the experiment's chosen backend, rebuilt for
-        // the current world. `bn_partition` regroups the experiment's BN
-        // spec onto the surviving world (2-D tiles degrade to contiguous
-        // groups when the torus geometry no longer exists).
-        let world_comms = create_collective(backend, world);
-        let mut bn_comms: Vec<Option<Box<dyn Collective>>> = (0..world).map(|_| None).collect();
-        if world > 1 && !matches!(exp.bn_group, ets_collective::GroupSpec::Local) {
-            for members in bn_partition(exp.bn_group, world) {
-                let comms = create_collective(backend, members.len());
-                for (c, &m) in comms.into_iter().zip(&members) {
-                    bn_comms[m] = Some(c);
-                }
-            }
-        }
-
-        let env = PhaseEnv {
-            view: &view,
-            faults: &faults,
-            store: store.as_deref(),
-            phase_idx,
-        };
-        let mut models = phase_models(&view);
-        let mut weights = Vec::new();
-        models[0].visit_params(&mut |p| weights.push(p.value.share()));
-        let mut results: Vec<PhaseOutcome> = std::thread::scope(|scope| {
-            // Per rank one batch request, one share and one flush.
-            let (requests, inbox) = sync_channel(3 * world);
-            let mut outboxes = Vec::with_capacity(world);
-            let joins: Vec<_> = models
-                .into_iter()
-                .zip(world_comms.into_iter().zip(bn_comms))
-                .enumerate()
-                .map(|(r, (model, (world_comm, bn_comm)))| {
-                    let (env, carry) = (&env, carry.clone());
-                    // Surviving ranks keep their original recorders: rank r
-                    // of the shrunken world is survivor r of the old one.
-                    let rec = Arc::clone(&recorders[r]);
-                    let (feed, outbox) = Feed::new(r, requests.clone());
-                    outboxes.push(outbox);
-                    let kept = optimizers.pop_front();
-                    scope.spawn(move || {
-                        Replica::new(env, r, model, kept, world_comm, bn_comm, rec, carry, feed)
-                            .run()
-                    })
+    let (faults, store) = (&faults, store.as_deref());
+    let recovery = RecoveryMachine::new(faults, exp.replicas, durable_cadence);
+    let mut models = replica_models(exp);
+    let mut weights = Vec::new();
+    models[0].visit_params(&mut |p| weights.push(p.value.share()));
+    // Each rank is one thread for the whole run. Where a phase drains, the
+    // rank reports its end and hangs up its feed, so the feeder returns
+    // once every rank has drained or died, and the drain's save is
+    // durable before any rank reads the store again. The survivors then
+    // get the next world's collectives and feeds; the others return.
+    let mut report = std::thread::scope(|scope| {
+        let (worlds, mut inbox, mut outboxes) = open_world(exp, exp.replicas);
+        let (ended, ends) = channel();
+        let mut links = Vec::with_capacity(exp.replicas);
+        let joins: Vec<_> = models
+            .into_iter()
+            .zip(worlds)
+            .enumerate()
+            .map(|(r, (model, first))| {
+                let (link, next) = sync_channel(1);
+                links.push(link);
+                let ended = ended.clone();
+                // A survivor keeps its recorder: rank r of a shrunken
+                // world is rank r of the old one.
+                let rec = Arc::clone(&recorders[r]);
+                scope.spawn(move || {
+                    Replica::new(faults, store, exp, r, model, first, rec, recovery)
+                        .run_all(ended, next)
                 })
-                .collect();
-            drop(requests);
-            let store = store.as_deref();
-            serve_replicas(inbox, &outboxes, &train_set, &eval_set, recorders, store);
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("replica panicked"))
-                .collect()
-        });
-
-        for (r, res) in results.iter().enumerate() {
-            // Fault handling is SPMD: every rank must have observed the
-            // same injections, retries, preemptions, durable checkpoints,
-            // and rollbacks, or the run only survived by luck.
-            assert_eq!(
-                res.carry.counters, results[0].carry.counters,
-                "replica {r} recovery counters diverged — asymmetric fault handling"
-            );
-            assert_eq!(
-                res.carry.step, results[0].carry.step,
-                "replica {r} stopped at a different step — drain bug"
-            );
-        }
-
-        // The virtual-clock span stream is derived purely from the
-        // SPMD-symmetric fault schedule, so every rank must have recorded
-        // bit-identical virtual events (wall spans are excluded from the
-        // fingerprint by construction).
-        if recorders[0].is_enabled() {
-            let fp0 = recorders[0].virtual_fingerprint();
-            for (r, rec) in recorders.iter().enumerate().take(world).skip(1) {
-                assert_eq!(
-                    rec.virtual_fingerprint(),
-                    fp0,
-                    "replica {r} virtual trace diverged — nondeterministic recording"
-                );
-            }
-        }
-
-        optimizers = results
-            .iter_mut()
-            .filter_map(|res| res.optimizer.take())
+            })
             .collect();
-        carry_phases.merge(&results[0].phases);
-        merge_profiles(&mut carry_buckets, &results[0].buckets);
-        let res0 = results.into_iter().next().expect("at least one replica");
-        carry = res0.carry;
-
-        if res0.done {
-            history = res0.history;
-            let mut fingerprint = Fingerprint::default();
-            for w in &weights {
-                fingerprint.update(&w.data());
+        drop(ended);
+        loop {
+            serve_replicas(inbox, &outboxes, &train_set, &eval_set, recorders, store);
+            let got: Vec<PhaseEnd> = ends.try_iter().collect();
+            // A rank that sent no end panicked: the join reports it.
+            if got.len() < outboxes.len() {
+                break;
             }
-            checksum = fingerprint.finish();
-            final_step = carry.step;
-            break;
+            check_spmd(&got, recorders);
+            let Some(world) = got[0].next else {
+                break;
+            };
+            let next;
+            (next, inbox, outboxes) = open_world(exp, world);
+            for (link, next) in links.iter().zip(next) {
+                let _ = link.send(next);
+            }
         }
-        // The phase drained for a resize: the survivors go on.
-        optimizers.truncate(carry.recovery.world());
-        phase_idx += 1;
-    }
+        // Ranks still waiting for a world return.
+        drop(links);
+        // One failure, reported once: the lowest rank that panicked.
+        let reports: Vec<_> = (joins.into_iter().enumerate())
+            .map(|(r, j)| {
+                j.join()
+                    .unwrap_or_else(|payload| panic!("rank {r}: {}", panic_message(payload)))
+            })
+            .collect();
+        (reports.into_iter().next().flatten()).expect("rank 0 finished the run")
+    });
 
     drop(scope);
     // ABFT counters are process-global (GEMM tiles carry no rank tag, and
     // the armed injection is consumed by whichever replica's tile runs
     // first), so their run deltas fold in *after* the per-rank symmetry
-    // asserts rather than through `PhaseOutcome`.
-    carry.counters.corruptions_detected +=
+    // asserts rather than through `PhaseEnd`.
+    report.fault_recovery.corruptions_detected +=
         ets_tensor::ops::abft::corruptions_detected().saturating_sub(abft_detected0);
-    carry.counters.corruptions_corrected +=
+    report.fault_recovery.corruptions_corrected +=
         ets_tensor::ops::abft::tiles_recomputed().saturating_sub(abft_healed0);
+    let mut fingerprint = Fingerprint::default();
+    for w in &weights {
+        fingerprint.update(&w.data());
+    }
+    report.weight_checksum = fingerprint.finish();
+    report.wall_seconds = start.elapsed().as_secs_f64();
+    report
+}
 
-    let (peak_top1, peak_epoch) = history
-        .iter()
-        .filter_map(|rec| rec.eval_top1.map(|a| (a, rec.epoch)))
-        .fold(
-            (0.0, 0),
-            |best, (a, e)| if a > best.0 { (a, e) } else { best },
+/// The SPMD checks at a phase end. Fault handling is SPMD: every rank must
+/// have observed the same injections, retries, preemptions, durable
+/// checkpoints and rollbacks, or the run only survived by luck. The
+/// virtual-clock span stream is derived purely from the SPMD-symmetric
+/// fault schedule, so every rank must have recorded bit-identical virtual
+/// events (wall spans are excluded from the fingerprint by construction).
+fn check_spmd(ends: &[PhaseEnd], recorders: &[Arc<Recorder>]) {
+    for end in ends {
+        let r = end.rank;
+        assert_eq!(
+            end.counters, ends[0].counters,
+            "replica {r} recovery counters diverged — asymmetric fault handling"
         );
-
-    TrainReport {
-        steps: final_step,
-        peak_top1,
-        peak_epoch,
-        history,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        weight_checksum: checksum,
-        phases: carry_phases,
-        all_reduce_buckets: carry_buckets,
-        fault_recovery: carry.counters,
-        step_timeline: carry.timeline,
-        final_world: carry.recovery.world(),
+        assert_eq!(
+            end.step, ends[0].step,
+            "replica {r} stopped at a different step — drain bug"
+        );
+    }
+    if recorders[0].is_enabled() {
+        let fp0 = recorders[0].virtual_fingerprint();
+        for (r, rec) in recorders.iter().enumerate().take(ends.len()).skip(1) {
+            assert_eq!(
+                rec.virtual_fingerprint(),
+                fp0,
+                "replica {r} virtual trace diverged — nondeterministic recording"
+            );
+        }
     }
 }
 
-/// The models of a phase's replicas: one built from the run's init
-/// stream and a replica of it ([`replicate`]) for every further rank, so
-/// the ranks share one weight buffer per parameter. A resumed phase's
-/// ranks then write the checkpoint's weights over it, each its own share.
-fn phase_models(view: &Experiment) -> Vec<EfficientNet> {
-    let mut init_rng = Rng::new(view.seed).split(1);
-    let mut model = EfficientNet::new(view.model.clone(), view.precision, &mut init_rng);
+/// The run's replica models: one built from the run's init stream and a
+/// replica of it ([`replicate`]) for every further rank, so the ranks
+/// share one weight buffer per parameter.
+fn replica_models(exp: &Experiment) -> Vec<EfficientNet> {
+    let mut init_rng = Rng::new(exp.seed).split(1);
+    let mut model = EfficientNet::new(exp.model.clone(), exp.precision, &mut init_rng);
     model.visit_bns(&mut |bn| bn.set_momentum(PROXY_BN_MOMENTUM));
-    let replicas: Vec<_> = (1..view.replicas).map(|_| replicate(&mut model)).collect();
+    let replicas: Vec<_> = (1..exp.replicas).map(|_| replicate(&mut model)).collect();
     std::iter::once(model).chain(replicas).collect()
 }
 
-/// What every replica thread of one fixed-world phase is handed.
-struct PhaseEnv<'a> {
-    /// The experiment as this phase's world sees it (`replicas` is the
-    /// surviving world).
-    view: &'a Experiment,
-    faults: &'a Arc<FaultSchedule>,
-    store: Option<&'a CkptStore>,
-    phase_idx: u64,
+/// Rank `rank`'s augmentation and layer streams in world `phase`. The
+/// first world's are the historical streams; each later one jumps to a
+/// disjoint block, so a resumed world never replays consumed randomness.
+fn streams(seed: u64, phase: u64, rank: usize) -> (Rng, Rng) {
+    let stream = |first: u64| Rng::new(seed).split(first + phase * 10_000 + rank as u64);
+    (stream(1000), stream(2000))
 }
 
-/// One replica's whole state for a phase. The step loop ([`Replica::run`])
-/// and every recovery path are methods on it and share one restore
-/// ([`Replica::rewind`]), one checkpoint site and one phase lap.
-struct Replica<'a, 's> {
-    env: &'a PhaseEnv<'a>,
+/// One rank's whole state for the run, on its own thread from the first
+/// step to the last. The step loop ([`Replica::run`]) and every recovery
+/// path are methods on it and share one restore ([`Replica::rewind`]),
+/// one checkpoint site and one phase lap.
+struct Replica<'a> {
+    faults: &'a Arc<FaultSchedule>,
+    store: Option<&'a CkptStore>,
+    /// The experiment as the current world sees it (`replicas` is the
+    /// world's size).
+    view: Experiment,
+    /// Worlds entered before this one.
+    phase: u64,
     rank: usize,
     world: Box<dyn Collective>,
     rec: Arc<Recorder>,
     model: EfficientNet,
     optimizer: Box<dyn Optimizer>,
-    /// Which parameters each rank updates, cut once per phase for its
-    /// world. This rank's optimizer state is current only for its own,
-    /// and its captures hold only their weights and state.
+    /// Which parameters each rank updates, cut once per world. This
+    /// rank's optimizer state is current only for its own, and its
+    /// captures hold only their weights and state.
     shares: Shares,
     ema: Option<Ema>,
     grad_bucket: GradBucket,
@@ -785,94 +736,148 @@ struct Replica<'a, 's> {
     phases: PhaseBreakdown,
     /// Decides what each step captures, whether it preempts, where the
     /// phase drains and what a step charges; the replica carries it out.
-    recovery: RecoveryMachine<'s>,
+    recovery: RecoveryMachine<'a>,
     counters: RecoveryCounters,
     timeline: StepTimeline,
+    /// Virtual-clock cursor for trace spans: monotone through replays,
+    /// restarts and resizes, while the timeline keeps the final trajectory.
     vnow: f64,
 }
 
-impl<'a, 's> Replica<'a, 's> {
+impl<'a> Replica<'a> {
     #[allow(clippy::too_many_arguments)]
     fn new(
-        env: &'a PhaseEnv<'a>,
+        faults: &'a Arc<FaultSchedule>,
+        store: Option<&'a CkptStore>,
+        exp: &Experiment,
         rank: usize,
         mut model: EfficientNet,
-        kept: Option<Box<dyn Optimizer>>,
-        world: Box<dyn Collective>,
-        bn_comm: Option<Box<dyn Collective>>,
+        first: NextWorld,
         rec: Arc<Recorder>,
-        carry: Carry<'s>,
-        mut feed: Feed,
+        recovery: RecoveryMachine<'a>,
     ) -> Self {
-        let view = env.view;
-        // Phase 0 uses the historical streams (bitwise compatibility with
-        // the pre-elastic trainer); later phases jump to disjoint stream
-        // blocks so a resumed world never replays consumed randomness.
-        let stream_base = env.phase_idx * 10_000;
-        let data_rng = Rng::new(view.seed).split(1000 + stream_base + rank as u64);
-        if env.phase_idx == 0 {
-            // Phase 0 starts at epoch 1's first batch: ask for it now, so
-            // loading it overlaps the replica's setup. (A resumed phase
-            // learns where it starts from the checkpoint.)
-            let plan = EpochPlan::new(view.seed, 1, view.train_samples);
-            let indices = plan.batch_at(0, rank, view.replicas, view.per_replica_batch);
-            let rng = data_rng.clone();
-            feed.prefetch(Some(BatchRequest {
-                eval: false,
-                indices,
-                rng,
-            }));
-        }
-        if let Some(c) = bn_comm {
-            model.set_bn_sync(Arc::new(GroupStatSync::new(c)));
-        }
-        let mut grad_bucket = match view.grad_bucket_elems {
+        let (data_rng, layer_rng) = streams(exp.seed, 0, rank);
+        model.set_bn_sync(first.bn);
+        let mut grad_bucket = match exp.grad_bucket_elems {
             Some(n) => GradBucket::with_bucket_elems(&mut model, n),
             None => GradBucket::new(&mut model),
         };
         grad_bucket.attach_recorder(Arc::clone(&rec));
-        if !env.faults.is_empty() {
-            grad_bucket.set_faults(Arc::clone(env.faults));
+        if !faults.is_empty() {
+            grad_bucket.set_faults(Arc::clone(faults));
         }
         grad_bucket.set_fingerprint_verify(
-            view.fingerprint_verify,
-            view.corruption_policy.bucket_retries(),
+            exp.fingerprint_verify,
+            exp.corruption_policy.bucket_retries(),
         );
-        let ema = view.ema_decay.map(|d| Ema::new(&mut model, d));
-        let shares = Shares::new(&mut model, view.replicas);
+        let ema = exp.ema_decay.map(|d| Ema::new(&mut model, d));
+        let shares = Shares::new(&mut model, exp.replicas);
         let mut replica = Replica {
-            env,
+            faults,
+            store,
+            view: exp.clone(),
+            phase: 0,
             rank,
-            world,
+            world: first.world,
             rec,
             model,
             // Built on this thread, as everything a replica owns.
-            optimizer: kept.unwrap_or_else(|| build_optimizer(view.optimizer)),
+            optimizer: build_optimizer(exp.optimizer),
             shares,
             ema,
             grad_bucket,
-            feed,
+            feed: first.feed,
             data_rng,
-            layer_rng: Rng::new(view.seed).split(2000 + stream_base + rank as u64),
+            layer_rng,
             prog: Progress::fresh(),
             history: Vec::new(),
             anchor: None,
             sw: Stopwatch::start(),
             phases: PhaseBreakdown::default(),
-            recovery: carry.recovery,
-            counters: carry.counters,
-            timeline: carry.timeline,
-            vnow: carry.vnow,
+            recovery,
+            counters: RecoveryCounters::default(),
+            timeline: StepTimeline::new(faults.step_seconds()),
+            vnow: 0.0,
         };
-        if env.phase_idx > 0 {
-            // The old world's drain checkpoint. A quarantine stops *below*
-            // a step the cadence may have checkpointed: not just "newest".
-            let snap = replica
-                .load_durable(carry.step + 1)
-                .expect("no valid durable checkpoint to resume the resized world from");
-            replica.rewind(&snap, false);
-        }
+        // The run starts at epoch 1's first batch: ask for it now, so
+        // loading it overlaps the replica's setup.
+        let plan = EpochPlan::new(exp.seed, 1, exp.train_samples);
+        let first_batch = replica.train_request(&plan, 0);
+        replica.feed.prefetch(Some(first_batch));
         replica
+    }
+
+    /// The rank's thread: each phase's end goes to `ended`, and a rank
+    /// that stays in the world hangs up its feed and waits on `next` for
+    /// its next one. The report once training completed, else `None`.
+    fn run_all(
+        mut self,
+        ended: Sender<PhaseEnd>,
+        next: Receiver<NextWorld>,
+    ) -> Option<TrainReport> {
+        loop {
+            let done = self.run();
+            let _ = ended.send(PhaseEnd {
+                rank: self.rank,
+                counters: self.counters,
+                step: self.prog.step,
+                next: (!done).then(|| self.recovery.world()),
+            });
+            if done {
+                return Some(self.into_report());
+            }
+            if self.rank >= self.recovery.world() {
+                return None;
+            }
+            drop(self.feed);
+            let NextWorld { world, bn, feed } = next.recv().ok()?;
+            self.feed = feed;
+            self.resume(world, bn);
+        }
+    }
+
+    /// Enters the world a resize left: the same model, optimizer and
+    /// exchange, with the world's collectives, BN group, shares and
+    /// stream block, from the drained world's checkpoint.
+    fn resume(&mut self, world: Box<dyn Collective>, bn: Arc<dyn StatSync>) {
+        self.phase += 1;
+        self.view.replicas = world.size();
+        self.world = world;
+        self.model.set_bn_sync(bn);
+        self.shares = Shares::new(&mut self.model, self.view.replicas);
+        (self.data_rng, self.layer_rng) = streams(self.view.seed, self.phase, self.rank);
+        // A quarantine stops *below* a step the cadence may have
+        // checkpointed: not just "newest".
+        let snap = self
+            .load_durable(self.prog.step + 1)
+            .expect("no valid durable checkpoint to resume the resized world from");
+        self.rewind(&snap, false);
+    }
+
+    /// The rank's report of a completed run; the caller adds the wall
+    /// clock, the weight checksum and the process-wide ABFT counts.
+    fn into_report(self) -> TrainReport {
+        let (peak_top1, peak_epoch) = self
+            .history
+            .iter()
+            .filter_map(|rec| rec.eval_top1.map(|a| (a, rec.epoch)))
+            .fold(
+                (0.0, 0),
+                |best, (a, e)| if a > best.0 { (a, e) } else { best },
+            );
+        TrainReport {
+            steps: self.prog.step,
+            peak_top1,
+            peak_epoch,
+            all_reduce_buckets: self.grad_bucket.profile().clone(),
+            history: self.history,
+            wall_seconds: 0.0,
+            weight_checksum: 0,
+            phases: self.phases,
+            fault_recovery: self.counters,
+            step_timeline: self.timeline,
+            final_world: self.recovery.world(),
+        }
     }
 
     /// The newest valid durable snapshot strictly before step `before`,
@@ -880,7 +885,7 @@ impl<'a, 's> Replica<'a, 's> {
     /// Symmetric: every rank scans the same directory and skips the same
     /// corrupt files, so the counter stays rank-identical.
     fn load_durable(&mut self, before: u64) -> Option<DurableSnapshot> {
-        let store = self.env.store.expect("restores require the durable store");
+        let store = self.store.expect("restores require the durable store");
         self.feed.flush();
         let (snap, report) = store
             .load_latest_valid_before(before)
@@ -899,7 +904,7 @@ impl<'a, 's> Replica<'a, 's> {
             self.shares.owned(self.rank),
             self.ema.as_ref(),
             &self.prog,
-            self.env.view.replicas,
+            self.view.replicas,
             &self.history,
         )
     }
@@ -1021,7 +1026,7 @@ impl<'a, 's> Replica<'a, 's> {
     /// This rank's batch of the step at `sample_off`, on the current
     /// augmentation stream.
     fn train_request(&self, plan: &EpochPlan, sample_off: u64) -> BatchRequest {
-        let (w, b) = (self.env.view.replicas, self.env.view.per_replica_batch);
+        let (w, b) = (self.view.replicas, self.view.per_replica_batch);
         let indices = plan.batch_at(sample_off as usize, self.rank, w, b);
         let rng = self.data_rng.clone();
         BatchRequest {
@@ -1034,8 +1039,8 @@ impl<'a, 's> Replica<'a, 's> {
     /// Chunk `chunk` of this rank's strided shard of the eval set, if the
     /// shard has one. Eval loading draws nothing from its stream.
     fn eval_request(&self, chunk: usize) -> Option<BatchRequest> {
-        let b = self.env.view.per_replica_batch.max(1);
-        let shard = (self.rank..self.env.view.eval_samples).step_by(self.env.view.replicas);
+        let b = self.view.per_replica_batch.max(1);
+        let shard = (self.rank..self.view.eval_samples).step_by(self.view.replicas);
         let indices: Vec<usize> = shard.skip(chunk * b).take(b).collect();
         let rng = Rng::new(0);
         (!indices.is_empty()).then_some(BatchRequest {
@@ -1046,14 +1051,14 @@ impl<'a, 's> Replica<'a, 's> {
     }
 
     fn evaluates(&self, epoch: u64) -> bool {
-        epoch.is_multiple_of(self.env.view.eval_every) || epoch == self.env.view.epochs
+        epoch.is_multiple_of(self.view.eval_every) || epoch == self.view.epochs
     }
 
     /// What the step loop loads after this step's batch: the next step's,
     /// or past the epoch's last step the first eval chunk or the next
     /// epoch's first batch. `None` where the phase ends first.
     fn next_after_train(&self, plan: &EpochPlan) -> Option<BatchRequest> {
-        let (view, prog) = (self.env.view, &self.prog);
+        let (view, prog) = (&self.view, &self.prog);
         let (gb, step) = (view.global_batch() as u64, prog.step + 1);
         if prog.sample_off + 2 * gb <= view.train_samples as u64 {
             let next = self.train_request(plan, prog.sample_off + gb);
@@ -1068,7 +1073,7 @@ impl<'a, 's> Replica<'a, 's> {
     /// The next epoch's first batch, which the step loop reaches at
     /// `step` unless training or the phase ends there.
     fn first_of_next_epoch(&self, step: u64) -> Option<BatchRequest> {
-        let (view, epoch) = (self.env.view, self.prog.epoch + 1);
+        let (view, epoch) = (&self.view, self.prog.epoch + 1);
         let plan = EpochPlan::new(view.seed, epoch, view.train_samples);
         let next = self.train_request(&plan, 0);
         (epoch <= view.epochs && !self.recovery.drains_at(step)).then_some(next)
@@ -1079,8 +1084,6 @@ impl<'a, 's> Replica<'a, 's> {
     /// is the wait for the batch, which was loaded during the previous
     /// step; zeroing the gradients is the backward lap's.
     fn exchange_gradients(&mut self, plan: &EpochPlan) -> Result<f32, CollectiveError> {
-        let env = self.env;
-        let view = env.view;
         self.sw = Stopwatch::start();
         zero_grads(&mut self.model);
         // Key the planned faults to this step *before* any bucket can go
@@ -1093,8 +1096,8 @@ impl<'a, 's> Replica<'a, 's> {
         // is bitwise-neutral wherever the flip lands, and with verify off
         // the escape perturbs the summed gradient identically on every
         // rank — rank attribution lives in the plan, not the tile.
-        if let Some((crank, bit)) = env.faults.compute_corruption_at(self.prog.step) {
-            if crank % view.replicas == self.rank {
+        if let Some((crank, bit)) = self.faults.compute_corruption_at(self.prog.step) {
+            if crank % self.view.replicas == self.rank {
                 ets_tensor::ops::abft::arm_inject(bit);
             }
         }
@@ -1106,11 +1109,11 @@ impl<'a, 's> Replica<'a, 's> {
         self.feed.prefetch(next);
         let data_s = self.sw.lap();
         let logits = self.model.forward(&x, Mode::Train, &mut self.layer_rng);
-        let out = cross_entropy(&logits, &labels, view.label_smoothing);
+        let out = cross_entropy(&logits, &labels, self.view.label_smoothing);
         let fwd_s = self.sw.lap();
         // Set when the hooked backward has exchanged the gradients: the
         // result and the *exposed* wait (all the all-reduce phase is owed).
-        let fused = if view.overlap_all_reduce {
+        let fused = if self.view.overlap_all_reduce {
             let res = self.grad_bucket.backward_overlapped_with_retry(
                 &mut self.model,
                 &out.dlogits,
@@ -1178,10 +1181,9 @@ impl<'a, 's> Replica<'a, 's> {
     /// ended its backward, the step's last read of them, and the barrier
     /// after the writes orders them before every rank's next read.
     fn apply_update(&mut self, schedule: &dyn LrSchedule, mean_loss: f32) {
-        let view = self.env.view;
         // Effective schedule step in the current world's units; ×1.0 is a
         // bitwise no-op, so unguarded runs stay on the legacy trajectory.
-        let eff_step = self.prog.consumed_samples / view.global_batch() as u64;
+        let eff_step = self.prog.consumed_samples / self.view.global_batch() as u64;
         let lr = schedule.lr(eff_step) * self.prog.lr_scale;
         let owned = self.shares.owned(self.rank);
         self.optimizer.step_params(&mut self.model, lr, owned);
@@ -1199,18 +1201,26 @@ impl<'a, 's> Replica<'a, 's> {
     /// Virtual step time: the nominal step stretched by the timing faults
     /// over this step (SPMD steps gate on the slowest participant) plus
     /// the retry backoff of its planned transient failures, as the
-    /// recovery machine charges them. The trace gets the same quantity as
-    /// a STEP span, with control sub-spans for the straggler stretch and
-    /// the backoff.
-    fn charge_virtual_step(&mut self) {
+    /// recovery machine charges them; the exchange made the `retries`
+    /// the machine prices. The trace gets the same quantity as a STEP
+    /// span, with control sub-spans for the straggler stretch and the
+    /// backoff.
+    fn charge_virtual_step(&mut self, retries: u64) {
         let step = self.prog.step;
-        let nominal = self.env.faults.step_seconds();
+        let nominal = self.faults.step_seconds();
         let StepCharge {
             slowdown,
+            retries: priced,
             backoff_s: step_backoff,
             ..
         } = self.recovery.charge(step);
+        assert_eq!(
+            retries,
+            u64::from(priced),
+            "step {step}: the exchange made {retries} retries, the machine priced {priced}"
+        );
         self.counters.straggler_virtual_s += (slowdown - 1.0) * nominal;
+        self.counters.retry_backoff_virtual_s += step_backoff;
         let step_virtual = nominal * slowdown + step_backoff;
         self.timeline.record(step, step_virtual);
         let (rec, vnow) = (&self.rec, self.vnow);
@@ -1274,24 +1284,25 @@ impl<'a, 's> Replica<'a, 's> {
     }
 
     /// The step loop of one phase, then the drain if it stops to resize.
-    fn run(mut self) -> PhaseOutcome<'s> {
-        let view = self.env.view;
-        let train_len = view.train_samples as u64;
+    /// True when training completed.
+    fn run(&mut self) -> bool {
+        let view = &self.view;
+        let (seed, epochs, train_samples) = (view.seed, view.epochs, view.train_samples);
         let gb = view.global_batch() as u64;
         // Schedule in the *current world's* step units: `view.replicas` is
         // the surviving world, so the peak LR linear-rescales with the
         // shrunken global batch and warmup/decay spans keep their sample
         // extent.
         let schedule = build_schedule(view);
-        let mut plan = EpochPlan::new(view.seed, self.prog.epoch, view.train_samples);
+        let mut plan = EpochPlan::new(seed, self.prog.epoch, train_samples);
         let mut plan_epoch = self.prog.epoch;
 
         let resize = loop {
-            if self.prog.epoch > view.epochs {
+            if self.prog.epoch > epochs {
                 break None;
             }
             if self.prog.epoch != plan_epoch {
-                plan = EpochPlan::new(view.seed, self.prog.epoch, view.train_samples);
+                plan = EpochPlan::new(seed, self.prog.epoch, train_samples);
                 plan_epoch = self.prog.epoch;
             }
             let (capture, preempt) = match self.recovery.top(self.prog.step) {
@@ -1315,6 +1326,7 @@ impl<'a, 's> Replica<'a, 's> {
             }
 
             let at = self.prog.step;
+            let retried = self.counters.collective_retries;
             let mean_loss = match self.exchange_gradients(&plan) {
                 Ok(loss) => loss,
                 // Unhealable payload corruption quarantines the attributed
@@ -1348,7 +1360,7 @@ impl<'a, 's> Replica<'a, 's> {
             // trip here or none do — the rollback is SPMD-symmetric by
             // construction. Tripping *before* the optimizer step keeps
             // non-finite values out of the weights entirely.
-            if view.nan_guard
+            if self.view.nan_guard
                 && !(mean_loss.is_finite()
                     && self.grad_bucket.last_reduction_is_finite(&mut self.model))
             {
@@ -1377,7 +1389,7 @@ impl<'a, 's> Replica<'a, 's> {
             }
 
             self.apply_update(schedule.as_ref(), mean_loss);
-            self.charge_virtual_step();
+            self.charge_virtual_step(self.counters.collective_retries - retried);
 
             // Advance the sample clock.
             self.prog.step += 1;
@@ -1386,7 +1398,7 @@ impl<'a, 's> Replica<'a, 's> {
             self.prog.sample_off += gb;
             // Drop-remainder: a tail shorter than one global batch is
             // skipped.
-            if self.prog.sample_off + gb > train_len {
+            if self.prog.sample_off + gb > train_samples as u64 {
                 self.finish_epoch();
             }
         };
@@ -1394,40 +1406,27 @@ impl<'a, 's> Replica<'a, 's> {
         // Drain for a resize: the last collective has completed (the step
         // loop never leaves a bucket in flight), so every rank hands over
         // its share of the durable checkpoint every survivor will resume
-        // from. The feeder returns only once it has drained its inbox, so
-        // this save is durable before the next phase's loads. Every
+        // from. The feeder returns only once every rank has hung up, so
+        // this save is durable before the next world's loads. Every
         // old-world rank then accounts the protocol (durable persist +
-        // collective rebuild + restart) identically, and the next phase's
+        // collective rebuild + restart) identically, and the next world's
         // cursor continues past it.
-        if let Some(resize) = resize {
-            // The phase ends here, so its anchor goes before the capture.
-            self.anchor = None;
-            self.checkpoint(Capture {
-                durable: true,
-                anchor: false,
-            });
-            let (step, before) = (self.prog.step, resize.world_before);
-            self.charge(obs_ph::RESIZE, resize.virtual_s, step, before as u64);
-            self.counters.lost_replicas += (before - resize.world_after) as u64;
-            self.counters.resizes += 1;
-            self.counters.resize_virtual_s += resize.virtual_s;
-            self.timeline.record_resize(resize);
-        }
-
-        PhaseOutcome {
-            history: self.history,
-            optimizer: resize.map(|_| self.optimizer),
-            phases: self.phases,
-            buckets: self.grad_bucket.profile().clone(),
-            carry: Carry {
-                recovery: self.recovery,
-                counters: self.counters,
-                timeline: self.timeline,
-                vnow: self.vnow,
-                step: self.prog.step,
-            },
-            done: resize.is_none(),
-        }
+        let Some(resize) = resize else {
+            return true;
+        };
+        // The phase ends here, so its anchor goes before the capture.
+        self.anchor = None;
+        self.checkpoint(Capture {
+            durable: true,
+            anchor: false,
+        });
+        let (step, before) = (self.prog.step, resize.world_before);
+        self.charge(obs_ph::RESIZE, resize.virtual_s, step, before as u64);
+        self.counters.lost_replicas += (before - resize.world_after) as u64;
+        self.counters.resizes += 1;
+        self.counters.resize_virtual_s += resize.virtual_s;
+        self.timeline.record_resize(resize);
+        false
     }
 }
 
@@ -1466,7 +1465,7 @@ mod tests {
 
     #[test]
     fn every_replica_reads_one_buffer_per_parameter() {
-        let mut models = phase_models(&quick_exp(3));
+        let mut models = replica_models(&quick_exp(3));
         let mut handles = vec![Vec::new(); 3];
         let mut grads = vec![Vec::new(); 3];
         for (r, model) in models.iter_mut().enumerate() {
@@ -1559,14 +1558,6 @@ mod feed_tests {
         let (requests, inbox) = sync_channel(3);
         let (feed, outbox) = Feed::new(0, requests);
         (feed, inbox, outbox)
-    }
-
-    /// The message a panic carried.
-    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-        match payload.downcast::<String>() {
-            Ok(s) => *s,
-            Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
-        }
     }
 
     #[test]
@@ -1741,12 +1732,18 @@ mod feed_tests {
         // stalling it.
         let (tx, rx) = std::sync::mpsc::channel();
         let run = std::thread::spawn(move || {
-            let _ = tx.send(std::panic::catch_unwind(|| train(&e)).is_err());
+            let failed = std::panic::catch_unwind(|| train(&e)).err();
+            let _ = tx.send(failed.map(panic_message));
         });
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(120)),
-            Ok(true),
-            "train() must panic, not hang"
+        let message = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("train() must panic, not hang")
+            .expect("train() must panic");
+        // The failing rank's own message, naming the rank.
+        assert!(message.starts_with("rank 0: "), "{message}");
+        assert!(
+            message.contains("gradient exchange failed permanently"),
+            "{message}"
         );
         run.join().expect("the panic was caught");
     }

@@ -10,10 +10,10 @@
 //! between epochs, shrinking the per-epoch overhead by the slice-size
 //! ratio.
 //!
-//! Both variants are simulated with the discrete-event engine.
+//! The separate evaluator is a single-server FIFO queue of checkpoints;
+//! the distributed loop alternates train and eval on the same cores.
 
 use crate::calibration::{core_spec, mxu_efficiency};
-use crate::event::EventSim;
 use ets_data::imagenet;
 use ets_efficientnet::{model_stats, ModelConfig, Variant};
 
@@ -57,14 +57,6 @@ pub const SEPARATE_EVAL_OVERHEAD: f64 = 30.0;
 /// distributed loop (no checkpoint restore; weights stay on-device).
 pub const DISTRIBUTED_EVAL_OVERHEAD: f64 = 1.0;
 
-#[derive(Clone, Copy, Debug)]
-enum Ev {
-    /// Training finished epoch `e` (1-based).
-    EpochDone(u32),
-    /// Evaluator finished evaluating epoch `e`'s checkpoint.
-    EvalDone(u32),
-}
-
 /// Simulates a run of `total_epochs` epochs with per-epoch training time
 /// `epoch_seconds`, peaking at `peak_epoch`, under the given eval mode.
 pub fn simulate(
@@ -79,45 +71,19 @@ pub fn simulate(
     match mode {
         EvalMode::SeparateEvaluator { eval_cores } => {
             let eval_secs = eval_pass_seconds(variant, eval_cores, SEPARATE_EVAL_OVERHEAD);
-            let mut sim: EventSim<Ev> = EventSim::new();
-            // Training emits checkpoints at epoch boundaries, unimpeded.
-            for e in 1..=total_epochs {
-                sim.schedule_at(e as f64 * epoch_seconds, Ev::EpochDone(e));
-            }
-            let mut queue: std::collections::VecDeque<u32> = Default::default();
-            let mut evaluator_busy_until = 0.0f64;
-            let mut evals = 0usize;
-            let mut observed = None;
-            while let Some(ev) = sim.next() {
-                match ev {
-                    Ev::EpochDone(e) => {
-                        queue.push_back(e);
-                        // If idle, start the next eval now.
-                        if evaluator_busy_until <= sim.now() {
-                            let ckpt = queue.pop_front().unwrap();
-                            evaluator_busy_until = sim.now() + eval_secs;
-                            sim.schedule_at(evaluator_busy_until, Ev::EvalDone(ckpt));
-                        }
-                    }
-                    Ev::EvalDone(e) => {
-                        evals += 1;
-                        if e >= peak_epoch && observed.is_none() {
-                            observed = Some(sim.now());
-                            break;
-                        }
-                        if let Some(ckpt) = queue.pop_front() {
-                            evaluator_busy_until = sim.now() + eval_secs;
-                            sim.schedule_at(evaluator_busy_until, Ev::EvalDone(ckpt));
-                        }
-                    }
-                }
+            // A single-server FIFO queue: training emits epoch e's
+            // checkpoint at e · epoch_seconds, unimpeded, and the evaluator
+            // takes each one as soon as it is free, so epoch e's result is
+            // known at done(e) = max(e · epoch_seconds, done(e − 1)) + eval.
+            let mut done = 0.0f64;
+            for e in 1..=peak_epoch {
+                done = (e as f64 * epoch_seconds).max(done) + eval_secs;
             }
             EvalLoopOutcome {
-                time_to_peak_observed: observed
-                    .expect("peak checkpoint must eventually be evaluated"),
+                time_to_peak_observed: done,
                 train_time_to_peak: peak_epoch as f64 * epoch_seconds,
                 eval_pass_seconds: eval_secs,
-                evals_run: evals,
+                evals_run: peak_epoch as usize,
             }
         }
         EvalMode::Distributed => {

@@ -13,9 +13,9 @@
 //!   for its closed-form price, and the slow-link what-if.
 //! - [`convergence`] — peak-accuracy model calibrated to **Table 2**, plus
 //!   learning-curve shapes.
-//! - [`event`] / [`eval_loop`] — a discrete-event simulation of the
-//!   TPUEstimator separate-evaluator pipeline vs the distributed
-//!   train-and-eval loop (§3.3).
+//! - [`eval_loop`] — the TPUEstimator separate-evaluator pipeline, a
+//!   FIFO queue of checkpoints, vs the distributed train-and-eval loop
+//!   (§3.3).
 //! - [`e2e`] — the composite time-to-accuracy model. Regenerates
 //!   **Figure 1**.
 //! - [`scaling`] — throughput and parallel efficiency across slice sizes,
@@ -30,7 +30,6 @@ pub mod chip;
 pub mod convergence;
 pub mod e2e;
 pub mod eval_loop;
-pub mod event;
 pub mod fault;
 pub mod netsim;
 pub mod scaling;
@@ -45,7 +44,6 @@ pub use convergence::{
 };
 pub use e2e::{time_to_accuracy, time_to_accuracy_for_backend, RunConfig, RunOutcome};
 pub use eval_loop::{eval_pass_seconds, simulate as simulate_eval_loop, EvalLoopOutcome, EvalMode};
-pub use event::EventSim;
 pub use fault::{simulate_chaos, simulate_chaos_recorded, PodChaosReport};
 pub use netsim::simulate_all_reduce;
 pub use scaling::{amdahl_serial_fraction, scaling_sweep, ScalingPoint};
